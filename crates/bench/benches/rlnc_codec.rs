@@ -2,7 +2,9 @@
 //! Fig. 4's CPU-side tradeoff (Kodo-style measurement).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use ncvnf_rlnc::{GenerationConfig, GenerationDecoder, GenerationEncoder, Recoder, SessionId};
+use ncvnf_rlnc::{
+    GenerationConfig, GenerationDecoder, GenerationEncoder, PayloadPool, Recoder, SessionId,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -62,8 +64,12 @@ fn bench_recode(c: &mut Criterion) {
             let _ = recoder.absorb(p.coefficients(), p.payload());
         }
         group.throughput(Throughput::Bytes(cfg.block_size() as u64));
+        let mut pool = PayloadPool::new();
         group.bench_function(format!("recode_packet_g{g}"), |b| {
-            b.iter(|| black_box(recoder.recode(&mut rng).unwrap()))
+            b.iter(|| {
+                let pkt = recoder.recode_into(&mut rng, &mut pool).unwrap();
+                pool.recycle(black_box(pkt));
+            })
         });
     }
     group.finish();

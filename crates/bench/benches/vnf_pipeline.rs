@@ -1,7 +1,7 @@
 //! End-to-end VNF packet pipeline: parse → recode → serialize.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use ncvnf_dataplane::{CodingVnf, VnfOutput, VnfRole};
+use ncvnf_dataplane::{CodingVnf, VnfDecision, VnfRole};
 use ncvnf_rlnc::{GenerationConfig, GenerationEncoder, SessionId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,12 +25,17 @@ fn bench_pipeline(c: &mut Criterion) {
         let mut vnf = CodingVnf::new(cfg, 1024);
         vnf.set_role(SessionId::new(1), role);
         let mut i = 0usize;
-        group.bench_function(format!("process_datagram_{role}"), |b| {
+        let mut out = Vec::new();
+        group.bench_function(format!("process_wire_into_{role}"), |b| {
             b.iter(|| {
                 let wire = &wires[i % wires.len()];
                 i += 1;
-                match vnf.process_datagram(black_box(wire), &mut rng) {
-                    VnfOutput::Forward(pkts) => black_box(pkts.len()),
+                let decision = vnf.process_wire_into(black_box(wire), 1, &mut rng, &mut out);
+                for pkt in out.drain(..) {
+                    vnf.recycle(pkt);
+                }
+                match decision {
+                    VnfDecision::Forwarded(n) => black_box(n),
                     _ => 0,
                 }
             })

@@ -2,7 +2,7 @@
 //! aspirational.
 //!
 //! Registers every metrics bundle the workspace ships (relay node,
-//! relay step, recovery, rlnc codec, payload pool, dataplane VNF,
+//! relay data path, recovery, rlnc codec, payload pool, dataplane VNF,
 //! control plane) into one registry, then diffs the registered
 //! descriptors against the metric table in `OPERATIONS.md`. A metric
 //! added without a doc row — or a doc row whose kind/unit/crate drifts
@@ -14,13 +14,12 @@ use std::path::Path;
 use ncvnf_control::ControlMetrics;
 use ncvnf_dataplane::VnfMetrics;
 use ncvnf_obs::{MetricDesc, Registry};
-use ncvnf_relay::{BatchMetrics, RelayNodeMetrics, StepMetrics, TransferObs};
+use ncvnf_relay::{BatchMetrics, RelayNodeMetrics, TransferObs};
 
 /// One registry holding every metric any ncvnf component can register.
 fn full_registry() -> Registry {
     let registry = Registry::new();
     let _ = RelayNodeMetrics::register(&registry);
-    let _ = StepMetrics::register(&registry);
     let _ = BatchMetrics::register(&registry);
     // Recovery + rlnc codec + payload pool bundles.
     let _ = TransferObs::in_registry(&registry);

@@ -446,7 +446,9 @@ impl NodeBehavior for VnfNode {
         // Parse first so the per-session emit ratio can be applied.
         let g = self.vnf.config().blocks_per_generation();
         let Ok(pkt) = ncvnf_rlnc::CodedPacket::from_bytes(&dgram.payload, g) else {
-            let _ = self.vnf.process_datagram(&dgram.payload, ctx.rng());
+            // Not an NC packet: let the VNF count it as malformed.
+            self.vnf
+                .process_wire_into(&dgram.payload, 0, ctx.rng(), &mut self.forward_buf);
             return;
         };
         let is_recoder = self
@@ -522,7 +524,8 @@ impl NodeBehavior for VnfNode {
                 }
                 return;
             }
-            VnfDecision::Nothing => return,
+            // The simulator carries no windowed streams to deliver.
+            VnfDecision::Nothing | VnfDecision::Delivered { .. } => return,
         };
         if session_hops.is_empty() || self.forward_buf.is_empty() {
             return;

@@ -1,13 +1,12 @@
 //! The coding VNF packet processor (transport-agnostic core).
 
-use bytes::Bytes;
 use rand::Rng;
 use std::collections::{HashMap, VecDeque};
 
 use ncvnf_rlnc::window::{WindowConfig, WindowDecoder, WindowOutcome, WindowRecoder};
 use ncvnf_rlnc::{
-    CodecError, CodedPacket, GenerationConfig, GenerationDecoder, HeaderError, PacketView,
-    PayloadPool, PoolStats, SessionId, WindowAck, WindowPacket, WindowPacketView,
+    CodecError, CodedPacket, GenerationConfig, GenerationDecoder, PacketView, PayloadPool,
+    PoolStats, Recoder, SessionId, WindowAck, WireKind,
 };
 
 use crate::buffer::SessionBuffer;
@@ -47,27 +46,9 @@ pub struct VnfStats {
     pub window_acks_in: u64,
 }
 
-/// What a VNF produced for one input packet.
-#[derive(Debug, Clone)]
-pub enum VnfOutput {
-    /// Emit these packets to the session's next hops.
-    Forward(Vec<CodedPacket>),
-    /// A generation finished decoding (decoder role); deliver the payload.
-    Decoded {
-        /// Session of the decoded generation.
-        session: SessionId,
-        /// Generation number.
-        generation: u64,
-        /// Recovered generation payload.
-        payload: Vec<u8>,
-    },
-    /// Nothing to emit (redundant packet, or unknown/malformed input).
-    Nothing,
-}
-
-/// Result of the allocation-free batch step
-/// [`CodingVnf::process_packet_into`]: what happened beyond the packets
-/// appended to the caller's output buffer.
+/// What the VNF did with one input packet
+/// ([`CodingVnf::process_wire_into`]), beyond the packets appended to the
+/// caller's output buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VnfDecision {
     /// This many packets were appended to the output buffer.
@@ -81,17 +62,7 @@ pub enum VnfDecision {
         /// Recovered generation payload.
         payload: Vec<u8>,
     },
-    /// Nothing to emit (redundant packet, or unknown/malformed input).
-    Nothing,
-}
-
-/// Result of processing one sliding-window datagram
-/// ([`CodingVnf::process_window_wire_into`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WindowDecision {
-    /// This many windowed packets were appended to the output buffer.
-    Forwarded(usize),
-    /// The windowed decoder delivered one or more in-order symbols.
+    /// A windowed decoder delivered one or more in-order symbols.
     Delivered {
         /// Session of the windowed stream.
         session: SessionId,
@@ -100,53 +71,42 @@ pub enum WindowDecision {
         /// Delivered symbols, consecutive from `first`.
         payloads: Vec<Vec<u8>>,
     },
-    /// Nothing to emit (redundant/stale packet, or unknown/malformed
+    /// Nothing to emit (redundant or stale packet, or unknown/malformed
     /// input).
     Nothing,
 }
 
-/// One input packet, either already owned or still borrowed from a
-/// receive buffer. The distinction only matters when the input must
-/// travel on verbatim: an owned packet forwards by reference-count bump,
-/// a view is copied into pooled storage at that point (and only then).
-enum Input<'a> {
-    Packet(&'a CodedPacket),
-    View(PacketView<'a>),
+/// The recode buffer one input packet lands in: its generation's
+/// [`Recoder`] or its stream's [`WindowRecoder`]. The pipelined emit loop
+/// is written once over this.
+enum RecodeBuffer<'a> {
+    Generation(&'a mut Recoder),
+    Window(&'a mut WindowRecoder),
 }
 
-impl Input<'_> {
-    fn session(&self) -> SessionId {
+impl RecodeBuffer<'_> {
+    fn rank(&self) -> usize {
         match self {
-            Input::Packet(p) => p.session(),
-            Input::View(v) => v.session(),
+            RecodeBuffer::Generation(r) => r.rank(),
+            RecodeBuffer::Window(r) => r.rank(),
         }
     }
 
-    fn generation(&self) -> u64 {
+    fn absorb(&mut self, view: &PacketView<'_>) -> Result<bool, CodecError> {
         match self {
-            Input::Packet(p) => p.generation(),
-            Input::View(v) => v.generation(),
+            RecodeBuffer::Generation(r) => r.absorb(view.coefficients(), view.payload()),
+            RecodeBuffer::Window(r) => r.absorb(view.index(), view.coefficients(), view.payload()),
         }
     }
 
-    fn coefficients(&self) -> &[u8] {
+    fn recode_into<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        pool: &mut PayloadPool,
+    ) -> Result<CodedPacket, CodecError> {
         match self {
-            Input::Packet(p) => p.coefficients(),
-            Input::View(v) => v.coefficients(),
-        }
-    }
-
-    fn payload(&self) -> &[u8] {
-        match self {
-            Input::Packet(p) => p.payload(),
-            Input::View(v) => v.payload(),
-        }
-    }
-
-    fn to_owned(&self, pool: &mut PayloadPool) -> CodedPacket {
-        match self {
-            Input::Packet(p) => (*p).clone(),
-            Input::View(v) => v.to_owned_pooled(pool),
+            RecodeBuffer::Generation(r) => r.recode_into(rng, pool),
+            RecodeBuffer::Window(r) => r.recode_into(rng, pool),
         }
     }
 }
@@ -388,101 +348,24 @@ impl CodingVnf {
         self.pool.stats()
     }
 
-    /// Parses one raw datagram into a coded packet whose storage comes
-    /// from the VNF's buffer pool (recycle it back after processing and
-    /// sending). Malformed datagrams are counted in
-    /// [`VnfStats::malformed`].
+    /// Processes one raw wire datagram of either data framing — the one
+    /// VNF step: check the NC header ("each VNF ... checks if a packet has
+    /// the network coding protocol header"), then forward / recode /
+    /// decode by the session's role.
     ///
-    /// # Errors
-    ///
-    /// Propagates header parse failures.
-    pub fn parse_datagram(&mut self, data: &[u8]) -> Result<CodedPacket, HeaderError> {
-        match CodedPacket::from_bytes_pooled(
-            data,
-            self.config.blocks_per_generation(),
-            &mut self.pool,
-        ) {
-            Ok(pkt) => Ok(pkt),
-            Err(e) => {
-                self.stats.malformed += 1;
-                Err(e)
-            }
-        }
-    }
-
-    /// Processes one raw datagram payload.
-    ///
-    /// Checks the NC header ("each VNF ... checks if a packet has the
-    /// network coding protocol header"), then recodes / forwards / decodes
-    /// according to the session's role.
-    pub fn process_datagram<R: Rng + ?Sized>(&mut self, data: &[u8], rng: &mut R) -> VnfOutput {
-        match self.parse_datagram(data) {
-            Ok(pkt) => {
-                let out = self.process_packet(&pkt, rng);
-                // Return the parsed packet's buffers to the pool (clones
-                // emitted to `out` keep them alive until they drop).
-                self.recycle(pkt);
-                out
-            }
-            Err(_) => VnfOutput::Nothing,
-        }
-    }
-
-    /// Processes one parsed coded packet, emitting one output per input
-    /// (the paper's pipelined mode).
-    pub fn process_packet<R: Rng + ?Sized>(&mut self, pkt: &CodedPacket, rng: &mut R) -> VnfOutput {
-        self.process_packet_n(pkt, 1, rng)
-    }
-
-    /// Like [`CodingVnf::process_packet`], but a recoding role emits
-    /// exactly `outputs` packets for this input (0 = absorb only). The
-    /// controller uses this to match a coding point's emission rate to
-    /// its planned outgoing flow instead of flooding its egress. Other
-    /// roles ignore `outputs`.
-    pub fn process_packet_n<R: Rng + ?Sized>(
-        &mut self,
-        pkt: &CodedPacket,
-        outputs: usize,
-        rng: &mut R,
-    ) -> VnfOutput {
-        let mut out = Vec::new();
-        match self.process_packet_into(pkt, outputs, rng, &mut out) {
-            VnfDecision::Forwarded(_) => VnfOutput::Forward(out),
-            VnfDecision::Decoded {
-                session,
-                generation,
-                payload,
-            } => VnfOutput::Decoded {
-                session,
-                generation,
-                payload,
-            },
-            VnfDecision::Nothing => VnfOutput::Nothing,
-        }
-    }
-
-    /// Batch form of [`CodingVnf::process_packet_n`]: forwarded packets are
-    /// appended to `out` (reuse it across calls so its capacity amortizes)
-    /// and recoded emissions draw their buffers from the VNF's internal
-    /// pool. Together with [`recycle`](Self::recycle) this makes the
-    /// recode-and-forward steady state allocation-free.
-    pub fn process_packet_into<R: Rng + ?Sized>(
-        &mut self,
-        pkt: &CodedPacket,
-        outputs: usize,
-        rng: &mut R,
-        out: &mut Vec<CodedPacket>,
-    ) -> VnfDecision {
-        self.process_input_into(Input::Packet(pkt), outputs, rng, out)
-    }
-
-    /// Processes one raw wire datagram without materializing the input:
-    /// the packet is parsed as a borrowed [`PacketView`], so the
+    /// The packet is parsed as a borrowed [`PacketView`], so the
     /// recode/decode steady state reads coefficients and payload straight
     /// from the receive buffer — the input is copied (into pooled
     /// storage) only when it must travel on verbatim (forwarder role, or
-    /// the pipelined first packet of a generation). Malformed datagrams
-    /// are counted in [`VnfStats::malformed`].
+    /// the pipelined first packet of an empty recode buffer). A recoding
+    /// role emits exactly `outputs` packets for this input (0 = absorb
+    /// only; the simulator uses this to match a coding point's emission
+    /// rate to its planned outgoing flow); other roles ignore `outputs`.
+    /// Emitted packets are appended to `out` (reuse it across calls) and
+    /// draw their buffers from the VNF's pool; return them via
+    /// [`recycle`](Self::recycle) after sending and the steady state is
+    /// allocation-free. Malformed datagrams are counted in
+    /// [`VnfStats::malformed`].
     pub fn process_wire_into<R: Rng + ?Sized>(
         &mut self,
         data: &[u8],
@@ -494,7 +377,19 @@ impl CodingVnf {
             self.stats.malformed += 1;
             return VnfDecision::Nothing;
         };
-        self.process_input_into(Input::View(view), outputs, rng, out)
+        self.process_view(view, outputs, rng, out)
+    }
+
+    /// [`process_wire_into`](Self::process_wire_into) for a packet that
+    /// is already parsed and owned (the simulator's nodes).
+    pub fn process_packet_into<R: Rng + ?Sized>(
+        &mut self,
+        pkt: &CodedPacket,
+        outputs: usize,
+        rng: &mut R,
+        out: &mut Vec<CodedPacket>,
+    ) -> VnfDecision {
+        self.process_view(pkt.view(), outputs, rng, out)
     }
 
     /// Default in-flight window for sliding-window sessions (symbols).
@@ -510,107 +405,6 @@ impl CodingVnf {
     /// this call (push it before traffic starts, like a role).
     pub fn set_window_config(&mut self, window: WindowConfig) {
         self.window_config = window;
-    }
-
-    /// Processes one sliding-window datagram (wire kind 2) without
-    /// materializing the input: forwarders copy it onward, recoders
-    /// absorb it into the session's [`WindowRecoder`] and emit fresh
-    /// combinations (pipelined — the first packet of an empty buffer
-    /// travels verbatim), decoders feed their [`WindowDecoder`] and
-    /// surface in-order deliveries. Emitted packets draw buffers from
-    /// the VNF's pool; return them via
-    /// [`recycle_window`](Self::recycle_window) after sending.
-    pub fn process_window_wire_into<R: Rng + ?Sized>(
-        &mut self,
-        data: &[u8],
-        outputs: usize,
-        rng: &mut R,
-        out: &mut Vec<WindowPacket>,
-    ) -> WindowDecision {
-        let Ok(view) = WindowPacketView::parse(data) else {
-            self.stats.malformed += 1;
-            return WindowDecision::Nothing;
-        };
-        self.stats.window_packets_in += 1;
-        let session = view.session();
-        let Some(state) = self.sessions.get_mut(&session) else {
-            self.stats.unknown_session += 1;
-            return WindowDecision::Nothing;
-        };
-        match state.role {
-            VnfRole::Forwarder => {
-                out.push(view.to_owned_pooled(&mut self.pool));
-                self.stats.window_packets_out += 1;
-                WindowDecision::Forwarded(1)
-            }
-            VnfRole::Recoder => {
-                let recoder = state
-                    .window_recoder
-                    .get_or_insert_with(|| WindowRecoder::new(self.window_config, session));
-                let first = recoder.rank() == 0;
-                match recoder.absorb(view.base(), view.coefficients(), view.payload()) {
-                    Ok(innovative) => {
-                        if innovative {
-                            self.stats.innovative_in += 1;
-                        }
-                        if outputs == 0 {
-                            return WindowDecision::Nothing;
-                        }
-                        out.reserve(outputs);
-                        let mut emitted = 0;
-                        for i in 0..outputs {
-                            if first && i == 0 {
-                                out.push(view.to_owned_pooled(&mut self.pool));
-                                emitted += 1;
-                                continue;
-                            }
-                            match recoder.recode_into(rng, &mut self.pool) {
-                                Ok(p) => {
-                                    out.push(p);
-                                    emitted += 1;
-                                }
-                                Err(CodecError::EmptyRecoder) => {
-                                    out.push(view.to_owned_pooled(&mut self.pool));
-                                    emitted += 1;
-                                }
-                                Err(_) => break,
-                            }
-                        }
-                        self.stats.window_packets_out += emitted as u64;
-                        WindowDecision::Forwarded(emitted)
-                    }
-                    Err(_) => {
-                        self.stats.malformed += 1;
-                        WindowDecision::Nothing
-                    }
-                }
-            }
-            VnfRole::Decoder => {
-                let decoder = state
-                    .window_decoder
-                    .get_or_insert_with(|| WindowDecoder::new(self.window_config));
-                match decoder.receive(view.base(), view.coefficients(), view.payload()) {
-                    Ok(WindowOutcome::Delivered { first, payloads }) => {
-                        self.stats.innovative_in += 1;
-                        self.stats.window_symbols_delivered += payloads.len() as u64;
-                        WindowDecision::Delivered {
-                            session,
-                            first,
-                            payloads,
-                        }
-                    }
-                    Ok(WindowOutcome::Innovative) => {
-                        self.stats.innovative_in += 1;
-                        WindowDecision::Nothing
-                    }
-                    Ok(WindowOutcome::Redundant | WindowOutcome::Stale) => WindowDecision::Nothing,
-                    Err(_) => {
-                        self.stats.malformed += 1;
-                        WindowDecision::Nothing
-                    }
-                }
-            }
-        }
     }
 
     /// Absorbs a window ack (wire kind 3): a recoder slides its buffer
@@ -641,39 +435,14 @@ impl CodingVnf {
             .map(|d| d.cumulative_ack())
     }
 
-    /// Undelivered rank a windowed decoder holds beyond its delivery
-    /// point (> 0 means a gap is blocking in-order delivery and repair
-    /// packets would help).
-    pub fn window_pending_rank(&self, session: SessionId) -> Option<usize> {
-        self.sessions
-            .get(&session)?
-            .window_decoder
-            .as_ref()
-            .map(|d| d.pending_rank())
-    }
-
-    /// Buffered rank of a session's windowed recoder, if present.
-    pub fn window_rank(&self, session: SessionId) -> Option<usize> {
-        self.sessions
-            .get(&session)?
-            .window_recoder
-            .as_ref()
-            .map(|r| r.rank())
-    }
-
-    /// Returns a finished windowed packet's buffers to the VNF's pool.
-    pub fn recycle_window(&mut self, pkt: WindowPacket) {
-        self.pool.recycle_window(pkt);
-    }
-
-    fn process_input_into<R: Rng + ?Sized>(
+    fn process_view<R: Rng + ?Sized>(
         &mut self,
-        input: Input<'_>,
+        view: PacketView<'_>,
         outputs: usize,
         rng: &mut R,
         out: &mut Vec<CodedPacket>,
     ) -> VnfDecision {
-        let decision = self.process_input_inner(input, outputs, rng, out);
+        let decision = self.code(view, outputs, rng, out);
         // Budgeted relays pay one branch here; the default (uncapped)
         // hot path skips the enforcement scan entirely.
         if self.memory_budget.is_some() {
@@ -682,89 +451,114 @@ impl CodingVnf {
         decision
     }
 
-    fn process_input_inner<R: Rng + ?Sized>(
+    fn code<R: Rng + ?Sized>(
         &mut self,
-        input: Input<'_>,
+        view: PacketView<'_>,
         outputs: usize,
         rng: &mut R,
         out: &mut Vec<CodedPacket>,
     ) -> VnfDecision {
-        self.stats.packets_in += 1;
-        let Some(state) = self.sessions.get_mut(&input.session()) else {
+        let window = view.kind() == WireKind::Window;
+        let session = view.session();
+        if window {
+            self.stats.window_packets_in += 1;
+        } else {
+            self.stats.packets_in += 1;
+        }
+        let Some(state) = self.sessions.get_mut(&session) else {
             self.stats.unknown_session += 1;
             return VnfDecision::Nothing;
         };
-        match state.role {
+        let emitted = match state.role {
             VnfRole::Forwarder => {
-                self.stats.packets_out += 1;
-                out.push(input.to_owned(&mut self.pool));
-                VnfDecision::Forwarded(1)
+                out.push(view.to_owned_pooled(&mut self.pool));
+                1
             }
             VnfRole::Recoder => {
-                let recoder = state.buffer.recoder_for(input.generation());
-                let first = recoder.rank() == 0;
-                match recoder.absorb(input.coefficients(), input.payload()) {
-                    Ok(innovative) => {
-                        if innovative {
-                            self.stats.innovative_in += 1;
-                        }
-                        if outputs == 0 {
-                            return VnfDecision::Nothing;
-                        }
-                        out.reserve(outputs);
-                        let mut emitted = 0;
-                        for i in 0..outputs {
-                            // Pipelined: the very first packet of a
-                            // generation passes through verbatim, later
-                            // emissions are fresh recombinations.
-                            if first && i == 0 {
-                                out.push(input.to_owned(&mut self.pool));
-                                emitted += 1;
-                                continue;
-                            }
-                            match recoder.recode_into(rng, &mut self.pool) {
-                                Ok(p) => {
-                                    out.push(p);
-                                    emitted += 1;
-                                }
-                                Err(CodecError::EmptyRecoder) => {
-                                    out.push(input.to_owned(&mut self.pool));
-                                    emitted += 1;
-                                }
-                                Err(_) => break,
-                            }
-                        }
-                        self.stats.packets_out += emitted as u64;
-                        VnfDecision::Forwarded(emitted)
+                let mut buffer = if window {
+                    RecodeBuffer::Window(
+                        state
+                            .window_recoder
+                            .get_or_insert_with(|| WindowRecoder::new(self.window_config, session)),
+                    )
+                } else {
+                    RecodeBuffer::Generation(state.buffer.recoder_for(view.index()))
+                };
+                let first = buffer.rank() == 0;
+                match buffer.absorb(&view) {
+                    Ok(innovative) => self.stats.innovative_in += u64::from(innovative),
+                    Err(_) => {
+                        self.stats.malformed += 1;
+                        return VnfDecision::Nothing;
                     }
+                }
+                if outputs == 0 {
+                    return VnfDecision::Nothing;
+                }
+                out.reserve(outputs);
+                let mut emitted = 0;
+                for i in 0..outputs {
+                    // Pipelined: the very first packet of an empty buffer
+                    // passes through verbatim, later emissions are fresh
+                    // recombinations.
+                    let pkt = if first && i == 0 {
+                        view.to_owned_pooled(&mut self.pool)
+                    } else {
+                        match buffer.recode_into(rng, &mut self.pool) {
+                            Ok(pkt) => pkt,
+                            Err(CodecError::EmptyRecoder) => view.to_owned_pooled(&mut self.pool),
+                            Err(_) => break,
+                        }
+                    };
+                    out.push(pkt);
+                    emitted += 1;
+                }
+                emitted
+            }
+            VnfRole::Decoder if window => {
+                let decoder = state
+                    .window_decoder
+                    .get_or_insert_with(|| WindowDecoder::new(self.window_config));
+                return match decoder.receive(view.index(), view.coefficients(), view.payload()) {
+                    Ok(WindowOutcome::Delivered { first, payloads }) => {
+                        self.stats.innovative_in += 1;
+                        self.stats.window_symbols_delivered += payloads.len() as u64;
+                        VnfDecision::Delivered {
+                            session,
+                            first,
+                            payloads,
+                        }
+                    }
+                    Ok(WindowOutcome::Innovative) => {
+                        self.stats.innovative_in += 1;
+                        VnfDecision::Nothing
+                    }
+                    Ok(WindowOutcome::Redundant | WindowOutcome::Stale) => VnfDecision::Nothing,
                     Err(_) => {
                         self.stats.malformed += 1;
                         VnfDecision::Nothing
                     }
-                }
+                };
             }
             VnfRole::Decoder => {
-                let session = input.session();
-                if !state.decoders.contains_key(&input.generation()) {
+                let generation = view.index();
+                if !state.decoders.contains_key(&generation) {
                     if state.decoder_order.len() >= self.buffer_generations {
                         if let Some(evict) = state.decoder_order.pop_front() {
                             state.decoders.remove(&evict);
                             self.stats.evicted_decoders += 1;
                         }
                     }
-                    state.decoder_order.push_back(input.generation());
+                    state.decoder_order.push_back(generation);
                     state
                         .decoders
-                        .insert(input.generation(), GenerationDecoder::new(self.config));
+                        .insert(generation, GenerationDecoder::new(self.config));
                 }
-                let decoder = state
-                    .decoders
-                    .get_mut(&input.generation())
-                    .expect("just ensured");
+                let decoder = state.decoders.get_mut(&generation).expect("just ensured");
                 if decoder.is_complete() {
                     return VnfDecision::Nothing;
                 }
-                match decoder.receive(input.coefficients(), input.payload()) {
+                return match decoder.receive(view.coefficients(), view.payload()) {
                     Ok(outcome) => {
                         if matches!(outcome, ncvnf_rlnc::ReceiveOutcome::Innovative { .. }) {
                             self.stats.innovative_in += 1;
@@ -776,7 +570,7 @@ impl CodingVnf {
                             self.stats.generations_decoded += 1;
                             VnfDecision::Decoded {
                                 session,
-                                generation: input.generation(),
+                                generation,
                                 payload,
                             }
                         } else {
@@ -787,20 +581,21 @@ impl CodingVnf {
                         self.stats.malformed += 1;
                         VnfDecision::Nothing
                     }
-                }
+                };
             }
+        };
+        if window {
+            self.stats.window_packets_out += emitted as u64;
+        } else {
+            self.stats.packets_out += emitted as u64;
         }
+        VnfDecision::Forwarded(emitted)
     }
 
     /// Returns a finished packet's buffers to the VNF's pool (call after
     /// the packet has been serialized/sent and no clones remain alive).
     pub fn recycle(&mut self, pkt: CodedPacket) {
         self.pool.recycle(pkt);
-    }
-
-    /// Serializes a coded packet for the wire (convenience for adapters).
-    pub fn encode_packet(pkt: &CodedPacket) -> Bytes {
-        pkt.to_bytes()
     }
 }
 
@@ -819,6 +614,18 @@ mod tests {
         GenerationEncoder::new(cfg(), data).unwrap()
     }
 
+    /// One pipelined step over an owned packet: the decision and what was
+    /// emitted.
+    fn step(
+        vnf: &mut CodingVnf,
+        pkt: &CodedPacket,
+        rng: &mut StdRng,
+    ) -> (VnfDecision, Vec<CodedPacket>) {
+        let mut out = Vec::new();
+        let decision = vnf.process_packet_into(pkt, 1, rng, &mut out);
+        (decision, out)
+    }
+
     #[test]
     fn forwarder_passes_packets_unchanged() {
         let mut vnf = CodingVnf::new(cfg(), 8);
@@ -826,10 +633,9 @@ mod tests {
         let enc = encoder(&[1u8; 64]);
         let mut rng = StdRng::seed_from_u64(1);
         let pkt = enc.coded_packet(SessionId::new(1), 0, &mut rng);
-        match vnf.process_packet(&pkt, &mut rng) {
-            VnfOutput::Forward(out) => assert_eq!(out, vec![pkt]),
-            other => panic!("unexpected {other:?}"),
-        }
+        let (decision, out) = step(&mut vnf, &pkt, &mut rng);
+        assert_eq!(decision, VnfDecision::Forwarded(1));
+        assert_eq!(out, vec![pkt]);
         assert_eq!(vnf.stats().packets_out, 1);
     }
 
@@ -840,20 +646,16 @@ mod tests {
         let enc = encoder(&[7u8; 64]);
         let mut rng = StdRng::seed_from_u64(2);
         let p1 = enc.coded_packet(SessionId::new(1), 0, &mut rng);
-        match vnf.process_packet(&p1, &mut rng) {
-            VnfOutput::Forward(out) => assert_eq!(out, vec![p1.clone()]),
-            other => panic!("unexpected {other:?}"),
-        }
+        let (decision, out) = step(&mut vnf, &p1, &mut rng);
+        assert_eq!(decision, VnfDecision::Forwarded(1));
+        assert_eq!(out, vec![p1.clone()]);
         let p2 = enc.coded_packet(SessionId::new(1), 0, &mut rng);
-        match vnf.process_packet(&p2, &mut rng) {
-            VnfOutput::Forward(out) => {
-                assert_eq!(out.len(), 1);
-                assert_eq!(out[0].session(), SessionId::new(1));
-                assert_eq!(out[0].generation(), 0);
-                // Output is a fresh combination, not necessarily p2.
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let (decision, out) = step(&mut vnf, &p2, &mut rng);
+        assert_eq!(decision, VnfDecision::Forwarded(1));
+        // Output is a fresh combination, not necessarily p2.
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].session(), SessionId::new(1));
+        assert_eq!(out[0].generation(), 0);
         assert!(vnf.stats().innovative_in >= 2);
     }
 
@@ -867,11 +669,14 @@ mod tests {
         let mut decoded = None;
         for _ in 0..32 {
             let pkt = enc.coded_packet(SessionId::new(3), 5, &mut rng);
-            if let VnfOutput::Decoded {
-                session,
-                generation,
-                payload,
-            } = vnf.process_packet(&pkt, &mut rng)
+            if let (
+                VnfDecision::Decoded {
+                    session,
+                    generation,
+                    payload,
+                },
+                _,
+            ) = step(&mut vnf, &pkt, &mut rng)
             {
                 decoded = Some((session, generation, payload));
                 break;
@@ -890,16 +695,15 @@ mod tests {
         let enc = encoder(&[1u8; 64]);
         let mut rng = StdRng::seed_from_u64(4);
         let pkt = enc.coded_packet(SessionId::new(9), 0, &mut rng);
-        assert!(matches!(
-            vnf.process_packet(&pkt, &mut rng),
-            VnfOutput::Nothing
-        ));
+        assert_eq!(step(&mut vnf, &pkt, &mut rng).0, VnfDecision::Nothing);
         assert_eq!(vnf.stats().unknown_session, 1);
-        assert!(matches!(
-            vnf.process_datagram(b"not an nc packet", &mut rng),
-            VnfOutput::Nothing
-        ));
+        let mut out = Vec::new();
+        assert_eq!(
+            vnf.process_wire_into(b"not an nc packet", 1, &mut rng, &mut out),
+            VnfDecision::Nothing
+        );
         assert_eq!(vnf.stats().malformed, 1);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -912,7 +716,7 @@ mod tests {
         let enc = encoder(&[1u8; 64]);
         let mut rng = StdRng::seed_from_u64(5);
         let pkt = enc.coded_packet(SessionId::new(1), 0, &mut rng);
-        vnf.process_packet(&pkt, &mut rng);
+        step(&mut vnf, &pkt, &mut rng);
         assert_eq!(vnf.generation_rank(SessionId::new(1), 0), Some(1));
         vnf.set_role(SessionId::new(1), VnfRole::Recoder);
         assert_eq!(
@@ -929,17 +733,14 @@ mod tests {
         let enc = encoder(&[1u8; 64]);
         let mut rng = StdRng::seed_from_u64(5);
         let pkt = enc.coded_packet(SessionId::new(1), 0, &mut rng);
-        vnf.process_packet(&pkt, &mut rng);
+        step(&mut vnf, &pkt, &mut rng);
         // Switch roles and back: the buffered state is gone, so the
         // next packet is "first" again and passes verbatim.
         vnf.set_role(SessionId::new(1), VnfRole::Forwarder);
         vnf.set_role(SessionId::new(1), VnfRole::Recoder);
         assert_eq!(vnf.generation_rank(SessionId::new(1), 0), None);
         let p2 = enc.coded_packet(SessionId::new(1), 0, &mut rng);
-        match vnf.process_packet(&p2, &mut rng) {
-            VnfOutput::Forward(out) => assert_eq!(out, vec![p2]),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(step(&mut vnf, &p2, &mut rng).1, vec![p2]);
     }
 
     #[test]
@@ -956,9 +757,9 @@ mod tests {
         // Open two generations per session.
         for g in 0..2 {
             let p = enc1.coded_packet(SessionId::new(1), g, &mut rng);
-            vnf.process_packet(&p, &mut rng);
+            step(&mut vnf, &p, &mut rng);
             let p = enc2.coded_packet(SessionId::new(2), g, &mut rng);
-            vnf.process_packet(&p, &mut rng);
+            step(&mut vnf, &p, &mut rng);
         }
         assert_eq!(vnf.estimated_state_bytes(), 4 * (4 * (4 + 16)));
         // Cap at two generations' worth: both of session 2's go first,
@@ -971,7 +772,7 @@ mod tests {
         assert!(vnf.generation_rank(SessionId::new(2), 1).is_none());
         // The next packet that would exceed the cap evicts as it lands.
         let p = enc2.coded_packet(SessionId::new(2), 5, &mut rng);
-        vnf.process_packet(&p, &mut rng);
+        step(&mut vnf, &p, &mut rng);
         assert_eq!(
             vnf.stats().budget_evictions,
             3,
@@ -988,7 +789,7 @@ mod tests {
         let enc = encoder(&[3u8; 64]);
         for g in 0..3 {
             let p = enc.coded_packet(SessionId::new(1), g, &mut rng);
-            vnf.process_packet(&p, &mut rng);
+            step(&mut vnf, &p, &mut rng);
         }
         vnf.set_memory_budget(Some(2 * 4 * (4 + 16)));
         assert!(
@@ -1021,16 +822,16 @@ mod tests {
             let idx = enc.push(&[tag; 16]).unwrap();
             let pkt = enc.systematic_packet_pooled(idx, &mut pool).unwrap();
             relayed.clear();
-            let d = relay.process_window_wire_into(&pkt.to_bytes(), 1, &mut rng, &mut relayed);
-            assert_eq!(d, WindowDecision::Forwarded(1));
+            let d = relay.process_wire_into(&pkt.to_bytes(), 1, &mut rng, &mut relayed);
+            assert_eq!(d, VnfDecision::Forwarded(1));
             for out in relayed.drain(..) {
                 let mut unused = Vec::new();
-                if let WindowDecision::Delivered { payloads, .. } =
-                    sink.process_window_wire_into(&out.to_bytes(), 1, &mut rng, &mut unused)
+                if let VnfDecision::Delivered { payloads, .. } =
+                    sink.process_wire_into(&out.to_bytes(), 1, &mut rng, &mut unused)
                 {
                     delivered.extend(payloads);
                 }
-                relay.recycle_window(out);
+                relay.recycle(out);
             }
             // The sink acks; the relay's recode buffer and the source
             // window both slide forward.
@@ -1071,24 +872,65 @@ mod tests {
         let mut out = Vec::new();
         // No role for session 5 yet: counted, nothing emitted.
         assert_eq!(
-            vnf.process_window_wire_into(&wire, 1, &mut rng, &mut out),
-            WindowDecision::Nothing
+            vnf.process_wire_into(&wire, 1, &mut rng, &mut out),
+            VnfDecision::Nothing
         );
         assert_eq!(vnf.stats().unknown_session, 1);
         // Forwarder role: verbatim pass-through.
         vnf.set_role(SessionId::new(5), VnfRole::Forwarder);
         assert_eq!(
-            vnf.process_window_wire_into(&wire, 1, &mut rng, &mut out),
-            WindowDecision::Forwarded(1)
+            vnf.process_wire_into(&wire, 1, &mut rng, &mut out),
+            VnfDecision::Forwarded(1)
         );
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].payload.as_ref(), &[9u8; 16]);
+        assert_eq!(out[0].payload(), &[9u8; 16]);
         // Garbage is counted malformed.
         assert_eq!(
-            vnf.process_window_wire_into(b"junk", 1, &mut rng, &mut out),
-            WindowDecision::Nothing
+            vnf.process_wire_into(b"junk", 1, &mut rng, &mut out),
+            VnfDecision::Nothing
         );
         assert_eq!(vnf.stats().malformed, 1);
+    }
+
+    #[test]
+    fn one_entry_serves_both_framings_and_refuses_acks() {
+        use ncvnf_rlnc::window::{WindowConfig, WindowEncoder};
+        use ncvnf_rlnc::{PayloadPool, WireKind};
+
+        let session = SessionId::new(5);
+        let mut vnf = CodingVnf::new(cfg(), 8);
+        vnf.set_window_config(WindowConfig::new(16, 4).unwrap());
+        vnf.set_role(session, VnfRole::Recoder);
+        let mut rng = StdRng::seed_from_u64(23);
+        let generational = encoder(&[3u8; 64]).coded_packet(session, 0, &mut rng);
+        let mut wenc = WindowEncoder::new(vnf.window_config(), session);
+        let idx = wenc.push(&[4u8; 16]).unwrap();
+        let windowed = wenc
+            .systematic_packet_pooled(idx, &mut PayloadPool::new())
+            .unwrap();
+        let ack = WindowAck {
+            session,
+            cumulative: 0,
+            repair_wanted: 0,
+        };
+
+        let mut out = Vec::new();
+        for wire in [generational.to_bytes(), windowed.to_bytes()] {
+            let decision = vnf.process_wire_into(&wire, 1, &mut rng, &mut out);
+            assert_eq!(decision, VnfDecision::Forwarded(1));
+        }
+        assert_eq!(out, vec![generational, windowed]);
+        assert_eq!(out[1].kind(), WireKind::Window);
+        // An ack is not data: it is refused, not misread as a generation.
+        assert_eq!(
+            vnf.process_wire_into(&ack.encode(), 1, &mut rng, &mut out),
+            VnfDecision::Nothing
+        );
+        let stats = vnf.stats();
+        assert_eq!((stats.packets_in, stats.packets_out), (1, 1));
+        assert_eq!((stats.window_packets_in, stats.window_packets_out), (1, 1));
+        assert_eq!(stats.malformed, 1);
+        assert_eq!(out.len(), 2);
     }
 
     #[test]

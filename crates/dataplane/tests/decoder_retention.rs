@@ -6,7 +6,7 @@
 //! or below the configured buffer capacity no matter how many generations
 //! flow through.
 
-use ncvnf_dataplane::{CodingVnf, VnfOutput, VnfRole};
+use ncvnf_dataplane::{CodingVnf, VnfDecision, VnfRole};
 use ncvnf_rlnc::{GenerationConfig, GenerationEncoder, SessionId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,8 +29,8 @@ fn decoder_states_are_bounded_by_retention_capacity() {
         // completes) a decoder state.
         for _ in 0..32 {
             let pkt = enc.coded_packet(session, generation, &mut rng);
-            let out = vnf.process_packet(&pkt, &mut rng);
-            if let VnfOutput::Decoded { payload, .. } = out {
+            let out = vnf.process_packet_into(&pkt, 1, &mut rng, &mut Vec::new());
+            if let VnfDecision::Decoded { payload, .. } = out {
                 assert_eq!(payload, data);
                 decoded += 1;
                 break;
@@ -71,8 +71,8 @@ fn retained_completed_decoders_absorb_late_duplicates() {
     for _ in 0..32 {
         let pkt = enc.coded_packet(session, 9, &mut rng);
         if matches!(
-            vnf.process_packet(&pkt, &mut rng),
-            VnfOutput::Decoded { .. }
+            vnf.process_packet_into(&pkt, 1, &mut rng, &mut Vec::new()),
+            VnfDecision::Decoded { .. }
         ) {
             done = true;
             break;
@@ -82,10 +82,10 @@ fn retained_completed_decoders_absorb_late_duplicates() {
     // Duplicates while the completed state is retained: swallowed.
     for _ in 0..8 {
         let pkt = enc.coded_packet(session, 9, &mut rng);
-        assert!(matches!(
-            vnf.process_packet(&pkt, &mut rng),
-            VnfOutput::Nothing
-        ));
+        assert_eq!(
+            vnf.process_packet_into(&pkt, 1, &mut rng, &mut Vec::new()),
+            VnfDecision::Nothing
+        );
     }
     assert_eq!(vnf.stats().generations_decoded, 1);
     assert_eq!(vnf.decoder_count(session), 1);

@@ -1,6 +1,10 @@
 //! The relay's datagram processing step, factored out of the socket loop.
 //!
-//! The hot path is structured around three rules:
+//! There is one data path: [`relay_batch`] dispatches a received batch
+//! by header peek, and one per-shard body (lock → recycle → admit → code
+//! → unlock → serialize) handles every data kind in arrival order.
+//! [`relay_step`] is that same path on a batch of one. The hot path is
+//! structured around three rules:
 //!
 //! 1. **Process under the lock, send outside it.** The VNF mutex is held
 //!    only while the packet is parsed (into pooled buffers) and coded;
@@ -29,16 +33,12 @@ use rand::rngs::StdRng;
 
 use ncvnf_control::ForwardingTable;
 use ncvnf_dataplane::{
-    chunk_generation, CodingVnf, Feedback, FeedbackKind, VnfDecision, WindowDecision,
-    FEEDBACK_MAGIC,
+    chunk_generation, CodingVnf, Feedback, FeedbackKind, VnfDecision, FEEDBACK_MAGIC,
 };
 use ncvnf_obs::Registry;
-use ncvnf_rlnc::{
-    wire_kind, CodedPacket, NcHeader, SessionId, WindowAck, WindowPacket, WindowPacketView,
-    WireKind,
-};
+use ncvnf_rlnc::{wire_kind, CodedPacket, PacketView, SessionId, WindowAck, WireKind};
 
-use crate::metrics::{BatchMetrics, StepMetrics, STEP_SAMPLE_EVERY};
+use crate::metrics::BatchMetrics;
 use crate::overload::{monotonic_secs, Admission, OverloadConfig, OverloadState, QuotaConfig};
 use crate::socket::RecvBatch;
 use crate::SendBatch;
@@ -151,45 +151,30 @@ impl RelayEngine {
     }
 }
 
-/// Reusable per-thread scratch for [`relay_step`]: output packets, packets
-/// awaiting recycling, the serialized wire image, and resolved addresses.
-/// Every buffer's capacity settles after a few packets, after which the
-/// step allocates nothing.
-#[derive(Debug, Default)]
-pub struct RelayScratch {
-    /// Packets emitted by the current step.
-    out: Vec<CodedPacket>,
-    /// Packets from the previous step, recycled under the next lock.
-    pending: Vec<CodedPacket>,
-    /// Serialized wire image of one outgoing packet.
-    wire: Vec<u8>,
-    /// Resolved next hops of the current packet's session.
-    addrs: Vec<SocketAddr>,
-    /// Step instrumentation (registry handles + sampling tick). Owned by
-    /// the scratch so recording stays thread-local and allocation-free.
-    obs: Option<StepMetrics>,
-}
+/// Reusable per-thread scratch for [`relay_step`]: a [`BatchScratch`]
+/// for one shard (one slot and one [`SendBatch`]). Every buffer's
+/// capacity settles after a few packets, after which the step allocates
+/// nothing.
+#[derive(Debug)]
+pub struct RelayScratch(BatchScratch);
 
 impl RelayScratch {
     /// Fresh scratch; buffers grow to their steady-state capacity over the
     /// first few packets.
     pub fn new() -> Self {
-        RelayScratch::default()
+        RelayScratch(BatchScratch::new(1))
     }
 
-    /// Scratch whose steps record into `registry`: `relay.steps`,
-    /// `relay.packets_emitted`, `relay.payloads_recycled`,
-    /// `relay.pending_depth`, and a 1-in-32-sampled `relay.step_ns`
-    /// latency histogram. Registration happens here, once; the per-step
-    /// cost is a few plain integer adds — counters batch in the scratch
-    /// and flush to the shared atomics once per sampling window (and
-    /// when the scratch drops), so live snapshots may lag the data
-    /// thread by up to 32 steps.
+    /// Scratch whose steps record into `registry` as batches of one (see
+    /// [`BatchScratch::instrumented`]).
     pub fn instrumented(registry: &Registry) -> Self {
-        RelayScratch {
-            obs: Some(StepMetrics::register(registry)),
-            ..RelayScratch::default()
-        }
+        RelayScratch(BatchScratch::instrumented(1, registry))
+    }
+}
+
+impl Default for RelayScratch {
+    fn default() -> Self {
+        RelayScratch::new()
     }
 }
 
@@ -204,14 +189,12 @@ pub struct StepReport {
     pub sends_ok: u64,
 }
 
-/// Processes one received datagram through the relay data path.
-///
-/// Under the `engine` lock: recycle the previous step's packets, parse
-/// `datagram` into pooled buffers, and run the VNF. Outside the lock:
-/// resolve next hops from `routes` (a brief second lock), serialize into
-/// the scratch wire buffer, and hand each (hop, bytes) pair to `send` —
-/// which returns whether the transmission succeeded. Emitted packets stay
-/// in `scratch` until the next call recycles them.
+/// Processes one received datagram through the relay data path: a
+/// [`relay_batch`] of one against a single engine, whose egress batch is
+/// replayed into `send` — which returns whether the transmission
+/// succeeded. Emitted packets stay in `scratch` until the next call
+/// recycles them. With no receive batch there is no source address, so
+/// a shed datagram is counted but earns no congestion frame.
 pub fn relay_step(
     engine: &Mutex<RelayEngine>,
     routes: &Mutex<RouteCache>,
@@ -219,85 +202,15 @@ pub fn relay_step(
     datagram: &[u8],
     send: &mut dyn FnMut(SocketAddr, &[u8]) -> bool,
 ) -> StepReport {
-    let mut report = StepReport::default();
-    // Latency is sampled 1-in-N: the tick is a plain scratch-local field
-    // (no atomics) and only sampled steps pay for `Instant::now`.
-    let started = match &mut scratch.obs {
-        Some(obs) => {
-            let sampled = obs.tick & (STEP_SAMPLE_EVERY - 1) == 0;
-            obs.tick = obs.tick.wrapping_add(1);
-            sampled.then(Instant::now)
-        }
-        None => None,
+    let shards = std::iter::once((engine, routes));
+    let batch = run_batch(shards, 0, &mut scratch.0, 1, |_| (datagram, None));
+    let mut report = StepReport {
+        emitted: batch.emitted,
+        send_attempts: batch.queued,
+        sends_ok: 0,
     };
-    let recycled = scratch.pending.len() as u64;
-    let (decision, block_size) = {
-        let mut guard = engine.lock();
-        let engine = &mut *guard;
-        for pkt in scratch.pending.drain(..) {
-            engine.vnf.recycle(pkt);
-        }
-        let block_size = engine.vnf.config().block_size();
-        // The datagram is processed as a borrowed view — the recode and
-        // decode steady states never copy the input; only a verbatim
-        // pass-through (forwarder role, first packet of a generation)
-        // materializes it from pooled storage into `out`.
-        let decision = engine
-            .vnf
-            .process_wire_into(datagram, 1, &mut engine.rng, &mut scratch.out);
-        (decision, block_size)
-    };
-    match decision {
-        VnfDecision::Forwarded(n) => {
-            report.emitted = n as u64;
-            if let Some(first) = scratch.out.first() {
-                routes
-                    .lock()
-                    .lookup_into(first.session(), &mut scratch.addrs);
-            }
-            if !scratch.addrs.is_empty() {
-                for pkt in &scratch.out {
-                    scratch.wire.clear();
-                    pkt.write_into(&mut scratch.wire);
-                    for &hop in &scratch.addrs {
-                        report.send_attempts += 1;
-                        if send(hop, &scratch.wire) {
-                            report.sends_ok += 1;
-                        }
-                    }
-                }
-            }
-            scratch.pending.append(&mut scratch.out);
-        }
-        VnfDecision::Decoded {
-            session,
-            generation,
-            payload,
-        } => {
-            // Decoder egress: the recovered generation leaves as plain
-            // MTU-sized chunks. This path allocates (fresh payload per
-            // decoded generation) — it is per-generation, not per-packet.
-            routes.lock().lookup_into(session, &mut scratch.addrs);
-            if !scratch.addrs.is_empty() {
-                for chunk in chunk_generation(generation, &payload, block_size) {
-                    report.emitted += 1;
-                    let wire = chunk.to_bytes();
-                    for &hop in &scratch.addrs {
-                        report.send_attempts += 1;
-                        if send(hop, &wire) {
-                            report.sends_ok += 1;
-                        }
-                    }
-                }
-            }
-        }
-        VnfDecision::Nothing => {}
-    }
-    if let Some(obs) = &mut scratch.obs {
-        if let Some(started) = started {
-            obs.step_ns.record(started.elapsed().as_nanos() as u64);
-        }
-        obs.record_step(report.emitted, recycled, scratch.pending.len());
+    for (wire, hop) in scratch.0.send.iter() {
+        report.sends_ok += u64::from(send(hop, wire));
     }
     report
 }
@@ -369,28 +282,21 @@ impl RelayShard {
 /// a steady-state capacity and stay there.
 #[derive(Debug, Default)]
 struct ShardSlot {
-    /// Indices (into the receive batch) of datagrams this shard owns.
+    /// Indices (into the receive batch) of data datagrams this shard
+    /// owns, both framings, in arrival order.
     group: Vec<u32>,
+    /// Window acks (wire kind 3) addressed to this shard's sessions.
+    acks: Vec<WindowAck>,
     /// Per-datagram VNF decisions, tagged with where the datagram's
     /// outputs start in `out`.
     decisions: Vec<(u32, VnfDecision)>,
-    /// Packets emitted by this batch, recycled under the *next* batch's
-    /// lock acquisition (after their bytes have left via the socket).
+    /// Packets emitted by this batch.
     out: Vec<CodedPacket>,
-    /// Emitted packets awaiting recycling.
+    /// Emitted packets awaiting recycling under the *next* batch's lock
+    /// acquisition (after their bytes have left via the socket).
     pending: Vec<CodedPacket>,
     /// Resolved next hops of the session being serialized.
     addrs: Vec<SocketAddr>,
-    /// Indices of sliding-window datagrams (wire kind 2) this shard owns.
-    wgroup: Vec<u32>,
-    /// Per-datagram windowed decisions, tagged with their start in `wout`.
-    wdecisions: Vec<(u32, WindowDecision)>,
-    /// Windowed packets emitted by this batch.
-    wout: Vec<WindowPacket>,
-    /// Emitted windowed packets awaiting recycling.
-    wpending: Vec<WindowPacket>,
-    /// Window acks (wire kind 3) addressed to this shard's sessions.
-    acks: Vec<WindowAck>,
 }
 
 /// One source owed a `Congestion` feedback frame for datagrams shed
@@ -415,9 +321,9 @@ const MAX_CONGEST_TARGETS: usize = 8;
 
 /// Reusable per-thread scratch for [`relay_batch`]: per-shard dispatch
 /// groups and recycle queues, plus the egress [`SendBatch`] the caller
-/// flushes after each call. Like [`RelayScratch`], every buffer's
-/// capacity settles after a few batches, after which a batch performs
-/// zero heap operations (feedback and decode egress excepted).
+/// flushes after each call. Every buffer's capacity settles after a few
+/// batches, after which a batch performs zero heap operations (feedback
+/// and decode egress excepted).
 #[derive(Debug)]
 pub struct BatchScratch {
     slots: Vec<ShardSlot>,
@@ -439,11 +345,16 @@ impl BatchScratch {
         }
     }
 
-    /// Scratch whose batches record into `registry`: the step series
-    /// (`relay.steps`, `relay.packets_emitted`, …) exactly as the
-    /// unbatched path does, plus `relay.batches`, `relay.batch_fill`,
-    /// a 1-in-8-sampled `relay.batch_ns` latency histogram, and
-    /// `relay.cross_shard_packets`.
+    /// Scratch whose batches record into `registry`: `relay.steps`,
+    /// `relay.packets_emitted`, `relay.payloads_recycled`,
+    /// `relay.pending_depth`, `relay.batches`, `relay.batch_fill`,
+    /// `relay.cross_shard_packets`, the windowed counters, and for one
+    /// batch in eight the latency histograms `relay.batch_ns` and
+    /// `relay.step_ns` (batch latency over datagrams coded).
+    /// Registration happens here, once; per datagram the cost is a few
+    /// plain integer adds — counters accumulate in the scratch and flush
+    /// to the shared atomics every 32 datagrams (and when the scratch
+    /// drops), so live snapshots may lag the data thread by that much.
     #[must_use]
     pub fn instrumented(shards: usize, registry: &Registry) -> Self {
         BatchScratch {
@@ -538,16 +449,183 @@ fn note_congestion(
     }
 }
 
+/// Dispatch: files datagram `i` under its owner shard's slot by header
+/// peek — no allocation, no lock. Feedback is classified *before*
+/// admission control, so backpressure and liveness frames are never
+/// shed; so are window acks, which travel receiver → source directly
+/// and which relays only eavesdrop on to slide their recoder floors.
+/// Data shards by [`PacketView::shard_key`]; what it cannot place goes
+/// to the `home` shard, so exactly one VNF counts it as malformed.
+fn dispatch(slots: &mut [ShardSlot], home: usize, i: usize, dg: &[u8], report: &mut BatchReport) {
+    if dg.first() == Some(&FEEDBACK_MAGIC) {
+        match Feedback::from_bytes(dg) {
+            Ok(fb) => {
+                report.feedback_frames += 1;
+                if fb.kind == FeedbackKind::Congestion {
+                    report.congestion_in += 1;
+                }
+            }
+            Err(_) => report.malformed_feedback += 1,
+        }
+        return;
+    }
+    if wire_kind(dg) == Some(WireKind::WindowAck) {
+        if let Ok(ack) = WindowAck::parse(dg) {
+            slots[shard_of(ack.session, 0, slots.len())].acks.push(ack);
+        }
+        return;
+    }
+    let owner = match PacketView::shard_key(dg) {
+        Some((session, index)) => shard_of(session, index, slots.len()),
+        None => home,
+    };
+    if owner != home {
+        report.cross_shard += 1;
+    }
+    slots[owner].group.push(i as u32);
+}
+
+/// One shard's share of a batch. Under the shard's engine lock — one
+/// acquisition — recycle the previous batch's outputs, absorb the acks,
+/// then admit and code the group in arrival order. Outside it, under the
+/// shard's route lock (contended only by control-plane swaps), serialize
+/// the results into `send`. Returns how many packets were recycled.
+fn run_shard<'a>(
+    engine: &Mutex<RelayEngine>,
+    routes: &Mutex<RouteCache>,
+    slot: &mut ShardSlot,
+    datagram: &impl Fn(usize) -> (&'a [u8], Option<SocketAddr>),
+    send: &mut SendBatch,
+    congest: &mut Vec<CongestTarget>,
+    report: &mut BatchReport,
+) -> u64 {
+    let ShardSlot {
+        group,
+        acks,
+        decisions,
+        out,
+        pending,
+        addrs,
+    } = slot;
+    let recycled = pending.len() as u64;
+    let block_size = {
+        let mut guard = engine.lock();
+        let engine = &mut *guard;
+        for pkt in pending.drain(..) {
+            engine.vnf.recycle(pkt);
+        }
+        // Window acks slide recoder floors before this batch's windowed
+        // data is coded, so freed rows are gone already.
+        for ack in acks.drain(..) {
+            engine.vnf.handle_window_ack(&ack);
+            report.window_acks += 1;
+        }
+        let gen_size = engine.vnf.config().blocks_per_generation();
+        if let Some(ov) = engine.overload.as_mut() {
+            ov.begin_batch(engine.vnf.pool_pressure());
+        }
+        for &idx in group.iter() {
+            let (dg, src) = datagram(idx as usize);
+            let windowed = wire_kind(dg) == Some(WireKind::Window);
+            if let Some(ov) = engine.overload.as_mut() {
+                if let Some((session, generation)) = PacketView::shard_key(dg) {
+                    // Only a generation can already be full rank; a
+                    // window stream has no such point.
+                    let full_rank = !windowed
+                        && engine
+                            .vnf
+                            .generation_rank(session, generation)
+                            .is_some_and(|r| r >= gen_size);
+                    let verdict = ov.admit(session, monotonic_secs(), full_rank);
+                    if !verdict.admitted() {
+                        match verdict {
+                            Admission::ShedQuota => report.shed_quota += 1,
+                            Admission::ShedOverload => report.shed_overload += 1,
+                            Admission::ShedRedundancy => report.shed_redundancy += 1,
+                            Admission::Admit => unreachable!("not admitted"),
+                        }
+                        if let Some(src) = src {
+                            let shed = ov.stats().total_shed();
+                            note_congestion(congest, session, src, ov.load_pct(), shed);
+                        }
+                        continue;
+                    }
+                }
+            }
+            // The datagram is processed as a borrowed view — the recode
+            // and decode steady states never copy the input; only a
+            // verbatim pass-through (forwarder role, first packet of an
+            // empty recode buffer) materializes it from pooled storage.
+            let start = out.len() as u32;
+            let decision = engine.vnf.process_wire_into(dg, 1, &mut engine.rng, out);
+            report.steps += 1;
+            report.window_steps += u64::from(windowed);
+            decisions.push((start, decision));
+        }
+        engine.vnf.config().block_size()
+    };
+
+    let routes = routes.lock();
+    for (start, decision) in decisions.drain(..) {
+        match decision {
+            VnfDecision::Forwarded(n) if n > 0 => {
+                report.emitted += n as u64;
+                let pkts = &out[start as usize..start as usize + n];
+                routes.lookup_into(pkts[0].session(), addrs);
+                if !addrs.is_empty() {
+                    for pkt in pkts {
+                        send.push_wire(|w| pkt.write_into(w), addrs);
+                    }
+                }
+            }
+            VnfDecision::Decoded {
+                session,
+                generation,
+                payload,
+            } => {
+                // Decoder egress: the recovered generation leaves as
+                // plain MTU-sized chunks. This allocates (fresh payload
+                // per decoded generation) — per-generation, not
+                // per-packet.
+                routes.lookup_into(session, addrs);
+                if !addrs.is_empty() {
+                    for chunk in chunk_generation(generation, &payload, block_size) {
+                        report.emitted += 1;
+                        send.push_bytes(&chunk.to_bytes(), addrs);
+                    }
+                }
+            }
+            VnfDecision::Delivered {
+                session, payloads, ..
+            } => {
+                // Windowed decoder egress: in-order symbols leave as
+                // plain datagrams (per-delivery allocation, like the
+                // generational decode path).
+                routes.lookup_into(session, addrs);
+                if !addrs.is_empty() {
+                    for payload in &payloads {
+                        report.emitted += 1;
+                        send.push_bytes(payload, addrs);
+                    }
+                }
+            }
+            VnfDecision::Forwarded(_) | VnfDecision::Nothing => {}
+        }
+    }
+    drop(routes);
+    pending.append(out);
+    recycled
+}
+
 /// Processes one received batch through the sharded relay data path.
 ///
-/// Dispatch groups the batch's datagrams by owner shard
-/// ([`shard_of`] over a header peek — no allocation, no lock). Then,
-/// shard by shard: one engine-lock acquisition recycles the shard's
-/// previous outputs and codes its whole group; one route-lock
-/// acquisition serializes the results into the scratch's [`SendBatch`].
-/// The caller flushes that batch with a single `send_batch` call —
-/// which is the point: syscalls are paid per *batch*, locks per
-/// *shard-group*, not per packet.
+/// Dispatch groups the batch's datagrams by owner shard ([`shard_of`]
+/// over a header peek). Then, shard by shard: one engine-lock
+/// acquisition recycles the shard's previous outputs and codes its whole
+/// group; one route-lock acquisition serializes the results into the
+/// scratch's [`SendBatch`]. The caller flushes that batch with a single
+/// `send_batch` call — which is the point: syscalls are paid per
+/// *batch*, locks per *shard-group*, not per packet.
 ///
 /// `home` is the index of the shard whose socket fed this batch (used
 /// for the cross-shard counter, and as the fallback owner for
@@ -557,6 +635,22 @@ pub fn relay_batch(
     home: usize,
     scratch: &mut BatchScratch,
     batch: &RecvBatch,
+) -> BatchReport {
+    let shards = shards.iter().map(|s| (&s.engine, &s.routes));
+    run_batch(shards, home, scratch, batch.len(), |i| {
+        let (dg, src) = batch.get(i);
+        (dg, Some(src))
+    })
+}
+
+/// The body of [`relay_batch`] over any `len` datagrams: dispatch, run
+/// each shard that has work, queue congestion frames, record metrics.
+fn run_batch<'a>(
+    shards: impl ExactSizeIterator<Item = (&'a Mutex<RelayEngine>, &'a Mutex<RouteCache>)>,
+    home: usize,
+    scratch: &mut BatchScratch,
+    len: usize,
+    datagram: impl Fn(usize) -> (&'a [u8], Option<SocketAddr>),
 ) -> BatchReport {
     let BatchScratch {
         slots,
@@ -574,219 +668,18 @@ pub fn relay_batch(
     congest.clear();
     for slot in slots.iter_mut() {
         slot.group.clear();
-        slot.wgroup.clear();
         slot.acks.clear();
     }
-
-    // Dispatch: peek (session, generation) from the fixed header
-    // prefix and group datagram indices by owner shard. Feedback is
-    // classified *before* admission control — backpressure and
-    // liveness frames are never shed. Sliding-window traffic (wire
-    // kinds 2/3) shards by session alone: a stream's window state is
-    // one object, so every packet of the stream must reach one shard.
-    for (i, (dg, _src)) in batch.iter().enumerate() {
-        if dg.first() == Some(&FEEDBACK_MAGIC) {
-            match Feedback::from_bytes(dg) {
-                Ok(fb) => {
-                    report.feedback_frames += 1;
-                    if fb.kind == FeedbackKind::Congestion {
-                        report.congestion_in += 1;
-                    }
-                }
-                Err(_) => report.malformed_feedback += 1,
-            }
-            continue;
-        }
-        match wire_kind(dg) {
-            Some(WireKind::Window) => {
-                let owner = match WindowPacketView::parse(dg) {
-                    Ok(view) => shard_of(view.session(), 0, shards.len()),
-                    Err(_) => home,
-                };
-                if owner != home {
-                    report.cross_shard += 1;
-                }
-                slots[owner].wgroup.push(i as u32);
-                continue;
-            }
-            Some(WireKind::WindowAck) => {
-                if let Ok(ack) = WindowAck::parse(dg) {
-                    let owner = shard_of(ack.session, 0, shards.len());
-                    slots[owner].acks.push(ack);
-                }
-                continue;
-            }
-            _ => {}
-        }
-        let owner = match NcHeader::peek_ids(dg) {
-            Some((session, generation)) => shard_of(session, generation, shards.len()),
-            // Malformed: hand it to the home shard's VNF, which counts
-            // it in `malformed` like the unbatched path.
-            None => home,
-        };
-        if owner != home {
-            report.cross_shard += 1;
-        }
-        slots[owner].group.push(i as u32);
+    for i in 0..len {
+        dispatch(slots, home, i, datagram(i).0, &mut report);
     }
 
     let mut recycled_total = 0u64;
-    for (s, shard) in shards.iter().enumerate() {
-        let ShardSlot {
-            group,
-            decisions,
-            out,
-            pending,
-            addrs,
-            wgroup,
-            wdecisions,
-            wout,
-            wpending,
-            acks,
-        } = &mut slots[s];
-        if group.is_empty()
-            && pending.is_empty()
-            && wgroup.is_empty()
-            && wpending.is_empty()
-            && acks.is_empty()
-        {
+    for ((engine, routes), slot) in shards.zip(slots.iter_mut()) {
+        if slot.group.is_empty() && slot.pending.is_empty() && slot.acks.is_empty() {
             continue;
         }
-
-        // Process under the shard's engine lock: one acquisition for
-        // recycle + admission + the whole group.
-        let block_size = {
-            let mut guard = shard.engine.lock();
-            let engine = &mut *guard;
-            recycled_total += pending.len() as u64;
-            for pkt in pending.drain(..) {
-                engine.vnf.recycle(pkt);
-            }
-            recycled_total += wpending.len() as u64;
-            for pkt in wpending.drain(..) {
-                engine.vnf.recycle_window(pkt);
-            }
-            // Window acks slide recoder floors before this batch's
-            // windowed data is coded, so freed rows are gone already.
-            for ack in acks.drain(..) {
-                engine.vnf.handle_window_ack(&ack);
-                report.window_acks += 1;
-            }
-            for &idx in wgroup.iter() {
-                let (dg, _src) = batch.get(idx as usize);
-                let start = wout.len() as u32;
-                let decision = engine
-                    .vnf
-                    .process_window_wire_into(dg, 1, &mut engine.rng, wout);
-                report.steps += 1;
-                report.window_steps += 1;
-                wdecisions.push((start, decision));
-            }
-            let gen_size = engine.vnf.config().blocks_per_generation();
-            if let Some(ov) = engine.overload.as_mut() {
-                ov.begin_batch(engine.vnf.pool_pressure());
-            }
-            for &idx in group.iter() {
-                let (dg, src) = batch.get(idx as usize);
-                if let Some(ov) = engine.overload.as_mut() {
-                    if let Some((session, generation)) = NcHeader::peek_ids(dg) {
-                        let full_rank = engine
-                            .vnf
-                            .generation_rank(session, generation)
-                            .is_some_and(|r| r >= gen_size);
-                        let verdict = ov.admit(session, monotonic_secs(), full_rank);
-                        if !verdict.admitted() {
-                            match verdict {
-                                Admission::ShedQuota => report.shed_quota += 1,
-                                Admission::ShedOverload => report.shed_overload += 1,
-                                Admission::ShedRedundancy => report.shed_redundancy += 1,
-                                Admission::Admit => unreachable!("not admitted"),
-                            }
-                            note_congestion(
-                                congest,
-                                session,
-                                src,
-                                ov.load_pct(),
-                                ov.stats().total_shed(),
-                            );
-                            continue;
-                        }
-                    }
-                }
-                let start = out.len() as u32;
-                let decision = engine.vnf.process_wire_into(dg, 1, &mut engine.rng, out);
-                report.steps += 1;
-                decisions.push((start, decision));
-            }
-            engine.vnf.config().block_size()
-        };
-
-        // Serialize outside the engine lock, under the shard's route
-        // lock (contended only by control-plane swaps).
-        let routes = shard.routes.lock();
-        for (start, decision) in decisions.drain(..) {
-            match decision {
-                VnfDecision::Forwarded(n) if n > 0 => {
-                    report.emitted += n as u64;
-                    let pkts = &out[start as usize..start as usize + n];
-                    routes.lookup_into(pkts[0].session(), addrs);
-                    if !addrs.is_empty() {
-                        for pkt in pkts {
-                            send.push_wire(|w| pkt.write_into(w), addrs);
-                        }
-                    }
-                }
-                VnfDecision::Decoded {
-                    session,
-                    generation,
-                    payload,
-                } => {
-                    // Decoder egress allocates (fresh payload per
-                    // decoded generation) — per-generation, not
-                    // per-packet.
-                    routes.lookup_into(session, addrs);
-                    if !addrs.is_empty() {
-                        for chunk in chunk_generation(generation, &payload, block_size) {
-                            report.emitted += 1;
-                            send.push_bytes(&chunk.to_bytes(), addrs);
-                        }
-                    }
-                }
-                VnfDecision::Forwarded(_) | VnfDecision::Nothing => {}
-            }
-        }
-        for (start, decision) in wdecisions.drain(..) {
-            match decision {
-                WindowDecision::Forwarded(n) if n > 0 => {
-                    report.emitted += n as u64;
-                    let pkts = &wout[start as usize..start as usize + n];
-                    routes.lookup_into(pkts[0].session, addrs);
-                    if !addrs.is_empty() {
-                        for pkt in pkts {
-                            send.push_wire(|w| pkt.write_into(w), addrs);
-                        }
-                    }
-                }
-                WindowDecision::Delivered {
-                    session, payloads, ..
-                } => {
-                    // Windowed decoder egress: in-order symbols leave as
-                    // plain datagrams (per-delivery allocation, like the
-                    // generational decode path).
-                    routes.lookup_into(session, addrs);
-                    if !addrs.is_empty() {
-                        for payload in &payloads {
-                            report.emitted += 1;
-                            send.push_bytes(payload, addrs);
-                        }
-                    }
-                }
-                WindowDecision::Forwarded(_) | WindowDecision::Nothing => {}
-            }
-        }
-        drop(routes);
-        pending.append(out);
-        wpending.append(wout);
+        recycled_total += run_shard(engine, routes, slot, &datagram, send, congest, &mut report);
     }
 
     // Backpressure: one Congestion frame per shed (session, source)
@@ -803,7 +696,7 @@ pub fn relay_batch(
     if let Some(obs) = obs {
         let elapsed = started.map(|t| t.elapsed().as_nanos() as u64);
         let depth: usize = slots.iter().map(|s| s.pending.len()).sum();
-        obs.record_batch(&report, batch.len() as u64, recycled_total, depth, elapsed);
+        obs.record_batch(&report, len as u64, recycled_total, depth, elapsed);
     }
     report
 }
@@ -928,6 +821,152 @@ mod tests {
         assert_eq!(snap.gauge("relay.pending_depth"), Some(1.0));
         // Tick 0 is always sampled, so at least one latency point landed.
         assert!(snap.histogram("relay.step_ns").unwrap().count >= 1);
+    }
+
+    /// A windowed packet stream for session 1 at the engine's symbol size.
+    fn window_wires(count: usize, seed: u64) -> Vec<Vec<u8>> {
+        use ncvnf_rlnc::{PayloadPool, WindowConfig, WindowEncoder};
+        let mut enc = WindowEncoder::new(WindowConfig::new(32, 8).unwrap(), SessionId::new(1));
+        let (mut rng, mut pool) = (StdRng::seed_from_u64(seed), PayloadPool::new());
+        (0..count)
+            .map(|i| {
+                let pkt = match enc.push(&[i as u8; 32]) {
+                    Ok(idx) => enc.systematic_packet_pooled(idx, &mut pool).unwrap(),
+                    Err(_) => enc.coded_packet_pooled(&mut rng, &mut pool).unwrap(),
+                };
+                pkt.to_bytes().to_vec()
+            })
+            .collect()
+    }
+
+    fn shard_with_role(role: VnfRole) -> [RelayShard; 1] {
+        let shards = [RelayShard::new(engine_with_role(role).into_inner())];
+        *shards[0].routes.lock() = routes_to("127.0.0.1:9004").into_inner();
+        shards
+    }
+
+    #[test]
+    fn windowed_flood_over_quota_is_shed_and_control_frames_are_not() {
+        let shards = shard_with_role(VnfRole::Recoder);
+        let quota = QuotaConfig {
+            rate_pps: 0.0,
+            burst: 4.0,
+            priority: 0,
+        };
+        shards[0]
+            .engine
+            .lock()
+            .provision_quota(SessionId::new(1), quota);
+        let src: SocketAddr = ([127, 0, 0, 1], 4000).into();
+        let mut batch = RecvBatch::new(32, 2048);
+        for (i, wire) in window_wires(24, 5).iter().enumerate() {
+            assert!(batch.push(wire, src));
+            // Control and feedback frames ride inside the flood.
+            if i % 6 == 0 {
+                assert!(batch.push(&Feedback::heartbeat(7, i as u16).to_bytes(), src));
+            }
+            if i % 12 == 0 {
+                let ack = WindowAck {
+                    session: SessionId::new(1),
+                    cumulative: 0,
+                    repair_wanted: 0,
+                };
+                assert!(batch.push(&ack.encode(), src));
+            }
+        }
+        let mut scratch = BatchScratch::new(1);
+        let report = relay_batch(&shards, 0, &mut scratch, &batch);
+        // The bucket holds four tokens and never refills: four windowed
+        // datagrams are coded, the other twenty are shed on quota.
+        assert_eq!(report.steps, 4);
+        assert_eq!(report.window_steps, 4);
+        assert_eq!(report.shed_quota, 20);
+        assert_eq!(report.total_shed(), 20);
+        // Nothing that is not data was shed or lost.
+        assert_eq!(report.feedback_frames, 4);
+        assert_eq!(report.window_acks, 2);
+        // The shed source hears about it: one frame for (session, src).
+        assert_eq!(report.congestion_out, 1);
+        let engine = shards[0].engine.lock();
+        assert_eq!(engine.vnf().stats().window_packets_in, 4);
+        assert_eq!(engine.vnf().stats().window_acks_in, 2);
+        assert_eq!(engine.overload().unwrap().stats().shed_quota, 20);
+    }
+
+    /// `relay_step` is `relay_batch` on a batch of one: the same seeded
+    /// datagram sequence — generational, windowed, junk, feedback and
+    /// window acks — yields byte-identical egress in the same order and
+    /// equal VNF counters either way.
+    #[test]
+    fn relay_step_is_relay_batch_of_one() {
+        const N: usize = 96;
+        let enc = GenerationEncoder::new(cfg(), &[0xA7; 128]).unwrap();
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut windowed = window_wires(N, 12).into_iter();
+        let sequence: Vec<Vec<u8>> = (0..N)
+            .map(|i| {
+                if i % 32 == 0 {
+                    // A batch absorbs its acks ahead of its data, so an
+                    // ack acts at the same point in both runs only when
+                    // it leads a batch of 32.
+                    let ack = WindowAck {
+                        session: SessionId::new(1),
+                        cumulative: i as u64 / 8,
+                        repair_wanted: 0,
+                    };
+                    ack.encode().to_vec()
+                } else if i % 7 == 3 {
+                    vec![i as u8; 1 + i % 40]
+                } else if i % 11 == 5 {
+                    Feedback::heartbeat(3, i as u16).to_bytes().to_vec()
+                } else if i % 3 == 0 {
+                    windowed.next().unwrap()
+                } else {
+                    let generation = (i / 16) as u64;
+                    enc.coded_packet(SessionId::new(1), generation, &mut rng)
+                        .to_bytes()
+                        .to_vec()
+                }
+            })
+            .collect();
+
+        let stepped = shard_with_role(VnfRole::Recoder);
+        let mut scratch = RelayScratch::new();
+        let mut step_egress = Vec::new();
+        for dg in &sequence {
+            let mut send = |hop: SocketAddr, bytes: &[u8]| {
+                step_egress.push((bytes.to_vec(), hop));
+                true
+            };
+            relay_step(
+                &stepped[0].engine,
+                &stepped[0].routes,
+                &mut scratch,
+                dg,
+                &mut send,
+            );
+        }
+
+        let batched = shard_with_role(VnfRole::Recoder);
+        let mut scratch = BatchScratch::new(1);
+        let mut batch = RecvBatch::new(32, 2048);
+        let mut batch_egress = Vec::new();
+        let src: SocketAddr = ([127, 0, 0, 1], 4000).into();
+        for chunk in sequence.chunks(32) {
+            batch.clear();
+            for dg in chunk {
+                assert!(batch.push(dg, src));
+            }
+            relay_batch(&batched, 0, &mut scratch, &batch);
+            batch_egress.extend(scratch.send().iter().map(|(b, hop)| (b.to_vec(), hop)));
+        }
+
+        assert!(step_egress.len() > N / 2, "the sequence really was relayed");
+        assert_eq!(step_egress, batch_egress);
+        let (stepped, batched) = (stepped[0].engine.lock(), batched[0].engine.lock());
+        assert_eq!(stepped.vnf().stats(), batched.vnf().stats());
+        assert!(stepped.vnf().stats().window_packets_out > 0);
+        assert!(stepped.vnf().stats().malformed > 0);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use engine::{
     relay_batch, relay_step, shard_of, BatchReport, BatchScratch, RelayEngine, RelayScratch,
     RelayShard, RouteCache, StepReport,
 };
-pub use metrics::{BatchMetrics, RecoveryMetrics, RelayNodeMetrics, StepMetrics, TransferObs};
+pub use metrics::{BatchMetrics, RecoveryMetrics, RelayNodeMetrics, TransferObs};
 pub use node::{HeartbeatConfig, RelayConfig, RelayHandle, RelayNode, RelayStats};
 pub use overload::{Admission, OverloadConfig, OverloadState, OverloadStats, QuotaConfig};
 pub use recovery::{

@@ -6,17 +6,17 @@
 //!   control signals, heartbeats). These registry cells *are* the
 //!   node's counters; [`RelayStats`](crate::RelayStats) is a typed view
 //!   read back from them, not a second copy.
-//! * [`StepMetrics`] — the data thread's per-step instrumentation
-//!   (latency histogram, emit/recycle counters, pending-queue gauge),
-//!   carried inside [`RelayScratch`](crate::RelayScratch) so
-//!   [`relay_step`](crate::relay_step)'s signature stays unchanged.
+//! * [`BatchMetrics`] — the data thread's instrumentation (step and
+//!   batch latency histograms, emit/recycle counters, pending-queue
+//!   gauge, batch shape), carried inside the data path's scratch so
+//!   [`relay_batch`](crate::relay_batch)'s signature stays unchanged.
 //! * [`RecoveryMetrics`] — the reliable-transfer endpoints' feedback
 //!   counters and backoff timings, bundled with the codec's
 //!   [`RlncMetrics`] in a per-transfer [`TransferObs`].
 //!
-//! Record calls are relaxed atomic ops — or, on the per-step hot path,
-//! plain scratch-local adds flushed to the atomics once per sampling
-//! window. No locks, no heap: the counting-allocator test keeps proving
+//! Record calls are relaxed atomic ops — or, on the per-datagram hot
+//! path, plain scratch-local adds flushed to the atomics once per 32
+//! datagrams. No locks, no heap: the counting-allocator test keeps proving
 //! 0 heap ops per packet with all of this enabled, and the perf report
 //! holds the measured step overhead under its 2% budget.
 
@@ -427,7 +427,7 @@ pub const STEP_NS: MetricDesc = desc(
     MetricKind::Histogram,
     "ns",
     "relay",
-    "Relay step latency, sampled 1-in-32 (parse, code, serialize, send)",
+    "Per-datagram relay cost: latency of a sampled batch over the datagrams it coded",
 );
 
 /// `relay.packets_emitted` — coded packets/chunks produced by steps.
@@ -457,170 +457,80 @@ pub const PENDING_DEPTH: MetricDesc = desc(
     "Packets held for recycling at the end of the last step",
 );
 
-/// One-in-N sampling rate for step-latency timestamps (power of two).
-/// Doubles as the counter flush interval: batched step counters are
-/// published to the shared registry cells once per sampling window.
-pub(crate) const STEP_SAMPLE_EVERY: u64 = 32;
+/// Datagrams between publications of the scratch-local step counters
+/// to the shared registry cells.
+const STEP_FLUSH_EVERY: u64 = 32;
 
-/// Per-data-thread step instrumentation, owned by the scratch so the
-/// hot path records without any sharing or locking.
+/// One-in-N sampling rate for whole-batch latency timestamps.
+const BATCH_SAMPLE_EVERY: u64 = 8;
+
+/// Per-data-thread instrumentation of the relay data path, owned by the
+/// scratch ([`BatchScratch`](crate::BatchScratch), or the batch of one
+/// inside [`RelayScratch`](crate::RelayScratch)) so the hot path records
+/// without any sharing or locking.
 ///
 /// Step counters accumulate in plain scratch-local fields and are
-/// flushed to the shared atomics once per 32-step sampling window and
-/// when the scratch drops, so the per-step cost is three integer adds
-/// and a branch instead of four atomic read-modify-writes. Snapshots
-/// taken while the data thread is running may therefore lag the true
-/// totals by up to one sampling window.
+/// flushed to the shared atomics once per 32 datagrams and when the
+/// scratch drops, so the per-datagram cost is a few integer adds instead
+/// of atomic read-modify-writes; atomics are touched once per batch at
+/// most. Snapshots taken while the data thread is running may therefore
+/// lag the true totals by up to 32 datagrams. One batch in eight is
+/// timed: the elapsed time lands in `relay.batch_ns`, and divided by the
+/// datagrams it coded in `relay.step_ns`.
 #[derive(Debug)]
-pub struct StepMetrics {
-    pub(crate) steps: Counter,
-    pub(crate) step_ns: Histogram,
-    pub(crate) emitted: Counter,
-    pub(crate) recycled: Counter,
-    pub(crate) pending_depth: Gauge,
-    /// Thread-local tick for 1-in-N latency sampling (plain field: the
-    /// scratch is single-threaded).
-    pub(crate) tick: u64,
-    /// Steps completed since the last flush.
-    batch_steps: u64,
+pub struct BatchMetrics {
+    steps: Counter,
+    step_ns: Histogram,
+    emitted: Counter,
+    recycled: Counter,
+    pending_depth: Gauge,
+    batches: Counter,
+    batch_fill: Histogram,
+    batch_ns: Histogram,
+    cross_shard: Counter,
+    window_packets: Counter,
+    window_acks: Counter,
+    /// Batches recorded so far, for 1-in-N latency sampling (plain
+    /// field: the scratch is single-threaded).
+    tick: u64,
+    /// Datagrams coded since the last flush.
+    acc_steps: u64,
     /// Packets emitted since the last flush.
-    batch_emitted: u64,
+    acc_emitted: u64,
     /// Payloads recycled since the last flush.
-    batch_recycled: u64,
-    /// Pending-queue depth after the most recent step.
+    acc_recycled: u64,
+    /// Pending-queue depth after the most recent batch.
     last_depth: f64,
 }
 
-impl StepMetrics {
-    /// Registers (or retrieves) the step metrics in `registry`.
+impl BatchMetrics {
+    /// Registers (or retrieves) the data-path metrics in `registry`.
     pub fn register(registry: &Registry) -> Self {
-        StepMetrics {
+        BatchMetrics {
             steps: registry.counter(STEPS),
             step_ns: registry.histogram(STEP_NS),
             emitted: registry.counter(PACKETS_EMITTED),
             recycled: registry.counter(PAYLOADS_RECYCLED),
             pending_depth: registry.gauge(PENDING_DEPTH),
-            tick: 0,
-            batch_steps: 0,
-            batch_emitted: 0,
-            batch_recycled: 0,
-            last_depth: 0.0,
-        }
-    }
-
-    /// Records one completed step into the scratch-local batch; flushes
-    /// to the shared registry cells once per sampling window (the tick
-    /// was already advanced when the step-start timestamp was sampled).
-    #[inline]
-    pub(crate) fn record_step(&mut self, emitted: u64, recycled: u64, depth: usize) {
-        self.batch_steps += 1;
-        self.batch_emitted += emitted;
-        self.batch_recycled += recycled;
-        self.last_depth = depth as f64;
-        if self.tick & (STEP_SAMPLE_EVERY - 1) == 0 {
-            self.flush();
-        }
-    }
-
-    /// Records `steps` datagrams processed as one batch (the batched
-    /// data path's analogue of [`Self::record_step`]); flushes once the
-    /// accumulated count crosses a sampling window.
-    #[inline]
-    pub(crate) fn record_steps(&mut self, steps: u64, emitted: u64, recycled: u64, depth: usize) {
-        self.batch_steps += steps;
-        self.batch_emitted += emitted;
-        self.batch_recycled += recycled;
-        self.last_depth = depth as f64;
-        self.tick = self.tick.wrapping_add(steps);
-        if self.batch_steps >= STEP_SAMPLE_EVERY {
-            self.flush();
-        }
-    }
-
-    /// Publishes the batched counters and the latest pending depth to
-    /// the shared registry cells.
-    fn flush(&mut self) {
-        if self.batch_steps == 0 {
-            return;
-        }
-        self.steps.add(self.batch_steps);
-        self.emitted.add(self.batch_emitted);
-        self.recycled.add(self.batch_recycled);
-        self.pending_depth.set(self.last_depth);
-        self.batch_steps = 0;
-        self.batch_emitted = 0;
-        self.batch_recycled = 0;
-    }
-}
-
-impl Clone for StepMetrics {
-    /// Clones the registry handles; the scratch-local batch and sampling
-    /// tick start fresh so a clone never republishes counts the original
-    /// still holds.
-    fn clone(&self) -> Self {
-        StepMetrics {
-            steps: self.steps.clone(),
-            step_ns: self.step_ns.clone(),
-            emitted: self.emitted.clone(),
-            recycled: self.recycled.clone(),
-            pending_depth: self.pending_depth.clone(),
-            tick: 0,
-            batch_steps: 0,
-            batch_emitted: 0,
-            batch_recycled: 0,
-            last_depth: 0.0,
-        }
-    }
-}
-
-impl Drop for StepMetrics {
-    /// Final flush: totals are exact once the owning scratch is gone.
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-/// One-in-N sampling rate for whole-batch latency timestamps.
-pub(crate) const BATCH_SAMPLE_EVERY: u64 = 8;
-
-/// Per-data-thread instrumentation for the batched relay path, owned by
-/// [`BatchScratch`](crate::BatchScratch).
-///
-/// Wraps [`StepMetrics`] (so `relay.steps`/`relay.packets_emitted`/…
-/// count identically whether the relay runs batched or unbatched) and
-/// adds the batch-shape series: batch count, occupancy histogram,
-/// sampled whole-batch latency, and the cross-shard dispatch counter.
-/// Everything on the per-datagram path is a plain scratch-local add;
-/// atomics are touched once per batch at most.
-#[derive(Debug, Clone)]
-pub struct BatchMetrics {
-    pub(crate) steps: StepMetrics,
-    pub(crate) batches: Counter,
-    pub(crate) batch_fill: Histogram,
-    pub(crate) batch_ns: Histogram,
-    pub(crate) cross_shard: Counter,
-    pub(crate) window_packets: Counter,
-    pub(crate) window_acks: Counter,
-}
-
-impl BatchMetrics {
-    /// Registers (or retrieves) the batch metrics in `registry`.
-    pub fn register(registry: &Registry) -> Self {
-        BatchMetrics {
-            steps: StepMetrics::register(registry),
             batches: registry.counter(BATCHES),
             batch_fill: registry.histogram(BATCH_FILL),
             batch_ns: registry.histogram(BATCH_NS),
             cross_shard: registry.counter(CROSS_SHARD_PACKETS),
             window_packets: registry.counter(WINDOW_PACKETS),
             window_acks: registry.counter(WINDOW_ACKS),
+            tick: 0,
+            acc_steps: 0,
+            acc_emitted: 0,
+            acc_recycled: 0,
+            last_depth: 0.0,
         }
     }
 
-    /// Whether the next batch's latency should be timed (1-in-N).
+    /// Whether the next batch's latency should be timed (1-in-N; only
+    /// sampled batches pay for `Instant::now`).
     #[inline]
     pub(crate) fn sample_latency(&self) -> bool {
-        (self.steps.tick / STEP_SAMPLE_EVERY).is_multiple_of(BATCH_SAMPLE_EVERY)
+        self.tick.is_multiple_of(BATCH_SAMPLE_EVERY)
     }
 
     /// Records one completed batch (per-step totals come from `report`).
@@ -633,6 +543,7 @@ impl BatchMetrics {
         depth: usize,
         elapsed_ns: Option<u64>,
     ) {
+        self.tick = self.tick.wrapping_add(1);
         self.batches.inc();
         self.batch_fill.record(fill);
         if report.cross_shard > 0 {
@@ -646,9 +557,39 @@ impl BatchMetrics {
         }
         if let Some(ns) = elapsed_ns {
             self.batch_ns.record(ns);
+            if let Some(per_step) = ns.checked_div(report.steps) {
+                self.step_ns.record(per_step);
+            }
         }
-        self.steps
-            .record_steps(report.steps, report.emitted, recycled, depth);
+        self.acc_steps += report.steps;
+        self.acc_emitted += report.emitted;
+        self.acc_recycled += recycled;
+        self.last_depth = depth as f64;
+        if self.acc_steps >= STEP_FLUSH_EVERY {
+            self.flush();
+        }
+    }
+
+    /// Publishes the accumulated counters and the latest pending depth
+    /// to the shared registry cells.
+    fn flush(&mut self) {
+        if self.acc_steps == 0 {
+            return;
+        }
+        self.steps.add(self.acc_steps);
+        self.emitted.add(self.acc_emitted);
+        self.recycled.add(self.acc_recycled);
+        self.pending_depth.set(self.last_depth);
+        self.acc_steps = 0;
+        self.acc_emitted = 0;
+        self.acc_recycled = 0;
+    }
+}
+
+impl Drop for BatchMetrics {
+    /// Final flush: totals are exact once the owning scratch is gone.
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -883,7 +824,7 @@ mod tests {
     fn node_and_step_metrics_share_one_registry() {
         let registry = Registry::new();
         let node = RelayNodeMetrics::register(&registry);
-        let step = StepMetrics::register(&registry);
+        let step = BatchMetrics::register(&registry);
         node.datagrams_in.add(5);
         step.emitted.add(7);
         step.pending_depth.set(3.0);

@@ -38,7 +38,7 @@ use ncvnf_obs::{Snapshot, TraceKind};
 use ncvnf_rlnc::window::{WindowConfig, WindowDecoder, WindowEncoder, WindowOutcome};
 use ncvnf_rlnc::{
     wire_kind, AdaptiveRedundancy, AimdConfig, CodedPacket, ObjectDecoder, ObjectEncoder,
-    PayloadPool, SessionId, WindowAck, WindowPacketView, WireKind,
+    PacketView, PayloadPool, SessionId, WindowAck, WireKind,
 };
 
 use crate::chaos::{FaultConfig, FaultSocket, FaultStats};
@@ -666,17 +666,20 @@ impl WindowStreamReceiver {
             while run.load(Ordering::Relaxed) && dec.delivered() < total_symbols {
                 match socket.recv_from(&mut buf) {
                     Ok((n, _)) => {
-                        let Ok(view) = WindowPacketView::parse(&buf[..n]) else {
+                        // A windowed packet carries its own width, so
+                        // no generation size is needed to parse it.
+                        let Ok(view) = PacketView::parse(&buf[..n], 0) else {
                             continue;
                         };
-                        if view.session() != session {
+                        if view.kind() != WireKind::Window || view.session() != session {
                             continue;
                         }
                         packets += 1;
                         last_arrival = Some(Instant::now());
-                        let top = view.base() + view.coefficients().len() as u64 - 1;
+                        let top = view.index() + view.coefficients().len() as u64 - 1;
                         max_seen = Some(max_seen.map_or(top, |m: u64| m.max(top)));
-                        let outcome = dec.receive(view.base(), view.coefficients(), view.payload());
+                        let outcome =
+                            dec.receive(view.index(), view.coefficients(), view.payload());
                         if let Ok(WindowOutcome::Delivered { payloads, .. }) = outcome {
                             for p in payloads {
                                 data.extend_from_slice(&p);

@@ -89,7 +89,7 @@ impl GenerationConfig {
     /// Size of the NC header for this layout (fixed prefix plus one
     /// GF(2^8) coefficient per block).
     pub fn header_len(&self) -> usize {
-        crate::header::NcHeader::FIXED_LEN + self.blocks_per_generation
+        crate::header::CodedPacket::FIXED_LEN + self.blocks_per_generation
     }
 
     /// Total on-wire bytes for one coded packet (header + one block).

@@ -1,13 +1,12 @@
 //! Source-side generation encoder.
 
-use bytes::Bytes;
 use rand::Rng;
 
 use ncvnf_gf256::bulk;
 
 use crate::config::{CodingMode, GenerationConfig};
 use crate::error::CodecError;
-use crate::header::{CodedPacket, NcHeader, SessionId};
+use crate::header::{CodedPacket, SessionId};
 use crate::pool::PayloadPool;
 
 /// Encodes one generation of source data into coded packets.
@@ -21,11 +20,12 @@ use crate::pool::PayloadPool;
 ///
 /// # Encoding modes
 ///
-/// [`mode_packet_pooled`](Self::mode_packet_pooled) drives a whole
-/// generation through a [`CodingMode`]: packet sequence numbers `0..g`
-/// come out verbatim in the systematic modes, and everything after that
-/// is a repair packet — dense or [`sparse`](Self::sparse_packet_pooled)
-/// per the mode. A typical systematic+sparse emission loop:
+/// [`mode_packet_pooled`](Self::mode_packet_pooled) is the one
+/// mode-aware emitter: it drives a whole generation through a
+/// [`CodingMode`]. Packet sequence numbers `0..g` come out verbatim in
+/// the systematic modes, and everything after that is a repair packet —
+/// dense or sparse per the mode. A typical systematic+sparse emission
+/// loop:
 ///
 /// ```
 /// use ncvnf_rlnc::{CodingMode, GenerationConfig, GenerationEncoder, PayloadPool, SessionId};
@@ -100,8 +100,7 @@ impl GenerationEncoder {
     /// always a nontrivial combination.
     ///
     /// Allocates fresh buffers per call; the hot paths use
-    /// [`coded_packet_pooled`](Self::coded_packet_pooled) or
-    /// [`coded_packets_into`](Self::coded_packets_into) instead.
+    /// [`coded_packet_pooled`](Self::coded_packet_pooled) instead.
     pub fn coded_packet<R: Rng + ?Sized>(
         &self,
         session: SessionId,
@@ -132,35 +131,7 @@ impl GenerationEncoder {
         }
         let mut payload = pool.checkout_zeroed(self.config.block_size());
         self.combine_into(&coefficients, &mut payload);
-        CodedPacket::new(
-            NcHeader {
-                session,
-                generation,
-                coefficients: coefficients.freeze(),
-            },
-            payload.freeze(),
-        )
-    }
-
-    /// Batch emit: appends `count` randomly coded packets to `out`, drawing
-    /// all buffers from `pool`.
-    ///
-    /// This is the bulk path the VNF pipeline and the simulators use to
-    /// emit a generation's worth of packets without per-packet allocation
-    /// (`out` should be reused across calls so its capacity amortizes).
-    pub fn coded_packets_into<R: Rng + ?Sized>(
-        &self,
-        session: SessionId,
-        generation: u64,
-        count: usize,
-        rng: &mut R,
-        pool: &mut PayloadPool,
-        out: &mut Vec<CodedPacket>,
-    ) {
-        out.reserve(count);
-        for _ in 0..count {
-            out.push(self.coded_packet_pooled(session, generation, rng, pool));
-        }
+        CodedPacket::new(session, generation, coefficients.freeze(), payload.freeze())
     }
 
     /// Emits original block `index` with a unit coefficient vector
@@ -175,30 +146,12 @@ impl GenerationEncoder {
         generation: u64,
         index: usize,
     ) -> CodedPacket {
-        assert!(
-            index < self.config.blocks_per_generation(),
-            "systematic index out of range"
-        );
-        let mut coefficients = vec![0u8; self.config.blocks_per_generation()];
-        coefficients[index] = 1;
-        CodedPacket::new(
-            NcHeader {
-                session,
-                generation,
-                coefficients: Bytes::from(coefficients),
-            },
-            Bytes::from(self.blocks[index].clone()),
-        )
+        self.systematic_packet_pooled(session, generation, index, &mut PayloadPool::new())
     }
 
-    /// Like [`systematic_packet`](Self::systematic_packet), but both
-    /// buffers come from `pool` — the zero-copy-cost first pass of the
-    /// systematic and sparse modes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= blocks_per_generation`.
-    pub fn systematic_packet_pooled(
+    /// [`systematic_packet`](Self::systematic_packet) with both buffers
+    /// from `pool` — the first pass of the systematic and sparse modes.
+    fn systematic_packet_pooled(
         &self,
         session: SessionId,
         generation: u64,
@@ -212,14 +165,7 @@ impl GenerationEncoder {
         let mut coefficients = pool.checkout_zeroed(self.config.blocks_per_generation());
         coefficients[index] = 1;
         let payload = pool.checkout_copy(&self.blocks[index]);
-        CodedPacket::new(
-            NcHeader {
-                session,
-                generation,
-                coefficients: coefficients.freeze(),
-            },
-            payload.freeze(),
-        )
+        CodedPacket::new(session, generation, coefficients.freeze(), payload.freeze())
     }
 
     /// Emits one sparse repair packet: `nonzeros` distinct blocks chosen
@@ -229,7 +175,7 @@ impl GenerationEncoder {
     ///
     /// `nonzeros` is clamped to `1..=g`. The combination is never
     /// all-zero by construction (every chosen coefficient is nonzero).
-    pub fn sparse_packet_pooled<R: Rng + ?Sized>(
+    fn sparse_packet_pooled<R: Rng + ?Sized>(
         &self,
         session: SessionId,
         generation: u64,
@@ -251,14 +197,7 @@ impl GenerationEncoder {
             coefficients[pos] = c;
             bulk::mul_add_slice(&mut payload, &self.blocks[pos], c);
         }
-        CodedPacket::new(
-            NcHeader {
-                session,
-                generation,
-                coefficients: coefficients.freeze(),
-            },
-            payload.freeze(),
-        )
+        CodedPacket::new(session, generation, coefficients.freeze(), payload.freeze())
     }
 
     /// Emits the packet with sequence number `seq` under `mode`.
@@ -288,27 +227,6 @@ impl GenerationEncoder {
             CodingMode::Dense | CodingMode::Systematic => {
                 self.coded_packet_pooled(session, generation, rng, pool)
             }
-        }
-    }
-
-    /// Batch emit under a mode: appends packets for sequence numbers
-    /// `first_seq..first_seq + count` to `out` (the mode-aware analogue
-    /// of [`coded_packets_into`](Self::coded_packets_into)).
-    #[allow(clippy::too_many_arguments)]
-    pub fn mode_packets_into<R: Rng + ?Sized>(
-        &self,
-        mode: CodingMode,
-        session: SessionId,
-        generation: u64,
-        first_seq: u64,
-        count: usize,
-        rng: &mut R,
-        pool: &mut PayloadPool,
-        out: &mut Vec<CodedPacket>,
-    ) {
-        out.reserve(count);
-        for i in 0..count as u64 {
-            out.push(self.mode_packet_pooled(mode, session, generation, first_seq + i, rng, pool));
         }
     }
 
@@ -396,9 +314,9 @@ mod tests {
         let enc = GenerationEncoder::new(cfg(), &data).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
         let mut pool = PayloadPool::new();
-        let mut out = Vec::new();
-        enc.coded_packets_into(SessionId::new(2), 1, 8, &mut rng, &mut pool, &mut out);
-        assert_eq!(out.len(), 8);
+        let mut out: Vec<CodedPacket> = (0..8)
+            .map(|_| enc.coded_packet_pooled(SessionId::new(2), 1, &mut rng, &mut pool))
+            .collect();
         for pkt in &out {
             let mut expect = vec![0u8; 16];
             let rows: Vec<&[u8]> = enc.blocks().iter().map(|b| b.as_slice()).collect();

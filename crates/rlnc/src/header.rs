@@ -42,12 +42,14 @@
 //! byte 13      reserved (0)
 //! ```
 //!
-//! Legacy kinds remain decodable: [`NcHeader::parse`] checks only the
-//! magic byte, and [`wire_kind`] lets dispatchers classify a datagram
-//! before picking a parser — unknown kind bytes classify as legacy, so
-//! pre-window peers interoperate unchanged.
+//! Both data kinds are one [`CodedPacket`] / [`PacketView`] carrying a
+//! [`WireKind`]; [`PacketView::parse`] is the single place that tells
+//! kind 1 from kind 2, [`CodedPacket::write_into`] the single serializer
+//! and [`PacketView::shard_key`] the single dispatch peek. [`wire_kind`]
+//! lets dispatchers pick the ack frames (kind 3) out first. Unknown kind
+//! bytes parse as legacy, so pre-window peers interoperate unchanged.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 use crate::error::HeaderError;
 use crate::pool::PayloadPool;
@@ -64,9 +66,9 @@ pub const NC_KIND_WINDOW_ACK: u8 = 3;
 /// Classification of an NC datagram by its kind byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireKind {
-    /// Legacy generational coded packet ([`NcHeader`] layout).
+    /// Legacy generational coded packet (index = generation id).
     Generation,
-    /// Sliding-window data packet ([`WindowPacket`] layout).
+    /// Sliding-window data packet (index = window base).
     Window,
     /// Sliding-window ack/nack frame ([`WindowAck`] layout).
     WindowAck,
@@ -131,123 +133,92 @@ impl std::fmt::Display for SessionId {
     }
 }
 
-/// The parsed NC header of a coded packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NcHeader {
-    /// Session this packet belongs to.
-    pub session: SessionId,
-    /// Generation number within the session.
-    pub generation: u64,
-    /// GF(2^8) encoding coefficients, one per block in the generation.
-    ///
-    /// Stored as [`Bytes`] so cloning a header (and hence forwarding a
-    /// packet to several next hops) bumps a reference count instead of
-    /// copying — and so pooled coefficient buffers can be reclaimed via
-    /// [`Bytes::try_into_mut`].
-    pub coefficients: Bytes,
-}
-
-impl NcHeader {
-    /// Length of the fixed prefix before the coefficient vector.
-    pub const FIXED_LEN: usize = 8;
-
-    /// Total encoded length of this header.
-    pub fn encoded_len(&self) -> usize {
-        Self::FIXED_LEN + self.coefficients.len()
-    }
-
-    /// Serializes the header into `buf`.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u8(NC_MAGIC);
-        buf.put_u8(NC_VERSION);
-        buf.put_u16(self.session.value());
-        buf.put_u32(self.generation as u32);
-        buf.put_slice(&self.coefficients);
-    }
-
-    /// Parses a header from the start of `data`, given the generation size
-    /// (the coefficient count is not self-describing on the wire; like the
-    /// paper, both ends learn it from the `NC_SETTINGS` control signal).
-    ///
-    /// Returns the header and the number of bytes consumed.
-    ///
-    /// # Errors
-    ///
-    /// [`HeaderError::BadMagic`] if the packet is not an NC packet;
-    /// [`HeaderError::Truncated`] if `data` is too short.
-    pub fn parse(data: &[u8], generation_size: usize) -> Result<(Self, usize), HeaderError> {
-        let needed = Self::FIXED_LEN + generation_size;
-        if data.is_empty() {
-            return Err(HeaderError::Truncated {
-                needed,
-                available: 0,
-            });
-        }
-        if data[0] != NC_MAGIC {
-            return Err(HeaderError::BadMagic { found: data[0] });
-        }
-        if data.len() < needed {
-            return Err(HeaderError::Truncated {
-                needed,
-                available: data.len(),
-            });
-        }
-        let session = SessionId::new(u16::from_be_bytes([data[2], data[3]]));
-        let generation = u32::from_be_bytes([data[4], data[5], data[6], data[7]]) as u64;
-        let coefficients = Bytes::copy_from_slice(&data[Self::FIXED_LEN..needed]);
-        Ok((
-            NcHeader {
-                session,
-                generation,
-                coefficients,
-            },
-            needed,
-        ))
-    }
-
-    /// Reads just `(session, generation)` from the fixed prefix, without
-    /// knowing the generation size and without touching the heap.
-    ///
-    /// This is the dispatch peek a sharded relay runs on every ingress
-    /// datagram to pick the owning shard before full parsing; `None`
-    /// means the datagram is not a (complete) NC packet.
-    #[must_use]
-    pub fn peek_ids(data: &[u8]) -> Option<(SessionId, u64)> {
-        if data.len() < Self::FIXED_LEN || data[0] != NC_MAGIC {
-            return None;
-        }
-        let session = SessionId::new(u16::from_be_bytes([data[2], data[3]]));
-        let generation = u32::from_be_bytes([data[4], data[5], data[6], data[7]]) as u64;
-        Some((session, generation))
-    }
-}
-
-/// One coded packet: an NC header plus one encoded block.
+/// One coded packet of either data framing: a generational packet
+/// (wire kind 1: `index` is the generation id and the coefficient count
+/// is the out-of-band generation size) or a sliding-window packet (wire
+/// kind 2: `index` is the absolute base symbol and the coefficient count
+/// travels in the width byte). This module is the only place that knows
+/// the two layouts; everything above it handles one packet type.
+///
+/// Coefficients and payload are [`Bytes`], so cloning a packet (forwarding
+/// it to several next hops) bumps reference counts instead of copying, and
+/// pooled buffers can be reclaimed via
+/// [`PayloadPool::recycle`](crate::PayloadPool::recycle).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodedPacket {
-    header: NcHeader,
-    payload: Bytes,
+    pub(crate) kind: WireKind,
+    pub(crate) session: SessionId,
+    pub(crate) index: u64,
+    pub(crate) coefficients: Bytes,
+    pub(crate) payload: Bytes,
 }
 
 impl CodedPacket {
-    /// Assembles a packet from its parts.
-    pub fn new(header: NcHeader, payload: Bytes) -> Self {
-        CodedPacket { header, payload }
+    /// Length of the generational fixed prefix before the coefficients.
+    pub const FIXED_LEN: usize = 8;
+    /// Length of the windowed fixed prefix (through the width byte).
+    pub const WINDOW_FIXED_LEN: usize = 13;
+    /// Maximum coefficient count the windowed width byte can express.
+    pub const MAX_WIDTH: usize = 255;
+
+    /// Assembles a generational packet (wire kind 1).
+    pub fn new(session: SessionId, generation: u64, coefficients: Bytes, payload: Bytes) -> Self {
+        CodedPacket {
+            kind: WireKind::Generation,
+            session,
+            index: generation,
+            coefficients,
+            payload,
+        }
+    }
+
+    /// Assembles a sliding-window packet (wire kind 2): coefficient `i`
+    /// applies to stream symbol `base + i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the coefficient vector is empty or longer than
+    /// [`Self::MAX_WIDTH`] (the width byte could not describe it).
+    pub fn window(session: SessionId, base: u64, coefficients: Bytes, payload: Bytes) -> Self {
+        let w = coefficients.len();
+        assert!(
+            (1..=Self::MAX_WIDTH).contains(&w),
+            "window width {w} outside 1..=255"
+        );
+        CodedPacket {
+            kind: WireKind::Window,
+            session,
+            index: base,
+            coefficients,
+            payload,
+        }
+    }
+
+    /// The packet's framing ([`WireKind::Generation`] or
+    /// [`WireKind::Window`]).
+    pub fn kind(&self) -> WireKind {
+        self.kind
     }
 
     /// The session this packet belongs to.
     pub fn session(&self) -> SessionId {
-        self.header.session
+        self.session
     }
 
-    /// The generation number.
+    /// The generation id (generational) or window base (windowed).
+    pub fn index(&self) -> u64 {
+        self.index
+    }
+
+    /// The generation number — [`index`](Self::index) under the name
+    /// generational call sites read.
     pub fn generation(&self) -> u64 {
-        self.header.generation
+        self.index
     }
 
     /// The encoding coefficient vector.
     pub fn coefficients(&self) -> &[u8] {
-        &self.header.coefficients
+        &self.coefficients
     }
 
     /// The encoded block carried by this packet.
@@ -255,28 +226,31 @@ impl CodedPacket {
         &self.payload
     }
 
-    /// Borrows the full header.
-    pub fn header(&self) -> &NcHeader {
-        &self.header
-    }
-
-    /// Decomposes the packet into its header and payload, e.g. so a
-    /// [`PayloadPool`](crate::PayloadPool) can reclaim the buffers.
-    pub fn into_parts(self) -> (NcHeader, Bytes) {
-        (self.header, self.payload)
+    /// Borrows the packet as a [`PacketView`].
+    pub fn view(&self) -> PacketView<'_> {
+        PacketView {
+            kind: self.kind,
+            session: self.session,
+            index: self.index,
+            coefficients: &self.coefficients,
+            payload: &self.payload,
+        }
     }
 
     /// Total wire length of this packet (header + payload).
     pub fn wire_len(&self) -> usize {
-        self.header.encoded_len() + self.payload.len()
+        let fixed = match self.kind {
+            WireKind::Window => Self::WINDOW_FIXED_LEN,
+            _ => Self::FIXED_LEN,
+        };
+        fixed + self.coefficients.len() + self.payload.len()
     }
 
-    /// Serializes header + payload into a single wire buffer.
+    /// Serializes the packet into a fresh wire buffer.
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_len());
-        self.header.encode_into(&mut buf);
-        buf.put_slice(&self.payload);
-        buf.freeze()
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.write_into(&mut out);
+        Bytes::from(out)
     }
 
     /// Appends the wire form to `out` (the relay hot path: with a reused
@@ -284,42 +258,32 @@ impl CodedPacket {
     /// unlike [`to_bytes`](Self::to_bytes) which builds a fresh buffer).
     pub fn write_into(&self, out: &mut Vec<u8>) {
         out.push(NC_MAGIC);
-        out.push(NC_VERSION);
-        out.extend_from_slice(&self.header.session.value().to_be_bytes());
-        out.extend_from_slice(&(self.header.generation as u32).to_be_bytes());
-        out.extend_from_slice(&self.header.coefficients);
+        match self.kind {
+            WireKind::Window => {
+                out.push(NC_KIND_WINDOW);
+                out.extend_from_slice(&self.session.value().to_be_bytes());
+                out.extend_from_slice(&self.index.to_be_bytes());
+                out.push(self.coefficients.len() as u8);
+            }
+            _ => {
+                out.push(NC_VERSION);
+                out.extend_from_slice(&self.session.value().to_be_bytes());
+                out.extend_from_slice(&(self.index as u32).to_be_bytes());
+            }
+        }
+        out.extend_from_slice(&self.coefficients);
         out.extend_from_slice(&self.payload);
     }
 
-    /// Parses a wire buffer produced by [`CodedPacket::to_bytes`].
+    /// Parses a wire buffer produced by [`CodedPacket::to_bytes`] into
+    /// freshly allocated storage (receivers and tests; the relay parses
+    /// a borrowed [`PacketView`] instead).
     ///
     /// # Errors
     ///
-    /// Propagates header parse failures; the remainder of the buffer after
-    /// the header is taken as the payload.
+    /// Same conditions as [`PacketView::parse`].
     pub fn from_bytes(data: &[u8], generation_size: usize) -> Result<Self, HeaderError> {
-        let (header, consumed) = NcHeader::parse(data, generation_size)?;
-        Ok(CodedPacket {
-            header,
-            payload: Bytes::copy_from_slice(&data[consumed..]),
-        })
-    }
-
-    /// Like [`from_bytes`](Self::from_bytes), but the coefficient and
-    /// payload storage come from `pool` — with a warm pool the ingress
-    /// parse copies wire bytes into recycled buffers instead of
-    /// allocating two fresh ones per packet. Recycle the packet back into
-    /// the pool once processing is done.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`from_bytes`](Self::from_bytes).
-    pub fn from_bytes_pooled(
-        data: &[u8],
-        generation_size: usize,
-        pool: &mut PayloadPool,
-    ) -> Result<Self, HeaderError> {
-        Ok(PacketView::parse(data, generation_size)?.to_owned_pooled(pool))
+        Ok(PacketView::parse(data, generation_size)?.to_owned_pooled(&mut PayloadPool::new()))
     }
 }
 
@@ -333,43 +297,101 @@ impl CodedPacket {
 /// from recycled pool storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketView<'a> {
+    kind: WireKind,
     session: SessionId,
-    generation: u64,
+    index: u64,
     coefficients: &'a [u8],
     payload: &'a [u8],
 }
 
 impl<'a> PacketView<'a> {
-    /// Parses a wire buffer without copying anything, with the same
-    /// validation as [`CodedPacket::from_bytes`].
+    /// Parses a data packet of either framing without copying anything —
+    /// the one kind-1/kind-2 dispatch point. A windowed packet (kind 2)
+    /// reads its coefficient count from the width byte; every other kind
+    /// byte parses as the legacy generational layout with
+    /// `generation_size` coefficients (the count is not on the wire; both
+    /// ends learn it from the `NC_SETTINGS` control signal).
     ///
     /// # Errors
     ///
     /// [`HeaderError::BadMagic`] if the buffer is not an NC packet;
-    /// [`HeaderError::Truncated`] if it is too short.
+    /// [`HeaderError::BadKind`] if it is a window ack (kind 3), which is
+    /// not a data packet; [`HeaderError::Truncated`] if it is too short
+    /// for its layout (a zero width byte counts as truncated).
     pub fn parse(data: &'a [u8], generation_size: usize) -> Result<Self, HeaderError> {
-        let needed = NcHeader::FIXED_LEN + generation_size;
-        if data.is_empty() {
-            return Err(HeaderError::Truncated {
-                needed,
-                available: 0,
-            });
+        let truncated = |needed| HeaderError::Truncated {
+            needed,
+            available: data.len(),
+        };
+        let Some(&magic) = data.first() else {
+            return Err(truncated(CodedPacket::FIXED_LEN + generation_size));
+        };
+        if magic != NC_MAGIC {
+            return Err(HeaderError::BadMagic { found: magic });
         }
-        if data[0] != NC_MAGIC {
-            return Err(HeaderError::BadMagic { found: data[0] });
+        let window = match data.get(1) {
+            Some(&NC_KIND_WINDOW) => true,
+            Some(&NC_KIND_WINDOW_ACK) => {
+                return Err(HeaderError::BadKind {
+                    expected: NC_VERSION,
+                    found: NC_KIND_WINDOW_ACK,
+                })
+            }
+            _ => false,
+        };
+        let fixed = if window {
+            CodedPacket::WINDOW_FIXED_LEN
+        } else {
+            CodedPacket::FIXED_LEN
+        };
+        let width = if window {
+            let Some(&width) = data.get(fixed - 1) else {
+                return Err(truncated(fixed));
+            };
+            usize::from(width)
+        } else {
+            generation_size
+        };
+        let needed = fixed + width;
+        if data.len() < needed || (window && width == 0) {
+            return Err(truncated(needed));
         }
-        if data.len() < needed {
-            return Err(HeaderError::Truncated {
-                needed,
-                available: data.len(),
-            });
-        }
+        let (kind, index) = if window {
+            let base = u64::from_be_bytes(data[4..12].try_into().expect("8 bytes"));
+            (WireKind::Window, base)
+        } else {
+            let generation = u32::from_be_bytes(data[4..8].try_into().expect("4 bytes"));
+            (WireKind::Generation, u64::from(generation))
+        };
         Ok(PacketView {
+            kind,
             session: SessionId::new(u16::from_be_bytes([data[2], data[3]])),
-            generation: u32::from_be_bytes([data[4], data[5], data[6], data[7]]) as u64,
-            coefficients: &data[NcHeader::FIXED_LEN..needed],
+            index,
+            coefficients: &data[fixed..needed],
             payload: &data[needed..],
         })
+    }
+
+    /// Reads the `(session, index)` pair a sharded relay places a data
+    /// packet by, without touching the heap: `(session, generation)` for
+    /// a generational packet (the fixed prefix alone — the generation
+    /// size is not needed), `(session, 0)` for a well-formed windowed one
+    /// (a stream's window state is one object, so all of it must reach
+    /// one shard). `None` means the datagram is not a (complete) NC data
+    /// packet.
+    #[must_use]
+    pub fn shard_key(data: &[u8]) -> Option<(SessionId, u64)> {
+        let view = PacketView::parse(data, 0).ok()?;
+        Some(match view.kind {
+            WireKind::Window => (view.session, 0),
+            _ => (view.session, view.index),
+        })
+    }
+
+    /// The packet's framing ([`WireKind::Generation`] or
+    /// [`WireKind::Window`]).
+    pub fn kind(&self) -> WireKind {
+        self.kind
     }
 
     /// The session this packet belongs to.
@@ -377,9 +399,15 @@ impl<'a> PacketView<'a> {
         self.session
     }
 
-    /// The generation number.
+    /// The generation id (generational) or window base (windowed).
+    pub fn index(&self) -> u64 {
+        self.index
+    }
+
+    /// The generation number — [`index`](Self::index) under the name
+    /// generational call sites read.
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.index
     }
 
     /// The encoding coefficient vector.
@@ -396,172 +424,9 @@ impl<'a> PacketView<'a> {
     /// from `pool` (recycle it back once sent).
     pub fn to_owned_pooled(&self, pool: &mut PayloadPool) -> CodedPacket {
         CodedPacket {
-            header: NcHeader {
-                session: self.session,
-                generation: self.generation,
-                coefficients: pool.checkout_copy(self.coefficients).freeze(),
-            },
-            payload: pool.checkout_copy(self.payload).freeze(),
-        }
-    }
-}
-
-/// One sliding-window coded packet: a combination of up to 255
-/// consecutive stream symbols starting at an absolute `base` index.
-///
-/// Unlike the generational [`CodedPacket`], the coefficient count is
-/// self-describing on the wire (the width byte), so windowed streams
-/// need no out-of-band generation-size agreement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WindowPacket {
-    /// Session this packet belongs to.
-    pub session: SessionId,
-    /// Absolute index of the first symbol the coefficients refer to.
-    pub base: u64,
-    /// GF(2^8) coefficients; entry `i` applies to symbol `base + i`.
-    pub coefficients: Bytes,
-    /// The coded payload (one symbol's worth of bytes).
-    pub payload: Bytes,
-}
-
-impl WindowPacket {
-    /// Length of the fixed prefix before the coefficient vector.
-    pub const FIXED_LEN: usize = 13;
-    /// Maximum coefficient count the width byte can express.
-    pub const MAX_WIDTH: usize = 255;
-
-    /// Total wire length of this packet.
-    pub fn wire_len(&self) -> usize {
-        Self::FIXED_LEN + self.coefficients.len() + self.payload.len()
-    }
-
-    /// Appends the wire form to `out` (allocation-free with a reused
-    /// buffer, like [`CodedPacket::write_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coefficient vector is empty or longer than
-    /// [`Self::MAX_WIDTH`].
-    pub fn write_into(&self, out: &mut Vec<u8>) {
-        let w = self.coefficients.len();
-        assert!(
-            (1..=Self::MAX_WIDTH).contains(&w),
-            "window width {w} outside 1..=255"
-        );
-        out.push(NC_MAGIC);
-        out.push(NC_KIND_WINDOW);
-        out.extend_from_slice(&self.session.value().to_be_bytes());
-        out.extend_from_slice(&self.base.to_be_bytes());
-        out.push(w as u8);
-        out.extend_from_slice(&self.coefficients);
-        out.extend_from_slice(&self.payload);
-    }
-
-    /// Serializes the packet into a fresh wire buffer.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut out = Vec::with_capacity(self.wire_len());
-        self.write_into(&mut out);
-        Bytes::from(out)
-    }
-
-    /// Parses a wire buffer produced by [`WindowPacket::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// [`HeaderError::BadMagic`] / [`HeaderError::BadKind`] if the buffer
-    /// is not a windowed NC packet; [`HeaderError::Truncated`] if it is
-    /// too short for its declared width.
-    pub fn from_bytes(data: &[u8]) -> Result<Self, HeaderError> {
-        let view = WindowPacketView::parse(data)?;
-        Ok(WindowPacket {
-            session: view.session,
-            base: view.base,
-            coefficients: Bytes::copy_from_slice(view.coefficients),
-            payload: Bytes::copy_from_slice(view.payload),
-        })
-    }
-}
-
-/// A zero-copy view of a [`WindowPacket`] still in a receive buffer
-/// (the windowed twin of [`PacketView`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowPacketView<'a> {
-    session: SessionId,
-    base: u64,
-    coefficients: &'a [u8],
-    payload: &'a [u8],
-}
-
-impl<'a> WindowPacketView<'a> {
-    /// Parses a windowed data packet without copying anything.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`WindowPacket::from_bytes`].
-    pub fn parse(data: &'a [u8]) -> Result<Self, HeaderError> {
-        if data.is_empty() {
-            return Err(HeaderError::Truncated {
-                needed: WindowPacket::FIXED_LEN,
-                available: 0,
-            });
-        }
-        if data[0] != NC_MAGIC {
-            return Err(HeaderError::BadMagic { found: data[0] });
-        }
-        if data.len() < WindowPacket::FIXED_LEN {
-            return Err(HeaderError::Truncated {
-                needed: WindowPacket::FIXED_LEN,
-                available: data.len(),
-            });
-        }
-        if data[1] != NC_KIND_WINDOW {
-            return Err(HeaderError::BadKind {
-                expected: NC_KIND_WINDOW,
-                found: data[1],
-            });
-        }
-        let width = data[12] as usize;
-        let needed = WindowPacket::FIXED_LEN + width;
-        if width == 0 || data.len() < needed {
-            return Err(HeaderError::Truncated {
-                needed,
-                available: data.len(),
-            });
-        }
-        Ok(WindowPacketView {
-            session: SessionId::new(u16::from_be_bytes([data[2], data[3]])),
-            base: u64::from_be_bytes(data[4..12].try_into().expect("8 bytes")),
-            coefficients: &data[WindowPacket::FIXED_LEN..needed],
-            payload: &data[needed..],
-        })
-    }
-
-    /// The session this packet belongs to.
-    pub fn session(&self) -> SessionId {
-        self.session
-    }
-
-    /// Absolute index of the first symbol the coefficients refer to.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
-    /// The coefficient vector (entry `i` applies to symbol `base + i`).
-    pub fn coefficients(&self) -> &'a [u8] {
-        self.coefficients
-    }
-
-    /// The coded payload.
-    pub fn payload(&self) -> &'a [u8] {
-        self.payload
-    }
-
-    /// Copies the view into an owned packet backed by recycled buffers
-    /// from `pool` (recycle both buffers once sent).
-    pub fn to_owned_pooled(&self, pool: &mut PayloadPool) -> WindowPacket {
-        WindowPacket {
+            kind: self.kind,
             session: self.session,
-            base: self.base,
+            index: self.index,
             coefficients: pool.checkout_copy(self.coefficients).freeze(),
             payload: pool.checkout_copy(self.payload).freeze(),
         }
@@ -642,13 +507,71 @@ mod tests {
 
     fn sample() -> CodedPacket {
         CodedPacket::new(
-            NcHeader {
-                session: SessionId::new(42),
-                generation: 0xDEAD,
-                coefficients: Bytes::from(vec![1, 2, 3, 4]),
-            },
+            SessionId::new(42),
+            0xDEAD,
+            Bytes::from(vec![1, 2, 3, 4]),
             Bytes::from_static(b"payload bytes"),
         )
+    }
+
+    fn window_sample() -> CodedPacket {
+        CodedPacket::window(
+            SessionId::new(9),
+            0x1_0000_0007,
+            Bytes::from(vec![3, 0, 5]),
+            Bytes::from_static(b"window payload"),
+        )
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// Wire images captured from commit 6ed38ad (before the two packet
+    /// types were folded into one): the fold must not move a byte.
+    #[test]
+    fn golden_wire_vectors_are_unchanged() {
+        let k1 = CodedPacket::new(
+            SessionId::new(0x1234),
+            0xDEAD_BEEF,
+            Bytes::from(vec![1, 0, 0xfe, 7]),
+            Bytes::from_static(b"generation payload"),
+        );
+        let wire = unhex("ac011234deadbeef0100fe0767656e65726174696f6e207061796c6f6164");
+        let mut out = Vec::new();
+        k1.write_into(&mut out);
+        assert_eq!(out, wire);
+        assert_eq!(&k1.to_bytes()[..], &wire[..]);
+        assert_eq!(PacketView::parse(&wire, 4).unwrap(), k1.view());
+        assert_eq!(CodedPacket::from_bytes(&wire, 4).unwrap(), k1);
+
+        let k2 = CodedPacket::window(
+            SessionId::new(0x0509),
+            0x0102_0304_0506_0708,
+            Bytes::from(vec![3, 0, 5]),
+            Bytes::from_static(b"window payload"),
+        );
+        let wire = unhex("ac02050901020304050607080303000577696e646f77207061796c6f6164");
+        let mut out = Vec::new();
+        k2.write_into(&mut out);
+        assert_eq!(out, wire);
+        assert_eq!(&k2.to_bytes()[..], &wire[..]);
+        // The generation size is irrelevant to a windowed parse.
+        for g in [0, 4, 200] {
+            assert_eq!(PacketView::parse(&wire, g).unwrap(), k2.view());
+        }
+
+        let k3 = WindowAck {
+            session: SessionId::new(0x00ff),
+            cumulative: 0x0000_0001_0000_004d,
+            repair_wanted: 3,
+        };
+        let wire = unhex("ac0300ff000000010000004d0300");
+        assert_eq!(&k3.encode()[..], &wire[..]);
+        assert_eq!(WindowAck::parse(&wire).unwrap(), k3);
     }
 
     #[test]
@@ -656,31 +579,17 @@ mod tests {
         let pkt = sample();
         let wire = pkt.to_bytes();
         assert_eq!(wire.len(), 8 + 4 + 13);
+        assert_eq!(wire.len(), pkt.wire_len());
         let back = CodedPacket::from_bytes(&wire, 4).unwrap();
         assert_eq!(back, pkt);
     }
 
     #[test]
-    fn pooled_parse_and_write_into_match_allocating_twins() {
-        let pkt = sample();
-        let wire = pkt.to_bytes();
-        let mut pool = PayloadPool::new();
-        let back = CodedPacket::from_bytes_pooled(&wire, 4, &mut pool).unwrap();
-        assert_eq!(back, pkt);
-        let mut out = Vec::new();
-        back.write_into(&mut out);
-        assert_eq!(&out[..], &wire[..]);
-        assert_eq!(out.len(), back.wire_len());
-        // The pooled parse's buffers go back to the free list.
-        assert_eq!(pool.recycle(back), 2);
-        assert_eq!(pool.idle(), 2);
-    }
-
-    #[test]
-    fn view_parse_borrows_and_owned_copy_matches() {
+    fn view_parse_borrows_and_pooled_copy_recycles() {
         let pkt = sample();
         let wire = pkt.to_bytes();
         let view = PacketView::parse(&wire, 4).unwrap();
+        assert_eq!(view.kind(), WireKind::Generation);
         assert_eq!(view.session(), pkt.session());
         assert_eq!(view.generation(), pkt.generation());
         assert_eq!(view.coefficients(), pkt.coefficients());
@@ -688,19 +597,11 @@ mod tests {
         let mut pool = PayloadPool::new();
         let owned = view.to_owned_pooled(&mut pool);
         assert_eq!(owned, pkt);
+        // The pooled copy's buffers go back to the free list.
+        assert_eq!(pool.recycle(owned), 2);
+        assert_eq!(pool.idle(), 2);
         assert!(PacketView::parse(&wire[..6], 4).is_err());
         assert!(PacketView::parse(b"\x00junk-not-nc", 4).is_err());
-    }
-
-    #[test]
-    fn pooled_parse_rejects_bad_input() {
-        let mut pool = PayloadPool::new();
-        let mut wire = sample().to_bytes().to_vec();
-        wire[0] = 0x00;
-        assert!(CodedPacket::from_bytes_pooled(&wire, 4, &mut pool).is_err());
-        assert!(CodedPacket::from_bytes_pooled(&[], 4, &mut pool).is_err());
-        assert!(CodedPacket::from_bytes_pooled(&[NC_MAGIC, 1, 0], 4, &mut pool).is_err());
-        assert_eq!(pool.stats().checkouts, 0, "failed parses never checkout");
     }
 
     #[test]
@@ -716,30 +617,57 @@ mod tests {
         let wire = sample().to_bytes();
         let err = CodedPacket::from_bytes(&wire[..6], 4).unwrap_err();
         assert!(matches!(err, HeaderError::Truncated { .. }));
-        let err = NcHeader::parse(&[], 4).unwrap_err();
-        assert!(matches!(err, HeaderError::Truncated { available: 0, .. }));
+        let err = PacketView::parse(&[], 4).unwrap_err();
+        assert_eq!(
+            err,
+            HeaderError::Truncated {
+                needed: 12,
+                available: 0
+            }
+        );
     }
 
     #[test]
     fn window_packet_roundtrip_and_classification() {
-        let pkt = WindowPacket {
-            session: SessionId::new(9),
-            base: 0x1_0000_0007,
-            coefficients: Bytes::from(vec![3, 0, 5]),
-            payload: Bytes::from_static(b"window payload"),
-        };
+        let pkt = window_sample();
         let wire = pkt.to_bytes();
         assert_eq!(wire.len(), 13 + 3 + 14);
+        assert_eq!(wire.len(), pkt.wire_len());
         assert_eq!(wire_kind(&wire), Some(WireKind::Window));
-        let back = WindowPacket::from_bytes(&wire).unwrap();
-        assert_eq!(back, pkt);
-        let view = WindowPacketView::parse(&wire).unwrap();
-        assert_eq!(view.session(), pkt.session);
-        assert_eq!(view.base(), pkt.base);
-        assert_eq!(view.coefficients(), &pkt.coefficients[..]);
-        assert_eq!(view.payload(), &pkt.payload[..]);
+        assert_eq!(CodedPacket::from_bytes(&wire, 4).unwrap(), pkt);
+        let view = PacketView::parse(&wire, 4).unwrap();
+        assert_eq!(view.kind(), WireKind::Window);
+        assert_eq!(view.session(), pkt.session());
+        assert_eq!(view.index(), pkt.index());
+        assert_eq!(view.coefficients(), pkt.coefficients());
+        assert_eq!(view.payload(), pkt.payload());
         let mut pool = PayloadPool::new();
         assert_eq!(view.to_owned_pooled(&mut pool), pkt);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 1..=255")]
+    fn window_constructor_rejects_an_empty_coefficient_vector() {
+        let _ = CodedPacket::window(SessionId::new(1), 0, Bytes::new(), Bytes::new());
+    }
+
+    #[test]
+    fn shard_key_is_generation_or_stream() {
+        let wire = sample().to_bytes();
+        assert_eq!(
+            PacketView::shard_key(&wire),
+            Some((SessionId::new(42), 0xDEAD))
+        );
+        // The fixed prefix is enough for a generational packet.
+        assert_eq!(
+            PacketView::shard_key(&wire[..8]),
+            Some((SessionId::new(42), 0xDEAD))
+        );
+        assert_eq!(PacketView::shard_key(&wire[..7]), None);
+        let wire = window_sample().to_bytes();
+        assert_eq!(PacketView::shard_key(&wire), Some((SessionId::new(9), 0)));
+        assert_eq!(PacketView::shard_key(&wire[..15]), None);
+        assert_eq!(PacketView::shard_key(b"zz"), None);
     }
 
     #[test]
@@ -753,6 +681,17 @@ mod tests {
         assert_eq!(wire_kind(&wire), Some(WireKind::WindowAck));
         assert_eq!(WindowAck::parse(&wire).unwrap(), ack);
         assert!(WindowAck::parse(&wire[..10]).is_err());
+        // An ack is not a data packet, whatever the generation size.
+        for g in [0, 4, 6] {
+            assert_eq!(
+                PacketView::parse(&wire, g),
+                Err(HeaderError::BadKind {
+                    expected: NC_VERSION,
+                    found: NC_KIND_WINDOW_ACK
+                })
+            );
+        }
+        assert_eq!(PacketView::shard_key(&wire), None);
     }
 
     #[test]
@@ -761,32 +700,39 @@ mod tests {
         assert_eq!(wire_kind(&wire), Some(WireKind::Generation));
         assert_eq!(wire_kind(b"zz"), None);
         assert_eq!(wire_kind(&[NC_MAGIC]), None);
-        // Unknown future kinds fall back to the legacy classification.
+        // Unknown future kinds fall back to the legacy classification
+        // and the legacy layout.
         assert_eq!(wire_kind(&[NC_MAGIC, 9, 0, 0]), Some(WireKind::Generation));
+        let mut future = wire.to_vec();
+        future[1] = 9;
+        assert_eq!(
+            PacketView::parse(&future, 4).unwrap(),
+            PacketView::parse(&wire, 4).unwrap()
+        );
     }
 
     #[test]
-    fn window_parsers_reject_foreign_and_truncated_bytes() {
-        let pkt = WindowPacket {
-            session: SessionId::new(1),
-            base: 5,
-            coefficients: Bytes::from(vec![1, 2]),
-            payload: Bytes::from_static(b"xy"),
-        };
-        let wire = pkt.to_bytes();
-        // Legacy packet fed to the windowed parser: kind mismatch.
-        let legacy = sample().to_bytes();
+    fn window_parse_rejects_foreign_and_truncated_bytes() {
+        let wire = window_sample().to_bytes();
+        assert_eq!(
+            PacketView::parse(&wire[..12], 4),
+            Err(HeaderError::Truncated {
+                needed: 13,
+                available: 12
+            })
+        );
+        assert_eq!(
+            PacketView::parse(&wire[..15], 4),
+            Err(HeaderError::Truncated {
+                needed: 16,
+                available: 15
+            })
+        );
+        let mut zero_width = wire.to_vec();
+        zero_width[12] = 0;
         assert!(matches!(
-            WindowPacketView::parse(&legacy),
-            Err(HeaderError::BadKind { .. })
-        ));
-        assert!(matches!(
-            WindowPacketView::parse(&wire[..12]),
-            Err(HeaderError::Truncated { .. })
-        ));
-        assert!(matches!(
-            WindowPacketView::parse(b"\x00nope"),
-            Err(HeaderError::BadMagic { .. })
+            PacketView::parse(&zero_width, 4),
+            Err(HeaderError::Truncated { needed: 13, .. })
         ));
         // Windowed packet fed to the ack parser: kind mismatch.
         assert!(matches!(
@@ -798,7 +744,6 @@ mod tests {
     #[test]
     fn header_len_matches_paper() {
         // "8 bytes plus the length of coefficients" — 12 bytes at g = 4.
-        let h = sample().header().clone();
-        assert_eq!(h.encoded_len(), 12);
+        assert_eq!(sample().wire_len() - sample().payload().len(), 12);
     }
 }

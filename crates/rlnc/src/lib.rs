@@ -60,8 +60,8 @@ pub use decoder::{GenerationDecoder, ReceiveOutcome};
 pub use encoder::GenerationEncoder;
 pub use error::{CodecError, HeaderError};
 pub use header::{
-    wire_kind, CodedPacket, NcHeader, PacketView, SessionId, WindowAck, WindowPacket,
-    WindowPacketView, WireKind, NC_KIND_WINDOW, NC_KIND_WINDOW_ACK, NC_MAGIC, NC_VERSION,
+    wire_kind, CodedPacket, PacketView, SessionId, WindowAck, WireKind, NC_KIND_WINDOW,
+    NC_KIND_WINDOW_ACK, NC_MAGIC, NC_VERSION,
 };
 pub use metrics::{PoolMetrics, RlncMetrics};
 pub use object::{ObjectDecoder, ObjectEncoder};

@@ -1,6 +1,6 @@
 //! Reusable buffer pool for coded-packet payloads and coefficient vectors.
 //!
-//! The coding hot paths (`GenerationEncoder::coded_packets_into`,
+//! The coding hot paths (`GenerationEncoder::coded_packet_pooled`,
 //! `Recoder::recode_into`) check buffers out of a [`PayloadPool`], fill
 //! them, and freeze them into the [`Bytes`] handles a
 //! [`CodedPacket`](crate::CodedPacket) carries. Once every clone of the
@@ -11,7 +11,7 @@
 
 use bytes::{Bytes, BytesMut};
 
-use crate::header::{CodedPacket, WindowPacket};
+use crate::header::CodedPacket;
 
 /// Counters exposed by a [`PayloadPool`]: how often checkouts were served
 /// from recycled buffers versus fresh allocations, and how reclamation
@@ -193,13 +193,6 @@ impl PayloadPool {
     /// Reclaims both buffers of a finished packet (payload and coefficient
     /// vector); returns how many were recovered (0–2).
     pub fn recycle(&mut self, packet: CodedPacket) -> usize {
-        let (header, payload) = packet.into_parts();
-        usize::from(self.reclaim(header.coefficients)) + usize::from(self.reclaim(payload))
-    }
-
-    /// Reclaims both buffers of a finished sliding-window packet; returns
-    /// how many were recovered (0–2).
-    pub fn recycle_window(&mut self, packet: WindowPacket) -> usize {
         usize::from(self.reclaim(packet.coefficients)) + usize::from(self.reclaim(packet.payload))
     }
 }
@@ -281,18 +274,11 @@ mod tests {
 
     #[test]
     fn recycle_recovers_both_packet_buffers() {
-        use crate::header::{NcHeader, SessionId};
+        use crate::header::SessionId;
         let mut pool = PayloadPool::new();
         let coeffs = pool.checkout_zeroed(4).freeze();
         let payload = pool.checkout_zeroed(16).freeze();
-        let pkt = CodedPacket::new(
-            NcHeader {
-                session: SessionId::new(1),
-                generation: 0,
-                coefficients: coeffs,
-            },
-            payload,
-        );
+        let pkt = CodedPacket::new(SessionId::new(1), 0, coeffs, payload);
         assert_eq!(pool.recycle(pkt), 2);
         assert_eq!(pool.idle(), 2);
     }

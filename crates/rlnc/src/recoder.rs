@@ -6,7 +6,7 @@ use ncvnf_gf256::bulk;
 
 use crate::config::{CodingMode, GenerationConfig};
 use crate::error::CodecError;
-use crate::header::{CodedPacket, NcHeader, SessionId};
+use crate::header::{CodedPacket, SessionId};
 use crate::pool::PayloadPool;
 
 /// Recodes coded packets of one generation inside the network.
@@ -151,27 +151,13 @@ impl Recoder {
             self.packets_out += 1;
             return Ok(packet.clone());
         }
-        let out = self.recode(rng)?;
-        Ok(out)
+        self.recode_into(rng, &mut PayloadPool::new())
     }
 
-    /// Emits a fresh random combination of the buffered packets.
-    ///
-    /// Allocates fresh buffers per call; the hot path is
-    /// [`recode_into`](Self::recode_into).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::EmptyRecoder`] if nothing has been buffered.
-    pub fn recode<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Result<CodedPacket, CodecError> {
-        let mut pool = PayloadPool::new();
-        self.recode_into(rng, &mut pool)
-    }
-
-    /// Like [`recode`](Self::recode), but the output coefficient and
-    /// payload buffers come from `pool`: with a warm pool (packets recycled
-    /// back after forwarding) the steady state performs zero heap
-    /// allocations per emitted packet.
+    /// Emits a fresh random combination of the buffered packets. The
+    /// output coefficient and payload buffers come from `pool`: with a
+    /// warm pool (packets recycled back after forwarding) the steady state
+    /// performs zero heap allocations per emitted packet.
     ///
     /// # Errors
     ///
@@ -201,11 +187,9 @@ impl Recoder {
         }
         self.packets_out += 1;
         Ok(CodedPacket::new(
-            NcHeader {
-                session: self.session,
-                generation: self.generation,
-                coefficients: coefficients.freeze(),
-            },
+            self.session,
+            self.generation,
+            coefficients.freeze(),
             payload.freeze(),
         ))
     }
@@ -223,7 +207,7 @@ impl Recoder {
     /// # Errors
     ///
     /// Returns [`CodecError::EmptyRecoder`] if nothing has been buffered.
-    pub fn recode_sparse_into<R: Rng + ?Sized>(
+    fn recode_sparse_into<R: Rng + ?Sized>(
         &mut self,
         width: usize,
         rng: &mut R,
@@ -251,18 +235,16 @@ impl Recoder {
         }
         self.packets_out += 1;
         Ok(CodedPacket::new(
-            NcHeader {
-                session: self.session,
-                generation: self.generation,
-                coefficients: coefficients.freeze(),
-            },
+            self.session,
+            self.generation,
+            coefficients.freeze(),
             payload.freeze(),
         ))
     }
 
-    /// Mode-aware recombination: sparse traffic is recoded sparsely (the
+    /// The mode-aware emitter: sparse traffic is recoded sparsely (the
     /// mode's density bounds the rows mixed per output), everything else
-    /// takes the dense path.
+    /// takes the dense [`recode_into`](Self::recode_into) path.
     ///
     /// # Errors
     ///
@@ -412,7 +394,11 @@ mod tests {
     fn empty_recoder_errors() {
         let mut rec = Recoder::new(cfg(), SessionId::new(1), 0);
         let mut rng = StdRng::seed_from_u64(2);
-        assert_eq!(rec.recode(&mut rng).unwrap_err(), CodecError::EmptyRecoder);
+        let mut pool = PayloadPool::new();
+        assert_eq!(
+            rec.recode_into(&mut rng, &mut pool).unwrap_err(),
+            CodecError::EmptyRecoder
+        );
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl SeededPacket {
 /// Header bytes saved per packet by the seeded form (negative when the
 /// explicit form is smaller, i.e. for tiny generations).
 pub fn header_savings(generation_size: usize) -> i64 {
-    let explicit = crate::header::NcHeader::FIXED_LEN + generation_size;
+    let explicit = crate::header::CodedPacket::FIXED_LEN + generation_size;
     explicit as i64 - SEEDED_HEADER_LEN as i64
 }
 

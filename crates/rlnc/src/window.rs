@@ -9,9 +9,12 @@
 //! delivers symbols *in order* the moment they become determined —
 //! no generation boundaries, no batch stalls.
 //!
-//! Wire format: [`WindowPacket`] / [`WindowAck`](crate::WindowAck)
-//! (kinds 2 and 3 next to the legacy generational header — see
-//! [`NcHeader`](crate::NcHeader)).
+//! Wire format: a [`CodedPacket`] of kind
+//! [`WireKind::Window`](crate::WireKind::Window) and
+//! [`WindowAck`](crate::WindowAck) (kinds 2 and 3 next to the legacy
+//! generational kind — [`PacketView::parse`](crate::PacketView::parse)
+//! and [`CodedPacket::write_into`] are the one parser and serializer for
+//! both data kinds).
 //!
 //! # Window lifecycle
 //!
@@ -36,7 +39,7 @@
 //! for i in 0..2u8 {
 //!     let idx = enc.push(&[i; 32]).unwrap();
 //!     let pkt = enc.systematic_packet_pooled(idx, &mut pool).unwrap();
-//!     let out = dec.receive(pkt.base, &pkt.coefficients, &pkt.payload).unwrap();
+//!     let out = dec.receive(pkt.index(), pkt.coefficients(), pkt.payload()).unwrap();
 //!     assert!(matches!(out, WindowOutcome::Delivered { .. }));
 //! }
 //! assert_eq!(dec.delivered(), 2);
@@ -61,13 +64,13 @@ use ncvnf_gf256::bulk;
 use ncvnf_gf256::{Field, Gf256};
 
 use crate::error::CodecError;
-use crate::header::{SessionId, WindowPacket};
+use crate::header::{CodedPacket, SessionId};
 use crate::pool::PayloadPool;
 
 /// Layout of a windowed stream: symbol size in bytes and the maximum
 /// number of in-flight (unacknowledged) symbols.
 ///
-/// The window capacity is bounded by [`WindowPacket::MAX_WIDTH`] (255)
+/// The window capacity is bounded by [`CodedPacket::MAX_WIDTH`] (255)
 /// because the wire format's width byte must cover the whole window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WindowConfig {
@@ -88,11 +91,11 @@ impl WindowConfig {
                 reason: "symbol size must be positive".into(),
             });
         }
-        if capacity == 0 || capacity > WindowPacket::MAX_WIDTH {
+        if capacity == 0 || capacity > CodedPacket::MAX_WIDTH {
             return Err(CodecError::InvalidConfig {
                 reason: format!(
                     "window capacity {capacity} outside 1..={}",
-                    WindowPacket::MAX_WIDTH
+                    CodedPacket::MAX_WIDTH
                 ),
             });
         }
@@ -202,7 +205,7 @@ impl WindowEncoder {
         &self,
         index: u64,
         pool: &mut PayloadPool,
-    ) -> Result<WindowPacket, CodecError> {
+    ) -> Result<CodedPacket, CodecError> {
         let rel = index.checked_sub(self.base).map(|r| r as usize);
         let Some(symbol) = rel.and_then(|r| self.symbols.get(r)) else {
             return Err(CodecError::EmptyRecoder);
@@ -210,12 +213,12 @@ impl WindowEncoder {
         let mut coefficients = pool.checkout_zeroed(1);
         coefficients[0] = 1;
         let payload = pool.checkout_copy(symbol);
-        Ok(WindowPacket {
-            session: self.session,
-            base: index,
-            coefficients: coefficients.freeze(),
-            payload: payload.freeze(),
-        })
+        Ok(CodedPacket::window(
+            self.session,
+            index,
+            coefficients.freeze(),
+            payload.freeze(),
+        ))
     }
 
     /// Emits one repair packet: a uniformly random (never all-zero)
@@ -229,7 +232,7 @@ impl WindowEncoder {
         &self,
         rng: &mut R,
         pool: &mut PayloadPool,
-    ) -> Result<WindowPacket, CodecError> {
+    ) -> Result<CodedPacket, CodecError> {
         if self.symbols.is_empty() {
             return Err(CodecError::EmptyRecoder);
         }
@@ -245,33 +248,12 @@ impl WindowEncoder {
         for (&c, symbol) in coefficients.iter().zip(self.symbols.iter()) {
             bulk::mul_add_slice(&mut payload, symbol, c);
         }
-        Ok(WindowPacket {
-            session: self.session,
-            base: self.base,
-            coefficients: coefficients.freeze(),
-            payload: payload.freeze(),
-        })
-    }
-
-    /// Appends `count` repair packets to `out` (the NACK-burst emit path:
-    /// recovery answers a [`crate::WindowAck`] with `repair_wanted`
-    /// fresh combinations from the live window).
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::EmptyRecoder`] if the window is empty.
-    pub fn repair_burst_into<R: Rng + ?Sized>(
-        &self,
-        count: usize,
-        rng: &mut R,
-        pool: &mut PayloadPool,
-        out: &mut Vec<WindowPacket>,
-    ) -> Result<(), CodecError> {
-        out.reserve(count);
-        for _ in 0..count {
-            out.push(self.coded_packet_pooled(rng, pool)?);
-        }
-        Ok(())
+        Ok(CodedPacket::window(
+            self.session,
+            self.base,
+            coefficients.freeze(),
+            payload.freeze(),
+        ))
     }
 }
 
@@ -388,7 +370,7 @@ impl WindowDecoder {
                 actual: payload.len(),
             });
         }
-        if coefficients.is_empty() || coefficients.len() > WindowPacket::MAX_WIDTH {
+        if coefficients.is_empty() || coefficients.len() > CodedPacket::MAX_WIDTH {
             return Err(CodecError::CoefficientCount {
                 expected: cap,
                 actual: coefficients.len(),
@@ -642,7 +624,7 @@ impl WindowRecoder {
                 actual: payload.len(),
             });
         }
-        if coefficients.is_empty() || coefficients.len() > WindowPacket::MAX_WIDTH {
+        if coefficients.is_empty() || coefficients.len() > CodedPacket::MAX_WIDTH {
             return Err(CodecError::CoefficientCount {
                 expected: cap,
                 actual: coefficients.len(),
@@ -722,7 +704,7 @@ impl WindowRecoder {
         &mut self,
         rng: &mut R,
         pool: &mut PayloadPool,
-    ) -> Result<WindowPacket, CodecError> {
+    ) -> Result<CodedPacket, CodecError> {
         if self.rows.is_empty() {
             return Err(CodecError::EmptyRecoder);
         }
@@ -744,12 +726,12 @@ impl WindowRecoder {
         let width = combined.iter().rposition(|&c| c != 0).map_or(1, |p| p + 1);
         combined.resize(width, 0);
         self.packets_out += 1;
-        Ok(WindowPacket {
-            session: self.session,
-            base: self.floor,
-            coefficients: combined.freeze(),
-            payload: payload.freeze(),
-        })
+        Ok(CodedPacket::window(
+            self.session,
+            self.floor,
+            combined.freeze(),
+            payload.freeze(),
+        ))
     }
 }
 
@@ -788,7 +770,7 @@ mod tests {
             let idx = enc.push(&symbol(tag)).unwrap();
             let pkt = enc.systematic_packet_pooled(idx, &mut pool).unwrap();
             let out = dec
-                .receive(pkt.base, &pkt.coefficients, &pkt.payload)
+                .receive(pkt.index(), pkt.coefficients(), pkt.payload())
                 .unwrap();
             match out {
                 WindowOutcome::Delivered { first, payloads } => {
@@ -831,7 +813,7 @@ mod tests {
                 continue; // lost on the wire
             }
             let pkt = enc.systematic_packet_pooled(idx, &mut pool).unwrap();
-            dec.receive(pkt.base, &pkt.coefficients, &pkt.payload)
+            dec.receive(pkt.index(), pkt.coefficients(), pkt.payload())
                 .unwrap();
         }
         // Symbol 0 delivered; 2 is held back behind the gap.
@@ -839,11 +821,9 @@ mod tests {
         assert_eq!(dec.pending_rank(), 1);
         // One repair combination from the live window closes the gap and
         // releases both pending symbols in order.
-        let mut burst = Vec::new();
-        enc.repair_burst_into(1, &mut rng, &mut pool, &mut burst)
-            .unwrap();
+        let repair = enc.coded_packet_pooled(&mut rng, &mut pool).unwrap();
         let out = dec
-            .receive(burst[0].base, &burst[0].coefficients, &burst[0].payload)
+            .receive(repair.index(), repair.coefficients(), repair.payload())
             .unwrap();
         match out {
             WindowOutcome::Delivered { first, payloads } => {
@@ -865,7 +845,7 @@ mod tests {
             let idx = enc.push(&symbol(tag)).unwrap();
             let pkt = enc.systematic_packet_pooled(idx, &mut pool).unwrap();
             kept.push(pkt.clone());
-            dec.receive(pkt.base, &pkt.coefficients, &pkt.payload)
+            dec.receive(pkt.index(), pkt.coefficients(), pkt.payload())
                 .unwrap();
             enc.handle_ack(dec.cumulative_ack());
         }
@@ -873,7 +853,7 @@ mod tests {
         // history, so it reduces to nothing.
         let recent = &kept[4];
         assert_eq!(
-            dec.receive(recent.base, &recent.coefficients, &recent.payload)
+            dec.receive(recent.index(), recent.coefficients(), recent.payload())
                 .unwrap(),
             WindowOutcome::Redundant
         );
@@ -882,13 +862,13 @@ mod tests {
         for tag in 6..12u8 {
             let idx = enc.push(&symbol(tag)).unwrap();
             let pkt = enc.systematic_packet_pooled(idx, &mut pool).unwrap();
-            dec.receive(pkt.base, &pkt.coefficients, &pkt.payload)
+            dec.receive(pkt.index(), pkt.coefficients(), pkt.payload())
                 .unwrap();
             enc.handle_ack(dec.cumulative_ack());
         }
         let ancient = &kept[0];
         assert_eq!(
-            dec.receive(ancient.base, &ancient.coefficients, &ancient.payload)
+            dec.receive(ancient.index(), ancient.coefficients(), ancient.payload())
                 .unwrap(),
             WindowOutcome::Stale
         );
@@ -907,7 +887,7 @@ mod tests {
             let idx = enc.push(&symbol(tag)).unwrap();
             let pkt = enc.systematic_packet_pooled(idx, &mut pool).unwrap();
             assert!(rec
-                .absorb(pkt.base, &pkt.coefficients, &pkt.payload)
+                .absorb(pkt.index(), pkt.coefficients(), pkt.payload())
                 .unwrap());
         }
         assert_eq!(rec.rank(), 2);
@@ -915,7 +895,7 @@ mod tests {
         let mut steps = 0;
         while dec.delivered() < 2 {
             let out = rec.recode_into(&mut rng, &mut pool).unwrap();
-            dec.receive(out.base, &out.coefficients, &out.payload)
+            dec.receive(out.index(), out.coefficients(), out.payload())
                 .unwrap();
             steps += 1;
             assert!(steps < 32, "windowed recode failed to converge");

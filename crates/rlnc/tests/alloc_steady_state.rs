@@ -89,7 +89,9 @@ fn warm_encode_and_recode_paths_do_not_allocate() {
     // and the checkout order is LIFO, so after a few cycles every buffer
     // settles into a fixed role with its final capacity.
     for _ in 0..16 {
-        encoder.coded_packets_into(session, 0, BATCH, &mut rng, &mut pool, &mut out);
+        out.extend(
+            (0..BATCH).map(|_| encoder.coded_packet_pooled(session, 0, &mut rng, &mut pool)),
+        );
         for pkt in out.drain(..) {
             pool.recycle(pkt);
         }
@@ -98,7 +100,9 @@ fn warm_encode_and_recode_paths_do_not_allocate() {
 
     let encode_allocs = heap_ops_during(|| {
         for _ in 0..64 {
-            encoder.coded_packets_into(session, 0, BATCH, &mut rng, &mut pool, &mut out);
+            out.extend(
+                (0..BATCH).map(|_| encoder.coded_packet_pooled(session, 0, &mut rng, &mut pool)),
+            );
             for pkt in out.drain(..) {
                 pool.recycle(pkt);
             }
@@ -164,9 +168,9 @@ fn warm_sparse_emission_does_not_allocate() {
     // (seq < g) and the sparse repair tail.
     for cycle in 0..16u64 {
         let first_seq = (cycle * BATCH as u64) % (2 * G as u64);
-        encoder.mode_packets_into(
-            mode, session, 0, first_seq, BATCH, &mut rng, &mut pool, &mut out,
-        );
+        out.extend((0..BATCH as u64).map(|i| {
+            encoder.mode_packet_pooled(mode, session, 0, first_seq + i, &mut rng, &mut pool)
+        }));
         for pkt in out.drain(..) {
             pool.recycle(pkt);
         }
@@ -176,9 +180,9 @@ fn warm_sparse_emission_does_not_allocate() {
     let sparse_allocs = heap_ops_during(|| {
         for cycle in 0..64u64 {
             let first_seq = (cycle * BATCH as u64) % (2 * G as u64);
-            encoder.mode_packets_into(
-                mode, session, 0, first_seq, BATCH, &mut rng, &mut pool, &mut out,
-            );
+            out.extend((0..BATCH as u64).map(|i| {
+                encoder.mode_packet_pooled(mode, session, 0, first_seq + i, &mut rng, &mut pool)
+            }));
             for pkt in out.drain(..) {
                 pool.recycle(pkt);
             }
@@ -217,11 +221,11 @@ fn warm_window_emission_and_recode_do_not_allocate() {
         let pkt = encoder
             .systematic_packet_pooled(i % CAPACITY as u64, &mut pool)
             .expect("symbol is live");
-        pool.recycle_window(pkt);
+        pool.recycle(pkt);
         let pkt = encoder
             .coded_packet_pooled(&mut rng, &mut pool)
             .expect("window is non-empty");
-        pool.recycle_window(pkt);
+        pool.recycle(pkt);
     }
     let idle_before = pool.idle();
 
@@ -230,11 +234,11 @@ fn warm_window_emission_and_recode_do_not_allocate() {
             let pkt = encoder
                 .systematic_packet_pooled(i % CAPACITY as u64, &mut pool)
                 .expect("symbol is live");
-            pool.recycle_window(pkt);
+            pool.recycle(pkt);
             let pkt = encoder
                 .coded_packet_pooled(&mut rng, &mut pool)
                 .expect("window is non-empty");
-            pool.recycle_window(pkt);
+            pool.recycle(pkt);
         }
     });
     assert_eq!(
@@ -254,15 +258,15 @@ fn warm_window_emission_and_recode_do_not_allocate() {
             .coded_packet_pooled(&mut rng, &mut pool)
             .expect("window is non-empty");
         recoder
-            .absorb(pkt.base, &pkt.coefficients, &pkt.payload)
+            .absorb(pkt.index(), pkt.coefficients(), pkt.payload())
             .expect("layout matches");
-        pool.recycle_window(pkt);
+        pool.recycle(pkt);
     }
     for _ in 0..16 {
         let pkt = recoder
             .recode_into(&mut rng, &mut pool)
             .expect("recoder is non-empty");
-        pool.recycle_window(pkt);
+        pool.recycle(pkt);
     }
 
     let recode_allocs = heap_ops_during(|| {
@@ -270,7 +274,7 @@ fn warm_window_emission_and_recode_do_not_allocate() {
             let pkt = recoder
                 .recode_into(&mut rng, &mut pool)
                 .expect("recoder is non-empty");
-            pool.recycle_window(pkt);
+            pool.recycle(pkt);
         }
     });
     assert_eq!(

@@ -97,14 +97,7 @@ proptest! {
         payload in prop::collection::vec(any::<u8>(), 0..256),
     ) {
         let g = coeffs.len();
-        let pkt = CodedPacket::new(
-            ncvnf_rlnc::NcHeader {
-                session: SessionId::new(session),
-                generation,
-                coefficients: coeffs.into(),
-            },
-            bytes::Bytes::from(payload),
-        );
+        let pkt = CodedPacket::new(SessionId::new(session), generation, coeffs.into(), bytes::Bytes::from(payload));
         let wire = pkt.to_bytes();
         let back = CodedPacket::from_bytes(&wire, g).unwrap();
         prop_assert_eq!(back, pkt);
@@ -200,28 +193,28 @@ proptest! {
                 let pkt = wenc.systematic_packet_pooled(s, &mut pool).unwrap();
                 if !lost(idx) {
                     if let WindowOutcome::Delivered { payloads, .. } =
-                        wdec.receive(pkt.base, &pkt.coefficients, &pkt.payload).unwrap()
+                        wdec.receive(pkt.index(), pkt.coefficients(), pkt.payload()).unwrap()
                     {
                         for p in payloads {
                             delivered.extend_from_slice(&p);
                         }
                     }
                 }
-                pool.recycle_window(pkt);
+                pool.recycle(pkt);
                 idx += 1;
             }
             if delivered.len() < data.len() {
                 let pkt = wenc.coded_packet_pooled(&mut rng, &mut pool).unwrap();
                 if !lost(idx) {
                     if let WindowOutcome::Delivered { payloads, .. } =
-                        wdec.receive(pkt.base, &pkt.coefficients, &pkt.payload).unwrap()
+                        wdec.receive(pkt.index(), pkt.coefficients(), pkt.payload()).unwrap()
                     {
                         for p in payloads {
                             delivered.extend_from_slice(&p);
                         }
                     }
                 }
-                pool.recycle_window(pkt);
+                pool.recycle(pkt);
                 idx += 1;
             }
             wenc.handle_ack(wdec.cumulative_ack());
