@@ -571,6 +571,10 @@ struct RecoveryBench {
     nacks_sent: u64,
     generations_recovered: u64,
     unrecovered: u64,
+    /// Receiver spawn to completion (chain wiring included).
+    transfer_ms: f64,
+    /// Packets on the wire per source block.
+    wire_overhead: f64,
     failover_ms: f64,
 }
 
@@ -705,6 +709,7 @@ fn bench_recovery(quick: bool) -> RecoveryBench {
     // the report's snapshot carries every recovery counter.
     let snap = &report.snapshot;
     let c = |name: &str| snap.counter(name).unwrap_or(0);
+    let wire_packets = c("recovery.initial_packets") + c("recovery.retransmit_packets");
     RecoveryBench {
         loss_rate: LOSS_RATE,
         block_size: generation.block_size(),
@@ -715,6 +720,8 @@ fn bench_recovery(quick: bool) -> RecoveryBench {
         nacks_sent: c("recovery.nacks_sent"),
         generations_recovered: c("recovery.generations_recovered"),
         unrecovered: c("recovery.unrecovered"),
+        transfer_ms: report.receiver.elapsed.as_secs_f64() * 1e3,
+        wire_overhead: wire_packets as f64 * generation.block_size() as f64 / object_bytes as f64,
         failover_ms,
     }
 }
@@ -1704,6 +1711,12 @@ fn main() {
         recovery.generations_recovered
     );
     let _ = writeln!(json, "    \"unrecovered\": {},", recovery.unrecovered);
+    let _ = writeln!(json, "    \"transfer_ms\": {:.1},", recovery.transfer_ms);
+    let _ = writeln!(
+        json,
+        "    \"wire_overhead\": {:.3},",
+        recovery.wire_overhead
+    );
     let _ = writeln!(json, "    \"failover_ms\": {:.1}", recovery.failover_ms);
     json.push_str("  },\n");
     json.push_str("  \"overload\": {\n");

@@ -22,9 +22,9 @@
 //! **Batched paths.** The relay's batched loops go through the same
 //! six-gate draws, one per datagram, in arrival order:
 //! `recv_batch` receives the first datagram exactly like `recv_from`,
-//! then drains the queue without blocking (ending the batch — without
-//! releasing the reorder stash, since no timeout expired — when the
-//! queue is momentarily empty); `send_batch` uses the trait's
+//! then drains the queue with `try_recv_from` (ending the batch —
+//! without releasing the reorder stash, since no timeout expired — when
+//! the queue is momentarily empty); `send_batch` uses the trait's
 //! `send_to`-loop default. The RNG is consumed only per *wire* datagram
 //! in both modes, so a pinned `NCVNF_CHAOS_SEED` reproduces the same
 //! fault pattern whether the relay runs batched or unbatched —
@@ -396,29 +396,54 @@ impl FaultSocket {
         Ok(Self::wrap(inner, config))
     }
 
-    /// One non-blocking faulted receive for the batched drain: identical
-    /// per-datagram logic to `recv_from`, except a momentarily empty
-    /// queue ends the batch (`None`) *without* releasing the reorder
+    /// One faulted receive: queued duplicates and released reorder
+    /// stashes first, then the wire, one six-gate draw per wire datagram.
+    ///
+    /// `blocking` waits under the read timeout, and a timeout releases
+    /// the reorder stash late rather than losing it. Non-blocking, a
+    /// momentarily empty queue is `WouldBlock` *without* releasing the
     /// stash — no read timeout has expired, so the held-back datagram
     /// keeps waiting for its swap partner exactly as it would between
-    /// two unbatched `recv_from` calls.
-    fn recv_drain(&self, buf: &mut [u8]) -> Option<(usize, SocketAddr)> {
+    /// two blocking receives.
+    fn recv_faulted(&self, buf: &mut [u8], blocking: bool) -> io::Result<(usize, SocketAddr)> {
         loop {
             {
                 let mut st = self.state.lock();
                 if st.stats.crashed {
-                    return None;
+                    if blocking {
+                        let nap = st.read_timeout.unwrap_or(CRASHED_POLL);
+                        drop(st);
+                        std::thread::sleep(nap);
+                    }
+                    return Err(io::Error::new(
+                        io::ErrorKind::WouldBlock,
+                        "fault socket crashed",
+                    ));
                 }
                 if let Some((data, src)) = st.pending_rx.pop() {
                     let n = data.len().min(buf.len());
                     buf[..n].copy_from_slice(&data[..n]);
-                    return Some((n, src));
+                    return Ok((n, src));
                 }
             }
-            let result = self.inner.recv_from(buf);
+            let result = if blocking {
+                self.inner.recv_from(buf)
+            } else {
+                DatagramSocket::try_recv_from(&self.inner, buf)
+            };
             let mut st = self.state.lock();
-            let Ok((n, src)) = result else {
-                return None;
+            let (n, src) = match result {
+                Ok(x) => x,
+                Err(e) => {
+                    if blocking {
+                        if let Some((data, src)) = st.stash_rx.take() {
+                            let n = data.len().min(buf.len());
+                            buf[..n].copy_from_slice(&data[..n]);
+                            return Ok((n, src));
+                        }
+                    }
+                    return Err(e);
+                }
             };
             if st.tick_crash(&self.config) {
                 st.stats.dropped += 1;
@@ -426,7 +451,7 @@ impl FaultSocket {
             }
             if !self.config.directions.ingress {
                 st.stats.delivered += 1;
-                return Some((n, src));
+                return Ok((n, src));
             }
             match st.draw(&self.config) {
                 FaultDraw::Drop => {
@@ -437,7 +462,7 @@ impl FaultSocket {
                     st.stats.delivered += 1;
                     st.stats.duplicated += 1;
                     st.pending_rx.push((buf[..n].to_vec(), src));
-                    return Some((n, src));
+                    return Ok((n, src));
                 }
                 FaultDraw::Reorder => {
                     if st.stash_rx.is_none() {
@@ -446,7 +471,7 @@ impl FaultSocket {
                         continue;
                     }
                     st.stats.delivered += 1;
-                    return Some((n, src));
+                    return Ok((n, src));
                 }
                 FaultDraw::Delay => {
                     st.stats.delivered += 1;
@@ -454,25 +479,27 @@ impl FaultSocket {
                     let delay = self.config.delay;
                     drop(st);
                     std::thread::sleep(delay);
-                    return Some((n, src));
+                    return Ok((n, src));
                 }
                 FaultDraw::Corrupt(bits) => {
                     st.stats.delivered += 1;
                     st.stats.corrupted += 1;
                     corrupt_bytes(&mut buf[..n], bits);
-                    return Some((n, src));
+                    return Ok((n, src));
                 }
                 FaultDraw::Truncate(bits) => {
                     st.stats.delivered += 1;
                     st.stats.truncated += 1;
-                    return Some((truncated_len(n, bits), src));
+                    return Ok((truncated_len(n, bits), src));
                 }
                 FaultDraw::Clean => {
                     st.stats.delivered += 1;
+                    // A packet was successfully received: any held-back
+                    // predecessor is now "overtaken" and released next.
                     if let Some(held) = st.stash_rx.take() {
                         st.pending_rx.push(held);
                     }
-                    return Some((n, src));
+                    return Ok((n, src));
                 }
             }
         }
@@ -597,99 +624,11 @@ impl DatagramSocket for FaultSocket {
     }
 
     fn recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
-        loop {
-            // Deliver queued duplicates / released reorder stashes first.
-            {
-                let mut st = self.state.lock();
-                if st.stats.crashed {
-                    let nap = st.read_timeout.unwrap_or(CRASHED_POLL);
-                    drop(st);
-                    std::thread::sleep(nap);
-                    return Err(io::Error::new(
-                        io::ErrorKind::WouldBlock,
-                        "fault socket crashed",
-                    ));
-                }
-                if let Some((data, src)) = st.pending_rx.pop() {
-                    let n = data.len().min(buf.len());
-                    buf[..n].copy_from_slice(&data[..n]);
-                    return Ok((n, src));
-                }
-            }
-            let result = self.inner.recv_from(buf);
-            let mut st = self.state.lock();
-            let (n, src) = match result {
-                Ok(x) => x,
-                Err(e) => {
-                    // Timeout with a held-back datagram: release it late
-                    // rather than losing it.
-                    if let Some((data, src)) = st.stash_rx.take() {
-                        let n = data.len().min(buf.len());
-                        buf[..n].copy_from_slice(&data[..n]);
-                        return Ok((n, src));
-                    }
-                    return Err(e);
-                }
-            };
-            if st.tick_crash(&self.config) {
-                st.stats.dropped += 1;
-                continue;
-            }
-            if !self.config.directions.ingress {
-                st.stats.delivered += 1;
-                return Ok((n, src));
-            }
-            let draw = st.draw(&self.config);
-            match draw {
-                FaultDraw::Drop => {
-                    st.stats.dropped += 1;
-                    continue;
-                }
-                FaultDraw::Duplicate => {
-                    st.stats.delivered += 1;
-                    st.stats.duplicated += 1;
-                    st.pending_rx.push((buf[..n].to_vec(), src));
-                    return Ok((n, src));
-                }
-                FaultDraw::Reorder => {
-                    if st.stash_rx.is_none() {
-                        st.stats.reordered += 1;
-                        st.stash_rx = Some((buf[..n].to_vec(), src));
-                        continue;
-                    }
-                    st.stats.delivered += 1;
-                    return Ok((n, src));
-                }
-                FaultDraw::Delay => {
-                    st.stats.delivered += 1;
-                    st.stats.delayed += 1;
-                    let delay = self.config.delay;
-                    drop(st);
-                    std::thread::sleep(delay);
-                    return Ok((n, src));
-                }
-                FaultDraw::Corrupt(bits) => {
-                    st.stats.delivered += 1;
-                    st.stats.corrupted += 1;
-                    corrupt_bytes(&mut buf[..n], bits);
-                    return Ok((n, src));
-                }
-                FaultDraw::Truncate(bits) => {
-                    st.stats.delivered += 1;
-                    st.stats.truncated += 1;
-                    return Ok((truncated_len(n, bits), src));
-                }
-                FaultDraw::Clean => {
-                    st.stats.delivered += 1;
-                    // A packet was successfully received: any held-back
-                    // predecessor is now "overtaken" and released next.
-                    if let Some(held) = st.stash_rx.take() {
-                        st.pending_rx.push(held);
-                    }
-                    return Ok((n, src));
-                }
-            }
-        }
+        self.recv_faulted(buf, true)
+    }
+
+    fn try_recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
+        self.recv_faulted(buf, false)
     }
 
     fn local_addr(&self) -> io::Result<SocketAddr> {
@@ -715,19 +654,15 @@ impl DatagramSocket for FaultSocket {
         meta[0] = (n, src);
         let mut filled = 1;
         // Drain whatever is immediately available, one draw per wire
-        // datagram. O_NONBLOCK is orthogonal to SO_RCVTIMEO, so the
-        // configured read timeout survives the toggle.
-        if self.inner.set_nonblocking(true).is_ok() {
-            while filled < bufs.len() {
-                match self.recv_drain(&mut bufs[filled]) {
-                    Some(got) => {
-                        meta[filled] = got;
-                        filled += 1;
-                    }
-                    None => break,
+        // datagram.
+        while filled < bufs.len() {
+            match self.try_recv_from(&mut bufs[filled]) {
+                Ok(got) => {
+                    meta[filled] = got;
+                    filled += 1;
                 }
+                Err(_) => break,
             }
-            let _ = self.inner.set_nonblocking(false);
         }
         batch.set_filled(filled);
         Ok(filled)

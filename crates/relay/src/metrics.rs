@@ -593,13 +593,13 @@ impl Drop for BatchMetrics {
     }
 }
 
-/// `recovery.initial_packets` — coded packets in the initial paced pass.
+/// `recovery.initial_packets` — coded packets of fresh generations.
 pub const RECOVERY_INITIAL_PACKETS: MetricDesc = desc(
     "recovery.initial_packets",
     MetricKind::Counter,
     "packets",
     "relay",
-    "Coded packets sent in the initial paced pass (source)",
+    "Coded packets sent as fresh generations, at the paced rate (source)",
 );
 
 /// `recovery.retransmit_packets` — fresh packets sent answering NACKs.
@@ -683,6 +683,15 @@ pub const RECOVERY_BACKOFF_NS: MetricDesc = desc(
     "Exponential-backoff waits scheduled between retransmission rounds",
 );
 
+/// `recovery.pace_lag_ns` — how late each emission left the source.
+pub const RECOVERY_PACE_LAG_NS: MetricDesc = desc(
+    "recovery.pace_lag_ns",
+    MetricKind::Histogram,
+    "ns",
+    "relay",
+    "How far past its pacing deadline each generation or repair burst left (source)",
+);
+
 /// `recovery.congestion_events` — Congestion frames honoured.
 pub const RECOVERY_CONGESTION_EVENTS: MetricDesc = desc(
     "recovery.congestion_events",
@@ -698,7 +707,7 @@ pub const RECOVERY_BACKPRESSURE_NS: MetricDesc = desc(
     MetricKind::Histogram,
     "ns",
     "relay",
-    "Pauses imposed on the paced pass and repair bursts by Congestion feedback",
+    "Pauses imposed on fresh generations and repair bursts by Congestion feedback",
 );
 
 /// `recovery.congestion_window` — last reported downstream load.
@@ -716,7 +725,7 @@ pub const RECOVERY_CONGESTION_WINDOW: MetricDesc = desc(
 /// struct there is a typed view derived from these cells.
 #[derive(Debug, Clone)]
 pub struct RecoveryMetrics {
-    /// Initial-pass packets (source).
+    /// Fresh-generation packets (source).
     pub initial_packets: Counter,
     /// Retransmitted packets (source).
     pub retransmit_packets: Counter,
@@ -736,6 +745,8 @@ pub struct RecoveryMetrics {
     pub unrecovered: Counter,
     /// Backoff waits scheduled (source).
     pub backoff_ns: Histogram,
+    /// Lateness of each emission against its pacing deadline (source).
+    pub pace_lag_ns: Histogram,
     /// Congestion frames honoured (source).
     pub congestion_events: Counter,
     /// Backpressure pauses imposed on sends (source).
@@ -760,6 +771,7 @@ impl RecoveryMetrics {
             generations_recovered: registry.counter(RECOVERY_GENERATIONS_RECOVERED),
             unrecovered: registry.counter(RECOVERY_UNRECOVERED),
             backoff_ns: registry.histogram(RECOVERY_BACKOFF_NS),
+            pace_lag_ns: registry.histogram(RECOVERY_PACE_LAG_NS),
             congestion_events: registry.counter(RECOVERY_CONGESTION_EVENTS),
             backpressure_ns: registry.histogram(RECOVERY_BACKPRESSURE_NS),
             congestion_window: registry.gauge(RECOVERY_CONGESTION_WINDOW),

@@ -9,13 +9,18 @@
 //!   decodes and NACKs generations that stall past a decode timeout,
 //!   using the `ncvnf-dataplane` feedback codec (sent straight back to
 //!   the source — feedback does not traverse the coding relays);
-//! * the source ([`send_object_reliable`]) answers NACKs with *fresh*
-//!   random combinations (innovative with overwhelming probability, so
-//!   it never needs to know which packets were lost), under bounded
-//!   retries with exponential backoff per generation;
+//! * the source ([`send_object_reliable`]) is one deadline-driven loop:
+//!   it emits fresh generations at `rate_bps` and, in between, answers
+//!   NACKs with *fresh* random combinations (innovative with
+//!   overwhelming probability, so it never needs to know which packets
+//!   were lost), under bounded retries with exponential backoff per
+//!   generation. It polls its socket without blocking and sleeps on
+//!   deadlines; a socket timeout never paces it;
 //! * an [`AdaptiveRedundancy`] AIMD controller raises the per-generation
-//!   redundancy while NACKs arrive and decays it once the path is clean,
-//!   replacing the static NCr choice on the live path.
+//!   redundancy once per repair round a loss causes and decays it once
+//!   the path is clean, replacing the static NCr choice on the live
+//!   path; a repair burst carries the same redundancy ratio as a fresh
+//!   generation.
 //!
 //! [`reliable_chain`] assembles the whole thing — source → fault-injected
 //! relays → receiver — for the chaos and failover experiments.
@@ -37,14 +42,14 @@ use ncvnf_dataplane::{Feedback, FeedbackKind, FEEDBACK_MAGIC};
 use ncvnf_obs::{Snapshot, TraceKind};
 use ncvnf_rlnc::window::{WindowConfig, WindowDecoder, WindowEncoder, WindowOutcome};
 use ncvnf_rlnc::{
-    wire_kind, AdaptiveRedundancy, AimdConfig, CodedPacket, ObjectDecoder, ObjectEncoder,
-    PacketView, PayloadPool, SessionId, WindowAck, WireKind,
+    wire_kind, AdaptiveRedundancy, AimdConfig, ObjectDecoder, ObjectEncoder, PacketView,
+    PayloadPool, SessionId, WindowAck, WireKind,
 };
 
 use crate::chaos::{FaultConfig, FaultSocket, FaultStats};
 use crate::metrics::{RecoveryMetrics, TransferObs};
 use crate::node::{RelayConfig, RelayNode, RelayStats};
-use crate::socket::DatagramSocket;
+use crate::socket::{DatagramSocket, SendBatch};
 use crate::transfer::TransferConfig;
 
 /// Tuning of the feedback/retransmission protocol.
@@ -60,12 +65,12 @@ pub struct RecoveryConfig {
     /// Source: wait after retry `k` before honouring another NACK for
     /// the same generation doubles from this base (exponential backoff).
     pub backoff_base: Duration,
-    /// Source: abandon the repair loop after this long without any
+    /// Source: give up after this long with every generation sent and no
     /// feedback (receiver death must not hang the source forever).
     pub idle_timeout: Duration,
     /// Source: base pause imposed by one `Congestion` frame, scaled by
-    /// the reported load percent (0.5×–4×). Both the paced pass and the
-    /// repair bursts hold off until the pause expires.
+    /// the reported load percent (0.5×–4×). Fresh generations and repair
+    /// bursts both hold off until the pause expires.
     pub congestion_pause: Duration,
     /// AIMD redundancy tuning (floor is overridden by the transfer's
     /// static policy).
@@ -96,7 +101,7 @@ impl Default for RecoveryConfig {
 /// snapshot via `DataplaneHealth::from_snapshot`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Coded packets sent in the initial paced pass (source).
+    /// Coded packets sent as fresh generations (source).
     pub initial_packets: u64,
     /// Fresh coded packets sent in response to NACKs (source).
     pub retransmit_packets: u64,
@@ -172,44 +177,331 @@ impl Backpressure {
         self.pause_until = Some(self.pause_until.map_or(until, |t| t.max(until)));
     }
 
-    /// True while sends should hold off; clears the window once it
-    /// expires.
-    fn paused(&mut self, now: Instant) -> bool {
-        match self.pause_until {
-            Some(t) if now < t => true,
-            Some(_) => {
-                self.pause_until = None;
-                false
-            }
-            None => false,
+    /// When sends may resume, while they should hold off; clears the
+    /// window once it expires.
+    fn paused_until(&mut self, now: Instant) -> Option<Instant> {
+        self.pause_until = self.pause_until.filter(|&t| now < t);
+        self.pause_until
+    }
+}
+
+/// How far past the time asked for a socket read timeout may return.
+/// Linux keeps `SO_RCVTIMEO` in scheduler ticks, rounded up, plus one:
+/// measured at HZ=250, 1 ms asked waits 8 ms, 5 ms → 12 ms, 10 ms →
+/// 16 ms (DESIGN.md §10). Two ticks at HZ=100 bounds it.
+const SOCKET_OVERSHOOT: Duration = Duration::from_millis(20);
+
+/// Longest stretch a source sleeps without polling its socket, so
+/// feedback that lands during a short wait is answered within this.
+const POLL_SLICE: Duration = Duration::from_millis(1);
+
+/// A source's own socket seen as its feedback inbox: polled without
+/// blocking while the source has sends to make, parked in only for waits
+/// too long for a sleep. One implementation for both reliable sources.
+/// A socket timeout never paces anything here — it only bounds a park
+/// that feedback would end early anyway.
+struct FeedbackPort<'a, S: DatagramSocket> {
+    socket: &'a S,
+    buf: [u8; 64],
+    /// Length of a frame a park received, handed out by the next poll.
+    held: Option<usize>,
+}
+
+impl<'a, S: DatagramSocket> FeedbackPort<'a, S> {
+    fn new(socket: &'a S) -> Self {
+        FeedbackPort {
+            socket,
+            buf: [0u8; 64],
+            held: None,
         }
     }
 
-    /// Sleeps out whatever remains of the pause window.
-    fn wait_out(&mut self) {
-        if let Some(t) = self.pause_until.take() {
-            let now = Instant::now();
-            if t > now {
-                std::thread::sleep(t - now);
-            }
+    /// The next queued frame, if any; never blocks.
+    fn poll(&mut self) -> Option<&[u8]> {
+        let n = match self.held.take() {
+            Some(n) => n,
+            None => self.socket.try_recv_from(&mut self.buf).ok()?.0,
+        };
+        Some(&self.buf[..n])
+    }
+
+    /// Waits towards `deadline` and returns no later than it: a wait
+    /// longer than the socket's overshoot parks in the socket (for that
+    /// much less), so an arriving frame ends it at once; a shorter one
+    /// sleeps, a slice at a time. The caller polls and re-plans after
+    /// every return.
+    fn wait(&mut self, deadline: Instant) {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left <= SOCKET_OVERSHOOT {
+            std::thread::sleep(left.min(POLL_SLICE));
+            return;
         }
+        let parked = self
+            .socket
+            .set_read_timeout(Some(left - SOCKET_OVERSHOOT))
+            .and_then(|()| self.socket.recv_from(&mut self.buf));
+        match parked {
+            Ok((n, _)) => self.held = Some(n),
+            Err(ref e) if is_timeout(e) => {}
+            Err(_) => std::thread::sleep(POLL_SLICE),
+        }
+    }
+}
+
+impl<S: DatagramSocket> Drop for FeedbackPort<'_, S> {
+    /// Hands the caller's socket back in blocking mode.
+    fn drop(&mut self) {
+        let _ = self.socket.set_read_timeout(None);
+    }
+}
+
+/// Most of a late emission's lateness the pacer lets the source win
+/// back by sending early afterwards; lateness beyond it (an idle tail, a
+/// congestion pause) is forgiven instead of repaid as a line-rate burst.
+const PACE_CREDIT: Duration = Duration::from_millis(1);
+
+/// The source's way out: coded packets of one generation, built from
+/// pooled buffers into one [`SendBatch`] and paced at `rate_bps`.
+struct Wire<'a, S: DatagramSocket> {
+    socket: &'a S,
+    encoder: &'a ObjectEncoder,
+    next_hops: &'a [SocketAddr],
+    metrics: &'a RecoveryMetrics,
+    rng: StdRng,
+    pool: PayloadPool,
+    batch: SendBatch,
+    /// Wire time of one packet at the configured rate.
+    gap: Duration,
+    /// Pacing deadline: the rate budget allows the next emission now or
+    /// after this instant.
+    pace: Instant,
+    /// Packets emitted so far (the round-robin cursor over next hops).
+    packets: u64,
+}
+
+impl<S: DatagramSocket> Wire<'_, S> {
+    /// Sends `count` fresh combinations of `generation` as one batch,
+    /// `now` being no earlier than `due`, and charges them to the rate
+    /// budget.
+    fn emit(
+        &mut self,
+        generation: u64,
+        count: usize,
+        due: Instant,
+        now: Instant,
+    ) -> io::Result<()> {
+        self.batch.clear();
+        for _ in 0..count {
+            let pkt = self
+                .encoder
+                .coded_packet_pooled(generation, &mut self.rng, &mut self.pool);
+            let hop = self.next_hops[(self.packets as usize) % self.next_hops.len()];
+            self.batch.push_wire(|w| pkt.write_into(w), &[hop]);
+            self.pool.recycle(pkt);
+            self.packets += 1;
+        }
+        self.socket.send_batch(&self.batch)?;
+        self.metrics
+            .pace_lag_ns
+            .record(now.saturating_duration_since(due).as_nanos() as u64);
+        let floor = now.checked_sub(PACE_CREDIT).unwrap_or(now);
+        self.pace = self.pace.max(floor) + self.gap * (count as u32);
+        Ok(())
     }
 }
 
 /// Per-generation bookkeeping on the source side.
 struct GenState {
     acked: bool,
-    /// Packets requested by the latest unanswered NACK.
+    /// Packets requested by the NACKs of the open repair round (those
+    /// since the last burst); `None` when nothing awaits repair.
     pending_nack: Option<u16>,
     retries: u32,
     /// Earliest instant another NACK will be honoured (backoff gate).
     next_retry: Instant,
 }
 
-/// Streams `object` like [`crate::send_object`], then keeps answering
-/// receiver feedback until every generation is ACKed (or retries/idle
-/// budgets run out). Feedback arrives on `socket` itself, so the caller
-/// binds it and tells the receiver its address.
+/// What the source knows about the transfer: per-generation progress,
+/// the AIMD controller and the backpressure window. Feedback frames go
+/// in through [`absorb`](Self::absorb); the send loop reads it.
+struct Source<'a> {
+    config: &'a TransferConfig,
+    recovery: &'a RecoveryConfig,
+    metrics: &'a RecoveryMetrics,
+    gens: Vec<GenState>,
+    /// Generations the fresh pass has emitted; a NACK at or beyond it
+    /// says nothing about loss.
+    sent: u64,
+    /// Generations not yet ACKed.
+    open: usize,
+    /// Open generations whose retry budget is used up.
+    spent: usize,
+    /// Generations with a NACK awaiting its repair round, oldest first.
+    nacked: Vec<usize>,
+    adaptive: AdaptiveRedundancy,
+    bp: Backpressure,
+}
+
+impl<'a> Source<'a> {
+    fn new(
+        config: &'a TransferConfig,
+        recovery: &'a RecoveryConfig,
+        metrics: &'a RecoveryMetrics,
+        generations: u64,
+    ) -> Self {
+        let now = Instant::now();
+        let gens = (0..generations)
+            .map(|_| GenState {
+                acked: false,
+                pending_nack: None,
+                retries: 0,
+                next_retry: now,
+            })
+            .collect();
+        let open = generations as usize;
+        Source {
+            config,
+            recovery,
+            metrics,
+            gens,
+            sent: 0,
+            open,
+            spent: if recovery.max_retries == 0 { open } else { 0 },
+            nacked: Vec::new(),
+            adaptive: AdaptiveRedundancy::from_policy(config.redundancy, recovery.aimd),
+            bp: Backpressure::default(),
+        }
+    }
+
+    /// True once every generation has left and is either ACKed or out
+    /// of retries.
+    fn finished(&self) -> bool {
+        self.sent == self.gens.len() as u64 && self.open == self.spent
+    }
+
+    /// Applies one feedback frame. Returns true if the frame was valid
+    /// feedback for this session.
+    fn absorb(&mut self, frame: &[u8]) -> bool {
+        let Ok(fb) = Feedback::from_bytes(frame) else {
+            return false;
+        };
+        if fb.kind == FeedbackKind::Congestion {
+            // Handled before the generation guard: a Congestion frame's
+            // generation field carries the reporter's load percent, not a
+            // generation index. Session 0 is the wildcard for sheds the
+            // relay could not attribute.
+            if fb.session != self.config.session && fb.session.value() != 0 {
+                return false;
+            }
+            // Multiplicative decrease plus a send pause scaled by how
+            // overloaded the reporter says it is.
+            self.adaptive.on_congestion();
+            let scale = (f64::from(fb.load_pct()) / 100.0).clamp(0.5, 4.0);
+            let pause = self.recovery.congestion_pause.mul_f64(scale);
+            self.bp.pause_for(pause);
+            self.metrics.congestion_events.inc();
+            self.metrics.congestion_window.set(f64::from(fb.load_pct()));
+            self.metrics.backpressure_ns.record(pause.as_nanos() as u64);
+            return true;
+        }
+        if fb.session != self.config.session || fb.generation >= self.gens.len() as u64 {
+            // Heartbeats and wake requests address the controller, not this
+            // source; consume them without treating them as recovery state.
+            return matches!(fb.kind, FeedbackKind::Heartbeat | FeedbackKind::Wake);
+        }
+        let g = &mut self.gens[fb.generation as usize];
+        match fb.kind {
+            FeedbackKind::GenerationAck => {
+                self.metrics.acks_received.inc();
+                if !g.acked {
+                    g.acked = true;
+                    g.pending_nack = None;
+                    self.open -= 1;
+                    if g.retries >= self.recovery.max_retries {
+                        self.spent -= 1;
+                    }
+                    if g.retries == 0 {
+                        self.adaptive.on_clean();
+                    } else {
+                        self.metrics.generations_recovered.inc();
+                    }
+                }
+            }
+            FeedbackKind::RetransmitRequest => {
+                // A NACK for a generation the fresh pass has not reached
+                // yet says nothing about loss — ignore it entirely (it
+                // must not burn this generation's retry budget).
+                if fb.generation >= self.sent || g.acked {
+                    return true;
+                }
+                self.metrics.nacks_received.inc();
+                match g.pending_nack {
+                    // The receiver re-arming a NACK the source has not
+                    // answered yet is the same loss complaining again.
+                    Some(want) => g.pending_nack = Some(want.max(fb.count)),
+                    None => {
+                        self.adaptive.on_loss(fb.count);
+                        g.pending_nack = Some(fb.count);
+                        self.nacked.push(fb.generation as usize);
+                    }
+                }
+            }
+            FeedbackKind::Heartbeat | FeedbackKind::Wake => {}
+            // Congestion frames are consumed before the generation-bounds
+            // guard above; the generation field carries a load percent here.
+            FeedbackKind::Congestion => {
+                unreachable!("congestion handled before the generation guard")
+            }
+        }
+        true
+    }
+
+    /// When `generation`'s pending NACK may be answered; `None` if
+    /// there is nothing (left) to answer — ACKed meanwhile, or out of
+    /// retries.
+    fn repair_gate(&self, generation: usize) -> Option<Instant> {
+        let g = &self.gens[generation];
+        (g.pending_nack.is_some() && g.retries < self.recovery.max_retries).then_some(g.next_retry)
+    }
+
+    /// Opens a repair round for `generation`: consumes its pending NACK
+    /// and one retry, arms the backoff gate, and returns the burst size —
+    /// the packets asked for, at the redundancy ratio a fresh generation
+    /// carries.
+    fn repair_round(&mut self, generation: usize, now: Instant) -> usize {
+        let blocks = self.config.generation.blocks_per_generation();
+        let g = &mut self.gens[generation];
+        let want = usize::from(g.pending_nack.take().unwrap_or(0));
+        let burst = self.adaptive.policy().repair_packets(want, blocks);
+        g.retries += 1;
+        if g.retries == self.recovery.max_retries {
+            self.spent += 1;
+        }
+        // Exponential backoff: retry k waits base * 2^(k-1) before
+        // honouring the next NACK for this generation.
+        let backoff = self.recovery.backoff_base * (1u32 << (g.retries - 1).min(16));
+        g.next_retry = now + backoff;
+        self.metrics.backoff_ns.record(backoff.as_nanos() as u64);
+        self.metrics.retransmit_rounds.inc();
+        self.metrics.retransmit_packets.add(burst as u64);
+        self.metrics
+            .trace
+            .push(TraceKind::RepairBurst, generation as u64, burst as u64);
+        burst
+    }
+}
+
+/// Streams `object` at `rate_bps` while answering receiver feedback,
+/// until every generation is ACKed (or retries/idle budgets run out).
+/// Feedback arrives on `socket` itself, so the caller binds it and tells
+/// the receiver its address; the socket is handed back in blocking mode.
+///
+/// One loop does it all. Each turn drains queued feedback without
+/// blocking, answers every NACK whose backoff gate has passed — repairs
+/// interleave with fresh generations — emits the next generation when
+/// the rate budget allows, and otherwise waits for the earliest of the
+/// pacing deadline, a retry gate, the end of a congestion pause and the
+/// idle deadline.
 ///
 /// Everything the protocol does is recorded into `obs` (the
 /// `recovery.*` and `rlnc.redundancy.*` metrics plus repair-burst trace
@@ -236,236 +528,92 @@ pub fn send_object_reliable<S: DatagramSocket>(
     let encoder =
         ObjectEncoder::new(config.generation, config.session, object).expect("valid object");
     let generations = encoder.generations();
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut adaptive = AdaptiveRedundancy::from_policy(config.redundancy, recovery.aimd);
-    let m = obs.recovery.clone();
-    let before = recovery_counts(&m);
-    let now = Instant::now();
-    let mut gens: Vec<GenState> = (0..generations)
-        .map(|_| GenState {
-            acked: false,
-            pending_nack: None,
-            retries: 0,
-            next_retry: now,
-        })
-        .collect();
-
     let blocks = config.generation.blocks_per_generation();
+    let m = &obs.recovery;
+    let before = recovery_counts(m);
+    let mut src = Source::new(config, recovery, m, generations);
     let wire_bytes = config.generation.packet_len() + 28;
-    let gap = Duration::from_secs_f64(wire_bytes as f64 * 8.0 / config.rate_bps);
-    socket.set_read_timeout(Some(Duration::from_millis(1)))?;
+    let mut wire = Wire {
+        socket,
+        encoder: &encoder,
+        next_hops,
+        metrics: m,
+        rng: StdRng::seed_from_u64(config.seed),
+        pool: PayloadPool::new(),
+        batch: SendBatch::new(),
+        gap: Duration::from_secs_f64(wire_bytes as f64 * 8.0 / config.rate_bps),
+        pace: Instant::now(),
+        packets: 0,
+    };
+    let mut port = FeedbackPort::new(socket);
+    // Fresh generations and feedback both count as signs of life.
+    let mut last_activity = wire.pace;
 
-    // Initial paced pass, draining feedback between generations so early
-    // ACKs shrink the redundancy (and Congestion frames pause the
-    // burst) while the transfer is still going.
-    let mut bp = Backpressure::default();
-    let start = Instant::now();
-    let mut sent = 0u64;
-    for g in 0..generations {
-        bp.wait_out();
-        let per_gen = adaptive.policy().packets_per_generation(blocks);
-        for _ in 0..per_gen {
-            let pkt = encoder.coded_packet(g, &mut rng);
-            let hop = next_hops[(sent as usize) % next_hops.len()];
-            socket.send_to(&pkt.to_bytes(), hop)?;
-            sent += 1;
-            let target = gap * (sent as u32);
-            let elapsed = start.elapsed();
-            if target > elapsed {
-                std::thread::sleep(target - elapsed);
-            }
+    loop {
+        let mut heard = false;
+        while let Some(frame) = port.poll() {
+            heard |= src.absorb(frame);
         }
-        drain_feedback(
-            socket,
-            config,
-            recovery,
-            g + 1,
-            &mut gens,
-            &mut adaptive,
-            &mut bp,
-            &m,
-        );
-    }
-    m.initial_packets.add(sent);
-
-    // Repair loop: honour NACKs with fresh combinations until everything
-    // is ACKed or the budgets run out.
-    socket.set_read_timeout(Some(Duration::from_millis(5)))?;
-    let mut last_feedback = Instant::now();
-    let mut retransmitted = 0u64;
-    let mut buf = [0u8; 64];
-    while gens.iter().any(|g| !g.acked) {
-        match socket.recv_from(&mut buf) {
-            Ok((n, _)) => {
-                if absorb_feedback(
-                    &buf[..n],
-                    config,
-                    recovery,
-                    generations,
-                    &mut gens,
-                    &mut adaptive,
-                    &mut bp,
-                    &m,
-                ) {
-                    last_feedback = Instant::now();
-                }
-            }
-            Err(ref e) if is_timeout(e) => {}
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+        if src.finished() {
+            break;
         }
         let now = Instant::now();
-        // Backpressure holds the repair bursts too: an overloaded relay
-        // gains nothing from retransmissions it would shed.
-        let paused = bp.paused(now);
-        let mut progress_possible = false;
-        for (g, st) in gens.iter_mut().enumerate() {
-            if st.acked {
-                continue;
-            }
-            if st.retries < recovery.max_retries {
-                progress_possible = true;
-            }
-            if paused
-                || st.pending_nack.is_none()
-                || st.retries >= recovery.max_retries
-                || now < st.next_retry
-            {
-                continue;
-            }
-            let want = st.pending_nack.take().expect("checked above") as usize;
-            let burst = want.max(1) + adaptive.policy().extra() as usize;
-            for _ in 0..burst {
-                let pkt = encoder.coded_packet(g as u64, &mut rng);
-                let hop = next_hops[(retransmitted as usize) % next_hops.len()];
-                let _ = socket.send_to(&pkt.to_bytes(), hop);
-                retransmitted += 1;
-            }
-            m.retransmit_packets.add(burst as u64);
-            m.trace.push(TraceKind::RepairBurst, g as u64, burst as u64);
-            st.retries += 1;
-            m.retransmit_rounds.inc();
-            // Exponential backoff: retry k waits base * 2^(k-1) before
-            // honouring the next NACK for this generation.
-            let shift = (st.retries - 1).min(16);
-            let backoff = recovery.backoff_base * (1u32 << shift);
-            m.backoff_ns.record(backoff.as_nanos() as u64);
-            st.next_retry = now + backoff;
+        if heard {
+            last_activity = now;
         }
-        if !progress_possible && gens.iter().all(|g| g.pending_nack.is_none()) {
-            break; // every open generation has exhausted its retries
-        }
-        if last_feedback.elapsed() >= recovery.idle_timeout {
-            break; // receiver went silent
-        }
-    }
-    m.unrecovered
-        .add(gens.iter().filter(|g| !g.acked).count() as u64);
-    // Publish where the AIMD controller ended up (and peaked) as gauges.
-    obs.rlnc.observe_redundancy(&adaptive);
-    let mut stats = recovery_delta(&before, &recovery_counts(&m));
-    stats.peak_extra = adaptive.peak_extra().round() as u32;
-    Ok(stats)
-}
-
-/// Non-blocking-ish drain of queued feedback during the initial pass.
-#[allow(clippy::too_many_arguments)]
-fn drain_feedback<S: DatagramSocket>(
-    socket: &S,
-    config: &TransferConfig,
-    recovery: &RecoveryConfig,
-    gens_sent: u64,
-    gens: &mut [GenState],
-    adaptive: &mut AdaptiveRedundancy,
-    bp: &mut Backpressure,
-    metrics: &RecoveryMetrics,
-) {
-    let mut buf = [0u8; 64];
-    while let Ok((n, _)) = socket.recv_from(&mut buf) {
-        absorb_feedback(
-            &buf[..n],
-            config,
-            recovery,
-            gens_sent,
-            gens,
-            adaptive,
-            bp,
-            metrics,
-        );
-    }
-}
-
-/// Applies one feedback frame to the source state. Returns true if the
-/// frame was valid feedback for this session.
-#[allow(clippy::too_many_arguments)]
-fn absorb_feedback(
-    frame: &[u8],
-    config: &TransferConfig,
-    recovery: &RecoveryConfig,
-    gens_sent: u64,
-    gens: &mut [GenState],
-    adaptive: &mut AdaptiveRedundancy,
-    bp: &mut Backpressure,
-    metrics: &RecoveryMetrics,
-) -> bool {
-    let Ok(fb) = Feedback::from_bytes(frame) else {
-        return false;
-    };
-    if fb.kind == FeedbackKind::Congestion {
-        // Handled before the generation guard: a Congestion frame's
-        // generation field carries the reporter's load percent, not a
-        // generation index. Session 0 is the wildcard for sheds the
-        // relay could not attribute.
-        if fb.session != config.session && fb.session.value() != 0 {
-            return false;
-        }
-        // Multiplicative decrease plus a send pause scaled by how
-        // overloaded the reporter says it is.
-        adaptive.on_congestion();
-        let scale = (f64::from(fb.load_pct()) / 100.0).clamp(0.5, 4.0);
-        let pause = recovery.congestion_pause.mul_f64(scale);
-        bp.pause_for(pause);
-        metrics.congestion_events.inc();
-        metrics.congestion_window.set(f64::from(fb.load_pct()));
-        metrics.backpressure_ns.record(pause.as_nanos() as u64);
-        return true;
-    }
-    if fb.session != config.session || fb.generation >= gens.len() as u64 {
-        // Heartbeats and wake requests address the controller, not this
-        // source; consume them without treating them as recovery state.
-        return matches!(fb.kind, FeedbackKind::Heartbeat | FeedbackKind::Wake);
-    }
-    let g = &mut gens[fb.generation as usize];
-    match fb.kind {
-        FeedbackKind::GenerationAck => {
-            metrics.acks_received.inc();
-            if !g.acked {
-                g.acked = true;
-                g.pending_nack = None;
-                if g.retries == 0 {
-                    adaptive.on_clean();
+        let idle_deadline = last_activity + recovery.idle_timeout;
+        let mut wake = idle_deadline;
+        let mut emitted = false;
+        if let Some(resume) = src.bp.paused_until(now) {
+            // Backpressure holds fresh data and repairs alike: an
+            // overloaded relay gains nothing from packets it would shed.
+            wake = wake.min(resume);
+        } else {
+            let mut kept = 0;
+            for i in 0..src.nacked.len() {
+                let g = src.nacked[i];
+                let Some(gate) = src.repair_gate(g) else {
+                    continue;
+                };
+                let due = gate.max(wire.pace);
+                if due <= now {
+                    let burst = src.repair_round(g, now);
+                    wire.emit(g as u64, burst, due, now)?;
+                    emitted = true;
                 } else {
-                    metrics.generations_recovered.inc();
+                    wake = wake.min(due);
+                    src.nacked[kept] = g;
+                    kept += 1;
                 }
             }
-            true
-        }
-        FeedbackKind::RetransmitRequest => {
-            // A NACK for a generation the initial pass has not reached
-            // yet says nothing about loss — ignore it entirely (it must
-            // not burn this generation's retry budget).
-            if fb.generation >= gens_sent || g.acked {
-                return true;
+            src.nacked.truncate(kept);
+            if src.sent < generations {
+                if wire.pace <= now {
+                    let per_gen = src.adaptive.policy().packets_per_generation(blocks);
+                    wire.emit(src.sent, per_gen, wire.pace, now)?;
+                    m.initial_packets.add(per_gen as u64);
+                    src.sent += 1;
+                    last_activity = now;
+                    emitted = true;
+                } else {
+                    wake = wake.min(wire.pace);
+                }
             }
-            metrics.nacks_received.inc();
-            adaptive.on_loss(fb.count);
-            g.pending_nack = Some(g.pending_nack.unwrap_or(0).max(fb.count));
-            true
         }
-        FeedbackKind::Heartbeat | FeedbackKind::Wake => true,
-        // Congestion frames are consumed before the generation-bounds
-        // guard above; the generation field carries a load percent here.
-        FeedbackKind::Congestion => unreachable!("congestion handled before the generation guard"),
+        if emitted {
+            continue;
+        }
+        if now >= idle_deadline {
+            break; // receiver went silent
+        }
+        port.wait(wake);
     }
+    m.unrecovered.add(src.open as u64);
+    // Publish where the AIMD controller ended up (and peaked) as gauges.
+    obs.rlnc.observe_redundancy(&src.adaptive);
+    let mut stats = recovery_delta(&before, &recovery_counts(m));
+    stats.peak_extra = src.adaptive.peak_extra().round() as u32;
+    Ok(stats)
 }
 
 fn is_timeout(e: &io::Error) -> bool {
@@ -498,8 +646,10 @@ pub struct WindowSendStats {
 /// [`send_object_reliable`], loss never stalls a whole generation:
 /// repair coverage tracks the live window as acks slide it forward.
 ///
-/// Feedback arrives on `socket` itself; metrics land in `obs` under the
-/// same `recovery.*` names as the generational protocol
+/// Feedback arrives on `socket` itself — drained without blocking each
+/// turn, waited for only when the window is full and nothing is queued —
+/// and the socket is handed back in blocking mode; metrics land in `obs`
+/// under the same `recovery.*` names as the generational protocol
 /// (`initial_packets` = systematic pass, `retransmit_packets` = repair
 /// bursts).
 ///
@@ -521,19 +671,20 @@ pub fn send_window_reliable<S: DatagramSocket>(
 ) -> io::Result<WindowSendStats> {
     assert!(!next_hops.is_empty(), "need at least one next hop");
     assert!(!data.is_empty(), "nothing to stream");
-    let m = obs.recovery.clone();
+    let m = &obs.recovery;
     let mut enc = WindowEncoder::new(window, session);
     let mut rng = StdRng::seed_from_u64(0x5EED_u64 ^ u64::from(session.value()));
     let mut pool = PayloadPool::new();
+    let mut batch = SendBatch::new();
     let mut stats = WindowSendStats::default();
     let mut chunks = data.chunks(window.symbol_size());
     let total = data.len().div_ceil(window.symbol_size()) as u64;
     let mut sent_all = false;
+    let mut port = FeedbackPort::new(socket);
     let mut last_feedback = Instant::now();
-    let mut buf = [0u8; 64];
-    socket.set_read_timeout(Some(Duration::from_millis(1)))?;
-    loop {
+    'stream: loop {
         // Fill the window and emit each new symbol systematically.
+        batch.clear();
         while !sent_all && enc.live() < window.capacity() {
             let Some(chunk) = chunks.next() else {
                 sent_all = true;
@@ -544,56 +695,67 @@ pub fn send_window_reliable<S: DatagramSocket>(
                 .systematic_packet_pooled(idx, &mut pool)
                 .expect("symbol is live");
             let hop = next_hops[(stats.data_packets as usize) % next_hops.len()];
-            socket.send_to(&pkt.to_bytes(), hop)?;
+            batch.push_wire(|w| pkt.write_into(w), &[hop]);
+            pool.recycle(pkt);
             stats.data_packets += 1;
         }
+        socket.send_batch(&batch)?;
         if sent_all && enc.live() == 0 {
             stats.completed = true;
             break;
         }
-        // Drain feedback: cumulative acks slide the window; NACKs ask
-        // for repair bursts from whatever is still unacknowledged.
-        match socket.recv_from(&mut buf) {
-            Ok((n, _)) => {
-                if wire_kind(&buf[..n]) == Some(WireKind::WindowAck) {
-                    if let Ok(ack) = WindowAck::parse(&buf[..n]) {
-                        if ack.session == session {
-                            last_feedback = Instant::now();
-                            stats.acks_received += 1;
-                            m.acks_received.inc();
-                            enc.handle_ack(ack.cumulative);
-                            if ack.cumulative >= total {
-                                stats.completed = true;
-                                break;
-                            }
-                            if ack.repair_wanted > 0 && enc.live() > 0 {
-                                stats.nacks_received += 1;
-                                m.nacks_received.inc();
-                                let burst = usize::from(ack.repair_wanted);
-                                for _ in 0..burst {
-                                    let pkt = enc
-                                        .coded_packet_pooled(&mut rng, &mut pool)
-                                        .expect("window is non-empty");
-                                    let hop = next_hops
-                                        [(stats.repair_packets as usize) % next_hops.len()];
-                                    let _ = socket.send_to(&pkt.to_bytes(), hop);
-                                    stats.repair_packets += 1;
-                                }
-                                m.retransmit_packets.add(burst as u64);
-                                m.retransmit_rounds.inc();
-                                m.trace
-                                    .push(TraceKind::RepairBurst, enc.base(), burst as u64);
-                            }
-                        }
-                    }
-                }
+        // Absorb queued feedback: cumulative acks slide the window;
+        // NACKs ask for repair bursts from whatever is still
+        // unacknowledged.
+        let mut heard = false;
+        while let Some(frame) = port.poll() {
+            if wire_kind(frame) != Some(WireKind::WindowAck) {
+                continue;
             }
-            Err(ref e) if is_timeout(e) => {}
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+            let Ok(ack) = WindowAck::parse(frame) else {
+                continue;
+            };
+            if ack.session != session {
+                continue;
+            }
+            heard = true;
+            stats.acks_received += 1;
+            m.acks_received.inc();
+            enc.handle_ack(ack.cumulative);
+            if ack.cumulative >= total {
+                stats.completed = true;
+                break 'stream;
+            }
+            if ack.repair_wanted > 0 && enc.live() > 0 {
+                stats.nacks_received += 1;
+                m.nacks_received.inc();
+                let burst = usize::from(ack.repair_wanted);
+                batch.clear();
+                for _ in 0..burst {
+                    let pkt = enc
+                        .coded_packet_pooled(&mut rng, &mut pool)
+                        .expect("window is non-empty");
+                    let hop = next_hops[(stats.repair_packets as usize) % next_hops.len()];
+                    batch.push_wire(|w| pkt.write_into(w), &[hop]);
+                    pool.recycle(pkt);
+                    stats.repair_packets += 1;
+                }
+                let _ = socket.send_batch(&batch);
+                m.retransmit_packets.add(burst as u64);
+                m.retransmit_rounds.inc();
+                m.trace
+                    .push(TraceKind::RepairBurst, enc.base(), burst as u64);
+            }
         }
-        if last_feedback.elapsed() >= recovery.idle_timeout {
+        if heard {
+            last_feedback = Instant::now();
+            continue; // the window may have slid: refill before waiting
+        }
+        let idle_deadline = last_feedback + recovery.idle_timeout;
+        if Instant::now() >= idle_deadline {
             break; // receiver went silent
         }
+        port.wait(idle_deadline);
     }
     m.initial_packets.add(stats.data_packets);
     Ok(stats)
@@ -822,13 +984,16 @@ impl ReliableReceiver {
             let mut gen_packets = vec![0u64; generations as usize];
             let mut packets = 0u64;
             let start = Instant::now();
-            // A generation becomes NACK-eligible once its `last_event`
-            // is set: on its first packet, when a later generation is
-            // seen (in-order source ⇒ it was sent), or on a global
-            // stall.
-            let mut last_event: Vec<Option<Instant>> = vec![None; generations as usize];
+            // A generation's stall clock (`last_event`) runs once it is
+            // below `started`: when a packet of it or of a later one has
+            // arrived (in-order source ⇒ it was sent), or on a global
+            // stall. Everything below `low` is decoded, so the per-packet
+            // work walks only `low..started`.
+            let mut last_event = vec![start; generations as usize];
             let mut last_nack: Vec<Option<Instant>> = vec![None; generations as usize];
             let mut acked = vec![false; generations as usize];
+            let mut low = 0usize;
+            let mut started = 0usize;
             let mut last_arrival: Option<Instant> = None;
             let mut buf = vec![0u8; 65536];
             while run.load(Ordering::Relaxed) {
@@ -837,7 +1002,7 @@ impl ReliableReceiver {
                         if n > 0 && buf[0] == FEEDBACK_MAGIC {
                             continue; // stray feedback is not data
                         }
-                        let Ok(pkt) = CodedPacket::from_bytes(&buf[..n], blocks) else {
+                        let Ok(pkt) = PacketView::parse(&buf[..n], blocks) else {
                             continue;
                         };
                         if pkt.session() != session {
@@ -847,22 +1012,21 @@ impl ReliableReceiver {
                         packets += 1;
                         last_arrival = Some(now);
                         let gen = pkt.generation();
-                        if gen < generations {
-                            // Everything up to the highest generation
-                            // seen has been sent: start its stall clock.
-                            for ev in last_event[..=(gen as usize)].iter_mut() {
-                                ev.get_or_insert(now);
-                            }
-                        }
                         let innovative = matches!(
-                            decoder.receive(&pkt),
+                            decoder.receive_view(pkt),
                             Ok(ncvnf_rlnc::ReceiveOutcome::Innovative { .. })
                         );
                         if gen < generations {
                             let gi = gen as usize;
+                            // Everything up to the highest generation
+                            // seen has been sent: start its stall clock.
+                            if gi >= started {
+                                last_event[started..=gi].fill(now);
+                                started = gi + 1;
+                            }
                             gen_packets[gi] += 1;
                             if innovative {
-                                last_event[gi] = Some(now);
+                                last_event[gi] = now;
                             }
                             if decoder.generation_complete(gen) && !acked[gi] {
                                 acked[gi] = true;
@@ -900,19 +1064,20 @@ impl ReliableReceiver {
                 // e.g. a dead relay) makes every open generation
                 // eligible, tail generations included.
                 let now = Instant::now();
-                let stalled_globally =
-                    last_arrival.is_some_and(|t| now.duration_since(t) >= recovery.decode_timeout);
-                for g in 0..generations as usize {
+                if let Some(t) = last_arrival {
+                    if now.duration_since(t) >= recovery.decode_timeout {
+                        last_event[started..].fill(t);
+                        started = generations as usize;
+                    }
+                }
+                while low < started && decoder.generation_complete(low as u64) {
+                    low += 1;
+                }
+                for g in low..started {
                     if decoder.generation_complete(g as u64) {
                         continue;
                     }
-                    if stalled_globally {
-                        last_event[g].get_or_insert_with(|| last_arrival.expect("stalled"));
-                    }
-                    let Some(ev) = last_event[g] else {
-                        continue;
-                    };
-                    if now.duration_since(ev) < recovery.decode_timeout {
+                    if now.duration_since(last_event[g]) < recovery.decode_timeout {
                         continue;
                     }
                     if last_nack[g].is_some_and(|t| now.duration_since(t) < recovery.nack_interval)
@@ -1119,77 +1284,44 @@ mod tests {
     fn congestion_feedback_halves_redundancy_and_pauses() {
         let cfg = config();
         let rec = recovery();
-        let now = Instant::now();
-        let mut gens: Vec<GenState> = (0..4)
-            .map(|_| GenState {
-                acked: false,
-                pending_nack: None,
-                retries: 0,
-                next_retry: now,
-            })
-            .collect();
-        let mut adaptive = AdaptiveRedundancy::from_policy(cfg.redundancy, rec.aimd);
-        for _ in 0..6 {
-            adaptive.on_loss(3); // pump extra redundancy above the floor
-        }
-        let before = adaptive.current_extra();
-        let mut bp = Backpressure::default();
         let obs = TransferObs::new();
         let m = RecoveryMetrics::register(obs.registry());
+        let mut src = Source::new(&cfg, &rec, &m, 4);
+        src.sent = 4;
+        for _ in 0..6 {
+            src.adaptive.on_loss(3); // pump extra redundancy above the floor
+        }
+        let before = src.adaptive.current_extra();
 
         // Relay reports 200% load for our session: multiplicative
         // decrease plus a pause window at the 2.0x clamp point.
         let frame = Feedback::congestion(cfg.session, 200, 7, 40).to_bytes();
-        assert!(absorb_feedback(
-            &frame,
-            &cfg,
-            &rec,
-            4,
-            &mut gens,
-            &mut adaptive,
-            &mut bp,
-            &m
-        ));
+        assert!(src.absorb(&frame));
         assert!(
-            adaptive.current_extra() < before,
+            src.adaptive.current_extra() < before,
             "congestion is a multiplicative decrease: {} -> {}",
             before,
-            adaptive.current_extra()
+            src.adaptive.current_extra()
         );
-        assert!(bp.paused(Instant::now()), "pause window armed");
+        assert!(
+            src.bp.paused_until(Instant::now()).is_some(),
+            "pause window armed"
+        );
         let snap = obs.snapshot();
         assert_eq!(snap.counter("recovery.congestion_events"), Some(1));
         assert_eq!(snap.gauge("recovery.congestion_window"), Some(200.0));
 
         // Session 0 is the unattributed wildcard: also honoured.
         let wild = Feedback::congestion(SessionId::new(0), 120, 1, 41).to_bytes();
-        assert!(absorb_feedback(
-            &wild,
-            &cfg,
-            &rec,
-            4,
-            &mut gens,
-            &mut adaptive,
-            &mut bp,
-            &m
-        ));
+        assert!(src.absorb(&wild));
         assert_eq!(snap_counter(&obs, "recovery.congestion_events"), 2);
 
         // A congestion frame for some other session is ignored: no
         // decrease, no pause extension, no event.
         let other = Feedback::congestion(SessionId::new(99), 400, 9, 90).to_bytes();
-        let extra = adaptive.current_extra();
-        assert!(!absorb_feedback(
-            &other,
-            &cfg,
-            &rec,
-            4,
-            &mut gens,
-            &mut adaptive,
-            &mut bp,
-            &m
-        ));
-        assert_eq!(adaptive.current_extra(), extra);
+        let extra = src.adaptive.current_extra();
+        assert!(!src.absorb(&other));
+        assert_eq!(src.adaptive.current_extra(), extra);
         assert_eq!(snap_counter(&obs, "recovery.congestion_events"), 2);
     }
 
@@ -1200,20 +1332,223 @@ mod tests {
     #[test]
     fn backpressure_window_extends_and_expires() {
         let mut bp = Backpressure::default();
-        assert!(!bp.paused(Instant::now()), "starts unpaused");
+        assert!(bp.paused_until(Instant::now()).is_none(), "starts unpaused");
         bp.pause_for(Duration::from_millis(50));
         bp.pause_for(Duration::from_millis(5)); // shorter: must not shrink
         let now = Instant::now();
-        assert!(bp.paused(now));
+        assert!(bp.paused_until(now).is_some());
         assert!(
-            bp.paused(now + Duration::from_millis(20)),
+            bp.paused_until(now + Duration::from_millis(20)).is_some(),
             "50ms window survives a later 5ms report"
         );
-        assert!(!bp.paused(now + Duration::from_millis(60)), "expires");
+        let later = now + Duration::from_millis(60);
+        assert!(bp.paused_until(later).is_none(), "expires");
         assert!(
-            !bp.paused(now + Duration::from_millis(60)),
+            bp.paused_until(later).is_none(),
             "expired window is cleared, not re-armed"
         );
+    }
+
+    #[test]
+    fn aimd_counts_repair_rounds_not_complaints() {
+        let cfg = config();
+        let rec = recovery();
+        let m = RecoveryMetrics::register(TransferObs::new().registry());
+        let nack = Feedback::nack(cfg.session, 0, 1, 0).to_bytes();
+        let sent_source = || {
+            let mut src = Source::new(&cfg, &rec, &m, 2);
+            src.sent = 2;
+            src
+        };
+
+        let mut once = sent_source();
+        assert!(once.absorb(&nack));
+        let one_loss = once.adaptive.current_extra();
+        assert!(one_loss > 0.0);
+
+        // The receiver re-arming its NACK before the source has answered
+        // is the same loss complaining again: it raises nothing.
+        let mut many = sent_source();
+        for _ in 0..5 {
+            assert!(many.absorb(&nack));
+        }
+        assert_eq!(many.adaptive.current_extra(), one_loss);
+        assert_eq!(many.nacked, vec![0], "one repair round queued");
+
+        // Once the repair round has gone out, a NACK is a new loss.
+        many.repair_round(0, Instant::now());
+        assert!(many.absorb(&nack));
+        assert_eq!(many.adaptive.current_extra(), 2.0 * one_loss);
+
+        // A repair burst carries the redundancy ratio of a fresh
+        // generation, not the whole extra on top of what was asked for.
+        let mut high = sent_source();
+        for _ in 0..8 {
+            high.adaptive.on_loss(4);
+        }
+        assert_eq!(high.adaptive.policy().extra(), 8);
+        high.gens[0].pending_nack = Some(1);
+        assert_eq!(high.repair_round(0, Instant::now()), 3, "1 x (1 + 8/4)");
+    }
+
+    /// A feedback frame of a [`ScriptedSocket`]: pollable once `after`
+    /// datagrams have left (`None`: never — only a park delivers it).
+    type Scripted = (Option<usize>, Feedback);
+
+    /// A socket with no network and no clock: sends go into a log, and
+    /// scripted feedback frames come out in order — by a non-blocking
+    /// poll once their point in the send log is reached, or by the next
+    /// blocking receive (a park: "time passes until the frame arrives").
+    struct ScriptedSocket {
+        state: parking_lot::Mutex<ScriptState>,
+    }
+
+    #[derive(Default)]
+    struct ScriptState {
+        sent: Vec<Vec<u8>>,
+        feedback: std::collections::VecDeque<Scripted>,
+        /// Length of the send log at each blocking receive.
+        parks: Vec<usize>,
+        read_timeout: Option<Duration>,
+    }
+
+    impl ScriptedSocket {
+        fn deliver(frame: &Feedback, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
+            let bytes = frame.to_bytes();
+            buf[..bytes.len()].copy_from_slice(&bytes);
+            Ok((bytes.len(), ([127, 0, 0, 1], 9).into()))
+        }
+    }
+
+    impl DatagramSocket for ScriptedSocket {
+        fn send_to(&self, buf: &[u8], _addr: SocketAddr) -> io::Result<usize> {
+            self.state.lock().sent.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
+            let mut st = self.state.lock();
+            let at = st.sent.len();
+            st.parks.push(at);
+            assert!(st.read_timeout.is_some(), "a park is always bounded");
+            let (_, frame) = st
+                .feedback
+                .pop_front()
+                .expect("the source parked with nothing left to arrive");
+            Self::deliver(&frame, buf)
+        }
+
+        fn try_recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
+            let mut st = self.state.lock();
+            let sent = st.sent.len();
+            match st.feedback.front() {
+                Some((Some(after), _)) if *after <= sent => {
+                    let (_, frame) = st.feedback.pop_front().expect("front exists");
+                    Self::deliver(&frame, buf)
+                }
+                _ => Err(io::ErrorKind::WouldBlock.into()),
+            }
+        }
+
+        fn local_addr(&self) -> io::Result<SocketAddr> {
+            Ok(([127, 0, 0, 1], 8).into())
+        }
+
+        fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
+            self.state.lock().read_timeout = dur;
+            Ok(())
+        }
+    }
+
+    /// Runs the source over a three-generation object against `script`
+    /// at a rate so high that every generation is due the moment the
+    /// previous one left. Returns the generation of each datagram sent,
+    /// the source's counters and the socket's final state.
+    fn run_scripted(
+        rec: &RecoveryConfig,
+        script: Vec<Scripted>,
+    ) -> (Vec<u64>, RecoveryStats, ScriptState) {
+        let cfg = TransferConfig {
+            rate_bps: 1e15,
+            ..config()
+        };
+        let object = vec![7u8; 3 * 4 * 128 - 8];
+        let socket = ScriptedSocket {
+            state: parking_lot::Mutex::new(ScriptState {
+                feedback: script.into(),
+                ..ScriptState::default()
+            }),
+        };
+        let hops = [([127, 0, 0, 1], 9).into()];
+        let stats =
+            send_object_reliable(&socket, &cfg, rec, &object, &hops, &TransferObs::new()).unwrap();
+        let state = socket.state.into_inner();
+        let log = state
+            .sent
+            .iter()
+            .map(|d| PacketView::parse(d, 4).expect("data packet").generation())
+            .collect();
+        (log, stats, state)
+    }
+
+    #[test]
+    fn source_loop_orders_events_without_a_clock() {
+        let session = config().session;
+        let ack = |g| Feedback::ack(session, g);
+        let nack = |g| Feedback::nack(session, g, 1, 0);
+        let rec = RecoveryConfig {
+            backoff_base: Duration::from_secs(3600),
+            ..recovery()
+        };
+
+        // (a) A NACK for generation 0 that lands once generation 1 has
+        // left is answered before generation 2 leaves. The loss raised
+        // the redundancy to NC1: a 2-packet burst, a 5-packet generation.
+        let script = vec![
+            (Some(8), nack(0)),
+            (None, ack(0)),
+            (None, ack(1)),
+            (None, ack(2)),
+        ];
+        let (log, stats, state) = run_scripted(&rec, script);
+        assert_eq!(log, [0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 2, 2, 2, 2, 2]);
+        assert_eq!((stats.retransmit_rounds, stats.retransmit_packets), (1, 2));
+        assert_eq!((stats.generations_recovered, stats.unrecovered), (1, 0));
+        // (b) It parked only for the ACKs, with nothing left to send.
+        assert_eq!(state.parks, [15, 15, 15]);
+        // (e) The caller's socket comes back in blocking mode.
+        assert_eq!(state.read_timeout, None);
+
+        // (c) An ACK that arrives before a repair is due cancels it:
+        // the second NACK waits out an hour of backoff, the ACK lands
+        // while the source is parked, and no second burst ever leaves.
+        // (Coming after a repair round, that NACK is a second loss: NC2.)
+        let script = vec![
+            (Some(4), nack(0)),
+            (Some(6), nack(0)),
+            (None, ack(0)),
+            (None, ack(1)),
+            (None, ack(2)),
+        ];
+        let (log, stats, state) = run_scripted(&rec, script);
+        assert_eq!(log, [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2]);
+        assert_eq!((stats.nacks_received, stats.retransmit_rounds), (2, 1));
+        assert_eq!((stats.peak_extra, stats.unrecovered), (2, 0));
+        assert_eq!(state.parks, [17, 17, 17]);
+
+        // (d) A NACK for a generation that has not left yet says nothing
+        // about loss: no burst, no retry burnt, no redundancy raised.
+        let script = vec![
+            (Some(4), nack(2)),
+            (None, ack(0)),
+            (None, ack(1)),
+            (None, ack(2)),
+        ];
+        let (log, stats, state) = run_scripted(&rec, script);
+        assert_eq!(log, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]);
+        assert_eq!((stats.nacks_received, stats.retransmit_rounds), (0, 0));
+        assert_eq!((stats.peak_extra, stats.unrecovered), (0, 0));
+        assert_eq!(state.read_timeout, None);
     }
 
     #[test]

@@ -198,6 +198,16 @@ pub trait DatagramSocket: Send + Sync {
     /// `WouldBlock`/`TimedOut`).
     fn recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)>;
 
+    /// Receives one datagram only if one is already queued: never
+    /// blocks, whatever the read timeout says. This is how a loop that
+    /// also has deadlines to meet polls its socket — socket timeouts are
+    /// tick-granular (DESIGN.md §10) and must not pace anything.
+    ///
+    /// # Errors
+    ///
+    /// An empty queue is `WouldBlock`; other socket errors propagate.
+    fn try_recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)>;
+
     /// The local address the socket is bound to.
     ///
     /// # Errors
@@ -265,6 +275,10 @@ impl DatagramSocket for UdpSocket {
         UdpSocket::recv_from(self, buf)
     }
 
+    fn try_recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
+        ncvnf_sysnet::recv_nowait(self, buf)
+    }
+
     fn local_addr(&self) -> io::Result<SocketAddr> {
         UdpSocket::local_addr(self)
     }
@@ -312,6 +326,10 @@ impl<S: DatagramSocket + ?Sized> DatagramSocket for &S {
 
     fn recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
         (**self).recv_from(buf)
+    }
+
+    fn try_recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
+        (**self).try_recv_from(buf)
     }
 
     fn local_addr(&self) -> io::Result<SocketAddr> {

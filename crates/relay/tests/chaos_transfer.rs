@@ -194,3 +194,55 @@ fn adaptive_redundancy_rises_under_chaos() {
         .expect("gauge registered");
     assert!(peak > 0.0, "peak redundancy gauge rose: {peak}");
 }
+
+/// The benchmark's operating point, with duplication and reordering on
+/// top: 1 MiB of MTU-sized blocks at the configured 200 Mbit/s, where no
+/// pacing gap hides what the source does between generations. The source
+/// must keep up with its own schedule while repairs interleave, and do it
+/// without flooding the wire.
+#[test]
+fn full_rate_megabyte_survives_chaos_within_its_wire_budget() {
+    let seed = chaos_seed().wrapping_add(2);
+    let config = TransferConfig {
+        session: SessionId::new(14),
+        generation: GenerationConfig::new(1460, 4).unwrap(),
+        redundancy: RedundancyPolicy::NC0,
+        rate_bps: 200e6,
+        seed,
+    };
+    let object: Vec<u8> = (0..1u32 << 20)
+        .map(|i| (i.wrapping_mul(2654435761) >> 7) as u8)
+        .collect();
+    let faults = [Some(
+        FaultConfig::new(seed)
+            .with_drop(0.10)
+            .with_duplicate(0.05)
+            .with_reorder(0.05)
+            .with_directions(true, true),
+    )];
+
+    let report = reliable_chain(
+        &config,
+        &RecoveryConfig::default(),
+        &object,
+        &faults,
+        Duration::from_secs(60),
+    )
+    .expect("chain runs")
+    .expect("transfer completes despite chaos");
+
+    assert_eq!(report.receiver.object, object, "byte-identical object");
+    assert_eq!(report.source.unrecovered, 0, "nothing was abandoned");
+    let fs = report.faults[0].expect("the relay is faulted");
+    assert!(
+        fs.dropped > 0 && fs.duplicated > 0 && fs.reordered > 0,
+        "every pathology fired: {fs:?}"
+    );
+    let wire = report.source.initial_packets + report.source.retransmit_packets;
+    let blocks = object.len().div_ceil(1460) as u64;
+    assert!(
+        wire * 10 <= blocks * 22,
+        "{wire} packets for {blocks} source blocks is over 2.2x: {:?}",
+        report.source
+    );
+}

@@ -15,7 +15,8 @@ use crate::config::GenerationConfig;
 use crate::decoder::{GenerationDecoder, ReceiveOutcome};
 use crate::encoder::GenerationEncoder;
 use crate::error::CodecError;
-use crate::header::{CodedPacket, SessionId};
+use crate::header::{CodedPacket, PacketView, SessionId};
+use crate::pool::PayloadPool;
 
 /// Length-prefix framing size.
 const LEN_PREFIX: usize = 8;
@@ -86,6 +87,23 @@ impl ObjectEncoder {
         enc.coded_packet(self.session, generation, rng)
     }
 
+    /// [`coded_packet`](Self::coded_packet) with both buffers from `pool`
+    /// — what a paced source emits, recycling each packet once it is
+    /// serialized.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `generation >= self.generations()`.
+    pub fn coded_packet_pooled<R: Rng + ?Sized>(
+        &self,
+        generation: u64,
+        rng: &mut R,
+        pool: &mut PayloadPool,
+    ) -> CodedPacket {
+        let enc = &self.encoders[generation as usize];
+        enc.coded_packet_pooled(self.session, generation, rng, pool)
+    }
+
     /// Emits systematic packet `index` of `generation`.
     ///
     /// # Panics
@@ -125,6 +143,16 @@ impl ObjectDecoder {
     ///
     /// Propagates layout mismatches from the per-generation decoder.
     pub fn receive(&mut self, packet: &CodedPacket) -> Result<ReceiveOutcome, CodecError> {
+        self.receive_view(packet.view())
+    }
+
+    /// [`receive`](Self::receive) for a packet still sitting in its
+    /// receive buffer: nothing is copied before elimination.
+    ///
+    /// # Errors
+    ///
+    /// Propagates layout mismatches from the per-generation decoder.
+    pub fn receive_view(&mut self, packet: PacketView<'_>) -> Result<ReceiveOutcome, CodecError> {
         let gen = packet.generation() as usize;
         if gen >= self.decoders.len() {
             return Ok(ReceiveOutcome::Redundant);

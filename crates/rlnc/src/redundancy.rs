@@ -52,6 +52,14 @@ impl RedundancyPolicy {
         generation_size + self.extra as usize
     }
 
+    /// Packets that repair `missing` lost ones at the same redundancy
+    /// *ratio* a fresh generation carries: `missing × (g + extra) / g`,
+    /// rounded up (at least one). NC8 at g=4 repairs one loss with 3
+    /// packets, not 9.
+    pub fn repair_packets(self, missing: usize, generation_size: usize) -> usize {
+        (missing.max(1) * self.packets_per_generation(generation_size)).div_ceil(generation_size)
+    }
+
     /// Bandwidth expansion factor relative to sending only `g` packets.
     pub fn overhead_factor(self, generation_size: usize) -> f64 {
         self.packets_per_generation(generation_size) as f64 / generation_size as f64
@@ -230,6 +238,15 @@ mod tests {
         assert_eq!(RedundancyPolicy::NC1.packets_per_generation(4), 5);
         assert_eq!(RedundancyPolicy::NC2.packets_per_generation(4), 6);
         assert_eq!(RedundancyPolicy::NC2.to_string(), "NC2");
+    }
+
+    #[test]
+    fn repairs_carry_the_generation_ratio() {
+        assert_eq!(RedundancyPolicy::NC0.repair_packets(2, 4), 2);
+        assert_eq!(RedundancyPolicy::NC0.repair_packets(0, 4), 1);
+        assert_eq!(RedundancyPolicy::NC1.repair_packets(1, 4), 2);
+        assert_eq!(RedundancyPolicy::new(8).repair_packets(1, 4), 3);
+        assert_eq!(RedundancyPolicy::new(8).repair_packets(4, 4), 12);
     }
 
     #[test]

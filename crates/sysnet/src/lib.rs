@@ -3,7 +3,7 @@
 //! The relay's per-datagram syscall cost dominates its loopback
 //! throughput: one `recvfrom` plus one `sendto` per packet caps a
 //! single-threaded relay orders of magnitude below what the coding
-//! engine sustains in memory. This crate provides the three primitives
+//! engine sustains in memory. This crate provides the primitives
 //! the sharded relay runtime needs to close that gap, with no external
 //! dependencies (the workspace is hermetic — there is no `libc` crate,
 //! so the declarations bind directly against the C library `std`
@@ -20,11 +20,16 @@
 //! - [`bind_reuseport`]: binds a UDP socket with `SO_REUSEPORT` set
 //!   *before* `bind`, so several shard sockets can share one advertised
 //!   port and the kernel spreads the receive load across them.
+//! - [`recv_nowait`]: one `recvfrom(2)` with `MSG_DONTWAIT` — a poll of
+//!   the receive queue that never blocks and never touches the socket's
+//!   mode or read timeout.
 //!
-//! On non-Linux targets every entry point returns
+//! On non-Linux targets the batched entry points return
 //! [`io::ErrorKind::Unsupported`]; callers (the `ncvnf-relay` socket
 //! layer) fall back to portable one-datagram-per-syscall loops, so the
 //! workspace builds and behaves identically — just slower — elsewhere.
+//! [`recv_nowait`] works everywhere (it toggles `O_NONBLOCK` around a
+//! plain receive where `MSG_DONTWAIT` is not bound).
 //!
 //! All unsafe code in the workspace lives in this crate; `ncvnf-relay`
 //! itself keeps `#![forbid(unsafe_code)]`.
@@ -97,6 +102,18 @@ pub fn bind_reuseport(addr: SocketAddr) -> io::Result<UdpSocket> {
     imp::bind_reuseport(addr)
 }
 
+/// Receives one datagram if one is already queued, without blocking:
+/// the socket's blocking mode and read timeout are neither consulted
+/// nor changed.
+///
+/// # Errors
+///
+/// An empty queue surfaces as `WouldBlock`; other socket errors
+/// propagate.
+pub fn recv_nowait(sock: &UdpSocket, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
+    imp::recv_nowait(sock, buf)
+}
+
 /// Whether this build has real batched syscalls (Linux) or the
 /// `Unsupported` stubs.
 #[must_use]
@@ -120,6 +137,7 @@ mod imp {
     const SOL_SOCKET: i32 = 1;
     const SO_REUSEPORT: i32 = 15;
     const MSG_WAITFORONE: i32 = 0x10000;
+    const MSG_DONTWAIT: i32 = 0x40;
 
     /// `struct iovec` (POSIX, 64-bit Linux layout).
     #[repr(C)]
@@ -165,6 +183,14 @@ mod imp {
     extern "C" {
         fn recvmmsg(fd: i32, vec: *mut MMsgHdr, vlen: u32, flags: i32, timeout: *mut u8) -> i32;
         fn sendmmsg(fd: i32, vec: *mut MMsgHdr, vlen: u32, flags: i32) -> i32;
+        fn recvfrom(
+            fd: i32,
+            buf: *mut u8,
+            len: usize,
+            flags: i32,
+            addr: *mut SockAddrStorage,
+            addrlen: *mut u32,
+        ) -> isize;
         fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
         fn setsockopt(fd: i32, level: i32, name: i32, val: *const u8, len: u32) -> i32;
         fn bind(fd: i32, addr: *const SockAddrStorage, len: u32) -> i32;
@@ -270,6 +296,33 @@ mod imp {
             meta[i] = (hdrs[i].len as usize, src);
         }
         Ok(got)
+    }
+
+    pub(super) fn recv_nowait(sock: &UdpSocket, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
+        let mut addr = SockAddrStorage::zeroed();
+        let mut addrlen = mem::size_of::<SockAddrStorage>() as u32;
+        // SAFETY: `buf`, `addr` and `addrlen` are live, exclusively
+        // borrowed locals for the whole call; the kernel writes at most
+        // `buf.len()` bytes to `buf` and at most `addrlen` (128) bytes to
+        // `addr`, and `sock` keeps the descriptor open.
+        let got = unsafe {
+            recvfrom(
+                sock.as_raw_fd(),
+                buf.as_mut_ptr(),
+                buf.len(),
+                MSG_DONTWAIT,
+                &mut addr,
+                &mut addrlen,
+            )
+        };
+        if got < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        let src = match decode_addr(&addr) {
+            Some(src) => src,
+            None => sock.local_addr()?,
+        };
+        Ok((got as usize, src))
     }
 
     pub(super) fn send_batch(
@@ -400,6 +453,13 @@ mod imp {
     pub(super) fn bind_reuseport(_addr: SocketAddr) -> io::Result<UdpSocket> {
         Err(unsupported())
     }
+
+    pub(super) fn recv_nowait(sock: &UdpSocket, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
+        sock.set_nonblocking(true)?;
+        let got = sock.recv_from(buf);
+        sock.set_nonblocking(false)?;
+        got
+    }
 }
 
 #[cfg(all(test, target_os = "linux"))]
@@ -455,6 +515,21 @@ mod tests {
             ),
             "got {err:?}"
         );
+    }
+
+    #[test]
+    fn recv_nowait_never_blocks_and_leaves_the_socket_blocking() {
+        let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let mut buf = [0u8; 16];
+        // No read timeout set: a blocking receive would hang here.
+        let err = recv_nowait(&rx, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        tx.send_to(b"ping", rx.local_addr().unwrap()).unwrap();
+        // Loopback delivery is synchronous with the send.
+        let (n, src) = recv_nowait(&rx, &mut buf).unwrap();
+        assert_eq!((&buf[..n], src), (&b"ping"[..], tx.local_addr().unwrap()));
+        assert_eq!(rx.read_timeout().unwrap(), None, "timeout untouched");
     }
 
     #[test]
