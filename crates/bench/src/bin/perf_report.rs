@@ -427,7 +427,7 @@ fn bench_relay_loopback(
     shards: usize,
     batch: usize,
 ) -> LoopbackBench {
-    use ncvnf_control::signal::{Signal, VnfRoleWire};
+    use ncvnf_control::signal::VnfRoleWire;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -447,31 +447,19 @@ fn bench_relay_loopback(
     control
         .set_read_timeout(Some(Duration::from_secs(2)))
         .expect("control timeout");
-    let mut ack = [0u8; 8];
-    let settings = Signal::NcSettings {
-        session: SessionId::new(RELAY_SESSION),
-        role: VnfRoleWire::Recoder,
-        data_port: relay.data_addr.port(),
-        block_size: PAYLOAD_LEN as u32,
-        generation_size: RELAY_G as u32,
-        buffer_generations: BUFFERED_GENERATIONS as u32,
-    };
-    control
-        .send_to(&settings.to_bytes(), relay.control_addr)
-        .expect("send settings");
-    let _ = control.recv_from(&mut ack);
     let mut table = ForwardingTable::new();
     table.set(
         SessionId::new(RELAY_SESSION),
         vec![sink.local_addr().expect("sink addr").to_string()],
     );
-    let sig = Signal::NcForwardTab {
-        table: table.to_text(),
-    };
-    control
-        .send_to(&sig.to_bytes(), relay.control_addr)
-        .expect("send table");
-    let _ = control.recv_from(&mut ack);
+    relay
+        .wire(
+            &control,
+            SessionId::new(RELAY_SESSION),
+            VnfRoleWire::Recoder,
+            &table,
+        )
+        .expect("relay configures");
 
     // Pre-serialize the wire ring: one generation per shard (scanning
     // the shard map), RELAY_G packets each, so every engine shard does

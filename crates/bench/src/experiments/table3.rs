@@ -41,28 +41,12 @@ fn sweep(entries: usize, repeats: usize) -> Vec<(usize, f64)> {
         .set_read_timeout(Some(Duration::from_secs(2)))
         .expect("timeout");
     let mut ack = [0u8; 8];
-    // Configure one session so the daemon is Running.
-    let settings = Signal::NcSettings {
-        session: SessionId::new(0),
-        role: VnfRoleWire::Encoder,
-        data_port: relay.data_addr.port(),
-        block_size: 1460,
-        generation_size: 4,
-        buffer_generations: 1024,
-    };
-    control
-        .send_to(&settings.to_bytes(), relay.control_addr)
-        .expect("send");
-    let _ = control.recv_from(&mut ack);
-    // Install the base table.
+    // Configure one session so the daemon is Running, and install the
+    // base table.
     let base = table_with(entries, 0);
-    let sig = Signal::NcForwardTab {
-        table: base.to_text(),
-    };
-    control
-        .send_to(&sig.to_bytes(), relay.control_addr)
-        .expect("send");
-    let _ = control.recv_from(&mut ack);
+    relay
+        .wire(&control, SessionId::new(0), VnfRoleWire::Recoder, &base)
+        .expect("relay configures");
 
     let mut out = Vec::new();
     for (round, &pct) in UPDATE_PCT.iter().enumerate() {

@@ -5,11 +5,12 @@
 //! ```
 //!
 //! Prints its UDP address on startup; point the last relay (or
-//! `send_file` directly) at it.
+//! `send_file` directly) at it. It only listens: `send_file` transfers
+//! best-effort, so there is nobody to send feedback to.
 
 use std::time::Duration;
 
-use ncvnf_relay::{ObjectReceiver, TransferConfig};
+use ncvnf_relay::{RecoveryConfig, ReliableReceiver, TransferConfig, TransferObs};
 use ncvnf_rlnc::{GenerationConfig, RedundancyPolicy, SessionId};
 
 fn main() {
@@ -45,16 +46,22 @@ fn main() {
         rate_bps: 1.0,                     // receiver-side: irrelevant
         seed: 0,
     };
-    let receiver = ObjectReceiver::spawn(&config, generations).expect("bind receiver");
+    let receiver = ReliableReceiver::spawn(
+        &config,
+        &RecoveryConfig::default(),
+        generations,
+        None,
+        &TransferObs::new(),
+    )
+    .expect("bind receiver");
     println!("listening on {}", receiver.addr);
     match receiver.wait(Duration::from_secs(timeout_secs)) {
         Some(report) if !report.object.is_empty() => {
             std::fs::write(&out, &report.object).expect("write output");
             println!(
-                "decoded {} bytes from {} packets ({} innovative) in {:.2}s -> {}",
+                "decoded {} bytes from {} packets in {:.2}s -> {}",
                 report.object.len(),
                 report.packets,
-                report.innovative,
                 report.elapsed.as_secs_f64(),
                 out
             );

@@ -22,7 +22,7 @@
 use std::net::UdpSocket;
 use std::time::Duration;
 
-use ncvnf_control::signal::{Signal, VnfRoleWire};
+use ncvnf_control::signal::VnfRoleWire;
 use ncvnf_control::ForwardingTable;
 use ncvnf_relay::{RelayConfig, RelayNode};
 use ncvnf_rlnc::{GenerationConfig, SessionId};
@@ -119,35 +119,20 @@ fn main() {
     control
         .set_read_timeout(Some(Duration::from_millis(500)))
         .expect("set timeout");
-    let settings = Signal::NcSettings {
-        session: SessionId::new(args.session),
-        role: args.role,
-        data_port: relay.data_addr.port(),
-        block_size: args.block_size as u32,
-        generation_size: args.generation_size as u32,
-        buffer_generations: 1024,
-    };
-    let mut ack = [0u8; 8];
-    control
-        .send_to(&settings.to_bytes(), relay.control_addr)
-        .expect("send settings");
-    let _ = control.recv_from(&mut ack);
+    let mut table = ForwardingTable::new();
     if !args.next_hops.is_empty() {
-        let mut table = ForwardingTable::new();
         table.set(SessionId::new(args.session), args.next_hops.clone());
-        let sig = Signal::NcForwardTab {
-            table: table.to_text(),
-        };
-        control
-            .send_to(&sig.to_bytes(), relay.control_addr)
-            .expect("send table");
-        let _ = control.recv_from(&mut ack);
+    }
+    relay
+        .wire(&control, SessionId::new(args.session), args.role, &table)
+        .expect("configure over the control channel");
+    if table.is_empty() {
+        println!("no next hops configured; push NC_FORWARD_TAB to the control port");
+    } else {
         println!(
             "session {} role {:?} -> {:?}",
             args.session, args.role, args.next_hops
         );
-    } else {
-        println!("no next hops configured; push NC_FORWARD_TAB to the control port");
     }
 
     let handle = relay.handle();

@@ -5,11 +5,14 @@
 //!           [--session N] [--rate-mbps 100] [--redundancy 1]
 //! ```
 //!
-//! Pair with `relay_node` processes and a `recv_file` at the end.
+//! Pair with `relay_node` processes and a `recv_file` at the end. The
+//! transfer is best-effort (`--redundancy` is all the loss protection):
+//! the reliable protocol needs the receiver to know the sender's address,
+//! which these two tools do not exchange.
 
-use std::net::SocketAddr;
+use std::net::{SocketAddr, UdpSocket};
 
-use ncvnf_relay::{send_object, TransferConfig};
+use ncvnf_relay::{send_object_reliable, RecoveryConfig, TransferConfig, TransferObs};
 use ncvnf_rlnc::{GenerationConfig, ObjectEncoder, RedundancyPolicy, SessionId};
 
 fn main() {
@@ -59,8 +62,22 @@ fn main() {
         "sending {} bytes ({generations} generations) to {to:?} at {rate_mbps} Mbps (NC{redundancy})",
         object.len()
     );
+    let best_effort = RecoveryConfig {
+        max_retries: 0,
+        ..RecoveryConfig::default()
+    };
+    let socket = UdpSocket::bind(("127.0.0.1", 0)).expect("bind sender");
     let t0 = std::time::Instant::now();
-    let sent = send_object(&config, &object, &to).expect("transfer");
+    let sent = send_object_reliable(
+        &socket,
+        &config,
+        &best_effort,
+        &object,
+        &to,
+        &TransferObs::new(),
+    )
+    .expect("transfer")
+    .initial_packets;
     println!(
         "done: {sent} packets in {:.2}s; receiver needs {generations} decoded generations",
         t0.elapsed().as_secs_f64()

@@ -9,19 +9,23 @@
 //!   socket; the control socket speaks the `ncvnf-control` signal codec,
 //!   so forwarding tables can be hot-swapped on a *live* relay (the
 //!   Table III measurement);
-//! * [`send_object`]/[`ObjectReceiver`] — the file-transfer application
-//!   from the evaluation: a source streams a coded object, receivers
-//!   decode and verify it byte-exactly;
-//! * [`chain`] — helpers that assemble source → relays → receiver
-//!   pipelines on 127.0.0.1 and report timing;
-//! * [`DatagramSocket`]/[`FaultSocket`] — the chaos harness: every loop
-//!   in this crate is generic over a socket trait, and the fault wrapper
-//!   injects deterministic seeded drop/duplicate/reorder/delay (and
-//!   crash-after-N) into the live path;
-//! * [`send_object_reliable`]/[`ReliableReceiver`] — feedback-driven
-//!   loss recovery: NACK/ACK over the `ncvnf-dataplane` feedback codec,
-//!   bounded retransmission with exponential backoff, and AIMD-adaptive
-//!   redundancy;
+//! * [`send_object_reliable`]/[`ReliableReceiver`] — the file-transfer
+//!   application from the evaluation, written once: a source streams a
+//!   coded object, the receiver decodes and verifies it byte-exactly,
+//!   with feedback-driven loss recovery in between (NACK/ACK over the
+//!   `ncvnf-dataplane` feedback codec, bounded retransmission with
+//!   exponential backoff, AIMD-adaptive redundancy). Zero retries and no
+//!   feedback peer make it best-effort; [`send_window_reliable`] /
+//!   [`ReliableReceiver::spawn_window`] run the same loop and thread
+//!   over the sliding-window codec;
+//! * [`reliable_chain`] — assembles a source → relays → receiver
+//!   pipeline on 127.0.0.1, wired over the control channel
+//!   ([`RelayNode::wire`]), and reports timing and counters;
+//! * [`DatagramSocket`]/[`FaultSocket`] — the chaos harness: the relay
+//!   loops and the transfer source are generic over a socket trait, and
+//!   the fault wrapper injects deterministic seeded
+//!   drop/duplicate/reorder/delay (and crash-after-N) into the live
+//!   path;
 //! * [`metrics`] — the relay's slice of the `ncvnf-obs` registry: every
 //!   counter in [`RelayStats`]/[`RecoveryStats`] lives in registry cells
 //!   (the structs are typed views), plus step-latency and table-swap
@@ -37,7 +41,6 @@ mod node;
 pub mod overload;
 mod recovery;
 mod socket;
-mod transfer;
 
 pub use chaos::{FaultConfig, FaultDirections, FaultHandle, FaultSocket, FaultStats};
 pub use engine::{
@@ -49,8 +52,6 @@ pub use node::{HeartbeatConfig, RelayConfig, RelayHandle, RelayNode, RelayStats}
 pub use overload::{Admission, OverloadConfig, OverloadState, OverloadStats, QuotaConfig};
 pub use recovery::{
     reliable_chain, send_object_reliable, send_window_reliable, RecoveryConfig, RecoveryStats,
-    ReliableChainReport, ReliableReceiver, WindowSendStats, WindowStreamReceiver,
-    WindowStreamReport,
+    ReliableChainReport, ReliableReceiver, ReliableReport, TransferConfig,
 };
 pub use socket::{DatagramSocket, RecvBatch, SendBatch, MAX_BATCH};
-pub use transfer::{chain, send_object, ObjectReceiver, ReceiverReport, TransferConfig};

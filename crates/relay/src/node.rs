@@ -51,7 +51,7 @@ use ncvnf_rlnc::{GenerationConfig, PoolMetrics, PoolStats, SessionId};
 use crate::engine::{relay_batch, BatchScratch, RelayEngine, RelayShard};
 use crate::metrics::{self, RelayNodeMetrics};
 use crate::overload::QuotaConfig;
-use crate::socket::{DatagramSocket, RecvBatch, MAX_BATCH};
+use crate::socket::{is_timeout, DatagramSocket, RecvBatch, MAX_BATCH};
 
 /// Liveness beaconing: where and how often a relay announces it is alive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -311,6 +311,9 @@ pub struct RelayNode {
     pub data_addr: SocketAddr,
     /// Address of the control socket.
     pub control_addr: SocketAddr,
+    /// The layout it was spawned with (what [`wire`](Self::wire) echoes).
+    generation: GenerationConfig,
+    buffer_generations: usize,
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
 }
@@ -538,9 +541,47 @@ impl RelayNode {
         Ok(RelayNode {
             data_addr,
             control_addr,
+            generation: config.generation,
+            buffer_generations: config.buffer_generations,
             shared,
             threads,
         })
+    }
+
+    /// Configures this relay over its control channel, exactly as a
+    /// controller would: `NC_SETTINGS` giving `session` its `role` (the
+    /// layout fields echo the relay's own — a relay's layout is fixed at
+    /// spawn), then `table` as an `NC_FORWARD_TAB`, unless it is empty (a
+    /// relay rejects an empty table). Each signal waits for its ack on
+    /// `control`, so give that socket a read timeout.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket errors, an ack that never came included.
+    pub fn wire(
+        &self,
+        control: &UdpSocket,
+        session: SessionId,
+        role: VnfRoleWire,
+        table: &ForwardingTable,
+    ) -> std::io::Result<()> {
+        let settings = Signal::NcSettings {
+            session,
+            role,
+            data_port: self.data_addr.port(),
+            block_size: self.generation.block_size() as u32,
+            generation_size: self.generation.blocks_per_generation() as u32,
+            buffer_generations: self.buffer_generations as u32,
+        };
+        let forward = (!table.is_empty()).then(|| Signal::NcForwardTab {
+            table: table.to_text(),
+        });
+        let mut ack = [0u8; 16];
+        for signal in std::iter::once(settings).chain(forward) {
+            control.send_to(&signal.to_bytes(), self.control_addr)?;
+            control.recv_from(&mut ack)?;
+        }
+        Ok(())
     }
 
     /// A handle for reading stats while the relay runs.
@@ -582,14 +623,6 @@ fn bind_shard_sockets(n: usize) -> std::io::Result<Vec<UdpSocket>> {
         }
     }
     Ok(vec![UdpSocket::bind(("127.0.0.1", 0))?])
-}
-
-/// True for the receive-timeout errors the 20 ms poll loop expects.
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
 }
 
 /// One data thread: drain a batch, relay it through the shard array

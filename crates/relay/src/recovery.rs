@@ -1,29 +1,36 @@
-//! Feedback-driven loss recovery for object transfers.
+//! The file-transfer application over real sockets, with feedback-driven
+//! loss recovery.
 //!
 //! The paper measures how long a receiver "has to wait for
 //! retransmissions ... to collect all 4 packets for decoding a
-//! generation" under loss; this module implements that protocol on the
-//! real-socket path:
+//! generation" under loss; this module is that application on the
+//! real-socket path, and it exists once:
 //!
-//! * the receiver ([`ReliableReceiver`]) ACKs each generation as it
-//!   decodes and NACKs generations that stall past a decode timeout,
-//!   using the `ncvnf-dataplane` feedback codec (sent straight back to
-//!   the source — feedback does not traverse the coding relays);
-//! * the source ([`send_object_reliable`]) is one deadline-driven loop:
-//!   it emits fresh generations at `rate_bps` and, in between, answers
-//!   NACKs with *fresh* random combinations (innovative with
-//!   overwhelming probability, so it never needs to know which packets
-//!   were lost), under bounded retries with exponential backoff per
-//!   generation. It polls its socket without blocking and sleeps on
-//!   deadlines; a socket timeout never paces it;
-//! * an [`AdaptiveRedundancy`] AIMD controller raises the per-generation
-//!   redundancy once per repair round a loss causes and decays it once
-//!   the path is clean, replacing the static NCr choice on the live
-//!   path; a repair burst carries the same redundancy ratio as a fresh
-//!   generation.
+//! * one source loop (`run_source`) emits fresh data at `rate_bps` and,
+//!   in between, answers repair requests with *fresh* random
+//!   combinations (innovative with overwhelming probability, so it never
+//!   needs to know which packets were lost). It polls its socket without
+//!   blocking and sleeps on deadlines; a socket timeout never paces it;
+//! * one receiver thread ([`ReliableReceiver`]) reassembles the object,
+//!   acknowledges progress and asks for repairs when it stalls, using the
+//!   `ncvnf-dataplane` feedback codec (sent straight back to the source —
+//!   feedback does not traverse the coding relays);
+//! * both are written over a private framing seam with the two codings
+//!   the codec ships: **generational** ([`send_object_reliable`] /
+//!   [`ReliableReceiver::spawn`]: per-generation ACK/NACK, bounded
+//!   retries with exponential backoff, and an [`AdaptiveRedundancy`]
+//!   AIMD controller that raises the per-generation redundancy once per
+//!   repair round a loss causes and decays it once the path is clean) and
+//!   **sliding-window** ([`send_window_reliable`] /
+//!   [`ReliableReceiver::spawn_window`]: systematic symbols, cumulative
+//!   [`WindowAck`]s, repair bursts over the live window);
+//! * a best-effort transfer is not a third implementation: it is the
+//!   generational source with `max_retries: 0` (it returns the instant
+//!   the last generation leaves) and the receiver with no feedback peer.
 //!
-//! [`reliable_chain`] assembles the whole thing — source → fault-injected
-//! relays → receiver — for the chaos and failover experiments.
+//! [`reliable_chain`] assembles the whole thing — source → (optionally
+//! fault-injected) relays → receiver — for the loopback, chaos and
+//! failover experiments.
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -36,31 +43,61 @@ use crossbeam::channel::{bounded, Receiver as ChanReceiver};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ncvnf_control::signal::{Signal, VnfRoleWire};
+use ncvnf_control::signal::VnfRoleWire;
 use ncvnf_control::ForwardingTable;
-use ncvnf_dataplane::{Feedback, FeedbackKind, FEEDBACK_MAGIC};
-use ncvnf_obs::{Snapshot, TraceKind};
+use ncvnf_dataplane::{Feedback, FeedbackKind};
+use ncvnf_obs::{Counter, Snapshot, TraceKind};
 use ncvnf_rlnc::window::{WindowConfig, WindowDecoder, WindowEncoder, WindowOutcome};
 use ncvnf_rlnc::{
-    wire_kind, AdaptiveRedundancy, AimdConfig, ObjectDecoder, ObjectEncoder, PacketView,
-    PayloadPool, SessionId, WindowAck, WireKind,
+    wire_kind, AdaptiveRedundancy, AimdConfig, CodedPacket, GenerationConfig, ObjectDecoder,
+    ObjectEncoder, PacketView, PayloadPool, ReceiveOutcome, RedundancyPolicy, SessionId, WindowAck,
+    WireKind,
 };
 
 use crate::chaos::{FaultConfig, FaultSocket, FaultStats};
 use crate::metrics::{RecoveryMetrics, TransferObs};
 use crate::node::{RelayConfig, RelayNode, RelayStats};
-use crate::socket::{DatagramSocket, SendBatch};
-use crate::transfer::TransferConfig;
+use crate::socket::{is_timeout, DatagramSocket, SendBatch, MAX_BATCH};
+
+/// Parameters of one object transfer.
+#[derive(Debug, Clone)]
+pub struct TransferConfig {
+    /// Session id.
+    pub session: SessionId,
+    /// Generation layout.
+    pub generation: GenerationConfig,
+    /// Redundancy policy.
+    pub redundancy: RedundancyPolicy,
+    /// Pacing rate in bits per second on the wire.
+    pub rate_bps: f64,
+    /// RNG seed for coding coefficients.
+    pub seed: u64,
+}
+
+impl Default for TransferConfig {
+    fn default() -> Self {
+        TransferConfig {
+            session: SessionId::new(1),
+            generation: GenerationConfig::paper_default(),
+            redundancy: RedundancyPolicy::NC0,
+            rate_bps: 200e6,
+            seed: 7,
+        }
+    }
+}
 
 /// Tuning of the feedback/retransmission protocol.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryConfig {
-    /// Receiver: a generation silent (no innovative packet) this long is
-    /// NACKed.
+    /// Receiver: a generation with no innovative packet — a windowed
+    /// stream with no packet at all — for this long is NACKed.
     pub decode_timeout: Duration,
-    /// Receiver: minimum spacing between NACKs for the same generation.
+    /// Receiver: minimum spacing between NACKs for the same generation
+    /// (or stream).
     pub nack_interval: Duration,
     /// Source: retransmission rounds per generation before giving up.
+    /// Zero makes the transfer best-effort: the source awaits nothing
+    /// and returns once the last generation has left.
     pub max_retries: u32,
     /// Source: wait after retry `k` before honouring another NACK for
     /// the same generation doubles from this base (exponential backoff).
@@ -69,8 +106,8 @@ pub struct RecoveryConfig {
     /// feedback (receiver death must not hang the source forever).
     pub idle_timeout: Duration,
     /// Source: base pause imposed by one `Congestion` frame, scaled by
-    /// the reported load percent (0.5×–4×). Fresh generations and repair
-    /// bursts both hold off until the pause expires.
+    /// the reported load percent (0.5×–4×). Fresh data and repair bursts
+    /// both hold off until the pause expires.
     pub congestion_pause: Duration,
     /// AIMD redundancy tuning (floor is overridden by the transfer's
     /// static policy).
@@ -91,8 +128,8 @@ impl Default for RecoveryConfig {
     }
 }
 
-/// Counters from one reliable transfer. The source fills the
-/// received/retransmit side, the receiver the sent side.
+/// Counters from one transfer, whichever its framing. The source fills
+/// the received/retransmit side, the receiver the sent side.
 ///
 /// Like [`RelayStats`], this is a typed *view*: the protocol records
 /// into `recovery.*` registry cells (a [`RecoveryMetrics`] bundle inside
@@ -101,7 +138,8 @@ impl Default for RecoveryConfig {
 /// snapshot via `DataplaneHealth::from_snapshot`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Coded packets sent as fresh generations (source).
+    /// Packets sent as fresh data: coded generations, or the systematic
+    /// pass of a windowed stream (source).
     pub initial_packets: u64,
     /// Fresh coded packets sent in response to NACKs (source).
     pub retransmit_packets: u64,
@@ -121,67 +159,31 @@ pub struct RecoveryStats {
     pub generations_recovered: u64,
     /// Highest AIMD redundancy reached, in whole extra packets (source).
     pub peak_extra: u32,
-    /// Generations never ACKed when the source gave up (0 on success).
+    /// Generations (windowed: symbols) the source was still waiting on
+    /// when it gave up; 0 on success and on a best-effort transfer, which
+    /// waits on nothing.
     pub unrecovered: u64,
 }
 
-/// Reads the current cumulative `recovery.*` cell values as a typed view
-/// (`peak_extra` is gauge-derived and left 0 here; callers fill it from
-/// the AIMD controller).
-fn recovery_counts(m: &RecoveryMetrics) -> RecoveryStats {
+/// The `recovery.*` cells as a typed view, less what they read at `base`
+/// (a view taken earlier; the default for absolute values): the delta one
+/// call contributed to shared cumulative cells. Source-side and
+/// receiver-side fields are written by disjoint parties, so deltas stay
+/// exact even when both ends share one registry. `peak_extra` is
+/// gauge-derived and left 0: the source fills it from the AIMD
+/// controller.
+fn recovery_since(m: &RecoveryMetrics, base: &RecoveryStats) -> RecoveryStats {
     RecoveryStats {
-        initial_packets: m.initial_packets.get(),
-        retransmit_packets: m.retransmit_packets.get(),
-        retransmit_rounds: m.retransmit_rounds.get(),
-        nacks_sent: m.nacks_sent.get(),
-        nacks_received: m.nacks_received.get(),
-        acks_sent: m.acks_sent.get(),
-        acks_received: m.acks_received.get(),
-        generations_recovered: m.generations_recovered.get(),
+        initial_packets: m.initial_packets.get() - base.initial_packets,
+        retransmit_packets: m.retransmit_packets.get() - base.retransmit_packets,
+        retransmit_rounds: m.retransmit_rounds.get() - base.retransmit_rounds,
+        nacks_sent: m.nacks_sent.get() - base.nacks_sent,
+        nacks_received: m.nacks_received.get() - base.nacks_received,
+        acks_sent: m.acks_sent.get() - base.acks_sent,
+        acks_received: m.acks_received.get() - base.acks_received,
+        generations_recovered: m.generations_recovered.get() - base.generations_recovered,
         peak_extra: 0,
-        unrecovered: m.unrecovered.get(),
-    }
-}
-
-/// Field-wise `after - before`: the delta one call contributed to shared
-/// cumulative cells. Source-side and receiver-side fields are written by
-/// disjoint parties, so deltas stay exact even when both ends share one
-/// registry.
-fn recovery_delta(before: &RecoveryStats, after: &RecoveryStats) -> RecoveryStats {
-    RecoveryStats {
-        initial_packets: after.initial_packets - before.initial_packets,
-        retransmit_packets: after.retransmit_packets - before.retransmit_packets,
-        retransmit_rounds: after.retransmit_rounds - before.retransmit_rounds,
-        nacks_sent: after.nacks_sent - before.nacks_sent,
-        nacks_received: after.nacks_received - before.nacks_received,
-        acks_sent: after.acks_sent - before.acks_sent,
-        acks_received: after.acks_received - before.acks_received,
-        generations_recovered: after.generations_recovered - before.generations_recovered,
-        peak_extra: 0,
-        unrecovered: after.unrecovered - before.unrecovered,
-    }
-}
-
-/// Source-side backpressure state, driven by `Congestion` feedback
-/// frames (kind 5) from overloaded relays downstream.
-#[derive(Debug, Default)]
-struct Backpressure {
-    /// No data leaves the source before this instant.
-    pause_until: Option<Instant>,
-}
-
-impl Backpressure {
-    /// Extends the pause window (never shortens it).
-    fn pause_for(&mut self, pause: Duration) {
-        let until = Instant::now() + pause;
-        self.pause_until = Some(self.pause_until.map_or(until, |t| t.max(until)));
-    }
-
-    /// When sends may resume, while they should hold off; clears the
-    /// window once it expires.
-    fn paused_until(&mut self, now: Instant) -> Option<Instant> {
-        self.pause_until = self.pause_until.filter(|&t| now < t);
-        self.pause_until
+        unrecovered: m.unrecovered.get() - base.unrecovered,
     }
 }
 
@@ -197,25 +199,16 @@ const POLL_SLICE: Duration = Duration::from_millis(1);
 
 /// A source's own socket seen as its feedback inbox: polled without
 /// blocking while the source has sends to make, parked in only for waits
-/// too long for a sleep. One implementation for both reliable sources.
-/// A socket timeout never paces anything here — it only bounds a park
-/// that feedback would end early anyway.
-struct FeedbackPort<'a, S: DatagramSocket> {
-    socket: &'a S,
+/// too long for a sleep. A socket timeout never paces anything here — it
+/// only bounds a park that feedback would end early anyway.
+struct FeedbackPort<'a> {
+    socket: &'a dyn DatagramSocket,
     buf: [u8; 64],
     /// Length of a frame a park received, handed out by the next poll.
     held: Option<usize>,
 }
 
-impl<'a, S: DatagramSocket> FeedbackPort<'a, S> {
-    fn new(socket: &'a S) -> Self {
-        FeedbackPort {
-            socket,
-            buf: [0u8; 64],
-            held: None,
-        }
-    }
-
+impl FeedbackPort<'_> {
     /// The next queued frame, if any; never blocks.
     fn poll(&mut self) -> Option<&[u8]> {
         let n = match self.held.take() {
@@ -248,7 +241,7 @@ impl<'a, S: DatagramSocket> FeedbackPort<'a, S> {
     }
 }
 
-impl<S: DatagramSocket> Drop for FeedbackPort<'_, S> {
+impl Drop for FeedbackPort<'_> {
     /// Hands the caller's socket back in blocking mode.
     fn drop(&mut self) {
         let _ = self.socket.set_read_timeout(None);
@@ -260,18 +253,25 @@ impl<S: DatagramSocket> Drop for FeedbackPort<'_, S> {
 /// congestion pause) is forgiven instead of repaid as a line-rate burst.
 const PACE_CREDIT: Duration = Duration::from_millis(1);
 
-/// The source's way out: coded packets of one generation, built from
+/// What a burst is for, and so which counters it lands in.
+enum Burst {
+    /// Data leaving for the first time.
+    Fresh,
+    /// The answer to a NACK about this unit (a generation, or a window
+    /// base): one retransmission round.
+    Repair(u64),
+}
+
+/// The source's way out: one burst of packets at a time, built from
 /// pooled buffers into one [`SendBatch`] and paced at `rate_bps`.
-struct Wire<'a, S: DatagramSocket> {
-    socket: &'a S,
-    encoder: &'a ObjectEncoder,
+struct Wire<'a> {
+    socket: &'a dyn DatagramSocket,
     next_hops: &'a [SocketAddr],
     metrics: &'a RecoveryMetrics,
     rng: StdRng,
     pool: PayloadPool,
     batch: SendBatch,
-    /// Wire time of one packet at the configured rate.
-    gap: Duration,
+    rate_bps: f64,
     /// Pacing deadline: the rate budget allows the next emission now or
     /// after this instant.
     pace: Instant,
@@ -279,38 +279,220 @@ struct Wire<'a, S: DatagramSocket> {
     packets: u64,
 }
 
-impl<S: DatagramSocket> Wire<'_, S> {
-    /// Sends `count` fresh combinations of `generation` as one batch,
-    /// `now` being no earlier than `due`, and charges them to the rate
-    /// budget.
+impl Wire<'_> {
+    /// Sends `count` packets drawn from `next` as one batch, `now` being
+    /// no earlier than `due`, and charges their bytes on the wire (28 of
+    /// IP and UDP header each) to the rate budget.
     fn emit(
         &mut self,
-        generation: u64,
+        burst: Burst,
         count: usize,
         due: Instant,
         now: Instant,
+        mut next: impl FnMut(&mut StdRng, &mut PayloadPool) -> CodedPacket,
     ) -> io::Result<()> {
         self.batch.clear();
         for _ in 0..count {
-            let pkt = self
-                .encoder
-                .coded_packet_pooled(generation, &mut self.rng, &mut self.pool);
+            let pkt = next(&mut self.rng, &mut self.pool);
             let hop = self.next_hops[(self.packets as usize) % self.next_hops.len()];
             self.batch.push_wire(|w| pkt.write_into(w), &[hop]);
             self.pool.recycle(pkt);
             self.packets += 1;
         }
         self.socket.send_batch(&self.batch)?;
-        self.metrics
-            .pace_lag_ns
+        let m = self.metrics;
+        match burst {
+            Burst::Fresh => m.initial_packets.add(count as u64),
+            Burst::Repair(unit) => {
+                m.retransmit_rounds.inc();
+                m.retransmit_packets.add(count as u64);
+                m.trace.push(TraceKind::RepairBurst, unit, count as u64);
+            }
+        }
+        m.pace_lag_ns
             .record(now.saturating_duration_since(due).as_nanos() as u64);
+        let wire_bits = (self.batch.parts().0.len() + 28 * count) as f64 * 8.0;
         let floor = now.checked_sub(PACE_CREDIT).unwrap_or(now);
-        self.pace = self.pace.max(floor) + self.gap * (count as u32);
+        self.pace = self.pace.max(floor) + Duration::from_secs_f64(wire_bits / self.rate_bps);
         Ok(())
     }
 }
 
+/// What the two codings of a transfer do differently at the source. The
+/// loop — poll, pause, pace, wait, give up — is [`run_source`]'s; a
+/// framing knows what its feedback means, what is left to send and how
+/// to build a packet of it.
+trait Framing {
+    /// Applies one feedback frame (`Congestion` reports never get here).
+    /// Returns true if it was valid feedback for this transfer.
+    fn absorb(&mut self, frame: &[u8]) -> bool;
+
+    /// A relay downstream reported overload (the loop arms the pause).
+    fn on_congestion(&mut self) {}
+
+    /// True once everything has left and is acknowledged or given up on.
+    fn finished(&self) -> bool;
+
+    /// Sends every repair burst whose gate (`wire.pace` included) has
+    /// passed; returns `wake` lowered to the earliest gate still ahead.
+    fn repair(&mut self, wire: &mut Wire<'_>, now: Instant, wake: Instant) -> io::Result<Instant>;
+
+    /// True while fresh data could leave, the rate budget permitting.
+    fn has_fresh(&self) -> bool;
+
+    /// Sends the next burst of fresh data.
+    fn fresh(&mut self, wire: &mut Wire<'_>, now: Instant) -> io::Result<()>;
+
+    /// The loop is over: publishes what the source was still waiting on
+    /// as `recovery.unrecovered` and where the redundancy ended up;
+    /// returns its peak in whole extra packets.
+    fn close(&self, obs: &TransferObs) -> u32;
+}
+
+/// Source-side backpressure, driven by `Congestion` feedback frames
+/// (kind 5) from overloaded relays downstream. It is the loop's, not a
+/// framing's: an overloaded relay sheds packets of either kind.
+struct Backpressure<'a> {
+    session: SessionId,
+    /// Pause one frame imposes at 100 % reported load.
+    base: Duration,
+    metrics: &'a RecoveryMetrics,
+    /// No data leaves the source before this instant.
+    pause_until: Option<Instant>,
+}
+
+impl Backpressure<'_> {
+    /// Applies one frame from the source's socket: a `Congestion` report
+    /// arms the pause, the rest is `framing`'s own feedback. Returns true
+    /// if the frame was for this transfer.
+    fn hear(&mut self, frame: &[u8], framing: &mut impl Framing) -> bool {
+        // A Congestion frame's generation field carries the reporter's
+        // load percent, not a generation index.
+        let congestion = Feedback::from_bytes(frame)
+            .ok()
+            .filter(|fb| fb.kind == FeedbackKind::Congestion);
+        let Some(fb) = congestion else {
+            return framing.absorb(frame);
+        };
+        // Session 0 is the wildcard for sheds the relay could not
+        // attribute.
+        if fb.session != self.session && fb.session.value() != 0 {
+            return false;
+        }
+        framing.on_congestion();
+        // A send pause scaled by how overloaded the reporter says it is.
+        let scale = (f64::from(fb.load_pct()) / 100.0).clamp(0.5, 4.0);
+        let pause = self.base.mul_f64(scale);
+        self.pause_for(pause);
+        self.metrics.congestion_events.inc();
+        self.metrics.congestion_window.set(f64::from(fb.load_pct()));
+        self.metrics.backpressure_ns.record(pause.as_nanos() as u64);
+        true
+    }
+
+    /// Extends the pause window (never shortens it).
+    fn pause_for(&mut self, pause: Duration) {
+        let until = Instant::now() + pause;
+        self.pause_until = Some(self.pause_until.map_or(until, |t| t.max(until)));
+    }
+
+    /// When sends may resume, while they should hold off; clears the
+    /// window once it expires.
+    fn paused_until(&mut self, now: Instant) -> Option<Instant> {
+        self.pause_until = self.pause_until.filter(|&t| now < t);
+        self.pause_until
+    }
+}
+
+/// The one source loop. Each turn drains queued feedback without
+/// blocking, answers every repair request whose gate has passed —
+/// repairs interleave with fresh data — emits the next fresh burst when
+/// the rate budget allows, and otherwise waits for the earliest of the
+/// pacing deadline, a retry gate, the end of a congestion pause and the
+/// idle deadline. Returns the delta this call contributed to `obs`.
+fn run_source(
+    socket: &dyn DatagramSocket,
+    config: &TransferConfig,
+    recovery: &RecoveryConfig,
+    next_hops: &[SocketAddr],
+    obs: &TransferObs,
+    mut framing: impl Framing,
+) -> io::Result<RecoveryStats> {
+    assert!(!next_hops.is_empty(), "need at least one next hop");
+    let m = &obs.recovery;
+    let before = recovery_since(m, &RecoveryStats::default());
+    let mut wire = Wire {
+        socket,
+        next_hops,
+        metrics: m,
+        rng: StdRng::seed_from_u64(config.seed),
+        pool: PayloadPool::new(),
+        batch: SendBatch::new(),
+        rate_bps: config.rate_bps,
+        pace: Instant::now(),
+        packets: 0,
+    };
+    let mut bp = Backpressure {
+        session: config.session,
+        base: recovery.congestion_pause,
+        metrics: m,
+        pause_until: None,
+    };
+    let mut port = FeedbackPort {
+        socket,
+        buf: [0u8; 64],
+        held: None,
+    };
+    // Fresh data and feedback both count as signs of life.
+    let mut last_activity = wire.pace;
+
+    loop {
+        let mut heard = false;
+        while let Some(frame) = port.poll() {
+            heard |= bp.hear(frame, &mut framing);
+        }
+        if framing.finished() {
+            break;
+        }
+        let now = Instant::now();
+        if heard {
+            last_activity = now;
+        }
+        let idle_deadline = last_activity + recovery.idle_timeout;
+        let mut wake = idle_deadline;
+        let sent = wire.packets;
+        if let Some(resume) = bp.paused_until(now) {
+            // Backpressure holds fresh data and repairs alike: an
+            // overloaded relay gains nothing from packets it would shed.
+            wake = wake.min(resume);
+        } else {
+            wake = framing.repair(&mut wire, now, wake)?;
+            if framing.has_fresh() {
+                if wire.pace <= now {
+                    framing.fresh(&mut wire, now)?;
+                    last_activity = now;
+                } else {
+                    wake = wake.min(wire.pace);
+                }
+            }
+        }
+        if wire.packets != sent {
+            continue;
+        }
+        if now >= idle_deadline {
+            break; // receiver went silent
+        }
+        port.wait(wake);
+    }
+    let peak_extra = framing.close(obs);
+    Ok(RecoveryStats {
+        peak_extra,
+        ..recovery_since(m, &before)
+    })
+}
+
 /// Per-generation bookkeeping on the source side.
+#[derive(Clone)]
 struct GenState {
     acked: bool,
     /// Packets requested by the NACKs of the open repair round (those
@@ -321,13 +503,14 @@ struct GenState {
     next_retry: Instant,
 }
 
-/// What the source knows about the transfer: per-generation progress,
-/// the AIMD controller and the backpressure window. Feedback frames go
-/// in through [`absorb`](Self::absorb); the send loop reads it.
-struct Source<'a> {
+/// The generational framing at the source: per-generation progress from
+/// ACK/NACK [`Feedback`] frames, retries under exponential backoff, and
+/// the AIMD redundancy controller.
+struct Generational<'a> {
     config: &'a TransferConfig,
     recovery: &'a RecoveryConfig,
     metrics: &'a RecoveryMetrics,
+    encoder: &'a ObjectEncoder,
     gens: Vec<GenState>,
     /// Generations the fresh pass has emitted; a NACK at or beyond it
     /// says nothing about loss.
@@ -339,71 +522,72 @@ struct Source<'a> {
     /// Generations with a NACK awaiting its repair round, oldest first.
     nacked: Vec<usize>,
     adaptive: AdaptiveRedundancy,
-    bp: Backpressure,
 }
 
-impl<'a> Source<'a> {
+impl<'a> Generational<'a> {
     fn new(
         config: &'a TransferConfig,
         recovery: &'a RecoveryConfig,
         metrics: &'a RecoveryMetrics,
-        generations: u64,
+        encoder: &'a ObjectEncoder,
     ) -> Self {
-        let now = Instant::now();
-        let gens = (0..generations)
-            .map(|_| GenState {
-                acked: false,
-                pending_nack: None,
-                retries: 0,
-                next_retry: now,
-            })
-            .collect();
-        let open = generations as usize;
-        Source {
+        let untouched = GenState {
+            acked: false,
+            pending_nack: None,
+            retries: 0,
+            next_retry: Instant::now(),
+        };
+        let gens = vec![untouched; encoder.generations() as usize];
+        let open = gens.len();
+        Generational {
             config,
             recovery,
             metrics,
+            encoder,
             gens,
             sent: 0,
             open,
             spent: if recovery.max_retries == 0 { open } else { 0 },
             nacked: Vec::new(),
             adaptive: AdaptiveRedundancy::from_policy(config.redundancy, recovery.aimd),
-            bp: Backpressure::default(),
         }
     }
 
-    /// True once every generation has left and is either ACKed or out
-    /// of retries.
-    fn finished(&self) -> bool {
-        self.sent == self.gens.len() as u64 && self.open == self.spent
+    /// When `generation`'s pending NACK may be answered; `None` if
+    /// there is nothing (left) to answer — ACKed meanwhile, or out of
+    /// retries.
+    fn repair_gate(&self, generation: usize) -> Option<Instant> {
+        let g = &self.gens[generation];
+        (g.pending_nack.is_some() && g.retries < self.recovery.max_retries).then_some(g.next_retry)
     }
 
-    /// Applies one feedback frame. Returns true if the frame was valid
-    /// feedback for this session.
+    /// Opens a repair round for `generation`: consumes its pending NACK
+    /// and one retry, arms the backoff gate, and returns the burst size —
+    /// the packets asked for, at the redundancy ratio a fresh generation
+    /// carries.
+    fn repair_round(&mut self, generation: usize, now: Instant) -> usize {
+        let blocks = self.config.generation.blocks_per_generation();
+        let g = &mut self.gens[generation];
+        let want = usize::from(g.pending_nack.take().unwrap_or(0));
+        let burst = self.adaptive.policy().repair_packets(want, blocks);
+        g.retries += 1;
+        if g.retries == self.recovery.max_retries {
+            self.spent += 1;
+        }
+        // Exponential backoff: retry k waits base * 2^(k-1) before
+        // honouring the next NACK for this generation.
+        let backoff = self.recovery.backoff_base * (1u32 << (g.retries - 1).min(16));
+        g.next_retry = now + backoff;
+        self.metrics.backoff_ns.record(backoff.as_nanos() as u64);
+        burst
+    }
+}
+
+impl Framing for Generational<'_> {
     fn absorb(&mut self, frame: &[u8]) -> bool {
         let Ok(fb) = Feedback::from_bytes(frame) else {
             return false;
         };
-        if fb.kind == FeedbackKind::Congestion {
-            // Handled before the generation guard: a Congestion frame's
-            // generation field carries the reporter's load percent, not a
-            // generation index. Session 0 is the wildcard for sheds the
-            // relay could not attribute.
-            if fb.session != self.config.session && fb.session.value() != 0 {
-                return false;
-            }
-            // Multiplicative decrease plus a send pause scaled by how
-            // overloaded the reporter says it is.
-            self.adaptive.on_congestion();
-            let scale = (f64::from(fb.load_pct()) / 100.0).clamp(0.5, 4.0);
-            let pause = self.recovery.congestion_pause.mul_f64(scale);
-            self.bp.pause_for(pause);
-            self.metrics.congestion_events.inc();
-            self.metrics.congestion_window.set(f64::from(fb.load_pct()));
-            self.metrics.backpressure_ns.record(pause.as_nanos() as u64);
-            return true;
-        }
         if fb.session != self.config.session || fb.generation >= self.gens.len() as u64 {
             // Heartbeats and wake requests address the controller, not this
             // source; consume them without treating them as recovery state.
@@ -446,48 +630,74 @@ impl<'a> Source<'a> {
                     }
                 }
             }
-            FeedbackKind::Heartbeat | FeedbackKind::Wake => {}
-            // Congestion frames are consumed before the generation-bounds
-            // guard above; the generation field carries a load percent here.
-            FeedbackKind::Congestion => {
-                unreachable!("congestion handled before the generation guard")
-            }
+            // Congestion frames are the loop's (`Backpressure::hear`).
+            FeedbackKind::Heartbeat | FeedbackKind::Wake | FeedbackKind::Congestion => {}
         }
         true
     }
 
-    /// When `generation`'s pending NACK may be answered; `None` if
-    /// there is nothing (left) to answer — ACKed meanwhile, or out of
-    /// retries.
-    fn repair_gate(&self, generation: usize) -> Option<Instant> {
-        let g = &self.gens[generation];
-        (g.pending_nack.is_some() && g.retries < self.recovery.max_retries).then_some(g.next_retry)
+    /// Multiplicative decrease, on top of the loop's send pause.
+    fn on_congestion(&mut self) {
+        self.adaptive.on_congestion();
     }
 
-    /// Opens a repair round for `generation`: consumes its pending NACK
-    /// and one retry, arms the backoff gate, and returns the burst size —
-    /// the packets asked for, at the redundancy ratio a fresh generation
-    /// carries.
-    fn repair_round(&mut self, generation: usize, now: Instant) -> usize {
-        let blocks = self.config.generation.blocks_per_generation();
-        let g = &mut self.gens[generation];
-        let want = usize::from(g.pending_nack.take().unwrap_or(0));
-        let burst = self.adaptive.policy().repair_packets(want, blocks);
-        g.retries += 1;
-        if g.retries == self.recovery.max_retries {
-            self.spent += 1;
+    /// Every generation has left and is either ACKed or out of retries.
+    fn finished(&self) -> bool {
+        self.sent == self.gens.len() as u64 && self.open == self.spent
+    }
+
+    fn repair(
+        &mut self,
+        wire: &mut Wire<'_>,
+        now: Instant,
+        mut wake: Instant,
+    ) -> io::Result<Instant> {
+        let encoder = self.encoder;
+        let mut kept = 0;
+        for i in 0..self.nacked.len() {
+            let g = self.nacked[i];
+            let Some(gate) = self.repair_gate(g) else {
+                continue;
+            };
+            let due = gate.max(wire.pace);
+            if due <= now {
+                let burst = self.repair_round(g, now);
+                wire.emit(Burst::Repair(g as u64), burst, due, now, |rng, pool| {
+                    encoder.coded_packet_pooled(g as u64, rng, pool)
+                })?;
+            } else {
+                wake = wake.min(due);
+                self.nacked[kept] = g;
+                kept += 1;
+            }
         }
-        // Exponential backoff: retry k waits base * 2^(k-1) before
-        // honouring the next NACK for this generation.
-        let backoff = self.recovery.backoff_base * (1u32 << (g.retries - 1).min(16));
-        g.next_retry = now + backoff;
-        self.metrics.backoff_ns.record(backoff.as_nanos() as u64);
-        self.metrics.retransmit_rounds.inc();
-        self.metrics.retransmit_packets.add(burst as u64);
-        self.metrics
-            .trace
-            .push(TraceKind::RepairBurst, generation as u64, burst as u64);
-        burst
+        self.nacked.truncate(kept);
+        Ok(wake)
+    }
+
+    fn has_fresh(&self) -> bool {
+        self.sent < self.gens.len() as u64
+    }
+
+    /// One generation, at the redundancy the AIMD controller is at.
+    fn fresh(&mut self, wire: &mut Wire<'_>, now: Instant) -> io::Result<()> {
+        let blocks = self.config.generation.blocks_per_generation();
+        let per_gen = self.adaptive.policy().packets_per_generation(blocks);
+        let (encoder, generation) = (self.encoder, self.sent);
+        self.sent += 1;
+        wire.emit(Burst::Fresh, per_gen, wire.pace, now, |rng, pool| {
+            encoder.coded_packet_pooled(generation, rng, pool)
+        })
+    }
+
+    fn close(&self, obs: &TransferObs) -> u32 {
+        // A best-effort source waited on nothing, so gave up on nothing.
+        if self.recovery.max_retries > 0 {
+            self.metrics.unrecovered.add(self.open as u64);
+        }
+        // Publish where the AIMD controller ended up (and peaked) as gauges.
+        obs.rlnc.observe_redundancy(&self.adaptive);
+        self.adaptive.peak_extra().round() as u32
     }
 }
 
@@ -496,12 +706,10 @@ impl<'a> Source<'a> {
 /// Feedback arrives on `socket` itself, so the caller binds it and tells
 /// the receiver its address; the socket is handed back in blocking mode.
 ///
-/// One loop does it all. Each turn drains queued feedback without
-/// blocking, answers every NACK whose backoff gate has passed — repairs
-/// interleave with fresh generations — emits the next generation when
-/// the rate budget allows, and otherwise waits for the earliest of the
-/// pacing deadline, a retry gate, the end of a congestion pause and the
-/// idle deadline.
+/// With `recovery.max_retries == 0` the transfer is best-effort: nothing
+/// is awaited, the call returns once the last generation has left, and
+/// the static [`TransferConfig::redundancy`] is all the protection there
+/// is.
 ///
 /// Everything the protocol does is recorded into `obs` (the
 /// `recovery.*` and `rlnc.redundancy.*` metrics plus repair-burst trace
@@ -524,134 +732,120 @@ pub fn send_object_reliable<S: DatagramSocket>(
     next_hops: &[SocketAddr],
     obs: &TransferObs,
 ) -> io::Result<RecoveryStats> {
-    assert!(!next_hops.is_empty(), "need at least one next hop");
     let encoder =
         ObjectEncoder::new(config.generation, config.session, object).expect("valid object");
-    let generations = encoder.generations();
-    let blocks = config.generation.blocks_per_generation();
-    let m = &obs.recovery;
-    let before = recovery_counts(m);
-    let mut src = Source::new(config, recovery, m, generations);
-    let wire_bytes = config.generation.packet_len() + 28;
-    let mut wire = Wire {
-        socket,
-        encoder: &encoder,
-        next_hops,
-        metrics: m,
-        rng: StdRng::seed_from_u64(config.seed),
-        pool: PayloadPool::new(),
-        batch: SendBatch::new(),
-        gap: Duration::from_secs_f64(wire_bytes as f64 * 8.0 / config.rate_bps),
-        pace: Instant::now(),
-        packets: 0,
-    };
-    let mut port = FeedbackPort::new(socket);
-    // Fresh generations and feedback both count as signs of life.
-    let mut last_activity = wire.pace;
+    let framing = Generational::new(config, recovery, &obs.recovery, &encoder);
+    run_source(socket, config, recovery, next_hops, obs, framing)
+}
 
-    loop {
-        let mut heard = false;
-        while let Some(frame) = port.poll() {
-            heard |= src.absorb(frame);
-        }
-        if src.finished() {
-            break;
-        }
-        let now = Instant::now();
-        if heard {
-            last_activity = now;
-        }
-        let idle_deadline = last_activity + recovery.idle_timeout;
-        let mut wake = idle_deadline;
-        let mut emitted = false;
-        if let Some(resume) = src.bp.paused_until(now) {
-            // Backpressure holds fresh data and repairs alike: an
-            // overloaded relay gains nothing from packets it would shed.
-            wake = wake.min(resume);
-        } else {
-            let mut kept = 0;
-            for i in 0..src.nacked.len() {
-                let g = src.nacked[i];
-                let Some(gate) = src.repair_gate(g) else {
-                    continue;
-                };
-                let due = gate.max(wire.pace);
-                if due <= now {
-                    let burst = src.repair_round(g, now);
-                    wire.emit(g as u64, burst, due, now)?;
-                    emitted = true;
-                } else {
-                    wake = wake.min(due);
-                    src.nacked[kept] = g;
-                    kept += 1;
-                }
-            }
-            src.nacked.truncate(kept);
-            if src.sent < generations {
-                if wire.pace <= now {
-                    let per_gen = src.adaptive.policy().packets_per_generation(blocks);
-                    wire.emit(src.sent, per_gen, wire.pace, now)?;
-                    m.initial_packets.add(per_gen as u64);
-                    src.sent += 1;
-                    last_activity = now;
-                    emitted = true;
-                } else {
-                    wake = wake.min(wire.pace);
-                }
-            }
-        }
-        if emitted {
-            continue;
-        }
-        if now >= idle_deadline {
-            break; // receiver went silent
-        }
-        port.wait(wake);
+/// The sliding-window framing at the source: the live window of
+/// unacknowledged symbols, slid by cumulative [`WindowAck`]s, repaired by
+/// coded bursts over whatever is still unacknowledged.
+struct Windowed<'a> {
+    session: SessionId,
+    metrics: &'a RecoveryMetrics,
+    enc: WindowEncoder,
+    /// Symbols not yet pushed into the window.
+    chunks: std::slice::Chunks<'a, u8>,
+    /// Symbols in the stream.
+    total: u64,
+    /// Repair packets the receiver's unanswered NACKs ask for.
+    owed: u8,
+}
+
+impl Windowed<'_> {
+    /// Symbols the next fresh burst takes: the window's free room, one
+    /// `sendmmsg` at most.
+    fn room(&self) -> usize {
+        let unsent = self.total - self.enc.next_index();
+        (self.enc.config().capacity() - self.enc.live()).min(unsent.min(MAX_BATCH as u64) as usize)
     }
-    m.unrecovered.add(src.open as u64);
-    // Publish where the AIMD controller ended up (and peaked) as gauges.
-    obs.rlnc.observe_redundancy(&src.adaptive);
-    let mut stats = recovery_delta(&before, &recovery_counts(m));
-    stats.peak_extra = src.adaptive.peak_extra().round() as u32;
-    Ok(stats)
 }
 
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
+impl Framing for Windowed<'_> {
+    fn absorb(&mut self, frame: &[u8]) -> bool {
+        if wire_kind(frame) != Some(WireKind::WindowAck) {
+            return false;
+        }
+        let Ok(ack) = WindowAck::parse(frame) else {
+            return false;
+        };
+        if ack.session != self.session {
+            return false;
+        }
+        self.metrics.acks_received.inc();
+        self.enc.handle_ack(ack.cumulative);
+        if ack.repair_wanted > 0 && self.enc.live() > 0 {
+            self.metrics.nacks_received.inc();
+            // A NACK re-armed before its burst left is the same gap
+            // complaining again.
+            self.owed = self.owed.max(ack.repair_wanted);
+        }
+        true
+    }
+
+    /// Every symbol has been pushed and acknowledged.
+    fn finished(&self) -> bool {
+        self.enc.base() >= self.total
+    }
+
+    /// One burst over the live window as soon as the rate budget allows:
+    /// a windowed repair has no backoff gate of its own.
+    fn repair(&mut self, wire: &mut Wire<'_>, now: Instant, wake: Instant) -> io::Result<Instant> {
+        if self.enc.live() == 0 {
+            self.owed = 0; // acknowledged meanwhile
+        }
+        if self.owed == 0 {
+            return Ok(wake);
+        }
+        if wire.pace > now {
+            return Ok(wake.min(wire.pace));
+        }
+        let (burst, enc) = (usize::from(self.owed), &self.enc);
+        self.owed = 0;
+        let repair = Burst::Repair(enc.base());
+        wire.emit(repair, burst, wire.pace, now, |rng, pool| {
+            enc.coded_packet_pooled(rng, pool)
+                .expect("window is non-empty")
+        })?;
+        Ok(wake)
+    }
+
+    fn has_fresh(&self) -> bool {
+        self.room() > 0
+    }
+
+    /// Fills the window's free room, each new symbol verbatim.
+    fn fresh(&mut self, wire: &mut Wire<'_>, now: Instant) -> io::Result<()> {
+        let (room, enc, chunks) = (self.room(), &mut self.enc, &mut self.chunks);
+        wire.emit(Burst::Fresh, room, wire.pace, now, |_, pool| {
+            let symbol = chunks.next().expect("room counts unsent symbols");
+            let index = enc.push(symbol).expect("window has room");
+            enc.systematic_packet_pooled(index, pool)
+                .expect("symbol is live")
+        })
+    }
+
+    fn close(&self, _obs: &TransferObs) -> u32 {
+        self.metrics.unrecovered.add(self.total - self.enc.base());
+        0
+    }
 }
 
-/// Counters from one reliable sliding-window stream (source side).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WindowSendStats {
-    /// Systematic data packets sent (one per symbol, first pass).
-    pub data_packets: u64,
-    /// Coded repair packets sent answering NACK bursts from the live
-    /// window.
-    pub repair_packets: u64,
-    /// Cumulative acks received.
-    pub acks_received: u64,
-    /// Acks carrying `repair_wanted > 0` (window NACKs) received.
-    pub nacks_received: u64,
-    /// Whether every symbol was acknowledged before the budgets ran out.
-    pub completed: bool,
-}
-
-/// Streams `data` over a sliding window: each symbol goes out verbatim
-/// (systematic, width-1), and receiver NACKs — [`WindowAck`] frames with
+/// Streams `data` over a sliding window through the same source loop as
+/// [`send_object_reliable`]: each symbol goes out verbatim (systematic,
+/// width-1), and receiver NACKs — [`WindowAck`] frames with
 /// `repair_wanted > 0` — are answered with that many fresh random
-/// combinations of exactly the *unacknowledged* symbols. Unlike
-/// [`send_object_reliable`], loss never stalls a whole generation:
-/// repair coverage tracks the live window as acks slide it forward.
+/// combinations of exactly the *unacknowledged* symbols. Loss never
+/// stalls a whole generation: repair coverage tracks the live window as
+/// acks slide it forward.
 ///
-/// Feedback arrives on `socket` itself — drained without blocking each
-/// turn, waited for only when the window is full and nothing is queued —
-/// and the socket is handed back in blocking mode; metrics land in `obs`
-/// under the same `recovery.*` names as the generational protocol
-/// (`initial_packets` = systematic pass, `retransmit_packets` = repair
-/// bursts).
+/// Of `config`, the session, `rate_bps` (symbols and repair bursts are
+/// charged to one pacing clock) and the seed apply; of `recovery`,
+/// `idle_timeout` and `congestion_pause`. Metrics land in `obs` under the
+/// same `recovery.*` names (`initial_packets` = systematic pass,
+/// `retransmit_packets` = repair bursts, `unrecovered` = symbols never
+/// acknowledged); the returned [`RecoveryStats`] is this call's delta.
 ///
 /// # Errors
 ///
@@ -662,273 +856,31 @@ pub struct WindowSendStats {
 /// Panics if `next_hops` or `data` is empty.
 pub fn send_window_reliable<S: DatagramSocket>(
     socket: &S,
+    config: &TransferConfig,
     window: WindowConfig,
-    session: SessionId,
     recovery: &RecoveryConfig,
     data: &[u8],
     next_hops: &[SocketAddr],
     obs: &TransferObs,
-) -> io::Result<WindowSendStats> {
-    assert!(!next_hops.is_empty(), "need at least one next hop");
+) -> io::Result<RecoveryStats> {
     assert!(!data.is_empty(), "nothing to stream");
-    let m = &obs.recovery;
-    let mut enc = WindowEncoder::new(window, session);
-    let mut rng = StdRng::seed_from_u64(0x5EED_u64 ^ u64::from(session.value()));
-    let mut pool = PayloadPool::new();
-    let mut batch = SendBatch::new();
-    let mut stats = WindowSendStats::default();
-    let mut chunks = data.chunks(window.symbol_size());
-    let total = data.len().div_ceil(window.symbol_size()) as u64;
-    let mut sent_all = false;
-    let mut port = FeedbackPort::new(socket);
-    let mut last_feedback = Instant::now();
-    'stream: loop {
-        // Fill the window and emit each new symbol systematically.
-        batch.clear();
-        while !sent_all && enc.live() < window.capacity() {
-            let Some(chunk) = chunks.next() else {
-                sent_all = true;
-                break;
-            };
-            let idx = enc.push(chunk).expect("window has room");
-            let pkt = enc
-                .systematic_packet_pooled(idx, &mut pool)
-                .expect("symbol is live");
-            let hop = next_hops[(stats.data_packets as usize) % next_hops.len()];
-            batch.push_wire(|w| pkt.write_into(w), &[hop]);
-            pool.recycle(pkt);
-            stats.data_packets += 1;
-        }
-        socket.send_batch(&batch)?;
-        if sent_all && enc.live() == 0 {
-            stats.completed = true;
-            break;
-        }
-        // Absorb queued feedback: cumulative acks slide the window;
-        // NACKs ask for repair bursts from whatever is still
-        // unacknowledged.
-        let mut heard = false;
-        while let Some(frame) = port.poll() {
-            if wire_kind(frame) != Some(WireKind::WindowAck) {
-                continue;
-            }
-            let Ok(ack) = WindowAck::parse(frame) else {
-                continue;
-            };
-            if ack.session != session {
-                continue;
-            }
-            heard = true;
-            stats.acks_received += 1;
-            m.acks_received.inc();
-            enc.handle_ack(ack.cumulative);
-            if ack.cumulative >= total {
-                stats.completed = true;
-                break 'stream;
-            }
-            if ack.repair_wanted > 0 && enc.live() > 0 {
-                stats.nacks_received += 1;
-                m.nacks_received.inc();
-                let burst = usize::from(ack.repair_wanted);
-                batch.clear();
-                for _ in 0..burst {
-                    let pkt = enc
-                        .coded_packet_pooled(&mut rng, &mut pool)
-                        .expect("window is non-empty");
-                    let hop = next_hops[(stats.repair_packets as usize) % next_hops.len()];
-                    batch.push_wire(|w| pkt.write_into(w), &[hop]);
-                    pool.recycle(pkt);
-                    stats.repair_packets += 1;
-                }
-                let _ = socket.send_batch(&batch);
-                m.retransmit_packets.add(burst as u64);
-                m.retransmit_rounds.inc();
-                m.trace
-                    .push(TraceKind::RepairBurst, enc.base(), burst as u64);
-            }
-        }
-        if heard {
-            last_feedback = Instant::now();
-            continue; // the window may have slid: refill before waiting
-        }
-        let idle_deadline = last_feedback + recovery.idle_timeout;
-        if Instant::now() >= idle_deadline {
-            break; // receiver went silent
-        }
-        port.wait(idle_deadline);
-    }
-    m.initial_packets.add(stats.data_packets);
-    Ok(stats)
+    let framing = Windowed {
+        session: config.session,
+        metrics: &obs.recovery,
+        enc: WindowEncoder::new(window, config.session),
+        chunks: data.chunks(window.symbol_size()),
+        total: data.len().div_ceil(window.symbol_size()) as u64,
+        owed: 0,
+    };
+    run_source(socket, config, recovery, next_hops, obs, framing)
 }
 
-/// Outcome of a reliable sliding-window receive.
-#[derive(Debug)]
-pub struct WindowStreamReport {
-    /// The delivered symbols, concatenated in order (zero-padded tail
-    /// included — the stream layer does not know the original length).
-    pub data: Vec<u8>,
-    /// Data packets received (systematic + repair).
-    pub packets: u64,
-    /// Cumulative acks sent (including NACK-bearing ones).
-    pub acks_sent: u64,
-    /// Acks sent with `repair_wanted > 0`.
-    pub nacks_sent: u64,
-    /// Wall-clock duration until the last symbol was delivered.
-    pub elapsed: Duration,
-}
-
-/// A background receiver for a sliding-window stream: delivers symbols
-/// in order, acks cumulatively after every delivery, and NACKs gaps —
-/// an ack with `repair_wanted` set to exactly the number of missing
-/// symbols blocking the delivery cursor.
-pub struct WindowStreamReceiver {
-    /// The UDP address the receiver listens on.
-    pub addr: SocketAddr,
-    done: ChanReceiver<WindowStreamReport>,
-    running: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl WindowStreamReceiver {
-    /// Spawns a receiver expecting `total_symbols` in-order symbols,
-    /// sending [`WindowAck`] frames to `source`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn spawn(
-        window: WindowConfig,
-        session: SessionId,
-        total_symbols: u64,
-        source: SocketAddr,
-        obs: &TransferObs,
-    ) -> io::Result<WindowStreamReceiver> {
-        let socket = UdpSocket::bind(("127.0.0.1", 0))?;
-        socket.set_read_timeout(Some(Duration::from_millis(5)))?;
-        let addr = socket.local_addr()?;
-        let (tx, rx) = bounded(1);
-        let running = Arc::new(AtomicBool::new(true));
-        let run = Arc::clone(&running);
-        let m = obs.recovery.clone();
-        let nack_interval = Duration::from_millis(10);
-        let thread = std::thread::spawn(move || {
-            let mut dec = WindowDecoder::new(window);
-            let mut data = Vec::new();
-            let mut packets = 0u64;
-            let mut acks_sent = 0u64;
-            let mut nacks_sent = 0u64;
-            // Highest absolute symbol index referenced by any packet —
-            // the NACK sizing baseline: everything at or below it was
-            // sent, so `undelivered - pending_rank` packets are missing.
-            let mut max_seen: Option<u64> = None;
-            let mut last_arrival: Option<Instant> = None;
-            let mut last_nack: Option<Instant> = None;
-            let start = Instant::now();
-            let mut buf = vec![0u8; 65536];
-            while run.load(Ordering::Relaxed) && dec.delivered() < total_symbols {
-                match socket.recv_from(&mut buf) {
-                    Ok((n, _)) => {
-                        // A windowed packet carries its own width, so
-                        // no generation size is needed to parse it.
-                        let Ok(view) = PacketView::parse(&buf[..n], 0) else {
-                            continue;
-                        };
-                        if view.kind() != WireKind::Window || view.session() != session {
-                            continue;
-                        }
-                        packets += 1;
-                        last_arrival = Some(Instant::now());
-                        let top = view.index() + view.coefficients().len() as u64 - 1;
-                        max_seen = Some(max_seen.map_or(top, |m: u64| m.max(top)));
-                        let outcome =
-                            dec.receive(view.index(), view.coefficients(), view.payload());
-                        if let Ok(WindowOutcome::Delivered { payloads, .. }) = outcome {
-                            for p in payloads {
-                                data.extend_from_slice(&p);
-                            }
-                            let ack = WindowAck {
-                                session,
-                                cumulative: dec.delivered(),
-                                repair_wanted: 0,
-                            };
-                            let _ = socket.send_to(&ack.encode(), source);
-                            acks_sent += 1;
-                            m.acks_sent.inc();
-                        }
-                    }
-                    Err(ref e) if is_timeout(e) => {}
-                    Err(_) => std::thread::sleep(Duration::from_millis(1)),
-                }
-                // NACK scan: a gap (undelivered symbols at or below the
-                // highest index seen) that stalls past the decode
-                // timeout asks for exactly the missing count.
-                let now = Instant::now();
-                let stalled = last_arrival
-                    .is_some_and(|t| now.duration_since(t) >= Duration::from_millis(10));
-                // Tail losses leave no trace in `max_seen`, so any stall
-                // short of completion asks for at least one repair.
-                let missing = max_seen
-                    .map(|m| (m + 1 - dec.delivered()).saturating_sub(dec.pending_rank() as u64))
-                    .unwrap_or(0)
-                    .max(u64::from(stalled));
-                if stalled
-                    && missing > 0
-                    && last_nack.is_none_or(|t| now.duration_since(t) >= nack_interval)
-                {
-                    let ack = WindowAck {
-                        session,
-                        cumulative: dec.delivered(),
-                        repair_wanted: missing.min(255) as u8,
-                    };
-                    let _ = socket.send_to(&ack.encode(), source);
-                    acks_sent += 1;
-                    nacks_sent += 1;
-                    m.nacks_sent.inc();
-                    last_nack = Some(now);
-                }
-            }
-            // Final ack so the source's window closes out; repeated a
-            // few times because a dropped final ack would otherwise
-            // leave the source waiting out its idle timeout.
-            let ack = WindowAck {
-                session,
-                cumulative: dec.delivered(),
-                repair_wanted: 0,
-            };
-            for _ in 0..3 {
-                let _ = socket.send_to(&ack.encode(), source);
-            }
-            let _ = tx.send(WindowStreamReport {
-                data,
-                packets,
-                acks_sent: acks_sent + 1,
-                nacks_sent,
-                elapsed: start.elapsed(),
-            });
-        });
-        Ok(WindowStreamReceiver {
-            addr,
-            done: rx,
-            running,
-            thread: Some(thread),
-        })
-    }
-
-    /// Waits up to `timeout` for the stream to finish.
-    pub fn wait(mut self, timeout: Duration) -> Option<WindowStreamReport> {
-        let report = self.done.recv_timeout(timeout).ok();
-        self.running.store(false, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-        report
-    }
-}
-
-/// Outcome of a reliable receive.
+/// Outcome of a receive.
 #[derive(Debug)]
 pub struct ReliableReport {
-    /// The decoded object (empty if incomplete at shutdown).
+    /// The decoded object (empty if incomplete at shutdown). A windowed
+    /// stream delivers whole symbols: its zero-padded tail is included —
+    /// the stream layer does not know the original length.
     pub object: Vec<u8>,
     /// Data packets received.
     pub packets: u64,
@@ -938,8 +890,27 @@ pub struct ReliableReport {
     pub stats: RecoveryStats,
 }
 
-/// A background receiver that ACKs decoded generations and NACKs stalled
-/// ones back to the source.
+/// The receiver's way back to the source.
+struct FeedbackOut {
+    socket: UdpSocket,
+    source: Option<SocketAddr>,
+    metrics: RecoveryMetrics,
+}
+
+impl FeedbackOut {
+    /// Sends `frame` to the source and counts it in `sent`. A best-effort
+    /// receiver has no peer: it says, and counts, nothing.
+    fn send(&self, frame: &[u8], sent: &Counter) {
+        if let Some(source) = self.source {
+            let _ = self.socket.send_to(frame, source);
+            sent.inc();
+        }
+    }
+}
+
+/// A background receiver for one transfer: reassembles the object and —
+/// given the source's address — acknowledges progress and NACKs stalls
+/// back to it.
 pub struct ReliableReceiver {
     /// The UDP address the receiver listens on.
     pub addr: SocketAddr,
@@ -950,9 +921,12 @@ pub struct ReliableReceiver {
 
 impl ReliableReceiver {
     /// Spawns a receiver expecting `generations` generations, sending
-    /// feedback to `source`. Feedback counters, decode-progress metrics
-    /// and `generation_decoded` trace events are recorded into `obs`;
-    /// the report's [`RecoveryStats`] is this receiver's delta.
+    /// feedback to `source`: it ACKs each generation as it decodes and
+    /// NACKs generations that stall. With no source (`None`) it is a
+    /// best-effort receiver that only listens. Feedback counters,
+    /// decode-progress metrics and `generation_decoded` trace events are
+    /// recorded into `obs`; the report's [`RecoveryStats`] is this
+    /// receiver's delta.
     ///
     /// # Errors
     ///
@@ -961,148 +935,253 @@ impl ReliableReceiver {
         config: &TransferConfig,
         recovery: &RecoveryConfig,
         generations: u64,
-        source: SocketAddr,
+        source: impl Into<Option<SocketAddr>>,
         obs: &TransferObs,
+    ) -> io::Result<ReliableReceiver> {
+        let (session, recovery, rlnc) = (config.session, *recovery, obs.rlnc.clone());
+        let blocks = config.generation.blocks_per_generation();
+        let n = generations as usize;
+        let mut decoder = Some(ObjectDecoder::new(config.generation, generations));
+        // Packets that arrived per generation, reported into the codec's
+        // decode histogram when the generation closes.
+        let mut gen_packets = vec![0u64; n];
+        // A generation's stall clock (`last_event`) runs once it is
+        // below `started`: when a packet of it or of a later one has
+        // arrived (in-order source ⇒ it was sent), or on a global
+        // stall. Everything below `low` is decoded, so the per-packet
+        // work walks only `low..started`.
+        let mut last_event = vec![Instant::now(); n];
+        let mut last_nack: Vec<Option<Instant>> = vec![None; n];
+        let mut acked = vec![false; n];
+        let (mut low, mut started) = (0usize, 0usize);
+        Self::serve(
+            session,
+            WireKind::Generation,
+            blocks,
+            source.into(),
+            obs,
+            move |packet, now, last_arrival, out| {
+                let dec = decoder.as_mut()?;
+                let ack = |g| {
+                    out.send(
+                        &Feedback::ack(session, g).to_bytes(),
+                        &out.metrics.acks_sent,
+                    )
+                };
+                if let Some(pkt) = packet {
+                    let gen = pkt.generation();
+                    let innovative =
+                        matches!(dec.receive_view(pkt), Ok(ReceiveOutcome::Innovative { .. }));
+                    if gen < generations {
+                        let gi = gen as usize;
+                        // Everything up to the highest generation seen has
+                        // been sent: start its stall clock.
+                        if gi >= started {
+                            last_event[started..=gi].fill(now);
+                            started = gi + 1;
+                        }
+                        gen_packets[gi] += 1;
+                        if innovative {
+                            last_event[gi] = now;
+                        }
+                        if dec.generation_complete(gen) && !acked[gi] {
+                            acked[gi] = true;
+                            ack(gen);
+                            rlnc.record_generation_decoded(gen_packets[gi]);
+                            let trace = &out.metrics.trace;
+                            trace.push(TraceKind::GenerationDecoded, gen, gen_packets[gi]);
+                        }
+                    }
+                }
+                if dec.is_complete() {
+                    // Completion burst: re-ACK everything so a lost ACK
+                    // cannot leave the source retrying.
+                    (0..generations).for_each(ack);
+                    return decoder.take().map(|d| d.into_object().unwrap_or_default());
+                }
+                // NACK scan. A global stall (nothing arriving at all — e.g.
+                // a dead relay) makes every open generation eligible, tail
+                // generations included.
+                if let Some(t) = last_arrival {
+                    if now.duration_since(t) >= recovery.decode_timeout {
+                        last_event[started..].fill(t);
+                        started = n;
+                    }
+                }
+                while low < started && dec.generation_complete(low as u64) {
+                    low += 1;
+                }
+                for g in low..started {
+                    if dec.generation_complete(g as u64)
+                        || now.duration_since(last_event[g]) < recovery.decode_timeout
+                        || last_nack[g]
+                            .is_some_and(|t| now.duration_since(t) < recovery.nack_interval)
+                    {
+                        continue;
+                    }
+                    let missing = (blocks - dec.generation_rank(g as u64).unwrap_or(0)) as u16;
+                    let mut bitmap = 0u32;
+                    for c in dec.generation_missing_columns(g as u64) {
+                        if c < 32 {
+                            bitmap |= 1 << c;
+                        }
+                    }
+                    let nack = Feedback::nack(session, g as u64, missing, bitmap).to_bytes();
+                    out.send(&nack, &out.metrics.nacks_sent);
+                    last_nack[g] = Some(now);
+                }
+                None
+            },
+        )
+    }
+
+    /// Spawns a receiver for a sliding-window stream of `total_symbols`
+    /// in-order symbols on the same thread as [`spawn`](Self::spawn): it
+    /// delivers symbols in order, acks cumulatively after every
+    /// delivery, and NACKs gaps — a [`WindowAck`] with `repair_wanted`
+    /// set to exactly the number of missing symbols blocking the delivery
+    /// cursor — on `recovery`'s stall timers.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket errors.
+    pub fn spawn_window(
+        config: &TransferConfig,
+        window: WindowConfig,
+        recovery: &RecoveryConfig,
+        total_symbols: u64,
+        source: impl Into<Option<SocketAddr>>,
+        obs: &TransferObs,
+    ) -> io::Result<ReliableReceiver> {
+        let (session, recovery) = (config.session, *recovery);
+        let mut decoder = WindowDecoder::new(window);
+        let mut data = Vec::new();
+        // Highest absolute symbol index referenced by any packet — the
+        // NACK sizing baseline: everything at or below it was sent, so
+        // `undelivered - pending_rank` packets are missing.
+        let mut max_seen: Option<u64> = None;
+        let mut last_nack: Option<Instant> = None;
+        Self::serve(
+            session,
+            WireKind::Window,
+            0,
+            source.into(),
+            obs,
+            move |packet, now, last_arrival, out| {
+                let ack = |cumulative, repair_wanted, sent| {
+                    let ack = WindowAck {
+                        session,
+                        cumulative,
+                        repair_wanted,
+                    };
+                    out.send(&ack.encode(), sent);
+                };
+                if let Some(pkt) = packet {
+                    let top = pkt.index() + pkt.coefficients().len() as u64 - 1;
+                    max_seen = Some(max_seen.map_or(top, |m| m.max(top)));
+                    let outcome = decoder.receive(pkt.index(), pkt.coefficients(), pkt.payload());
+                    if let Ok(WindowOutcome::Delivered { payloads, .. }) = outcome {
+                        for p in payloads {
+                            data.extend_from_slice(&p);
+                        }
+                        ack(decoder.delivered(), 0, &out.metrics.acks_sent);
+                    }
+                }
+                let delivered = decoder.delivered();
+                if delivered >= total_symbols {
+                    // The final ack closes the source's window; repeated
+                    // because a dropped one would leave the source waiting
+                    // out its idle timeout.
+                    for _ in 0..3 {
+                        ack(delivered, 0, &out.metrics.acks_sent);
+                    }
+                    return Some(std::mem::take(&mut data));
+                }
+                // NACK scan: a gap (undelivered symbols at or below the
+                // highest index seen) that stalls past the decode timeout
+                // asks for exactly the missing count.
+                let stalled =
+                    last_arrival.is_some_and(|t| now.duration_since(t) >= recovery.decode_timeout);
+                if stalled
+                    && last_nack.is_none_or(|t| now.duration_since(t) >= recovery.nack_interval)
+                {
+                    // Tail losses leave no trace in `max_seen`, so any stall
+                    // short of completion asks for at least one repair.
+                    let missing = max_seen
+                        .map_or(0, |m| m + 1 - delivered)
+                        .saturating_sub(decoder.pending_rank() as u64)
+                        .clamp(1, 255);
+                    ack(delivered, missing as u8, &out.metrics.nacks_sent);
+                    last_nack = Some(now);
+                }
+                None
+            },
+        )
+    }
+
+    /// The one receiver thread. It takes `session`'s data packets of one
+    /// `kind` off a fresh loopback socket (`generation_size` is the
+    /// coefficient count of a generational packet, which is not on the
+    /// wire; a windowed packet carries its own) and runs `turn` after
+    /// every arrival and every receive timeout: `turn` absorbs the
+    /// packet, if any, acknowledging what it completes, then NACKs what
+    /// has stalled since the session's last arrival, and returns the
+    /// reassembled bytes — after its completion burst — once everything
+    /// is decoded.
+    fn serve(
+        session: SessionId,
+        kind: WireKind,
+        generation_size: usize,
+        source: Option<SocketAddr>,
+        obs: &TransferObs,
+        mut turn: impl FnMut(Option<PacketView<'_>>, Instant, Option<Instant>, &FeedbackOut) -> Option<Vec<u8>>
+            + Send
+            + 'static,
     ) -> io::Result<ReliableReceiver> {
         let socket = UdpSocket::bind(("127.0.0.1", 0))?;
         socket.set_read_timeout(Some(Duration::from_millis(10)))?;
         let addr = socket.local_addr()?;
         let (tx, rx) = bounded(1);
         let running = Arc::new(AtomicBool::new(true));
-        let session = config.session;
-        let generation = config.generation;
-        let recovery = *recovery;
-        let obs = obs.clone();
         let run = Arc::clone(&running);
+        let out = FeedbackOut {
+            socket,
+            source,
+            metrics: obs.recovery.clone(),
+        };
         let thread = std::thread::spawn(move || {
-            let blocks = generation.blocks_per_generation();
-            let mut decoder = ObjectDecoder::new(generation, generations);
-            let m = obs.recovery.clone();
-            let before = recovery_counts(&m);
-            // Packets that arrived per generation, reported into the
-            // codec's decode histogram when the generation closes.
-            let mut gen_packets = vec![0u64; generations as usize];
-            let mut packets = 0u64;
+            let before = recovery_since(&out.metrics, &RecoveryStats::default());
             let start = Instant::now();
-            // A generation's stall clock (`last_event`) runs once it is
-            // below `started`: when a packet of it or of a later one has
-            // arrived (in-order source ⇒ it was sent), or on a global
-            // stall. Everything below `low` is decoded, so the per-packet
-            // work walks only `low..started`.
-            let mut last_event = vec![start; generations as usize];
-            let mut last_nack: Vec<Option<Instant>> = vec![None; generations as usize];
-            let mut acked = vec![false; generations as usize];
-            let mut low = 0usize;
-            let mut started = 0usize;
+            let mut packets = 0u64;
             let mut last_arrival: Option<Instant> = None;
+            let mut done: Option<(Vec<u8>, Instant)> = None;
             let mut buf = vec![0u8; 65536];
-            while run.load(Ordering::Relaxed) {
-                match socket.recv_from(&mut buf) {
-                    Ok((n, _)) => {
-                        if n > 0 && buf[0] == FEEDBACK_MAGIC {
-                            continue; // stray feedback is not data
-                        }
-                        let Ok(pkt) = PacketView::parse(&buf[..n], blocks) else {
-                            continue;
-                        };
-                        if pkt.session() != session {
-                            continue;
-                        }
-                        let now = Instant::now();
-                        packets += 1;
-                        last_arrival = Some(now);
-                        let gen = pkt.generation();
-                        let innovative = matches!(
-                            decoder.receive_view(pkt),
-                            Ok(ncvnf_rlnc::ReceiveOutcome::Innovative { .. })
-                        );
-                        if gen < generations {
-                            let gi = gen as usize;
-                            // Everything up to the highest generation
-                            // seen has been sent: start its stall clock.
-                            if gi >= started {
-                                last_event[started..=gi].fill(now);
-                                started = gi + 1;
-                            }
-                            gen_packets[gi] += 1;
-                            if innovative {
-                                last_event[gi] = now;
-                            }
-                            if decoder.generation_complete(gen) && !acked[gi] {
-                                acked[gi] = true;
-                                let ack = Feedback::ack(session, gen).to_bytes();
-                                let _ = socket.send_to(&ack, source);
-                                m.acks_sent.inc();
-                                obs.rlnc.record_generation_decoded(gen_packets[gi]);
-                                m.trace
-                                    .push(TraceKind::GenerationDecoded, gen, gen_packets[gi]);
-                            }
-                        }
-                        if decoder.is_complete() {
-                            let elapsed = start.elapsed();
-                            // Completion burst: re-ACK everything so a
-                            // lost ACK cannot leave the source retrying.
-                            for g in 0..generations {
-                                let ack = Feedback::ack(session, g).to_bytes();
-                                let _ = socket.send_to(&ack, source);
-                                m.acks_sent.inc();
-                            }
-                            let object = decoder.into_object().unwrap_or_default();
-                            let _ = tx.send(ReliableReport {
-                                object,
-                                packets,
-                                elapsed,
-                                stats: recovery_delta(&before, &recovery_counts(&m)),
-                            });
-                            return;
-                        }
+            while done.is_none() && run.load(Ordering::Relaxed) {
+                // Stray feedback and foreign sessions are not data.
+                let packet = match out.socket.recv_from(&mut buf) {
+                    Ok((n, _)) => PacketView::parse(&buf[..n], generation_size)
+                        .ok()
+                        .filter(|p| p.kind() == kind && p.session() == session),
+                    Err(ref e) if is_timeout(e) => None,
+                    Err(_) => {
+                        std::thread::sleep(Duration::from_millis(1));
+                        None
                     }
-                    Err(ref e) if is_timeout(e) => {}
-                    Err(_) => std::thread::sleep(Duration::from_millis(1)),
-                }
-                // NACK scan. A global stall (nothing arriving at all —
-                // e.g. a dead relay) makes every open generation
-                // eligible, tail generations included.
+                };
                 let now = Instant::now();
-                if let Some(t) = last_arrival {
-                    if now.duration_since(t) >= recovery.decode_timeout {
-                        last_event[started..].fill(t);
-                        started = generations as usize;
-                    }
+                if packet.is_some() {
+                    packets += 1;
+                    last_arrival = Some(now);
                 }
-                while low < started && decoder.generation_complete(low as u64) {
-                    low += 1;
-                }
-                for g in low..started {
-                    if decoder.generation_complete(g as u64) {
-                        continue;
-                    }
-                    if now.duration_since(last_event[g]) < recovery.decode_timeout {
-                        continue;
-                    }
-                    if last_nack[g].is_some_and(|t| now.duration_since(t) < recovery.nack_interval)
-                    {
-                        continue;
-                    }
-                    let missing = (blocks - decoder.generation_rank(g as u64).unwrap_or(0)) as u16;
-                    let mut bitmap = 0u32;
-                    for c in decoder.generation_missing_columns(g as u64) {
-                        if c < 32 {
-                            bitmap |= 1 << c;
-                        }
-                    }
-                    let nack = Feedback::nack(session, g as u64, missing, bitmap).to_bytes();
-                    let _ = socket.send_to(&nack, source);
-                    m.nacks_sent.inc();
-                    last_nack[g] = Some(now);
-                }
+                done = turn(packet, now, last_arrival, &out).map(|object| (object, now));
             }
-            // Shutdown without completion.
+            // Shut down before completion: nothing to show.
+            let (object, end) = done.unwrap_or_else(|| (Vec::new(), Instant::now()));
             let _ = tx.send(ReliableReport {
-                object: Vec::new(),
+                object,
                 packets,
-                elapsed: start.elapsed(),
-                stats: recovery_delta(&before, &recovery_counts(&m)),
+                elapsed: end.duration_since(start),
+                stats: recovery_since(&out.metrics, &before),
             });
         });
         Ok(ReliableReceiver {
@@ -1124,7 +1203,7 @@ impl ReliableReceiver {
     }
 }
 
-/// Everything a chaos experiment wants to assert on afterwards.
+/// Everything a chain experiment wants to assert on afterwards.
 #[derive(Debug)]
 pub struct ReliableChainReport {
     /// The receiver's outcome (object, packet count, elapsed, feedback
@@ -1142,13 +1221,16 @@ pub struct ReliableChainReport {
     pub snapshot: Snapshot,
 }
 
-/// Builds a source → relays → receiver pipeline where relay `i`'s data
-/// socket is wrapped in a [`FaultSocket`] when `faults[i]` is set, runs
-/// a *reliable* transfer of `object`, and returns the combined report
-/// (`None` if the receiver timed out).
+/// Builds a source → relays → receiver pipeline on loopback — one relay
+/// per entry of `faults`, its data socket wrapped in a [`FaultSocket`]
+/// where the entry is set — transfers `object`, and returns the combined
+/// report (`None` if the receiver timed out).
 ///
-/// Relays are configured over their control channel exactly like
-/// [`crate::chain`]; feedback flows receiver → source directly.
+/// Each relay is configured over its *control channel*
+/// ([`RelayNode::wire`]), exactly as the controller would do it;
+/// feedback flows receiver → source directly. With
+/// `recovery.max_retries == 0` the transfer is best-effort end to end:
+/// the source awaits nothing and the receiver is given no feedback peer.
 ///
 /// # Errors
 ///
@@ -1167,12 +1249,12 @@ pub fn reliable_chain(
     let encoder =
         ObjectEncoder::new(config.generation, config.session, object).expect("valid object");
     let source_socket = UdpSocket::bind(("127.0.0.1", 0))?;
-    let source_addr = source_socket.local_addr()?;
+    let feedback_to = (recovery.max_retries > 0).then_some(source_socket.local_addr()?);
     // Both endpoints record into one registry: the chain snapshot is the
     // single source of truth for the transfer's recovery/codec metrics.
     let obs = TransferObs::new();
     let receiver =
-        ReliableReceiver::spawn(config, recovery, encoder.generations(), source_addr, &obs)?;
+        ReliableReceiver::spawn(config, recovery, encoder.generations(), feedback_to, &obs)?;
 
     let mut relays = Vec::new();
     let mut fault_handles = Vec::new();
@@ -1185,58 +1267,34 @@ pub fn reliable_chain(
             registry: None,
             ..RelayConfig::default()
         };
-        let control_socket = UdpSocket::bind(("127.0.0.1", 0))?;
-        let relay = match fault {
+        // A clean relay binds its own sockets (one per shard where the
+        // kernel can spread them); a faulted one serves every shard from
+        // its one fault-wrapped socket.
+        let (relay, handle) = match fault {
             Some(fc) => {
                 let (data_socket, handle) = FaultSocket::bind_loopback(*fc)?;
-                fault_handles.push(Some(handle));
-                RelayNode::spawn_with(relay_config, data_socket, control_socket)?
+                let control_socket = UdpSocket::bind(("127.0.0.1", 0))?;
+                let relay = RelayNode::spawn_with(relay_config, data_socket, control_socket)?;
+                (relay, Some(handle))
             }
-            None => {
-                fault_handles.push(None);
-                let data_socket = UdpSocket::bind(("127.0.0.1", 0))?;
-                RelayNode::spawn_with(relay_config, data_socket, control_socket)?
-            }
+            None => (RelayNode::spawn(relay_config)?, None),
         };
         relays.push(relay);
+        fault_handles.push(handle);
     }
 
     // Wire the chain back to front over the control channel.
     let control = UdpSocket::bind(("127.0.0.1", 0))?;
-    control.set_read_timeout(Some(Duration::from_millis(200)))?;
-    let mut ack = [0u8; 16];
-    for i in 0..relays.len() {
-        let next = if i + 1 < relays.len() {
-            relays[i + 1].data_addr
-        } else {
-            receiver.addr
-        };
-        let settings = Signal::NcSettings {
-            session: config.session,
-            role: VnfRoleWire::Recoder,
-            data_port: relays[i].data_addr.port(),
-            block_size: config.generation.block_size() as u32,
-            generation_size: config.generation.blocks_per_generation() as u32,
-            buffer_generations: 1024,
-        };
-        control.send_to(&settings.to_bytes(), relays[i].control_addr)?;
-        let _ = control.recv_from(&mut ack);
+    control.set_read_timeout(Some(Duration::from_secs(2)))?;
+    let mut next = receiver.addr;
+    for relay in relays.iter().rev() {
         let mut table = ForwardingTable::new();
         table.set(config.session, vec![next.to_string()]);
-        let sig = Signal::NcForwardTab {
-            table: table.to_text(),
-        };
-        control.send_to(&sig.to_bytes(), relays[i].control_addr)?;
-        let _ = control.recv_from(&mut ack);
+        relay.wire(&control, config.session, VnfRoleWire::Recoder, &table)?;
+        next = relay.data_addr;
     }
 
-    let first_hop = if relays.is_empty() {
-        receiver.addr
-    } else {
-        relays[0].data_addr
-    };
-    let source =
-        send_object_reliable(&source_socket, config, recovery, object, &[first_hop], &obs)?;
+    let source = send_object_reliable(&source_socket, config, recovery, object, &[next], &obs)?;
     let report = receiver.wait(timeout);
     let relay_stats: Vec<RelayStats> = relays.iter().map(|r| r.handle().stats()).collect();
     let fault_stats: Vec<Option<FaultStats>> = fault_handles
@@ -1259,7 +1317,6 @@ pub fn reliable_chain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ncvnf_rlnc::{GenerationConfig, RedundancyPolicy, SessionId};
 
     fn config() -> TransferConfig {
         TransferConfig {
@@ -1280,13 +1337,26 @@ mod tests {
         }
     }
 
+    /// An encoder over `generations` generations of [`config`]'s layout.
+    fn encoder(generations: usize) -> ObjectEncoder {
+        let cfg = config();
+        ObjectEncoder::new(
+            cfg.generation,
+            cfg.session,
+            &vec![7u8; generations * 4 * 128 - 8],
+        )
+        .unwrap()
+    }
+
     #[test]
     fn congestion_feedback_halves_redundancy_and_pauses() {
         let cfg = config();
         let rec = recovery();
         let obs = TransferObs::new();
         let m = RecoveryMetrics::register(obs.registry());
-        let mut src = Source::new(&cfg, &rec, &m, 4);
+        let enc = encoder(4);
+        let mut src = Generational::new(&cfg, &rec, &m, &enc);
+        let mut bp = backpressure(&rec, &m);
         src.sent = 4;
         for _ in 0..6 {
             src.adaptive.on_loss(3); // pump extra redundancy above the floor
@@ -1296,7 +1366,7 @@ mod tests {
         // Relay reports 200% load for our session: multiplicative
         // decrease plus a pause window at the 2.0x clamp point.
         let frame = Feedback::congestion(cfg.session, 200, 7, 40).to_bytes();
-        assert!(src.absorb(&frame));
+        assert!(bp.hear(&frame, &mut src));
         assert!(
             src.adaptive.current_extra() < before,
             "congestion is a multiplicative decrease: {} -> {}",
@@ -1304,7 +1374,7 @@ mod tests {
             src.adaptive.current_extra()
         );
         assert!(
-            src.bp.paused_until(Instant::now()).is_some(),
+            bp.paused_until(Instant::now()).is_some(),
             "pause window armed"
         );
         let snap = obs.snapshot();
@@ -1313,16 +1383,25 @@ mod tests {
 
         // Session 0 is the unattributed wildcard: also honoured.
         let wild = Feedback::congestion(SessionId::new(0), 120, 1, 41).to_bytes();
-        assert!(src.absorb(&wild));
+        assert!(bp.hear(&wild, &mut src));
         assert_eq!(snap_counter(&obs, "recovery.congestion_events"), 2);
 
         // A congestion frame for some other session is ignored: no
         // decrease, no pause extension, no event.
         let other = Feedback::congestion(SessionId::new(99), 400, 9, 90).to_bytes();
         let extra = src.adaptive.current_extra();
-        assert!(!src.absorb(&other));
+        assert!(!bp.hear(&other, &mut src));
         assert_eq!(src.adaptive.current_extra(), extra);
         assert_eq!(snap_counter(&obs, "recovery.congestion_events"), 2);
+    }
+
+    fn backpressure<'a>(rec: &RecoveryConfig, m: &'a RecoveryMetrics) -> Backpressure<'a> {
+        Backpressure {
+            session: config().session,
+            base: rec.congestion_pause,
+            metrics: m,
+            pause_until: None,
+        }
     }
 
     fn snap_counter(obs: &TransferObs, name: &str) -> u64 {
@@ -1331,7 +1410,8 @@ mod tests {
 
     #[test]
     fn backpressure_window_extends_and_expires() {
-        let mut bp = Backpressure::default();
+        let m = RecoveryMetrics::register(TransferObs::new().registry());
+        let mut bp = backpressure(&recovery(), &m);
         assert!(bp.paused_until(Instant::now()).is_none(), "starts unpaused");
         bp.pause_for(Duration::from_millis(50));
         bp.pause_for(Duration::from_millis(5)); // shorter: must not shrink
@@ -1355,8 +1435,9 @@ mod tests {
         let rec = recovery();
         let m = RecoveryMetrics::register(TransferObs::new().registry());
         let nack = Feedback::nack(cfg.session, 0, 1, 0).to_bytes();
+        let enc = encoder(2);
         let sent_source = || {
-            let mut src = Source::new(&cfg, &rec, &m, 2);
+            let mut src = Generational::new(&cfg, &rec, &m, &enc);
             src.sent = 2;
             src
         };
@@ -1393,7 +1474,7 @@ mod tests {
 
     /// A feedback frame of a [`ScriptedSocket`]: pollable once `after`
     /// datagrams have left (`None`: never — only a park delivers it).
-    type Scripted = (Option<usize>, Feedback);
+    type Scripted = (Option<usize>, Vec<u8>);
 
     /// A socket with no network and no clock: sends go into a log, and
     /// scripted feedback frames come out in order — by a non-blocking
@@ -1406,17 +1487,29 @@ mod tests {
     #[derive(Default)]
     struct ScriptState {
         sent: Vec<Vec<u8>>,
+        /// When each batch left, and the length of the send log after it.
+        batches: Vec<(Instant, usize)>,
         feedback: std::collections::VecDeque<Scripted>,
         /// Length of the send log at each blocking receive.
         parks: Vec<usize>,
         read_timeout: Option<Duration>,
+        /// The batch that would grow the send log past this fails.
+        fail_past: Option<usize>,
     }
 
     impl ScriptedSocket {
-        fn deliver(frame: &Feedback, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
-            let bytes = frame.to_bytes();
-            buf[..bytes.len()].copy_from_slice(&bytes);
-            Ok((bytes.len(), ([127, 0, 0, 1], 9).into()))
+        fn new(script: Vec<Scripted>) -> Self {
+            ScriptedSocket {
+                state: parking_lot::Mutex::new(ScriptState {
+                    feedback: script.into(),
+                    ..ScriptState::default()
+                }),
+            }
+        }
+
+        fn deliver(frame: &[u8], buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
+            buf[..frame.len()].copy_from_slice(frame);
+            Ok((frame.len(), ([127, 0, 0, 1], 9).into()))
         }
     }
 
@@ -1424,6 +1517,21 @@ mod tests {
         fn send_to(&self, buf: &[u8], _addr: SocketAddr) -> io::Result<usize> {
             self.state.lock().sent.push(buf.to_vec());
             Ok(buf.len())
+        }
+
+        fn send_batch(&self, batch: &SendBatch) -> io::Result<usize> {
+            let mut st = self.state.lock();
+            if st
+                .fail_past
+                .is_some_and(|n| st.sent.len() + batch.len() > n)
+            {
+                return Err(io::ErrorKind::NotConnected.into());
+            }
+            st.sent
+                .extend(batch.iter().map(|(bytes, _)| bytes.to_vec()));
+            let at = st.sent.len();
+            st.batches.push((Instant::now(), at));
+            Ok(batch.len())
         }
 
         fn recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
@@ -1460,6 +1568,11 @@ mod tests {
         }
     }
 
+    const HOPS: [SocketAddr; 1] = [SocketAddr::new(
+        std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
+        9,
+    )];
+
     /// Runs the source over a three-generation object against `script`
     /// at a rate so high that every generation is due the moment the
     /// previous one left. Returns the generation of each datagram sent,
@@ -1473,15 +1586,9 @@ mod tests {
             ..config()
         };
         let object = vec![7u8; 3 * 4 * 128 - 8];
-        let socket = ScriptedSocket {
-            state: parking_lot::Mutex::new(ScriptState {
-                feedback: script.into(),
-                ..ScriptState::default()
-            }),
-        };
-        let hops = [([127, 0, 0, 1], 9).into()];
+        let socket = ScriptedSocket::new(script);
         let stats =
-            send_object_reliable(&socket, &cfg, rec, &object, &hops, &TransferObs::new()).unwrap();
+            send_object_reliable(&socket, &cfg, rec, &object, &HOPS, &TransferObs::new()).unwrap();
         let state = socket.state.into_inner();
         let log = state
             .sent
@@ -1494,8 +1601,8 @@ mod tests {
     #[test]
     fn source_loop_orders_events_without_a_clock() {
         let session = config().session;
-        let ack = |g| Feedback::ack(session, g);
-        let nack = |g| Feedback::nack(session, g, 1, 0);
+        let ack = |g| Feedback::ack(session, g).to_bytes().to_vec();
+        let nack = |g| Feedback::nack(session, g, 1, 0).to_bytes().to_vec();
         let rec = RecoveryConfig {
             backoff_base: Duration::from_secs(3600),
             ..recovery()
@@ -1549,6 +1656,176 @@ mod tests {
         assert_eq!((stats.nacks_received, stats.retransmit_rounds), (0, 0));
         assert_eq!((stats.peak_extra, stats.unrecovered), (0, 0));
         assert_eq!(state.read_timeout, None);
+    }
+
+    #[test]
+    fn best_effort_source_sends_each_generation_once_and_returns() {
+        // Zero retries: nothing is awaited. The script is empty, so any
+        // park — waiting out `idle_timeout` included — would panic.
+        let rec = RecoveryConfig {
+            max_retries: 0,
+            ..recovery()
+        };
+        let (log, stats, state) = run_scripted(&rec, Vec::new());
+        assert_eq!(log, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]);
+        assert_eq!(state.batches.len(), 3, "a generation per send_batch");
+        assert!(state.parks.is_empty(), "parked at {:?}", state.parks);
+        assert_eq!((stats.initial_packets, stats.unrecovered), (12, 0));
+        assert_eq!(state.read_timeout, None, "handed back blocking");
+    }
+
+    /// An 8-symbol stream of 64 B symbols over a window of 4.
+    const STREAM: [u8; 512] = [0x5A; 512];
+
+    fn window() -> WindowConfig {
+        WindowConfig::new(64, 4).unwrap()
+    }
+
+    fn window_ack(cumulative: u64, repair_wanted: u8) -> Vec<u8> {
+        let ack = WindowAck {
+            session: config().session,
+            cumulative,
+            repair_wanted,
+        };
+        ack.encode().to_vec()
+    }
+
+    /// Runs the windowed source over [`STREAM`] against `socket`. Returns
+    /// the result, the coefficient count of each datagram sent (1 for a
+    /// systematic symbol, the live window for a repair), the registry
+    /// and the socket's final state.
+    fn run_window_scripted(
+        cfg: &TransferConfig,
+        rec: &RecoveryConfig,
+        socket: ScriptedSocket,
+    ) -> (
+        io::Result<RecoveryStats>,
+        Vec<usize>,
+        TransferObs,
+        ScriptState,
+    ) {
+        let obs = TransferObs::new();
+        let result = send_window_reliable(&socket, cfg, window(), rec, &STREAM, &HOPS, &obs);
+        let state = socket.state.into_inner();
+        let widths = state
+            .sent
+            .iter()
+            .map(|d| PacketView::parse(d, 0).expect("data packet"))
+            .inspect(|p| assert_eq!(p.kind(), WireKind::Window))
+            .map(|p| p.coefficients().len())
+            .collect();
+        (result, widths, obs, state)
+    }
+
+    #[test]
+    fn window_source_slides_repairs_and_ends_on_the_final_ack() {
+        let cfg = TransferConfig {
+            rate_bps: 1e15,
+            ..config()
+        };
+        // The window fills (4), a NACK acknowledges 2 and asks for 2
+        // repairs: the burst covers the 2 live symbols and leaves before
+        // the 2 fresh symbols the slide made room for. The acks for the
+        // rest arrive while the source is parked on a full window.
+        let script = vec![
+            (Some(4), window_ack(2, 2)),
+            (None, window_ack(6, 0)),
+            (None, window_ack(8, 0)),
+        ];
+        let (result, widths, obs, state) =
+            run_window_scripted(&cfg, &recovery(), ScriptedSocket::new(script));
+        let stats = result.unwrap();
+        assert_eq!(widths, [1, 1, 1, 1, 2, 2, 1, 1, 1, 1]);
+        assert_eq!(state.parks, [8, 10], "parked only on a full window");
+        assert_eq!((stats.initial_packets, stats.retransmit_packets), (8, 2));
+        assert_eq!((stats.acks_received, stats.nacks_received), (3, 1));
+        assert_eq!((stats.retransmit_rounds, stats.unrecovered), (1, 0));
+        assert_eq!(state.read_timeout, None, "handed back blocking");
+        // The registry saw what the view reports.
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("recovery.initial_packets"), Some(8));
+        assert_eq!(snap.counter("recovery.retransmit_packets"), Some(2));
+    }
+
+    #[test]
+    fn window_source_honours_congestion_pauses() {
+        let cfg = TransferConfig {
+            rate_bps: 1e15,
+            ..config()
+        };
+        let rec = recovery();
+        // With the window full, a NACK (2 acknowledged, 2 wanted) and a
+        // Congestion report arrive together: the repair burst and the
+        // fresh symbols alike hold off for the pause.
+        let congestion = Feedback::congestion(cfg.session, 100, 1, 1).to_bytes();
+        let script = vec![
+            (Some(4), window_ack(2, 2)),
+            (Some(4), congestion.to_vec()),
+            (None, window_ack(6, 0)),
+            (None, window_ack(8, 0)),
+        ];
+        let (result, widths, obs, state) =
+            run_window_scripted(&cfg, &rec, ScriptedSocket::new(script));
+        assert_eq!(result.unwrap().unrecovered, 0);
+        assert_eq!(widths, [1, 1, 1, 1, 2, 2, 1, 1, 1, 1]);
+        assert_eq!(snap_counter(&obs, "recovery.congestion_events"), 1);
+        let held = state.batches[1].0.duration_since(state.batches[0].0);
+        assert!(
+            held >= rec.congestion_pause,
+            "the burst after the report left {held:?} after the one before"
+        );
+        assert_eq!(state.batches[1].1, 6, "and it was the repair burst");
+    }
+
+    #[test]
+    fn window_source_surfaces_a_repair_burst_send_error() {
+        let cfg = TransferConfig {
+            rate_bps: 1e15,
+            ..config()
+        };
+        let socket = ScriptedSocket::new(vec![(Some(4), window_ack(2, 2))]);
+        socket.state.lock().fail_past = Some(4);
+        let (result, widths, _, _) = run_window_scripted(&cfg, &recovery(), socket);
+        assert_eq!(widths, [1, 1, 1, 1]);
+        assert_eq!(
+            result.unwrap_err().kind(),
+            io::ErrorKind::NotConnected,
+            "the failed burst is the caller's to see"
+        );
+    }
+
+    #[test]
+    fn window_source_paces_symbols_and_repairs_on_one_clock() {
+        // 1 Mbit/s: a systematic packet (64 + 14 + 28 B) costs 848 us, a
+        // width-2 repair 856 us.
+        let cfg = TransferConfig {
+            rate_bps: 1e6,
+            ..config()
+        };
+        let script = vec![
+            (Some(4), window_ack(2, 2)),
+            (None, window_ack(6, 0)),
+            (None, window_ack(8, 0)),
+        ];
+        let (result, widths, _, state) =
+            run_window_scripted(&cfg, &recovery(), ScriptedSocket::new(script));
+        assert_eq!(result.unwrap().unrecovered, 0);
+        assert_eq!(widths, [1, 1, 1, 1, 2, 2, 1, 1, 1, 1]);
+        // A paced wait is a sleep, never a park: it parked only once the
+        // window was full with nothing due.
+        assert_eq!(state.parks, [8, 10]);
+        // Each burst left no earlier than the wire time of everything
+        // before it (less the pacer's credit): the repair burst waited
+        // out the 4 symbols, the next symbols waited out the repairs too.
+        let at = |i: usize| state.batches[i].0.duration_since(state.batches[0].0);
+        let us = Duration::from_micros;
+        assert_eq!(state.batches[1].1, 6, "second batch is the repair burst");
+        assert!(at(1) >= us(4 * 848) - PACE_CREDIT, "repair at {:?}", at(1));
+        assert!(
+            at(2) >= us(4 * 848 + 2 * 856) - PACE_CREDIT,
+            "fresh symbols at {:?}",
+            at(2)
+        );
     }
 
     #[test]
@@ -1629,66 +1906,90 @@ mod tests {
             .any(|e| e.kind == ncvnf_obs::TraceKind::RepairBurst));
     }
 
+    /// Streams `data` from `socket` to a windowed receiver on loopback.
+    /// Returns both ends' views and the registry they share.
+    fn window_stream<S: DatagramSocket>(
+        socket: &S,
+        cfg: &TransferConfig,
+        window: WindowConfig,
+        data: &[u8],
+    ) -> (RecoveryStats, ReliableReport, Snapshot) {
+        let rec = recovery();
+        let total = data.len().div_ceil(window.symbol_size()) as u64;
+        let obs = TransferObs::new();
+        let source = socket.local_addr().unwrap();
+        let receiver =
+            ReliableReceiver::spawn_window(cfg, window, &rec, total, source, &obs).unwrap();
+        let hops = [receiver.addr];
+        let stats = send_window_reliable(socket, cfg, window, &rec, data, &hops, &obs).unwrap();
+        let report = receiver.wait(Duration::from_secs(30)).expect("completes");
+        (stats, report, obs.snapshot())
+    }
+
     #[test]
     fn lossy_window_stream_recovers_via_repair_bursts() {
         let window = WindowConfig::new(128, 8).unwrap();
-        let session = SessionId::new(9);
-        let rec = recovery();
+        let cfg = TransferConfig {
+            session: SessionId::new(9),
+            ..config()
+        };
         let data: Vec<u8> = (0..4096u32).map(|i| (i * 11 % 251) as u8).collect();
-        let total = data.len().div_ceil(window.symbol_size()) as u64;
         // 25% egress loss on the source's own socket: the stream must
         // heal from NACK-driven repair bursts over the live window.
         let (source_socket, fault) =
             FaultSocket::bind_loopback(FaultConfig::new(0xD00F).with_drop(0.25)).unwrap();
-        let obs = TransferObs::new();
-        let receiver = WindowStreamReceiver::spawn(
-            window,
-            session,
-            total,
-            source_socket.local_addr().unwrap(),
-            &obs,
-        )
-        .unwrap();
-        let hops = [receiver.addr];
-        let stats = send_window_reliable(&source_socket, window, session, &rec, &data, &hops, &obs)
-            .unwrap();
-        let report = receiver.wait(Duration::from_secs(30)).expect("completes");
-        assert_eq!(report.data, data, "byte-identical in-order delivery");
-        assert!(stats.completed, "source saw the stream acknowledged");
-        assert_eq!(stats.data_packets, total);
+        let (stats, report, snap) = window_stream(&source_socket, &cfg, window, &data);
+        assert_eq!(report.object, data, "byte-identical in-order delivery");
+        assert_eq!(stats.unrecovered, 0, "source saw the stream acknowledged");
+        assert_eq!(stats.initial_packets, 32, "one systematic pass");
         assert!(fault.stats().dropped > 0, "faults actually fired");
-        assert!(report.nacks_sent > 0, "receiver NACKed stalls");
-        assert!(stats.repair_packets > 0, "repairs answered from the window");
-        let snap = obs.snapshot();
+        assert!(report.stats.nacks_sent > 0, "receiver NACKed stalls");
+        assert!(
+            stats.retransmit_packets > 0,
+            "repairs answered from the window"
+        );
         assert!(snap
             .events
             .iter()
             .any(|e| e.kind == ncvnf_obs::TraceKind::RepairBurst));
+        // The report is a view of the registry, not a second copy: every
+        // ack — the final burst included — and every NACK is in both.
+        assert!(report.stats.acks_sent >= 3, "the final ack goes out thrice");
+        assert_eq!(
+            snap.counter("recovery.acks_sent"),
+            Some(report.stats.acks_sent)
+        );
+        assert_eq!(
+            snap.counter("recovery.nacks_sent"),
+            Some(report.stats.nacks_sent)
+        );
+        assert_eq!(
+            snap.counter("recovery.retransmit_packets"),
+            Some(stats.retransmit_packets)
+        );
     }
 
     #[test]
     fn clean_window_stream_is_pure_systematic() {
         let window = WindowConfig::new(64, 4).unwrap();
-        let session = SessionId::new(10);
-        let rec = recovery();
+        let cfg = TransferConfig {
+            session: SessionId::new(10),
+            ..config()
+        };
         let data: Vec<u8> = (0..640u32).map(|i| (i % 241) as u8).collect();
-        let total = data.len().div_ceil(window.symbol_size()) as u64;
         let socket = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-        let obs = TransferObs::new();
-        let receiver =
-            WindowStreamReceiver::spawn(window, session, total, socket.local_addr().unwrap(), &obs)
-                .unwrap();
-        let hops = [receiver.addr];
-        let stats =
-            send_window_reliable(&socket, window, session, &rec, &data, &hops, &obs).unwrap();
-        let report = receiver.wait(Duration::from_secs(10)).expect("completes");
-        assert_eq!(report.data, data);
-        assert!(stats.completed);
+        let (stats, report, snap) = window_stream(&socket, &cfg, window, &data);
+        assert_eq!(report.object, data);
+        assert_eq!(stats.unrecovered, 0);
         assert_eq!(
-            stats.data_packets, total,
+            stats.initial_packets, 10,
             "one systematic packet per symbol"
         );
-        assert_eq!(stats.repair_packets, 0, "no loss, no repairs");
+        assert_eq!(stats.retransmit_packets, 0, "no loss, no repairs");
+        assert_eq!(
+            snap.counter("recovery.acks_sent"),
+            Some(report.stats.acks_sent)
+        );
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The datagram-socket abstraction the relay data path runs over.
 //!
-//! Everything in this crate that touches the network — the relay's data
-//! and control loops, the transfer source, the receivers — speaks
-//! [`DatagramSocket`] instead of `std::net::UdpSocket` directly. A plain
-//! `UdpSocket` implements it by delegation; the chaos harness
+//! The loops in this crate that a test wants to put faults under — the
+//! relay's data and control loops and the transfer source — speak
+//! [`DatagramSocket`] instead of `std::net::UdpSocket` directly. (The
+//! transfer receiver binds a plain `UdpSocket` of its own: loss towards
+//! it is injected at the relay or the source that feeds it.) A plain
+//! `UdpSocket` implements the trait by delegation; the chaos harness
 //! ([`crate::chaos::FaultSocket`]) wraps one with deterministic seeded
 //! Internet pathologies (drop/duplicate/reorder/delay/crash), so
 //! integration tests can subject the *live* socket path to the paper's
@@ -178,6 +180,15 @@ impl SendBatch {
         self.arena.clear();
         self.segs.clear();
     }
+}
+
+/// True for the error an expired read timeout surfaces as: the "nothing
+/// arrived" every receive loop in this crate expects and carries on from.
+pub(crate) fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
 /// An unconnected datagram endpoint (the `UdpSocket` API subset the relay

@@ -6,7 +6,7 @@
 
 use std::time::{Duration, Instant};
 
-use ncvnf::relay::{chain, TransferConfig};
+use ncvnf::relay::{reliable_chain, RecoveryConfig, TransferConfig};
 use ncvnf::rlnc::{GenerationConfig, RedundancyPolicy, SessionId};
 
 fn main() {
@@ -24,15 +24,22 @@ fn main() {
         config.rate_bps / 1e6
     );
     let t0 = Instant::now();
-    let report = chain(&config, &object, 2, Duration::from_secs(60))
-        .expect("sockets work")
-        .expect("transfer completes");
+    let report = reliable_chain(
+        &config,
+        &RecoveryConfig::default(),
+        &object,
+        &[None, None],
+        Duration::from_secs(60),
+    )
+    .expect("sockets work")
+    .expect("transfer completes");
     let wall = t0.elapsed();
+    let (source, report) = (report.source, report.receiver);
     assert_eq!(report.object, object, "byte-exact recovery");
     println!(
-        "done: {} packets ({} innovative) in {:.2}s wall, {:.2}s receive window",
+        "done: {} packets received ({} repair packets sent) in {:.2}s wall, {:.2}s receive window",
         report.packets,
-        report.innovative,
+        source.retransmit_packets,
         wall.as_secs_f64(),
         report.elapsed.as_secs_f64()
     );
