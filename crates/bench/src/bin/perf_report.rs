@@ -115,6 +115,16 @@ fn bench_kernels(timing: &Timing) -> Vec<KernelRow> {
     let mut dst = vec![0u8; PAYLOAD_LEN];
     rng.fill(&mut src[..]);
     rng.fill(&mut dst[..]);
+    let generation: Vec<Vec<u8>> = (0..32)
+        .map(|_| {
+            let mut block = vec![0u8; PAYLOAD_LEN];
+            rng.fill(&mut block[..]);
+            block
+        })
+        .collect();
+    let coefficients: Vec<u8> = (0..generation.len())
+        .map(|_| rng.gen_range(2..=255))
+        .collect();
     for &tier in bulk::compiled_tiers() {
         if !tier.is_supported() {
             continue;
@@ -139,6 +149,19 @@ fn bench_kernels(timing: &Timing) -> Vec<KernelRow> {
             op: "mul_slice",
             payload_len: PAYLOAD_LEN,
             bytes_per_sec: mul,
+        });
+        // The fused row kernel at the codec's largest benchmarked shape
+        // (one coded packet from a 32-block generation); bytes are source
+        // bytes multiplied, so the row compares with `mul_add_slice`.
+        let fused = timing.measure(generation.len() * PAYLOAD_LEN, || {
+            tier.mul_add_rows(&mut dst, coefficients.iter().copied().zip(&generation));
+            std::hint::black_box(&dst);
+        });
+        rows.push(KernelRow {
+            tier: tier.name(),
+            op: "mul_add_rows_g32",
+            payload_len: PAYLOAD_LEN,
+            bytes_per_sec: fused,
         });
     }
     rows

@@ -16,6 +16,13 @@
 //!   bytes per instruction via a per-coefficient 8×8 bit matrix (the
 //!   field's 0x11D polynomial rules out the hardwired-0x11B `gf2p8mulb`).
 //!
+//! Every tier has four entries: `mul`, `mul_add`, `scale` and the fused
+//! row kernel `dst ^= Σ cᵢ·rowᵢ` ([`mul_add_rows`]) that every
+//! many-rows-into-one accumulation goes through. The x86 tiers take their
+//! per-coefficient operands (nibble tables, affine matrices) from
+//! tables built at compile time and finish a slice's tail in-register, so
+//! a call costs nothing beyond its bytes.
+//!
 //! The fastest tier the CPU supports is selected once per process (see
 //! [`kernel_tier`]); every public entry point below then routes through it.
 //! Set `NCVNF_GF256_KERNEL=scalar|swar|ssse3|avx2|gfni` before first use
@@ -105,7 +112,7 @@ impl KernelTier {
         match c {
             0 => dst.fill(0),
             1 => dst.copy_from_slice(src),
-            _ => self.ops().mul.call_mul(dst, src, c),
+            _ => (self.ops().mul)(dst, src, c),
         }
     }
 
@@ -119,8 +126,22 @@ impl KernelTier {
         match c {
             0 => {}
             1 => add_slice(dst, src),
-            _ => self.ops().mul_add.call_mul(dst, src, c),
+            _ => (self.ops().mul_add)(dst, src, c),
         }
+    }
+
+    /// `dst ^= Σ cᵢ·rowᵢ` using this tier specifically (see
+    /// [`mul_add_rows`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on slice length mismatch or if the tier is unsupported here.
+    pub fn mul_add_rows<'a, R: AsRef<[u8]> + ?Sized + 'a>(
+        self,
+        dst: &mut [u8],
+        rows: impl IntoIterator<Item = (u8, &'a R)>,
+    ) {
+        batch_rows(self.ops(), dst, rows);
     }
 
     /// `dst[i] = c * dst[i]` using this tier specifically.
@@ -132,7 +153,7 @@ impl KernelTier {
         match c {
             0 => dst.fill(0),
             1 => {}
-            _ => self.ops().scale.call_scale(dst, c),
+            _ => (self.ops().scale)(dst, c),
         }
     }
 
@@ -146,9 +167,9 @@ impl KernelTier {
             KernelTier::Scalar => &SCALAR_OPS,
             KernelTier::Swar => &SWAR_OPS,
             #[cfg(target_arch = "x86_64")]
-            KernelTier::Ssse3 => &x86::SSSE3_OPS,
+            KernelTier::Ssse3 => &x86::ssse3::OPS,
             #[cfg(target_arch = "x86_64")]
-            KernelTier::Avx2 => &x86::AVX2_OPS,
+            KernelTier::Avx2 => &x86::avx2::OPS,
             #[cfg(target_arch = "x86_64")]
             KernelTier::Gfni => &gfni::GFNI_OPS,
             #[cfg(not(target_arch = "x86_64"))]
@@ -157,47 +178,56 @@ impl KernelTier {
     }
 }
 
-/// Function-pointer slot: `dst[..] op= c * src[..]` with `c >= 2`.
-#[derive(Clone, Copy)]
-pub(crate) struct MulFn(pub(crate) fn(&mut [u8], &[u8], u8));
+/// One term of a row combination as the tier kernels take it: a
+/// coefficient and the row it scales.
+pub(crate) type Row<'a> = (u8, &'a [u8]);
 
-/// Function-pointer slot: `dst[..] = c * dst[..]` with `c >= 2`.
-#[derive(Clone, Copy)]
-pub(crate) struct ScaleFn(pub(crate) fn(&mut [u8], u8));
-
-impl MulFn {
-    #[inline]
-    fn call_mul(self, dst: &mut [u8], src: &[u8], c: u8) {
-        (self.0)(dst, src, c)
-    }
-}
-
-impl ScaleFn {
-    #[inline]
-    fn call_scale(self, dst: &mut [u8], c: u8) {
-        (self.0)(dst, c)
-    }
-}
-
-/// The three coefficient-dependent entry points of one kernel tier
-/// (`add_slice` is coefficient-free and shared by all tiers).
+/// The entry points of one kernel tier (`add_slice` is coefficient-free
+/// and shared by all tiers). The single-row entries are only reached with
+/// `c >= 2`, `mul_add_rows` with every `c >= 1` and every row as long as
+/// `dst` — the dispatch layer below handles the rest.
 pub(crate) struct Ops {
-    pub(crate) mul: MulFn,
-    pub(crate) mul_add: MulFn,
-    pub(crate) scale: ScaleFn,
+    /// `dst[..] = c * src[..]`.
+    pub(crate) mul: fn(&mut [u8], &[u8], u8),
+    /// `dst[..] ^= c * src[..]`.
+    pub(crate) mul_add: fn(&mut [u8], &[u8], u8),
+    /// `dst[..] = c * dst[..]`.
+    pub(crate) scale: fn(&mut [u8], u8),
+    /// `dst[..] ^= Σ c * row[..]` over at most [`ROW_BATCH`] rows.
+    pub(crate) mul_add_rows: fn(&mut [u8], &[Row<'_>]),
 }
 
 static SCALAR_OPS: Ops = Ops {
-    mul: MulFn(scalar::mul_slice),
-    mul_add: MulFn(scalar::mul_add_slice),
-    scale: ScaleFn(scalar::scale_slice),
+    mul: scalar::mul_slice,
+    mul_add: scalar::mul_add_slice,
+    scale: scalar::scale_slice,
+    mul_add_rows: scalar::mul_add_rows,
 };
 
 static SWAR_OPS: Ops = Ops {
-    mul: MulFn(swar::mul_slice),
-    mul_add: MulFn(swar::mul_add_slice),
-    scale: ScaleFn(swar::scale_slice),
+    mul: swar::mul_slice,
+    mul_add: swar::mul_add_slice,
+    scale: swar::scale_slice,
+    mul_add_rows: swar::mul_add_rows,
 };
+
+/// The eight products `c · 2^k` (the xtime ladder under 0x11D).
+/// Multiplication by `c` is GF(2)-linear in the bits of the other
+/// operand, so these determine it: every tier's per-coefficient operand
+/// (SWAR's broadcast partials, the `pshufb` nibble tables, the GFNI
+/// bit matrix) is derived from them.
+pub(crate) const fn partial_products(c: u8) -> [u8; 8] {
+    let mut partials = [0u8; 8];
+    let mut p = c;
+    let mut k = 0;
+    while k < 8 {
+        partials[k] = p;
+        // xtime: shift, reduce by 0x1D on overflow.
+        p = (p << 1) ^ if p & 0x80 != 0 { 0x1D } else { 0 };
+        k += 1;
+    }
+    partials
+}
 
 /// Every tier compiled into this binary, slowest first (the x86 tiers are
 /// listed even when the CPU lacks them — pair with
@@ -238,17 +268,26 @@ fn select_tier() -> KernelTier {
         .expect("scalar tier is always supported")
 }
 
+/// The selected tier and its entry points, resolved (and its CPU support
+/// asserted) once per process.
+fn active() -> (KernelTier, &'static Ops) {
+    static ACTIVE: OnceLock<(KernelTier, &'static Ops)> = OnceLock::new();
+    *ACTIVE.get_or_init(|| {
+        let tier = select_tier();
+        (tier, tier.ops())
+    })
+}
+
 /// The tier all dispatched entry points below use, selected once per
 /// process: the `NCVNF_GF256_KERNEL` override if set, otherwise the fastest
 /// supported tier.
 pub fn kernel_tier() -> KernelTier {
-    static ACTIVE: OnceLock<KernelTier> = OnceLock::new();
-    *ACTIVE.get_or_init(select_tier)
+    active().0
 }
 
 #[inline]
 fn active_ops() -> &'static Ops {
-    kernel_tier().ops()
+    active().1
 }
 
 /// `dst[i] ^= src[i]` for all `i` (addition in GF(2^8)).
@@ -278,11 +317,12 @@ pub fn add_slice(dst: &mut [u8], src: &[u8]) {
 }
 
 /// `dst[i] = c * dst[i]` for all `i`.
+#[inline]
 pub fn scale_slice(dst: &mut [u8], c: u8) {
     match c {
         0 => dst.fill(0),
         1 => {}
-        _ => active_ops().scale.call_scale(dst, c),
+        _ => (active_ops().scale)(dst, c),
     }
 }
 
@@ -291,12 +331,13 @@ pub fn scale_slice(dst: &mut [u8], c: u8) {
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
+#[inline]
 pub fn mul_slice(dst: &mut [u8], src: &[u8], c: u8) {
     assert_eq!(dst.len(), src.len(), "slice length mismatch");
     match c {
         0 => dst.fill(0),
         1 => dst.copy_from_slice(src),
-        _ => active_ops().mul.call_mul(dst, src, c),
+        _ => (active_ops().mul)(dst, src, c),
     }
 }
 
@@ -315,29 +356,68 @@ pub fn mul_slice(dst: &mut [u8], src: &[u8], c: u8) {
 /// mul_add_slice(&mut acc, &[1, 2, 3, 4], 3);
 /// assert_eq!(acc, vec![0; 4]); // adding twice cancels in GF(2^8)
 /// ```
+#[inline]
 pub fn mul_add_slice(dst: &mut [u8], src: &[u8], c: u8) {
     assert_eq!(dst.len(), src.len(), "slice length mismatch");
     match c {
         0 => {}
         1 => add_slice(dst, src),
-        _ => active_ops().mul_add.call_mul(dst, src, c),
+        _ => (active_ops().mul_add)(dst, src, c),
     }
 }
 
-/// Dot product of a coefficient vector with a matrix of rows:
-/// `out = Σ_i coeffs[i] * rows[i]`.
-///
-/// This is exactly "compute one coded packet from a generation".
+/// Rows one fused kernel call walks; longer combinations are split.
+const ROW_BATCH: usize = 32;
+
+/// `dst ^= Σ cᵢ·rowᵢ` over `(coefficient, row)` pairs — one coded packet
+/// from a generation, one recombination of a recoder's buffer, or one
+/// elimination pass of a decoder, in a single fused kernel call per
+/// 32 rows: `dst` is loaded and stored once per call instead of
+/// once per row. Zero coefficients are skipped; nothing is allocated.
+/// Rows are anything that derefs to bytes (`&[u8]`, `&Vec<u8>`, arrays).
 ///
 /// # Panics
 ///
-/// Panics if `coeffs.len() != rows.len()`, if any row's length differs from
-/// `out.len()`.
-pub fn linear_combine(out: &mut [u8], coeffs: &[u8], rows: &[&[u8]]) {
-    assert_eq!(coeffs.len(), rows.len(), "coefficient/row count mismatch");
-    out.fill(0);
-    for (&c, row) in coeffs.iter().zip(rows) {
-        mul_add_slice(out, row, c);
+/// Panics if any row's length differs from `dst.len()`.
+///
+/// # Examples
+///
+/// ```
+/// use ncvnf_gf256::bulk::mul_add_rows;
+/// let rows = [[1u8, 0, 0], [0, 1, 0]];
+/// let mut out = [0u8; 3];
+/// mul_add_rows(&mut out, [5, 7].into_iter().zip(&rows));
+/// assert_eq!(out, [5, 7, 0]);
+/// ```
+pub fn mul_add_rows<'a, R: AsRef<[u8]> + ?Sized + 'a>(
+    dst: &mut [u8],
+    rows: impl IntoIterator<Item = (u8, &'a R)>,
+) {
+    batch_rows(active_ops(), dst, rows);
+}
+
+fn batch_rows<'a, R: AsRef<[u8]> + ?Sized + 'a>(
+    ops: &Ops,
+    dst: &mut [u8],
+    rows: impl IntoIterator<Item = (u8, &'a R)>,
+) {
+    let mut batch: [Row<'_>; ROW_BATCH] = [(0, &[]); ROW_BATCH];
+    let mut filled = 0;
+    for (c, row) in rows {
+        let row = row.as_ref();
+        assert_eq!(row.len(), dst.len(), "slice length mismatch");
+        if c == 0 {
+            continue;
+        }
+        batch[filled] = (c, row);
+        filled += 1;
+        if filled == ROW_BATCH {
+            (ops.mul_add_rows)(dst, &batch);
+            filled = 0;
+        }
+    }
+    if filled > 0 {
+        (ops.mul_add_rows)(dst, &batch[..filled]);
     }
 }
 
@@ -387,12 +467,28 @@ mod tests {
     }
 
     #[test]
-    fn linear_combine_two_rows() {
-        let r0 = [1u8, 0, 0];
-        let r1 = [0u8, 1, 0];
-        let mut out = [0u8; 3];
-        linear_combine(&mut out, &[5, 7], &[&r0, &r1]);
-        assert_eq!(out, [5, 7, 0]);
+    fn mul_add_rows_accumulates_and_skips_zero_coefficients() {
+        let rows = [[1u8, 0, 0], [0, 1, 0], [9, 9, 9]];
+        let mut out = [0u8, 0, 4];
+        mul_add_rows(&mut out, [5, 7, 0].into_iter().zip(&rows));
+        assert_eq!(out, [5, 7, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn mul_add_rows_checks_zero_coefficient_rows_too() {
+        let mut dst = [0u8; 3];
+        mul_add_rows(&mut dst, [(0u8, &[1u8, 2][..])]);
+    }
+
+    #[test]
+    fn partial_products_are_the_xtime_ladder() {
+        for c in 0..=255u8 {
+            let partials = partial_products(c);
+            for (k, &p) in partials.iter().enumerate() {
+                assert_eq!(p, (Gf256::new(c) * Gf256::new(1 << k)).value());
+            }
+        }
     }
 
     #[test]
@@ -404,21 +500,33 @@ mod tests {
 
     #[test]
     fn every_supported_tier_matches_the_table() {
-        // Exhaustive over (coefficient, byte) for every runnable tier,
-        // at a length that exercises vector body + scalar tail.
-        let src: Vec<u8> = (0..=255u8).cycle().take(259).collect();
-        for &tier in compiled_tiers() {
-            if !tier.is_supported() {
-                continue;
-            }
-            for c in 0..=255u8 {
-                let mut got = vec![0u8; src.len()];
-                tier.mul_slice(&mut got, &src, c);
-                let row_check: Vec<u8> = src
-                    .iter()
-                    .map(|&s| (Gf256::new(c) * Gf256::new(s)).value())
-                    .collect();
-                assert_eq!(got, row_check, "tier {} c={}", tier.name(), c);
+        // Exhaustive over (coefficient, byte) for every runnable tier
+        // and every entry: 259 bytes is vector body + in-register tail,
+        // 52 (the tail of a 1460-byte payload) is tail only.
+        for len in [259usize, 52] {
+            let src: Vec<u8> = (0..=255u8).cycle().take(len).collect();
+            for &tier in compiled_tiers() {
+                if !tier.is_supported() {
+                    continue;
+                }
+                for c in 0..=255u8 {
+                    let row_check: Vec<u8> = src
+                        .iter()
+                        .map(|&s| (Gf256::new(c) * Gf256::new(s)).value())
+                        .collect();
+                    let mut got = vec![0u8; len];
+                    tier.mul_slice(&mut got, &src, c);
+                    assert_eq!(got, row_check, "mul tier {} c={c}", tier.name());
+                    let mut got = vec![0u8; len];
+                    tier.mul_add_slice(&mut got, &src, c);
+                    assert_eq!(got, row_check, "mul_add tier {} c={c}", tier.name());
+                    let mut got = vec![0u8; len];
+                    tier.mul_add_rows(&mut got, [(c, &src[..])]);
+                    assert_eq!(got, row_check, "rows tier {} c={c}", tier.name());
+                    let mut got = src.clone();
+                    tier.scale_slice(&mut got, c);
+                    assert_eq!(got, row_check, "scale tier {} c={c}", tier.name());
+                }
             }
         }
     }

@@ -1,9 +1,9 @@
 //! Portable baseline kernel: one 256-entry product-table row per
 //! coefficient, one lookup plus one XOR per byte.
 //!
-//! All entry points require `c >= 2`; the `0`/`1` fast paths live in the
-//! dispatch layer.
+//! The `0`/`1` fast paths live in the dispatch layer.
 
+use super::Row;
 use crate::gf256::Gf256;
 
 pub(super) fn mul_slice(dst: &mut [u8], src: &[u8], c: u8) {
@@ -17,6 +17,12 @@ pub(super) fn mul_add_slice(dst: &mut [u8], src: &[u8], c: u8) {
     let row = Gf256::mul_row(c);
     for (d, s) in dst.iter_mut().zip(src) {
         *d ^= row[*s as usize];
+    }
+}
+
+pub(super) fn mul_add_rows(dst: &mut [u8], rows: &[Row<'_>]) {
+    for &(c, src) in rows {
+        mul_add_slice(dst, src, c);
     }
 }
 

@@ -3,7 +3,7 @@
 //!
 //! Multiplication by a constant is linear over GF(2), so
 //! `c * s = Σ_{k: bit k of s} (c · 2^k)`. The eight partial products
-//! `c · 2^k` are computed once per call (scalar xtime ladder) and
+//! `c · 2^k` are computed once per row (scalar xtime ladder) and
 //! broadcast across all byte lanes; each of the eight steps then selects
 //! the lanes whose bit `k` is set with a SWAR 0/1→0x00/0xFF mask and XORs
 //! the broadcast partial product in. Every step is a flat
@@ -12,8 +12,9 @@
 //! widest vector unit the target allows — without this crate shipping any
 //! `unsafe`.
 //!
-//! All entry points require `c >= 2`; the `0`/`1` fast paths live in the
-//! dispatch layer.
+//! The `0`/`1` fast paths live in the dispatch layer.
+
+use super::Row;
 
 /// Bit 0 of every byte lane.
 const ONES: u64 = 0x0101_0101_0101_0101;
@@ -24,18 +25,7 @@ const LANES: usize = 8;
 /// The eight partial products `c · 2^k`, each broadcast to all lanes.
 #[inline]
 fn broadcast_partials(c: u8) -> [u64; 8] {
-    let mut partials = [0u64; 8];
-    let mut p = c;
-    for slot in partials.iter_mut() {
-        *slot = ONES.wrapping_mul(u64::from(p));
-        // Scalar xtime: shift, reduce by 0x1D on overflow.
-        let hi = p & 0x80;
-        p <<= 1;
-        if hi != 0 {
-            p ^= 0x1D;
-        }
-    }
-    partials
+    super::partial_products(c).map(|p| ONES.wrapping_mul(u64::from(p)))
 }
 
 /// `prod[j] = c * a[j]` over the whole chunk, given the broadcast partial
@@ -107,6 +97,12 @@ macro_rules! swar_kernel {
 
 swar_kernel!(mul_slice, |d, p| p);
 swar_kernel!(mul_add_slice, |d, p| xor_chunks(d, p));
+
+pub(super) fn mul_add_rows(dst: &mut [u8], rows: &[Row<'_>]) {
+    for &(c, src) in rows {
+        mul_add_slice(dst, src, c);
+    }
+}
 
 pub(super) fn scale_slice(dst: &mut [u8], c: u8) {
     const STEP: usize = LANES * 8;

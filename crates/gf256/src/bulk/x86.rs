@@ -3,143 +3,90 @@
 //!
 //! `c * x` splits over the low/high nibble of each byte:
 //! `c*x = c*(x & 0x0F) ⊕ c*(x >> 4 << 4)`. Both partial products come from
-//! 16-entry tables derived from the full product row, and `pshufb` looks up
-//! 16 (SSE) or 32 (AVX2) lanes per instruction. This is the classic
-//! vectorized Reed-Solomon/RLNC kernel (ISA-L, kodo, klauspost/reedsolomon
-//! all use it).
+//! 16-entry tables, and `pshufb` looks up 16 (SSE) or 32 (AVX2) lanes per
+//! instruction. This is the classic vectorized Reed-Solomon/RLNC kernel
+//! (ISA-L, kodo, klauspost/reedsolomon all use it).
+//!
+//! The table pairs of all 256 coefficients are built at compile time
+//! ([`NIBBLES`], 8 KiB), so a call's only per-coefficient cost is two
+//! loads. A slice that does not end on a vector boundary is finished by
+//! one more whole vector ending at its last byte, overlapping the previous
+//! one, instead of a per-byte loop. The two tiers are one implementation
+//! ([`pshufb_tier!`]) at two vector widths.
 //!
 //! Safety: each `#[target_feature]` function is only reachable through the
 //! dispatch table after `is_x86_feature_detected!` confirmed the feature
-//! (see `KernelTier::is_supported`), and all memory access goes through
-//! `loadu`/`storeu` on ranges the safe callers have bounds-checked.
+//! (see `KernelTier::is_supported`). Pointers are formed from slices whose
+//! lengths the safe entries below have just checked (`len >= WIDTH`, every
+//! row as long as `dst`), and every access is a whole vector at an offset
+//! `off` with `off + WIDTH <= len`.
 #![allow(unsafe_code)]
 
 use std::arch::x86_64::*;
 
-use super::Ops;
-use crate::gf256::Gf256;
+use super::{partial_products, Ops, Row};
 
-pub(super) static SSSE3_OPS: Ops = Ops {
-    mul: super::MulFn(mul_slice_ssse3_entry),
-    mul_add: super::MulFn(mul_add_slice_ssse3_entry),
-    scale: super::ScaleFn(scale_slice_ssse3_entry),
-};
+/// `NIBBLES.0[c]` is the low-nibble table (`c * i` for `i < 16`) followed
+/// by the high-nibble table (`c * (i << 4)`).
+#[repr(align(32))]
+struct NibbleTables([[u8; 32]; 256]);
 
-pub(super) static AVX2_OPS: Ops = Ops {
-    mul: super::MulFn(mul_slice_avx2_entry),
-    mul_add: super::MulFn(mul_add_slice_avx2_entry),
-    scale: super::ScaleFn(scale_slice_avx2_entry),
-};
-
-/// The two 16-entry partial-product tables for coefficient `c`.
-#[inline]
-fn nibble_tables(c: u8) -> ([u8; 16], [u8; 16]) {
-    let row = Gf256::mul_row(c);
-    let mut lo = [0u8; 16];
-    let mut hi = [0u8; 16];
-    for i in 0..16 {
-        lo[i] = row[i];
-        hi[i] = row[i << 4];
-    }
-    (lo, hi)
-}
-
-// ---------------------------------------------------------------- SSSE3
-
-macro_rules! ssse3_entry {
-    ($entry:ident, $inner:ident) => {
-        fn $entry(dst: &mut [u8], src: &[u8], c: u8) {
-            // SAFETY: this entry is only installed in `SSSE3_OPS`, which the
-            // dispatcher hands out strictly after `is_supported()` returned
-            // true for SSSE3 on this CPU.
-            unsafe { $inner(dst, src, c) }
+static NIBBLES: NibbleTables = {
+    let mut tables = [[0u8; 32]; 256];
+    let mut c = 0;
+    while c < 256 {
+        let partials = partial_products(c as u8);
+        let mut i = 0;
+        while i < 16 {
+            let mut k = 0;
+            while k < 4 {
+                if i >> k & 1 == 1 {
+                    tables[c][i] ^= partials[k];
+                    tables[c][16 + i] ^= partials[4 + k];
+                }
+                k += 1;
+            }
+            i += 1;
         }
-    };
+        c += 1;
+    }
+    NibbleTables(tables)
+};
+
+/// The (low, high) nibble tables of `c`.
+#[inline(always)]
+unsafe fn tables16(c: u8) -> (__m128i, __m128i) {
+    let pair = NIBBLES.0[c as usize].as_ptr();
+    (
+        _mm_loadu_si128(pair.cast()),
+        _mm_loadu_si128(pair.add(16).cast()),
+    )
 }
 
-ssse3_entry!(mul_slice_ssse3_entry, mul_slice_ssse3);
-ssse3_entry!(mul_add_slice_ssse3_entry, mul_add_slice_ssse3);
-
-fn scale_slice_ssse3_entry(dst: &mut [u8], c: u8) {
-    // SAFETY: see `ssse3_entry!` — feature presence is established by the
-    // dispatcher before this pointer is reachable.
-    unsafe { scale_slice_ssse3(dst, c) }
+/// [`tables16`] broadcast to both 128-bit lanes (`vpshufb` shuffles within
+/// each lane).
+#[inline(always)]
+unsafe fn tables32(c: u8) -> (__m256i, __m256i) {
+    let (lo, hi) = tables16(c);
+    (
+        _mm256_broadcastsi128_si256(lo),
+        _mm256_broadcastsi128_si256(hi),
+    )
 }
 
 /// One 16-lane product: `pshufb(lo_tbl, v & 0xF) ^ pshufb(hi_tbl, v >> 4)`.
 #[inline(always)]
-unsafe fn mul16(v: __m128i, lo_tbl: __m128i, hi_tbl: __m128i, low_mask: __m128i) -> __m128i {
+unsafe fn mul16(v: __m128i, (lo_tbl, hi_tbl): (__m128i, __m128i)) -> __m128i {
+    let low_mask = _mm_set1_epi8(0x0F);
     let lo = _mm_and_si128(v, low_mask);
     let hi = _mm_and_si128(_mm_srli_epi64::<4>(v), low_mask);
     _mm_xor_si128(_mm_shuffle_epi8(lo_tbl, lo), _mm_shuffle_epi8(hi_tbl, hi))
 }
 
-macro_rules! ssse3_kernel {
-    ($name:ident, $tail:ident, |$acc:ident, $prod:ident| $combine:expr) => {
-        #[target_feature(enable = "ssse3")]
-        unsafe fn $name(dst: &mut [u8], src: &[u8], c: u8) {
-            let (lo, hi) = nibble_tables(c);
-            let lo_tbl = _mm_loadu_si128(lo.as_ptr().cast());
-            let hi_tbl = _mm_loadu_si128(hi.as_ptr().cast());
-            let low_mask = _mm_set1_epi8(0x0F);
-            let split = dst.len() - dst.len() % 16;
-            let (dst_body, dst_tail) = dst.split_at_mut(split);
-            let (src_body, src_tail) = src.split_at(split);
-            for (d, s) in dst_body.chunks_exact_mut(16).zip(src_body.chunks_exact(16)) {
-                let $prod = mul16(_mm_loadu_si128(s.as_ptr().cast()), lo_tbl, hi_tbl, low_mask);
-                let $acc = _mm_loadu_si128(d.as_ptr().cast());
-                _mm_storeu_si128(d.as_mut_ptr().cast(), $combine);
-            }
-            super::scalar::$tail(dst_tail, src_tail, c);
-        }
-    };
-}
-
-ssse3_kernel!(mul_slice_ssse3, mul_slice, |_acc, prod| prod);
-ssse3_kernel!(mul_add_slice_ssse3, mul_add_slice, |acc, prod| {
-    _mm_xor_si128(acc, prod)
-});
-
-#[target_feature(enable = "ssse3")]
-unsafe fn scale_slice_ssse3(dst: &mut [u8], c: u8) {
-    let (lo, hi) = nibble_tables(c);
-    let lo_tbl = _mm_loadu_si128(lo.as_ptr().cast());
-    let hi_tbl = _mm_loadu_si128(hi.as_ptr().cast());
-    let low_mask = _mm_set1_epi8(0x0F);
-    let split = dst.len() - dst.len() % 16;
-    let (body, tail) = dst.split_at_mut(split);
-    for d in body.chunks_exact_mut(16) {
-        let prod = mul16(_mm_loadu_si128(d.as_ptr().cast()), lo_tbl, hi_tbl, low_mask);
-        _mm_storeu_si128(d.as_mut_ptr().cast(), prod);
-    }
-    super::scalar::scale_slice(tail, c);
-}
-
-// ----------------------------------------------------------------- AVX2
-
-macro_rules! avx2_entry {
-    ($entry:ident, $inner:ident) => {
-        fn $entry(dst: &mut [u8], src: &[u8], c: u8) {
-            // SAFETY: this entry is only installed in `AVX2_OPS`, which the
-            // dispatcher hands out strictly after `is_supported()` returned
-            // true for AVX2 on this CPU.
-            unsafe { $inner(dst, src, c) }
-        }
-    };
-}
-
-avx2_entry!(mul_slice_avx2_entry, mul_slice_avx2);
-avx2_entry!(mul_add_slice_avx2_entry, mul_add_slice_avx2);
-
-fn scale_slice_avx2_entry(dst: &mut [u8], c: u8) {
-    // SAFETY: see `avx2_entry!` — feature presence is established by the
-    // dispatcher before this pointer is reachable.
-    unsafe { scale_slice_avx2(dst, c) }
-}
-
 /// One 32-lane product via `vpshufb` on broadcast nibble tables.
 #[inline(always)]
-unsafe fn mul32(v: __m256i, lo_tbl: __m256i, hi_tbl: __m256i, low_mask: __m256i) -> __m256i {
+unsafe fn mul32(v: __m256i, (lo_tbl, hi_tbl): (__m256i, __m256i)) -> __m256i {
+    let low_mask = _mm256_set1_epi8(0x0F);
     let lo = _mm256_and_si256(v, low_mask);
     let hi = _mm256_and_si256(_mm256_srli_epi64::<4>(v), low_mask);
     _mm256_xor_si256(
@@ -148,56 +95,200 @@ unsafe fn mul32(v: __m256i, lo_tbl: __m256i, hi_tbl: __m256i, low_mask: __m256i)
     )
 }
 
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn broadcast_tables(c: u8) -> (__m256i, __m256i, __m256i) {
-    let (lo, hi) = nibble_tables(c);
-    let lo_tbl = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast()));
-    let hi_tbl = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast()));
-    (lo_tbl, hi_tbl, _mm256_set1_epi8(0x0F))
-}
+macro_rules! pshufb_tier {
+    (
+        $tier:ident, $feature:literal, $width:literal,
+        $tables:ident, $mul:ident, $load:ident, $store:ident, $xor:ident
+    ) => {
+        pub(super) mod $tier {
+            use super::super::scalar;
+            use super::*;
 
-macro_rules! avx2_kernel {
-    ($name:ident, $tail:ident, |$acc:ident, $prod:ident| $combine:expr) => {
-        #[target_feature(enable = "avx2")]
-        unsafe fn $name(dst: &mut [u8], src: &[u8], c: u8) {
-            let (lo_tbl, hi_tbl, low_mask) = broadcast_tables(c);
-            let split = dst.len() - dst.len() % 32;
-            let (dst_body, dst_tail) = dst.split_at_mut(split);
-            let (src_body, src_tail) = src.split_at(split);
-            for (d, s) in dst_body.chunks_exact_mut(32).zip(src_body.chunks_exact(32)) {
-                let $prod = mul32(
-                    _mm256_loadu_si256(s.as_ptr().cast()),
-                    lo_tbl,
-                    hi_tbl,
-                    low_mask,
-                );
-                let $acc = _mm256_loadu_si256(d.as_ptr().cast());
-                _mm256_storeu_si256(d.as_mut_ptr().cast(), $combine);
+            /// Bytes per vector. Slices shorter than one vector (short
+            /// coefficient rows) go to the scalar kernel.
+            const WIDTH: usize = $width;
+
+            pub(in super::super) static OPS: Ops = Ops {
+                mul: mul_slice,
+                mul_add: mul_add_slice,
+                scale: scale_slice,
+                mul_add_rows,
+            };
+
+            fn mul_slice(dst: &mut [u8], src: &[u8], c: u8) {
+                assert_eq!(dst.len(), src.len(), "slice length mismatch");
+                if dst.len() < WIDTH {
+                    return scalar::mul_slice(dst, src, c);
+                }
+                // SAFETY: this entry is only installed in `OPS`, which the
+                // dispatcher hands out strictly after `is_supported()`
+                // returned true for this tier's feature on this CPU; both
+                // slices are `dst.len() >= WIDTH` bytes long and, being
+                // `&mut` and `&`, do not overlap.
+                unsafe { map::<false>(dst.as_mut_ptr(), src.as_ptr(), dst.len(), c) }
             }
-            super::scalar::$tail(dst_tail, src_tail, c);
+
+            fn mul_add_slice(dst: &mut [u8], src: &[u8], c: u8) {
+                assert_eq!(dst.len(), src.len(), "slice length mismatch");
+                if dst.len() < WIDTH {
+                    return scalar::mul_add_slice(dst, src, c);
+                }
+                // SAFETY: as in `mul_slice`.
+                unsafe { map::<true>(dst.as_mut_ptr(), src.as_ptr(), dst.len(), c) }
+            }
+
+            fn scale_slice(dst: &mut [u8], c: u8) {
+                if dst.len() < WIDTH {
+                    return scalar::scale_slice(dst, c);
+                }
+                let data = dst.as_mut_ptr();
+                // SAFETY: feature as in `mul_slice`; source and
+                // destination are the same `dst.len() >= WIDTH` bytes,
+                // which `map` allows when it does not accumulate.
+                unsafe { map::<false>(data, data, dst.len(), c) }
+            }
+
+            fn mul_add_rows(dst: &mut [u8], rows: &[Row<'_>]) {
+                assert!(
+                    rows.iter().all(|(_, row)| row.len() == dst.len()),
+                    "slice length mismatch"
+                );
+                if dst.len() < WIDTH {
+                    return scalar::mul_add_rows(dst, rows);
+                }
+                // SAFETY: feature as in `mul_slice`; `dst` is at least
+                // `WIDTH` bytes long and every row was just checked to be
+                // exactly as long.
+                unsafe { mul_add_rows_simd(dst, rows) }
+            }
+
+            /// `dst[i] = c * src[i]` for `i < len`, or `dst[i] ^= c * src[i]`
+            /// when `ADD`.
+            ///
+            /// The last vector is the one ending at `len`; it overlaps its
+            /// predecessor unless `len` is a multiple of `WIDTH`. Its
+            /// operands are read before anything is stored, so the bytes
+            /// both vectors cover are written twice with the same value.
+            ///
+            /// # Safety
+            ///
+            /// The CPU must support this tier's feature and `len >= WIDTH`.
+            /// `src` must be readable and `dst` writable for `len` bytes;
+            /// the two ranges are disjoint or, without `ADD`, identical.
+            #[target_feature(enable = $feature)]
+            unsafe fn map<const ADD: bool>(dst: *mut u8, src: *const u8, len: usize, c: u8) {
+                let tables = $tables(c);
+                let last = len - WIDTH;
+                let mut last_out = $mul($load(src.add(last).cast()), tables);
+                if ADD {
+                    last_out = $xor(last_out, $load(dst.add(last).cast()));
+                }
+                let mut off = 0;
+                while off < last {
+                    let mut out = $mul($load(src.add(off).cast()), tables);
+                    if ADD {
+                        out = $xor(out, $load(dst.add(off).cast()));
+                    }
+                    $store(dst.add(off).cast(), out);
+                    off += WIDTH;
+                }
+                $store(dst.add(last).cast(), last_out);
+            }
+
+            /// `dst ^= Σ c·row`, keeping four vectors of `dst` in registers
+            /// while walking the rows, then one vector at a time, then the
+            /// vector ending at `len` — accumulated onto `dst` as it was
+            /// before the others were stored, so the bytes it shares with
+            /// its predecessor get the same value twice.
+            ///
+            /// # Safety
+            ///
+            /// The CPU must support this tier's feature, `dst` must be at
+            /// least `WIDTH` bytes long and every row exactly as long as
+            /// `dst`.
+            #[target_feature(enable = $feature)]
+            unsafe fn mul_add_rows_simd(dst: &mut [u8], rows: &[Row<'_>]) {
+                let len = dst.len();
+                let dst = dst.as_mut_ptr();
+                let last = len - WIDTH;
+                let mut last_acc = $load(dst.add(last).cast());
+                let mut off = 0;
+                while off + 4 * WIDTH <= len {
+                    let d = dst.add(off);
+                    let mut acc = [
+                        $load(d.cast()),
+                        $load(d.add(WIDTH).cast()),
+                        $load(d.add(2 * WIDTH).cast()),
+                        $load(d.add(3 * WIDTH).cast()),
+                    ];
+                    for &(c, row) in rows {
+                        let tables = $tables(c);
+                        let s = row.as_ptr().add(off);
+                        for (k, a) in acc.iter_mut().enumerate() {
+                            *a = $xor(*a, $mul($load(s.add(k * WIDTH).cast()), tables));
+                        }
+                    }
+                    for (k, a) in acc.iter().enumerate() {
+                        $store(d.add(k * WIDTH).cast(), *a);
+                    }
+                    off += 4 * WIDTH;
+                }
+                while off + WIDTH <= len {
+                    let mut acc = $load(dst.add(off).cast());
+                    for &(c, row) in rows {
+                        let v = $load(row.as_ptr().add(off).cast());
+                        acc = $xor(acc, $mul(v, $tables(c)));
+                    }
+                    $store(dst.add(off).cast(), acc);
+                    off += WIDTH;
+                }
+                if off < len {
+                    for &(c, row) in rows {
+                        let v = $load(row.as_ptr().add(last).cast());
+                        last_acc = $xor(last_acc, $mul(v, $tables(c)));
+                    }
+                    $store(dst.add(last).cast(), last_acc);
+                }
+            }
         }
     };
 }
 
-avx2_kernel!(mul_slice_avx2, mul_slice, |_acc, prod| prod);
-avx2_kernel!(mul_add_slice_avx2, mul_add_slice, |acc, prod| {
-    _mm256_xor_si256(acc, prod)
-});
+pshufb_tier!(
+    ssse3,
+    "ssse3",
+    16,
+    tables16,
+    mul16,
+    _mm_loadu_si128,
+    _mm_storeu_si128,
+    _mm_xor_si128
+);
+pshufb_tier!(
+    avx2,
+    "avx2",
+    32,
+    tables32,
+    mul32,
+    _mm256_loadu_si256,
+    _mm256_storeu_si256,
+    _mm256_xor_si256
+);
 
-#[target_feature(enable = "avx2")]
-unsafe fn scale_slice_avx2(dst: &mut [u8], c: u8) {
-    let (lo_tbl, hi_tbl, low_mask) = broadcast_tables(c);
-    let split = dst.len() - dst.len() % 32;
-    let (body, tail) = dst.split_at_mut(split);
-    for d in body.chunks_exact_mut(32) {
-        let prod = mul32(
-            _mm256_loadu_si256(d.as_ptr().cast()),
-            lo_tbl,
-            hi_tbl,
-            low_mask,
-        );
-        _mm256_storeu_si256(d.as_mut_ptr().cast(), prod);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::gf256::Gf256;
+
+    #[test]
+    fn nibble_tables_split_the_product_row() {
+        for c in 0..=255u8 {
+            let row = Gf256::mul_row(c);
+            let pair = &NIBBLES.0[c as usize];
+            for i in 0..16 {
+                assert_eq!(pair[i], row[i], "lo c={c} i={i}");
+                assert_eq!(pair[16 + i], row[i << 4], "hi c={c} i={i}");
+            }
+        }
     }
-    super::scalar::scale_slice(tail, c);
 }

@@ -12,9 +12,10 @@
 //! * [`Gf2`], [`Gf16`], [`Gf65536`] — smaller/larger fields used by the
 //!   field-size ablation benches;
 //! * the [`Field`] trait abstracting over all of them;
-//! * [`bulk`] — slice kernels (`mul_slice`, `mul_add_slice`, ...) used by the
-//!   encoder/decoder/recoder inner loops, with runtime-dispatched
-//!   scalar/SWAR/SSSE3/AVX2 tiers (see [`bulk::KernelTier`]);
+//! * [`bulk`] — slice kernels (`mul_slice`, `mul_add_slice`, the fused row
+//!   combination `mul_add_rows`, ...) used by the encoder/decoder/recoder
+//!   inner loops, with runtime-dispatched scalar/SWAR/SSSE3/AVX2/GFNI
+//!   tiers (see [`bulk::KernelTier`]);
 //! * [`Matrix`] — a dense matrix over any [`Field`] with Gaussian
 //!   elimination, rank and inversion, used by the RLNC decoder and by tests.
 //!
@@ -32,7 +33,8 @@
 //! ```
 
 // `deny` rather than `forbid`: the explicit x86_64 SIMD kernels in
-// `bulk::x86` opt back in locally; everything else stays safe Rust.
+// `bulk::x86` and `bulk::gfni` opt back in locally; everything else stays
+// safe Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -40,4 +40,31 @@ fn env_var_pins_the_gfni_tier_and_matches_the_field() {
     let mut scaled = src.clone();
     bulk::scale_slice(&mut scaled, c);
     assert_eq!(scaled, dst);
+
+    // The dispatched row kernel on the pinned tier: lengths around the
+    // 64-byte vector, the 256-byte register block and the masked tail
+    // (52 = 1460 mod 64), row counts across the 32-row stack batch,
+    // coefficients 0 and 1 among them, rows at odd addresses.
+    for len in [
+        0usize, 1, 15, 16, 31, 32, 52, 63, 64, 65, 255, 256, 257, 1460,
+    ] {
+        for count in [0usize, 1, 2, 31, 32, 33, 64] {
+            let stride = len + 3;
+            let backing: Vec<u8> = (0..count * stride + 1)
+                .map(|i| (i as u32).wrapping_mul(2_654_435_761).to_le_bytes()[3])
+                .collect();
+            let rows: Vec<&[u8]> = (0..count)
+                .map(|i| &backing[i * stride + 1..][..len])
+                .collect();
+            let coeffs: Vec<u8> = (0..count).map(|i| (i as u8).wrapping_mul(37)).collect();
+            let mut got = vec![0x5Au8; len];
+            bulk::mul_add_rows(&mut got, coeffs.iter().copied().zip(rows.iter().copied()));
+            for (at, &byte) in got.iter().enumerate() {
+                let want = coeffs.iter().zip(&rows).fold(0x5Au8, |acc, (&c, row)| {
+                    acc ^ (Gf256::new(c) * Gf256::new(row[at])).value()
+                });
+                assert_eq!(byte, want, "len={len} rows={count} at={at}");
+            }
+        }
+    }
 }

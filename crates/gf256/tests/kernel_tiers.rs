@@ -78,6 +78,107 @@ fn every_tier_matches_field_reference_for_all_coefficients() {
     }
 }
 
+/// Lengths for the fused row kernel: around every vector width, the
+/// four-vector register block of each tier (64 / 128 / 256 bytes), the
+/// 52-byte tail of a 1460-byte payload, and the payload itself.
+const ROW_LENGTHS: &[usize] = &[0, 1, 15, 16, 31, 32, 52, 63, 64, 65, 255, 256, 257, 1460];
+
+/// Row counts around the dispatch layer's 32-row stack batch.
+const ROW_COUNTS: &[usize] = &[0, 1, 2, 31, 32, 33, 64];
+
+/// `dst0 ^ Σ cᵢ·rowᵢ`, one byte at a time through the field API.
+fn reference_rows(dst0: &[u8], coeffs: &[u8], rows: &[&[u8]]) -> Vec<u8> {
+    let mut want = dst0.to_vec();
+    for (&c, row) in coeffs.iter().zip(rows) {
+        for (w, p) in want.iter_mut().zip(reference_mul(row, c)) {
+            *w ^= p;
+        }
+    }
+    want
+}
+
+/// The fused row kernel: every tier × every length × every row count,
+/// rows at odd offsets inside one allocation, coefficients that include
+/// 0 (skipped by the front-end) and 1 (the identity operand).
+#[test]
+fn every_tier_row_kernel_matches_field_reference() {
+    let mut rng = StdRng::seed_from_u64(0x7135_0004);
+    for &len in ROW_LENGTHS {
+        for &count in ROW_COUNTS {
+            // Row i starts i % 7 + 1 bytes past a multiple of `len + 8`,
+            // so neither operand is aligned to anything.
+            let stride = len + 8;
+            let mut backing = vec![0u8; count * stride + 8];
+            rng.fill(&mut backing[..]);
+            let rows: Vec<&[u8]> = (0..count)
+                .map(|i| &backing[i * stride + i % 7 + 1..][..len])
+                .collect();
+            let mut coeffs = vec![0u8; count];
+            rng.fill(&mut coeffs[..]);
+            for (i, c) in coeffs.iter_mut().enumerate() {
+                match i % 5 {
+                    0 => *c = 0,
+                    3 => *c = 1,
+                    _ => {}
+                }
+            }
+            let mut dst_buf = vec![0u8; len + 3];
+            rng.fill(&mut dst_buf[..]);
+            let dst0 = &dst_buf[3..];
+            let want = reference_rows(dst0, &coeffs, &rows);
+            for tier in supported_tiers() {
+                let mut buf = dst_buf.clone();
+                tier.mul_add_rows(
+                    &mut buf[3..],
+                    coeffs.iter().copied().zip(rows.iter().copied()),
+                );
+                assert_eq!(
+                    &buf[3..],
+                    &want[..],
+                    "mul_add_rows tier={} len={len} rows={count}",
+                    tier.name()
+                );
+                assert_eq!(buf[..3], dst_buf[..3], "wrote before dst");
+            }
+            let mut buf = dst_buf.clone();
+            bulk::mul_add_rows(
+                &mut buf[3..],
+                coeffs.iter().copied().zip(rows.iter().copied()),
+            );
+            assert_eq!(&buf[3..], &want[..], "dispatched len={len} rows={count}");
+        }
+    }
+}
+
+/// Neither the masked nor the padded tail may touch a byte past the
+/// slice: the kernels run on the front of a longer buffer whose back is
+/// checked afterwards.
+#[test]
+fn no_tier_writes_past_the_slice() {
+    let mut rng = StdRng::seed_from_u64(0x7135_0005);
+    for &len in ROW_LENGTHS {
+        let mut src = vec![0u8; len + 64];
+        let mut guard = vec![0u8; len + 64];
+        rng.fill(&mut src[..]);
+        rng.fill(&mut guard[..]);
+        for tier in supported_tiers() {
+            let mut buf = guard.clone();
+            tier.mul_slice(&mut buf[..len], &src[..len], 0x53);
+            tier.mul_add_slice(&mut buf[..len], &src[..len], 0x8E);
+            tier.scale_slice(&mut buf[..len], 0xC7);
+            tier.mul_add_rows(&mut buf[..len], [(2u8, &src[..len]), (0xFF, &src[..len])]);
+            assert_eq!(buf[len..], guard[len..], "tier={} len={len}", tier.name());
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "length mismatch")]
+fn row_kernel_rejects_a_short_row() {
+    let mut dst = [0u8; 64];
+    bulk::mul_add_rows(&mut dst, [(3u8, &[1u8; 64][..]), (5, &[1u8; 63][..])]);
+}
+
 /// Slices that start 1..8 bytes past an allocation boundary, so the SIMD
 /// tiers cannot assume 16/32-byte alignment of either operand.
 #[test]

@@ -139,39 +139,28 @@ impl GenerationDecoder {
             }
         }
 
-        // Reduce into the reusable scratch row: redundant packets never
-        // touch the heap, innovative ones (at most `g` per generation) are
-        // copied out of the scratch when installed.
+        // Eliminate every pivot column from the incoming row into the
+        // reusable scratch rows (redundant packets never touch the heap).
+        // The matrix is kept fully reduced — a pivot row is 1 at its pivot
+        // and 0 at every other pivot column — so eliminating one pivot
+        // never changes the entry at another: the factor for each pivot
+        // row is the incoming coefficient itself, and the whole pass is
+        // one fused row-kernel call per side. Coefficients go first; the
+        // first nonzero left is the new pivot, and a packet that leaves
+        // none is redundant without its payload ever being read.
         self.coeff_scratch.copy_from_slice(coefficients);
-        self.data_scratch.copy_from_slice(payload);
-
-        // Eliminate every pivot column from the incoming row (pivot rows
-        // are normalized to 1 at their pivot, so the factor is the entry
-        // itself). The first nonzero entry in a pivot-free column becomes
-        // the new pivot; later pivot columns must still be eliminated to
-        // keep the matrix fully reduced.
-        let mut new_pivot = None;
-        for col in 0..g {
-            if self.coeff_scratch[col] == 0 {
-                continue;
-            }
-            match self.pivot_of_col[col] {
-                Some(row) => {
-                    let factor = self.coeff_scratch[col];
-                    bulk::mul_add_slice(&mut self.coeff_scratch, &self.coeff_rows[row], factor);
-                    bulk::mul_add_slice(&mut self.data_scratch, &self.payloads[row], factor);
-                    debug_assert_eq!(self.coeff_scratch[col], 0);
-                }
-                None => {
-                    if new_pivot.is_none() {
-                        new_pivot = Some(col);
-                    }
-                }
-            }
-        }
-        let Some(col) = new_pivot else {
+        bulk::mul_add_rows(
+            &mut self.coeff_scratch,
+            pivot_factors(coefficients, &self.pivot_of_col, &self.coeff_rows),
+        );
+        let Some(col) = self.coeff_scratch.iter().position(|&c| c != 0) else {
             return Ok(ReceiveOutcome::Redundant);
         };
+        self.data_scratch.copy_from_slice(payload);
+        bulk::mul_add_rows(
+            &mut self.data_scratch,
+            pivot_factors(coefficients, &self.pivot_of_col, &self.payloads),
+        );
         let inv = Gf256::new(self.coeff_scratch[col]).inv().value();
         bulk::scale_slice(&mut self.coeff_scratch, inv);
         bulk::scale_slice(&mut self.data_scratch, inv);
@@ -244,6 +233,20 @@ impl GenerationDecoder {
         }
         Ok(out)
     }
+}
+
+/// `(factor, row)` for every pivot row the incoming `coefficients` must be
+/// eliminated against: `rows` is the coefficient or the payload side of
+/// the matrix.
+pub(crate) fn pivot_factors<'a>(
+    coefficients: &'a [u8],
+    pivot_of_col: &'a [Option<usize>],
+    rows: &'a [Vec<u8>],
+) -> impl Iterator<Item = (u8, &'a [u8])> {
+    coefficients
+        .iter()
+        .zip(pivot_of_col)
+        .filter_map(move |(&c, pivot)| pivot.map(|row| (c, rows[row].as_slice())))
 }
 
 /// The index of the single nonzero coefficient, or `None` if there are

@@ -193,10 +193,9 @@ impl GenerationEncoder {
         for j in (g - d)..g {
             let t = rng.gen_range(0..=j);
             let pos = if coefficients[t] != 0 { j } else { t };
-            let c = rng.gen_range(1..=255u8);
-            coefficients[pos] = c;
-            bulk::mul_add_slice(&mut payload, &self.blocks[pos], c);
+            coefficients[pos] = rng.gen_range(1..=255u8);
         }
+        self.combine_into(&coefficients, &mut payload);
         CodedPacket::new(session, generation, coefficients.freeze(), payload.freeze())
     }
 
@@ -230,13 +229,11 @@ impl GenerationEncoder {
         }
     }
 
-    /// Computes `Σ coefficients[i] * block[i]` into `out` (which must be
-    /// `block_size` long; prior contents are overwritten).
+    /// Adds `Σ coefficients[i] * block[i]` to `out` (which must be
+    /// `block_size` long; callers pass a zeroed buffer). Blocks with a
+    /// zero coefficient cost nothing, so sparse vectors stay cheap.
     fn combine_into(&self, coefficients: &[u8], out: &mut [u8]) {
-        out.fill(0);
-        for (&c, block) in coefficients.iter().zip(self.blocks.iter()) {
-            bulk::mul_add_slice(out, block, c);
-        }
+        bulk::mul_add_rows(out, coefficients.iter().copied().zip(&self.blocks));
     }
 
     /// Borrow of the padded original blocks (used by tests and the object
@@ -254,6 +251,15 @@ mod tests {
 
     fn cfg() -> GenerationConfig {
         GenerationConfig::new(16, 4).unwrap()
+    }
+
+    /// `Σ cᵢ·blockᵢ` one row at a time, independent of the fused kernel.
+    fn manual_combination(enc: &GenerationEncoder, pkt: &CodedPacket) -> Vec<u8> {
+        let mut expect = vec![0u8; enc.config().block_size()];
+        for (&c, block) in pkt.coefficients().iter().zip(enc.blocks()) {
+            bulk::mul_add_slice(&mut expect, block, c);
+        }
+        expect
     }
 
     #[test]
@@ -292,10 +298,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let pkt = enc.coded_packet(SessionId::new(1), 3, &mut rng);
         assert_eq!(pkt.generation(), 3);
-        let mut expect = vec![0u8; 16];
-        let rows: Vec<&[u8]> = enc.blocks().iter().map(|b| b.as_slice()).collect();
-        bulk::linear_combine(&mut expect, pkt.coefficients(), &rows);
-        assert_eq!(pkt.payload(), expect.as_slice());
+        assert_eq!(pkt.payload(), manual_combination(&enc, &pkt));
     }
 
     #[test]
@@ -318,10 +321,7 @@ mod tests {
             .map(|_| enc.coded_packet_pooled(SessionId::new(2), 1, &mut rng, &mut pool))
             .collect();
         for pkt in &out {
-            let mut expect = vec![0u8; 16];
-            let rows: Vec<&[u8]> = enc.blocks().iter().map(|b| b.as_slice()).collect();
-            bulk::linear_combine(&mut expect, pkt.coefficients(), &rows);
-            assert_eq!(pkt.payload(), expect.as_slice());
+            assert_eq!(pkt.payload(), manual_combination(&enc, pkt));
         }
         for pkt in out.drain(..) {
             assert_eq!(pool.recycle(pkt), 2);

@@ -9,16 +9,25 @@
 //!
 //! The tracker keeps only the coefficient rows, reduced to row-echelon form,
 //! mirroring the elimination the decoder performs — no payloads, so the cost
-//! per check is O(g^2) byte operations.
+//! per check is O(g^2) byte operations. [`Recoder`](crate::Recoder) uses it
+//! the same way: a relay only needs to know *whether* a packet is
+//! innovative, never its reduced form.
 
+use ncvnf_gf256::bulk;
 use ncvnf_gf256::{Field, Gf256};
 
 /// Tracks the rank of a growing set of GF(2^8) coefficient vectors.
 #[derive(Debug, Clone)]
 pub struct RankTracker {
     generation_size: usize,
-    /// Rows in echelon form, sorted by leading index; all leading entries 1.
-    rows: Vec<Vec<u8>>,
+    /// Leading (first nonzero) index of each stored row.
+    leads: Vec<usize>,
+    /// The stored rows back to back, `generation_size` bytes each, in the
+    /// order they were absorbed. Echelon form: a row's leading entry is 1,
+    /// and the row is zero at the leading index of every row before it —
+    /// which is all that eliminating in that same order needs, so rows are
+    /// appended, never sorted or moved.
+    rows: Vec<u8>,
     scratch: Vec<u8>,
 }
 
@@ -27,23 +36,25 @@ impl RankTracker {
     pub fn new(generation_size: usize) -> Self {
         Self {
             generation_size,
-            rows: Vec::with_capacity(generation_size),
+            leads: Vec::with_capacity(generation_size),
+            rows: Vec::new(),
             scratch: vec![0u8; generation_size],
         }
     }
 
     /// Current rank of the absorbed set.
     pub fn rank(&self) -> usize {
-        self.rows.len()
+        self.leads.len()
     }
 
     /// True once the absorbed set spans the whole generation.
     pub fn is_full(&self) -> bool {
-        self.rows.len() == self.generation_size
+        self.leads.len() == self.generation_size
     }
 
     /// Forget everything; ready for the next generation.
     pub fn reset(&mut self) {
+        self.leads.clear();
         self.rows.clear();
     }
 
@@ -60,17 +71,11 @@ impl RankTracker {
         }
         match self.reduce(coefficients) {
             Some(lead) => {
-                let pivot = self.scratch[lead];
-                let inv = (Gf256::ONE / Gf256::new(pivot)).value();
-                let row: Vec<u8> = self
-                    .scratch
-                    .iter()
-                    .map(|&v| (Gf256::new(v) * Gf256::new(inv)).value())
-                    .collect();
-                let pos = self
-                    .rows
-                    .partition_point(|r| leading_index(r).unwrap_or(usize::MAX) < lead);
-                self.rows.insert(pos, row);
+                let inv = Gf256::new(self.scratch[lead]).inv().value();
+                let start = self.rows.len();
+                self.rows.extend_from_slice(&self.scratch);
+                bulk::scale_slice(&mut self.rows[start..], inv);
+                self.leads.push(lead);
                 true
             }
             None => false,
@@ -95,16 +100,13 @@ impl RankTracker {
         if nonzero.next().is_some() {
             return false;
         }
-        // Rows are sorted by leading index; a stored row leading at `col`
-        // is a unit row iff nothing follows the (normalized) pivot.
-        let pos = self
-            .rows
-            .partition_point(|r| leading_index(r).unwrap_or(usize::MAX) < col);
-        matches!(
-            self.rows.get(pos),
-            Some(row) if leading_index(row) == Some(col)
-                && row[col + 1..].iter().all(|&v| v == 0)
-        )
+        // A stored row leading at `col` is a unit row iff nothing follows
+        // the (normalized) pivot.
+        let rows = self.rows.chunks_exact(self.generation_size);
+        self.leads
+            .iter()
+            .zip(rows)
+            .any(|(&lead, row)| lead == col && row[col + 1..].iter().all(|&v| v == 0))
     }
 
     /// Eliminate `coefficients` against the stored rows into `self.scratch`;
@@ -116,22 +118,20 @@ impl RankTracker {
             self.generation_size,
             "coefficient vector length must match the generation size"
         );
-        self.scratch.copy_from_slice(coefficients);
-        for row in &self.rows {
-            let lead = leading_index(row).expect("stored rows are nonzero");
-            let factor = self.scratch[lead];
-            if factor != 0 {
-                for (s, &r) in self.scratch.iter_mut().zip(row.iter()) {
-                    *s = (Gf256::new(*s) + Gf256::new(factor) * Gf256::new(r)).value();
-                }
-            }
+        if self.is_full() {
+            return None;
         }
-        leading_index(&self.scratch)
+        self.scratch.copy_from_slice(coefficients);
+        // Each factor depends on the eliminations before it (the rows are
+        // in echelon, not reduced, form), so this pass cannot be one fused
+        // row-kernel call; the rows are only `g` bytes long.
+        let rows = self.rows.chunks_exact(self.generation_size);
+        for (&lead, row) in self.leads.iter().zip(rows) {
+            let factor = self.scratch[lead];
+            bulk::mul_add_slice(&mut self.scratch, row, factor);
+        }
+        self.scratch.iter().position(|&v| v != 0)
     }
-}
-
-fn leading_index(row: &[u8]) -> Option<usize> {
-    row.iter().position(|&v| v != 0)
 }
 
 #[cfg(test)]

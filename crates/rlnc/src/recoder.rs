@@ -8,6 +8,7 @@ use crate::config::{CodingMode, GenerationConfig};
 use crate::error::CodecError;
 use crate::header::{CodedPacket, SessionId};
 use crate::pool::PayloadPool;
+use crate::rank::RankTracker;
 
 /// Recodes coded packets of one generation inside the network.
 ///
@@ -22,15 +23,16 @@ pub struct Recoder {
     config: GenerationConfig,
     session: SessionId,
     generation: u64,
-    /// Buffered (coefficient, payload) rows. Only linearly independent rows
-    /// are retained to bound memory and maximize the innovation of outputs.
+    /// Buffered (coefficient, payload) rows, exactly as received. Only
+    /// linearly independent rows are retained to bound memory and maximize
+    /// the innovation of outputs.
     coeff_rows: Vec<Vec<u8>>,
     payloads: Vec<Vec<u8>>,
-    /// Reusable elimination workspace — incoming packets are reduced here
-    /// so the per-packet path performs no heap allocation.
-    coeff_scratch: Vec<u8>,
-    data_scratch: Vec<u8>,
-    /// Reusable local mixing weights for [`recode_into`](Self::recode_into).
+    /// Decides innovation from the coefficient vectors alone: a relay needs
+    /// the span of what it buffered, never a reduced form of it, so
+    /// absorbing a packet costs no payload arithmetic.
+    span: RankTracker,
+    /// Reusable local mixing weights, one per buffered row.
     weights_scratch: Vec<u8>,
     packets_in: u64,
     packets_out: u64,
@@ -45,8 +47,7 @@ impl Recoder {
             generation,
             coeff_rows: Vec::with_capacity(config.blocks_per_generation()),
             payloads: Vec::with_capacity(config.blocks_per_generation()),
-            coeff_scratch: vec![0u8; config.blocks_per_generation()],
-            data_scratch: vec![0u8; config.block_size()],
+            span: RankTracker::new(config.blocks_per_generation()),
             weights_scratch: Vec::with_capacity(config.blocks_per_generation()),
             packets_in: 0,
             packets_out: 0,
@@ -100,34 +101,11 @@ impl Recoder {
             });
         }
         self.packets_in += 1;
-        if self.rank() == g {
+        if !self.span.absorb(coefficients) {
             return Ok(false);
         }
-        // Gaussian elimination against the buffer to test innovation. Runs
-        // in the reusable scratch rows; only an innovative packet (at most
-        // `g` per generation) is copied out of them into the buffer.
-        self.coeff_scratch.copy_from_slice(coefficients);
-        self.data_scratch.copy_from_slice(payload);
-        for row in 0..self.coeff_rows.len() {
-            let lead = leading_index(&self.coeff_rows[row]).expect("buffered rows are nonzero");
-            if self.coeff_scratch[lead] != 0 {
-                let factor = mul_div(self.coeff_scratch[lead], self.coeff_rows[row][lead]);
-                bulk::mul_add_slice(&mut self.coeff_scratch, &self.coeff_rows[row], factor);
-                bulk::mul_add_slice(&mut self.data_scratch, &self.payloads[row], factor);
-            }
-        }
-        if self.coeff_scratch.iter().all(|&c| c == 0) {
-            return Ok(false);
-        }
-        // Keep rows sorted by leading index so elimination stays triangular.
-        self.coeff_rows.push(self.coeff_scratch.clone());
-        self.payloads.push(self.data_scratch.clone());
-        let mut i = self.coeff_rows.len() - 1;
-        while i > 0 && leading_index(&self.coeff_rows[i]) < leading_index(&self.coeff_rows[i - 1]) {
-            self.coeff_rows.swap(i, i - 1);
-            self.payloads.swap(i, i - 1);
-            i -= 1;
-        }
+        self.coeff_rows.push(coefficients.to_vec());
+        self.payloads.push(payload.to_vec());
         Ok(true)
     }
 
@@ -170,7 +148,6 @@ impl Recoder {
         if self.coeff_rows.is_empty() {
             return Err(CodecError::EmptyRecoder);
         }
-        let g = self.config.blocks_per_generation();
         // Draw local mixing weights; make sure at least one is nonzero.
         self.weights_scratch.resize(self.coeff_rows.len(), 0);
         loop {
@@ -179,19 +156,7 @@ impl Recoder {
                 break;
             }
         }
-        let mut coefficients = pool.checkout_zeroed(g);
-        let mut payload = pool.checkout_zeroed(self.config.block_size());
-        for (i, &w) in self.weights_scratch.iter().enumerate() {
-            bulk::mul_add_slice(&mut coefficients, &self.coeff_rows[i], w);
-            bulk::mul_add_slice(&mut payload, &self.payloads[i], w);
-        }
-        self.packets_out += 1;
-        Ok(CodedPacket::new(
-            self.session,
-            self.generation,
-            coefficients.freeze(),
-            payload.freeze(),
-        ))
+        Ok(self.emit(pool))
     }
 
     /// Sparse recombination: mixes only `width` randomly chosen buffered
@@ -216,11 +181,8 @@ impl Recoder {
         if self.coeff_rows.is_empty() {
             return Err(CodecError::EmptyRecoder);
         }
-        let g = self.config.blocks_per_generation();
         let n = self.coeff_rows.len();
         let d = width.clamp(1, n);
-        let mut coefficients = pool.checkout_zeroed(g);
-        let mut payload = pool.checkout_zeroed(self.config.block_size());
         // Floyd's sampling: d distinct row indices, weights recorded in
         // the scratch so duplicates are detectable.
         self.weights_scratch.clear();
@@ -228,18 +190,27 @@ impl Recoder {
         for j in (n - d)..n {
             let t = rng.gen_range(0..=j);
             let row = if self.weights_scratch[t] != 0 { j } else { t };
-            let w = rng.gen_range(1..=255u8);
-            self.weights_scratch[row] = w;
-            bulk::mul_add_slice(&mut coefficients, &self.coeff_rows[row], w);
-            bulk::mul_add_slice(&mut payload, &self.payloads[row], w);
+            self.weights_scratch[row] = rng.gen_range(1..=255u8);
         }
+        Ok(self.emit(pool))
+    }
+
+    /// Emits `Σ weightᵢ · rowᵢ` over the buffer (coefficients and payload
+    /// alike) with the weights in the scratch; rows with weight zero cost
+    /// nothing.
+    fn emit(&mut self, pool: &mut PayloadPool) -> CodedPacket {
+        let mut coefficients = pool.checkout_zeroed(self.config.blocks_per_generation());
+        let mut payload = pool.checkout_zeroed(self.config.block_size());
+        let weights = self.weights_scratch.iter().copied();
+        bulk::mul_add_rows(&mut coefficients, weights.clone().zip(&self.coeff_rows));
+        bulk::mul_add_rows(&mut payload, weights.zip(&self.payloads));
         self.packets_out += 1;
-        Ok(CodedPacket::new(
+        CodedPacket::new(
             self.session,
             self.generation,
             coefficients.freeze(),
             payload.freeze(),
-        ))
+        )
     }
 
     /// The mode-aware emitter: sparse traffic is recoded sparsely (the
@@ -260,17 +231,6 @@ impl Recoder {
             CodingMode::Dense | CodingMode::Systematic => self.recode_into(rng, pool),
         }
     }
-}
-
-/// Index of the first nonzero coefficient.
-fn leading_index(coeffs: &[u8]) -> Option<usize> {
-    coeffs.iter().position(|&c| c != 0)
-}
-
-/// `a / b` over GF(2^8) for the elimination factor.
-fn mul_div(a: u8, b: u8) -> u8 {
-    use ncvnf_gf256::Gf256;
-    (Gf256::new(a) / Gf256::new(b)).value()
 }
 
 #[cfg(test)]

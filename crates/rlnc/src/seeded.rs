@@ -174,8 +174,7 @@ mod tests {
             // Source side: expand the seed, combine, ship seed + payload.
             let coefficients = expand_coefficients(seed, 4);
             let mut payload = vec![0u8; cfg.block_size()];
-            let rows: Vec<&[u8]> = enc.blocks().iter().map(|b| b.as_slice()).collect();
-            bulk::linear_combine(&mut payload, &coefficients, &rows);
+            bulk::mul_add_rows(&mut payload, coefficients.iter().copied().zip(enc.blocks()));
             let pkt = SeededPacket {
                 session: SessionId::new(1),
                 generation: 0,

@@ -63,6 +63,7 @@ use rand::Rng;
 use ncvnf_gf256::bulk;
 use ncvnf_gf256::{Field, Gf256};
 
+use crate::decoder::pivot_factors;
 use crate::error::CodecError;
 use crate::header::{CodedPacket, SessionId};
 use crate::pool::PayloadPool;
@@ -245,9 +246,10 @@ impl WindowEncoder {
             }
         }
         let mut payload = pool.checkout_zeroed(self.config.symbol_size());
-        for (&c, symbol) in coefficients.iter().zip(self.symbols.iter()) {
-            bulk::mul_add_slice(&mut payload, symbol, c);
-        }
+        bulk::mul_add_rows(
+            &mut payload,
+            coefficients.iter().copied().zip(&self.symbols),
+        );
         Ok(CodedPacket::window(
             self.session,
             self.base,
@@ -410,28 +412,24 @@ impl WindowDecoder {
             return Ok(WindowOutcome::Redundant);
         }
 
-        // Standard progressive RREF absorb over the relative columns.
-        let mut new_pivot = None;
-        for col in 0..cap {
-            if self.coeff_scratch[col] == 0 {
-                continue;
-            }
-            match self.pivot_of[col] {
-                Some(row) => {
-                    let factor = self.coeff_scratch[col];
-                    bulk::mul_add_slice(&mut self.coeff_scratch, &self.rows[row], factor);
-                    bulk::mul_add_slice(&mut self.data_scratch, &self.payloads[row], factor);
-                }
-                None => {
-                    if new_pivot.is_none() {
-                        new_pivot = Some(col);
-                    }
-                }
-            }
-        }
-        let Some(col) = new_pivot else {
+        // Standard progressive RREF absorb over the relative columns. The
+        // rows are fully reduced, so each pivot row's factor is the
+        // aligned coefficient itself and elimination is one fused call
+        // per side (see `GenerationDecoder::receive`).
+        let mut aligned = [0u8; CodedPacket::MAX_WIDTH];
+        let aligned = &mut aligned[..cap];
+        aligned.copy_from_slice(&self.coeff_scratch);
+        bulk::mul_add_rows(
+            &mut self.coeff_scratch,
+            pivot_factors(aligned, &self.pivot_of, &self.rows),
+        );
+        let Some(col) = self.coeff_scratch.iter().position(|&c| c != 0) else {
             return Ok(WindowOutcome::Redundant);
         };
+        bulk::mul_add_rows(
+            &mut self.data_scratch,
+            pivot_factors(aligned, &self.pivot_of, &self.payloads),
+        );
         let inv = Gf256::new(self.coeff_scratch[col]).inv().value();
         bulk::scale_slice(&mut self.coeff_scratch, inv);
         bulk::scale_slice(&mut self.data_scratch, inv);
@@ -665,18 +663,19 @@ impl WindowRecoder {
                 self.coeff_scratch[rel] = c;
             }
         }
-        for row in 0..self.rows.len() {
-            let lead = self.rows[row]
-                .iter()
-                .position(|&c| c != 0)
-                .expect("buffered rows are nonzero");
-            let factor = self.coeff_scratch[lead];
-            if factor != 0 {
-                // Leading entries are normalized to 1 on insert.
-                bulk::mul_add_slice(&mut self.coeff_scratch, &self.rows[row], factor);
-                bulk::mul_add_slice(&mut self.data_scratch, &self.payloads[row], factor);
-            }
+        // The rows are in echelon (not reduced) form, so each factor
+        // depends on the eliminations before it: that pass runs on the
+        // short coefficient rows and records the factors, and the payload
+        // side is then one fused call.
+        self.weights_scratch.clear();
+        for row in &self.rows {
+            // Leading entries are normalized to 1 on insert.
+            let factor = self.coeff_scratch[leading(row)];
+            bulk::mul_add_slice(&mut self.coeff_scratch, row, factor);
+            self.weights_scratch.push(factor);
         }
+        let factors = self.weights_scratch.iter().copied();
+        bulk::mul_add_rows(&mut self.data_scratch, factors.zip(&self.payloads));
         let Some(lead) = self.coeff_scratch.iter().position(|&c| c != 0) else {
             return Ok(false);
         };
@@ -718,10 +717,9 @@ impl WindowRecoder {
         }
         let mut combined = pool.checkout_zeroed(cap);
         let mut payload = pool.checkout_zeroed(self.config.symbol_size());
-        for (i, &w) in self.weights_scratch.iter().enumerate() {
-            bulk::mul_add_slice(&mut combined, &self.rows[i], w);
-            bulk::mul_add_slice(&mut payload, &self.payloads[i], w);
-        }
+        let weights = self.weights_scratch.iter().copied();
+        bulk::mul_add_rows(&mut combined, weights.clone().zip(&self.rows));
+        bulk::mul_add_rows(&mut payload, weights.zip(&self.payloads));
         // Trim to the populated span so the wire width stays minimal.
         let width = combined.iter().rposition(|&c| c != 0).map_or(1, |p| p + 1);
         combined.resize(width, 0);

@@ -11,9 +11,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ncvnf_gf256::bulk;
 use ncvnf_rlnc::{
-    CodingMode, GenerationConfig, GenerationEncoder, PayloadPool, Recoder, SessionId, WindowConfig,
-    WindowEncoder, WindowRecoder,
+    CodingMode, GenerationConfig, GenerationDecoder, GenerationEncoder, PayloadPool,
+    ReceiveOutcome, Recoder, SessionId, WindowConfig, WindowEncoder, WindowRecoder,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -144,6 +145,114 @@ fn warm_encode_and_recode_paths_do_not_allocate() {
     assert_eq!(
         recode_allocs, 0,
         "warm recode must not touch the heap (256 packets recoded)"
+    );
+
+    // The sparse emitter shares the pool and the weight scratch.
+    let sparse = CodingMode::Sparse { nonzeros: 3 };
+    for _ in 0..16 {
+        let pkt = recoder
+            .recode_mode_into(sparse, &mut rng, &mut pool)
+            .expect("recoder is non-empty");
+        pool.recycle(pkt);
+    }
+    let sparse_recode_allocs = heap_ops_during(|| {
+        for _ in 0..256 {
+            let pkt = recoder
+                .recode_mode_into(sparse, &mut rng, &mut pool)
+                .expect("recoder is non-empty");
+            pool.recycle(pkt);
+        }
+    });
+    assert_eq!(
+        sparse_recode_allocs, 0,
+        "warm sparse recode must not touch the heap"
+    );
+}
+
+/// The fused row kernel batches its row pointers through a stack array:
+/// any number of rows, on either side of the 32-row batch, costs no heap
+/// operation.
+#[test]
+fn row_kernel_does_not_allocate() {
+    const ROWS: usize = 70;
+    let mut rng = StdRng::seed_from_u64(0x0F05_ED01);
+    let rows: Vec<Vec<u8>> = (0..ROWS)
+        .map(|_| {
+            let mut row = vec![0u8; 1460];
+            rng.fill(&mut row[..]);
+            row
+        })
+        .collect();
+    let mut coeffs = [0u8; ROWS];
+    rng.fill(&mut coeffs[..]);
+    let mut dst = vec![0u8; 1460];
+    let allocs = heap_ops_during(|| {
+        for count in [1, 31, 32, 33, ROWS] {
+            let pairs = coeffs[..count].iter().copied();
+            bulk::mul_add_rows(&mut dst, pairs.zip(&rows));
+        }
+    });
+    assert_eq!(allocs, 0, "the row kernel must not touch the heap");
+}
+
+/// Packets that add no rank — duplicates below full rank (reduced in the
+/// scratch rows, payload never read) and anything past full rank — cost
+/// a decoder and a recoder no heap operation.
+#[test]
+fn redundant_packets_do_not_allocate() {
+    const G: usize = 8;
+    let config = GenerationConfig::new(256, G).expect("valid layout");
+    let mut rng = StdRng::seed_from_u64(0x0DD5_0DD5);
+    let mut data = vec![0u8; config.generation_payload()];
+    rng.fill(&mut data[..]);
+    let encoder = GenerationEncoder::new(config, &data).expect("valid generation");
+    let session = SessionId::new(45);
+    let packets: Vec<_> = (0..G + 4)
+        .map(|_| encoder.coded_packet(session, 0, &mut rng))
+        .collect();
+
+    let mut decoder = GenerationDecoder::new(config);
+    let mut recoder = Recoder::new(config, session, 0);
+    for pkt in &packets[..G / 2] {
+        decoder
+            .receive(pkt.coefficients(), pkt.payload())
+            .expect("layout matches");
+        recoder
+            .absorb(pkt.coefficients(), pkt.payload())
+            .expect("layout matches");
+    }
+    let replay = |decoder: &mut GenerationDecoder, recoder: &mut Recoder, want| {
+        heap_ops_during(|| {
+            for pkt in &packets[..G / 2] {
+                let outcome = decoder
+                    .receive(pkt.coefficients(), pkt.payload())
+                    .expect("layout matches");
+                assert_eq!(outcome, want);
+                let innovative = recoder
+                    .absorb(pkt.coefficients(), pkt.payload())
+                    .expect("layout matches");
+                assert!(!innovative);
+            }
+        })
+    };
+    assert_eq!(
+        replay(&mut decoder, &mut recoder, ReceiveOutcome::Redundant),
+        0,
+        "duplicates below full rank must not touch the heap"
+    );
+    for pkt in &packets {
+        decoder
+            .receive(pkt.coefficients(), pkt.payload())
+            .expect("layout matches");
+        recoder
+            .absorb(pkt.coefficients(), pkt.payload())
+            .expect("layout matches");
+    }
+    assert!(decoder.is_complete());
+    assert_eq!(
+        replay(&mut decoder, &mut recoder, ReceiveOutcome::AlreadyComplete),
+        0,
+        "packets past full rank must not touch the heap"
     );
 }
 

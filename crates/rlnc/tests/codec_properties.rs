@@ -1,13 +1,14 @@
 //! Property-based tests for the RLNC codec.
 
+use ncvnf_gf256::bulk;
 use ncvnf_rlnc::{
     CodedPacket, CodingMode, GenerationConfig, GenerationDecoder, GenerationEncoder, ObjectDecoder,
-    ObjectEncoder, PayloadPool, ReceiveOutcome, Recoder, SessionId, WindowConfig, WindowDecoder,
-    WindowEncoder, WindowOutcome,
+    ObjectEncoder, PayloadPool, RankTracker, ReceiveOutcome, Recoder, SessionId, WindowConfig,
+    WindowDecoder, WindowEncoder, WindowOutcome,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -66,6 +67,66 @@ proptest! {
             prop_assert!(sent < 60 * g, "failed to converge through chain");
         }
         prop_assert_eq!(dec.decoded_payload().unwrap(), data);
+    }
+
+    /// A recoder buffers packets as received and judges innovation from
+    /// the coefficient vectors alone: whatever mix of dense, systematic,
+    /// duplicate and scaled-duplicate packets it is fed, its rank is a
+    /// `RankTracker`'s, and what it emits (dense or sparse) still decodes
+    /// to the source through a second recoding hop.
+    #[test]
+    fn recoder_rank_and_output_survive_any_input_mix(
+        g in 1usize..9,
+        block in 1usize..70,
+        seed in any::<u64>(),
+        kinds in prop::collection::vec(0u8..4, 1..40),
+        scale in 2u8..255,
+    ) {
+        let cfg = GenerationConfig::new(block, g).unwrap();
+        let session = SessionId::new(9);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut data = vec![0u8; cfg.generation_payload()];
+        rng.fill(&mut data[..]);
+        let enc = GenerationEncoder::new(cfg, &data).unwrap();
+        let mut first = Recoder::new(cfg, session, 0);
+        let mut tracker = RankTracker::new(g);
+        let mut last = enc.coded_packet(session, 0, &mut rng);
+        // The scripted mix, then dense packets until the relay can span
+        // the generation.
+        let mut script = kinds.into_iter();
+        while first.rank() < g {
+            let pkt = match script.next() {
+                Some(1) => enc.systematic_packet(session, 0, rng.gen_range(0..g)),
+                Some(2) => last.clone(),
+                Some(3) => {
+                    let mut coeffs = last.coefficients().to_vec();
+                    let mut payload = last.payload().to_vec();
+                    bulk::scale_slice(&mut coeffs, scale);
+                    bulk::scale_slice(&mut payload, scale);
+                    CodedPacket::new(session, 0, coeffs.into(), bytes::Bytes::from(payload))
+                }
+                _ => enc.coded_packet(session, 0, &mut rng),
+            };
+            let innovative = first.absorb(pkt.coefficients(), pkt.payload()).unwrap();
+            prop_assert_eq!(innovative, tracker.absorb(pkt.coefficients()));
+            prop_assert_eq!(first.rank(), tracker.rank());
+            last = pkt;
+        }
+        let mut pool = PayloadPool::new();
+        for mode in [CodingMode::Dense, CodingMode::Sparse { nonzeros: 2 }] {
+            let mut second = Recoder::new(cfg, session, 0);
+            let mut dec = GenerationDecoder::new(cfg);
+            let mut hops = 0;
+            while !dec.is_complete() {
+                let mid = first.recode_mode_into(mode, &mut rng, &mut pool).unwrap();
+                second.absorb(mid.coefficients(), mid.payload()).unwrap();
+                let out = second.recode_mode_into(mode, &mut rng, &mut pool).unwrap();
+                dec.receive(out.coefficients(), out.payload()).unwrap();
+                hops += 1;
+                prop_assert!(hops < 400 * g, "mode {:?} failed to converge", mode);
+            }
+            prop_assert_eq!(&dec.decoded_payload().unwrap()[..], &data[..]);
+        }
     }
 
     /// Decoder rank equals g exactly when decoding succeeds; feeding only
