@@ -13,8 +13,9 @@
 //!   application from the evaluation, written once: a source streams a
 //!   coded object, the receiver decodes and verifies it byte-exactly,
 //!   with feedback-driven loss recovery in between (NACK/ACK over the
-//!   `ncvnf-dataplane` feedback codec, bounded retransmission with
-//!   exponential backoff, AIMD-adaptive redundancy). Zero retries and no
+//!   `ncvnf-dataplane` feedback codec, NACKs on evidence of loss,
+//!   bounded retransmission gated on the measured round trip, redundancy
+//!   sized from the estimated erasure rate). Zero retries and no
 //!   feedback peer make it best-effort; [`send_window_reliable`] /
 //!   [`ReliableReceiver::spawn_window`] run the same loop and thread
 //!   over the sliding-window codec;

@@ -674,13 +674,40 @@ pub const RECOVERY_UNRECOVERED: MetricDesc = desc(
     "Generations never ACKed when the source gave up",
 );
 
-/// `recovery.backoff_ns` — backoff waits scheduled between retries.
+/// `recovery.backoff_ns` — retry gates armed by repair rounds.
 pub const RECOVERY_BACKOFF_NS: MetricDesc = desc(
     "recovery.backoff_ns",
     MetricKind::Histogram,
     "ns",
     "relay",
-    "Exponential-backoff waits scheduled between retransmission rounds",
+    "Gate armed by each repair round: measured round trip x 4^(retry-1), at most backoff_base x 2^(retry-1) (source)",
+);
+
+/// `recovery.nack_delay_ns` — a unit's last arrival to its first NACK.
+pub const RECOVERY_NACK_DELAY_NS: MetricDesc = desc(
+    "recovery.nack_delay_ns",
+    MetricKind::Histogram,
+    "ns",
+    "relay",
+    "From the last arrival for a generation (windowed: the delivery cursor) to its first NACK (receiver)",
+);
+
+/// `recovery.rtt_ns` — round trips measured by either end.
+pub const RECOVERY_RTT_NS: MetricDesc = desc(
+    "recovery.rtt_ns",
+    MetricKind::Histogram,
+    "ns",
+    "relay",
+    "Measured round trips: first NACK to first repair arrival (receiver), repair burst to ACK (source)",
+);
+
+/// `recovery.loss_estimate` — the source's erasure-rate estimate.
+pub const RECOVERY_LOSS_ESTIMATE: MetricDesc = desc(
+    "recovery.loss_estimate",
+    MetricKind::Gauge,
+    "ratio",
+    "relay",
+    "Erasure-rate estimate from resolved generations: missing over sent (source)",
 );
 
 /// `recovery.pace_lag_ns` — how late each emission left the source.
@@ -743,8 +770,14 @@ pub struct RecoveryMetrics {
     pub generations_recovered: Counter,
     /// Generations abandoned (source).
     pub unrecovered: Counter,
-    /// Backoff waits scheduled (source).
+    /// Retry gates armed (source).
     pub backoff_ns: Histogram,
+    /// Last arrival to first NACK (receiver).
+    pub nack_delay_ns: Histogram,
+    /// Measured round trips (both ends).
+    pub rtt_ns: Histogram,
+    /// Erasure-rate estimate (source).
+    pub loss_estimate: Gauge,
     /// Lateness of each emission against its pacing deadline (source).
     pub pace_lag_ns: Histogram,
     /// Congestion frames honoured (source).
@@ -771,6 +804,9 @@ impl RecoveryMetrics {
             generations_recovered: registry.counter(RECOVERY_GENERATIONS_RECOVERED),
             unrecovered: registry.counter(RECOVERY_UNRECOVERED),
             backoff_ns: registry.histogram(RECOVERY_BACKOFF_NS),
+            nack_delay_ns: registry.histogram(RECOVERY_NACK_DELAY_NS),
+            rtt_ns: registry.histogram(RECOVERY_RTT_NS),
+            loss_estimate: registry.gauge(RECOVERY_LOSS_ESTIMATE),
             pace_lag_ns: registry.histogram(RECOVERY_PACE_LAG_NS),
             congestion_events: registry.counter(RECOVERY_CONGESTION_EVENTS),
             backpressure_ns: registry.histogram(RECOVERY_BACKPRESSURE_NS),

@@ -9,24 +9,32 @@
 //! * one source loop (`run_source`) emits fresh data at `rate_bps` and,
 //!   in between, answers repair requests with *fresh* random
 //!   combinations (innovative with overwhelming probability, so it never
-//!   needs to know which packets were lost). It polls its socket without
-//!   blocking and sleeps on deadlines; a socket timeout never paces it;
+//!   needs to know which packets were lost);
 //! * one receiver thread ([`ReliableReceiver`]) reassembles the object,
-//!   acknowledges progress and asks for repairs when it stalls, using the
+//!   acknowledges progress and asks for repairs, using the
 //!   `ncvnf-dataplane` feedback codec (sent straight back to the source —
 //!   feedback does not traverse the coding relays);
+//! * both ends poll their socket without blocking and sleep on deadlines
+//!   (`Port`); a socket timeout never paces either;
 //! * both are written over a private framing seam with the two codings
 //!   the codec ships: **generational** ([`send_object_reliable`] /
 //!   [`ReliableReceiver::spawn`]: per-generation ACK/NACK, bounded
-//!   retries with exponential backoff, and an [`AdaptiveRedundancy`]
-//!   AIMD controller that raises the per-generation redundancy once per
-//!   repair round a loss causes and decays it once the path is clean) and
-//!   **sliding-window** ([`send_window_reliable`] /
+//!   retries) and **sliding-window** ([`send_window_reliable`] /
 //!   [`ReliableReceiver::spawn_window`]: systematic symbols, cumulative
 //!   [`WindowAck`]s, repair bursts over the live window);
 //! * a best-effort transfer is not a third implementation: it is the
 //!   generational source with `max_retries: 0` (it returns the instant
 //!   the last generation leaves) and the receiver with no feedback peer.
+//!
+//! Recovery acts on **evidence, not timers**: the receiver's `NackClock`
+//! asks for a generation (a windowed stream's delivery cursor) as soon as
+//! later data shows it short of packets, for a tail one measured round
+//! trip after the stream goes quiet, and again a round trip after the
+//! last NACK; the source gates retry *k* on the round trip it measures
+//! × 4^(k−1), and its [`AdaptiveRedundancy`] erasure estimate puts extra
+//! packets only on repair rounds whose failure the paced fresh pass would
+//! no longer hide. The durations in [`RecoveryConfig`] are ceilings on all of this,
+//! and what is used until a measurement exists.
 //!
 //! [`reliable_chain`] assembles the whole thing — source → (optionally
 //! fault-injected) relays → receiver — for the loopback, chaos and
@@ -50,8 +58,7 @@ use ncvnf_obs::{Counter, Snapshot, TraceKind};
 use ncvnf_rlnc::window::{WindowConfig, WindowDecoder, WindowEncoder, WindowOutcome};
 use ncvnf_rlnc::{
     wire_kind, AdaptiveRedundancy, AimdConfig, CodedPacket, GenerationConfig, ObjectDecoder,
-    ObjectEncoder, PacketView, PayloadPool, ReceiveOutcome, RedundancyPolicy, SessionId, WindowAck,
-    WireKind,
+    ObjectEncoder, PacketView, PayloadPool, RedundancyPolicy, SessionId, WindowAck, WireKind,
 };
 
 use crate::chaos::{FaultConfig, FaultSocket, FaultStats};
@@ -86,21 +93,29 @@ impl Default for TransferConfig {
     }
 }
 
-/// Tuning of the feedback/retransmission protocol.
+/// Tuning of the feedback/retransmission protocol. Both ends act on what
+/// they measure, so the durations here are *ceilings* — and the values
+/// used until a measurement exists — not schedules.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryConfig {
-    /// Receiver: a generation with no innovative packet — a windowed
-    /// stream with no packet at all — for this long is NACKed.
+    /// Receiver: the longest a generation (a windowed stream's delivery
+    /// cursor) short of packets goes without a NACK. With a packet
+    /// spacing and a round trip measured, a gap is NACKed a few spacings
+    /// after later data shows it, a tail a round trip after the stream
+    /// goes quiet.
     pub decode_timeout: Duration,
-    /// Receiver: minimum spacing between NACKs for the same generation
-    /// (or stream).
+    /// Receiver: spacing between NACKs for the same generation (or
+    /// stream): the measured NACK-to-repair round trip, doubled per
+    /// unanswered NACK, at most this.
     pub nack_interval: Duration,
     /// Source: retransmission rounds per generation before giving up.
     /// Zero makes the transfer best-effort: the source awaits nothing
     /// and returns once the last generation has left.
     pub max_retries: u32,
-    /// Source: wait after retry `k` before honouring another NACK for
-    /// the same generation doubles from this base (exponential backoff).
+    /// Source: after retry `k` another NACK for the same generation waits
+    /// out the measured repair-to-ACK round trip × 4^(k−1), at most this
+    /// × 2^(k−1) — which is also the wait before a round trip has been
+    /// measured, and what the retry budget's patience adds up from.
     pub backoff_base: Duration,
     /// Source: give up after this long with every generation sent and no
     /// feedback (receiver death must not hang the source forever).
@@ -109,8 +124,8 @@ pub struct RecoveryConfig {
     /// the reported load percent (0.5×–4×). Fresh data and repair bursts
     /// both hold off until the pause expires.
     pub congestion_pause: Duration,
-    /// AIMD redundancy tuning (floor is overridden by the transfer's
-    /// static policy).
+    /// Bounds of the adaptive redundancy (the floor is overridden by the
+    /// transfer's static policy).
     pub aimd: AimdConfig,
 }
 
@@ -157,7 +172,9 @@ pub struct RecoveryStats {
     /// Generations that needed at least one retransmission round and
     /// still closed out (source).
     pub generations_recovered: u64,
-    /// Highest AIMD redundancy reached, in whole extra packets (source).
+    /// Highest redundancy the source applied to a fresh generation or a
+    /// repair burst, in whole extra packets per generation's worth
+    /// (source).
     pub peak_extra: u32,
     /// Generations (windowed: symbols) the source was still waiting on
     /// when it gave up; 0 on success and on a best-effort transfer, which
@@ -170,7 +187,7 @@ pub struct RecoveryStats {
 /// call contributed to shared cumulative cells. Source-side and
 /// receiver-side fields are written by disjoint parties, so deltas stay
 /// exact even when both ends share one registry. `peak_extra` is
-/// gauge-derived and left 0: the source fills it from the AIMD
+/// gauge-derived and left 0: the source fills it from the redundancy
 /// controller.
 fn recovery_since(m: &RecoveryMetrics, base: &RecoveryStats) -> RecoveryStats {
     RecoveryStats {
@@ -193,22 +210,56 @@ fn recovery_since(m: &RecoveryMetrics, base: &RecoveryStats) -> RecoveryStats {
 /// 16 ms (DESIGN.md §10). Two ticks at HZ=100 bounds it.
 const SOCKET_OVERSHOOT: Duration = Duration::from_millis(20);
 
-/// Longest stretch a source sleeps without polling its socket, so
-/// feedback that lands during a short wait is answered within this.
+/// How long a receiver with nothing outstanding parks in its socket
+/// between looks at its shutdown flag.
+const IDLE_PARK: Duration = Duration::from_millis(10);
+
+/// Longest stretch an endpoint sleeps without polling its socket, so
+/// what lands during a short wait is handled within this.
 const POLL_SLICE: Duration = Duration::from_millis(1);
 
-/// A source's own socket seen as its feedback inbox: polled without
-/// blocking while the source has sends to make, parked in only for waits
-/// too long for a sleep. A socket timeout never paces anything here — it
-/// only bounds a park that feedback would end early anyway.
-struct FeedbackPort<'a> {
+/// A round trip, smoothed with its mean deviation the way TCP keeps
+/// SRTT and RTTVAR (RFC 6298).
+#[derive(Debug, Clone, Copy, Default)]
+struct Estimate(Option<(f64, f64)>);
+
+impl Estimate {
+    fn sample(&mut self, d: Duration) {
+        let x = d.as_secs_f64();
+        self.0 = Some(match self.0 {
+            None => (x, x / 2.0),
+            Some((mean, dev)) => (
+                mean + (x - mean) / 8.0,
+                dev + ((x - mean).abs() - dev) / 4.0,
+            ),
+        });
+    }
+
+    fn mean(&self) -> Option<Duration> {
+        self.0.map(|(mean, _)| Duration::from_secs_f64(mean))
+    }
+
+    /// Mean plus four deviations: what to wait before calling it lost.
+    fn bound(&self) -> Option<Duration> {
+        self.0
+            .map(|(mean, dev)| Duration::from_secs_f64(mean + 4.0 * dev))
+    }
+}
+
+/// An endpoint's own socket seen as its inbox — feedback for a source,
+/// data for a receiver: polled without blocking while the endpoint has
+/// deadlines to meet, parked in only for waits too long for a sleep. A
+/// socket timeout never paces anything here — it only bounds a park that
+/// an arrival would end early anyway.
+struct Port<'a> {
     socket: &'a dyn DatagramSocket,
-    buf: [u8; 64],
+    /// Room for the longest frame expected.
+    buf: Vec<u8>,
     /// Length of a frame a park received, handed out by the next poll.
     held: Option<usize>,
 }
 
-impl FeedbackPort<'_> {
+impl Port<'_> {
     /// The next queued frame, if any; never blocks.
     fn poll(&mut self) -> Option<&[u8]> {
         let n = match self.held.take() {
@@ -241,7 +292,7 @@ impl FeedbackPort<'_> {
     }
 }
 
-impl Drop for FeedbackPort<'_> {
+impl Drop for Port<'_> {
     /// Hands the caller's socket back in blocking mode.
     fn drop(&mut self) {
         let _ = self.socket.set_read_timeout(None);
@@ -277,6 +328,8 @@ struct Wire<'a> {
     pace: Instant,
     /// Packets emitted so far (the round-robin cursor over next hops).
     packets: u64,
+    /// Time on the wire the last emission charged per packet.
+    packet_time: Duration,
 }
 
 impl Wire<'_> {
@@ -312,8 +365,10 @@ impl Wire<'_> {
         m.pace_lag_ns
             .record(now.saturating_duration_since(due).as_nanos() as u64);
         let wire_bits = (self.batch.parts().0.len() + 28 * count) as f64 * 8.0;
+        let wire_time = Duration::from_secs_f64(wire_bits / self.rate_bps);
+        self.packet_time = wire_time / count.max(1) as u32;
         let floor = now.checked_sub(PACE_CREDIT).unwrap_or(now);
-        self.pace = self.pace.max(floor) + Duration::from_secs_f64(wire_bits / self.rate_bps);
+        self.pace = self.pace.max(floor) + wire_time;
         Ok(())
     }
 }
@@ -323,9 +378,10 @@ impl Wire<'_> {
 /// framing knows what its feedback means, what is left to send and how
 /// to build a packet of it.
 trait Framing {
-    /// Applies one feedback frame (`Congestion` reports never get here).
-    /// Returns true if it was valid feedback for this transfer.
-    fn absorb(&mut self, frame: &[u8]) -> bool;
+    /// Applies one feedback frame (`Congestion` reports never get here)
+    /// read off the socket at `now`. Returns true if it was valid
+    /// feedback for this transfer.
+    fn absorb(&mut self, frame: &[u8], now: Instant) -> bool;
 
     /// A relay downstream reported overload (the loop arms the pause).
     fn on_congestion(&mut self) {}
@@ -365,14 +421,14 @@ impl Backpressure<'_> {
     /// Applies one frame from the source's socket: a `Congestion` report
     /// arms the pause, the rest is `framing`'s own feedback. Returns true
     /// if the frame was for this transfer.
-    fn hear(&mut self, frame: &[u8], framing: &mut impl Framing) -> bool {
+    fn hear(&mut self, frame: &[u8], now: Instant, framing: &mut impl Framing) -> bool {
         // A Congestion frame's generation field carries the reporter's
         // load percent, not a generation index.
         let congestion = Feedback::from_bytes(frame)
             .ok()
             .filter(|fb| fb.kind == FeedbackKind::Congestion);
         let Some(fb) = congestion else {
-            return framing.absorb(frame);
+            return framing.absorb(frame, now);
         };
         // Session 0 is the wildcard for sheds the relay could not
         // attribute.
@@ -431,6 +487,7 @@ fn run_source(
         rate_bps: config.rate_bps,
         pace: Instant::now(),
         packets: 0,
+        packet_time: Duration::ZERO,
     };
     let mut bp = Backpressure {
         session: config.session,
@@ -438,9 +495,9 @@ fn run_source(
         metrics: m,
         pause_until: None,
     };
-    let mut port = FeedbackPort {
+    let mut port = Port {
         socket,
-        buf: [0u8; 64],
+        buf: vec![0u8; 64],
         held: None,
     };
     // Fresh data and feedback both count as signs of life.
@@ -449,7 +506,7 @@ fn run_source(
     loop {
         let mut heard = false;
         while let Some(frame) = port.poll() {
-            heard |= bp.hear(frame, &mut framing);
+            heard |= bp.hear(frame, Instant::now(), &mut framing);
         }
         if framing.finished() {
             break;
@@ -499,13 +556,16 @@ struct GenState {
     /// since the last burst); `None` when nothing awaits repair.
     pending_nack: Option<u16>,
     retries: u32,
-    /// Earliest instant another NACK will be honoured (backoff gate).
+    /// When the last repair burst left (the ACK it earns times a round
+    /// trip).
+    burst_at: Instant,
+    /// Earliest instant another NACK will be honoured (retry gate).
     next_retry: Instant,
 }
 
 /// The generational framing at the source: per-generation progress from
-/// ACK/NACK [`Feedback`] frames, retries under exponential backoff, and
-/// the AIMD redundancy controller.
+/// ACK/NACK [`Feedback`] frames, retries gated on the measured round
+/// trip, and the erasure-rate redundancy controller.
 struct Generational<'a> {
     config: &'a TransferConfig,
     recovery: &'a RecoveryConfig,
@@ -522,6 +582,10 @@ struct Generational<'a> {
     /// Generations with a NACK awaiting its repair round, oldest first.
     nacked: Vec<usize>,
     adaptive: AdaptiveRedundancy,
+    /// Packets the last fresh generation left with.
+    per_gen: usize,
+    /// Repair burst → the ACK it earned.
+    rtt: Estimate,
 }
 
 impl<'a> Generational<'a> {
@@ -531,11 +595,13 @@ impl<'a> Generational<'a> {
         metrics: &'a RecoveryMetrics,
         encoder: &'a ObjectEncoder,
     ) -> Self {
+        let now = Instant::now();
         let untouched = GenState {
             acked: false,
             pending_nack: None,
             retries: 0,
-            next_retry: Instant::now(),
+            burst_at: now,
+            next_retry: now,
         };
         let gens = vec![untouched; encoder.generations() as usize];
         let open = gens.len();
@@ -550,41 +616,53 @@ impl<'a> Generational<'a> {
             spent: if recovery.max_retries == 0 { open } else { 0 },
             nacked: Vec::new(),
             adaptive: AdaptiveRedundancy::from_policy(config.redundancy, recovery.aimd),
+            per_gen: config.generation.blocks_per_generation(),
+            rtt: Estimate::default(),
         }
     }
 
-    /// When `generation`'s pending NACK may be answered; `None` if
-    /// there is nothing (left) to answer — ACKed meanwhile, or out of
-    /// retries.
-    fn repair_gate(&self, generation: usize) -> Option<Instant> {
-        let g = &self.gens[generation];
-        (g.pending_nack.is_some() && g.retries < self.recovery.max_retries).then_some(g.next_retry)
-    }
-
     /// Opens a repair round for `generation`: consumes its pending NACK
-    /// and one retry, arms the backoff gate, and returns the burst size —
-    /// the packets asked for, at the redundancy ratio a fresh generation
-    /// carries.
-    fn repair_round(&mut self, generation: usize, now: Instant) -> usize {
+    /// and one retry, arms the retry gate, and returns the burst size.
+    /// Should the round fail, the next waits out that gate: while the
+    /// fresh pass has longer than that left to run (`pass_left`) the
+    /// wait is hidden behind it and the burst is the packets asked for;
+    /// once it has not, the burst carries the erasure estimate's margin.
+    fn repair_round(&mut self, generation: usize, now: Instant, pass_left: Duration) -> usize {
         let blocks = self.config.generation.blocks_per_generation();
         let g = &mut self.gens[generation];
         let want = usize::from(g.pending_nack.take().unwrap_or(0));
-        let burst = self.adaptive.policy().repair_packets(want, blocks);
         g.retries += 1;
         if g.retries == self.recovery.max_retries {
             self.spent += 1;
         }
-        // Exponential backoff: retry k waits base * 2^(k-1) before
-        // honouring the next NACK for this generation.
-        let backoff = self.recovery.backoff_base * (1u32 << (g.retries - 1).min(16));
-        g.next_retry = now + backoff;
-        self.metrics.backoff_ns.record(backoff.as_nanos() as u64);
-        burst
+        // Retry k waits out the measured round trip x 4^(k-1) before the
+        // next NACK for this generation is honoured, at most
+        // `backoff_base` x 2^(k-1): early retries run at the path's pace,
+        // and the budget as a whole still outlasts a blackout of seconds.
+        let k = (g.retries - 1).min(15);
+        let ceiling = self.recovery.backoff_base * (1 << k);
+        let measured = self.rtt.bound().map(|rtt| rtt * (1 << (2 * k)));
+        let gate = measured.map_or(ceiling, |m| m.min(ceiling));
+        g.burst_at = now;
+        g.next_retry = now + gate;
+        self.metrics.backoff_ns.record(gate.as_nanos() as u64);
+        // Should this round fail, the next waits out that gate. While the
+        // fresh pass outlasts it the wait costs nothing, and the burst is
+        // what was asked for; once it does not, the burst is sized to
+        // succeed, for twice the packets with every round that has failed.
+        let hidden = pass_left > gate;
+        let want = want
+            << if hidden {
+                0
+            } else {
+                g.retries.saturating_sub(2).min(2)
+            };
+        self.adaptive.repair_packets(want, hidden, blocks)
     }
 }
 
 impl Framing for Generational<'_> {
-    fn absorb(&mut self, frame: &[u8]) -> bool {
+    fn absorb(&mut self, frame: &[u8], now: Instant) -> bool {
         let Ok(fb) = Feedback::from_bytes(frame) else {
             return false;
         };
@@ -599,23 +677,28 @@ impl Framing for Generational<'_> {
                 self.metrics.acks_received.inc();
                 if !g.acked {
                     g.acked = true;
-                    g.pending_nack = None;
                     self.open -= 1;
                     if g.retries >= self.recovery.max_retries {
                         self.spent -= 1;
                     }
-                    if g.retries == 0 {
-                        self.adaptive.on_clean();
-                    } else {
+                    if g.retries > 0 {
                         self.metrics.generations_recovered.inc();
+                        let round_trip = now.saturating_duration_since(g.burst_at);
+                        self.rtt.sample(round_trip);
+                        self.metrics.rtt_ns.record(round_trip.as_nanos() as u64);
+                    } else if g.pending_nack.is_none() {
+                        // Never NACKed: everything it left with arrived.
+                        self.adaptive.on_resolved(0, self.per_gen);
                     }
+                    g.pending_nack = None;
                 }
             }
             FeedbackKind::RetransmitRequest => {
                 // A NACK for a generation the fresh pass has not reached
-                // yet says nothing about loss — ignore it entirely (it
-                // must not burn this generation's retry budget).
-                if fb.generation >= self.sent || g.acked {
+                // yet says nothing about loss, and one for a generation
+                // that is out of retries will get no answer: ignore both
+                // entirely (no retry burnt, no loss estimated).
+                if fb.generation >= self.sent || g.acked || g.retries >= self.recovery.max_retries {
                     return true;
                 }
                 self.metrics.nacks_received.inc();
@@ -624,7 +707,11 @@ impl Framing for Generational<'_> {
                     // answered yet is the same loss complaining again.
                     Some(want) => g.pending_nack = Some(want.max(fb.count)),
                     None => {
-                        self.adaptive.on_loss(fb.count);
+                        // Only a generation's first NACK says what the
+                        // fresh pass lost; later ones are about repairs.
+                        if g.retries == 0 {
+                            self.adaptive.on_resolved(fb.count, self.per_gen);
+                        }
                         g.pending_nack = Some(fb.count);
                         self.nacked.push(fb.generation as usize);
                     }
@@ -636,7 +723,8 @@ impl Framing for Generational<'_> {
         true
     }
 
-    /// Multiplicative decrease, on top of the loop's send pause.
+    /// What a relay sheds is not erasure: the estimate is cut, on top of
+    /// the loop's send pause.
     fn on_congestion(&mut self) {
         self.adaptive.on_congestion();
     }
@@ -653,15 +741,17 @@ impl Framing for Generational<'_> {
         mut wake: Instant,
     ) -> io::Result<Instant> {
         let encoder = self.encoder;
+        let left = (self.gens.len() as u64 - self.sent) as u32;
+        let pass_left = wire.packet_time * self.per_gen as u32 * left;
         let mut kept = 0;
         for i in 0..self.nacked.len() {
             let g = self.nacked[i];
-            let Some(gate) = self.repair_gate(g) else {
-                continue;
-            };
-            let due = gate.max(wire.pace);
+            if self.gens[g].pending_nack.is_none() {
+                continue; // ACKed meanwhile
+            }
+            let due = self.gens[g].next_retry.max(wire.pace);
             if due <= now {
-                let burst = self.repair_round(g, now);
+                let burst = self.repair_round(g, now, pass_left);
                 wire.emit(Burst::Repair(g as u64), burst, due, now, |rng, pool| {
                     encoder.coded_packet_pooled(g as u64, rng, pool)
                 })?;
@@ -679,13 +769,20 @@ impl Framing for Generational<'_> {
         self.sent < self.gens.len() as u64
     }
 
-    /// One generation, at the redundancy the AIMD controller is at.
+    /// One generation, at the policy floor — unless a repair round trip
+    /// has been measured to outlast the pacing time extras would take on
+    /// everything still to leave, in which case it carries them.
     fn fresh(&mut self, wire: &mut Wire<'_>, now: Instant) -> io::Result<()> {
         let blocks = self.config.generation.blocks_per_generation();
-        let per_gen = self.adaptive.policy().packets_per_generation(blocks);
+        let left = (self.gens.len() as u64 - self.sent) as f64;
+        let hideable = self.rtt.mean().map_or(0.0, |rtt| {
+            rtt.as_secs_f64() / (wire.packet_time.as_secs_f64() * left)
+        });
+        let policy = self.adaptive.fresh_policy(blocks, hideable as u32);
+        self.per_gen = policy.packets_per_generation(blocks);
         let (encoder, generation) = (self.encoder, self.sent);
         self.sent += 1;
-        wire.emit(Burst::Fresh, per_gen, wire.pace, now, |rng, pool| {
+        wire.emit(Burst::Fresh, self.per_gen, wire.pace, now, |rng, pool| {
             encoder.coded_packet_pooled(generation, rng, pool)
         })
     }
@@ -695,7 +792,9 @@ impl Framing for Generational<'_> {
         if self.recovery.max_retries > 0 {
             self.metrics.unrecovered.add(self.open as u64);
         }
-        // Publish where the AIMD controller ended up (and peaked) as gauges.
+        // Publish what the controller estimated and applied as gauges.
+        let estimate = self.adaptive.loss_estimate();
+        self.metrics.loss_estimate.set(estimate);
         obs.rlnc.observe_redundancy(&self.adaptive);
         self.adaptive.peak_extra().round() as u32
     }
@@ -763,7 +862,7 @@ impl Windowed<'_> {
 }
 
 impl Framing for Windowed<'_> {
-    fn absorb(&mut self, frame: &[u8]) -> bool {
+    fn absorb(&mut self, frame: &[u8], _now: Instant) -> bool {
         if wire_kind(frame) != Some(WireKind::WindowAck) {
             return false;
         }
@@ -892,7 +991,7 @@ pub struct ReliableReport {
 
 /// The receiver's way back to the source.
 struct FeedbackOut {
-    socket: UdpSocket,
+    socket: Box<dyn DatagramSocket>,
     source: Option<SocketAddr>,
     metrics: RecoveryMetrics,
 }
@@ -908,8 +1007,372 @@ impl FeedbackOut {
     }
 }
 
+/// Spacings of the in-order stream a unit may lag later data by before
+/// it counts as lost: what absorbs reordering between relay shards.
+const REORDER_SPAN: u32 = 16;
+
+/// Units past the highest one seen that a stall opens: enough to ask
+/// for a tail lost whole or for what a dead relay swallowed, a few at a
+/// time, without ever NACKing the rest of the object.
+const LOOKAHEAD: u64 = 4;
+
+/// One open unit of a [`NackClock`].
+struct Unit {
+    /// The last arrival for it, or when it was opened.
+    last_event: Instant,
+    /// NACKs sent for it, and when the last one left.
+    nacks: u32,
+    last_nack: Option<Instant>,
+    /// When its first NACK left, until the repair it earns times the
+    /// round trip.
+    probe: Option<Instant>,
+}
+
+/// The receiver's loss detector: when to NACK, decided from what has
+/// been observed and fed explicit instants (like `LivenessTracker`).
+///
+/// It watches numbered *units* an in-order source sends — generations,
+/// or the symbols of a windowed stream (`cumulative`: only the delivery
+/// cursor, the first incomplete unit, is ever NACKed, for everything
+/// missing behind it). A unit is NACKed
+///
+/// * once data of a later unit has arrived and it has had none for
+///   [`REORDER_SPAN`] spacings of the stream (the gap proves the loss;
+///   the span absorbs reordering),
+/// * as a tail — nothing later seen — once it has been quiet for that
+///   span plus a round trip; a stream quiet that long as a whole also
+///   opens [`LOOKAHEAD`] units past the highest seen,
+/// * again one measured NACK-to-repair round trip after its last NACK,
+///   doubled for every NACK since that went unanswered.
+///
+/// Spacing and round trip are measured here; `decode_timeout` and
+/// `nack_interval` cap them and stand in until a measurement exists.
+#[derive(Default)]
+struct NackClock {
+    decode_timeout: Duration,
+    nack_interval: Duration,
+    /// Units in the transfer.
+    units: u64,
+    cumulative: bool,
+    /// Spacing between arrivals at the head of the in-order stream
+    /// while it flows (repairs of older units do not count), sampled
+    /// once per drained batch: head arrivals since the last sample, and
+    /// when that was taken.
+    spacing: Option<Duration>,
+    batch: u32,
+    sampled_at: Option<Instant>,
+    /// First NACK of a unit → first arrival for it afterwards.
+    rtt: Estimate,
+    last_arrival: Option<Instant>,
+    /// Units below this are complete and forgotten.
+    low: u64,
+    /// Units below this have been proven sent by an arrival.
+    seen: u64,
+    /// State of units `low..low + open.len()`.
+    open: std::collections::VecDeque<Unit>,
+}
+
+impl NackClock {
+    fn new(recovery: &RecoveryConfig, units: u64, cumulative: bool) -> Self {
+        NackClock {
+            decode_timeout: recovery.decode_timeout,
+            nack_interval: recovery.nack_interval,
+            units,
+            cumulative,
+            ..NackClock::default()
+        }
+    }
+
+    /// Opens every unit below `end`, stamped `at`.
+    fn open_to(&mut self, end: u64, at: Instant) {
+        for _ in self.low + self.open.len() as u64..end {
+            self.open.push_back(Unit {
+                last_event: at,
+                nacks: 0,
+                last_nack: None,
+                probe: None,
+            });
+        }
+    }
+
+    /// A packet covering units `first..=last` arrived: everything up to
+    /// `last` has been sent, and the first open unit it covers is being
+    /// served.
+    fn arrival(&mut self, first: u64, last: u64, now: Instant, metrics: &RecoveryMetrics) {
+        self.last_arrival = Some(now);
+        let last = last.min(self.units.saturating_sub(1));
+        self.batch += u32::from(last + 1 >= self.seen);
+        self.seen = self.seen.max(last + 1);
+        self.open_to(self.seen, now);
+        let unit = first.max(self.low);
+        if unit > last {
+            return;
+        }
+        let unit = &mut self.open[(unit - self.low) as usize];
+        unit.last_event = now;
+        if let Some(asked) = unit.probe.take() {
+            let round_trip = now.saturating_duration_since(asked);
+            self.rtt.sample(round_trip);
+            metrics.rtt_ns.record(round_trip.as_nanos() as u64);
+        }
+    }
+
+    /// How long a unit with later data behind it may lag.
+    fn allowance(&self) -> Duration {
+        let span = self.spacing.map(|s| s * REORDER_SPAN);
+        span.map_or(self.decode_timeout, |s| s.min(self.decode_timeout))
+    }
+
+    /// How long without arrivals makes a tail, or the whole stream,
+    /// stalled.
+    fn quiet(&self) -> Duration {
+        let round_trip = self.rtt.bound().unwrap_or(self.decode_timeout);
+        (self.allowance() + round_trip).min(self.decode_timeout)
+    }
+
+    /// With the socket drained at `now`: calls `nack` for every unit
+    /// that is due one (`complete` tells which are done) and returns
+    /// when to look again, `None` while nothing is outstanding.
+    fn poll(
+        &mut self,
+        now: Instant,
+        metrics: &RecoveryMetrics,
+        complete: impl Fn(u64) -> bool,
+        mut nack: impl FnMut(u64),
+    ) -> Option<Instant> {
+        if self.batch > 0 {
+            if let Some(from) = self.sampled_at {
+                // A silence is not a spacing: the estimate halves its
+                // way down to a shorter sample, and creeps up towards a
+                // longer one taken for at most twice itself.
+                let sample = now.duration_since(from) / self.batch;
+                self.spacing = Some(match self.spacing {
+                    None => sample,
+                    Some(mean) if sample < mean => (mean + sample) / 2,
+                    Some(mean) => mean + (sample.min(2 * mean) - mean) / 8,
+                });
+            }
+            (self.sampled_at, self.batch) = (Some(now), 0);
+        }
+        let (allowance, quiet) = (self.allowance(), self.quiet());
+        let round_trip = self.rtt.bound().unwrap_or(self.nack_interval);
+        let mut wake = None;
+        let mut sooner = |t: Instant| wake = Some(wake.map_or(t, |w: Instant| w.min(t)));
+        if let Some(at) = self.last_arrival {
+            if now.duration_since(at) >= quiet {
+                self.open_to((self.seen + LOOKAHEAD).min(self.units), at);
+            } else if self.seen < self.units {
+                sooner(at + quiet);
+            }
+        }
+        while self.open.front().is_some() && complete(self.low) {
+            self.open.pop_front();
+            self.low += 1;
+        }
+        for (unit, state) in (self.low..).zip(self.open.iter_mut()) {
+            if complete(unit) {
+                continue;
+            }
+            // A tail proves nothing until the stream has stalled; once
+            // asked for, a unit's repairs travel together like a gap's.
+            let lag = if unit + 1 < self.seen || state.last_nack.is_some() {
+                allowance
+            } else {
+                quiet
+            };
+            // Each NACK that goes unanswered doubles the wait for the
+            // next: a path that has stalled is not a repair that was lost.
+            let again =
+                |nacks: u32| (round_trip * (1 << (nacks - 1).min(16))).min(self.nack_interval);
+            let mut due = state.last_event + lag;
+            if let Some(at) = state.last_nack {
+                due = due.max(at + again(state.nacks));
+            }
+            if due <= now {
+                nack(unit);
+                let first = state.nacks == 0;
+                if first {
+                    let delay = now.duration_since(state.last_event);
+                    metrics.nack_delay_ns.record(delay.as_nanos() as u64);
+                }
+                // Only a first NACK is timed (a repair that follows a
+                // second cannot be told from a late answer to the first),
+                // and only for a unit known to have been sent (what
+                // arrives for a look-ahead unit may be its first copy).
+                state.probe = (first && unit < self.seen).then_some(now);
+                state.nacks += 1;
+                state.last_nack = Some(now);
+                due = now + again(state.nacks);
+            }
+            sooner(due);
+            if self.cumulative {
+                break;
+            }
+        }
+        wake
+    }
+}
+
+/// What a receiver's framing tells the thread after a turn.
+enum Turn {
+    /// Everything is decoded: the reassembled bytes.
+    Done(Vec<u8>),
+    /// Not yet; with the socket drained, look again at this instant
+    /// (`None`: nothing is outstanding, wait for the next packet).
+    Wait(Option<Instant>),
+}
+
+/// A receiver's framing, as the thread drives it (see
+/// [`ReliableReceiver::serve`]).
+type TurnFn = Box<dyn FnMut(Option<PacketView<'_>>, Instant, &FeedbackOut) -> Turn + Send>;
+
+/// The generational receiver's turn: decodes, ACKs each generation as it
+/// completes, and NACKs with the rank still missing when its
+/// [`NackClock`] says so.
+fn generational_turn(
+    config: &TransferConfig,
+    recovery: &RecoveryConfig,
+    generations: u64,
+    obs: &TransferObs,
+) -> TurnFn {
+    let (session, rlnc) = (config.session, obs.rlnc.clone());
+    let blocks = config.generation.blocks_per_generation();
+    let n = generations as usize;
+    let mut decoder = Some(ObjectDecoder::new(config.generation, generations));
+    // Packets that arrived per generation, reported into the codec's
+    // decode histogram when the generation closes.
+    let mut gen_packets = vec![0u64; n];
+    let mut acked = vec![false; n];
+    let mut clock = NackClock::new(recovery, generations, false);
+    Box::new(move |packet, now, out| {
+        let Some(dec) = decoder.as_mut() else {
+            return Turn::Wait(None);
+        };
+        let ack = |g| {
+            out.send(
+                &Feedback::ack(session, g).to_bytes(),
+                &out.metrics.acks_sent,
+            )
+        };
+        if let Some(pkt) = packet {
+            let gen = pkt.generation();
+            let _ = dec.receive_view(pkt);
+            if gen < generations {
+                let gi = gen as usize;
+                clock.arrival(gen, gen, now, &out.metrics);
+                gen_packets[gi] += 1;
+                if dec.generation_complete(gen) && !acked[gi] {
+                    acked[gi] = true;
+                    ack(gen);
+                    rlnc.record_generation_decoded(gen_packets[gi]);
+                    let trace = &out.metrics.trace;
+                    trace.push(TraceKind::GenerationDecoded, gen, gen_packets[gi]);
+                }
+            }
+        }
+        if dec.is_complete() {
+            // Completion burst: re-ACK everything so a lost ACK
+            // cannot leave the source retrying.
+            (0..generations).for_each(ack);
+            let object = decoder.take().and_then(|d| d.into_object().ok());
+            return Turn::Done(object.unwrap_or_default());
+        }
+        if packet.is_some() {
+            return Turn::Wait(None);
+        }
+        let dec = &*dec;
+        let wake = clock.poll(
+            now,
+            &out.metrics,
+            |g| dec.generation_complete(g),
+            |g| {
+                let missing = (blocks - dec.generation_rank(g).unwrap_or(0)) as u16;
+                let mut bitmap = 0u32;
+                for c in dec.generation_missing_columns(g) {
+                    if c < 32 {
+                        bitmap |= 1 << c;
+                    }
+                }
+                let nack = Feedback::nack(session, g, missing, bitmap).to_bytes();
+                out.send(&nack, &out.metrics.nacks_sent);
+            },
+        );
+        Turn::Wait(wake)
+    })
+}
+
+/// The windowed receiver's turn: delivers symbols in order, acks
+/// cumulatively, and NACKs with the count missing behind the delivery
+/// cursor when its [`NackClock`] says so.
+fn windowed_turn(
+    config: &TransferConfig,
+    window: WindowConfig,
+    recovery: &RecoveryConfig,
+    total_symbols: u64,
+) -> TurnFn {
+    let session = config.session;
+    let mut decoder = WindowDecoder::new(window);
+    let mut data = Vec::new();
+    // Highest absolute symbol index referenced by any packet — the
+    // NACK sizing baseline: everything at or below it was sent, so
+    // `undelivered - pending_rank` packets are missing.
+    let mut max_seen: Option<u64> = None;
+    let mut clock = NackClock::new(recovery, total_symbols, true);
+    Box::new(move |packet, now, out| {
+        let ack = |cumulative, repair_wanted, sent| {
+            let ack = WindowAck {
+                session,
+                cumulative,
+                repair_wanted,
+            };
+            out.send(&ack.encode(), sent);
+        };
+        if let Some(pkt) = packet {
+            let top = pkt.index() + pkt.coefficients().len() as u64 - 1;
+            max_seen = Some(max_seen.map_or(top, |m| m.max(top)));
+            clock.arrival(pkt.index(), top, now, &out.metrics);
+            let outcome = decoder.receive(pkt.index(), pkt.coefficients(), pkt.payload());
+            if let Ok(WindowOutcome::Delivered { payloads, .. }) = outcome {
+                for p in payloads {
+                    data.extend_from_slice(&p);
+                }
+                ack(decoder.delivered(), 0, &out.metrics.acks_sent);
+            }
+        }
+        let delivered = decoder.delivered();
+        if delivered >= total_symbols {
+            // The final ack closes the source's window; repeated
+            // because a dropped one would leave the source waiting
+            // out its idle timeout.
+            for _ in 0..3 {
+                ack(delivered, 0, &out.metrics.acks_sent);
+            }
+            return Turn::Done(std::mem::take(&mut data));
+        }
+        if packet.is_some() {
+            return Turn::Wait(None);
+        }
+        let wake = clock.poll(
+            now,
+            &out.metrics,
+            |symbol| symbol < delivered,
+            |_| {
+                // Tail losses leave no trace in `max_seen`, so a
+                // stall short of completion asks for at least one
+                // repair.
+                let missing = max_seen
+                    .map_or(0, |m| m + 1 - delivered)
+                    .saturating_sub(decoder.pending_rank() as u64)
+                    .clamp(1, 255);
+                ack(delivered, missing as u8, &out.metrics.nacks_sent);
+            },
+        );
+        Turn::Wait(wake)
+    })
+}
+
 /// A background receiver for one transfer: reassembles the object and —
-/// given the source's address — acknowledges progress and NACKs stalls
+/// given the source's address — acknowledges progress and NACKs losses
 /// back to it.
 pub struct ReliableReceiver {
     /// The UDP address the receiver listens on.
@@ -922,11 +1385,12 @@ pub struct ReliableReceiver {
 impl ReliableReceiver {
     /// Spawns a receiver expecting `generations` generations, sending
     /// feedback to `source`: it ACKs each generation as it decodes and
-    /// NACKs generations that stall. With no source (`None`) it is a
-    /// best-effort receiver that only listens. Feedback counters,
-    /// decode-progress metrics and `generation_decoded` trace events are
-    /// recorded into `obs`; the report's [`RecoveryStats`] is this
-    /// receiver's delta.
+    /// NACKs generations that have lost packets, as soon as later
+    /// arrivals show it (see [`RecoveryConfig`] for the ceilings). With
+    /// no source (`None`) it is a best-effort receiver that only
+    /// listens. Feedback counters, decode-progress metrics and
+    /// `generation_decoded` trace events are recorded into `obs`; the
+    /// report's [`RecoveryStats`] is this receiver's delta.
     ///
     /// # Errors
     ///
@@ -938,101 +1402,10 @@ impl ReliableReceiver {
         source: impl Into<Option<SocketAddr>>,
         obs: &TransferObs,
     ) -> io::Result<ReliableReceiver> {
-        let (session, recovery, rlnc) = (config.session, *recovery, obs.rlnc.clone());
         let blocks = config.generation.blocks_per_generation();
-        let n = generations as usize;
-        let mut decoder = Some(ObjectDecoder::new(config.generation, generations));
-        // Packets that arrived per generation, reported into the codec's
-        // decode histogram when the generation closes.
-        let mut gen_packets = vec![0u64; n];
-        // A generation's stall clock (`last_event`) runs once it is
-        // below `started`: when a packet of it or of a later one has
-        // arrived (in-order source ⇒ it was sent), or on a global
-        // stall. Everything below `low` is decoded, so the per-packet
-        // work walks only `low..started`.
-        let mut last_event = vec![Instant::now(); n];
-        let mut last_nack: Vec<Option<Instant>> = vec![None; n];
-        let mut acked = vec![false; n];
-        let (mut low, mut started) = (0usize, 0usize);
-        Self::serve(
-            session,
-            WireKind::Generation,
-            blocks,
-            source.into(),
-            obs,
-            move |packet, now, last_arrival, out| {
-                let dec = decoder.as_mut()?;
-                let ack = |g| {
-                    out.send(
-                        &Feedback::ack(session, g).to_bytes(),
-                        &out.metrics.acks_sent,
-                    )
-                };
-                if let Some(pkt) = packet {
-                    let gen = pkt.generation();
-                    let innovative =
-                        matches!(dec.receive_view(pkt), Ok(ReceiveOutcome::Innovative { .. }));
-                    if gen < generations {
-                        let gi = gen as usize;
-                        // Everything up to the highest generation seen has
-                        // been sent: start its stall clock.
-                        if gi >= started {
-                            last_event[started..=gi].fill(now);
-                            started = gi + 1;
-                        }
-                        gen_packets[gi] += 1;
-                        if innovative {
-                            last_event[gi] = now;
-                        }
-                        if dec.generation_complete(gen) && !acked[gi] {
-                            acked[gi] = true;
-                            ack(gen);
-                            rlnc.record_generation_decoded(gen_packets[gi]);
-                            let trace = &out.metrics.trace;
-                            trace.push(TraceKind::GenerationDecoded, gen, gen_packets[gi]);
-                        }
-                    }
-                }
-                if dec.is_complete() {
-                    // Completion burst: re-ACK everything so a lost ACK
-                    // cannot leave the source retrying.
-                    (0..generations).for_each(ack);
-                    return decoder.take().map(|d| d.into_object().unwrap_or_default());
-                }
-                // NACK scan. A global stall (nothing arriving at all — e.g.
-                // a dead relay) makes every open generation eligible, tail
-                // generations included.
-                if let Some(t) = last_arrival {
-                    if now.duration_since(t) >= recovery.decode_timeout {
-                        last_event[started..].fill(t);
-                        started = n;
-                    }
-                }
-                while low < started && dec.generation_complete(low as u64) {
-                    low += 1;
-                }
-                for g in low..started {
-                    if dec.generation_complete(g as u64)
-                        || now.duration_since(last_event[g]) < recovery.decode_timeout
-                        || last_nack[g]
-                            .is_some_and(|t| now.duration_since(t) < recovery.nack_interval)
-                    {
-                        continue;
-                    }
-                    let missing = (blocks - dec.generation_rank(g as u64).unwrap_or(0)) as u16;
-                    let mut bitmap = 0u32;
-                    for c in dec.generation_missing_columns(g as u64) {
-                        if c < 32 {
-                            bitmap |= 1 << c;
-                        }
-                    }
-                    let nack = Feedback::nack(session, g as u64, missing, bitmap).to_bytes();
-                    out.send(&nack, &out.metrics.nacks_sent);
-                    last_nack[g] = Some(now);
-                }
-                None
-            },
-        )
+        let turn = generational_turn(config, recovery, generations, obs);
+        let kind = WireKind::Generation;
+        Self::serve(config.session, kind, blocks, source.into(), obs, turn)
     }
 
     /// Spawns a receiver for a sliding-window stream of `total_symbols`
@@ -1040,7 +1413,7 @@ impl ReliableReceiver {
     /// delivers symbols in order, acks cumulatively after every
     /// delivery, and NACKs gaps — a [`WindowAck`] with `repair_wanted`
     /// set to exactly the number of missing symbols blocking the delivery
-    /// cursor — on `recovery`'s stall timers.
+    /// cursor — as soon as a symbol beyond the cursor shows one.
     ///
     /// # Errors
     ///
@@ -1053,99 +1426,37 @@ impl ReliableReceiver {
         source: impl Into<Option<SocketAddr>>,
         obs: &TransferObs,
     ) -> io::Result<ReliableReceiver> {
-        let (session, recovery) = (config.session, *recovery);
-        let mut decoder = WindowDecoder::new(window);
-        let mut data = Vec::new();
-        // Highest absolute symbol index referenced by any packet — the
-        // NACK sizing baseline: everything at or below it was sent, so
-        // `undelivered - pending_rank` packets are missing.
-        let mut max_seen: Option<u64> = None;
-        let mut last_nack: Option<Instant> = None;
-        Self::serve(
-            session,
-            WireKind::Window,
-            0,
-            source.into(),
-            obs,
-            move |packet, now, last_arrival, out| {
-                let ack = |cumulative, repair_wanted, sent| {
-                    let ack = WindowAck {
-                        session,
-                        cumulative,
-                        repair_wanted,
-                    };
-                    out.send(&ack.encode(), sent);
-                };
-                if let Some(pkt) = packet {
-                    let top = pkt.index() + pkt.coefficients().len() as u64 - 1;
-                    max_seen = Some(max_seen.map_or(top, |m| m.max(top)));
-                    let outcome = decoder.receive(pkt.index(), pkt.coefficients(), pkt.payload());
-                    if let Ok(WindowOutcome::Delivered { payloads, .. }) = outcome {
-                        for p in payloads {
-                            data.extend_from_slice(&p);
-                        }
-                        ack(decoder.delivered(), 0, &out.metrics.acks_sent);
-                    }
-                }
-                let delivered = decoder.delivered();
-                if delivered >= total_symbols {
-                    // The final ack closes the source's window; repeated
-                    // because a dropped one would leave the source waiting
-                    // out its idle timeout.
-                    for _ in 0..3 {
-                        ack(delivered, 0, &out.metrics.acks_sent);
-                    }
-                    return Some(std::mem::take(&mut data));
-                }
-                // NACK scan: a gap (undelivered symbols at or below the
-                // highest index seen) that stalls past the decode timeout
-                // asks for exactly the missing count.
-                let stalled =
-                    last_arrival.is_some_and(|t| now.duration_since(t) >= recovery.decode_timeout);
-                if stalled
-                    && last_nack.is_none_or(|t| now.duration_since(t) >= recovery.nack_interval)
-                {
-                    // Tail losses leave no trace in `max_seen`, so any stall
-                    // short of completion asks for at least one repair.
-                    let missing = max_seen
-                        .map_or(0, |m| m + 1 - delivered)
-                        .saturating_sub(decoder.pending_rank() as u64)
-                        .clamp(1, 255);
-                    ack(delivered, missing as u8, &out.metrics.nacks_sent);
-                    last_nack = Some(now);
-                }
-                None
-            },
-        )
+        let turn = windowed_turn(config, window, recovery, total_symbols);
+        let kind = WireKind::Window;
+        Self::serve(config.session, kind, 0, source.into(), obs, turn)
     }
 
     /// The one receiver thread. It takes `session`'s data packets of one
     /// `kind` off a fresh loopback socket (`generation_size` is the
     /// coefficient count of a generational packet, which is not on the
-    /// wire; a windowed packet carries its own) and runs `turn` after
-    /// every arrival and every receive timeout: `turn` absorbs the
-    /// packet, if any, acknowledging what it completes, then NACKs what
-    /// has stalled since the session's last arrival, and returns the
-    /// reassembled bytes — after its completion burst — once everything
-    /// is decoded.
+    /// wire; a windowed packet carries its own) and gives `turn` each
+    /// one — `turn` absorbs it, acknowledging what it completes, and
+    /// returns the reassembled bytes, after its completion burst, once
+    /// everything is decoded — and, whenever the socket is drained and
+    /// there is a source to tell, a turn without a packet: `turn` NACKs
+    /// what is due and returns the deadline the thread then waits
+    /// towards, polling or parked by the same rule as the source
+    /// ([`Port::wait`]).
     fn serve(
         session: SessionId,
         kind: WireKind,
         generation_size: usize,
         source: Option<SocketAddr>,
         obs: &TransferObs,
-        mut turn: impl FnMut(Option<PacketView<'_>>, Instant, Option<Instant>, &FeedbackOut) -> Option<Vec<u8>>
-            + Send
-            + 'static,
+        mut turn: TurnFn,
     ) -> io::Result<ReliableReceiver> {
         let socket = UdpSocket::bind(("127.0.0.1", 0))?;
-        socket.set_read_timeout(Some(Duration::from_millis(10)))?;
         let addr = socket.local_addr()?;
         let (tx, rx) = bounded(1);
         let running = Arc::new(AtomicBool::new(true));
         let run = Arc::clone(&running);
         let out = FeedbackOut {
-            socket,
+            socket: Box::new(socket),
             source,
             metrics: obs.recovery.clone(),
         };
@@ -1153,27 +1464,37 @@ impl ReliableReceiver {
             let before = recovery_since(&out.metrics, &RecoveryStats::default());
             let start = Instant::now();
             let mut packets = 0u64;
-            let mut last_arrival: Option<Instant> = None;
             let mut done: Option<(Vec<u8>, Instant)> = None;
-            let mut buf = vec![0u8; 65536];
+            let mut port = Port {
+                socket: &*out.socket,
+                buf: vec![0u8; 65536],
+                held: None,
+            };
             while done.is_none() && run.load(Ordering::Relaxed) {
-                // Stray feedback and foreign sessions are not data.
-                let packet = match out.socket.recv_from(&mut buf) {
-                    Ok((n, _)) => PacketView::parse(&buf[..n], generation_size)
+                let mut step = Turn::Wait(None);
+                while let (Turn::Wait(_), Some(frame)) = (&step, port.poll()) {
+                    // Stray feedback and foreign sessions are not data.
+                    let packet = PacketView::parse(frame, generation_size)
                         .ok()
-                        .filter(|p| p.kind() == kind && p.session() == session),
-                    Err(ref e) if is_timeout(e) => None,
-                    Err(_) => {
-                        std::thread::sleep(Duration::from_millis(1));
-                        None
+                        .filter(|p| p.kind() == kind && p.session() == session);
+                    if let Some(packet) = packet {
+                        packets += 1;
+                        step = turn(Some(packet), Instant::now(), &out);
                     }
-                };
-                let now = Instant::now();
-                if packet.is_some() {
-                    packets += 1;
-                    last_arrival = Some(now);
                 }
-                done = turn(packet, now, last_arrival, &out).map(|object| (object, now));
+                let now = Instant::now();
+                // A best-effort receiver has no one to tell what it lacks.
+                if let (Turn::Wait(_), Some(_)) = (&step, out.source) {
+                    step = turn(None, now, &out);
+                }
+                match step {
+                    Turn::Done(object) => done = Some((object, now)),
+                    // With nothing outstanding there is no deadline: park
+                    // until a packet arrives (or shutdown is due a look).
+                    Turn::Wait(wake) => {
+                        port.wait(wake.unwrap_or(now + SOCKET_OVERSHOOT + IDLE_PARK));
+                    }
+                }
             }
             // Shut down before completion: nothing to show.
             let (object, end) = done.unwrap_or_else(|| (Vec::new(), Instant::now()));
@@ -1349,7 +1670,7 @@ mod tests {
     }
 
     #[test]
-    fn congestion_feedback_halves_redundancy_and_pauses() {
+    fn congestion_feedback_cuts_the_loss_estimate_and_pauses() {
         let cfg = config();
         let rec = recovery();
         let obs = TransferObs::new();
@@ -1358,21 +1679,15 @@ mod tests {
         let mut src = Generational::new(&cfg, &rec, &m, &enc);
         let mut bp = backpressure(&rec, &m);
         src.sent = 4;
-        for _ in 0..6 {
-            src.adaptive.on_loss(3); // pump extra redundancy above the floor
-        }
-        let before = src.adaptive.current_extra();
+        src.adaptive.on_resolved(40, 100); // a path that loses 40 %
+        let now = Instant::now();
 
-        // Relay reports 200% load for our session: multiplicative
-        // decrease plus a pause window at the 2.0x clamp point.
+        // Relay reports 200% load for our session: what it sheds is not
+        // erasure, so the estimate is halved, plus a pause window at the
+        // 2.0x clamp point.
         let frame = Feedback::congestion(cfg.session, 200, 7, 40).to_bytes();
-        assert!(bp.hear(&frame, &mut src));
-        assert!(
-            src.adaptive.current_extra() < before,
-            "congestion is a multiplicative decrease: {} -> {}",
-            before,
-            src.adaptive.current_extra()
-        );
+        assert!(bp.hear(&frame, now, &mut src));
+        assert_eq!(src.adaptive.loss_estimate(), 0.2);
         assert!(
             bp.paused_until(Instant::now()).is_some(),
             "pause window armed"
@@ -1383,15 +1698,14 @@ mod tests {
 
         // Session 0 is the unattributed wildcard: also honoured.
         let wild = Feedback::congestion(SessionId::new(0), 120, 1, 41).to_bytes();
-        assert!(bp.hear(&wild, &mut src));
+        assert!(bp.hear(&wild, now, &mut src));
         assert_eq!(snap_counter(&obs, "recovery.congestion_events"), 2);
 
-        // A congestion frame for some other session is ignored: no
-        // decrease, no pause extension, no event.
+        // A congestion frame for some other session is ignored: no cut,
+        // no pause extension, no event.
         let other = Feedback::congestion(SessionId::new(99), 400, 9, 90).to_bytes();
-        let extra = src.adaptive.current_extra();
-        assert!(!bp.hear(&other, &mut src));
-        assert_eq!(src.adaptive.current_extra(), extra);
+        assert!(!bp.hear(&other, now, &mut src));
+        assert_eq!(src.adaptive.loss_estimate(), 0.1);
         assert_eq!(snap_counter(&obs, "recovery.congestion_events"), 2);
     }
 
@@ -1430,46 +1744,87 @@ mod tests {
     }
 
     #[test]
-    fn aimd_counts_repair_rounds_not_complaints() {
+    fn estimate_counts_first_nacks_and_bursts_follow_it() {
         let cfg = config();
         let rec = recovery();
-        let m = RecoveryMetrics::register(TransferObs::new().registry());
-        let nack = Feedback::nack(cfg.session, 0, 1, 0).to_bytes();
-        let enc = encoder(2);
-        let sent_source = || {
-            let mut src = Generational::new(&cfg, &rec, &m, &enc);
-            src.sent = 2;
-            src
-        };
+        let obs = TransferObs::new();
+        let m = RecoveryMetrics::register(obs.registry());
+        let nack = |g, count| Feedback::nack(cfg.session, g, count, 0).to_bytes();
+        let ack = |g| Feedback::ack(cfg.session, g).to_bytes();
+        let enc = encoder(3);
+        let mut src = Generational::new(&cfg, &rec, &m, &enc);
+        src.sent = 3;
+        let t0 = Instant::now();
 
-        let mut once = sent_source();
-        assert!(once.absorb(&nack));
-        let one_loss = once.adaptive.current_extra();
-        assert!(one_loss > 0.0);
-
+        // A generation's first NACK reports what the fresh pass lost:
+        // 1 of the 4 packets it left with.
+        assert!(src.absorb(&nack(0, 1), t0));
+        assert_eq!(src.adaptive.loss_estimate(), 0.25);
         // The receiver re-arming its NACK before the source has answered
-        // is the same loss complaining again: it raises nothing.
-        let mut many = sent_source();
+        // is the same loss complaining again: it changes nothing.
         for _ in 0..5 {
-            assert!(many.absorb(&nack));
+            assert!(src.absorb(&nack(0, 1), t0));
         }
-        assert_eq!(many.adaptive.current_extra(), one_loss);
-        assert_eq!(many.nacked, vec![0], "one repair round queued");
+        assert_eq!(src.adaptive.loss_estimate(), 0.25);
+        assert_eq!(src.nacked, vec![0], "one repair round queued");
 
-        // Once the repair round has gone out, a NACK is a new loss.
-        many.repair_round(0, Instant::now());
-        assert!(many.absorb(&nack));
-        assert_eq!(many.adaptive.current_extra(), 2.0 * one_loss);
+        // While the fresh pass outlasts the round's gate (the ceiling,
+        // with no round trip measured) the burst is what was asked for.
+        let (hidden, exposed) = (Duration::MAX, Duration::ZERO);
+        assert_eq!(src.repair_round(0, t0, hidden), 1);
+        assert_eq!(src.gens[0].next_retry, t0 + rec.backoff_base);
+        // A NACK after the repair is about the repair, not the fresh
+        // pass: the estimate stands. An exposed round carries its margin,
+        // 3 / (1 - 0.25), and retry 2 doubles the gate; a third is sized
+        // for twice what is asked, 2 / (1 - 0.25).
+        assert!(src.absorb(&nack(0, 3), t0));
+        assert_eq!(src.adaptive.loss_estimate(), 0.25);
+        assert_eq!(src.repair_round(0, t0, exposed), 4);
+        assert_eq!(src.gens[0].next_retry, t0 + 2 * rec.backoff_base);
+        assert!(src.absorb(&nack(0, 1), t0));
+        assert_eq!(src.repair_round(0, t0, exposed), 3);
 
-        // A repair burst carries the redundancy ratio of a fresh
-        // generation, not the whole extra on top of what was asked for.
-        let mut high = sent_source();
-        for _ in 0..8 {
-            high.adaptive.on_loss(4);
+        // The ACK a repair earns times the round trip, and the next gate
+        // is that (mean + 4 deviations of one 2 ms sample: 6 ms), doubled
+        // per retry, instead of the ceiling.
+        assert!(src.absorb(&ack(0), t0 + Duration::from_millis(2)));
+        assert_eq!(snap_counter(&obs, "recovery.generations_recovered"), 1);
+        assert!(src.absorb(&nack(1, 2), t0));
+        assert_eq!(src.adaptive.loss_estimate(), 0.375, "3 of 8");
+        src.repair_round(1, t0, hidden);
+        assert_eq!(src.gens[1].next_retry, t0 + Duration::from_millis(6));
+        // The gate grows x4 per retry until it meets the ceiling's x2
+        // schedule, so eight retries are as patient as they ever were: a
+        // path that stalls for a second must not use them up.
+        for retry in 2..=8u32 {
+            assert!(src.absorb(&nack(1, 1), t0));
+            src.repair_round(1, t0, hidden);
+            let measured = Duration::from_millis(6) * 4u32.pow(retry - 1);
+            let ceiling = rec.backoff_base * 2u32.pow(retry - 1);
+            assert_eq!(src.gens[1].next_retry, t0 + measured.min(ceiling));
         }
-        assert_eq!(high.adaptive.policy().extra(), 8);
-        high.gens[0].pending_nack = Some(1);
-        assert_eq!(high.repair_round(0, Instant::now()), 3, "1 x (1 + 8/4)");
+        assert_eq!(src.gens[1].next_retry, t0 + 128 * rec.backoff_base);
+
+        // A generation ACKed without ever being NACKed lost nothing.
+        assert!(src.absorb(&ack(2), t0));
+        assert_eq!(src.adaptive.loss_estimate(), 0.25, "3 of 12");
+
+        // A NACK for a generation that is out of retries gets no answer,
+        // so it must not move the estimate or queue a round either.
+        let spent = RecoveryConfig {
+            max_retries: 1,
+            ..rec
+        };
+        let mut src = Generational::new(&cfg, &spent, &m, &enc);
+        src.sent = 3;
+        assert!(src.absorb(&nack(0, 1), t0));
+        src.repair_round(0, t0, hidden);
+        src.nacked.clear();
+        let received = snap_counter(&obs, "recovery.nacks_received");
+        assert!(src.absorb(&nack(0, 4), t0));
+        assert_eq!(src.adaptive.loss_estimate(), 0.25);
+        assert!(src.nacked.is_empty() && src.gens[0].pending_nack.is_none());
+        assert_eq!(snap_counter(&obs, "recovery.nacks_received"), received);
     }
 
     /// A feedback frame of a [`ScriptedSocket`]: pollable once `after`
@@ -1480,8 +1835,9 @@ mod tests {
     /// scripted feedback frames come out in order — by a non-blocking
     /// poll once their point in the send log is reached, or by the next
     /// blocking receive (a park: "time passes until the frame arrives").
+    #[derive(Clone)]
     struct ScriptedSocket {
-        state: parking_lot::Mutex<ScriptState>,
+        state: Arc<parking_lot::Mutex<ScriptState>>,
     }
 
     #[derive(Default)]
@@ -1500,10 +1856,10 @@ mod tests {
     impl ScriptedSocket {
         fn new(script: Vec<Scripted>) -> Self {
             ScriptedSocket {
-                state: parking_lot::Mutex::new(ScriptState {
+                state: Arc::new(parking_lot::Mutex::new(ScriptState {
                     feedback: script.into(),
                     ..ScriptState::default()
-                }),
+                })),
             }
         }
 
@@ -1568,28 +1924,32 @@ mod tests {
         }
     }
 
+    /// A rate at which packets take no time on the wire.
+    const NO_PACING: f64 = 1e15;
+
     const HOPS: [SocketAddr; 1] = [SocketAddr::new(
         std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
         9,
     )];
 
     /// Runs the source over a three-generation object against `script`
-    /// at a rate so high that every generation is due the moment the
-    /// previous one left. Returns the generation of each datagram sent,
+    /// at `rate_bps` — [`NO_PACING`]: every generation is due the moment
+    /// the previous one left. Returns the generation of each datagram sent,
     /// the source's counters and the socket's final state.
     fn run_scripted(
+        rate_bps: f64,
         rec: &RecoveryConfig,
         script: Vec<Scripted>,
     ) -> (Vec<u64>, RecoveryStats, ScriptState) {
         let cfg = TransferConfig {
-            rate_bps: 1e15,
+            rate_bps,
             ..config()
         };
         let object = vec![7u8; 3 * 4 * 128 - 8];
         let socket = ScriptedSocket::new(script);
         let stats =
             send_object_reliable(&socket, &cfg, rec, &object, &HOPS, &TransferObs::new()).unwrap();
-        let state = socket.state.into_inner();
+        let state = std::mem::take(&mut *socket.state.lock());
         let log = state
             .sent
             .iter()
@@ -1609,27 +1969,30 @@ mod tests {
         };
 
         // (a) A NACK for generation 0 that lands once generation 1 has
-        // left is answered before generation 2 leaves. The loss raised
-        // the redundancy to NC1: a 2-packet burst, a 5-packet generation.
+        // left is answered before generation 2 leaves. With no pacing the
+        // rest of the pass takes no time, so nothing hides a round trip:
+        // the burst carries the margin of the loss the NACK reported,
+        // 1 / (1 - 1/4) rounded up. Generation 2 leaves at the floor.
         let script = vec![
             (Some(8), nack(0)),
             (None, ack(0)),
             (None, ack(1)),
             (None, ack(2)),
         ];
-        let (log, stats, state) = run_scripted(&rec, script);
-        assert_eq!(log, [0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 2, 2, 2, 2, 2]);
+        let (log, stats, state) = run_scripted(NO_PACING, &rec, script);
+        assert_eq!(log, [0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 2, 2, 2, 2]);
         assert_eq!((stats.retransmit_rounds, stats.retransmit_packets), (1, 2));
         assert_eq!((stats.generations_recovered, stats.unrecovered), (1, 0));
+        assert_eq!(stats.peak_extra, 4, "2 for 1 is 4 per generation's worth");
         // (b) It parked only for the ACKs, with nothing left to send.
-        assert_eq!(state.parks, [15, 15, 15]);
+        assert_eq!(state.parks, [14, 14, 14]);
         // (e) The caller's socket comes back in blocking mode.
         assert_eq!(state.read_timeout, None);
 
         // (c) An ACK that arrives before a repair is due cancels it:
-        // the second NACK waits out an hour of backoff, the ACK lands
-        // while the source is parked, and no second burst ever leaves.
-        // (Coming after a repair round, that NACK is a second loss: NC2.)
+        // with no round trip measured the second NACK waits out the
+        // hour-long ceiling, the ACK lands while the source is parked,
+        // and no second burst ever leaves.
         let script = vec![
             (Some(4), nack(0)),
             (Some(6), nack(0)),
@@ -1637,25 +2000,64 @@ mod tests {
             (None, ack(1)),
             (None, ack(2)),
         ];
-        let (log, stats, state) = run_scripted(&rec, script);
-        assert_eq!(log, [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2]);
+        let (log, stats, state) = run_scripted(NO_PACING, &rec, script);
+        assert_eq!(log, [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]);
         assert_eq!((stats.nacks_received, stats.retransmit_rounds), (2, 1));
-        assert_eq!((stats.peak_extra, stats.unrecovered), (2, 0));
-        assert_eq!(state.parks, [17, 17, 17]);
+        assert_eq!((stats.peak_extra, stats.unrecovered), (4, 0));
+        assert_eq!(state.parks, [14, 14, 14]);
 
         // (d) A NACK for a generation that has not left yet says nothing
-        // about loss: no burst, no retry burnt, no redundancy raised.
+        // about loss: no burst, no retry burnt, no loss estimated.
         let script = vec![
             (Some(4), nack(2)),
             (None, ack(0)),
             (None, ack(1)),
             (None, ack(2)),
         ];
-        let (log, stats, state) = run_scripted(&rec, script);
+        let (log, stats, state) = run_scripted(NO_PACING, &rec, script);
         assert_eq!(log, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]);
         assert_eq!((stats.nacks_received, stats.retransmit_rounds), (0, 0));
         assert_eq!((stats.peak_extra, stats.unrecovered), (0, 0));
         assert_eq!(state.read_timeout, None);
+    }
+
+    /// What replaced the AIMD law, and why: with NACKs arriving *during*
+    /// the fresh pass, +1 extra per missing packet would have tripled
+    /// every fresh generation within a few of them. The estimator puts
+    /// nothing on a round trip that is hidden and a margin on one that is
+    /// not.
+    #[test]
+    fn nacks_during_the_pass_leave_fresh_generations_at_the_floor() {
+        let session = config().session;
+        let ack = |g| Feedback::ack(session, g).to_bytes().to_vec();
+        let nack = |g| Feedback::nack(session, g, 1, 0).to_bytes().to_vec();
+        // Paced at about a millisecond a generation, with a retry gate
+        // (the ceiling: no round trip is ever measured here) a tenth of
+        // that: a round answered while a generation is still to leave is
+        // hidden.
+        let rec = RecoveryConfig {
+            backoff_base: Duration::from_micros(100),
+            ..recovery()
+        };
+        // A NACK per generation: two land while fresh data is still
+        // leaving, the last once the pass is over (delivered by a park).
+        let script = vec![
+            (Some(4), nack(0)),
+            (Some(9), nack(1)),
+            (None, nack(2)),
+            (None, ack(0)),
+            (None, ack(1)),
+            (None, ack(2)),
+        ];
+        let (log, stats, state) = run_scripted(5e6, &rec, script);
+        // Every fresh generation is 4 packets, each in-pass burst the 1
+        // asked for; the post-pass burst is 1 / (1 - 3/12) rounded up.
+        assert_eq!(log, [0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2]);
+        assert_eq!(stats.initial_packets, 12, "fresh pass at the NC0 floor");
+        assert_eq!((stats.retransmit_rounds, stats.retransmit_packets), (3, 4));
+        assert_eq!(stats.peak_extra, 4, "2 for 1 is 4 per generation's worth");
+        assert_eq!(state.parks, [14, 16, 16, 16]);
+        assert_eq!(stats.unrecovered, 0);
     }
 
     #[test]
@@ -1666,7 +2068,7 @@ mod tests {
             max_retries: 0,
             ..recovery()
         };
-        let (log, stats, state) = run_scripted(&rec, Vec::new());
+        let (log, stats, state) = run_scripted(NO_PACING, &rec, Vec::new());
         assert_eq!(log, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]);
         assert_eq!(state.batches.len(), 3, "a generation per send_batch");
         assert!(state.parks.is_empty(), "parked at {:?}", state.parks);
@@ -1706,7 +2108,7 @@ mod tests {
     ) {
         let obs = TransferObs::new();
         let result = send_window_reliable(&socket, cfg, window(), rec, &STREAM, &HOPS, &obs);
-        let state = socket.state.into_inner();
+        let state = std::mem::take(&mut *socket.state.lock());
         let widths = state
             .sent
             .iter()
@@ -1826,6 +2228,296 @@ mod tests {
             "fresh symbols at {:?}",
             at(2)
         );
+    }
+
+    /// One receiver turn function driven by hand: explicit instants in,
+    /// feedback out into a [`ScriptedSocket`]'s send log.
+    struct HandDriven {
+        turn: TurnFn,
+        out: FeedbackOut,
+        socket: ScriptedSocket,
+        obs: TransferObs,
+    }
+
+    impl HandDriven {
+        fn new(obs: TransferObs, turn: TurnFn) -> Self {
+            let socket = ScriptedSocket::new(Vec::new());
+            let out = FeedbackOut {
+                socket: Box::new(socket.clone()),
+                source: Some(HOPS[0]),
+                metrics: obs.recovery.clone(),
+            };
+            HandDriven {
+                turn,
+                out,
+                socket,
+                obs,
+            }
+        }
+
+        /// `wire` arrives at `at`, and the socket is then found drained.
+        /// Returns the deadline the turn asked for.
+        fn arrive(&mut self, wire: &[u8], generation_size: usize, at: Instant) -> Option<Instant> {
+            let packet = PacketView::parse(wire, generation_size).expect("data packet");
+            match (self.turn)(Some(packet), at, &self.out) {
+                Turn::Done(_) => None,
+                Turn::Wait(_) => self.quiet(at),
+            }
+        }
+
+        /// A turn at `at` with nothing arrived.
+        fn quiet(&mut self, at: Instant) -> Option<Instant> {
+            match (self.turn)(None, at, &self.out) {
+                Turn::Done(_) => None,
+                Turn::Wait(wake) => wake,
+            }
+        }
+
+        /// The NACKs sent so far, as `(generation, count)`.
+        fn nacks(&self) -> Vec<(u64, u16)> {
+            let sent = &self.socket.state.lock().sent;
+            sent.iter()
+                .filter_map(|f| Feedback::from_bytes(f).ok())
+                .filter(|fb| fb.kind == FeedbackKind::RetransmitRequest)
+                .map(|fb| (fb.generation, fb.count))
+                .collect()
+        }
+
+        /// The windowed NACKs sent so far, as `(cumulative, wanted)`.
+        fn window_nacks(&self) -> Vec<(u64, u8)> {
+            let sent = &self.socket.state.lock().sent;
+            sent.iter()
+                .filter_map(|f| WindowAck::parse(f).ok())
+                .filter(|ack| ack.repair_wanted > 0)
+                .map(|ack| (ack.cumulative, ack.repair_wanted))
+                .collect()
+        }
+    }
+
+    /// A generational receiver for `generations` generations of
+    /// [`config`]'s layout, the encoder that feeds it and its rng.
+    fn hand_driven(generations: usize) -> (HandDriven, ObjectEncoder, StdRng) {
+        let obs = TransferObs::new();
+        let turn = generational_turn(&config(), &recovery(), generations as u64, &obs);
+        let rng = StdRng::seed_from_u64(5);
+        (HandDriven::new(obs, turn), encoder(generations), rng)
+    }
+
+    const SPACING: Duration = Duration::from_micros(100);
+
+    /// Streams `generations` in order, a packet every
+    /// [`SPACING`] from `*t`, leaving out the `(generation, index)` pairs
+    /// in `lost`. Returns when each NACK showed up in the log.
+    fn stream(
+        rx: &mut HandDriven,
+        enc: &ObjectEncoder,
+        rng: &mut StdRng,
+        generations: std::ops::Range<u64>,
+        lost: &[(u64, usize)],
+        t: &mut Instant,
+    ) -> Vec<Instant> {
+        let mut nacked_at = Vec::new();
+        for g in generations {
+            for k in 0..4 {
+                if !lost.contains(&(g, k)) {
+                    rx.arrive(&enc.coded_packet(g, rng).to_bytes(), 4, *t);
+                    nacked_at.resize(rx.nacks().len(), *t);
+                }
+                *t += SPACING;
+            }
+        }
+        nacked_at
+    }
+
+    #[test]
+    fn a_gap_is_nacked_as_soon_as_later_data_proves_it() {
+        let (mut rx, enc, mut rng) = hand_driven(10);
+        let t0 = Instant::now();
+        let mut t = t0;
+        // Generation 2 loses its last packet; the stream carries on.
+        let nacked_at = stream(&mut rx, &enc, &mut rng, 0..8, &[(2, 3)], &mut t);
+        assert_eq!(
+            rx.nacks(),
+            [(2, 1)],
+            "one NACK, for exactly what is missing"
+        );
+        // Its third packet landed at 10 spacings; the NACK left once it
+        // had lagged the stream by REORDER_SPAN spacings, far inside the
+        // 30 ms ceiling.
+        let lag = nacked_at[0] - (t0 + 10 * SPACING);
+        assert!(
+            lag >= SPACING * REORDER_SPAN && lag <= SPACING * (REORDER_SPAN + 2),
+            "NACKed after {lag:?}"
+        );
+        let delay = rx.obs.snapshot();
+        let delay = delay.histogram("recovery.nack_delay_ns").unwrap();
+        assert_eq!(delay.count, 1);
+        assert!(Duration::from_nanos(delay.max) < recovery().decode_timeout / 4);
+    }
+
+    #[test]
+    fn reordering_inside_the_allowance_is_not_loss() {
+        let (mut rx, enc, mut rng) = hand_driven(8);
+        let mut t = Instant::now();
+        // Generation 2's last packet arrives behind the next two
+        // generations: 9 spacings late, inside the 16 allowed.
+        let nacked_at = stream(&mut rx, &enc, &mut rng, 0..5, &[(2, 3)], &mut t);
+        rx.arrive(&enc.coded_packet(2, &mut rng).to_bytes(), 4, t);
+        t += SPACING;
+        for g in 5..8 {
+            for _ in 0..4 {
+                rx.arrive(&enc.coded_packet(g, &mut rng).to_bytes(), 4, t);
+                t += SPACING;
+            }
+        }
+        assert!(nacked_at.is_empty() && rx.nacks().is_empty());
+        assert_eq!(snap_counter(&rx.obs, "rlnc.decode.generations"), 8);
+    }
+
+    #[test]
+    fn a_tail_waits_for_the_ceiling_until_a_round_trip_is_measured() {
+        let (mut rx, enc, mut rng) = hand_driven(2);
+        let rec = recovery();
+        let mut t = Instant::now();
+        // The last generation is short of a packet and nothing follows.
+        stream(&mut rx, &enc, &mut rng, 0..2, &[(1, 3)], &mut t);
+        let last = t - 2 * SPACING;
+        let just_before = last + rec.decode_timeout - Duration::from_micros(1);
+        assert_eq!(rx.quiet(just_before), Some(last + rec.decode_timeout));
+        assert!(rx.nacks().is_empty(), "no estimate yet: the ceiling stands");
+        let nacked = last + rec.decode_timeout;
+        assert_eq!(rx.quiet(nacked), Some(nacked + rec.nack_interval));
+        assert_eq!(rx.nacks(), [(1, 1)]);
+        // No repair came, so no round trip is known: the next NACK waits
+        // out `nack_interval`.
+        rx.quiet(nacked + rec.nack_interval - Duration::from_micros(1));
+        assert_eq!(rx.nacks().len(), 1);
+        rx.quiet(nacked + rec.nack_interval);
+        assert_eq!(rx.nacks(), [(1, 1), (1, 1)]);
+    }
+
+    #[test]
+    fn tails_and_renacks_follow_the_measured_round_trip() {
+        let (mut rx, enc, mut rng) = hand_driven(8);
+        let rec = recovery();
+        let ms = Duration::from_millis;
+        let mut t = Instant::now();
+        // A gap in generation 1, NACKed on evidence; its repair arrives
+        // 2 ms after the NACK: one round-trip sample, bound 2 + 4 x 1 ms.
+        let nacked_at = stream(&mut rx, &enc, &mut rng, 0..7, &[(1, 0)], &mut t);
+        assert_eq!(rx.nacks(), [(1, 1)]);
+        rx.arrive(
+            &enc.coded_packet(1, &mut rng).to_bytes(),
+            4,
+            nacked_at[0] + ms(2),
+        );
+        let rtt = rx.obs.snapshot();
+        let rtt = rtt.histogram("recovery.rtt_ns").unwrap();
+        assert_eq!((rtt.count, rtt.max), (1, 2_000_000));
+
+        // The last generation arrives short of two packets and the
+        // stream goes quiet. It is NACKed REORDER_SPAN spacings plus the
+        // 6 ms round-trip bound after its last packet — not at once (a
+        // tail proves nothing), not after the 30 ms ceiling.
+        stream(&mut rx, &enc, &mut rng, 7..8, &[(7, 2), (7, 3)], &mut t);
+        let last = t - 3 * SPACING;
+        let due = rx.quiet(last + ms(6)).expect("the tail is outstanding");
+        assert_eq!(rx.nacks().len(), 1, "not yet");
+        assert!(due > last + ms(6) && due < last + ms(9), "{:?}", due - last);
+        assert!(due < last + rec.decode_timeout / 2);
+        rx.quiet(due);
+        assert_eq!(rx.nacks()[1..], [(7, 2)]);
+        // One repair arrives 2 ms later (a second sample: the bound is now
+        // 2 + 4 x 0.75 ms); the re-NACK for the rest waits out that bound
+        // from the first NACK, then asks for exactly the one still
+        // missing.
+        rx.arrive(&enc.coded_packet(7, &mut rng).to_bytes(), 4, due + ms(2));
+        rx.quiet(due + ms(5) - Duration::from_micros(1));
+        assert_eq!(rx.nacks().len(), 2, "a round trip has not passed");
+        rx.quiet(due + ms(5));
+        assert_eq!(rx.nacks()[2..], [(7, 1)]);
+        // Nothing answers that one (a stalled path, perhaps, rather than
+        // a lost repair): the next waits twice the bound.
+        rx.quiet(due + ms(15) - Duration::from_micros(1));
+        assert_eq!(rx.nacks().len(), 3);
+        rx.quiet(due + ms(15));
+        assert_eq!(rx.nacks()[3..], [(7, 1)]);
+    }
+
+    #[test]
+    fn a_stall_opens_a_bounded_lookahead_never_the_whole_object() {
+        let obs = TransferObs::new();
+        let rec = recovery();
+        let cfg = config();
+        let turn = generational_turn(&cfg, &rec, 10_000, &obs);
+        let mut rx = HandDriven::new(obs, turn);
+        let enc = encoder(2);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut t = Instant::now();
+        // Two generations arrive whole, then nothing at all (a dead
+        // relay, or a tail lost whole).
+        stream(&mut rx, &enc, &mut rng, 0..2, &[], &mut t);
+        let last = t - SPACING;
+        rx.quiet(last + rec.decode_timeout);
+        let ahead: Vec<(u64, u16)> = (2..2 + LOOKAHEAD).map(|g| (g, 4)).collect();
+        assert_eq!(rx.nacks(), ahead, "a handful, each for a whole generation");
+        // Stall after stall re-asks for those, and only those: nothing
+        // proves that anything beyond them was ever sent.
+        for round in 2..10 {
+            rx.quiet(last + rec.decode_timeout * round);
+        }
+        assert_eq!(rx.nacks().len(), 9 * LOOKAHEAD as usize);
+        assert!(rx.nacks().iter().all(|&(g, _)| g < 2 + LOOKAHEAD));
+
+        // The clock itself: a stall's scan asks about the open units, not
+        // about all 10 000.
+        let mut clock = NackClock::new(&rec, 10_000, false);
+        clock.arrival(0, 0, t, &rx.obs.recovery);
+        let asked = std::cell::Cell::new(0);
+        let done = |_| {
+            asked.set(asked.get() + 1);
+            false
+        };
+        let mut nacked = Vec::new();
+        let m = &rx.obs.recovery;
+        clock.poll(t + rec.decode_timeout, m, done, |u| nacked.push(u));
+        assert_eq!(nacked, [0, 1, 2, 3, 4]);
+        assert!(asked.get() <= 2 * nacked.len(), "{} asked", asked.get());
+        assert_eq!(clock.open.len(), 1 + LOOKAHEAD as usize);
+    }
+
+    #[test]
+    fn a_window_gap_is_nacked_when_a_symbol_beyond_the_cursor_arrives() {
+        let (cfg, rec, obs) = (config(), recovery(), TransferObs::new());
+        let wide = WindowConfig::new(64, 64).unwrap();
+        let turn = windowed_turn(&cfg, wide, &rec, 64);
+        let mut rx = HandDriven::new(obs, turn);
+        let mut enc = WindowEncoder::new(wide, cfg.session);
+        let mut pool = PayloadPool::new();
+        let t0 = Instant::now();
+        let mut t = t0;
+        // Symbols 0..24 in order, symbol 5 lost.
+        for i in 0..24 {
+            let index = enc.push(&[i as u8; 64]).unwrap();
+            let pkt = enc.systematic_packet_pooled(index, &mut pool).unwrap();
+            if i != 5 {
+                rx.arrive(&pkt.to_bytes(), 0, t);
+            }
+            if rx.window_nacks().is_empty() {
+                t += SPACING;
+            }
+        }
+        // The old rule NACKed only when *nothing* arrived for
+        // `decode_timeout`; the gap is evident the moment symbol 6 lands
+        // (at 6 spacings) and is asked for once the cursor has lagged it
+        // by the reorder span, mid-stream.
+        assert_eq!(rx.window_nacks(), [(5, 1)], "cursor at 5, one missing");
+        let lag = t - (t0 + 6 * SPACING);
+        assert!(
+            lag >= SPACING * REORDER_SPAN && lag <= SPACING * (REORDER_SPAN + 2),
+            "NACKed {lag:?} after the evidence"
+        );
+        assert!(lag < rec.decode_timeout / 4);
     }
 
     #[test]

@@ -13,22 +13,23 @@ use ncvnf_obs::{desc, Counter, Gauge, Histogram, MetricDesc, MetricKind, Registr
 use crate::pool::PoolStats;
 use crate::redundancy::AdaptiveRedundancy;
 
-/// `rlnc.redundancy.extra` — current AIMD extra coded packets/generation.
+/// `rlnc.redundancy.extra` — extra coded packets per generation's worth
+/// the redundancy controller last applied.
 pub const REDUNDANCY_EXTRA: MetricDesc = desc(
     "rlnc.redundancy.extra",
     MetricKind::Gauge,
     "packets",
     "rlnc",
-    "Current adaptive redundancy: extra coded packets per generation",
+    "Adaptive redundancy last applied: extra coded packets per generation's worth of data",
 );
 
-/// `rlnc.redundancy.peak_extra` — highest redundancy reached so far.
+/// `rlnc.redundancy.peak_extra` — highest redundancy applied so far.
 pub const REDUNDANCY_PEAK: MetricDesc = desc(
     "rlnc.redundancy.peak_extra",
     MetricKind::Gauge,
     "packets",
     "rlnc",
-    "Peak adaptive redundancy reached since start",
+    "Highest adaptive redundancy applied since start",
 );
 
 /// `rlnc.decode.generations` — generations fully decoded.
@@ -72,7 +73,7 @@ impl RlncMetrics {
         }
     }
 
-    /// Publishes the controller's current and peak redundancy levels.
+    /// Publishes the redundancy the controller last applied and its peak.
     pub fn observe_redundancy(&self, controller: &AdaptiveRedundancy) {
         self.redundancy_extra.set(controller.current_extra());
         self.redundancy_peak.set(controller.peak_extra());
@@ -182,7 +183,8 @@ mod tests {
         let registry = Registry::new();
         let m = RlncMetrics::register(&registry);
         let mut ctl = AdaptiveRedundancy::new(AimdConfig::default());
-        ctl.on_loss(2);
+        ctl.on_resolved(2, 4);
+        assert_eq!(ctl.repair_packets(1, false, 4), 2);
         m.observe_redundancy(&ctl);
         m.record_generation_decoded(6);
         m.record_generation_decoded(4);

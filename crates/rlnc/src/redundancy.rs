@@ -1,12 +1,12 @@
 //! Redundancy policy: extra coded packets per generation.
 //!
 //! Two flavours: the paper's *static* NC0/NC1/NC2 policies
-//! ([`RedundancyPolicy`]), and an *adaptive* AIMD controller
-//! ([`AdaptiveRedundancy`]) that raises the redundancy when receivers
-//! NACK undecodable generations and decays it back once the path is
-//! clean — "a small number of extra coded packets ... in cases of high
-//! packet loss rate, and no extra coded packets if the links are
-//! reliable", chosen online instead of configured up front.
+//! ([`RedundancyPolicy`]), and an *adaptive* controller
+//! ([`AdaptiveRedundancy`]) that estimates the path's erasure rate from
+//! what receivers report and sizes redundancy from it — "a small number
+//! of extra coded packets ... in cases of high packet loss rate, and no
+//! extra coded packets if the links are reliable", chosen online instead
+//! of configured up front, and spent only where it saves a round trip.
 
 /// How many extra coded packets a node emits per generation.
 ///
@@ -52,14 +52,6 @@ impl RedundancyPolicy {
         generation_size + self.extra as usize
     }
 
-    /// Packets that repair `missing` lost ones at the same redundancy
-    /// *ratio* a fresh generation carries: `missing × (g + extra) / g`,
-    /// rounded up (at least one). NC8 at g=4 repairs one loss with 3
-    /// packets, not 9.
-    pub fn repair_packets(self, missing: usize, generation_size: usize) -> usize {
-        (missing.max(1) * self.packets_per_generation(generation_size)).div_ceil(generation_size)
-    }
-
     /// Bandwidth expansion factor relative to sending only `g` packets.
     pub fn overhead_factor(self, generation_size: usize) -> f64 {
         self.packets_per_generation(generation_size) as f64 / generation_size as f64
@@ -72,20 +64,17 @@ impl std::fmt::Display for RedundancyPolicy {
     }
 }
 
-/// Tuning of the additive-increase / multiplicative-decrease controller.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Bounds of the adaptive redundancy (named for the AIMD law it used to
+/// tune).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AimdConfig {
-    /// Redundancy never falls below this many extra packets (the
+    /// Fresh generations never carry fewer extra packets than this (the
     /// configured static policy acts as the floor).
     pub floor: u32,
-    /// Redundancy never rises above this many extra packets (bandwidth
-    /// expansion must stay bounded even under pathological feedback).
+    /// Neither a fresh generation nor a repair burst carries more extra
+    /// packets than this per generation's worth (bandwidth expansion
+    /// stays bounded even under pathological feedback).
     pub ceiling: u32,
-    /// Extra packets added per observed loss event (additive increase).
-    pub increase: f64,
-    /// Multiplicative factor applied per clean generation (decay toward
-    /// the floor); must be in `(0, 1)`.
-    pub decay: f64,
 }
 
 impl Default for AimdConfig {
@@ -93,62 +82,62 @@ impl Default for AimdConfig {
         AimdConfig {
             floor: 0,
             ceiling: 8,
-            increase: 1.0,
-            decay: 0.7,
         }
     }
 }
 
-/// AIMD redundancy controller for the live data path.
+/// Packets the erasure estimate looks back over: past this many, both
+/// of its sums are halved.
+const ESTIMATE_HORIZON: f64 = 512.0;
+
+/// Redundancy controller for the live data path: an erasure-rate
+/// estimate p̂ that puts extra packets only where a round trip is not
+/// hidden.
 ///
-/// Each NACK (a generation the receiver could not decode) bumps the
-/// working redundancy additively; each ACKed-without-retransmit
-/// generation decays it multiplicatively toward the floor.
-/// [`policy`](Self::policy) rounds the working value to the
-/// [`RedundancyPolicy`] the encoder applies to the *next* generation, so
-/// under sustained loss the source sends more coded packets per
-/// generation instead of stalling on retransmission round trips.
+/// p̂ is what resolved generations report ([`on_resolved`](Self::on_resolved)).
+/// A paced source that answers a NACK while fresh data is still leaving
+/// loses no time to the round trip, so such a repair carries exactly the
+/// count asked for and fresh generations stay at the floor; where the
+/// round trip *is* exposed, bursts are sized for `1 / (1 − p̂)` so that
+/// one round is expected to be enough.
 ///
 /// # Examples
 ///
 /// ```
 /// use ncvnf_rlnc::{AdaptiveRedundancy, AimdConfig};
 /// let mut r = AdaptiveRedundancy::new(AimdConfig::default());
-/// assert_eq!(r.policy().extra(), 0);
-/// r.on_loss(2); // a NACK asking for 2 packets
-/// assert!(r.policy().extra() >= 1);
-/// for _ in 0..16 {
-///     r.on_clean(); // the path recovered
-/// }
-/// assert_eq!(r.policy().extra(), 0);
+/// r.on_resolved(1, 4); // a first NACK: 1 of 4 packets missing
+/// assert_eq!(r.loss_estimate(), 0.25);
+/// assert_eq!(r.repair_packets(3, true, 4), 3, "hidden: what was asked");
+/// assert_eq!(r.repair_packets(3, false, 4), 4, "exposed: 3 / (1 - 0.25)");
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveRedundancy {
     config: AimdConfig,
-    /// Working redundancy in fractional packets.
+    /// Packets reported missing, and packets sent, by the generations
+    /// resolved so far (with forgetting).
+    lost: f64,
+    sent: f64,
+    /// Extra per generation's worth last applied, and the highest so far.
     extra: f64,
-    /// Highest redundancy reached so far (for reporting).
     peak: f64,
 }
 
 impl AdaptiveRedundancy {
-    /// A controller starting at the configured floor.
+    /// A controller with nothing observed yet.
     ///
     /// # Panics
     ///
-    /// Panics if `config.decay` is outside `(0, 1)`, `config.increase`
-    /// is not positive, or the floor exceeds the ceiling.
+    /// Panics if the floor exceeds the ceiling.
     pub fn new(config: AimdConfig) -> Self {
-        assert!(
-            config.decay > 0.0 && config.decay < 1.0,
-            "decay must be in (0, 1)"
-        );
-        assert!(config.increase > 0.0, "increase must be positive");
         assert!(config.floor <= config.ceiling, "floor exceeds ceiling");
+        let floor = f64::from(config.floor);
         AdaptiveRedundancy {
             config,
-            extra: config.floor as f64,
-            peak: config.floor as f64,
+            lost: 0.0,
+            sent: 0.0,
+            extra: floor,
+            peak: floor,
         }
     }
 
@@ -160,71 +149,88 @@ impl AdaptiveRedundancy {
         Self::new(config)
     }
 
-    /// The tuning in effect.
-    pub fn config(&self) -> AimdConfig {
-        self.config
-    }
-
-    /// Current working redundancy in fractional extra packets.
+    /// Extra packets per generation's worth the controller last applied.
     pub fn current_extra(&self) -> f64 {
         self.extra
     }
 
-    /// Highest working redundancy reached so far.
+    /// Highest extra per generation's worth applied so far.
     pub fn peak_extra(&self) -> f64 {
         self.peak
     }
 
-    /// The policy to apply to the next generation (working value,
-    /// rounded to the nearest whole packet).
-    pub fn policy(&self) -> RedundancyPolicy {
-        RedundancyPolicy::new(self.extra.round() as u32)
+    /// The erasure-rate estimate p̂ (0 before anything resolved).
+    pub fn loss_estimate(&self) -> f64 {
+        (self.lost / self.sent.max(1.0)).min(1.0)
     }
 
-    /// Records a loss event: a NACK for `missing` packets (at least one
-    /// additive step even when `missing` is 0).
-    pub fn on_loss(&mut self, missing: u16) {
-        let steps = (missing.max(1) as f64).min(4.0);
-        self.extra = (self.extra + self.config.increase * steps).min(self.config.ceiling as f64);
-        self.peak = self.peak.max(self.extra);
+    /// Records a resolved generation: `missing` of the `sent` packets it
+    /// left with did not arrive (its first NACK's count, or 0 for a
+    /// generation ACKed without a repair).
+    pub fn on_resolved(&mut self, missing: u16, sent: usize) {
+        self.lost += f64::from(missing).min(sent as f64);
+        self.sent += sent as f64;
+        if self.sent > ESTIMATE_HORIZON {
+            self.lost *= 0.5;
+            self.sent *= 0.5;
+        }
     }
 
-    /// Records a congestion signal from a downstream relay (a
-    /// `Congestion` feedback frame): redundancy is cut multiplicatively
-    /// toward the floor — halving the working headroom per signal — so
-    /// an overloaded mesh sheds the source's *extra* packets first,
-    /// before the relay has to. The TCP-style asymmetry (additive raise
-    /// on loss, multiplicative cut on congestion) keeps competing
-    /// senders converging instead of oscillating.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ncvnf_rlnc::{AdaptiveRedundancy, AimdConfig};
-    /// let mut r = AdaptiveRedundancy::new(AimdConfig::default());
-    /// r.on_loss(4);
-    /// r.on_loss(4);
-    /// let before = r.current_extra();
-    /// r.on_congestion();
-    /// assert!(r.current_extra() <= before / 2.0 + 1e-9);
-    /// ```
+    /// Records a `Congestion` frame from a downstream relay: what an
+    /// overloaded relay sheds is not erasure, and answering it with more
+    /// packets would feed the overload, so the estimate is halved.
     pub fn on_congestion(&mut self) {
-        let floor = self.config.floor as f64;
-        self.extra = (floor + (self.extra - floor) * 0.5).max(floor);
-        if self.extra - floor < 1e-6 {
-            self.extra = floor;
-        }
+        self.lost *= 0.5;
     }
 
-    /// Records a clean generation (decoded without any retransmission).
-    pub fn on_clean(&mut self) {
-        let floor = self.config.floor as f64;
-        self.extra = (floor + (self.extra - floor) * self.config.decay).max(floor);
-        // Geometric decay never *reaches* the floor; snap once the gap is
-        // far below packet resolution.
-        if self.extra - floor < 1e-6 {
-            self.extra = floor;
-        }
+    /// Packets that deliver `wanted` at the estimated erasure rate, at
+    /// most the ceiling's ratio `(g + ceiling) / g` of it.
+    fn sized(&self, wanted: usize, generation_size: usize) -> usize {
+        let expected = (wanted as f64 / (1.0 - self.loss_estimate())).ceil() as usize;
+        let cap = wanted * (generation_size + self.config.ceiling as usize);
+        expected.clamp(wanted, cap.div_ceil(generation_size))
+    }
+
+    fn apply(&mut self, extra: f64) {
+        self.extra = extra;
+        self.peak = self.peak.max(extra);
+    }
+
+    /// The policy for the next fresh generation of `generation_size`
+    /// blocks: the extras `1 / (1 − p̂)` calls for if they are within
+    /// `hideable` — the extras per generation whose pacing time, over what
+    /// is left of the fresh pass, a repair round trip would outlast —
+    /// and the floor otherwise.
+    pub fn fresh_policy(&mut self, generation_size: usize, hideable: u32) -> RedundancyPolicy {
+        let floor = self.config.floor;
+        let sized = (self.sized(generation_size, generation_size) - generation_size) as u32;
+        let extra = if sized <= hideable {
+            sized.max(floor)
+        } else {
+            floor
+        };
+        self.apply(f64::from(extra));
+        RedundancyPolicy::new(extra)
+    }
+
+    /// Size of the burst answering a NACK for `missing` packets (at least
+    /// one): exactly that when the round trip is `hidden` behind fresh
+    /// data still being paced out, `missing / (1 − p̂)` rounded up when a
+    /// second round would cost a round trip of its own.
+    pub fn repair_packets(
+        &mut self,
+        missing: usize,
+        hidden: bool,
+        generation_size: usize,
+    ) -> usize {
+        let wanted = missing.max(1);
+        let burst = if hidden {
+            wanted
+        } else {
+            self.sized(wanted, generation_size)
+        };
+        self.apply(((burst - wanted) * generation_size) as f64 / wanted as f64);
+        burst
     }
 }
 
@@ -241,119 +247,107 @@ mod tests {
     }
 
     #[test]
-    fn repairs_carry_the_generation_ratio() {
-        assert_eq!(RedundancyPolicy::NC0.repair_packets(2, 4), 2);
-        assert_eq!(RedundancyPolicy::NC0.repair_packets(0, 4), 1);
-        assert_eq!(RedundancyPolicy::NC1.repair_packets(1, 4), 2);
-        assert_eq!(RedundancyPolicy::new(8).repair_packets(1, 4), 3);
-        assert_eq!(RedundancyPolicy::new(8).repair_packets(4, 4), 12);
-    }
-
-    #[test]
     fn overhead_factor() {
         assert!((RedundancyPolicy::NC1.overhead_factor(4) - 1.25).abs() < 1e-12);
         assert!((RedundancyPolicy::NC0.overhead_factor(4) - 1.0).abs() < 1e-12);
     }
 
+    /// A controller that has seen `lost` of every 100 packets go missing.
+    fn at_loss(lost: u16, config: AimdConfig) -> AdaptiveRedundancy {
+        let mut r = AdaptiveRedundancy::new(config);
+        r.on_resolved(lost, 100);
+        r
+    }
+
     #[test]
-    fn sustained_loss_raises_redundancy_above_floor() {
+    fn estimate_is_missing_over_sent_and_forgets() {
         let mut r = AdaptiveRedundancy::new(AimdConfig::default());
-        assert_eq!(r.policy(), RedundancyPolicy::NC0);
-        for _ in 0..3 {
-            r.on_loss(1);
+        assert_eq!(r.loss_estimate(), 0.0, "nothing observed");
+        r.on_resolved(1, 4); // first NACK: 1 of 4
+        r.on_resolved(0, 4); // clean ACK
+        assert_eq!(r.loss_estimate(), 0.125);
+        // A NACK cannot report more missing than was sent.
+        r.on_resolved(u16::MAX, 4);
+        assert!((r.loss_estimate() - 5.0 / 12.0).abs() < 1e-12);
+        // A long clean stretch outweighs old loss: the sums are halved
+        // every horizon, so the early 5 packets fade geometrically.
+        for _ in 0..1000 {
+            r.on_resolved(0, 4);
         }
-        assert!(r.policy().extra() >= 3, "3 NACKs raise NCr to ≥3");
-        assert!(r.peak_extra() >= 3.0);
+        assert!(r.loss_estimate() < 0.001, "{}", r.loss_estimate());
     }
 
     #[test]
-    fn redundancy_is_capped_at_the_ceiling() {
-        let mut r = AdaptiveRedundancy::new(AimdConfig {
-            ceiling: 4,
-            ..AimdConfig::default()
-        });
-        for _ in 0..100 {
-            r.on_loss(u16::MAX);
+    fn hidden_rounds_carry_what_was_asked_exposed_ones_the_margin() {
+        let mut r = at_loss(19, AimdConfig::default());
+        for want in 1..=4 {
+            assert_eq!(r.repair_packets(want, true, 4), want);
         }
-        assert_eq!(r.current_extra(), 4.0);
-        assert_eq!(r.policy().extra(), 4);
+        assert_eq!(r.current_extra(), 0.0);
+        assert_eq!(r.peak_extra(), 0.0, "hidden rounds apply no extra");
+        // ceil(want / 0.81): 2, 3, 4, 5.
+        let exposed: Vec<usize> = (1..=4).map(|w| r.repair_packets(w, false, 4)).collect();
+        assert_eq!(exposed, [2, 3, 4, 5]);
+        assert_eq!(r.current_extra(), 1.0, "5 for 4 is one per generation");
+        assert_eq!(r.peak_extra(), 4.0, "2 for 1 is four per generation");
+        // A NACK for nothing still gets one packet.
+        assert_eq!(r.repair_packets(0, true, 4), 1);
+        // With nothing observed the margin is nil.
+        let mut fresh = AdaptiveRedundancy::new(AimdConfig::default());
+        assert_eq!(fresh.repair_packets(3, false, 4), 3);
     }
 
     #[test]
-    fn clean_path_decays_back_to_floor_within_bounded_window() {
-        let mut r = AdaptiveRedundancy::from_policy(
-            RedundancyPolicy::NC1,
+    fn bursts_are_capped_at_the_ceiling_ratio() {
+        let mut r = at_loss(
+            99,
             AimdConfig {
-                ceiling: 8,
+                ceiling: 4,
                 ..AimdConfig::default()
             },
         );
-        assert_eq!(r.config().floor, 1);
-        for _ in 0..8 {
-            r.on_loss(2);
-        }
-        assert_eq!(r.current_extra(), 8.0);
-        // Geometric decay: (8 - 1) * 0.7^k < 0.5 for k ≥ 8, so at most
-        // 8 clean generations return the rounded policy to the floor.
-        let mut clean = 0;
-        while r.policy().extra() > 1 {
-            r.on_clean();
-            clean += 1;
-            assert!(
-                clean <= 8,
-                "decay window exceeded: extra={}",
-                r.current_extra()
-            );
-        }
-        assert!(clean > 0, "decay takes at least one clean generation");
-        // Never undershoots the floor.
-        for _ in 0..100 {
-            r.on_clean();
-        }
-        assert_eq!(r.current_extra(), 1.0);
+        // 1 / (1 - 0.99) would be 100 packets; NC4 at g=4 doubles.
+        assert_eq!(r.repair_packets(1, false, 4), 2);
+        assert_eq!(r.repair_packets(4, false, 4), 8);
+        assert_eq!(r.fresh_policy(4, u32::MAX).extra(), 4);
+        // Total loss must not divide by zero either.
+        let mut dead = at_loss(100, AimdConfig::default());
+        assert_eq!(dead.repair_packets(1, false, 4), 3, "NC8 ratio");
     }
 
     #[test]
-    fn nack_size_scales_increase_but_is_bounded() {
-        let mut small = AdaptiveRedundancy::new(AimdConfig::default());
-        let mut big = AdaptiveRedundancy::new(AimdConfig::default());
-        small.on_loss(1);
-        big.on_loss(4);
-        assert!(big.current_extra() > small.current_extra());
-        // A pathological NACK cannot blow past 4 additive steps at once.
-        let mut huge = AdaptiveRedundancy::new(AimdConfig::default());
-        huge.on_loss(u16::MAX);
-        assert_eq!(huge.current_extra(), 4.0);
+    fn fresh_generations_stay_at_the_floor_unless_extras_hide_a_round_trip() {
+        let mut r = at_loss(19, AimdConfig::default());
+        assert_eq!(r.fresh_policy(4, 0), RedundancyPolicy::NC0);
+        assert_eq!(r.peak_extra(), 0.0);
+        // ceil(4 / 0.81) = 5: one extra, once a round trip outlasts it.
+        assert_eq!(r.fresh_policy(4, 1), RedundancyPolicy::NC1);
+        assert_eq!((r.current_extra(), r.peak_extra()), (1.0, 1.0));
+        // The static policy is the floor either way.
+        let mut nc2 = AdaptiveRedundancy::from_policy(RedundancyPolicy::NC2, AimdConfig::default());
+        nc2.on_resolved(19, 100);
+        assert_eq!(nc2.fresh_policy(4, 0), RedundancyPolicy::NC2);
+        assert_eq!(nc2.fresh_policy(4, 8), RedundancyPolicy::NC2);
+        // A clean path calls for nothing.
+        let mut clean = at_loss(0, AimdConfig::default());
+        assert_eq!(clean.fresh_policy(4, u32::MAX), RedundancyPolicy::NC0);
     }
 
     #[test]
-    fn congestion_cuts_multiplicatively_and_respects_floor() {
-        let mut r = AdaptiveRedundancy::from_policy(
-            RedundancyPolicy::NC2,
-            AimdConfig {
-                ceiling: 8,
-                ..AimdConfig::default()
-            },
-        );
-        for _ in 0..8 {
-            r.on_loss(2);
-        }
-        assert_eq!(r.current_extra(), 8.0);
+    fn congestion_halves_the_estimate() {
+        let mut r = at_loss(40, AimdConfig::default());
         r.on_congestion();
-        assert_eq!(r.current_extra(), 5.0, "floor 2 + (8-2)/2");
-        for _ in 0..64 {
-            r.on_congestion();
-        }
-        assert_eq!(r.current_extra(), 2.0, "never undershoots the floor");
-        assert_eq!(r.peak_extra(), 8.0, "peak is unaffected by the cut");
+        assert_eq!(r.loss_estimate(), 0.2);
+        r.on_congestion();
+        assert_eq!(r.loss_estimate(), 0.1);
     }
 
     #[test]
-    #[should_panic(expected = "decay must be in (0, 1)")]
-    fn invalid_decay_panics() {
+    #[should_panic(expected = "floor exceeds ceiling")]
+    fn floor_above_ceiling_panics() {
         let _ = AdaptiveRedundancy::new(AimdConfig {
-            decay: 1.0,
-            ..AimdConfig::default()
+            floor: 9,
+            ceiling: 8,
         });
     }
 }
