@@ -584,7 +584,7 @@ impl Autoscaler {
                 }
                 report.drained.push(node);
                 if let Some(m) = &self.metrics {
-                    m.record_autoscale_drained();
+                    m.autoscale_drained.inc();
                 }
             }
         }
@@ -595,8 +595,8 @@ impl Autoscaler {
         }
 
         if let Some(m) = &self.metrics {
-            m.record_autoscale_poll();
-            m.set_autoscale_draining(self.draining().len() as u64);
+            m.autoscale_polls.inc();
+            m.autoscale_draining.set(self.draining().len() as f64);
         }
         Ok(report)
     }
@@ -639,13 +639,13 @@ impl Autoscaler {
             self.pushed_tables.remove(&t.node);
             woken.push(t.node);
             if let Some(m) = &self.metrics {
-                m.record_autoscale_woken();
+                m.autoscale_woken.inc();
             }
         }
         if !woken.is_empty() {
             self.push_tables(link)?;
             if let Some(m) = &self.metrics {
-                m.set_autoscale_draining(self.draining().len() as u64);
+                m.autoscale_draining.set(self.draining().len() as f64);
             }
         }
         Ok(woken)

@@ -693,7 +693,7 @@ impl Journal {
         self.pending.extend_from_slice(&crc32(&body).to_be_bytes());
         self.pending.extend_from_slice(&body);
         if let Some(m) = &self.metrics {
-            m.record_journal_append();
+            m.journal_appends.inc();
         }
     }
 
@@ -713,7 +713,8 @@ impl Journal {
         self.file.sync_data()?;
         self.pending.clear();
         if let Some(m) = &self.metrics {
-            m.record_journal_commit_ns(started.elapsed().as_nanos() as u64);
+            m.journal_commit_ns
+                .record(started.elapsed().as_nanos() as u64);
         }
         Ok(())
     }

@@ -63,7 +63,7 @@ pub use journal::{
     ControlRecord, ControllerState, Journal, NodeBelief, NodeStatus, ReplayReport, SessionSpec,
 };
 pub use liveness::{LivenessConfig, LivenessEvent, LivenessState, LivenessTracker};
-pub use metrics::ControlMetrics;
+pub use metrics::{ControlCells, ControlMetrics};
 pub use reconcile::{reconcile, NodeObservation, ReconcilePlan, ReconcileReport};
 pub use sender::{SendError, SendReceipt, SenderConfig, SignalSender};
 pub use signal::{FencedSignal, Signal, SignalError, SignalFrame, VnfRoleWire};

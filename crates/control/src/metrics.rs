@@ -9,302 +9,63 @@
 //! [`LivenessTracker::poll`](crate::LivenessTracker::poll) events and
 //! table-push round trips.
 
-use ncvnf_obs::{
-    desc, Counter, Gauge, Histogram, MetricDesc, MetricKind, Registry, TraceKind, TraceRing,
-};
+use ncvnf_obs::{Registry, TraceKind, TraceRing};
 
 use crate::liveness::LivenessEvent;
 
-/// `control.liveness.suspected` — nodes that went silent past the
-/// suspect threshold.
-pub const LIVENESS_SUSPECTED: MetricDesc = desc(
-    "control.liveness.suspected",
-    MetricKind::Counter,
-    "events",
-    "control",
-    "Liveness transitions into Suspect",
-);
+ncvnf_obs::metrics! {
+    /// The control plane's registry cells; [`ControlMetrics`] derefs to
+    /// this, so record sites write `m.sender_pushes.inc()`.
+    pub struct ControlCells in "control" {
+        pub suspected: Counter = "control.liveness.suspected", "events", "Liveness transitions into Suspect";
+        pub died: Counter = "control.liveness.died", "events", "Liveness transitions into Dead";
+        pub recovered: Counter = "control.liveness.recovered", "events", "Suspect or dead nodes that resumed beaconing";
+        pub scaling_events: Counter = "control.scaling.events", "events", "Scaling observations emitted by telemetry aggregation";
+        pub table_push_ns: Histogram = "control.table_push_ns", "ns", "NC_FORWARD_TAB push round-trip latency (send to OK)";
+        pub journal_appends: Counter = "control.journal.appends", "records", "Records appended to the write-ahead journal";
+        pub journal_commit_ns: Histogram = "control.journal.commit_ns", "ns", "Journal commit latency (buffered write plus fsync) per batch";
+        pub journal_replayed: Counter = "control.journal.replayed", "records", "Journal records replayed into controller state on restart";
+        pub journal_torn_tails: Counter = "control.journal.torn_tails", "events", "Torn journal tails detected and truncated on open";
+        pub sender_pushes: Counter = "control.sender.pushes", "signals", "Fenced signal pushes attempted by the reliable sender";
+        pub sender_retries: Counter = "control.sender.retries", "attempts", "Signal retransmissions after an ACK timeout (exponential backoff)";
+        pub sender_failed: Counter = "control.sender.failed", "signals", "Signal pushes abandoned after exhausting every retry";
+        pub sender_ack_ns: Histogram = "control.sender.ack_ns", "ns", "Push-to-ACK latency of successfully delivered fenced signals";
+        pub reconcile_runs: Counter = "control.reconcile.runs", "runs", "Restart reconciliation passes executed";
+        pub reconcile_readopted: Counter = "control.reconcile.readopted", "nodes", "Healthy nodes re-adopted with their tables intact";
+        pub reconcile_repushed: Counter = "control.reconcile.repushed", "tables", "Forwarding tables re-pushed because the live digest diverged";
+        pub reconcile_expired: Counter = "control.reconcile.expired", "instances", "Lingering instances whose deadline passed while the controller was down";
+        pub reconcile_unreachable: Counter = "control.reconcile.unreachable", "nodes", "Journaled nodes that did not answer the reconciliation NC_STATS query";
+        pub autoscale_polls: Counter = "control.autoscale.polls", "sweeps", "Autoscaler NC_STATS polling sweeps over the relay fleet";
+        pub autoscale_adoptions: Counter = "control.autoscale.adoptions", "deployments", "New deployments adopted and actuated by the autoscaler";
+        pub autoscale_drained: Counter = "control.autoscale.drained", "instances", "Idle VNFs sent NC_VNF_END by the scale-to-zero policy";
+        pub autoscale_woken: Counter = "control.autoscale.woken", "instances", "Draining VNFs re-armed after a wake request or traffic return";
+        pub autoscale_draining: Gauge = "control.autoscale.draining", "instances", "Relay targets currently draining toward scale-to-zero";
+        pub autoscale_detect_ms: Histogram = "control.autoscale.detect_ms", "ms", "Controller-clock latency from first drift observation to adoption";
+        pub autoscale_decide_ns: Histogram = "control.autoscale.decide_ns", "ns", "Wall-clock latency of one adopting decision pass (observe to actuated)";
+    }
+}
 
-/// `control.liveness.died` — nodes declared dead.
-pub const LIVENESS_DIED: MetricDesc = desc(
-    "control.liveness.died",
-    MetricKind::Counter,
-    "events",
-    "control",
-    "Liveness transitions into Dead",
-);
-
-/// `control.liveness.recovered` — suspect/dead nodes that resumed
-/// beaconing.
-pub const LIVENESS_RECOVERED: MetricDesc = desc(
-    "control.liveness.recovered",
-    MetricKind::Counter,
-    "events",
-    "control",
-    "Suspect or dead nodes that resumed beaconing",
-);
-
-/// `control.scaling.events` — scaling observations emitted by telemetry.
-pub const SCALING_EVENTS: MetricDesc = desc(
-    "control.scaling.events",
-    MetricKind::Counter,
-    "events",
-    "control",
-    "Scaling observations emitted by telemetry aggregation",
-);
-
-/// `control.table_push_ns` — round-trip latency of a table push.
-pub const TABLE_PUSH_NS: MetricDesc = desc(
-    "control.table_push_ns",
-    MetricKind::Histogram,
-    "ns",
-    "control",
-    "NC_FORWARD_TAB push round-trip latency (send to OK)",
-);
-
-/// `control.journal.appends` — records appended to the write-ahead
-/// journal.
-pub const JOURNAL_APPENDS: MetricDesc = desc(
-    "control.journal.appends",
-    MetricKind::Counter,
-    "records",
-    "control",
-    "Records appended to the write-ahead journal",
-);
-
-/// `control.journal.commit_ns` — fsync'd commit latency per batch.
-pub const JOURNAL_COMMIT_NS: MetricDesc = desc(
-    "control.journal.commit_ns",
-    MetricKind::Histogram,
-    "ns",
-    "control",
-    "Journal commit latency (buffered write plus fsync) per batch",
-);
-
-/// `control.journal.replayed` — records replayed on restart.
-pub const JOURNAL_REPLAYED: MetricDesc = desc(
-    "control.journal.replayed",
-    MetricKind::Counter,
-    "records",
-    "control",
-    "Journal records replayed into controller state on restart",
-);
-
-/// `control.journal.torn_tails` — torn tails truncated on open.
-pub const JOURNAL_TORN_TAILS: MetricDesc = desc(
-    "control.journal.torn_tails",
-    MetricKind::Counter,
-    "events",
-    "control",
-    "Torn journal tails detected and truncated on open",
-);
-
-/// `control.sender.pushes` — fenced signal pushes attempted.
-pub const SENDER_PUSHES: MetricDesc = desc(
-    "control.sender.pushes",
-    MetricKind::Counter,
-    "signals",
-    "control",
-    "Fenced signal pushes attempted by the reliable sender",
-);
-
-/// `control.sender.retries` — retransmissions after an ACK timeout.
-pub const SENDER_RETRIES: MetricDesc = desc(
-    "control.sender.retries",
-    MetricKind::Counter,
-    "attempts",
-    "control",
-    "Signal retransmissions after an ACK timeout (exponential backoff)",
-);
-
-/// `control.sender.failed` — pushes abandoned after exhausting retries.
-pub const SENDER_FAILED: MetricDesc = desc(
-    "control.sender.failed",
-    MetricKind::Counter,
-    "signals",
-    "control",
-    "Signal pushes abandoned after exhausting every retry",
-);
-
-/// `control.sender.ack_ns` — push-to-ACK latency of delivered signals.
-pub const SENDER_ACK_NS: MetricDesc = desc(
-    "control.sender.ack_ns",
-    MetricKind::Histogram,
-    "ns",
-    "control",
-    "Push-to-ACK latency of successfully delivered fenced signals",
-);
-
-/// `control.reconcile.runs` — restart reconciliation passes executed.
-pub const RECONCILE_RUNS: MetricDesc = desc(
-    "control.reconcile.runs",
-    MetricKind::Counter,
-    "runs",
-    "control",
-    "Restart reconciliation passes executed",
-);
-
-/// `control.reconcile.readopted` — nodes re-adopted unchanged.
-pub const RECONCILE_READOPTED: MetricDesc = desc(
-    "control.reconcile.readopted",
-    MetricKind::Counter,
-    "nodes",
-    "control",
-    "Healthy nodes re-adopted with their tables intact",
-);
-
-/// `control.reconcile.repushed` — diverged tables re-pushed.
-pub const RECONCILE_REPUSHED: MetricDesc = desc(
-    "control.reconcile.repushed",
-    MetricKind::Counter,
-    "tables",
-    "control",
-    "Forwarding tables re-pushed because the live digest diverged",
-);
-
-/// `control.reconcile.expired` — τ-pool entries expired during downtime.
-pub const RECONCILE_EXPIRED: MetricDesc = desc(
-    "control.reconcile.expired",
-    MetricKind::Counter,
-    "instances",
-    "control",
-    "Lingering instances whose deadline passed while the controller was down",
-);
-
-/// `control.reconcile.unreachable` — journaled nodes that failed to
-/// answer the reconciliation query.
-pub const RECONCILE_UNREACHABLE: MetricDesc = desc(
-    "control.reconcile.unreachable",
-    MetricKind::Counter,
-    "nodes",
-    "control",
-    "Journaled nodes that did not answer the reconciliation NC_STATS query",
-);
-
-/// `control.autoscale.polls` — NC_STATS polling sweeps completed.
-pub const AUTOSCALE_POLLS: MetricDesc = desc(
-    "control.autoscale.polls",
-    MetricKind::Counter,
-    "sweeps",
-    "control",
-    "Autoscaler NC_STATS polling sweeps over the relay fleet",
-);
-
-/// `control.autoscale.adoptions` — deployments adopted by the loop.
-pub const AUTOSCALE_ADOPTIONS: MetricDesc = desc(
-    "control.autoscale.adoptions",
-    MetricKind::Counter,
-    "deployments",
-    "control",
-    "New deployments adopted and actuated by the autoscaler",
-);
-
-/// `control.autoscale.drained` — VNFs wound into the τ-pool by
-/// scale-to-zero.
-pub const AUTOSCALE_DRAINED: MetricDesc = desc(
-    "control.autoscale.drained",
-    MetricKind::Counter,
-    "instances",
-    "control",
-    "Idle VNFs sent NC_VNF_END by the scale-to-zero policy",
-);
-
-/// `control.autoscale.woken` — drained VNFs re-armed on traffic.
-pub const AUTOSCALE_WOKEN: MetricDesc = desc(
-    "control.autoscale.woken",
-    MetricKind::Counter,
-    "instances",
-    "control",
-    "Draining VNFs re-armed after a wake request or traffic return",
-);
-
-/// `control.autoscale.draining` — targets currently draining.
-pub const AUTOSCALE_DRAINING: MetricDesc = desc(
-    "control.autoscale.draining",
-    MetricKind::Gauge,
-    "instances",
-    "control",
-    "Relay targets currently draining toward scale-to-zero",
-);
-
-/// `control.autoscale.detect_ms` — drift-to-adoption detection latency.
-pub const AUTOSCALE_DETECT_MS: MetricDesc = desc(
-    "control.autoscale.detect_ms",
-    MetricKind::Histogram,
-    "ms",
-    "control",
-    "Controller-clock latency from first drift observation to adoption",
-);
-
-/// `control.autoscale.decide_ns` — wall-clock decision latency.
-pub const AUTOSCALE_DECIDE_NS: MetricDesc = desc(
-    "control.autoscale.decide_ns",
-    MetricKind::Histogram,
-    "ns",
-    "control",
-    "Wall-clock latency of one adopting decision pass (observe to actuated)",
-);
-
-/// Registry-backed handles for control-plane metrics.
+/// Registry-backed handles for control-plane metrics: the cells plus
+/// the registry's trace ring for liveness events.
 #[derive(Debug, Clone)]
 pub struct ControlMetrics {
-    suspected: Counter,
-    died: Counter,
-    recovered: Counter,
-    scaling_events: Counter,
-    table_push_ns: Histogram,
-    journal_appends: Counter,
-    journal_commit_ns: Histogram,
-    journal_replayed: Counter,
-    journal_torn_tails: Counter,
-    sender_pushes: Counter,
-    sender_retries: Counter,
-    sender_failed: Counter,
-    sender_ack_ns: Histogram,
-    reconcile_runs: Counter,
-    reconcile_readopted: Counter,
-    reconcile_repushed: Counter,
-    reconcile_expired: Counter,
-    reconcile_unreachable: Counter,
-    autoscale_polls: Counter,
-    autoscale_adoptions: Counter,
-    autoscale_drained: Counter,
-    autoscale_woken: Counter,
-    autoscale_draining: Gauge,
-    autoscale_detect_ms: Histogram,
-    autoscale_decide_ns: Histogram,
+    cells: ControlCells,
     trace: TraceRing,
+}
+
+impl std::ops::Deref for ControlMetrics {
+    type Target = ControlCells;
+
+    fn deref(&self) -> &ControlCells {
+        &self.cells
+    }
 }
 
 impl ControlMetrics {
     /// Registers (or retrieves) the control metrics in `registry`.
     pub fn register(registry: &Registry) -> Self {
         ControlMetrics {
-            suspected: registry.counter(LIVENESS_SUSPECTED),
-            died: registry.counter(LIVENESS_DIED),
-            recovered: registry.counter(LIVENESS_RECOVERED),
-            scaling_events: registry.counter(SCALING_EVENTS),
-            table_push_ns: registry.histogram(TABLE_PUSH_NS),
-            journal_appends: registry.counter(JOURNAL_APPENDS),
-            journal_commit_ns: registry.histogram(JOURNAL_COMMIT_NS),
-            journal_replayed: registry.counter(JOURNAL_REPLAYED),
-            journal_torn_tails: registry.counter(JOURNAL_TORN_TAILS),
-            sender_pushes: registry.counter(SENDER_PUSHES),
-            sender_retries: registry.counter(SENDER_RETRIES),
-            sender_failed: registry.counter(SENDER_FAILED),
-            sender_ack_ns: registry.histogram(SENDER_ACK_NS),
-            reconcile_runs: registry.counter(RECONCILE_RUNS),
-            reconcile_readopted: registry.counter(RECONCILE_READOPTED),
-            reconcile_repushed: registry.counter(RECONCILE_REPUSHED),
-            reconcile_expired: registry.counter(RECONCILE_EXPIRED),
-            reconcile_unreachable: registry.counter(RECONCILE_UNREACHABLE),
-            autoscale_polls: registry.counter(AUTOSCALE_POLLS),
-            autoscale_adoptions: registry.counter(AUTOSCALE_ADOPTIONS),
-            autoscale_drained: registry.counter(AUTOSCALE_DRAINED),
-            autoscale_woken: registry.counter(AUTOSCALE_WOKEN),
-            autoscale_draining: registry.gauge(AUTOSCALE_DRAINING),
-            autoscale_detect_ms: registry.histogram(AUTOSCALE_DETECT_MS),
-            autoscale_decide_ns: registry.histogram(AUTOSCALE_DECIDE_NS),
+            cells: ControlCells::register(registry),
             trace: registry.trace(),
         }
     }
@@ -328,34 +89,6 @@ impl ControlMetrics {
         }
     }
 
-    /// Counts a batch of liveness transitions (the shape
-    /// [`LivenessTracker::poll`](crate::LivenessTracker::poll) returns).
-    pub fn record_liveness_events(&self, events: &[LivenessEvent]) {
-        for ev in events {
-            self.record_liveness_event(ev);
-        }
-    }
-
-    /// Counts `n` scaling observations.
-    pub fn record_scaling_events(&self, n: u64) {
-        self.scaling_events.add(n);
-    }
-
-    /// Records one table-push round trip.
-    pub fn record_table_push_ns(&self, nanos: u64) {
-        self.table_push_ns.record(nanos);
-    }
-
-    /// Counts one record appended to the write-ahead journal.
-    pub fn record_journal_append(&self) {
-        self.journal_appends.inc();
-    }
-
-    /// Records one fsync'd journal commit.
-    pub fn record_journal_commit_ns(&self, nanos: u64) {
-        self.journal_commit_ns.record(nanos);
-    }
-
     /// Records the outcome of a journal replay: records recovered and
     /// whether a torn tail had to be truncated.
     pub fn record_journal_replay(&self, records: u64, torn_tail: bool) {
@@ -363,26 +96,6 @@ impl ControlMetrics {
         if torn_tail {
             self.journal_torn_tails.inc();
         }
-    }
-
-    /// Counts one fenced push attempt by the reliable sender.
-    pub fn record_sender_push(&self) {
-        self.sender_pushes.inc();
-    }
-
-    /// Counts one retransmission after an ACK timeout.
-    pub fn record_sender_retry(&self) {
-        self.sender_retries.inc();
-    }
-
-    /// Counts one push abandoned after exhausting every retry.
-    pub fn record_sender_failure(&self) {
-        self.sender_failed.inc();
-    }
-
-    /// Records the push-to-ACK latency of a delivered signal.
-    pub fn record_sender_ack_ns(&self, nanos: u64) {
-        self.sender_ack_ns.record(nanos);
     }
 
     /// Records one reconciliation pass: how many nodes were re-adopted
@@ -397,11 +110,6 @@ impl ControlMetrics {
         self.reconcile_unreachable.add(unreachable);
     }
 
-    /// Records one completed autoscaler polling sweep.
-    pub fn record_autoscale_poll(&self) {
-        self.autoscale_polls.inc();
-    }
-
     /// Records one adopted deployment, with the controller-clock
     /// detection latency (first drift observation to adoption, when a
     /// drift window was open) and the wall-clock decision latency.
@@ -412,21 +120,6 @@ impl ControlMetrics {
         }
         self.autoscale_decide_ns.record(decide_ns);
     }
-
-    /// Records one VNF wound into the τ-pool by scale-to-zero.
-    pub fn record_autoscale_drained(&self) {
-        self.autoscale_drained.inc();
-    }
-
-    /// Records one draining VNF re-armed on returning traffic.
-    pub fn record_autoscale_woken(&self) {
-        self.autoscale_woken.inc();
-    }
-
-    /// Publishes the number of targets currently draining.
-    pub fn set_autoscale_draining(&self, n: u64) {
-        self.autoscale_draining.set(n as f64);
-    }
 }
 
 #[cfg(test)]
@@ -434,17 +127,28 @@ mod tests {
     use super::*;
 
     #[test]
+    fn register_registers_exactly_the_table() {
+        let registry = Registry::new();
+        let _ = ControlMetrics::register(&registry);
+        let mut table = ControlCells::DESCRIPTORS.to_vec();
+        table.sort_by_key(|d| d.name);
+        assert_eq!(registry.descriptors(), table);
+    }
+
+    #[test]
     fn liveness_events_count_and_trace() {
         let registry = Registry::new();
         let m = ControlMetrics::register(&registry);
-        m.record_liveness_events(&[
+        for event in [
             LivenessEvent::Suspected(7),
             LivenessEvent::Died(7),
             LivenessEvent::Recovered(7),
             LivenessEvent::Suspected(9),
-        ]);
-        m.record_scaling_events(2);
-        m.record_table_push_ns(1_000_000);
+        ] {
+            m.record_liveness_event(&event);
+        }
+        m.scaling_events.add(2);
+        m.table_push_ns.record(1_000_000);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("control.liveness.suspected"), Some(2));
         assert_eq!(snap.counter("control.liveness.died"), Some(1));
@@ -465,15 +169,14 @@ mod tests {
     fn journal_sender_and_reconcile_metrics_record() {
         let registry = Registry::new();
         let m = ControlMetrics::register(&registry);
-        m.record_journal_append();
-        m.record_journal_append();
-        m.record_journal_commit_ns(50_000);
+        m.journal_appends.add(2);
+        m.journal_commit_ns.record(50_000);
         m.record_journal_replay(7, true);
         m.record_journal_replay(3, false);
-        m.record_sender_push();
-        m.record_sender_retry();
-        m.record_sender_failure();
-        m.record_sender_ack_ns(1_000_000);
+        m.sender_pushes.inc();
+        m.sender_retries.inc();
+        m.sender_failed.inc();
+        m.sender_ack_ns.record(1_000_000);
         m.record_reconcile(2, 1, 1, 0);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("control.journal.appends"), Some(2));
@@ -501,13 +204,12 @@ mod tests {
     fn autoscale_metrics_record() {
         let registry = Registry::new();
         let m = ControlMetrics::register(&registry);
-        m.record_autoscale_poll();
-        m.record_autoscale_poll();
+        m.autoscale_polls.add(2);
         m.record_autoscale_adoption(Some(1_200), 85_000);
         m.record_autoscale_adoption(None, 40_000);
-        m.record_autoscale_drained();
-        m.record_autoscale_woken();
-        m.set_autoscale_draining(1);
+        m.autoscale_drained.inc();
+        m.autoscale_woken.inc();
+        m.autoscale_draining.set(1.0);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("control.autoscale.polls"), Some(2));
         assert_eq!(snap.counter("control.autoscale.adoptions"), Some(2));

@@ -194,7 +194,7 @@ impl SignalSender {
             *counter
         };
         if let Some(m) = &self.metrics {
-            m.record_sender_push();
+            m.sender_pushes.inc();
         }
         let wire = FencedSignal {
             epoch: self.epoch,
@@ -212,7 +212,7 @@ impl SignalSender {
                 Some(Ack::Ok { .. }) => {
                     let rtt = sent_at.elapsed();
                     if let Some(m) = &self.metrics {
-                        m.record_sender_ack_ns(rtt.as_nanos() as u64);
+                        m.sender_ack_ns.record(rtt.as_nanos() as u64);
                     }
                     return Ok(SendReceipt { seq, attempts, rtt });
                 }
@@ -227,12 +227,12 @@ impl SignalSender {
             }
             if attempts >= self.config.max_attempts {
                 if let Some(m) = &self.metrics {
-                    m.record_sender_failure();
+                    m.sender_failed.inc();
                 }
                 return Err(SendError::Timeout { attempts });
             }
             if let Some(m) = &self.metrics {
-                m.record_sender_retry();
+                m.sender_retries.inc();
             }
             std::thread::sleep(self.config.backoff_base * (1 << (attempts - 1).min(8)));
         }

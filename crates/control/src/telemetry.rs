@@ -264,7 +264,7 @@ impl Telemetry {
             }
         }
         if let Some(metrics) = &self.metrics {
-            metrics.record_scaling_events(events.len() as u64);
+            metrics.scaling_events.add(events.len() as u64);
         }
         events
     }
@@ -399,44 +399,20 @@ mod tests {
 
     #[test]
     fn health_derives_from_registry_snapshot() {
-        use ncvnf_obs::{desc, MetricKind, Registry};
-        let registry = Registry::new();
-        registry
-            .counter(desc(
-                "relay.datagrams_in",
-                MetricKind::Counter,
-                "datagrams",
-                "relay",
-                "test",
-            ))
-            .add(42);
-        registry
-            .counter(desc(
-                "recovery.nacks_sent",
-                MetricKind::Counter,
-                "nacks",
-                "relay",
-                "test",
-            ))
-            .add(3);
-        registry
-            .counter(desc(
-                "relay.shed_quota",
-                MetricKind::Counter,
-                "datagrams",
-                "relay",
-                "test",
-            ))
-            .add(5);
-        registry
-            .counter(desc(
-                "relay.shed_overload",
-                MetricKind::Counter,
-                "datagrams",
-                "relay",
-                "test",
-            ))
-            .add(2);
+        ncvnf_obs::metrics! {
+            struct RelaySide in "relay" {
+                datagrams_in: Counter = "relay.datagrams_in", "datagrams", "test";
+                nacks_sent: Counter = "recovery.nacks_sent", "nacks", "test";
+                shed_quota: Counter = "relay.shed_quota", "datagrams", "test";
+                shed_overload: Counter = "relay.shed_overload", "datagrams", "test";
+            }
+        }
+        let registry = ncvnf_obs::Registry::new();
+        let relay = RelaySide::register(&registry);
+        relay.datagrams_in.add(42);
+        relay.nacks_sent.add(3);
+        relay.shed_quota.add(5);
+        relay.shed_overload.add(2);
         let health = DataplaneHealth::from_snapshot(&registry.snapshot());
         assert_eq!(health.datagrams_in, 42);
         assert_eq!(health.nacks_sent, 3);

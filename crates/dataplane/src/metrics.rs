@@ -6,155 +6,27 @@
 //! registry at snapshot time so the fleet-wide view and the `NC_STATS`
 //! query see the same numbers as the in-process struct.
 
-use ncvnf_obs::{desc, Counter, MetricDesc, MetricKind, Registry};
-
 use crate::vnf::VnfStats;
 
-/// `dataplane.packets_in` — NC packets received by the VNF.
-pub const PACKETS_IN: MetricDesc = desc(
-    "dataplane.packets_in",
-    MetricKind::Counter,
-    "packets",
-    "dataplane",
-    "NC packets received by the VNF",
-);
-
-/// `dataplane.packets_out` — NC packets emitted by the VNF.
-pub const PACKETS_OUT: MetricDesc = desc(
-    "dataplane.packets_out",
-    MetricKind::Counter,
-    "packets",
-    "dataplane",
-    "NC packets emitted by the VNF",
-);
-
-/// `dataplane.innovative_in` — received packets that increased rank.
-pub const INNOVATIVE_IN: MetricDesc = desc(
-    "dataplane.innovative_in",
-    MetricKind::Counter,
-    "packets",
-    "dataplane",
-    "Received packets that increased some generation's rank",
-);
-
-/// `dataplane.malformed` — inputs that were not valid NC packets.
-pub const MALFORMED: MetricDesc = desc(
-    "dataplane.malformed",
-    MetricKind::Counter,
-    "packets",
-    "dataplane",
-    "Inputs that were not valid NC packets",
-);
-
-/// `dataplane.unknown_session` — packets for sessions with no local role.
-pub const UNKNOWN_SESSION: MetricDesc = desc(
-    "dataplane.unknown_session",
-    MetricKind::Counter,
-    "packets",
-    "dataplane",
-    "Packets for sessions this VNF has no role for",
-);
-
-/// `dataplane.generations_decoded` — generations fully decoded.
-pub const GENERATIONS_DECODED: MetricDesc = desc(
-    "dataplane.generations_decoded",
-    MetricKind::Counter,
-    "generations",
-    "dataplane",
-    "Generations fully decoded (decoder role)",
-);
-
-/// `dataplane.evicted_decoders` — decoder states dropped by retention.
-pub const EVICTED_DECODERS: MetricDesc = desc(
-    "dataplane.evicted_decoders",
-    MetricKind::Counter,
-    "decoders",
-    "dataplane",
-    "Decoder generation states dropped by the FIFO retention bound",
-);
-
-/// `dataplane.budget_evictions` — generation states dropped by the
-/// byte-denominated memory budget.
-pub const BUDGET_EVICTIONS: MetricDesc = desc(
-    "dataplane.budget_evictions",
-    MetricKind::Counter,
-    "generations",
-    "dataplane",
-    "Generation states evicted to honor the memory budget",
-);
-
-/// `dataplane.window_packets_in` — sliding-window data packets received.
-pub const WINDOW_PACKETS_IN: MetricDesc = desc(
-    "dataplane.window_packets_in",
-    MetricKind::Counter,
-    "packets",
-    "dataplane",
-    "Sliding-window data packets received (wire kind 2)",
-);
-
-/// `dataplane.window_packets_out` — sliding-window packets emitted.
-pub const WINDOW_PACKETS_OUT: MetricDesc = desc(
-    "dataplane.window_packets_out",
-    MetricKind::Counter,
-    "packets",
-    "dataplane",
-    "Sliding-window packets emitted (forwarded or recoded)",
-);
-
-/// `dataplane.window_symbols_delivered` — in-order windowed deliveries.
-pub const WINDOW_SYMBOLS_DELIVERED: MetricDesc = desc(
-    "dataplane.window_symbols_delivered",
-    MetricKind::Counter,
-    "symbols",
-    "dataplane",
-    "Stream symbols delivered in order by windowed decoders",
-);
-
-/// `dataplane.window_acks_in` — window acks absorbed.
-pub const WINDOW_ACKS_IN: MetricDesc = desc(
-    "dataplane.window_acks_in",
-    MetricKind::Counter,
-    "acks",
-    "dataplane",
-    "Window acks absorbed (each may slide a recoder's floor)",
-);
-
-/// Registry-backed republication handles for [`VnfStats`].
-#[derive(Debug, Clone)]
-pub struct VnfMetrics {
-    packets_in: Counter,
-    packets_out: Counter,
-    innovative_in: Counter,
-    malformed: Counter,
-    unknown_session: Counter,
-    generations_decoded: Counter,
-    evicted_decoders: Counter,
-    budget_evictions: Counter,
-    window_packets_in: Counter,
-    window_packets_out: Counter,
-    window_symbols_delivered: Counter,
-    window_acks_in: Counter,
+ncvnf_obs::metrics! {
+    /// Registry-backed republication handles for [`VnfStats`].
+    pub struct VnfMetrics in "dataplane" {
+        packets_in: Counter = "dataplane.packets_in", "packets", "NC packets received by the VNF";
+        packets_out: Counter = "dataplane.packets_out", "packets", "NC packets emitted by the VNF";
+        innovative_in: Counter = "dataplane.innovative_in", "packets", "Received packets that increased some generation's rank";
+        malformed: Counter = "dataplane.malformed", "packets", "Inputs that were not valid NC packets";
+        unknown_session: Counter = "dataplane.unknown_session", "packets", "Packets for sessions this VNF has no role for";
+        generations_decoded: Counter = "dataplane.generations_decoded", "generations", "Generations fully decoded (decoder role)";
+        evicted_decoders: Counter = "dataplane.evicted_decoders", "decoders", "Decoder generation states dropped by the FIFO retention bound";
+        budget_evictions: Counter = "dataplane.budget_evictions", "generations", "Generation states evicted to honor the memory budget";
+        window_packets_in: Counter = "dataplane.window_packets_in", "packets", "Sliding-window data packets received (wire kind 2)";
+        window_packets_out: Counter = "dataplane.window_packets_out", "packets", "Sliding-window packets emitted (forwarded or recoded)";
+        window_symbols_delivered: Counter = "dataplane.window_symbols_delivered", "symbols", "Stream symbols delivered in order by windowed decoders";
+        window_acks_in: Counter = "dataplane.window_acks_in", "acks", "Window acks absorbed (each may slide a recoder's floor)";
+    }
 }
 
 impl VnfMetrics {
-    /// Registers (or retrieves) the VNF metrics in `registry`.
-    pub fn register(registry: &Registry) -> Self {
-        VnfMetrics {
-            packets_in: registry.counter(PACKETS_IN),
-            packets_out: registry.counter(PACKETS_OUT),
-            innovative_in: registry.counter(INNOVATIVE_IN),
-            malformed: registry.counter(MALFORMED),
-            unknown_session: registry.counter(UNKNOWN_SESSION),
-            generations_decoded: registry.counter(GENERATIONS_DECODED),
-            evicted_decoders: registry.counter(EVICTED_DECODERS),
-            budget_evictions: registry.counter(BUDGET_EVICTIONS),
-            window_packets_in: registry.counter(WINDOW_PACKETS_IN),
-            window_packets_out: registry.counter(WINDOW_PACKETS_OUT),
-            window_symbols_delivered: registry.counter(WINDOW_SYMBOLS_DELIVERED),
-            window_acks_in: registry.counter(WINDOW_ACKS_IN),
-        }
-    }
-
     /// Overwrites the registry counters with the VNF's running totals.
     pub fn publish(&self, stats: &VnfStats) {
         self.packets_in.publish(stats.packets_in);
@@ -176,6 +48,16 @@ impl VnfMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ncvnf_obs::Registry;
+
+    #[test]
+    fn register_registers_exactly_the_table() {
+        let registry = Registry::new();
+        let _ = VnfMetrics::register(&registry);
+        let mut table = VnfMetrics::DESCRIPTORS.to_vec();
+        table.sort_by_key(|d| d.name);
+        assert_eq!(registry.descriptors(), table);
+    }
 
     #[test]
     fn publish_mirrors_vnf_stats() {

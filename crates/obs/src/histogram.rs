@@ -95,11 +95,6 @@ impl Histogram {
         }
     }
 
-    /// The metric's descriptor.
-    pub fn desc(&self) -> MetricDesc {
-        self.core.desc
-    }
-
     /// Records one sample. Lock-free, allocation-free.
     pub fn record(&self, value: u64) {
         let c = &*self.core;
@@ -200,9 +195,15 @@ impl HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metric::{desc, MetricKind};
+    use crate::metric::MetricKind;
 
-    const H: MetricDesc = desc("t.hist", MetricKind::Histogram, "ns", "obs", "test");
+    const H: MetricDesc = MetricDesc {
+        name: "t.hist",
+        kind: MetricKind::Histogram,
+        unit: "ns",
+        owner: "obs",
+        help: "test",
+    };
 
     #[test]
     fn exact_region_is_exact() {

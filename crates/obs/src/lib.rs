@@ -13,6 +13,7 @@
 //! - [`Registry`]: registration (idempotent by name, the only locking
 //!   operation) and [`Snapshot`]s rendered as JSON (the `NC_STATS`
 //!   control query) or text.
+//! - [`metrics!`]: the table every bundle of handles is declared as.
 //!
 //! The record path — `Counter::inc`, `Gauge::set`, `Histogram::record`,
 //! `TraceRing::push` — performs zero heap operations and takes no
@@ -21,16 +22,22 @@
 //!
 //! # Example
 //!
-//! ```
-//! use ncvnf_obs::{desc, MetricKind, Registry};
+//! Metrics are declared as [`metrics!`] tables, one row each; the table
+//! is the handle struct, its registration and its documentation.
 //!
-//! const STEPS: ncvnf_obs::MetricDesc = desc(
-//!     "demo.steps", MetricKind::Counter, "steps", "demo", "Steps taken",
-//! );
+//! ```
+//! use ncvnf_obs::{metrics, Registry};
+//!
+//! metrics! {
+//!     /// What the demo counts.
+//!     struct DemoMetrics in "demo" {
+//!         steps: Counter = "demo.steps", "steps", "Steps taken";
+//!     }
+//! }
 //!
 //! let registry = Registry::new();
-//! let steps = registry.counter(STEPS);
-//! steps.inc();
+//! let demo = DemoMetrics::register(&registry);
+//! demo.steps.inc();
 //! let snap = registry.snapshot();
 //! assert_eq!(snap.counter("demo.steps"), Some(1));
 //! assert!(snap.to_json().contains("\"demo.steps\":1"));
@@ -42,11 +49,13 @@
 mod histogram;
 mod metric;
 mod registry;
+mod table;
 mod trace;
 
 pub use histogram::{Histogram, HistogramSnapshot, BUCKETS, SUBBUCKETS};
-pub use metric::{desc, Counter, Gauge, MetricDesc, MetricKind};
+pub use metric::{Counter, Gauge, MetricDesc, MetricKind};
 pub use registry::{
-    CounterValue, GaugeValue, HistogramValue, Registry, Snapshot, DEFAULT_TRACE_CAPACITY,
+    Cell, CounterValue, GaugeValue, HistogramValue, Registry, Snapshot, DEFAULT_TRACE_CAPACITY,
 };
+pub use table::render_table;
 pub use trace::{TraceEvent, TraceKind, TraceRing};

@@ -32,9 +32,11 @@ impl MetricKind {
 
 /// Static metadata describing one metric.
 ///
-/// All fields are `&'static str` so a descriptor can be declared as a
-/// `const` next to the subsystem that owns the metric, and registration
-/// never copies strings.
+/// Descriptors are not written by hand: each row of a
+/// [`metrics!`](crate::metrics) table becomes one, and the same row
+/// yields the handle field, its registration and its `OPERATIONS.md`
+/// line. All fields are `&'static str`, so registration never copies
+/// strings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricDesc {
     /// Dot-separated unique name, prefixed by the owning subsystem
@@ -48,32 +50,6 @@ pub struct MetricDesc {
     pub owner: &'static str,
     /// One-line human description for `OPERATIONS.md` and snapshots.
     pub help: &'static str,
-}
-
-/// Shorthand for declaring a [`MetricDesc`] as a `const`.
-///
-/// # Examples
-///
-/// ```
-/// use ncvnf_obs::{desc, MetricKind};
-/// const IN: ncvnf_obs::MetricDesc =
-///     desc("relay.datagrams_in", MetricKind::Counter, "datagrams", "relay", "Datagrams received");
-/// assert_eq!(IN.name, "relay.datagrams_in");
-/// ```
-pub const fn desc(
-    name: &'static str,
-    kind: MetricKind,
-    unit: &'static str,
-    owner: &'static str,
-    help: &'static str,
-) -> MetricDesc {
-    MetricDesc {
-        name,
-        kind,
-        unit,
-        owner,
-        help,
-    }
 }
 
 #[derive(Debug)]
@@ -99,11 +75,6 @@ impl Counter {
                 value: AtomicU64::new(0),
             }),
         }
-    }
-
-    /// The metric's descriptor.
-    pub fn desc(&self) -> MetricDesc {
-        self.core.desc
     }
 
     /// Adds one to the counter.
@@ -159,11 +130,6 @@ impl Gauge {
         }
     }
 
-    /// The metric's descriptor.
-    pub fn desc(&self) -> MetricDesc {
-        self.core.desc
-    }
-
     /// Sets the level.
     #[inline]
     pub fn set(&self, value: f64) {
@@ -189,9 +155,22 @@ impl Gauge {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Cell;
 
-    const C: MetricDesc = desc("t.count", MetricKind::Counter, "events", "obs", "test");
-    const G: MetricDesc = desc("t.level", MetricKind::Gauge, "items", "obs", "test");
+    const C: MetricDesc = MetricDesc {
+        name: "t.count",
+        kind: MetricKind::Counter,
+        unit: "events",
+        owner: "obs",
+        help: "test",
+    };
+    const G: MetricDesc = MetricDesc {
+        name: "t.level",
+        kind: MetricKind::Gauge,
+        unit: "items",
+        owner: "obs",
+        help: "test",
+    };
 
     #[test]
     fn counter_counts_and_clones_share() {

@@ -17,12 +17,57 @@ use crate::trace::{TraceEvent, TraceRing};
 /// Default trace-ring capacity for [`Registry::new`].
 pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
 
+/// The registry's cells, one list per handle type. Public only so
+/// [`Cell`] can name it; not re-exported from the crate.
+#[doc(hidden)]
 #[derive(Debug, Default)]
-struct Tables {
+pub struct Tables {
     counters: Vec<Counter>,
     gauges: Vec<Gauge>,
     histograms: Vec<Histogram>,
 }
+
+impl Tables {
+    fn descriptors(&self) -> impl Iterator<Item = MetricDesc> + '_ {
+        let counters = self.counters.iter().map(Counter::desc);
+        counters
+            .chain(self.gauges.iter().map(Gauge::desc))
+            .chain(self.histograms.iter().map(Histogram::desc))
+    }
+}
+
+/// A metric handle type a [`Registry`] can create and find again by
+/// name: [`Counter`], [`Gauge`] and [`Histogram`], nothing else. The
+/// [`metrics!`](crate::metrics) tables name one of the three per row;
+/// `KIND` is how a row's descriptor learns its kind from that type.
+pub trait Cell: Clone {
+    /// The kind a descriptor must carry to register as this handle.
+    const KIND: MetricKind;
+    /// The descriptor this handle was registered with.
+    fn desc(&self) -> MetricDesc;
+    #[doc(hidden)]
+    fn create(desc: MetricDesc) -> Self;
+    #[doc(hidden)]
+    fn table(tables: &mut Tables) -> &mut Vec<Self>;
+}
+
+macro_rules! impl_cell {
+    ($($handle:ident in $table:ident),+) => {$(
+        impl Cell for $handle {
+            const KIND: MetricKind = MetricKind::$handle;
+            fn desc(&self) -> MetricDesc {
+                self.core.desc
+            }
+            fn create(desc: MetricDesc) -> Self {
+                $handle::new(desc)
+            }
+            fn table(tables: &mut Tables) -> &mut Vec<Self> {
+                &mut tables.$table
+            }
+        }
+    )+};
+}
+impl_cell!(Counter in counters, Gauge in gauges, Histogram in histograms);
 
 /// A collection of registered metrics plus one trace ring.
 ///
@@ -57,84 +102,48 @@ impl Registry {
         }
     }
 
-    /// Registers (or retrieves) the counter described by `desc`.
+    /// Registers (or retrieves) the metric described by `desc` as the
+    /// handle type `C` — what [`metrics!`](crate::metrics) bundles call
+    /// once per row.
     ///
     /// # Panics
     ///
-    /// Panics if `desc.name` is already registered with a different
-    /// metric kind — that is a programming error, not a runtime state.
-    pub fn counter(&self, desc: MetricDesc) -> Counter {
-        assert_eq!(
-            desc.kind,
-            MetricKind::Counter,
-            "{}: kind mismatch",
-            desc.name
-        );
+    /// Panics if `desc.kind` is not `C`'s kind, or if `desc.name` is
+    /// already registered with a descriptor that differs in any field
+    /// (kind, unit, owner or help): two declarations of one metric is a
+    /// programming error, not a runtime state.
+    pub fn register<C: Cell>(&self, desc: MetricDesc) -> C {
+        assert_eq!(desc.kind, C::KIND, "{}: kind mismatch", desc.name);
         let mut t = self.tables.lock().expect("obs registry poisoned");
-        self.check_unique(&t, desc);
-        if let Some(c) = t.counters.iter().find(|c| c.desc().name == desc.name) {
-            return c.clone();
-        }
-        let c = Counter::new(desc);
-        t.counters.push(c.clone());
-        c
-    }
-
-    /// Registers (or retrieves) the gauge described by `desc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a kind collision, like [`Registry::counter`].
-    pub fn gauge(&self, desc: MetricDesc) -> Gauge {
-        assert_eq!(desc.kind, MetricKind::Gauge, "{}: kind mismatch", desc.name);
-        let mut t = self.tables.lock().expect("obs registry poisoned");
-        self.check_unique(&t, desc);
-        if let Some(g) = t.gauges.iter().find(|g| g.desc().name == desc.name) {
-            return g.clone();
-        }
-        let g = Gauge::new(desc);
-        t.gauges.push(g.clone());
-        g
-    }
-
-    /// Registers (or retrieves) the histogram described by `desc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a kind collision, like [`Registry::counter`].
-    pub fn histogram(&self, desc: MetricDesc) -> Histogram {
-        assert_eq!(
-            desc.kind,
-            MetricKind::Histogram,
-            "{}: kind mismatch",
-            desc.name
-        );
-        let mut t = self.tables.lock().expect("obs registry poisoned");
-        self.check_unique(&t, desc);
-        if let Some(h) = t.histograms.iter().find(|h| h.desc().name == desc.name) {
-            return h.clone();
-        }
-        let h = Histogram::new(desc);
-        t.histograms.push(h.clone());
-        h
-    }
-
-    fn check_unique(&self, t: &Tables, desc: MetricDesc) {
-        let clash = t
-            .counters
-            .iter()
-            .map(|c| c.desc())
-            .chain(t.gauges.iter().map(|g| g.desc()))
-            .chain(t.histograms.iter().map(|h| h.desc()))
-            .find(|d| d.name == desc.name && d.kind != desc.kind);
-        if let Some(d) = clash {
-            panic!(
-                "metric {} registered as {} and {}",
-                desc.name,
-                d.kind.name(),
-                desc.kind.name()
+        if let Some(prior) = t.descriptors().find(|d| d.name == desc.name) {
+            assert_eq!(
+                prior, desc,
+                "{}: registered as two different descriptors",
+                desc.name
             );
         }
+        let cells = C::table(&mut t);
+        if let Some(cell) = cells.iter().find(|c| c.desc().name == desc.name) {
+            return cell.clone();
+        }
+        let cell = C::create(desc);
+        cells.push(cell.clone());
+        cell
+    }
+
+    /// [`Registry::register`] for a counter.
+    pub fn counter(&self, desc: MetricDesc) -> Counter {
+        self.register(desc)
+    }
+
+    /// [`Registry::register`] for a gauge.
+    pub fn gauge(&self, desc: MetricDesc) -> Gauge {
+        self.register(desc)
+    }
+
+    /// [`Registry::register`] for a histogram.
+    pub fn histogram(&self, desc: MetricDesc) -> Histogram {
+        self.register(desc)
     }
 
     /// The registry's trace ring; clone it into producers that emit
@@ -146,13 +155,7 @@ impl Registry {
     /// Descriptors of every registered metric, sorted by name.
     pub fn descriptors(&self) -> Vec<MetricDesc> {
         let t = self.tables.lock().expect("obs registry poisoned");
-        let mut all: Vec<MetricDesc> = t
-            .counters
-            .iter()
-            .map(|c| c.desc())
-            .chain(t.gauges.iter().map(|g| g.desc()))
-            .chain(t.histograms.iter().map(|h| h.desc()))
-            .collect();
+        let mut all: Vec<MetricDesc> = t.descriptors().collect();
         all.sort_by_key(|d| d.name);
         all
     }
@@ -418,12 +421,29 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metric::desc;
     use crate::trace::TraceKind;
 
-    const C: MetricDesc = desc("z.count", MetricKind::Counter, "events", "obs", "test ctr");
-    const G: MetricDesc = desc("a.level", MetricKind::Gauge, "items", "obs", "test gauge");
-    const H: MetricDesc = desc("m.lat", MetricKind::Histogram, "ns", "obs", "test hist");
+    const C: MetricDesc = MetricDesc {
+        name: "z.count",
+        kind: MetricKind::Counter,
+        unit: "events",
+        owner: "obs",
+        help: "test ctr",
+    };
+    const G: MetricDesc = MetricDesc {
+        name: "a.level",
+        kind: MetricKind::Gauge,
+        unit: "items",
+        owner: "obs",
+        help: "test gauge",
+    };
+    const H: MetricDesc = MetricDesc {
+        name: "m.lat",
+        kind: MetricKind::Histogram,
+        unit: "ns",
+        owner: "obs",
+        help: "test hist",
+    };
 
     #[test]
     fn registration_is_idempotent_and_shared() {
@@ -446,6 +466,17 @@ mod tests {
             ..C
         };
         let _ = r.gauge(bad);
+    }
+
+    #[test]
+    #[should_panic(expected = "registered as")]
+    fn redeclaring_a_name_with_another_unit_panics() {
+        let r = Registry::new();
+        let _ = r.counter(C);
+        let _ = r.counter(MetricDesc {
+            unit: "packets",
+            ..C
+        });
     }
 
     #[test]

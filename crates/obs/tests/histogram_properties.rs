@@ -1,16 +1,16 @@
 //! Property-based accuracy bounds for the log-linear histogram, plus
 //! the trace ring's overflow contract.
 
-use ncvnf_obs::{desc, Histogram, HistogramSnapshot, MetricDesc, MetricKind, TraceKind, TraceRing};
+use ncvnf_obs::{Histogram, HistogramSnapshot, MetricDesc, MetricKind, TraceKind, TraceRing};
 use proptest::prelude::*;
 
-const H: MetricDesc = desc(
-    "test.samples",
-    MetricKind::Histogram,
-    "units",
-    "obs",
-    "property-test histogram",
-);
+const H: MetricDesc = MetricDesc {
+    name: "test.samples",
+    kind: MetricKind::Histogram,
+    unit: "units",
+    owner: "obs",
+    help: "property-test histogram",
+};
 
 fn fresh() -> Histogram {
     let registry = ncvnf_obs::Registry::new();

@@ -48,7 +48,9 @@ pub use engine::{
     relay_batch, relay_step, shard_of, BatchReport, BatchScratch, RelayEngine, RelayScratch,
     RelayShard, RouteCache, StepReport,
 };
-pub use metrics::{BatchMetrics, RecoveryMetrics, RelayNodeMetrics, TransferObs};
+pub use metrics::{
+    BatchCells, BatchMetrics, RecoveryCells, RecoveryMetrics, RelayNodeMetrics, TransferObs,
+};
 pub use node::{HeartbeatConfig, RelayConfig, RelayHandle, RelayNode, RelayStats};
 pub use overload::{Admission, OverloadConfig, OverloadState, OverloadStats, QuotaConfig};
 pub use recovery::{

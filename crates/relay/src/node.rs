@@ -45,11 +45,11 @@ use ncvnf_control::telemetry::DataplaneHealth;
 use ncvnf_control::ForwardingTable;
 use ncvnf_dataplane::metrics::VnfMetrics;
 use ncvnf_dataplane::{CodingVnf, Feedback, VnfRole, VnfStats};
-use ncvnf_obs::{Counter, Registry, Snapshot, TraceKind};
+use ncvnf_obs::{Registry, Snapshot, TraceKind};
 use ncvnf_rlnc::{GenerationConfig, PoolMetrics, PoolStats, SessionId};
 
 use crate::engine::{relay_batch, BatchScratch, RelayEngine, RelayShard};
-use crate::metrics::{self, RelayNodeMetrics};
+use crate::metrics::{BatchCells, RelayNodeMetrics};
 use crate::overload::QuotaConfig;
 use crate::socket::{is_timeout, DatagramSocket, RecvBatch, MAX_BATCH};
 
@@ -203,8 +203,7 @@ struct Shared {
     pool_metrics: PoolMetrics,
     /// Read-back handles for the batch-path counters (the data threads'
     /// [`BatchScratch`] instances record into the same registry cells).
-    batches: Counter,
-    cross_shard: Counter,
+    batch_cells: BatchCells,
     /// Node start instant: the epoch of [`Shared::last_data_micros`].
     started: Instant,
     /// Microseconds since `started` when the data path last drained a
@@ -341,8 +340,8 @@ impl RelayHandle {
             stale_epoch_rejected: m.stale_epoch_rejected.get(),
             duplicate_signals: m.duplicate_signals.get(),
             shards: self.shared.shards.len() as u64,
-            batches: self.shared.batches.get(),
-            cross_shard_packets: self.shared.cross_shard.get(),
+            batches: self.shared.batch_cells.batches.get(),
+            cross_shard_packets: self.shared.batch_cells.cross_shard.get(),
             wake_signals: m.wake_signals.get(),
             shed_quota: m.shed_quota.get(),
             shed_overload: m.shed_overload.get(),
@@ -490,8 +489,7 @@ impl RelayNode {
         let node_metrics = RelayNodeMetrics::register(&registry);
         let vnf_metrics = VnfMetrics::register(&registry);
         let pool_metrics = PoolMetrics::register(&registry);
-        let batches = registry.counter(metrics::BATCHES);
-        let cross_shard = registry.counter(metrics::CROSS_SHARD_PACKETS);
+        let batch_cells = BatchCells::register(&registry);
         let shared = Arc::new(Shared {
             shards,
             batch: config.batch.clamp(1, MAX_BATCH),
@@ -503,8 +501,7 @@ impl RelayNode {
             metrics: node_metrics,
             vnf_metrics,
             pool_metrics,
-            batches,
-            cross_shard,
+            batch_cells,
             started: Instant::now(),
             last_data_micros: AtomicU64::new(0),
             draining: AtomicBool::new(false),

@@ -200,7 +200,9 @@ fn relay_death_is_detected_and_routed_around_mid_transfer() {
                     push.send_to(&sig.to_bytes(), r0_control).unwrap();
                     let (n, _) = push.recv_from(&mut ack).expect("R0 acks failover table");
                     assert_eq!(&ack[..n], b"OK");
-                    metrics.record_table_push_ns(push_started.elapsed().as_nanos() as u64);
+                    metrics
+                        .table_push_ns
+                        .record(push_started.elapsed().as_nanos() as u64);
                     let mut st = state.lock();
                     st.failover = Some(killed_at.map_or(Duration::ZERO, |t| t.elapsed()));
                     return; // failover done; monitor's job is over

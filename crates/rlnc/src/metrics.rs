@@ -8,71 +8,22 @@
 //! or by republishing cumulative totals at snapshot time
 //! ([`PoolMetrics::publish`]).
 
-use ncvnf_obs::{desc, Counter, Gauge, Histogram, MetricDesc, MetricKind, Registry};
-
 use crate::pool::PoolStats;
 use crate::redundancy::AdaptiveRedundancy;
 
-/// `rlnc.redundancy.extra` — extra coded packets per generation's worth
-/// the redundancy controller last applied.
-pub const REDUNDANCY_EXTRA: MetricDesc = desc(
-    "rlnc.redundancy.extra",
-    MetricKind::Gauge,
-    "packets",
-    "rlnc",
-    "Adaptive redundancy last applied: extra coded packets per generation's worth of data",
-);
-
-/// `rlnc.redundancy.peak_extra` — highest redundancy applied so far.
-pub const REDUNDANCY_PEAK: MetricDesc = desc(
-    "rlnc.redundancy.peak_extra",
-    MetricKind::Gauge,
-    "packets",
-    "rlnc",
-    "Highest adaptive redundancy applied since start",
-);
-
-/// `rlnc.decode.generations` — generations fully decoded.
-pub const DECODE_GENERATIONS: MetricDesc = desc(
-    "rlnc.decode.generations",
-    MetricKind::Counter,
-    "generations",
-    "rlnc",
-    "Generations decoded to full rank",
-);
-
-/// `rlnc.decode.packets_per_generation` — coded packets consumed per
-/// decoded generation (rank progress efficiency; `g` is optimal).
-pub const DECODE_PACKETS_PER_GENERATION: MetricDesc = desc(
-    "rlnc.decode.packets_per_generation",
-    MetricKind::Histogram,
-    "packets",
-    "rlnc",
-    "Coded packets consumed to decode one generation",
-);
-
-/// Registry-backed handles for codec-level metrics.
-///
-/// Cheap to clone; records are lock-free.
-#[derive(Debug, Clone)]
-pub struct RlncMetrics {
-    redundancy_extra: Gauge,
-    redundancy_peak: Gauge,
-    generations_decoded: Counter,
-    packets_per_generation: Histogram,
+ncvnf_obs::metrics! {
+    /// Registry-backed handles for codec-level metrics.
+    ///
+    /// Cheap to clone; records are lock-free.
+    pub struct RlncMetrics in "rlnc" {
+        redundancy_extra: Gauge = "rlnc.redundancy.extra", "packets", "Adaptive redundancy last applied: extra coded packets per generation's worth of data";
+        redundancy_peak: Gauge = "rlnc.redundancy.peak_extra", "packets", "Highest adaptive redundancy applied since start";
+        generations_decoded: Counter = "rlnc.decode.generations", "generations", "Generations decoded to full rank";
+        packets_per_generation: Histogram = "rlnc.decode.packets_per_generation", "packets", "Coded packets consumed to decode one generation";
+    }
 }
 
 impl RlncMetrics {
-    /// Registers (or retrieves) the codec metrics in `registry`.
-    pub fn register(registry: &Registry) -> Self {
-        RlncMetrics {
-            redundancy_extra: registry.gauge(REDUNDANCY_EXTRA),
-            redundancy_peak: registry.gauge(REDUNDANCY_PEAK),
-            generations_decoded: registry.counter(DECODE_GENERATIONS),
-            packets_per_generation: registry.histogram(DECODE_PACKETS_PER_GENERATION),
-        }
-    }
-
     /// Publishes the redundancy the controller last applied and its peak.
     pub fn observe_redundancy(&self, controller: &AdaptiveRedundancy) {
         self.redundancy_extra.set(controller.current_extra());
@@ -92,77 +43,22 @@ impl RlncMetrics {
     }
 }
 
-/// `rlnc.pool.checkouts` — buffers checked out of payload pools.
-pub const POOL_CHECKOUTS: MetricDesc = desc(
-    "rlnc.pool.checkouts",
-    MetricKind::Counter,
-    "buffers",
-    "rlnc",
-    "Buffers checked out of payload pools",
-);
-
-/// `rlnc.pool.hits` — checkouts served from recycled buffers.
-pub const POOL_HITS: MetricDesc = desc(
-    "rlnc.pool.hits",
-    MetricKind::Counter,
-    "buffers",
-    "rlnc",
-    "Pool checkouts served by a recycled buffer (no allocation)",
-);
-
-/// `rlnc.pool.reclaimed` — buffers recovered into the free list.
-pub const POOL_RECLAIMED: MetricDesc = desc(
-    "rlnc.pool.reclaimed",
-    MetricKind::Counter,
-    "buffers",
-    "rlnc",
-    "Buffers reclaimed into the pool free list",
-);
-
-/// `rlnc.pool.dropped` — reclaim attempts lost to shared buffers.
-pub const POOL_DROPPED: MetricDesc = desc(
-    "rlnc.pool.dropped",
-    MetricKind::Counter,
-    "buffers",
-    "rlnc",
-    "Reclaim attempts that failed because the buffer was still shared",
-);
-
-/// `rlnc.pool.evicted` — reclaims released to honor the byte budget.
-pub const POOL_EVICTED: MetricDesc = desc(
-    "rlnc.pool.evicted",
-    MetricKind::Counter,
-    "buffers",
-    "rlnc",
-    "Reclaimed buffers released instead of retained to honor the pool byte budget",
-);
-
-/// Registry-backed republication of [`PoolStats`].
-///
-/// Pools are single-threaded and keep plain counters; call
-/// [`PoolMetrics::publish`] at snapshot points to export the running
-/// totals without touching the pool's hot path.
-#[derive(Debug, Clone)]
-pub struct PoolMetrics {
-    checkouts: Counter,
-    hits: Counter,
-    reclaimed: Counter,
-    dropped: Counter,
-    evicted: Counter,
+ncvnf_obs::metrics! {
+    /// Registry-backed republication of [`PoolStats`].
+    ///
+    /// Pools are single-threaded and keep plain counters; call
+    /// [`PoolMetrics::publish`] at snapshot points to export the running
+    /// totals without touching the pool's hot path.
+    pub struct PoolMetrics in "rlnc" {
+        checkouts: Counter = "rlnc.pool.checkouts", "buffers", "Buffers checked out of payload pools";
+        hits: Counter = "rlnc.pool.hits", "buffers", "Pool checkouts served by a recycled buffer (no allocation)";
+        reclaimed: Counter = "rlnc.pool.reclaimed", "buffers", "Buffers reclaimed into the pool free list";
+        dropped: Counter = "rlnc.pool.dropped", "buffers", "Reclaim attempts that failed because the buffer was still shared";
+        evicted: Counter = "rlnc.pool.evicted", "buffers", "Reclaimed buffers released instead of retained to honor the pool byte budget";
+    }
 }
 
 impl PoolMetrics {
-    /// Registers (or retrieves) the pool metrics in `registry`.
-    pub fn register(registry: &Registry) -> Self {
-        PoolMetrics {
-            checkouts: registry.counter(POOL_CHECKOUTS),
-            hits: registry.counter(POOL_HITS),
-            reclaimed: registry.counter(POOL_RECLAIMED),
-            dropped: registry.counter(POOL_DROPPED),
-            evicted: registry.counter(POOL_EVICTED),
-        }
-    }
-
     /// Overwrites the registry counters with the pool's running totals.
     pub fn publish(&self, stats: &PoolStats) {
         self.checkouts.publish(stats.checkouts);
@@ -177,6 +73,19 @@ impl PoolMetrics {
 mod tests {
     use super::*;
     use crate::redundancy::AimdConfig;
+    use ncvnf_obs::Registry;
+
+    #[test]
+    fn register_registers_exactly_the_tables() {
+        let registry = Registry::new();
+        let _ = (
+            RlncMetrics::register(&registry),
+            PoolMetrics::register(&registry),
+        );
+        let mut tables = [RlncMetrics::DESCRIPTORS, PoolMetrics::DESCRIPTORS].concat();
+        tables.sort_by_key(|d| d.name);
+        assert_eq!(registry.descriptors(), tables);
+    }
 
     #[test]
     fn redundancy_and_decode_flow_into_registry() {
