@@ -6,6 +6,11 @@
 //! durations so the whole suite can run in CI; the `repro_all` binary
 //! runs everything at full scale and writes `results/`.
 //!
+//! How fast a layer runs is not measured here: `ncbench/` (its own
+//! workspace, declared in `BENCHMARK.json`) is the one instrument, and
+//! the `perf_report` binary keeps only the five measurements that have
+//! not moved there yet.
+//!
 //! | Module | Paper content |
 //! |---|---|
 //! | [`experiments::fig4`]  | throughput vs generation size |
