@@ -54,6 +54,8 @@ ncvnf_obs::metrics! {
         pub quota_sessions: Gauge = "relay.quota_sessions", "sessions", "Sessions with an explicitly provisioned admission quota (NC_QUOTA)";
         pub pool_pressure: Gauge = "relay.pool_pressure", "ratio", "Highest per-shard payload-pool byte pressure (retained+outstanding over budget)";
         pub shedding_shards: Gauge = "relay.shedding_shards", "shards", "Engine shards whose overload latch is currently armed";
+        pub egress_coalesced: Counter = "relay.egress_coalesced", "datagrams", "Datagrams that left inside a multi-segment UDP_SEGMENT message (process-wide: every socket of this process)";
+        pub egress_refused: Counter = "relay.egress_refused", "messages", "Coalesced messages the kernel refused and that were re-sent datagram by datagram (process-wide)";
     }
 }
 

@@ -9,7 +9,8 @@
 //! data socket runs [`relay_batch`] — drain up to [`RelayConfig::batch`]
 //! datagrams in one `recv_batch` (a single `recvmmsg` on Linux), code
 //! each shard's group under one lock acquisition, then flush the whole
-//! egress batch with one `send_batch` (`sendmmsg`). With
+//! egress batch with one `send_batch` (`sendmmsg`, one `UDP_SEGMENT`
+//! message per next hop). With
 //! `SO_REUSEPORT` ([`RelayNode::spawn`] on Linux), all shard sockets
 //! share a single advertised port and the kernel spreads ingress load
 //! across them.
@@ -44,9 +45,9 @@ use ncvnf_control::signal::{Signal, SignalFrame, VnfRoleWire};
 use ncvnf_control::telemetry::DataplaneHealth;
 use ncvnf_control::ForwardingTable;
 use ncvnf_dataplane::metrics::VnfMetrics;
-use ncvnf_dataplane::{CodingVnf, Feedback, VnfRole, VnfStats};
+use ncvnf_dataplane::{CodingVnf, Feedback, VnfRole, VnfStats, FEEDBACK_LEN};
 use ncvnf_obs::{Registry, Snapshot, TraceKind};
-use ncvnf_rlnc::{GenerationConfig, PoolMetrics, PoolStats, SessionId};
+use ncvnf_rlnc::{CodedPacket, GenerationConfig, PoolMetrics, PoolStats, SessionId, WindowAck};
 
 use crate::engine::{relay_batch, BatchScratch, RelayEngine, RelayShard};
 use crate::metrics::{BatchCells, RelayNodeMetrics};
@@ -278,6 +279,9 @@ impl Shared {
         self.metrics
             .quota_sessions
             .set(totals.quota_sessions as f64);
+        let (coalesced, refused) = ncvnf_sysnet::egress_counts();
+        self.metrics.egress_coalesced.publish(coalesced);
+        self.metrics.egress_refused.publish(refused);
         self.registry.snapshot()
     }
 
@@ -520,12 +524,13 @@ impl RelayNode {
             .set(ForwardingTable::new().digest() as f64);
 
         let heartbeat = config.heartbeat;
+        let slot_len = recv_slot_len(&config.generation);
         let mut threads = Vec::new();
         for (i, socket) in data_sockets.into_iter().enumerate() {
             let shared = Arc::clone(&shared);
             let home = i % shard_count;
             threads.push(std::thread::spawn(move || {
-                data_loop(socket, shared, home, heartbeat)
+                data_loop(socket, shared, home, heartbeat, slot_len)
             }));
         }
         {
@@ -622,6 +627,21 @@ fn bind_shard_sockets(n: usize) -> std::io::Result<Vec<UdpSocket>> {
     Ok(vec![UdpSocket::bind(("127.0.0.1", 0))?])
 }
 
+/// Bytes per receive slot of a data thread: the largest datagram `layout`
+/// makes valid — a windowed packet at full width, a generational packet,
+/// or a feedback / window-ack frame — plus one, so that anything longer
+/// arrives cut to a length no layout accepts and is counted malformed,
+/// as it would be whole. Receive memory is bounded by the configuration,
+/// not by the largest datagram UDP can carry.
+fn recv_slot_len(layout: &GenerationConfig) -> usize {
+    let windowed = CodedPacket::WINDOW_FIXED_LEN + CodedPacket::MAX_WIDTH + layout.block_size();
+    windowed
+        .max(layout.packet_len())
+        .max(FEEDBACK_LEN)
+        .max(WindowAck::WIRE_LEN)
+        + 1
+}
+
 /// One data thread: drain a batch, relay it through the shard array
 /// (feedback frames are classified and dropped inside [`relay_batch`]),
 /// flush the egress batch. `home` is the shard whose receive queue this
@@ -632,8 +652,9 @@ fn data_loop<S: DatagramSocket>(
     shared: Arc<Shared>,
     home: usize,
     heartbeat: Option<HeartbeatConfig>,
+    slot_len: usize,
 ) {
-    let mut batch = RecvBatch::new(shared.batch, 65536);
+    let mut batch = RecvBatch::new(shared.batch, slot_len);
     let mut scratch = BatchScratch::instrumented(shared.shards.len(), &shared.registry);
     let m = shared.metrics.clone();
     while shared.running.load(Ordering::Relaxed) {

@@ -116,7 +116,9 @@ impl RecvBatch {
 ///
 /// Serializing once and fanning out by reference means a packet routed
 /// to `k` next hops costs one serialization and `k` arena-range
-/// segments — and the whole batch flushes in one `sendmmsg` on Linux.
+/// segments — and on Linux the whole batch flushes in one `sendmmsg`
+/// whose entries are per-destination runs of equal-length datagrams,
+/// each cut back into datagrams by the kernel (`UDP_SEGMENT`).
 #[derive(Debug, Default)]
 pub struct SendBatch {
     arena: Vec<u8>,
@@ -260,8 +262,9 @@ pub trait DatagramSocket: Send + Sync {
     /// Per-datagram failures are tolerated (skipped), matching UDP's
     /// fire-and-forget contract — a vanished loopback peer must not
     /// stall the rest of the flush. The default implementation loops
-    /// [`Self::send_to`]; `UdpSocket` overrides it with `sendmmsg` on
-    /// Linux.
+    /// [`Self::send_to`]; `UdpSocket` overrides it with
+    /// [`ncvnf_sysnet::send_batch`] on Linux (one message per destination
+    /// run; each destination's datagrams still leave in batch order).
     ///
     /// # Errors
     ///

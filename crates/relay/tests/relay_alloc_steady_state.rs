@@ -22,8 +22,8 @@ use ncvnf_control::ForwardingTable;
 use ncvnf_dataplane::{CodingVnf, VnfRole};
 use ncvnf_obs::Registry;
 use ncvnf_relay::{
-    relay_batch, relay_step, shard_of, BatchScratch, QuotaConfig, RecvBatch, RelayEngine,
-    RelayScratch, RelayShard, RouteCache, MAX_BATCH,
+    relay_batch, relay_step, shard_of, BatchScratch, DatagramSocket, QuotaConfig, RecvBatch,
+    RelayEngine, RelayScratch, RelayShard, RouteCache, SendBatch, MAX_BATCH,
 };
 use ncvnf_rlnc::{
     GenerationConfig, GenerationEncoder, PayloadPool, SessionId, WindowConfig, WindowEncoder,
@@ -454,4 +454,27 @@ fn warm_batch_with_admission_gate_does_not_allocate() {
         "every datagram went through the token bucket"
     );
     assert_eq!(ov.stats().total_shed(), 0);
+}
+
+/// The flush itself is heap-free: `UdpSocket::send_batch` gathers a
+/// two-hop fan-out into per-destination runs, builds their control
+/// messages and hands them to the kernel from fixed stack state.
+#[test]
+fn warm_socket_flush_does_not_allocate() {
+    let sinks = [(); 2].map(|()| std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap());
+    let hops = sinks.each_ref().map(|s| s.local_addr().unwrap());
+    let tx = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+    let mut batch = SendBatch::new();
+    for i in 0..MAX_BATCH / 2 {
+        batch.push_bytes(&[i as u8; BLOCK], &hops);
+    }
+    assert_eq!(batch.len(), MAX_BATCH);
+    assert_eq!(tx.send_batch(&batch).unwrap(), MAX_BATCH, "warm-up flush");
+    let allocs = heap_ops_during(|| {
+        assert_eq!(tx.send_batch(&batch).unwrap(), MAX_BATCH);
+    });
+    assert_eq!(
+        allocs, 0,
+        "flushing {MAX_BATCH} datagrams must not touch the heap"
+    );
 }

@@ -1,9 +1,11 @@
 //! Thin, dependency-free wrappers over the Linux batched-UDP syscalls.
 //!
-//! The relay's per-datagram syscall cost dominates its loopback
+//! The relay's per-datagram socket cost dominates its loopback
 //! throughput: one `recvfrom` plus one `sendto` per packet caps a
 //! single-threaded relay orders of magnitude below what the coding
-//! engine sustains in memory. This crate provides the primitives
+//! engine sustains in memory — and on the send side the cost is not the
+//! syscall entry but one trip down the UDP/IP stack per packet, which
+//! `sendmmsg` alone does not save. This crate provides the primitives
 //! the sharded relay runtime needs to close that gap, with no external
 //! dependencies (the workspace is hermetic — there is no `libc` crate,
 //! so the declarations bind directly against the C library `std`
@@ -13,10 +15,15 @@
 //!   datagrams. `MSG_WAITFORONE` makes the call block only for the
 //!   *first* datagram (honouring `SO_RCVTIMEO`), then drain whatever
 //!   else is queued without further waiting.
-//! - [`send_batch`]: one `sendmmsg(2)` call per [`MAX_BATCH`] chunk,
-//!   transmitting datagrams serialized back-to-back in a caller-owned
-//!   arena. Per-datagram failures (e.g. `ECONNREFUSED` bounced off a
-//!   loopback sink that went away) are skipped, not fatal.
+//! - [`send_batch`]: one `sendmmsg(2)` entry per *destination run*, not
+//!   per datagram. Datagrams in a caller-owned arena that share a
+//!   destination and a length leave as one message that gathers them in
+//!   place and has the kernel cut it back into datagrams at the bottom
+//!   of the stack (`UDP_SEGMENT`), so a flush of 32 pays for one trip,
+//!   not 32. A coalesced message the kernel refuses is re-sent datagram
+//!   by datagram in the same call ([`egress_counts`] tells how often);
+//!   per-datagram failures (e.g. `ECONNREFUSED` bounced off a loopback
+//!   sink that went away) are skipped, not fatal.
 //! - [`bind_reuseport`]: binds a UDP socket with `SO_REUSEPORT` set
 //!   *before* `bind`, so several shard sockets can share one advertised
 //!   port and the kernel spreads the receive load across them.
@@ -38,8 +45,14 @@
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Largest number of datagrams moved per batched syscall.
+/// Datagrams that left inside a multi-segment message (process-wide).
+static EGRESS_COALESCED: AtomicU64 = AtomicU64::new(0);
+/// Coalesced messages the kernel refused (process-wide).
+static EGRESS_REFUSED: AtomicU64 = AtomicU64::new(0);
+
+/// Largest number of datagrams one [`recv_batch`] call moves.
 ///
 /// 32 matches the relay's batch flush size: big enough to amortize the
 /// syscall, small enough that per-batch stack state (iovecs, headers,
@@ -68,23 +81,50 @@ pub fn recv_batch(
 }
 
 /// Sends `segs` (offset, length, destination — all referencing `arena`)
-/// via `sendmmsg`, `MAX_BATCH` datagrams per call.
+/// with one `sendmmsg` entry per *run*: the datagrams of one destination,
+/// in order, for as long as each is as long as the run's first. A shorter
+/// one may close a run; a run holds at most 64 datagrams and 65,507
+/// bytes (one UDP payload). Destinations may interleave — runs are
+/// gathered per destination within each 64 datagrams of `segs`, and each
+/// destination's datagrams leave in the order given. A run of several is
+/// one message with a `UDP_SEGMENT` control message, its iovec pointing
+/// into `arena` (no copy); a run of one is a plain datagram.
 ///
-/// Returns the number of datagrams accepted by the kernel. A datagram
-/// the kernel refuses (e.g. `ECONNREFUSED` from a vanished loopback
-/// peer) is skipped and the rest of the batch still goes out, mirroring
-/// the per-datagram error tolerance of a `send_to` loop.
+/// Returns the number of *datagrams* the kernel accepted. A coalesced
+/// message it refuses (a segment beyond the egress MTU, no
+/// transmit-checksum offload, a pending socket error, a kernel without
+/// `UDP_SEGMENT`) is re-sent datagram by datagram inside the same call;
+/// a plain datagram it refuses (e.g. `ECONNREFUSED` from a vanished
+/// loopback peer) is skipped and the rest still goes out — the tolerance
+/// of a `send_to` loop.
 ///
 /// # Errors
 ///
 /// On non-Linux targets returns `Unsupported`; Linux per-datagram
 /// failures are tolerated as described above rather than raised.
+///
+/// # Panics
+///
+/// Panics if a segment reaches outside `arena`.
 pub fn send_batch(
     sock: &UdpSocket,
     arena: &[u8],
     segs: &[(u32, u32, SocketAddr)],
 ) -> io::Result<usize> {
     imp::send_batch(sock, arena, segs)
+}
+
+/// `(coalesced, refused)` over every socket of this process since it
+/// started (relaxed counters): datagrams [`send_batch`] sent inside a
+/// multi-segment message, and coalesced messages the kernel refused and
+/// that were re-sent datagram by datagram. A growing `refused` means an
+/// egress device or path MTU that does not take `UDP_SEGMENT`.
+#[must_use]
+pub fn egress_counts() -> (u64, u64) {
+    (
+        EGRESS_COALESCED.load(Ordering::Relaxed),
+        EGRESS_REFUSED.load(Ordering::Relaxed),
+    )
 }
 
 /// Binds a UDP socket to `addr` with `SO_REUSEPORT` enabled.
@@ -123,12 +163,13 @@ pub fn batched_syscalls_available() -> bool {
 
 #[cfg(target_os = "linux")]
 mod imp {
-    use super::MAX_BATCH;
+    use super::{EGRESS_COALESCED, EGRESS_REFUSED, MAX_BATCH};
     use std::io;
-    use std::mem;
+    use std::mem::{self, MaybeUninit};
     use std::net::{SocketAddr, SocketAddrV4, SocketAddrV6, UdpSocket};
     use std::os::fd::{AsRawFd, FromRawFd};
     use std::ptr;
+    use std::sync::atomic::Ordering;
 
     const AF_INET: u16 = 2;
     const AF_INET6: u16 = 10;
@@ -136,8 +177,20 @@ mod imp {
     const SOCK_CLOEXEC: i32 = 0o2000000;
     const SOL_SOCKET: i32 = 1;
     const SO_REUSEPORT: i32 = 15;
+    const SOL_UDP: i32 = 17;
+    const UDP_SEGMENT: i32 = 103;
     const MSG_WAITFORONE: i32 = 0x10000;
     const MSG_DONTWAIT: i32 = 0x40;
+
+    /// Most datagrams one coalesced message may carry: the kernel's
+    /// `UDP_MAX_SEGMENTS` on every release that has `UDP_SEGMENT`
+    /// (newer ones allow 128). Also the run builder's window, so its
+    /// per-call state is fixed-size stack arrays.
+    const MAX_SEGMENTS: usize = 64;
+
+    /// Most payload bytes one coalesced message may carry: the largest
+    /// UDP payload an IPv4 packet holds (65,535 − 20 − 8).
+    const MAX_RUN_BYTES: usize = 65_507;
 
     /// `struct iovec` (POSIX, 64-bit Linux layout).
     #[repr(C)]
@@ -168,7 +221,7 @@ mod imp {
         namelen: u32,
         iov: *mut IoVec,
         iovlen: usize,
-        control: *mut u8,
+        control: *mut SegmentCmsg,
         controllen: usize,
         flags: i32,
     }
@@ -178,6 +231,18 @@ mod imp {
     struct MMsgHdr {
         hdr: MsgHdr,
         len: u32,
+    }
+
+    /// A `struct cmsghdr` carrying one `UDP_SEGMENT` value, padded by
+    /// `repr(C)` to `CMSG_SPACE(sizeof(u16))` = 24 bytes (64-bit Linux).
+    #[repr(C)]
+    struct SegmentCmsg {
+        /// `cmsg_len`: `CMSG_LEN(sizeof(u16))`, header plus value.
+        len: usize,
+        level: i32,
+        ty: i32,
+        /// Bytes per datagram the kernel cuts the message into.
+        gso_size: u16,
     }
 
     extern "C" {
@@ -251,32 +316,39 @@ mod imp {
         if n == 0 {
             return Ok(0);
         }
-        let mut addrs = [SockAddrStorage::zeroed(); MAX_BATCH];
-        let mut iovs = [IoVec {
-            base: ptr::null_mut(),
-            len: 0,
-        }; MAX_BATCH];
-        // Headers hold raw pointers into the arrays above; all three
-        // live on this stack frame for the duration of the call.
-        let mut hdrs: [MMsgHdr; MAX_BATCH] = unsafe { mem::zeroed() };
+        // Only the `n` entries the kernel may fill are set up: a batch
+        // of one costs one header, not MAX_BATCH of them.
+        let mut addrs = [const { MaybeUninit::<SockAddrStorage>::uninit() }; MAX_BATCH];
+        let mut iovs = [const { MaybeUninit::<IoVec>::uninit() }; MAX_BATCH];
+        let mut hdrs = [const { MaybeUninit::<MMsgHdr>::uninit() }; MAX_BATCH];
         for i in 0..n {
-            iovs[i] = IoVec {
+            let iov = iovs[i].write(IoVec {
                 base: bufs[i].as_mut_ptr(),
                 len: bufs[i].len(),
-            };
-            hdrs[i].hdr = MsgHdr {
-                name: &mut addrs[i],
-                namelen: mem::size_of::<SockAddrStorage>() as u32,
-                iov: &mut iovs[i],
-                iovlen: 1,
-                control: ptr::null_mut(),
-                controllen: 0,
-                flags: 0,
-            };
+            });
+            hdrs[i].write(MMsgHdr {
+                hdr: MsgHdr {
+                    name: addrs[i].write(SockAddrStorage::zeroed()),
+                    namelen: mem::size_of::<SockAddrStorage>() as u32,
+                    iov,
+                    iovlen: 1,
+                    control: ptr::null_mut(),
+                    controllen: 0,
+                    flags: 0,
+                },
+                len: 0,
+            });
         }
+        // SAFETY: headers `0..n` were written above.
+        let hdrs = unsafe { hdrs[..n].assume_init_mut() };
         // MSG_WAITFORONE: block (under SO_RCVTIMEO) for the first
         // datagram only, then drain without waiting. Null timeout: the
         // socket's own read timeout governs the initial wait.
+        //
+        // SAFETY: each of the `n` headers points at its own address
+        // slot, iovec and receive buffer, all exclusively borrowed and
+        // alive for the whole call; the kernel writes at most
+        // `bufs[i].len()` bytes per buffer and 128 per address.
         let got = unsafe {
             recvmmsg(
                 sock.as_raw_fd(),
@@ -290,9 +362,14 @@ mod imp {
             return Err(io::Error::last_os_error());
         }
         let got = got as usize;
-        let fallback = sock.local_addr()?;
+        // SAFETY: address slots `0..n` were zeroed above (the kernel has
+        // since filled the first `got`).
+        let addrs = unsafe { addrs[..n].assume_init_ref() };
         for i in 0..got {
-            let src = decode_addr(&addrs[i]).unwrap_or(fallback);
+            let src = match decode_addr(&addrs[i]) {
+                Some(src) => src,
+                None => sock.local_addr()?,
+            };
             meta[i] = (hdrs[i].len as usize, src);
         }
         Ok(got)
@@ -331,58 +408,173 @@ mod imp {
         segs: &[(u32, u32, SocketAddr)],
     ) -> io::Result<usize> {
         let fd = sock.as_raw_fd();
-        let mut sent_ok = 0usize;
-        for chunk in segs.chunks(MAX_BATCH) {
-            let mut addrs = [SockAddrStorage::zeroed(); MAX_BATCH];
-            let mut lens = [0u32; MAX_BATCH];
-            let mut iovs = [IoVec {
-                base: ptr::null_mut(),
-                len: 0,
-            }; MAX_BATCH];
-            let mut hdrs: [MMsgHdr; MAX_BATCH] = unsafe { mem::zeroed() };
-            for (i, &(off, len, dest)) in chunk.iter().enumerate() {
-                let slice = &arena[off as usize..(off + len) as usize];
+        Ok(segs
+            .chunks(MAX_SEGMENTS)
+            .map(|window| send_window(fd, arena, window))
+            .sum())
+    }
+
+    /// Sends up to [`MAX_SEGMENTS`] datagrams, one message per run (the
+    /// rule is on [`super::send_batch`]); returns the datagrams accepted.
+    fn send_window(fd: i32, arena: &[u8], window: &[(u32, u32, SocketAddr)]) -> usize {
+        assert!(window.len() <= MAX_SEGMENTS);
+        let mut iovs = [const { MaybeUninit::<IoVec>::uninit() }; MAX_SEGMENTS];
+        // Headers keep pointers into `iovs` while later runs are still
+        // being written, so every access goes through this one pointer.
+        let iovs = iovs.as_mut_ptr().cast::<IoVec>();
+        let mut addrs = [const { MaybeUninit::<SockAddrStorage>::uninit() }; MAX_SEGMENTS];
+        let mut cmsgs = [const { MaybeUninit::<SegmentCmsg>::uninit() }; MAX_SEGMENTS];
+        let mut hdrs = [const { MaybeUninit::<MMsgHdr>::uninit() }; MAX_SEGMENTS];
+        // Bit `j`: datagram `j` of the window already sits in a run.
+        let mut taken = 0u64;
+        let mut n_iovs = 0;
+        let mut n_msgs = 0;
+        for (i, &(_, seg_len, dest)) in window.iter().enumerate() {
+            if taken >> i & 1 == 1 {
+                continue;
+            }
+            let first = n_iovs;
+            let mut bytes = 0;
+            for (j, &(off, len, to)) in window.iter().enumerate().skip(i) {
+                if taken >> j & 1 == 1 || to != dest {
+                    continue;
+                }
+                // The next datagram for `dest`: it joins the run or ends
+                // it — never skipped, so per-destination order holds. (An
+                // empty datagram always travels alone: the kernel would
+                // not emit an empty last segment.)
+                let (off, len) = (off as usize, len as usize);
+                if j != i && (len == 0 || len > seg_len as usize || bytes + len > MAX_RUN_BYTES) {
+                    break;
+                }
+                let wire = &arena[off..off + len];
                 // The kernel only reads from send iovecs; the cast to
                 // *mut is required by the shared iovec layout.
-                iovs[i] = IoVec {
-                    base: slice.as_ptr().cast_mut(),
-                    len: slice.len(),
+                let iov = IoVec {
+                    base: wire.as_ptr().cast_mut(),
+                    len,
                 };
-                lens[i] = encode_addr(&dest, &mut addrs[i]);
+                // SAFETY: a datagram is taken once, so `n_iovs` stays
+                // below `window.len()`, at most the array's length.
+                unsafe { iovs.add(n_iovs).write(iov) };
+                n_iovs += 1;
+                taken |= 1 << j;
+                bytes += len;
+                if len < seg_len as usize {
+                    break;
+                }
             }
-            for i in 0..chunk.len() {
-                hdrs[i].hdr = MsgHdr {
-                    name: &mut addrs[i],
-                    namelen: lens[i],
-                    iov: &mut iovs[i],
+            let segments = n_iovs - first;
+            let name = addrs[n_msgs].write(SockAddrStorage::zeroed());
+            let namelen = encode_addr(&dest, name);
+            let (control, controllen) = if segments > 1 {
+                // Two or more segments fit MAX_RUN_BYTES, so the length
+                // of each fits the control message's u16.
+                let cmsg = cmsgs[n_msgs].write(SegmentCmsg {
+                    len: mem::offset_of!(SegmentCmsg, gso_size) + mem::size_of::<u16>(),
+                    level: SOL_UDP,
+                    ty: UDP_SEGMENT,
+                    gso_size: seg_len as u16,
+                });
+                (ptr::from_mut(cmsg), mem::size_of::<SegmentCmsg>())
+            } else {
+                (ptr::null_mut(), 0)
+            };
+            hdrs[n_msgs].write(MMsgHdr {
+                hdr: MsgHdr {
+                    name,
+                    namelen,
+                    iov: iovs.wrapping_add(first),
+                    iovlen: segments,
+                    control,
+                    controllen,
+                    flags: 0,
+                },
+                len: 0,
+            });
+            n_msgs += 1;
+        }
+        // SAFETY: headers `0..n_msgs` were written above, one per run.
+        let hdrs = unsafe { hdrs[..n_msgs].assume_init_mut() };
+        // SAFETY: every header points at its own written address slot,
+        // at `iovlen` written iovecs — each a range of `arena`, bounds
+        // checked by the slicing above — and, when `controllen` is not
+        // 0, at its own written control message; all of it outlives the
+        // call.
+        unsafe { submit(fd, hdrs) }
+    }
+
+    /// Hands `hdrs` to `sendmmsg` and returns the datagrams accepted
+    /// (one per iovec). `sendmmsg` stops at the first message the kernel
+    /// refuses: a plain datagram is skipped and the rest still go out,
+    /// the tolerance of a `send_to` loop; a coalesced message is re-sent
+    /// one datagram at a time first, so a path that does not take
+    /// `UDP_SEGMENT` costs one failed call per run and loses nothing.
+    ///
+    /// # Safety
+    ///
+    /// Every header's name, iovecs (and the bytes they cover) and
+    /// control buffer must be valid for reads for the whole call.
+    unsafe fn submit(fd: i32, hdrs: &mut [MMsgHdr]) -> usize {
+        let mut accepted = 0;
+        let mut coalesced = 0;
+        let mut next = 0;
+        while next < hdrs.len() {
+            let rest = &mut hdrs[next..];
+            // SAFETY: `rest` is a live slice of headers whose pointers
+            // the caller vouches for; the kernel writes only each `len`.
+            let sent = unsafe { sendmmsg(fd, rest.as_mut_ptr(), rest.len() as u32, 0) };
+            let sent = sent.max(0) as usize;
+            for h in &rest[..sent] {
+                accepted += h.hdr.iovlen;
+                if h.hdr.iovlen > 1 {
+                    coalesced += h.hdr.iovlen;
+                }
+            }
+            next += sent;
+            if let Some(refused) = hdrs.get(next) {
+                if refused.hdr.iovlen > 1 {
+                    EGRESS_REFUSED.fetch_add(1, Ordering::Relaxed);
+                    // SAFETY: the caller's guarantee covers this header.
+                    accepted += unsafe { resend_plain(fd, &refused.hdr) };
+                }
+                next += 1;
+            }
+        }
+        if coalesced > 0 {
+            EGRESS_COALESCED.fetch_add(coalesced as u64, Ordering::Relaxed);
+        }
+        accepted
+    }
+
+    /// Sends each datagram of the refused coalesced message `run` on its
+    /// own, in order; returns how many the kernel accepted.
+    ///
+    /// # Safety
+    ///
+    /// As for [`submit`], for `run`.
+    unsafe fn resend_plain(fd: i32, run: &MsgHdr) -> usize {
+        let mut hdrs = [const { MaybeUninit::<MMsgHdr>::uninit() }; MAX_SEGMENTS];
+        assert!(run.iovlen <= MAX_SEGMENTS);
+        for (i, hdr) in hdrs[..run.iovlen].iter_mut().enumerate() {
+            hdr.write(MMsgHdr {
+                hdr: MsgHdr {
+                    name: run.name,
+                    namelen: run.namelen,
+                    // In bounds: `run.iov` heads `run.iovlen` iovecs.
+                    iov: run.iov.wrapping_add(i),
                     iovlen: 1,
                     control: ptr::null_mut(),
                     controllen: 0,
                     flags: 0,
-                };
-            }
-            // sendmmsg stops at the first failing datagram (after
-            // reporting how many went out). Skip the offender and keep
-            // going: per-datagram tolerance, same as a send_to loop.
-            let mut off = 0usize;
-            while off < chunk.len() {
-                let sent = unsafe {
-                    sendmmsg(
-                        fd,
-                        hdrs.as_mut_ptr().wrapping_add(off),
-                        (chunk.len() - off) as u32,
-                        0,
-                    )
-                };
-                if sent > 0 {
-                    sent_ok += sent as usize;
-                    off += sent as usize;
-                } else {
-                    off += 1;
-                }
-            }
+                },
+                len: 0,
+            });
         }
-        Ok(sent_ok)
+        // SAFETY: headers `0..run.iovlen` were written above; each points
+        // at `run`'s address and one of its iovecs, which the caller
+        // vouches for. Single-iovec headers never come back here.
+        unsafe { submit(fd, hdrs[..run.iovlen].assume_init_mut()) }
     }
 
     pub(super) fn bind_reuseport(addr: SocketAddr) -> io::Result<UdpSocket> {
@@ -462,42 +654,201 @@ mod imp {
     }
 }
 
-#[cfg(all(test, target_os = "linux"))]
+#[cfg(test)]
+#[cfg(target_os = "linux")]
 mod tests {
     use super::*;
+    use std::os::fd::AsRawFd;
     use std::time::Duration;
 
-    #[test]
-    fn batch_roundtrip_preserves_payloads_and_sources() {
-        let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
-        rx.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-        let dest = rx.local_addr().unwrap();
-        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let tx_addr = tx.local_addr().unwrap();
+    /// Makes the kernel refuse every coalesced message on `sock`
+    /// (`EINVAL`) while plain datagrams still go out: UDP segmentation
+    /// needs the transmit checksum that `SO_NO_CHECK` turns off.
+    fn refuse_segmentation(sock: &UdpSocket) {
+        extern "C" {
+            fn setsockopt(fd: i32, level: i32, name: i32, val: *const u8, len: u32) -> i32;
+        }
+        const SOL_SOCKET: i32 = 1;
+        const SO_NO_CHECK: i32 = 11;
+        let one = 1i32.to_ne_bytes();
+        // SAFETY: the value pointer is a live i32 and the length its size.
+        let rc = unsafe { setsockopt(sock.as_raw_fd(), SOL_SOCKET, SO_NO_CHECK, one.as_ptr(), 4) };
+        assert_eq!(rc, 0, "SO_NO_CHECK: {}", io::Error::last_os_error());
+    }
 
-        // Serialize 5 datagrams back-to-back into one arena.
-        let payloads: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 10 + i as usize]).collect();
+    /// A bound loopback receiver with a read timeout.
+    fn receiver(bind: &str) -> (UdpSocket, SocketAddr) {
+        let rx = UdpSocket::bind(bind).unwrap();
+        rx.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let addr = rx.local_addr().unwrap();
+        (rx, addr)
+    }
+
+    /// Datagram `i` of a flush: `len` bytes that name their position.
+    fn payload(i: usize, len: usize) -> Vec<u8> {
+        (0..len).map(|b| (i * 31 + b) as u8).collect()
+    }
+
+    /// Sends `(length, destination)` datagrams in one `send_batch`;
+    /// returns what it returned and the payloads sent, in order.
+    fn flush(tx: &UdpSocket, plan: &[(usize, SocketAddr)]) -> (usize, Vec<Vec<u8>>) {
+        let payloads: Vec<Vec<u8>> = plan
+            .iter()
+            .enumerate()
+            .map(|(i, &(len, _))| payload(i, len))
+            .collect();
         let mut arena = Vec::new();
         let mut segs = Vec::new();
-        for p in &payloads {
+        for (p, &(_, dest)) in payloads.iter().zip(plan) {
             segs.push((arena.len() as u32, p.len() as u32, dest));
             arena.extend_from_slice(p);
         }
-        assert_eq!(send_batch(&tx, &arena, &segs).unwrap(), 5);
+        (send_batch(tx, &arena, &segs).unwrap(), payloads)
+    }
 
+    /// Receives `n` datagrams, asserting each came from `from`.
+    fn drain(rx: &UdpSocket, n: usize, from: SocketAddr) -> Vec<Vec<u8>> {
         let mut bufs: Vec<Vec<u8>> = (0..MAX_BATCH).map(|_| vec![0u8; 2048]).collect();
-        let mut meta = vec![(0usize, dest); MAX_BATCH];
+        let mut meta = vec![(0usize, from); MAX_BATCH];
         let mut got = Vec::new();
-        while got.len() < 5 {
-            let n = recv_batch(&rx, &mut bufs, &mut meta).unwrap();
-            assert!(n > 0);
-            for i in 0..n {
-                let (len, src) = meta[i];
-                assert_eq!(src, tx_addr);
-                got.push(bufs[i][..len].to_vec());
+        while got.len() < n {
+            let k = recv_batch(rx, &mut bufs, &mut meta).expect("datagram lost");
+            for i in 0..k {
+                assert_eq!(meta[i].1, from, "source of datagram {}", got.len());
+                got.push(bufs[i][..meta[i].0].to_vec());
             }
         }
-        assert_eq!(got, payloads);
+        got
+    }
+
+    /// One flush of `lens` to one destination arrives whole and in order.
+    fn assert_delivered_in_order(lens: &[usize]) {
+        let (rx, dest) = receiver("127.0.0.1:0");
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let plan: Vec<_> = lens.iter().map(|&len| (len, dest)).collect();
+        let (sent, payloads) = flush(&tx, &plan);
+        assert_eq!(sent, lens.len(), "datagrams accepted");
+        assert_eq!(drain(&rx, lens.len(), tx.local_addr().unwrap()), payloads);
+    }
+
+    #[test]
+    fn batch_roundtrip_preserves_payloads_and_sources() {
+        assert_delivered_in_order(&[10, 11, 12, 13, 14]);
+    }
+
+    #[test]
+    fn equal_datagrams_to_one_destination_leave_coalesced() {
+        let (coalesced, refused) = egress_counts();
+        assert_delivered_in_order(&[80; 32]);
+        let (coalesced_after, refused_after) = egress_counts();
+        // The counters are process-wide and other tests send too: at
+        // least this flush shows, as one run or as one refusal.
+        assert!(
+            coalesced_after >= coalesced + 32 || refused_after > refused,
+            "32 equal datagrams left neither coalesced nor refused"
+        );
+    }
+
+    #[test]
+    fn interleaved_destinations_each_get_their_stream_in_order() {
+        // What a 2-hop fan-out queues: every wire image to A, then to B.
+        let (rx_a, a) = receiver("127.0.0.1:0");
+        let (rx_b, b) = receiver("127.0.0.1:0");
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let plan: Vec<_> = (0..32)
+            .map(|i| (72, if i % 2 == 0 { a } else { b }))
+            .collect();
+        let (sent, payloads) = flush(&tx, &plan);
+        assert_eq!(sent, 32);
+        let from = tx.local_addr().unwrap();
+        let (to_a, to_b): (Vec<_>, Vec<_>) = payloads
+            .chunks(2)
+            .map(|p| (p[0].clone(), p[1].clone()))
+            .unzip();
+        assert_eq!(drain(&rx_a, 16, from), to_a);
+        assert_eq!(drain(&rx_b, 16, from), to_b);
+    }
+
+    #[test]
+    fn unequal_lengths_split_runs_and_keep_order() {
+        // Growth ends a run, an empty datagram travels alone.
+        assert_delivered_in_order(&[100, 100, 200, 200, 200, 50, 300, 300, 0, 300, 1]);
+    }
+
+    #[test]
+    fn a_shorter_tail_closes_a_run() {
+        assert_delivered_in_order(&[100, 100, 100, 40, 100, 100, 7]);
+    }
+
+    #[test]
+    fn a_flush_beyond_one_udp_payload_splits() {
+        // 45 x 1,473 B = 66,285 B: more than one message may carry.
+        assert_delivered_in_order(&[1473; 45]);
+    }
+
+    #[test]
+    fn a_flush_beyond_the_segment_cap_splits() {
+        assert_delivered_in_order(&[16; 150]);
+    }
+
+    #[test]
+    fn a_single_datagram_leaves_plain() {
+        assert_delivered_in_order(&[1200]);
+    }
+
+    #[test]
+    fn an_ipv6_destination_coalesces_too() {
+        let Ok(rx) = UdpSocket::bind("[::1]:0") else {
+            return; // no IPv6 loopback on this host
+        };
+        rx.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let dest = rx.local_addr().unwrap();
+        let tx = UdpSocket::bind("[::1]:0").unwrap();
+        let (sent, payloads) = flush(&tx, &[(90, dest); 20]);
+        assert_eq!(sent, 20);
+        assert_eq!(drain(&rx, 20, tx.local_addr().unwrap()), payloads);
+    }
+
+    #[test]
+    fn a_vanished_peer_does_not_stall_the_rest_of_the_flush() {
+        let (rx, alive) = receiver("127.0.0.1:0");
+        let gone = receiver("127.0.0.1:0").1; // closed again: nobody listens
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let from = tx.local_addr().unwrap();
+        let plan: Vec<_> = (0..32)
+            .map(|i| (64, if i % 2 == 0 { gone } else { alive }))
+            .collect();
+        // Twice: the first flush's port-unreachable errors are pending
+        // on the socket when the second one goes out.
+        for _ in 0..2 {
+            let (sent, payloads) = flush(&tx, &plan);
+            assert!((16..=32).contains(&sent), "counts datagrams, got {sent}");
+            let to_alive: Vec<_> = payloads.into_iter().skip(1).step_by(2).collect();
+            assert_eq!(drain(&rx, 16, from), to_alive);
+        }
+    }
+
+    #[test]
+    fn a_refused_coalesced_message_is_resent_datagram_by_datagram() {
+        let (rx_a, a) = receiver("127.0.0.1:0");
+        let (rx_b, b) = receiver("127.0.0.1:0");
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        refuse_segmentation(&tx);
+        let refused = egress_counts().1;
+        let mut plan: Vec<_> = (0..24)
+            .map(|i| (72, if i % 2 == 0 { a } else { b }))
+            .collect();
+        plan.extend([(500, a), (500, a), (20, a)]);
+        let (sent, payloads) = flush(&tx, &plan);
+        assert_eq!(sent, plan.len(), "every datagram went out plainly");
+        assert!(egress_counts().1 >= refused + 3, "three runs refused");
+        let from = tx.local_addr().unwrap();
+        let stream = |dest| -> Vec<Vec<u8>> {
+            let of_dest = plan.iter().zip(&payloads).filter(|((_, d), _)| *d == dest);
+            of_dest.map(|(_, p)| p.clone()).collect()
+        };
+        assert_eq!(drain(&rx_a, 15, from), stream(a));
+        assert_eq!(drain(&rx_b, 12, from), stream(b));
     }
 
     #[test]
