@@ -14,7 +14,8 @@
 //!
 //! `--shards N` splits the data path across N engine shards, each with
 //! its own `SO_REUSEPORT` receive socket behind the one printed data
-//! address; `--batch M` sets the per-syscall datagram batch (up to 32).
+//! address; `--batch M` (up to 32) sets the messages per receive syscall
+//! and the datagrams per flush (a `UDP_GRO` message may be a whole burst).
 //!
 //! A chain of these processes plus `send_file` / `recv_file` is a real
 //! multi-process deployment of the paper's data plane.

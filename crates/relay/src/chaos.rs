@@ -646,26 +646,14 @@ impl DatagramSocket for FaultSocket {
 
     fn recv_batch(&self, batch: &mut RecvBatch) -> io::Result<usize> {
         batch.clear();
-        let (bufs, meta) = batch.parts_mut();
         // First datagram: the full blocking faulted path, so timeout
         // expiry (including the late stash release) behaves exactly as
         // it does unbatched.
-        let (n, src) = self.recv_from(&mut bufs[0])?;
-        meta[0] = (n, src);
-        let mut filled = 1;
+        batch.recv_one(|entry| self.recv_from(entry))?;
         // Drain whatever is immediately available, one draw per wire
         // datagram.
-        while filled < bufs.len() {
-            match self.try_recv_from(&mut bufs[filled]) {
-                Ok(got) => {
-                    meta[filled] = got;
-                    filled += 1;
-                }
-                Err(_) => break,
-            }
-        }
-        batch.set_filled(filled);
-        Ok(filled)
+        while let Ok(true) = batch.recv_one(|entry| self.try_recv_from(entry)) {}
+        Ok(batch.len())
     }
 }
 

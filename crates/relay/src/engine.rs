@@ -26,6 +26,7 @@
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
+use std::ops::Range;
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -636,9 +637,22 @@ pub fn relay_batch(
     scratch: &mut BatchScratch,
     batch: &RecvBatch,
 ) -> BatchReport {
+    relay_flush(shards, home, scratch, batch, 0..batch.len())
+}
+
+/// [`relay_batch`] over the datagrams `range` of `batch` only: how the
+/// data loop cuts a receive of coalesced bursts into flushes of at most
+/// [`RelayConfig::batch`](crate::RelayConfig::batch) datagrams.
+pub(crate) fn relay_flush(
+    shards: &[RelayShard],
+    home: usize,
+    scratch: &mut BatchScratch,
+    batch: &RecvBatch,
+    range: Range<usize>,
+) -> BatchReport {
     let shards = shards.iter().map(|s| (&s.engine, &s.routes));
-    run_batch(shards, home, scratch, batch.len(), |i| {
-        let (dg, src) = batch.get(i);
+    run_batch(shards, home, scratch, range.len(), |i| {
+        let (dg, src) = batch.get(range.start + i);
         (dg, Some(src))
     })
 }

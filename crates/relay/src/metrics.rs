@@ -56,6 +56,8 @@ ncvnf_obs::metrics! {
         pub shedding_shards: Gauge = "relay.shedding_shards", "shards", "Engine shards whose overload latch is currently armed";
         pub egress_coalesced: Counter = "relay.egress_coalesced", "datagrams", "Datagrams that left inside a multi-segment UDP_SEGMENT message (process-wide: every socket of this process)";
         pub egress_refused: Counter = "relay.egress_refused", "messages", "Coalesced messages the kernel refused and that were re-sent datagram by datagram (process-wide)";
+        pub ingress_coalesced: Counter = "relay.ingress_coalesced", "datagrams", "Datagrams that arrived inside a multi-segment UDP_GRO message";
+        pub ingress_gro: Gauge = "relay.ingress_gro", "bool", "1 when every data socket accepted UDP_GRO (spawned relays; 0 on caller-provided sockets)";
     }
 }
 
@@ -68,8 +70,8 @@ ncvnf_obs::metrics! {
         pub emitted: Counter = "relay.packets_emitted", "packets", "Coded packets or decoded chunks produced by relay steps";
         pub recycled: Counter = "relay.payloads_recycled", "packets", "Emitted packets recycled back into the payload pool";
         pub pending_depth: Gauge = "relay.pending_depth", "packets", "Packets held for recycling at the end of the last step";
-        pub batches: Counter = "relay.batches", "batches", "Ingress batches drained from the data socket";
-        pub batch_fill: Histogram = "relay.batch_fill", "datagrams", "Datagrams per drained ingress batch (batch occupancy)";
+        pub batches: Counter = "relay.batches", "batches", "Batches relayed: a receive from the data socket, cut into flushes of at most the batch size";
+        pub batch_fill: Histogram = "relay.batch_fill", "datagrams", "Datagrams per relayed batch (batch occupancy)";
         pub batch_ns: Histogram = "relay.batch_ns", "ns", "Batch relay latency, sampled 1-in-8 (dispatch, code, serialize, flush)";
         pub cross_shard: Counter = "relay.cross_shard_packets", "datagrams", "Datagrams received on one shard's socket but owned by another shard";
         pub window_packets: Counter = "relay.window_packets", "datagrams", "Sliding-window datagrams (wire kind 2) run through a shard engine";

@@ -6,11 +6,12 @@
 //! own locks; every datagram is dispatched to the shard selected by
 //! [`shard_of`]`(session, generation)`, so one generation's decoder
 //! state is never split and shards do not contend. One data thread per
-//! data socket runs [`relay_batch`] — drain up to [`RelayConfig::batch`]
-//! datagrams in one `recv_batch` (a single `recvmmsg` on Linux), code
-//! each shard's group under one lock acquisition, then flush the whole
-//! egress batch with one `send_batch` (`sendmmsg`, one `UDP_SEGMENT`
-//! message per next hop). With
+//! data socket runs [`relay_batch`](crate::relay_batch) — drain up to
+//! [`RelayConfig::batch`] messages in one `recv_batch` (a single
+//! `recvmmsg` on Linux; with `UDP_GRO` a message may be a whole burst),
+//! then per flush of at most `batch` datagrams code each shard's group
+//! under one lock acquisition and send the egress batch with one
+//! `send_batch` (`sendmmsg`, one `UDP_SEGMENT` message per next hop). With
 //! `SO_REUSEPORT` ([`RelayNode::spawn`] on Linux), all shard sockets
 //! share a single advertised port and the kernel spreads ingress load
 //! across them.
@@ -49,7 +50,7 @@ use ncvnf_dataplane::{CodingVnf, Feedback, VnfRole, VnfStats, FEEDBACK_LEN};
 use ncvnf_obs::{Registry, Snapshot, TraceKind};
 use ncvnf_rlnc::{CodedPacket, GenerationConfig, PoolMetrics, PoolStats, SessionId, WindowAck};
 
-use crate::engine::{relay_batch, BatchScratch, RelayEngine, RelayShard};
+use crate::engine::{relay_flush, BatchScratch, RelayEngine, RelayShard};
 use crate::metrics::{BatchCells, RelayNodeMetrics};
 use crate::overload::QuotaConfig;
 use crate::socket::{is_timeout, DatagramSocket, RecvBatch, MAX_BATCH};
@@ -89,9 +90,10 @@ pub struct RelayConfig {
     /// `NCVNF_SHARDS` (falling back to 1) so the whole test suite can
     /// run sharded without touching call sites.
     pub shards: usize,
-    /// Ingress/egress batch size in datagrams (clamped to
-    /// 1..=[`MAX_BATCH`]). The default reads `NCVNF_BATCH`, falling
-    /// back to [`MAX_BATCH`].
+    /// Messages per receive and datagrams per flush (clamped to
+    /// 1..=[`MAX_BATCH`]; with `UDP_GRO` a message may be a whole burst,
+    /// relayed in several flushes). The default reads `NCVNF_BATCH`,
+    /// falling back to [`MAX_BATCH`].
     pub batch: usize,
 }
 
@@ -154,7 +156,7 @@ pub struct RelayStats {
     pub duplicate_signals: u64,
     /// Engine shards the data path runs across.
     pub shards: u64,
-    /// Ingress batches drained from the data socket(s).
+    /// Batches relayed (flushes of at most [`RelayConfig::batch`]).
     pub batches: u64,
     /// Datagrams received on one shard's socket but owned by another
     /// shard (the kernel's `SO_REUSEPORT` hash and the relay's
@@ -421,13 +423,16 @@ impl RelayNode {
     /// falls back to one shared data socket; engine-state sharding (and
     /// its correctness) is unaffected, only ingress parallelism drops.
     ///
+    /// Each data socket asks for `UDP_GRO`: a burst its sender segmented
+    /// then arrives as one message (DESIGN.md §14, "The receive path").
+    ///
     /// # Errors
     ///
     /// Propagates socket errors.
     pub fn spawn(config: RelayConfig) -> std::io::Result<RelayNode> {
-        let data_sockets = bind_shard_sockets(config.shards.max(1))?;
+        let (data_sockets, gro) = bind_shard_sockets(config.shards.max(1))?;
         let control_socket = UdpSocket::bind(("127.0.0.1", 0))?;
-        Self::spawn_with_sockets(config, data_sockets, control_socket)
+        Self::start(config, data_sockets, gro, control_socket)
     }
 
     /// Starts a relay on caller-provided sockets — real `UdpSocket`s or
@@ -447,24 +452,17 @@ impl RelayNode {
         D: DatagramSocket + 'static,
         C: DatagramSocket + 'static,
     {
-        Self::spawn_with_sockets(config, vec![data_socket], control_socket)
+        Self::start(config, vec![data_socket], false, control_socket)
     }
 
-    /// Starts a relay over an explicit set of data sockets: one data
-    /// thread per socket, each with shard `i % shards` as its home.
-    /// [`RelayNode::data_addr`] is the first socket's address (with
-    /// `SO_REUSEPORT` they are all the same).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data_sockets` is empty.
-    pub fn spawn_with_sockets<D, C>(
+    /// Starts a relay over a set of data sockets — all with `UDP_GRO` on
+    /// if `gro`, none otherwise: one data thread per socket, each with
+    /// shard `i % shards` as its home. [`RelayNode::data_addr`] is the
+    /// first socket's address (with `SO_REUSEPORT` they are all the same).
+    fn start<D, C>(
         config: RelayConfig,
         data_sockets: Vec<D>,
+        gro: bool,
         control_socket: C,
     ) -> std::io::Result<RelayNode>
     where
@@ -512,6 +510,7 @@ impl RelayNode {
             wake_sent: AtomicBool::new(false),
         });
         shared.metrics.shards.set(shard_count as f64);
+        shared.metrics.ingress_gro.set(f64::from(u8::from(gro)));
         shared
             .metrics
             .daemon_state
@@ -530,7 +529,12 @@ impl RelayNode {
             let shared = Arc::clone(&shared);
             let home = i % shard_count;
             threads.push(std::thread::spawn(move || {
-                data_loop(socket, shared, home, heartbeat, slot_len)
+                let batch = if gro {
+                    RecvBatch::coalescing(shared.batch)
+                } else {
+                    RecvBatch::new(shared.batch, slot_len)
+                };
+                data_loop(socket, shared, home, heartbeat, batch)
             }));
         }
         {
@@ -602,11 +606,20 @@ impl RelayNode {
     }
 }
 
-/// Binds `n` loopback data sockets. For `n > 1` they share one port via
+/// Binds `n` loopback data sockets, and whether they have `UDP_GRO` on:
+/// all of them or, if one refuses, none — so no socket hands a burst to
+/// an entry sized for one datagram. For `n > 1` they share one port via
 /// `SO_REUSEPORT`; where that is unavailable (non-Linux), falls back to
 /// a single shared socket — engine sharding still applies, only ingress
 /// parallelism degrades.
-fn bind_shard_sockets(n: usize) -> std::io::Result<Vec<UdpSocket>> {
+fn bind_shard_sockets(n: usize) -> std::io::Result<(Vec<UdpSocket>, bool)> {
+    let with_gro = |sockets: Vec<UdpSocket>| {
+        let gro = sockets.iter().all(ncvnf_sysnet::enable_gro);
+        if !gro {
+            sockets.iter().for_each(ncvnf_sysnet::disable_gro);
+        }
+        Ok((sockets, gro))
+    };
     let loopback: SocketAddr = ([127, 0, 0, 1], 0).into();
     if n > 1 {
         if let Ok(first) = ncvnf_sysnet::bind_reuseport(loopback) {
@@ -619,12 +632,12 @@ fn bind_shard_sockets(n: usize) -> std::io::Result<Vec<UdpSocket>> {
                     }
                 }
                 if sockets.len() == n {
-                    return Ok(sockets);
+                    return with_gro(sockets);
                 }
             }
         }
     }
-    Ok(vec![UdpSocket::bind(("127.0.0.1", 0))?])
+    with_gro(vec![UdpSocket::bind(("127.0.0.1", 0))?])
 }
 
 /// Bytes per receive slot of a data thread: the largest datagram `layout`
@@ -642,19 +655,20 @@ fn recv_slot_len(layout: &GenerationConfig) -> usize {
         + 1
 }
 
-/// One data thread: drain a batch, relay it through the shard array
-/// (feedback frames are classified and dropped inside [`relay_batch`]),
-/// flush the egress batch. `home` is the shard whose receive queue this
-/// thread's socket notionally is — the cross-shard counter measures how
-/// often the kernel's socket choice and the packet hash disagree.
+/// One data thread: drain a batch, relay it through the shard array in
+/// flushes of at most [`RelayConfig::batch`] datagrams (feedback frames
+/// are classified and dropped inside [`relay_batch`](crate::relay_batch)),
+/// send each flush's egress batch. `home` is the shard whose receive
+/// queue this thread's socket notionally is — the cross-shard counter
+/// measures how often the kernel's socket choice and the packet hash
+/// disagree.
 fn data_loop<S: DatagramSocket>(
     socket: S,
     shared: Arc<Shared>,
     home: usize,
     heartbeat: Option<HeartbeatConfig>,
-    slot_len: usize,
+    mut batch: RecvBatch,
 ) {
-    let mut batch = RecvBatch::new(shared.batch, slot_len);
     let mut scratch = BatchScratch::instrumented(shared.shards.len(), &shared.registry);
     let m = shared.metrics.clone();
     while shared.running.load(Ordering::Relaxed) {
@@ -697,30 +711,36 @@ fn data_loop<S: DatagramSocket>(
             }
         }
         m.datagrams_in.add(batch.len() as u64);
-        let report = relay_batch(&shared.shards, home, &mut scratch, &batch);
-        if report.feedback_frames > 0 {
-            m.feedback_frames.add(report.feedback_frames);
+        if batch.coalesced() > 0 {
+            m.ingress_coalesced.add(batch.coalesced() as u64);
         }
-        if report.malformed_feedback > 0 {
-            m.malformed_feedback.add(report.malformed_feedback);
-        }
-        if report.shed_quota > 0 {
-            m.shed_quota.add(report.shed_quota);
-        }
-        if report.shed_overload > 0 {
-            m.shed_overload.add(report.shed_overload);
-        }
-        if report.shed_redundancy > 0 {
-            m.shed_redundancy.add(report.shed_redundancy);
-        }
-        if report.congestion_out > 0 {
-            m.congestion_frames.add(report.congestion_out);
-        }
-        if report.queued > 0 {
-            let sent = socket.send_batch(scratch.send()).unwrap_or(0) as u64;
-            m.sends.add(report.queued);
-            m.datagrams_out.add(sent);
-            m.io_errors.add(report.queued.saturating_sub(sent));
+        for start in (0..batch.len()).step_by(shared.batch) {
+            let end = batch.len().min(start + shared.batch);
+            let report = relay_flush(&shared.shards, home, &mut scratch, &batch, start..end);
+            if report.feedback_frames > 0 {
+                m.feedback_frames.add(report.feedback_frames);
+            }
+            if report.malformed_feedback > 0 {
+                m.malformed_feedback.add(report.malformed_feedback);
+            }
+            if report.shed_quota > 0 {
+                m.shed_quota.add(report.shed_quota);
+            }
+            if report.shed_overload > 0 {
+                m.shed_overload.add(report.shed_overload);
+            }
+            if report.shed_redundancy > 0 {
+                m.shed_redundancy.add(report.shed_redundancy);
+            }
+            if report.congestion_out > 0 {
+                m.congestion_frames.add(report.congestion_out);
+            }
+            if report.queued > 0 {
+                let sent = socket.send_batch(scratch.send()).unwrap_or(0) as u64;
+                m.sends.add(report.queued);
+                m.datagrams_out.add(sent);
+                m.io_errors.add(report.queued.saturating_sub(sent));
+            }
         }
     }
 }

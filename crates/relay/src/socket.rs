@@ -15,47 +15,78 @@ use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::Duration;
 
+use ncvnf_sysnet::{Area, RecvMeta, MAX_GRO_SEGMENTS, MAX_MESSAGE_LEN};
+
 /// Largest number of datagrams moved per batched socket operation.
 ///
 /// Matches [`ncvnf_sysnet::MAX_BATCH`] so one relay flush maps to one
 /// `recvmmsg`/`sendmmsg` syscall.
 pub const MAX_BATCH: usize = ncvnf_sysnet::MAX_BATCH;
 
-/// Receive-side batch: fixed datagram slots plus per-slot metadata.
+/// Receive-side batch: up to [`MAX_BATCH`] messages in entries of one
+/// contiguous [`Area`], and a view `(entry, offset, len)` per datagram
+/// over them.
 ///
-/// Allocated once per data thread and reused forever — at steady state
-/// a [`DatagramSocket::recv_batch`] call touches no heap. Slot buffers
-/// keep their full capacity; `meta` records the filled length and
-/// source of each received datagram.
+/// A message is one datagram, or — on a socket with `UDP_GRO` — a burst
+/// the kernel handed over whole, which the batch cuts back into its
+/// datagrams ([`RecvMeta::datagrams`]); readers see datagrams either
+/// way. Allocated once per data thread and reused forever — at steady
+/// state a [`DatagramSocket::recv_batch`] call touches no heap.
 pub struct RecvBatch {
-    bufs: Vec<Vec<u8>>,
-    meta: Vec<(usize, SocketAddr)>,
-    count: usize,
+    /// Entry `e` is `area[e * entry_len..][..entry_len]`.
+    area: Area,
+    entry_len: usize,
+    /// One per entry; the first `filled` describe the last fill.
+    meta: Vec<RecvMeta>,
+    filled: usize,
+    views: Vec<(u32, u32, u32)>,
 }
 
 impl RecvBatch {
     /// A batch of `slots` datagram buffers of `buf_len` bytes each.
     #[must_use]
     pub fn new(slots: usize, buf_len: usize) -> Self {
-        let slots = slots.clamp(1, MAX_BATCH);
-        let placeholder: SocketAddr = ([0, 0, 0, 0], 0).into();
+        let (slots, entry_len) = (slots.clamp(1, MAX_BATCH), buf_len.max(1));
+        let area_len = slots * entry_len;
+        assert!(area_len <= u32::MAX as usize, "views hold u32 offsets");
         Self {
-            bufs: (0..slots).map(|_| vec![0u8; buf_len]).collect(),
-            meta: vec![(0, placeholder); slots],
-            count: 0,
+            area: Area::new(area_len).expect("receive area mapping"),
+            entry_len,
+            meta: vec![RecvMeta::default(); slots],
+            filled: 0,
+            views: Vec::with_capacity(slots),
         }
+    }
+
+    /// A batch of `slots` messages for a socket with `UDP_GRO` on
+    /// ([`ncvnf_sysnet::enable_gro`]): entries no UDP message overflows,
+    /// and views reserved for a full burst in each.
+    #[must_use]
+    pub fn coalescing(slots: usize) -> Self {
+        let mut batch = Self::new(slots, MAX_MESSAGE_LEN);
+        batch.views.reserve(batch.meta.len() * MAX_GRO_SEGMENTS);
+        batch
     }
 
     /// Number of datagrams the last `recv_batch` filled.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.count
+        self.views.len()
     }
 
     /// Whether the last `recv_batch` filled no datagrams.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.views.is_empty()
+    }
+
+    /// Datagrams of the last fill that arrived inside a multi-segment
+    /// message.
+    #[must_use]
+    pub fn coalesced(&self) -> usize {
+        let messages = self.meta[..self.filled].iter();
+        let coalesced = messages.filter(|m| m.segment > 0);
+        coalesced.map(|m| m.datagrams().count()).sum()
     }
 
     /// Datagram `i` of the last fill: payload bytes and source address.
@@ -65,49 +96,82 @@ impl RecvBatch {
     /// Panics if `i >= self.len()`.
     #[must_use]
     pub fn get(&self, i: usize) -> (&[u8], SocketAddr) {
-        assert!(i < self.count);
-        let (len, src) = self.meta[i];
-        (&self.bufs[i][..len], src)
+        let (entry, start, len) = self.views[i];
+        let bytes = &self.area[start as usize..][..len as usize];
+        (bytes, self.meta[entry as usize].src)
     }
 
     /// Iterates over the filled datagrams.
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], SocketAddr)> {
-        (0..self.count).map(|i| self.get(i))
+        (0..self.len()).map(|i| self.get(i))
     }
 
-    /// Appends a datagram by hand (test/bench harnesses and socket
-    /// implementations that fill slots one at a time). Returns `false`
-    /// when the batch is full.
+    /// Appends a datagram by hand (test and bench harnesses). Returns
+    /// `false` when the batch is full or `bytes` overflow an entry.
     pub fn push(&mut self, bytes: &[u8], src: SocketAddr) -> bool {
-        if self.count >= self.bufs.len() || bytes.len() > self.bufs[self.count].len() {
-            return false;
-        }
-        self.bufs[self.count][..bytes.len()].copy_from_slice(bytes);
-        self.meta[self.count] = (bytes.len(), src);
-        self.count += 1;
-        true
+        self.recv_one(|entry| {
+            let dst = entry
+                .get_mut(..bytes.len())
+                .ok_or(io::ErrorKind::InvalidInput)?;
+            dst.copy_from_slice(bytes);
+            Ok((bytes.len(), src))
+        })
+        .unwrap_or(false)
     }
 
-    /// Empties the batch (slot capacity is retained).
+    /// Receives one datagram into the next free entry with `recv`
+    /// (shaped like `recv_from`): how a socket that delivers a datagram
+    /// per call fills the batch. `Ok(false)`, without calling `recv`,
+    /// when every entry is taken.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `recv` returns.
+    pub fn recv_one(
+        &mut self,
+        recv: impl FnOnce(&mut [u8]) -> io::Result<(usize, SocketAddr)>,
+    ) -> io::Result<bool> {
+        let Some(entry) = self.area.chunks_exact_mut(self.entry_len).nth(self.filled) else {
+            return Ok(false);
+        };
+        let (len, src) = recv(entry)?;
+        // A `recv` that reports more than the entry holds (the whole
+        // datagram's length, say) filled it with a cut datagram: the view
+        // stays inside the entry.
+        self.meta[self.filled] = RecvMeta {
+            len: len.min(self.entry_len),
+            src,
+            segment: 0,
+            truncated: len > self.entry_len,
+        };
+        self.index(self.filled);
+        self.filled += 1;
+        Ok(true)
+    }
+
+    /// Empties the batch (entries and view capacity are retained).
     pub fn clear(&mut self) {
-        self.count = 0;
+        self.filled = 0;
+        self.views.clear();
     }
 
-    /// Raw slot access for socket implementations: `(bufs, meta)`.
-    /// Implementations fill slots `0..n` and then call
-    /// [`Self::set_filled`]`(n)`.
-    pub fn parts_mut(&mut self) -> (&mut [Vec<u8>], &mut [(usize, SocketAddr)]) {
-        (&mut self.bufs, &mut self.meta)
+    /// One `recvmmsg` into every entry, then the datagrams' views.
+    fn recv_from_socket(&mut self, sock: &UdpSocket) -> io::Result<usize> {
+        self.clear();
+        let got = ncvnf_sysnet::recv_batch(sock, &mut self.area, self.entry_len, &mut self.meta)?;
+        for entry in 0..got {
+            self.index(entry);
+        }
+        self.filled = got;
+        Ok(self.len())
     }
 
-    /// Declares how many slots the socket implementation filled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` exceeds the slot count.
-    pub fn set_filled(&mut self, n: usize) {
-        assert!(n <= self.bufs.len());
-        self.count = n;
+    /// Appends the views of entry `entry`'s datagrams.
+    fn index(&mut self, entry: usize) {
+        let base = entry * self.entry_len;
+        let views = self.meta[entry].datagrams();
+        let view = |(off, len)| (entry as u32, (base + off) as u32, len as u32);
+        self.views.extend(views.map(view));
     }
 }
 
@@ -250,11 +314,8 @@ pub trait DatagramSocket: Send + Sync {
     /// `WouldBlock`/`TimedOut` with the batch left empty.
     fn recv_batch(&self, batch: &mut RecvBatch) -> io::Result<usize> {
         batch.clear();
-        let (bufs, meta) = batch.parts_mut();
-        let (n, src) = self.recv_from(&mut bufs[0])?;
-        meta[0] = (n, src);
-        batch.set_filled(1);
-        Ok(1)
+        batch.recv_one(|entry| self.recv_from(entry))?;
+        Ok(batch.len())
     }
 
     /// Sends every datagram in `batch`; returns how many went out.
@@ -305,17 +366,10 @@ impl DatagramSocket for UdpSocket {
         if !ncvnf_sysnet::batched_syscalls_available() {
             // Portable fallback: one datagram per call.
             batch.clear();
-            let (bufs, meta) = batch.parts_mut();
-            let (n, src) = UdpSocket::recv_from(self, &mut bufs[0])?;
-            meta[0] = (n, src);
-            batch.set_filled(1);
-            return Ok(1);
+            batch.recv_one(|entry| UdpSocket::recv_from(self, entry))?;
+            return Ok(batch.len());
         }
-        batch.clear();
-        let (bufs, meta) = batch.parts_mut();
-        let got = ncvnf_sysnet::recv_batch(self, bufs, meta)?;
-        batch.set_filled(got);
-        Ok(got)
+        batch.recv_from_socket(self)
     }
 
     fn send_batch(&self, batch: &SendBatch) -> io::Result<usize> {
@@ -360,5 +414,25 @@ impl<S: DatagramSocket + ?Sized> DatagramSocket for &S {
 
     fn send_batch(&self, batch: &SendBatch) -> io::Result<usize> {
         (**self).send_batch(batch)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_over_reported_length_stays_inside_its_entry() {
+        let src: SocketAddr = ([127, 0, 0, 1], 9).into();
+        let mut batch = RecvBatch::new(4, 8);
+        let over = batch.recv_one(|entry| {
+            entry.fill(1);
+            Ok((entry.len() + 100, src))
+        });
+        assert!(over.unwrap());
+        assert!(batch.push(&[2; 8], src));
+        assert_eq!(batch.len(), 2);
+        assert_eq!(batch.get(0), (&[1u8; 8][..], src), "cut at its entry");
+        assert_eq!(batch.get(1), (&[2u8; 8][..], src));
     }
 }

@@ -478,3 +478,46 @@ fn warm_socket_flush_does_not_allocate() {
         "flushing {MAX_BATCH} datagrams must not touch the heap"
     );
 }
+
+/// The receive is heap-free too, coalesced: one `recvmmsg` takes a
+/// 32-datagram `UDP_SEGMENT` burst whole into a `UDP_GRO` socket's
+/// mapped area and cuts it into views from reserved capacity.
+#[test]
+fn warm_coalesced_receive_does_not_allocate() {
+    let rx = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+    if !ncvnf_sysnet::enable_gro(&rx) {
+        eprintln!("skipped: this kernel refuses UDP_GRO");
+        return;
+    }
+    rx.set_read_timeout(Some(std::time::Duration::from_secs(2)))
+        .unwrap();
+    let tx = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+    let mut burst = SendBatch::new();
+    for i in 0..MAX_BATCH {
+        burst.push_bytes(&[i as u8; 64], &[rx.local_addr().unwrap()]);
+    }
+    let mut batch = RecvBatch::coalescing(MAX_BATCH);
+    for _ in 0..2 {
+        assert_eq!(tx.send_batch(&burst).unwrap(), MAX_BATCH, "warm-up");
+        let mut got = 0;
+        while got < MAX_BATCH {
+            got += rx.recv_batch(&mut batch).unwrap();
+        }
+    }
+    let refused = ncvnf_sysnet::egress_counts().1;
+    assert_eq!(tx.send_batch(&burst).unwrap(), MAX_BATCH);
+    let allocs = heap_ops_during(|| {
+        rx.recv_batch(&mut batch).unwrap();
+    });
+    assert_eq!(
+        allocs, 0,
+        "a warm coalesced receive must not touch the heap"
+    );
+    if ncvnf_sysnet::egress_counts().1 == refused {
+        assert_eq!(batch.len(), MAX_BATCH, "one message held the burst");
+        assert_eq!(batch.coalesced(), MAX_BATCH);
+        for (i, (bytes, _)) in batch.iter().enumerate() {
+            assert_eq!(bytes, [i as u8; 64]);
+        }
+    }
+}

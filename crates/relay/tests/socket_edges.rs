@@ -1,13 +1,18 @@
-//! The live data loop at its socket boundary: a burst fanned out to two
-//! next hops (the flush `send_batch` coalesces per destination), and the
-//! two edges of the layout-sized receive slots.
+//! The live data loop at its socket boundary: a burst that arrives as one
+//! `UDP_GRO` message and leaves fanned out to two next hops (the flush
+//! `send_batch` coalesces per destination), such a burst relayed in
+//! flushes of at most `RelayConfig::batch`, a relay on caller-provided
+//! sockets that never asks for GRO, and the two edges of the receive
+//! entries.
 
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
 use ncvnf_control::signal::VnfRoleWire;
 use ncvnf_control::ForwardingTable;
-use ncvnf_relay::{DatagramSocket, RelayConfig, RelayHandle, RelayNode, SendBatch};
+use ncvnf_relay::{
+    DatagramSocket, FaultConfig, FaultSocket, RelayConfig, RelayHandle, RelayNode, SendBatch,
+};
 use ncvnf_rlnc::{
     CodedPacket, GenerationConfig, ObjectDecoder, ObjectEncoder, PacketView, SessionId,
     NC_KIND_WINDOW, NC_MAGIC,
@@ -23,15 +28,25 @@ fn socket() -> (UdpSocket, SocketAddr) {
     (s, addr)
 }
 
-/// A one-shard recoder for `layout`, wired to `next_hops`. One shard, so
-/// a batch is coded in arrival order and the egress order is checkable.
-fn recoder(layout: GenerationConfig, next_hops: &[SocketAddr]) -> RelayNode {
-    let relay = RelayNode::spawn(RelayConfig {
+/// One shard, so a batch is coded in arrival order and the egress order
+/// is checkable.
+fn one_shard(layout: GenerationConfig) -> RelayConfig {
+    RelayConfig {
         generation: layout,
         shards: 1,
         ..RelayConfig::default()
-    })
-    .unwrap();
+    }
+}
+
+/// A spawned one-shard recoder for `layout`, wired to `next_hops`.
+fn recoder(layout: GenerationConfig, next_hops: &[SocketAddr]) -> RelayNode {
+    let relay = RelayNode::spawn(one_shard(layout)).unwrap();
+    wire(&relay, next_hops);
+    relay
+}
+
+/// Configures `relay` as a recoder of [`SESSION`] towards `next_hops`.
+fn wire(relay: &RelayNode, next_hops: &[SocketAddr]) {
     let mut table = ForwardingTable::new();
     let hops = next_hops.iter().map(ToString::to_string).collect();
     table.set(SessionId::new(SESSION), hops);
@@ -44,7 +59,6 @@ fn recoder(layout: GenerationConfig, next_hops: &[SocketAddr]) -> RelayNode {
             &table,
         )
         .unwrap();
-    relay
 }
 
 /// Polls `read` until it returns `want` (the data thread publishes its
@@ -107,7 +121,66 @@ fn a_burst_to_two_next_hops_reaches_each_decodable_and_in_order() {
         coalesced > 0 || refused > 0,
         "a 32-datagram flush per hop left neither coalesced nor refused"
     );
+    // The burst left `tx` as one UDP_SEGMENT message; the relay's data
+    // socket took it whole.
+    let ingress = snapshot.counter("relay.ingress_coalesced").unwrap();
+    if !ncvnf_sysnet::enable_gro(&socket().0) {
+        eprintln!("skipped the ingress check: this kernel refuses UDP_GRO");
+    } else {
+        assert_eq!(snapshot.gauge("relay.ingress_gro"), Some(1.0));
+        if refused == 0 {
+            assert_eq!(ingress, 32, "the burst arrived as one coalesced message");
+            assert!(ingress as f64 / handle.stats().datagrams_in as f64 >= 0.9);
+        }
+    }
     assert_eq!(handle.stats().io_errors, 0);
+    relay.shutdown();
+}
+
+#[test]
+fn a_coalesced_burst_is_relayed_in_flushes_of_at_most_batch() {
+    let layout = GenerationConfig::new(64, 4).unwrap();
+    let (sink, sink_addr) = socket();
+    let relay = RelayNode::spawn(RelayConfig {
+        batch: 8,
+        ..one_shard(layout)
+    })
+    .unwrap();
+    wire(&relay, &[sink_addr]);
+    let enc = ObjectEncoder::new(layout, SessionId::new(SESSION), &[7; 8 * 256]).unwrap();
+    let mut rng = StdRng::seed_from_u64(8);
+    let mut burst = SendBatch::new();
+    for i in 0..32 {
+        let packet = enc.coded_packet(i / 4, &mut rng);
+        burst.push_wire(|out| packet.write_into(out), &[relay.data_addr]);
+    }
+    let (tx, _) = socket();
+    assert_eq!(tx.send_batch(&burst).unwrap(), 32);
+    let mut buf = [0u8; 2048];
+    for _ in 0..32 {
+        sink.recv_from(&mut buf)
+            .expect("a relayed datagram per input");
+    }
+    let handle = relay.handle();
+    wait_for(&handle, |h| h.stats().datagrams_out, 32);
+    let snapshot = handle.snapshot();
+    let fill = snapshot.histogram("relay.batch_fill").unwrap();
+    assert!(fill.max <= 8, "a flush of {} datagrams", fill.max);
+    if snapshot.counter("relay.ingress_coalesced") == Some(32) {
+        assert_eq!(handle.stats().batches, 4, "one receive, four flushes");
+    }
+    relay.shutdown();
+}
+
+#[test]
+fn a_relay_on_caller_sockets_does_not_take_gro() {
+    let (data, _) = socket();
+    let (data, _) = FaultSocket::wrap(data, FaultConfig::new(1));
+    let (control, _) = socket();
+    let relay = RelayNode::spawn_with(RelayConfig::default(), data, control).unwrap();
+    let snapshot = relay.handle().snapshot();
+    assert_eq!(snapshot.gauge("relay.ingress_gro"), Some(0.0));
+    assert_eq!(snapshot.counter("relay.ingress_coalesced"), Some(0));
     relay.shutdown();
 }
 
@@ -128,32 +201,44 @@ fn windowed_datagram(width: u8, payload_len: usize) -> Vec<u8> {
 #[test]
 fn receive_slots_hold_the_largest_valid_datagram_and_not_a_byte_more() {
     let layout = GenerationConfig::new(1460, 4).unwrap();
-    let (sink, sink_addr) = socket();
-    let relay = recoder(layout, &[sink_addr]);
-    let handle = relay.handle();
-    let (tx, _) = socket();
-    let mut buf = vec![0u8; 4096];
+    // Spawned (64 KiB entries where the kernel takes UDP_GRO) and on a
+    // caller's plain socket (entries one byte past the largest valid
+    // datagram).
+    let on_caller_socket =
+        |layout| RelayNode::spawn_with(one_shard(layout), socket().0, socket().0);
+    for relay in [
+        RelayNode::spawn(one_shard(layout)),
+        on_caller_socket(layout),
+    ] {
+        let relay = relay.unwrap();
+        let (sink, sink_addr) = socket();
+        wire(&relay, &[sink_addr]);
+        let handle = relay.handle();
+        let (tx, _) = socket();
+        let mut buf = vec![0u8; 4096];
 
-    // The largest datagram the layout makes valid: full window width.
-    let largest = windowed_datagram(255, layout.block_size());
-    assert_eq!(
-        largest.len(),
-        CodedPacket::WINDOW_FIXED_LEN + CodedPacket::MAX_WIDTH + layout.block_size()
-    );
-    tx.send_to(&largest, relay.data_addr).unwrap();
-    let (n, _) = sink.recv_from(&mut buf).expect("relayed, not truncated");
-    let view = PacketView::parse(&buf[..n], 4).unwrap();
-    assert_eq!(view.payload(), &largest[largest.len() - 1460..]);
-    assert_eq!(handle.vnf_stats().malformed, 0);
+        // The largest datagram the layout makes valid: full window width.
+        let largest = windowed_datagram(255, layout.block_size());
+        assert_eq!(
+            largest.len(),
+            CodedPacket::WINDOW_FIXED_LEN + CodedPacket::MAX_WIDTH + layout.block_size()
+        );
+        tx.send_to(&largest, relay.data_addr).unwrap();
+        let (n, _) = sink.recv_from(&mut buf).expect("relayed, not truncated");
+        let view = PacketView::parse(&buf[..n], 4).unwrap();
+        assert_eq!(view.payload(), &largest[largest.len() - 1460..]);
+        assert_eq!(handle.vnf_stats().malformed, 0);
 
-    // One byte more fills the slot exactly; far more is cut to the same
-    // length. Neither is a length the layout accepts.
-    for (i, extra) in [1, 4000].into_iter().enumerate() {
-        let oversize = windowed_datagram(255, layout.block_size() + extra);
-        tx.send_to(&oversize, relay.data_addr).unwrap();
-        wait_for(&handle, |h| h.vnf_stats().malformed, i as u64 + 1);
+        // One byte more fills a plain slot exactly; far more is cut to
+        // the same length, or arrives whole in a GRO entry. None is a
+        // length the layout accepts.
+        for (i, extra) in [1, 4000].into_iter().enumerate() {
+            let oversize = windowed_datagram(255, layout.block_size() + extra);
+            tx.send_to(&oversize, relay.data_addr).unwrap();
+            wait_for(&handle, |h| h.vnf_stats().malformed, i as u64 + 1);
+        }
+        assert_eq!(handle.stats().datagrams_in, 3);
+        assert_eq!(handle.stats().datagrams_out, 1);
+        relay.shutdown();
     }
-    assert_eq!(handle.stats().datagrams_in, 3);
-    assert_eq!(handle.stats().datagrams_out, 1);
-    relay.shutdown();
 }

@@ -3,18 +3,21 @@
 //! The relay's per-datagram socket cost dominates its loopback
 //! throughput: one `recvfrom` plus one `sendto` per packet caps a
 //! single-threaded relay orders of magnitude below what the coding
-//! engine sustains in memory — and on the send side the cost is not the
-//! syscall entry but one trip down the UDP/IP stack per packet, which
-//! `sendmmsg` alone does not save. This crate provides the primitives
+//! engine sustains in memory — and on either side the cost is not the
+//! syscall entry but one trip through the UDP/IP stack per packet, which
+//! the `mmsg` calls alone do not save. This crate provides the primitives
 //! the sharded relay runtime needs to close that gap, with no external
 //! dependencies (the workspace is hermetic — there is no `libc` crate,
 //! so the declarations bind directly against the C library `std`
 //! already links):
 //!
 //! - [`recv_batch`]: one `recvmmsg(2)` call filling up to [`MAX_BATCH`]
-//!   datagrams. `MSG_WAITFORONE` makes the call block only for the
-//!   *first* datagram (honouring `SO_RCVTIMEO`), then drain whatever
-//!   else is queued without further waiting.
+//!   messages into an [`Area`] (a zeroed anonymous mapping).
+//!   `MSG_WAITFORONE` makes the call block only for the *first* message
+//!   (honouring `SO_RCVTIMEO`), then drain whatever else is queued
+//!   without further waiting. After [`enable_gro`] a message may be a
+//!   whole burst, handed over with its segment size and cut back by
+//!   [`RecvMeta::datagrams`].
 //! - [`send_batch`]: one `sendmmsg(2)` entry per *destination run*, not
 //!   per datagram. Datagrams in a caller-owned arena that share a
 //!   destination and a length leave as one message that gathers them in
@@ -35,17 +38,17 @@
 //! [`io::ErrorKind::Unsupported`]; callers (the `ncvnf-relay` socket
 //! layer) fall back to portable one-datagram-per-syscall loops, so the
 //! workspace builds and behaves identically — just slower — elsewhere.
-//! [`recv_nowait`] works everywhere (it toggles `O_NONBLOCK` around a
-//! plain receive where `MSG_DONTWAIT` is not bound).
+//! [`enable_gro`] answers `false` there; [`recv_nowait`] works everywhere
+//! (toggling `O_NONBLOCK` around a plain receive where it must).
 //!
 //! All unsafe code in the workspace lives in this crate; `ncvnf-relay`
 //! itself keeps `#![forbid(unsafe_code)]`.
 
 #![warn(missing_docs)]
 
-use std::io;
-use std::net::{SocketAddr, UdpSocket};
+use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::{io, ops, ptr::NonNull};
 
 /// Datagrams that left inside a multi-segment message (process-wide).
 static EGRESS_COALESCED: AtomicU64 = AtomicU64::new(0);
@@ -59,13 +62,58 @@ static EGRESS_REFUSED: AtomicU64 = AtomicU64::new(0);
 /// address storage) stays a few KiB.
 pub const MAX_BATCH: usize = 32;
 
-/// Receives up to `bufs.len().min(meta.len()).min(MAX_BATCH)` datagrams
-/// in a single `recvmmsg` call.
-///
-/// Blocks (subject to the socket's read timeout) until at least one
-/// datagram arrives, then drains without waiting. For each received
-/// datagram `i`, the payload is written into `bufs[i]` and
-/// `meta[i] = (len, source)`. Returns the number of datagrams received.
+/// An entry length that holds any UDP message (≤ 65,527 B) whole.
+pub const MAX_MESSAGE_LEN: usize = 1 << 16;
+
+/// Most datagrams in a coalesced message: `UDP_MAX_SEGMENTS` (older: 64).
+pub const MAX_GRO_SEGMENTS: usize = 128;
+
+/// What [`recv_batch`] learned about one received message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecvMeta {
+    /// Bytes the kernel wrote into the message's entry.
+    pub len: usize,
+    /// Sender.
+    pub src: SocketAddr,
+    /// `UDP_GRO` segment size (the last may be shorter); 0 if plain.
+    pub segment: usize,
+    /// `MSG_TRUNC`: the message was longer than its entry.
+    pub truncated: bool,
+}
+
+impl Default for RecvMeta {
+    fn default() -> Self {
+        RecvMeta {
+            len: 0,
+            src: SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::UNSPECIFIED, 0)),
+            segment: 0,
+            truncated: false,
+        }
+    }
+}
+
+impl RecvMeta {
+    /// The message's datagrams as `(offset, len)` in its entry: a plain
+    /// one as `recv_from` gives it, a coalesced one per segment — plus, if
+    /// cut, one empty datagram for the rest, so no segment goes on cut.
+    pub fn datagrams(&self) -> impl Iterator<Item = (usize, usize)> {
+        let cut = self.segment > 0 && self.truncated;
+        let (step, whole) = match self.segment {
+            0 => (self.len.max(1), self.len),
+            seg if cut => (seg, self.len - self.len % seg),
+            seg => (seg, self.len),
+        };
+        let count = whole.div_ceil(step).max(usize::from(self.segment == 0));
+        (0..count)
+            .map(move |k| (k * step, step.min(whole - k * step)))
+            .chain(cut.then_some((whole, 0)))
+    }
+}
+
+/// Receives up to `n = meta.len().min(MAX_BATCH)` messages in one
+/// `recvmmsg`: message `i` lands in entry `i` of `area` (`n` entries of
+/// `entry_len` > 0 bytes) and is described by `meta[i]`. Blocks (under
+/// the read timeout) for the first, then drains; returns the count.
 ///
 /// # Errors
 ///
@@ -74,10 +122,49 @@ pub const MAX_BATCH: usize = 32;
 /// non-Linux targets returns `Unsupported`.
 pub fn recv_batch(
     sock: &UdpSocket,
-    bufs: &mut [Vec<u8>],
-    meta: &mut [(usize, SocketAddr)],
+    area: &mut [u8],
+    entry_len: usize,
+    meta: &mut [RecvMeta],
 ) -> io::Result<usize> {
-    imp::recv_batch(sock, bufs, meta)
+    let n = meta.len().min(MAX_BATCH);
+    imp::recv_batch(sock, &mut area[..n * entry_len], entry_len, &mut meta[..n])
+}
+
+/// Asks for a burst as one message (`UDP_GRO`); whether the kernel
+/// agreed. Receive into [`MAX_MESSAGE_LEN`] entries then, or it is cut.
+#[must_use]
+pub fn enable_gro(sock: &UdpSocket) -> bool {
+    imp::set_gro(sock, true)
+}
+
+/// Turns `UDP_GRO` off again: every message is one datagram.
+pub fn disable_gro(sock: &UdpSocket) {
+    imp::set_gro(sock, false);
+}
+
+/// Zeroed bytes in an anonymous private mapping of their own (heap
+/// elsewhere): initialized, yet a page is resident only once written.
+pub struct Area {
+    ptr: NonNull<u8>,
+    len: usize,
+}
+
+// SAFETY: an `Area` owns its memory exclusively, as a `Box<[u8]>` does.
+unsafe impl Send for Area {}
+
+impl ops::Deref for Area {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        // SAFETY: `ptr` heads `len` initialized bytes owned by `self`.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl ops::DerefMut for Area {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        // SAFETY: as for `deref`; `&mut self` makes the access exclusive.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
+    }
 }
 
 /// Sends `segs` (offset, length, destination — all referencing `arena`)
@@ -163,14 +250,15 @@ pub fn batched_syscalls_available() -> bool {
 
 #[cfg(target_os = "linux")]
 mod imp {
-    use super::{EGRESS_COALESCED, EGRESS_REFUSED, MAX_BATCH};
+    use super::{Area, RecvMeta, EGRESS_COALESCED, EGRESS_REFUSED, MAX_BATCH};
     use std::io;
     use std::mem::{self, MaybeUninit};
     use std::net::{SocketAddr, SocketAddrV4, SocketAddrV6, UdpSocket};
     use std::os::fd::{AsRawFd, FromRawFd};
-    use std::ptr;
+    use std::ptr::{self, NonNull};
     use std::sync::atomic::Ordering;
 
+    // Generic Linux ABI values; mips, sparc, alpha, parisc differ.
     const AF_INET: u16 = 2;
     const AF_INET6: u16 = 10;
     const SOCK_DGRAM: i32 = 2;
@@ -179,8 +267,13 @@ mod imp {
     const SO_REUSEPORT: i32 = 15;
     const SOL_UDP: i32 = 17;
     const UDP_SEGMENT: i32 = 103;
+    const UDP_GRO: i32 = 104;
+    const MSG_TRUNC: i32 = 0x20;
     const MSG_WAITFORONE: i32 = 0x10000;
     const MSG_DONTWAIT: i32 = 0x40;
+    const PROT_RW: i32 = 0x1 | 0x2;
+    const MAP_ANON: i32 = 0x02 | 0x20; // MAP_PRIVATE | MAP_ANONYMOUS
+    const MADV_NOHUGEPAGE: i32 = 15;
 
     /// Most datagrams one coalesced message may carry: the kernel's
     /// `UDP_MAX_SEGMENTS` on every release that has `UDP_SEGMENT`
@@ -221,7 +314,7 @@ mod imp {
         namelen: u32,
         iov: *mut IoVec,
         iovlen: usize,
-        control: *mut SegmentCmsg,
+        control: *mut u8,
         controllen: usize,
         flags: i32,
     }
@@ -233,16 +326,17 @@ mod imp {
         len: u32,
     }
 
-    /// A `struct cmsghdr` carrying one `UDP_SEGMENT` value, padded by
-    /// `repr(C)` to `CMSG_SPACE(sizeof(u16))` = 24 bytes (64-bit Linux).
+    /// A `struct cmsghdr` carrying one `SOL_UDP` value, bytes per
+    /// datagram: a `u16` `UDP_SEGMENT` out, an `int` `UDP_GRO` in.
+    /// `repr(C)` pads either to `CMSG_SPACE` of it, 24 bytes on 64-bit.
     #[repr(C)]
-    struct SegmentCmsg {
-        /// `cmsg_len`: `CMSG_LEN(sizeof(u16))`, header plus value.
+    #[derive(Default)]
+    struct UdpCmsg<T> {
+        /// `cmsg_len`: `CMSG_LEN(sizeof(T))`, header plus value.
         len: usize,
         level: i32,
         ty: i32,
-        /// Bytes per datagram the kernel cuts the message into.
-        gso_size: u16,
+        size: T,
     }
 
     extern "C" {
@@ -260,6 +354,9 @@ mod imp {
         fn setsockopt(fd: i32, level: i32, name: i32, val: *const u8, len: u32) -> i32;
         fn bind(fd: i32, addr: *const SockAddrStorage, len: u32) -> i32;
         fn close(fd: i32) -> i32;
+        fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, off: isize) -> *mut u8;
+        fn munmap(addr: *mut u8, len: usize) -> i32;
+        fn madvise(addr: *mut u8, len: usize, advice: i32) -> i32;
     }
 
     /// Encodes `addr` as a `sockaddr_in`/`sockaddr_in6`; returns the
@@ -309,46 +406,47 @@ mod imp {
 
     pub(super) fn recv_batch(
         sock: &UdpSocket,
-        bufs: &mut [Vec<u8>],
-        meta: &mut [(usize, SocketAddr)],
+        area: &mut [u8],
+        entry_len: usize,
+        meta: &mut [RecvMeta],
     ) -> io::Result<usize> {
-        let n = bufs.len().min(meta.len()).min(MAX_BATCH);
-        if n == 0 {
-            return Ok(0);
-        }
+        let n = meta.len();
         // Only the `n` entries the kernel may fill are set up: a batch
         // of one costs one header, not MAX_BATCH of them.
         let mut addrs = [const { MaybeUninit::<SockAddrStorage>::uninit() }; MAX_BATCH];
+        let mut cmsgs = [const { MaybeUninit::<UdpCmsg<i32>>::uninit() }; MAX_BATCH];
         let mut iovs = [const { MaybeUninit::<IoVec>::uninit() }; MAX_BATCH];
         let mut hdrs = [const { MaybeUninit::<MMsgHdr>::uninit() }; MAX_BATCH];
-        for i in 0..n {
+        for (i, entry) in area.chunks_exact_mut(entry_len).enumerate() {
             let iov = iovs[i].write(IoVec {
-                base: bufs[i].as_mut_ptr(),
-                len: bufs[i].len(),
+                base: entry.as_mut_ptr(),
+                len: entry.len(),
             });
+            let cmsg = cmsgs[i].write(UdpCmsg::default());
             hdrs[i].write(MMsgHdr {
                 hdr: MsgHdr {
                     name: addrs[i].write(SockAddrStorage::zeroed()),
                     namelen: mem::size_of::<SockAddrStorage>() as u32,
                     iov,
                     iovlen: 1,
-                    control: ptr::null_mut(),
-                    controllen: 0,
+                    control: ptr::from_mut(cmsg).cast(),
+                    controllen: mem::size_of::<UdpCmsg<i32>>(),
                     flags: 0,
                 },
                 len: 0,
             });
         }
-        // SAFETY: headers `0..n` were written above.
+        // SAFETY: headers `0..n` were written above: `area` is n entries.
         let hdrs = unsafe { hdrs[..n].assume_init_mut() };
         // MSG_WAITFORONE: block (under SO_RCVTIMEO) for the first
-        // datagram only, then drain without waiting. Null timeout: the
+        // message only, then drain without waiting. Null timeout: the
         // socket's own read timeout governs the initial wait.
         //
         // SAFETY: each of the `n` headers points at its own address
-        // slot, iovec and receive buffer, all exclusively borrowed and
-        // alive for the whole call; the kernel writes at most
-        // `bufs[i].len()` bytes per buffer and 128 per address.
+        // slot, control buffer, iovec and entry of `area`, all
+        // exclusively borrowed and alive for the whole call; the kernel
+        // writes at most `entry_len` bytes per entry, 128 per address
+        // and `controllen` per control buffer.
         let got = unsafe {
             recvmmsg(
                 sock.as_raw_fd(),
@@ -362,17 +460,57 @@ mod imp {
             return Err(io::Error::last_os_error());
         }
         let got = got as usize;
-        // SAFETY: address slots `0..n` were zeroed above (the kernel has
-        // since filled the first `got`).
-        let addrs = unsafe { addrs[..n].assume_init_ref() };
+        // SAFETY: address slots and control buffers `0..n` were
+        // initialized above (the kernel has since filled the first `got`).
+        let (addrs, cmsgs) =
+            unsafe { (addrs[..n].assume_init_ref(), cmsgs[..n].assume_init_ref()) };
         for i in 0..got {
             let src = match decode_addr(&addrs[i]) {
                 Some(src) => src,
                 None => sock.local_addr()?,
             };
-            meta[i] = (hdrs[i].len as usize, src);
+            // Zeroed unless the kernel wrote a segment size (`UDP_GRO`).
+            let c = &cmsgs[i];
+            let gro = (c.level, c.ty) == (SOL_UDP, UDP_GRO);
+            meta[i] = RecvMeta {
+                len: hdrs[i].len as usize,
+                src,
+                segment: if gro { c.size.max(0) as usize } else { 0 },
+                truncated: hdrs[i].hdr.flags & MSG_TRUNC != 0,
+            };
         }
         Ok(got)
+    }
+
+    /// Sets an `int` socket option; whether the kernel took it.
+    fn set_int(fd: i32, level: i32, name: i32, value: i32) -> bool {
+        // SAFETY: the value pointer is a live i32 and the length its size.
+        unsafe { setsockopt(fd, level, name, ptr::from_ref(&value).cast(), 4) == 0 }
+    }
+
+    pub(super) fn set_gro(sock: &UdpSocket, on: bool) -> bool {
+        set_int(sock.as_raw_fd(), SOL_UDP, UDP_GRO, i32::from(on))
+    }
+
+    impl Area {
+        /// Maps `len` (> 0) zeroed bytes; `mmap`'s error if that fails.
+        pub fn new(len: usize) -> io::Result<Area> {
+            // SAFETY: a fresh private anonymous mapping aliases nothing.
+            let p = unsafe { mmap(ptr::null_mut(), len, PROT_RW, MAP_ANON, -1, 0) };
+            let ptr = NonNull::new(p).filter(|_| p as isize != -1);
+            let ptr = ptr.ok_or_else(io::Error::last_os_error)?;
+            // Base pages: a huge page is resident whole from its first write.
+            // SAFETY: `ptr` heads the `len` bytes just mapped; advice only.
+            unsafe { madvise(ptr.as_ptr(), len, MADV_NOHUGEPAGE) };
+            Ok(Area { ptr, len })
+        }
+    }
+
+    impl Drop for Area {
+        fn drop(&mut self) {
+            // SAFETY: `new` mapped exactly this, and no borrow outlives `self`.
+            unsafe { munmap(self.ptr.as_ptr(), self.len) };
+        }
     }
 
     pub(super) fn recv_nowait(sock: &UdpSocket, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
@@ -423,7 +561,7 @@ mod imp {
         // being written, so every access goes through this one pointer.
         let iovs = iovs.as_mut_ptr().cast::<IoVec>();
         let mut addrs = [const { MaybeUninit::<SockAddrStorage>::uninit() }; MAX_SEGMENTS];
-        let mut cmsgs = [const { MaybeUninit::<SegmentCmsg>::uninit() }; MAX_SEGMENTS];
+        let mut cmsgs = [const { MaybeUninit::<UdpCmsg<u16>>::uninit() }; MAX_SEGMENTS];
         let mut hdrs = [const { MaybeUninit::<MMsgHdr>::uninit() }; MAX_SEGMENTS];
         // Bit `j`: datagram `j` of the window already sits in a run.
         let mut taken = 0u64;
@@ -470,13 +608,13 @@ mod imp {
             let (control, controllen) = if segments > 1 {
                 // Two or more segments fit MAX_RUN_BYTES, so the length
                 // of each fits the control message's u16.
-                let cmsg = cmsgs[n_msgs].write(SegmentCmsg {
-                    len: mem::offset_of!(SegmentCmsg, gso_size) + mem::size_of::<u16>(),
+                let cmsg = cmsgs[n_msgs].write(UdpCmsg {
+                    len: mem::offset_of!(UdpCmsg<u16>, size) + mem::size_of::<u16>(),
                     level: SOL_UDP,
                     ty: UDP_SEGMENT,
-                    gso_size: seg_len as u16,
+                    size: seg_len as u16,
                 });
-                (ptr::from_mut(cmsg), mem::size_of::<SegmentCmsg>())
+                (ptr::from_mut(cmsg).cast(), mem::size_of::<UdpCmsg<u16>>())
             } else {
                 (ptr::null_mut(), 0)
             };
@@ -591,17 +729,7 @@ mod imp {
             unsafe { close(fd) };
             err
         };
-        let one: i32 = 1;
-        let rc = unsafe {
-            setsockopt(
-                fd,
-                SOL_SOCKET,
-                SO_REUSEPORT,
-                (&one as *const i32).cast(),
-                mem::size_of::<i32>() as u32,
-            )
-        };
-        if rc != 0 {
+        if !set_int(fd, SOL_SOCKET, SO_REUSEPORT, 1) {
             return Err(close_on_err(fd));
         }
         let mut storage = SockAddrStorage::zeroed();
@@ -618,6 +746,7 @@ mod imp {
 mod imp {
     use std::io;
     use std::net::{SocketAddr, UdpSocket};
+    use std::ptr::NonNull;
 
     fn unsupported() -> io::Error {
         io::Error::new(
@@ -628,10 +757,31 @@ mod imp {
 
     pub(super) fn recv_batch(
         _sock: &UdpSocket,
-        _bufs: &mut [Vec<u8>],
-        _meta: &mut [(usize, SocketAddr)],
+        _area: &mut [u8],
+        _entry_len: usize,
+        _meta: &mut [super::RecvMeta],
     ) -> io::Result<usize> {
         Err(unsupported())
+    }
+
+    pub(super) fn set_gro(_sock: &UdpSocket, _on: bool) -> bool {
+        false
+    }
+
+    impl super::Area {
+        /// Allocates `len` zeroed bytes.
+        pub fn new(len: usize) -> io::Result<Self> {
+            let ptr = NonNull::from(Box::leak(vec![0u8; len].into_boxed_slice())).cast();
+            Ok(Self { ptr, len })
+        }
+    }
+
+    impl Drop for super::Area {
+        fn drop(&mut self) {
+            let area = std::ptr::slice_from_raw_parts_mut(self.ptr.as_ptr(), self.len);
+            // SAFETY: `new` leaked exactly this box.
+            drop(unsafe { Box::from_raw(area) });
+        }
     }
 
     pub(super) fn send_batch(
@@ -706,19 +856,75 @@ mod tests {
         (send_batch(tx, &arena, &segs).unwrap(), payloads)
     }
 
-    /// Receives `n` datagrams, asserting each came from `from`.
-    fn drain(rx: &UdpSocket, n: usize, from: SocketAddr) -> Vec<Vec<u8>> {
-        let mut bufs: Vec<Vec<u8>> = (0..MAX_BATCH).map(|_| vec![0u8; 2048]).collect();
-        let mut meta = vec![(0usize, from); MAX_BATCH];
-        let mut got = Vec::new();
+    /// Receives `n` datagrams into entries of `entry_len` bytes,
+    /// asserting each came from `from`; returns them and the messages
+    /// they arrived in.
+    fn receive(
+        rx: &UdpSocket,
+        entry_len: usize,
+        n: usize,
+        from: SocketAddr,
+    ) -> (Vec<Vec<u8>>, Vec<RecvMeta>) {
+        let mut area = Area::new(MAX_BATCH * entry_len).unwrap();
+        let mut meta = [RecvMeta::default(); MAX_BATCH];
+        let (mut got, mut messages) = (Vec::new(), Vec::new());
         while got.len() < n {
-            let k = recv_batch(rx, &mut bufs, &mut meta).expect("datagram lost");
-            for i in 0..k {
-                assert_eq!(meta[i].1, from, "source of datagram {}", got.len());
-                got.push(bufs[i][..meta[i].0].to_vec());
+            let k = recv_batch(rx, &mut area, entry_len, &mut meta).expect("datagram lost");
+            for (i, m) in meta[..k].iter().enumerate() {
+                assert_eq!(m.src, from, "source of datagram {}", got.len());
+                let entry = &area[i * entry_len..][..entry_len];
+                got.extend(
+                    m.datagrams()
+                        .map(|(off, len)| entry[off..off + len].to_vec()),
+                );
+                messages.push(*m);
             }
         }
-        got
+        (got, messages)
+    }
+
+    /// Receives `n` datagrams, asserting each came from `from`.
+    fn drain(rx: &UdpSocket, n: usize, from: SocketAddr) -> Vec<Vec<u8>> {
+        receive(rx, 2048, n, from).0
+    }
+
+    /// `(len, segment)` of each message.
+    fn shapes(messages: &[RecvMeta]) -> Vec<(usize, usize)> {
+        messages.iter().map(|m| (m.len, m.segment)).collect()
+    }
+
+    /// A bound loopback receiver with `UDP_GRO` on, or `None` with the
+    /// reason printed where the address family or the option is missing.
+    fn gro_receiver(bind: &str) -> Option<(UdpSocket, SocketAddr)> {
+        let Ok(rx) = UdpSocket::bind(bind) else {
+            eprintln!("skipped: cannot bind {bind} on this host");
+            return None;
+        };
+        if !enable_gro(&rx) {
+            eprintln!("skipped: this kernel refuses UDP_GRO");
+            return None;
+        }
+        rx.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let addr = rx.local_addr().unwrap();
+        Some((rx, addr))
+    }
+
+    /// Flushes `lens` from a fresh socket to a GRO receiver; asserts the
+    /// datagrams arrive byte-identical, in order and from the sender, and
+    /// returns the messages they came in — `None` where the kernel
+    /// refuses GRO, or refused a `UDP_SEGMENT` message meanwhile (the
+    /// refusal counter is process-wide).
+    fn gro_roundtrip(bind: &str, lens: &[usize]) -> Option<Vec<RecvMeta>> {
+        let (rx, dest) = gro_receiver(bind)?;
+        let tx = UdpSocket::bind(bind).unwrap();
+        let refused = egress_counts().1;
+        let plan: Vec<_> = lens.iter().map(|&len| (len, dest)).collect();
+        let (sent, payloads) = flush(&tx, &plan);
+        assert_eq!(sent, lens.len(), "datagrams accepted");
+        let from = tx.local_addr().unwrap();
+        let (got, messages) = receive(&rx, MAX_MESSAGE_LEN, lens.len(), from);
+        assert_eq!(got, payloads);
+        (egress_counts().1 == refused).then_some(messages)
     }
 
     /// One flush of `lens` to one destination arrives whole and in order.
@@ -856,9 +1062,9 @@ mod tests {
         let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
         rx.set_read_timeout(Some(Duration::from_millis(30)))
             .unwrap();
-        let mut bufs: Vec<Vec<u8>> = (0..4).map(|_| vec![0u8; 64]).collect();
-        let mut meta = vec![(0usize, rx.local_addr().unwrap()); 4];
-        let err = recv_batch(&rx, &mut bufs, &mut meta).unwrap_err();
+        let mut area = Area::new(4 * 64).unwrap();
+        let mut meta = [RecvMeta::default(); 4];
+        let err = recv_batch(&rx, &mut area, 64, &mut meta).unwrap_err();
         assert!(
             matches!(
                 err.kind(),
@@ -899,5 +1105,133 @@ mod tests {
         let mut buf = [0u8; 16];
         let landed = a.recv_from(&mut buf).is_ok() || b.recv_from(&mut buf).is_ok();
         assert!(landed, "shared-port datagram was delivered");
+    }
+
+    #[test]
+    fn datagrams_cut_a_message_at_its_segments() {
+        let meta = |len, segment, truncated| RecvMeta {
+            len,
+            segment,
+            truncated,
+            ..RecvMeta::default()
+        };
+        let cuts = |m: RecvMeta| m.datagrams().collect::<Vec<_>>();
+        assert_eq!(cuts(meta(90, 0, false)), [(0, 90)]);
+        assert_eq!(cuts(meta(0, 0, false)), [(0, 0)]);
+        // A plain datagram arrives cut, as recv_from gives it.
+        assert_eq!(cuts(meta(64, 0, true)), [(0, 64)]);
+        assert_eq!(
+            cuts(meta(300, 100, false)),
+            [(0, 100), (100, 100), (200, 100)]
+        );
+        assert_eq!(
+            cuts(meta(240, 100, false)),
+            [(0, 100), (100, 100), (200, 40)]
+        );
+        // Cut: whole segments, then one empty datagram for the rest.
+        assert_eq!(cuts(meta(250, 100, true)), [(0, 100), (100, 100), (200, 0)]);
+        assert_eq!(cuts(meta(200, 100, true)), [(0, 100), (100, 100), (200, 0)]);
+        assert_eq!(cuts(meta(64, 100, true)), [(0, 0)]);
+    }
+
+    #[test]
+    fn gro_hands_a_burst_over_as_one_message() {
+        if let Some(messages) = gro_roundtrip("127.0.0.1:0", &[77; 32]) {
+            assert_eq!(shapes(&messages), [(32 * 77, 77)]);
+        }
+    }
+
+    #[test]
+    fn gro_keeps_a_shorter_tail_segment() {
+        let mut lens = vec![100; 10];
+        lens.push(40);
+        if let Some(messages) = gro_roundtrip("127.0.0.1:0", &lens) {
+            assert_eq!(shapes(&messages), [(1040, 100)]);
+        }
+    }
+
+    #[test]
+    fn gro_carries_a_burst_near_the_64k_cap_whole() {
+        if let Some(messages) = gro_roundtrip("127.0.0.1:0", &[1473; 44]) {
+            assert_eq!(shapes(&messages), [(44 * 1473, 1473)]);
+        }
+    }
+
+    #[test]
+    fn gro_over_ipv6_loopback() {
+        if let Some(messages) = gro_roundtrip("[::1]:0", &[90; 20]) {
+            assert_eq!(shapes(&messages), [(1800, 90)]);
+        }
+    }
+
+    #[test]
+    fn a_plain_datagram_and_a_burst_share_one_receive() {
+        let Some((rx, dest)) = gro_receiver("127.0.0.1:0") else {
+            return;
+        };
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let refused = egress_counts().1;
+        tx.send_to(&payload(99, 50), dest).unwrap();
+        let (_, burst) = flush(&tx, &[(60, dest); 16]);
+        // Loopback delivery is synchronous with the send: one receive
+        // finds both messages queued.
+        let mut area = Area::new(MAX_BATCH * MAX_MESSAGE_LEN).unwrap();
+        let mut meta = [RecvMeta::default(); MAX_BATCH];
+        let got = recv_batch(&rx, &mut area, MAX_MESSAGE_LEN, &mut meta).unwrap();
+        if egress_counts().1 != refused {
+            return; // the burst went out plain: nothing to coalesce
+        }
+        assert_eq!(shapes(&meta[..got]), [(50, 0), (960, 60)]);
+        let from = tx.local_addr().unwrap();
+        assert!(meta[..got].iter().all(|m| m.src == from));
+        assert_eq!(&area[..50], &payload(99, 50)[..]);
+        let second = &area[MAX_MESSAGE_LEN..];
+        let datagrams: Vec<_> = meta[1]
+            .datagrams()
+            .map(|(off, len)| second[off..off + len].to_vec())
+            .collect();
+        assert_eq!(datagrams, burst);
+    }
+
+    #[test]
+    fn oversize_segments_are_never_handed_on_cut() {
+        let Some((rx, dest)) = gro_receiver("127.0.0.1:0") else {
+            return;
+        };
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let from = tx.local_addr().unwrap();
+        let refused = egress_counts().1;
+        // Entries of 1,000 B: a burst of 300 B segments is cut after
+        // three, one of 1,500 B segments inside its first.
+        let (_, sent) = flush(&tx, &[(300, dest); 10]);
+        let (got, messages) = receive(&rx, 1000, 1, from);
+        flush(&tx, &[(1500, dest); 4]);
+        let (oversize, _) = receive(&rx, 1000, 1, from);
+        if egress_counts().1 != refused {
+            return;
+        }
+        assert!(messages[0].truncated);
+        assert_eq!(got[..3], sent[..3], "whole segments arrive whole");
+        assert_eq!(got.len(), 4);
+        assert!(got[3].is_empty(), "the cut rest is one empty datagram");
+        assert_eq!(oversize, [Vec::<u8>::new()]);
+    }
+
+    #[test]
+    fn a_socket_without_gro_receives_datagram_by_datagram() {
+        // Never asked, and asked then turned off again.
+        for turned_off in [false, true] {
+            let (rx, dest) = receiver("127.0.0.1:0");
+            if turned_off {
+                let _ = enable_gro(&rx);
+                disable_gro(&rx);
+            }
+            let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+            let (_, payloads) = flush(&tx, &[(77, dest); 32]);
+            let from = tx.local_addr().unwrap();
+            let (got, messages) = receive(&rx, MAX_MESSAGE_LEN, 32, from);
+            assert_eq!(got, payloads);
+            assert_eq!(shapes(&messages), [(77, 0); 32]);
+        }
     }
 }
