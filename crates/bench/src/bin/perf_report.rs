@@ -755,8 +755,8 @@ impl ObsBench {
 /// One recoder shard runs the hot workload through [`relay_batch`] — the
 /// path the live node runs — under two scratches in turn: a bare
 /// [`BatchScratch`] and an instrumented one that records into a live
-/// registry (step and batch counters, emit/recycle counters,
-/// pending-depth gauge, sampled latency histograms). Engine, buffers and
+/// registry (step, emit and batch counters, sampled latency
+/// histograms). Engine, buffers and
 /// input batches are the same memory on both sides, so the only
 /// difference timed is the instrumentation (two rigs built from one seed
 /// still differ by 1–2 % from heap placement alone). Each repeat

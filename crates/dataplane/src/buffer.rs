@@ -21,17 +21,28 @@ pub struct BufferStats {
 /// sufficient to guarantee good performance" (Sec. III-B). Capacity is in
 /// generations; evicting a generation drops all its buffered packets.
 ///
-/// Lookups are O(1): the FIFO order lives in a [`VecDeque`] while the
-/// generation → recoder mapping is a [`HashMap`], so the relay hot loop
-/// never scans the (up to 1024-entry) buffer per packet.
+/// The buffer is a FIFO ring of recoder slots, oldest first. A generation
+/// opened at capacity takes over the slot it evicts
+/// ([`Recoder::reset`]), so once the ring is full a generation costs no
+/// heap operation. Lookups are O(1) and never scan the (up to 1024-slot)
+/// ring: an index maps each generation to its slot, and a memo of the last
+/// generation looked up skips even the hash for the rest of a generation's
+/// packets, which arrive back to back.
 #[derive(Debug)]
 pub struct SessionBuffer {
     config: GenerationConfig,
     session: SessionId,
     capacity: usize,
-    /// FIFO of live generations, oldest first.
-    order: VecDeque<u64>,
-    entries: HashMap<u64, Recoder>,
+    /// Live generations' recoders, oldest first.
+    slots: VecDeque<Recoder>,
+    /// Generation → slot number. Slots are numbered in opening order, so
+    /// slot `n` sits at position `n - front` of `slots`.
+    index: HashMap<u64, u64>,
+    /// Slots taken off the front of the ring so far.
+    front: u64,
+    /// The generation looked up last and its slot number; stale once the
+    /// number falls below `front`.
+    memo: Option<(u64, u64)>,
     stats: BufferStats,
 }
 
@@ -50,8 +61,10 @@ impl SessionBuffer {
             config,
             session,
             capacity,
-            order: VecDeque::new(),
-            entries: HashMap::new(),
+            slots: VecDeque::new(),
+            index: HashMap::new(),
+            front: 0,
+            memo: None,
             stats: BufferStats::default(),
         }
     }
@@ -63,12 +76,12 @@ impl SessionBuffer {
 
     /// Number of generations currently buffered.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.slots.len()
     }
 
     /// True when no generation is buffered.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.slots.is_empty()
     }
 
     /// Buffer statistics.
@@ -76,43 +89,68 @@ impl SessionBuffer {
         self.stats
     }
 
+    /// Position of `generation`'s slot in the ring, if it is buffered.
+    fn position(&self, generation: u64) -> Option<usize> {
+        let number = match self.memo {
+            Some((memo, number)) if memo == generation && number >= self.front => number,
+            _ => *self.index.get(&generation)?,
+        };
+        Some((number - self.front) as usize)
+    }
+
     /// Returns the recoder for `generation`, creating it (and evicting the
     /// oldest generation if at capacity).
     pub fn recoder_for(&mut self, generation: u64) -> &mut Recoder {
-        if !self.entries.contains_key(&generation) {
-            if self.order.len() == self.capacity {
-                let evict = self.order.pop_front().expect("capacity > 0");
-                self.entries.remove(&evict);
-                self.stats.evictions += 1;
-            }
-            self.order.push_back(generation);
-            self.stats.generations_opened += 1;
-            self.entries.insert(
-                generation,
-                Recoder::new(self.config, self.session, generation),
-            );
-        }
-        self.entries.get_mut(&generation).expect("just ensured")
+        let at = match self.position(generation) {
+            Some(at) => at,
+            None => self.open(generation),
+        };
+        self.memo = Some((generation, self.front + at as u64));
+        &mut self.slots[at]
+    }
+
+    /// Opens `generation` in the newest slot — at capacity, the oldest
+    /// slot re-targeted — and returns its position.
+    fn open(&mut self, generation: u64) -> usize {
+        let recoder = if self.slots.len() == self.capacity {
+            let mut oldest = self.pop_oldest().expect("capacity > 0");
+            oldest.reset(self.session, generation);
+            oldest
+        } else {
+            Recoder::new(self.config, self.session, generation)
+        };
+        let number = self.front + self.slots.len() as u64;
+        self.index.insert(generation, number);
+        self.slots.push_back(recoder);
+        self.stats.generations_opened += 1;
+        self.slots.len() - 1
+    }
+
+    /// Takes the oldest slot off the ring, counted as an eviction.
+    fn pop_oldest(&mut self) -> Option<Recoder> {
+        let oldest = self.slots.pop_front()?;
+        self.index.remove(&oldest.generation());
+        self.front += 1;
+        self.stats.evictions += 1;
+        Some(oldest)
     }
 
     /// Evicts the oldest buffered generation (pressure-driven eviction
-    /// under a memory budget, counted like a FIFO eviction); returns the
-    /// generation dropped, or `None` when the buffer is empty.
+    /// under a memory budget, counted like a FIFO eviction, and its
+    /// storage released); returns the generation dropped, or `None` when
+    /// the buffer is empty.
     pub fn evict_oldest(&mut self) -> Option<u64> {
-        let evict = self.order.pop_front()?;
-        self.entries.remove(&evict);
-        self.stats.evictions += 1;
-        Some(evict)
+        self.pop_oldest().map(|r| r.generation())
     }
 
     /// Looks up an existing generation without creating it.
     pub fn get(&self, generation: u64) -> Option<&Recoder> {
-        self.entries.get(&generation)
+        self.position(generation).map(|at| &self.slots[at])
     }
 
     /// True if `generation` is still buffered.
     pub fn contains(&self, generation: u64) -> bool {
-        self.entries.contains_key(&generation)
+        self.position(generation).is_some()
     }
 }
 
@@ -160,6 +198,28 @@ mod tests {
         assert!(b.contains(0));
         assert_eq!(b.get(0).unwrap().rank(), 0);
         assert_eq!(b.stats().generations_opened, 4);
+    }
+
+    #[test]
+    fn ring_slots_follow_their_generations() {
+        let mut b = buf(3);
+        // Interleaved lookups keep the memo moving between live slots.
+        for g in [7, 8, 7, 9, 8, 10, 9, 11] {
+            assert_eq!(b.recoder_for(g).generation(), g);
+        }
+        assert_eq!(b.len(), 3);
+        for g in [9, 10, 11] {
+            assert_eq!(b.get(g).map(Recoder::generation), Some(g));
+        }
+        // The memo points at 11, the newest slot; the oldest goes first.
+        assert_eq!(b.evict_oldest(), Some(9));
+        assert_eq!(b.evict_oldest(), Some(10));
+        assert!(b.contains(11) && !b.contains(9));
+        assert_eq!(b.evict_oldest(), Some(11));
+        assert!(!b.contains(11), "a stale memo is no hit");
+        assert_eq!(b.evict_oldest(), None);
+        assert_eq!(b.stats().evictions, 5);
+        assert_eq!(b.recoder_for(11).rank(), 0);
     }
 
     #[test]

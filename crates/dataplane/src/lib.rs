@@ -43,7 +43,7 @@ pub use feedback::{Feedback, FeedbackError, FeedbackKind, FEEDBACK_LEN, FEEDBACK
 pub use metrics::VnfMetrics;
 pub use role::VnfRole;
 pub use sim_nodes::{NextHop, ObjectSource, ReceiverNode, SourceConfig, VnfNode};
-pub use vnf::{CodingVnf, VnfDecision, VnfStats};
+pub use vnf::{CodingVnf, Sink, VnfDecision, VnfStats};
 
 /// UDP-style port carrying NC data packets.
 pub const NC_DATA_PORT: u16 = 4000;

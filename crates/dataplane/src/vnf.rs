@@ -47,11 +47,11 @@ pub struct VnfStats {
 }
 
 /// What the VNF did with one input packet
-/// ([`CodingVnf::process_wire_into`]), beyond the packets appended to the
-/// caller's output buffer.
+/// ([`CodingVnf::process_view_into`]), beyond the packets emitted into
+/// the caller's [`Sink`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VnfDecision {
-    /// This many packets were appended to the output buffer.
+    /// This many packets were emitted into the sink.
     Forwarded(usize),
     /// A generation finished decoding (decoder role); deliver the payload.
     Decoded {
@@ -74,6 +74,54 @@ pub enum VnfDecision {
     /// Nothing to emit (redundant or stale packet, or unknown/malformed
     /// input).
     Nothing,
+}
+
+/// Where the packets one VNF step emits go. The role dispatch is written
+/// once, over this: `Vec<CodedPacket>` collects owned packets (the
+/// simulator, tests, [`CodingVnf::process_wire_into`]); a relay writes
+/// each packet's wire image straight into its egress buffer instead.
+/// Either way the packets and the [`VnfStats`] are the same.
+pub trait Sink {
+    /// The input packet travels on unchanged (a forwarder, or the
+    /// pipelined first packet of an empty recode buffer).
+    fn verbatim(&mut self, view: &PacketView<'_>, pool: &mut PayloadPool);
+
+    /// A fresh random combination of a generation's buffer.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::EmptyRecoder`] if nothing is buffered; nothing is
+    /// emitted then.
+    fn recode<R: Rng + ?Sized>(
+        &mut self,
+        recoder: &mut Recoder,
+        rng: &mut R,
+        pool: &mut PayloadPool,
+    ) -> Result<(), CodecError>;
+
+    /// A packet the VNF built from `pool` (a windowed recode); a sink
+    /// that does not keep it hands its buffers back to `pool`.
+    fn packet(&mut self, pkt: CodedPacket, pool: &mut PayloadPool);
+}
+
+impl Sink for Vec<CodedPacket> {
+    fn verbatim(&mut self, view: &PacketView<'_>, pool: &mut PayloadPool) {
+        self.push(view.to_owned_pooled(pool));
+    }
+
+    fn recode<R: Rng + ?Sized>(
+        &mut self,
+        recoder: &mut Recoder,
+        rng: &mut R,
+        pool: &mut PayloadPool,
+    ) -> Result<(), CodecError> {
+        self.push(recoder.recode_into(rng, pool)?);
+        Ok(())
+    }
+
+    fn packet(&mut self, pkt: CodedPacket, _pool: &mut PayloadPool) {
+        self.push(pkt);
+    }
 }
 
 /// The recode buffer one input packet lands in: its generation's
@@ -99,14 +147,19 @@ impl RecodeBuffer<'_> {
         }
     }
 
-    fn recode_into<R: Rng + ?Sized>(
+    fn recode<R: Rng + ?Sized, S: Sink>(
         &mut self,
+        sink: &mut S,
         rng: &mut R,
         pool: &mut PayloadPool,
-    ) -> Result<CodedPacket, CodecError> {
+    ) -> Result<(), CodecError> {
         match self {
-            RecodeBuffer::Generation(r) => r.recode_into(rng, pool),
-            RecodeBuffer::Window(r) => r.recode_into(rng, pool),
+            RecodeBuffer::Generation(r) => sink.recode(r, rng, pool),
+            RecodeBuffer::Window(r) => {
+                let pkt = r.recode_into(rng, pool)?;
+                sink.packet(pkt, pool);
+                Ok(())
+            }
         }
     }
 }
@@ -353,19 +406,11 @@ impl CodingVnf {
     /// the network coding protocol header"), then forward / recode /
     /// decode by the session's role.
     ///
-    /// The packet is parsed as a borrowed [`PacketView`], so the
-    /// recode/decode steady state reads coefficients and payload straight
-    /// from the receive buffer — the input is copied (into pooled
-    /// storage) only when it must travel on verbatim (forwarder role, or
-    /// the pipelined first packet of an empty recode buffer). A recoding
-    /// role emits exactly `outputs` packets for this input (0 = absorb
-    /// only; the simulator uses this to match a coding point's emission
-    /// rate to its planned outgoing flow); other roles ignore `outputs`.
-    /// Emitted packets are appended to `out` (reuse it across calls) and
-    /// draw their buffers from the VNF's pool; return them via
-    /// [`recycle`](Self::recycle) after sending and the steady state is
-    /// allocation-free. Malformed datagrams are counted in
-    /// [`VnfStats::malformed`].
+    /// [`parse`](Self::parse) then [`process_view_into`](Self::process_view_into)
+    /// with `out` as the sink: emitted packets are appended to `out`
+    /// (reuse it across calls) and draw their buffers from the VNF's
+    /// pool; return them via [`recycle`](Self::recycle) after sending and
+    /// the steady state is allocation-free.
     pub fn process_wire_into<R: Rng + ?Sized>(
         &mut self,
         data: &[u8],
@@ -373,11 +418,10 @@ impl CodingVnf {
         rng: &mut R,
         out: &mut Vec<CodedPacket>,
     ) -> VnfDecision {
-        let Ok(view) = PacketView::parse(data, self.config.blocks_per_generation()) else {
-            self.stats.malformed += 1;
-            return VnfDecision::Nothing;
-        };
-        self.process_view(view, outputs, rng, out)
+        match self.parse(data) {
+            Some(view) => self.process_view_into(view, outputs, rng, out),
+            None => VnfDecision::Nothing,
+        }
     }
 
     /// [`process_wire_into`](Self::process_wire_into) for a packet that
@@ -389,7 +433,42 @@ impl CodingVnf {
         rng: &mut R,
         out: &mut Vec<CodedPacket>,
     ) -> VnfDecision {
-        self.process_view(pkt.view(), outputs, rng, out)
+        self.process_view_into(pkt.view(), outputs, rng, out)
+    }
+
+    /// Parses a datagram of either data framing at this VNF's generation
+    /// size as a borrowed [`PacketView`]; a datagram that does not parse
+    /// is counted in [`VnfStats::malformed`].
+    pub fn parse<'a>(&mut self, data: &'a [u8]) -> Option<PacketView<'a>> {
+        let view = PacketView::parse(data, self.config.blocks_per_generation()).ok();
+        self.stats.malformed += u64::from(view.is_none());
+        view
+    }
+
+    /// Forwards / recodes / decodes one parsed packet by its session's
+    /// role, emitting into `sink`.
+    ///
+    /// The recode and decode steady states read coefficients and payload
+    /// straight from the view; the input is copied only when it travels
+    /// on verbatim (forwarder role, or the pipelined first packet of an
+    /// empty recode buffer). A recoding role emits exactly `outputs`
+    /// packets for this input (0 = absorb only; the simulator uses this
+    /// to match a coding point's emission rate to its planned outgoing
+    /// flow); other roles ignore `outputs`.
+    pub fn process_view_into<R: Rng + ?Sized, S: Sink>(
+        &mut self,
+        view: PacketView<'_>,
+        outputs: usize,
+        rng: &mut R,
+        sink: &mut S,
+    ) -> VnfDecision {
+        let decision = self.code(view, outputs, rng, sink);
+        // Budgeted relays pay one branch here; the default (uncapped)
+        // hot path skips the enforcement scan entirely.
+        if self.memory_budget.is_some() {
+            self.enforce_memory_budget();
+        }
+        decision
     }
 
     /// Default in-flight window for sliding-window sessions (symbols).
@@ -435,28 +514,12 @@ impl CodingVnf {
             .map(|d| d.cumulative_ack())
     }
 
-    fn process_view<R: Rng + ?Sized>(
+    fn code<R: Rng + ?Sized, S: Sink>(
         &mut self,
         view: PacketView<'_>,
         outputs: usize,
         rng: &mut R,
-        out: &mut Vec<CodedPacket>,
-    ) -> VnfDecision {
-        let decision = self.code(view, outputs, rng, out);
-        // Budgeted relays pay one branch here; the default (uncapped)
-        // hot path skips the enforcement scan entirely.
-        if self.memory_budget.is_some() {
-            self.enforce_memory_budget();
-        }
-        decision
-    }
-
-    fn code<R: Rng + ?Sized>(
-        &mut self,
-        view: PacketView<'_>,
-        outputs: usize,
-        rng: &mut R,
-        out: &mut Vec<CodedPacket>,
+        sink: &mut S,
     ) -> VnfDecision {
         let window = view.kind() == WireKind::Window;
         let session = view.session();
@@ -471,7 +534,7 @@ impl CodingVnf {
         };
         let emitted = match state.role {
             VnfRole::Forwarder => {
-                out.push(view.to_owned_pooled(&mut self.pool));
+                sink.verbatim(&view, &mut self.pool);
                 1
             }
             VnfRole::Recoder => {
@@ -495,22 +558,20 @@ impl CodingVnf {
                 if outputs == 0 {
                     return VnfDecision::Nothing;
                 }
-                out.reserve(outputs);
                 let mut emitted = 0;
                 for i in 0..outputs {
                     // Pipelined: the very first packet of an empty buffer
                     // passes through verbatim, later emissions are fresh
                     // recombinations.
-                    let pkt = if first && i == 0 {
-                        view.to_owned_pooled(&mut self.pool)
+                    if first && i == 0 {
+                        sink.verbatim(&view, &mut self.pool);
                     } else {
-                        match buffer.recode_into(rng, &mut self.pool) {
-                            Ok(pkt) => pkt,
-                            Err(CodecError::EmptyRecoder) => view.to_owned_pooled(&mut self.pool),
+                        match buffer.recode(sink, rng, &mut self.pool) {
+                            Ok(()) => {}
+                            Err(CodecError::EmptyRecoder) => sink.verbatim(&view, &mut self.pool),
                             Err(_) => break,
                         }
-                    };
-                    out.push(pkt);
+                    }
                     emitted += 1;
                 }
                 emitted

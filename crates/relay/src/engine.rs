@@ -1,25 +1,26 @@
 //! The relay's datagram processing step, factored out of the socket loop.
 //!
 //! There is one data path: [`relay_batch`] dispatches a received batch
-//! by header peek, and one per-shard body (lock → recycle → admit → code
-//! → unlock → serialize) handles every data kind in arrival order.
-//! [`relay_step`] is that same path on a batch of one. The hot path is
-//! structured around three rules:
+//! by header peek, and one per-shard body (lock → admit → code into the
+//! egress batch → unlock → attach destinations) handles every data kind
+//! in arrival order. [`relay_step`] is that same path on a batch of one.
+//! The hot path is structured around three rules:
 //!
-//! 1. **Process under the lock, send outside it.** The VNF mutex is held
-//!    only while the packet is parsed (into pooled buffers) and coded;
-//!    serialization and `send_to` run lock-free so the control thread can
+//! 1. **Code in place under the lock, send outside it.** The VNF mutex
+//!    is held while a shard's datagrams are parsed and coded, and each
+//!    output is written there and then, straight into the batch's
+//!    [`SendBatch`] arena: a recode is its 8-byte header plus one fused
+//!    row-kernel pass over the buffered wire bodies, a verbatim packet
+//!    one copy. Destinations are attached afterwards under the route
+//!    lock, and the syscall runs outside both, so the control thread can
 //!    swap tables without stalling behind socket syscalls.
-//! 2. **Zero per-packet heap operations once warm.** The ingress parse is
-//!    a borrowed [`PacketView`](ncvnf_rlnc::PacketView) over the receive
-//!    buffer (the input is copied — into recycled
-//!    [`PayloadPool`](ncvnf_rlnc::PayloadPool) storage — only when it is
-//!    forwarded verbatim), coding draws its outputs from the same pool,
-//!    serialization reuses a scratch wire buffer, and every emitted
-//!    packet is recycled back under the *next* packet's lock acquisition
-//!    (after its bytes have left via the socket).
+//! 2. **Zero heap operations per packet and per generation once warm.**
+//!    The ingress parse is a borrowed [`PacketView`](ncvnf_rlnc::PacketView)
+//!    over the receive buffer; a new generation takes over the recoder
+//!    slot it evicts from the session's ring, storage included; and no
+//!    output exists as an owned packet, so nothing waits to be recycled.
 //!    `tests/relay_alloc_steady_state.rs` proves the warm forward/recode
-//!    step performs zero heap ops.
+//!    step and generation turnover perform zero heap ops.
 //! 3. **No per-packet address parsing.** Next hops come from a
 //!    [`RouteCache`] of pre-resolved [`SocketAddr`]s, rebuilt only when
 //!    the control thread applies a forwarding-table swap.
@@ -31,13 +32,17 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
+use rand::Rng;
 
 use ncvnf_control::ForwardingTable;
 use ncvnf_dataplane::{
-    chunk_generation, CodingVnf, Feedback, FeedbackKind, VnfDecision, FEEDBACK_MAGIC,
+    chunk_generation, CodingVnf, Feedback, FeedbackKind, Sink, VnfDecision, FEEDBACK_MAGIC,
 };
 use ncvnf_obs::Registry;
-use ncvnf_rlnc::{wire_kind, CodedPacket, PacketView, SessionId, WindowAck, WireKind};
+use ncvnf_rlnc::{
+    wire_kind, CodecError, CodedPacket, PacketView, PayloadPool, Recoder, SessionId, WindowAck,
+    WireKind,
+};
 
 use crate::metrics::BatchMetrics;
 use crate::overload::{monotonic_secs, Admission, OverloadConfig, OverloadState, QuotaConfig};
@@ -193,9 +198,8 @@ pub struct StepReport {
 /// Processes one received datagram through the relay data path: a
 /// [`relay_batch`] of one against a single engine, whose egress batch is
 /// replayed into `send` — which returns whether the transmission
-/// succeeded. Emitted packets stay in `scratch` until the next call
-/// recycles them. With no receive batch there is no source address, so
-/// a shed datagram is counted but earns no congestion frame.
+/// succeeded. With no receive batch there is no source address, so a
+/// shed datagram is counted but earns no congestion frame.
 pub fn relay_step(
     engine: &Mutex<RelayEngine>,
     routes: &Mutex<RouteCache>,
@@ -288,16 +292,52 @@ struct ShardSlot {
     group: Vec<u32>,
     /// Window acks (wire kind 3) addressed to this shard's sessions.
     acks: Vec<WindowAck>,
-    /// Per-datagram VNF decisions, tagged with where the datagram's
-    /// outputs start in `out`.
-    decisions: Vec<(u32, VnfDecision)>,
-    /// Packets emitted by this batch.
-    out: Vec<CodedPacket>,
-    /// Emitted packets awaiting recycling under the *next* batch's lock
-    /// acquisition (after their bytes have left via the socket).
-    pending: Vec<CodedPacket>,
-    /// Resolved next hops of the session being serialized.
+    /// Wire images this batch wrote into the egress arena, in order.
+    images: Vec<(u32, u32)>,
+    /// One entry per datagram that emitted: its session, and where its
+    /// images end in `images`.
+    outputs: Vec<(SessionId, u32)>,
+    /// Resolved next hops of the datagram being enqueued.
     addrs: Vec<SocketAddr>,
+}
+
+/// The relay's [`Sink`]: every packet a VNF step emits becomes a wire
+/// image in the egress arena at once. Its destinations are attached
+/// after the engine lock is released.
+struct Staging<'a> {
+    send: &'a mut SendBatch,
+    images: &'a mut Vec<(u32, u32)>,
+}
+
+impl Staging<'_> {
+    fn image(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
+        let image = self.send.stage(write);
+        if image.1 > 0 {
+            self.images.push(image);
+        }
+    }
+}
+
+impl Sink for Staging<'_> {
+    fn verbatim(&mut self, view: &PacketView<'_>, _pool: &mut PayloadPool) {
+        self.image(|arena| view.write_into(arena));
+    }
+
+    fn recode<R: Rng + ?Sized>(
+        &mut self,
+        recoder: &mut Recoder,
+        rng: &mut R,
+        _pool: &mut PayloadPool,
+    ) -> Result<(), CodecError> {
+        let mut coded = Ok(());
+        self.image(|arena| coded = recoder.recode_wire_into(rng, arena));
+        coded
+    }
+
+    fn packet(&mut self, pkt: CodedPacket, pool: &mut PayloadPool) {
+        self.image(|arena| pkt.write_into(arena));
+        pool.recycle(pkt);
+    }
 }
 
 /// One source owed a `Congestion` feedback frame for datagrams shed
@@ -321,7 +361,7 @@ struct CongestTarget {
 const MAX_CONGEST_TARGETS: usize = 8;
 
 /// Reusable per-thread scratch for [`relay_batch`]: per-shard dispatch
-/// groups and recycle queues, plus the egress [`SendBatch`] the caller
+/// groups and image lists, plus the egress [`SendBatch`] the caller
 /// flushes after each call. Every buffer's capacity settles after a few
 /// batches, after which a batch performs zero heap operations (feedback
 /// and decode egress excepted).
@@ -347,8 +387,7 @@ impl BatchScratch {
     }
 
     /// Scratch whose batches record into `registry`: `relay.steps`,
-    /// `relay.packets_emitted`, `relay.payloads_recycled`,
-    /// `relay.pending_depth`, `relay.batches`, `relay.batch_fill`,
+    /// `relay.packets_emitted`, `relay.batches`, `relay.batch_fill`,
     /// `relay.cross_shard_packets`, the windowed counters, and for one
     /// batch in eight the latency histograms `relay.batch_ns` and
     /// `relay.step_ns` (batch latency over datagrams coded).
@@ -487,10 +526,10 @@ fn dispatch(slots: &mut [ShardSlot], home: usize, i: usize, dg: &[u8], report: &
 }
 
 /// One shard's share of a batch. Under the shard's engine lock — one
-/// acquisition — recycle the previous batch's outputs, absorb the acks,
-/// then admit and code the group in arrival order. Outside it, under the
-/// shard's route lock (contended only by control-plane swaps), serialize
-/// the results into `send`. Returns how many packets were recycled.
+/// acquisition — absorb the acks, then parse, admit and code the group in
+/// arrival order, each output written straight into `send`'s arena.
+/// Outside it, under the shard's route lock (contended only by
+/// control-plane swaps), attach each datagram's destinations.
 fn run_shard<'a>(
     engine: &Mutex<RelayEngine>,
     routes: &Mutex<RouteCache>,
@@ -499,134 +538,118 @@ fn run_shard<'a>(
     send: &mut SendBatch,
     congest: &mut Vec<CongestTarget>,
     report: &mut BatchReport,
-) -> u64 {
+) {
     let ShardSlot {
         group,
         acks,
-        decisions,
-        out,
-        pending,
+        images,
+        outputs,
         addrs,
     } = slot;
-    let recycled = pending.len() as u64;
-    let block_size = {
+    images.clear();
+    outputs.clear();
+    {
         let mut guard = engine.lock();
-        let engine = &mut *guard;
-        for pkt in pending.drain(..) {
-            engine.vnf.recycle(pkt);
-        }
+        let RelayEngine { vnf, rng, overload } = &mut *guard;
         // Window acks slide recoder floors before this batch's windowed
         // data is coded, so freed rows are gone already.
         for ack in acks.drain(..) {
-            engine.vnf.handle_window_ack(&ack);
+            vnf.handle_window_ack(&ack);
             report.window_acks += 1;
         }
-        let gen_size = engine.vnf.config().blocks_per_generation();
-        if let Some(ov) = engine.overload.as_mut() {
-            ov.begin_batch(engine.vnf.pool_pressure());
+        let gen_size = vnf.config().blocks_per_generation();
+        let block_size = vnf.config().block_size();
+        if let Some(ov) = overload.as_mut() {
+            ov.begin_batch(vnf.pool_pressure());
         }
+        let mut staging = Staging { send, images };
         for &idx in group.iter() {
             let (dg, src) = datagram(idx as usize);
-            let windowed = wire_kind(dg) == Some(WireKind::Window);
-            if let Some(ov) = engine.overload.as_mut() {
-                if let Some((session, generation)) = PacketView::shard_key(dg) {
-                    // Only a generation can already be full rank; a
-                    // window stream has no such point.
-                    let full_rank = !windowed
-                        && engine
-                            .vnf
-                            .generation_rank(session, generation)
-                            .is_some_and(|r| r >= gen_size);
-                    let verdict = ov.admit(session, monotonic_secs(), full_rank);
-                    if !verdict.admitted() {
-                        match verdict {
-                            Admission::ShedQuota => report.shed_quota += 1,
-                            Admission::ShedOverload => report.shed_overload += 1,
-                            Admission::ShedRedundancy => report.shed_redundancy += 1,
-                            Admission::Admit => unreachable!("not admitted"),
-                        }
-                        if let Some(src) = src {
-                            let shed = ov.stats().total_shed();
-                            note_congestion(congest, session, src, ov.load_pct(), shed);
-                        }
-                        continue;
+            // One parse: the view borrows the receive buffer, and the
+            // recode and decode steady states never copy the input.
+            let Some(view) = vnf.parse(dg) else {
+                report.steps += 1;
+                continue;
+            };
+            let (session, windowed) = (view.session(), view.kind() == WireKind::Window);
+            if let Some(ov) = overload.as_mut() {
+                // Only a generation can already be full rank; a window
+                // stream has no such point.
+                let full_rank = !windowed
+                    && vnf
+                        .generation_rank(session, view.index())
+                        .is_some_and(|r| r >= gen_size);
+                let verdict = ov.admit(session, monotonic_secs(), full_rank);
+                if !verdict.admitted() {
+                    match verdict {
+                        Admission::ShedQuota => report.shed_quota += 1,
+                        Admission::ShedOverload => report.shed_overload += 1,
+                        Admission::ShedRedundancy => report.shed_redundancy += 1,
+                        Admission::Admit => unreachable!("not admitted"),
                     }
+                    if let Some(src) = src {
+                        let shed = ov.stats().total_shed();
+                        note_congestion(congest, session, src, ov.load_pct(), shed);
+                    }
+                    continue;
                 }
             }
-            // The datagram is processed as a borrowed view — the recode
-            // and decode steady states never copy the input; only a
-            // verbatim pass-through (forwarder role, first packet of an
-            // empty recode buffer) materializes it from pooled storage.
-            let start = out.len() as u32;
-            let decision = engine.vnf.process_wire_into(dg, 1, &mut engine.rng, out);
             report.steps += 1;
             report.window_steps += u64::from(windowed);
-            decisions.push((start, decision));
-        }
-        engine.vnf.config().block_size()
-    };
-
-    let routes = routes.lock();
-    for (start, decision) in decisions.drain(..) {
-        match decision {
-            VnfDecision::Forwarded(n) if n > 0 => {
-                report.emitted += n as u64;
-                let pkts = &out[start as usize..start as usize + n];
-                routes.lookup_into(pkts[0].session(), addrs);
-                if !addrs.is_empty() {
-                    for pkt in pkts {
-                        send.push_wire(|w| pkt.write_into(w), addrs);
-                    }
-                }
-            }
-            VnfDecision::Decoded {
-                session,
-                generation,
-                payload,
-            } => {
-                // Decoder egress: the recovered generation leaves as
-                // plain MTU-sized chunks. This allocates (fresh payload
-                // per decoded generation) — per-generation, not
-                // per-packet.
-                routes.lookup_into(session, addrs);
-                if !addrs.is_empty() {
+            match vnf.process_view_into(view, 1, rng, &mut staging) {
+                VnfDecision::Forwarded(n) => report.emitted += n as u64,
+                VnfDecision::Decoded {
+                    generation,
+                    payload,
+                    ..
+                } => {
+                    // Decoder egress: the recovered generation leaves as
+                    // plain MTU-sized chunks. This allocates (fresh
+                    // payload per decoded generation) — per-generation,
+                    // not per-packet.
                     for chunk in chunk_generation(generation, &payload, block_size) {
                         report.emitted += 1;
-                        send.push_bytes(&chunk.to_bytes(), addrs);
+                        staging.image(|arena| arena.extend_from_slice(&chunk.to_bytes()));
                     }
                 }
-            }
-            VnfDecision::Delivered {
-                session, payloads, ..
-            } => {
-                // Windowed decoder egress: in-order symbols leave as
-                // plain datagrams (per-delivery allocation, like the
-                // generational decode path).
-                routes.lookup_into(session, addrs);
-                if !addrs.is_empty() {
+                VnfDecision::Delivered { payloads, .. } => {
+                    // Windowed decoder egress: in-order symbols leave as
+                    // plain datagrams (per-delivery allocation, like the
+                    // generational decode path).
                     for payload in &payloads {
                         report.emitted += 1;
-                        send.push_bytes(payload, addrs);
+                        staging.image(|arena| arena.extend_from_slice(payload));
                     }
                 }
+                VnfDecision::Nothing => {}
             }
-            VnfDecision::Forwarded(_) | VnfDecision::Nothing => {}
+            let end = staging.images.len() as u32;
+            if outputs.last().map_or(0, |&(_, end)| end) < end {
+                outputs.push((session, end));
+            }
         }
     }
-    drop(routes);
-    pending.append(out);
-    recycled
+
+    let routes = routes.lock();
+    let mut start = 0;
+    for &(session, end) in outputs.iter() {
+        routes.lookup_into(session, addrs);
+        for &image in &images[start..end as usize] {
+            send.enqueue(image, addrs);
+        }
+        start = end as usize;
+    }
 }
 
 /// Processes one received batch through the sharded relay data path.
 ///
 /// Dispatch groups the batch's datagrams by owner shard ([`shard_of`]
 /// over a header peek). Then, shard by shard: one engine-lock
-/// acquisition recycles the shard's previous outputs and codes its whole
-/// group; one route-lock acquisition serializes the results into the
-/// scratch's [`SendBatch`]. The caller flushes that batch with a single
-/// `send_batch` call — which is the point: syscalls are paid per
-/// *batch*, locks per *shard-group*, not per packet.
+/// acquisition codes its whole group straight into the scratch's
+/// [`SendBatch`]; one route-lock acquisition attaches the destinations.
+/// The caller flushes that
+/// batch with a single `send_batch` call — which is the point: syscalls
+/// are paid per *batch*, locks per *shard-group*, not per packet.
 ///
 /// `home` is the index of the shard whose socket fed this batch (used
 /// for the cross-shard counter, and as the fallback owner for
@@ -688,12 +711,11 @@ fn run_batch<'a>(
         dispatch(slots, home, i, datagram(i).0, &mut report);
     }
 
-    let mut recycled_total = 0u64;
     for ((engine, routes), slot) in shards.zip(slots.iter_mut()) {
-        if slot.group.is_empty() && slot.pending.is_empty() && slot.acks.is_empty() {
+        if slot.group.is_empty() && slot.acks.is_empty() {
             continue;
         }
-        recycled_total += run_shard(engine, routes, slot, &datagram, send, congest, &mut report);
+        run_shard(engine, routes, slot, &datagram, send, congest, &mut report);
     }
 
     // Backpressure: one Congestion frame per shed (session, source)
@@ -709,8 +731,7 @@ fn run_batch<'a>(
 
     if let Some(obs) = obs {
         let elapsed = started.map(|t| t.elapsed().as_nanos() as u64);
-        let depth: usize = slots.iter().map(|s| s.pending.len()).sum();
-        obs.record_batch(&report, len as u64, recycled_total, depth, elapsed);
+        obs.record_batch(&report, len as u64, elapsed);
     }
     report
 }
@@ -830,9 +851,7 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counter("relay.steps"), Some(4));
         assert_eq!(snap.counter("relay.packets_emitted"), Some(4));
-        // The first step had nothing pending to recycle.
-        assert_eq!(snap.counter("relay.payloads_recycled"), Some(3));
-        assert_eq!(snap.gauge("relay.pending_depth"), Some(1.0));
+        assert_eq!(snap.histogram("relay.batch_fill").unwrap().count, 4);
         // Tick 0 is always sampled, so at least one latency point landed.
         assert!(snap.histogram("relay.step_ns").unwrap().count >= 1);
     }
@@ -981,6 +1000,83 @@ mod tests {
         assert_eq!(stepped.vnf().stats(), batched.vnf().stats());
         assert!(stepped.vnf().stats().window_packets_out > 0);
         assert!(stepped.vnf().stats().malformed > 0);
+    }
+
+    /// In-place egress is the VNF's owned-packet output, serialized: one
+    /// seeded sequence through `relay_batch`, and with the same RNG seed
+    /// through `process_wire_into` + `CodedPacket::write_into`, yields the
+    /// same bytes and the same `VnfStats`, whatever the role.
+    #[test]
+    fn in_place_egress_is_the_serialized_vnf_output() {
+        let session = SessionId::new(1);
+        let enc = GenerationEncoder::new(cfg(), &[0x3C; 128]).unwrap();
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut sequence: Vec<Vec<u8>> = Vec::new();
+        // 40 generations through a 16-generation buffer: slots are
+        // re-targeted as well as opened.
+        for generation in 0..40u64 {
+            let first = enc.coded_packet(session, generation, &mut rng).to_bytes();
+            if generation % 3 == 0 {
+                // An all-zero coefficient vector: never innovative, so
+                // the buffer stays empty and it passes verbatim.
+                let mut zero = first.to_vec();
+                zero[8..12].fill(0);
+                sequence.push(zero);
+            }
+            // The verbatim first packet, then the same again: not
+            // innovative, and still answered with a recode.
+            sequence.push(first.to_vec());
+            sequence.push(first.to_vec());
+            for _ in 0..generation % 5 {
+                let pkt = enc.coded_packet(session, generation, &mut rng);
+                sequence.push(pkt.to_bytes().to_vec());
+            }
+        }
+
+        for role in [VnfRole::Recoder, VnfRole::Forwarder] {
+            let RelayEngine {
+                mut vnf, mut rng, ..
+            } = engine_with_role(role).into_inner();
+            let (mut owned, mut expected) = (Vec::new(), Vec::new());
+            for dg in &sequence {
+                vnf.process_wire_into(dg, 1, &mut rng, &mut owned);
+                for pkt in owned.drain(..) {
+                    let mut wire = Vec::new();
+                    pkt.write_into(&mut wire);
+                    expected.push(wire);
+                    vnf.recycle(pkt);
+                }
+            }
+
+            let shards = shard_with_role(role);
+            let mut scratch = BatchScratch::new(1);
+            let mut batch = RecvBatch::new(32, 2048);
+            let src: SocketAddr = ([127, 0, 0, 1], 4000).into();
+            let mut egress = Vec::new();
+            for chunk in sequence.chunks(32) {
+                batch.clear();
+                for dg in chunk {
+                    assert!(batch.push(dg, src));
+                }
+                relay_batch(&shards, 0, &mut scratch, &batch);
+                egress.extend(scratch.send().iter().map(|(b, _)| b.to_vec()));
+            }
+
+            assert_eq!(
+                egress.len(),
+                sequence.len(),
+                "{role:?}: one output per input"
+            );
+            assert_eq!(egress, expected, "{role:?}: egress bytes");
+            let stats = shards[0].engine.lock().vnf().stats();
+            assert_eq!(stats, vnf.stats(), "{role:?}: VNF counters");
+            if role == VnfRole::Recoder {
+                assert!(
+                    stats.innovative_in < stats.packets_in,
+                    "non-innovative inputs"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   node's counters; [`RelayStats`](crate::RelayStats) is a typed view
 //!   read back from them, not a second copy.
 //! * [`BatchMetrics`] — the data thread's instrumentation (step and
-//!   batch latency histograms, emit/recycle counters, pending-queue
-//!   gauge, batch shape), carried inside the data path's scratch so
+//!   batch latency histograms, step/emit counters, batch shape),
+//!   carried inside the data path's scratch so
 //!   [`relay_batch`](crate::relay_batch)'s signature stays unchanged.
 //! * [`RecoveryMetrics`] — the reliable-transfer endpoints' feedback
 //!   counters and backoff timings, bundled with the codec's
@@ -68,8 +68,6 @@ ncvnf_obs::metrics! {
         pub steps: Counter = "relay.steps", "steps", "Datagrams processed by the relay step";
         pub step_ns: Histogram = "relay.step_ns", "ns", "Per-datagram relay cost: latency of a sampled batch over the datagrams it coded";
         pub emitted: Counter = "relay.packets_emitted", "packets", "Coded packets or decoded chunks produced by relay steps";
-        pub recycled: Counter = "relay.payloads_recycled", "packets", "Emitted packets recycled back into the payload pool";
-        pub pending_depth: Gauge = "relay.pending_depth", "packets", "Packets held for recycling at the end of the last step";
         pub batches: Counter = "relay.batches", "batches", "Batches relayed: a receive from the data socket, cut into flushes of at most the batch size";
         pub batch_fill: Histogram = "relay.batch_fill", "datagrams", "Datagrams per relayed batch (batch occupancy)";
         pub batch_ns: Histogram = "relay.batch_ns", "ns", "Batch relay latency, sampled 1-in-8 (dispatch, code, serialize, flush)";
@@ -111,10 +109,6 @@ pub struct BatchMetrics {
     acc_steps: u64,
     /// Packets emitted since the last flush.
     acc_emitted: u64,
-    /// Payloads recycled since the last flush.
-    acc_recycled: u64,
-    /// Pending-queue depth after the most recent batch.
-    last_depth: f64,
 }
 
 impl BatchMetrics {
@@ -125,8 +119,6 @@ impl BatchMetrics {
             tick: 0,
             acc_steps: 0,
             acc_emitted: 0,
-            acc_recycled: 0,
-            last_depth: 0.0,
         }
     }
 
@@ -143,8 +135,6 @@ impl BatchMetrics {
         &mut self,
         report: &crate::engine::BatchReport,
         fill: u64,
-        recycled: u64,
-        depth: usize,
         elapsed_ns: Option<u64>,
     ) {
         self.tick = self.tick.wrapping_add(1);
@@ -167,29 +157,24 @@ impl BatchMetrics {
         }
         self.acc_steps += report.steps;
         self.acc_emitted += report.emitted;
-        self.acc_recycled += recycled;
-        self.last_depth = depth as f64;
         // A batch that coded nothing (all shed, feedback or acks only)
-        // still recycles the previous batch's outputs, and none may
-        // follow for a while: publish now rather than at 32 datagrams.
+        // may be the last for a while: publish what earlier batches
+        // accumulated now rather than at 32 datagrams.
         if self.acc_steps >= STEP_FLUSH_EVERY || report.steps == 0 {
             self.flush();
         }
     }
 
-    /// Publishes the accumulated counters and the latest pending depth
-    /// to the shared registry cells (a no-op when nothing accumulated).
+    /// Publishes the accumulated counters to the shared registry cells
+    /// (a no-op when nothing accumulated).
     fn flush(&mut self) {
-        if self.acc_steps + self.acc_emitted + self.acc_recycled == 0 {
+        if self.acc_steps + self.acc_emitted == 0 {
             return;
         }
         self.cells.steps.add(self.acc_steps);
         self.cells.emitted.add(self.acc_emitted);
-        self.cells.recycled.add(self.acc_recycled);
-        self.cells.pending_depth.set(self.last_depth);
         self.acc_steps = 0;
         self.acc_emitted = 0;
-        self.acc_recycled = 0;
     }
 }
 
@@ -312,11 +297,9 @@ mod tests {
         let step = BatchMetrics::register(&registry);
         node.datagrams_in.add(5);
         step.cells.emitted.add(7);
-        step.cells.pending_depth.set(3.0);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("relay.datagrams_in"), Some(5));
         assert_eq!(snap.counter("relay.packets_emitted"), Some(7));
-        assert_eq!(snap.gauge("relay.pending_depth"), Some(3.0));
     }
 
     #[test]
@@ -338,25 +321,25 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_that_codes_nothing_still_publishes_its_recycling() {
+    fn a_batch_that_codes_nothing_publishes_what_came_before() {
         use crate::engine::BatchReport;
         let registry = Registry::new();
         let mut step = BatchMetrics::register(&registry);
         let coded = BatchReport {
-            steps: 32,
-            emitted: 32,
+            steps: 5,
+            emitted: 5,
             ..BatchReport::default()
         };
-        step.record_batch(&coded, 32, 0, 32, None);
-        // All 32 arrivals shed: nothing coded, the previous outputs recycled.
-        step.record_batch(&BatchReport::default(), 32, 32, 0, None);
+        step.record_batch(&coded, 5, None);
+        // Below the 32-step flush: still scratch-local.
+        assert_eq!(registry.snapshot().counter("relay.steps"), Some(0));
+        // All 32 arrivals shed: nothing coded, and the earlier steps go
+        // out now.
+        step.record_batch(&BatchReport::default(), 32, None);
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("relay.payloads_recycled"), Some(32));
-        assert_eq!(snap.gauge("relay.pending_depth"), Some(0.0));
-        drop(step);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("relay.steps"), Some(32));
-        assert_eq!(snap.counter("relay.payloads_recycled"), Some(32));
+        assert_eq!(snap.counter("relay.steps"), Some(5));
+        assert_eq!(snap.counter("relay.packets_emitted"), Some(5));
+        assert_eq!(snap.counter("relay.batches"), Some(2));
     }
 
     #[test]

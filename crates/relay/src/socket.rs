@@ -199,14 +199,27 @@ impl SendBatch {
     /// Serializes one wire image via `write` (appending to the arena)
     /// and enqueues it for every address in `dests`.
     pub fn push_wire(&mut self, write: impl FnOnce(&mut Vec<u8>), dests: &[SocketAddr]) {
+        let image = self.stage(write);
+        self.enqueue(image, dests);
+    }
+
+    /// Serializes one wire image via `write` into the arena without
+    /// enqueueing it; returns its `(offset, len)` for
+    /// [`enqueue`](Self::enqueue) once its destinations are known.
+    pub fn stage(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> (u32, u32) {
         let start = self.arena.len();
         write(&mut self.arena);
-        let len = (self.arena.len() - start) as u32;
+        (start as u32, (self.arena.len() - start) as u32)
+    }
+
+    /// Enqueues a [`stage`](Self::stage)d image for every address in
+    /// `dests` (an empty image is never sent).
+    pub fn enqueue(&mut self, (offset, len): (u32, u32), dests: &[SocketAddr]) {
         if len == 0 {
             return;
         }
         for &dest in dests {
-            self.segs.push((start as u32, len, dest));
+            self.segs.push((offset, len, dest));
         }
     }
 

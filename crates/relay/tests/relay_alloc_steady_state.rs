@@ -1,22 +1,22 @@
 //! The relay processing step is allocation-free at steady state.
 //!
 //! Extends the rlnc counting-allocator test to the full relay data path:
-//! after warm-up, a [`relay_step`] cycle — recycle the previous packets,
-//! parse the datagram into pooled buffers, recode (or pass through),
-//! serialize into the scratch wire buffer, send — must perform zero heap
-//! operations, for both the forwarder and recoder roles. The counter is
-//! scoped to the measuring thread so harness threads (e.g. libtest's
-//! result-channel lazy init) cannot pollute it.
+//! after warm-up, a [`relay_step`] cycle — parse the datagram as a view,
+//! recode (or pass through) straight into the egress arena, send — must
+//! perform zero heap operations, for both the forwarder and recoder
+//! roles, and so must a stream of ever new generations through a full
+//! generation buffer. The counter is scoped to the measuring thread so
+//! harness threads (e.g. libtest's result-channel lazy init) cannot
+//! pollute it.
 //!
 //! The scratch is *instrumented*: every measured step records into the
-//! `ncvnf-obs` registry (counters, the pending-depth gauge, and sampled
-//! step-latency histogram), so this test also proves the observability
-//! layer's record path is heap-free.
+//! `ncvnf-obs` registry (counters and the sampled step-latency
+//! histogram), so this test also proves the observability layer's record
+//! path is heap-free.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use ncvnf_control::ForwardingTable;
 use ncvnf_dataplane::{CodingVnf, VnfRole};
@@ -34,27 +34,26 @@ use rand::SeedableRng;
 
 struct CountingAlloc;
 
-static HEAP_OPS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    // Count only allocations made by the thread under measurement: the
-    // libtest main thread lazily initializes its mpsc receiver context
-    // (one-time ~48 B Arc) while blocked waiting for the test result,
-    // which otherwise races into the measured window. Const-initialized
-    // native TLS for a `Cell<bool>` never allocates, so reading the flag
-    // inside the allocator is safe.
+    // Count only allocations made by the thread under measurement, into
+    // that thread's own tally: the libtest main thread lazily initializes
+    // its mpsc receiver context (one-time ~48 B Arc) while blocked waiting
+    // for the test result, and tests run in parallel, so neither may race
+    // into another's measured window. Const-initialized native TLS for a
+    // `Cell` never allocates, so touching it inside the allocator is safe.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static HEAP_OPS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn counting_here() -> bool {
-    COUNTING.try_with(Cell::get).unwrap_or(false)
+fn count_here() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = HEAP_OPS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counting_here() {
-            HEAP_OPS.fetch_add(1, Ordering::SeqCst);
-        }
+        count_here();
         System.alloc(layout)
     }
 
@@ -63,9 +62,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counting_here() {
-            HEAP_OPS.fetch_add(1, Ordering::SeqCst);
-        }
+        count_here();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -76,11 +73,11 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// Number of heap allocations (incl. reallocations) performed by `work`
 /// on the calling thread.
 fn heap_ops_during(mut work: impl FnMut()) -> u64 {
-    let before = HEAP_OPS.load(Ordering::SeqCst);
+    let before = HEAP_OPS.with(Cell::get);
     COUNTING.with(|c| c.set(true));
     work();
     COUNTING.with(|c| c.set(false));
-    HEAP_OPS.load(Ordering::SeqCst) - before
+    HEAP_OPS.with(Cell::get) - before
 }
 
 const BLOCK: usize = 1460;
@@ -147,7 +144,7 @@ fn warm_relay_forward_and_recode_steps_do_not_allocate() {
         let registry = Registry::new();
         let mut scratch = RelayScratch::instrumented(&registry);
 
-        // Warm-up: fills the pool, brings the generation to full rank, and
+        // Warm-up: brings the generation to full rank, and
         // settles every scratch buffer at its final capacity.
         for _ in 0..8 {
             drive(&engine, &routes, &mut scratch, &wires, &mut sink);
@@ -177,21 +174,97 @@ fn warm_relay_forward_and_recode_steps_do_not_allocate() {
             "sampled latency points recorded ({})",
             step_ns.count
         );
-        let pool = engine.lock().vnf().pool_stats();
-        assert!(
-            pool.hit_rate() > 0.9,
-            "steady state should run from recycled buffers (hit rate {})",
-            pool.hit_rate()
-        );
     }
     assert_ne!(sink, 0, "send sink observed real bytes");
+}
+
+/// Generation turnover is heap-free: a warm [`relay_batch`] over a ring
+/// of advancing generations, g + 1 datagrams each (the relay workloads'
+/// traffic), through a buffer already holding its full
+/// `buffer_generations`. Every generation opened evicts the oldest, and
+/// the evicted slot's storage serves the new one.
+#[test]
+fn warm_generation_turnover_does_not_allocate() {
+    const BUFFERED: usize = 16;
+    const RING_GENERATIONS: u64 = 4 * BUFFERED as u64;
+    let config = GenerationConfig::new(BLOCK, G).expect("valid layout");
+    let mut rng = StdRng::seed_from_u64(0xA110_C00A);
+    let src: SocketAddr = ([127, 0, 0, 1], 4245).into();
+    let mut ring: Vec<Vec<u8>> = Vec::new();
+    for generation in 0..RING_GENERATIONS {
+        let data: Vec<u8> = (0..config.generation_payload())
+            .map(|i| (i as u64 * 3 + generation) as u8)
+            .collect();
+        let enc = GenerationEncoder::new(config, &data).expect("valid generation");
+        for _ in 0..=G {
+            let pkt = enc.coded_packet(SessionId::new(1), generation, &mut rng);
+            ring.push(pkt.to_bytes().to_vec());
+        }
+    }
+    let batches: Vec<RecvBatch> = ring
+        .chunks(MAX_BATCH)
+        .map(|chunk| {
+            let mut batch = RecvBatch::new(MAX_BATCH, 2048);
+            for wire in chunk {
+                assert!(batch.push(wire, src));
+            }
+            batch
+        })
+        .collect();
+    let mut table = ForwardingTable::new();
+    table.set(SessionId::new(1), vec!["127.0.0.1:9000".to_string()]);
+
+    for role in [VnfRole::Recoder, VnfRole::Forwarder] {
+        let mut vnf = CodingVnf::new(config, BUFFERED);
+        vnf.set_role(SessionId::new(1), role);
+        let shards = [RelayShard::new(RelayEngine::new(
+            vnf,
+            StdRng::seed_from_u64(0xA110_C00B),
+        ))];
+        shards[0].routes().lock().rebuild(&table);
+        let registry = Registry::new();
+        let mut scratch = BatchScratch::instrumented(1, &registry);
+        let lap = |scratch: &mut BatchScratch| {
+            for batch in &batches {
+                relay_batch(&shards, 0, scratch, batch);
+            }
+        };
+
+        // Warm-up: the ring fills the buffer and turns it over, so every
+        // slot, the generation index and the scratch are at capacity.
+        for _ in 0..4 {
+            lap(&mut scratch);
+        }
+        let allocs = heap_ops_during(|| {
+            for _ in 0..2 {
+                lap(&mut scratch);
+            }
+        });
+        assert_eq!(
+            allocs,
+            0,
+            "{role:?}: {} warm generations must not touch the heap",
+            2 * RING_GENERATIONS
+        );
+
+        let stats = shards[0].engine().lock().vnf().stats();
+        assert_eq!(stats.packets_in, 6 * ring.len() as u64);
+        assert_eq!(stats.packets_out, stats.packets_in, "one output per input");
+        if role == VnfRole::Recoder {
+            // Generation 0 was evicted long ago; the newest is buffered.
+            let vnf = shards[0].engine();
+            let rank = |g| vnf.lock().vnf().generation_rank(SessionId::new(1), g);
+            assert_eq!(rank(0), None);
+            assert_eq!(rank(RING_GENERATIONS - 1), Some(G));
+        }
+    }
 }
 
 /// The sharded batch path ([`relay_batch`]) is also allocation-free at
 /// steady state, per shard, with metrics ON: one full receive batch
 /// spanning generations owned by all four shards — dispatch, per-shard
-/// recycle + recode, serialization into the egress arena, and the batch
-/// metrics record — performs zero heap operations once warm.
+/// recode into the egress arena, and the batch metrics record — performs
+/// zero heap operations once warm.
 #[test]
 fn warm_sharded_batch_does_not_allocate() {
     const SHARDS: usize = 4;
@@ -254,8 +327,8 @@ fn warm_sharded_batch_does_not_allocate() {
     let registry = Registry::new();
     let mut scratch = BatchScratch::instrumented(SHARDS, &registry);
 
-    // Warm-up: full rank everywhere, pools filled, every scratch buffer
-    // (dispatch groups, egress arena, recycle queues) at final capacity.
+    // Warm-up: full rank everywhere, every scratch buffer (dispatch
+    // groups, image lists, egress arena) at final capacity.
     for _ in 0..8 {
         relay_batch(&shards, 0, &mut scratch, &batch);
     }
@@ -302,9 +375,10 @@ fn warm_sharded_batch_does_not_allocate() {
 
 /// The windowed relay path is heap-free at steady state too: a warm
 /// batch of sliding-window datagrams (wire kind 2) — dispatch by
-/// session, recycle the previous emissions, absorb into the session's
-/// [`WindowRecoder`], recode, serialize — performs zero heap operations
-/// once the recoder is saturated and every scratch buffer has settled.
+/// session, absorb into the session's [`WindowRecoder`], recode into a
+/// pooled packet, serialize it and hand its buffers straight back to the
+/// pool — performs zero heap operations once the recoder is saturated
+/// and every scratch buffer has settled.
 #[test]
 fn warm_windowed_batch_does_not_allocate() {
     const CAPACITY: usize = 8;
@@ -391,7 +465,7 @@ fn warm_windowed_batch_does_not_allocate() {
 /// The admission gate on the non-shedding path is heap-free too: with
 /// the overload regime armed by a provisioned quota (generous enough
 /// that every datagram is admitted), a warm batch — peek, token-bucket
-/// take, pressure check, then the usual recycle/recode/serialize — must
+/// take, pressure check, then the usual code into the egress arena — must
 /// still perform zero heap operations.
 #[test]
 fn warm_batch_with_admission_gate_does_not_allocate() {

@@ -44,8 +44,9 @@
 //!
 //! Both data kinds are one [`CodedPacket`] / [`PacketView`] carrying a
 //! [`WireKind`]; [`PacketView::parse`] is the single place that tells
-//! kind 1 from kind 2, [`CodedPacket::write_into`] the single serializer
-//! and [`PacketView::shard_key`] the single dispatch peek. [`wire_kind`]
+//! kind 1 from kind 2, [`PacketView::write_into`] the single serializer
+//! (an owned packet serializes through its view) and
+//! [`PacketView::shard_key`] the single dispatch peek. [`wire_kind`]
 //! lets dispatchers pick the ack frames (kind 3) out first. Unknown kind
 //! bytes parse as legacy, so pre-window peers interoperate unchanged.
 
@@ -253,26 +254,11 @@ impl CodedPacket {
         Bytes::from(out)
     }
 
-    /// Appends the wire form to `out` (the relay hot path: with a reused
-    /// `out` of settled capacity, serialization performs no allocation,
-    /// unlike [`to_bytes`](Self::to_bytes) which builds a fresh buffer).
+    /// Appends the wire form to `out` (with a reused `out` of settled
+    /// capacity, serialization performs no allocation, unlike
+    /// [`to_bytes`](Self::to_bytes) which builds a fresh buffer).
     pub fn write_into(&self, out: &mut Vec<u8>) {
-        out.push(NC_MAGIC);
-        match self.kind {
-            WireKind::Window => {
-                out.push(NC_KIND_WINDOW);
-                out.extend_from_slice(&self.session.value().to_be_bytes());
-                out.extend_from_slice(&self.index.to_be_bytes());
-                out.push(self.coefficients.len() as u8);
-            }
-            _ => {
-                out.push(NC_VERSION);
-                out.extend_from_slice(&self.session.value().to_be_bytes());
-                out.extend_from_slice(&(self.index as u32).to_be_bytes());
-            }
-        }
-        out.extend_from_slice(&self.coefficients);
-        out.extend_from_slice(&self.payload);
+        self.view().write_into(out);
     }
 
     /// Parses a wire buffer produced by [`CodedPacket::to_bytes`] into
@@ -420,6 +406,21 @@ impl<'a> PacketView<'a> {
         self.payload
     }
 
+    /// Appends the viewed packet's wire form to `out`: the bytes
+    /// [`CodedPacket::write_into`] writes for an owned copy, without
+    /// making one. This is how a relay forwards a packet verbatim.
+    pub fn write_into(&self, out: &mut Vec<u8>) {
+        write_prefix(
+            out,
+            self.kind,
+            self.session,
+            self.index,
+            self.coefficients.len(),
+        );
+        out.extend_from_slice(self.coefficients);
+        out.extend_from_slice(self.payload);
+    }
+
     /// Copies the view into an owned packet backed by recycled buffers
     /// from `pool` (recycle it back once sent).
     pub fn to_owned_pooled(&self, pool: &mut PayloadPool) -> CodedPacket {
@@ -429,6 +430,31 @@ impl<'a> PacketView<'a> {
             index: self.index,
             coefficients: pool.checkout_copy(self.coefficients).freeze(),
             payload: pool.checkout_copy(self.payload).freeze(),
+        }
+    }
+}
+
+/// Appends a data packet's fixed prefix, everything before its `width`
+/// coefficients: the one place that writes either layout's header.
+pub(crate) fn write_prefix(
+    out: &mut Vec<u8>,
+    kind: WireKind,
+    session: SessionId,
+    index: u64,
+    width: usize,
+) {
+    out.push(NC_MAGIC);
+    match kind {
+        WireKind::Window => {
+            out.push(NC_KIND_WINDOW);
+            out.extend_from_slice(&session.value().to_be_bytes());
+            out.extend_from_slice(&index.to_be_bytes());
+            out.push(width as u8);
+        }
+        _ => {
+            out.push(NC_VERSION);
+            out.extend_from_slice(&session.value().to_be_bytes());
+            out.extend_from_slice(&(index as u32).to_be_bytes());
         }
     }
 }

@@ -52,7 +52,6 @@ mod pool;
 mod rank;
 mod recoder;
 mod redundancy;
-pub mod seeded;
 pub mod window;
 
 pub use config::{CodingMode, GenerationConfig};

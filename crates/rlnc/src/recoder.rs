@@ -6,7 +6,7 @@ use ncvnf_gf256::bulk;
 
 use crate::config::{CodingMode, GenerationConfig};
 use crate::error::CodecError;
-use crate::header::{CodedPacket, SessionId};
+use crate::header::{write_prefix, CodedPacket, SessionId, WireKind};
 use crate::pool::PayloadPool;
 use crate::rank::RankTracker;
 
@@ -18,16 +18,22 @@ use crate::rank::RankTracker;
 /// packet is simply forwarded; otherwise a fresh random linear combination
 /// of everything buffered so far is emitted. Recoding never needs to decode,
 /// which is the defining property of RLNC relays.
+///
+/// Its storage grows with the rows it buffers and is kept by
+/// [`reset`](Self::reset), so a relay that re-targets recoders at new
+/// generations allocates nothing per generation once each recoder has
+/// held a full one.
 #[derive(Debug, Clone)]
 pub struct Recoder {
     config: GenerationConfig,
     session: SessionId,
     generation: u64,
-    /// Buffered (coefficient, payload) rows, exactly as received. Only
-    /// linearly independent rows are retained to bound memory and maximize
-    /// the innovation of outputs.
-    coeff_rows: Vec<Vec<u8>>,
-    payloads: Vec<Vec<u8>>,
+    /// Buffered rows back to back, each one packet's wire body exactly as
+    /// received: `g` coefficients, then the payload. Only linearly
+    /// independent rows are retained to bound memory and maximize the
+    /// innovation of outputs. One combination of whole rows is an output
+    /// packet's wire body.
+    rows: Vec<u8>,
     /// Decides innovation from the coefficient vectors alone: a relay needs
     /// the span of what it buffered, never a reduced form of it, so
     /// absorbing a packet costs no payload arithmetic.
@@ -41,17 +47,33 @@ pub struct Recoder {
 impl Recoder {
     /// Creates an empty recoder for `(session, generation)`.
     pub fn new(config: GenerationConfig, session: SessionId, generation: u64) -> Self {
+        let g = config.blocks_per_generation();
         Recoder {
             config,
             session,
             generation,
-            coeff_rows: Vec::with_capacity(config.blocks_per_generation()),
-            payloads: Vec::with_capacity(config.blocks_per_generation()),
-            span: RankTracker::new(config.blocks_per_generation()),
-            weights_scratch: Vec::with_capacity(config.blocks_per_generation()),
+            rows: Vec::new(),
+            span: RankTracker::new(g),
+            weights_scratch: Vec::with_capacity(g),
             packets_in: 0,
             packets_out: 0,
         }
+    }
+
+    /// Empties the recoder and points it at `(session, generation)`,
+    /// keeping its storage.
+    pub fn reset(&mut self, session: SessionId, generation: u64) {
+        self.session = session;
+        self.generation = generation;
+        self.rows.clear();
+        self.span.reset();
+        self.packets_in = 0;
+        self.packets_out = 0;
+    }
+
+    /// Bytes of one buffered row: a packet's wire body.
+    fn row_len(&self) -> usize {
+        self.config.blocks_per_generation() + self.config.block_size()
     }
 
     /// The session this recoder serves.
@@ -66,7 +88,7 @@ impl Recoder {
 
     /// Number of linearly independent packets buffered.
     pub fn rank(&self) -> usize {
-        self.coeff_rows.len()
+        self.span.rank()
     }
 
     /// Packets absorbed so far.
@@ -104,8 +126,8 @@ impl Recoder {
         if !self.span.absorb(coefficients) {
             return Ok(false);
         }
-        self.coeff_rows.push(coefficients.to_vec());
-        self.payloads.push(payload.to_vec());
+        self.rows.extend_from_slice(coefficients);
+        self.rows.extend_from_slice(payload);
         Ok(true)
     }
 
@@ -145,18 +167,52 @@ impl Recoder {
         rng: &mut R,
         pool: &mut PayloadPool,
     ) -> Result<CodedPacket, CodecError> {
-        if self.coeff_rows.is_empty() {
+        self.draw_weights(rng)?;
+        Ok(self.emit(pool))
+    }
+
+    /// [`recode_into`](Self::recode_into) written straight into `out`: the
+    /// 8-byte header, then one fused row-kernel pass over the buffered
+    /// wire bodies. The bytes are those of the packet `recode_into` would
+    /// return for the same `rng` state, serialized; with a reused `out` of
+    /// settled capacity nothing is allocated.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError::EmptyRecoder`] (and writes nothing) if
+    /// nothing has been buffered.
+    pub fn recode_wire_into<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodecError> {
+        self.draw_weights(rng)?;
+        let g = self.config.blocks_per_generation();
+        write_prefix(out, WireKind::Generation, self.session, self.generation, g);
+        let start = out.len();
+        out.resize(start + self.row_len(), 0);
+        let rows = self.rows.chunks_exact(self.row_len());
+        bulk::mul_add_rows(
+            &mut out[start..],
+            self.weights_scratch.iter().copied().zip(rows),
+        );
+        self.packets_out += 1;
+        Ok(())
+    }
+
+    /// Draws dense local mixing weights into the scratch, one per buffered
+    /// row, at least one of them nonzero.
+    fn draw_weights<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Result<(), CodecError> {
+        if self.rank() == 0 {
             return Err(CodecError::EmptyRecoder);
         }
-        // Draw local mixing weights; make sure at least one is nonzero.
-        self.weights_scratch.resize(self.coeff_rows.len(), 0);
+        self.weights_scratch.resize(self.rank(), 0);
         loop {
             rng.fill(&mut self.weights_scratch[..]);
             if self.weights_scratch.iter().any(|&w| w != 0) {
-                break;
+                return Ok(());
             }
         }
-        Ok(self.emit(pool))
     }
 
     /// Sparse recombination: mixes only `width` randomly chosen buffered
@@ -178,10 +234,10 @@ impl Recoder {
         rng: &mut R,
         pool: &mut PayloadPool,
     ) -> Result<CodedPacket, CodecError> {
-        if self.coeff_rows.is_empty() {
+        let n = self.rank();
+        if n == 0 {
             return Err(CodecError::EmptyRecoder);
         }
-        let n = self.coeff_rows.len();
         let d = width.clamp(1, n);
         // Floyd's sampling: d distinct row indices, weights recorded in
         // the scratch so duplicates are detectable.
@@ -199,11 +255,16 @@ impl Recoder {
     /// alike) with the weights in the scratch; rows with weight zero cost
     /// nothing.
     fn emit(&mut self, pool: &mut PayloadPool) -> CodedPacket {
-        let mut coefficients = pool.checkout_zeroed(self.config.blocks_per_generation());
+        let g = self.config.blocks_per_generation();
+        let mut coefficients = pool.checkout_zeroed(g);
         let mut payload = pool.checkout_zeroed(self.config.block_size());
         let weights = self.weights_scratch.iter().copied();
-        bulk::mul_add_rows(&mut coefficients, weights.clone().zip(&self.coeff_rows));
-        bulk::mul_add_rows(&mut payload, weights.zip(&self.payloads));
+        let rows = self.rows.chunks_exact(self.row_len());
+        bulk::mul_add_rows(
+            &mut coefficients,
+            weights.clone().zip(rows.clone().map(|r| &r[..g])),
+        );
+        bulk::mul_add_rows(&mut payload, weights.zip(rows.map(|r| &r[g..])));
         self.packets_out += 1;
         CodedPacket::new(
             self.session,
@@ -359,6 +420,51 @@ mod tests {
             rec.recode_into(&mut rng, &mut pool).unwrap_err(),
             CodecError::EmptyRecoder
         );
+    }
+
+    #[test]
+    fn wire_recode_is_the_serialized_pooled_recode() {
+        let data: Vec<u8> = (0..96).map(|i| (i * 3 + 7) as u8).collect();
+        let enc = GenerationEncoder::new(cfg(), &data).unwrap();
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut pooled = Recoder::new(cfg(), SessionId::new(3), 9);
+        let mut wired = Recoder::new(cfg(), SessionId::new(3), 9);
+        let mut wire = Vec::new();
+        assert_eq!(
+            wired.recode_wire_into(&mut rng, &mut wire),
+            Err(CodecError::EmptyRecoder)
+        );
+        assert!(wire.is_empty(), "an empty recoder writes nothing");
+        let (mut a, mut b) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+        let mut pool = PayloadPool::new();
+        for _ in 0..6 {
+            let pkt = enc.coded_packet(SessionId::new(3), 9, &mut rng);
+            pooled.absorb(pkt.coefficients(), pkt.payload()).unwrap();
+            wired.absorb(pkt.coefficients(), pkt.payload()).unwrap();
+            wire.clear();
+            wired.recode_wire_into(&mut b, &mut wire).unwrap();
+            let expected = pooled.recode_into(&mut a, &mut pool).unwrap();
+            assert_eq!(wire, expected.to_bytes().to_vec());
+        }
+        assert_eq!(wired.packets_out(), pooled.packets_out());
+    }
+
+    #[test]
+    fn reset_keeps_storage_and_retargets() {
+        let enc = GenerationEncoder::new(cfg(), &[6u8; 96]).unwrap();
+        let mut rng = StdRng::seed_from_u64(43);
+        let mut rec = Recoder::new(cfg(), SessionId::new(1), 0);
+        while rec.rank() < 4 {
+            let pkt = enc.coded_packet(SessionId::new(1), 0, &mut rng);
+            rec.absorb(pkt.coefficients(), pkt.payload()).unwrap();
+        }
+        let storage = rec.rows.as_ptr();
+        rec.reset(SessionId::new(2), 5);
+        assert_eq!((rec.session(), rec.generation()), (SessionId::new(2), 5));
+        assert_eq!((rec.rank(), rec.packets_in(), rec.packets_out()), (0, 0, 0));
+        let pkt = enc.coded_packet(SessionId::new(2), 5, &mut rng);
+        assert_eq!(rec.process(&pkt, &mut rng).unwrap(), pkt, "first again");
+        assert_eq!(rec.rows.as_ptr(), storage, "the row buffer was kept");
     }
 
     #[test]

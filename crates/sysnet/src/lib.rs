@@ -34,10 +34,12 @@
 //!   the receive queue that never blocks and never touches the socket's
 //!   mode or read timeout.
 //!
-//! On non-Linux targets the batched entry points return
-//! [`io::ErrorKind::Unsupported`]; callers (the `ncvnf-relay` socket
-//! layer) fall back to portable one-datagram-per-syscall loops, so the
-//! workspace builds and behaves identically — just slower — elsewhere.
+//! The syscall bindings are written for the generic 64-bit Linux ABI and
+//! built only on Linux x86_64 and aarch64. On every other target the
+//! batched entry points return [`io::ErrorKind::Unsupported`]; callers
+//! (the `ncvnf-relay` socket layer) fall back to portable
+//! one-datagram-per-syscall loops, so the workspace builds and behaves
+//! identically — just slower — elsewhere.
 //! [`enable_gro`] answers `false` there; [`recv_nowait`] works everywhere
 //! (toggling `O_NONBLOCK` around a plain receive where it must).
 //!
@@ -119,7 +121,7 @@ impl RecvMeta {
 ///
 /// Propagates socket errors; read-timeout expiry surfaces as
 /// `WouldBlock`/`TimedOut` exactly like `UdpSocket::recv_from`. On
-/// non-Linux targets returns `Unsupported`.
+/// other targets returns `Unsupported`.
 pub fn recv_batch(
     sock: &UdpSocket,
     area: &mut [u8],
@@ -187,7 +189,7 @@ impl ops::DerefMut for Area {
 ///
 /// # Errors
 ///
-/// On non-Linux targets returns `Unsupported`; Linux per-datagram
+/// On other targets returns `Unsupported`; Linux per-datagram
 /// failures are tolerated as described above rather than raised.
 ///
 /// # Panics
@@ -222,8 +224,8 @@ pub fn egress_counts() -> (u64, u64) {
 ///
 /// # Errors
 ///
-/// Propagates `socket`/`setsockopt`/`bind` failures. On non-Linux
-/// targets returns `Unsupported`; callers fall back to one socket (or
+/// Propagates `socket`/`setsockopt`/`bind` failures. On targets without
+/// the batched syscalls returns `Unsupported`; callers fall back to one socket (or
 /// one port per shard).
 pub fn bind_reuseport(addr: SocketAddr) -> io::Result<UdpSocket> {
     imp::bind_reuseport(addr)
@@ -241,14 +243,23 @@ pub fn recv_nowait(sock: &UdpSocket, buf: &mut [u8]) -> io::Result<(usize, Socke
     imp::recv_nowait(sock, buf)
 }
 
-/// Whether this build has real batched syscalls (Linux) or the
-/// `Unsupported` stubs.
+/// Whether this build has real batched syscalls (Linux on x86_64 or
+/// aarch64) or the `Unsupported` stubs.
 #[must_use]
 pub fn batched_syscalls_available() -> bool {
-    cfg!(target_os = "linux")
+    cfg!(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))
 }
 
-#[cfg(target_os = "linux")]
+// The declarations below use the generic 64-bit Linux ABI (constants,
+// `msghdr`/`iovec` layouts, `off_t`); every other target, Linux on
+// another architecture included, takes the portable fallback.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
 mod imp {
     use super::{Area, RecvMeta, EGRESS_COALESCED, EGRESS_REFUSED, MAX_BATCH};
     use std::io;
@@ -742,7 +753,10 @@ mod imp {
     }
 }
 
-#[cfg(not(target_os = "linux"))]
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
 mod imp {
     use std::io;
     use std::net::{SocketAddr, UdpSocket};
@@ -805,7 +819,10 @@ mod imp {
 }
 
 #[cfg(test)]
-#[cfg(target_os = "linux")]
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
 mod tests {
     use super::*;
     use std::os::fd::AsRawFd;
