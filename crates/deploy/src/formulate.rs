@@ -4,10 +4,10 @@ use std::collections::{BTreeMap, HashMap};
 
 use ncvnf_flowgraph::paths::{feasible_paths, PathLimits};
 use ncvnf_flowgraph::shortest::PathRoute;
-use ncvnf_flowgraph::{EdgeId, NodeId};
-use ncvnf_simplex::{LinearProgram, Relation, VarId};
+use ncvnf_flowgraph::{EdgeId, EdgeRef, NodeId};
+use ncvnf_simplex::{ConstraintId, LinearProgram, Relation, VarId};
 
-use crate::model::{SessionSpec, Topology};
+use crate::model::{SessionSpec, Topology, VnfSpec};
 use crate::solve::SolveMode;
 
 /// Cap on VNFs per data center (keeps branch-and-bound and rounding
@@ -71,6 +71,20 @@ pub struct ProgramVars {
     pub x: BTreeMap<NodeId, VarId>,
 }
 
+/// The rows of a built program that carry one data center's per-VNF
+/// capabilities as the coefficient of its `x_v`. A row is absent when no
+/// session edge enters (`bin`, `coding`) or leaves (`bout`) the data
+/// center.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CapacityRows {
+    /// (2c), coefficient `−B_in(v)`.
+    pub bin: Option<ConstraintId>,
+    /// (2e), coefficient `−C(v)`.
+    pub coding: Option<ConstraintId>,
+    /// (2d), coefficient `−B_out(v)`.
+    pub bout: Option<ConstraintId>,
+}
+
 /// A fully built instance of program (2).
 #[derive(Debug)]
 pub struct Program {
@@ -78,6 +92,50 @@ pub struct Program {
     pub lp: LinearProgram,
     /// Variable handles.
     pub vars: ProgramVars,
+    /// Capacity rows per data center.
+    pub capacity: BTreeMap<NodeId, CapacityRows>,
+    /// Under [`SolveMode::FixedDeployment`], the `x_v = count` row per
+    /// data center; empty in the other modes.
+    pub pinned: BTreeMap<NodeId, ConstraintId>,
+}
+
+impl Program {
+    /// Rewrites data center `dc`'s capability coefficients to `spec`'s,
+    /// exactly the values a fresh build over a topology holding `spec`
+    /// writes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dc` is not a data center of the built topology.
+    pub fn set_vnf_spec(&mut self, dc: NodeId, spec: &VnfSpec) {
+        let x = self.vars.x[&dc];
+        let rows = self.capacity[&dc];
+        for (row, bps) in [
+            (rows.bin, spec.bin_bps),
+            (rows.coding, spec.coding_bps),
+            (rows.bout, spec.bout_bps),
+        ] {
+            if let Some(row) = row {
+                self.lp.set_coefficient(row, x, capacity_coeff(bps));
+            }
+        }
+    }
+
+    /// Rewrites the pinned VNF count of `dc` (a program built under
+    /// [`SolveMode::FixedDeployment`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program pins no count for `dc`.
+    pub fn set_pinned(&mut self, dc: NodeId, count: u64) {
+        self.lp.set_rhs(self.pinned[&dc], count as f64);
+    }
+}
+
+/// The coefficient of `x_v` in a capacity row: one VNF's `bps`, moved to
+/// the left-hand side.
+fn capacity_coeff(bps: f64) -> f64 {
+    -bps * RATE_SCALE
 }
 
 /// Residual capacity already available at a data center without deploying
@@ -126,23 +184,20 @@ pub fn build_program_with_slack(
     let dcs = topo.data_centers();
 
     // --- Variables ---
-    let lambda: Vec<VarId> = sessions
-        .iter()
-        .map(|s| lp.add_var(format!("lambda_{}", s.id), 1.0))
-        .collect();
+    let lambda: Vec<VarId> = sessions.iter().map(|_| lp.add_var("lambda", 1.0)).collect();
     let mut path_flow = Vec::with_capacity(sessions.len());
     let mut edge_flow: Vec<BTreeMap<EdgeId, VarId>> = Vec::with_capacity(sessions.len());
-    for (m, sp) in paths.iter().enumerate() {
+    for sp in paths {
         let mut per_k = Vec::with_capacity(sp.per_receiver.len());
         let mut edges: BTreeMap<EdgeId, VarId> = BTreeMap::new();
-        for (k, routes) in sp.per_receiver.iter().enumerate() {
+        for routes in &sp.per_receiver {
             let mut per_p = Vec::with_capacity(routes.len());
-            for (p, route) in routes.iter().enumerate() {
-                per_p.push(lp.add_var(format!("f_m{m}_k{k}_p{p}"), 0.0));
+            for route in routes {
+                per_p.push(lp.add_var("path_flow", 0.0));
                 for &e in &route.edges {
                     edges
                         .entry(e)
-                        .or_insert_with(|| lp.add_var(format!("f_m{m}_{e}"), 0.0));
+                        .or_insert_with(|| lp.add_var("edge_flow", 0.0));
                 }
             }
             per_k.push(per_p);
@@ -157,18 +212,19 @@ pub fn build_program_with_slack(
         SolveMode::MinimizeVnfs { .. } => 0.0,
     };
     for &v in &dcs {
-        let var = lp.add_var(format!("x_{}", topo.label(v)), -alpha);
+        let var = lp.add_var("x", -alpha);
         lp.set_upper_bound(var, MAX_VNFS_PER_DC as f64);
         x.insert(v, var);
     }
 
     // Mode-specific objective/constraints on λ and x.
+    let mut pinned = BTreeMap::new();
     match mode {
         SolveMode::Joint { .. } => {}
         SolveMode::FixedDeployment { x: fixed } => {
             for (&v, &var) in &x {
                 let val = *fixed.get(&v).unwrap_or(&0) as f64;
-                lp.add_constraint(&[(var, 1.0)], Relation::Eq, val);
+                pinned.insert(v, lp.add_constraint(&[(var, 1.0)], Relation::Eq, val));
             }
         }
         SolveMode::MinimizeVnfs { rates } => {
@@ -193,78 +249,68 @@ pub fn build_program_with_slack(
         }
     }
 
+    // One term buffer serves every constraint below.
+    let mut terms: Vec<(VarId, f64)> = Vec::new();
+
     // --- (2a): λ_m ≤ Σ_p f^k_m(p) for every receiver k ---
-    for (m, sp) in paths.iter().enumerate() {
-        for (k, routes) in sp.per_receiver.iter().enumerate() {
-            let mut terms: Vec<(VarId, f64)> = vec![(lambda[m], 1.0)];
-            for &var in path_flow[m][k].iter().take(routes.len()) {
-                terms.push((var, -1.0));
-            }
+    for (m, per_k) in path_flow.iter().enumerate() {
+        for per_p in per_k {
+            terms.clear();
+            terms.push((lambda[m], 1.0));
+            terms.extend(per_p.iter().map(|&var| (var, -1.0)));
             lp.add_constraint(&terms, Relation::Le, 0.0);
         }
     }
 
     // --- (2b): Σ_{p ∋ e} f^k_m(p) ≤ f_m(e) ---
+    // One row per edge that some path of receiver k uses, in edge order.
     for (m, sp) in paths.iter().enumerate() {
         for (k, routes) in sp.per_receiver.iter().enumerate() {
-            // Group path terms by edge.
-            let mut by_edge: BTreeMap<EdgeId, Vec<VarId>> = BTreeMap::new();
-            for (p, route) in routes.iter().enumerate() {
-                for &e in &route.edges {
-                    by_edge.entry(e).or_default().push(path_flow[m][k][p]);
+            for (&e, &edge_var) in &edge_flow[m] {
+                terms.clear();
+                for (p, route) in routes.iter().enumerate() {
+                    for _ in route.edges.iter().filter(|&&pe| pe == e) {
+                        terms.push((path_flow[m][k][p], 1.0));
+                    }
                 }
-            }
-            for (e, vars) in by_edge {
-                let mut terms: Vec<(VarId, f64)> = vars.into_iter().map(|v| (v, 1.0)).collect();
-                terms.push((edge_flow[m][&e], -1.0));
-                lp.add_constraint(&terms, Relation::Le, 0.0);
+                if !terms.is_empty() {
+                    terms.push((edge_var, -1.0));
+                    lp.add_constraint(&terms, Relation::Le, 0.0);
+                }
             }
         }
     }
 
     // --- (2c), (2d), (2e): per-DC caps scaled by x_v ---
+    let mut capacity = BTreeMap::new();
     for &v in &dcs {
         let spec = topo.vnf_spec(v);
-        let mut in_terms: Vec<(VarId, f64)> = Vec::new();
-        let mut out_terms: Vec<(VarId, f64)> = Vec::new();
-        for ef in &edge_flow {
-            for (&e, &var) in ef {
-                let edge = topo.graph.edge(e);
-                if edge.to == v {
-                    in_terms.push((var, 1.0));
-                }
-                if edge.from == v {
-                    out_terms.push((var, 1.0));
-                }
-            }
-        }
         let s = slack.get(&v).copied().unwrap_or_default();
-        if !in_terms.is_empty() {
+        let mut rows = CapacityRows::default();
+        edge_terms(topo, &edge_flow, |edge| edge.to == v, &mut terms);
+        if !terms.is_empty() {
             // (2c): Σ f_m(e into v) ≤ B_in(v)·x_v + slack_in
-            let mut terms = in_terms.clone();
-            terms.push((x[&v], -spec.bin_bps * RATE_SCALE));
-            lp.add_constraint(&terms, Relation::Le, s.in_bps * RATE_SCALE);
+            terms.push((x[&v], capacity_coeff(spec.bin_bps)));
+            rows.bin = Some(lp.add_constraint(&terms, Relation::Le, s.in_bps * RATE_SCALE));
             // (2e): Σ f_m(e into v) ≤ C(v)·x_v + slack_coding
-            let mut terms = in_terms;
-            terms.push((x[&v], -spec.coding_bps * RATE_SCALE));
-            lp.add_constraint(&terms, Relation::Le, s.coding_bps * RATE_SCALE);
+            terms.pop();
+            terms.push((x[&v], capacity_coeff(spec.coding_bps)));
+            rows.coding = Some(lp.add_constraint(&terms, Relation::Le, s.coding_bps * RATE_SCALE));
         }
-        if !out_terms.is_empty() {
+        edge_terms(topo, &edge_flow, |edge| edge.from == v, &mut terms);
+        if !terms.is_empty() {
             // (2d): Σ f_m(e out of v) ≤ B_out(v)·x_v + slack_out
-            let mut terms = out_terms;
-            terms.push((x[&v], -spec.bout_bps * RATE_SCALE));
-            lp.add_constraint(&terms, Relation::Le, s.out_bps * RATE_SCALE);
+            terms.push((x[&v], capacity_coeff(spec.bout_bps)));
+            rows.bout = Some(lp.add_constraint(&terms, Relation::Le, s.out_bps * RATE_SCALE));
         }
+        capacity.insert(v, rows);
     }
 
     // --- (2c'): receiver inbound caps, per session+receiver ---
     for (m, s) in sessions.iter().enumerate() {
+        let session_edges = std::slice::from_ref(&edge_flow[m]);
         for &d in &s.receivers {
-            let terms: Vec<(VarId, f64)> = edge_flow[m]
-                .iter()
-                .filter(|(&e, _)| topo.graph.edge(e).to == d)
-                .map(|(_, &var)| (var, 1.0))
-                .collect();
+            edge_terms(topo, session_edges, |edge| edge.to == d, &mut terms);
             if !terms.is_empty() {
                 lp.add_constraint(&terms, Relation::Le, topo.receiver_in_bps(d) * RATE_SCALE);
             }
@@ -273,11 +319,13 @@ pub fn build_program_with_slack(
 
     // --- (2d'): source outbound caps ---
     for (m, s) in sessions.iter().enumerate() {
-        let terms: Vec<(VarId, f64)> = edge_flow[m]
-            .iter()
-            .filter(|(&e, _)| topo.graph.edge(e).from == s.source)
-            .map(|(_, &var)| (var, 1.0))
-            .collect();
+        let session_edges = std::slice::from_ref(&edge_flow[m]);
+        edge_terms(
+            topo,
+            session_edges,
+            |edge| edge.from == s.source,
+            &mut terms,
+        );
         if !terms.is_empty() {
             lp.add_constraint(
                 &terms,
@@ -295,13 +343,33 @@ pub fn build_program_with_slack(
             edge_flow,
             x,
         },
+        capacity,
+        pinned,
+    }
+}
+
+/// Refills `terms` with `(f_m(e), 1)` for every edge variable in
+/// `edge_flow` whose edge passes `keep`, in session then edge order.
+fn edge_terms(
+    topo: &Topology,
+    edge_flow: &[BTreeMap<EdgeId, VarId>],
+    keep: impl Fn(&EdgeRef) -> bool,
+    terms: &mut Vec<(VarId, f64)>,
+) {
+    terms.clear();
+    for ef in edge_flow {
+        for (&e, &var) in ef {
+            if keep(&topo.graph.edge(e)) {
+                terms.push((var, 1.0));
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{TopologyBuilder, VnfSpec};
+    use crate::model::TopologyBuilder;
     use ncvnf_rlnc::SessionId;
 
     fn tiny() -> (Topology, SessionSpec) {
@@ -370,5 +438,34 @@ mod tests {
         assert!((sol.value(prog.vars.lambda[0]) / RATE_SCALE - 50.0).abs() < 1e-3);
         let dc = topo.data_centers()[0];
         assert!(sol.value(prog.vars.x[&dc]) >= 0.5 - 1e-6); // 50/100 of a VNF
+    }
+
+    #[test]
+    fn rewritten_program_matches_a_fresh_build() {
+        let (mut topo, spec) = tiny();
+        let paths = enumerate_session_paths(&topo, &spec, 5, 16);
+        let dc = topo.data_centers()[0];
+        let pin = |n| SolveMode::FixedDeployment {
+            x: HashMap::from([(dc, n)]),
+        };
+        let sessions = std::slice::from_ref(&spec);
+        let mut kept = build_program(&topo, sessions, std::slice::from_ref(&paths), &pin(0));
+        let rows = kept.capacity[&dc];
+        assert!(rows.bin.is_some() && rows.coding.is_some() && rows.bout.is_some());
+        let cut = VnfSpec {
+            bin_bps: 50.0,
+            bout_bps: 40.0,
+            coding_bps: 30.0,
+        };
+        kept.set_vnf_spec(dc, &cut);
+        kept.set_pinned(dc, 2);
+        topo.kinds[dc.0] = crate::model::NodeKind::DataCenter { vnf: cut };
+        let fresh = build_program(&topo, sessions, &[paths], &pin(2));
+        let (a, b) = (kept.lp.solve().unwrap(), fresh.lp.solve().unwrap());
+        let bits = |s: &ncvnf_simplex::Solution| -> Vec<u64> {
+            s.values().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&a), bits(&b));
+        assert_eq!(a.value(kept.vars.x[&dc]), 2.0);
     }
 }

@@ -31,4 +31,4 @@ pub mod solve;
 pub use model::{NodeKind, SessionSpec, Topology, TopologyBuilder, VnfSpec};
 pub use pool::{PoolState, VnfPool};
 pub use scaling::{ScalingController, ScalingEvent, ScalingParams};
-pub use solve::{Deployment, PlanError, Planner, SolveMode};
+pub use solve::{Deployment, KeptProgram, PlanError, Planner, SolveMode};

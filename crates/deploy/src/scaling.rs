@@ -18,14 +18,14 @@
 //! * VNF lifecycle is delegated to per-DC [`VnfPool`]s: scale-out may
 //!   reuse τ-lingering instances, scale-in lingers instances for τ.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use ncvnf_flowgraph::NodeId;
 
 use crate::formulate::{build_program_with_slack, DcSlack, RATE_SCALE};
-use crate::model::{SessionSpec, Topology, VnfSpec};
+use crate::model::{NodeKind, SessionSpec, Topology, VnfSpec};
 use crate::pool::VnfPool;
-use crate::solve::{Deployment, PlanError, Planner, SolveMode};
+use crate::solve::{Deployment, KeptProgram, PlanError, Planner, SolveMode};
 
 /// Hysteresis and cost parameters.
 #[derive(Debug, Clone, Copy)]
@@ -121,8 +121,15 @@ pub struct ScalingController {
     params: ScalingParams,
     pools: HashMap<NodeId, VnfPool>,
     deployment: Option<Deployment>,
-    pending_bw: HashMap<NodeId, Pending<VnfSpec>>,
-    pending_delay: HashMap<(usize, usize), Pending<f64>>,
+    /// Program (2) over the current paths and sessions, kept for Alg. 1's
+    /// re-solves. `None` once the paths or sessions change; the next
+    /// re-solve builds it again.
+    kept: Option<KeptProgram>,
+    /// Pending changes, keyed so that those falling due in one tick apply
+    /// in key order: the order decides which intermediate plan is
+    /// adopted and what `history` and the pools record.
+    pending_bw: BTreeMap<NodeId, Pending<VnfSpec>>,
+    pending_delay: BTreeMap<(usize, usize), Pending<f64>>,
     history: Vec<Snapshot>,
 }
 
@@ -161,8 +168,9 @@ impl ScalingController {
             params,
             pools,
             deployment: None,
-            pending_bw: HashMap::new(),
-            pending_delay: HashMap::new(),
+            kept: None,
+            pending_bw: BTreeMap::new(),
+            pending_delay: BTreeMap::new(),
             history: Vec::new(),
         }
     }
@@ -221,15 +229,16 @@ impl ScalingController {
         self.record(now);
     }
 
-    /// Computes (or recomputes) the full plan and applies it.
+    /// Computes (or recomputes) the full plan and applies it; the
+    /// programs it builds are kept for Alg. 1's re-solves.
     ///
     /// # Errors
     ///
     /// Propagates planning failures; the previous deployment is kept.
     pub fn replan(&mut self, now: f64) -> Result<(), PlanError> {
-        let dep = self
-            .planner
-            .plan(&self.topo, &self.sessions, self.params.alpha)?;
+        self.kept = None;
+        let kept = KeptProgram::new(&self.planner, &self.topo, &self.sessions, self.params.alpha)?;
+        let dep = self.kept.insert(kept).plan()?;
         self.apply_deployment(dep, now);
         Ok(())
     }
@@ -364,12 +373,20 @@ impl ScalingController {
     ) -> Result<(), PlanError> {
         let old = self.topo.vnf_spec(dc);
         let decreased = spec.bin_bps < old.bin_bps || spec.bout_bps < old.bout_bps;
-        if let crate::model::NodeKind::DataCenter { vnf } = &mut self.topo.kinds[dc.0] {
+        if let NodeKind::DataCenter { vnf } = &mut self.topo.kinds[dc.0] {
             *vnf = spec;
         }
-        let candidate = self
-            .planner
-            .plan(&self.topo, &self.sessions, self.params.alpha)?;
+        // Only capabilities moved: the kept programs take the new
+        // coefficients instead of paths being enumerated and programs
+        // built again.
+        let kept = match self.kept.take() {
+            Some(mut kept) => {
+                kept.set_vnf_spec(dc, &spec);
+                kept
+            }
+            None => KeptProgram::new(&self.planner, &self.topo, &self.sessions, self.params.alpha)?,
+        };
+        let candidate = self.kept.insert(kept).plan()?;
         let adopt = if decreased {
             // Capacity dropped: the old plan may be infeasible; adopt.
             true
@@ -487,6 +504,7 @@ impl ScalingController {
                 .collect(),
         );
         self.sessions.push(spec);
+        self.kept = None;
         self.apply_deployment(merged, now);
         Ok(())
     }
@@ -505,6 +523,7 @@ impl ScalingController {
     pub fn session_quit(&mut self, index: usize, now: f64) -> Result<(), PlanError> {
         assert!(index < self.sessions.len(), "session index out of range");
         self.sessions.remove(index);
+        self.kept = None;
         if let Some(dep) = &mut self.deployment {
             if index < dep.rates.len() {
                 dep.rates.remove(index);
@@ -532,6 +551,7 @@ impl ScalingController {
     ) -> Result<(), PlanError> {
         assert!(session_index < self.sessions.len(), "index out of range");
         self.sessions[session_index].receivers.push(receiver);
+        self.kept = None;
         self.resolve_single_session(session_index, now)
     }
 
@@ -555,7 +575,8 @@ impl ScalingController {
         let s = &mut self.sessions[session_index];
         assert!(receiver_index < s.receivers.len(), "index out of range");
         s.receivers.remove(receiver_index);
-        if s.receivers.is_empty() {
+        self.kept = None;
+        if self.sessions[session_index].receivers.is_empty() {
             return self.session_quit(session_index, now);
         }
         self.requilibrate_after_departure(now)

@@ -3,10 +3,10 @@
 use std::collections::HashMap;
 
 use ncvnf_flowgraph::{EdgeId, NodeId};
-use ncvnf_simplex::{solve_integer, SolveError};
+use ncvnf_simplex::{solve_integer, Solution, SolveError};
 
-use crate::formulate::{build_program, enumerate_session_paths, SessionPaths, RATE_SCALE};
-use crate::model::{SessionSpec, Topology};
+use crate::formulate::{build_program, enumerate_session_paths, Program, SessionPaths, RATE_SCALE};
+use crate::model::{SessionSpec, Topology, VnfSpec};
 
 /// How the planner treats the VNF-count variables.
 #[derive(Debug, Clone)]
@@ -165,8 +165,7 @@ impl Planner {
         self.plan_with_paths(topo, sessions, &paths, alpha)
     }
 
-    /// Like [`Planner::plan`] but reusing pre-enumerated paths (the
-    /// incremental re-solves of Algorithms 1–3 hit this).
+    /// Like [`Planner::plan`] but reusing pre-enumerated paths.
     ///
     /// # Errors
     ///
@@ -178,19 +177,7 @@ impl Planner {
         paths: &[SessionPaths],
         alpha: f64,
     ) -> Result<Deployment, PlanError> {
-        let prog = build_program(topo, sessions, paths, &SolveMode::Joint { alpha });
-        let relaxed = prog.lp.solve()?;
-        // Round up: a fractional VNF cannot serve fractional bandwidth, so
-        // ceiling keeps the flow solution feasible; tiny fractions (< 1e-6)
-        // round to zero.
-        let mut x: HashMap<NodeId, u64> = HashMap::new();
-        for (&v, &var) in &prog.vars.x {
-            let frac = relaxed.value(var);
-            let count = if frac < 1e-6 { 0 } else { frac.ceil() as u64 };
-            x.insert(v, count);
-        }
-        // Re-solve flows with x fixed to extract a consistent routing.
-        self.solve_fixed(topo, sessions, paths, x, alpha)
+        KeptProgram::with_paths(topo, sessions, paths, alpha).plan()
     }
 
     /// Solves the routing for a pinned deployment.
@@ -206,10 +193,13 @@ impl Planner {
         x: HashMap<NodeId, u64>,
         alpha: f64,
     ) -> Result<Deployment, PlanError> {
-        let mode = SolveMode::FixedDeployment { x: x.clone() };
+        let mode = SolveMode::FixedDeployment { x };
         let prog = build_program(topo, sessions, paths, &mode);
         let sol = prog.lp.solve()?;
-        Ok(extract(topo, &prog, &sol, x, alpha))
+        let SolveMode::FixedDeployment { x } = mode else {
+            unreachable!("built as a fixed deployment")
+        };
+        Ok(extract(&prog, &sol, x, alpha))
     }
 
     /// Scale-in helper: the fewest VNFs that still sustain `rates`.
@@ -230,12 +220,7 @@ impl Planner {
         };
         let prog = build_program(topo, sessions, paths, &mode);
         let relaxed = prog.lp.solve()?;
-        let mut x: HashMap<NodeId, u64> = HashMap::new();
-        for (&v, &var) in &prog.vars.x {
-            let frac = relaxed.value(var);
-            x.insert(v, if frac < 1e-6 { 0 } else { frac.ceil() as u64 });
-        }
-        self.solve_fixed(topo, sessions, paths, x, alpha)
+        self.solve_fixed(topo, sessions, paths, round_up(&prog, &relaxed), alpha)
     }
 
     /// Exact integer solution by branch-and-bound; small instances only.
@@ -258,17 +243,104 @@ impl Planner {
         for (&v, &var) in &prog.vars.x {
             x.insert(v, sol.value(var).round() as u64);
         }
-        Ok(extract(topo, &prog, &sol, x, alpha))
+        Ok(extract(&prog, &sol, x, alpha))
     }
 }
 
-fn extract(
-    _topo: &Topology,
-    prog: &crate::formulate::Program,
-    sol: &ncvnf_simplex::Solution,
-    x: HashMap<NodeId, u64>,
+/// Program (2) built once over one topology's paths and session set and
+/// kept for the re-solves in which only data-center capabilities change
+/// (Alg. 1): the joint program and the one that pins `x` to the rounded
+/// counts.
+///
+/// [`KeptProgram::set_vnf_spec`] rewrites coefficients in place with the
+/// expressions a fresh build uses, so [`KeptProgram::plan`] returns bit
+/// for bit what [`Planner::plan`] returns on the changed topology.
+/// Anything that changes the paths or the sessions needs a new one.
+#[derive(Debug)]
+pub struct KeptProgram {
+    joint: Program,
+    pinned: Program,
     alpha: f64,
-) -> Deployment {
+}
+
+impl KeptProgram {
+    /// Enumerates the sessions' paths on `topo` and builds both programs.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanError::UnreachableReceiver`] if a receiver has no path.
+    pub fn new(
+        planner: &Planner,
+        topo: &Topology,
+        sessions: &[SessionSpec],
+        alpha: f64,
+    ) -> Result<Self, PlanError> {
+        let paths = planner.paths(topo, sessions)?;
+        Ok(Self::with_paths(topo, sessions, &paths, alpha))
+    }
+
+    /// Builds both programs over pre-enumerated paths.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sessions` and `paths` lengths differ.
+    pub fn with_paths(
+        topo: &Topology,
+        sessions: &[SessionSpec],
+        paths: &[SessionPaths],
+        alpha: f64,
+    ) -> Self {
+        let unpinned = SolveMode::FixedDeployment { x: HashMap::new() };
+        KeptProgram {
+            joint: build_program(topo, sessions, paths, &SolveMode::Joint { alpha }),
+            pinned: build_program(topo, sessions, paths, &unpinned),
+            alpha,
+        }
+    }
+
+    /// Rewrites data center `dc`'s per-VNF capabilities in both programs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dc` is not a data center of the topology built over.
+    pub fn set_vnf_spec(&mut self, dc: NodeId, spec: &VnfSpec) {
+        self.joint.set_vnf_spec(dc, spec);
+        self.pinned.set_vnf_spec(dc, spec);
+    }
+
+    /// The production solve ("relax the integer constraint ... then
+    /// round"): solves the LP relaxation, rounds the VNF counts up, pins
+    /// them and re-solves the flows against that integer deployment.
+    ///
+    /// # Errors
+    ///
+    /// Propagates solver failures.
+    pub fn plan(&mut self) -> Result<Deployment, PlanError> {
+        let relaxed = self.joint.lp.solve()?;
+        let x = round_up(&self.joint, &relaxed);
+        for (&v, &count) in &x {
+            self.pinned.set_pinned(v, count);
+        }
+        let sol = self.pinned.lp.solve()?;
+        Ok(extract(&self.pinned, &sol, x, self.alpha))
+    }
+}
+
+/// The relaxed VNF counts rounded up: a fractional VNF cannot serve
+/// fractional bandwidth, so the ceiling keeps the flow solution feasible;
+/// tiny fractions (< 1e-6) round to zero.
+fn round_up(prog: &Program, relaxed: &Solution) -> HashMap<NodeId, u64> {
+    prog.vars
+        .x
+        .iter()
+        .map(|(&v, &var)| {
+            let frac = relaxed.value(var);
+            (v, if frac < 1e-6 { 0 } else { frac.ceil() as u64 })
+        })
+        .collect()
+}
+
+fn extract(prog: &Program, sol: &Solution, x: HashMap<NodeId, u64>, alpha: f64) -> Deployment {
     let rates = prog
         .vars
         .lambda

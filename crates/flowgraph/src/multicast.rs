@@ -172,9 +172,7 @@ pub fn tree_packing_rate(graph: &Graph, trees: &[SteinerTree]) -> Result<f64, So
         return Ok(0.0);
     }
     let mut lp = LinearProgram::new();
-    let vars: Vec<_> = (0..trees.len())
-        .map(|i| lp.add_var(format!("t{i}"), 1.0))
-        .collect();
+    let vars: Vec<_> = trees.iter().map(|_| lp.add_var("tree", 1.0)).collect();
     for e in graph.edges() {
         let terms: Vec<_> = trees
             .iter()

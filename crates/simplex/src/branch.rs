@@ -146,9 +146,8 @@ mod tests {
     fn node_limit_enforced() {
         let mut lp = LinearProgram::new();
         let mut vars = Vec::new();
-        for i in 0..8 {
-            let v = lp.add_var(format!("x{i}"), 1.0);
-            vars.push(v);
+        for _ in 0..8 {
+            vars.push(lp.add_var("x", 1.0));
         }
         let terms: Vec<_> = vars.iter().map(|&v| (v, 2.0)).collect();
         lp.add_constraint(&terms, Relation::Le, 7.0);

@@ -4,11 +4,19 @@
 //! (an integer LP) by relaxing integrality and calling a stock solver
 //! ("use standard LP solvers, e.g., glpk ... or apply certain LP solvers,
 //! e.g., cplex, to directly solve the integer linear program"). This crate
-//! is the from-scratch substitute: a dense two-phase primal simplex with a
+//! is the from-scratch substitute: a two-phase primal simplex with a
 //! Bland anti-cycling fallback, plus depth-first branch-and-bound for the
-//! integer variables. Problem sizes in this system (5–20 data centers, a
-//! handful of sessions) are tiny by LP standards, so a dense tableau is
-//! the right tool.
+//! integer variables.
+//!
+//! A [`LinearProgram`] stores every constraint term in one flat array,
+//! each row a span of it, and variable names as static kinds, so a model
+//! costs a handful of allocations however many rows it has, and a built
+//! model's coefficients and right-hand sides can be rewritten in place
+//! for a re-solve. `solve` fills a dense tableau straight from those
+//! spans, negating a negative-rhs row as it writes it, and each pivot
+//! eliminates only over the pivot row's non-zero columns. Problem sizes
+//! in this system (5–20 data centers, a handful of sessions) are tiny by
+//! LP standards, so a dense tableau is the right tool.
 //!
 //! # Examples
 //!

@@ -1,7 +1,7 @@
 //! Dense two-phase primal simplex.
 
 use crate::error::SolveError;
-use crate::problem::{LinearProgram, Relation, VarId};
+use crate::problem::{LinearProgram, Relation, Row, VarId};
 
 /// Feasibility/pivot tolerance.
 const EPS: f64 = 1e-8;
@@ -44,6 +44,8 @@ struct Tableau {
     obj: f64,
     /// Basis: which column is basic in each row.
     basis: Vec<usize>,
+    /// Scratch: the pivot row's non-zero columns.
+    nz: Vec<usize>,
 }
 
 impl Tableau {
@@ -57,12 +59,23 @@ impl Tableau {
 
     /// Pivot on (row, col): scale the row so a[row,col]=1 and eliminate
     /// the column elsewhere, including the objective row.
+    ///
+    /// Elimination visits only the pivot row's non-zero columns: any
+    /// other column would have `f × 0` subtracted, which leaves a non-zero
+    /// entry bit-for-bit unchanged and can at most flip a zero's sign.
     fn pivot(&mut self, row: usize, col: usize) {
         let p = self.at(row, col);
         debug_assert!(p.abs() > EPS, "pivot on near-zero element");
         let inv = 1.0 / p;
-        for j in 0..self.cols {
-            *self.at_mut(row, j) *= inv;
+        let cols = self.cols;
+        let pivot_row = row * cols;
+        self.nz.clear();
+        for j in 0..cols {
+            let v = &mut self.a[pivot_row + j];
+            *v *= inv;
+            if *v != 0.0 {
+                self.nz.push(j);
+            }
         }
         self.b[row] *= inv;
         for r in 0..self.rows {
@@ -73,16 +86,17 @@ impl Tableau {
             if f.abs() <= EPS {
                 continue;
             }
-            for j in 0..self.cols {
-                let delta = f * self.at(row, j);
-                *self.at_mut(r, j) -= delta;
+            let base = r * cols;
+            for &j in &self.nz {
+                let delta = f * self.a[pivot_row + j];
+                self.a[base + j] -= delta;
             }
             self.b[r] -= f * self.b[row];
         }
         let f = self.c[col];
         if f.abs() > EPS {
-            for j in 0..self.cols {
-                self.c[j] -= f * self.at(row, j);
+            for &j in &self.nz {
+                self.c[j] -= f * self.a[pivot_row + j];
             }
             self.obj -= f * self.b[row];
         }
@@ -151,54 +165,24 @@ impl Tableau {
 /// Solves `lp` (maximization, x ≥ 0) with the two-phase simplex method.
 pub(crate) fn solve(lp: &LinearProgram) -> Result<Solution, SolveError> {
     let n = lp.num_vars();
-    // Materialize rows: model constraints plus upper-bound rows.
-    struct Row {
-        coeffs: Vec<(usize, f64)>,
-        relation: Relation,
-        rhs: f64,
-    }
-    let mut rows: Vec<Row> = lp
-        .constraints
-        .iter()
-        .map(|c| Row {
-            coeffs: c.terms.clone(),
-            relation: c.relation,
-            rhs: c.rhs,
-        })
-        .collect();
-    for (v, ub) in lp.upper_bounds.iter().enumerate() {
-        if let Some(ub) = ub {
-            rows.push(Row {
-                coeffs: vec![(v, 1.0)],
-                relation: Relation::Le,
-                rhs: *ub,
-            });
-        }
-    }
-    // Normalize to non-negative rhs.
-    for row in &mut rows {
-        if row.rhs < 0.0 {
-            row.rhs = -row.rhs;
-            for (_, c) in &mut row.coeffs {
-                *c = -*c;
-            }
-            row.relation = match row.relation {
-                Relation::Le => Relation::Ge,
-                Relation::Eq => Relation::Eq,
-                Relation::Ge => Relation::Le,
-            };
-        }
-    }
-    let m = rows.len();
+    // Rows: the model's constraints, then one `x ≤ ub` row per upper
+    // bound. A constraint with a negative rhs enters the tableau negated,
+    // its relation flipped, so every rhs starts non-negative.
+    let n_bounds = lp.upper_bounds.iter().flatten().count();
+    let m = lp.rows.len() + n_bounds;
     // Column layout: [structural | slack/surplus | artificial].
-    let n_slack = rows
-        .iter()
-        .filter(|r| !matches!(r.relation, Relation::Eq))
-        .count();
-    let n_art = rows
-        .iter()
-        .filter(|r| !matches!(r.relation, Relation::Le))
-        .count();
+    let mut n_slack = n_bounds;
+    let mut n_art = 0;
+    for row in &lp.rows {
+        match normalized(row) {
+            Relation::Le => n_slack += 1,
+            Relation::Ge => {
+                n_slack += 1;
+                n_art += 1;
+            }
+            Relation::Eq => n_art += 1,
+        }
+    }
     let cols = n + n_slack + n_art;
     let mut t = Tableau {
         rows: m,
@@ -208,16 +192,34 @@ pub(crate) fn solve(lp: &LinearProgram) -> Result<Solution, SolveError> {
         c: vec![0.0; cols],
         obj: 0.0,
         basis: vec![usize::MAX; m],
+        nz: Vec::with_capacity(cols),
     };
+    for (r, row) in lp.rows.iter().enumerate() {
+        let negate = row.rhs < 0.0;
+        for &(v, c) in lp.row_terms(row) {
+            *t.at_mut(r, v) += if negate { -c } else { c };
+        }
+        t.b[r] = if negate { -row.rhs } else { row.rhs };
+    }
+    let bounds = lp
+        .upper_bounds
+        .iter()
+        .enumerate()
+        .filter_map(|(v, ub)| ub.map(|ub| (v, ub)));
+    for (r, (v, ub)) in (lp.rows.len()..).zip(bounds) {
+        *t.at_mut(r, v) += 1.0;
+        t.b[r] = ub;
+    }
+    let relations = lp
+        .rows
+        .iter()
+        .map(normalized)
+        .chain(std::iter::repeat_n(Relation::Le, n_bounds));
     let mut slack_idx = n;
     let mut art_idx = n + n_slack;
     let mut artificial_cols = Vec::with_capacity(n_art);
-    for (r, row) in rows.iter().enumerate() {
-        for &(v, c) in &row.coeffs {
-            *t.at_mut(r, v) += c;
-        }
-        t.b[r] = row.rhs;
-        match row.relation {
+    for (r, relation) in relations.enumerate() {
+        match relation {
             Relation::Le => {
                 *t.at_mut(r, slack_idx) = 1.0;
                 t.basis[r] = slack_idx;
@@ -321,6 +323,15 @@ pub(crate) fn solve(lp: &LinearProgram) -> Result<Solution, SolveError> {
     // the incrementally tracked offset (immune to accumulated drift).
     let objective = values.iter().zip(&lp.objective).map(|(x, c)| x * c).sum();
     Ok(Solution { objective, values })
+}
+
+/// `row`'s relation once a negative rhs has been negated away.
+fn normalized(row: &Row) -> Relation {
+    match row.relation {
+        Relation::Le if row.rhs < 0.0 => Relation::Ge,
+        Relation::Ge if row.rhs < 0.0 => Relation::Le,
+        relation => relation,
+    }
 }
 
 #[cfg(test)]

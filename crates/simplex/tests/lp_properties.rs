@@ -1,7 +1,7 @@
 //! Property-based tests for the LP solver: feasibility of returned
 //! solutions and sample-based optimality certificates.
 
-use ncvnf_simplex::{solve_integer, LinearProgram, Relation, SolveError};
+use ncvnf_simplex::{solve_integer, ConstraintId, LinearProgram, Relation, SolveError, VarId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,16 +32,31 @@ fn arb_lp() -> impl Strategy<Value = RandomLp> {
     })
 }
 
-fn build(lp: &RandomLp) -> (LinearProgram, Vec<ncvnf_simplex::VarId>) {
-    let mut prog = LinearProgram::new();
-    let vars: Vec<_> = (0..lp.n)
-        .map(|i| prog.add_var(format!("x{i}"), lp.objective[i]))
-        .collect();
-    for (coeffs, rhs) in &lp.rows {
-        let terms: Vec<_> = vars.iter().copied().zip(coeffs.iter().copied()).collect();
-        prog.add_constraint(&terms, Relation::Le, *rhs);
-    }
+fn build(lp: &RandomLp) -> (LinearProgram, Vec<VarId>) {
+    let (prog, vars, _) = build_rows(lp);
     (prog, vars)
+}
+
+fn build_rows(lp: &RandomLp) -> (LinearProgram, Vec<VarId>, Vec<ConstraintId>) {
+    let mut prog = LinearProgram::new();
+    let vars: Vec<_> = lp.objective.iter().map(|&c| prog.add_var("x", c)).collect();
+    let rows = lp
+        .rows
+        .iter()
+        .map(|(coeffs, rhs)| {
+            let terms: Vec<_> = vars.iter().copied().zip(coeffs.iter().copied()).collect();
+            prog.add_constraint(&terms, Relation::Le, *rhs)
+        })
+        .collect();
+    (prog, vars, rows)
+}
+
+/// Every bit of a solve's outcome.
+fn outcome_bits(prog: &LinearProgram) -> Result<(u64, Vec<u64>), SolveError> {
+    prog.solve().map(|s| {
+        let values = s.values().iter().map(|v| v.to_bits()).collect();
+        (s.objective.to_bits(), values)
+    })
 }
 
 fn is_feasible(lp: &RandomLp, x: &[f64]) -> bool {
@@ -97,6 +112,32 @@ proptest! {
                 sol.objective
             );
         }
+    }
+
+    /// A built program whose coefficients and right-hand sides are
+    /// rewritten in place solves bit for bit like one built with the new
+    /// values, including rows whose new rhs is negative (the tableau
+    /// negates those as it fills them).
+    #[test]
+    fn rewritten_program_solves_like_a_fresh_build(lp in arb_lp(), seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut changed = lp.clone();
+        // The covering row stays, so the program stays bounded.
+        for (coeffs, rhs) in changed.rows.iter_mut().skip(1) {
+            for c in coeffs.iter_mut() {
+                *c = rng.gen_range(0.0..4.0);
+            }
+            *rhs = rng.gen_range(-5.0..40.0);
+        }
+        let (mut kept, vars, rows) = build_rows(&lp);
+        for (&row, (coeffs, rhs)) in rows.iter().zip(&changed.rows) {
+            for (&var, &c) in vars.iter().zip(coeffs) {
+                kept.set_coefficient(row, var, c);
+            }
+            kept.set_rhs(row, *rhs);
+        }
+        let (fresh, _) = build(&changed);
+        prop_assert_eq!(outcome_bits(&kept), outcome_bits(&fresh));
     }
 
     /// Integer solutions are integral, feasible, and no worse than any
