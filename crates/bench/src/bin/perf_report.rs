@@ -5,14 +5,12 @@
 //! codec at g = 4 and 32, `relay_batch`, the loopback relay, the lossy
 //! transfer, the journal, reconcile, the autoscaler and the `NC_STATS`
 //! round trip are its per-layer metrics and are not timed here. This
-//! binary keeps the five sections that still have to move there, and
+//! binary keeps the three sections that still have to move there, and
 //! writes them at the repository root:
 //!
-//! * `BENCH_rlnc.json` — the coding-mode × path × generation-size grid
-//!   and the sliding-window pipeline latency;
 //! * `BENCH_relay.json` — liveness failover time and the overload
 //!   regime (goodput vs offered load at 0.5x–4x of a provisioned quota,
-//!   shed counts by class, backpressure convergence time);
+//!   shed count, backpressure convergence time);
 //! * `BENCH_obs.json` — the observability layer's overhead
 //!   (instrumented vs bare [`relay_batch`] batches).
 //!
@@ -32,16 +30,12 @@ use std::time::{Duration, Instant};
 use ncvnf_control::signal::Signal;
 use ncvnf_control::{ForwardingTable, SenderConfig, SignalSender};
 use ncvnf_dataplane::{CodingVnf, Feedback, FeedbackKind, VnfRole};
-use ncvnf_gf256::bulk;
 use ncvnf_obs::Registry;
 use ncvnf_relay::{
     relay_batch, BatchScratch, RecvBatch, RelayConfig, RelayEngine, RelayNode, RelayShard,
     MAX_BATCH,
 };
-use ncvnf_rlnc::{
-    CodingMode, GenerationConfig, GenerationEncoder, PayloadPool, Recoder, SessionId, WindowConfig,
-    WindowDecoder, WindowEncoder, WindowOutcome, WindowRecoder,
-};
+use ncvnf_rlnc::{GenerationConfig, GenerationEncoder, SessionId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -62,185 +56,6 @@ impl Timing {
             repeats: if quick { 5 } else { 9 },
             min_duration_secs: if quick { 0.02 } else { 0.15 },
         }
-    }
-
-    /// Median bytes/sec over `repeats` runs of `work`, where one call to
-    /// `work` processes `bytes_per_iter` bytes. Each run loops `work`
-    /// until `min_duration_secs` has elapsed.
-    fn measure(&self, bytes_per_iter: usize, mut work: impl FnMut()) -> f64 {
-        let mut rates = Vec::with_capacity(self.repeats);
-        // Warm-up: page in buffers, settle the frequency governor.
-        for _ in 0..3 {
-            work();
-        }
-        for _ in 0..self.repeats {
-            let start = Instant::now();
-            let mut iters = 0u64;
-            loop {
-                work();
-                iters += 1;
-                if start.elapsed().as_secs_f64() >= self.min_duration_secs {
-                    break;
-                }
-            }
-            let secs = start.elapsed().as_secs_f64();
-            rates.push(iters as f64 * bytes_per_iter as f64 / secs);
-        }
-        rates.sort_by(|a, b| a.partial_cmp(b).expect("rates are finite"));
-        rates[rates.len() / 2]
-    }
-}
-
-struct CodecRow {
-    mode: &'static str,
-    path: &'static str,
-    generation_size: usize,
-    block_size: usize,
-    bytes_per_sec: f64,
-}
-
-fn bench_codec(timing: &Timing) -> Vec<CodecRow> {
-    let mut rows = Vec::new();
-    for &g in &[4usize, 8, 16, 32, 64] {
-        let config = GenerationConfig::new(PAYLOAD_LEN, g).expect("valid layout");
-        let mut rng = StdRng::seed_from_u64(0xBE7C_0002 ^ g as u64);
-        let mut data = vec![0u8; config.generation_payload()];
-        rng.fill(&mut data[..]);
-        let enc = GenerationEncoder::new(config, &data).expect("valid generation");
-        let session = SessionId::new(1);
-        // One epoch per systematic-first mode: the g source packets
-        // verbatim plus a 25% repair tail — the steady sender schedule.
-        let repair = (g / 4).max(1);
-
-        for mode in [
-            CodingMode::Dense,
-            CodingMode::Systematic,
-            CodingMode::sparse_default(g),
-        ] {
-            let mut pool = PayloadPool::new();
-            // Dense has no systematic pass, so its unit of work is one
-            // coded packet; the systematic-first modes amortize a whole
-            // epoch (g verbatim + `repair` mode-coded packets).
-            let (first_seq, count) = match mode {
-                CodingMode::Dense => (g as u64, 1),
-                _ => (0, g + repair),
-            };
-            let encode = timing.measure(count * PAYLOAD_LEN, || {
-                for seq in first_seq..first_seq + count as u64 {
-                    let pkt = enc.mode_packet_pooled(mode, session, 0, seq, &mut rng, &mut pool);
-                    pool.recycle(pkt);
-                }
-            });
-            rows.push(CodecRow {
-                mode: mode.name(),
-                path: "encode",
-                generation_size: g,
-                block_size: PAYLOAD_LEN,
-                bytes_per_sec: encode,
-            });
-
-            // Recode at full rank: the relay hot path. Sparse traffic is
-            // recoded sparsely (density bounds the rows mixed per
-            // output); dense and systematic recode densely.
-            let mut recoder = Recoder::new(config, session, 0);
-            while recoder.rank() < g {
-                let pkt = enc.coded_packet(session, 0, &mut rng);
-                recoder
-                    .absorb(pkt.coefficients(), pkt.payload())
-                    .expect("layout matches");
-            }
-            let recode = timing.measure(PAYLOAD_LEN, || {
-                let pkt = recoder
-                    .recode_mode_into(mode, &mut rng, &mut pool)
-                    .expect("recoder is non-empty");
-                pool.recycle(pkt);
-            });
-            rows.push(CodecRow {
-                mode: mode.name(),
-                path: "recode",
-                generation_size: g,
-                block_size: PAYLOAD_LEN,
-                bytes_per_sec: recode,
-            });
-        }
-    }
-    rows
-}
-
-struct WindowBench {
-    symbol_size: usize,
-    capacity: usize,
-    symbols: u64,
-    symbols_per_sec: f64,
-    bytes_per_sec: f64,
-    p50_latency_us: f64,
-    p99_latency_us: f64,
-}
-
-/// Sliding-window pipeline latency: source push + systematic emit →
-/// relay absorb + recode → receiver decode + in-order delivery, one
-/// symbol at a time, with cumulative acks sliding every stage's window
-/// every 8 symbols. The latency row is what a generational codec cannot
-/// offer: per-symbol delivery bounded by the window, not by a
-/// generation boundary.
-fn bench_window(quick: bool) -> WindowBench {
-    const CAPACITY: usize = 32;
-    const ACK_EVERY: u64 = 8;
-    let window = WindowConfig::new(PAYLOAD_LEN, CAPACITY).expect("valid window");
-    let session = SessionId::new(9);
-    let mut enc = WindowEncoder::new(window, session);
-    let mut recoder = WindowRecoder::new(window, session);
-    let mut dec = WindowDecoder::new(window);
-    let mut pool = PayloadPool::new();
-    let mut rng = StdRng::seed_from_u64(0xBE7C_0040);
-    let symbols: u64 = if quick { 2_000 } else { 20_000 };
-    let mut chunk = vec![0u8; PAYLOAD_LEN];
-    let mut lat_ns: Vec<f64> = Vec::with_capacity(symbols as usize);
-    let started = Instant::now();
-    for i in 0..symbols {
-        rng.fill(&mut chunk[..]);
-        let t0 = Instant::now();
-        let idx = enc.push(&chunk).expect("window has room");
-        let pkt = enc
-            .systematic_packet_pooled(idx, &mut pool)
-            .expect("symbol is live");
-        recoder
-            .absorb(pkt.index(), pkt.coefficients(), pkt.payload())
-            .expect("layout matches");
-        pool.recycle(pkt);
-        // A random recombination can miss the newest symbol (zero
-        // weight on its row, ~1/256); the stream just sends the next
-        // packet, so retry until the delivery cursor advances.
-        loop {
-            let out = recoder
-                .recode_into(&mut rng, &mut pool)
-                .expect("recoder is non-empty");
-            let outcome = dec
-                .receive(out.index(), out.coefficients(), out.payload())
-                .expect("layout matches");
-            pool.recycle(out);
-            if matches!(outcome, WindowOutcome::Delivered { .. }) {
-                break;
-            }
-        }
-        lat_ns.push(t0.elapsed().as_nanos() as f64);
-        if (i + 1) % ACK_EVERY == 0 {
-            let ack = dec.cumulative_ack();
-            enc.handle_ack(ack);
-            recoder.handle_ack(ack);
-        }
-    }
-    let secs = started.elapsed().as_secs_f64();
-    lat_ns.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let pct = |p: f64| lat_ns[((lat_ns.len() - 1) as f64 * p) as usize] / 1e3;
-    WindowBench {
-        symbol_size: PAYLOAD_LEN,
-        capacity: CAPACITY,
-        symbols,
-        symbols_per_sec: symbols as f64 / secs,
-        bytes_per_sec: symbols as f64 * PAYLOAD_LEN as f64 / secs,
-        p50_latency_us: pct(0.50),
-        p99_latency_us: pct(0.99),
     }
 }
 
@@ -445,8 +260,6 @@ struct OverloadBench {
     burst: u32,
     curve: Vec<OverloadPoint>,
     shed_quota: u64,
-    shed_overload: u64,
-    shed_redundancy: u64,
     congestion_frames: u64,
     backpressure_convergence_ms: f64,
     in_quota_goodput_ratio: f64,
@@ -707,8 +520,6 @@ fn bench_overload(quick: bool, config: GenerationConfig) -> OverloadBench {
         burst: QUOTA_BURST,
         curve,
         shed_quota: stats.shed_quota,
-        shed_overload: stats.shed_overload,
-        shed_redundancy: stats.shed_redundancy,
         congestion_frames: stats.congestion_frames,
         backpressure_convergence_ms,
         in_quota_goodput_ratio: in_quota_delivered as f64 / in_quota_offered as f64,
@@ -823,51 +634,6 @@ fn write_report(name: &str, json: &str, started: Instant, summary: &str) {
 fn main() {
     let timing = Timing::from_env();
     let started = Instant::now();
-    eprintln!("measuring encode/recode paths (dense / systematic / sparse, g=4..64) ...");
-    let codec = bench_codec(&timing);
-    eprintln!("measuring sliding-window pipeline latency ...");
-    let window = bench_window(timing.quick);
-
-    let tier = bulk::kernel_tier().name();
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"rlnc\",");
-    let _ = writeln!(json, "  \"active_tier\": \"{tier}\",");
-    let _ = writeln!(json, "  \"payload_len\": {PAYLOAD_LEN},");
-    json.push_str("  \"codec\": [\n");
-    for (i, r) in codec.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"mode\": \"{}\", \"path\": \"{}\", \"generation_size\": {}, \"block_size\": {}, \"bytes_per_sec\": {:.0}}}",
-            r.mode, r.path, r.generation_size, r.block_size, r.bytes_per_sec
-        );
-        json.push_str(if i + 1 < codec.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"sliding_window\": {{");
-    let _ = writeln!(json, "    \"symbol_size\": {},", window.symbol_size);
-    let _ = writeln!(json, "    \"window_capacity\": {},", window.capacity);
-    let _ = writeln!(json, "    \"symbols\": {},", window.symbols);
-    let _ = writeln!(
-        json,
-        "    \"symbols_per_sec\": {:.0},",
-        window.symbols_per_sec
-    );
-    let _ = writeln!(json, "    \"bytes_per_sec\": {:.0},", window.bytes_per_sec);
-    let _ = writeln!(
-        json,
-        "    \"p50_latency_us\": {:.2},",
-        window.p50_latency_us
-    );
-    let _ = writeln!(json, "    \"p99_latency_us\": {:.2}", window.p99_latency_us);
-    json.push_str("  }\n}\n");
-    write_report(
-        "BENCH_rlnc.json",
-        &json,
-        started,
-        &format!("active tier: {tier}"),
-    );
-
     let relay_cfg = GenerationConfig::new(PAYLOAD_LEN, RELAY_G).expect("valid relay layout");
     eprintln!("measuring liveness failover ...");
     let failover_ms = bench_failover(relay_cfg);
@@ -902,12 +668,6 @@ fn main() {
     }
     json.push_str("    ],\n");
     let _ = writeln!(json, "    \"shed_quota\": {},", overload.shed_quota);
-    let _ = writeln!(json, "    \"shed_overload\": {},", overload.shed_overload);
-    let _ = writeln!(
-        json,
-        "    \"shed_redundancy\": {},",
-        overload.shed_redundancy
-    );
     let _ = writeln!(
         json,
         "    \"congestion_frames\": {},",

@@ -424,14 +424,7 @@ impl Autoscaler {
             };
             report.polled += 1;
             let out = snapshot_value(&stats, "relay.datagrams_out").unwrap_or(0.0) as u64;
-            let shed = [
-                "relay.shed_quota",
-                "relay.shed_overload",
-                "relay.shed_redundancy",
-            ]
-            .iter()
-            .map(|name| snapshot_value(&stats, name).unwrap_or(0.0) as u64)
-            .sum::<u64>();
+            let shed = snapshot_value(&stats, "relay.shed_quota").unwrap_or(0.0) as u64;
             let idle_ms = snapshot_value(&stats, "relay.idle_ms").unwrap_or(0.0);
             let daemon_state = snapshot_value(&stats, "relay.daemon_state").map(|v| v as u8);
             let nominal = self.controller.topology().vnf_spec(dc);

@@ -87,8 +87,6 @@ pub enum DaemonEvent {
         rate_pps: u32,
         /// Bucket depth in packets.
         burst: u32,
-        /// Shedding/eviction priority (0 = most important).
-        priority: u8,
     },
 }
 
@@ -223,12 +221,11 @@ impl Daemon {
                 session,
                 rate_pps,
                 burst,
-                priority,
+                ..
             } => vec![DaemonEvent::ProvisionQuota {
                 session: *session,
                 rate_pps: *rate_pps,
                 burst: *burst,
-                priority: *priority,
             }],
         }
     }
@@ -353,7 +350,6 @@ mod tests {
                 session: SessionId::new(5),
                 rate_pps: 1000,
                 burst: 64,
-                priority: 1,
             }]
         );
         assert_eq!(d.state(), DaemonState::Idle, "quota leaves lifecycle alone");

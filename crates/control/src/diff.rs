@@ -89,54 +89,6 @@ pub fn tables_from_deployment(
     tables
 }
 
-/// Derives each data center's per-session recode emit ratio from the
-/// deployment's flows: `f_m(out of v) / f_m(into v)`.
-///
-/// A coding point whose planned outgoing rate is below its incoming rate
-/// must emit fewer (maximally mixed) combinations rather than flood its
-/// egress — this is the knob `ncvnf_dataplane::VnfNode::set_emit_ratio`
-/// consumes. Ratios are clamped to `(0, 1]`; data centers a session does
-/// not traverse are absent.
-pub fn emit_ratios_from_deployment(
-    topo: &Topology,
-    sessions: &[SessionSpec],
-    dep: &Deployment,
-) -> HashMap<(NodeId, ncvnf_rlnc::SessionId), f64> {
-    let mut ratios = HashMap::new();
-    for (m, session) in sessions.iter().enumerate() {
-        let Some(edges) = dep.edge_rates.get(m) else {
-            continue;
-        };
-        for dc in topo.data_centers() {
-            let mut inflow = 0.0;
-            let mut outflow = 0.0;
-            for (&e, &rate) in edges {
-                let edge = topo.graph.edge(e);
-                if edge.to == dc {
-                    inflow += rate;
-                }
-                if edge.from == dc {
-                    outflow += rate;
-                }
-            }
-            if inflow > 0.0 && outflow > 0.0 {
-                // The VNF duplicates each emission to every next hop, so
-                // the per-input emission count is outflow per *branch*.
-                let branches = edges
-                    .iter()
-                    .filter(|(&e, &r)| r > 0.0 && topo.graph.edge(e).from == dc)
-                    .count()
-                    .max(1) as f64;
-                let ratio = (outflow / branches / inflow).min(1.0);
-                if ratio > 0.0 {
-                    ratios.insert((dc, session.id), ratio);
-                }
-            }
-        }
-    }
-    ratios
-}
-
 /// Diffs VNF counts and forwarding tables between two deployments.
 pub fn plan_signals(
     topo: &Topology,
@@ -227,41 +179,6 @@ mod tests {
         let (topo, sessions, dep) = setup();
         let plan = plan_signals(&topo, &sessions, Some(&dep), &dep, &addr);
         assert!(plan.is_empty());
-    }
-
-    #[test]
-    fn emit_ratios_are_in_unit_range_and_cover_coding_points() {
-        let (topo, sessions, dep) = setup();
-        let ratios = emit_ratios_from_deployment(&topo, &sessions, &dep);
-        for ((dc, session), ratio) in &ratios {
-            assert!(
-                *ratio > 0.0 && *ratio <= 1.0,
-                "ratio out of range at {} for {}: {}",
-                topo.label(*dc),
-                session,
-                ratio
-            );
-        }
-        // Every DC that both receives and sends a session's flow has a
-        // ratio entry.
-        for (m, s) in sessions.iter().enumerate() {
-            for dc in topo.data_centers() {
-                let inflow: f64 = dep.edge_rates[m]
-                    .iter()
-                    .filter(|(&e, _)| topo.graph.edge(e).to == dc)
-                    .map(|(_, &r)| r)
-                    .sum();
-                let outflow: f64 = dep.edge_rates[m]
-                    .iter()
-                    .filter(|(&e, _)| topo.graph.edge(e).from == dc)
-                    .map(|(_, &r)| r)
-                    .sum();
-                assert_eq!(
-                    ratios.contains_key(&(dc, s.id)),
-                    inflow > 0.0 && outflow > 0.0
-                );
-            }
-        }
     }
 
     #[test]

@@ -77,7 +77,7 @@ const CRC_TABLE: [u32; 256] = {
 };
 
 /// CRC-32 (IEEE) of `data` — the frame checksum.
-pub fn crc32(data: &[u8]) -> u32 {
+fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in data {
         crc = CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);

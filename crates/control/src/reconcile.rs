@@ -54,7 +54,7 @@ pub fn snapshot_value(json: &str, name: &str) -> Option<f64> {
 }
 
 /// Builds a [`NodeObservation`] from a node's `NC_STATS` JSON reply.
-pub fn observation_from_stats(node: u32, json: &str) -> NodeObservation {
+fn observation_from_stats(node: u32, json: &str) -> NodeObservation {
     NodeObservation {
         node,
         ctrl_epoch: snapshot_value(json, "relay.ctrl_epoch").unwrap_or(0.0) as u64,

@@ -104,8 +104,8 @@ pub enum Signal {
         rate_pps: u32,
         /// Bucket depth in packets (burst tolerance).
         burst: u32,
-        /// Shedding/eviction priority: 0 = most important, larger
-        /// values shed first.
+        /// Reserved: kept so the frame's layout stays fixed; relays
+        /// read it and ignore it.
         priority: u8,
     },
 }

@@ -78,8 +78,7 @@ pub struct DataplaneHealth {
     /// Generations that needed at least one retransmission round and
     /// still decoded.
     pub generations_recovered: u64,
-    /// Datagrams shed by admission control or overload protection
-    /// (sum of the quota, overload, and redundancy shed classes).
+    /// Datagrams shed by admission control (`relay.shed_quota`).
     pub shed_packets: u64,
 }
 
@@ -102,9 +101,7 @@ impl DataplaneHealth {
             nacks_sent: c("recovery.nacks_sent"),
             retransmit_packets: c("recovery.retransmit_packets"),
             generations_recovered: c("recovery.generations_recovered"),
-            shed_packets: c("relay.shed_quota")
-                + c("relay.shed_overload")
-                + c("relay.shed_redundancy"),
+            shed_packets: c("relay.shed_quota"),
         }
     }
 
@@ -404,19 +401,17 @@ mod tests {
                 datagrams_in: Counter = "relay.datagrams_in", "datagrams", "test";
                 nacks_sent: Counter = "recovery.nacks_sent", "nacks", "test";
                 shed_quota: Counter = "relay.shed_quota", "datagrams", "test";
-                shed_overload: Counter = "relay.shed_overload", "datagrams", "test";
             }
         }
         let registry = ncvnf_obs::Registry::new();
         let relay = RelaySide::register(&registry);
         relay.datagrams_in.add(42);
         relay.nacks_sent.add(3);
-        relay.shed_quota.add(5);
-        relay.shed_overload.add(2);
+        relay.shed_quota.add(7);
         let health = DataplaneHealth::from_snapshot(&registry.snapshot());
         assert_eq!(health.datagrams_in, 42);
         assert_eq!(health.nacks_sent, 3);
-        assert_eq!(health.shed_packets, 7, "shed classes sum into one field");
+        assert_eq!(health.shed_packets, 7);
         // Metrics the node never registered read as zero.
         assert_eq!(health.io_errors, 0);
         assert_eq!(health.retransmit_packets, 0);

@@ -135,14 +135,6 @@ impl SessionBuffer {
         Some(oldest)
     }
 
-    /// Evicts the oldest buffered generation (pressure-driven eviction
-    /// under a memory budget, counted like a FIFO eviction, and its
-    /// storage released); returns the generation dropped, or `None` when
-    /// the buffer is empty.
-    pub fn evict_oldest(&mut self) -> Option<u64> {
-        self.pop_oldest().map(|r| r.generation())
-    }
-
     /// Looks up an existing generation without creating it.
     pub fn get(&self, generation: u64) -> Option<&Recoder> {
         self.position(generation).map(|at| &self.slots[at])
@@ -211,15 +203,8 @@ mod tests {
         for g in [9, 10, 11] {
             assert_eq!(b.get(g).map(Recoder::generation), Some(g));
         }
-        // The memo points at 11, the newest slot; the oldest goes first.
-        assert_eq!(b.evict_oldest(), Some(9));
-        assert_eq!(b.evict_oldest(), Some(10));
-        assert!(b.contains(11) && !b.contains(9));
-        assert_eq!(b.evict_oldest(), Some(11));
-        assert!(!b.contains(11), "a stale memo is no hit");
-        assert_eq!(b.evict_oldest(), None);
-        assert_eq!(b.stats().evictions, 5);
-        assert_eq!(b.recoder_for(11).rank(), 0);
+        assert!(!b.contains(7) && !b.contains(8));
+        assert_eq!(b.stats().evictions, 2);
     }
 
     #[test]

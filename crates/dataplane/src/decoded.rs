@@ -26,9 +26,9 @@ use bytes::{BufMut, Bytes, BytesMut};
 use ncvnf_netsim::{Context, Datagram, NodeBehavior, SimTime};
 
 /// Magic byte identifying decoded-payload chunks.
-pub const DECODED_MAGIC: u8 = 0xDE;
+const DECODED_MAGIC: u8 = 0xDE;
 /// Fixed header length of a decoded chunk.
-pub const DECODED_HEADER: usize = 7;
+const DECODED_HEADER: usize = 7;
 
 /// One chunk of decoded generation payload.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -22,7 +22,7 @@
 //!             3 = Heartbeat, 4 = Wake, 5 = Congestion
 //! bytes 2-3   session id, big endian
 //! bytes 4-7   generation id (heartbeats/wakes: node id; congestion:
-//!             shard queue depth in percent of capacity), big endian
+//!             unused, 0), big endian
 //! bytes 8-9   count (packets requested; heartbeats: sequence number;
 //!             congestion: datagrams shed since the last frame;
 //!             0 for ACK and Wake), big endian
@@ -70,11 +70,11 @@ pub enum FeedbackKind {
     Wake,
     /// Backpressure from an overloaded relay shard toward the upstream
     /// sender whose datagram it just shed: `session` names the throttled
-    /// session (zero = everyone), `generation` carries the shard's load
-    /// level (percent of capacity), `count` the datagrams shed since the
-    /// last frame and `missing_bitmap` the shard's cumulative shed total.
-    /// Sources fold this into their AIMD redundancy controller as a
-    /// multiplicative-decrease signal and pause their bursts.
+    /// session (zero = everyone), `count` the datagrams shed since the
+    /// last frame and `missing_bitmap` the shard's cumulative shed total
+    /// (`generation` is unused and 0). Sources fold this into their AIMD
+    /// redundancy controller as a multiplicative-decrease signal and pause
+    /// their bursts.
     Congestion,
 }
 
@@ -173,15 +173,14 @@ impl Feedback {
         }
     }
 
-    /// A backpressure frame from an overloaded relay shard: `load_pct`
-    /// is the shard's load level in percent of capacity, `shed` the
+    /// A backpressure frame from an overloaded relay shard: `shed` the
     /// datagrams shed since the last congestion frame and `total_shed`
     /// the shard's cumulative shed count.
-    pub fn congestion(session: SessionId, load_pct: u32, shed: u16, total_shed: u32) -> Self {
+    pub fn congestion(session: SessionId, shed: u16, total_shed: u32) -> Self {
         Feedback {
             kind: FeedbackKind::Congestion,
             session,
-            generation: load_pct as u64,
+            generation: 0,
             count: shed,
             missing_bitmap: total_shed,
         }
@@ -189,12 +188,6 @@ impl Feedback {
 
     /// The node id of a heartbeat or wake (the generation field).
     pub fn node_id(&self) -> u32 {
-        self.generation as u32
-    }
-
-    /// The load level of a congestion frame, in percent of shard
-    /// capacity (the generation field).
-    pub fn load_pct(&self) -> u32 {
         self.generation as u32
     }
 
@@ -288,12 +281,12 @@ mod tests {
     }
 
     #[test]
-    fn congestion_roundtrip_carries_load_and_shed_counts() {
-        let cg = Feedback::congestion(SessionId::new(9), 87, 12, 340);
+    fn congestion_roundtrip_carries_shed_counts() {
+        let cg = Feedback::congestion(SessionId::new(9), 12, 340);
         let back = Feedback::from_bytes(&cg.to_bytes()).unwrap();
         assert_eq!(back.kind, FeedbackKind::Congestion);
         assert_eq!(back.session, SessionId::new(9));
-        assert_eq!(back.load_pct(), 87);
+        assert_eq!(back.generation, 0);
         assert_eq!(back.count, 12);
         assert_eq!(back.missing_bitmap, 340);
     }

@@ -18,11 +18,6 @@ ncvnf_obs::metrics! {
         unknown_session: Counter = "dataplane.unknown_session", "packets", "Packets for sessions this VNF has no role for";
         generations_decoded: Counter = "dataplane.generations_decoded", "generations", "Generations fully decoded (decoder role)";
         evicted_decoders: Counter = "dataplane.evicted_decoders", "decoders", "Decoder generation states dropped by the FIFO retention bound";
-        budget_evictions: Counter = "dataplane.budget_evictions", "generations", "Generation states evicted to honor the memory budget";
-        window_packets_in: Counter = "dataplane.window_packets_in", "packets", "Sliding-window data packets received (wire kind 2)";
-        window_packets_out: Counter = "dataplane.window_packets_out", "packets", "Sliding-window packets emitted (forwarded or recoded)";
-        window_symbols_delivered: Counter = "dataplane.window_symbols_delivered", "symbols", "Stream symbols delivered in order by windowed decoders";
-        window_acks_in: Counter = "dataplane.window_acks_in", "acks", "Window acks absorbed (each may slide a recoder's floor)";
     }
 }
 
@@ -36,12 +31,6 @@ impl VnfMetrics {
         self.unknown_session.publish(stats.unknown_session);
         self.generations_decoded.publish(stats.generations_decoded);
         self.evicted_decoders.publish(stats.evicted_decoders);
-        self.budget_evictions.publish(stats.budget_evictions);
-        self.window_packets_in.publish(stats.window_packets_in);
-        self.window_packets_out.publish(stats.window_packets_out);
-        self.window_symbols_delivered
-            .publish(stats.window_symbols_delivered);
-        self.window_acks_in.publish(stats.window_acks_in);
     }
 }
 
@@ -71,11 +60,6 @@ mod tests {
             unknown_session: 3,
             generations_decoded: 7,
             evicted_decoders: 1,
-            budget_evictions: 4,
-            window_packets_in: 11,
-            window_packets_out: 12,
-            window_symbols_delivered: 13,
-            window_acks_in: 14,
         };
         m.publish(&stats);
         let snap = registry.snapshot();
@@ -86,10 +70,5 @@ mod tests {
         assert_eq!(snap.counter("dataplane.unknown_session"), Some(3));
         assert_eq!(snap.counter("dataplane.generations_decoded"), Some(7));
         assert_eq!(snap.counter("dataplane.evicted_decoders"), Some(1));
-        assert_eq!(snap.counter("dataplane.budget_evictions"), Some(4));
-        assert_eq!(snap.counter("dataplane.window_packets_in"), Some(11));
-        assert_eq!(snap.counter("dataplane.window_packets_out"), Some(12));
-        assert_eq!(snap.counter("dataplane.window_symbols_delivered"), Some(13));
-        assert_eq!(snap.counter("dataplane.window_acks_in"), Some(14));
     }
 }

@@ -524,8 +524,7 @@ impl NodeBehavior for VnfNode {
                 }
                 return;
             }
-            // The simulator carries no windowed streams to deliver.
-            VnfDecision::Nothing | VnfDecision::Delivered { .. } => return,
+            VnfDecision::Nothing => return,
         };
         if session_hops.is_empty() || self.forward_buf.is_empty() {
             return;

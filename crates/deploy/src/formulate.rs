@@ -2,8 +2,8 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+use ncvnf_flowgraph::paths::PathRoute;
 use ncvnf_flowgraph::paths::{feasible_paths, PathLimits};
-use ncvnf_flowgraph::shortest::PathRoute;
 use ncvnf_flowgraph::{EdgeId, EdgeRef, NodeId};
 use ncvnf_simplex::{ConstraintId, LinearProgram, Relation, VarId};
 
@@ -12,7 +12,7 @@ use crate::solve::SolveMode;
 
 /// Cap on VNFs per data center (keeps branch-and-bound and rounding
 /// bounded; far above anything the evaluation provisions).
-pub const MAX_VNFS_PER_DC: u64 = 64;
+const MAX_VNFS_PER_DC: u64 = 64;
 
 /// Rate variables inside the LP are denominated in Mbps (bps × this
 /// scale). Mixing unit-scale path coefficients with 1e9-scale bandwidth

@@ -24,7 +24,7 @@ pub const DC_NAMES: [&str; 6] = [
 /// Approximate one-way inter-DC delays in milliseconds (symmetric),
 /// consistent with the ping measurements reported in Table II (e.g. the
 /// Virginia–Oregon direct RTT of ≈90.9 ms).
-pub const DC_DELAYS_MS: [[f64; 6]; 6] = [
+const DC_DELAYS_MS: [[f64; 6]; 6] = [
     // CA     OR     VA     TX     GA     NJ
     [0.0, 10.0, 38.5, 20.0, 28.0, 37.0], // CA
     [10.0, 0.0, 45.4, 25.0, 33.0, 40.0], // OR
@@ -35,7 +35,7 @@ pub const DC_DELAYS_MS: [[f64; 6]; 6] = [
 ];
 
 /// Delay between an endpoint and its colocated data center.
-pub const ACCESS_DELAY_MS: f64 = 2.0;
+const ACCESS_DELAY_MS: f64 = 2.0;
 
 /// The six-DC planner topology with a full inter-DC mesh.
 pub struct NorthAmerica {

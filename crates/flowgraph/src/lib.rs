@@ -10,8 +10,7 @@
 //! * [`Graph`] — directed graph with per-edge capacity and delay;
 //! * [`maxflow`] — Edmonds–Karp and Dinic implementations;
 //! * [`multicast`] — coded multicast capacity and routing-only tree packing;
-//! * [`paths`] — all simple paths within a delay bound (modified DFS);
-//! * [`shortest`] — Dijkstra by delay and widest-path (max bottleneck).
+//! * [`paths`] — all simple paths within a delay bound (modified DFS).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,6 +19,5 @@ mod graph;
 pub mod maxflow;
 pub mod multicast;
 pub mod paths;
-pub mod shortest;
 
 pub use graph::{EdgeId, EdgeRef, Graph, GraphError, NodeId};

@@ -62,7 +62,7 @@ impl SteinerTree {
 /// # Panics
 ///
 /// Panics if any node id is out of range.
-pub fn enumerate_steiner_trees(
+fn enumerate_steiner_trees(
     graph: &Graph,
     source: NodeId,
     receivers: &[NodeId],
@@ -167,7 +167,7 @@ fn prune(graph: &Graph, edges: &[EdgeId], receivers: &[NodeId]) -> Vec<EdgeId> {
 /// # Errors
 ///
 /// Propagates LP solver failures.
-pub fn tree_packing_rate(graph: &Graph, trees: &[SteinerTree]) -> Result<f64, SolveError> {
+fn tree_packing_rate(graph: &Graph, trees: &[SteinerTree]) -> Result<f64, SolveError> {
     if trees.is_empty() {
         return Ok(0.0);
     }

@@ -7,8 +7,32 @@
 //! has a delay smaller than L^max_m and has no cycles. In practice, the
 //! number of candidate data centers is usually small, around 5 ~ 20."
 
-use crate::shortest::PathRoute;
-use crate::{Graph, NodeId};
+use crate::{EdgeId, Graph, NodeId};
+
+/// A path through the graph as a sequence of edges.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PathRoute {
+    /// Edges in order from source to destination.
+    pub edges: Vec<EdgeId>,
+    /// Total delay along the path.
+    pub delay: f64,
+    /// Minimum capacity along the path (the bottleneck).
+    pub bottleneck: f64,
+}
+
+impl PathRoute {
+    /// Node sequence of this path (source first).
+    pub fn nodes(&self, graph: &Graph) -> Vec<NodeId> {
+        let mut out = Vec::with_capacity(self.edges.len() + 1);
+        if let Some(&first) = self.edges.first() {
+            out.push(graph.edge(first).from);
+        }
+        for &e in &self.edges {
+            out.push(graph.edge(e).to);
+        }
+        out
+    }
+}
 
 /// Limits on the path enumeration, to keep the LP small on large graphs.
 #[derive(Debug, Clone, Copy, PartialEq)]

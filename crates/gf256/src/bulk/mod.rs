@@ -298,7 +298,7 @@ fn active_ops() -> &'static Ops {
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn add_slice(dst: &mut [u8], src: &[u8]) {
+fn add_slice(dst: &mut [u8], src: &[u8]) {
     assert_eq!(dst.len(), src.len(), "slice length mismatch");
     let split = dst.len() - dst.len() % 8;
     let (dst_chunks, dst_tail) = dst.split_at_mut(split);

@@ -19,6 +19,14 @@
 //! * [`Matrix`] — a dense matrix over any [`Field`] with Gaussian
 //!   elimination, rank and inversion, used by the RLNC decoder and by tests.
 //!
+//! Only GF(2^8) is on a shipped data path. GF(2), GF(2^4), GF(2^16), the
+//! polynomial arithmetic that defines them ([`carryless_mul`],
+//! [`poly_mod`]) and the generic [`Matrix`] stay because
+//! the field-size ablation (`ablation_field_size`) decodes random
+//! generations over each field to reproduce the paper's claim that GF(2^8)
+//! gives the best throughput of all field sizes; without them that claim
+//! would be cited, not measured.
+//!
 //! # Examples
 //!
 //! ```

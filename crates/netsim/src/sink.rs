@@ -61,14 +61,6 @@ impl NodeBehavior for CountingSink {
     }
 }
 
-/// A node that does nothing (placeholder endpoints in topology tests).
-#[derive(Debug, Default)]
-pub struct NullNode;
-
-impl NodeBehavior for NullNode {
-    fn on_datagram(&mut self, _ctx: &mut Context<'_>, _dgram: Datagram) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -31,7 +31,7 @@ const SEG_HEADER: usize = 9;
 /// Maximum segment size used by the baseline (1460-byte payload minus our
 /// 9-byte segment header keeps wire packets within the MTU, mirroring the
 /// NC packet sizing).
-pub const DEFAULT_MSS: usize = 1451;
+const DEFAULT_MSS: usize = 1451;
 
 fn encode_segment(kind: u8, seq: u64, payload: &[u8]) -> Bytes {
     let mut buf = BytesMut::with_capacity(SEG_HEADER + payload.len());

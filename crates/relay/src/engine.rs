@@ -39,13 +39,10 @@ use ncvnf_dataplane::{
     chunk_generation, CodingVnf, Feedback, FeedbackKind, Sink, VnfDecision, FEEDBACK_MAGIC,
 };
 use ncvnf_obs::Registry;
-use ncvnf_rlnc::{
-    wire_kind, CodecError, CodedPacket, PacketView, PayloadPool, Recoder, SessionId, WindowAck,
-    WireKind,
-};
+use ncvnf_rlnc::{CodecError, PacketView, PayloadPool, Recoder, SessionId};
 
 use crate::metrics::BatchMetrics;
-use crate::overload::{monotonic_secs, Admission, OverloadConfig, OverloadState, QuotaConfig};
+use crate::overload::{monotonic_secs, OverloadConfig, OverloadState, QuotaConfig};
 use crate::socket::RecvBatch;
 use crate::SendBatch;
 
@@ -102,7 +99,7 @@ impl RouteCache {
 pub struct RelayEngine {
     vnf: CodingVnf,
     rng: StdRng,
-    /// Admission/shedding gate. `None` (the default) means the overload
+    /// Admission gate. `None` (the default) means the overload
     /// regime does not exist: the batch path pays one `Option` test and
     /// behaves byte-identically to a relay without overload protection.
     overload: Option<OverloadState>,
@@ -128,29 +125,14 @@ impl RelayEngine {
         &mut self.vnf
     }
 
-    /// The admission gate, if the overload regime is armed.
+    /// The admission gate, once a quota has created it.
     pub fn overload(&self) -> Option<&OverloadState> {
         self.overload.as_ref()
     }
 
-    /// Mutable access to the admission gate.
-    pub fn overload_mut(&mut self) -> Option<&mut OverloadState> {
-        self.overload.as_mut()
-    }
-
-    /// Creates the admission gate with `config` (idempotent: an existing
-    /// gate keeps its budgets and counters).
-    pub fn enable_overload(&mut self, config: OverloadConfig) -> &mut OverloadState {
-        self.overload
-            .get_or_insert_with(|| OverloadState::new(config))
-    }
-
     /// Provisions a session's admission quota, creating the gate with
-    /// default tunables on first use (the `NC_QUOTA` fanout path). Also
-    /// records the session's priority with the VNF so memory-pressure
-    /// eviction agrees with the shedding order.
+    /// default tunables on first use (the `NC_QUOTA` fanout path).
     pub fn provision_quota(&mut self, session: SessionId, quota: QuotaConfig) {
-        self.vnf.set_session_priority(session, quota.priority);
         self.overload
             .get_or_insert_with(|| OverloadState::new(OverloadConfig::default()))
             .provision(session, quota, monotonic_secs());
@@ -288,10 +270,8 @@ impl RelayShard {
 #[derive(Debug, Default)]
 struct ShardSlot {
     /// Indices (into the receive batch) of data datagrams this shard
-    /// owns, both framings, in arrival order.
+    /// owns, in arrival order.
     group: Vec<u32>,
-    /// Window acks (wire kind 3) addressed to this shard's sessions.
-    acks: Vec<WindowAck>,
     /// Wire images this batch wrote into the egress arena, in order.
     images: Vec<(u32, u32)>,
     /// One entry per datagram that emitted: its session, and where its
@@ -333,11 +313,6 @@ impl Sink for Staging<'_> {
         self.image(|arena| coded = recoder.recode_wire_into(rng, arena));
         coded
     }
-
-    fn packet(&mut self, pkt: CodedPacket, pool: &mut PayloadPool) {
-        self.image(|arena| pkt.write_into(arena));
-        pool.recycle(pkt);
-    }
 }
 
 /// One source owed a `Congestion` feedback frame for datagrams shed
@@ -348,9 +323,7 @@ struct CongestTarget {
     src: SocketAddr,
     /// Datagrams of this (session, source) shed in the current batch.
     shed: u16,
-    /// Shard pool pressure (percent) when the shed happened.
-    load_pct: u32,
-    /// The shedding shard's cumulative shed total (all classes).
+    /// The shedding shard's cumulative shed total.
     total_shed: u32,
 }
 
@@ -388,7 +361,7 @@ impl BatchScratch {
 
     /// Scratch whose batches record into `registry`: `relay.steps`,
     /// `relay.packets_emitted`, `relay.batches`, `relay.batch_fill`,
-    /// `relay.cross_shard_packets`, the windowed counters, and for one
+    /// `relay.cross_shard_packets`, and for one
     /// batch in eight the latency histograms `relay.batch_ns` and
     /// `relay.step_ns` (batch latency over datagrams coded).
     /// Registration happens here, once; per datagram the cost is a few
@@ -432,31 +405,11 @@ pub struct BatchReport {
     pub cross_shard: u64,
     /// Datagrams shed because the session's token bucket was dry.
     pub shed_quota: u64,
-    /// Datagrams shed by the armed per-batch cap (newest first).
-    pub shed_overload: u64,
-    /// Datagrams shed while armed as pure redundancy (their generation
-    /// was already full rank).
-    pub shed_redundancy: u64,
     /// `Congestion` feedback frames queued toward shed sources.
     pub congestion_out: u64,
     /// `Congestion` feedback frames received (counted within
     /// `feedback_frames`; relays drop them like all feedback).
     pub congestion_in: u64,
-    /// Sliding-window datagrams (wire kind 2) run through a shard engine
-    /// (counted within `steps`).
-    pub window_steps: u64,
-    /// Window acks (wire kind 3) absorbed into shard recoders. Like
-    /// feedback frames, acks travel receiver → source directly and are
-    /// not routed onward; relays only eavesdrop to slide their floors.
-    pub window_acks: u64,
-}
-
-impl BatchReport {
-    /// Sum of the three shed classes.
-    #[must_use]
-    pub fn total_shed(&self) -> u64 {
-        self.shed_quota + self.shed_overload + self.shed_redundancy
-    }
 }
 
 /// Notes one shed datagram against its source's congestion-frame entry
@@ -465,7 +418,6 @@ fn note_congestion(
     congest: &mut Vec<CongestTarget>,
     session: SessionId,
     src: SocketAddr,
-    load_pct: u32,
     total_shed: u64,
 ) {
     let total_shed = total_shed.min(u32::MAX as u64) as u32;
@@ -474,7 +426,6 @@ fn note_congestion(
         .find(|t| t.session == session && t.src == src)
     {
         t.shed = t.shed.saturating_add(1);
-        t.load_pct = load_pct;
         t.total_shed = total_shed;
         return;
     }
@@ -483,7 +434,6 @@ fn note_congestion(
             session,
             src,
             shed: 1,
-            load_pct,
             total_shed,
         });
     }
@@ -492,10 +442,9 @@ fn note_congestion(
 /// Dispatch: files datagram `i` under its owner shard's slot by header
 /// peek — no allocation, no lock. Feedback is classified *before*
 /// admission control, so backpressure and liveness frames are never
-/// shed; so are window acks, which travel receiver → source directly
-/// and which relays only eavesdrop on to slide their recoder floors.
-/// Data shards by [`PacketView::shard_key`]; what it cannot place goes
-/// to the `home` shard, so exactly one VNF counts it as malformed.
+/// shed. Data shards by [`PacketView::shard_key`]; what it cannot place
+/// (a retired sliding-window kind included) goes to the `home` shard,
+/// so exactly one VNF counts it as malformed.
 fn dispatch(slots: &mut [ShardSlot], home: usize, i: usize, dg: &[u8], report: &mut BatchReport) {
     if dg.first() == Some(&FEEDBACK_MAGIC) {
         match Feedback::from_bytes(dg) {
@@ -509,14 +458,8 @@ fn dispatch(slots: &mut [ShardSlot], home: usize, i: usize, dg: &[u8], report: &
         }
         return;
     }
-    if wire_kind(dg) == Some(WireKind::WindowAck) {
-        if let Ok(ack) = WindowAck::parse(dg) {
-            slots[shard_of(ack.session, 0, slots.len())].acks.push(ack);
-        }
-        return;
-    }
     let owner = match PacketView::shard_key(dg) {
-        Some((session, index)) => shard_of(session, index, slots.len()),
+        Some((session, generation)) => shard_of(session, generation, slots.len()),
         None => home,
     };
     if owner != home {
@@ -526,8 +469,7 @@ fn dispatch(slots: &mut [ShardSlot], home: usize, i: usize, dg: &[u8], report: &
 }
 
 /// One shard's share of a batch. Under the shard's engine lock — one
-/// acquisition — absorb the acks, then parse, admit and code the group in
-/// arrival order, each output written straight into `send`'s arena.
+/// acquisition — parse, admit and code the group in arrival order, each output written straight into `send`'s arena.
 /// Outside it, under the shard's route lock (contended only by
 /// control-plane swaps), attach each datagram's destinations.
 fn run_shard<'a>(
@@ -541,7 +483,6 @@ fn run_shard<'a>(
 ) {
     let ShardSlot {
         group,
-        acks,
         images,
         outputs,
         addrs,
@@ -551,17 +492,7 @@ fn run_shard<'a>(
     {
         let mut guard = engine.lock();
         let RelayEngine { vnf, rng, overload } = &mut *guard;
-        // Window acks slide recoder floors before this batch's windowed
-        // data is coded, so freed rows are gone already.
-        for ack in acks.drain(..) {
-            vnf.handle_window_ack(&ack);
-            report.window_acks += 1;
-        }
-        let gen_size = vnf.config().blocks_per_generation();
         let block_size = vnf.config().block_size();
-        if let Some(ov) = overload.as_mut() {
-            ov.begin_batch(vnf.pool_pressure());
-        }
         let mut staging = Staging { send, images };
         for &idx in group.iter() {
             let (dg, src) = datagram(idx as usize);
@@ -571,31 +502,17 @@ fn run_shard<'a>(
                 report.steps += 1;
                 continue;
             };
-            let (session, windowed) = (view.session(), view.kind() == WireKind::Window);
+            let session = view.session();
             if let Some(ov) = overload.as_mut() {
-                // Only a generation can already be full rank; a window
-                // stream has no such point.
-                let full_rank = !windowed
-                    && vnf
-                        .generation_rank(session, view.index())
-                        .is_some_and(|r| r >= gen_size);
-                let verdict = ov.admit(session, monotonic_secs(), full_rank);
-                if !verdict.admitted() {
-                    match verdict {
-                        Admission::ShedQuota => report.shed_quota += 1,
-                        Admission::ShedOverload => report.shed_overload += 1,
-                        Admission::ShedRedundancy => report.shed_redundancy += 1,
-                        Admission::Admit => unreachable!("not admitted"),
-                    }
+                if !ov.admit(session, monotonic_secs()) {
+                    report.shed_quota += 1;
                     if let Some(src) = src {
-                        let shed = ov.stats().total_shed();
-                        note_congestion(congest, session, src, ov.load_pct(), shed);
+                        note_congestion(congest, session, src, ov.stats().shed_quota);
                     }
                     continue;
                 }
             }
             report.steps += 1;
-            report.window_steps += u64::from(windowed);
             match vnf.process_view_into(view, 1, rng, &mut staging) {
                 VnfDecision::Forwarded(n) => report.emitted += n as u64,
                 VnfDecision::Decoded {
@@ -610,15 +527,6 @@ fn run_shard<'a>(
                     for chunk in chunk_generation(generation, &payload, block_size) {
                         report.emitted += 1;
                         staging.image(|arena| arena.extend_from_slice(&chunk.to_bytes()));
-                    }
-                }
-                VnfDecision::Delivered { payloads, .. } => {
-                    // Windowed decoder egress: in-order symbols leave as
-                    // plain datagrams (per-delivery allocation, like the
-                    // generational decode path).
-                    for payload in &payloads {
-                        report.emitted += 1;
-                        staging.image(|arena| arena.extend_from_slice(payload));
                     }
                 }
                 VnfDecision::Nothing => {}
@@ -705,14 +613,13 @@ fn run_batch<'a>(
     congest.clear();
     for slot in slots.iter_mut() {
         slot.group.clear();
-        slot.acks.clear();
     }
     for i in 0..len {
         dispatch(slots, home, i, datagram(i).0, &mut report);
     }
 
     for ((engine, routes), slot) in shards.zip(slots.iter_mut()) {
-        if slot.group.is_empty() && slot.acks.is_empty() {
+        if slot.group.is_empty() {
             continue;
         }
         run_shard(engine, routes, slot, &datagram, send, congest, &mut report);
@@ -723,7 +630,7 @@ fn run_batch<'a>(
     // This path only runs while shedding, so its small allocations
     // never touch the non-shedding steady state.
     for t in congest.drain(..) {
-        let frame = Feedback::congestion(t.session, t.load_pct, t.shed, t.total_shed).to_bytes();
+        let frame = Feedback::congestion(t.session, t.shed, t.total_shed).to_bytes();
         send.push_bytes(&frame, std::slice::from_ref(&t.src));
         report.congestion_out += 1;
     }
@@ -740,7 +647,7 @@ fn run_batch<'a>(
 mod tests {
     use super::*;
     use ncvnf_dataplane::VnfRole;
-    use ncvnf_rlnc::{GenerationConfig, GenerationEncoder, SessionId};
+    use ncvnf_rlnc::{CodedPacket, GenerationConfig, GenerationEncoder, SessionId};
     use rand::SeedableRng;
 
     fn cfg() -> GenerationConfig {
@@ -856,20 +763,12 @@ mod tests {
         assert!(snap.histogram("relay.step_ns").unwrap().count >= 1);
     }
 
-    /// A windowed packet stream for session 1 at the engine's symbol size.
-    fn window_wires(count: usize, seed: u64) -> Vec<Vec<u8>> {
-        use ncvnf_rlnc::{PayloadPool, WindowConfig, WindowEncoder};
-        let mut enc = WindowEncoder::new(WindowConfig::new(32, 8).unwrap(), SessionId::new(1));
-        let (mut rng, mut pool) = (StdRng::seed_from_u64(seed), PayloadPool::new());
-        (0..count)
-            .map(|i| {
-                let pkt = match enc.push(&[i as u8; 32]) {
-                    Ok(idx) => enc.systematic_packet_pooled(idx, &mut pool).unwrap(),
-                    Err(_) => enc.coded_packet_pooled(&mut rng, &mut pool).unwrap(),
-                };
-                pkt.to_bytes().to_vec()
-            })
-            .collect()
+    /// Frames of the retired sliding-window framing for session 1: a
+    /// kind-2 data packet at full width and a kind-3 ack.
+    fn retired_window_frames() -> [Vec<u8>; 2] {
+        let mut data = vec![0xAC, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 255];
+        data.extend_from_slice(&[7u8; 255 + 32]);
+        [data, vec![0xAC, 3, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]]
     }
 
     fn shard_with_role(role: VnfRole) -> [RelayShard; 1] {
@@ -879,81 +778,61 @@ mod tests {
     }
 
     #[test]
-    fn windowed_flood_over_quota_is_shed_and_control_frames_are_not() {
+    fn flood_over_quota_is_shed_and_control_frames_are_not() {
         let shards = shard_with_role(VnfRole::Recoder);
         let quota = QuotaConfig {
             rate_pps: 0.0,
             burst: 4.0,
-            priority: 0,
         };
         shards[0]
             .engine
             .lock()
             .provision_quota(SessionId::new(1), quota);
+        let enc = GenerationEncoder::new(cfg(), &[0x5E; 128]).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
         let src: SocketAddr = ([127, 0, 0, 1], 4000).into();
         let mut batch = RecvBatch::new(32, 2048);
-        for (i, wire) in window_wires(24, 5).iter().enumerate() {
-            assert!(batch.push(wire, src));
-            // Control and feedback frames ride inside the flood.
+        for i in 0..24u64 {
+            let pkt = enc.coded_packet(SessionId::new(1), i / 4, &mut rng);
+            assert!(batch.push(&pkt.to_bytes(), src));
+            // Feedback frames ride inside the flood.
             if i % 6 == 0 {
                 assert!(batch.push(&Feedback::heartbeat(7, i as u16).to_bytes(), src));
-            }
-            if i % 12 == 0 {
-                let ack = WindowAck {
-                    session: SessionId::new(1),
-                    cumulative: 0,
-                    repair_wanted: 0,
-                };
-                assert!(batch.push(&ack.encode(), src));
             }
         }
         let mut scratch = BatchScratch::new(1);
         let report = relay_batch(&shards, 0, &mut scratch, &batch);
-        // The bucket holds four tokens and never refills: four windowed
-        // datagrams are coded, the other twenty are shed on quota.
+        // The bucket holds four tokens and never refills: four datagrams
+        // are coded, the other twenty are shed on quota.
         assert_eq!(report.steps, 4);
-        assert_eq!(report.window_steps, 4);
         assert_eq!(report.shed_quota, 20);
-        assert_eq!(report.total_shed(), 20);
         // Nothing that is not data was shed or lost.
         assert_eq!(report.feedback_frames, 4);
-        assert_eq!(report.window_acks, 2);
         // The shed source hears about it: one frame for (session, src).
         assert_eq!(report.congestion_out, 1);
         let engine = shards[0].engine.lock();
-        assert_eq!(engine.vnf().stats().window_packets_in, 4);
-        assert_eq!(engine.vnf().stats().window_acks_in, 2);
+        assert_eq!(engine.vnf().stats().packets_in, 4);
         assert_eq!(engine.overload().unwrap().stats().shed_quota, 20);
     }
 
     /// `relay_step` is `relay_batch` on a batch of one: the same seeded
-    /// datagram sequence — generational, windowed, junk, feedback and
-    /// window acks — yields byte-identical egress in the same order and
-    /// equal VNF counters either way.
+    /// datagram sequence — coded data, junk, feedback and retired
+    /// sliding-window frames — yields byte-identical egress in the same
+    /// order and equal VNF counters either way.
     #[test]
     fn relay_step_is_relay_batch_of_one() {
         const N: usize = 96;
         let enc = GenerationEncoder::new(cfg(), &[0xA7; 128]).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
-        let mut windowed = window_wires(N, 12).into_iter();
+        let retired = retired_window_frames();
         let sequence: Vec<Vec<u8>> = (0..N)
             .map(|i| {
-                if i % 32 == 0 {
-                    // A batch absorbs its acks ahead of its data, so an
-                    // ack acts at the same point in both runs only when
-                    // it leads a batch of 32.
-                    let ack = WindowAck {
-                        session: SessionId::new(1),
-                        cumulative: i as u64 / 8,
-                        repair_wanted: 0,
-                    };
-                    ack.encode().to_vec()
-                } else if i % 7 == 3 {
+                if i % 7 == 3 {
                     vec![i as u8; 1 + i % 40]
                 } else if i % 11 == 5 {
                     Feedback::heartbeat(3, i as u16).to_bytes().to_vec()
-                } else if i % 3 == 0 {
-                    windowed.next().unwrap()
+                } else if i % 13 == 0 {
+                    retired[i % 2].clone()
                 } else {
                     let generation = (i / 16) as u64;
                     enc.coded_packet(SessionId::new(1), generation, &mut rng)
@@ -998,7 +877,6 @@ mod tests {
         assert_eq!(step_egress, batch_egress);
         let (stepped, batched) = (stepped[0].engine.lock(), batched[0].engine.lock());
         assert_eq!(stepped.vnf().stats(), batched.vnf().stats());
-        assert!(stepped.vnf().stats().window_packets_out > 0);
         assert!(stepped.vnf().stats().malformed > 0);
     }
 

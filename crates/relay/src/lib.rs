@@ -16,9 +16,7 @@
 //!   `ncvnf-dataplane` feedback codec, NACKs on evidence of loss,
 //!   bounded retransmission gated on the measured round trip, redundancy
 //!   sized from the estimated erasure rate). Zero retries and no
-//!   feedback peer make it best-effort; [`send_window_reliable`] /
-//!   [`ReliableReceiver::spawn_window`] run the same loop and thread
-//!   over the sliding-window codec;
+//!   feedback peer make it best-effort;
 //! * [`reliable_chain`] — assembles a source → relays → receiver
 //!   pipeline on 127.0.0.1, wired over the control channel
 //!   ([`RelayNode::wire`]), and reports timing and counters;
@@ -52,9 +50,9 @@ pub use metrics::{
     BatchCells, BatchMetrics, RecoveryCells, RecoveryMetrics, RelayNodeMetrics, TransferObs,
 };
 pub use node::{HeartbeatConfig, RelayConfig, RelayHandle, RelayNode, RelayStats};
-pub use overload::{Admission, OverloadConfig, OverloadState, OverloadStats, QuotaConfig};
+pub use overload::{OverloadConfig, OverloadState, OverloadStats, QuotaConfig};
 pub use recovery::{
-    reliable_chain, send_object_reliable, send_window_reliable, RecoveryConfig, RecoveryStats,
-    ReliableChainReport, ReliableReceiver, ReliableReport, TransferConfig,
+    reliable_chain, send_object_reliable, RecoveryConfig, RecoveryStats, ReliableChainReport,
+    ReliableReceiver, ReliableReport, TransferConfig,
 };
 pub use socket::{DatagramSocket, RecvBatch, SendBatch, MAX_BATCH};

@@ -48,12 +48,8 @@ ncvnf_obs::metrics! {
         pub daemon_state: Gauge = "relay.daemon_state", "state", "Daemon lifecycle state: 0 Idle, 1 Running, 2 Paused, 3 Draining, 4 Stopped";
         pub wake_signals: Counter = "relay.wake_signals", "frames", "Wake requests emitted toward the monitor (traffic arrived while draining)";
         pub shed_quota: Counter = "relay.shed_quota", "datagrams", "Datagrams shed because the session's admission token bucket was dry";
-        pub shed_overload: Counter = "relay.shed_overload", "datagrams", "Datagrams shed newest-first by the armed per-batch admission cap";
-        pub shed_redundancy: Counter = "relay.shed_redundancy", "datagrams", "Datagrams shed while armed because their generation was already full rank";
         pub congestion_frames: Counter = "relay.congestion_frames", "frames", "Congestion feedback frames emitted toward the sources of shed traffic";
         pub quota_sessions: Gauge = "relay.quota_sessions", "sessions", "Sessions with an explicitly provisioned admission quota (NC_QUOTA)";
-        pub pool_pressure: Gauge = "relay.pool_pressure", "ratio", "Highest per-shard payload-pool byte pressure (retained+outstanding over budget)";
-        pub shedding_shards: Gauge = "relay.shedding_shards", "shards", "Engine shards whose overload latch is currently armed";
         pub egress_coalesced: Counter = "relay.egress_coalesced", "datagrams", "Datagrams that left inside a multi-segment UDP_SEGMENT message (process-wide: every socket of this process)";
         pub egress_refused: Counter = "relay.egress_refused", "messages", "Coalesced messages the kernel refused and that were re-sent datagram by datagram (process-wide)";
         pub ingress_coalesced: Counter = "relay.ingress_coalesced", "datagrams", "Datagrams that arrived inside a multi-segment UDP_GRO message";
@@ -72,8 +68,6 @@ ncvnf_obs::metrics! {
         pub batch_fill: Histogram = "relay.batch_fill", "datagrams", "Datagrams per relayed batch (batch occupancy)";
         pub batch_ns: Histogram = "relay.batch_ns", "ns", "Batch relay latency, sampled 1-in-8 (dispatch, code, serialize, flush)";
         pub cross_shard: Counter = "relay.cross_shard_packets", "datagrams", "Datagrams received on one shard's socket but owned by another shard";
-        pub window_packets: Counter = "relay.window_packets", "datagrams", "Sliding-window datagrams (wire kind 2) run through a shard engine";
-        pub window_acks: Counter = "relay.window_acks", "acks", "Window acks (wire kind 3) absorbed to slide recoder floors";
     }
 }
 
@@ -143,12 +137,6 @@ impl BatchMetrics {
         if report.cross_shard > 0 {
             self.cells.cross_shard.add(report.cross_shard);
         }
-        if report.window_steps > 0 {
-            self.cells.window_packets.add(report.window_steps);
-        }
-        if report.window_acks > 0 {
-            self.cells.window_acks.add(report.window_acks);
-        }
         if let Some(ns) = elapsed_ns {
             self.cells.batch_ns.record(ns);
             if let Some(per_step) = ns.checked_div(report.steps) {
@@ -157,7 +145,7 @@ impl BatchMetrics {
         }
         self.acc_steps += report.steps;
         self.acc_emitted += report.emitted;
-        // A batch that coded nothing (all shed, feedback or acks only)
+        // A batch that coded nothing (all shed, or feedback only)
         // may be the last for a while: publish what earlier batches
         // accumulated now rather than at 32 datagrams.
         if self.acc_steps >= STEP_FLUSH_EVERY || report.steps == 0 {
@@ -201,13 +189,12 @@ ncvnf_obs::metrics! {
         pub generations_recovered: Counter = "recovery.generations_recovered", "generations", "Generations that needed retransmission and still decoded (source)";
         pub unrecovered: Counter = "recovery.unrecovered", "generations", "Generations never ACKed when the source gave up";
         pub backoff_ns: Histogram = "recovery.backoff_ns", "ns", "Gate armed by each repair round: measured round trip x 4^(retry-1), at most backoff_base x 2^(retry-1) (source)";
-        pub nack_delay_ns: Histogram = "recovery.nack_delay_ns", "ns", "From the last arrival for a generation (windowed: the delivery cursor) to its first NACK (receiver)";
+        pub nack_delay_ns: Histogram = "recovery.nack_delay_ns", "ns", "From the last arrival for a generation to its first NACK (receiver)";
         pub rtt_ns: Histogram = "recovery.rtt_ns", "ns", "Measured round trips: first NACK to first repair arrival (receiver), repair burst to ACK (source)";
         pub loss_estimate: Gauge = "recovery.loss_estimate", "ratio", "Erasure-rate estimate from resolved generations: missing over sent (source)";
         pub pace_lag_ns: Histogram = "recovery.pace_lag_ns", "ns", "How far past its pacing deadline each generation or repair burst left (source)";
         pub congestion_events: Counter = "recovery.congestion_events", "frames", "Congestion feedback frames honoured with a redundancy cut and pause (source)";
         pub backpressure_ns: Histogram = "recovery.backpressure_ns", "ns", "Pauses imposed on fresh generations and repair bursts by Congestion feedback";
-        pub congestion_window: Gauge = "recovery.congestion_window", "percent", "Downstream load percent carried by the most recent Congestion frame (source)";
     }
 }
 

@@ -48,7 +48,7 @@ use ncvnf_control::ForwardingTable;
 use ncvnf_dataplane::metrics::VnfMetrics;
 use ncvnf_dataplane::{CodingVnf, Feedback, VnfRole, VnfStats, FEEDBACK_LEN};
 use ncvnf_obs::{Registry, Snapshot, TraceKind};
-use ncvnf_rlnc::{CodedPacket, GenerationConfig, PoolMetrics, PoolStats, SessionId, WindowAck};
+use ncvnf_rlnc::{GenerationConfig, PoolMetrics, PoolStats, SessionId};
 
 use crate::engine::{relay_flush, BatchScratch, RelayEngine, RelayShard};
 use crate::metrics::{BatchCells, RelayNodeMetrics};
@@ -168,19 +168,16 @@ pub struct RelayStats {
     pub wake_signals: u64,
     /// Datagrams shed because a session's admission bucket was dry.
     pub shed_quota: u64,
-    /// Datagrams shed newest-first by the armed per-batch cap.
-    pub shed_overload: u64,
-    /// Redundancy datagrams shed while the overload latch was armed.
-    pub shed_redundancy: u64,
     /// Congestion feedback frames emitted toward shed traffic's sources.
     pub congestion_frames: u64,
 }
 
 impl RelayStats {
-    /// Sum of the three shed classes.
+    /// Every datagram the admission gate shed. Quota is the one shed
+    /// class, so this is [`shed_quota`](Self::shed_quota).
     #[must_use]
     pub fn total_shed(&self) -> u64 {
-        self.shed_quota + self.shed_overload + self.shed_redundancy
+        self.shed_quota
     }
 }
 
@@ -226,17 +223,13 @@ struct Shared {
 struct EngineTotals {
     vnf: VnfStats,
     pool: PoolStats,
-    /// Highest per-shard payload-pool byte pressure.
-    pressure: f64,
-    /// Shards whose overload latch is currently armed.
-    armed_shards: u64,
     /// Sessions with a provisioned quota (the `NC_QUOTA` fanout reaches
     /// every shard identically, so the max over shards is the count).
     quota_sessions: u64,
 }
 
 impl Shared {
-    /// Sums the per-shard VNF and pool counters and the overload gauges
+    /// Sums the per-shard VNF and pool counters and the quota gauge
     /// (each shard's engine lock is held only for its stats copies).
     fn vnf_totals(&self) -> EngineTotals {
         let mut t = EngineTotals::default();
@@ -244,11 +237,7 @@ impl Shared {
             let guard = shard.engine().lock();
             let s = guard.vnf().stats();
             let p = guard.vnf().pool_stats();
-            t.pressure = t.pressure.max(guard.vnf().pool_pressure());
             if let Some(ov) = guard.overload() {
-                if ov.armed() {
-                    t.armed_shards += 1;
-                }
                 t.quota_sessions = t.quota_sessions.max(ov.provisioned_sessions() as u64);
             }
             drop(guard);
@@ -259,25 +248,21 @@ impl Shared {
             t.vnf.unknown_session += s.unknown_session;
             t.vnf.generations_decoded += s.generations_decoded;
             t.vnf.evicted_decoders += s.evicted_decoders;
-            t.vnf.budget_evictions += s.budget_evictions;
             t.pool.checkouts += p.checkouts;
             t.pool.hits += p.hits;
             t.pool.reclaimed += p.reclaimed;
             t.pool.dropped += p.dropped;
-            t.pool.evicted += p.evicted;
         }
         t
     }
 
-    /// Publishes the aggregated VNF/pool counters and overload gauges
+    /// Publishes the aggregated VNF/pool counters and the quota gauge
     /// into the registry, then snapshots everything.
     fn snapshot(&self) -> Snapshot {
         let totals = self.vnf_totals();
         self.vnf_metrics.publish(&totals.vnf);
         self.pool_metrics.publish(&totals.pool);
         self.metrics.idle_ms.set(self.idle_ms() as f64);
-        self.metrics.pool_pressure.set(totals.pressure);
-        self.metrics.shedding_shards.set(totals.armed_shards as f64);
         self.metrics
             .quota_sessions
             .set(totals.quota_sessions as f64);
@@ -350,8 +335,6 @@ impl RelayHandle {
             cross_shard_packets: self.shared.batch_cells.cross_shard.get(),
             wake_signals: m.wake_signals.get(),
             shed_quota: m.shed_quota.get(),
-            shed_overload: m.shed_overload.get(),
-            shed_redundancy: m.shed_redundancy.get(),
             congestion_frames: m.congestion_frames.get(),
         }
     }
@@ -641,18 +624,12 @@ fn bind_shard_sockets(n: usize) -> std::io::Result<(Vec<UdpSocket>, bool)> {
 }
 
 /// Bytes per receive slot of a data thread: the largest datagram `layout`
-/// makes valid — a windowed packet at full width, a generational packet,
-/// or a feedback / window-ack frame — plus one, so that anything longer
-/// arrives cut to a length no layout accepts and is counted malformed,
-/// as it would be whole. Receive memory is bounded by the configuration,
-/// not by the largest datagram UDP can carry.
+/// makes valid — a coded packet or a feedback frame — plus one, so that
+/// anything longer arrives cut to a length no layout accepts and is
+/// counted malformed, as it would be whole. Receive memory is bounded by
+/// the configuration, not by the largest datagram UDP can carry.
 fn recv_slot_len(layout: &GenerationConfig) -> usize {
-    let windowed = CodedPacket::WINDOW_FIXED_LEN + CodedPacket::MAX_WIDTH + layout.block_size();
-    windowed
-        .max(layout.packet_len())
-        .max(FEEDBACK_LEN)
-        .max(WindowAck::WIRE_LEN)
-        + 1
+    layout.packet_len().max(FEEDBACK_LEN) + 1
 }
 
 /// One data thread: drain a batch, relay it through the shard array in
@@ -725,12 +702,6 @@ fn data_loop<S: DatagramSocket>(
             }
             if report.shed_quota > 0 {
                 m.shed_quota.add(report.shed_quota);
-            }
-            if report.shed_overload > 0 {
-                m.shed_overload.add(report.shed_overload);
-            }
-            if report.shed_redundancy > 0 {
-                m.shed_redundancy.add(report.shed_redundancy);
             }
             if report.congestion_out > 0 {
                 m.congestion_frames.add(report.congestion_out);
@@ -916,7 +887,6 @@ fn control_loop<S: DatagramSocket>(
                     session,
                     rate_pps,
                     burst,
-                    priority,
                 } => {
                     // Fan the budget out to every shard's admission
                     // gate (any shard can own any generation of this
@@ -926,7 +896,6 @@ fn control_loop<S: DatagramSocket>(
                     let quota = QuotaConfig {
                         rate_pps: f64::from(rate_pps),
                         burst: f64::from(burst),
-                        priority,
                     };
                     for shard in &shared.shards {
                         shard.engine().lock().provision_quota(session, quota);

@@ -1,29 +1,22 @@
-//! Admission control and prioritized load shedding for the data path.
+//! Admission control for the data path.
 //!
-//! Overload protection is opt-in and layered (DESIGN.md §16):
+//! Overload protection is opt-in and has two layers (DESIGN.md §16):
 //!
 //! 1. **Per-session admission.** Each shard keeps a token bucket
 //!    per session, provisioned by the control plane
 //!    via `NC_QUOTA` (session 0 sets the default bucket unknown
 //!    sessions are lazily cloned from). Refill is folded into the
 //!    admission check itself — O(1) per datagram, no timer thread.
-//! 2. **Prioritized shedding.** When the payload pool's byte pressure
-//!    crosses the high-water mark, the shard latches into shedding mode
-//!    (hysteresis: it disarms only below the low-water mark). While
-//!    armed, coded-data datagrams whose generation is already at full
-//!    rank are shed first (pure redundancy — they cannot advance the
-//!    decode), then admissions are capped per batch so the newest
-//!    arrivals are shed. Control signals live on the control socket and
-//!    feedback frames are classified before admission, so neither class
-//!    can ever be shed by this gate.
-//! 3. **Backpressure.** Every shed datagram nominates its source for a
+//!    Control signals live on the control socket and feedback frames
+//!    are classified before admission, so neither class can ever be
+//!    shed by this gate.
+//! 2. **Backpressure.** Every shed datagram nominates its source for a
 //!    `Congestion` feedback frame (kind 5), emitted by
 //!    [`relay_batch`](crate::relay_batch) with the same egress flush as
 //!    the coded traffic; senders react by cutting redundancy
 //!    multiplicatively and pausing bursts.
 //!
-//! Until the first quota arrives (or a relay explicitly enables it),
-//! the regime does not exist at all — the hot path pays a single
+//! Until the first quota arrives the regime does not exist at all — the hot path pays a single
 //! `Option` test and behaves byte-identically to a relay without this
 //! module.
 
@@ -49,8 +42,6 @@ pub struct QuotaConfig {
     pub rate_pps: f64,
     /// Bucket depth in packets (the tolerated burst).
     pub burst: f64,
-    /// Shedding/eviction priority: 0 is most important, 255 least.
-    pub priority: u8,
 }
 
 /// One session's token bucket. Refill happens lazily on each take: the
@@ -90,19 +81,9 @@ impl SessionBudget {
     }
 }
 
-/// Tunables for one shard's overload regime.
+/// Tunables for one shard's admission gate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverloadConfig {
-    /// Pool byte pressure (see
-    /// [`PayloadPool::pressure`](ncvnf_rlnc::PayloadPool::pressure))
-    /// at which shedding arms.
-    pub high_water: f64,
-    /// Pressure at which an armed shard disarms (hysteresis: must be
-    /// below `high_water` to prevent flapping).
-    pub low_water: f64,
-    /// Maximum coded-data admissions per shard batch while armed; later
-    /// (newest) arrivals in the batch are shed.
-    pub armed_batch_cap: u32,
     /// Bound on lazily-tracked unknown sessions; beyond it, sessions
     /// without a provisioned quota are rejected outright.
     pub max_tracked_sessions: usize,
@@ -114,59 +95,23 @@ pub struct OverloadConfig {
 impl Default for OverloadConfig {
     fn default() -> Self {
         OverloadConfig {
-            high_water: 0.85,
-            low_water: 0.6,
-            armed_batch_cap: 8,
             max_tracked_sessions: 1024,
             default_quota: None,
         }
     }
 }
 
-/// Running admission counters of one shard. The three shed classes are
-/// disjoint; their sum is every datagram this gate refused.
+/// Running admission counters of one shard.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OverloadStats {
     /// Datagrams the gate admitted.
     pub admitted: u64,
-    /// Shed because the session's token bucket was dry.
+    /// Shed because the session's token bucket was dry (or the session
+    /// was rejected).
     pub shed_quota: u64,
-    /// Shed by the armed per-batch cap (newest arrivals first).
-    pub shed_overload: u64,
-    /// Shed while armed because the generation was already full rank.
-    pub shed_redundancy: u64,
 }
 
-impl OverloadStats {
-    /// Sum of the three shed classes.
-    #[must_use]
-    pub fn total_shed(&self) -> u64 {
-        self.shed_quota + self.shed_overload + self.shed_redundancy
-    }
-}
-
-/// The admission gate's verdict for one coded-data datagram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// Process the datagram.
-    Admit,
-    /// Shed: session token bucket dry (or session rejected).
-    ShedQuota,
-    /// Shed: armed batch cap reached (newest arrivals).
-    ShedOverload,
-    /// Shed: armed and the generation is already full rank.
-    ShedRedundancy,
-}
-
-impl Admission {
-    /// True when the datagram should be processed.
-    #[must_use]
-    pub fn admitted(&self) -> bool {
-        matches!(self, Admission::Admit)
-    }
-}
-
-/// Per-shard admission and shedding state, owned by the shard's
+/// Per-shard admission state, owned by the shard's
 /// [`RelayEngine`](crate::RelayEngine) so the existing engine lock
 /// covers it — no second mutex on the hot path.
 #[derive(Debug)]
@@ -176,34 +121,19 @@ pub struct OverloadState {
     /// Sessions with an explicitly provisioned quota (the rest of
     /// `budgets` are lazy clones of the default bucket).
     provisioned: usize,
-    /// Hysteresis latch: true while shedding mode is armed.
-    armed: bool,
-    /// Pool pressure observed at the last `begin_batch`.
-    pressure: f64,
-    /// Coded-data admissions so far in the current batch.
-    batch_admitted: u32,
     stats: OverloadStats,
 }
 
 impl OverloadState {
-    /// A passive gate: no quotas, disarmed, admits everything.
+    /// A passive gate: no quotas, admits everything.
     #[must_use]
     pub fn new(config: OverloadConfig) -> Self {
         OverloadState {
             config,
             budgets: HashMap::new(),
             provisioned: 0,
-            armed: false,
-            pressure: 0.0,
-            batch_admitted: 0,
             stats: OverloadStats::default(),
         }
-    }
-
-    /// The gate's tunables.
-    #[must_use]
-    pub fn config(&self) -> &OverloadConfig {
-        &self.config
     }
 
     /// (Re)provisions a session's quota. Session 0 sets the default
@@ -228,86 +158,38 @@ impl OverloadState {
         self.provisioned
     }
 
-    /// A session's provisioned priority (0 = most important); unknown
-    /// sessions inherit the default bucket's priority, or least
-    /// important when there is no default.
-    #[must_use]
-    pub fn priority(&self, session: SessionId) -> u8 {
-        self.budgets
-            .get(&session)
-            .map(|b| b.quota.priority)
-            .or_else(|| self.config.default_quota.map(|q| q.priority))
-            .unwrap_or(u8::MAX)
-    }
-
-    /// True while shedding mode is armed.
-    #[must_use]
-    pub fn armed(&self) -> bool {
-        self.armed
-    }
-
-    /// Pool pressure at the last batch start, as an integer percent
-    /// (what `Congestion` frames carry as their load field).
-    #[must_use]
-    pub fn load_pct(&self) -> u32 {
-        (self.pressure * 100.0).clamp(0.0, u32::MAX as f64) as u32
-    }
-
     /// Running admission counters.
     #[must_use]
     pub fn stats(&self) -> OverloadStats {
         self.stats
     }
 
-    /// Starts a batch: updates the hysteresis latch from the pool's
-    /// current byte pressure and resets the per-batch admission count.
-    pub fn begin_batch(&mut self, pressure: f64) {
-        self.pressure = pressure;
-        if pressure >= self.config.high_water {
-            self.armed = true;
-        } else if pressure <= self.config.low_water {
-            self.armed = false;
-        }
-        self.batch_admitted = 0;
-    }
-
-    /// Judges one coded-data datagram. `full_rank` is whether the
-    /// datagram's generation already has all the rank it needs (the
-    /// datagram is pure redundancy).
-    pub fn admit(&mut self, session: SessionId, now_secs: f64, full_rank: bool) -> Admission {
-        // Redundancy first: an armed shard sheds packets that cannot
-        // advance a decode before it touches anyone's token budget.
-        if self.armed && full_rank {
-            self.stats.shed_redundancy += 1;
-            return Admission::ShedRedundancy;
-        }
-        if let Some(budget) = self.budgets.get_mut(&session) {
-            if !budget.try_take(now_secs) {
-                self.stats.shed_quota += 1;
-                return Admission::ShedQuota;
-            }
-        } else if let Some(default) = self.config.default_quota {
-            if self.budgets.len() >= self.config.max_tracked_sessions {
+    /// Judges one coded-data datagram of `session`: true to process it,
+    /// false to shed it (counted in [`OverloadStats::shed_quota`]).
+    pub fn admit(&mut self, session: SessionId, now_secs: f64) -> bool {
+        let budget = match self.budgets.get_mut(&session) {
+            Some(budget) => Some(budget),
+            None => match self.config.default_quota {
                 // Table full: reject rather than admit untracked.
-                self.stats.shed_quota += 1;
-                return Admission::ShedQuota;
-            }
-            let budget = self
-                .budgets
-                .entry(session)
-                .or_insert_with(|| SessionBudget::new(default, now_secs));
-            if !budget.try_take(now_secs) {
-                self.stats.shed_quota += 1;
-                return Admission::ShedQuota;
-            }
+                Some(_) if self.budgets.len() >= self.config.max_tracked_sessions => None,
+                Some(default) => Some(
+                    self.budgets
+                        .entry(session)
+                        .or_insert_with(|| SessionBudget::new(default, now_secs)),
+                ),
+                None => {
+                    self.stats.admitted += 1;
+                    return true;
+                }
+            },
+        };
+        let admitted = budget.is_some_and(|b| b.try_take(now_secs));
+        if admitted {
+            self.stats.admitted += 1;
+        } else {
+            self.stats.shed_quota += 1;
         }
-        if self.armed && self.batch_admitted >= self.config.armed_batch_cap {
-            self.stats.shed_overload += 1;
-            return Admission::ShedOverload;
-        }
-        self.batch_admitted += 1;
-        self.stats.admitted += 1;
-        Admission::Admit
+        admitted
     }
 }
 
@@ -315,163 +197,77 @@ impl OverloadState {
 mod tests {
     use super::*;
 
-    fn quota(rate: f64, burst: f64, priority: u8) -> QuotaConfig {
+    fn quota(rate: f64, burst: f64) -> QuotaConfig {
         QuotaConfig {
             rate_pps: rate,
             burst,
-            priority,
         }
     }
 
     #[test]
     fn unprovisioned_sessions_pass_without_a_default() {
         let mut ov = OverloadState::new(OverloadConfig::default());
-        ov.begin_batch(0.0);
         for i in 0..100 {
-            assert_eq!(
-                ov.admit(SessionId::new(9), i as f64 * 0.001, false),
-                Admission::Admit
-            );
+            assert!(ov.admit(SessionId::new(9), i as f64 * 0.001));
         }
         assert_eq!(ov.stats().admitted, 100);
-        assert_eq!(ov.stats().total_shed(), 0);
+        assert_eq!(ov.stats().shed_quota, 0);
     }
 
     #[test]
     fn token_bucket_sheds_beyond_burst_and_refills() {
         let mut ov = OverloadState::new(OverloadConfig::default());
-        ov.provision(SessionId::new(1), quota(100.0, 4.0, 0), 0.0);
-        ov.begin_batch(0.0);
+        ov.provision(SessionId::new(1), quota(100.0, 4.0), 0.0);
         // Burst of 4 admitted at t=0, the 5th is over quota.
         for _ in 0..4 {
-            assert!(ov.admit(SessionId::new(1), 0.0, false).admitted());
+            assert!(ov.admit(SessionId::new(1), 0.0));
         }
-        assert_eq!(
-            ov.admit(SessionId::new(1), 0.0, false),
-            Admission::ShedQuota
-        );
+        assert!(!ov.admit(SessionId::new(1), 0.0));
         // 50 ms at 100 pps refills 5 tokens, capped at burst 4.
-        assert!(ov.admit(SessionId::new(1), 0.05, false).admitted());
+        assert!(ov.admit(SessionId::new(1), 0.05));
         assert_eq!(ov.stats().shed_quota, 1);
     }
 
     #[test]
     fn zero_rate_quota_blocks_a_session() {
         let mut ov = OverloadState::new(OverloadConfig::default());
-        ov.provision(SessionId::new(2), quota(0.0, 0.0, 0), 0.0);
-        ov.begin_batch(0.0);
-        assert_eq!(
-            ov.admit(SessionId::new(2), 10.0, false),
-            Admission::ShedQuota
-        );
+        ov.provision(SessionId::new(2), quota(0.0, 0.0), 0.0);
+        assert!(!ov.admit(SessionId::new(2), 10.0));
     }
 
     #[test]
     fn session_zero_provisions_the_default_bucket() {
         let mut ov = OverloadState::new(OverloadConfig::default());
-        ov.provision(SessionId::new(0), quota(0.0, 0.0, 200), 0.0);
-        ov.begin_batch(0.0);
+        ov.provision(SessionId::new(0), quota(0.0, 0.0), 0.0);
         // Unknown sessions now inherit the zero default: rejected.
-        assert_eq!(
-            ov.admit(SessionId::new(7), 0.0, false),
-            Admission::ShedQuota
-        );
+        assert!(!ov.admit(SessionId::new(7), 0.0));
         assert_eq!(ov.provisioned_sessions(), 0);
-        assert_eq!(ov.priority(SessionId::new(7)), 200);
-    }
-
-    #[test]
-    fn hysteresis_arms_high_disarms_low() {
-        let cfg = OverloadConfig {
-            high_water: 0.9,
-            low_water: 0.5,
-            ..OverloadConfig::default()
-        };
-        let mut ov = OverloadState::new(cfg);
-        ov.begin_batch(0.7);
-        assert!(!ov.armed(), "below high water: stays disarmed");
-        ov.begin_batch(0.95);
-        assert!(ov.armed());
-        ov.begin_batch(0.7);
-        assert!(ov.armed(), "between the marks: latch holds");
-        ov.begin_batch(0.4);
-        assert!(!ov.armed());
-    }
-
-    #[test]
-    fn armed_shard_sheds_redundancy_then_newest() {
-        let cfg = OverloadConfig {
-            high_water: 0.9,
-            low_water: 0.5,
-            armed_batch_cap: 2,
-            ..OverloadConfig::default()
-        };
-        let mut ov = OverloadState::new(cfg);
-        ov.begin_batch(1.2);
-        assert!(ov.armed());
-        // Full-rank packets are shed regardless of position or quota.
-        assert_eq!(
-            ov.admit(SessionId::new(1), 0.0, true),
-            Admission::ShedRedundancy
-        );
-        // Needed packets admit up to the cap, then the newest shed.
-        assert!(ov.admit(SessionId::new(1), 0.0, false).admitted());
-        assert!(ov.admit(SessionId::new(1), 0.0, false).admitted());
-        assert_eq!(
-            ov.admit(SessionId::new(1), 0.0, false),
-            Admission::ShedOverload
-        );
-        assert_eq!(ov.stats().shed_redundancy, 1);
-        assert_eq!(ov.stats().shed_overload, 1);
-        // Next batch resets the cap.
-        ov.begin_batch(1.2);
-        assert!(ov.admit(SessionId::new(1), 0.0, false).admitted());
-        assert_eq!(ov.load_pct(), 120);
-    }
-
-    #[test]
-    fn disarmed_shard_never_sheds_redundancy_or_caps() {
-        let mut ov = OverloadState::new(OverloadConfig::default());
-        ov.begin_batch(0.0);
-        for _ in 0..64 {
-            assert!(ov.admit(SessionId::new(3), 0.0, true).admitted());
-        }
-        assert_eq!(ov.stats().total_shed(), 0);
     }
 
     #[test]
     fn tracked_session_table_is_bounded() {
         let cfg = OverloadConfig {
             max_tracked_sessions: 2,
-            default_quota: Some(quota(1000.0, 8.0, 10)),
-            ..OverloadConfig::default()
+            default_quota: Some(quota(1000.0, 8.0)),
         };
         let mut ov = OverloadState::new(cfg);
-        ov.begin_batch(0.0);
-        assert!(ov.admit(SessionId::new(1), 0.0, false).admitted());
-        assert!(ov.admit(SessionId::new(2), 0.0, false).admitted());
+        assert!(ov.admit(SessionId::new(1), 0.0));
+        assert!(ov.admit(SessionId::new(2), 0.0));
         // A third unknown session cannot be tracked: rejected.
-        assert_eq!(
-            ov.admit(SessionId::new(3), 0.0, false),
-            Admission::ShedQuota
-        );
+        assert!(!ov.admit(SessionId::new(3), 0.0));
     }
 
     #[test]
     fn reprovision_resets_the_bucket() {
         let mut ov = OverloadState::new(OverloadConfig::default());
-        ov.provision(SessionId::new(1), quota(1.0, 1.0, 0), 0.0);
-        ov.begin_batch(0.0);
-        assert!(ov.admit(SessionId::new(1), 0.0, false).admitted());
-        assert_eq!(
-            ov.admit(SessionId::new(1), 0.0, false),
-            Admission::ShedQuota
-        );
+        ov.provision(SessionId::new(1), quota(1.0, 1.0), 0.0);
+        assert!(ov.admit(SessionId::new(1), 0.0));
+        assert!(!ov.admit(SessionId::new(1), 0.0));
         // The control plane raises the quota: fresh burst available.
-        ov.provision(SessionId::new(1), quota(100.0, 8.0, 0), 0.0);
+        ov.provision(SessionId::new(1), quota(100.0, 8.0), 0.0);
         assert_eq!(ov.provisioned_sessions(), 1, "re-provision, not a new row");
         for _ in 0..8 {
-            assert!(ov.admit(SessionId::new(1), 0.0, false).admitted());
+            assert!(ov.admit(SessionId::new(1), 0.0));
         }
     }
 }

@@ -16,20 +16,15 @@
 //!   feedback does not traverse the coding relays);
 //! * both ends poll their socket without blocking and sleep on deadlines
 //!   (`Port`); a socket timeout never paces either;
-//! * both are written over a private framing seam with the two codings
-//!   the codec ships: **generational** ([`send_object_reliable`] /
-//!   [`ReliableReceiver::spawn`]: per-generation ACK/NACK, bounded
-//!   retries) and **sliding-window** ([`send_window_reliable`] /
-//!   [`ReliableReceiver::spawn_window`]: systematic symbols, cumulative
-//!   [`WindowAck`]s, repair bursts over the live window);
+//! * progress is per generation: ACK/NACK feedback, bounded retries;
 //! * a best-effort transfer is not a third implementation: it is the
 //!   generational source with `max_retries: 0` (it returns the instant
 //!   the last generation leaves) and the receiver with no feedback peer.
 //!
 //! Recovery acts on **evidence, not timers**: the receiver's `NackClock`
-//! asks for a generation (a windowed stream's delivery cursor) as soon as
-//! later data shows it short of packets, for a tail one measured round
-//! trip after the stream goes quiet, and again a round trip after the
+//! asks for a generation as soon as later data shows it short of
+//! packets, for a tail one measured round trip after the stream goes
+//! quiet, and again a round trip after the
 //! last NACK; the source gates retry *k* on the round trip it measures
 //! × 4^(k−1), and its [`AdaptiveRedundancy`] erasure estimate puts extra
 //! packets only on repair rounds whose failure the paced fresh pass would
@@ -55,16 +50,15 @@ use ncvnf_control::signal::VnfRoleWire;
 use ncvnf_control::ForwardingTable;
 use ncvnf_dataplane::{Feedback, FeedbackKind};
 use ncvnf_obs::{Counter, Snapshot, TraceKind};
-use ncvnf_rlnc::window::{WindowConfig, WindowDecoder, WindowEncoder, WindowOutcome};
 use ncvnf_rlnc::{
-    wire_kind, AdaptiveRedundancy, AimdConfig, CodedPacket, GenerationConfig, ObjectDecoder,
-    ObjectEncoder, PacketView, PayloadPool, RedundancyPolicy, SessionId, WindowAck, WireKind,
+    AdaptiveRedundancy, AimdConfig, CodedPacket, GenerationConfig, ObjectDecoder, ObjectEncoder,
+    PacketView, PayloadPool, RedundancyPolicy, SessionId,
 };
 
 use crate::chaos::{FaultConfig, FaultSocket, FaultStats};
 use crate::metrics::{RecoveryMetrics, TransferObs};
 use crate::node::{RelayConfig, RelayNode, RelayStats};
-use crate::socket::{is_timeout, DatagramSocket, SendBatch, MAX_BATCH};
+use crate::socket::{is_timeout, DatagramSocket, SendBatch};
 
 /// Parameters of one object transfer.
 #[derive(Debug, Clone)]
@@ -98,15 +92,14 @@ impl Default for TransferConfig {
 /// used until a measurement exists — not schedules.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryConfig {
-    /// Receiver: the longest a generation (a windowed stream's delivery
-    /// cursor) short of packets goes without a NACK. With a packet
-    /// spacing and a round trip measured, a gap is NACKed a few spacings
-    /// after later data shows it, a tail a round trip after the stream
-    /// goes quiet.
+    /// Receiver: the longest a generation short of packets goes without
+    /// a NACK. With a packet spacing and a round trip measured, a gap is
+    /// NACKed a few spacings after later data shows it, a tail a round
+    /// trip after the stream goes quiet.
     pub decode_timeout: Duration,
-    /// Receiver: spacing between NACKs for the same generation (or
-    /// stream): the measured NACK-to-repair round trip, doubled per
-    /// unanswered NACK, at most this.
+    /// Receiver: spacing between NACKs for the same generation: the
+    /// measured NACK-to-repair round trip, doubled per unanswered NACK,
+    /// at most this.
     pub nack_interval: Duration,
     /// Source: retransmission rounds per generation before giving up.
     /// Zero makes the transfer best-effort: the source awaits nothing
@@ -120,9 +113,8 @@ pub struct RecoveryConfig {
     /// Source: give up after this long with every generation sent and no
     /// feedback (receiver death must not hang the source forever).
     pub idle_timeout: Duration,
-    /// Source: base pause imposed by one `Congestion` frame, scaled by
-    /// the reported load percent (0.5×–4×). Fresh data and repair bursts
-    /// both hold off until the pause expires.
+    /// Source: pause imposed by one `Congestion` frame. Fresh data and
+    /// repair bursts both hold off until the pause expires.
     pub congestion_pause: Duration,
     /// Bounds of the adaptive redundancy (the floor is overridden by the
     /// transfer's static policy).
@@ -137,14 +129,14 @@ impl Default for RecoveryConfig {
             max_retries: 8,
             backoff_base: Duration::from_millis(20),
             idle_timeout: Duration::from_secs(2),
-            congestion_pause: Duration::from_millis(5),
+            congestion_pause: Duration::from_micros(2500),
             aimd: AimdConfig::default(),
         }
     }
 }
 
-/// Counters from one transfer, whichever its framing. The source fills
-/// the received/retransmit side, the receiver the sent side.
+/// Counters from one transfer. The source fills the received/retransmit
+/// side, the receiver the sent side.
 ///
 /// Like [`RelayStats`], this is a typed *view*: the protocol records
 /// into `recovery.*` registry cells (a [`RecoveryMetrics`] bundle inside
@@ -153,8 +145,7 @@ impl Default for RecoveryConfig {
 /// snapshot via `DataplaneHealth::from_snapshot`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Packets sent as fresh data: coded generations, or the systematic
-    /// pass of a windowed stream (source).
+    /// Coded packets sent as fresh generations (source).
     pub initial_packets: u64,
     /// Fresh coded packets sent in response to NACKs (source).
     pub retransmit_packets: u64,
@@ -176,9 +167,8 @@ pub struct RecoveryStats {
     /// repair burst, in whole extra packets per generation's worth
     /// (source).
     pub peak_extra: u32,
-    /// Generations (windowed: symbols) the source was still waiting on
-    /// when it gave up; 0 on success and on a best-effort transfer, which
-    /// waits on nothing.
+    /// Generations the source was still waiting on when it gave up; 0 on
+    /// success and on a best-effort transfer, which waits on nothing.
     pub unrecovered: u64,
 }
 
@@ -308,8 +298,8 @@ const PACE_CREDIT: Duration = Duration::from_millis(1);
 enum Burst {
     /// Data leaving for the first time.
     Fresh,
-    /// The answer to a NACK about this unit (a generation, or a window
-    /// base): one retransmission round.
+    /// The answer to a NACK about this generation: one retransmission
+    /// round.
     Repair(u64),
 }
 
@@ -373,45 +363,12 @@ impl Wire<'_> {
     }
 }
 
-/// What the two codings of a transfer do differently at the source. The
-/// loop — poll, pause, pace, wait, give up — is [`run_source`]'s; a
-/// framing knows what its feedback means, what is left to send and how
-/// to build a packet of it.
-trait Framing {
-    /// Applies one feedback frame (`Congestion` reports never get here)
-    /// read off the socket at `now`. Returns true if it was valid
-    /// feedback for this transfer.
-    fn absorb(&mut self, frame: &[u8], now: Instant) -> bool;
-
-    /// A relay downstream reported overload (the loop arms the pause).
-    fn on_congestion(&mut self) {}
-
-    /// True once everything has left and is acknowledged or given up on.
-    fn finished(&self) -> bool;
-
-    /// Sends every repair burst whose gate (`wire.pace` included) has
-    /// passed; returns `wake` lowered to the earliest gate still ahead.
-    fn repair(&mut self, wire: &mut Wire<'_>, now: Instant, wake: Instant) -> io::Result<Instant>;
-
-    /// True while fresh data could leave, the rate budget permitting.
-    fn has_fresh(&self) -> bool;
-
-    /// Sends the next burst of fresh data.
-    fn fresh(&mut self, wire: &mut Wire<'_>, now: Instant) -> io::Result<()>;
-
-    /// The loop is over: publishes what the source was still waiting on
-    /// as `recovery.unrecovered` and where the redundancy ended up;
-    /// returns its peak in whole extra packets.
-    fn close(&self, obs: &TransferObs) -> u32;
-}
-
 /// Source-side backpressure, driven by `Congestion` feedback frames
-/// (kind 5) from overloaded relays downstream. It is the loop's, not a
-/// framing's: an overloaded relay sheds packets of either kind.
+/// (kind 5) from overloaded relays downstream.
 struct Backpressure<'a> {
     session: SessionId,
-    /// Pause one frame imposes at 100 % reported load.
-    base: Duration,
+    /// Pause one frame imposes.
+    pause: Duration,
     metrics: &'a RecoveryMetrics,
     /// No data leaves the source before this instant.
     pause_until: Option<Instant>,
@@ -419,30 +376,28 @@ struct Backpressure<'a> {
 
 impl Backpressure<'_> {
     /// Applies one frame from the source's socket: a `Congestion` report
-    /// arms the pause, the rest is `framing`'s own feedback. Returns true
+    /// arms the pause, the rest is the source's own feedback. Returns true
     /// if the frame was for this transfer.
-    fn hear(&mut self, frame: &[u8], now: Instant, framing: &mut impl Framing) -> bool {
-        // A Congestion frame's generation field carries the reporter's
-        // load percent, not a generation index.
-        let congestion = Feedback::from_bytes(frame)
-            .ok()
-            .filter(|fb| fb.kind == FeedbackKind::Congestion);
-        let Some(fb) = congestion else {
-            return framing.absorb(frame, now);
+    fn hear(&mut self, frame: &[u8], now: Instant, source: &mut Generational<'_>) -> bool {
+        let Ok(fb) = Feedback::from_bytes(frame) else {
+            return false;
         };
+        if fb.kind != FeedbackKind::Congestion {
+            return source.absorb(fb, now);
+        }
         // Session 0 is the wildcard for sheds the relay could not
         // attribute.
         if fb.session != self.session && fb.session.value() != 0 {
             return false;
         }
-        framing.on_congestion();
-        // A send pause scaled by how overloaded the reporter says it is.
-        let scale = (f64::from(fb.load_pct()) / 100.0).clamp(0.5, 4.0);
-        let pause = self.base.mul_f64(scale);
-        self.pause_for(pause);
+        // What a relay sheds is not erasure: the estimate is cut, on top
+        // of the send pause.
+        source.adaptive.on_congestion();
+        self.pause_for(self.pause);
         self.metrics.congestion_events.inc();
-        self.metrics.congestion_window.set(f64::from(fb.load_pct()));
-        self.metrics.backpressure_ns.record(pause.as_nanos() as u64);
+        self.metrics
+            .backpressure_ns
+            .record(self.pause.as_nanos() as u64);
         true
     }
 
@@ -472,7 +427,7 @@ fn run_source(
     recovery: &RecoveryConfig,
     next_hops: &[SocketAddr],
     obs: &TransferObs,
-    mut framing: impl Framing,
+    mut source: Generational<'_>,
 ) -> io::Result<RecoveryStats> {
     assert!(!next_hops.is_empty(), "need at least one next hop");
     let m = &obs.recovery;
@@ -491,7 +446,7 @@ fn run_source(
     };
     let mut bp = Backpressure {
         session: config.session,
-        base: recovery.congestion_pause,
+        pause: recovery.congestion_pause,
         metrics: m,
         pause_until: None,
     };
@@ -506,9 +461,9 @@ fn run_source(
     loop {
         let mut heard = false;
         while let Some(frame) = port.poll() {
-            heard |= bp.hear(frame, Instant::now(), &mut framing);
+            heard |= bp.hear(frame, Instant::now(), &mut source);
         }
-        if framing.finished() {
+        if source.finished() {
             break;
         }
         let now = Instant::now();
@@ -523,10 +478,10 @@ fn run_source(
             // overloaded relay gains nothing from packets it would shed.
             wake = wake.min(resume);
         } else {
-            wake = framing.repair(&mut wire, now, wake)?;
-            if framing.has_fresh() {
+            wake = source.repair(&mut wire, now, wake)?;
+            if source.has_fresh() {
                 if wire.pace <= now {
-                    framing.fresh(&mut wire, now)?;
+                    source.fresh(&mut wire, now)?;
                     last_activity = now;
                 } else {
                     wake = wake.min(wire.pace);
@@ -541,7 +496,7 @@ fn run_source(
         }
         port.wait(wake);
     }
-    let peak_extra = framing.close(obs);
+    let peak_extra = source.close(obs);
     Ok(RecoveryStats {
         peak_extra,
         ..recovery_since(m, &before)
@@ -563,7 +518,7 @@ struct GenState {
     next_retry: Instant,
 }
 
-/// The generational framing at the source: per-generation progress from
+/// The transfer's state at the source: per-generation progress from
 /// ACK/NACK [`Feedback`] frames, retries gated on the measured round
 /// trip, and the erasure-rate redundancy controller.
 struct Generational<'a> {
@@ -659,13 +614,11 @@ impl<'a> Generational<'a> {
             };
         self.adaptive.repair_packets(want, hidden, blocks)
     }
-}
 
-impl Framing for Generational<'_> {
-    fn absorb(&mut self, frame: &[u8], now: Instant) -> bool {
-        let Ok(fb) = Feedback::from_bytes(frame) else {
-            return false;
-        };
+    /// Applies one ACK or NACK (or a frame addressed to the controller)
+    /// read off the socket at `now`; `Congestion` reports never get here.
+    /// Returns true if it was feedback for this transfer.
+    fn absorb(&mut self, fb: Feedback, now: Instant) -> bool {
         if fb.session != self.config.session || fb.generation >= self.gens.len() as u64 {
             // Heartbeats and wake requests address the controller, not this
             // source; consume them without treating them as recovery state.
@@ -723,17 +676,13 @@ impl Framing for Generational<'_> {
         true
     }
 
-    /// What a relay sheds is not erasure: the estimate is cut, on top of
-    /// the loop's send pause.
-    fn on_congestion(&mut self) {
-        self.adaptive.on_congestion();
-    }
-
     /// Every generation has left and is either ACKed or out of retries.
     fn finished(&self) -> bool {
         self.sent == self.gens.len() as u64 && self.open == self.spent
     }
 
+    /// Sends every repair burst whose gate (`wire.pace` included) has
+    /// passed; returns `wake` lowered to the earliest gate still ahead.
     fn repair(
         &mut self,
         wire: &mut Wire<'_>,
@@ -765,6 +714,8 @@ impl Framing for Generational<'_> {
         Ok(wake)
     }
 
+    /// True while a generation has yet to leave, the rate budget
+    /// permitting.
     fn has_fresh(&self) -> bool {
         self.sent < self.gens.len() as u64
     }
@@ -787,6 +738,9 @@ impl Framing for Generational<'_> {
         })
     }
 
+    /// The loop is over: publishes what the source was still waiting on
+    /// as `recovery.unrecovered` and where the redundancy ended up;
+    /// returns its peak in whole extra packets.
     fn close(&self, obs: &TransferObs) -> u32 {
         // A best-effort source waited on nothing, so gave up on nothing.
         if self.recovery.max_retries > 0 {
@@ -833,153 +787,14 @@ pub fn send_object_reliable<S: DatagramSocket>(
 ) -> io::Result<RecoveryStats> {
     let encoder =
         ObjectEncoder::new(config.generation, config.session, object).expect("valid object");
-    let framing = Generational::new(config, recovery, &obs.recovery, &encoder);
-    run_source(socket, config, recovery, next_hops, obs, framing)
-}
-
-/// The sliding-window framing at the source: the live window of
-/// unacknowledged symbols, slid by cumulative [`WindowAck`]s, repaired by
-/// coded bursts over whatever is still unacknowledged.
-struct Windowed<'a> {
-    session: SessionId,
-    metrics: &'a RecoveryMetrics,
-    enc: WindowEncoder,
-    /// Symbols not yet pushed into the window.
-    chunks: std::slice::Chunks<'a, u8>,
-    /// Symbols in the stream.
-    total: u64,
-    /// Repair packets the receiver's unanswered NACKs ask for.
-    owed: u8,
-}
-
-impl Windowed<'_> {
-    /// Symbols the next fresh burst takes: the window's free room, one
-    /// `sendmmsg` at most.
-    fn room(&self) -> usize {
-        let unsent = self.total - self.enc.next_index();
-        (self.enc.config().capacity() - self.enc.live()).min(unsent.min(MAX_BATCH as u64) as usize)
-    }
-}
-
-impl Framing for Windowed<'_> {
-    fn absorb(&mut self, frame: &[u8], _now: Instant) -> bool {
-        if wire_kind(frame) != Some(WireKind::WindowAck) {
-            return false;
-        }
-        let Ok(ack) = WindowAck::parse(frame) else {
-            return false;
-        };
-        if ack.session != self.session {
-            return false;
-        }
-        self.metrics.acks_received.inc();
-        self.enc.handle_ack(ack.cumulative);
-        if ack.repair_wanted > 0 && self.enc.live() > 0 {
-            self.metrics.nacks_received.inc();
-            // A NACK re-armed before its burst left is the same gap
-            // complaining again.
-            self.owed = self.owed.max(ack.repair_wanted);
-        }
-        true
-    }
-
-    /// Every symbol has been pushed and acknowledged.
-    fn finished(&self) -> bool {
-        self.enc.base() >= self.total
-    }
-
-    /// One burst over the live window as soon as the rate budget allows:
-    /// a windowed repair has no backoff gate of its own.
-    fn repair(&mut self, wire: &mut Wire<'_>, now: Instant, wake: Instant) -> io::Result<Instant> {
-        if self.enc.live() == 0 {
-            self.owed = 0; // acknowledged meanwhile
-        }
-        if self.owed == 0 {
-            return Ok(wake);
-        }
-        if wire.pace > now {
-            return Ok(wake.min(wire.pace));
-        }
-        let (burst, enc) = (usize::from(self.owed), &self.enc);
-        self.owed = 0;
-        let repair = Burst::Repair(enc.base());
-        wire.emit(repair, burst, wire.pace, now, |rng, pool| {
-            enc.coded_packet_pooled(rng, pool)
-                .expect("window is non-empty")
-        })?;
-        Ok(wake)
-    }
-
-    fn has_fresh(&self) -> bool {
-        self.room() > 0
-    }
-
-    /// Fills the window's free room, each new symbol verbatim.
-    fn fresh(&mut self, wire: &mut Wire<'_>, now: Instant) -> io::Result<()> {
-        let (room, enc, chunks) = (self.room(), &mut self.enc, &mut self.chunks);
-        wire.emit(Burst::Fresh, room, wire.pace, now, |_, pool| {
-            let symbol = chunks.next().expect("room counts unsent symbols");
-            let index = enc.push(symbol).expect("window has room");
-            enc.systematic_packet_pooled(index, pool)
-                .expect("symbol is live")
-        })
-    }
-
-    fn close(&self, _obs: &TransferObs) -> u32 {
-        self.metrics.unrecovered.add(self.total - self.enc.base());
-        0
-    }
-}
-
-/// Streams `data` over a sliding window through the same source loop as
-/// [`send_object_reliable`]: each symbol goes out verbatim (systematic,
-/// width-1), and receiver NACKs — [`WindowAck`] frames with
-/// `repair_wanted > 0` — are answered with that many fresh random
-/// combinations of exactly the *unacknowledged* symbols. Loss never
-/// stalls a whole generation: repair coverage tracks the live window as
-/// acks slide it forward.
-///
-/// Of `config`, the session, `rate_bps` (symbols and repair bursts are
-/// charged to one pacing clock) and the seed apply; of `recovery`,
-/// `idle_timeout` and `congestion_pause`. Metrics land in `obs` under the
-/// same `recovery.*` names (`initial_packets` = systematic pass,
-/// `retransmit_packets` = repair bursts, `unrecovered` = symbols never
-/// acknowledged); the returned [`RecoveryStats`] is this call's delta.
-///
-/// # Errors
-///
-/// Propagates socket errors from the data path.
-///
-/// # Panics
-///
-/// Panics if `next_hops` or `data` is empty.
-pub fn send_window_reliable<S: DatagramSocket>(
-    socket: &S,
-    config: &TransferConfig,
-    window: WindowConfig,
-    recovery: &RecoveryConfig,
-    data: &[u8],
-    next_hops: &[SocketAddr],
-    obs: &TransferObs,
-) -> io::Result<RecoveryStats> {
-    assert!(!data.is_empty(), "nothing to stream");
-    let framing = Windowed {
-        session: config.session,
-        metrics: &obs.recovery,
-        enc: WindowEncoder::new(window, config.session),
-        chunks: data.chunks(window.symbol_size()),
-        total: data.len().div_ceil(window.symbol_size()) as u64,
-        owed: 0,
-    };
-    run_source(socket, config, recovery, next_hops, obs, framing)
+    let source = Generational::new(config, recovery, &obs.recovery, &encoder);
+    run_source(socket, config, recovery, next_hops, obs, source)
 }
 
 /// Outcome of a receive.
 #[derive(Debug)]
 pub struct ReliableReport {
-    /// The decoded object (empty if incomplete at shutdown). A windowed
-    /// stream delivers whole symbols: its zero-padded tail is included —
-    /// the stream layer does not know the original length.
+    /// The decoded object (empty if incomplete at shutdown).
     pub object: Vec<u8>,
     /// Data packets received.
     pub packets: u64,
@@ -1007,7 +822,7 @@ impl FeedbackOut {
     }
 }
 
-/// Spacings of the in-order stream a unit may lag later data by before
+/// Spacings of the in-order stream a generation may lag later data by before
 /// it counts as lost: what absorbs reordering between relay shards.
 const REORDER_SPAN: u32 = 16;
 
@@ -1031,10 +846,8 @@ struct Unit {
 /// The receiver's loss detector: when to NACK, decided from what has
 /// been observed and fed explicit instants (like `LivenessTracker`).
 ///
-/// It watches numbered *units* an in-order source sends — generations,
-/// or the symbols of a windowed stream (`cumulative`: only the delivery
-/// cursor, the first incomplete unit, is ever NACKed, for everything
-/// missing behind it). A unit is NACKed
+/// It watches the numbered *units* an in-order source sends — the
+/// generations of the object. A unit is NACKed
 ///
 /// * once data of a later unit has arrived and it has had none for
 ///   [`REORDER_SPAN`] spacings of the stream (the gap proves the loss;
@@ -1053,7 +866,6 @@ struct NackClock {
     nack_interval: Duration,
     /// Units in the transfer.
     units: u64,
-    cumulative: bool,
     /// Spacing between arrivals at the head of the in-order stream
     /// while it flows (repairs of older units do not count), sampled
     /// once per drained batch: head arrivals since the last sample, and
@@ -1073,12 +885,11 @@ struct NackClock {
 }
 
 impl NackClock {
-    fn new(recovery: &RecoveryConfig, units: u64, cumulative: bool) -> Self {
+    fn new(recovery: &RecoveryConfig, units: u64) -> Self {
         NackClock {
             decode_timeout: recovery.decode_timeout,
             nack_interval: recovery.nack_interval,
             units,
-            cumulative,
             ..NackClock::default()
         }
     }
@@ -1095,17 +906,15 @@ impl NackClock {
         }
     }
 
-    /// A packet covering units `first..=last` arrived: everything up to
-    /// `last` has been sent, and the first open unit it covers is being
-    /// served.
-    fn arrival(&mut self, first: u64, last: u64, now: Instant, metrics: &RecoveryMetrics) {
+    /// A packet of `unit` arrived: everything up to it has been sent,
+    /// and it is being served.
+    fn arrival(&mut self, unit: u64, now: Instant, metrics: &RecoveryMetrics) {
         self.last_arrival = Some(now);
-        let last = last.min(self.units.saturating_sub(1));
+        let last = unit.min(self.units.saturating_sub(1));
         self.batch += u32::from(last + 1 >= self.seen);
         self.seen = self.seen.max(last + 1);
         self.open_to(self.seen, now);
-        let unit = first.max(self.low);
-        if unit > last {
+        if unit < self.low || unit > last {
             return;
         }
         let unit = &mut self.open[(unit - self.low) as usize];
@@ -1205,15 +1014,12 @@ impl NackClock {
                 due = now + again(state.nacks);
             }
             sooner(due);
-            if self.cumulative {
-                break;
-            }
         }
         wake
     }
 }
 
-/// What a receiver's framing tells the thread after a turn.
+/// What the receiver tells its thread after a turn.
 enum Turn {
     /// Everything is decoded: the reassembled bytes.
     Done(Vec<u8>),
@@ -1222,30 +1028,50 @@ enum Turn {
     Wait(Option<Instant>),
 }
 
-/// A receiver's framing, as the thread drives it (see
-/// [`ReliableReceiver::serve`]).
-type TurnFn = Box<dyn FnMut(Option<PacketView<'_>>, Instant, &FeedbackOut) -> Turn + Send>;
-
-/// The generational receiver's turn: decodes, ACKs each generation as it
+/// The receiver's decoding state, as its thread drives it (see
+/// [`ReliableReceiver::serve`]): decodes, ACKs each generation as it
 /// completes, and NACKs with the rank still missing when its
 /// [`NackClock`] says so.
-fn generational_turn(
-    config: &TransferConfig,
-    recovery: &RecoveryConfig,
+struct Reassembly {
+    session: SessionId,
+    rlnc: ncvnf_rlnc::RlncMetrics,
     generations: u64,
-    obs: &TransferObs,
-) -> TurnFn {
-    let (session, rlnc) = (config.session, obs.rlnc.clone());
-    let blocks = config.generation.blocks_per_generation();
-    let n = generations as usize;
-    let mut decoder = Some(ObjectDecoder::new(config.generation, generations));
-    // Packets that arrived per generation, reported into the codec's
-    // decode histogram when the generation closes.
-    let mut gen_packets = vec![0u64; n];
-    let mut acked = vec![false; n];
-    let mut clock = NackClock::new(recovery, generations, false);
-    Box::new(move |packet, now, out| {
-        let Some(dec) = decoder.as_mut() else {
+    blocks: usize,
+    decoder: Option<ObjectDecoder>,
+    /// Packets that arrived per generation, reported into the codec's
+    /// decode histogram when the generation closes.
+    gen_packets: Vec<u64>,
+    acked: Vec<bool>,
+    clock: NackClock,
+}
+
+impl Reassembly {
+    fn new(
+        config: &TransferConfig,
+        recovery: &RecoveryConfig,
+        generations: u64,
+        obs: &TransferObs,
+    ) -> Self {
+        let n = generations as usize;
+        Reassembly {
+            session: config.session,
+            rlnc: obs.rlnc.clone(),
+            generations,
+            blocks: config.generation.blocks_per_generation(),
+            decoder: Some(ObjectDecoder::new(config.generation, generations)),
+            gen_packets: vec![0; n],
+            acked: vec![false; n],
+            clock: NackClock::new(recovery, generations),
+        }
+    }
+
+    /// Absorbs `packet` (if any) at `now`, acknowledging what it
+    /// completes; with no packet the socket is drained, and what is due
+    /// a NACK gets one. Returns the reassembled bytes, after the
+    /// completion burst, once everything is decoded.
+    fn turn(&mut self, packet: Option<PacketView<'_>>, now: Instant, out: &FeedbackOut) -> Turn {
+        let (session, generations) = (self.session, self.generations);
+        let Some(dec) = self.decoder.as_mut() else {
             return Turn::Wait(None);
         };
         let ack = |g| {
@@ -1259,14 +1085,14 @@ fn generational_turn(
             let _ = dec.receive_view(pkt);
             if gen < generations {
                 let gi = gen as usize;
-                clock.arrival(gen, gen, now, &out.metrics);
-                gen_packets[gi] += 1;
-                if dec.generation_complete(gen) && !acked[gi] {
-                    acked[gi] = true;
+                self.clock.arrival(gen, now, &out.metrics);
+                self.gen_packets[gi] += 1;
+                if dec.generation_complete(gen) && !self.acked[gi] {
+                    self.acked[gi] = true;
                     ack(gen);
-                    rlnc.record_generation_decoded(gen_packets[gi]);
+                    self.rlnc.record_generation_decoded(self.gen_packets[gi]);
                     let trace = &out.metrics.trace;
-                    trace.push(TraceKind::GenerationDecoded, gen, gen_packets[gi]);
+                    trace.push(TraceKind::GenerationDecoded, gen, self.gen_packets[gi]);
                 }
             }
         }
@@ -1274,14 +1100,14 @@ fn generational_turn(
             // Completion burst: re-ACK everything so a lost ACK
             // cannot leave the source retrying.
             (0..generations).for_each(ack);
-            let object = decoder.take().and_then(|d| d.into_object().ok());
+            let object = self.decoder.take().and_then(|d| d.into_object().ok());
             return Turn::Done(object.unwrap_or_default());
         }
         if packet.is_some() {
             return Turn::Wait(None);
         }
-        let dec = &*dec;
-        let wake = clock.poll(
+        let (dec, blocks) = (&*dec, self.blocks);
+        let wake = self.clock.poll(
             now,
             &out.metrics,
             |g| dec.generation_complete(g),
@@ -1298,77 +1124,7 @@ fn generational_turn(
             },
         );
         Turn::Wait(wake)
-    })
-}
-
-/// The windowed receiver's turn: delivers symbols in order, acks
-/// cumulatively, and NACKs with the count missing behind the delivery
-/// cursor when its [`NackClock`] says so.
-fn windowed_turn(
-    config: &TransferConfig,
-    window: WindowConfig,
-    recovery: &RecoveryConfig,
-    total_symbols: u64,
-) -> TurnFn {
-    let session = config.session;
-    let mut decoder = WindowDecoder::new(window);
-    let mut data = Vec::new();
-    // Highest absolute symbol index referenced by any packet — the
-    // NACK sizing baseline: everything at or below it was sent, so
-    // `undelivered - pending_rank` packets are missing.
-    let mut max_seen: Option<u64> = None;
-    let mut clock = NackClock::new(recovery, total_symbols, true);
-    Box::new(move |packet, now, out| {
-        let ack = |cumulative, repair_wanted, sent| {
-            let ack = WindowAck {
-                session,
-                cumulative,
-                repair_wanted,
-            };
-            out.send(&ack.encode(), sent);
-        };
-        if let Some(pkt) = packet {
-            let top = pkt.index() + pkt.coefficients().len() as u64 - 1;
-            max_seen = Some(max_seen.map_or(top, |m| m.max(top)));
-            clock.arrival(pkt.index(), top, now, &out.metrics);
-            let outcome = decoder.receive(pkt.index(), pkt.coefficients(), pkt.payload());
-            if let Ok(WindowOutcome::Delivered { payloads, .. }) = outcome {
-                for p in payloads {
-                    data.extend_from_slice(&p);
-                }
-                ack(decoder.delivered(), 0, &out.metrics.acks_sent);
-            }
-        }
-        let delivered = decoder.delivered();
-        if delivered >= total_symbols {
-            // The final ack closes the source's window; repeated
-            // because a dropped one would leave the source waiting
-            // out its idle timeout.
-            for _ in 0..3 {
-                ack(delivered, 0, &out.metrics.acks_sent);
-            }
-            return Turn::Done(std::mem::take(&mut data));
-        }
-        if packet.is_some() {
-            return Turn::Wait(None);
-        }
-        let wake = clock.poll(
-            now,
-            &out.metrics,
-            |symbol| symbol < delivered,
-            |_| {
-                // Tail losses leave no trace in `max_seen`, so a
-                // stall short of completion asks for at least one
-                // repair.
-                let missing = max_seen
-                    .map_or(0, |m| m + 1 - delivered)
-                    .saturating_sub(decoder.pending_rank() as u64)
-                    .clamp(1, 255);
-                ack(delivered, missing as u8, &out.metrics.nacks_sent);
-            },
-        );
-        Turn::Wait(wake)
-    })
+    }
 }
 
 /// A background receiver for one transfer: reassembles the object and —
@@ -1403,52 +1159,23 @@ impl ReliableReceiver {
         obs: &TransferObs,
     ) -> io::Result<ReliableReceiver> {
         let blocks = config.generation.blocks_per_generation();
-        let turn = generational_turn(config, recovery, generations, obs);
-        let kind = WireKind::Generation;
-        Self::serve(config.session, kind, blocks, source.into(), obs, turn)
+        let reassembly = Reassembly::new(config, recovery, generations, obs);
+        Self::serve(config.session, blocks, source.into(), obs, reassembly)
     }
 
-    /// Spawns a receiver for a sliding-window stream of `total_symbols`
-    /// in-order symbols on the same thread as [`spawn`](Self::spawn): it
-    /// delivers symbols in order, acks cumulatively after every
-    /// delivery, and NACKs gaps — a [`WindowAck`] with `repair_wanted`
-    /// set to exactly the number of missing symbols blocking the delivery
-    /// cursor — as soon as a symbol beyond the cursor shows one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn spawn_window(
-        config: &TransferConfig,
-        window: WindowConfig,
-        recovery: &RecoveryConfig,
-        total_symbols: u64,
-        source: impl Into<Option<SocketAddr>>,
-        obs: &TransferObs,
-    ) -> io::Result<ReliableReceiver> {
-        let turn = windowed_turn(config, window, recovery, total_symbols);
-        let kind = WireKind::Window;
-        Self::serve(config.session, kind, 0, source.into(), obs, turn)
-    }
-
-    /// The one receiver thread. It takes `session`'s data packets of one
-    /// `kind` off a fresh loopback socket (`generation_size` is the
-    /// coefficient count of a generational packet, which is not on the
-    /// wire; a windowed packet carries its own) and gives `turn` each
-    /// one — `turn` absorbs it, acknowledging what it completes, and
-    /// returns the reassembled bytes, after its completion burst, once
-    /// everything is decoded — and, whenever the socket is drained and
-    /// there is a source to tell, a turn without a packet: `turn` NACKs
-    /// what is due and returns the deadline the thread then waits
-    /// towards, polling or parked by the same rule as the source
-    /// ([`Port::wait`]).
+    /// The one receiver thread. It takes `session`'s data packets off a
+    /// fresh loopback socket (`generation_size` is their coefficient
+    /// count, which is not on the wire) and gives `reassembly` a turn
+    /// with each one, and, whenever the socket is drained and there is a
+    /// source to tell, a turn without a packet: it NACKs what is due and
+    /// returns the deadline the thread then waits towards, polling or
+    /// parked by the same rule as the source ([`Port::wait`]).
     fn serve(
         session: SessionId,
-        kind: WireKind,
         generation_size: usize,
         source: Option<SocketAddr>,
         obs: &TransferObs,
-        mut turn: TurnFn,
+        mut reassembly: Reassembly,
     ) -> io::Result<ReliableReceiver> {
         let socket = UdpSocket::bind(("127.0.0.1", 0))?;
         let addr = socket.local_addr()?;
@@ -1476,16 +1203,16 @@ impl ReliableReceiver {
                     // Stray feedback and foreign sessions are not data.
                     let packet = PacketView::parse(frame, generation_size)
                         .ok()
-                        .filter(|p| p.kind() == kind && p.session() == session);
+                        .filter(|p| p.session() == session);
                     if let Some(packet) = packet {
                         packets += 1;
-                        step = turn(Some(packet), Instant::now(), &out);
+                        step = reassembly.turn(Some(packet), Instant::now(), &out);
                     }
                 }
                 let now = Instant::now();
                 // A best-effort receiver has no one to tell what it lacks.
                 if let (Turn::Wait(_), Some(_)) = (&step, out.source) {
-                    step = turn(None, now, &out);
+                    step = reassembly.turn(None, now, &out);
                 }
                 match step {
                     Turn::Done(object) => done = Some((object, now)),
@@ -1682,10 +1409,9 @@ mod tests {
         src.adaptive.on_resolved(40, 100); // a path that loses 40 %
         let now = Instant::now();
 
-        // Relay reports 200% load for our session: what it sheds is not
-        // erasure, so the estimate is halved, plus a pause window at the
-        // 2.0x clamp point.
-        let frame = Feedback::congestion(cfg.session, 200, 7, 40).to_bytes();
+        // A relay shed our session's packets: what it sheds is not
+        // erasure, so the estimate is halved, plus a pause window.
+        let frame = Feedback::congestion(cfg.session, 7, 40).to_bytes();
         assert!(bp.hear(&frame, now, &mut src));
         assert_eq!(src.adaptive.loss_estimate(), 0.2);
         assert!(
@@ -1694,16 +1420,17 @@ mod tests {
         );
         let snap = obs.snapshot();
         assert_eq!(snap.counter("recovery.congestion_events"), Some(1));
-        assert_eq!(snap.gauge("recovery.congestion_window"), Some(200.0));
+        let pause = snap.histogram("recovery.backpressure_ns").unwrap();
+        assert_eq!(pause.max, rec.congestion_pause.as_nanos() as u64);
 
         // Session 0 is the unattributed wildcard: also honoured.
-        let wild = Feedback::congestion(SessionId::new(0), 120, 1, 41).to_bytes();
+        let wild = Feedback::congestion(SessionId::new(0), 1, 41).to_bytes();
         assert!(bp.hear(&wild, now, &mut src));
         assert_eq!(snap_counter(&obs, "recovery.congestion_events"), 2);
 
         // A congestion frame for some other session is ignored: no cut,
         // no pause extension, no event.
-        let other = Feedback::congestion(SessionId::new(99), 400, 9, 90).to_bytes();
+        let other = Feedback::congestion(SessionId::new(99), 9, 90).to_bytes();
         assert!(!bp.hear(&other, now, &mut src));
         assert_eq!(src.adaptive.loss_estimate(), 0.1);
         assert_eq!(snap_counter(&obs, "recovery.congestion_events"), 2);
@@ -1712,7 +1439,7 @@ mod tests {
     fn backpressure<'a>(rec: &RecoveryConfig, m: &'a RecoveryMetrics) -> Backpressure<'a> {
         Backpressure {
             session: config().session,
-            base: rec.congestion_pause,
+            pause: rec.congestion_pause,
             metrics: m,
             pause_until: None,
         }
@@ -1749,8 +1476,8 @@ mod tests {
         let rec = recovery();
         let obs = TransferObs::new();
         let m = RecoveryMetrics::register(obs.registry());
-        let nack = |g, count| Feedback::nack(cfg.session, g, count, 0).to_bytes();
-        let ack = |g| Feedback::ack(cfg.session, g).to_bytes();
+        let nack = |g, count| Feedback::nack(cfg.session, g, count, 0);
+        let ack = |g| Feedback::ack(cfg.session, g);
         let enc = encoder(3);
         let mut src = Generational::new(&cfg, &rec, &m, &enc);
         src.sent = 3;
@@ -1758,12 +1485,12 @@ mod tests {
 
         // A generation's first NACK reports what the fresh pass lost:
         // 1 of the 4 packets it left with.
-        assert!(src.absorb(&nack(0, 1), t0));
+        assert!(src.absorb(nack(0, 1), t0));
         assert_eq!(src.adaptive.loss_estimate(), 0.25);
         // The receiver re-arming its NACK before the source has answered
         // is the same loss complaining again: it changes nothing.
         for _ in 0..5 {
-            assert!(src.absorb(&nack(0, 1), t0));
+            assert!(src.absorb(nack(0, 1), t0));
         }
         assert_eq!(src.adaptive.loss_estimate(), 0.25);
         assert_eq!(src.nacked, vec![0], "one repair round queued");
@@ -1777,19 +1504,19 @@ mod tests {
         // pass: the estimate stands. An exposed round carries its margin,
         // 3 / (1 - 0.25), and retry 2 doubles the gate; a third is sized
         // for twice what is asked, 2 / (1 - 0.25).
-        assert!(src.absorb(&nack(0, 3), t0));
+        assert!(src.absorb(nack(0, 3), t0));
         assert_eq!(src.adaptive.loss_estimate(), 0.25);
         assert_eq!(src.repair_round(0, t0, exposed), 4);
         assert_eq!(src.gens[0].next_retry, t0 + 2 * rec.backoff_base);
-        assert!(src.absorb(&nack(0, 1), t0));
+        assert!(src.absorb(nack(0, 1), t0));
         assert_eq!(src.repair_round(0, t0, exposed), 3);
 
         // The ACK a repair earns times the round trip, and the next gate
         // is that (mean + 4 deviations of one 2 ms sample: 6 ms), doubled
         // per retry, instead of the ceiling.
-        assert!(src.absorb(&ack(0), t0 + Duration::from_millis(2)));
+        assert!(src.absorb(ack(0), t0 + Duration::from_millis(2)));
         assert_eq!(snap_counter(&obs, "recovery.generations_recovered"), 1);
-        assert!(src.absorb(&nack(1, 2), t0));
+        assert!(src.absorb(nack(1, 2), t0));
         assert_eq!(src.adaptive.loss_estimate(), 0.375, "3 of 8");
         src.repair_round(1, t0, hidden);
         assert_eq!(src.gens[1].next_retry, t0 + Duration::from_millis(6));
@@ -1797,7 +1524,7 @@ mod tests {
         // schedule, so eight retries are as patient as they ever were: a
         // path that stalls for a second must not use them up.
         for retry in 2..=8u32 {
-            assert!(src.absorb(&nack(1, 1), t0));
+            assert!(src.absorb(nack(1, 1), t0));
             src.repair_round(1, t0, hidden);
             let measured = Duration::from_millis(6) * 4u32.pow(retry - 1);
             let ceiling = rec.backoff_base * 2u32.pow(retry - 1);
@@ -1806,7 +1533,7 @@ mod tests {
         assert_eq!(src.gens[1].next_retry, t0 + 128 * rec.backoff_base);
 
         // A generation ACKed without ever being NACKed lost nothing.
-        assert!(src.absorb(&ack(2), t0));
+        assert!(src.absorb(ack(2), t0));
         assert_eq!(src.adaptive.loss_estimate(), 0.25, "3 of 12");
 
         // A NACK for a generation that is out of retries gets no answer,
@@ -1817,11 +1544,11 @@ mod tests {
         };
         let mut src = Generational::new(&cfg, &spent, &m, &enc);
         src.sent = 3;
-        assert!(src.absorb(&nack(0, 1), t0));
+        assert!(src.absorb(nack(0, 1), t0));
         src.repair_round(0, t0, hidden);
         src.nacked.clear();
         let received = snap_counter(&obs, "recovery.nacks_received");
-        assert!(src.absorb(&nack(0, 4), t0));
+        assert!(src.absorb(nack(0, 4), t0));
         assert_eq!(src.adaptive.loss_estimate(), 0.25);
         assert!(src.nacked.is_empty() && src.gens[0].pending_nack.is_none());
         assert_eq!(snap_counter(&obs, "recovery.nacks_received"), received);
@@ -2076,171 +1803,17 @@ mod tests {
         assert_eq!(state.read_timeout, None, "handed back blocking");
     }
 
-    /// An 8-symbol stream of 64 B symbols over a window of 4.
-    const STREAM: [u8; 512] = [0x5A; 512];
-
-    fn window() -> WindowConfig {
-        WindowConfig::new(64, 4).unwrap()
-    }
-
-    fn window_ack(cumulative: u64, repair_wanted: u8) -> Vec<u8> {
-        let ack = WindowAck {
-            session: config().session,
-            cumulative,
-            repair_wanted,
-        };
-        ack.encode().to_vec()
-    }
-
-    /// Runs the windowed source over [`STREAM`] against `socket`. Returns
-    /// the result, the coefficient count of each datagram sent (1 for a
-    /// systematic symbol, the live window for a repair), the registry
-    /// and the socket's final state.
-    fn run_window_scripted(
-        cfg: &TransferConfig,
-        rec: &RecoveryConfig,
-        socket: ScriptedSocket,
-    ) -> (
-        io::Result<RecoveryStats>,
-        Vec<usize>,
-        TransferObs,
-        ScriptState,
-    ) {
-        let obs = TransferObs::new();
-        let result = send_window_reliable(&socket, cfg, window(), rec, &STREAM, &HOPS, &obs);
-        let state = std::mem::take(&mut *socket.state.lock());
-        let widths = state
-            .sent
-            .iter()
-            .map(|d| PacketView::parse(d, 0).expect("data packet"))
-            .inspect(|p| assert_eq!(p.kind(), WireKind::Window))
-            .map(|p| p.coefficients().len())
-            .collect();
-        (result, widths, obs, state)
-    }
-
-    #[test]
-    fn window_source_slides_repairs_and_ends_on_the_final_ack() {
-        let cfg = TransferConfig {
-            rate_bps: 1e15,
-            ..config()
-        };
-        // The window fills (4), a NACK acknowledges 2 and asks for 2
-        // repairs: the burst covers the 2 live symbols and leaves before
-        // the 2 fresh symbols the slide made room for. The acks for the
-        // rest arrive while the source is parked on a full window.
-        let script = vec![
-            (Some(4), window_ack(2, 2)),
-            (None, window_ack(6, 0)),
-            (None, window_ack(8, 0)),
-        ];
-        let (result, widths, obs, state) =
-            run_window_scripted(&cfg, &recovery(), ScriptedSocket::new(script));
-        let stats = result.unwrap();
-        assert_eq!(widths, [1, 1, 1, 1, 2, 2, 1, 1, 1, 1]);
-        assert_eq!(state.parks, [8, 10], "parked only on a full window");
-        assert_eq!((stats.initial_packets, stats.retransmit_packets), (8, 2));
-        assert_eq!((stats.acks_received, stats.nacks_received), (3, 1));
-        assert_eq!((stats.retransmit_rounds, stats.unrecovered), (1, 0));
-        assert_eq!(state.read_timeout, None, "handed back blocking");
-        // The registry saw what the view reports.
-        let snap = obs.snapshot();
-        assert_eq!(snap.counter("recovery.initial_packets"), Some(8));
-        assert_eq!(snap.counter("recovery.retransmit_packets"), Some(2));
-    }
-
-    #[test]
-    fn window_source_honours_congestion_pauses() {
-        let cfg = TransferConfig {
-            rate_bps: 1e15,
-            ..config()
-        };
-        let rec = recovery();
-        // With the window full, a NACK (2 acknowledged, 2 wanted) and a
-        // Congestion report arrive together: the repair burst and the
-        // fresh symbols alike hold off for the pause.
-        let congestion = Feedback::congestion(cfg.session, 100, 1, 1).to_bytes();
-        let script = vec![
-            (Some(4), window_ack(2, 2)),
-            (Some(4), congestion.to_vec()),
-            (None, window_ack(6, 0)),
-            (None, window_ack(8, 0)),
-        ];
-        let (result, widths, obs, state) =
-            run_window_scripted(&cfg, &rec, ScriptedSocket::new(script));
-        assert_eq!(result.unwrap().unrecovered, 0);
-        assert_eq!(widths, [1, 1, 1, 1, 2, 2, 1, 1, 1, 1]);
-        assert_eq!(snap_counter(&obs, "recovery.congestion_events"), 1);
-        let held = state.batches[1].0.duration_since(state.batches[0].0);
-        assert!(
-            held >= rec.congestion_pause,
-            "the burst after the report left {held:?} after the one before"
-        );
-        assert_eq!(state.batches[1].1, 6, "and it was the repair burst");
-    }
-
-    #[test]
-    fn window_source_surfaces_a_repair_burst_send_error() {
-        let cfg = TransferConfig {
-            rate_bps: 1e15,
-            ..config()
-        };
-        let socket = ScriptedSocket::new(vec![(Some(4), window_ack(2, 2))]);
-        socket.state.lock().fail_past = Some(4);
-        let (result, widths, _, _) = run_window_scripted(&cfg, &recovery(), socket);
-        assert_eq!(widths, [1, 1, 1, 1]);
-        assert_eq!(
-            result.unwrap_err().kind(),
-            io::ErrorKind::NotConnected,
-            "the failed burst is the caller's to see"
-        );
-    }
-
-    #[test]
-    fn window_source_paces_symbols_and_repairs_on_one_clock() {
-        // 1 Mbit/s: a systematic packet (64 + 14 + 28 B) costs 848 us, a
-        // width-2 repair 856 us.
-        let cfg = TransferConfig {
-            rate_bps: 1e6,
-            ..config()
-        };
-        let script = vec![
-            (Some(4), window_ack(2, 2)),
-            (None, window_ack(6, 0)),
-            (None, window_ack(8, 0)),
-        ];
-        let (result, widths, _, state) =
-            run_window_scripted(&cfg, &recovery(), ScriptedSocket::new(script));
-        assert_eq!(result.unwrap().unrecovered, 0);
-        assert_eq!(widths, [1, 1, 1, 1, 2, 2, 1, 1, 1, 1]);
-        // A paced wait is a sleep, never a park: it parked only once the
-        // window was full with nothing due.
-        assert_eq!(state.parks, [8, 10]);
-        // Each burst left no earlier than the wire time of everything
-        // before it (less the pacer's credit): the repair burst waited
-        // out the 4 symbols, the next symbols waited out the repairs too.
-        let at = |i: usize| state.batches[i].0.duration_since(state.batches[0].0);
-        let us = Duration::from_micros;
-        assert_eq!(state.batches[1].1, 6, "second batch is the repair burst");
-        assert!(at(1) >= us(4 * 848) - PACE_CREDIT, "repair at {:?}", at(1));
-        assert!(
-            at(2) >= us(4 * 848 + 2 * 856) - PACE_CREDIT,
-            "fresh symbols at {:?}",
-            at(2)
-        );
-    }
-
-    /// One receiver turn function driven by hand: explicit instants in,
-    /// feedback out into a [`ScriptedSocket`]'s send log.
+    /// One receiver driven by hand: explicit instants in, feedback out
+    /// into a [`ScriptedSocket`]'s send log.
     struct HandDriven {
-        turn: TurnFn,
+        rx: Reassembly,
         out: FeedbackOut,
         socket: ScriptedSocket,
         obs: TransferObs,
     }
 
     impl HandDriven {
-        fn new(obs: TransferObs, turn: TurnFn) -> Self {
+        fn new(obs: TransferObs, rx: Reassembly) -> Self {
             let socket = ScriptedSocket::new(Vec::new());
             let out = FeedbackOut {
                 socket: Box::new(socket.clone()),
@@ -2248,7 +1821,7 @@ mod tests {
                 metrics: obs.recovery.clone(),
             };
             HandDriven {
-                turn,
+                rx,
                 out,
                 socket,
                 obs,
@@ -2259,7 +1832,7 @@ mod tests {
         /// Returns the deadline the turn asked for.
         fn arrive(&mut self, wire: &[u8], generation_size: usize, at: Instant) -> Option<Instant> {
             let packet = PacketView::parse(wire, generation_size).expect("data packet");
-            match (self.turn)(Some(packet), at, &self.out) {
+            match self.rx.turn(Some(packet), at, &self.out) {
                 Turn::Done(_) => None,
                 Turn::Wait(_) => self.quiet(at),
             }
@@ -2267,7 +1840,7 @@ mod tests {
 
         /// A turn at `at` with nothing arrived.
         fn quiet(&mut self, at: Instant) -> Option<Instant> {
-            match (self.turn)(None, at, &self.out) {
+            match self.rx.turn(None, at, &self.out) {
                 Turn::Done(_) => None,
                 Turn::Wait(wake) => wake,
             }
@@ -2282,25 +1855,15 @@ mod tests {
                 .map(|fb| (fb.generation, fb.count))
                 .collect()
         }
-
-        /// The windowed NACKs sent so far, as `(cumulative, wanted)`.
-        fn window_nacks(&self) -> Vec<(u64, u8)> {
-            let sent = &self.socket.state.lock().sent;
-            sent.iter()
-                .filter_map(|f| WindowAck::parse(f).ok())
-                .filter(|ack| ack.repair_wanted > 0)
-                .map(|ack| (ack.cumulative, ack.repair_wanted))
-                .collect()
-        }
     }
 
     /// A generational receiver for `generations` generations of
     /// [`config`]'s layout, the encoder that feeds it and its rng.
     fn hand_driven(generations: usize) -> (HandDriven, ObjectEncoder, StdRng) {
         let obs = TransferObs::new();
-        let turn = generational_turn(&config(), &recovery(), generations as u64, &obs);
+        let rx = Reassembly::new(&config(), &recovery(), generations as u64, &obs);
         let rng = StdRng::seed_from_u64(5);
-        (HandDriven::new(obs, turn), encoder(generations), rng)
+        (HandDriven::new(obs, rx), encoder(generations), rng)
     }
 
     const SPACING: Duration = Duration::from_micros(100);
@@ -2449,8 +2012,8 @@ mod tests {
         let obs = TransferObs::new();
         let rec = recovery();
         let cfg = config();
-        let turn = generational_turn(&cfg, &rec, 10_000, &obs);
-        let mut rx = HandDriven::new(obs, turn);
+        let reassembly = Reassembly::new(&cfg, &rec, 10_000, &obs);
+        let mut rx = HandDriven::new(obs, reassembly);
         let enc = encoder(2);
         let mut rng = StdRng::seed_from_u64(5);
         let mut t = Instant::now();
@@ -2471,8 +2034,8 @@ mod tests {
 
         // The clock itself: a stall's scan asks about the open units, not
         // about all 10 000.
-        let mut clock = NackClock::new(&rec, 10_000, false);
-        clock.arrival(0, 0, t, &rx.obs.recovery);
+        let mut clock = NackClock::new(&rec, 10_000);
+        clock.arrival(0, t, &rx.obs.recovery);
         let asked = std::cell::Cell::new(0);
         let done = |_| {
             asked.set(asked.get() + 1);
@@ -2484,40 +2047,6 @@ mod tests {
         assert_eq!(nacked, [0, 1, 2, 3, 4]);
         assert!(asked.get() <= 2 * nacked.len(), "{} asked", asked.get());
         assert_eq!(clock.open.len(), 1 + LOOKAHEAD as usize);
-    }
-
-    #[test]
-    fn a_window_gap_is_nacked_when_a_symbol_beyond_the_cursor_arrives() {
-        let (cfg, rec, obs) = (config(), recovery(), TransferObs::new());
-        let wide = WindowConfig::new(64, 64).unwrap();
-        let turn = windowed_turn(&cfg, wide, &rec, 64);
-        let mut rx = HandDriven::new(obs, turn);
-        let mut enc = WindowEncoder::new(wide, cfg.session);
-        let mut pool = PayloadPool::new();
-        let t0 = Instant::now();
-        let mut t = t0;
-        // Symbols 0..24 in order, symbol 5 lost.
-        for i in 0..24 {
-            let index = enc.push(&[i as u8; 64]).unwrap();
-            let pkt = enc.systematic_packet_pooled(index, &mut pool).unwrap();
-            if i != 5 {
-                rx.arrive(&pkt.to_bytes(), 0, t);
-            }
-            if rx.window_nacks().is_empty() {
-                t += SPACING;
-            }
-        }
-        // The old rule NACKed only when *nothing* arrived for
-        // `decode_timeout`; the gap is evident the moment symbol 6 lands
-        // (at 6 spacings) and is asked for once the cursor has lagged it
-        // by the reorder span, mid-stream.
-        assert_eq!(rx.window_nacks(), [(5, 1)], "cursor at 5, one missing");
-        let lag = t - (t0 + 6 * SPACING);
-        assert!(
-            lag >= SPACING * REORDER_SPAN && lag <= SPACING * (REORDER_SPAN + 2),
-            "NACKed {lag:?} after the evidence"
-        );
-        assert!(lag < rec.decode_timeout / 4);
     }
 
     #[test]
@@ -2596,57 +2125,8 @@ mod tests {
             .events
             .iter()
             .any(|e| e.kind == ncvnf_obs::TraceKind::RepairBurst));
-    }
-
-    /// Streams `data` from `socket` to a windowed receiver on loopback.
-    /// Returns both ends' views and the registry they share.
-    fn window_stream<S: DatagramSocket>(
-        socket: &S,
-        cfg: &TransferConfig,
-        window: WindowConfig,
-        data: &[u8],
-    ) -> (RecoveryStats, ReliableReport, Snapshot) {
-        let rec = recovery();
-        let total = data.len().div_ceil(window.symbol_size()) as u64;
-        let obs = TransferObs::new();
-        let source = socket.local_addr().unwrap();
-        let receiver =
-            ReliableReceiver::spawn_window(cfg, window, &rec, total, source, &obs).unwrap();
-        let hops = [receiver.addr];
-        let stats = send_window_reliable(socket, cfg, window, &rec, data, &hops, &obs).unwrap();
-        let report = receiver.wait(Duration::from_secs(30)).expect("completes");
-        (stats, report, obs.snapshot())
-    }
-
-    #[test]
-    fn lossy_window_stream_recovers_via_repair_bursts() {
-        let window = WindowConfig::new(128, 8).unwrap();
-        let cfg = TransferConfig {
-            session: SessionId::new(9),
-            ..config()
-        };
-        let data: Vec<u8> = (0..4096u32).map(|i| (i * 11 % 251) as u8).collect();
-        // 25% egress loss on the source's own socket: the stream must
-        // heal from NACK-driven repair bursts over the live window.
-        let (source_socket, fault) =
-            FaultSocket::bind_loopback(FaultConfig::new(0xD00F).with_drop(0.25)).unwrap();
-        let (stats, report, snap) = window_stream(&source_socket, &cfg, window, &data);
-        assert_eq!(report.object, data, "byte-identical in-order delivery");
-        assert_eq!(stats.unrecovered, 0, "source saw the stream acknowledged");
-        assert_eq!(stats.initial_packets, 32, "one systematic pass");
-        assert!(fault.stats().dropped > 0, "faults actually fired");
-        assert!(report.stats.nacks_sent > 0, "receiver NACKed stalls");
-        assert!(
-            stats.retransmit_packets > 0,
-            "repairs answered from the window"
-        );
-        assert!(snap
-            .events
-            .iter()
-            .any(|e| e.kind == ncvnf_obs::TraceKind::RepairBurst));
         // The report is a view of the registry, not a second copy: every
-        // ack — the final burst included — and every NACK is in both.
-        assert!(report.stats.acks_sent >= 3, "the final ack goes out thrice");
+        // ACK — the completion burst included — and every NACK is in both.
         assert_eq!(
             snap.counter("recovery.acks_sent"),
             Some(report.stats.acks_sent)
@@ -2658,29 +2138,6 @@ mod tests {
         assert_eq!(
             snap.counter("recovery.retransmit_packets"),
             Some(stats.retransmit_packets)
-        );
-    }
-
-    #[test]
-    fn clean_window_stream_is_pure_systematic() {
-        let window = WindowConfig::new(64, 4).unwrap();
-        let cfg = TransferConfig {
-            session: SessionId::new(10),
-            ..config()
-        };
-        let data: Vec<u8> = (0..640u32).map(|i| (i % 241) as u8).collect();
-        let socket = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-        let (stats, report, snap) = window_stream(&socket, &cfg, window, &data);
-        assert_eq!(report.object, data);
-        assert_eq!(stats.unrecovered, 0);
-        assert_eq!(
-            stats.initial_packets, 10,
-            "one systematic packet per symbol"
-        );
-        assert_eq!(stats.retransmit_packets, 0, "no loss, no repairs");
-        assert_eq!(
-            snap.counter("recovery.acks_sent"),
-            Some(report.stats.acks_sent)
         );
     }
 

@@ -11,16 +11,9 @@
 //! The fault seed is pinned (override with `NCVNF_CHAOS_SEED`) so CI
 //! failures replay exactly.
 
-use std::net::UdpSocket;
 use std::time::Duration;
 
-use ncvnf_control::signal::VnfRoleWire;
-use ncvnf_control::ForwardingTable;
-use ncvnf_relay::{
-    reliable_chain, send_window_reliable, FaultConfig, FaultSocket, RecoveryConfig, RelayConfig,
-    RelayNode, ReliableReceiver, TransferConfig, TransferObs,
-};
-use ncvnf_rlnc::window::WindowConfig;
+use ncvnf_relay::{reliable_chain, FaultConfig, RecoveryConfig, TransferConfig};
 use ncvnf_rlnc::{GenerationConfig, RedundancyPolicy, SessionId};
 
 fn chaos_seed() -> u64 {
@@ -283,94 +276,5 @@ fn full_rate_megabyte_survives_chaos_within_its_wire_budget() {
     assert!(
         nack_delay < RecoveryConfig::default().decode_timeout / 4,
         "median NACK delay {nack_delay:?}"
-    );
-}
-
-/// The same operating point over the sliding-window framing: systematic
-/// symbols, cumulative acks, repair bursts over the live window, through
-/// a relay that drops 10 % each way. It had never been put through this
-/// path; its wire cost is printed beside the generational one's.
-#[test]
-fn windowed_megabyte_survives_a_lossy_relay() {
-    let seed = chaos_seed().wrapping_add(3);
-    let config = TransferConfig {
-        session: SessionId::new(15),
-        generation: GenerationConfig::new(1460, 4).unwrap(),
-        redundancy: RedundancyPolicy::NC0,
-        rate_bps: 200e6,
-        seed,
-    };
-    // The relay recodes over its default 32-symbol window and hears no
-    // acks here (feedback goes straight to the source), so the source's
-    // window must not outgrow it.
-    let window = WindowConfig::new(1460, 32).unwrap();
-    let recovery = RecoveryConfig::default();
-    let data: Vec<u8> = (0..718 * 1460u32)
-        .map(|i| (i.wrapping_mul(2654435761) >> 9) as u8)
-        .collect();
-    let symbols = (data.len() / 1460) as u64;
-
-    let source = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-    let obs = TransferObs::new();
-    let receiver = ReliableReceiver::spawn_window(
-        &config,
-        window,
-        &recovery,
-        symbols,
-        source.local_addr().unwrap(),
-        &obs,
-    )
-    .unwrap();
-    let fault = FaultConfig::new(seed)
-        .with_drop(0.10)
-        .with_directions(true, true);
-    let (data_socket, faults) = FaultSocket::bind_loopback(fault).unwrap();
-    let control_socket = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-    let relay_config = RelayConfig {
-        generation: config.generation,
-        heartbeat: None,
-        registry: None,
-        ..RelayConfig::default()
-    };
-    let relay = RelayNode::spawn_with(relay_config, data_socket, control_socket).unwrap();
-    let control = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-    control
-        .set_read_timeout(Some(Duration::from_secs(2)))
-        .unwrap();
-    let mut table = ForwardingTable::new();
-    table.set(config.session, vec![receiver.addr.to_string()]);
-    relay
-        .wire(&control, config.session, VnfRoleWire::Recoder, &table)
-        .unwrap();
-
-    let hops = [relay.data_addr];
-    let stats =
-        send_window_reliable(&source, &config, window, &recovery, &data, &hops, &obs).unwrap();
-    let report = receiver
-        .wait(Duration::from_secs(60))
-        .expect("stream completes");
-    relay.shutdown();
-
-    assert_eq!(report.object, data, "byte-identical in-order delivery");
-    assert_eq!(stats.unrecovered, 0, "every symbol acknowledged");
-    assert!(faults.stats().dropped > 0, "faults actually fired");
-    assert!(report.stats.nacks_sent > 0 && stats.retransmit_packets > 0);
-    let wire = stats.initial_packets + stats.retransmit_packets;
-    println!(
-        "windowed: {wire} packets for {symbols} symbols = {:.3}x in {:?}, {} NACKs, {} rounds",
-        wire as f64 / symbols as f64,
-        report.elapsed,
-        report.stats.nacks_sent,
-        stats.retransmit_rounds
-    );
-    // A gap is asked for when a symbol beyond the cursor shows it, not
-    // when the source's window has filled and the stream has stalled for
-    // `decode_timeout`.
-    let delay = obs.snapshot();
-    let delay = delay.histogram("recovery.nack_delay_ns").unwrap();
-    let median = Duration::from_nanos(delay.quantile(0.5));
-    assert!(
-        median < recovery.decode_timeout / 4,
-        "median NACK delay {median:?}"
     );
 }

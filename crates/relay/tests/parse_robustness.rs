@@ -6,22 +6,33 @@
 //! hostile byte string can reach must be total: parse or typed error,
 //! never a panic — and the dispatch rules (feedback magic first, then
 //! the NC header peek) must never misroute a frame of one kind into the
-//! parser of another. That holds for all three NC wire kinds: the one
-//! data parser ([`PacketView::parse`], kinds 1 and 2) and the ack parser
-//! ([`WindowAck::parse`], kind 3) each accept only their own kind byte.
+//! parser of another. The kind bytes of the retired sliding-window
+//! framing (2: data, 3: ack) are refused by the one data parser
+//! ([`PacketView::parse`]) and, on a live relay, counted once as
+//! malformed and never forwarded.
 
-use ncvnf_control::signal::{Signal, SignalFrame};
+use std::net::UdpSocket;
+use std::time::{Duration, Instant};
+
+use ncvnf_control::signal::{Signal, SignalFrame, VnfRoleWire};
+use ncvnf_control::ForwardingTable;
 use ncvnf_dataplane::{Feedback, FEEDBACK_MAGIC};
+use ncvnf_relay::{RelayConfig, RelayHandle, RelayNode};
 
 use ncvnf_rlnc::{
-    wire_kind, CodedPacket, GenerationConfig, GenerationEncoder, HeaderError, PacketView,
-    SessionId, WindowAck, WireKind, NC_KIND_WINDOW, NC_KIND_WINDOW_ACK, NC_MAGIC,
+    CodedPacket, GenerationConfig, GenerationEncoder, HeaderError, PacketView, SessionId, NC_MAGIC,
+    NC_VERSION,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const GEN_SIZE: usize = 4;
+
+/// Kind byte of the retired sliding-window data packet.
+const KIND_WINDOW: u8 = 2;
+/// Kind byte of the retired sliding-window ack.
+const KIND_WINDOW_ACK: u8 = 3;
 
 /// A valid coded-packet wire image to mutate.
 fn wire_packet(seed: u64, session: u16, generation: u64) -> Vec<u8> {
@@ -33,11 +44,11 @@ fn wire_packet(seed: u64, session: u16, generation: u64) -> Vec<u8> {
         .to_vec()
 }
 
-/// A valid sliding-window data frame (wire kind 2) to mutate, laid out
-/// by hand from the wire grammar so the parser is checked against the
-/// format, not against the serializer.
+/// A sliding-window data frame (kind 2) as the retired framing laid it
+/// out: session, 8-byte window base, width byte, `width` coefficients,
+/// then the payload.
 fn wire_window(session: u16, base: u64, width: usize, payload_len: usize) -> Vec<u8> {
-    let mut wire = vec![NC_MAGIC, NC_KIND_WINDOW];
+    let mut wire = vec![NC_MAGIC, KIND_WINDOW];
     wire.extend_from_slice(&session.to_be_bytes());
     wire.extend_from_slice(&base.to_be_bytes());
     wire.push(width as u8);
@@ -46,27 +57,31 @@ fn wire_window(session: u16, base: u64, width: usize, payload_len: usize) -> Vec
     wire
 }
 
-/// Whatever the NC parsers make of `data`, they agree with its kind
-/// byte: the data parser never accepts an ack, the ack parser never
-/// accepts data, a windowed parse means kind 2, and the shard key exists
-/// exactly when the data parser could read a header.
+/// A sliding-window ack (kind 3), 14 bytes: session, cumulative index,
+/// repairs wanted, a reserved byte.
+fn wire_window_ack(session: u16, cumulative: u64, repair_wanted: u8) -> Vec<u8> {
+    let mut wire = vec![NC_MAGIC, KIND_WINDOW_ACK];
+    wire.extend_from_slice(&session.to_be_bytes());
+    wire.extend_from_slice(&cumulative.to_be_bytes());
+    wire.extend_from_slice(&[repair_wanted, 0]);
+    wire
+}
+
+/// Whatever the data parser makes of `data`, it agrees with the header:
+/// a parse is a generational packet whose kind byte is not a retired
+/// one, a retired kind is `BadKind`, and the shard key exists exactly
+/// when the data parser could read a header.
 fn assert_no_cross_dispatch(data: &[u8]) -> Result<(), TestCaseError> {
-    let kind = wire_kind(data);
+    let retired = data.len() >= 2 && [KIND_WINDOW, KIND_WINDOW_ACK].contains(&data[1]);
     match PacketView::parse(data, GEN_SIZE) {
         Ok(view) => {
-            prop_assert_eq!(Some(view.kind()), kind);
-            prop_assert!(view.kind() != WireKind::WindowAck);
-            let windowed = data[1] == NC_KIND_WINDOW;
-            prop_assert_eq!(view.kind() == WireKind::Window, windowed);
-            if windowed {
-                prop_assert_eq!(view.coefficients().len(), usize::from(data[12]));
-                prop_assert!(!view.coefficients().is_empty());
-            }
+            prop_assert!(!retired);
+            prop_assert_eq!(view.coefficients().len(), GEN_SIZE);
             prop_assert!(PacketView::shard_key(data).is_some());
         }
-        Err(HeaderError::BadKind { found, .. }) => {
-            prop_assert_eq!(found, NC_KIND_WINDOW_ACK);
-            prop_assert_eq!(kind, Some(WireKind::WindowAck));
+        Err(HeaderError::BadKind { expected, found }) => {
+            prop_assert!(retired);
+            prop_assert_eq!((expected, found), (NC_VERSION, data[1]));
             prop_assert!(PacketView::shard_key(data).is_none());
         }
         Err(HeaderError::BadMagic { found }) => {
@@ -74,15 +89,31 @@ fn assert_no_cross_dispatch(data: &[u8]) -> Result<(), TestCaseError> {
             prop_assert!(PacketView::shard_key(data).is_none());
         }
         Err(HeaderError::Truncated { needed, available }) => {
+            prop_assert!(!retired);
             prop_assert_eq!(available, data.len());
-            // A zero width byte also reports as truncated.
-            prop_assert!(needed > available || kind == Some(WireKind::Window));
+            prop_assert!(needed > available);
         }
     }
-    if WindowAck::parse(data).is_ok() {
-        prop_assert_eq!(kind, Some(WireKind::WindowAck));
-    }
     Ok(())
+}
+
+/// `data` holds a retired kind byte: every generation size refuses it
+/// with `BadKind`, it earns no shard key, and it is neither feedback nor
+/// a control signal.
+fn assert_refused(data: &[u8]) -> Result<(), TestCaseError> {
+    for g in [0, GEN_SIZE, 64] {
+        prop_assert_eq!(
+            PacketView::parse(data, g),
+            Err(HeaderError::BadKind {
+                expected: NC_VERSION,
+                found: data[1]
+            })
+        );
+    }
+    prop_assert!(PacketView::shard_key(data).is_none());
+    prop_assert!(Feedback::from_bytes(data).is_err());
+    prop_assert!(SignalFrame::from_bytes(data).is_err());
+    assert_no_cross_dispatch(data)
 }
 
 proptest! {
@@ -101,72 +132,38 @@ proptest! {
         assert_no_cross_dispatch(&nc)?;
     }
 
-    /// Every strict prefix of a valid windowed frame (kind 2) is a typed
-    /// truncation until its header is whole, then the same header over a
-    /// shorter payload — and is never an ack, feedback or a signal.
+    /// Every prefix of a retired sliding-window data frame (kind 2, any
+    /// width) that still holds its kind byte is refused by that byte,
+    /// whatever the generation size — never a packet, never a shard key,
+    /// never feedback or a signal.
     #[test]
     fn truncated_window_frames_never_misdispatch(
-        session in 1u16..=u16::MAX,
+        session in any::<u16>(),
         base in any::<u64>(),
-        width in 1usize..=255,
+        width in 0usize..=255,
         payload_len in 0usize..128,
-        cut_permille in 0u32..1000,
+        cut_permille in 0u32..=1000,
     ) {
         let wire = wire_window(session, base, width, payload_len);
-        let header = CodedPacket::WINDOW_FIXED_LEN + width;
-        let cut = (wire.len() as u64 * u64::from(cut_permille) / 1000) as usize;
-        let data = &wire[..cut];
-        match PacketView::parse(data, GEN_SIZE) {
-            Ok(view) => {
-                prop_assert!(cut >= header);
-                prop_assert_eq!(view.kind(), WireKind::Window);
-                prop_assert_eq!(view.session().value(), session);
-                prop_assert_eq!(view.index(), base);
-                prop_assert_eq!(view.coefficients(), &wire[CodedPacket::WINDOW_FIXED_LEN..header]);
-                prop_assert_eq!(view.payload(), &wire[header..cut]);
-                // A stream shards by session alone.
-                prop_assert_eq!(PacketView::shard_key(data), Some((SessionId::new(session), 0)));
-            }
-            Err(e) => {
-                prop_assert!(cut < header);
-                prop_assert!(matches!(e, HeaderError::Truncated { .. }), "got {:?}", e);
-                prop_assert!(PacketView::shard_key(data).is_none());
-            }
-        }
-        prop_assert!(WindowAck::parse(data).is_err());
-        if !data.is_empty() {
-            prop_assert!(Feedback::from_bytes(data).is_err());
-        }
-        prop_assert!(SignalFrame::from_bytes(data).is_err());
+        let cut = (2 + (wire.len() - 2) as u64 * u64::from(cut_permille) / 1000) as usize;
+        assert_refused(&wire[..cut])?;
     }
 
-    /// Every strict prefix of a valid window ack (kind 3) is a typed
-    /// error from both NC parsers and never earns a shard key.
+    /// The same for every prefix of a retired window ack (kind 3).
     #[test]
     fn truncated_window_acks_never_misdispatch(
         session in any::<u16>(),
         cumulative in any::<u64>(),
         repair_wanted in any::<u8>(),
-        cut in 0usize..WindowAck::WIRE_LEN,
+        cut in 2usize..=14,
     ) {
-        let ack = WindowAck { session: SessionId::new(session), cumulative, repair_wanted };
-        let wire = ack.encode();
-        prop_assert_eq!(WindowAck::parse(&wire), Ok(ack));
-        let data = &wire[..cut];
-        let truncated = matches!(WindowAck::parse(data), Err(HeaderError::Truncated { .. }));
-        prop_assert!(truncated);
-        for g in [0, GEN_SIZE, 64] {
-            prop_assert!(PacketView::parse(data, g).is_err());
-            prop_assert!(PacketView::parse(&wire, g).is_err());
-        }
-        prop_assert!(PacketView::shard_key(data).is_none());
-        prop_assert!(PacketView::shard_key(&wire).is_none());
+        let wire = wire_window_ack(session, cumulative, repair_wanted);
+        assert_refused(&wire[..cut])?;
     }
 
-    /// Single-byte corruption anywhere in a windowed frame or a window
-    /// ack — the kind byte and the width byte included — parses or
-    /// returns a typed error, and whatever parses agrees with the kind
-    /// byte now on the wire.
+    /// Single-byte corruption anywhere in a retired window frame or ack —
+    /// the kind byte included — parses or returns a typed error, and
+    /// whatever parses agrees with the kind byte now on the wire.
     #[test]
     fn corrupted_window_frames_never_cross_dispatch(
         width in 1usize..=255,
@@ -174,53 +171,16 @@ proptest! {
         pos_permille in 0u32..1000,
         xor in 1u8..=255,
     ) {
-        let mut wire = wire_window(9, 3, width, payload_len);
-        let pos = (wire.len() as u64 * u64::from(pos_permille) / 1000) as usize;
-        let pos = pos.min(wire.len() - 1);
-        wire[pos] ^= xor;
-        assert_no_cross_dispatch(&wire)?;
-        let _ = CodedPacket::from_bytes(&wire, GEN_SIZE);
-
-        let ack = WindowAck { session: SessionId::new(9), cumulative: 3, repair_wanted: 1 };
-        let mut wire = ack.encode();
-        wire[pos % WindowAck::WIRE_LEN] ^= xor;
-        assert_no_cross_dispatch(&wire)?;
-
-        // The kind byte specifically: every value on both frames.
-        let window = wire_window(9, 3, width, payload_len);
-        for kind in 0..=255u8 {
-            let (mut as_window, mut as_ack) = (window.clone(), ack.encode());
-            as_window[1] = kind;
-            as_ack[1] = kind;
-            assert_no_cross_dispatch(&as_window)?;
-            assert_no_cross_dispatch(&as_ack)?;
-        }
-    }
-
-    /// The width byte decides how much of a windowed frame is header: 0
-    /// and anything past the bytes that follow it are typed truncations,
-    /// every other value splits the same bytes differently.
-    #[test]
-    fn window_width_byte_is_bounds_checked(
-        width in 1usize..=255,
-        payload_len in 0usize..64,
-        claimed in any::<u8>(),
-    ) {
-        let mut wire = wire_window(9, 3, width, payload_len);
-        wire[12] = claimed;
-        let remaining = wire.len() - CodedPacket::WINDOW_FIXED_LEN;
-        match PacketView::parse(&wire, GEN_SIZE) {
-            Ok(view) => {
-                prop_assert!(claimed != 0 && usize::from(claimed) <= remaining);
-                prop_assert_eq!(view.coefficients().len(), usize::from(claimed));
-                prop_assert_eq!(view.payload().len(), remaining - usize::from(claimed));
-            }
-            Err(e) => {
-                prop_assert!(claimed == 0 || usize::from(claimed) > remaining);
-                prop_assert_eq!(e, HeaderError::Truncated {
-                    needed: CodedPacket::WINDOW_FIXED_LEN + usize::from(claimed),
-                    available: wire.len(),
-                });
+        for clean in [wire_window(9, 3, width, payload_len), wire_window_ack(9, 3, 1)] {
+            let mut wire = clean.clone();
+            let pos = ((wire.len() as u64 * u64::from(pos_permille) / 1000) as usize)
+                .min(wire.len() - 1);
+            wire[pos] ^= xor;
+            assert_no_cross_dispatch(&wire)?;
+            let _ = CodedPacket::from_bytes(&wire, GEN_SIZE);
+            // Magic and kind intact: still refused by the kind byte.
+            if pos > 1 {
+                assert_refused(&wire)?;
             }
         }
     }
@@ -258,7 +218,8 @@ proptest! {
 
     /// Single-byte corruption anywhere in a valid coded packet never
     /// panics a parser, and corrupting anything *other than the magic
-    /// byte* never turns a data packet into feedback.
+    /// byte* never turns a data packet into feedback. Every value of the
+    /// kind byte parses as a packet, except the two retired ones.
     #[test]
     fn corrupted_packets_never_cross_dispatch(
         seed in any::<u64>(),
@@ -282,6 +243,12 @@ proptest! {
                 PacketView::shard_key(&wire).is_none(),
                 "non-NC magic must never pass the dispatch peek"
             );
+        }
+        let clean = wire_packet(seed, 9, 3);
+        for kind in 0..=255u8 {
+            let mut as_kind = clean.clone();
+            as_kind[1] = kind;
+            assert_no_cross_dispatch(&as_kind)?;
         }
     }
 
@@ -326,4 +293,83 @@ proptest! {
         mangled[pos] ^= xor;
         let _ = SignalFrame::from_bytes(&mangled);
     }
+}
+
+/// Polls `read` until it returns at least `want`, for up to 5 s (the
+/// data thread publishes its counters behind the datagram).
+fn wait_for(handle: &RelayHandle, read: impl Fn(&RelayHandle) -> u64, want: u64) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while read(handle) < want && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(read(handle), want);
+}
+
+/// Every counter a relay drops a datagram under.
+fn drops(handle: &RelayHandle) -> [u64; 5] {
+    let (stats, vnf) = (handle.stats(), handle.vnf_stats());
+    [
+        vnf.malformed,
+        vnf.unknown_session,
+        stats.feedback_frames,
+        stats.malformed_feedback,
+        stats.total_shed(),
+    ]
+}
+
+/// On a live relay (shard count from `NCVNF_SHARDS`), each retired
+/// sliding-window frame of a served session — a full-width kind-2 data
+/// packet, a kind-3 ack — is counted under exactly one drop counter,
+/// `malformed`, and never forwarded; a coded packet after them still is.
+#[test]
+fn live_relay_counts_retired_window_frames_once_and_forwards_none() {
+    const SESSION: u16 = 11;
+    let layout = GenerationConfig::new(64, GEN_SIZE).unwrap();
+    let relay = RelayNode::spawn(RelayConfig {
+        generation: layout,
+        ..RelayConfig::default()
+    })
+    .unwrap();
+    let sink = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+    sink.set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    let control = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+    control
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    let mut table = ForwardingTable::new();
+    let session = SessionId::new(SESSION);
+    table.set(session, vec![sink.local_addr().unwrap().to_string()]);
+    relay
+        .wire(&control, session, VnfRoleWire::Recoder, &table)
+        .unwrap();
+    let handle = relay.handle();
+    let tx = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+
+    let rows = [
+        ("kind-2 data, full width", wire_window(SESSION, 0, 255, 64)),
+        ("kind-3 ack", wire_window_ack(SESSION, 0, 1)),
+    ];
+    let mut buf = [0u8; 2048];
+    for (i, (name, wire)) in rows.iter().enumerate() {
+        let before = drops(&handle);
+        tx.send_to(wire, relay.data_addr).unwrap();
+        wait_for(&handle, |h| h.stats().datagrams_in, i as u64 + 1);
+        wait_for(&handle, |h| h.vnf_stats().malformed, before[0] + 1);
+        let after = drops(&handle);
+        let counted: u64 = after.iter().zip(before).map(|(a, b)| a - b).sum();
+        assert_eq!(counted, 1, "{name}: one drop counter, once ({after:?})");
+        assert_eq!(handle.stats().datagrams_out, 0, "{name}: forwarded");
+        assert!(
+            sink.recv_from(&mut buf).is_err(),
+            "{name}: reached the sink"
+        );
+    }
+    // The relay still relays.
+    tx.send_to(&wire_packet(1, SESSION, 0)[..], relay.data_addr)
+        .unwrap();
+    let (n, _) = sink.recv_from(&mut buf).expect("a coded packet is relayed");
+    assert!(PacketView::parse(&buf[..n], GEN_SIZE).is_ok());
+    assert_eq!(handle.vnf_stats().malformed, rows.len() as u64);
+    relay.shutdown();
 }

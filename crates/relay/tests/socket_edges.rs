@@ -14,8 +14,7 @@ use ncvnf_relay::{
     DatagramSocket, FaultConfig, FaultSocket, RelayConfig, RelayHandle, RelayNode, SendBatch,
 };
 use ncvnf_rlnc::{
-    CodedPacket, GenerationConfig, ObjectDecoder, ObjectEncoder, PacketView, SessionId,
-    NC_KIND_WINDOW, NC_MAGIC,
+    GenerationConfig, ObjectDecoder, ObjectEncoder, PacketView, SessionId, NC_MAGIC, NC_VERSION,
 };
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -184,16 +183,14 @@ fn a_relay_on_caller_sockets_does_not_take_gro() {
     relay.shutdown();
 }
 
-/// A windowed datagram of `width` coefficients (only the first non-zero,
-/// so any width is a valid combination of one symbol) and `payload_len`
-/// payload bytes.
-fn windowed_datagram(width: u8, payload_len: usize) -> Vec<u8> {
-    let mut wire = vec![NC_MAGIC, NC_KIND_WINDOW];
+/// A coded datagram of generation 0 at generation size 4 (only the
+/// first coefficient non-zero, so it is a valid combination whatever
+/// the payload) with `payload_len` payload bytes.
+fn coded_datagram(payload_len: usize) -> Vec<u8> {
+    let mut wire = vec![NC_MAGIC, NC_VERSION];
     wire.extend_from_slice(&SESSION.to_be_bytes());
-    wire.extend_from_slice(&0u64.to_be_bytes());
-    wire.push(width);
-    wire.push(1);
-    wire.resize(wire.len() + usize::from(width) - 1, 0);
+    wire.extend_from_slice(&0u32.to_be_bytes());
+    wire.extend_from_slice(&[1, 0, 0, 0]);
     wire.resize(wire.len() + payload_len, 0x5A);
     wire
 }
@@ -217,12 +214,9 @@ fn receive_slots_hold_the_largest_valid_datagram_and_not_a_byte_more() {
         let (tx, _) = socket();
         let mut buf = vec![0u8; 4096];
 
-        // The largest datagram the layout makes valid: full window width.
-        let largest = windowed_datagram(255, layout.block_size());
-        assert_eq!(
-            largest.len(),
-            CodedPacket::WINDOW_FIXED_LEN + CodedPacket::MAX_WIDTH + layout.block_size()
-        );
+        // The largest datagram the layout makes valid: a coded packet.
+        let largest = coded_datagram(layout.block_size());
+        assert_eq!(largest.len(), layout.packet_len());
         tx.send_to(&largest, relay.data_addr).unwrap();
         let (n, _) = sink.recv_from(&mut buf).expect("relayed, not truncated");
         let view = PacketView::parse(&buf[..n], 4).unwrap();
@@ -233,7 +227,7 @@ fn receive_slots_hold_the_largest_valid_datagram_and_not_a_byte_more() {
         // the same length, or arrives whole in a GRO entry. None is a
         // length the layout accepts.
         for (i, extra) in [1, 4000].into_iter().enumerate() {
-            let oversize = windowed_datagram(255, layout.block_size() + extra);
+            let oversize = coded_datagram(layout.block_size() + extra);
             tx.send_to(&oversize, relay.data_addr).unwrap();
             wait_for(&handle, |h| h.vnf_stats().malformed, i as u64 + 1);
         }

@@ -110,83 +110,6 @@ impl Default for GenerationConfig {
     }
 }
 
-/// How an encoder draws coefficient vectors for a generation's packets.
-///
-/// The mode trades per-packet coding cost against per-packet innovation:
-/// dense combinations are maximally innovative (each repair packet is
-/// useful with probability ≈ 1 − 1/255 per missing rank) but cost
-/// `g` multiply-accumulates per packet; systematic and sparse packets
-/// cost a fraction of that, at a small innovation penalty that only
-/// matters under heavy loss.
-///
-/// # Examples
-///
-/// ```
-/// use ncvnf_rlnc::CodingMode;
-/// // A g=32 generation with the default sparse density: each repair
-/// // packet combines 8 of the 32 blocks instead of all of them.
-/// let mode = CodingMode::sparse_default(32);
-/// assert_eq!(mode, CodingMode::Sparse { nonzeros: 8 });
-/// assert_eq!(mode.repair_nonzeros(32), 8);
-/// assert_eq!(CodingMode::Dense.repair_nonzeros(32), 32);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CodingMode {
-    /// Every packet is a uniformly random combination of all `g` blocks.
-    #[default]
-    Dense,
-    /// The first `g` packets are the source blocks verbatim (unit
-    /// coefficient vectors); repair packets beyond that are dense.
-    Systematic,
-    /// Systematic first pass, then repair packets that combine only
-    /// `nonzeros` randomly chosen blocks — O(d·block) instead of
-    /// O(g·block) per repair packet.
-    Sparse {
-        /// Number of nonzero coefficients per repair packet (the density
-        /// knob `d`); clamped to `1..=g` at draw time.
-        nonzeros: usize,
-    },
-}
-
-impl CodingMode {
-    /// The default sparse density for generation size `g`: `g/4`, at
-    /// least 2 — wide enough that a handful of repair packets covers any
-    /// loss pattern, narrow enough that repair cost stays ~4x below
-    /// dense.
-    pub fn sparse_default(g: usize) -> Self {
-        let cap = g.max(1);
-        CodingMode::Sparse {
-            nonzeros: if cap < 2 { cap } else { (g / 4).clamp(2, cap) },
-        }
-    }
-
-    /// Short lowercase name used in benchmark output and docs
-    /// (`dense` / `systematic` / `sparse`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            CodingMode::Dense => "dense",
-            CodingMode::Systematic => "systematic",
-            CodingMode::Sparse { .. } => "sparse",
-        }
-    }
-
-    /// Whether the first `g` packets of a generation are emitted
-    /// verbatim (unit coefficient vectors).
-    pub fn is_systematic_first(&self) -> bool {
-        !matches!(self, CodingMode::Dense)
-    }
-
-    /// Nonzero coefficients a repair packet carries at generation size
-    /// `g`: `g` for dense/systematic repair, the clamped density for
-    /// sparse.
-    pub fn repair_nonzeros(&self, g: usize) -> usize {
-        match self {
-            CodingMode::Dense | CodingMode::Systematic => g,
-            CodingMode::Sparse { nonzeros } => (*nonzeros).clamp(1, g.max(1)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

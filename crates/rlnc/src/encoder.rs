@@ -4,7 +4,7 @@ use rand::Rng;
 
 use ncvnf_gf256::bulk;
 
-use crate::config::{CodingMode, GenerationConfig};
+use crate::config::GenerationConfig;
 use crate::error::CodecError;
 use crate::header::{CodedPacket, SessionId};
 use crate::pool::PayloadPool;
@@ -15,37 +15,26 @@ use crate::pool::PayloadPool;
 /// [`coded_packet`](Self::coded_packet) draws a fresh uniformly random
 /// coefficient vector over GF(2^8) and emits the corresponding linear
 /// combination. [`systematic_packet`](Self::systematic_packet) emits an
-/// original block with a unit coefficient vector (the optional systematic
-/// first pass).
+/// original block with a unit coefficient vector.
 ///
-/// # Encoding modes
-///
-/// [`mode_packet_pooled`](Self::mode_packet_pooled) is the one
-/// mode-aware emitter: it drives a whole generation through a
-/// [`CodingMode`]. Packet sequence numbers `0..g` come out verbatim in
-/// the systematic modes, and everything after that is a repair packet —
-/// dense or sparse per the mode. A typical systematic+sparse emission
-/// loop:
+/// With a warm [`PayloadPool`], emission allocates nothing: each packet's
+/// buffers come back to the pool once it has been sent.
 ///
 /// ```
-/// use ncvnf_rlnc::{CodingMode, GenerationConfig, GenerationEncoder, PayloadPool, SessionId};
+/// use ncvnf_rlnc::{GenerationConfig, GenerationEncoder, PayloadPool, SessionId};
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
 ///
 /// let config = GenerationConfig::new(64, 8).unwrap();
 /// let encoder = GenerationEncoder::new(config, &[7u8; 512]).unwrap();
-/// let mode = CodingMode::sparse_default(8);
 /// let (mut rng, mut pool) = (StdRng::seed_from_u64(1), PayloadPool::new());
-/// // First 8 packets are the source blocks; the rest are sparse repair.
-/// for seq in 0..10u64 {
-///     let pkt = encoder.mode_packet_pooled(mode, SessionId::new(1), 0, seq, &mut rng, &mut pool);
-///     let nonzeros = pkt.coefficients().iter().filter(|&&c| c != 0).count();
-///     if seq < 8 {
-///         assert_eq!(nonzeros, 1);
-///     } else {
-///         assert!(nonzeros <= mode.repair_nonzeros(8));
-///     }
+/// for _ in 0..10 {
+///     let pkt = encoder.coded_packet_pooled(SessionId::new(1), 0, &mut rng, &mut pool);
+///     assert_eq!(pkt.coefficients().len(), 8);
+///     assert!(pkt.coefficients().iter().any(|&c| c != 0));
+///     pool.recycle(pkt);
 /// }
+/// assert_eq!(pool.idle(), 2, "one packet's two buffers, reused ten times");
 /// ```
 #[derive(Debug, Clone)]
 pub struct GenerationEncoder {
@@ -134,8 +123,7 @@ impl GenerationEncoder {
         CodedPacket::new(session, generation, coefficients.freeze(), payload.freeze())
     }
 
-    /// Emits original block `index` with a unit coefficient vector
-    /// (systematic mode: the first `g` packets can skip coding work).
+    /// Emits original block `index` with a unit coefficient vector.
     ///
     /// # Panics
     ///
@@ -146,92 +134,19 @@ impl GenerationEncoder {
         generation: u64,
         index: usize,
     ) -> CodedPacket {
-        self.systematic_packet_pooled(session, generation, index, &mut PayloadPool::new())
-    }
-
-    /// [`systematic_packet`](Self::systematic_packet) with both buffers
-    /// from `pool` — the first pass of the systematic and sparse modes.
-    fn systematic_packet_pooled(
-        &self,
-        session: SessionId,
-        generation: u64,
-        index: usize,
-        pool: &mut PayloadPool,
-    ) -> CodedPacket {
         assert!(
             index < self.config.blocks_per_generation(),
             "systematic index out of range"
         );
+        let mut pool = PayloadPool::new();
         let mut coefficients = pool.checkout_zeroed(self.config.blocks_per_generation());
         coefficients[index] = 1;
         let payload = pool.checkout_copy(&self.blocks[index]);
         CodedPacket::new(session, generation, coefficients.freeze(), payload.freeze())
     }
 
-    /// Emits one sparse repair packet: `nonzeros` distinct blocks chosen
-    /// uniformly at random, each with a uniformly random nonzero
-    /// coefficient — O(`nonzeros` · block) coding work instead of
-    /// O(g · block).
-    ///
-    /// `nonzeros` is clamped to `1..=g`. The combination is never
-    /// all-zero by construction (every chosen coefficient is nonzero).
-    fn sparse_packet_pooled<R: Rng + ?Sized>(
-        &self,
-        session: SessionId,
-        generation: u64,
-        nonzeros: usize,
-        rng: &mut R,
-        pool: &mut PayloadPool,
-    ) -> CodedPacket {
-        let g = self.config.blocks_per_generation();
-        let d = nonzeros.clamp(1, g);
-        let mut coefficients = pool.checkout_zeroed(g);
-        let mut payload = pool.checkout_zeroed(self.config.block_size());
-        // Floyd's algorithm gives d distinct positions without an aux
-        // set proportional to g: for j in g-d..g, pick t in 0..=j; take t
-        // unless already taken, else take j.
-        for j in (g - d)..g {
-            let t = rng.gen_range(0..=j);
-            let pos = if coefficients[t] != 0 { j } else { t };
-            coefficients[pos] = rng.gen_range(1..=255u8);
-        }
-        self.combine_into(&coefficients, &mut payload);
-        CodedPacket::new(session, generation, coefficients.freeze(), payload.freeze())
-    }
-
-    /// Emits the packet with sequence number `seq` under `mode`.
-    ///
-    /// In the systematic-first modes ([`CodingMode::Systematic`] and
-    /// [`CodingMode::Sparse`]), `seq < g` yields source block `seq`
-    /// verbatim; later sequence numbers yield repair packets (dense or
-    /// sparse per the mode). [`CodingMode::Dense`] always yields a dense
-    /// random combination.
-    pub fn mode_packet_pooled<R: Rng + ?Sized>(
-        &self,
-        mode: CodingMode,
-        session: SessionId,
-        generation: u64,
-        seq: u64,
-        rng: &mut R,
-        pool: &mut PayloadPool,
-    ) -> CodedPacket {
-        let g = self.config.blocks_per_generation() as u64;
-        if mode.is_systematic_first() && seq < g {
-            return self.systematic_packet_pooled(session, generation, seq as usize, pool);
-        }
-        match mode {
-            CodingMode::Sparse { nonzeros } => {
-                self.sparse_packet_pooled(session, generation, nonzeros, rng, pool)
-            }
-            CodingMode::Dense | CodingMode::Systematic => {
-                self.coded_packet_pooled(session, generation, rng, pool)
-            }
-        }
-    }
-
     /// Adds `Σ coefficients[i] * block[i]` to `out` (which must be
-    /// `block_size` long; callers pass a zeroed buffer). Blocks with a
-    /// zero coefficient cost nothing, so sparse vectors stay cheap.
+    /// `block_size` long; callers pass a zeroed buffer).
     fn combine_into(&self, coefficients: &[u8], out: &mut [u8]) {
         bulk::mul_add_rows(out, coefficients.iter().copied().zip(&self.blocks));
     }

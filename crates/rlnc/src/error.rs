@@ -35,14 +35,6 @@ pub enum CodecError {
     },
     /// A recoder was asked for a coded packet before buffering any input.
     EmptyRecoder,
-    /// A sliding-window encoder was pushed a symbol while its window was
-    /// already at capacity (the sender must wait for an ack to advance),
-    /// or a windowed packet referenced symbols beyond what a decoder's
-    /// window can hold.
-    WindowFull {
-        /// Configured window capacity in symbols.
-        capacity: usize,
-    },
 }
 
 impl fmt::Display for CodecError {
@@ -67,9 +59,6 @@ impl fmt::Display for CodecError {
                 write!(f, "generation not decoded yet: rank {rank} of {needed}")
             }
             CodecError::EmptyRecoder => write!(f, "recoder buffer is empty"),
-            CodecError::WindowFull { capacity } => {
-                write!(f, "sliding window full at {capacity} symbols")
-            }
         }
     }
 }
@@ -91,8 +80,8 @@ pub enum HeaderError {
         /// The byte found where the magic was expected.
         found: u8,
     },
-    /// The packet-kind byte did not match the expected wire kind (e.g. a
-    /// legacy generational packet fed to the windowed parser).
+    /// The packet-kind byte is one the parser refuses (a retired
+    /// sliding-window kind).
     BadKind {
         /// The kind the parser was asked for.
         expected: u8,

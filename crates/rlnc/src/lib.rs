@@ -52,23 +52,18 @@ mod pool;
 mod rank;
 mod recoder;
 mod redundancy;
-pub mod window;
 
-pub use config::{CodingMode, GenerationConfig};
+pub use config::GenerationConfig;
 pub use decoder::{GenerationDecoder, ReceiveOutcome};
 pub use encoder::GenerationEncoder;
 pub use error::{CodecError, HeaderError};
-pub use header::{
-    wire_kind, CodedPacket, PacketView, SessionId, WindowAck, WireKind, NC_KIND_WINDOW,
-    NC_KIND_WINDOW_ACK, NC_MAGIC, NC_VERSION,
-};
+pub use header::{CodedPacket, PacketView, SessionId, NC_MAGIC, NC_VERSION};
 pub use metrics::{PoolMetrics, RlncMetrics};
 pub use object::{ObjectDecoder, ObjectEncoder};
 pub use pool::{PayloadPool, PoolStats};
 pub use rank::RankTracker;
 pub use recoder::Recoder;
 pub use redundancy::{AdaptiveRedundancy, AimdConfig, RedundancyPolicy};
-pub use window::{WindowConfig, WindowDecoder, WindowEncoder, WindowOutcome, WindowRecoder};
 
 /// Probability that a uniformly random `g x g` matrix over GF(q) is
 /// invertible: `Π_{i=1..g} (1 - q^{-i})`.

@@ -54,7 +54,6 @@ ncvnf_obs::metrics! {
         hits: Counter = "rlnc.pool.hits", "buffers", "Pool checkouts served by a recycled buffer (no allocation)";
         reclaimed: Counter = "rlnc.pool.reclaimed", "buffers", "Buffers reclaimed into the pool free list";
         dropped: Counter = "rlnc.pool.dropped", "buffers", "Reclaim attempts that failed because the buffer was still shared";
-        evicted: Counter = "rlnc.pool.evicted", "buffers", "Reclaimed buffers released instead of retained to honor the pool byte budget";
     }
 }
 
@@ -65,7 +64,6 @@ impl PoolMetrics {
         self.hits.publish(stats.hits);
         self.reclaimed.publish(stats.reclaimed);
         self.dropped.publish(stats.dropped);
-        self.evicted.publish(stats.evicted);
     }
 }
 
@@ -117,7 +115,6 @@ mod tests {
             hits: 8,
             reclaimed: 9,
             dropped: 1,
-            evicted: 2,
         };
         m.publish(&stats);
         m.publish(&stats); // republication is idempotent, not additive
@@ -126,6 +123,5 @@ mod tests {
         assert_eq!(snap.counter("rlnc.pool.hits"), Some(8));
         assert_eq!(snap.counter("rlnc.pool.reclaimed"), Some(9));
         assert_eq!(snap.counter("rlnc.pool.dropped"), Some(1));
-        assert_eq!(snap.counter("rlnc.pool.evicted"), Some(2));
     }
 }

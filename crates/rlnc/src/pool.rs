@@ -27,9 +27,6 @@ pub struct PoolStats {
     pub reclaimed: u64,
     /// Reclaim attempts that failed because the buffer was still shared.
     pub dropped: u64,
-    /// Reclaimed buffers released instead of retained because keeping
-    /// them would exceed the pool's byte budget.
-    pub evicted: u64,
 }
 
 impl PoolStats {
@@ -50,15 +47,6 @@ impl PoolStats {
 pub struct PayloadPool {
     buffers: Vec<BytesMut>,
     stats: PoolStats,
-    /// Byte cap on memory attributed to this pool (idle + in flight);
-    /// `None` = unbounded (the pre-budget behavior).
-    byte_budget: Option<usize>,
-    /// Sum of capacities of the idle buffers in `buffers`.
-    retained_bytes: usize,
-    /// Bytes checked out and not yet offered back via
-    /// [`reclaim`](Self::reclaim) — a live estimate of in-flight pooled
-    /// memory, counted at checkout length granularity.
-    outstanding_bytes: usize,
 }
 
 impl PayloadPool {
@@ -76,9 +64,6 @@ impl PayloadPool {
                 .map(|_| BytesMut::with_capacity(capacity))
                 .collect(),
             stats: PoolStats::default(),
-            byte_budget: None,
-            retained_bytes: count * capacity,
-            outstanding_bytes: 0,
         }
     }
 
@@ -92,49 +77,11 @@ impl PayloadPool {
         self.stats
     }
 
-    /// Caps the bytes attributed to this pool (idle + in flight). When a
-    /// reclaim would push the idle free list past the cap the buffer's
-    /// allocation is released instead of retained (counted in
-    /// [`PoolStats::evicted`]). `None` removes the cap.
-    pub fn set_byte_budget(&mut self, budget: Option<usize>) {
-        self.byte_budget = budget;
-    }
-
-    /// The configured byte cap, if any.
-    pub fn byte_budget(&self) -> Option<usize> {
-        self.byte_budget
-    }
-
-    /// Sum of capacities of idle buffers in the free list.
-    pub fn retained_bytes(&self) -> usize {
-        self.retained_bytes
-    }
-
-    /// Bytes checked out and not yet offered back — the in-flight share
-    /// of the pool's memory attribution.
-    pub fn outstanding_bytes(&self) -> usize {
-        self.outstanding_bytes
-    }
-
-    /// Memory pressure against the byte budget: `(idle + in flight) /
-    /// budget`, or `0.0` when no budget is set. May exceed `1.0` while
-    /// in-flight buffers hold more than the cap — the overload layer
-    /// uses that as its shed signal.
-    pub fn pressure(&self) -> f64 {
-        match self.byte_budget {
-            Some(budget) if budget > 0 => {
-                (self.retained_bytes + self.outstanding_bytes) as f64 / budget as f64
-            }
-            _ => 0.0,
-        }
-    }
-
     fn checkout(&mut self) -> BytesMut {
         self.stats.checkouts += 1;
         match self.buffers.pop() {
             Some(buf) => {
                 self.stats.hits += 1;
-                self.retained_bytes = self.retained_bytes.saturating_sub(buf.capacity());
                 buf
             }
             None => BytesMut::new(),
@@ -147,7 +94,6 @@ impl PayloadPool {
         let mut buf = self.checkout();
         buf.clear();
         buf.resize(len, 0);
-        self.outstanding_bytes += len;
         buf
     }
 
@@ -159,27 +105,15 @@ impl PayloadPool {
         let mut buf = self.checkout();
         buf.clear();
         buf.extend_from_slice(data);
-        self.outstanding_bytes += data.len();
         buf
     }
 
     /// Returns a buffer to the pool if `bytes` is the sole owner of its
-    /// storage; reports whether the reclamation succeeded. Under a byte
-    /// budget, a sole-owner buffer that would overflow the idle cap is
-    /// released back to the allocator instead (still ends its in-flight
-    /// accounting, but counts as an eviction, not a reclaim).
+    /// storage; reports whether the reclamation succeeded.
     pub fn reclaim(&mut self, bytes: Bytes) -> bool {
-        self.outstanding_bytes = self.outstanding_bytes.saturating_sub(bytes.len());
         match bytes.try_into_mut() {
             Ok(buf) => {
-                if let Some(budget) = self.byte_budget {
-                    if self.retained_bytes + buf.capacity() > budget {
-                        self.stats.evicted += 1;
-                        return false;
-                    }
-                }
                 self.stats.reclaimed += 1;
-                self.retained_bytes += buf.capacity();
                 self.buffers.push(buf);
                 true
             }
@@ -239,37 +173,6 @@ mod tests {
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.reclaimed, 1);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn byte_budget_evicts_instead_of_retaining() {
-        let mut pool = PayloadPool::new();
-        let a = pool.checkout_zeroed(16);
-        let b = pool.checkout_zeroed(16);
-        // Cap the pool at exactly one buffer's worth of idle storage.
-        pool.set_byte_budget(Some(a.capacity()));
-        assert_eq!(pool.byte_budget(), Some(a.capacity()));
-        assert_eq!(pool.outstanding_bytes(), 32);
-        assert!(pool.pressure() >= 1.0, "in-flight bytes exceed the cap");
-        assert!(pool.reclaim(a.freeze()), "first buffer fits the cap");
-        assert!(
-            !pool.reclaim(b.freeze()),
-            "second buffer would overflow the idle cap"
-        );
-        let stats = pool.stats();
-        assert_eq!(stats.reclaimed, 1);
-        assert_eq!(stats.evicted, 1);
-        assert_eq!(stats.dropped, 0);
-        assert_eq!(pool.idle(), 1);
-        assert_eq!(pool.outstanding_bytes(), 0);
-    }
-
-    #[test]
-    fn pressure_is_zero_without_budget() {
-        let mut pool = PayloadPool::new();
-        let _buf = pool.checkout_zeroed(64);
-        assert_eq!(pool.pressure(), 0.0);
-        assert_eq!(pool.outstanding_bytes(), 64);
     }
 
     #[test]

@@ -4,9 +4,9 @@ use rand::Rng;
 
 use ncvnf_gf256::bulk;
 
-use crate::config::{CodingMode, GenerationConfig};
+use crate::config::GenerationConfig;
 use crate::error::CodecError;
-use crate::header::{write_prefix, CodedPacket, SessionId, WireKind};
+use crate::header::{write_prefix, CodedPacket, SessionId};
 use crate::pool::PayloadPool;
 use crate::rank::RankTracker;
 
@@ -168,7 +168,23 @@ impl Recoder {
         pool: &mut PayloadPool,
     ) -> Result<CodedPacket, CodecError> {
         self.draw_weights(rng)?;
-        Ok(self.emit(pool))
+        let g = self.config.blocks_per_generation();
+        let mut coefficients = pool.checkout_zeroed(g);
+        let mut payload = pool.checkout_zeroed(self.config.block_size());
+        let weights = self.weights_scratch.iter().copied();
+        let rows = self.rows.chunks_exact(self.row_len());
+        bulk::mul_add_rows(
+            &mut coefficients,
+            weights.clone().zip(rows.clone().map(|r| &r[..g])),
+        );
+        bulk::mul_add_rows(&mut payload, weights.zip(rows.map(|r| &r[g..])));
+        self.packets_out += 1;
+        Ok(CodedPacket::new(
+            self.session,
+            self.generation,
+            coefficients.freeze(),
+            payload.freeze(),
+        ))
     }
 
     /// [`recode_into`](Self::recode_into) written straight into `out`: the
@@ -187,8 +203,7 @@ impl Recoder {
         out: &mut Vec<u8>,
     ) -> Result<(), CodecError> {
         self.draw_weights(rng)?;
-        let g = self.config.blocks_per_generation();
-        write_prefix(out, WireKind::Generation, self.session, self.generation, g);
+        write_prefix(out, self.session, self.generation);
         let start = out.len();
         out.resize(start + self.row_len(), 0);
         let rows = self.rows.chunks_exact(self.row_len());
@@ -212,84 +227,6 @@ impl Recoder {
             if self.weights_scratch.iter().any(|&w| w != 0) {
                 return Ok(());
             }
-        }
-    }
-
-    /// Sparse recombination: mixes only `width` randomly chosen buffered
-    /// rows (each with a random nonzero weight) instead of the whole
-    /// buffer — O(`width` · block) per output. Because the chosen rows
-    /// are linearly independent and every weight is nonzero, the output
-    /// is never the zero combination.
-    ///
-    /// When the upstream traffic is itself sparse/systematic, the output
-    /// coefficient vector stays sparse, preserving the mode's decoding
-    /// advantage across recoding hops.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::EmptyRecoder`] if nothing has been buffered.
-    fn recode_sparse_into<R: Rng + ?Sized>(
-        &mut self,
-        width: usize,
-        rng: &mut R,
-        pool: &mut PayloadPool,
-    ) -> Result<CodedPacket, CodecError> {
-        let n = self.rank();
-        if n == 0 {
-            return Err(CodecError::EmptyRecoder);
-        }
-        let d = width.clamp(1, n);
-        // Floyd's sampling: d distinct row indices, weights recorded in
-        // the scratch so duplicates are detectable.
-        self.weights_scratch.clear();
-        self.weights_scratch.resize(n, 0);
-        for j in (n - d)..n {
-            let t = rng.gen_range(0..=j);
-            let row = if self.weights_scratch[t] != 0 { j } else { t };
-            self.weights_scratch[row] = rng.gen_range(1..=255u8);
-        }
-        Ok(self.emit(pool))
-    }
-
-    /// Emits `Σ weightᵢ · rowᵢ` over the buffer (coefficients and payload
-    /// alike) with the weights in the scratch; rows with weight zero cost
-    /// nothing.
-    fn emit(&mut self, pool: &mut PayloadPool) -> CodedPacket {
-        let g = self.config.blocks_per_generation();
-        let mut coefficients = pool.checkout_zeroed(g);
-        let mut payload = pool.checkout_zeroed(self.config.block_size());
-        let weights = self.weights_scratch.iter().copied();
-        let rows = self.rows.chunks_exact(self.row_len());
-        bulk::mul_add_rows(
-            &mut coefficients,
-            weights.clone().zip(rows.clone().map(|r| &r[..g])),
-        );
-        bulk::mul_add_rows(&mut payload, weights.zip(rows.map(|r| &r[g..])));
-        self.packets_out += 1;
-        CodedPacket::new(
-            self.session,
-            self.generation,
-            coefficients.freeze(),
-            payload.freeze(),
-        )
-    }
-
-    /// The mode-aware emitter: sparse traffic is recoded sparsely (the
-    /// mode's density bounds the rows mixed per output), everything else
-    /// takes the dense [`recode_into`](Self::recode_into) path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::EmptyRecoder`] if nothing has been buffered.
-    pub fn recode_mode_into<R: Rng + ?Sized>(
-        &mut self,
-        mode: CodingMode,
-        rng: &mut R,
-        pool: &mut PayloadPool,
-    ) -> Result<CodedPacket, CodecError> {
-        match mode {
-            CodingMode::Sparse { nonzeros } => self.recode_sparse_into(nonzeros, rng, pool),
-            CodingMode::Dense | CodingMode::Systematic => self.recode_into(rng, pool),
         }
     }
 }
@@ -355,47 +292,6 @@ mod tests {
             assert!(steps < 64, "two-stage recode failed to converge");
         }
         assert_eq!(dec.decoded_payload().unwrap(), data);
-    }
-
-    #[test]
-    fn sparse_recoded_packets_decode_end_to_end() {
-        let data: Vec<u8> = (0..96).map(|i| (i * 7 + 3) as u8).collect();
-        let enc = GenerationEncoder::new(cfg(), &data).unwrap();
-        let mut rec = Recoder::new(cfg(), SessionId::new(1), 0);
-        let mut dec = GenerationDecoder::new(cfg());
-        let mut rng = StdRng::seed_from_u64(31);
-        let mut pool = crate::pool::PayloadPool::new();
-        // Fill the relay buffer from a systematic pass, then serve the
-        // decoder exclusively from 2-wide sparse recombinations.
-        for i in 0..4 {
-            let pkt = enc.systematic_packet(SessionId::new(1), 0, i);
-            rec.absorb(pkt.coefficients(), pkt.payload()).unwrap();
-        }
-        let mut hops = 0;
-        while !dec.is_complete() {
-            let out = rec.recode_sparse_into(2, &mut rng, &mut pool).unwrap();
-            dec.receive(out.coefficients(), out.payload()).unwrap();
-            hops += 1;
-            assert!(hops < 64, "sparse recode failed to converge");
-        }
-        assert_eq!(dec.decoded_payload().unwrap(), data);
-    }
-
-    #[test]
-    fn sparse_recode_of_systematic_rows_stays_sparse() {
-        let enc = GenerationEncoder::new(cfg(), &[4u8; 96]).unwrap();
-        let mut rec = Recoder::new(cfg(), SessionId::new(1), 0);
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut pool = crate::pool::PayloadPool::new();
-        for i in 0..4 {
-            let pkt = enc.systematic_packet(SessionId::new(1), 0, i);
-            rec.absorb(pkt.coefficients(), pkt.payload()).unwrap();
-        }
-        for _ in 0..32 {
-            let out = rec.recode_sparse_into(2, &mut rng, &mut pool).unwrap();
-            let nonzeros = out.coefficients().iter().filter(|&&c| c != 0).count();
-            assert!((1..=2).contains(&nonzeros), "got {nonzeros} nonzeros");
-        }
     }
 
     #[test]

@@ -13,8 +13,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use ncvnf_gf256::bulk;
 use ncvnf_rlnc::{
-    CodingMode, GenerationConfig, GenerationDecoder, GenerationEncoder, PayloadPool,
-    ReceiveOutcome, Recoder, SessionId, WindowConfig, WindowEncoder, WindowRecoder,
+    GenerationConfig, GenerationDecoder, GenerationEncoder, PayloadPool, ReceiveOutcome, Recoder,
+    SessionId,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -146,27 +146,6 @@ fn warm_encode_and_recode_paths_do_not_allocate() {
         recode_allocs, 0,
         "warm recode must not touch the heap (256 packets recoded)"
     );
-
-    // The sparse emitter shares the pool and the weight scratch.
-    let sparse = CodingMode::Sparse { nonzeros: 3 };
-    for _ in 0..16 {
-        let pkt = recoder
-            .recode_mode_into(sparse, &mut rng, &mut pool)
-            .expect("recoder is non-empty");
-        pool.recycle(pkt);
-    }
-    let sparse_recode_allocs = heap_ops_during(|| {
-        for _ in 0..256 {
-            let pkt = recoder
-                .recode_mode_into(sparse, &mut rng, &mut pool)
-                .expect("recoder is non-empty");
-            pool.recycle(pkt);
-        }
-    });
-    assert_eq!(
-        sparse_recode_allocs, 0,
-        "warm sparse recode must not touch the heap"
-    );
 }
 
 /// The fused row kernel batches its row pointers through a stack array:
@@ -253,141 +232,5 @@ fn redundant_packets_do_not_allocate() {
         replay(&mut decoder, &mut recoder, ReceiveOutcome::AlreadyComplete),
         0,
         "packets past full rank must not touch the heap"
-    );
-}
-
-#[test]
-fn warm_sparse_emission_does_not_allocate() {
-    const BLOCK: usize = 256;
-    const G: usize = 16;
-    const BATCH: usize = 4;
-
-    let config = GenerationConfig::new(BLOCK, G).expect("valid layout");
-    let mut rng = StdRng::seed_from_u64(0x5AA5_1DEA);
-    let mut data = vec![0u8; config.generation_payload()];
-    rng.fill(&mut data[..]);
-    let encoder = GenerationEncoder::new(config, &data).expect("valid generation");
-    let session = SessionId::new(43);
-    let mode = CodingMode::sparse_default(G);
-
-    let mut pool = PayloadPool::new();
-    let mut out = Vec::with_capacity(BATCH);
-
-    // Warm-up covers both halves of the mode: the systematic first pass
-    // (seq < g) and the sparse repair tail.
-    for cycle in 0..16u64 {
-        let first_seq = (cycle * BATCH as u64) % (2 * G as u64);
-        out.extend((0..BATCH as u64).map(|i| {
-            encoder.mode_packet_pooled(mode, session, 0, first_seq + i, &mut rng, &mut pool)
-        }));
-        for pkt in out.drain(..) {
-            pool.recycle(pkt);
-        }
-    }
-    let idle_before = pool.idle();
-
-    let sparse_allocs = heap_ops_during(|| {
-        for cycle in 0..64u64 {
-            let first_seq = (cycle * BATCH as u64) % (2 * G as u64);
-            out.extend((0..BATCH as u64).map(|i| {
-                encoder.mode_packet_pooled(mode, session, 0, first_seq + i, &mut rng, &mut pool)
-            }));
-            for pkt in out.drain(..) {
-                pool.recycle(pkt);
-            }
-        }
-    });
-    assert_eq!(
-        sparse_allocs, 0,
-        "warm sparse/systematic emission must not touch the heap"
-    );
-    assert_eq!(
-        pool.idle(),
-        idle_before,
-        "every buffer returned to the pool"
-    );
-}
-
-#[test]
-fn warm_window_emission_and_recode_do_not_allocate() {
-    const SYMBOL: usize = 256;
-    const CAPACITY: usize = 16;
-
-    let window = WindowConfig::new(SYMBOL, CAPACITY).expect("valid window");
-    let session = SessionId::new(44);
-    let mut rng = StdRng::seed_from_u64(0xD0_511DE);
-    let mut encoder = WindowEncoder::new(window, session);
-    let mut symbol = vec![0u8; SYMBOL];
-    for _ in 0..CAPACITY {
-        rng.fill(&mut symbol[..]);
-        encoder.push(&symbol).expect("window has room");
-    }
-
-    let mut pool = PayloadPool::new();
-
-    // Warm-up: systematic and coded emission settle the pool buffers.
-    for i in 0..16u64 {
-        let pkt = encoder
-            .systematic_packet_pooled(i % CAPACITY as u64, &mut pool)
-            .expect("symbol is live");
-        pool.recycle(pkt);
-        let pkt = encoder
-            .coded_packet_pooled(&mut rng, &mut pool)
-            .expect("window is non-empty");
-        pool.recycle(pkt);
-    }
-    let idle_before = pool.idle();
-
-    let emit_allocs = heap_ops_during(|| {
-        for i in 0..64u64 {
-            let pkt = encoder
-                .systematic_packet_pooled(i % CAPACITY as u64, &mut pool)
-                .expect("symbol is live");
-            pool.recycle(pkt);
-            let pkt = encoder
-                .coded_packet_pooled(&mut rng, &mut pool)
-                .expect("window is non-empty");
-            pool.recycle(pkt);
-        }
-    });
-    assert_eq!(
-        emit_allocs, 0,
-        "warm window emission must not touch the heap"
-    );
-    assert_eq!(
-        pool.idle(),
-        idle_before,
-        "every buffer returned to the pool"
-    );
-
-    // Relay steady state: a full recoder re-mixing the live window.
-    let mut recoder = WindowRecoder::new(window, session);
-    for _ in 0..CAPACITY {
-        let pkt = encoder
-            .coded_packet_pooled(&mut rng, &mut pool)
-            .expect("window is non-empty");
-        recoder
-            .absorb(pkt.index(), pkt.coefficients(), pkt.payload())
-            .expect("layout matches");
-        pool.recycle(pkt);
-    }
-    for _ in 0..16 {
-        let pkt = recoder
-            .recode_into(&mut rng, &mut pool)
-            .expect("recoder is non-empty");
-        pool.recycle(pkt);
-    }
-
-    let recode_allocs = heap_ops_during(|| {
-        for _ in 0..256 {
-            let pkt = recoder
-                .recode_into(&mut rng, &mut pool)
-                .expect("recoder is non-empty");
-            pool.recycle(pkt);
-        }
-    });
-    assert_eq!(
-        recode_allocs, 0,
-        "warm window recode must not touch the heap (256 packets recoded)"
     );
 }

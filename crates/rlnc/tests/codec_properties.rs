@@ -2,9 +2,8 @@
 
 use ncvnf_gf256::bulk;
 use ncvnf_rlnc::{
-    CodedPacket, CodingMode, GenerationConfig, GenerationDecoder, GenerationEncoder, ObjectDecoder,
-    ObjectEncoder, PayloadPool, RankTracker, ReceiveOutcome, Recoder, SessionId, WindowConfig,
-    WindowDecoder, WindowEncoder, WindowOutcome,
+    CodedPacket, GenerationConfig, GenerationDecoder, GenerationEncoder, ObjectDecoder,
+    ObjectEncoder, PayloadPool, RankTracker, ReceiveOutcome, Recoder, SessionId,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -72,7 +71,7 @@ proptest! {
     /// A recoder buffers packets as received and judges innovation from
     /// the coefficient vectors alone: whatever mix of dense, systematic,
     /// duplicate and scaled-duplicate packets it is fed, its rank is a
-    /// `RankTracker`'s, and what it emits (dense or sparse) still decodes
+    /// `RankTracker`'s, and what it emits still decodes
     /// to the source through a second recoding hop.
     #[test]
     fn recoder_rank_and_output_survive_any_input_mix(
@@ -113,20 +112,18 @@ proptest! {
             last = pkt;
         }
         let mut pool = PayloadPool::new();
-        for mode in [CodingMode::Dense, CodingMode::Sparse { nonzeros: 2 }] {
-            let mut second = Recoder::new(cfg, session, 0);
-            let mut dec = GenerationDecoder::new(cfg);
-            let mut hops = 0;
-            while !dec.is_complete() {
-                let mid = first.recode_mode_into(mode, &mut rng, &mut pool).unwrap();
-                second.absorb(mid.coefficients(), mid.payload()).unwrap();
-                let out = second.recode_mode_into(mode, &mut rng, &mut pool).unwrap();
-                dec.receive(out.coefficients(), out.payload()).unwrap();
-                hops += 1;
-                prop_assert!(hops < 400 * g, "mode {:?} failed to converge", mode);
-            }
-            prop_assert_eq!(&dec.decoded_payload().unwrap()[..], &data[..]);
+        let mut second = Recoder::new(cfg, session, 0);
+        let mut dec = GenerationDecoder::new(cfg);
+        let mut hops = 0;
+        while !dec.is_complete() {
+            let mid = first.recode_into(&mut rng, &mut pool).unwrap();
+            second.absorb(mid.coefficients(), mid.payload()).unwrap();
+            let out = second.recode_into(&mut rng, &mut pool).unwrap();
+            dec.receive(out.coefficients(), out.payload()).unwrap();
+            hops += 1;
+            prop_assert!(hops < 400 * g, "failed to converge");
         }
+        prop_assert_eq!(&dec.decoded_payload().unwrap()[..], &data[..]);
     }
 
     /// Decoder rank equals g exactly when decoding succeeds; feeding only
@@ -162,128 +159,6 @@ proptest! {
         let wire = pkt.to_bytes();
         let back = CodedPacket::from_bytes(&wire, g).unwrap();
         prop_assert_eq!(back, pkt);
-    }
-
-    /// Sparse repair streams decode to exactly the same payload as dense
-    /// ones, at any density, under the same seeded loss pattern.
-    #[test]
-    fn sparse_and_dense_decode_equivalence(
-        g in 2usize..10,
-        density_raw in 1usize..10,
-        seed in any::<u64>(),
-        drop_mask in any::<u32>(),
-    ) {
-        let cfg = GenerationConfig::new(16, g).unwrap();
-        let data: Vec<u8> =
-            (0..cfg.generation_payload()).map(|i| (i * 13 + 5) as u8).collect();
-        let enc = GenerationEncoder::new(cfg, &data).unwrap();
-        let nonzeros = 1 + density_raw % g;
-        let mut pool = PayloadPool::new();
-        for mode in [CodingMode::Dense, CodingMode::Sparse { nonzeros }] {
-            let mut dec = GenerationDecoder::new(cfg);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut seq = 0u64;
-            while !dec.is_complete() {
-                let pkt = enc.mode_packet_pooled(
-                    mode, SessionId::new(7), 0, seq, &mut rng, &mut pool,
-                );
-                let dropped = seq < 32 && (drop_mask >> seq) & 1 == 1;
-                if !dropped {
-                    dec.receive(pkt.coefficients(), pkt.payload()).unwrap();
-                }
-                pool.recycle(pkt);
-                seq += 1;
-                prop_assert!(seq < 400 * g as u64, "mode {:?} failed to converge", mode);
-            }
-            prop_assert_eq!(&dec.decoded_payload().unwrap()[..], &data[..]);
-        }
-    }
-
-    /// A sliding-window stream and a generational transfer deliver the
-    /// same bytes under the same seeded loss pattern.
-    #[test]
-    fn window_and_generational_delivery_equivalence(
-        seed in any::<u64>(),
-        drop_mask in any::<u64>(),
-    ) {
-        let symbol = 32usize;
-        let n_symbols = 12usize;
-        let data: Vec<u8> =
-            (0..symbol * n_symbols).map(|i| (i * 31 + 7) as u8).collect();
-        let lost = |i: u64| i < 64 && (drop_mask >> i) & 1 == 1;
-
-        // Generational path: same data, same loss indices.
-        let cfg = GenerationConfig::new(symbol, 4).unwrap();
-        let enc = ObjectEncoder::new(cfg, SessionId::new(5), &data).unwrap();
-        let mut dec = ObjectDecoder::new(cfg, enc.generations());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut idx = 0u64;
-        let mut rounds = 0;
-        while !dec.is_complete() {
-            for gen in 0..enc.generations() {
-                let pkt = enc.coded_packet(gen, &mut rng);
-                if !lost(idx) {
-                    dec.receive(&pkt).unwrap();
-                }
-                idx += 1;
-            }
-            rounds += 1;
-            prop_assert!(rounds < 100, "generational path failed to converge");
-        }
-        let generational_bytes = dec.into_object().unwrap();
-
-        // Window path: systematic stream with coded repair, acks
-        // sliding the encoder as the delivery cursor advances.
-        let window = WindowConfig::new(symbol, 6).unwrap();
-        let mut wenc = WindowEncoder::new(window, SessionId::new(5));
-        let mut wdec = WindowDecoder::new(window);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut pool = PayloadPool::new();
-        let mut delivered: Vec<u8> = Vec::new();
-        let mut chunks = data.chunks(symbol);
-        let mut sent_all = false;
-        let mut idx = 0u64;
-        let mut attempts = 0;
-        while delivered.len() < data.len() {
-            while !sent_all && wenc.live() < window.capacity() {
-                let Some(chunk) = chunks.next() else {
-                    sent_all = true;
-                    break;
-                };
-                let s = wenc.push(chunk).unwrap();
-                let pkt = wenc.systematic_packet_pooled(s, &mut pool).unwrap();
-                if !lost(idx) {
-                    if let WindowOutcome::Delivered { payloads, .. } =
-                        wdec.receive(pkt.index(), pkt.coefficients(), pkt.payload()).unwrap()
-                    {
-                        for p in payloads {
-                            delivered.extend_from_slice(&p);
-                        }
-                    }
-                }
-                pool.recycle(pkt);
-                idx += 1;
-            }
-            if delivered.len() < data.len() {
-                let pkt = wenc.coded_packet_pooled(&mut rng, &mut pool).unwrap();
-                if !lost(idx) {
-                    if let WindowOutcome::Delivered { payloads, .. } =
-                        wdec.receive(pkt.index(), pkt.coefficients(), pkt.payload()).unwrap()
-                    {
-                        for p in payloads {
-                            delivered.extend_from_slice(&p);
-                        }
-                    }
-                }
-                pool.recycle(pkt);
-                idx += 1;
-            }
-            wenc.handle_ack(wdec.cumulative_ack());
-            attempts += 1;
-            prop_assert!(attempts < 2000, "window path failed to converge");
-        }
-        prop_assert_eq!(&delivered, &generational_bytes);
-        prop_assert_eq!(delivered, data);
     }
 
     /// Object-level framing recovers exact bytes for arbitrary objects.
