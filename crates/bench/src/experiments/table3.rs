@@ -3,16 +3,16 @@
 //! The paper updates 20–100 % of a 10-entry forwarding table on a running
 //! VNF and reports 78→311 ms (their path includes WAN signalling). Here
 //! the update runs against a live loopback relay through the same daemon
-//! logic; absolute numbers are far smaller, but latency must grow with
+//! logic, pushed the way the controller pushes (a fenced frame, timed to
+//! its ACK); absolute numbers are far smaller, but latency must grow with
 //! the update fraction. A second sweep with a large (2000-entry) table
 //! makes the scaling visible above timer noise.
 
-use std::net::UdpSocket;
 use std::time::{Duration, Instant};
 
 use crate::report::{fmt, render_csv, render_table, ExperimentResult};
 use ncvnf_control::signal::{Signal, VnfRoleWire};
-use ncvnf_control::ForwardingTable;
+use ncvnf_control::{ForwardingTable, SenderConfig, SignalSender};
 use ncvnf_relay::{RelayConfig, RelayNode};
 use ncvnf_rlnc::SessionId;
 
@@ -33,20 +33,24 @@ fn table_with(entries: usize, generation: usize) -> ForwardingTable {
     t
 }
 
-/// Measures send→ack time of table updates of increasing size.
+/// Measures push→ACK time of table updates of increasing size.
 fn sweep(entries: usize, repeats: usize) -> Vec<(usize, f64)> {
     let relay = RelayNode::spawn(RelayConfig::default()).expect("relay spawns");
-    let control = UdpSocket::bind(("127.0.0.1", 0)).expect("bind");
-    control
-        .set_read_timeout(Some(Duration::from_secs(2)))
-        .expect("timeout");
-    let mut ack = [0u8; 8];
+    let mut sender = SignalSender::new(1, SenderConfig::default()).expect("bind");
     // Configure one session so the daemon is Running, and install the
     // base table.
     let base = table_with(entries, 0);
     relay
-        .wire(&control, SessionId::new(0), VnfRoleWire::Recoder, &base)
+        .wire(&mut sender, SessionId::new(0), VnfRoleWire::Recoder, &base)
         .expect("relay configures");
+    let mut push = |table: &ForwardingTable| {
+        let sig = Signal::NcForwardTab {
+            table: table.to_text(),
+        };
+        if let Err(e) = sender.push(relay.control_addr, &sig) {
+            panic!("table update not applied: {e}");
+        }
+    };
 
     let mut out = Vec::new();
     for (round, &pct) in UPDATE_PCT.iter().enumerate() {
@@ -65,14 +69,8 @@ fn sweep(entries: usize, repeats: usize) -> Vec<(usize, f64)> {
                     )],
                 );
             }
-            let sig = Signal::NcForwardTab {
-                table: delta.to_text(),
-            };
             let t0 = Instant::now();
-            control
-                .send_to(&sig.to_bytes(), relay.control_addr)
-                .expect("send");
-            let _ = control.recv_from(&mut ack);
+            push(&delta);
             total += t0.elapsed();
             // Restore the base entries so every round changes the same
             // fraction (this delta is the same size; not timed).
@@ -85,13 +83,7 @@ fn sweep(entries: usize, repeats: usize) -> Vec<(usize, f64)> {
                         .to_vec(),
                 );
             }
-            let sig = Signal::NcForwardTab {
-                table: restore.to_text(),
-            };
-            control
-                .send_to(&sig.to_bytes(), relay.control_addr)
-                .expect("send");
-            let _ = control.recv_from(&mut ack);
+            push(&restore);
         }
         out.push((pct, total.as_secs_f64() * 1000.0 / repeats as f64));
     }

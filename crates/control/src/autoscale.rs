@@ -219,7 +219,7 @@ impl From<SendError> for AutoscaleError {
 /// receivers that drain it, so recoders (and sources) go first.
 fn role_rank(role: VnfRoleWire) -> u8 {
     match role {
-        VnfRoleWire::Encoder | VnfRoleWire::Forwarder | VnfRoleWire::Recoder => 0,
+        VnfRoleWire::Forwarder | VnfRoleWire::Recoder => 0,
         VnfRoleWire::Decoder => 1,
     }
 }
@@ -462,6 +462,9 @@ impl Autoscaler {
                     }
                 }
             }
+            // A relay reporting Draining is draining, whoever drained it
+            // (a crashed predecessor, say): returning traffic wakes it.
+            track.draining |= daemon_state == Some(3);
             if track.draining && matches!(out_delta, Some(d) if d > 0) {
                 // First packet after a drain: traffic is back, re-arm.
                 traffic_returned = true;

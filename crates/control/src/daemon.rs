@@ -249,7 +249,7 @@ mod tests {
     fn settings(session: u16) -> Signal {
         Signal::NcSettings {
             session: SessionId::new(session),
-            role: VnfRoleWire::Encoder,
+            role: VnfRoleWire::Recoder,
             data_port: 4000,
             block_size: 1460,
             generation_size: 4,
@@ -264,7 +264,7 @@ mod tests {
         let ev = d.handle(&settings(1), 0.0);
         assert!(matches!(ev[0], DaemonEvent::ConfigureSession { .. }));
         assert_eq!(d.state(), DaemonState::Running);
-        assert_eq!(d.role(SessionId::new(1)), Some(VnfRoleWire::Encoder));
+        assert_eq!(d.role(SessionId::new(1)), Some(VnfRoleWire::Recoder));
         let ev = d.handle(
             &Signal::NcStart {
                 session: SessionId::new(1),

@@ -28,6 +28,8 @@
 //!   torn-tail-tolerant replay into a [`ControllerState`];
 //! * [`sender`] — reliable, epoch-fenced signal delivery: every push is
 //!   a [`FencedSignal`] retried with exponential backoff until ACKed;
+//! * [`fence`] — the receiver's half: the pure [`Fence`] verdict
+//!   (stale, duplicate, apply) on each fenced frame;
 //! * [`reconcile()`] — restart reconciliation: diff the replayed journal
 //!   belief against live `NC_STATS` observations, re-adopt healthy
 //!   VNFs, re-push diverged tables, expire overdue τ-pool entries;
@@ -44,6 +46,7 @@ pub mod autoscale;
 pub mod daemon;
 pub mod diff;
 pub mod failover;
+pub mod fence;
 pub mod fwdtab;
 pub mod journal;
 pub mod liveness;
@@ -58,6 +61,7 @@ pub use autoscale::{
 };
 pub use daemon::{Daemon, DaemonEvent, DaemonState};
 pub use failover::{failover_signals, plan_failover, reroute_table};
+pub use fence::{Admit, Fence};
 pub use fwdtab::ForwardingTable;
 pub use journal::{
     ControlRecord, ControllerState, Journal, NodeBelief, NodeStatus, ReplayReport, SessionSpec,

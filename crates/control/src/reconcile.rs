@@ -13,14 +13,16 @@
 //!    nodes are *unreachable* (failover territory), nodes whose live
 //!    digest matches the journal belief are *re-adopted* untouched, and
 //!    everything else gets its believed table *re-pushed*.
-//! 3. **Act** — re-push the diverged tables under the new epoch via
-//!    [`SignalSender`], which fences off any zombie predecessor.
+//! 3. **Act** — re-push the diverged tables under the new epoch through
+//!    the [`ControlLink`] (a [`crate::SignalSender`] in production), which
+//!    fences off any zombie predecessor.
 
 use std::net::SocketAddr;
 
+use crate::autoscale::ControlLink;
 use crate::journal::{ControllerState, NodeStatus};
 use crate::metrics::ControlMetrics;
-use crate::sender::{SendError, SignalSender};
+use crate::sender::SendError;
 use crate::signal::Signal;
 
 /// What one live node reported during the observe step.
@@ -141,12 +143,12 @@ pub struct ReconcileReport {
 }
 
 /// Observe → plan → act against live relays: queries every journaled
-/// node's `NC_STATS` through `sender`, plans at `now_secs`, then
+/// node's `NC_STATS` through `link`, plans at `now_secs`, then
 /// re-pushes each diverged table as a fenced `NC_FORWARD_TAB` under the
-/// sender's (new) epoch. Unreachable nodes and failed re-pushes are
+/// link's (new) epoch. Unreachable nodes and failed re-pushes are
 /// reported, not fatal — failover handles them.
 pub fn reconcile(
-    sender: &mut SignalSender,
+    link: &mut dyn ControlLink,
     state: &ControllerState,
     now_secs: f64,
     metrics: Option<&ControlMetrics>,
@@ -162,47 +164,35 @@ pub fn reconcile(
         let Ok(addr) = belief.control_addr.parse::<SocketAddr>() else {
             continue;
         };
-        if let Ok(json) = sender.query_stats(addr) {
+        if let Ok(json) = link.query_stats(addr) {
             observations.push(observation_from_stats(node, &json));
         }
     }
     let plan = plan(state, &observations, now_secs);
-    let mut repushed_ok = 0;
     let mut repush_failures = Vec::new();
-    for (node, table) in &plan.repush {
-        let outcome = state.nodes[node]
+    // Pushes `signal` to `node`; a failure is reported, not fatal.
+    let mut push = |node: u32, signal: Signal| {
+        let outcome = state.nodes[&node]
             .control_addr
             .parse::<SocketAddr>()
             .map_err(|e| SendError::Rejected(format!("bad control addr: {e}")))
-            .and_then(|addr| {
-                sender.push(
-                    addr,
-                    &Signal::NcForwardTab {
-                        table: table.clone(),
-                    },
-                )
-            });
-        match outcome {
-            Ok(_) => repushed_ok += 1,
-            Err(e) => repush_failures.push((*node, e.to_string())),
+            .and_then(|addr| link.push(addr, &signal));
+        if let Err(e) = &outcome {
+            repush_failures.push((node, e.to_string()));
         }
+        u32::from(outcome.is_ok())
+    };
+    let mut repushed_ok = 0;
+    for (node, table) in &plan.repush {
+        let table = table.clone();
+        repushed_ok += push(*node, Signal::NcForwardTab { table });
     }
     let mut redrained_ok = 0;
-    for node in &plan.redrain {
-        let belief = &state.nodes[node];
-        let NodeStatus::Draining { deadline_secs } = belief.status else {
-            continue;
-        };
-        // Re-send the interrupted NC_VNF_END with the τ that remains.
-        let tau_secs = (deadline_secs - now_secs).ceil().max(1.0) as u32;
-        let outcome = belief
-            .control_addr
-            .parse::<SocketAddr>()
-            .map_err(|e| SendError::Rejected(format!("bad control addr: {e}")))
-            .and_then(|addr| sender.push(addr, &Signal::NcVnfEnd { tau_secs }));
-        match outcome {
-            Ok(_) => redrained_ok += 1,
-            Err(e) => repush_failures.push((*node, e.to_string())),
+    for &node in &plan.redrain {
+        if let NodeStatus::Draining { deadline_secs } = state.nodes[&node].status {
+            // Re-send the interrupted NC_VNF_END with the τ that remains.
+            let tau_secs = (deadline_secs - now_secs).ceil().max(1.0) as u32;
+            redrained_ok += push(node, Signal::NcVnfEnd { tau_secs });
         }
     }
     if let Some(m) = metrics {

@@ -15,6 +15,7 @@
 //! OK <seq>                 applied (or deduplicated)
 //! ERR stale-epoch <seq>    fenced off by a newer controller epoch
 //! ERR <reason> <seq>       decoded but rejected (e.g. bad-table)
+//! ERR <reason>             refused before the fence (bad-frame)
 //! ```
 
 use std::collections::HashMap;
@@ -93,20 +94,19 @@ pub struct SendReceipt {
 /// What a receiver's ACK datagram said.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Ack {
-    Ok { seq: Option<u64> },
+    Ok { seq: u64 },
     Err { reason: String, seq: Option<u64> },
 }
 
-/// Parses an `OK`/`ERR` acknowledgement datagram. Returns `None` for
-/// anything else (e.g. an `NC_STATS` JSON reply).
+/// Parses an `OK <seq>`/`ERR` acknowledgement datagram. Returns `None`
+/// for anything else (e.g. an `NC_STATS` JSON reply).
 fn parse_ack(reply: &[u8]) -> Option<Ack> {
     let text = std::str::from_utf8(reply).ok()?;
     let mut parts = text.split_whitespace();
     match parts.next()? {
-        "OK" => {
-            let seq = parts.next().and_then(|s| s.parse().ok());
-            Some(Ack::Ok { seq })
-        }
+        "OK" => Some(Ack::Ok {
+            seq: parts.next()?.parse().ok()?,
+        }),
         "ERR" => {
             let rest: Vec<&str> = parts.collect();
             let (reason, seq) = match rest.split_last() {
@@ -238,10 +238,11 @@ impl SignalSender {
         }
     }
 
-    /// Sends a legacy (unfenced) `NC_STATS` query and returns the JSON
-    /// snapshot reply, with the same timeout/retry budget as a push.
-    /// Stats queries are read-only, so they are deliberately not
-    /// sequence-numbered: a reconciliation pass may ask many times.
+    /// Sends a bare `NC_STATS` query — the one frame a relay answers
+    /// without a fence — and returns the JSON snapshot reply, with the
+    /// same timeout/retry budget as a push. Stats queries are read-only,
+    /// so they are deliberately not sequence-numbered: a reconciliation
+    /// pass may ask many times.
     ///
     /// # Errors
     ///
@@ -308,25 +309,13 @@ impl SignalSender {
                 continue;
             }
             match parse_ack(&buf[..n]) {
-                // Legacy receivers ACK without a seq; trust it for the
-                // in-flight push (they apply in arrival order anyway).
-                Some(Ack::Ok { seq: None }) => return Ok(Some(Ack::Ok { seq: None })),
-                Some(Ack::Ok { seq: Some(s) }) if s == seq => {
-                    return Ok(Some(Ack::Ok { seq: Some(s) }))
+                // A refusal before the fence carries no seq: it answers
+                // the in-flight push.
+                Some(ack @ Ack::Err { seq: None, .. }) => return Ok(Some(ack)),
+                Some(ack @ (Ack::Ok { seq: s } | Ack::Err { seq: Some(s), .. })) if s == seq => {
+                    return Ok(Some(ack))
                 }
-                Some(Ack::Err { reason, seq: None }) => {
-                    return Ok(Some(Ack::Err { reason, seq: None }))
-                }
-                Some(Ack::Err {
-                    reason,
-                    seq: Some(s),
-                }) if s == seq => {
-                    return Ok(Some(Ack::Err {
-                        reason,
-                        seq: Some(s),
-                    }))
-                }
-                // An ACK for an older seq (late duplicate) or junk.
+                // An ACK for an older seq (late duplicate), or junk.
                 _ => continue,
             }
         }
@@ -449,8 +438,8 @@ mod tests {
 
     #[test]
     fn ack_parser_handles_all_shapes() {
-        assert_eq!(parse_ack(b"OK"), Some(Ack::Ok { seq: None }));
-        assert_eq!(parse_ack(b"OK 17"), Some(Ack::Ok { seq: Some(17) }));
+        assert_eq!(parse_ack(b"OK"), None, "every OK names its seq");
+        assert_eq!(parse_ack(b"OK 17"), Some(Ack::Ok { seq: 17 }));
         assert_eq!(
             parse_ack(b"ERR bad-table"),
             Some(Ack::Err {

@@ -12,25 +12,21 @@ use ncvnf_rlnc::SessionId;
 use std::error::Error;
 use std::fmt;
 
-/// The VNF role carried in `NC_SETTINGS`.
+/// The VNF role carried in `NC_SETTINGS`. Role byte 1 (a relay told to
+/// "encode") is retired: it decodes as a malformed frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VnfRoleWire {
-    /// Encode at the source.
-    Encoder,
     /// Decode packets near a destination.
     Decoder,
     /// Forward without coding.
     Forwarder,
-    /// Recode inside the network (in-network VNF). Controllers predating
-    /// this variant sent [`Encoder`](Self::Encoder) for relay recoding;
-    /// receivers must keep honouring that legacy meaning.
+    /// Recode inside the network (in-network VNF).
     Recoder,
 }
 
 impl VnfRoleWire {
     fn to_byte(self) -> u8 {
         match self {
-            VnfRoleWire::Encoder => 1,
             VnfRoleWire::Decoder => 2,
             VnfRoleWire::Forwarder => 3,
             VnfRoleWire::Recoder => 4,
@@ -39,7 +35,6 @@ impl VnfRoleWire {
 
     fn from_byte(b: u8) -> Option<Self> {
         match b {
-            1 => Some(VnfRoleWire::Encoder),
             2 => Some(VnfRoleWire::Decoder),
             3 => Some(VnfRoleWire::Forwarder),
             4 => Some(VnfRoleWire::Recoder),
@@ -119,6 +114,9 @@ pub enum SignalError {
     UnknownTag(u8),
     /// Body contents inconsistent with the tag.
     Malformed(&'static str),
+    /// A well-formed bare frame of a state-changing tag: only `NC_STATS`
+    /// may travel outside the [`FencedSignal`] envelope.
+    Unfenced(u8),
 }
 
 impl fmt::Display for SignalError {
@@ -127,6 +125,7 @@ impl fmt::Display for SignalError {
             SignalError::Truncated => write!(f, "truncated signal frame"),
             SignalError::UnknownTag(t) => write!(f, "unknown signal tag {t:#04x}"),
             SignalError::Malformed(what) => write!(f, "malformed signal body: {what}"),
+            SignalError::Unfenced(t) => write!(f, "bare signal tag {t:#04x} needs a fence"),
         }
     }
 }
@@ -315,14 +314,12 @@ impl Signal {
 
 /// An epoch-fenced, sequence-numbered signal frame.
 ///
-/// The crash-safe controller (DESIGN.md §13) wraps every push in this
-/// envelope so receivers can reject signals from a superseded controller
+/// Every state-changing signal travels in this envelope (DESIGN.md §13),
+/// so receivers can reject signals from a superseded controller
 /// incarnation (`epoch` fencing) and acknowledge retransmitted
-/// duplicates without re-applying them (`seq` idempotence). On the wire
-/// it is an ordinary signal frame with tag 7 whose body is
-/// `epoch:u64 | seq:u64 | <inner legacy frame>`, so pre-fencing
-/// receivers fail cleanly with [`SignalError::UnknownTag`] instead of
-/// misparsing, and fencing receivers still decode bare legacy frames.
+/// duplicates without re-applying them (`seq` idempotence); the rules
+/// live in [`crate::Fence`]. On the wire it is an ordinary signal frame
+/// with tag 7 whose body is `epoch:u64 | seq:u64 | <inner signal frame>`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FencedSignal {
     /// Controller incarnation: bumped on every restart. Receivers
@@ -386,30 +383,32 @@ impl FencedSignal {
     }
 }
 
-/// Either wire shape a control socket can receive: a bare frame (any
-/// tag but 7) or an epoch-fenced envelope (tag 7).
+/// What a control socket accepts: a bare `NC_STATS` query (tag 6, a
+/// read that needs no fence) or an epoch-fenced envelope (tag 7).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SignalFrame {
-    /// A pre-fencing frame with no delivery metadata.
-    Legacy(Signal),
+    /// A bare `NC_STATS` query.
+    Stats,
     /// An epoch-fenced, sequence-numbered frame.
     Fenced(FencedSignal),
 }
 
 impl SignalFrame {
-    /// Decodes one frame of either shape; returns it and the bytes
-    /// consumed.
+    /// Decodes one frame; returns it and the bytes consumed.
     ///
     /// # Errors
     ///
-    /// Same as [`Signal::from_bytes`] / [`FencedSignal::from_bytes`].
+    /// Same as [`Signal::from_bytes`] / [`FencedSignal::from_bytes`], and
+    /// [`SignalError::Unfenced`] for a well-formed bare frame of any tag
+    /// but 6.
     pub fn from_bytes(data: &[u8]) -> Result<(Self, usize), SignalError> {
-        if !data.is_empty() && data[0] == TAG_FENCED {
+        if data.first() == Some(&TAG_FENCED) {
             let (fenced, used) = FencedSignal::from_bytes(data)?;
-            Ok((SignalFrame::Fenced(fenced), used))
-        } else {
-            let (signal, used) = Signal::from_bytes(data)?;
-            Ok((SignalFrame::Legacy(signal), used))
+            return Ok((SignalFrame::Fenced(fenced), used));
+        }
+        match Signal::from_bytes(data)? {
+            (Signal::NcStats, used) => Ok((SignalFrame::Stats, used)),
+            _ => Err(SignalError::Unfenced(data[0])),
         }
     }
 }
@@ -433,7 +432,7 @@ mod tests {
             },
             Signal::NcSettings {
                 session: SessionId::new(9),
-                role: VnfRoleWire::Encoder,
+                role: VnfRoleWire::Forwarder,
                 data_port: 4000,
                 block_size: 1460,
                 generation_size: 4,
@@ -495,16 +494,16 @@ mod tests {
 
     #[test]
     fn recoder_role_has_its_own_byte_and_legacy_bytes_are_stable() {
-        // Wire compat: bytes 1–3 keep their pre-Recoder meaning, Recoder
-        // gets the fresh byte 4.
-        assert_eq!(VnfRoleWire::Encoder.to_byte(), 1);
+        // Bytes 2 and 3 keep their first meaning, Recoder has byte 4, and
+        // the retired byte 1 decodes as nothing.
         assert_eq!(VnfRoleWire::Decoder.to_byte(), 2);
         assert_eq!(VnfRoleWire::Forwarder.to_byte(), 3);
         assert_eq!(VnfRoleWire::Recoder.to_byte(), 4);
-        for b in 1..=4u8 {
+        for b in 2..=4u8 {
             let role = VnfRoleWire::from_byte(b).unwrap();
             assert_eq!(role.to_byte(), b);
         }
+        assert_eq!(VnfRoleWire::from_byte(1), None);
         let sig = Signal::NcSettings {
             session: SessionId::new(3),
             role: VnfRoleWire::Recoder,
@@ -530,15 +529,19 @@ mod tests {
             let (back, used) = FencedSignal::from_bytes(&wire).unwrap();
             assert_eq!(back, fenced);
             assert_eq!(used, wire.len());
-            // The generic frame decoder takes both shapes.
+            // The control socket's decoder takes every fenced signal.
             let (frame, used2) = SignalFrame::from_bytes(&wire).unwrap();
             assert_eq!(frame, SignalFrame::Fenced(back));
             assert_eq!(used2, wire.len());
         }
+        // Bare, it accepts only the NC_STATS read.
         for sig in samples() {
             let wire = sig.to_bytes();
-            let (frame, _) = SignalFrame::from_bytes(&wire).unwrap();
-            assert_eq!(frame, SignalFrame::Legacy(sig));
+            let expected = match sig {
+                Signal::NcStats => Ok((SignalFrame::Stats, wire.len())),
+                _ => Err(SignalError::Unfenced(wire[0])),
+            };
+            assert_eq!(SignalFrame::from_bytes(&wire), expected);
         }
     }
 
@@ -596,10 +599,12 @@ mod tests {
             buffer_generations: 4,
         };
         let mut wire = sig.to_bytes().to_vec();
-        wire[5 + 2] = 0xFF; // role byte
-        assert_eq!(
-            Signal::from_bytes(&wire).unwrap_err(),
-            SignalError::Malformed("bad role byte")
-        );
+        for bad in [0, 1, 5, 0xFF] {
+            wire[5 + 2] = bad; // role byte; 1 is the retired "encoder"
+            assert_eq!(
+                Signal::from_bytes(&wire).unwrap_err(),
+                SignalError::Malformed("bad role byte")
+            );
+        }
     }
 }

@@ -15,7 +15,6 @@ use proptest::prelude::*;
 
 fn arb_role() -> impl Strategy<Value = VnfRoleWire> {
     prop_oneof![
-        Just(VnfRoleWire::Encoder),
         Just(VnfRoleWire::Decoder),
         Just(VnfRoleWire::Forwarder),
         Just(VnfRoleWire::Recoder),

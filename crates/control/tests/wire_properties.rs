@@ -1,46 +1,41 @@
 //! Property-based tests for the control-plane wire formats.
 
-use ncvnf_control::signal::{FencedSignal, Signal, SignalFrame, VnfRoleWire};
+use ncvnf_control::signal::{FencedSignal, Signal, SignalError, SignalFrame, VnfRoleWire};
 use ncvnf_control::ForwardingTable;
 use ncvnf_rlnc::SessionId;
 use proptest::prelude::*;
 
 fn arb_role() -> impl Strategy<Value = VnfRoleWire> {
     prop_oneof![
-        Just(VnfRoleWire::Encoder),
         Just(VnfRoleWire::Decoder),
         Just(VnfRoleWire::Forwarder),
         Just(VnfRoleWire::Recoder),
     ]
 }
 
-/// A pre-`Recoder` controller encodes recoding relays as `Encoder`; the
-/// byte it puts on the wire must keep decoding to `Encoder` so receivers
-/// can apply the legacy mapping themselves.
+/// Role byte 1 (the retired "encoder" role, once read as recoding) no
+/// longer decodes: a controller that still sends it gets a malformed
+/// frame, not a guess.
 #[test]
-fn legacy_encoder_settings_decode_unchanged() {
+fn encoder_role_byte_is_rejected() {
     let sig = Signal::NcSettings {
         session: SessionId::new(11),
-        role: VnfRoleWire::Encoder,
+        role: VnfRoleWire::Recoder,
         data_port: 4000,
         block_size: 1460,
         generation_size: 4,
         buffer_generations: 1024,
     };
-    let wire = sig.to_bytes();
-    assert_eq!(wire[5 + 2], 1, "Encoder keeps wire byte 1");
-    let (back, _) = Signal::from_bytes(&wire).unwrap();
-    assert!(matches!(
-        back,
-        Signal::NcSettings {
-            role: VnfRoleWire::Encoder,
-            ..
-        }
-    ));
+    let mut wire = sig.to_bytes().to_vec();
+    wire[5 + 2] = 1;
+    assert_eq!(
+        Signal::from_bytes(&wire).unwrap_err(),
+        SignalError::Malformed("bad role byte")
+    );
 }
 
-/// The explicit `Recoder` role survives the wire and is distinct from the
-/// legacy `Encoder` byte.
+/// The explicit `Recoder` role survives the wire on its own byte, 4,
+/// distinct from the retired byte 1.
 #[test]
 fn recoder_settings_roundtrip_distinct_from_encoder() {
     let sig = Signal::NcSettings {
@@ -65,6 +60,7 @@ fn recoder_settings_roundtrip_distinct_from_encoder() {
 
 fn arb_signal() -> impl Strategy<Value = Signal> {
     prop_oneof![
+        Just(Signal::NcStats),
         any::<u16>().prop_map(|s| Signal::NcStart {
             session: SessionId::new(s)
         }),
@@ -107,7 +103,7 @@ fn arb_fenced() -> impl Strategy<Value = FencedSignal> {
     })
 }
 
-/// Either wire shape a control socket may legitimately receive.
+/// Either wire shape: a bare frame or a fenced one.
 fn arb_frame_bytes() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
         arb_signal().prop_map(|s| s.to_bytes().to_vec()),
@@ -202,17 +198,17 @@ proptest! {
     }
 
     /// `SignalFrame::from_bytes` dispatches both generations correctly:
-    /// a legacy frame decodes as `Legacy`, a fenced one as `Fenced`.
+    /// a bare frame is `Stats` if it is `NC_STATS` and refused as
+    /// `Unfenced` otherwise; a fenced one decodes as `Fenced`.
     #[test]
     fn frame_dispatch_never_confuses_generations(sig in arb_signal(), epoch in any::<u64>(), seq in any::<u64>()) {
-        let legacy_wire = sig.to_bytes();
-        match SignalFrame::from_bytes(&legacy_wire).unwrap() {
-            (SignalFrame::Legacy(back), used) => {
-                prop_assert_eq!(back, sig.clone());
-                prop_assert_eq!(used, legacy_wire.len());
-            }
-            (SignalFrame::Fenced(_), _) => prop_assert!(false, "legacy decoded as fenced"),
-        }
+        let bare_wire = sig.to_bytes();
+        let expected = if sig == Signal::NcStats {
+            Ok((SignalFrame::Stats, bare_wire.len()))
+        } else {
+            Err(SignalError::Unfenced(bare_wire[0]))
+        };
+        prop_assert_eq!(SignalFrame::from_bytes(&bare_wire), expected);
         let fenced = FencedSignal { epoch, seq, signal: sig.clone() };
         let fenced_wire = fenced.to_bytes();
         match SignalFrame::from_bytes(&fenced_wire).unwrap() {
@@ -220,7 +216,7 @@ proptest! {
                 prop_assert_eq!(back, fenced);
                 prop_assert_eq!(used, fenced_wire.len());
             }
-            (SignalFrame::Legacy(_), _) => prop_assert!(false, "fenced decoded as legacy"),
+            (SignalFrame::Stats, _) => prop_assert!(false, "fenced decoded as bare"),
         }
     }
 

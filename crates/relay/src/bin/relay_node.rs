@@ -1,13 +1,14 @@
 //! Standalone coding-relay process: the deployable unit of the system.
 //!
 //! Binds a UDP data socket and a UDP control socket, prints both
-//! addresses, and serves until killed. Configure it remotely with
+//! addresses, and serves until killed. Configure it remotely with fenced
 //! `NC_SETTINGS` / `NC_FORWARD_TAB` signals (see `ncvnf-control`), or
-//! locally via flags:
+//! locally via flags, which it pushes to itself at controller epoch 0 (so
+//! any journaled controller can take it over):
 //!
 //! ```text
 //! relay_node [--data-port P] [--control-port P] [--session N]
-//!            [--role encoder|recoder|decoder|forwarder] [--next-hop ip:port]...
+//!            [--role recoder|decoder|forwarder] [--next-hop ip:port]...
 //!            [--block-size 1460] [--generation-size 4] [--stats-secs 10]
 //!            [--shards N] [--batch M]
 //! ```
@@ -20,11 +21,10 @@
 //! A chain of these processes plus `send_file` / `recv_file` is a real
 //! multi-process deployment of the paper's data plane.
 
-use std::net::UdpSocket;
 use std::time::Duration;
 
 use ncvnf_control::signal::VnfRoleWire;
-use ncvnf_control::ForwardingTable;
+use ncvnf_control::{ForwardingTable, SenderConfig, SignalSender};
 use ncvnf_relay::{RelayConfig, RelayNode};
 use ncvnf_rlnc::{GenerationConfig, SessionId};
 
@@ -42,7 +42,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         session: 1,
-        role: VnfRoleWire::Encoder,
+        role: VnfRoleWire::Recoder,
         next_hops: Vec::new(),
         block_size: 1460,
         generation_size: 4,
@@ -59,7 +59,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--role" => {
                 args.role = match value("--role")?.as_str() {
-                    "encoder" => VnfRoleWire::Encoder,
                     "recoder" => VnfRoleWire::Recoder,
                     "decoder" => VnfRoleWire::Decoder,
                     "forwarder" => VnfRoleWire::Forwarder,
@@ -116,16 +115,13 @@ fn main() {
 
     // Self-configure over the control channel, exactly as the controller
     // would.
-    let control = UdpSocket::bind(("127.0.0.1", 0)).expect("bind control client");
-    control
-        .set_read_timeout(Some(Duration::from_millis(500)))
-        .expect("set timeout");
+    let mut sender = SignalSender::new(0, SenderConfig::default()).expect("bind control client");
     let mut table = ForwardingTable::new();
     if !args.next_hops.is_empty() {
         table.set(SessionId::new(args.session), args.next_hops.clone());
     }
     relay
-        .wire(&control, SessionId::new(args.session), args.role, &table)
+        .wire(&mut sender, SessionId::new(args.session), args.role, &table)
         .expect("configure over the control channel");
     if table.is_empty() {
         println!("no next hops configured; push NC_FORWARD_TAB to the control port");

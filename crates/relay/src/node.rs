@@ -18,8 +18,9 @@
 //!
 //! The control thread owns the forwarding table and fans reconfiguration
 //! out to *every* shard: a table swap rebuilds each shard's resolved
-//! `RouteCache`; a role change reaches each shard's VNF; fenced signals
-//! are fence-checked once (the fence is node-level, not per-shard).
+//! `RouteCache`; a role change reaches each shard's VNF. Every signal but
+//! the `NC_STATS` read arrives fenced and passes the control thread's
+//! one [`Fence`] (node-level, not per-shard).
 //! Transient socket errors never kill a loop; they are counted in
 //! [`RelayStats::io_errors`] and retried until `running` clears.
 //!
@@ -42,9 +43,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use ncvnf_control::daemon::{Daemon, DaemonEvent, DaemonState};
-use ncvnf_control::signal::{Signal, SignalFrame, VnfRoleWire};
+use ncvnf_control::signal::{Signal, SignalError, SignalFrame, VnfRoleWire};
 use ncvnf_control::telemetry::DataplaneHealth;
-use ncvnf_control::ForwardingTable;
+use ncvnf_control::{Admit, Fence, ForwardingTable, SendError, SignalSender};
 use ncvnf_dataplane::metrics::VnfMetrics;
 use ncvnf_dataplane::{CodingVnf, Feedback, VnfRole, VnfStats, FEEDBACK_LEN};
 use ncvnf_obs::{Registry, Snapshot, TraceKind};
@@ -138,8 +139,8 @@ pub struct RelayStats {
     pub io_errors: u64,
     /// Control signals processed.
     pub signals: u64,
-    /// Control signals rejected with an `ERR` reply (undecodable frame or
-    /// an invalid forwarding table).
+    /// Control signals rejected with an `ERR` reply (undecodable or
+    /// unfenced frame, stale epoch, invalid forwarding table).
     pub rejected_signals: u64,
     /// Well-formed feedback frames that reached the data socket (dropped:
     /// feedback is endpoint-to-endpoint, relays do not route it).
@@ -181,21 +182,11 @@ impl RelayStats {
     }
 }
 
-/// Epoch/sequence fence state of the control socket: the highest
-/// controller epoch accepted and the last sequence number applied
-/// within it (DESIGN.md §13).
-#[derive(Debug, Clone, Copy, Default)]
-struct Fence {
-    epoch: u64,
-    last_seq: u64,
-}
-
 struct Shared {
     shards: Vec<RelayShard>,
     batch: usize,
     table: Mutex<ForwardingTable>,
     daemon: Mutex<Daemon>,
-    fence: Mutex<Fence>,
     running: AtomicBool,
     registry: Registry,
     metrics: RelayNodeMetrics,
@@ -480,7 +471,6 @@ impl RelayNode {
             batch: config.batch.clamp(1, MAX_BATCH),
             table: Mutex::new(ForwardingTable::new()),
             daemon: Mutex::new(Daemon::new()),
-            fence: Mutex::new(Fence::default()),
             running: AtomicBool::new(true),
             registry,
             metrics: node_metrics,
@@ -538,22 +528,22 @@ impl RelayNode {
     }
 
     /// Configures this relay over its control channel, exactly as a
-    /// controller would: `NC_SETTINGS` giving `session` its `role` (the
-    /// layout fields echo the relay's own — a relay's layout is fixed at
-    /// spawn), then `table` as an `NC_FORWARD_TAB`, unless it is empty (a
-    /// relay rejects an empty table). Each signal waits for its ack on
-    /// `control`, so give that socket a read timeout.
+    /// controller would, with fenced pushes through `sender`: `NC_SETTINGS`
+    /// giving `session` its `role` (the layout fields echo the relay's
+    /// own, fixed at spawn), then `table` unless it is empty (a relay
+    /// rejects an empty table). An epoch-0 sender leaves every journaled
+    /// controller (epoch ≥ 1) free to take the relay over.
     ///
     /// # Errors
     ///
-    /// Propagates socket errors, an ack that never came included.
+    /// The push that failed: no ACK, a rejection or a stale epoch.
     pub fn wire(
         &self,
-        control: &UdpSocket,
+        sender: &mut SignalSender,
         session: SessionId,
         role: VnfRoleWire,
         table: &ForwardingTable,
-    ) -> std::io::Result<()> {
+    ) -> Result<(), SendError> {
         let settings = Signal::NcSettings {
             session,
             role,
@@ -565,10 +555,8 @@ impl RelayNode {
         let forward = (!table.is_empty()).then(|| Signal::NcForwardTab {
             table: table.to_text(),
         });
-        let mut ack = [0u8; 16];
         for signal in std::iter::once(settings).chain(forward) {
-            control.send_to(&signal.to_bytes(), self.control_addr)?;
-            control.recv_from(&mut ack)?;
+            sender.push(self.control_addr, &signal)?;
         }
         Ok(())
     }
@@ -728,6 +716,7 @@ fn control_loop<S: DatagramSocket>(
     // startup, not one interval later.
     let mut last_beat: Option<Instant> = None;
     let mut beat_seq: u16 = 0;
+    let mut fence = Fence::default();
     while shared.running.load(Ordering::Relaxed) {
         if let Some(hb) = heartbeat {
             let due = last_beat.is_none_or(|t| t.elapsed() >= hb.interval);
@@ -751,63 +740,42 @@ fn control_loop<S: DatagramSocket>(
                 continue;
             }
         };
-        let Ok((frame, _)) = SignalFrame::from_bytes(&buf[..n]) else {
-            // Undecodable frame: tell the caller instead of staying
-            // silent, so controllers timing the round trip see failure.
-            // The reply carries a reason code for the operator's logs.
-            m.rejected_signals.inc();
-            let _ = socket.send_to(b"ERR bad-frame", src);
-            continue;
-        };
-        // Legacy frames (tags 1–6) carry no delivery metadata and keep
-        // their fire-and-forget semantics; fenced frames (tag 7) go
-        // through epoch fencing and duplicate suppression first.
-        let (signal, fence_meta) = match frame {
-            SignalFrame::Legacy(signal) => (signal, None),
-            SignalFrame::Fenced(fenced) => (fenced.signal, Some((fenced.epoch, fenced.seq))),
-        };
-        m.signals.inc();
-        if let Some((epoch, seq)) = fence_meta {
-            let mut fence = shared.fence.lock();
-            if epoch < fence.epoch {
-                // A superseded controller incarnation: never apply, and
-                // tell the sender why so it stops (fencing rule 1).
-                drop(fence);
-                m.stale_epoch_rejected.inc();
-                m.rejected_signals.inc();
-                let _ = socket.send_to(format!("ERR stale-epoch {seq}").as_bytes(), src);
+        let fenced = match SignalFrame::from_bytes(&buf[..n]) {
+            Ok((SignalFrame::Fenced(f), _)) if f.signal != Signal::NcStats => f,
+            Ok(_) => {
+                // The NC_STATS read, in either envelope, is answered before
+                // the fence: the snapshot as one JSON datagram (it starts
+                // with '{', so callers can tell it from an ACK).
+                m.signals.inc();
+                let _ = socket.send_to(shared.snapshot().to_json().as_bytes(), src);
                 continue;
             }
-            if epoch > fence.epoch {
-                // A newer controller took over: adopt its epoch and
-                // restart duplicate tracking (fencing rule 2).
-                fence.epoch = epoch;
-                fence.last_seq = 0;
-                m.ctrl_epoch.set(epoch as f64);
+            Err(e) => {
+                // Refused at the door, with a reason code for the
+                // operator's logs; the daemon never sees it.
+                m.rejected_signals.inc();
+                let unfenced = matches!(e, SignalError::Unfenced(_));
+                let reply = if unfenced { "unfenced" } else { "bad-frame" };
+                let _ = socket.send_to(format!("ERR {reply}").as_bytes(), src);
+                continue;
             }
-            // NC_STATS is a read-only query: fence-checked for epoch
-            // staleness above, but exempt from sequence bookkeeping so
-            // repeated probes are never mistaken for duplicates.
-            if !matches!(signal, Signal::NcStats) {
-                if seq <= fence.last_seq {
-                    // At-least-once delivery: the first copy already
-                    // applied; ACK so the sender stops retrying, but do
-                    // not touch the daemon again (fencing rule 3).
-                    drop(fence);
-                    m.duplicate_signals.inc();
-                    let _ = socket.send_to(format!("OK {seq}").as_bytes(), src);
-                    continue;
-                }
-                fence.last_seq = seq;
-                m.ctrl_seq.set(seq as f64);
-            }
+        };
+        let (seq, signal) = (fenced.seq, fenced.signal);
+        m.signals.inc();
+        let verdict = fence.admit(fenced.epoch, seq);
+        if verdict == Admit::Stale {
+            // A superseded controller: never apply; tell it why so it stops.
+            m.stale_epoch_rejected.inc();
+            m.rejected_signals.inc();
+            let _ = socket.send_to(format!("ERR stale-epoch {seq}").as_bytes(), src);
+            continue;
         }
-        if matches!(signal, Signal::NcStats) {
-            // Observability query: reply with the full snapshot as one
-            // JSON datagram (the frame starts with '{', so callers can
-            // tell it from an OK/ERR acknowledgement).
-            let json = shared.snapshot().to_json();
-            let _ = socket.send_to(json.as_bytes(), src);
+        m.ctrl_epoch.set(fence.epoch() as f64);
+        m.ctrl_seq.set(fence.last_seq() as f64);
+        if verdict == Admit::Duplicate {
+            // Already applied: ACK so the sender stops retrying, apply nothing.
+            m.duplicate_signals.inc();
+            let _ = socket.send_to(format!("OK {seq}").as_bytes(), src);
             continue;
         }
         let (events, daemon_state) = {
@@ -835,10 +803,6 @@ fn control_loop<S: DatagramSocket>(
                 DaemonEvent::ConfigureSession { session, role, .. } => {
                     let role = match role {
                         VnfRoleWire::Recoder => VnfRole::Recoder,
-                        // Legacy wire compat: controllers predating the
-                        // explicit Recoder variant configured in-network
-                        // recoding by sending Encoder.
-                        VnfRoleWire::Encoder => VnfRole::Recoder,
                         VnfRoleWire::Decoder => VnfRole::Decoder,
                         VnfRoleWire::Forwarder => VnfRole::Forwarder,
                     };
@@ -904,19 +868,12 @@ fn control_loop<S: DatagramSocket>(
                 _ => {}
             }
         }
-        // Acknowledge so callers can time the full round trip — and can
-        // distinguish a rejected signal from an applied one. Fenced
-        // frames echo the sequence number so the reliable sender can
-        // match the ACK to the in-flight push.
-        let reply = match (rejected, fence_meta) {
-            (true, Some((_, seq))) => format!("ERR bad-table {seq}").into_bytes(),
-            (true, None) => b"ERR bad-table".to_vec(),
-            (false, Some((_, seq))) => format!("OK {seq}").into_bytes(),
-            (false, None) => b"OK".to_vec(),
-        };
+        // Acknowledge with the sequence number, so the sender can match
+        // the ACK to its push and tell a rejected signal from an applied one.
         if rejected {
             m.rejected_signals.inc();
         }
-        let _ = socket.send_to(&reply, src);
+        let reply = if rejected { "ERR bad-table" } else { "OK" };
+        let _ = socket.send_to(format!("{reply} {seq}").as_bytes(), src);
     }
 }

@@ -47,7 +47,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use ncvnf_control::signal::VnfRoleWire;
-use ncvnf_control::ForwardingTable;
+use ncvnf_control::{ForwardingTable, SenderConfig, SignalSender};
 use ncvnf_dataplane::{Feedback, FeedbackKind};
 use ncvnf_obs::{Counter, Snapshot, TraceKind};
 use ncvnf_rlnc::{
@@ -1331,14 +1331,16 @@ pub fn reliable_chain(
         fault_handles.push(handle);
     }
 
-    // Wire the chain back to front over the control channel.
-    let control = UdpSocket::bind(("127.0.0.1", 0))?;
-    control.set_read_timeout(Some(Duration::from_secs(2)))?;
+    // Wire the chain back to front over the control channel, at epoch 0
+    // so any journaled controller can take the relays over.
+    let mut sender = SignalSender::new(0, SenderConfig::default())?;
     let mut next = receiver.addr;
     for relay in relays.iter().rev() {
         let mut table = ForwardingTable::new();
         table.set(config.session, vec![next.to_string()]);
-        relay.wire(&control, config.session, VnfRoleWire::Recoder, &table)?;
+        relay
+            .wire(&mut sender, config.session, VnfRoleWire::Recoder, &table)
+            .map_err(io::Error::other)?;
         next = relay.data_addr;
     }
 

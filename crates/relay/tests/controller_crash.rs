@@ -1,24 +1,15 @@
-//! Crash-safe controller end to end (DESIGN.md §13).
+//! Crash-safe controller, live smoke run (DESIGN.md §13).
 //!
-//! A controller wires a source → R0 → R1 → receiver relay chain with
-//! epoch-fenced signals, journaling every action write-ahead. Mid-
-//! transfer it "crashes" at the worst moment: a v2 table for R0 is
-//! journaled but never sent, and the journal file gains a torn partial
-//! frame (the classic power-cut tail). A second incarnation then:
-//!
-//! 1. replays the journal — detecting and truncating the torn tail;
-//! 2. fences itself one epoch above everything journaled;
-//! 3. reconciles: R1's live table digest matches the belief (re-adopt
-//!    untouched), R0's diverged (the interrupted push — re-push), and a
-//!    lingering instance whose τ deadline passed during the outage is
-//!    expired without probing;
-//! 4. survives a zombie predecessor: a stale-epoch push is rejected
-//!    without being applied, and a duplicate of the reconciler's own
-//!    push is ACKed without re-applying — both asserted via registry
-//!    counters, not just replies.
-//!
-//! Throughout, the reliable transfer keeps running and completes
-//! byte-identically.
+//! `ncvnf-control`'s `crash_every_byte` crashes the controller at every
+//! journal byte and push index against an in-memory fleet. This test runs
+//! the same story once over real sockets: a journaled, fenced wiring of a
+//! source → R0 → R1 → receiver chain; a crash after a v2 table for R0 is
+//! journaled but before it is sent, leaving a torn frame at the journal's
+//! tail; a restart that truncates the tail, fences itself one epoch up and
+//! reconciles (R0 re-pushed, R1 re-adopted); a zombie push under the dead
+//! epoch and a duplicate of the re-push, neither applied (asserted by the
+//! relay's counters); and a reliable transfer that completes
+//! byte-identically across all of it.
 
 use std::fs::OpenOptions;
 use std::io::Write;
@@ -28,8 +19,7 @@ use std::time::Duration;
 
 use ncvnf_control::signal::{FencedSignal, Signal, VnfRoleWire};
 use ncvnf_control::{
-    reconcile, ControlMetrics, ControlRecord, ForwardingTable, Journal, NodeStatus, SenderConfig,
-    SignalSender,
+    reconcile, ControlMetrics, ControlRecord, ForwardingTable, Journal, SenderConfig, SignalSender,
 };
 use ncvnf_obs::Registry;
 use ncvnf_relay::{
@@ -39,17 +29,13 @@ use ncvnf_relay::{
 use ncvnf_rlnc::{GenerationConfig, ObjectEncoder, RedundancyPolicy, SessionId};
 
 const SESSION: u16 = 31;
-/// Controller-clock deadline of the lingering node 9 — long past by the
-/// time the new incarnation reconciles at `NOW_SECS`.
-const LINGER_DEADLINE: f64 = 100.0;
-const NOW_SECS: f64 = 1000.0;
 
 fn transfer_config() -> TransferConfig {
     TransferConfig {
         session: SessionId::new(SESSION),
         generation: GenerationConfig::new(256, 4).unwrap(),
         redundancy: RedundancyPolicy::NC0,
-        // Slow enough that the crash + recovery lands mid-transfer.
+        // Slow enough that the restart lands mid-transfer.
         rate_bps: 400e3,
         seed: 0xC4A5,
     }
@@ -60,8 +46,6 @@ fn relay_config(node_id: u32) -> RelayConfig {
         generation: transfer_config().generation,
         buffer_generations: 256,
         seed: 0xBEEF + node_id as u64,
-        heartbeat: None,
-        registry: None,
         ..RelayConfig::default()
     }
 }
@@ -78,9 +62,9 @@ fn settings_for(relay: &RelayNode) -> Signal {
     }
 }
 
-fn table_text_to(hop: std::net::SocketAddr) -> String {
+fn table_text(session: u16, hop: &str) -> String {
     let mut table = ForwardingTable::new();
-    table.set(SessionId::new(SESSION), vec![hop.to_string()]);
+    table.set(SessionId::new(session), vec![hop.to_string()]);
     table.to_text()
 }
 
@@ -101,7 +85,6 @@ fn controller_crash_recovers_from_journal_and_reconciles() {
         .map(|i| (i.wrapping_mul(41)) as u8)
         .collect();
     let encoder = ObjectEncoder::new(config.generation, config.session, &object).unwrap();
-
     let source_socket = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
     let recovery = RecoveryConfig {
         decode_timeout: Duration::from_millis(50),
@@ -121,26 +104,17 @@ fn controller_crash_recovers_from_journal_and_reconciles() {
     )
     .unwrap();
 
-    // ---- Controller incarnation #1: journaled, fenced wiring. -------
+    // ---- Incarnation 1: every record journaled before its push. ----
     let journal_path = temp_journal();
-    let (mut journal, state0, report0) = Journal::open(&journal_path).unwrap();
-    assert_eq!(report0.records, 0, "fresh journal");
+    let (mut journal, state0, _) = Journal::open(&journal_path).unwrap();
     let epoch1 = state0.next_epoch();
-    assert_eq!(epoch1, 1);
     journal
         .log(&ControlRecord::EpochStarted { epoch: epoch1 })
         .unwrap();
-
-    let gen = config.generation;
-    journal
-        .log(&ControlRecord::SessionCreated {
-            session: SessionId::new(SESSION),
-            block_size: gen.block_size() as u32,
-            generation_size: gen.blocks_per_generation() as u32,
-            buffer_generations: 256,
-        })
-        .unwrap();
+    let mut sender1 = SignalSender::new(epoch1, SenderConfig::default()).unwrap();
+    let hops = [r1.data_addr, receiver.addr];
     for (node, relay) in [(0u32, &r0), (1u32, &r1)] {
+        let table = table_text(SESSION, &hops[node as usize].to_string());
         journal
             .log(&ControlRecord::VnfLaunched {
                 node,
@@ -148,50 +122,22 @@ fn controller_crash_recovers_from_journal_and_reconciles() {
                 control_addr: relay.control_addr.to_string(),
             })
             .unwrap();
-    }
-    // Node 9: an instance the previous incarnation put in the τ-pool.
-    // Its linger deadline passes during the outage; the new incarnation
-    // must expire it from the journal alone, without probing.
-    journal
-        .log(&ControlRecord::VnfLaunched {
-            node: 9,
-            data_center: "dc-east".into(),
-            control_addr: "127.0.0.1:1".into(),
-        })
-        .unwrap();
-    journal
-        .log(&ControlRecord::VnfEnded {
-            node: 9,
-            linger_deadline_secs: LINGER_DEADLINE,
-        })
-        .unwrap();
-
-    let mut sender1 = SignalSender::new(epoch1, SenderConfig::default()).unwrap();
-    let r0_table_v1 = table_text_to(r1.data_addr);
-    let r1_table = table_text_to(receiver.addr);
-    for (node, relay, table) in [(0u32, &r0, &r0_table_v1), (1u32, &r1, &r1_table)] {
         sender1
             .push(relay.control_addr, &settings_for(relay))
-            .unwrap();
-        let receipt = sender1
-            .push(
-                relay.control_addr,
-                &Signal::NcForwardTab {
-                    table: table.clone(),
-                },
-            )
             .unwrap();
         journal
             .log(&ControlRecord::TablePushed {
                 node,
                 epoch: epoch1,
-                seq: receipt.seq,
+                seq: sender1.next_seq(relay.control_addr),
                 table: table.clone(),
             })
             .unwrap();
+        sender1
+            .push(relay.control_addr, &Signal::NcForwardTab { table })
+            .unwrap();
     }
 
-    // Stream in the background; the crash + recovery lands mid-pass.
     let transfer = {
         let config = config.clone();
         let object = object.clone();
@@ -209,174 +155,84 @@ fn controller_crash_recovers_from_journal_and_reconciles() {
             .expect("source runs")
         })
     };
-    std::thread::sleep(Duration::from_millis(100));
 
-    // ---- The crash. --------------------------------------------------
-    // Write-ahead means the journal can be exactly one push ahead of the
-    // network: a v2 table for R0 (same route plus a new session) is
-    // committed to the WAL, but the controller dies before sending it.
-    let r0_v2_delta = {
-        let mut t = ForwardingTable::new();
-        t.set(SessionId::new(99), vec!["127.0.0.1:9".to_string()]);
-        t.to_text()
-    };
+    // ---- The crash: a v2 delta for R0 is durable but never sent, and
+    // the power cut leaves a torn frame (a header promising 64 bytes,
+    // followed by 4). ----
     journal
         .log(&ControlRecord::TablePushed {
             node: 0,
             epoch: epoch1,
             seq: sender1.next_seq(r0.control_addr),
-            table: r0_v2_delta.clone(),
+            table: table_text(99, "127.0.0.1:9"),
         })
         .unwrap();
     drop(journal);
-    drop(sender1);
-    // The power cut leaves a torn frame at the tail: a length header
-    // promising 64 bytes, followed by only 4.
-    {
-        let mut f = OpenOptions::new().append(true).open(&journal_path).unwrap();
-        f.write_all(&[0, 0, 0, 64, 0xDE, 0xAD, 0xBE, 0xEF]).unwrap();
-        f.sync_all().unwrap();
-    }
+    OpenOptions::new()
+        .append(true)
+        .open(&journal_path)
+        .unwrap()
+        .write_all(&[0, 0, 0, 64, 0xDE, 0xAD, 0xBE, 0xEF])
+        .unwrap();
 
-    // ---- Controller incarnation #2: replay, fence, reconcile. --------
-    let registry = Registry::new();
-    let metrics = ControlMetrics::register(&registry);
+    // ---- Incarnation 2: truncate, replay, fence, reconcile. ----
     let (mut journal2, state, replay) = Journal::open(&journal_path).unwrap();
-    journal2 = journal2.with_metrics(metrics.clone());
-    metrics.record_journal_replay(replay.records, replay.torn_tail);
-
     assert!(replay.torn_tail, "the torn tail was detected");
     assert_eq!(replay.truncated_bytes, 8, "exactly the partial frame went");
-    assert_eq!(replay.records, 9, "every committed record replayed");
-    assert_eq!(state.epoch, epoch1);
-    assert!(state.sessions.contains_key(&SessionId::new(SESSION)));
-    assert_eq!(state.nodes.len(), 3);
-    assert!(matches!(
-        state.nodes[&9].status,
-        NodeStatus::Draining { .. }
-    ));
-    // The journal-believed R0 table is v1 ∪ v2 — ahead of the network.
-    assert!(state.nodes[&0]
-        .table
-        .next_hops(SessionId::new(99))
-        .is_some());
-
-    // The rebuilt τ-pool expires node 9 the moment the clock catches up.
-    let mut pool = state.rebuild_pool(600.0, 80.0);
-    assert_eq!(pool.total_launches(), 3);
-    assert_eq!(pool.billable(0.0), 3);
-    pool.tick(NOW_SECS);
-    assert_eq!(pool.active(), 2);
-    assert_eq!(pool.billable(NOW_SECS), 2, "the overdue lingerer is gone");
-
+    assert_eq!(replay.records, 6, "every committed record replayed");
     let epoch2 = state.next_epoch();
     assert_eq!(epoch2, 2, "fenced one above everything journaled");
     journal2
         .log(&ControlRecord::EpochStarted { epoch: epoch2 })
         .unwrap();
-    let mut sender2 = SignalSender::new(epoch2, SenderConfig::default())
-        .unwrap()
-        .with_metrics(metrics.clone());
-
-    let report = reconcile(&mut sender2, &state, NOW_SECS, Some(&metrics));
-    assert_eq!(
-        report.plan.readopt,
-        vec![1],
-        "R1's digest matched: untouched"
-    );
-    assert_eq!(report.plan.expired, vec![9], "τ window closed while down");
-    assert!(report.plan.unreachable.is_empty());
-    assert_eq!(report.plan.repush.len(), 1, "only R0 diverged");
-    assert_eq!(report.plan.repush[0].0, 0);
+    let mut sender2 = SignalSender::new(epoch2, SenderConfig::default()).unwrap();
+    let registry = Registry::new();
+    let metrics = ControlMetrics::register(&registry);
+    let report = reconcile(&mut sender2, &state, 0.0, Some(&metrics));
+    assert_eq!(report.plan.readopt, vec![1], "R1 matched its belief");
     assert_eq!(report.repushed_ok, 1, "the interrupted push landed");
-    assert!(report.repush_failures.is_empty());
-    for node in &report.plan.expired {
-        journal2
-            .log(&ControlRecord::PoolExpired { node: *node })
-            .unwrap();
-    }
-
-    // R0 now holds the full believed table under the new fence.
+    let counts = registry.snapshot();
+    assert_eq!(counts.counter("control.reconcile.readopted"), Some(1));
+    assert_eq!(counts.counter("control.reconcile.repushed"), Some(1));
     assert!(
         r0.handle().table_text().contains("session 99"),
-        "re-push delivered the v2 entry"
+        "R0 holds the journaled v2 entry"
     );
-    let r0_snap_after_reconcile = r0.handle().snapshot();
-    assert_eq!(r0_snap_after_reconcile.gauge("relay.ctrl_epoch"), Some(2.0));
-    assert_eq!(r0_snap_after_reconcile.gauge("relay.ctrl_seq"), Some(1.0));
-    let swaps_after_reconcile = r0_snap_after_reconcile
-        .histogram("relay.table_swap_ns")
-        .unwrap()
-        .count;
-    assert_eq!(swaps_after_reconcile, 2, "initial wiring + the re-push");
 
-    // ---- Zombie predecessor: stale epoch is fenced off. --------------
+    // ---- The zombie's push bounces; a duplicate of the re-push is
+    // ACKed. Neither is applied. ----
     let probe = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
     probe
         .set_read_timeout(Some(Duration::from_secs(2)))
         .unwrap();
-    let hostile = FencedSignal {
-        epoch: epoch1, // the dead incarnation
-        seq: 50,
+    let hostile = |epoch, seq| FencedSignal {
+        epoch,
+        seq,
         signal: Signal::NcForwardTab {
-            table: "session 31 10.0.0.1:1\n".into(),
+            table: table_text(SESSION, "10.0.0.1:1"),
         },
     };
-    probe.send_to(&hostile.to_bytes(), r0.control_addr).unwrap();
     let mut ack = [0u8; 64];
-    let (n, _) = probe.recv_from(&mut ack).unwrap();
-    assert_eq!(&ack[..n], b"ERR stale-epoch 50");
+    for (frame, reply) in [
+        (hostile(epoch1, 50), &b"ERR stale-epoch 50"[..]),
+        (hostile(epoch2, 1), &b"OK 1"[..]),
+    ] {
+        probe.send_to(&frame.to_bytes(), r0.control_addr).unwrap();
+        let (n, _) = probe.recv_from(&mut ack).unwrap();
+        assert_eq!(&ack[..n], reply);
+    }
+    let snap = r0.handle().snapshot();
+    assert_eq!(snap.counter("relay.stale_epoch_rejected"), Some(1));
+    assert_eq!(snap.counter("relay.duplicate_signals"), Some(1));
+    assert!(!r0.handle().table_text().contains("10.0.0.1"));
 
-    // ---- At-least-once: a duplicate of the reconciler's push. --------
-    let duplicate = FencedSignal {
-        epoch: epoch2,
-        seq: 1, // the re-push's sequence number
-        signal: Signal::NcForwardTab {
-            table: "session 31 10.0.0.2:2\n".into(),
-        },
-    };
-    probe
-        .send_to(&duplicate.to_bytes(), r0.control_addr)
-        .unwrap();
-    let (n, _) = probe.recv_from(&mut ack).unwrap();
-    assert_eq!(&ack[..n], b"OK 1", "duplicate is ACKed so senders stop");
-
-    // Neither probe touched the data plane: counters prove the fencing,
-    // the table text and swap count prove nothing was applied.
-    let r0_snap = r0.handle().snapshot();
-    assert_eq!(r0_snap.counter("relay.stale_epoch_rejected"), Some(1));
-    assert_eq!(r0_snap.counter("relay.duplicate_signals"), Some(1));
-    assert_eq!(
-        r0_snap.histogram("relay.table_swap_ns").unwrap().count,
-        swaps_after_reconcile,
-        "no table swap from a fenced-off or duplicate signal"
-    );
-    let live_table = r0.handle().table_text();
-    assert!(
-        !live_table.contains("10.0.0.1") && !live_table.contains("10.0.0.2"),
-        "hostile hops never reached the table: {live_table}"
-    );
-
-    // ---- The transfer never noticed. ---------------------------------
+    // ---- The transfer never noticed. ----
     let source_stats = transfer.join().expect("source thread");
-    let report = receiver
+    let delivered = receiver
         .wait(Duration::from_secs(60))
         .expect("transfer completes across the controller restart");
-    assert_eq!(report.object, object, "byte-identical after recovery");
+    assert_eq!(delivered.object, object, "byte-identical after recovery");
     assert_eq!(source_stats.unrecovered, 0);
-
-    // The controller registry tells the whole recovery story.
-    let snap = registry.snapshot();
-    assert_eq!(snap.counter("control.journal.replayed"), Some(9));
-    assert_eq!(snap.counter("control.journal.torn_tails"), Some(1));
-    assert!(snap.counter("control.journal.appends").unwrap() >= 2);
-    assert_eq!(snap.counter("control.reconcile.runs"), Some(1));
-    assert_eq!(snap.counter("control.reconcile.readopted"), Some(1));
-    assert_eq!(snap.counter("control.reconcile.repushed"), Some(1));
-    assert_eq!(snap.counter("control.reconcile.expired"), Some(1));
-    assert_eq!(snap.counter("control.reconcile.unreachable"), Some(0));
-    assert!(snap.counter("control.sender.pushes").unwrap() >= 1);
-    assert_eq!(snap.counter("control.sender.failed"), Some(0));
 
     r0.shutdown();
     r1.shutdown();

@@ -20,7 +20,7 @@ use parking_lot::Mutex;
 use ncvnf_control::failover::reroute_table;
 use ncvnf_control::liveness::{LivenessConfig, LivenessEvent, LivenessTracker};
 use ncvnf_control::signal::{Signal, VnfRoleWire};
-use ncvnf_control::{ControlMetrics, ForwardingTable};
+use ncvnf_control::{ControlMetrics, ForwardingTable, SenderConfig, SignalSender};
 use ncvnf_dataplane::{Feedback, FeedbackKind};
 use ncvnf_obs::Registry;
 use ncvnf_relay::{
@@ -58,12 +58,9 @@ fn relay_config(node_id: u32, monitor: SocketAddr) -> RelayConfig {
     }
 }
 
-/// Sends a signal and asserts the relay applied it.
-fn configure(control: &UdpSocket, to: SocketAddr, sig: &Signal) {
-    let mut ack = [0u8; 16];
-    control.send_to(&sig.to_bytes(), to).unwrap();
-    let (n, _) = control.recv_from(&mut ack).expect("relay replies");
-    assert_eq!(&ack[..n], b"OK", "signal applied");
+/// Pushes a fenced signal and asserts the relay applied it.
+fn configure(sender: &mut SignalSender, to: SocketAddr, sig: &Signal) {
+    sender.push(to, sig).expect("signal applied");
 }
 
 fn settings_for(relay: &RelayNode) -> Signal {
@@ -133,17 +130,16 @@ fn relay_death_is_detected_and_routed_around_mid_transfer() {
     )
     .unwrap();
 
-    // Wire the mesh: R0 → R1 → receiver, standby R2 → receiver.
-    let control = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-    control
-        .set_read_timeout(Some(Duration::from_secs(2)))
-        .unwrap();
-    configure(&control, r0.control_addr, &settings_for(&r0));
-    configure(&control, r0.control_addr, &table_to(r1.data_addr));
-    configure(&control, r1.control_addr, &settings_for(&r1));
-    configure(&control, r1.control_addr, &table_to(receiver.addr));
-    configure(&control, r2.control_addr, &settings_for(&r2));
-    configure(&control, r2.control_addr, &table_to(receiver.addr));
+    // Wire the mesh: R0 → R1 → receiver, standby R2 → receiver. The
+    // monitor later pushes through the same sender, so each relay sees
+    // one sequence counter.
+    let mut sender = SignalSender::new(1, SenderConfig::default()).unwrap();
+    configure(&mut sender, r0.control_addr, &settings_for(&r0));
+    configure(&mut sender, r0.control_addr, &table_to(r1.data_addr));
+    configure(&mut sender, r1.control_addr, &settings_for(&r1));
+    configure(&mut sender, r1.control_addr, &table_to(receiver.addr));
+    configure(&mut sender, r2.control_addr, &settings_for(&r2));
+    configure(&mut sender, r2.control_addr, &table_to(receiver.addr));
 
     // The monitor: heartbeats → liveness tracker → failover push. Its
     // liveness transitions and table-push latency go through the
@@ -193,13 +189,10 @@ fn relay_death_is_detected_and_routed_around_mid_transfer() {
                     let sig = Signal::NcForwardTab {
                         table: delta.to_text(),
                     };
-                    let push = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-                    push.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-                    let mut ack = [0u8; 16];
                     let push_started = Instant::now();
-                    push.send_to(&sig.to_bytes(), r0_control).unwrap();
-                    let (n, _) = push.recv_from(&mut ack).expect("R0 acks failover table");
-                    assert_eq!(&ack[..n], b"OK");
+                    sender
+                        .push(r0_control, &sig)
+                        .expect("R0 acks failover table");
                     metrics
                         .table_push_ns
                         .record(push_started.elapsed().as_nanos() as u64);

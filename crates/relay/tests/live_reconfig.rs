@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ncvnf_control::signal::{Signal, VnfRoleWire};
+use ncvnf_control::signal::{FencedSignal, Signal, VnfRoleWire};
 use ncvnf_control::ForwardingTable;
 use ncvnf_relay::{RelayConfig, RelayNode};
 use ncvnf_rlnc::{GenerationConfig, GenerationEncoder, SessionId};
@@ -23,18 +23,33 @@ fn cfg() -> GenerationConfig {
     GenerationConfig::new(256, 4).unwrap()
 }
 
-fn control_client() -> UdpSocket {
-    let s = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-    s
+/// A controller's control client for one relay, at epoch 1 with one
+/// sequence counter: each signal goes out as the next fenced frame.
+struct Control {
+    socket: UdpSocket,
+    seq: u64,
 }
 
-/// Sends a signal and returns the relay's reply bytes.
-fn signal_roundtrip(control: &UdpSocket, to: std::net::SocketAddr, sig: &Signal) -> Vec<u8> {
-    let mut ack = [0u8; 16];
-    control.send_to(&sig.to_bytes(), to).unwrap();
-    let (n, _) = control.recv_from(&mut ack).expect("relay replies");
-    ack[..n].to_vec()
+fn control_client() -> Control {
+    let socket = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+    socket
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    Control { socket, seq: 0 }
+}
+
+/// Sends a signal as the next fenced frame and returns the relay's reply.
+fn signal_roundtrip(control: &mut Control, to: std::net::SocketAddr, sig: &Signal) -> String {
+    control.seq += 1;
+    let frame = FencedSignal {
+        epoch: 1,
+        seq: control.seq,
+        signal: sig.clone(),
+    };
+    let mut ack = [0u8; 32];
+    control.socket.send_to(&frame.to_bytes(), to).unwrap();
+    let (n, _) = control.socket.recv_from(&mut ack).expect("relay replies");
+    String::from_utf8_lossy(&ack[..n]).into_owned()
 }
 
 fn table_signal(hop: String) -> Signal {
@@ -79,7 +94,7 @@ fn table_swap_under_live_traffic_redirects_cleanly() {
         s.set_read_timeout(Some(Duration::from_millis(20))).unwrap();
     }
 
-    let control = control_client();
+    let mut control = control_client();
     let settings = Signal::NcSettings {
         session: SessionId::new(SESSION),
         role: VnfRoleWire::Recoder,
@@ -89,13 +104,13 @@ fn table_swap_under_live_traffic_redirects_cleanly() {
         buffer_generations: 64,
     };
     assert_eq!(
-        signal_roundtrip(&control, relay.control_addr, &settings),
-        b"OK"
+        signal_roundtrip(&mut control, relay.control_addr, &settings),
+        "OK 1"
     );
     let hop_a = sink_a.local_addr().unwrap().to_string();
     assert_eq!(
-        signal_roundtrip(&control, relay.control_addr, &table_signal(hop_a)),
-        b"OK"
+        signal_roundtrip(&mut control, relay.control_addr, &table_signal(hop_a)),
+        "OK 2"
     );
 
     // Live traffic: a sender thread streams coded packets at the relay for
@@ -131,8 +146,8 @@ fn table_swap_under_live_traffic_redirects_cleanly() {
     // Swap A → B while the sender keeps going.
     let hop_b = sink_b.local_addr().unwrap().to_string();
     assert_eq!(
-        signal_roundtrip(&control, relay.control_addr, &table_signal(hop_b)),
-        b"OK"
+        signal_roundtrip(&mut control, relay.control_addr, &table_signal(hop_b)),
+        "OK 3"
     );
 
     // Grace window: packets the data thread had already routed (plus any
@@ -162,12 +177,18 @@ fn table_swap_under_live_traffic_redirects_cleanly() {
 #[test]
 fn rejected_signals_get_err_replies() {
     let relay = RelayNode::spawn(RelayConfig::default()).unwrap();
-    let control = control_client();
+    let mut control = control_client();
 
     // Garbage frame: undecodable. The reply names the reason.
     let mut ack = [0u8; 16];
-    control.send_to(b"\xEE junk", relay.control_addr).unwrap();
-    let (n, _) = control.recv_from(&mut ack).expect("relay replies to junk");
+    control
+        .socket
+        .send_to(b"\xEE junk", relay.control_addr)
+        .unwrap();
+    let (n, _) = control
+        .socket
+        .recv_from(&mut ack)
+        .expect("relay replies to junk");
     assert_eq!(&ack[..n], b"ERR bad-frame");
 
     // Valid frame, invalid table text: daemon rejects the swap.
@@ -175,18 +196,18 @@ fn rejected_signals_get_err_replies() {
         table: "bogus line\n".into(),
     };
     assert_eq!(
-        signal_roundtrip(&control, relay.control_addr, &bad_table),
-        b"ERR bad-table"
+        signal_roundtrip(&mut control, relay.control_addr, &bad_table),
+        "ERR bad-table 1"
     );
 
     // The relay still applies good signals afterwards.
     assert_eq!(
         signal_roundtrip(
-            &control,
+            &mut control,
             relay.control_addr,
             &table_signal("127.0.0.1:9999".into())
         ),
-        b"OK"
+        "OK 2"
     );
 
     let handle = relay.handle();
@@ -214,7 +235,7 @@ fn rejected_table_swap_preserves_routes_under_traffic() {
     sink.set_read_timeout(Some(Duration::from_millis(20)))
         .unwrap();
 
-    let control = control_client();
+    let mut control = control_client();
     let settings = Signal::NcSettings {
         session: SessionId::new(SESSION),
         role: VnfRoleWire::Recoder,
@@ -224,13 +245,13 @@ fn rejected_table_swap_preserves_routes_under_traffic() {
         buffer_generations: 64,
     };
     assert_eq!(
-        signal_roundtrip(&control, relay.control_addr, &settings),
-        b"OK"
+        signal_roundtrip(&mut control, relay.control_addr, &settings),
+        "OK 1"
     );
     let hop = sink.local_addr().unwrap().to_string();
     assert_eq!(
-        signal_roundtrip(&control, relay.control_addr, &table_signal(hop)),
-        b"OK"
+        signal_roundtrip(&mut control, relay.control_addr, &table_signal(hop)),
+        "OK 2"
     );
     let handle = relay.handle();
     let good_table = handle.table_text();
@@ -265,8 +286,8 @@ fn rejected_table_swap_preserves_routes_under_traffic() {
         table: "session notanumber 127.0.0.1:1\n".into(),
     };
     assert_eq!(
-        signal_roundtrip(&control, relay.control_addr, &bad_table),
-        b"ERR bad-table"
+        signal_roundtrip(&mut control, relay.control_addr, &bad_table),
+        "ERR bad-table 3"
     );
 
     // …and the old routes stay in force: the hop keeps receiving.

@@ -3,7 +3,7 @@
 use std::time::{Duration, Instant};
 
 use ncvnf_control::signal::{Signal, VnfRoleWire};
-use ncvnf_control::ForwardingTable;
+use ncvnf_control::{ForwardingTable, SenderConfig, SignalSender};
 use ncvnf_relay::{
     reliable_chain, RecoveryConfig, RelayConfig, RelayNode, ReliableChainReport, TransferConfig,
 };
@@ -87,23 +87,16 @@ fn relay_cold_start_is_fast() {
 #[test]
 fn live_forwarding_table_update_acks() {
     let relay = RelayNode::spawn(RelayConfig::default()).unwrap();
-    let control = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-    control
-        .set_read_timeout(Some(Duration::from_millis(500)))
-        .unwrap();
+    let mut control = SignalSender::new(1, SenderConfig::default()).unwrap();
     let settings = Signal::NcSettings {
         session: SessionId::new(1),
-        role: VnfRoleWire::Encoder,
+        role: VnfRoleWire::Recoder,
         data_port: relay.data_addr.port(),
         block_size: 1460,
         generation_size: 4,
         buffer_generations: 1024,
     };
-    let mut ack = [0u8; 8];
-    control
-        .send_to(&settings.to_bytes(), relay.control_addr)
-        .unwrap();
-    control.recv_from(&mut ack).unwrap();
+    control.push(relay.control_addr, &settings).unwrap();
 
     let mut table = ForwardingTable::new();
     table.set(SessionId::new(1), vec!["127.0.0.1:9999".into()]);
@@ -111,10 +104,7 @@ fn live_forwarding_table_update_acks() {
         table: table.to_text(),
     };
     let t0 = Instant::now();
-    control
-        .send_to(&sig.to_bytes(), relay.control_addr)
-        .unwrap();
-    control.recv_from(&mut ack).unwrap();
+    control.push(relay.control_addr, &sig).unwrap();
     let update = t0.elapsed();
     let handle = relay.handle();
     assert!(handle.table_text().contains("127.0.0.1:9999"));
@@ -145,11 +135,7 @@ fn decoder_relay_delivers_plain_chunks() {
     sink.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
 
     // Configure the relay as a decoder pointing at the sink.
-    let control = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-    control
-        .set_read_timeout(Some(Duration::from_millis(500)))
-        .unwrap();
-    let mut ack = [0u8; 8];
+    let mut control = SignalSender::new(1, SenderConfig::default()).unwrap();
     let settings = Signal::NcSettings {
         session: SessionId::new(2),
         role: VnfRoleWire::Decoder,
@@ -158,10 +144,7 @@ fn decoder_relay_delivers_plain_chunks() {
         generation_size: 4,
         buffer_generations: 64,
     };
-    control
-        .send_to(&settings.to_bytes(), relay.control_addr)
-        .unwrap();
-    control.recv_from(&mut ack).unwrap();
+    control.push(relay.control_addr, &settings).unwrap();
     let mut table = ForwardingTable::new();
     table.set(
         SessionId::new(2),
@@ -170,10 +153,7 @@ fn decoder_relay_delivers_plain_chunks() {
     let sig = Signal::NcForwardTab {
         table: table.to_text(),
     };
-    control
-        .send_to(&sig.to_bytes(), relay.control_addr)
-        .unwrap();
-    control.recv_from(&mut ack).unwrap();
+    control.push(relay.control_addr, &sig).unwrap();
 
     // Send coded packets of one generation straight at the decoder.
     let object: Vec<u8> = (0..4000u32).map(|i| (i % 253) as u8).collect();

@@ -42,17 +42,35 @@ fn cfg() -> GenerationConfig {
     GenerationConfig::new(256, 4).unwrap()
 }
 
-fn control_client() -> UdpSocket {
-    let s = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-    s
+/// A controller's control client for one relay, at epoch 1 with one
+/// sequence counter. Each signal goes out as a single fenced datagram,
+/// one attempt and no retransmission, so a shed control frame would show
+/// as a missing reply instead of being hidden by a retry.
+struct Control {
+    socket: UdpSocket,
+    seq: u64,
 }
 
-fn signal_roundtrip(control: &UdpSocket, to: std::net::SocketAddr, frame: &[u8]) -> Vec<u8> {
+fn control_client() -> Control {
+    let socket = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+    socket
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    Control { socket, seq: 0 }
+}
+
+/// Sends `signal` as the next fenced frame; returns the relay's reply.
+fn signal_roundtrip(control: &mut Control, to: std::net::SocketAddr, signal: &Signal) -> String {
+    control.seq += 1;
+    let frame = FencedSignal {
+        epoch: 1,
+        seq: control.seq,
+        signal: signal.clone(),
+    };
     let mut ack = [0u8; 64];
-    control.send_to(frame, to).unwrap();
-    let (n, _) = control.recv_from(&mut ack).expect("relay replies");
-    ack[..n].to_vec()
+    control.socket.send_to(&frame.to_bytes(), to).unwrap();
+    let (n, _) = control.socket.recv_from(&mut ack).expect("relay replies");
+    String::from_utf8_lossy(&ack[..n]).into_owned()
 }
 
 fn quota_signal(session: u16, rate_pps: u32, burst: u32, priority: u8) -> Signal {
@@ -111,17 +129,17 @@ fn control_plane_survives_quota_flood_unharmed() {
         ..RelayConfig::default()
     })
     .unwrap();
-    let control = control_client();
+    let mut control = control_client();
 
     // Tight bucket for the flooding session: 200 pps against a flood
     // offering two orders of magnitude more.
     assert_eq!(
         signal_roundtrip(
-            &control,
+            &mut control,
             relay.control_addr,
-            &quota_signal(99, 200, 32, 200).to_bytes()
+            &quota_signal(99, 200, 32, 200)
         ),
-        b"OK"
+        "OK 1"
     );
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -138,20 +156,17 @@ fn control_plane_survives_quota_flood_unharmed() {
     // Control plane under fire: fenced table swaps, one per 50ms.
     let sink = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
     let hop = sink.local_addr().unwrap().to_string();
-    for seq in 1..=8u64 {
+    for _ in 0..8 {
         let mut table = ForwardingTable::new();
         table.set(SessionId::new(7), vec![hop.clone()]);
-        let fenced = FencedSignal {
-            epoch: 1,
-            seq,
-            signal: Signal::NcForwardTab {
-                table: table.to_text(),
-            },
+        let swap = Signal::NcForwardTab {
+            table: table.to_text(),
         };
-        let ack = signal_roundtrip(&control, relay.control_addr, &fenced.to_bytes());
+        let ack = signal_roundtrip(&mut control, relay.control_addr, &swap);
+        let seq = control.seq;
         assert_eq!(
             ack,
-            format!("OK {seq}").into_bytes(),
+            format!("OK {seq}"),
             "fenced swap {seq} applied mid-flood"
         );
         std::thread::sleep(Duration::from_millis(50));
@@ -216,26 +231,26 @@ fn in_quota_session_keeps_goodput_through_flood() {
         ..RelayConfig::default()
     })
     .unwrap();
-    let control = control_client();
+    let mut control = control_client();
 
     // Session 0 = default bucket: unknown sessions get 300 pps, shed
     // first (priority 200). Session 21 is provisioned far above its
     // offered rate and sheds last (priority 0).
     assert_eq!(
         signal_roundtrip(
-            &control,
+            &mut control,
             relay.control_addr,
-            &quota_signal(0, 300, 32, 200).to_bytes()
+            &quota_signal(0, 300, 32, 200)
         ),
-        b"OK"
+        "OK 1"
     );
     assert_eq!(
         signal_roundtrip(
-            &control,
+            &mut control,
             relay.control_addr,
-            &quota_signal(21, 50_000, 1024, 0).to_bytes()
+            &quota_signal(21, 50_000, 1024, 0)
         ),
-        b"OK"
+        "OK 2"
     );
 
     let settings = Signal::NcSettings {
@@ -247,8 +262,8 @@ fn in_quota_session_keeps_goodput_through_flood() {
         buffer_generations: 64,
     };
     assert_eq!(
-        signal_roundtrip(&control, relay.control_addr, &settings.to_bytes()),
-        b"OK"
+        signal_roundtrip(&mut control, relay.control_addr, &settings),
+        "OK 3"
     );
     let sink = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
     sink.set_read_timeout(Some(Duration::from_millis(50)))
@@ -260,14 +275,13 @@ fn in_quota_session_keeps_goodput_through_flood() {
     );
     assert_eq!(
         signal_roundtrip(
-            &control,
+            &mut control,
             relay.control_addr,
             &Signal::NcForwardTab {
                 table: table.to_text()
             }
-            .to_bytes()
         ),
-        b"OK"
+        "OK 4"
     );
 
     // The flood: unprovisioned session, offered well past the default
@@ -355,23 +369,23 @@ fn reliable_transfer_survives_background_flood() {
         ..RelayConfig::default()
     })
     .unwrap();
-    let control = control_client();
+    let mut control = control_client();
 
     assert_eq!(
         signal_roundtrip(
-            &control,
+            &mut control,
             relay.control_addr,
-            &quota_signal(0, 250, 32, 200).to_bytes()
+            &quota_signal(0, 250, 32, 200)
         ),
-        b"OK"
+        "OK 1"
     );
     assert_eq!(
         signal_roundtrip(
-            &control,
+            &mut control,
             relay.control_addr,
-            &quota_signal(12, 50_000, 1024, 0).to_bytes()
+            &quota_signal(12, 50_000, 1024, 0)
         ),
-        b"OK"
+        "OK 2"
     );
     let settings = Signal::NcSettings {
         session: SessionId::new(12),
@@ -382,8 +396,8 @@ fn reliable_transfer_survives_background_flood() {
         buffer_generations: 64,
     };
     assert_eq!(
-        signal_roundtrip(&control, relay.control_addr, &settings.to_bytes()),
-        b"OK"
+        signal_roundtrip(&mut control, relay.control_addr, &settings),
+        "OK 3"
     );
 
     let config = TransferConfig {
@@ -419,14 +433,13 @@ fn reliable_transfer_survives_background_flood() {
     table.set(SessionId::new(12), vec![receiver.addr.to_string()]);
     assert_eq!(
         signal_roundtrip(
-            &control,
+            &mut control,
             relay.control_addr,
             &Signal::NcForwardTab {
                 table: table.to_text()
             }
-            .to_bytes()
         ),
-        b"OK"
+        "OK 4"
     );
 
     let stop = Arc::new(AtomicBool::new(false));

@@ -9,13 +9,16 @@
 //! parser of another. The kind bytes of the retired sliding-window
 //! framing (2: data, 3: ack) are refused by the one data parser
 //! ([`PacketView::parse`]) and, on a live relay, counted once as
-//! malformed and never forwarded.
+//! malformed and never forwarded. On the control socket the door is as
+//! narrow: a bare frame of any state-changing tag is refused with
+//! `ERR unfenced` and never reaches the daemon, and only the `NC_STATS`
+//! read is answered without a fence.
 
 use std::net::UdpSocket;
 use std::time::{Duration, Instant};
 
-use ncvnf_control::signal::{Signal, SignalFrame, VnfRoleWire};
-use ncvnf_control::ForwardingTable;
+use ncvnf_control::signal::{FencedSignal, Signal, SignalError, SignalFrame, VnfRoleWire};
+use ncvnf_control::{DaemonState, ForwardingTable, SenderConfig, SignalSender};
 use ncvnf_dataplane::{Feedback, FEEDBACK_MAGIC};
 use ncvnf_relay::{RelayConfig, RelayHandle, RelayNode};
 
@@ -271,22 +274,25 @@ proptest! {
             burst,
             priority,
         };
-        let wire = sig.to_bytes();
+        // Bare, a quota is refused whole: it needs the fence.
+        prop_assert_eq!(
+            SignalFrame::from_bytes(&sig.to_bytes()),
+            Err(SignalError::Unfenced(8))
+        );
+        let fenced = FencedSignal { epoch: u64::from(rate), seq: u64::from(burst), signal: sig };
+        let wire = fenced.to_bytes();
 
         // Roundtrip sanity before mutation.
         let (frame, consumed) = SignalFrame::from_bytes(&wire).expect("valid frame decodes");
         prop_assert_eq!(consumed, wire.len());
-        match frame {
-            SignalFrame::Legacy(decoded) => prop_assert_eq!(decoded, sig),
-            SignalFrame::Fenced(_) => prop_assert!(false, "legacy frame misread as fenced"),
-        }
+        prop_assert_eq!(frame, SignalFrame::Fenced(fenced));
 
         // Truncation: parse-or-error.
         let cut = (wire.len() as u64 * u64::from(cut_permille) / 1000) as usize;
         let _ = SignalFrame::from_bytes(&wire[..cut]);
 
         // Corruption: parse-or-error, and whatever decodes is still a
-        // well-typed signal (the match above proves decoding is total).
+        // well-typed frame (the match above proves decoding is total).
         let mut mangled = wire.to_vec();
         let pos = ((wire.len() as u64 * u64::from(pos_permille) / 1000) as usize)
             .min(wire.len() - 1);
@@ -333,15 +339,12 @@ fn live_relay_counts_retired_window_frames_once_and_forwards_none() {
     let sink = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
     sink.set_read_timeout(Some(Duration::from_millis(200)))
         .unwrap();
-    let control = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-    control
-        .set_read_timeout(Some(Duration::from_secs(2)))
-        .unwrap();
     let mut table = ForwardingTable::new();
     let session = SessionId::new(SESSION);
     table.set(session, vec![sink.local_addr().unwrap().to_string()]);
+    let mut sender = SignalSender::new(0, SenderConfig::default()).unwrap();
     relay
-        .wire(&control, session, VnfRoleWire::Recoder, &table)
+        .wire(&mut sender, session, VnfRoleWire::Recoder, &table)
         .unwrap();
     let handle = relay.handle();
     let tx = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
@@ -371,5 +374,168 @@ fn live_relay_counts_retired_window_frames_once_and_forwards_none() {
     let (n, _) = sink.recv_from(&mut buf).expect("a coded packet is relayed");
     assert!(PacketView::parse(&buf[..n], GEN_SIZE).is_ok());
     assert_eq!(handle.vnf_stats().malformed, rows.len() as u64);
+    relay.shutdown();
+}
+
+/// A relay (shard count from `NCVNF_SHARDS`) wired at epoch 0 for one
+/// session, and a raw socket to probe its control port with.
+fn wired_relay() -> (RelayNode, UdpSocket) {
+    let relay = RelayNode::spawn(RelayConfig {
+        generation: GenerationConfig::new(64, GEN_SIZE).unwrap(),
+        ..RelayConfig::default()
+    })
+    .unwrap();
+    let mut table = ForwardingTable::new();
+    table.set(SessionId::new(5), vec!["127.0.0.1:9".to_string()]);
+    let mut sender = SignalSender::new(0, SenderConfig::default()).unwrap();
+    relay
+        .wire(&mut sender, SessionId::new(5), VnfRoleWire::Recoder, &table)
+        .unwrap();
+    let probe = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+    probe
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    (relay, probe)
+}
+
+/// Sends one datagram to the relay's control port and returns the reply.
+fn ask(relay: &RelayNode, probe: &UdpSocket, frame: &[u8]) -> Vec<u8> {
+    probe.send_to(frame, relay.control_addr).unwrap();
+    let mut buf = vec![0u8; 65536];
+    let (n, _) = probe.recv_from(&mut buf).expect("the relay replies");
+    buf.truncate(n);
+    buf
+}
+
+/// A bare frame of every state-changing tag (1–5, 8) is refused with
+/// `ERR unfenced`, counted exactly once in `rejected_signals`, and
+/// leaves the table and the daemon as they were.
+#[test]
+fn bare_state_changing_frames_get_err_unfenced() {
+    let (relay, probe) = wired_relay();
+    let handle = relay.handle();
+    let session = SessionId::new(5);
+    let bare = [
+        Signal::NcStart { session },
+        Signal::NcVnfStart {
+            data_center: "dc".into(),
+            count: 2,
+        },
+        Signal::NcVnfEnd { tau_secs: 1 },
+        Signal::NcForwardTab {
+            table: "session 5 127.0.0.1:1\n".into(),
+        },
+        Signal::NcSettings {
+            session,
+            role: VnfRoleWire::Forwarder,
+            data_port: 1,
+            block_size: 64,
+            generation_size: GEN_SIZE as u32,
+            buffer_generations: 8,
+        },
+        Signal::NcQuota {
+            session,
+            rate_pps: 0,
+            burst: 0,
+            priority: 0,
+        },
+    ];
+    let digest = || handle.snapshot().gauge("relay.table_digest");
+    let (table, digest_before) = (handle.table_text(), digest());
+    for sig in bare {
+        let wire = sig.to_bytes();
+        let before = handle.stats();
+        assert_eq!(
+            ask(&relay, &probe, &wire),
+            b"ERR unfenced",
+            "tag {}",
+            wire[0]
+        );
+        let after = handle.stats();
+        assert_eq!(after.rejected_signals, before.rejected_signals + 1);
+        assert_eq!(after.signals, before.signals, "tag {} processed", wire[0]);
+        assert_eq!(
+            handle.table_text(),
+            table,
+            "tag {} touched the table",
+            wire[0]
+        );
+        assert_eq!(digest(), digest_before);
+        assert_eq!(handle.daemon_state(), DaemonState::Running);
+    }
+    assert_eq!(handle.snapshot().gauge("relay.quota_sessions"), Some(0.0));
+    relay.shutdown();
+}
+
+/// The `NC_STATS` read is the one bare frame a relay answers: with its
+/// JSON snapshot, not an `ERR`.
+#[test]
+fn bare_nc_stats_still_gets_its_json() {
+    let (relay, probe) = wired_relay();
+    let reply = ask(&relay, &probe, &Signal::NcStats.to_bytes());
+    let json = String::from_utf8(reply).unwrap();
+    assert!(json.starts_with('{'), "{json}");
+    assert!(json.contains("\"relay.ctrl_seq\":2"), "{json}");
+    assert_eq!(relay.handle().stats().rejected_signals, 0);
+    relay.shutdown();
+}
+
+/// Role byte 1 — the retired "encoder" — makes `NC_SETTINGS` a malformed
+/// frame, fenced or bare: `ERR bad-frame`, and the role is unchanged.
+#[test]
+fn settings_with_role_byte_one_is_a_bad_frame() {
+    let (relay, probe) = wired_relay();
+    let settings = Signal::NcSettings {
+        session: SessionId::new(5),
+        role: VnfRoleWire::Forwarder,
+        data_port: 1,
+        block_size: 64,
+        generation_size: GEN_SIZE as u32,
+        buffer_generations: 8,
+    };
+    let fenced = FencedSignal {
+        epoch: 1,
+        seq: 1,
+        signal: settings.clone(),
+    };
+    for (mut wire, role_at) in [
+        (settings.to_bytes().to_vec(), 5 + 2),
+        (fenced.to_bytes().to_vec(), 5 + 16 + 5 + 2),
+    ] {
+        assert_eq!(wire[role_at], 3, "the Forwarder byte sits here");
+        wire[role_at] = 1;
+        assert_eq!(ask(&relay, &probe, &wire), b"ERR bad-frame");
+    }
+    let snap = relay.handle().snapshot();
+    assert_eq!(snap.counter("relay.rejected_signals"), Some(2));
+    assert_eq!(
+        snap.gauge("relay.ctrl_epoch"),
+        Some(0.0),
+        "nothing admitted"
+    );
+    relay.shutdown();
+}
+
+/// `wire` pushes at epoch 0, so the first journaled controller (epoch 1)
+/// applies its own seq 1 instead of having it ACKed as a duplicate.
+#[test]
+fn a_controller_after_wire_applies_its_own_seq_one() {
+    let (relay, _probe) = wired_relay();
+    let handle = relay.handle();
+    let mut controller = SignalSender::new(1, SenderConfig::default()).unwrap();
+    let receipt = controller
+        .push(
+            relay.control_addr,
+            &Signal::NcForwardTab {
+                table: "session 5 127.0.0.1:7\n".into(),
+            },
+        )
+        .unwrap();
+    assert_eq!(receipt.seq, 1);
+    assert!(handle.table_text().contains("127.0.0.1:7"), "applied");
+    let snap = handle.snapshot();
+    assert_eq!(snap.gauge("relay.ctrl_epoch"), Some(1.0));
+    assert_eq!(snap.gauge("relay.ctrl_seq"), Some(1.0));
+    assert_eq!(snap.counter("relay.duplicate_signals"), Some(0));
     relay.shutdown();
 }

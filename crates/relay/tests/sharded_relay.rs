@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ncvnf_control::signal::{Signal, VnfRoleWire};
+use ncvnf_control::signal::{FencedSignal, Signal, VnfRoleWire};
 use ncvnf_control::ForwardingTable;
 use ncvnf_relay::{
     shard_of, DatagramSocket, FaultConfig, FaultSocket, FaultStats, RecvBatch, RelayConfig,
@@ -85,17 +85,33 @@ fn cfg() -> GenerationConfig {
     GenerationConfig::new(256, 4).unwrap()
 }
 
-fn control_client() -> UdpSocket {
-    let s = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-    s
+/// A controller's control client for one relay, at epoch 1 with one
+/// sequence counter: each signal goes out as the next fenced frame.
+struct Control {
+    socket: UdpSocket,
+    seq: u64,
 }
 
-fn signal_roundtrip(control: &UdpSocket, to: std::net::SocketAddr, sig: &Signal) -> Vec<u8> {
-    let mut ack = [0u8; 16];
-    control.send_to(&sig.to_bytes(), to).unwrap();
-    let (n, _) = control.recv_from(&mut ack).expect("relay replies");
-    ack[..n].to_vec()
+fn control_client() -> Control {
+    let socket = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+    socket
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    Control { socket, seq: 0 }
+}
+
+/// Sends a signal as the next fenced frame and returns the relay's reply.
+fn signal_roundtrip(control: &mut Control, to: std::net::SocketAddr, sig: &Signal) -> String {
+    control.seq += 1;
+    let frame = FencedSignal {
+        epoch: 1,
+        seq: control.seq,
+        signal: sig.clone(),
+    };
+    let mut ack = [0u8; 32];
+    control.socket.send_to(&frame.to_bytes(), to).unwrap();
+    let (n, _) = control.socket.recv_from(&mut ack).expect("relay replies");
+    String::from_utf8_lossy(&ack[..n]).into_owned()
 }
 
 fn table_signal(hop: String) -> Signal {
@@ -154,7 +170,7 @@ fn four_shard_table_swap_under_traffic_reaches_every_shard() {
         s.set_read_timeout(Some(Duration::from_millis(20))).unwrap();
     }
 
-    let control = control_client();
+    let mut control = control_client();
     let settings = Signal::NcSettings {
         session: SessionId::new(SESSION),
         role: VnfRoleWire::Recoder,
@@ -164,13 +180,13 @@ fn four_shard_table_swap_under_traffic_reaches_every_shard() {
         buffer_generations: 64,
     };
     assert_eq!(
-        signal_roundtrip(&control, relay.control_addr, &settings),
-        b"OK"
+        signal_roundtrip(&mut control, relay.control_addr, &settings),
+        "OK 1"
     );
     let hop_a = sink_a.local_addr().unwrap().to_string();
     assert_eq!(
-        signal_roundtrip(&control, relay.control_addr, &table_signal(hop_a)),
-        b"OK"
+        signal_roundtrip(&mut control, relay.control_addr, &table_signal(hop_a)),
+        "OK 2"
     );
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -201,8 +217,8 @@ fn four_shard_table_swap_under_traffic_reaches_every_shard() {
 
     let hop_b = sink_b.local_addr().unwrap().to_string();
     assert_eq!(
-        signal_roundtrip(&control, relay.control_addr, &table_signal(hop_b)),
-        b"OK"
+        signal_roundtrip(&mut control, relay.control_addr, &table_signal(hop_b)),
+        "OK 3"
     );
 
     // Grace window for packets already routed / queued in A's buffer.

@@ -9,7 +9,7 @@ use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
 use ncvnf_control::signal::VnfRoleWire;
-use ncvnf_control::ForwardingTable;
+use ncvnf_control::{ForwardingTable, SenderConfig, SignalSender};
 use ncvnf_relay::{
     DatagramSocket, FaultConfig, FaultSocket, RelayConfig, RelayHandle, RelayNode, SendBatch,
 };
@@ -49,10 +49,10 @@ fn wire(relay: &RelayNode, next_hops: &[SocketAddr]) {
     let mut table = ForwardingTable::new();
     let hops = next_hops.iter().map(ToString::to_string).collect();
     table.set(SessionId::new(SESSION), hops);
-    let (control, _) = socket();
+    let mut sender = SignalSender::new(0, SenderConfig::default()).unwrap();
     relay
         .wire(
-            &control,
+            &mut sender,
             SessionId::new(SESSION),
             VnfRoleWire::Recoder,
             &table,
