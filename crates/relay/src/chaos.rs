@@ -39,7 +39,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::socket::{DatagramSocket, RecvBatch};
+use crate::socket::{bind_loopback_data, DatagramSocket, RecvBatch};
 
 /// Which directions of a [`FaultSocket`] inject faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -385,14 +385,14 @@ impl FaultSocket {
         )
     }
 
-    /// Binds a fresh loopback socket with an OS-assigned port and wraps
-    /// it.
+    /// Binds a fresh loopback socket with an OS-assigned port and a
+    /// data-sized receive queue, and wraps it.
     ///
     /// # Errors
     ///
     /// Propagates socket errors.
     pub fn bind_loopback(config: FaultConfig) -> io::Result<(FaultSocket, FaultHandle)> {
-        let inner = UdpSocket::bind(("127.0.0.1", 0))?;
+        let inner = bind_loopback_data()?;
         Ok(Self::wrap(inner, config))
     }
 

@@ -58,7 +58,7 @@ use ncvnf_rlnc::{
 use crate::chaos::{FaultConfig, FaultSocket, FaultStats};
 use crate::metrics::{RecoveryMetrics, TransferObs};
 use crate::node::{RelayConfig, RelayNode, RelayStats};
-use crate::socket::{is_timeout, DatagramSocket, SendBatch};
+use crate::socket::{bind_loopback_data, is_timeout, DatagramSocket, SendBatch};
 
 /// Parameters of one object transfer.
 #[derive(Debug, Clone)]
@@ -1177,7 +1177,7 @@ impl ReliableReceiver {
         obs: &TransferObs,
         mut reassembly: Reassembly,
     ) -> io::Result<ReliableReceiver> {
-        let socket = UdpSocket::bind(("127.0.0.1", 0))?;
+        let socket = bind_loopback_data()?;
         let addr = socket.local_addr()?;
         let (tx, rx) = bounded(1);
         let running = Arc::new(AtomicBool::new(true));

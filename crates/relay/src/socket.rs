@@ -23,6 +23,22 @@ use ncvnf_sysnet::{Area, RecvMeta, MAX_GRO_SEGMENTS, MAX_MESSAGE_LEN};
 /// `recvmmsg`/`sendmmsg` syscall.
 pub const MAX_BATCH: usize = ncvnf_sysnet::MAX_BATCH;
 
+/// Receive queue asked for by a socket that takes a transfer's data
+/// stream (`SO_RCVBUF`, capped by the kernel's `net.core.rmem_max`). The
+/// Linux default, about 208 KB, holds under 10 ms of a 200 Mbit/s
+/// stream: a reader that the scheduler stalls for longer loses datagrams
+/// nobody dropped on purpose.
+pub(crate) const DATA_RECV_BUFFER: usize = 4 << 20;
+
+/// Binds a loopback socket with an OS-assigned port and asks for a
+/// [`DATA_RECV_BUFFER`] receive queue; a refused request keeps the
+/// kernel's default.
+pub(crate) fn bind_loopback_data() -> io::Result<UdpSocket> {
+    let socket = UdpSocket::bind(("127.0.0.1", 0))?;
+    ncvnf_sysnet::set_recv_buffer(&socket, DATA_RECV_BUFFER);
+    Ok(socket)
+}
+
 /// Receive-side batch: up to [`MAX_BATCH`] messages in entries of one
 /// contiguous [`Area`], and a view `(entry, offset, len)` per datagram
 /// over them.

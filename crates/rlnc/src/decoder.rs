@@ -1,10 +1,18 @@
 //! Progressive Gaussian-elimination decoder for one generation.
+//!
+//! The coefficient half of the elimination is a [`RankTracker`]: each
+//! packet is reduced against the rows held so far, in arrival order, and
+//! the tracker records the factor it applied to each of them. The payload
+//! half replays those factors in one fused row-kernel call per innovative
+//! packet, so both halves stay in echelon form in lockstep. When the last
+//! pivot arrives, back-substitution runs once — one fused call per row —
+//! and each payload row becomes the source block at its row's pivot.
 
 use ncvnf_gf256::bulk;
-use ncvnf_gf256::{Field, Gf256};
 
 use crate::config::GenerationConfig;
 use crate::error::CodecError;
+use crate::rank::RankTracker;
 
 /// Result of feeding one coded packet to a [`GenerationDecoder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,25 +30,19 @@ pub enum ReceiveOutcome {
 
 /// Decodes one generation from coded packets, incrementally.
 ///
-/// The decoder keeps the received coefficient vectors in reduced row
-/// echelon form, applying every row operation to the payloads in lockstep.
 /// Decoding finishes as soon as `g` linearly independent packets have been
 /// absorbed — "the data can be successfully recovered as long as sufficient
 /// number of packets are received" — regardless of order, duplication or
-/// loss.
+/// loss. A redundant packet costs only the coefficient pass: its payload
+/// is never read.
 #[derive(Debug, Clone)]
 pub struct GenerationDecoder {
     config: GenerationConfig,
-    /// Coefficient rows in RREF. `rows[i]` pairs with `payloads[i]`.
-    coeff_rows: Vec<Vec<u8>>,
-    payloads: Vec<Vec<u8>>,
-    /// `pivot_of_col[c] = Some(row)` if column `c` is a pivot column.
-    pivot_of_col: Vec<Option<usize>>,
-    /// Reusable elimination workspace — incoming packets are reduced here
-    /// so redundant packets (the common case past full rank) cost no heap
-    /// allocation.
-    coeff_scratch: Vec<u8>,
-    data_scratch: Vec<u8>,
+    /// The coefficient half: stored row `i` pairs with payload row `i`.
+    span: RankTracker,
+    /// The payload rows back to back, `block_size` bytes each, reserved
+    /// once for the whole generation on the first innovative packet.
+    payloads: Vec<u8>,
     /// Count of packets seen (innovative + redundant), for stats.
     packets_seen: u64,
 }
@@ -50,11 +52,8 @@ impl GenerationDecoder {
     pub fn new(config: GenerationConfig) -> Self {
         GenerationDecoder {
             config,
-            coeff_rows: Vec::with_capacity(config.blocks_per_generation()),
-            payloads: Vec::with_capacity(config.blocks_per_generation()),
-            pivot_of_col: vec![None; config.blocks_per_generation()],
-            coeff_scratch: vec![0u8; config.blocks_per_generation()],
-            data_scratch: vec![0u8; config.block_size()],
+            span: RankTracker::new(config.blocks_per_generation()),
+            payloads: Vec::new(),
             packets_seen: 0,
         }
     }
@@ -66,12 +65,12 @@ impl GenerationDecoder {
 
     /// Current rank (number of linearly independent packets absorbed).
     pub fn rank(&self) -> usize {
-        self.coeff_rows.len()
+        self.span.rank()
     }
 
     /// True when the generation can be fully decoded.
     pub fn is_complete(&self) -> bool {
-        self.rank() == self.config.blocks_per_generation()
+        self.span.is_full()
     }
 
     /// Total packets fed to this decoder, including redundant ones.
@@ -92,15 +91,16 @@ impl GenerationDecoder {
         payload: &[u8],
     ) -> Result<ReceiveOutcome, CodecError> {
         let g = self.config.blocks_per_generation();
+        let block = self.config.block_size();
         if coefficients.len() != g {
             return Err(CodecError::CoefficientCount {
                 expected: g,
                 actual: coefficients.len(),
             });
         }
-        if payload.len() != self.config.block_size() {
+        if payload.len() != block {
             return Err(CodecError::PayloadSize {
-                expected: self.config.block_size(),
+                expected: block,
                 actual: payload.len(),
             });
         }
@@ -108,92 +108,50 @@ impl GenerationDecoder {
         if self.is_complete() {
             return Ok(ReceiveOutcome::AlreadyComplete);
         }
-
-        // Structured elimination, part 1: a systematic packet (single
-        // nonzero coefficient) either lands directly in an empty pivot
-        // slot, or — when that slot's pivot row is itself a unit vector —
-        // is a scalar duplicate of a block we already hold. Neither case
-        // needs the full elimination pass, and the duplicate case (common
-        // under systematic retransmission) costs no payload work at all.
-        if let Some(col) = single_nonzero_column(coefficients) {
-            match self.pivot_of_col[col] {
-                Some(row) if is_unit_row(&self.coeff_rows[row], col) => {
-                    return Ok(ReceiveOutcome::Redundant);
-                }
-                None => {
-                    self.coeff_scratch.fill(0);
-                    self.coeff_scratch[col] = 1;
-                    self.data_scratch.copy_from_slice(payload);
-                    let c = coefficients[col];
-                    if c != 1 {
-                        let inv = Gf256::new(c).inv().value();
-                        bulk::scale_slice(&mut self.data_scratch, inv);
-                    }
-                    self.install_scratch_row(col);
-                    return Ok(ReceiveOutcome::Innovative { rank: self.rank() });
-                }
-                // The pivot row carries mass outside its pivot column, so
-                // eliminating the incoming unit vector against it exposes
-                // that mass — fall through to the general pass.
-                Some(_) => {}
-            }
-        }
-
-        // Eliminate every pivot column from the incoming row into the
-        // reusable scratch rows (redundant packets never touch the heap).
-        // The matrix is kept fully reduced — a pivot row is 1 at its pivot
-        // and 0 at every other pivot column — so eliminating one pivot
-        // never changes the entry at another: the factor for each pivot
-        // row is the incoming coefficient itself, and the whole pass is
-        // one fused row-kernel call per side. Coefficients go first; the
-        // first nonzero left is the new pivot, and a packet that leaves
-        // none is redundant without its payload ever being read.
-        self.coeff_scratch.copy_from_slice(coefficients);
-        bulk::mul_add_rows(
-            &mut self.coeff_scratch,
-            pivot_factors(coefficients, &self.pivot_of_col, &self.coeff_rows),
-        );
-        let Some(col) = self.coeff_scratch.iter().position(|&c| c != 0) else {
+        let Some((factors, scale)) = self.span.absorb_recorded(coefficients) else {
             return Ok(ReceiveOutcome::Redundant);
         };
-        self.data_scratch.copy_from_slice(payload);
-        bulk::mul_add_rows(
-            &mut self.data_scratch,
-            pivot_factors(coefficients, &self.pivot_of_col, &self.payloads),
-        );
-        let inv = Gf256::new(self.coeff_scratch[col]).inv().value();
-        bulk::scale_slice(&mut self.coeff_scratch, inv);
-        bulk::scale_slice(&mut self.data_scratch, inv);
-        self.install_scratch_row(col);
+        // A no-op after the first innovative packet has reserved all `g`.
+        self.payloads.reserve_exact(g * block - self.payloads.len());
+        let start = self.payloads.len();
+        self.payloads.extend_from_slice(payload);
+        let (held, row) = self.payloads.split_at_mut(start);
+        bulk::mul_add_rows(row, factors.iter().copied().zip(held.chunks_exact(block)));
+        bulk::scale_slice(row, scale);
+        if self.is_complete() {
+            self.back_substitute();
+        }
         Ok(ReceiveOutcome::Innovative { rank: self.rank() })
     }
 
-    /// Installs the normalized scratch row with pivot `col`, then
-    /// back-substitutes it out of all existing rows to keep the matrix
-    /// fully reduced.
-    fn install_scratch_row(&mut self, col: usize) {
-        let new_row = self.coeff_rows.len();
-        for r in 0..new_row {
-            let factor = self.coeff_rows[r][col];
-            if factor != 0 {
-                bulk::mul_add_slice(&mut self.coeff_rows[r], &self.coeff_scratch, factor);
-                bulk::mul_add_slice(&mut self.payloads[r], &self.data_scratch, factor);
-            }
+    /// At full rank every column is some row's pivot, so stored row `i` is
+    /// its own pivot plus mass at the pivots of the rows after it (it is
+    /// zero at those before it). Reducing the rows last to first, each
+    /// one's later rows already hold their source blocks: one fused call
+    /// over them, with the factors read straight from row `i`, leaves row
+    /// `i` holding the block at its own pivot. The coefficient rows are
+    /// never rewritten.
+    fn back_substitute(&mut self) {
+        let block = self.config.block_size();
+        let leads = self.span.leads();
+        for i in (0..leads.len()).rev() {
+            let coefficients = self.span.row(i);
+            let (head, done) = self.payloads.split_at_mut((i + 1) * block);
+            let factors = leads[i + 1..].iter().map(|&lead| coefficients[lead]);
+            bulk::mul_add_rows(
+                &mut head[i * block..],
+                factors.zip(done.chunks_exact(block)),
+            );
         }
-        self.coeff_rows.push(self.coeff_scratch.clone());
-        self.payloads.push(self.data_scratch.clone());
-        self.pivot_of_col[col] = Some(new_row);
     }
 
     /// Columns (block indices) that have no pivot yet. With a systematic
     /// sender these are exactly the original blocks still missing, which
     /// lets a receiver request precise retransmissions.
     pub fn missing_columns(&self) -> Vec<usize> {
-        self.pivot_of_col
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.is_none())
-            .map(|(c, _)| c)
+        let leads = self.span.leads();
+        (0..self.config.blocks_per_generation())
+            .filter(|c| !leads.contains(c))
             .collect()
     }
 
@@ -210,13 +168,13 @@ impl GenerationDecoder {
                 needed: self.config.blocks_per_generation(),
             });
         }
-        // Fully reduced + full rank means row with pivot column c holds
-        // exactly original block c.
-        Ok(self
-            .pivot_of_col
-            .iter()
-            .map(|p| self.payloads[p.expect("full rank implies all pivots present")].as_slice())
-            .collect())
+        // Back-substituted: the row with pivot column c holds block c.
+        let mut blocks = vec![&[][..]; self.config.blocks_per_generation()];
+        let rows = self.payloads.chunks_exact(self.config.block_size());
+        for (&lead, row) in self.span.leads().iter().zip(rows) {
+            blocks[lead] = row;
+        }
+        Ok(blocks)
     }
 
     /// The decoded generation payload as one contiguous buffer.
@@ -226,49 +184,8 @@ impl GenerationDecoder {
     /// Returns [`CodecError::NotDecoded`] until the decoder reaches full
     /// rank.
     pub fn decoded_payload(&self) -> Result<Vec<u8>, CodecError> {
-        let blocks = self.decoded_blocks()?;
-        let mut out = Vec::with_capacity(self.config.generation_payload());
-        for b in blocks {
-            out.extend_from_slice(b);
-        }
-        Ok(out)
+        Ok(self.decoded_blocks()?.concat())
     }
-}
-
-/// `(factor, row)` for every pivot row the incoming `coefficients` must be
-/// eliminated against: `rows` is the coefficient or the payload side of
-/// the matrix.
-pub(crate) fn pivot_factors<'a>(
-    coefficients: &'a [u8],
-    pivot_of_col: &'a [Option<usize>],
-    rows: &'a [Vec<u8>],
-) -> impl Iterator<Item = (u8, &'a [u8])> {
-    coefficients
-        .iter()
-        .zip(pivot_of_col)
-        .filter_map(move |(&c, pivot)| pivot.map(|row| (c, rows[row].as_slice())))
-}
-
-/// The index of the single nonzero coefficient, or `None` if there are
-/// zero or several (part 2 of structured elimination: recognizing
-/// systematic packets without scanning payloads).
-fn single_nonzero_column(coefficients: &[u8]) -> Option<usize> {
-    let mut found = None;
-    for (i, &c) in coefficients.iter().enumerate() {
-        if c != 0 {
-            if found.is_some() {
-                return None;
-            }
-            found = Some(i);
-        }
-    }
-    found
-}
-
-/// True when `row` is the unit vector for `col` (pivot rows are
-/// normalized, so the pivot entry is 1 whenever this returns true).
-fn is_unit_row(row: &[u8], col: usize) -> bool {
-    row.iter().enumerate().all(|(i, &c)| (i == col) == (c != 0))
 }
 
 #[cfg(test)]

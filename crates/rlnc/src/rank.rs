@@ -7,11 +7,13 @@
 //! check each candidate coefficient vector for innovation *before* emitting
 //! it, so a loss-free burst of `g` packets always decodes.
 //!
-//! The tracker keeps only the coefficient rows, reduced to row-echelon form,
-//! mirroring the elimination the decoder performs — no payloads, so the cost
-//! per check is O(g^2) byte operations. [`Recoder`](crate::Recoder) uses it
-//! the same way: a relay only needs to know *whether* a packet is
-//! innovative, never its reduced form.
+//! The tracker keeps only the coefficient rows, in row-echelon form, so the
+//! cost per check is O(g^2) byte operations. [`Recoder`](crate::Recoder)
+//! uses it the same way: a relay only needs to know *whether* a packet is
+//! innovative, never its reduced form. The
+//! [`GenerationDecoder`](crate::GenerationDecoder) uses it as its
+//! coefficient half: the tracker records the factor it applies to each
+//! stored row, and the decoder replays those factors on the payloads.
 
 use ncvnf_gf256::bulk;
 use ncvnf_gf256::{Field, Gf256};
@@ -26,9 +28,13 @@ pub struct RankTracker {
     /// order they were absorbed. Echelon form: a row's leading entry is 1,
     /// and the row is zero at the leading index of every row before it —
     /// which is all that eliminating in that same order needs, so rows are
-    /// appended, never sorted or moved.
+    /// appended, never sorted or moved. Reserved for all of them up front,
+    /// so absorbing never reallocates.
     rows: Vec<u8>,
     scratch: Vec<u8>,
+    /// `factors[i]`: what the last elimination pass multiplied stored row
+    /// `i` by before adding it to the incoming vector.
+    factors: Vec<u8>,
 }
 
 impl RankTracker {
@@ -37,8 +43,9 @@ impl RankTracker {
         Self {
             generation_size,
             leads: Vec::with_capacity(generation_size),
-            rows: Vec::new(),
+            rows: Vec::with_capacity(generation_size * generation_size),
             scratch: vec![0u8; generation_size],
+            factors: vec![0u8; generation_size],
         }
     }
 
@@ -66,20 +73,35 @@ impl RankTracker {
 
     /// Absorb a coefficient vector; returns `true` if it increased the rank.
     pub fn absorb(&mut self, coefficients: &[u8]) -> bool {
+        self.absorb_recorded(coefficients).is_some()
+    }
+
+    /// [`absorb`](Self::absorb), saying how an innovative vector became its
+    /// stored row: `factors[i]` multiplied stored row `i` before it was
+    /// added, then the sum was scaled by `scale`. `None` if the vector was
+    /// dependent.
+    pub(crate) fn absorb_recorded(&mut self, coefficients: &[u8]) -> Option<(&[u8], u8)> {
         if self.is_unit_duplicate(coefficients) {
-            return false;
+            return None;
         }
-        match self.reduce(coefficients) {
-            Some(lead) => {
-                let inv = Gf256::new(self.scratch[lead]).inv().value();
-                let start = self.rows.len();
-                self.rows.extend_from_slice(&self.scratch);
-                bulk::scale_slice(&mut self.rows[start..], inv);
-                self.leads.push(lead);
-                true
-            }
-            None => false,
-        }
+        let lead = self.reduce(coefficients)?;
+        let scale = Gf256::new(self.scratch[lead]).inv().value();
+        let held = self.leads.len();
+        let start = self.rows.len();
+        self.rows.extend_from_slice(&self.scratch);
+        bulk::scale_slice(&mut self.rows[start..], scale);
+        self.leads.push(lead);
+        Some((&self.factors[..held], scale))
+    }
+
+    /// Leading index of each stored row, in the order they were absorbed.
+    pub(crate) fn leads(&self) -> &[usize] {
+        &self.leads
+    }
+
+    /// Stored row `i` (see [`leads`](Self::leads)).
+    pub(crate) fn row(&self, i: usize) -> &[u8] {
+        &self.rows[i * self.generation_size..][..self.generation_size]
     }
 
     /// Fast rejection for duplicate systematic vectors: a single-nonzero
@@ -109,9 +131,10 @@ impl RankTracker {
             .any(|(&lead, row)| lead == col && row[col + 1..].iter().all(|&v| v == 0))
     }
 
-    /// Eliminate `coefficients` against the stored rows into `self.scratch`;
-    /// returns the leading index of the residual, or `None` if it reduced to
-    /// zero (i.e. the vector is dependent).
+    /// Eliminate `coefficients` against the stored rows into `self.scratch`,
+    /// recording each factor in `self.factors`; returns the leading index of
+    /// the residual, or `None` if it reduced to zero (i.e. the vector is
+    /// dependent).
     fn reduce(&mut self, coefficients: &[u8]) -> Option<usize> {
         assert_eq!(
             coefficients.len(),
@@ -126,9 +149,9 @@ impl RankTracker {
         // in echelon, not reduced, form), so this pass cannot be one fused
         // row-kernel call; the rows are only `g` bytes long.
         let rows = self.rows.chunks_exact(self.generation_size);
-        for (&lead, row) in self.leads.iter().zip(rows) {
-            let factor = self.scratch[lead];
-            bulk::mul_add_slice(&mut self.scratch, row, factor);
+        for ((&lead, row), factor) in self.leads.iter().zip(rows).zip(&mut self.factors) {
+            *factor = self.scratch[lead];
+            bulk::mul_add_slice(&mut self.scratch, row, *factor);
         }
         self.scratch.iter().position(|&v| v != 0)
     }

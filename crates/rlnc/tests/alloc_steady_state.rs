@@ -9,7 +9,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use ncvnf_gf256::bulk;
 use ncvnf_rlnc::{
@@ -21,8 +20,6 @@ use rand::{Rng, SeedableRng};
 
 struct CountingAlloc;
 
-static HEAP_OPS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     // Count only allocations made by the thread under measurement: the
     // libtest main thread lazily initializes its mpsc receiver context
@@ -31,17 +28,20 @@ thread_local! {
     // native TLS for a `Cell<bool>` never allocates, so reading the flag
     // inside the allocator is safe.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    // The count is per thread too, so tests measuring on parallel
+    // threads never see each other's heap operations.
+    static HEAP_OPS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn counting_here() -> bool {
-    COUNTING.try_with(Cell::get).unwrap_or(false)
+fn count_if_measuring() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = HEAP_OPS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counting_here() {
-            HEAP_OPS.fetch_add(1, Ordering::SeqCst);
-        }
+        count_if_measuring();
         System.alloc(layout)
     }
 
@@ -50,9 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counting_here() {
-            HEAP_OPS.fetch_add(1, Ordering::SeqCst);
-        }
+        count_if_measuring();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -63,11 +61,11 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// Number of heap allocations (incl. reallocations) performed by `work`
 /// on the calling thread.
 fn heap_ops_during(mut work: impl FnMut()) -> u64 {
-    let before = HEAP_OPS.load(Ordering::SeqCst);
+    let before = HEAP_OPS.with(Cell::get);
     COUNTING.with(|c| c.set(true));
     work();
     COUNTING.with(|c| c.set(false));
-    HEAP_OPS.load(Ordering::SeqCst) - before
+    HEAP_OPS.with(Cell::get) - before
 }
 
 #[test]
@@ -233,4 +231,38 @@ fn redundant_packets_do_not_allocate() {
         0,
         "packets past full rank must not touch the heap"
     );
+}
+
+/// Decoding a whole generation costs the decoder one heap operation: its
+/// payload store, reserved on the first innovative packet and reused by
+/// every later one and by the back-substitution at full rank. The bound
+/// leaves room for one more: the first field inversion in the process
+/// builds the GF(2^8) tables if no kernel has needed them yet.
+#[test]
+fn decoding_a_generation_reserves_once() {
+    for g in [32, 4] {
+        let config = GenerationConfig::new(1460, g).expect("valid layout");
+        let mut rng = StdRng::seed_from_u64(0xDEC0_0DE5);
+        let mut data = vec![0u8; config.generation_payload()];
+        rng.fill(&mut data[..]);
+        let encoder = GenerationEncoder::new(config, &data).expect("valid generation");
+        let session = SessionId::new(46);
+        let packets: Vec<_> = (0..2 * g)
+            .map(|_| encoder.coded_packet(session, 0, &mut rng))
+            .collect();
+        let mut decoder = GenerationDecoder::new(config);
+        let allocs = heap_ops_during(|| {
+            for pkt in &packets {
+                decoder
+                    .receive(pkt.coefficients(), pkt.payload())
+                    .expect("layout matches");
+            }
+        });
+        assert!(decoder.is_complete());
+        assert_eq!(decoder.decoded_payload().expect("full rank"), data);
+        assert!(
+            allocs <= 2,
+            "receive over one generation at g = {g} cost {allocs} heap ops"
+        );
+    }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the RLNC codec.
 
-use ncvnf_gf256::bulk;
+use ncvnf_gf256::{bulk, Field, Gf256};
 use ncvnf_rlnc::{
     CodedPacket, GenerationConfig, GenerationDecoder, GenerationEncoder, ObjectDecoder,
     ObjectEncoder, PayloadPool, RankTracker, ReceiveOutcome, Recoder, SessionId,
@@ -126,6 +126,62 @@ proptest! {
         prop_assert_eq!(&dec.decoded_payload().unwrap()[..], &data[..]);
     }
 
+    /// The decoder agrees with a textbook elimination packet by packet:
+    /// whatever mix of dense, systematic, duplicate, scaled-duplicate and
+    /// all-zero-coefficient packets it is fed, its outcome and missing
+    /// columns after every packet are [`Reference`]'s, and at full rank it
+    /// yields the source bytes.
+    #[test]
+    fn decoder_matches_reference_elimination(
+        g in prop_oneof![Just(1usize), Just(2), Just(4), Just(7), Just(32)],
+        block in 1usize..40,
+        seed in any::<u64>(),
+        kinds in prop::collection::vec(0u8..5, 0..80),
+        scale in 2u8..=255,
+    ) {
+        let cfg = GenerationConfig::new(block, g).unwrap();
+        let session = SessionId::new(4);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut data = vec![0u8; cfg.generation_payload()];
+        rng.fill(&mut data[..]);
+        let enc = GenerationEncoder::new(cfg, &data).unwrap();
+        let mut dec = GenerationDecoder::new(cfg);
+        let mut reference = Reference::new(g);
+        let mut last = enc.coded_packet(session, 0, &mut rng);
+        // The scripted mix, then dense packets to full rank, then a few
+        // more past it.
+        let mut script = kinds.into_iter();
+        let mut extra = 3;
+        while extra > 0 {
+            let (coeffs, payload) = match script.next() {
+                Some(1) => {
+                    let pkt = enc.systematic_packet(session, 0, rng.gen_range(0..g));
+                    (pkt.coefficients().to_vec(), pkt.payload().to_vec())
+                }
+                Some(2) => (last.coefficients().to_vec(), last.payload().to_vec()),
+                Some(3) => {
+                    let mut coeffs = last.coefficients().to_vec();
+                    let mut payload = last.payload().to_vec();
+                    bulk::scale_slice(&mut coeffs, scale);
+                    bulk::scale_slice(&mut payload, scale);
+                    (coeffs, payload)
+                }
+                Some(4) => (vec![0u8; g], last.payload().to_vec()),
+                _ => {
+                    last = enc.coded_packet(session, 0, &mut rng);
+                    (last.coefficients().to_vec(), last.payload().to_vec())
+                }
+            };
+            let outcome = dec.receive(&coeffs, &payload).unwrap();
+            prop_assert_eq!(outcome, reference.receive(&coeffs, &payload));
+            prop_assert_eq!(dec.missing_columns(), reference.missing_columns());
+            if dec.is_complete() {
+                prop_assert_eq!(&dec.decoded_payload().unwrap()[..], &data[..]);
+                extra -= 1;
+            }
+        }
+    }
+
     /// Decoder rank equals g exactly when decoding succeeds; feeding only
     /// k < g distinct systematic packets never completes.
     #[test]
@@ -181,5 +237,62 @@ proptest! {
             prop_assert!(rounds < 50, "object decode failed to converge");
         }
         prop_assert_eq!(dec.into_object().unwrap(), object);
+    }
+}
+
+/// A textbook decoder: augmented rows `[coefficients | payload]` kept in
+/// reduced row echelon form, one scalar [`Gf256`] operation at a time.
+struct Reference {
+    g: usize,
+    rows: Vec<Vec<Gf256>>,
+    pivots: Vec<usize>,
+}
+
+impl Reference {
+    fn new(g: usize) -> Self {
+        Reference {
+            g,
+            rows: Vec::new(),
+            pivots: Vec::new(),
+        }
+    }
+
+    fn receive(&mut self, coefficients: &[u8], payload: &[u8]) -> ReceiveOutcome {
+        if self.rows.len() == self.g {
+            return ReceiveOutcome::AlreadyComplete;
+        }
+        let mut row: Vec<Gf256> = coefficients
+            .iter()
+            .chain(payload)
+            .map(|&b| Gf256::new(b))
+            .collect();
+        for (held, &pivot) in self.rows.iter().zip(&self.pivots) {
+            let factor = row[pivot];
+            for (x, &h) in row.iter_mut().zip(held) {
+                *x -= factor * h;
+            }
+        }
+        let Some(pivot) = row[..self.g].iter().position(|&x| x != Gf256::ZERO) else {
+            return ReceiveOutcome::Redundant;
+        };
+        let inv = row[pivot].inv();
+        for x in &mut row {
+            *x *= inv;
+        }
+        for held in &mut self.rows {
+            let factor = held[pivot];
+            for (h, &x) in held.iter_mut().zip(&row) {
+                *h -= factor * x;
+            }
+        }
+        self.rows.push(row);
+        self.pivots.push(pivot);
+        ReceiveOutcome::Innovative {
+            rank: self.rows.len(),
+        }
+    }
+
+    fn missing_columns(&self) -> Vec<usize> {
+        (0..self.g).filter(|c| !self.pivots.contains(c)).collect()
     }
 }

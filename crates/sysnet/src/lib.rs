@@ -144,6 +144,12 @@ pub fn disable_gro(sock: &UdpSocket) {
     imp::set_gro(sock, false);
 }
 
+/// Asks for a receive queue of `bytes` (`SO_RCVBUF`; Linux caps the
+/// request at `net.core.rmem_max`); whether the kernel took the request.
+pub fn set_recv_buffer(sock: &UdpSocket, bytes: usize) -> bool {
+    imp::set_recv_buffer(sock, bytes)
+}
+
 /// Zeroed bytes in an anonymous private mapping of their own (heap
 /// elsewhere): initialized, yet a page is resident only once written.
 pub struct Area {
@@ -275,6 +281,7 @@ mod imp {
     const SOCK_DGRAM: i32 = 2;
     const SOCK_CLOEXEC: i32 = 0o2000000;
     const SOL_SOCKET: i32 = 1;
+    const SO_RCVBUF: i32 = 8;
     const SO_REUSEPORT: i32 = 15;
     const SOL_UDP: i32 = 17;
     const UDP_SEGMENT: i32 = 103;
@@ -501,6 +508,11 @@ mod imp {
 
     pub(super) fn set_gro(sock: &UdpSocket, on: bool) -> bool {
         set_int(sock.as_raw_fd(), SOL_UDP, UDP_GRO, i32::from(on))
+    }
+
+    pub(super) fn set_recv_buffer(sock: &UdpSocket, bytes: usize) -> bool {
+        let bytes = i32::try_from(bytes).unwrap_or(i32::MAX);
+        set_int(sock.as_raw_fd(), SOL_SOCKET, SO_RCVBUF, bytes)
     }
 
     impl Area {
@@ -779,6 +791,10 @@ mod imp {
     }
 
     pub(super) fn set_gro(_sock: &UdpSocket, _on: bool) -> bool {
+        false
+    }
+
+    pub(super) fn set_recv_buffer(_sock: &UdpSocket, _bytes: usize) -> bool {
         false
     }
 
@@ -1232,6 +1248,44 @@ mod tests {
         assert_eq!(got.len(), 4);
         assert!(got[3].is_empty(), "the cut rest is one empty datagram");
         assert_eq!(oversize, [Vec::<u8>::new()]);
+    }
+
+    /// The receive queue the kernel reports (`SO_RCVBUF`).
+    fn recv_queue(sock: &UdpSocket) -> i32 {
+        extern "C" {
+            fn getsockopt(fd: i32, level: i32, name: i32, val: *mut u8, len: *mut u32) -> i32;
+        }
+        const SOL_SOCKET: i32 = 1;
+        const SO_RCVBUF: i32 = 8;
+        let mut value = [0u8; 4];
+        let mut len = 4u32;
+        // SAFETY: the value pointer is 4 live bytes and `len` says so.
+        let rc = unsafe {
+            getsockopt(
+                sock.as_raw_fd(),
+                SOL_SOCKET,
+                SO_RCVBUF,
+                value.as_mut_ptr(),
+                &mut len,
+            )
+        };
+        assert_eq!(rc, 0, "SO_RCVBUF: {}", io::Error::last_os_error());
+        i32::from_ne_bytes(value)
+    }
+
+    #[test]
+    fn a_larger_receive_queue_is_granted() {
+        let (rx, _) = receiver("127.0.0.1:0");
+        let default = recv_queue(&rx);
+        assert!(set_recv_buffer(&rx, 4 << 20));
+        // Linux doubles the granted request for its bookkeeping, so even
+        // a request capped at a `net.core.rmem_max` equal to the default
+        // ends above it.
+        assert!(
+            recv_queue(&rx) > default,
+            "{} <= {default}",
+            recv_queue(&rx)
+        );
     }
 
     #[test]
