@@ -19,7 +19,7 @@ use ncvnf_dataplane::{
     CodingCostModel, CodingVnf, ObjectSource, ReceiverNode, SourceConfig, VnfNode, VnfRole,
     NC_DATA_PORT, NC_FEEDBACK_PORT,
 };
-use ncvnf_flowgraph::{multicast, Graph};
+use ncvnf_flowgraph::{multicast, Graph, NodeId};
 use ncvnf_netsim::{
     Addr, LinkConfig, LinkId, LossModel, SimDuration, SimNodeId, SimTime, Simulator,
 };
@@ -343,9 +343,9 @@ pub fn run_for(params: &ButterflyParams, secs: u64) -> RunOutcome {
     }
 }
 
-/// The theoretical multicast capacity of the butterfly via max-flow
-/// (Ford–Fulkerson): 69.9 Mbps at the paper's link capacities.
-pub fn theoretical_capacity_mbps(link_bps: f64) -> f64 {
+/// The butterfly as a flow graph with capacities in Mbps: the graph, the
+/// source and the two receivers.
+fn flow_graph(link_bps: f64) -> (Graph, NodeId, [NodeId; 2]) {
     let mut g = Graph::new();
     let v1 = g.add_node("V1");
     let o1 = g.add_node("O1");
@@ -368,7 +368,21 @@ pub fn theoretical_capacity_mbps(link_bps: f64) -> f64 {
     ] {
         g.add_edge(a, b, cap, 1.0).expect("valid edge");
     }
-    multicast::coded_capacity(&g, v1, &[o2, c2])
+    (g, v1, [o2, c2])
+}
+
+/// The theoretical multicast capacity of the butterfly via max-flow
+/// (Ford–Fulkerson): 69.9 Mbps at the paper's link capacities.
+pub fn theoretical_capacity_mbps(link_bps: f64) -> f64 {
+    let (g, source, receivers) = flow_graph(link_bps);
+    multicast::coded_capacity(&g, source, &receivers)
+}
+
+/// The best any routing-only scheme reaches on the butterfly (optimal
+/// Steiner-tree packing): 52.4 Mbps at the paper's link capacities.
+pub fn routing_capacity_mbps(link_bps: f64) -> f64 {
+    let (g, source, receivers) = flow_graph(link_bps);
+    multicast::routing_capacity(&g, source, &receivers, 512).expect("tree packing solves")
 }
 
 #[cfg(test)]

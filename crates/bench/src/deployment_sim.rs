@@ -328,6 +328,11 @@ pub fn instantiate(
 
 /// Runs the instantiated deployment for `secs` and returns the measured
 /// per-session goodput (min over receivers, Mbps, steady bins).
+///
+/// # Panics
+///
+/// Panics if a receiver's window — from 2 s to `secs` or to when its
+/// object finished, whichever is first — holds no bin.
 pub fn measure_goodput(deployed: &mut DeployedSim, secs: u64) -> Vec<f64> {
     deployed
         .sim
@@ -341,20 +346,22 @@ pub fn measure_goodput(deployed: &mut DeployedSim, secs: u64) -> Vec<f64> {
                 .node_as::<ReceiverNode>(rx)
                 .expect("receiver node");
             let series = r.goodput().mbps();
-            let lo = 2.min(series.len());
             // Exclude warmup and anything after the object finished
             // (post-completion bins are structurally zero).
+            let lo = 2;
             let hi = r
                 .completed_at()
                 .map(|t| t.as_secs_f64().floor() as usize)
                 .unwrap_or(series.len())
-                .min(series.len())
-                .max(lo);
-            let mean = if hi > lo {
-                series[lo..hi].iter().map(|&(_, v)| v).sum::<f64>() / (hi - lo) as f64
-            } else {
-                0.0
-            };
+                .min(series.len());
+            assert!(
+                hi > lo,
+                "receiver {rx:?}: measurement window [{lo}, {hi}) s is empty \
+                 (object done at {:?}, {} bins); size the object to outlast the run",
+                r.completed_at(),
+                series.len()
+            );
+            let mean = series[lo..hi].iter().map(|&(_, v)| v).sum::<f64>() / (hi - lo) as f64;
             session_min = session_min.min(mean);
         }
         out.push(if session_min.is_finite() {

@@ -12,15 +12,20 @@ use crate::report::{fmt, render_csv, render_table, ExperimentResult};
 use ncvnf_netsim::LossModel;
 
 /// Buffer sizes swept (generations).
-pub const BUFFER_SIZES: [usize; 8] = [2, 8, 32, 64, 128, 256, 1024, 2048];
+const BUFFER_SIZES: [usize; 8] = [2, 8, 32, 64, 128, 256, 1024, 2048];
 
-/// Runs the sweep; `quick` shortens the simulated window.
+/// Runs the sweep; `quick` shortens the simulated window and keeps the
+/// tiny buffer, the knee and the paper's 1024 against twice that.
 pub fn run(quick: bool) -> ExperimentResult {
-    let secs = if quick { 8 } else { 20 };
+    let (secs, sizes): (u64, &[usize]) = if quick {
+        (6, &[2, 32, 1024, 2048])
+    } else {
+        (20, &BUFFER_SIZES)
+    };
     // Size the object to outlast the measurement window (~70 Mbps x secs).
     let object = 11_000_000 * secs as usize;
     let mut rows = Vec::new();
-    for &buf in &BUFFER_SIZES {
+    for &buf in sizes {
         let params = ButterflyParams {
             buffer_generations: buf,
             bottleneck_loss: LossModel::uniform(0.10),

@@ -4,7 +4,9 @@
 //! enabling coding pushes throughput to ≈ the Ford–Fulkerson bound of
 //! 69.9 Mbps while non-NC relays sit in between and direct TCP lags.
 
-use crate::butterfly::{run_for, theoretical_capacity_mbps, ButterflyParams, LINK_BPS};
+use crate::butterfly::{
+    routing_capacity_mbps, run_for, theoretical_capacity_mbps, ButterflyParams, LINK_BPS,
+};
 use crate::report::{fmt, render_csv, render_table, ExperimentResult};
 use ncvnf_netsim::tcp::{TcpReceiver, TcpSender, TCP_PORT};
 use ncvnf_netsim::{Addr, LinkConfig, SimDuration, SimNodeId, SimTime, Simulator};
@@ -86,8 +88,9 @@ pub fn run(quick: bool) -> ExperimentResult {
     let headers = ["time_s", "nc_mbps", "non_nc_mbps", "direct_tcp_mbps"];
     let mut rendered = String::new();
     rendered.push_str(&format!(
-        "theoretical maximum (Ford-Fulkerson): {} Mbps\n",
-        fmt(cap, 1)
+        "theoretical maximum (Ford-Fulkerson): {} Mbps; routing-only bound (Steiner packing): {} Mbps\n",
+        fmt(cap, 1),
+        fmt(routing_capacity_mbps(LINK_BPS), 1)
     ));
     rendered.push_str(&render_table(&headers, &rows));
     let tcp_mean = if bins > 2 {

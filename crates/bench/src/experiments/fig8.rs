@@ -11,43 +11,52 @@ use ncvnf_netsim::LossModel;
 use ncvnf_rlnc::RedundancyPolicy;
 
 /// Loss rates swept (fraction).
-pub const LOSS_RATES: [f64; 6] = [0.0, 0.10, 0.20, 0.30, 0.40, 0.50];
+const LOSS_RATES: [f64; 6] = [0.0, 0.10, 0.20, 0.30, 0.40, 0.50];
 
-fn one(loss: f64, policy: RedundancyPolicy, coding: bool, secs: u64, object: usize) -> f64 {
-    let params = ButterflyParams {
-        redundancy: policy,
-        coding,
-        systematic_source: !coding,
-        bottleneck_loss: if loss > 0.0 {
-            LossModel::uniform(loss)
-        } else {
-            LossModel::None
-        },
-        object_len: object,
-        ..Default::default()
-    };
-    run_for(&params, secs).steady_mbps
-}
-
-/// Runs the loss sweep for all four configurations.
-pub fn run(quick: bool) -> ExperimentResult {
-    let secs = if quick { 8 } else { 20 };
+/// One row per point of a loss sweep on the bottleneck: the point in
+/// percent, then NC0, NC1, NC2 and non-NC steady throughput (Mbps).
+/// `model` turns a non-zero point (a fraction) into the loss model.
+pub(crate) fn loss_sweep(
+    points: &[f64],
+    model: fn(f64) -> LossModel,
+    secs: u64,
+) -> Vec<Vec<String>> {
     // Size the object to outlast the measurement window (~70 Mbps x secs).
     let object = 11_000_000 * secs as usize;
+    let configs = [
+        (RedundancyPolicy::NC0, true),
+        (RedundancyPolicy::NC1, true),
+        (RedundancyPolicy::NC2, true),
+        (RedundancyPolicy::NC0, false),
+    ];
     let mut rows = Vec::new();
-    for &loss in &LOSS_RATES {
-        let nc0 = one(loss, RedundancyPolicy::NC0, true, secs, object);
-        let nc1 = one(loss, RedundancyPolicy::NC1, true, secs, object);
-        let nc2 = one(loss, RedundancyPolicy::NC2, true, secs, object);
-        let plain = one(loss, RedundancyPolicy::NC0, false, secs, object);
-        rows.push(vec![
-            fmt(loss * 100.0, 0),
-            fmt(nc0, 2),
-            fmt(nc1, 2),
-            fmt(nc2, 2),
-            fmt(plain, 2),
-        ]);
+    for &x in points {
+        let mut row = vec![fmt(x * 100.0, 0)];
+        for (redundancy, coding) in configs {
+            let params = ButterflyParams {
+                redundancy,
+                coding,
+                systematic_source: !coding,
+                bottleneck_loss: if x > 0.0 { model(x) } else { LossModel::None },
+                object_len: object,
+                ..Default::default()
+            };
+            row.push(fmt(run_for(&params, secs).steady_mbps, 2));
+        }
+        rows.push(row);
     }
+    rows
+}
+
+/// Runs the loss sweep for all four configurations; `quick` shortens the
+/// simulated window and keeps the sweep's two ends.
+pub fn run(quick: bool) -> ExperimentResult {
+    let (secs, rates): (u64, &[f64]) = if quick {
+        (6, &[0.0, 0.50])
+    } else {
+        (20, &LOSS_RATES)
+    };
+    let rows = loss_sweep(rates, LossModel::uniform, secs);
     let headers = [
         "loss_pct",
         "nc0_mbps",
@@ -55,11 +64,10 @@ pub fn run(quick: bool) -> ExperimentResult {
         "nc2_mbps",
         "non_nc_mbps",
     ];
-    let rendered = render_table(&headers, &rows);
     ExperimentResult {
         id: "fig8".into(),
         title: "Fig. 8: throughput vs uniform bottleneck loss (NC0/NC1/NC2/non-NC)".into(),
-        rendered,
+        rendered: render_table(&headers, &rows),
         csv: render_csv(&headers, &rows),
     }
 }

@@ -3,55 +3,27 @@
 //! The paper's burst process: "the loss rate of the n-th packet is
 //! `Pₙ = 25% × Pₙ₋₁ + P`, `P₀ = 0`, and `P` ranges from 0% to 5%."
 
-use crate::butterfly::{run_for, ButterflyParams};
-use crate::report::{fmt, render_csv, render_table, ExperimentResult};
+use crate::experiments::fig8::loss_sweep;
+use crate::report::{render_csv, render_table, ExperimentResult};
 use ncvnf_netsim::LossModel;
-use ncvnf_rlnc::RedundancyPolicy;
 
 /// Burst base rates `P` swept (fraction).
-pub const BURST_P: [f64; 6] = [0.0, 0.01, 0.02, 0.03, 0.04, 0.05];
+const BURST_P: [f64; 6] = [0.0, 0.01, 0.02, 0.03, 0.04, 0.05];
 
-fn one(p: f64, policy: RedundancyPolicy, coding: bool, secs: u64, object: usize) -> f64 {
-    let params = ButterflyParams {
-        redundancy: policy,
-        coding,
-        systematic_source: !coding,
-        bottleneck_loss: if p > 0.0 {
-            LossModel::paper_burst(p)
-        } else {
-            LossModel::None
-        },
-        object_len: object,
-        ..Default::default()
-    };
-    run_for(&params, secs).steady_mbps
-}
-
-/// Runs the burst-loss sweep for all four configurations.
+/// Runs the burst-loss sweep for all four configurations; `quick`
+/// shortens the simulated window and keeps the sweep's two ends.
 pub fn run(quick: bool) -> ExperimentResult {
-    let secs = if quick { 8 } else { 20 };
-    // Size the object to outlast the measurement window (~70 Mbps x secs).
-    let object = 11_000_000 * secs as usize;
-    let mut rows = Vec::new();
-    for &p in &BURST_P {
-        let nc0 = one(p, RedundancyPolicy::NC0, true, secs, object);
-        let nc1 = one(p, RedundancyPolicy::NC1, true, secs, object);
-        let nc2 = one(p, RedundancyPolicy::NC2, true, secs, object);
-        let plain = one(p, RedundancyPolicy::NC0, false, secs, object);
-        rows.push(vec![
-            fmt(p * 100.0, 0),
-            fmt(nc0, 2),
-            fmt(nc1, 2),
-            fmt(nc2, 2),
-            fmt(plain, 2),
-        ]);
-    }
+    let (secs, rates): (u64, &[f64]) = if quick {
+        (6, &[0.0, 0.05])
+    } else {
+        (20, &BURST_P)
+    };
+    let rows = loss_sweep(rates, LossModel::paper_burst, secs);
     let headers = ["P_pct", "nc0_mbps", "nc1_mbps", "nc2_mbps", "non_nc_mbps"];
-    let rendered = render_table(&headers, &rows);
     ExperimentResult {
         id: "fig9".into(),
         title: "Fig. 9: throughput vs burst loss P (Pn = 0.25*Pn-1 + P)".into(),
-        rendered,
+        rendered: render_table(&headers, &rows),
         csv: render_csv(&headers, &rows),
     }
 }

@@ -18,7 +18,7 @@ use ncvnf_deploy::Planner;
 /// Runs the validation for a few workload seeds.
 pub fn run(quick: bool) -> ExperimentResult {
     let seeds: &[u64] = if quick { &[3] } else { &[3, 8, 15] };
-    let secs = if quick { 8 } else { 15 };
+    let secs = if quick { 6 } else { 15 };
     let planner = Planner::new();
     let mut rows = Vec::new();
     for &seed in seeds {
@@ -27,12 +27,14 @@ pub fn run(quick: bool) -> ExperimentResult {
         let dep = planner
             .plan(&w.topology, &w.sessions, 20e6)
             .expect("plan solves");
+        // The fastest session's object outlasts the window by a quarter.
+        let fastest_bps = dep.rates.iter().copied().fold(0.0, f64::max);
         let mut deployed = instantiate(
             &w.topology,
             &w.sessions,
             &dep,
             &InstantiateOptions {
-                object_len: 30_000_000 * secs as usize / 8,
+                object_len: (fastest_bps * 1.25 / 8.0) as usize * secs as usize,
                 ..Default::default()
             },
         );

@@ -3,8 +3,10 @@
 //! Each table and figure has a module under [`experiments`] with a
 //! `run(quick)` entry point that generates the paper's rows/series from
 //! this repository's own implementation. The `quick` flag shrinks
-//! durations so the whole suite can run in CI; the `repro_all` binary
-//! runs everything at full scale and writes `results/`.
+//! durations and sweeps so the whole suite can run in CI. The one entry
+//! point is the `repro_all [--quick] [<id>…]` binary: it runs the
+//! harnesses whose result ids are given (all of them by default) and
+//! writes `results/<id>.csv`.
 //!
 //! How fast a layer runs is not measured here: `ncbench/` (its own
 //! workspace, declared in `BENCHMARK.json`) is the one instrument, and

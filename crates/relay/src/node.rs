@@ -54,7 +54,7 @@ use ncvnf_rlnc::{GenerationConfig, PoolMetrics, PoolStats, SessionId};
 use crate::engine::{relay_flush, BatchScratch, RelayEngine, RelayShard};
 use crate::metrics::{BatchCells, RelayNodeMetrics};
 use crate::overload::QuotaConfig;
-use crate::socket::{is_timeout, DatagramSocket, RecvBatch, MAX_BATCH};
+use crate::socket::{is_timeout, DatagramSocket, RecvBatch, DATA_RECV_BUFFER, MAX_BATCH};
 
 /// Liveness beaconing: where and how often a relay announces it is alive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -577,14 +577,18 @@ impl RelayNode {
     }
 }
 
-/// Binds `n` loopback data sockets, and whether they have `UDP_GRO` on:
-/// all of them or, if one refuses, none — so no socket hands a burst to
-/// an entry sized for one datagram. For `n > 1` they share one port via
+/// Binds `n` loopback data sockets, each asking for a
+/// [`DATA_RECV_BUFFER`] receive queue, and whether they have `UDP_GRO`
+/// on: all of them or, if one refuses, none — so no socket hands a burst
+/// to an entry sized for one datagram. For `n > 1` they share one port via
 /// `SO_REUSEPORT`; where that is unavailable (non-Linux), falls back to
 /// a single shared socket — engine sharding still applies, only ingress
 /// parallelism degrades.
 fn bind_shard_sockets(n: usize) -> std::io::Result<(Vec<UdpSocket>, bool)> {
-    let with_gro = |sockets: Vec<UdpSocket>| {
+    let configure = |sockets: Vec<UdpSocket>| {
+        for s in &sockets {
+            ncvnf_sysnet::set_recv_buffer(s, DATA_RECV_BUFFER);
+        }
         let gro = sockets.iter().all(ncvnf_sysnet::enable_gro);
         if !gro {
             sockets.iter().for_each(ncvnf_sysnet::disable_gro);
@@ -603,12 +607,12 @@ fn bind_shard_sockets(n: usize) -> std::io::Result<(Vec<UdpSocket>, bool)> {
                     }
                 }
                 if sockets.len() == n {
-                    return with_gro(sockets);
+                    return configure(sockets);
                 }
             }
         }
     }
-    with_gro(vec![UdpSocket::bind(("127.0.0.1", 0))?])
+    configure(vec![UdpSocket::bind(("127.0.0.1", 0))?])
 }
 
 /// Bytes per receive slot of a data thread: the largest datagram `layout`
