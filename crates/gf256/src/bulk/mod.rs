@@ -17,8 +17,10 @@
 //!   field's 0x11D polynomial rules out the hardwired-0x11B `gf2p8mulb`).
 //!
 //! Every tier has four entries: `mul`, `mul_add`, `scale` and the fused
-//! row kernel `dst ^= Σ cᵢ·rowᵢ` ([`mul_add_rows`]) that every
-//! many-rows-into-one accumulation goes through. The x86 tiers take their
+//! row kernel `dst_d ^= Σ c_{i,d}·rowᵢ` for one to four destinations
+//! ([`mul_add_rows_multi`]), which reads each source row once for all of
+//! them. Every many-rows-into-one accumulation goes through it:
+//! [`mul_add_rows`] is its one-destination case. The x86 tiers take their
 //! per-coefficient operands (nibble tables, affine matrices) from
 //! tables built at compile time and finish a slice's tail in-register, so
 //! a call costs nothing beyond its bytes.
@@ -141,7 +143,22 @@ impl KernelTier {
         dst: &mut [u8],
         rows: impl IntoIterator<Item = (u8, &'a R)>,
     ) {
-        batch_rows(self.ops(), dst, rows);
+        batch_rows(self.ops(), &mut [dst], one_destination(rows));
+    }
+
+    /// `dsts[d] ^= Σ cᵢ[d]·rowᵢ` using this tier specifically (see
+    /// [`mul_add_rows_multi`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`mul_add_rows_multi`], or if the tier is unsupported here.
+    pub fn mul_add_rows_multi<'a, C: AsRef<[u8]>, R: AsRef<[u8]> + ?Sized + 'a>(
+        self,
+        dsts: &mut [&mut [u8]],
+        rows: impl IntoIterator<Item = (C, &'a R)>,
+    ) {
+        let count = dsts.len();
+        batch_rows(self.ops(), dsts, widen(count, rows));
     }
 
     /// `dst[i] = c * dst[i]` using this tier specifically.
@@ -178,14 +195,19 @@ impl KernelTier {
     }
 }
 
-/// One term of a row combination as the tier kernels take it: a
-/// coefficient and the row it scales.
-pub(crate) type Row<'a> = (u8, &'a [u8]);
+/// Destinations one row-kernel pass accumulates into at most.
+pub const MAX_DESTINATIONS: usize = 4;
+
+/// One term of a row combination as the tier kernels take it: the
+/// coefficient for each destination (lanes past the destination count
+/// are zero) and the row they scale.
+pub(crate) type Row<'a> = ([u8; MAX_DESTINATIONS], &'a [u8]);
 
 /// The entry points of one kernel tier (`add_slice` is coefficient-free
 /// and shared by all tiers). The single-row entries are only reached with
-/// `c >= 2`, `mul_add_rows` with every `c >= 1` and every row as long as
-/// `dst` — the dispatch layer below handles the rest.
+/// `c >= 2`; `mul_add_rows` with 1 to [`MAX_DESTINATIONS`] destinations
+/// of one length, every row as long and no row whose coefficients are
+/// all zero — the dispatch layer below handles the rest.
 pub(crate) struct Ops {
     /// `dst[..] = c * src[..]`.
     pub(crate) mul: fn(&mut [u8], &[u8], u8),
@@ -193,8 +215,8 @@ pub(crate) struct Ops {
     pub(crate) mul_add: fn(&mut [u8], &[u8], u8),
     /// `dst[..] = c * dst[..]`.
     pub(crate) scale: fn(&mut [u8], u8),
-    /// `dst[..] ^= Σ c * row[..]` over at most [`ROW_BATCH`] rows.
-    pub(crate) mul_add_rows: fn(&mut [u8], &[Row<'_>]),
+    /// `dsts[d][..] ^= Σ c[d] * row[..]` over at most [`ROW_BATCH`] rows.
+    pub(crate) mul_add_rows: fn(&mut [&mut [u8]], &[Row<'_>]),
 }
 
 static SCALAR_OPS: Ops = Ops {
@@ -370,11 +392,12 @@ pub fn mul_add_slice(dst: &mut [u8], src: &[u8], c: u8) {
 const ROW_BATCH: usize = 32;
 
 /// `dst ^= Σ cᵢ·rowᵢ` over `(coefficient, row)` pairs — one coded packet
-/// from a generation, one recombination of a recoder's buffer, or one
-/// elimination pass of a decoder, in a single fused kernel call per
-/// 32 rows: `dst` is loaded and stored once per call instead of
-/// once per row. Zero coefficients are skipped; nothing is allocated.
-/// Rows are anything that derefs to bytes (`&[u8]`, `&Vec<u8>`, arrays).
+/// from a generation or one recombination of a recoder's buffer, in a
+/// single fused kernel call per 32 rows: `dst` is loaded and stored once
+/// per call instead of once per row. The one-destination case of
+/// [`mul_add_rows_multi`]. Zero coefficients are skipped; nothing is
+/// allocated. Rows are anything that derefs to bytes (`&[u8]`,
+/// `&Vec<u8>`, arrays).
 ///
 /// # Panics
 ///
@@ -393,31 +416,91 @@ pub fn mul_add_rows<'a, R: AsRef<[u8]> + ?Sized + 'a>(
     dst: &mut [u8],
     rows: impl IntoIterator<Item = (u8, &'a R)>,
 ) {
-    batch_rows(active_ops(), dst, rows);
+    batch_rows(active_ops(), &mut [dst], one_destination(rows));
 }
 
-fn batch_rows<'a, R: AsRef<[u8]> + ?Sized + 'a>(
-    ops: &Ops,
-    dst: &mut [u8],
-    rows: impl IntoIterator<Item = (u8, &'a R)>,
+/// `dsts[d] ^= Σ cᵢ[d]·rowᵢ` for every destination `d` at once: each
+/// source row is read once per pass for all of them, so combining the
+/// same rows into several destinations costs one walk over the rows
+/// instead of one per destination. Each item pairs a row with its
+/// coefficients, one per destination (`cᵢ.len() == dsts.len()`). A row
+/// whose coefficients are all zero is skipped; nothing is allocated.
+///
+/// # Panics
+///
+/// Panics unless there are 1 to [`MAX_DESTINATIONS`] destinations, all
+/// of one length, every row is as long and every coefficient slice has
+/// one entry per destination.
+///
+/// # Examples
+///
+/// ```
+/// use ncvnf_gf256::bulk::mul_add_rows_multi;
+/// let rows = [[1u8, 0], [0, 1]];
+/// let (mut a, mut b) = ([0u8; 2], [0u8; 2]);
+/// mul_add_rows_multi(&mut [&mut a, &mut b], [[2, 3], [4, 5]].iter().zip(&rows));
+/// assert_eq!((a, b), ([2, 4], [3, 5]));
+/// ```
+pub fn mul_add_rows_multi<'a, C: AsRef<[u8]>, R: AsRef<[u8]> + ?Sized + 'a>(
+    dsts: &mut [&mut [u8]],
+    rows: impl IntoIterator<Item = (C, &'a R)>,
 ) {
-    let mut batch: [Row<'_>; ROW_BATCH] = [(0, &[]); ROW_BATCH];
+    let count = dsts.len();
+    batch_rows(active_ops(), dsts, widen(count, rows));
+}
+
+/// Single coefficients as the first lane of a kernel coefficient array.
+fn one_destination<'a, R: AsRef<[u8]> + ?Sized + 'a>(
+    rows: impl IntoIterator<Item = (u8, &'a R)>,
+) -> impl Iterator<Item = ([u8; MAX_DESTINATIONS], &'a [u8])> {
+    rows.into_iter()
+        .map(|(c, row)| ([c, 0, 0, 0], row.as_ref()))
+}
+
+/// Per-destination coefficient slices as kernel coefficient arrays.
+fn widen<'a, C: AsRef<[u8]>, R: AsRef<[u8]> + ?Sized + 'a>(
+    count: usize,
+    rows: impl IntoIterator<Item = (C, &'a R)>,
+) -> impl Iterator<Item = ([u8; MAX_DESTINATIONS], &'a [u8])> {
+    rows.into_iter().map(move |(coefficients, row)| {
+        let coefficients = coefficients.as_ref();
+        assert_eq!(coefficients.len(), count, "one coefficient per destination");
+        let mut lanes = [0u8; MAX_DESTINATIONS];
+        lanes[..count].copy_from_slice(coefficients);
+        (lanes, row.as_ref())
+    })
+}
+
+fn batch_rows<'a>(
+    ops: &Ops,
+    dsts: &mut [&mut [u8]],
+    rows: impl Iterator<Item = ([u8; MAX_DESTINATIONS], &'a [u8])>,
+) {
+    assert!(
+        (1..=MAX_DESTINATIONS).contains(&dsts.len()),
+        "1 to {MAX_DESTINATIONS} destinations"
+    );
+    let len = dsts[0].len();
+    assert!(
+        dsts.iter().all(|dst| dst.len() == len),
+        "slice length mismatch"
+    );
+    let mut batch: [Row<'_>; ROW_BATCH] = [([0; MAX_DESTINATIONS], &[]); ROW_BATCH];
     let mut filled = 0;
-    for (c, row) in rows {
-        let row = row.as_ref();
-        assert_eq!(row.len(), dst.len(), "slice length mismatch");
-        if c == 0 {
+    for (coefficients, row) in rows {
+        assert_eq!(row.len(), len, "slice length mismatch");
+        if coefficients == [0; MAX_DESTINATIONS] {
             continue;
         }
-        batch[filled] = (c, row);
+        batch[filled] = (coefficients, row);
         filled += 1;
         if filled == ROW_BATCH {
-            (ops.mul_add_rows)(dst, &batch);
+            (ops.mul_add_rows)(dsts, &batch);
             filled = 0;
         }
     }
     if filled > 0 {
-        (ops.mul_add_rows)(dst, &batch[..filled]);
+        (ops.mul_add_rows)(dsts, &batch[..filled]);
     }
 }
 
@@ -482,6 +565,38 @@ mod tests {
     }
 
     #[test]
+    fn mul_add_rows_multi_gives_each_destination_its_own_column() {
+        let rows = [[1u8, 0, 0], [0, 1, 0], [0, 0, 1]];
+        let mut out = [[0u8; 3]; 4];
+        let [a, b, c, d] = &mut out;
+        let coefficients = [[1u8, 2, 3, 4], [5, 6, 7, 8], [0, 0, 0, 0]];
+        mul_add_rows_multi(&mut [a, b, c, d], coefficients.iter().zip(&rows));
+        assert_eq!(out, [[1, 5, 0], [2, 6, 0], [3, 7, 0], [4, 8, 0]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "1 to 4 destinations")]
+    fn mul_add_rows_multi_rejects_five_destinations() {
+        let mut out = [[0u8; 1]; 5];
+        let [a, b, c, d, e] = &mut out;
+        mul_add_rows_multi(&mut [a, b, c, d, e], [([1u8; 5], &[1u8][..])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one coefficient per destination")]
+    fn mul_add_rows_multi_checks_the_coefficient_count() {
+        let (mut a, mut b) = ([0u8; 2], [0u8; 2]);
+        mul_add_rows_multi(&mut [&mut a, &mut b], [([1u8], &[1u8, 2][..])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn mul_add_rows_multi_checks_destination_lengths() {
+        let (mut a, mut b) = ([0u8; 2], [0u8; 3]);
+        mul_add_rows_multi(&mut [&mut a, &mut b], [([1u8, 1], &[1u8, 2][..])]);
+    }
+
+    #[test]
     fn partial_products_are_the_xtime_ladder() {
         for c in 0..=255u8 {
             let partials = partial_products(c);
@@ -502,8 +617,9 @@ mod tests {
     fn every_supported_tier_matches_the_table() {
         // Exhaustive over (coefficient, byte) for every runnable tier
         // and every entry: 259 bytes is vector body + in-register tail,
-        // 52 (the tail of a 1460-byte payload) is tail only.
-        for len in [259usize, 52] {
+        // 52 (the tail of a 1460-byte payload) is tail only, 32 and 33
+        // are one and two overlapping half-width gfni vectors.
+        for len in [259usize, 52, 32, 33] {
             let src: Vec<u8> = (0..=255u8).cycle().take(len).collect();
             for &tier in compiled_tiers() {
                 if !tier.is_supported() {
@@ -523,6 +639,12 @@ mod tests {
                     let mut got = vec![0u8; len];
                     tier.mul_add_rows(&mut got, [(c, &src[..])]);
                     assert_eq!(got, row_check, "rows tier {} c={c}", tier.name());
+                    let mut got = [vec![0u8; len], vec![0u8; len], vec![0u8; len]];
+                    let [a, b, d] = &mut got;
+                    tier.mul_add_rows_multi(&mut [a, b, d], [([c, 0, c], &src[..])]);
+                    assert_eq!(got[0], row_check, "multi tier {} c={c}", tier.name());
+                    assert_eq!(got[1], vec![0u8; len], "multi tier {}", tier.name());
+                    assert_eq!(got[2], row_check, "multi tier {} c={c}", tier.name());
                     let mut got = src.clone();
                     tier.scale_slice(&mut got, c);
                     assert_eq!(got, row_check, "scale tier {} c={c}", tier.name());

@@ -20,9 +20,13 @@ pub(super) fn mul_add_slice(dst: &mut [u8], src: &[u8], c: u8) {
     }
 }
 
-pub(super) fn mul_add_rows(dst: &mut [u8], rows: &[Row<'_>]) {
-    for &(c, src) in rows {
-        mul_add_slice(dst, src, c);
+pub(super) fn mul_add_rows(dsts: &mut [&mut [u8]], rows: &[Row<'_>]) {
+    for (d, dst) in dsts.iter_mut().enumerate() {
+        for &(c, src) in rows {
+            if c[d] != 0 {
+                mul_add_slice(dst, src, c[d]);
+            }
+        }
     }
 }
 

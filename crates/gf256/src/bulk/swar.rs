@@ -98,9 +98,13 @@ macro_rules! swar_kernel {
 swar_kernel!(mul_slice, |d, p| p);
 swar_kernel!(mul_add_slice, |d, p| xor_chunks(d, p));
 
-pub(super) fn mul_add_rows(dst: &mut [u8], rows: &[Row<'_>]) {
-    for &(c, src) in rows {
-        mul_add_slice(dst, src, c);
+pub(super) fn mul_add_rows(dsts: &mut [&mut [u8]], rows: &[Row<'_>]) {
+    for (d, dst) in dsts.iter_mut().enumerate() {
+        for &(c, src) in rows {
+            if c[d] != 0 {
+                mul_add_slice(dst, src, c[d]);
+            }
+        }
     }
 }
 

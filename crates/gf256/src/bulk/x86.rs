@@ -74,21 +74,36 @@ unsafe fn tables32(c: u8) -> (__m256i, __m256i) {
     )
 }
 
-/// One 16-lane product: `pshufb(lo_tbl, v & 0xF) ^ pshufb(hi_tbl, v >> 4)`.
+/// The low and high nibble of each of 16 lanes, the `pshufb` indices.
 #[inline(always)]
-unsafe fn mul16(v: __m128i, (lo_tbl, hi_tbl): (__m128i, __m128i)) -> __m128i {
+unsafe fn split16(v: __m128i) -> (__m128i, __m128i) {
     let low_mask = _mm_set1_epi8(0x0F);
-    let lo = _mm_and_si128(v, low_mask);
-    let hi = _mm_and_si128(_mm_srli_epi64::<4>(v), low_mask);
+    (
+        _mm_and_si128(v, low_mask),
+        _mm_and_si128(_mm_srli_epi64::<4>(v), low_mask),
+    )
+}
+
+/// One 16-lane product of split lanes:
+/// `pshufb(lo_tbl, lo) ^ pshufb(hi_tbl, hi)`.
+#[inline(always)]
+unsafe fn lookup16((lo, hi): (__m128i, __m128i), (lo_tbl, hi_tbl): (__m128i, __m128i)) -> __m128i {
     _mm_xor_si128(_mm_shuffle_epi8(lo_tbl, lo), _mm_shuffle_epi8(hi_tbl, hi))
 }
 
-/// One 32-lane product via `vpshufb` on broadcast nibble tables.
+/// [`split16`] on 32 lanes.
 #[inline(always)]
-unsafe fn mul32(v: __m256i, (lo_tbl, hi_tbl): (__m256i, __m256i)) -> __m256i {
+unsafe fn split32(v: __m256i) -> (__m256i, __m256i) {
     let low_mask = _mm256_set1_epi8(0x0F);
-    let lo = _mm256_and_si256(v, low_mask);
-    let hi = _mm256_and_si256(_mm256_srli_epi64::<4>(v), low_mask);
+    (
+        _mm256_and_si256(v, low_mask),
+        _mm256_and_si256(_mm256_srli_epi64::<4>(v), low_mask),
+    )
+}
+
+/// [`lookup16`] on 32 lanes, via `vpshufb` on broadcast nibble tables.
+#[inline(always)]
+unsafe fn lookup32((lo, hi): (__m256i, __m256i), (lo_tbl, hi_tbl): (__m256i, __m256i)) -> __m256i {
     _mm256_xor_si256(
         _mm256_shuffle_epi8(lo_tbl, lo),
         _mm256_shuffle_epi8(hi_tbl, hi),
@@ -97,8 +112,9 @@ unsafe fn mul32(v: __m256i, (lo_tbl, hi_tbl): (__m256i, __m256i)) -> __m256i {
 
 macro_rules! pshufb_tier {
     (
-        $tier:ident, $feature:literal, $width:literal,
-        $tables:ident, $mul:ident, $load:ident, $store:ident, $xor:ident
+        $tier:ident, $feature:literal, $width:literal, $vector:ty,
+        $tables:ident, $split:ident, $lookup:ident,
+        $zero:ident, $load:ident, $store:ident, $xor:ident
     ) => {
         pub(super) mod $tier {
             use super::super::scalar;
@@ -148,18 +164,46 @@ macro_rules! pshufb_tier {
                 unsafe { map::<false>(data, data, dst.len(), c) }
             }
 
-            fn mul_add_rows(dst: &mut [u8], rows: &[Row<'_>]) {
+            fn mul_add_rows(dsts: &mut [&mut [u8]], rows: &[Row<'_>]) {
+                let len = dsts[0].len();
                 assert!(
-                    rows.iter().all(|(_, row)| row.len() == dst.len()),
+                    dsts.iter().all(|dst| dst.len() == len)
+                        && rows.iter().all(|(_, row)| row.len() == len),
                     "slice length mismatch"
                 );
-                if dst.len() < WIDTH {
-                    return scalar::mul_add_rows(dst, rows);
+                if len < WIDTH {
+                    return scalar::mul_add_rows(dsts, rows);
                 }
-                // SAFETY: feature as in `mul_slice`; `dst` is at least
-                // `WIDTH` bytes long and every row was just checked to be
-                // exactly as long.
-                unsafe { mul_add_rows_simd(dst, rows) }
+                // SAFETY: feature as in `mul_slice`; every destination is
+                // the same `len >= WIDTH` bytes and every row was just
+                // checked to be exactly as long. The destinations are
+                // distinct `&mut` slices, so they overlap neither each
+                // other nor a row. Each arm passes as many pointers as
+                // the match proved there are destinations.
+                unsafe {
+                    match dsts {
+                        [a] => mul_add_rows_simd::<1, 4>([a.as_mut_ptr()], len, rows),
+                        [a, b] => {
+                            mul_add_rows_simd::<2, 2>([a.as_mut_ptr(), b.as_mut_ptr()], len, rows)
+                        }
+                        [a, b, c] => mul_add_rows_simd::<3, 1>(
+                            [a.as_mut_ptr(), b.as_mut_ptr(), c.as_mut_ptr()],
+                            len,
+                            rows,
+                        ),
+                        [a, b, c, d] => mul_add_rows_simd::<4, 1>(
+                            [
+                                a.as_mut_ptr(),
+                                b.as_mut_ptr(),
+                                c.as_mut_ptr(),
+                                d.as_mut_ptr(),
+                            ],
+                            len,
+                            rows,
+                        ),
+                        _ => unreachable!("the dispatch layer passes 1 to 4 destinations"),
+                    }
+                }
             }
 
             /// `dst[i] = c * src[i]` for `i < len`, or `dst[i] ^= c * src[i]`
@@ -179,13 +223,13 @@ macro_rules! pshufb_tier {
             unsafe fn map<const ADD: bool>(dst: *mut u8, src: *const u8, len: usize, c: u8) {
                 let tables = $tables(c);
                 let last = len - WIDTH;
-                let mut last_out = $mul($load(src.add(last).cast()), tables);
+                let mut last_out = $lookup($split($load(src.add(last).cast())), tables);
                 if ADD {
                     last_out = $xor(last_out, $load(dst.add(last).cast()));
                 }
                 let mut off = 0;
                 while off < last {
-                    let mut out = $mul($load(src.add(off).cast()), tables);
+                    let mut out = $lookup($split($load(src.add(off).cast())), tables);
                     if ADD {
                         out = $xor(out, $load(dst.add(off).cast()));
                     }
@@ -195,59 +239,88 @@ macro_rules! pshufb_tier {
                 $store(dst.add(last).cast(), last_out);
             }
 
-            /// `dst ^= Σ c·row`, keeping four vectors of `dst` in registers
-            /// while walking the rows, then one vector at a time, then the
-            /// vector ending at `len` — accumulated onto `dst` as it was
-            /// before the others were stored, so the bytes it shares with
-            /// its predecessor get the same value twice.
+            /// `dsts[d] ^= Σ c[d]·row` for `D` destinations, keeping `V`
+            /// vectors of each in registers while walking the rows, then
+            /// one vector of each at a time, then the vector ending at
+            /// `len` — accumulated onto each destination as it was before
+            /// the others were stored, so the bytes it shares with its
+            /// predecessor get the same value twice. Each source vector
+            /// is loaded and split into nibbles once for all `D`.
             ///
             /// # Safety
             ///
-            /// The CPU must support this tier's feature, `dst` must be at
-            /// least `WIDTH` bytes long and every row exactly as long as
-            /// `dst`.
+            /// The CPU must support this tier's feature. Every
+            /// destination must be writable and every row readable for
+            /// `len >= WIDTH` bytes, and no destination may overlap
+            /// another or a row.
             #[target_feature(enable = $feature)]
-            unsafe fn mul_add_rows_simd(dst: &mut [u8], rows: &[Row<'_>]) {
-                let len = dst.len();
-                let dst = dst.as_mut_ptr();
+            unsafe fn mul_add_rows_simd<const D: usize, const V: usize>(
+                dsts: [*mut u8; D],
+                len: usize,
+                rows: &[Row<'_>],
+            ) {
                 let last = len - WIDTH;
-                let mut last_acc = $load(dst.add(last).cast());
+                let mut last_acc = [$zero(); D];
+                for (acc, dst) in last_acc.iter_mut().zip(&dsts) {
+                    *acc = $load(dst.add(last).cast());
+                }
                 let mut off = 0;
-                while off + 4 * WIDTH <= len {
-                    let d = dst.add(off);
-                    let mut acc = [
-                        $load(d.cast()),
-                        $load(d.add(WIDTH).cast()),
-                        $load(d.add(2 * WIDTH).cast()),
-                        $load(d.add(3 * WIDTH).cast()),
-                    ];
-                    for &(c, row) in rows {
-                        let tables = $tables(c);
-                        let s = row.as_ptr().add(off);
-                        for (k, a) in acc.iter_mut().enumerate() {
-                            *a = $xor(*a, $mul($load(s.add(k * WIDTH).cast()), tables));
-                        }
-                    }
-                    for (k, a) in acc.iter().enumerate() {
-                        $store(d.add(k * WIDTH).cast(), *a);
-                    }
-                    off += 4 * WIDTH;
+                while off + V * WIDTH <= len {
+                    block::<D, V>(&dsts, off, rows);
+                    off += V * WIDTH;
                 }
                 while off + WIDTH <= len {
-                    let mut acc = $load(dst.add(off).cast());
-                    for &(c, row) in rows {
-                        let v = $load(row.as_ptr().add(off).cast());
-                        acc = $xor(acc, $mul(v, $tables(c)));
-                    }
-                    $store(dst.add(off).cast(), acc);
+                    block::<D, 1>(&dsts, off, rows);
                     off += WIDTH;
                 }
                 if off < len {
                     for &(c, row) in rows {
-                        let v = $load(row.as_ptr().add(last).cast());
-                        last_acc = $xor(last_acc, $mul(v, $tables(c)));
+                        let split = $split($load(row.as_ptr().add(last).cast()));
+                        for (acc, &c) in last_acc.iter_mut().zip(&c) {
+                            *acc = $xor(*acc, $lookup(split, $tables(c)));
+                        }
                     }
-                    $store(dst.add(last).cast(), last_acc);
+                    for (acc, dst) in last_acc.iter().zip(&dsts) {
+                        $store(dst.add(last).cast(), *acc);
+                    }
+                }
+            }
+
+            /// `V` vectors at `off` of each of `D` destinations, in
+            /// registers for one walk over the rows.
+            ///
+            /// # Safety
+            ///
+            /// As [`mul_add_rows_simd`], with `off + V * WIDTH <= len`.
+            #[inline(always)]
+            unsafe fn block<const D: usize, const V: usize>(
+                dsts: &[*mut u8; D],
+                off: usize,
+                rows: &[Row<'_>],
+            ) {
+                let mut acc: [[$vector; V]; D] = [[$zero(); V]; D];
+                for (acc, dst) in acc.iter_mut().zip(dsts) {
+                    for (k, a) in acc.iter_mut().enumerate() {
+                        *a = $load(dst.add(off + k * WIDTH).cast());
+                    }
+                }
+                for &(c, row) in rows {
+                    let s = row.as_ptr().add(off);
+                    let mut split = [($zero(), $zero()); V];
+                    for (k, v) in split.iter_mut().enumerate() {
+                        *v = $split($load(s.add(k * WIDTH).cast()));
+                    }
+                    for (acc, &c) in acc.iter_mut().zip(&c) {
+                        let tables = $tables(c);
+                        for (a, &v) in acc.iter_mut().zip(&split) {
+                            *a = $xor(*a, $lookup(v, tables));
+                        }
+                    }
+                }
+                for (acc, dst) in acc.iter().zip(dsts) {
+                    for (k, a) in acc.iter().enumerate() {
+                        $store(dst.add(off + k * WIDTH).cast(), *a);
+                    }
                 }
             }
         }
@@ -258,8 +331,11 @@ pshufb_tier!(
     ssse3,
     "ssse3",
     16,
+    __m128i,
     tables16,
-    mul16,
+    split16,
+    lookup16,
+    _mm_setzero_si128,
     _mm_loadu_si128,
     _mm_storeu_si128,
     _mm_xor_si128
@@ -268,8 +344,11 @@ pshufb_tier!(
     avx2,
     "avx2",
     32,
+    __m256i,
     tables32,
-    mul32,
+    split32,
+    lookup32,
+    _mm256_setzero_si256,
     _mm256_loadu_si256,
     _mm256_storeu_si256,
     _mm256_xor_si256

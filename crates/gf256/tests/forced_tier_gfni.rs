@@ -46,7 +46,7 @@ fn env_var_pins_the_gfni_tier_and_matches_the_field() {
     // (52 = 1460 mod 64), row counts across the 32-row stack batch,
     // coefficients 0 and 1 among them, rows at odd addresses.
     for len in [
-        0usize, 1, 15, 16, 31, 32, 52, 63, 64, 65, 255, 256, 257, 1460,
+        0usize, 1, 15, 16, 31, 32, 33, 52, 63, 64, 65, 255, 256, 257, 1460, 1464, 1492,
     ] {
         for count in [0usize, 1, 2, 31, 32, 33, 64] {
             let stride = len + 3;
@@ -64,6 +64,26 @@ fn env_var_pins_the_gfni_tier_and_matches_the_field() {
                     acc ^ (Gf256::new(c) * Gf256::new(row[at])).value()
                 });
                 assert_eq!(byte, want, "len={len} rows={count} at={at}");
+            }
+
+            // The same rows into one to four destinations at once, each
+            // with its own coefficients: destination d takes row i at
+            // `coeffs[i] ^ d`, so every lane differs.
+            for dests in 1..=bulk::MAX_DESTINATIONS {
+                let mut out = vec![vec![0x5Au8; len]; dests];
+                let mut targets: Vec<&mut [u8]> = out.iter_mut().map(|d| &mut d[..]).collect();
+                let lanes: Vec<Vec<u8>> = coeffs
+                    .iter()
+                    .map(|&c| (0..dests as u8).map(|d| c ^ d).collect())
+                    .collect();
+                bulk::mul_add_rows_multi(&mut targets, lanes.iter().zip(rows.iter().copied()));
+                for (d, got) in out.iter().enumerate() {
+                    let mut want = vec![0x5Au8; len];
+                    let single = coeffs.iter().map(|&c| c ^ d as u8);
+                    bulk::KernelTier::Scalar
+                        .mul_add_rows(&mut want, single.zip(rows.iter().copied()));
+                    assert_eq!(got, &want, "len={len} rows={count} dests={dests} d={d}");
+                }
             }
         }
     }

@@ -150,6 +150,99 @@ fn every_tier_row_kernel_matches_field_reference() {
     }
 }
 
+/// Lengths for the multi-destination row kernel: around every vector
+/// width and register block, and the 1464 B and 1492 B rows of a relay's
+/// wire bodies.
+const MULTI_LENGTHS: &[usize] = &[1, 15, 16, 31, 32, 33, 63, 64, 65, 255, 256, 257, 1464, 1492];
+
+/// The multi-destination row kernel: every tier × 1–4 destinations ×
+/// every length × every row count, against one single-destination
+/// scalar call per destination. Rows and destinations sit at odd offsets
+/// inside one allocation each, with guard bytes between them that no
+/// call may touch.
+#[test]
+fn every_tier_multi_destination_kernel_matches_single_destination_scalar() {
+    const GUARD: usize = 5;
+    let mut rng = StdRng::seed_from_u64(0x7135_0006);
+    for &len in MULTI_LENGTHS {
+        for &count in ROW_COUNTS {
+            let stride = len + 8;
+            let mut backing = vec![0u8; count * stride + 8];
+            rng.fill(&mut backing[..]);
+            let rows: Vec<&[u8]> = (0..count)
+                .map(|i| &backing[i * stride + i % 7 + 1..][..len])
+                .collect();
+            for dests in 1..=bulk::MAX_DESTINATIONS {
+                let mut coeffs = vec![0u8; count * dests];
+                rng.fill(&mut coeffs[..]);
+                for (i, c) in coeffs.iter_mut().enumerate() {
+                    match i % 7 {
+                        0 => *c = 0,
+                        3 => *c = 1,
+                        _ => {}
+                    }
+                }
+                // Every fourth row is zero for every destination.
+                for row in coeffs.chunks_exact_mut(dests).step_by(4) {
+                    row.fill(0);
+                }
+                let mut dst_buf = vec![0u8; dests * (len + GUARD) + 3];
+                rng.fill(&mut dst_buf[..]);
+                let at = |d: usize| 3 + d * (len + GUARD);
+                let want: Vec<Vec<u8>> = (0..dests)
+                    .map(|d| {
+                        let mut want = dst_buf[at(d)..][..len].to_vec();
+                        bulk::KernelTier::Scalar.mul_add_rows(
+                            &mut want,
+                            coeffs
+                                .chunks_exact(dests)
+                                .map(|c| c[d])
+                                .zip(rows.iter().copied()),
+                        );
+                        want
+                    })
+                    .collect();
+                let mut runs: Vec<(String, Vec<u8>)> = Vec::new();
+                for tier in supported_tiers() {
+                    let mut buf = dst_buf.clone();
+                    let mut dsts = destinations(&mut buf[3..], len, GUARD);
+                    tier.mul_add_rows_multi(
+                        &mut dsts,
+                        coeffs.chunks_exact(dests).zip(rows.iter().copied()),
+                    );
+                    runs.push((tier.name().to_string(), buf));
+                }
+                let mut buf = dst_buf.clone();
+                let mut dsts = destinations(&mut buf[3..], len, GUARD);
+                bulk::mul_add_rows_multi(
+                    &mut dsts,
+                    coeffs.chunks_exact(dests).zip(rows.iter().copied()),
+                );
+                runs.push(("dispatched".to_string(), buf));
+                for (name, buf) in runs {
+                    let label = format!("{name} len={len} rows={count} dests={dests}");
+                    assert_eq!(buf[..3], dst_buf[..3], "{label}: wrote before");
+                    for (d, want) in want.iter().enumerate() {
+                        assert_eq!(&buf[at(d)..][..len], &want[..], "{label} d={d}");
+                        assert_eq!(
+                            buf[at(d) + len..][..GUARD],
+                            dst_buf[at(d) + len..][..GUARD],
+                            "{label}: wrote past d={d}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The first `len` bytes of each `len + guard`-byte chunk of `buf`.
+fn destinations(buf: &mut [u8], len: usize, guard: usize) -> Vec<&mut [u8]> {
+    buf.chunks_mut(len + guard)
+        .map(|chunk| &mut chunk[..len])
+        .collect()
+}
+
 /// Neither the masked nor the padded tail may touch a byte past the
 /// slice: the kernels run on the front of a longer buffer whose back is
 /// checked afterwards.

@@ -2,11 +2,13 @@
 //!
 //! The coefficient half of the elimination is a [`RankTracker`]: each
 //! packet is reduced against the rows held so far, in arrival order, and
-//! the tracker records the factor it applied to each of them. The payload
-//! half replays those factors in one fused row-kernel call per innovative
-//! packet, so both halves stay in echelon form in lockstep. When the last
-//! pivot arrives, back-substitution runs once — one fused call per row —
-//! and each payload row becomes the source block at its row's pivot.
+//! the tracker records the factor it applied to each of them. An
+//! innovative packet's payload is only stored, raw, with those factors.
+//! When the last pivot arrives the payload half runs once: a forward
+//! solve replays the factors in arrival order and back-substitution
+//! follows, each four rows per pass of the multi-destination row kernel,
+//! so every earlier row is read once per four rows solved. Each payload
+//! row then holds the source block at its row's pivot.
 
 use ncvnf_gf256::bulk;
 
@@ -41,8 +43,18 @@ pub struct GenerationDecoder {
     /// The coefficient half: stored row `i` pairs with payload row `i`.
     span: RankTracker,
     /// The payload rows back to back, `block_size` bytes each, reserved
-    /// once for the whole generation on the first innovative packet.
+    /// once for the whole generation on the first innovative packet. Raw
+    /// as received until full rank, then solved in place.
     payloads: Vec<u8>,
+    /// `g × g` bytes, reserved in [`new`](Self::new). Above the
+    /// diagonal, `factors[j * g + k]` is what row `k`'s elimination
+    /// multiplied stored row `j` by; on it, `factors[k * g + k]` is the
+    /// scale that normalized row `k`. Below it, filled at full rank,
+    /// `factors[m * g + i]` is what back-substitution multiplies row `m`
+    /// by for row `i`. Either way row `j` of the store lists one source
+    /// row's factors for consecutive destination rows side by side, so
+    /// a pass into four rows reads one slice per source row.
+    factors: Vec<u8>,
     /// Count of packets seen (innovative + redundant), for stats.
     packets_seen: u64,
 }
@@ -50,10 +62,12 @@ pub struct GenerationDecoder {
 impl GenerationDecoder {
     /// Creates an empty decoder for one generation.
     pub fn new(config: GenerationConfig) -> Self {
+        let g = config.blocks_per_generation();
         GenerationDecoder {
             config,
-            span: RankTracker::new(config.blocks_per_generation()),
+            span: RankTracker::new(g),
             payloads: Vec::new(),
+            factors: vec![0; g * g],
             packets_seen: 0,
         }
     }
@@ -111,37 +125,83 @@ impl GenerationDecoder {
         let Some((factors, scale)) = self.span.absorb_recorded(coefficients) else {
             return Ok(ReceiveOutcome::Redundant);
         };
+        let k = factors.len();
+        for (j, &factor) in factors.iter().enumerate() {
+            self.factors[j * g + k] = factor;
+        }
+        self.factors[k * g + k] = scale;
         // A no-op after the first innovative packet has reserved all `g`.
         self.payloads.reserve_exact(g * block - self.payloads.len());
-        let start = self.payloads.len();
         self.payloads.extend_from_slice(payload);
-        let (held, row) = self.payloads.split_at_mut(start);
-        bulk::mul_add_rows(row, factors.iter().copied().zip(held.chunks_exact(block)));
-        bulk::scale_slice(row, scale);
         if self.is_complete() {
+            self.forward_solve();
             self.back_substitute();
         }
         Ok(ReceiveOutcome::Innovative { rank: self.rank() })
     }
 
+    /// Replays each row's recorded elimination on the raw payloads, in
+    /// arrival order, leaving row `k` in the echelon form its coefficient
+    /// row has. Four rows at a time: one pass adds every earlier row into
+    /// all four; then, in order, each takes its scale and is added into
+    /// the rows after it in the block.
+    fn forward_solve(&mut self) {
+        let g = self.config.blocks_per_generation();
+        let block = self.config.block_size();
+        let factors = &self.factors;
+        for first in (0..g).step_by(bulk::MAX_DESTINATIONS) {
+            let count = (g - first).min(bulk::MAX_DESTINATIONS);
+            let (done, rest) = self.payloads.split_at_mut(first * block);
+            let mut dsts = rows_of(rest, block);
+            let dsts = &mut dsts[..count];
+            let columns = factors.chunks_exact(g).map(|row| &row[first..][..count]);
+            bulk::mul_add_rows_multi(dsts, columns.zip(done.chunks_exact(block)));
+            for b in 0..count {
+                let k = first + b;
+                let (solved, later) = dsts.split_at_mut(b + 1);
+                bulk::scale_slice(solved[b], factors[k * g + k]);
+                if !later.is_empty() {
+                    let column = &factors[k * g + k + 1..][..later.len()];
+                    bulk::mul_add_rows_multi(later, [(column, &*solved[b])]);
+                }
+            }
+        }
+    }
+
     /// At full rank every column is some row's pivot, so stored row `i` is
     /// its own pivot plus mass at the pivots of the rows after it (it is
     /// zero at those before it). Reducing the rows last to first, each
-    /// one's later rows already hold their source blocks: one fused call
-    /// over them, with the factors read straight from row `i`, leaves row
-    /// `i` holding the block at its own pivot. The coefficient rows are
-    /// never rewritten.
+    /// one's later rows already hold their source blocks, and the factors
+    /// are read straight from row `i`: copied below the factor store's
+    /// diagonal, so row `m` of it lists them for every earlier row. Four
+    /// rows at a time, last block first: one pass adds every later row
+    /// into all four; then, last first, each is added into the rows
+    /// before it in the block. The coefficient rows are never rewritten.
     fn back_substitute(&mut self) {
-        let block = self.config.block_size();
+        let g = self.config.blocks_per_generation();
         let leads = self.span.leads();
-        for i in (0..leads.len()).rev() {
-            let coefficients = self.span.row(i);
-            let (head, done) = self.payloads.split_at_mut((i + 1) * block);
-            let factors = leads[i + 1..].iter().map(|&lead| coefficients[lead]);
-            bulk::mul_add_rows(
-                &mut head[i * block..],
-                factors.zip(done.chunks_exact(block)),
-            );
+        for i in 0..g {
+            let row = self.span.row(i);
+            for (m, &lead) in leads.iter().enumerate().skip(i + 1) {
+                self.factors[m * g + i] = row[lead];
+            }
+        }
+        let block = self.config.block_size();
+        let factors = &self.factors;
+        for first in (0..g).step_by(bulk::MAX_DESTINATIONS).rev() {
+            let count = (g - first).min(bulk::MAX_DESTINATIONS);
+            let (head, later) = self.payloads.split_at_mut((first + count) * block);
+            let mut dsts = rows_of(&mut head[first * block..], block);
+            let dsts = &mut dsts[..count];
+            let columns = factors.chunks_exact(g).skip(first + count);
+            let columns = columns.map(|row| &row[first..][..count]);
+            bulk::mul_add_rows_multi(dsts, columns.zip(later.chunks_exact(block)));
+            for b in (1..count).rev() {
+                let m = first + b;
+                let (earlier, solved) = dsts.split_at_mut(b);
+                let column = &factors[m * g + first..][..b];
+                bulk::mul_add_rows_multi(earlier, [(column, &*solved[0])]);
+            }
         }
     }
 
@@ -186,6 +246,16 @@ impl GenerationDecoder {
     pub fn decoded_payload(&self) -> Result<Vec<u8>, CodecError> {
         Ok(self.decoded_blocks()?.concat())
     }
+}
+
+/// The first [`bulk::MAX_DESTINATIONS`] `block`-byte rows of `buf`,
+/// as separate destinations (empty past the end of `buf`).
+fn rows_of(buf: &mut [u8], block: usize) -> [&mut [u8]; bulk::MAX_DESTINATIONS] {
+    let mut rows = <[&mut [u8]; bulk::MAX_DESTINATIONS]>::default();
+    for (slot, row) in rows.iter_mut().zip(buf.chunks_exact_mut(block)) {
+        *slot = row;
+    }
+    rows
 }
 
 #[cfg(test)]

@@ -133,7 +133,7 @@ proptest! {
     /// yields the source bytes.
     #[test]
     fn decoder_matches_reference_elimination(
-        g in prop_oneof![Just(1usize), Just(2), Just(4), Just(7), Just(32)],
+        g in prop_oneof![Just(1usize), Just(2), Just(4), Just(6), Just(7), Just(13), Just(32)],
         block in 1usize..40,
         seed in any::<u64>(),
         kinds in prop::collection::vec(0u8..5, 0..80),
