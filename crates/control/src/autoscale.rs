@@ -16,8 +16,8 @@
 //! 3. **Actuate** — every adoption is journaled (and fsynced) as a
 //!    [`ControlRecord::ScaleDecision`] *before* any signal leaves the
 //!    controller, then forwarding-table deltas are pushed through the
-//!    epoch-fenced link, recoders before decoders so mid-path mixing
-//!    capacity exists before receivers start draining it.
+//!    epoch-fenced link in dependency order: downstream first, so no
+//!    relay forwards to a next hop that is not armed yet.
 //!
 //! **Scale-to-zero** rides the same poll: a relay whose data path has
 //! been idle past `idle_tau_secs` *and* whose datagram counters did not
@@ -25,7 +25,13 @@
 //! `NC_VNF_END` (journaled first). The first returning packet — observed
 //! as a counter delta, or reported out-of-band via a
 //! `ncvnf_dataplane::feedback` wake frame — re-arms every draining
-//! instance in dependency order via [`Autoscaler::wake`].
+//! instance in dependency order via [`Autoscaler::wake`]. Drains walk
+//! that order backwards: upstream first.
+//!
+//! [`Autoscaler::start`] is the one entry that starts a controller, the
+//! first time and after every crash: it fences the fleet under a new
+//! epoch, reconciles the journal's belief with the live relays and arms
+//! whatever was never armed.
 //!
 //! The link is abstracted behind [`ControlLink`] so the decision loop is
 //! testable without sockets; [`crate::SignalSender`] is the production
@@ -41,9 +47,10 @@ use ncvnf_deploy::{PlanError, ScalingController, ScalingEvent, VnfSpec};
 use ncvnf_flowgraph::NodeId;
 
 use crate::diff::tables_from_deployment;
-use crate::journal::{ControlRecord, Journal};
+use crate::fwdtab::ForwardingTable;
+use crate::journal::{ControlRecord, ControllerState, Journal};
 use crate::metrics::ControlMetrics;
-use crate::reconcile::snapshot_value;
+use crate::reconcile::{reconcile_in_order, snapshot_value, ReconcileReport};
 use crate::sender::{SendError, SendReceipt, SignalSender};
 use crate::signal::{Signal, VnfRoleWire};
 use crate::telemetry::Telemetry;
@@ -98,7 +105,8 @@ pub struct RelayTarget {
     pub dc: NodeId,
     /// The relay's control-socket address.
     pub control_addr: SocketAddr,
-    /// The relay's coding role — orders actuation (recoders first).
+    /// The relay's coding role, as its settings give it. Actuation order
+    /// does not read it: that follows the tables' next hops.
     pub role: VnfRoleWire,
     /// The settings signals that (re)arm this relay, replayed verbatim
     /// on bootstrap and on wake-from-drain.
@@ -215,15 +223,6 @@ impl From<SendError> for AutoscaleError {
     }
 }
 
-/// Actuation order: mid-path mixing capacity must exist before the
-/// receivers that drain it, so recoders (and sources) go first.
-fn role_rank(role: VnfRoleWire) -> u8 {
-    match role {
-        VnfRoleWire::Forwarder | VnfRoleWire::Recoder => 0,
-        VnfRoleWire::Decoder => 1,
-    }
-}
-
 /// A cheap equality proxy for [`ncvnf_deploy::Deployment`] (which has no
 /// `PartialEq`): VNF counts plus session rates rounded to whole bps.
 fn fingerprint(dep: &ncvnf_deploy::Deployment) -> String {
@@ -283,14 +282,6 @@ impl Autoscaler {
         }
     }
 
-    /// Continues the decision counter from a replayed
-    /// [`crate::ControllerState::scale_decisions`], so decision
-    /// sequence numbers stay unique across controller restarts.
-    pub fn with_decision_base(mut self, seq: u64) -> Self {
-        self.decisions = seq;
-        self
-    }
-
     /// Attaches registry handles for the `control.autoscale.*` metrics.
     pub fn with_metrics(mut self, metrics: ControlMetrics) -> Self {
         self.metrics = Some(metrics);
@@ -319,11 +310,59 @@ impl Autoscaler {
         nodes
     }
 
-    /// Journals the fleet and arms every relay: `EpochStarted`, one
-    /// `SessionCreated` per distinct session found in the targets'
-    /// settings, one `VnfLaunched` per target — all committed *before*
-    /// the first signal leaves — then settings pushes in dependency
-    /// order, an initial plan if none exists, and the first table push.
+    /// Starts the controller, the first time and after every crash.
+    /// `state` is what [`Journal::open`] replayed from this autoscaler's
+    /// journal, and `link` is fenced at `state.next_epoch()`. It rejects a
+    /// link not above `state.epoch`, journals `EpochStarted`, reconciles
+    /// ([`crate::reconcile()`], in dependency order) so every reachable
+    /// node leaves on the new epoch, continues the decision counter from
+    /// `state.scale_decisions`, and arms the fleet as
+    /// [`bootstrap`](Self::bootstrap) does when some target has no
+    /// journaled table — always, on an empty journal. Returns the
+    /// reconciliation report.
+    ///
+    /// # Errors
+    ///
+    /// [`AutoscaleError::Send`] with [`SendError::StaleEpoch`] for a stale
+    /// link (nothing journaled or sent); otherwise as
+    /// [`bootstrap`](Self::bootstrap). A failed reconciliation push is
+    /// reported, not fatal.
+    pub fn start(
+        &mut self,
+        link: &mut dyn ControlLink,
+        state: &ControllerState,
+        now: f64,
+    ) -> Result<ReconcileReport, AutoscaleError> {
+        if link.epoch() <= state.epoch {
+            return Err(AutoscaleError::Send(SendError::StaleEpoch));
+        }
+        self.journal.append(&ControlRecord::EpochStarted {
+            epoch: link.epoch(),
+        });
+        if !state.nodes.is_empty() {
+            // Reconciliation pushes under the new epoch; an empty journal
+            // has nothing to reconcile and commits with the fleet below.
+            self.journal.commit()?;
+        }
+        let order: Vec<u32> = self
+            .dependency_order(|t| state.nodes.get(&t.node).map(|b| &b.table))
+            .into_iter()
+            .map(|i| self.targets[i].node)
+            .collect();
+        let report = reconcile_in_order(link, state, now, self.metrics.as_ref(), &order);
+        self.decisions = state.scale_decisions;
+        let armed = self
+            .targets
+            .iter()
+            .all(|t| state.nodes.get(&t.node).is_some_and(|b| b.last_seq > 0));
+        if !armed {
+            self.arm(link, now)?;
+        }
+        Ok(report)
+    }
+
+    /// The first start on an empty journal: [`start`](Self::start) on a
+    /// fresh [`ControllerState`].
     ///
     /// # Errors
     ///
@@ -335,9 +374,15 @@ impl Autoscaler {
         link: &mut dyn ControlLink,
         now: f64,
     ) -> Result<(), AutoscaleError> {
-        self.journal.append(&ControlRecord::EpochStarted {
-            epoch: link.epoch(),
-        });
+        self.start(link, &ControllerState::default(), now).map(drop)
+    }
+
+    /// Journals the fleet and arms every relay: one `SessionCreated` per
+    /// distinct session found in the targets' settings, one
+    /// `VnfLaunched` per target — committed *before* the first signal
+    /// leaves — then an initial plan if none exists, settings pushes in
+    /// dependency order, and the first table push.
+    fn arm(&mut self, link: &mut dyn ControlLink, now: f64) -> Result<(), AutoscaleError> {
         let mut seen_sessions = Vec::new();
         for t in &self.targets {
             for s in &t.settings {
@@ -370,18 +415,17 @@ impl Autoscaler {
             });
         }
         self.journal.commit()?;
-        let mut order: Vec<usize> = (0..self.targets.len()).collect();
-        order.sort_by_key(|&i| (role_rank(self.targets[i].role), self.targets[i].node));
-        for i in order {
+        if self.controller.deployment().is_none() {
+            self.controller.replan(now)?;
+        }
+        let tables = self.tables();
+        for i in self.dependency_order(|t| tables.get(&t.dc)) {
             let t = &self.targets[i];
             for s in &t.settings {
                 link.push(t.control_addr, s)?;
             }
         }
-        if self.controller.deployment().is_none() {
-            self.controller.replan(now)?;
-        }
-        self.push_tables(link)?;
+        self.push_tables(link, &tables)?;
         Ok(())
     }
 
@@ -546,7 +590,8 @@ impl Autoscaler {
                 rate_bps,
             });
             self.journal.commit()?;
-            report.tables_pushed = self.push_tables(link)?;
+            let tables = self.tables();
+            report.tables_pushed = self.push_tables(link, &tables)?;
             let detect_ms = self
                 .drift_since
                 .drain()
@@ -561,7 +606,13 @@ impl Autoscaler {
         // 4. Scale to zero — but never in a pass that just re-planned:
         // the new deployment may be about to route traffic through a
         // node that merely *looked* idle under the old one.
-        if !report.adopted {
+        if !report.adopted && !drain_candidates.is_empty() {
+            // Upstream first: nothing armed still forwards to a drained
+            // relay.
+            let tables = self.tables();
+            let order = self.dependency_order(|t| tables.get(&t.dc));
+            let rank = |node: u32| order.iter().position(|&i| self.targets[i].node == node);
+            drain_candidates.sort_by_key(|&(node, _)| std::cmp::Reverse(rank(node)));
             for (node, addr) in drain_candidates {
                 let deadline = now + self.config.drain_tau_secs as f64;
                 self.journal.append(&ControlRecord::VnfEnded {
@@ -597,11 +648,11 @@ impl Autoscaler {
         Ok(report)
     }
 
-    /// Re-arms every draining target in dependency order (recoders
-    /// before decoders), journaling `VnfReused` before each settings
-    /// push. Called from [`poll`](Self::poll) when counters show traffic
-    /// returned, and directly by whoever receives a data-plane wake
-    /// frame (first packet / first NACK at a draining relay).
+    /// Re-arms every draining target in dependency order (downstream
+    /// first), journaling `VnfReused` before each settings push. Called
+    /// from [`poll`](Self::poll) when counters show traffic returned, and
+    /// directly by whoever receives a data-plane wake frame (first packet
+    /// / first NACK at a draining relay).
     ///
     /// Returns the node ids woken.
     ///
@@ -610,14 +661,16 @@ impl Autoscaler {
     /// [`AutoscaleError::Io`] / [`AutoscaleError::Send`] as in
     /// [`poll`](Self::poll).
     pub fn wake(&mut self, link: &mut dyn ControlLink) -> Result<Vec<u32>, AutoscaleError> {
-        let mut order: Vec<usize> = (0..self.targets.len())
+        let tables = self.tables();
+        let order: Vec<usize> = self
+            .dependency_order(|t| tables.get(&t.dc))
+            .into_iter()
             .filter(|&i| {
                 self.tracks
                     .get(&self.targets[i].node)
                     .is_some_and(|t| t.draining)
             })
             .collect();
-        order.sort_by_key(|&i| (role_rank(self.targets[i].role), self.targets[i].node));
         let mut woken = Vec::new();
         for i in order {
             let t = &self.targets[i];
@@ -639,7 +692,7 @@ impl Autoscaler {
             }
         }
         if !woken.is_empty() {
-            self.push_tables(link)?;
+            self.push_tables(link, &tables)?;
             if let Some(m) = &self.metrics {
                 m.autoscale_draining.set(self.draining().len() as f64);
             }
@@ -647,28 +700,72 @@ impl Autoscaler {
         Ok(woken)
     }
 
-    /// Pushes the current deployment's forwarding tables to every target
-    /// whose table changed since the last push, recoders before
-    /// decoders. Each push is journaled (`TablePushed`, with the fence
-    /// coordinates the link will use) and committed *before* the signal
-    /// is sent. Returns the number of deltas pushed.
-    fn push_tables(&mut self, link: &mut dyn ControlLink) -> Result<u32, AutoscaleError> {
+    /// The current deployment's forwarding table per data center (none
+    /// before the first plan).
+    fn tables(&self) -> HashMap<NodeId, ForwardingTable> {
         let Some(dep) = self.controller.deployment() else {
-            return Ok(0);
+            return HashMap::new();
         };
         let topo = self.controller.topology();
-        let addrs = &self.data_addrs;
         let addr_of = |n: NodeId| {
-            addrs
+            self.data_addrs
                 .get(&n)
                 .cloned()
                 .unwrap_or_else(|| topo.label(n).to_owned())
         };
-        let tables = tables_from_deployment(topo, self.controller.sessions(), dep, &addr_of);
-        let mut order: Vec<usize> = (0..self.targets.len()).collect();
-        order.sort_by_key(|&i| (role_rank(self.targets[i].role), self.targets[i].node));
+        tables_from_deployment(topo, self.controller.sessions(), dep, &addr_of)
+    }
+
+    /// The one actuation order, as target indices, downstream first:
+    /// each target comes after every target its table names as a next
+    /// hop, so a relay is armed before anything forwards to it
+    /// (DESIGN.md §15). Drains walk it backwards. `table_of` gives the
+    /// table a target holds or is about to be pushed; ties, and a cycle,
+    /// go in node-id order.
+    fn dependency_order<'t>(
+        &self,
+        table_of: impl Fn(&RelayTarget) -> Option<&'t ForwardingTable>,
+    ) -> Vec<usize> {
+        let targets = &self.targets;
+        let hops: Vec<Vec<&String>> = targets
+            .iter()
+            .map(|t| {
+                table_of(t)
+                    .into_iter()
+                    .flat_map(|t| t.iter())
+                    .flat_map(|(_, h)| h)
+                    .collect()
+            })
+            .collect();
+        // Whether target i's table names target j's data address.
+        let names = |i: usize, j: usize| {
+            let addr = self.data_addrs.get(&targets[j].dc);
+            i != j && addr.is_some_and(|a| hops[i].contains(&a))
+        };
+        let mut left: Vec<usize> = (0..targets.len()).collect();
+        left.sort_by_key(|&i| targets[i].node);
+        let mut order = Vec::with_capacity(left.len());
+        while !left.is_empty() {
+            let ready = left
+                .iter()
+                .position(|&i| left.iter().all(|&j| !names(i, j)));
+            order.push(left.remove(ready.unwrap_or(0)));
+        }
+        order
+    }
+
+    /// Pushes `tables` (the current deployment's) to every target whose
+    /// table changed since the last push, in dependency order. Each push
+    /// is journaled (`TablePushed`, with the fence coordinates the link
+    /// will use) and committed *before* the signal is sent. Returns the
+    /// number of deltas pushed.
+    fn push_tables(
+        &mut self,
+        link: &mut dyn ControlLink,
+        tables: &HashMap<NodeId, ForwardingTable>,
+    ) -> Result<u32, AutoscaleError> {
         let mut pushed = 0;
-        for i in order {
+        for i in self.dependency_order(|t| tables.get(&t.dc)) {
             let t = &self.targets[i];
             let Some(table) = tables.get(&t.dc) else {
                 continue;
@@ -861,22 +958,22 @@ mod tests {
         assert_eq!(state.epoch, 1);
         assert_eq!(state.nodes.len(), 2);
         assert_eq!(state.sessions.len(), 1);
-        // Recoder (node 1) was armed before the decoder (node 2).
+        // Node 1's table names node 2, so node 2 (downstream) was armed
+        // first, settings and table alike.
         let settings_order: Vec<SocketAddr> = link
             .pushed
             .iter()
             .filter(|(_, s)| matches!(s, Signal::NcSettings { .. }))
             .map(|(a, _)| *a)
             .collect();
-        assert_eq!(settings_order, vec![addr(9101), addr(9102)]);
-        // Both relays got a forwarding table.
+        assert_eq!(settings_order, vec![addr(9102), addr(9101)]);
         let tables: Vec<SocketAddr> = link
             .pushed
             .iter()
             .filter(|(_, s)| matches!(s, Signal::NcForwardTab { .. }))
             .map(|(a, _)| *a)
             .collect();
-        assert_eq!(tables, vec![addr(9101), addr(9102)]);
+        assert_eq!(tables, vec![addr(9102), addr(9101)]);
     }
 
     #[test]
@@ -929,7 +1026,7 @@ mod tests {
     }
 
     #[test]
-    fn idle_relay_drains_and_traffic_wakes_it_recoder_first() {
+    fn idle_relay_drains_and_traffic_wakes_it_downstream_first() {
         let (mut auto, mut link) = harness("drain");
         auto.bootstrap(&mut link, 0.0).unwrap();
         // Two polls with zero counter movement and a large idle gauge.
@@ -937,30 +1034,31 @@ mod tests {
         link.set_stats(addr(9102), 500, 20_000, 1);
         auto.poll(&mut link, 1.0).unwrap();
         let report = auto.poll(&mut link, 2.0).unwrap();
+        // Upstream (node 1) drains first: nothing armed forwards to a
+        // drained relay.
         assert_eq!(report.drained, vec![1, 2]);
         assert_eq!(auto.draining(), vec![1, 2]);
-        let ends = link
+        let ends: Vec<SocketAddr> = link
             .pushed
             .iter()
             .filter(|(_, s)| matches!(s, Signal::NcVnfEnd { tau_secs: 30 }))
-            .count();
-        assert_eq!(ends, 2);
-        // Traffic returns at the decoder: both wake, recoder re-armed
-        // first even though the decoder saw the packets.
-        link.set_stats(addr(9102), 900, 5, 3);
+            .map(|(a, _)| *a)
+            .collect();
+        assert_eq!(ends, vec![addr(9101), addr(9102)]);
+        // Traffic returns at the upstream relay: both wake, the
+        // downstream one re-armed first although it saw no packets.
+        link.set_stats(addr(9101), 900, 5, 3);
         let report = auto.poll(&mut link, 3.0).unwrap();
-        assert_eq!(report.woken, vec![1, 2]);
+        assert_eq!(report.woken, vec![2, 1]);
         assert!(auto.draining().is_empty());
         let wake_settings: Vec<SocketAddr> = link
             .pushed
             .iter()
-            .rev()
-            .take_while(|(_, s)| !matches!(s, Signal::NcVnfEnd { .. }))
+            .skip_while(|(_, s)| !matches!(s, Signal::NcVnfEnd { .. }))
             .filter(|(_, s)| matches!(s, Signal::NcSettings { .. }))
             .map(|(a, _)| *a)
             .collect();
-        // Collected in reverse order: decoder appears last.
-        assert_eq!(wake_settings.last(), Some(&addr(9101)));
+        assert_eq!(wake_settings, vec![addr(9102), addr(9101)]);
         // The journal remembers the full drain/reuse cycle.
         let path = auto.journal.path().to_path_buf();
         drop(auto);
@@ -974,6 +1072,36 @@ mod tests {
                 "node {node} must be active again after reuse"
             );
         }
+    }
+
+    #[test]
+    fn start_rejects_a_stale_link_and_fences_every_node_on_restart() {
+        let (mut auto, mut link) = harness("start");
+        let path = auto.journal.path().to_path_buf();
+        auto.bootstrap(&mut link, 0.0).unwrap();
+        drop(auto);
+        // Incarnation 2 on the journal incarnation 1 left.
+        let (mut restarted, mut link2) = harness("start-2");
+        let (journal, state, _) = Journal::open(&path).unwrap();
+        restarted.journal = journal;
+        let stale = restarted.start(&mut MockLink::new(state.epoch), &state, 1.0);
+        assert!(matches!(
+            stale,
+            Err(AutoscaleError::Send(SendError::StaleEpoch))
+        ));
+        for a in [addr(9101), addr(9102)] {
+            link2.set_stats(a, 0, 10, 1);
+        }
+        link2.epoch = state.next_epoch();
+        let report = restarted.start(&mut link2, &state, 1.0).unwrap();
+        // Armed: no bootstrap, just one table push per node, downstream
+        // first, each under epoch 2.
+        assert_eq!(report.repushed_ok, 2);
+        let tables: Vec<SocketAddr> = link2.pushed.iter().map(|(a, _)| *a).collect();
+        assert_eq!(tables, vec![addr(9102), addr(9101)]);
+        drop(restarted);
+        let (_, state, _) = Journal::open(&path).unwrap();
+        assert_eq!(state.epoch, 2, "the stale start journaled nothing");
     }
 
     #[test]

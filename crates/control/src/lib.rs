@@ -30,14 +30,17 @@
 //!   a [`FencedSignal`] retried with exponential backoff until ACKed;
 //! * [`fence`] — the receiver's half: the pure [`Fence`] verdict
 //!   (stale, duplicate, apply) on each fenced frame;
-//! * [`reconcile()`] — restart reconciliation: diff the replayed journal
-//!   belief against live `NC_STATS` observations, re-adopt healthy
-//!   VNFs, re-push diverged tables, expire overdue τ-pool entries;
+//! * [`reconcile()`] — restart reconciliation: probe every journaled
+//!   node with `NC_STATS`, push each reachable one its believed table
+//!   or its remaining drain under the new epoch, expire overdue τ-pool
+//!   entries;
 //! * [`autoscale`] — the closed control loop (DESIGN.md §15): polls live
 //!   relay stats, runs them through the scaling controller's ρ/τ
 //!   hysteresis, journals every adopted decision write-ahead, actuates
-//!   via fenced pushes, and winds idle VNFs to zero until traffic wakes
-//!   them.
+//!   via fenced pushes in dependency order (downstream first), and winds
+//!   idle VNFs to zero until traffic wakes them. [`Autoscaler::start`]
+//!   is the controller's one start: journal replay in, new epoch
+//!   journaled, fleet reconciled and fenced, never-armed relays armed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -68,7 +71,7 @@ pub use journal::{
 };
 pub use liveness::{LivenessConfig, LivenessEvent, LivenessState, LivenessTracker};
 pub use metrics::{ControlCells, ControlMetrics};
-pub use reconcile::{reconcile, NodeObservation, ReconcilePlan, ReconcileReport};
+pub use reconcile::{reconcile, ReconcilePlan, ReconcileReport};
 pub use sender::{SendError, SendReceipt, SenderConfig, SignalSender};
 pub use signal::{FencedSignal, Signal, SignalError, SignalFrame, VnfRoleWire};
 pub use telemetry::{DataplaneHealth, Telemetry};

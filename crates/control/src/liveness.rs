@@ -159,8 +159,9 @@ impl LivenessTracker {
         self.nodes_in(LivenessState::Dead)
     }
 
-    /// Node ids currently alive, ascending — the healthy set restart
-    /// reconciliation re-adopts.
+    /// Node ids currently alive, ascending. Restart reconciliation does
+    /// not read this: it probes every journaled node with `NC_STATS` and
+    /// pushes to each one that answers.
     pub fn alive_nodes(&self) -> Vec<u32> {
         self.nodes_in(LivenessState::Alive)
     }

@@ -31,8 +31,7 @@ ncvnf_obs::metrics! {
         pub sender_failed: Counter = "control.sender.failed", "signals", "Signal pushes abandoned after exhausting every retry";
         pub sender_ack_ns: Histogram = "control.sender.ack_ns", "ns", "Push-to-ACK latency of successfully delivered fenced signals";
         pub reconcile_runs: Counter = "control.reconcile.runs", "runs", "Restart reconciliation passes executed";
-        pub reconcile_readopted: Counter = "control.reconcile.readopted", "nodes", "Healthy nodes re-adopted with their tables intact";
-        pub reconcile_repushed: Counter = "control.reconcile.repushed", "tables", "Forwarding tables re-pushed because the live digest diverged";
+        pub reconcile_repushed: Counter = "control.reconcile.repushed", "tables", "Believed forwarding tables re-pushed and ACKed under the new epoch";
         pub reconcile_expired: Counter = "control.reconcile.expired", "instances", "Lingering instances whose deadline passed while the controller was down";
         pub reconcile_unreachable: Counter = "control.reconcile.unreachable", "nodes", "Journaled nodes that did not answer the reconciliation NC_STATS query";
         pub autoscale_polls: Counter = "control.autoscale.polls", "sweeps", "Autoscaler NC_STATS polling sweeps over the relay fleet";
@@ -98,13 +97,11 @@ impl ControlMetrics {
         }
     }
 
-    /// Records one reconciliation pass: how many nodes were re-adopted
-    /// untouched, how many tables were re-pushed, how many τ-pool
-    /// entries had expired during the outage, and how many journaled
-    /// nodes never answered.
-    pub fn record_reconcile(&self, readopted: u64, repushed: u64, expired: u64, unreachable: u64) {
+    /// Records one reconciliation pass: how many tables were re-pushed
+    /// under the new epoch, how many τ-pool entries had expired during
+    /// the outage, and how many journaled nodes never answered.
+    pub fn record_reconcile(&self, repushed: u64, expired: u64, unreachable: u64) {
         self.reconcile_runs.inc();
-        self.reconcile_readopted.add(readopted);
         self.reconcile_repushed.add(repushed);
         self.reconcile_expired.add(expired);
         self.reconcile_unreachable.add(unreachable);
@@ -177,7 +174,7 @@ mod tests {
         m.sender_retries.inc();
         m.sender_failed.inc();
         m.sender_ack_ns.record(1_000_000);
-        m.record_reconcile(2, 1, 1, 0);
+        m.record_reconcile(1, 1, 0);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("control.journal.appends"), Some(2));
         assert_eq!(
@@ -194,7 +191,6 @@ mod tests {
             Some(1)
         );
         assert_eq!(snap.counter("control.reconcile.runs"), Some(1));
-        assert_eq!(snap.counter("control.reconcile.readopted"), Some(2));
         assert_eq!(snap.counter("control.reconcile.repushed"), Some(1));
         assert_eq!(snap.counter("control.reconcile.expired"), Some(1));
         assert_eq!(snap.counter("control.reconcile.unreachable"), Some(0));

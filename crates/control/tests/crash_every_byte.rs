@@ -3,7 +3,7 @@
 //! An in-memory fleet of VNFs — each a real [`Daemon`] behind a real
 //! [`Fence`], the relay's control-thread logic without a socket — sits
 //! behind a [`ControlLink`]. The real [`Autoscaler`] and [`Journal`] run
-//! a scripted scenario on it: bootstrap, a capability drift that is
+//! a scripted scenario on it: the first start, a capability drift that is
 //! adopted, an idle spell that drains the fleet, returning traffic that
 //! wakes it. That no-crash run records its journal bytes and every frame
 //! it sends.
@@ -11,9 +11,10 @@
 //! Then the controller dies at every byte offset of that journal (inside
 //! frames too, not only at their boundaries) and at every push index:
 //! the network holds the frames sent before the crash, the disk holds the
-//! journal up to the offset. A new incarnation truncates the torn tail,
-//! replays, fences itself at `next_epoch`, reconciles, re-runs bootstrap
-//! if the fleet was never fully armed, and finishes the scenario.
+//! journal up to the offset. A new incarnation does what every start
+//! does, the first one included: it opens the journal (which truncates
+//! the torn tail and replays), builds its link at `next_epoch()`, and
+//! calls `Autoscaler::start` once. Then it finishes the scenario.
 //! Meanwhile the dead incarnation's frames are still on the wire: each
 //! one it sent (and the one it was sending) arrives again, one after
 //! every step of its successor.
@@ -28,7 +29,12 @@
 //!    accepted;
 //! 3. no VNF applies one `(epoch, seq)` twice — every frame is delivered
 //!    twice, as after a lost ACK;
-//! 4. the final tables and daemon states equal the no-crash run's.
+//! 4. the final tables and daemon states equal the no-crash run's;
+//! 5. no frame of the dead incarnation is applied after the start entry
+//!    returns;
+//! 6. make-before-break: no Running VNF's table names a fleet VNF that
+//!    is not armed (Running, with the session's settings and a table
+//!    entry for it).
 //!
 //! Pure state machines and a scratch file: no socket, no sleep.
 
@@ -39,9 +45,9 @@ use std::time::{Duration, Instant};
 
 use ncvnf_control::journal::scan_frames;
 use ncvnf_control::{
-    reconcile, Admit, AutoscaleConfig, Autoscaler, ControlLink, ControlRecord, ControllerState,
-    Daemon, DaemonState, Fence, FencedSignal, ForwardingTable, Journal, NodeStatus, RelayTarget,
-    SendError, SendReceipt, Signal, VnfRoleWire,
+    Admit, AutoscaleConfig, Autoscaler, ControlLink, ControllerState, Daemon, DaemonState, Fence,
+    FencedSignal, ForwardingTable, Journal, NodeStatus, RelayTarget, SendError, SendReceipt,
+    Signal, VnfRoleWire,
 };
 use ncvnf_deploy::{
     Planner, ScalingController, ScalingEvent, ScalingParams, SessionSpec, TopologyBuilder, VnfSpec,
@@ -53,7 +59,7 @@ const IDLE_TAU_SECS: f64 = 2.0;
 const TAU1_SECS: f64 = 2.0;
 /// The fleet: node ids and their roles.
 const NODES: [(u32, VnfRoleWire); 2] = [(1, VnfRoleWire::Recoder), (2, VnfRoleWire::Decoder)];
-/// Polls after bootstrap: 3 at the base rate, 5 at 30 % (adopted), 6
+/// Polls after the first start: 3 at the base rate, 5 at 30 % (adopted), 6
 /// idle (drained), 4 with traffic back (woken).
 const PHASES: [(u64, usize); 4] = [(10_000, 3), (3_000, 5), (0, 6), (10_000, 4)];
 
@@ -66,6 +72,12 @@ fn node_of(to: SocketAddr) -> u32 {
     u32::from(to.port() - 7100)
 }
 
+/// The control address of the fleet VNF whose data address a table names.
+fn control_of_hop(hop: &str) -> Option<SocketAddr> {
+    let port = hop.parse::<SocketAddr>().ok()?.port();
+    Some(addr(port.checked_sub(100)?))
+}
+
 /// One scripted instant: the controller clock and the datagram counter
 /// and idle clock every VNF reports.
 #[derive(Clone, Copy)]
@@ -75,7 +87,7 @@ struct Tick {
     idle_ms: u64,
 }
 
-/// The script: tick 0 is bootstrap, every later tick one poll.
+/// The script: tick 0 is the first start, every later tick one poll.
 fn script() -> Vec<Tick> {
     let mut ticks = vec![Tick {
         now: 0.0,
@@ -131,7 +143,7 @@ impl Fleet {
     }
 
     /// One fenced frame arrives at `to`: fence, then daemon, as the relay
-    /// does, with checkers 2 and 3 on every frame applied.
+    /// does, with checkers 2, 3 and 6 on every frame applied.
     fn deliver(&mut self, to: SocketAddr, frame: &FencedSignal) -> Result<Admit, SendError> {
         let vnf = self.vnfs.get_mut(&to).expect("a fleet member");
         let verdict = vnf.fence.admit(frame.epoch, frame.seq);
@@ -158,7 +170,38 @@ impl Fleet {
         if verdict != Admit::Stale {
             vnf.highest = vnf.highest.max(frame.epoch);
         }
+        if verdict == Admit::Apply {
+            self.assert_make_before_break();
+        }
         Ok(verdict)
+    }
+
+    /// Checker 6: every fleet VNF a Running VNF's table names is armed.
+    fn assert_make_before_break(&self) {
+        let session = SessionId::new(SESSION);
+        let armed = |v: &Vnf| {
+            v.daemon.state() == DaemonState::Running
+                && v.daemon.role(session).is_some()
+                && v.daemon.table().next_hops(session).is_some()
+        };
+        for (&at, vnf) in &self.vnfs {
+            if vnf.daemon.state() != DaemonState::Running {
+                continue;
+            }
+            for (_, hops) in vnf.daemon.table().iter() {
+                for next in hops.iter().filter_map(|h| control_of_hop(h)) {
+                    if let Some(downstream) = self.vnfs.get(&next) {
+                        assert!(
+                            armed(downstream),
+                            "node {} forwards to node {} before it is armed (tick {})",
+                            node_of(at),
+                            node_of(next),
+                            self.tick
+                        );
+                    }
+                }
+            }
+        }
     }
 
     fn stats(&self, to: SocketAddr) -> String {
@@ -379,7 +422,24 @@ fn targets(dcs: &[ncvnf_flowgraph::NodeId]) -> Vec<RelayTarget> {
         .collect()
 }
 
-/// Runs script ticks `from..` on `auto`; after each, `between` runs once.
+/// Starts an incarnation at script tick `fleet.tick` on the journal
+/// `Journal::open` replayed into `state`: its link is built at
+/// `next_epoch()` and the start entry is called once.
+fn start(
+    journal: Journal,
+    state: &ControllerState,
+    wal: &Path,
+    fleet: Fleet,
+) -> (Autoscaler, FleetLink) {
+    let now = fleet.ticks[fleet.tick].now;
+    let mut link = FleetLink::new(state.next_epoch(), wal, fleet);
+    let mut auto = autoscaler(journal);
+    let report = auto.start(&mut link, state, now).expect("start");
+    assert!(report.repush_failures.is_empty(), "{report:?}");
+    (auto, link)
+}
+
+/// Runs script polls `from..` on `auto`; after each, `between` runs once.
 fn run_ticks(
     auto: &mut Autoscaler,
     link: &mut FleetLink,
@@ -389,11 +449,7 @@ fn run_ticks(
     for tick in from..link.fleet.ticks.len() {
         link.fleet.tick = tick;
         let now = link.fleet.ticks[tick].now;
-        if tick == 0 {
-            auto.bootstrap(link, now).expect("bootstrap");
-        } else {
-            auto.poll(link, now).expect("poll");
-        }
+        auto.poll(link, now).expect("poll");
         between(link);
     }
 }
@@ -419,13 +475,12 @@ struct Reference {
 
 fn reference() -> Reference {
     let path = temp_wal("reference");
-    let (journal, _, _) = Journal::open(&path).unwrap();
-    let mut auto = autoscaler(journal);
-    let fleet = Fleet::new();
-    let mut link = FleetLink::new(1, &path, fleet);
-    let mut wal_after_tick = Vec::new();
-    run_ticks(&mut auto, &mut link, 0, |link| {
-        wal_after_tick.push(std::fs::metadata(&link.wal).unwrap().len() as usize);
+    let (journal, state, _) = Journal::open(&path).unwrap();
+    let (mut auto, mut link) = start(journal, &state, &path, Fleet::new());
+    let wal_len = |link: &FleetLink| std::fs::metadata(&link.wal).unwrap().len() as usize;
+    let mut wal_after_tick = vec![wal_len(&link)];
+    run_ticks(&mut auto, &mut link, 1, |link| {
+        wal_after_tick.push(wal_len(link))
     });
     let decisions = auto.decisions();
     drop(auto);
@@ -481,15 +536,12 @@ fn crash_and_recover(reference: &Reference, wal_len: usize, pushed: usize) -> Zo
     // Incarnation 2 on the journal's durable prefix.
     let path = temp_wal(&format!("crash-{wal_len}-{pushed}"));
     std::fs::write(&path, &reference.wal[..wal_len]).unwrap();
-    let (mut journal, state, replay) = Journal::open(&path).unwrap();
+    let (journal, state, replay) = Journal::open(&path).unwrap();
     let valid = scan_frames(&reference.wal[..wal_len]).1;
     assert_eq!(replay.truncated_bytes as usize, wal_len - valid);
     assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, valid);
-    let epoch = state.next_epoch();
-    journal.log(&ControlRecord::EpochStarted { epoch }).unwrap();
     fleet.tick = died_in;
-    let now = fleet.ticks[died_in].now;
-    let mut link = FleetLink::new(epoch, &path, fleet);
+    let (mut auto, mut link) = start(journal, &state, &path, fleet);
     let mut tally = ZombieTally::default();
     let mut zombie_step = |link: &mut FleetLink, frame: Option<&Sent>| {
         if let Some(s) = frame {
@@ -501,17 +553,7 @@ fn crash_and_recover(reference: &Reference, wal_len: usize, pushed: usize) -> Zo
         }
     };
     let mut in_flight = zombie.iter();
-    let report = reconcile(&mut link, &state, now, None);
-    assert!(report.repush_failures.is_empty(), "{report:?}");
     zombie_step(&mut link, in_flight.next());
-
-    let mut auto = autoscaler(journal).with_decision_base(state.scale_decisions);
-    let armed = NODES
-        .iter()
-        .all(|(n, _)| state.nodes.get(n).is_some_and(|b| b.last_seq > 0));
-    if !armed {
-        auto.bootstrap(&mut link, now).expect("re-bootstrap");
-    }
     run_ticks(&mut auto, &mut link, died_in + 1, |link| {
         zombie_step(link, in_flight.next());
     });
@@ -563,7 +605,11 @@ fn controller_crash_at_every_wal_byte_and_push_converges() {
         let to = sent.get(pushed).map_or(reference.wal.len(), |s| s.wal_len);
         for wal_len in from..=to {
             let t = crash_and_recover(&reference, wal_len, pushed);
-            assert!(t.applied <= 1, "only the frame in flight may land late");
+            assert_eq!(
+                t.applied, 0,
+                "crash at WAL byte {wal_len} after {pushed} pushes: a frame of the dead \
+                 incarnation was applied after the start entry returned"
+            );
             tally.stale += t.stale;
             tally.duplicate += t.duplicate;
             tally.applied += t.applied;
@@ -577,7 +623,7 @@ fn controller_crash_at_every_wal_byte_and_push_converges() {
     );
     println!(
         "crash_every_byte: {cases} crash cases ({} WAL bytes, {} pushes); zombie frames: \
-         {} stale, {} acked as duplicates, {} applied (in flight at the crash); wall {:.2} s",
+         {} stale, {} acked as duplicates, {} applied; wall {:.2} s",
         reference.wal.len(),
         sent.len(),
         tally.stale,

@@ -162,7 +162,7 @@ impl Feedback {
 
     /// A scale-to-zero wake request from draining VNF `node`: traffic
     /// for `session` arrived and the controller should re-arm the node
-    /// (dependency-ordered, recoders before decoders).
+    /// (in dependency order: a relay before any relay that forwards to it).
     pub fn wake(node: u32, session: SessionId) -> Self {
         Feedback {
             kind: FeedbackKind::Wake,

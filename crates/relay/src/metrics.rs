@@ -42,7 +42,7 @@ ncvnf_obs::metrics! {
         pub duplicate_signals: Counter = "relay.duplicate_signals", "signals", "Duplicate fenced signals acknowledged without re-applying";
         pub ctrl_epoch: Gauge = "relay.ctrl_epoch", "epoch", "Highest controller epoch accepted on the control socket";
         pub ctrl_seq: Gauge = "relay.ctrl_seq", "seq", "Last fenced sequence number applied within the current epoch";
-        pub table_digest: Gauge = "relay.table_digest", "digest", "53-bit FNV digest of the live forwarding table (reconciliation diff key)";
+        pub table_digest: Gauge = "relay.table_digest", "digest", "53-bit FNV digest of the live forwarding table (compare with the journaled belief's digest)";
         pub shards: Gauge = "relay.shards", "shards", "Engine shards the relay data path is split across";
         pub idle_ms: Gauge = "relay.idle_ms", "ms", "Milliseconds since the data path last received a datagram (scale-to-zero input)";
         pub daemon_state: Gauge = "relay.daemon_state", "state", "Daemon lifecycle state: 0 Idle, 1 Running, 2 Paused, 3 Draining, 4 Stopped";

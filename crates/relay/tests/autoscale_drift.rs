@@ -14,11 +14,15 @@
 //! re-plans through dc-C.
 //!
 //! The actuation is then killed half-way: the link wrapper lets exactly
-//! one push out (R0's new table) and fails the next (R2's), after the
-//! autoscaler journaled both. The restarted incarnation replays the WAL,
-//! reconciles — re-pushing R2's journaled-but-never-delivered table —
-//! and the transfer completes byte-identically. A zombie push under the
-//! dead epoch is fenced off.
+//! one push out and fails the next, after the autoscaler journaled both.
+//! Tables go downstream first, so the push that lands arms R2 and the one
+//! cut off is R0's reroute toward it: no relay ever forwards to an
+//! unarmed one. The restarted incarnation opens the WAL, builds its
+//! sender one epoch up and calls the same start entry, which pushes every
+//! relay its believed table under the new epoch — R0's
+//! journaled-but-never-delivered reroute included — and the transfer
+//! completes byte-identically. A zombie push under the dead epoch is
+//! fenced off.
 //!
 //! Finally the loop winds the idle fleet to zero (scale-to-zero) and a
 //! single stray datagram at a drained relay produces a data-plane wake
@@ -33,9 +37,9 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use ncvnf_control::{
-    reconcile, AutoscaleConfig, AutoscaleError, Autoscaler, ControlLink, ControlRecord,
-    DaemonState, FencedSignal, ForwardingTable, Journal, NodeStatus, RelayTarget, SendError,
-    SendReceipt, SenderConfig, Signal, SignalSender, VnfRoleWire,
+    AutoscaleConfig, AutoscaleError, Autoscaler, ControlLink, DaemonState, FencedSignal,
+    ForwardingTable, Journal, NodeStatus, RelayTarget, SendError, SendReceipt, SenderConfig,
+    Signal, SignalSender, VnfRoleWire,
 };
 use ncvnf_dataplane::{Feedback, FeedbackKind};
 use ncvnf_deploy::{
@@ -226,7 +230,7 @@ fn bandwidth_collapse_is_rerouted_live_and_survives_controller_crash() {
     )
     .unwrap();
 
-    // ---- Incarnation 1: bootstrap the loop under epoch 1. ----
+    // ---- Incarnation 1: the start entry on an empty WAL, epoch 1. ----
     let (controller, [dc_a, dc_b, dc_c, t]) = build_controller();
     let (journal, state0, _) = Journal::open(&wal).unwrap();
     assert_eq!(state0.nodes.len(), 0, "fresh WAL");
@@ -264,7 +268,7 @@ fn bandwidth_collapse_is_rerouted_live_and_survives_controller_crash() {
         idle_tau_secs: 60.0, // nothing drains during the drift phase
         drain_tau_secs: 600,
     };
-    let mut sender1 = SignalSender::new(1, SenderConfig::default()).unwrap();
+    let mut sender1 = SignalSender::new(state0.next_epoch(), SenderConfig::default()).unwrap();
     let mut auto1 = Autoscaler::new(
         controller,
         journal,
@@ -273,7 +277,7 @@ fn bandwidth_collapse_is_rerouted_live_and_survives_controller_crash() {
         drift_cfg,
     );
     let t0 = Instant::now();
-    auto1.bootstrap(&mut sender1, 0.0).unwrap();
+    auto1.start(&mut sender1, &state0, 0.0).unwrap();
     assert!(
         r0.handle().table_text().contains(&r1.data_addr.to_string()),
         "initial plan routes through the stronger dc-B"
@@ -335,15 +339,23 @@ fn bandwidth_collapse_is_rerouted_live_and_survives_controller_crash() {
         detect_to_actuate < Duration::from_secs(5),
         "detection window blown: {detect_to_actuate:?}"
     );
-    // The one budgeted push — R0's reroute — landed before the "crash".
+    // The one budgeted push armed R2 (downstream first); R0's reroute
+    // toward it was the push the "crash" cut off.
     assert!(
-        r0.handle().table_text().contains(&r2.data_addr.to_string()),
-        "R0 now forwards toward dc-C"
+        r2.handle()
+            .table_text()
+            .contains(&receiver.addr.to_string()),
+        "R2 holds its table before anything forwards to it"
+    );
+    assert!(
+        r0.handle().table_text().contains(&r1.data_addr.to_string()),
+        "R0's reroute never left the dead controller"
     );
 
-    // ---- Incarnation 2: replay the WAL and reconcile. ----
+    // ---- Incarnation 2: open the WAL, a sender one epoch up, start.
+    // Scale-to-zero runs later on this incarnation, with a short idle τ.
     drop(auto1); // the dead controller's journal handle flushes + closes
-    let (mut journal2, state, replay) = Journal::open(&wal).unwrap();
+    let (journal2, state, replay) = Journal::open(&wal).unwrap();
     assert!(!replay.torn_tail, "clean shutdown of the journal");
     assert!(state.scale_decisions >= 1, "the adoption was journaled");
     assert!(
@@ -351,31 +363,41 @@ fn bandwidth_collapse_is_rerouted_live_and_survives_controller_crash() {
             .table
             .to_text()
             .contains(&r2.data_addr.to_string()),
-        "WAL holds R0's rerouted table"
+        "WAL holds R0's journaled-but-undelivered reroute"
     );
     assert!(
         state.nodes[&2]
             .table
             .to_text()
             .contains(&receiver.addr.to_string()),
-        "WAL holds R2's journaled-but-undelivered table"
+        "WAL holds R2's table"
     );
-    let epoch2 = state.next_epoch();
-    journal2
-        .log(&ControlRecord::EpochStarted { epoch: epoch2 })
+    let (controller2, _) = build_controller();
+    let idle_cfg = AutoscaleConfig {
+        min_rel_change: 0.1,
+        telemetry_window: 3,
+        idle_tau_secs: 1.0,
+        drain_tau_secs: 60,
+    };
+    let mut auto2 = Autoscaler::new(controller2, journal2, targets, data_addrs, idle_cfg);
+    let mut sender2 = SignalSender::new(state.next_epoch(), SenderConfig::default()).unwrap();
+    let report = auto2
+        .start(&mut sender2, &state, t0.elapsed().as_secs_f64())
         .unwrap();
-    let mut sender2 = SignalSender::new(epoch2, SenderConfig::default()).unwrap();
-    let report = reconcile(&mut sender2, &state, t0.elapsed().as_secs_f64(), None);
-    assert!(
-        report.plan.repush.iter().any(|(node, _)| *node == 2),
-        "reconcile saw R2's missing table: {report:?}"
+    assert!(report.repush_failures.is_empty(), "{report:?}");
+    assert_eq!(
+        report.repushed_ok, 3,
+        "every reachable relay ACKed its table under epoch 2: {report:?}"
     );
-    assert_eq!(report.repushed_ok, 1, "exactly the interrupted push redone");
+    for relay in [&r0, &r1, &r2] {
+        assert_eq!(
+            relay.handle().snapshot().gauge("relay.ctrl_epoch"),
+            Some(2.0)
+        );
+    }
     assert!(
-        r2.handle()
-            .table_text()
-            .contains(&receiver.addr.to_string()),
-        "R2 forwards to the receiver after reconciliation"
+        r0.handle().table_text().contains(&r2.data_addr.to_string()),
+        "R0 now holds its missing reroute toward dc-C"
     );
 
     // A zombie push from the dead incarnation is fenced off: R2 has
@@ -418,15 +440,6 @@ fn bandwidth_collapse_is_rerouted_live_and_survives_controller_crash() {
     );
 
     // ---- Scale-to-zero: the idle fleet winds down... ----
-    let (controller2, _) = build_controller();
-    let idle_cfg = AutoscaleConfig {
-        min_rel_change: 0.1,
-        telemetry_window: 3,
-        idle_tau_secs: 1.0,
-        drain_tau_secs: 60,
-    };
-    let mut auto2 = Autoscaler::new(controller2, journal2, targets, data_addrs, idle_cfg)
-        .with_decision_base(state.scale_decisions);
     let mut drained: HashSet<u32> = HashSet::new();
     let wind_down = Instant::now();
     while drained.len() < 3 {
@@ -465,7 +478,13 @@ fn bandwidth_collapse_is_rerouted_live_and_survives_controller_crash() {
         }
     }
     let woken = auto2.wake(&mut sender2).expect("wake actuates");
-    assert_eq!(woken, vec![0, 1, 2], "whole fleet re-armed in node order");
+    // The fresh controller plans through dc-B, where R0's table names
+    // R1: R1 is re-armed before R0, and R2 (no table) by node id.
+    assert_eq!(
+        woken,
+        vec![1, 0, 2],
+        "whole fleet re-armed downstream first"
+    );
     assert!(matches!(r0.handle().daemon_state(), DaemonState::Running));
     assert!(matches!(r2.handle().daemon_state(), DaemonState::Running));
     assert!(

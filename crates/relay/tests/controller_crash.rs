@@ -2,24 +2,30 @@
 //!
 //! `ncvnf-control`'s `crash_every_byte` crashes the controller at every
 //! journal byte and push index against an in-memory fleet. This test runs
-//! the same story once over real sockets: a journaled, fenced wiring of a
-//! source → R0 → R1 → receiver chain; a crash after a v2 table for R0 is
-//! journaled but before it is sent, leaving a torn frame at the journal's
-//! tail; a restart that truncates the tail, fences itself one epoch up and
-//! reconciles (R0 re-pushed, R1 re-adopted); a zombie push under the dead
-//! epoch and a duplicate of the re-push, neither applied (asserted by the
-//! relay's counters); and a reliable transfer that completes
-//! byte-identically across all of it.
+//! the same story once over real sockets: an `Autoscaler` starts on an
+//! empty journal and arms a source → R0 → R1 → receiver chain; a crash
+//! after a v2 table for R0 is journaled but before it is sent, leaving a
+//! torn frame at the journal's tail; a restart through the same start
+//! entry that truncates the tail, fences every relay one epoch up and
+//! reconciles (R0 gets its interrupted table, R1 its believed one); a
+//! zombie push under the dead epoch at each relay and a duplicate of the
+//! re-push, none applied (asserted by the relays' counters); and a
+//! reliable transfer that completes byte-identically across all of it.
 
+use std::collections::HashMap;
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::net::UdpSocket;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use ncvnf_control::signal::{FencedSignal, Signal, VnfRoleWire};
 use ncvnf_control::{
-    reconcile, ControlMetrics, ControlRecord, ForwardingTable, Journal, SenderConfig, SignalSender,
+    AutoscaleConfig, Autoscaler, ControlMetrics, ControlRecord, ForwardingTable, Journal,
+    RelayTarget, SenderConfig, SignalSender,
+};
+use ncvnf_deploy::{
+    Planner, ScalingController, ScalingEvent, ScalingParams, SessionSpec, TopologyBuilder, VnfSpec,
 };
 use ncvnf_obs::Registry;
 use ncvnf_relay::{
@@ -75,6 +81,75 @@ fn temp_journal() -> PathBuf {
     path
 }
 
+/// An autoscaler over src → dc-0 (R0) → dc-1 (R1) → rx, on the journal at
+/// `wal`. Returns it with what the journal replayed.
+fn autoscaler(
+    wal: &Path,
+    relays: [&RelayNode; 2],
+    rx: std::net::SocketAddr,
+) -> (
+    Autoscaler,
+    ncvnf_control::ControllerState,
+    ncvnf_control::ReplayReport,
+) {
+    let mut b = TopologyBuilder::new();
+    let spec = VnfSpec {
+        bin_bps: 10e6,
+        bout_bps: 10e6,
+        coding_bps: 10e6,
+    };
+    let dcs = [b.data_center("dc-0", spec), b.data_center("dc-1", spec)];
+    let s = b.source("src", 1e6);
+    let t = b.receiver("rx", 1e6);
+    b.link(s, dcs[0], 5.0)
+        .link(dcs[0], dcs[1], 5.0)
+        .link(dcs[1], t, 5.0);
+    let params = ScalingParams {
+        alpha: 20e3,
+        rho1: 0.25,
+        tau1_secs: 1.0,
+        rho2: 0.25,
+        tau2_secs: 1.0,
+        pool_tau_secs: 600.0,
+        launch_latency_secs: 0.0,
+    };
+    let mut controller = ScalingController::new(b.build(), Planner::new(), params);
+    controller
+        .handle(
+            ScalingEvent::SessionJoin(SessionSpec::elastic(
+                SessionId::new(SESSION),
+                s,
+                vec![t],
+                200.0,
+            )),
+            0.0,
+        )
+        .unwrap();
+    let targets = (0..2)
+        .map(|i| RelayTarget {
+            node: i as u32,
+            dc: dcs[i],
+            control_addr: relays[i].control_addr,
+            role: VnfRoleWire::Recoder,
+            settings: vec![settings_for(relays[i])],
+        })
+        .collect();
+    let data_addrs = HashMap::from([
+        (dcs[0], relays[0].data_addr.to_string()),
+        (dcs[1], relays[1].data_addr.to_string()),
+        (t, rx.to_string()),
+    ]);
+    let (journal, state, replay) = Journal::open(wal).unwrap();
+    let auto = Autoscaler::new(
+        controller,
+        journal,
+        targets,
+        data_addrs,
+        AutoscaleConfig::default(),
+    );
+    (auto, state, replay)
+}
+
 #[test]
 fn controller_crash_recovers_from_journal_and_reconciles() {
     let r0 = RelayNode::spawn(relay_config(0)).unwrap();
@@ -104,39 +179,18 @@ fn controller_crash_recovers_from_journal_and_reconciles() {
     )
     .unwrap();
 
-    // ---- Incarnation 1: every record journaled before its push. ----
+    // ---- Incarnation 1: the start entry on an empty journal. ----
     let journal_path = temp_journal();
-    let (mut journal, state0, _) = Journal::open(&journal_path).unwrap();
+    let (mut auto1, state0, _) = autoscaler(&journal_path, [&r0, &r1], receiver.addr);
     let epoch1 = state0.next_epoch();
-    journal
-        .log(&ControlRecord::EpochStarted { epoch: epoch1 })
-        .unwrap();
     let mut sender1 = SignalSender::new(epoch1, SenderConfig::default()).unwrap();
-    let hops = [r1.data_addr, receiver.addr];
-    for (node, relay) in [(0u32, &r0), (1u32, &r1)] {
-        let table = table_text(SESSION, &hops[node as usize].to_string());
-        journal
-            .log(&ControlRecord::VnfLaunched {
-                node,
-                data_center: "dc-east".into(),
-                control_addr: relay.control_addr.to_string(),
-            })
-            .unwrap();
-        sender1
-            .push(relay.control_addr, &settings_for(relay))
-            .unwrap();
-        journal
-            .log(&ControlRecord::TablePushed {
-                node,
-                epoch: epoch1,
-                seq: sender1.next_seq(relay.control_addr),
-                table: table.clone(),
-            })
-            .unwrap();
-        sender1
-            .push(relay.control_addr, &Signal::NcForwardTab { table })
-            .unwrap();
-    }
+    auto1.start(&mut sender1, &state0, 0.0).unwrap();
+    drop(auto1);
+    assert_eq!(
+        r0.handle().table_text(),
+        table_text(SESSION, &r1.data_addr.to_string()),
+        "R0 forwards to R1"
+    );
 
     let transfer = {
         let config = config.clone();
@@ -159,6 +213,7 @@ fn controller_crash_recovers_from_journal_and_reconciles() {
     // ---- The crash: a v2 delta for R0 is durable but never sent, and
     // the power cut leaves a torn frame (a header promising 64 bytes,
     // followed by 4). ----
+    let (mut journal, _, _) = Journal::open(&journal_path).unwrap();
     journal
         .log(&ControlRecord::TablePushed {
             node: 0,
@@ -175,29 +230,34 @@ fn controller_crash_recovers_from_journal_and_reconciles() {
         .write_all(&[0, 0, 0, 64, 0xDE, 0xAD, 0xBE, 0xEF])
         .unwrap();
 
-    // ---- Incarnation 2: truncate, replay, fence, reconcile. ----
-    let (mut journal2, state, replay) = Journal::open(&journal_path).unwrap();
+    // ---- Incarnation 2: open (truncate, replay), a link one epoch up,
+    // the same start entry. ----
+    let (auto2, state, replay) = autoscaler(&journal_path, [&r0, &r1], receiver.addr);
     assert!(replay.torn_tail, "the torn tail was detected");
     assert_eq!(replay.truncated_bytes, 8, "exactly the partial frame went");
-    assert_eq!(replay.records, 6, "every committed record replayed");
+    assert_eq!(replay.records, 7, "every committed record replayed");
     let epoch2 = state.next_epoch();
     assert_eq!(epoch2, 2, "fenced one above everything journaled");
-    journal2
-        .log(&ControlRecord::EpochStarted { epoch: epoch2 })
-        .unwrap();
-    let mut sender2 = SignalSender::new(epoch2, SenderConfig::default()).unwrap();
     let registry = Registry::new();
-    let metrics = ControlMetrics::register(&registry);
-    let report = reconcile(&mut sender2, &state, 0.0, Some(&metrics));
-    assert_eq!(report.plan.readopt, vec![1], "R1 matched its belief");
-    assert_eq!(report.repushed_ok, 1, "the interrupted push landed");
-    let counts = registry.snapshot();
-    assert_eq!(counts.counter("control.reconcile.readopted"), Some(1));
-    assert_eq!(counts.counter("control.reconcile.repushed"), Some(1));
+    let mut auto2 = auto2.with_metrics(ControlMetrics::register(&registry));
+    let mut sender2 = SignalSender::new(epoch2, SenderConfig::default()).unwrap();
+    let report = auto2.start(&mut sender2, &state, 0.0).unwrap();
+    assert_eq!(report.repushed_ok, 2, "both relays pushed under epoch 2");
+    assert_eq!(
+        registry.snapshot().counter("control.reconcile.repushed"),
+        Some(2)
+    );
     assert!(
         r0.handle().table_text().contains("session 99"),
         "R0 holds the journaled v2 entry"
     );
+    for relay in [&r0, &r1] {
+        assert_eq!(
+            relay.handle().snapshot().gauge("relay.ctrl_epoch"),
+            Some(2.0),
+            "every relay fenced at the new epoch"
+        );
+    }
 
     // ---- The zombie's push bounces; a duplicate of the re-push is
     // ACKed. Neither is applied. ----
@@ -213,18 +273,25 @@ fn controller_crash_recovers_from_journal_and_reconciles() {
         },
     };
     let mut ack = [0u8; 64];
-    for (frame, reply) in [
-        (hostile(epoch1, 50), &b"ERR stale-epoch 50"[..]),
-        (hostile(epoch2, 1), &b"OK 1"[..]),
+    for (relay, frame, reply) in [
+        (&r0, hostile(epoch1, 50), &b"ERR stale-epoch 50"[..]),
+        (&r0, hostile(epoch2, 1), &b"OK 1"[..]),
+        (&r1, hostile(epoch1, 50), &b"ERR stale-epoch 50"[..]),
     ] {
-        probe.send_to(&frame.to_bytes(), r0.control_addr).unwrap();
+        probe
+            .send_to(&frame.to_bytes(), relay.control_addr)
+            .unwrap();
         let (n, _) = probe.recv_from(&mut ack).unwrap();
         assert_eq!(&ack[..n], reply);
     }
     let snap = r0.handle().snapshot();
     assert_eq!(snap.counter("relay.stale_epoch_rejected"), Some(1));
     assert_eq!(snap.counter("relay.duplicate_signals"), Some(1));
-    assert!(!r0.handle().table_text().contains("10.0.0.1"));
+    let snap = r1.handle().snapshot();
+    assert_eq!(snap.counter("relay.stale_epoch_rejected"), Some(1));
+    for relay in [&r0, &r1] {
+        assert!(!relay.handle().table_text().contains("10.0.0.1"));
+    }
 
     // ---- The transfer never noticed. ----
     let source_stats = transfer.join().expect("source thread");
@@ -234,6 +301,7 @@ fn controller_crash_recovers_from_journal_and_reconciles() {
     assert_eq!(delivered.object, object, "byte-identical after recovery");
     assert_eq!(source_stats.unrecovered, 0);
 
+    drop(auto2);
     r0.shutdown();
     r1.shutdown();
     let _ = std::fs::remove_file(&journal_path);
