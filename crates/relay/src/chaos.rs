@@ -883,6 +883,52 @@ mod tests {
         assert!(handle.stats().throttled > 50, "most sends queued");
     }
 
+    /// Polling a faulted socket draws exactly one fault per datagram, in
+    /// arrival order, so a chaos seed drops the same datagrams whether
+    /// the relay polled or blocked for them.
+    #[test]
+    fn a_poll_draws_one_fault_per_datagram_like_a_blocking_receive() {
+        const SENT: u8 = 200;
+        let delivered = |poll: bool| {
+            let (sock, handle) = FaultSocket::bind_loopback(
+                FaultConfig::new(0x5EED)
+                    .with_drop(0.3)
+                    .with_directions(true, false),
+            )
+            .unwrap();
+            sock.set_read_timeout(Some(Duration::from_millis(100)))
+                .unwrap();
+            let sender = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+            for i in 0..SENT {
+                sender.send_to(&[i], sock.local_addr().unwrap()).unwrap();
+            }
+            let mut batch = RecvBatch::new(8, 8);
+            let mut got = Vec::new();
+            let deadline = Instant::now() + Duration::from_secs(2);
+            loop {
+                let stats = handle.stats();
+                if stats.delivered + stats.dropped == u64::from(SENT) {
+                    break;
+                }
+                assert!(Instant::now() < deadline, "{stats:?}");
+                let received = if poll {
+                    sock.try_recv_batch(&mut batch)
+                } else {
+                    sock.recv_batch(&mut batch)
+                };
+                if received.is_ok() {
+                    got.extend(batch.iter().map(|(bytes, _)| bytes[0]));
+                }
+            }
+            assert_eq!(handle.stats().delivered, got.len() as u64);
+            got
+        };
+        let polled = delivered(true);
+        assert_eq!(polled, delivered(false), "same seed, same drops");
+        let dropped = usize::from(SENT) - polled.len();
+        assert!(dropped > 30 && dropped < 90, "≈30 % dropped: {dropped}");
+    }
+
     #[test]
     fn ingress_faults_drop_on_receive() {
         let sender = UdpSocket::bind(("127.0.0.1", 0)).unwrap();

@@ -171,10 +171,16 @@ impl RecvBatch {
         self.views.clear();
     }
 
-    /// One `recvmmsg` into every entry, then the datagrams' views.
-    fn recv_from_socket(&mut self, sock: &UdpSocket) -> io::Result<usize> {
+    /// One `recvmmsg` into every entry — blocking for the first message
+    /// if `wait`, for none otherwise — then the datagrams' views.
+    fn recv_from_socket(&mut self, sock: &UdpSocket, wait: bool) -> io::Result<usize> {
         self.clear();
-        let got = ncvnf_sysnet::recv_batch(sock, &mut self.area, self.entry_len, &mut self.meta)?;
+        let recv = if wait {
+            ncvnf_sysnet::recv_batch
+        } else {
+            ncvnf_sysnet::recv_batch_nowait
+        };
+        let got = recv(sock, &mut self.area, self.entry_len, &mut self.meta)?;
         for entry in 0..got {
             self.index(entry);
         }
@@ -286,6 +292,19 @@ pub(crate) fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
+/// Fills `batch` with `try_recv`, a one-datagram receive that never
+/// blocks, until the queue is empty or the batch full. An empty queue is
+/// `try_recv`'s `WouldBlock`.
+fn recv_queued(
+    batch: &mut RecvBatch,
+    mut try_recv: impl FnMut(&mut [u8]) -> io::Result<(usize, SocketAddr)>,
+) -> io::Result<usize> {
+    batch.clear();
+    batch.recv_one(&mut try_recv)?;
+    while let Ok(true) = batch.recv_one(&mut try_recv) {}
+    Ok(batch.len())
+}
+
 /// An unconnected datagram endpoint (the `UdpSocket` API subset the relay
 /// uses).
 pub trait DatagramSocket: Send + Sync {
@@ -347,6 +366,24 @@ pub trait DatagramSocket: Send + Sync {
         Ok(batch.len())
     }
 
+    /// [`Self::recv_batch`] that never blocks: takes up to a batch of
+    /// datagrams already queued. This is the relay's poll before it parks
+    /// (DESIGN.md §14).
+    ///
+    /// The default implementation loops [`Self::try_recv_from`] until the
+    /// queue is empty or the batch full, so a socket that draws a fault
+    /// per datagram (the chaos harness) draws exactly as many as it
+    /// delivers or drops; `UdpSocket` overrides it with one non-blocking
+    /// `recvmmsg` on Linux.
+    ///
+    /// # Errors
+    ///
+    /// An empty queue is `WouldBlock`, with the batch left empty; other
+    /// socket errors propagate.
+    fn try_recv_batch(&self, batch: &mut RecvBatch) -> io::Result<usize> {
+        recv_queued(batch, |entry| self.try_recv_from(entry))
+    }
+
     /// Sends every datagram in `batch`; returns how many went out.
     ///
     /// Per-datagram failures are tolerated (skipped), matching UDP's
@@ -398,7 +435,14 @@ impl DatagramSocket for UdpSocket {
             batch.recv_one(|entry| UdpSocket::recv_from(self, entry))?;
             return Ok(batch.len());
         }
-        batch.recv_from_socket(self)
+        batch.recv_from_socket(self, true)
+    }
+
+    fn try_recv_batch(&self, batch: &mut RecvBatch) -> io::Result<usize> {
+        if !ncvnf_sysnet::batched_syscalls_available() {
+            return recv_queued(batch, |entry| ncvnf_sysnet::recv_nowait(self, entry));
+        }
+        batch.recv_from_socket(self, false)
     }
 
     fn send_batch(&self, batch: &SendBatch) -> io::Result<usize> {
@@ -441,6 +485,10 @@ impl<S: DatagramSocket + ?Sized> DatagramSocket for &S {
         (**self).recv_batch(batch)
     }
 
+    fn try_recv_batch(&self, batch: &mut RecvBatch) -> io::Result<usize> {
+        (**self).try_recv_batch(batch)
+    }
+
     fn send_batch(&self, batch: &SendBatch) -> io::Result<usize> {
         (**self).send_batch(batch)
     }
@@ -463,5 +511,23 @@ mod tests {
         assert_eq!(batch.len(), 2);
         assert_eq!(batch.get(0), (&[1u8; 8][..], src), "cut at its entry");
         assert_eq!(batch.get(1), (&[2u8; 8][..], src));
+    }
+
+    #[test]
+    fn an_empty_poll_is_would_block_and_leaves_the_batch_empty() {
+        let rx = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        let tx = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        let mut batch = RecvBatch::new(4, 16);
+        assert!(batch.push(&[9; 4], tx.local_addr().unwrap()));
+        let err = rx.try_recv_batch(&mut batch).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        assert!(batch.is_empty(), "the last fill is gone");
+        for i in 0..6u8 {
+            tx.send_to(&[i; 3], rx.local_addr().unwrap()).unwrap();
+        }
+        // Loopback delivery is synchronous with the send.
+        assert_eq!(rx.try_recv_batch(&mut batch).unwrap(), 4, "a batch full");
+        assert_eq!(rx.try_recv_batch(&mut batch).unwrap(), 2, "then the rest");
+        assert_eq!(batch.get(1).0, [5; 3]);
     }
 }

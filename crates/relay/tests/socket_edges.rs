@@ -2,10 +2,13 @@
 //! `UDP_GRO` message and leaves fanned out to two next hops (the flush
 //! `send_batch` coalesces per destination), such a burst relayed in
 //! flushes of at most `RelayConfig::batch`, a relay on caller-provided
-//! sockets that never asks for GRO, and the two edges of the receive
-//! entries.
+//! sockets that never asks for GRO, the two edges of the receive
+//! entries, and the poll before the data thread parks under a dense
+//! ping-pong.
 
 use std::net::{SocketAddr, UdpSocket};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ncvnf_control::signal::VnfRoleWire;
@@ -234,5 +237,64 @@ fn receive_slots_hold_the_largest_valid_datagram_and_not_a_byte_more() {
         assert_eq!(handle.stats().datagrams_in, 3);
         assert_eq!(handle.stats().datagrams_out, 1);
         relay.shutdown();
+    }
+}
+
+/// Dense ping-pong — one datagram in flight, the next sent as the last
+/// comes back — keeps the data thread polling between trips; a pause
+/// the poll budget cannot bridge ends in a park; and a shutdown in the
+/// middle of the exchange returns as promptly as one from idle.
+#[test]
+fn a_relay_under_dense_ping_pong_parks_when_it_pauses_and_shuts_down_promptly() {
+    let layout = GenerationConfig::new(64, 4).unwrap();
+    let (peer, peer_addr) = socket();
+    let relay = recoder(layout, &[peer_addr]);
+    let handle = relay.handle();
+    let to = relay.data_addr;
+    let datagram = coded_datagram(layout.block_size());
+    let mut buf = [0u8; 2048];
+    // Rounds of trips, each ended by a pause: a round whose trips come
+    // within the budget of each other ends in a park. One is enough.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.stats().parks == 0 {
+        assert!(Instant::now() < deadline, "no poll phase ever ran out");
+        for _ in 0..200 {
+            peer.send_to(&datagram, to).unwrap();
+            peer.recv_from(&mut buf)
+                .expect("one relayed datagram per trip");
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(handle.stats().io_errors, 0);
+
+    peer.set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let pinger = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut buf = [0u8; 2048];
+            while !stop.load(Ordering::Relaxed) {
+                peer.send_to(&datagram, to).unwrap();
+                let _ = peer.recv_from(&mut buf);
+            }
+        })
+    };
+    let trips = handle.stats().datagrams_in;
+    wait_until(|| handle.stats().datagrams_in >= trips + 100);
+    let started = Instant::now();
+    relay.shutdown();
+    let took = started.elapsed();
+    stop.store(true, Ordering::Relaxed);
+    pinger.join().unwrap();
+    assert!(took < Duration::from_millis(500), "shutdown took {took:?}");
+}
+
+/// Waits (at most 2 s) for `done`.
+fn wait_until(done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while !done() {
+        assert!(Instant::now() < deadline, "never happened");
+        std::thread::yield_now();
     }
 }

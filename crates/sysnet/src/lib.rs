@@ -17,7 +17,8 @@
 //!   (honouring `SO_RCVTIMEO`), then drain whatever else is queued
 //!   without further waiting. After [`enable_gro`] a message may be a
 //!   whole burst, handed over with its segment size and cut back by
-//!   [`RecvMeta::datagrams`].
+//!   [`RecvMeta::datagrams`]. [`recv_batch_nowait`] is the same call
+//!   with `MSG_DONTWAIT`: it takes what is queued and never blocks.
 //! - [`send_batch`]: one `sendmmsg(2)` entry per *destination run*, not
 //!   per datagram. Datagrams in a caller-owned arena that share a
 //!   destination and a length leave as one message that gathers them in
@@ -128,8 +129,24 @@ pub fn recv_batch(
     entry_len: usize,
     meta: &mut [RecvMeta],
 ) -> io::Result<usize> {
-    let n = meta.len().min(MAX_BATCH);
-    imp::recv_batch(sock, &mut area[..n * entry_len], entry_len, &mut meta[..n])
+    imp::recv_batch(sock, area, entry_len, meta, true)
+}
+
+/// [`recv_batch`] that never blocks: takes up to `n` messages already
+/// queued, whatever the socket's blocking mode and read timeout say
+/// (`MSG_DONTWAIT`; neither is consulted nor changed).
+///
+/// # Errors
+///
+/// An empty queue surfaces as `WouldBlock` at once; other socket errors
+/// propagate. On other targets returns `Unsupported`.
+pub fn recv_batch_nowait(
+    sock: &UdpSocket,
+    area: &mut [u8],
+    entry_len: usize,
+    meta: &mut [RecvMeta],
+) -> io::Result<usize> {
+    imp::recv_batch(sock, area, entry_len, meta, false)
 }
 
 /// Asks for a burst as one message (`UDP_GRO`); whether the kernel
@@ -427,8 +444,10 @@ mod imp {
         area: &mut [u8],
         entry_len: usize,
         meta: &mut [RecvMeta],
+        wait: bool,
     ) -> io::Result<usize> {
-        let n = meta.len();
+        let n = meta.len().min(MAX_BATCH);
+        let (area, meta) = (&mut area[..n * entry_len], &mut meta[..n]);
         // Only the `n` entries the kernel may fill are set up: a batch
         // of one costs one header, not MAX_BATCH of them.
         let mut addrs = [const { MaybeUninit::<SockAddrStorage>::uninit() }; MAX_BATCH];
@@ -459,6 +478,8 @@ mod imp {
         // MSG_WAITFORONE: block (under SO_RCVTIMEO) for the first
         // message only, then drain without waiting. Null timeout: the
         // socket's own read timeout governs the initial wait.
+        // MSG_DONTWAIT: wait for none of them.
+        let flags = if wait { MSG_WAITFORONE } else { MSG_DONTWAIT };
         //
         // SAFETY: each of the `n` headers points at its own address
         // slot, control buffer, iovec and entry of `area`, all
@@ -470,7 +491,7 @@ mod imp {
                 sock.as_raw_fd(),
                 hdrs.as_mut_ptr(),
                 n as u32,
-                MSG_WAITFORONE,
+                flags,
                 ptr::null_mut(),
             )
         };
@@ -786,6 +807,7 @@ mod imp {
         _area: &mut [u8],
         _entry_len: usize,
         _meta: &mut [super::RecvMeta],
+        _wait: bool,
     ) -> io::Result<usize> {
         Err(unsupported())
     }
@@ -1119,6 +1141,46 @@ mod tests {
         // Loopback delivery is synchronous with the send.
         let (n, src) = recv_nowait(&rx, &mut buf).unwrap();
         assert_eq!((&buf[..n], src), (&b"ping"[..], tx.local_addr().unwrap()));
+        assert_eq!(rx.read_timeout().unwrap(), None, "timeout untouched");
+    }
+
+    #[test]
+    fn recv_batch_nowait_never_blocks_and_takes_a_queued_burst_whole() {
+        // Blocking, no read timeout: a blocking receive would hang here.
+        let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let dest = rx.local_addr().unwrap();
+        let mut area = Area::new(MAX_BATCH * MAX_MESSAGE_LEN).unwrap();
+        let mut meta = [RecvMeta::default(); MAX_BATCH];
+        let started = std::time::Instant::now();
+        let err = recv_batch_nowait(&rx, &mut area, MAX_MESSAGE_LEN, &mut meta).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        assert!(
+            started.elapsed() < Duration::from_millis(100),
+            "returned at once"
+        );
+        assert_eq!(meta, [RecvMeta::default(); MAX_BATCH], "nothing filled");
+
+        if !enable_gro(&rx) {
+            eprintln!("skipped: this kernel refuses UDP_GRO");
+            return;
+        }
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let refused = egress_counts().1;
+        let (_, burst) = flush(&tx, &[(70, dest); 24]);
+        // Loopback delivery is synchronous with the send.
+        let got = recv_batch_nowait(&rx, &mut area, MAX_MESSAGE_LEN, &mut meta).unwrap();
+        if egress_counts().1 != refused {
+            return; // the burst went out plain: nothing to coalesce
+        }
+        assert_eq!(shapes(&meta[..got]), [(24 * 70, 70)], "one message, whole");
+        assert_eq!(meta[0].src, tx.local_addr().unwrap());
+        let datagrams: Vec<_> = meta[0]
+            .datagrams()
+            .map(|(off, len)| area[off..off + len].to_vec())
+            .collect();
+        assert_eq!(datagrams, burst);
+        let err = recv_batch_nowait(&rx, &mut area, MAX_MESSAGE_LEN, &mut meta).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock, "drained");
         assert_eq!(rx.read_timeout().unwrap(), None, "timeout untouched");
     }
 
