@@ -15,13 +15,14 @@
 //!   with feedback-driven loss recovery in between (NACK/ACK over the
 //!   `ncvnf-dataplane` feedback codec, NACKs on evidence of loss,
 //!   bounded retransmission gated on the measured round trip, redundancy
-//!   sized from the estimated erasure rate). Zero retries and no
-//!   feedback peer make it best-effort;
+//!   sized from the estimated erasure rate). Both ends are sans-IO state
+//!   machines that one driver runs over their sockets; zero retries and
+//!   no feedback peer make it best-effort;
 //! * [`reliable_chain`] — assembles a source → relays → receiver
 //!   pipeline on 127.0.0.1, wired over the control channel
 //!   ([`RelayNode::wire`]), and reports timing and counters;
 //! * [`DatagramSocket`]/[`FaultSocket`] — the chaos harness: the relay
-//!   loops and the transfer source are generic over a socket trait, and
+//!   loops and the transfer driver are generic over a socket trait, and
 //!   the fault wrapper injects deterministic seeded
 //!   drop/duplicate/reorder/delay (and crash-after-N) into the live
 //!   path;

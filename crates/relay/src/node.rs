@@ -174,7 +174,7 @@ pub struct RelayStats {
     /// Congestion feedback frames emitted toward shed traffic's sources.
     pub congestion_frames: u64,
     /// Times a data thread ran out of poll budget and blocked in its
-    /// socket receive ([`PollGate`]).
+    /// socket receive (`PollGate`).
     pub parks: u64,
 }
 

@@ -6,7 +6,7 @@ use ncvnf_gf256::bulk;
 
 use crate::config::GenerationConfig;
 use crate::error::CodecError;
-use crate::header::{CodedPacket, SessionId};
+use crate::header::{write_prefix, CodedPacket, SessionId};
 use crate::pool::PayloadPool;
 
 /// Encodes one generation of source data into coded packets.
@@ -121,6 +121,30 @@ impl GenerationEncoder {
         let mut payload = pool.checkout_zeroed(self.config.block_size());
         self.combine_into(&coefficients, &mut payload);
         CodedPacket::new(session, generation, coefficients.freeze(), payload.freeze())
+    }
+
+    /// [`coded_packet_pooled`](Self::coded_packet_pooled) written straight
+    /// into `out`: the same bytes for the same `rng` state, serialized, and
+    /// with a reused `out` of settled capacity nothing is allocated.
+    pub fn coded_wire_into<R: Rng + ?Sized>(
+        &self,
+        session: SessionId,
+        generation: u64,
+        rng: &mut R,
+        out: &mut Vec<u8>,
+    ) {
+        write_prefix(out, session, generation);
+        let start = out.len();
+        let g = self.config.blocks_per_generation();
+        out.resize(start + g + self.config.block_size(), 0);
+        let (coefficients, payload) = out[start..].split_at_mut(g);
+        loop {
+            rng.fill(&mut coefficients[..]);
+            if coefficients.iter().any(|&c| c != 0) {
+                break;
+            }
+        }
+        self.combine_into(coefficients, payload);
     }
 
     /// Emits original block `index` with a unit coefficient vector.
@@ -242,6 +266,23 @@ mod tests {
             assert_eq!(pool.recycle(pkt), 2);
         }
         assert_eq!(pool.idle(), 16);
+    }
+
+    #[test]
+    fn wire_encode_is_the_serialized_pooled_encode() {
+        let data: Vec<u8> = (0..64).map(|i| (i * 7 + 3) as u8).collect();
+        let enc = GenerationEncoder::new(cfg(), &data).unwrap();
+        let (mut a, mut b) = (StdRng::seed_from_u64(17), StdRng::seed_from_u64(17));
+        let (mut pool, mut wire) = (PayloadPool::new(), Vec::new());
+        for generation in 0..40 {
+            wire.clear();
+            enc.coded_wire_into(SessionId::new(6), generation, &mut b, &mut wire);
+            let pkt = enc.coded_packet_pooled(SessionId::new(6), generation, &mut a, &mut pool);
+            assert_eq!(wire, pkt.to_bytes().to_vec());
+            pool.recycle(pkt);
+        }
+        // The same draws left both rngs in the same state.
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
     }
 
     #[test]

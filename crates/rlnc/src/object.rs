@@ -16,7 +16,6 @@ use crate::decoder::{GenerationDecoder, ReceiveOutcome};
 use crate::encoder::GenerationEncoder;
 use crate::error::CodecError;
 use crate::header::{CodedPacket, PacketView, SessionId};
-use crate::pool::PayloadPool;
 
 /// Length-prefix framing size.
 const LEN_PREFIX: usize = 8;
@@ -87,21 +86,20 @@ impl ObjectEncoder {
         enc.coded_packet(self.session, generation, rng)
     }
 
-    /// [`coded_packet`](Self::coded_packet) with both buffers from `pool`
-    /// — what a paced source emits, recycling each packet once it is
-    /// serialized.
+    /// [`GenerationEncoder::coded_wire_into`] for `generation`: what a
+    /// paced source writes into its outbound batch.
     ///
     /// # Panics
     ///
     /// Panics if `generation >= self.generations()`.
-    pub fn coded_packet_pooled<R: Rng + ?Sized>(
+    pub fn coded_wire_into<R: Rng + ?Sized>(
         &self,
         generation: u64,
         rng: &mut R,
-        pool: &mut PayloadPool,
-    ) -> CodedPacket {
+        out: &mut Vec<u8>,
+    ) {
         let enc = &self.encoders[generation as usize];
-        enc.coded_packet_pooled(self.session, generation, rng, pool)
+        enc.coded_wire_into(self.session, generation, rng, out);
     }
 
     /// Emits systematic packet `index` of `generation`.

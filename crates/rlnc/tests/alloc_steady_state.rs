@@ -176,6 +176,31 @@ fn row_kernel_does_not_allocate() {
 /// scratch rows, payload never read) and anything past full rank — cost
 /// a decoder and a recoder no heap operation.
 #[test]
+fn warm_wire_encode_does_not_allocate() {
+    // What the transfer source does per packet: the coded packet is
+    // written straight into the outbound arena, reused every burst.
+    let config = GenerationConfig::new(1460, 4).expect("valid layout");
+    let mut rng = StdRng::seed_from_u64(0x5EED_0E1C);
+    let mut data = vec![0u8; config.generation_payload()];
+    rng.fill(&mut data[..]);
+    let encoder = GenerationEncoder::new(config, &data).expect("valid generation");
+    let session = SessionId::new(42);
+    let mut arena = Vec::new();
+    for _ in 0..8 {
+        arena.clear();
+        encoder.coded_wire_into(session, 0, &mut rng, &mut arena);
+    }
+    let allocs = heap_ops_during(|| {
+        for generation in 0..256 {
+            arena.clear();
+            encoder.coded_wire_into(session, generation, &mut rng, &mut arena);
+        }
+    });
+    assert_eq!(allocs, 0, "warm wire encode must not touch the heap");
+    assert_eq!(arena.len(), 8 + 4 + 1460, "one packet per pass");
+}
+
+#[test]
 fn redundant_packets_do_not_allocate() {
     const G: usize = 8;
     let config = GenerationConfig::new(256, G).expect("valid layout");
