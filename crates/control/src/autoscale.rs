@@ -46,6 +46,7 @@ use std::time::Instant;
 use ncvnf_deploy::{PlanError, ScalingController, ScalingEvent, VnfSpec};
 use ncvnf_flowgraph::NodeId;
 
+use crate::daemon::DaemonState;
 use crate::diff::tables_from_deployment;
 use crate::fwdtab::ForwardingTable;
 use crate::journal::{ControlRecord, ControllerState, Journal};
@@ -470,7 +471,8 @@ impl Autoscaler {
             let out = snapshot_value(&stats, "relay.datagrams_out").unwrap_or(0.0) as u64;
             let shed = snapshot_value(&stats, "relay.shed_quota").unwrap_or(0.0) as u64;
             let idle_ms = snapshot_value(&stats, "relay.idle_ms").unwrap_or(0.0);
-            let daemon_state = snapshot_value(&stats, "relay.daemon_state").map(|v| v as u8);
+            let daemon_state = snapshot_value(&stats, "relay.daemon_state")
+                .and_then(|v| DaemonState::from_code(v as u8));
             let nominal = self.controller.topology().vnf_spec(dc);
             let track = self.tracks.entry(node).or_insert_with(|| TargetTrack {
                 last_poll_secs: None,
@@ -508,13 +510,13 @@ impl Autoscaler {
             }
             // A relay reporting Draining is draining, whoever drained it
             // (a crashed predecessor, say): returning traffic wakes it.
-            track.draining |= daemon_state == Some(3);
+            track.draining |= daemon_state == Some(DaemonState::Draining);
             if track.draining && matches!(out_delta, Some(d) if d > 0) {
                 // First packet after a drain: traffic is back, re-arm.
                 traffic_returned = true;
             }
             if !track.draining
-                && daemon_state == Some(1)
+                && daemon_state == Some(DaemonState::Running)
                 && idle_ms >= self.config.idle_tau_secs * 1000.0
                 && out_delta == Some(0)
             {
@@ -719,7 +721,7 @@ impl Autoscaler {
     /// The one actuation order, as target indices, downstream first:
     /// each target comes after every target its table names as a next
     /// hop, so a relay is armed before anything forwards to it
-    /// (DESIGN.md §15). Drains walk it backwards. `table_of` gives the
+    /// (DESIGN.md §14). Drains walk it backwards. `table_of` gives the
     /// table a target holds or is about to be pushed; ties, and a cycle,
     /// go in node-id order.
     fn dependency_order<'t>(

@@ -1,4 +1,4 @@
-//! The per-VNF daemon state machine.
+//! The per-VNF daemon: the one receiver of control datagrams.
 //!
 //! "A daemon program runs on each network coding node ... In each new
 //! coding node, daemons start along with initial settings ... After a
@@ -6,79 +6,84 @@
 //! to temporarily pause its coding function, inform the coding function of
 //! the new forwarding table, and then resume" (Sec. III-A).
 //!
-//! This state machine is transport-agnostic: it consumes [`Signal`]s and
-//! emits [`DaemonEvent`]s that the hosting process (simulated node or real
-//! UDP relay) acts on.
+//! [`Daemon::receive`] takes one datagram's bytes and does everything a
+//! receiver does with them, without a socket: decode, answer the
+//! `NC_STATS` read before the fence, pass every other frame through the
+//! epoch [`Fence`](crate::fence) (DESIGN.md §13), apply what the fence
+//! admits — the one forwarding table is parsed and merged here — and
+//! write the [`Ack`]. The host (the relay's control thread, or an
+//! in-memory fleet in a test) sends that reply and applies the
+//! [`DaemonEvent`] it is handed; it keeps no control state of its own.
 //!
-//! Ordering and duplicate suppression are the transport's job — the relay
-//! control loop fences frames by controller epoch and sequence number
-//! (DESIGN.md §13) — but the daemon is still written to absorb whatever
-//! slips through: duplicate `NC_SETTINGS` are idempotent, `Draining`
-//! survives table pushes, and `Stopped` ignores everything. The
-//! `daemon_properties` integration test drives random signal orderings
-//! against these invariants.
+//! A duplicate of the last applied frame is answered with the reply that
+//! frame earned, so a retransmission after a lost reply never turns a
+//! rejection into an `OK`. Duplicate `NC_SETTINGS` are idempotent, and
+//! `Draining` survives table pushes. The `daemon_properties` integration
+//! test drives random signal orderings against these invariants.
 
 use std::collections::HashMap;
 
 use ncvnf_rlnc::SessionId;
 
+use crate::fence::{Admit, Fence};
 use crate::fwdtab::ForwardingTable;
-use crate::signal::{Signal, VnfRoleWire};
+use crate::sender::{Ack, Refusal};
+use crate::signal::{Signal, SignalError, SignalFrame, VnfRoleWire};
 
-/// Lifecycle state of the daemon's coding function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Lifecycle state of the daemon's coding function. Its
+/// [`code`](Self::code) is the `relay.daemon_state` gauge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DaemonState {
-    /// No settings received yet; packets are dropped.
+    /// No settings received yet.
+    #[default]
     Idle,
     /// Coding function configured and processing packets.
     Running,
-    /// Coding function paused for a forwarding-table swap.
-    Paused,
-    /// `NC_VNF_END` received; still alive until the deadline for reuse.
+    /// `NC_VNF_END` received; still forwarding until reused or released.
     Draining,
-    /// Shut down.
-    Stopped,
 }
 
-/// Side effects the hosting process must perform.
-#[derive(Debug, Clone, PartialEq)]
+impl DaemonState {
+    /// The gauge value: 0 Idle, 1 Running, 3 Draining.
+    pub fn code(self) -> u8 {
+        match self {
+            DaemonState::Idle => 0,
+            DaemonState::Running => 1,
+            DaemonState::Draining => 3,
+        }
+    }
+
+    /// The state a gauge value names, if any.
+    pub fn from_code(code: u8) -> Option<DaemonState> {
+        match code {
+            0 => Some(DaemonState::Idle),
+            1 => Some(DaemonState::Running),
+            3 => Some(DaemonState::Draining),
+            _ => None,
+        }
+    }
+}
+
+/// A side effect the hosting process must perform.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DaemonEvent {
-    /// (Re)configure the coding function for a session.
+    /// (Re)configure the coding function's role for a session.
     ConfigureSession {
         /// Session id.
         session: SessionId,
         /// Role for that session.
         role: VnfRoleWire,
-        /// Data port to bind.
-        data_port: u16,
-        /// Block size in bytes.
-        block_size: u32,
-        /// Blocks per generation.
-        generation_size: u32,
-        /// Buffer capacity in generations.
-        buffer_generations: u32,
     },
-    /// Begin coded transmission for a session.
-    StartSession {
-        /// Session id.
-        session: SessionId,
-    },
-    /// The coding function paused (table swap in progress).
-    Paused,
-    /// The forwarding table was replaced; `changed` entries differ.
+    /// The forwarding table ([`Daemon::table`]) changed; `changed`
+    /// entries differ from the previous one.
     TableSwapped {
         /// Entries that changed relative to the previous table.
         changed: usize,
     },
-    /// The coding function resumed after a swap.
-    Resumed,
-    /// Shut down the VM at `deadline_secs` (daemon-local clock).
-    ScheduleShutdown {
-        /// Absolute daemon-clock time of the shutdown.
-        deadline_secs: f64,
-    },
-    /// Provision a session's admission quota in the data path (fan the
-    /// budget out to every shard's admission table).
+    /// `NC_VNF_END` opened a drain window (a new one even if the daemon
+    /// was already draining).
+    Drain,
+    /// Provision a session's admission quota in the data path.
     ProvisionQuota {
         /// Session the quota applies to (0 = the default bucket for
         /// unprovisioned sessions).
@@ -90,32 +95,40 @@ pub enum DaemonEvent {
     },
 }
 
-/// The daemon: owns the live forwarding table and session settings.
-#[derive(Debug)]
+/// What the daemon made of one control datagram.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Received {
+    /// The `NC_STATS` read, in either envelope: the host answers with its
+    /// snapshot. Nothing passed the fence.
+    Stats,
+    /// Everything else: the host applies `event`, then sends `ack`.
+    Reply {
+        /// The fence's verdict; `None` for a frame refused before it.
+        admit: Option<Admit>,
+        /// The reply to send back.
+        ack: Ack,
+        /// What the host must apply, if the frame was applied and has a
+        /// local effect.
+        event: Option<DaemonEvent>,
+    },
+}
+
+/// The daemon: owns the fence, the last reply, the live forwarding table
+/// and the per-session roles.
+#[derive(Debug, Default)]
 pub struct Daemon {
     state: DaemonState,
     table: ForwardingTable,
-    settings: HashMap<SessionId, (VnfRoleWire, u16)>,
-    shutdown_at: Option<f64>,
-    signals_handled: u64,
-}
-
-impl Default for Daemon {
-    fn default() -> Self {
-        Self::new()
-    }
+    roles: HashMap<SessionId, VnfRoleWire>,
+    fence: Fence,
+    /// The reply the last applied frame earned.
+    last_ack: Option<Ack>,
 }
 
 impl Daemon {
     /// A fresh daemon in the [`DaemonState::Idle`] state.
     pub fn new() -> Self {
-        Daemon {
-            state: DaemonState::Idle,
-            table: ForwardingTable::new(),
-            settings: HashMap::new(),
-            shutdown_at: None,
-            signals_handled: 0,
-        }
+        Self::default()
     }
 
     /// Current lifecycle state.
@@ -130,121 +143,131 @@ impl Daemon {
 
     /// Configured role for a session, if any.
     pub fn role(&self, session: SessionId) -> Option<VnfRoleWire> {
-        self.settings.get(&session).map(|&(r, _)| r)
+        self.roles.get(&session).copied()
     }
 
-    /// Signals processed so far.
-    pub fn signals_handled(&self) -> u64 {
-        self.signals_handled
+    /// The highest controller epoch accepted (0 before any frame).
+    pub fn epoch(&self) -> u64 {
+        self.fence.epoch
     }
 
-    /// Pending shutdown deadline (daemon clock), if draining.
-    pub fn shutdown_at(&self) -> Option<f64> {
-        self.shutdown_at
+    /// The last sequence number applied within [`epoch`](Self::epoch).
+    pub fn last_seq(&self) -> u64 {
+        self.fence.last_seq
     }
 
-    /// Processes one control signal at daemon-clock time `now` and returns
-    /// the side effects in order.
-    pub fn handle(&mut self, signal: &Signal, now: f64) -> Vec<DaemonEvent> {
-        self.signals_handled += 1;
-        if self.state == DaemonState::Stopped {
-            return Vec::new();
+    /// Receives one control datagram: decodes it, fences it, applies it
+    /// if admitted, and says what to answer and what the host must do.
+    pub fn receive(&mut self, datagram: &[u8]) -> Received {
+        let fenced = match SignalFrame::from_bytes(datagram) {
+            Ok((SignalFrame::Fenced(f), _)) if f.signal != Signal::NcStats => f,
+            Ok(_) => return Received::Stats,
+            Err(e) => {
+                let reason = match e {
+                    SignalError::Unfenced(_) => Refusal::Unfenced,
+                    _ => Refusal::BadFrame,
+                };
+                return Received::Reply {
+                    admit: None,
+                    ack: Ack::Err { reason, seq: None },
+                    event: None,
+                };
+            }
+        };
+        let seq = fenced.seq;
+        let admit = self.fence.admit(fenced.epoch, seq);
+        let mut event = None;
+        let ack = match admit {
+            Admit::Stale => Ack::Err {
+                reason: Refusal::StaleEpoch,
+                seq: Some(seq),
+            },
+            // The last applied frame again gets the reply it earned (until
+            // a new epoch applies a frame its only duplicate is seq 0,
+            // which no stored reply names). An overtaken one gets OK: its
+            // sender has moved on.
+            Admit::Duplicate => self
+                .last_ack
+                .filter(|ack| ack.answers(seq))
+                .unwrap_or(Ack::Ok { seq }),
+            Admit::Apply => {
+                let ack = match self.handle(&fenced.signal) {
+                    Ok(applied) => {
+                        event = applied;
+                        Ack::Ok { seq }
+                    }
+                    Err(reason) => Ack::Err {
+                        reason,
+                        seq: Some(seq),
+                    },
+                };
+                self.last_ack = Some(ack);
+                ack
+            }
+        };
+        Received::Reply {
+            admit: Some(admit),
+            ack,
+            event,
         }
-        match signal {
-            Signal::NcSettings {
-                session,
-                role,
-                data_port,
-                block_size,
-                generation_size,
-                buffer_generations,
-            } => {
-                self.settings.insert(*session, (*role, *data_port));
+    }
+
+    /// Applies one control signal and returns the side effect the host
+    /// must perform, if any.
+    ///
+    /// # Errors
+    ///
+    /// [`Refusal::BadTable`] for an `NC_FORWARD_TAB` whose table does not
+    /// parse; nothing changes.
+    pub fn handle(&mut self, signal: &Signal) -> Result<Option<DaemonEvent>, Refusal> {
+        Ok(match signal {
+            Signal::NcSettings { session, role, .. } => {
+                self.roles.insert(*session, *role);
                 // New work cancels a pending drain (VNF reuse).
-                if self.state == DaemonState::Draining {
-                    self.shutdown_at = None;
-                }
-                if self.state != DaemonState::Paused {
-                    self.state = DaemonState::Running;
-                }
-                vec![DaemonEvent::ConfigureSession {
+                self.state = DaemonState::Running;
+                Some(DaemonEvent::ConfigureSession {
                     session: *session,
                     role: *role,
-                    data_port: *data_port,
-                    block_size: *block_size,
-                    generation_size: *generation_size,
-                    buffer_generations: *buffer_generations,
-                }]
+                })
             }
-            Signal::NcStart { session } => {
-                vec![DaemonEvent::StartSession { session: *session }]
-            }
-            Signal::NcForwardTab { table } => match ForwardingTable::parse(table) {
-                Ok(new_table) => {
-                    // Pause → merge the delta → resume, the SIGUSR1
-                    // sequence. Updates are deltas: only the changed
-                    // entries are shipped (Table III's "update
-                    // percentage").
-                    let was = self.state;
-                    self.state = DaemonState::Paused;
-                    let changed = self.table.merge(&new_table);
-                    self.state = if was == DaemonState::Draining {
-                        DaemonState::Draining
-                    } else {
-                        DaemonState::Running
-                    };
-                    vec![
-                        DaemonEvent::Paused,
-                        DaemonEvent::TableSwapped { changed },
-                        DaemonEvent::Resumed,
-                    ]
+            Signal::NcForwardTab { table } => {
+                // Updates are deltas: only the changed entries are
+                // shipped (Table III's "update percentage").
+                let update = ForwardingTable::parse(table).map_err(|_| Refusal::BadTable)?;
+                let changed = self.table.merge(&update);
+                if self.state == DaemonState::Idle {
+                    self.state = DaemonState::Running;
                 }
-                Err(_) => Vec::new(),
-            },
-            Signal::NcVnfEnd { tau_secs } => {
-                self.state = DaemonState::Draining;
-                let deadline = now + *tau_secs as f64;
-                self.shutdown_at = Some(deadline);
-                vec![DaemonEvent::ScheduleShutdown {
-                    deadline_secs: deadline,
-                }]
+                Some(DaemonEvent::TableSwapped { changed })
             }
-            // NC_VNF_START is controller-to-cloud-API, not daemon-facing.
-            Signal::NcVnfStart { .. } => Vec::new(),
-            // NC_STATS is a read-only query; the transport layer builds
-            // the snapshot reply, the daemon state machine is untouched.
-            Signal::NcStats => Vec::new(),
+            Signal::NcVnfEnd { .. } => {
+                self.state = DaemonState::Draining;
+                Some(DaemonEvent::Drain)
+            }
             // Quotas do not change the lifecycle state: a draining or
-            // idle daemon can still be (re)provisioned, and the hosting
-            // process applies the budget to its data path.
+            // idle daemon can still be (re)provisioned.
             Signal::NcQuota {
                 session,
                 rate_pps,
                 burst,
                 ..
-            } => vec![DaemonEvent::ProvisionQuota {
+            } => Some(DaemonEvent::ProvisionQuota {
                 session: *session,
                 rate_pps: *rate_pps,
                 burst: *burst,
-            }],
-        }
-    }
-
-    /// Advances the daemon clock; returns true if the daemon shut down.
-    pub fn tick(&mut self, now: f64) -> bool {
-        if let Some(deadline) = self.shutdown_at {
-            if self.state == DaemonState::Draining && now >= deadline {
-                self.state = DaemonState::Stopped;
-                return true;
-            }
-        }
-        false
+            }),
+            // NC_START has no local effect on a relay, NC_VNF_START is
+            // controller-to-cloud-API, and NC_STATS is answered by the
+            // host.
+            Signal::NcStart { .. } | Signal::NcVnfStart { .. } | Signal::NcStats => None,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::signal::FencedSignal;
 
     fn settings(session: u16) -> Signal {
         Signal::NcSettings {
@@ -257,41 +280,40 @@ mod tests {
         }
     }
 
+    fn fenced(epoch: u64, seq: u64, signal: Signal) -> Vec<u8> {
+        FencedSignal { epoch, seq, signal }.to_bytes().to_vec()
+    }
+
+    fn ack_of(received: Received) -> Ack {
+        match received {
+            Received::Reply { ack, .. } => ack,
+            Received::Stats => panic!("a reply, not a stats read"),
+        }
+    }
+
     #[test]
     fn settings_then_start_reaches_running() {
         let mut d = Daemon::new();
         assert_eq!(d.state(), DaemonState::Idle);
-        let ev = d.handle(&settings(1), 0.0);
-        assert!(matches!(ev[0], DaemonEvent::ConfigureSession { .. }));
+        let ev = d.handle(&settings(1));
+        assert!(matches!(ev, Ok(Some(DaemonEvent::ConfigureSession { .. }))));
         assert_eq!(d.state(), DaemonState::Running);
         assert_eq!(d.role(SessionId::new(1)), Some(VnfRoleWire::Recoder));
-        let ev = d.handle(
-            &Signal::NcStart {
-                session: SessionId::new(1),
-            },
-            1.0,
-        );
-        assert_eq!(
-            ev,
-            vec![DaemonEvent::StartSession {
-                session: SessionId::new(1)
-            }]
-        );
+        let ev = d.handle(&Signal::NcStart {
+            session: SessionId::new(1),
+        });
+        assert_eq!(ev, Ok(None));
+        assert_eq!(d.state(), DaemonState::Running);
     }
 
     #[test]
-    fn table_swap_pauses_and_resumes() {
+    fn table_swap_merges_the_delta() {
         let mut d = Daemon::new();
-        d.handle(&settings(1), 0.0);
-        let ev = d.handle(
-            &Signal::NcForwardTab {
-                table: "session 1 a:1 b:2\n".into(),
-            },
-            1.0,
-        );
-        assert_eq!(ev[0], DaemonEvent::Paused);
-        assert_eq!(ev[1], DaemonEvent::TableSwapped { changed: 1 });
-        assert_eq!(ev[2], DaemonEvent::Resumed);
+        d.handle(&settings(1)).unwrap();
+        let ev = d.handle(&Signal::NcForwardTab {
+            table: "session 1 a:1 b:2\n".into(),
+        });
+        assert_eq!(ev, Ok(Some(DaemonEvent::TableSwapped { changed: 1 })));
         assert_eq!(d.state(), DaemonState::Running);
         assert_eq!(
             d.table().next_hops(SessionId::new(1)).unwrap(),
@@ -302,55 +324,30 @@ mod tests {
     #[test]
     fn bad_table_is_ignored() {
         let mut d = Daemon::new();
-        d.handle(&settings(1), 0.0);
-        let ev = d.handle(
-            &Signal::NcForwardTab {
-                table: "garbage".into(),
-            },
-            1.0,
-        );
-        assert!(ev.is_empty());
+        d.handle(&settings(1)).unwrap();
+        let ev = d.handle(&Signal::NcForwardTab {
+            table: "garbage".into(),
+        });
+        assert_eq!(ev, Err(Refusal::BadTable));
         assert!(d.table().is_empty());
-    }
-
-    #[test]
-    fn vnf_end_drains_then_stops_after_tau() {
-        let mut d = Daemon::new();
-        d.handle(&settings(1), 0.0);
-        let ev = d.handle(&Signal::NcVnfEnd { tau_secs: 600 }, 100.0);
-        assert_eq!(
-            ev,
-            vec![DaemonEvent::ScheduleShutdown {
-                deadline_secs: 700.0
-            }]
-        );
-        assert_eq!(d.state(), DaemonState::Draining);
-        assert!(!d.tick(500.0));
-        assert!(d.tick(700.0));
-        assert_eq!(d.state(), DaemonState::Stopped);
-        // Stopped daemons ignore everything.
-        assert!(d.handle(&settings(2), 701.0).is_empty());
     }
 
     #[test]
     fn quota_signal_emits_provision_event_without_state_change() {
         let mut d = Daemon::new();
-        let ev = d.handle(
-            &Signal::NcQuota {
-                session: SessionId::new(5),
-                rate_pps: 1000,
-                burst: 64,
-                priority: 1,
-            },
-            0.0,
-        );
+        let ev = d.handle(&Signal::NcQuota {
+            session: SessionId::new(5),
+            rate_pps: 1000,
+            burst: 64,
+            priority: 1,
+        });
         assert_eq!(
             ev,
-            vec![DaemonEvent::ProvisionQuota {
+            Ok(Some(DaemonEvent::ProvisionQuota {
                 session: SessionId::new(5),
                 rate_pps: 1000,
                 burst: 64,
-            }]
+            }))
         );
         assert_eq!(d.state(), DaemonState::Idle, "quota leaves lifecycle alone");
     }
@@ -358,13 +355,70 @@ mod tests {
     #[test]
     fn reuse_cancels_drain() {
         let mut d = Daemon::new();
-        d.handle(&settings(1), 0.0);
-        d.handle(&Signal::NcVnfEnd { tau_secs: 600 }, 10.0);
+        d.handle(&settings(1)).unwrap();
+        let ev = d.handle(&Signal::NcVnfEnd { tau_secs: 600 });
+        assert_eq!(ev, Ok(Some(DaemonEvent::Drain)));
         assert_eq!(d.state(), DaemonState::Draining);
         // New settings arrive within τ: the VNF is reused.
-        d.handle(&settings(2), 50.0);
+        d.handle(&settings(2)).unwrap();
         assert_eq!(d.state(), DaemonState::Running);
-        assert!(d.shutdown_at().is_none());
-        assert!(!d.tick(10_000.0));
+    }
+
+    #[test]
+    fn state_codes_round_trip_and_keep_their_numbers() {
+        for (state, code) in [
+            (DaemonState::Idle, 0),
+            (DaemonState::Running, 1),
+            (DaemonState::Draining, 3),
+        ] {
+            assert_eq!(state.code(), code);
+            assert_eq!(DaemonState::from_code(code), Some(state));
+        }
+        assert_eq!(DaemonState::from_code(2), None);
+        assert_eq!(DaemonState::from_code(4), None);
+    }
+
+    #[test]
+    fn a_duplicate_gets_the_reply_its_frame_earned() {
+        let mut d = Daemon::new();
+        let bad = fenced(
+            1,
+            1,
+            Signal::NcForwardTab {
+                table: "garbage".into(),
+            },
+        );
+        let first = d.receive(&bad);
+        assert_eq!(ack_of(first).to_string(), "ERR bad-table 1");
+        let again = d.receive(&bad);
+        assert_eq!(
+            again,
+            Received::Reply {
+                admit: Some(Admit::Duplicate),
+                ack: ack_of(first),
+                event: None,
+            }
+        );
+        let good = fenced(1, 2, settings(1));
+        assert!(matches!(
+            d.receive(&good),
+            Received::Reply {
+                admit: Some(Admit::Apply),
+                ack: Ack::Ok { seq: 2 },
+                event: Some(DaemonEvent::ConfigureSession { .. }),
+            }
+        ));
+        assert_eq!(ack_of(d.receive(&good)), Ack::Ok { seq: 2 });
+        // Overtaken: its sender has moved on, an OK stops a stray retry.
+        assert_eq!(ack_of(d.receive(&bad)), Ack::Ok { seq: 1 });
+        // A new epoch starts with no reply to repeat.
+        assert_eq!(
+            ack_of(d.receive(&fenced(2, 0, settings(1)))),
+            Ack::Ok { seq: 0 }
+        );
+        assert_eq!(
+            ack_of(d.receive(&fenced(1, 3, settings(1)))).to_string(),
+            "ERR stale-epoch 3"
+        );
     }
 }

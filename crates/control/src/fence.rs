@@ -1,7 +1,7 @@
 //! The receiver's half of epoch fencing (DESIGN.md §13): a pure verdict
 //! on each [`FencedSignal`](crate::FencedSignal), with no transport
-//! attached. The relay's control thread owns one; tests drive one
-//! directly.
+//! attached. The [`Daemon`](crate::Daemon) owns the one fence a receiver
+//! has.
 
 /// What a receiver does with one fenced frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,9 +17,9 @@ pub enum Admit {
 /// The highest controller epoch a receiver has accepted and the last
 /// sequence number it applied within that epoch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Fence {
-    epoch: u64,
-    last_seq: u64,
+pub(crate) struct Fence {
+    pub(crate) epoch: u64,
+    pub(crate) last_seq: u64,
 }
 
 impl Fence {
@@ -27,7 +27,7 @@ impl Fence {
     /// is [`Admit::Stale`]; a higher one is adopted and restarts
     /// duplicate tracking; a `seq` at or below the last applied one is
     /// [`Admit::Duplicate`]; anything else is [`Admit::Apply`].
-    pub fn admit(&mut self, epoch: u64, seq: u64) -> Admit {
+    pub(crate) fn admit(&mut self, epoch: u64, seq: u64) -> Admit {
         if epoch < self.epoch {
             return Admit::Stale;
         }
@@ -40,16 +40,6 @@ impl Fence {
         self.last_seq = seq;
         Admit::Apply
     }
-
-    /// The highest epoch accepted (0 before any frame).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The last sequence number applied within [`epoch`](Self::epoch).
-    pub fn last_seq(&self) -> u64 {
-        self.last_seq
-    }
 }
 
 #[cfg(test)]
@@ -61,7 +51,7 @@ mod tests {
         let mut f = Fence::default();
         assert_eq!(f.admit(0, 1), Admit::Apply);
         assert_eq!(f.admit(0, 2), Admit::Apply);
-        assert_eq!((f.epoch(), f.last_seq()), (0, 2));
+        assert_eq!((f.epoch, f.last_seq), (0, 2));
     }
 
     #[test]
@@ -71,7 +61,7 @@ mod tests {
         assert_eq!(f.admit(3, 5), Admit::Duplicate);
         assert_eq!(f.admit(3, 4), Admit::Duplicate);
         assert_eq!(f.admit(3, 6), Admit::Apply);
-        assert_eq!(f.last_seq(), 6);
+        assert_eq!(f.last_seq, 6);
     }
 
     #[test]
@@ -79,7 +69,7 @@ mod tests {
         let mut f = Fence::default();
         assert_eq!(f.admit(2, 1), Admit::Apply);
         assert_eq!(f.admit(1, 99), Admit::Stale);
-        assert_eq!((f.epoch(), f.last_seq()), (2, 1));
+        assert_eq!((f.epoch, f.last_seq), (2, 1));
     }
 
     #[test]
@@ -89,7 +79,7 @@ mod tests {
         // A new controller starts its counters at 1: applied, not a
         // duplicate of the old epoch's seq 1.
         assert_eq!(f.admit(2, 1), Admit::Apply);
-        assert_eq!((f.epoch(), f.last_seq()), (2, 1));
+        assert_eq!((f.epoch, f.last_seq), (2, 1));
         assert_eq!(f.admit(1, 41), Admit::Stale);
     }
 
@@ -98,7 +88,7 @@ mod tests {
         let mut f = Fence::default();
         assert_eq!(f.admit(1, 3), Admit::Apply);
         assert_eq!(f.admit(2, 0), Admit::Duplicate);
-        assert_eq!((f.epoch(), f.last_seq()), (2, 0));
+        assert_eq!((f.epoch, f.last_seq), (2, 0));
         assert_eq!(f.admit(1, 4), Admit::Stale);
     }
 }

@@ -11,9 +11,9 @@
 //!   file, recording the next hops' IP addresses for each relevant
 //!   multicast session": parser, serializer, and diff (Table III measures
 //!   partial updates);
-//! * [`daemon`] — the per-VNF daemon state machine: applies settings,
-//!   pauses/swaps/resumes on table updates (the paper's `SIGUSR1` dance),
-//!   honours the τ-delayed `NC_VNF_END` shutdown;
+//! * [`daemon`] — the per-VNF daemon, the one receiver of control
+//!   datagrams: fences each frame, applies settings, table deltas,
+//!   drains and quotas, and writes the [`Ack`];
 //! * [`diff`] — turns two [`ncvnf_deploy::Deployment`]s into the signal
 //!   batch that morphs one into the other;
 //! * [`liveness`] — heartbeat bookkeeping: the Alive → Suspect → Dead
@@ -28,13 +28,14 @@
 //!   torn-tail-tolerant replay into a [`ControllerState`];
 //! * [`sender`] — reliable, epoch-fenced signal delivery: every push is
 //!   a [`FencedSignal`] retried with exponential backoff until ACKed;
-//! * [`fence`] — the receiver's half: the pure [`Fence`] verdict
-//!   (stale, duplicate, apply) on each fenced frame;
+//!   the reply grammar, [`Ack`];
+//! * [`fence`] — the receiver's half: the pure verdict ([`Admit`]:
+//!   stale, duplicate, apply) on each fenced frame;
 //! * [`reconcile()`] — restart reconciliation: probe every journaled
 //!   node with `NC_STATS`, push each reachable one its believed table
 //!   or its remaining drain under the new epoch, expire overdue τ-pool
 //!   entries;
-//! * [`autoscale`] — the closed control loop (DESIGN.md §15): polls live
+//! * [`autoscale`] — the closed control loop (DESIGN.md §14): polls live
 //!   relay stats, runs them through the scaling controller's ρ/τ
 //!   hysteresis, journals every adopted decision write-ahead, actuates
 //!   via fenced pushes in dependency order (downstream first), and winds
@@ -62,9 +63,9 @@ pub mod telemetry;
 pub use autoscale::{
     AutoscaleConfig, AutoscaleError, Autoscaler, ControlLink, PollReport, RelayTarget,
 };
-pub use daemon::{Daemon, DaemonEvent, DaemonState};
+pub use daemon::{Daemon, DaemonEvent, DaemonState, Received};
 pub use failover::{failover_signals, plan_failover, reroute_table};
-pub use fence::{Admit, Fence};
+pub use fence::Admit;
 pub use fwdtab::ForwardingTable;
 pub use journal::{
     ControlRecord, ControllerState, Journal, NodeBelief, NodeStatus, ReplayReport, SessionSpec,
@@ -72,6 +73,6 @@ pub use journal::{
 pub use liveness::{LivenessConfig, LivenessEvent, LivenessState, LivenessTracker};
 pub use metrics::{ControlCells, ControlMetrics};
 pub use reconcile::{reconcile, ReconcilePlan, ReconcileReport};
-pub use sender::{SendError, SendReceipt, SenderConfig, SignalSender};
+pub use sender::{Ack, Refusal, SendError, SendReceipt, SenderConfig, SignalSender};
 pub use signal::{FencedSignal, Signal, SignalError, SignalFrame, VnfRoleWire};
 pub use telemetry::{DataplaneHealth, Telemetry};

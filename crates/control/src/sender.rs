@@ -7,22 +7,16 @@
 //! number), sent, and retransmitted with exponential backoff until the
 //! receiver acknowledges that exact sequence number or the retry budget
 //! runs out. Receivers deduplicate by sequence number, so at-least-once
-//! delivery becomes exactly-once *application* (DESIGN.md §13).
-//!
-//! ACK grammar (one UDP datagram from the receiver):
-//!
-//! ```text
-//! OK <seq>                 applied (or deduplicated)
-//! ERR stale-epoch <seq>    fenced off by a newer controller epoch
-//! ERR <reason> <seq>       decoded but rejected (e.g. bad-table)
-//! ERR <reason>             refused before the fence (bad-frame)
-//! ```
+//! delivery becomes exactly-once *application* (DESIGN.md §13). The
+//! receiver's answer is an [`Ack`].
 
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
+
+use ncvnf_obs::Counter;
 
 use crate::metrics::ControlMetrics;
 use crate::signal::{FencedSignal, Signal};
@@ -91,34 +85,126 @@ pub struct SendReceipt {
     pub rtt: Duration,
 }
 
-/// What a receiver's ACK datagram said.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Ack {
-    Ok { seq: u64 },
-    Err { reason: String, seq: Option<u64> },
+/// Why a receiver refused a control datagram.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// A bare frame other than `NC_STATS` (refused before the fence).
+    Unfenced,
+    /// Not a control frame at all (refused before the fence).
+    BadFrame,
+    /// Fenced by a superseded controller epoch.
+    StaleEpoch,
+    /// An `NC_FORWARD_TAB` whose table does not parse.
+    BadTable,
 }
 
-/// Parses an `OK <seq>`/`ERR` acknowledgement datagram. Returns `None`
-/// for anything else (e.g. an `NC_STATS` JSON reply).
-fn parse_ack(reply: &[u8]) -> Option<Ack> {
-    let text = std::str::from_utf8(reply).ok()?;
-    let mut parts = text.split_whitespace();
-    match parts.next()? {
-        "OK" => Some(Ack::Ok {
-            seq: parts.next()?.parse().ok()?,
-        }),
-        "ERR" => {
-            let rest: Vec<&str> = parts.collect();
-            let (reason, seq) = match rest.split_last() {
-                Some((last, head)) => match last.parse::<u64>() {
-                    Ok(seq) => (head.join(" "), Some(seq)),
-                    Err(_) => (rest.join(" "), None),
-                },
-                None => (String::new(), None),
-            };
-            Some(Ack::Err { reason, seq })
+impl Refusal {
+    const ALL: [Refusal; 4] = [
+        Refusal::Unfenced,
+        Refusal::BadFrame,
+        Refusal::StaleEpoch,
+        Refusal::BadTable,
+    ];
+
+    /// The reason word on the wire.
+    fn as_str(self) -> &'static str {
+        match self {
+            Refusal::Unfenced => "unfenced",
+            Refusal::BadFrame => "bad-frame",
+            Refusal::StaleEpoch => "stale-epoch",
+            Refusal::BadTable => "bad-table",
         }
-        _ => None,
+    }
+}
+
+/// A receiver's answer to one control datagram: the reply grammar,
+/// written by [`Daemon`](crate::Daemon) and parsed by [`SignalSender`].
+/// One UDP datagram of text:
+///
+/// ```text
+/// OK <seq>                 applied (or a duplicate of an applied frame)
+/// ERR stale-epoch <seq>    fenced off by a newer controller epoch
+/// ERR bad-table <seq>      decoded but rejected
+/// ERR <reason>             refused before the fence (unfenced, bad-frame)
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ack {
+    /// The frame with this sequence number is applied.
+    Ok {
+        /// Sequence number of the frame answered.
+        seq: u64,
+    },
+    /// The frame was refused.
+    Err {
+        /// Why.
+        reason: Refusal,
+        /// Sequence number of the frame answered; `None` when it was
+        /// refused before its fence was read.
+        seq: Option<u64>,
+    },
+}
+
+impl fmt::Display for Ack {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Ack::Ok { seq } => write!(f, "OK {seq}"),
+            Ack::Err { reason, seq } => {
+                write!(f, "ERR {}", reason.as_str())?;
+                seq.map_or(Ok(()), |seq| write!(f, " {seq}"))
+            }
+        }
+    }
+}
+
+impl Ack {
+    /// Parses an acknowledgement datagram. Returns `None` for anything
+    /// else (e.g. an `NC_STATS` JSON reply).
+    pub fn parse(reply: &[u8]) -> Option<Ack> {
+        let text = std::str::from_utf8(reply).ok()?;
+        let mut parts = text.split_whitespace();
+        let ack = match parts.next()? {
+            "OK" => Ack::Ok {
+                seq: parts.next()?.parse().ok()?,
+            },
+            "ERR" => {
+                let word = parts.next()?;
+                let reason = Refusal::ALL.into_iter().find(|r| r.as_str() == word)?;
+                let seq = match parts.next() {
+                    Some(seq) => Some(seq.parse().ok()?),
+                    None => None,
+                };
+                Ack::Err { reason, seq }
+            }
+            _ => return None,
+        };
+        parts.next().is_none().then_some(ack)
+    }
+
+    /// Whether this answers the push of `seq`. A refusal before the fence
+    /// carries no seq: it answers the push in flight.
+    pub(crate) fn answers(self, seq: u64) -> bool {
+        match self {
+            Ack::Ok { seq: s } | Ack::Err { seq: Some(s), .. } => s == seq,
+            Ack::Err { seq: None, .. } => true,
+        }
+    }
+
+    /// What a push answered with this ACK returns: the acknowledged
+    /// sequence number, or why the push failed.
+    ///
+    /// # Errors
+    ///
+    /// [`SendError::StaleEpoch`] for `ERR stale-epoch`,
+    /// [`SendError::Rejected`] for any other refusal.
+    pub fn into_result(self) -> Result<u64, SendError> {
+        match self {
+            Ack::Ok { seq } => Ok(seq),
+            Ack::Err {
+                reason: Refusal::StaleEpoch,
+                ..
+            } => Err(SendError::StaleEpoch),
+            Ack::Err { reason, .. } => Err(SendError::Rejected(reason.as_str().to_owned())),
+        }
     }
 }
 
@@ -202,40 +288,22 @@ impl SignalSender {
             signal: signal.clone(),
         }
         .to_bytes();
-        let mut buf = [0u8; 2048];
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            let sent_at = Instant::now();
-            self.socket.send_to(&wire, to).map_err(SendError::Io)?;
-            match self.await_ack(to, seq, &mut buf)? {
-                Some(Ack::Ok { .. }) => {
-                    let rtt = sent_at.elapsed();
-                    if let Some(m) = &self.metrics {
-                        m.sender_ack_ns.record(rtt.as_nanos() as u64);
-                    }
-                    return Ok(SendReceipt { seq, attempts, rtt });
-                }
-                Some(Ack::Err { reason, .. }) => {
-                    return if reason == "stale-epoch" {
-                        Err(SendError::StaleEpoch)
-                    } else {
-                        Err(SendError::Rejected(reason))
-                    };
-                }
-                None => {}
+        // Skipped while waiting: an ACK for an older seq (a late
+        // duplicate) and anything that is not an ACK.
+        let retries = self.metrics.as_ref().map(|m| &m.sender_retries);
+        let answer = self.exchange(to, &wire, &mut [0u8; 2048], retries, |reply| {
+            Ack::parse(reply).filter(|ack| ack.answers(seq))
+        });
+        if let Some(m) = &self.metrics {
+            match &answer {
+                Ok((Ack::Ok { .. }, _, rtt)) => m.sender_ack_ns.record(rtt.as_nanos() as u64),
+                Err(SendError::Timeout { .. }) => m.sender_failed.inc(),
+                _ => {}
             }
-            if attempts >= self.config.max_attempts {
-                if let Some(m) = &self.metrics {
-                    m.sender_failed.inc();
-                }
-                return Err(SendError::Timeout { attempts });
-            }
-            if let Some(m) = &self.metrics {
-                m.sender_retries.inc();
-            }
-            std::thread::sleep(self.config.backoff_base * (1 << (attempts - 1).min(8)));
         }
+        let (ack, attempts, rtt) = answer?;
+        ack.into_result()?;
+        Ok(SendReceipt { seq, attempts, rtt })
     }
 
     /// Sends a bare `NC_STATS` query — the one frame a relay answers
@@ -249,12 +317,34 @@ impl SignalSender {
     /// [`SendError::Timeout`] or [`SendError::Io`].
     pub fn query_stats(&mut self, to: SocketAddr) -> Result<String, SendError> {
         let wire = Signal::NcStats.to_bytes();
-        let mut buf = vec![0u8; 65536];
+        // A late ACK is skipped: the snapshot starts with '{'.
+        self.exchange(to, &wire, &mut vec![0u8; 65536], None, |reply| {
+            (reply.first() == Some(&b'{'))
+                .then(|| std::str::from_utf8(reply).ok().map(str::to_owned))
+                .flatten()
+        })
+        .map(|(json, _, _)| json)
+    }
+
+    /// Sends `wire` to `to` until `accept` takes a datagram from `to`,
+    /// waiting one ACK window per attempt and backing off exponentially
+    /// between attempts (each counted in `retries`). Returns what
+    /// `accept` made of the reply, the attempts it took and the last
+    /// attempt's wait.
+    fn exchange<T>(
+        &self,
+        to: SocketAddr,
+        wire: &[u8],
+        buf: &mut [u8],
+        retries: Option<&Counter>,
+        mut accept: impl FnMut(&[u8]) -> Option<T>,
+    ) -> Result<(T, u32, Duration), SendError> {
         let mut attempts = 0;
         loop {
             attempts += 1;
-            self.socket.send_to(&wire, to).map_err(SendError::Io)?;
-            let deadline = Instant::now() + self.config.ack_timeout;
+            let sent_at = Instant::now();
+            self.socket.send_to(wire, to).map_err(SendError::Io)?;
+            let deadline = sent_at + self.config.ack_timeout;
             loop {
                 let remaining = deadline.saturating_duration_since(Instant::now());
                 if remaining.is_zero() {
@@ -263,13 +353,13 @@ impl SignalSender {
                 self.socket
                     .set_read_timeout(Some(remaining))
                     .map_err(SendError::Io)?;
-                match self.socket.recv_from(&mut buf) {
-                    Ok((n, src)) if src == to && buf.first() == Some(&b'{') => {
-                        if let Ok(json) = std::str::from_utf8(&buf[..n]) {
-                            return Ok(json.to_owned());
+                match self.socket.recv_from(buf) {
+                    Ok((n, src)) if src == to => {
+                        if let Some(value) = accept(&buf[..n]) {
+                            return Ok((value, attempts, sent_at.elapsed()));
                         }
                     }
-                    Ok(_) => {} // late ACK or foreign datagram: keep waiting
+                    Ok(_) => {}
                     Err(ref e) if is_timeout(e) => break,
                     Err(e) => return Err(SendError::Io(e)),
                 }
@@ -277,47 +367,10 @@ impl SignalSender {
             if attempts >= self.config.max_attempts {
                 return Err(SendError::Timeout { attempts });
             }
+            if let Some(retries) = retries {
+                retries.inc();
+            }
             std::thread::sleep(self.config.backoff_base * (1 << (attempts - 1).min(8)));
-        }
-    }
-
-    /// Waits out one ACK window for `(to, seq)`. Returns `Ok(None)` on
-    /// timeout (caller retries), the parsed ACK when the right one
-    /// arrives; stray datagrams and ACKs for older sequence numbers are
-    /// skipped.
-    fn await_ack(
-        &self,
-        to: SocketAddr,
-        seq: u64,
-        buf: &mut [u8],
-    ) -> Result<Option<Ack>, SendError> {
-        let deadline = Instant::now() + self.config.ack_timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Ok(None);
-            }
-            self.socket
-                .set_read_timeout(Some(remaining))
-                .map_err(SendError::Io)?;
-            let (n, src) = match self.socket.recv_from(buf) {
-                Ok(x) => x,
-                Err(ref e) if is_timeout(e) => return Ok(None),
-                Err(e) => return Err(SendError::Io(e)),
-            };
-            if src != to {
-                continue;
-            }
-            match parse_ack(&buf[..n]) {
-                // A refusal before the fence carries no seq: it answers
-                // the in-flight push.
-                Some(ack @ Ack::Err { seq: None, .. }) => return Ok(Some(ack)),
-                Some(ack @ (Ack::Ok { seq: s } | Ack::Err { seq: Some(s), .. })) if s == seq => {
-                    return Ok(Some(ack))
-                }
-                // An ACK for an older seq (late duplicate), or junk.
-                _ => continue,
-            }
         }
     }
 }
@@ -438,23 +491,39 @@ mod tests {
 
     #[test]
     fn ack_parser_handles_all_shapes() {
-        assert_eq!(parse_ack(b"OK"), None, "every OK names its seq");
-        assert_eq!(parse_ack(b"OK 17"), Some(Ack::Ok { seq: 17 }));
+        assert_eq!(Ack::parse(b"OK"), None, "every OK names its seq");
+        assert_eq!(Ack::parse(b"OK 17"), Some(Ack::Ok { seq: 17 }));
         assert_eq!(
-            parse_ack(b"ERR bad-table"),
+            Ack::parse(b"ERR bad-table"),
             Some(Ack::Err {
-                reason: "bad-table".into(),
+                reason: Refusal::BadTable,
                 seq: None
             })
         );
         assert_eq!(
-            parse_ack(b"ERR stale-epoch 9"),
+            Ack::parse(b"ERR stale-epoch 9"),
             Some(Ack::Err {
-                reason: "stale-epoch".into(),
+                reason: Refusal::StaleEpoch,
                 seq: Some(9)
             })
         );
-        assert_eq!(parse_ack(b"{\"counters\":{}}"), None);
-        assert_eq!(parse_ack(&[0xFF, 0xFE]), None);
+        assert_eq!(Ack::parse(b"ERR who-knows 9"), None);
+        assert_eq!(Ack::parse(b"OK 9 10"), None);
+        assert_eq!(Ack::parse(b"{\"counters\":{}}"), None);
+        assert_eq!(Ack::parse(&[0xFF, 0xFE]), None);
+        // Every reply the parser reads back is the one written.
+        for ack in [
+            Ack::Ok { seq: 3 },
+            Ack::Err {
+                reason: Refusal::Unfenced,
+                seq: None,
+            },
+            Ack::Err {
+                reason: Refusal::BadTable,
+                seq: Some(4),
+            },
+        ] {
+            assert_eq!(Ack::parse(ack.to_string().as_bytes()), Some(ack));
+        }
     }
 }

@@ -318,7 +318,7 @@ impl Signal {
 /// so receivers can reject signals from a superseded controller
 /// incarnation (`epoch` fencing) and acknowledge retransmitted
 /// duplicates without re-applying them (`seq` idempotence); the rules
-/// live in [`crate::Fence`]. On the wire it is an ordinary signal frame
+/// live in [`crate::Daemon`]. On the wire it is an ordinary signal frame
 /// with tag 7 whose body is `epoch:u64 | seq:u64 | <inner signal frame>`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FencedSignal {

@@ -1,8 +1,8 @@
 //! The controller crashes at every byte of its journal (DESIGN.md §13).
 //!
-//! An in-memory fleet of VNFs — each a real [`Daemon`] behind a real
-//! [`Fence`], the relay's control-thread logic without a socket — sits
-//! behind a [`ControlLink`]. The real [`Autoscaler`] and [`Journal`] run
+//! An in-memory fleet of VNFs — each the relay's own receiver, a real
+//! [`Daemon`] handed every frame's bytes as a relay's control socket
+//! would hand them — sits behind a [`ControlLink`]. The real [`Autoscaler`] and [`Journal`] run
 //! a scripted scenario on it: the first start, a capability drift that is
 //! adopted, an idle spell that drains the fleet, returning traffic that
 //! wakes it. That no-crash run records its journal bytes and every frame
@@ -34,7 +34,8 @@
 //!    returns;
 //! 6. make-before-break: no Running VNF's table names a fleet VNF that
 //!    is not armed (Running, with the session's settings and a table
-//!    entry for it).
+//!    entry for it);
+//! 7. a retransmission gets the answer its first delivery got.
 //!
 //! Pure state machines and a scratch file: no socket, no sleep.
 
@@ -45,9 +46,9 @@ use std::time::{Duration, Instant};
 
 use ncvnf_control::journal::scan_frames;
 use ncvnf_control::{
-    Admit, AutoscaleConfig, Autoscaler, ControlLink, ControllerState, Daemon, DaemonState, Fence,
-    FencedSignal, ForwardingTable, Journal, NodeStatus, RelayTarget, SendError, SendReceipt,
-    Signal, VnfRoleWire,
+    Ack, Admit, AutoscaleConfig, Autoscaler, ControlLink, ControllerState, Daemon, DaemonState,
+    FencedSignal, ForwardingTable, Journal, NodeStatus, Received, RelayTarget, SendError,
+    SendReceipt, Signal, VnfRoleWire,
 };
 use ncvnf_deploy::{
     Planner, ScalingController, ScalingEvent, ScalingParams, SessionSpec, TopologyBuilder, VnfSpec,
@@ -109,13 +110,11 @@ fn script() -> Vec<Tick> {
     ticks
 }
 
-/// The relay's control-thread logic without a socket, plus the ghost
-/// state the checkers keep.
+/// The relay's receiver, plus the ghost state the checkers keep.
 #[derive(Default)]
 struct Vnf {
     daemon: Daemon,
-    fence: Fence,
-    /// Highest epoch accepted, tracked apart from `fence`.
+    /// Highest epoch accepted, tracked apart from the daemon.
     highest: u64,
     applied: HashSet<(u64, u64)>,
 }
@@ -142,12 +141,20 @@ impl Fleet {
         }
     }
 
-    /// One fenced frame arrives at `to`: fence, then daemon, as the relay
-    /// does, with checkers 2, 3 and 6 on every frame applied.
-    fn deliver(&mut self, to: SocketAddr, frame: &FencedSignal) -> Result<Admit, SendError> {
+    /// One fenced frame's bytes arrive at `to`'s daemon, as at a relay's
+    /// control socket, with checkers 2, 3 and 6 on every frame applied.
+    /// Returns the fence's verdict and the reply.
+    fn deliver(&mut self, to: SocketAddr, frame: &FencedSignal) -> (Admit, Ack) {
         let vnf = self.vnfs.get_mut(&to).expect("a fleet member");
-        let verdict = vnf.fence.admit(frame.epoch, frame.seq);
-        if verdict == Admit::Apply {
+        let Received::Reply {
+            admit: Some(admit),
+            ack,
+            ..
+        } = vnf.daemon.receive(&frame.to_bytes())
+        else {
+            panic!("node {} did not fence a fenced frame", node_of(to));
+        };
+        if admit == Admit::Apply {
             assert!(
                 frame.epoch >= vnf.highest,
                 "node {} applied epoch {} after accepting epoch {}",
@@ -162,18 +169,14 @@ impl Fleet {
                 frame.epoch,
                 frame.seq
             );
-            let events = vnf.daemon.handle(&frame.signal, 0.0);
-            if matches!(frame.signal, Signal::NcForwardTab { .. }) && events.is_empty() {
-                return Err(SendError::Rejected("bad-table".into()));
-            }
         }
-        if verdict != Admit::Stale {
+        if admit != Admit::Stale {
             vnf.highest = vnf.highest.max(frame.epoch);
         }
-        if verdict == Admit::Apply {
+        if admit == Admit::Apply {
             self.assert_make_before_break();
         }
-        Ok(verdict)
+        (admit, ack)
     }
 
     /// Checker 6: every fleet VNF a Running VNF's table names is armed.
@@ -205,22 +208,16 @@ impl Fleet {
     }
 
     fn stats(&self, to: SocketAddr) -> String {
-        let vnf = &self.vnfs[&to];
+        let daemon = &self.vnfs[&to].daemon;
         let tick = self.ticks[self.tick];
-        let state = match vnf.daemon.state() {
-            DaemonState::Idle => 0,
-            DaemonState::Running => 1,
-            DaemonState::Paused => 2,
-            DaemonState::Draining => 3,
-            DaemonState::Stopped => 4,
-        };
+        let state = daemon.state().code();
         format!(
             r#"{{"counters":{{"relay.datagrams_out":{}}},"gauges":{{"relay.idle_ms":{},"relay.daemon_state":{state},"relay.table_digest":{},"relay.ctrl_epoch":{},"relay.ctrl_seq":{}}}}}"#,
             tick.out,
             tick.idle_ms,
-            vnf.daemon.table().digest(),
-            vnf.fence.epoch(),
-            vnf.fence.last_seq(),
+            daemon.table().digest(),
+            daemon.epoch(),
+            daemon.last_seq(),
         )
     }
 
@@ -325,20 +322,21 @@ impl ControlLink for FleetLink {
             tick: self.fleet.tick,
         });
         // At-least-once: the first ACK is lost and the frame goes again.
-        let verdict = self.fleet.deliver(to, &frame);
+        // Checker 7: the retransmission is answered as the first was.
+        let (_, ack) = self.fleet.deliver(to, &frame);
+        let (_, again) = self.fleet.deliver(to, &frame);
         assert_eq!(
-            self.fleet.deliver(to, &frame).ok(),
-            Some(Admit::Duplicate),
-            "a retransmission must be ACKed, not applied"
+            again,
+            ack,
+            "node {} answered a retransmission of ({}, {seq}) differently",
+            node_of(to),
+            self.epoch
         );
-        match verdict? {
-            Admit::Stale => Err(SendError::StaleEpoch),
-            Admit::Duplicate | Admit::Apply => Ok(SendReceipt {
-                seq,
-                attempts: 2,
-                rtt: Duration::ZERO,
-            }),
-        }
+        ack.into_result().map(|seq| SendReceipt {
+            seq,
+            attempts: 2,
+            rtt: Duration::ZERO,
+        })
     }
 
     fn query_stats(&mut self, to: SocketAddr) -> Result<String, SendError> {
@@ -520,9 +518,8 @@ fn crash_and_recover(reference: &Reference, wal_len: usize, pushed: usize) -> Zo
     // The network as the dead incarnation left it.
     let mut fleet = Fleet::new();
     for s in &reference.sent[..pushed] {
-        fleet
-            .deliver(s.to, &s.frame)
-            .expect("the reference applied it");
+        let (_, ack) = fleet.deliver(s.to, &s.frame);
+        assert!(matches!(ack, Ack::Ok { .. }), "the reference applied it");
     }
     // Its frames still in flight: every one it sent, and the one it was
     // sending if the journal already held that frame's record.
@@ -545,10 +542,10 @@ fn crash_and_recover(reference: &Reference, wal_len: usize, pushed: usize) -> Zo
     let mut tally = ZombieTally::default();
     let mut zombie_step = |link: &mut FleetLink, frame: Option<&Sent>| {
         if let Some(s) = frame {
-            match link.fleet.deliver(s.to, &s.frame) {
-                Ok(Admit::Stale) => tally.stale += 1,
-                Ok(Admit::Duplicate) => tally.duplicate += 1,
-                Ok(Admit::Apply) | Err(_) => tally.applied += 1,
+            match link.fleet.deliver(s.to, &s.frame).0 {
+                Admit::Stale => tally.stale += 1,
+                Admit::Duplicate => tally.duplicate += 1,
+                Admit::Apply => tally.applied += 1,
             }
         }
     };

@@ -1,38 +1,32 @@
-//! Dispatching flows across multiple VNF instances in one data center.
+//! Which VNF instance (or relay shard) owns a generation.
 
 use ncvnf_rlnc::SessionId;
 
-/// Chooses which VNF instance handles a packet when a data center runs
-/// several.
+/// Index in `0..instances` of the VNF instance that handles a packet of
+/// `(session, generation)` when a data center runs several — and of the
+/// engine shard that owns it inside one relay.
 ///
 /// "In case of multiple VNFs launched in one data center, we dispatch the
 /// incoming packets across these VNFs based on session id and generation
 /// id ... Packets belonging to the same generation are dispatched to the
-/// same VNF instance" (Sec. IV-A). The mapping must be stable across
-/// packets and across the upstream VNFs computing it, so it is a pure
-/// function of `(session, generation, instance count)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Dispatcher;
-
-impl Dispatcher {
-    /// Creates a dispatcher.
-    pub fn new() -> Self {
-        Dispatcher
+/// same VNF instance" (Sec. IV-A). A generation's decoder state is not
+/// splittable, and successive generations of one session should spread
+/// so that one heavy session can use more than one instance. The map
+/// must be stable across packets and across whoever computes it, so it
+/// is a pure function: a Fibonacci hash of the pair.
+///
+/// # Panics
+///
+/// Panics if `instances` is zero.
+#[must_use]
+pub fn shard_of(session: SessionId, generation: u64, instances: usize) -> usize {
+    assert!(instances > 0, "need at least one instance");
+    if instances <= 1 {
+        return 0;
     }
-
-    /// Instance index in `0..instances` for a packet of
-    /// `(session, generation)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `instances` is zero.
-    pub fn instance_for(&self, session: SessionId, generation: u64, instances: usize) -> usize {
-        assert!(instances > 0, "need at least one instance");
-        // Fibonacci-hash the pair for an even spread.
-        let key = ((session.value() as u64) << 32) ^ generation;
-        let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (mixed >> 33) as usize % instances
-    }
+    let key = (u64::from(session.value()) << 32) ^ generation;
+    let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (mixed >> 33) as usize % instances
 }
 
 #[cfg(test)]
@@ -41,10 +35,9 @@ mod tests {
 
     #[test]
     fn stable_mapping() {
-        let d = Dispatcher::new();
         for g in 0..100 {
-            let a = d.instance_for(SessionId::new(1), g, 4);
-            let b = d.instance_for(SessionId::new(1), g, 4);
+            let a = shard_of(SessionId::new(1), g, 4);
+            let b = shard_of(SessionId::new(1), g, 4);
             assert_eq!(a, b);
             assert!(a < 4);
         }
@@ -52,20 +45,18 @@ mod tests {
 
     #[test]
     fn single_instance_gets_everything() {
-        let d = Dispatcher::new();
         for g in 0..50 {
-            assert_eq!(d.instance_for(SessionId::new(7), g, 1), 0);
+            assert_eq!(shard_of(SessionId::new(7), g, 1), 0);
         }
     }
 
     #[test]
     fn spread_is_roughly_even() {
-        let d = Dispatcher::new();
         let instances = 4;
         let mut counts = vec![0usize; instances];
         for s in 0..8u16 {
             for g in 0..250u64 {
-                counts[d.instance_for(SessionId::new(s), g, instances)] += 1;
+                counts[shard_of(SessionId::new(s), g, instances)] += 1;
             }
         }
         let total: usize = counts.iter().sum();
@@ -81,6 +72,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one instance")]
     fn zero_instances_panics() {
-        Dispatcher::new().instance_for(SessionId::new(0), 0, 0);
+        let _ = shard_of(SessionId::new(0), 0, 0);
     }
 }

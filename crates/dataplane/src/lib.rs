@@ -9,10 +9,10 @@
 //!   generates an encoded packet immediately after it receives a packet
 //!   from the same session and generation"; the first packet of a
 //!   generation is simply forwarded);
-//! * a [`Dispatcher`] spreads sessions across multiple VNF instances in
-//!   one data center, keeping all packets of a generation on the same
-//!   instance ("packets belonging to the same generation are dispatched
-//!   to the same VNF instance");
+//! * [`shard_of`] spreads sessions across multiple VNF instances in one
+//!   data center — and across a relay's engine shards — keeping all
+//!   packets of a generation on the same instance ("packets belonging to
+//!   the same generation are dispatched to the same VNF instance");
 //! * [`CodingCostModel`] prices the CPU work of coding, standing in for
 //!   the paper's DPDK-measured per-packet cost and driving the
 //!   generation-size throughput tradeoff of Fig. 4;
@@ -38,7 +38,7 @@ mod vnf;
 pub use buffer::{BufferStats, SessionBuffer};
 pub use cost::CodingCostModel;
 pub use decoded::{chunk_generation, DecodedChunk, PlainReceiver};
-pub use dispatch::Dispatcher;
+pub use dispatch::shard_of;
 pub use feedback::{Feedback, FeedbackError, FeedbackKind, FEEDBACK_LEN, FEEDBACK_MAGIC};
 pub use metrics::VnfMetrics;
 pub use role::VnfRole;

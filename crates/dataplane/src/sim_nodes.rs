@@ -17,7 +17,7 @@ use ncvnf_rlnc::{
 };
 
 use crate::cost::CodingCostModel;
-use crate::dispatch::Dispatcher;
+use crate::dispatch::shard_of;
 use crate::feedback::{Feedback, FeedbackKind};
 use crate::vnf::{CodingVnf, VnfDecision};
 use crate::{NC_DATA_PORT, NC_FEEDBACK_PORT};
@@ -45,10 +45,7 @@ impl NextHop {
     pub fn resolve(&self, session: SessionId, generation: u64) -> Addr {
         match self {
             NextHop::Unicast(a) => *a,
-            NextHop::Instances(addrs) => {
-                let idx = Dispatcher::new().instance_for(session, generation, addrs.len());
-                addrs[idx]
-            }
+            NextHop::Instances(addrs) => addrs[shard_of(session, generation, addrs.len())],
         }
     }
 }

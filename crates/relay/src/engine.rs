@@ -36,7 +36,8 @@ use rand::Rng;
 
 use ncvnf_control::ForwardingTable;
 use ncvnf_dataplane::{
-    chunk_generation, CodingVnf, Feedback, FeedbackKind, Sink, VnfDecision, FEEDBACK_MAGIC,
+    chunk_generation, shard_of, CodingVnf, Feedback, FeedbackKind, Sink, VnfDecision,
+    FEEDBACK_MAGIC,
 };
 use ncvnf_obs::Registry;
 use ncvnf_rlnc::{CodecError, PacketView, PayloadPool, Recoder, SessionId};
@@ -200,34 +201,6 @@ pub fn relay_step(
         report.sends_ok += u64::from(send(hop, wire));
     }
     report
-}
-
-/// Deterministic `(session, generation) → shard` map (FNV-1a over the
-/// id bytes, xor-folded so power-of-two shard counts still see the whole
-/// hash).
-///
-/// Every packet of one generation must land on the same shard — a
-/// generation's decoder state is not splittable — and successive
-/// generations of one session should spread across shards so a single
-/// heavy session can still use more than one core. Hashing `(session,
-/// generation)` gives both properties; `tests/sharded_relay.rs` pins
-/// them with a proptest.
-#[must_use]
-pub fn shard_of(session: SessionId, generation: u64, shards: usize) -> usize {
-    debug_assert!(shards > 0, "shard count must be positive");
-    if shards <= 1 {
-        return 0;
-    }
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x1000_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for b in session.value().to_le_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    for b in generation.to_le_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    ((h ^ (h >> 32)) % shards as u64) as usize
 }
 
 /// One engine shard: a coding engine plus its own pre-resolved route

@@ -44,12 +44,15 @@ mod socket;
 
 pub use chaos::{FaultConfig, FaultDirections, FaultHandle, FaultSocket, FaultStats};
 pub use engine::{
-    relay_batch, relay_step, shard_of, BatchReport, BatchScratch, RelayEngine, RelayScratch,
-    RelayShard, RouteCache, StepReport,
+    relay_batch, relay_step, BatchReport, BatchScratch, RelayEngine, RelayScratch, RelayShard,
+    RouteCache, StepReport,
 };
 pub use metrics::{
     BatchCells, BatchMetrics, RecoveryCells, RecoveryMetrics, RelayNodeMetrics, TransferObs,
 };
+/// The `(session, generation) → shard` map of the data path: the one
+/// function that also places generations on a data center's VNF instances.
+pub use ncvnf_dataplane::shard_of;
 pub use node::{HeartbeatConfig, RelayConfig, RelayHandle, RelayNode, RelayStats};
 pub use overload::{OverloadConfig, OverloadState, OverloadStats, QuotaConfig};
 pub use recovery::{

@@ -37,7 +37,7 @@ ncvnf_obs::metrics! {
         pub feedback_frames: Counter = "relay.feedback_frames", "frames", "Well-formed feedback frames dropped by the data loop";
         pub malformed_feedback: Counter = "relay.malformed_feedback", "frames", "Feedback-magic frames that failed to decode";
         pub heartbeats_sent: Counter = "relay.heartbeats_sent", "beacons", "Liveness beacons emitted by the control thread";
-        pub table_swap_ns: Histogram = "relay.table_swap_ns", "ns", "Forwarding-table swap latency (merge plus route-cache rebuild)";
+        pub table_swap_ns: Histogram = "relay.table_swap_ns", "ns", "Forwarding-table swap latency (decode, fence, merge and route-cache rebuild)";
         pub stale_epoch_rejected: Counter = "relay.stale_epoch_rejected", "signals", "Fenced signals rejected for carrying a superseded controller epoch";
         pub duplicate_signals: Counter = "relay.duplicate_signals", "signals", "Duplicate fenced signals acknowledged without re-applying";
         pub ctrl_epoch: Gauge = "relay.ctrl_epoch", "epoch", "Highest controller epoch accepted on the control socket";
@@ -45,7 +45,7 @@ ncvnf_obs::metrics! {
         pub table_digest: Gauge = "relay.table_digest", "digest", "53-bit FNV digest of the live forwarding table (compare with the journaled belief's digest)";
         pub shards: Gauge = "relay.shards", "shards", "Engine shards the relay data path is split across";
         pub idle_ms: Gauge = "relay.idle_ms", "ms", "Milliseconds since the data path last received a datagram (scale-to-zero input)";
-        pub daemon_state: Gauge = "relay.daemon_state", "state", "Daemon lifecycle state: 0 Idle, 1 Running, 2 Paused, 3 Draining, 4 Stopped";
+        pub daemon_state: Gauge = "relay.daemon_state", "state", "Daemon lifecycle state: 0 Idle, 1 Running, 3 Draining";
         pub wake_signals: Counter = "relay.wake_signals", "frames", "Wake requests emitted toward the monitor (traffic arrived while draining)";
         pub shed_quota: Counter = "relay.shed_quota", "datagrams", "Datagrams shed because the session's admission token bucket was dry";
         pub congestion_frames: Counter = "relay.congestion_frames", "frames", "Congestion feedback frames emitted toward the sources of shed traffic";

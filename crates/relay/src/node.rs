@@ -1,6 +1,6 @@
 //! A sharded coding VNF behind real UDP sockets.
 //!
-//! Threading model (see DESIGN.md §14 "Sharded relay runtime"): the
+//! Threading model (see DESIGN.md §10 "Relay runtime"): the
 //! data path is split across [`RelayConfig::shards`] engine shards,
 //! each owning its own [`RelayEngine`] and [`RouteCache`] behind its
 //! own locks; every datagram is dispatched to the shard selected by
@@ -18,11 +18,12 @@
 //! share a single advertised port and the kernel spreads ingress load
 //! across them.
 //!
-//! The control thread owns the forwarding table and fans reconfiguration
-//! out to *every* shard: a table swap rebuilds each shard's resolved
-//! `RouteCache`; a role change reaches each shard's VNF. Every signal but
-//! the `NC_STATS` read arrives fenced and passes the control thread's
-//! one [`Fence`] (node-level, not per-shard).
+//! The control thread is a driver around the node's one
+//! [`Daemon`], which fences, applies and answers every control datagram
+//! (DESIGN.md §13). The thread sends the daemon's reply and fans what
+//! it applied out to *every* shard: a table swap rebuilds each shard's
+//! resolved `RouteCache` from [`Daemon::table`]; a role change or quota
+//! reaches each shard's engine.
 //! Transient socket errors never kill a loop; they are counted in
 //! [`RelayStats::io_errors`] and retried until `running` clears.
 //!
@@ -44,10 +45,10 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ncvnf_control::daemon::{Daemon, DaemonEvent, DaemonState};
-use ncvnf_control::signal::{Signal, SignalError, SignalFrame, VnfRoleWire};
+use ncvnf_control::daemon::{Daemon, DaemonEvent, DaemonState, Received};
+use ncvnf_control::signal::{Signal, VnfRoleWire};
 use ncvnf_control::telemetry::DataplaneHealth;
-use ncvnf_control::{Admit, Fence, ForwardingTable, SendError, SignalSender};
+use ncvnf_control::{Ack, Admit, ForwardingTable, SendError, SignalSender};
 use ncvnf_dataplane::metrics::VnfMetrics;
 use ncvnf_dataplane::{CodingVnf, Feedback, VnfRole, VnfStats, FEEDBACK_LEN};
 use ncvnf_obs::{Registry, Snapshot, TraceKind};
@@ -190,7 +191,7 @@ impl RelayStats {
 struct Shared {
     shards: Vec<RelayShard>,
     batch: usize,
-    table: Mutex<ForwardingTable>,
+    /// The control plane: fence, reply cache, forwarding table, roles.
     daemon: Mutex<Daemon>,
     running: AtomicBool,
     registry: Registry,
@@ -276,18 +277,6 @@ impl Shared {
         let now = self.started.elapsed().as_micros() as u64;
         let last = self.last_data_micros.load(Ordering::Relaxed);
         now.saturating_sub(last) / 1000
-    }
-}
-
-/// Numeric encoding of the daemon state for the `relay.daemon_state`
-/// gauge (and the controller's reconciliation probe).
-fn daemon_state_code(state: DaemonState) -> f64 {
-    match state {
-        DaemonState::Idle => 0.0,
-        DaemonState::Running => 1.0,
-        DaemonState::Paused => 2.0,
-        DaemonState::Draining => 3.0,
-        DaemonState::Stopped => 4.0,
     }
 }
 
@@ -386,7 +375,7 @@ impl RelayHandle {
 
     /// The relay's current forwarding table (text form).
     pub fn table_text(&self) -> String {
-        self.shared.table.lock().to_text()
+        self.shared.daemon.lock().table().to_text()
     }
 }
 
@@ -404,7 +393,7 @@ impl RelayNode {
     /// its correctness) is unaffected, only ingress parallelism drops.
     ///
     /// Each data socket asks for `UDP_GRO`: a burst its sender segmented
-    /// then arrives as one message (DESIGN.md §14, "The receive path").
+    /// then arrives as one message (DESIGN.md §10, "The receive path").
     ///
     /// # Errors
     ///
@@ -475,7 +464,6 @@ impl RelayNode {
         let shared = Arc::new(Shared {
             shards,
             batch: config.batch.clamp(1, MAX_BATCH),
-            table: Mutex::new(ForwardingTable::new()),
             daemon: Mutex::new(Daemon::new()),
             running: AtomicBool::new(true),
             registry,
@@ -490,16 +478,8 @@ impl RelayNode {
         });
         shared.metrics.shards.set(shard_count as f64);
         shared.metrics.ingress_gro.set(f64::from(u8::from(gro)));
-        shared
-            .metrics
-            .daemon_state
-            .set(daemon_state_code(DaemonState::Idle));
-        // Publish the empty table's digest so reconciliation can diff a
-        // node that never received a push.
-        shared
-            .metrics
-            .table_digest
-            .set(ForwardingTable::new().digest() as f64);
+        // Reconciliation can diff a node that never received a push.
+        mirror(&shared, &shared.daemon.lock());
 
         let heartbeat = config.heartbeat;
         let slot_len = recv_slot_len(&config.generation);
@@ -631,7 +611,7 @@ fn recv_slot_len(layout: &GenerationConfig) -> usize {
 }
 
 /// How long a data thread polls its socket after a dense batch before it
-/// parks in a blocking receive (DESIGN.md §14, "Poll before park").
+/// parks in a blocking receive (DESIGN.md §10, "Poll before park").
 /// Waking a parked thread costs microseconds that a dense stream of
 /// batches need not pay; polling costs at most this much CPU per batch.
 const POLL_BUDGET: Duration = Duration::from_micros(50);
@@ -807,6 +787,23 @@ fn data_loop<S: DatagramSocket>(
     }
 }
 
+/// Publishes the daemon's state where the data threads (`draining`) and
+/// `NC_STATS` pollers (the `relay.daemon_state`, `ctrl_*` and
+/// `table_digest` gauges; reconciliation diffs tables by the digest) read
+/// it without the daemon lock.
+fn mirror(shared: &Shared, daemon: &Daemon) {
+    let (m, state) = (&shared.metrics, daemon.state());
+    let draining = state == DaemonState::Draining;
+    shared.draining.store(draining, Ordering::Relaxed);
+    m.daemon_state.set(f64::from(state.code()));
+    m.ctrl_epoch.set(daemon.epoch() as f64);
+    m.ctrl_seq.set(daemon.last_seq() as f64);
+    m.table_digest.set(daemon.table().digest() as f64);
+}
+
+/// The control thread: beacons, and drives the [`Daemon`] — each
+/// datagram in, the daemon's effect fanned out to the shards, its reply
+/// sent back.
 fn control_loop<S: DatagramSocket>(
     socket: S,
     shared: Arc<Shared>,
@@ -819,7 +816,6 @@ fn control_loop<S: DatagramSocket>(
     // startup, not one interval later.
     let mut last_beat: Option<Instant> = None;
     let mut beat_seq: u16 = 0;
-    let mut fence = Fence::default();
     while shared.running.load(Ordering::Relaxed) {
         if let Some(hb) = heartbeat {
             let due = last_beat.is_none_or(|t| t.elapsed() >= hb.interval);
@@ -843,141 +839,82 @@ fn control_loop<S: DatagramSocket>(
                 continue;
             }
         };
-        let fenced = match SignalFrame::from_bytes(&buf[..n]) {
-            Ok((SignalFrame::Fenced(f), _)) if f.signal != Signal::NcStats => f,
-            Ok(_) => {
-                // The NC_STATS read, in either envelope, is answered before
-                // the fence: the snapshot as one JSON datagram (it starts
-                // with '{', so callers can tell it from an ACK).
+        let arrived = Instant::now();
+        let mut daemon = shared.daemon.lock();
+        let (admit, ack, event) = match daemon.receive(&buf[..n]) {
+            Received::Stats => {
+                // The snapshot as one JSON datagram (it starts with '{',
+                // so callers can tell it from an ACK).
+                drop(daemon);
                 m.signals.inc();
                 let _ = socket.send_to(shared.snapshot().to_json().as_bytes(), src);
                 continue;
             }
-            Err(e) => {
-                // Refused at the door, with a reason code for the
-                // operator's logs; the daemon never sees it.
-                m.rejected_signals.inc();
-                let unfenced = matches!(e, SignalError::Unfenced(_));
-                let reply = if unfenced { "unfenced" } else { "bad-frame" };
-                let _ = socket.send_to(format!("ERR {reply}").as_bytes(), src);
-                continue;
-            }
+            Received::Reply { admit, ack, event } => (admit, ack, event),
         };
-        let (seq, signal) = (fenced.seq, fenced.signal);
-        m.signals.inc();
-        let verdict = fence.admit(fenced.epoch, seq);
-        if verdict == Admit::Stale {
-            // A superseded controller: never apply; tell it why so it stops.
-            m.stale_epoch_rejected.inc();
-            m.rejected_signals.inc();
-            let _ = socket.send_to(format!("ERR stale-epoch {seq}").as_bytes(), src);
-            continue;
-        }
-        m.ctrl_epoch.set(fence.epoch() as f64);
-        m.ctrl_seq.set(fence.last_seq() as f64);
-        if verdict == Admit::Duplicate {
-            // Already applied: ACK so the sender stops retrying, apply nothing.
-            m.duplicate_signals.inc();
-            let _ = socket.send_to(format!("OK {seq}").as_bytes(), src);
-            continue;
-        }
-        let (events, daemon_state) = {
-            let mut daemon = shared.daemon.lock();
-            let events = daemon.handle(&signal, 0.0);
-            (events, daemon.state())
-        };
-        // Mirror the lifecycle state where the data threads (draining
-        // flag) and NC_STATS pollers (gauge) can see it. A fresh
-        // NC_VNF_END re-arms the one-wake-per-window latch even if the
-        // node was already draining (each drain signal opens a new
-        // window); NC_SETTINGS cancels the drain, closing the window.
-        let draining = daemon_state == DaemonState::Draining;
-        shared.draining.store(draining, Ordering::Relaxed);
-        if matches!(signal, Signal::NcVnfEnd { .. }) && draining {
-            shared.wake_sent.store(false, Ordering::Relaxed);
-        }
-        m.daemon_state.set(daemon_state_code(daemon_state));
-        // The daemon swallows an invalid table (bad parse → no events);
-        // distinguish that rejection from signals that legitimately have
-        // no local side effects (NC_VNF_START).
-        let rejected = matches!(&signal, Signal::NcForwardTab { .. }) && events.is_empty();
-        for ev in events {
-            match ev {
-                DaemonEvent::ConfigureSession { session, role, .. } => {
-                    let role = match role {
-                        VnfRoleWire::Recoder => VnfRole::Recoder,
-                        VnfRoleWire::Decoder => VnfRole::Decoder,
-                        VnfRoleWire::Forwarder => VnfRole::Forwarder,
-                    };
-                    // Fan out to every shard: any shard can own any
-                    // generation of this session.
-                    for shard in &shared.shards {
-                        shard.engine().lock().vnf_mut().set_role(session, role);
-                    }
+        match event {
+            Some(DaemonEvent::ConfigureSession { session, role }) => {
+                let role = match role {
+                    VnfRoleWire::Recoder => VnfRole::Recoder,
+                    VnfRoleWire::Decoder => VnfRole::Decoder,
+                    VnfRoleWire::Forwarder => VnfRole::Forwarder,
+                };
+                // Any shard can own any generation of this session.
+                for shard in &shared.shards {
+                    shard.engine().lock().vnf_mut().set_role(session, role);
                 }
-                DaemonEvent::TableSwapped { .. } => {
-                    // The daemon already validated the table text; merge
-                    // the delta into the authoritative table and rebuild
-                    // every shard's resolved next-hop cache (the pause
-                    // of the SIGUSR1 sequence). The data threads keep
-                    // coding: each shard-group route lookup picks up its
-                    // shard's new cache on the next batch. Shards are
-                    // rebuilt in index order under the table lock, so a
-                    // swap is atomic per shard and no shard can observe
-                    // a table older than one a lower shard already
-                    // serves.
-                    if let Signal::NcForwardTab { table } = &signal {
-                        if let Ok(parsed) = ForwardingTable::parse(table) {
-                            let swap_started = Instant::now();
-                            let mut sessions = 0;
-                            let digest;
-                            {
-                                let mut authoritative = shared.table.lock();
-                                authoritative.merge(&parsed);
-                                digest = authoritative.digest();
-                                for shard in &shared.shards {
-                                    let mut routes = shard.routes().lock();
-                                    routes.rebuild(&authoritative);
-                                    sessions = routes.sessions() as u64;
-                                }
-                            }
-                            let swap_ns = swap_started.elapsed().as_nanos() as u64;
-                            m.table_swap_ns.record(swap_ns);
-                            // Reconciliation reads this back through
-                            // NC_STATS to spot diverged tables.
-                            m.table_digest.set(digest as f64);
-                            trace.push(TraceKind::TableSwap, sessions, swap_ns);
-                        }
-                    }
-                }
-                DaemonEvent::ProvisionQuota {
-                    session,
-                    rate_pps,
-                    burst,
-                } => {
-                    // Fan the budget out to every shard's admission
-                    // gate (any shard can own any generation of this
-                    // session), arming the overload regime on first
-                    // use. Each shard's engine lock is held briefly,
-                    // exactly like a role change.
-                    let quota = QuotaConfig {
-                        rate_pps: f64::from(rate_pps),
-                        burst: f64::from(burst),
-                    };
-                    for shard in &shared.shards {
-                        shard.engine().lock().provision_quota(session, quota);
-                    }
-                }
-                _ => {}
             }
+            Some(DaemonEvent::TableSwapped { .. }) => {
+                // Rebuild every shard's resolved next-hop cache (the pause
+                // of the SIGUSR1 sequence) under the daemon lock, in
+                // index order: a swap is atomic per shard and no shard
+                // serves a table older than one a lower shard already
+                // serves. The data threads keep coding and pick up their
+                // shard's new cache on the next batch.
+                let mut sessions = 0;
+                for shard in &shared.shards {
+                    let mut routes = shard.routes().lock();
+                    routes.rebuild(daemon.table());
+                    sessions = routes.sessions() as u64;
+                }
+                let swap_ns = arrived.elapsed().as_nanos() as u64;
+                m.table_swap_ns.record(swap_ns);
+                trace.push(TraceKind::TableSwap, sessions, swap_ns);
+            }
+            // A fresh NC_VNF_END re-arms the one-wake-per-window latch
+            // even if the node was already draining.
+            Some(DaemonEvent::Drain) => shared.wake_sent.store(false, Ordering::Relaxed),
+            Some(DaemonEvent::ProvisionQuota {
+                session,
+                rate_pps,
+                burst,
+            }) => {
+                // Any shard can own any generation of this session; the
+                // first quota arms the overload regime.
+                let quota = QuotaConfig {
+                    rate_pps: f64::from(rate_pps),
+                    burst: f64::from(burst),
+                };
+                for shard in &shared.shards {
+                    shard.engine().lock().provision_quota(session, quota);
+                }
+            }
+            None => {}
         }
-        // Acknowledge with the sequence number, so the sender can match
-        // the ACK to its push and tell a rejected signal from an applied one.
-        if rejected {
+        mirror(&shared, &daemon);
+        drop(daemon);
+        if admit.is_some() {
+            m.signals.inc();
+        }
+        match admit {
+            Some(Admit::Stale) => m.stale_epoch_rejected.inc(),
+            Some(Admit::Duplicate) => m.duplicate_signals.inc(),
+            _ => {}
+        }
+        if matches!(ack, Ack::Err { .. }) {
             m.rejected_signals.inc();
         }
-        let reply = if rejected { "ERR bad-table" } else { "OK" };
-        let _ = socket.send_to(format!("{reply} {seq}").as_bytes(), src);
+        let _ = socket.send_to(ack.to_string().as_bytes(), src);
     }
 }
 

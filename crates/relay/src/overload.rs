@@ -1,6 +1,6 @@
 //! Admission control for the data path.
 //!
-//! Overload protection is opt-in and has two layers (DESIGN.md §16):
+//! Overload protection is opt-in and has two layers (DESIGN.md §15):
 //!
 //! 1. **Per-session admission.** Each shard keeps a token bucket
 //!    per session, provisioned by the control plane

@@ -368,7 +368,7 @@ pub trait DatagramSocket: Send + Sync {
 
     /// [`Self::recv_batch`] that never blocks: takes up to a batch of
     /// datagrams already queued. This is the relay's poll before it parks
-    /// (DESIGN.md §14).
+    /// (DESIGN.md §10).
     ///
     /// The default implementation loops [`Self::try_recv_from`] until the
     /// queue is empty or the batch full, so a socket that draws a fault

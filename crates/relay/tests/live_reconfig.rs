@@ -217,6 +217,37 @@ fn rejected_signals_get_err_replies() {
     assert_eq!(stats.signals, 2, "decodable frames are counted");
 }
 
+/// A retransmitted rejected frame — what a sender resends after losing
+/// the reply — is answered as the first was, not ACKed as applied.
+#[test]
+fn a_resent_rejected_frame_is_rejected_again() {
+    let relay = RelayNode::spawn(RelayConfig::default()).unwrap();
+    let control = control_client();
+    let bad_table = FencedSignal {
+        epoch: 1,
+        seq: 1,
+        signal: Signal::NcForwardTab {
+            table: "garbage".into(),
+        },
+    }
+    .to_bytes();
+    let mut ack = [0u8; 32];
+    for attempt in 0..2 {
+        control
+            .socket
+            .send_to(&bad_table, relay.control_addr)
+            .unwrap();
+        let (n, _) = control.socket.recv_from(&mut ack).expect("relay replies");
+        assert_eq!(&ack[..n], b"ERR bad-table 1", "attempt {attempt}");
+    }
+    let handle = relay.handle();
+    let stats = handle.stats();
+    assert!(handle.table_text().is_empty());
+    relay.shutdown();
+    assert_eq!(stats.duplicate_signals, 1);
+    assert_eq!(stats.rejected_signals, 2);
+}
+
 /// A rejected table swap must leave the previous routes fully in force:
 /// traffic flowing through the relay keeps reaching the old hop while
 /// and after the bad swap is refused.

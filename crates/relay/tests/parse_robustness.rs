@@ -11,7 +11,7 @@
 //! ([`PacketView::parse`]) and, on a live relay, counted once as
 //! malformed and never forwarded. On the control socket the door is as
 //! narrow: a bare frame of any state-changing tag is refused with
-//! `ERR unfenced` and never reaches the daemon, and only the `NC_STATS`
+//! `ERR unfenced` and is never applied, and only the `NC_STATS`
 //! read is answered without a fence.
 
 use std::net::UdpSocket;

@@ -1,4 +1,4 @@
-//! Sharded relay runtime invariants (DESIGN.md §14).
+//! Sharded relay runtime invariants (DESIGN.md §10).
 //!
 //! Three families of guarantees keep the sharded data path equivalent to
 //! the single-engine relay it replaced:

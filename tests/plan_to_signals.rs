@@ -35,8 +35,11 @@ fn deployment_becomes_consistent_daemon_state() {
         let (decoded, used) = Signal::from_bytes(&wire).unwrap();
         assert_eq!(used, wire.len());
         let mut daemon = Daemon::new();
-        let events = daemon.handle(&decoded, 0.0);
-        assert!(!events.is_empty(), "table update must produce events");
+        let event = daemon.handle(&decoded);
+        assert!(
+            matches!(event, Ok(Some(_))),
+            "table update must produce events"
+        );
         // The daemon's live table matches what the planner derived.
         let expected = tables_from_deployment(&w.topology, &w.sessions, &dep, &addr)
             .remove(node)
@@ -60,13 +63,10 @@ fn scale_in_signals_drain_daemons_with_tau() {
     let mut daemon = Daemon::new();
     for sig in &signals {
         if matches!(sig, Signal::NcVnfEnd { .. }) {
-            daemon.handle(sig, 100.0);
+            daemon.handle(sig).unwrap();
         }
     }
     assert_eq!(daemon.state(), DaemonState::Draining);
-    assert_eq!(daemon.shutdown_at(), Some(700.0));
-    assert!(!daemon.tick(699.0));
-    assert!(daemon.tick(700.0));
 }
 
 #[test]
