@@ -52,11 +52,11 @@ use crate::fwdtab::ForwardingTable;
 use crate::journal::{ControlRecord, ControllerState, Journal};
 use crate::metrics::ControlMetrics;
 use crate::reconcile::{reconcile_in_order, snapshot_value, ReconcileReport};
-use crate::sender::{SendError, SendReceipt, SignalSender};
+use crate::sender::{SendError, SendReceipt};
 use crate::signal::{Signal, VnfRoleWire};
 use crate::telemetry::Telemetry;
 
-/// The slice of [`SignalSender`] the autoscaler depends on. Production
+/// The slice of [`crate::SignalSender`] the autoscaler depends on. Production
 /// code hands in a real sender; tests substitute a scripted mock and
 /// assert on the exact signal order.
 pub trait ControlLink {
@@ -77,24 +77,74 @@ pub trait ControlLink {
     ///
     /// Propagates the transport's [`SendError`].
     fn query_stats(&mut self, to: SocketAddr) -> Result<String, SendError>;
+    /// Pushes one wave of frames — frames to one node in order — and
+    /// blocks until every one is answered or failed. Outcomes in frame
+    /// order. The default pushes one frame after another.
+    fn push_wave(
+        &mut self,
+        frames: &[(SocketAddr, Signal)],
+    ) -> Vec<Result<SendReceipt, SendError>> {
+        frames.iter().map(|(to, s)| self.push(*to, s)).collect()
+    }
+    /// Queries every node's `NC_STATS` snapshot; outcomes in `to`'s
+    /// order. The default queries one node after another.
+    fn query_all(&mut self, to: &[SocketAddr]) -> Vec<Result<String, SendError>> {
+        to.iter().map(|to| self.query_stats(*to)).collect()
+    }
 }
 
-impl ControlLink for SignalSender {
-    fn epoch(&self) -> u64 {
-        SignalSender::epoch(self)
-    }
+/// One dependency depth of an actuation: the records that make it
+/// durable and the frames that carry it out.
+#[derive(Debug, Default)]
+pub(crate) struct Wave {
+    pub(crate) records: Vec<ControlRecord>,
+    pub(crate) frames: Vec<(SocketAddr, Signal)>,
+}
 
-    fn next_seq(&self, to: SocketAddr) -> u64 {
-        SignalSender::next_seq(self, to)
+impl Wave {
+    /// Adds `signal` for `to`; returns the sequence number it will carry.
+    fn push(&mut self, link: &dyn ControlLink, to: SocketAddr, signal: Signal) -> u64 {
+        let earlier = self.frames.iter().filter(|(a, _)| *a == to).count() as u64;
+        self.frames.push((to, signal));
+        link.next_seq(to) + earlier
     }
+}
 
-    fn push(&mut self, to: SocketAddr, signal: &Signal) -> Result<SendReceipt, SendError> {
-        SignalSender::push(self, to, signal)
+/// The one actuation step, wave by wave: the wave's records commit under
+/// one `fdatasync` (when there is a journal), then its frames leave
+/// together, and the next wave starts only once each is answered. So
+/// every frame's record is durable before the frame leaves, and a wave
+/// of downstream relays is armed before the wave that forwards to it
+/// (DESIGN.md §14). `answered` books each frame's outcome; the first
+/// error it returns ends the actuation after that wave.
+pub(crate) fn wave_step(
+    mut journal: Option<&mut Journal>,
+    link: &mut dyn ControlLink,
+    waves: Vec<Wave>,
+    mut answered: impl FnMut(
+        SocketAddr,
+        &Signal,
+        Result<SendReceipt, SendError>,
+    ) -> Result<(), SendError>,
+) -> Result<(), AutoscaleError> {
+    for wave in waves {
+        if let Some(journal) = journal.as_deref_mut() {
+            for record in &wave.records {
+                journal.append(record);
+            }
+            journal.commit()?;
+        }
+        let mut failed = None;
+        for ((to, signal), outcome) in wave.frames.iter().zip(link.push_wave(&wave.frames)) {
+            if let Err(e) = answered(*to, signal, outcome) {
+                failed.get_or_insert(e);
+            }
+        }
+        if let Some(e) = failed {
+            return Err(e.into());
+        }
     }
-
-    fn query_stats(&mut self, to: SocketAddr) -> Result<String, SendError> {
-        SignalSender::query_stats(self, to)
-    }
+    Ok(())
 }
 
 /// One relay under autoscaler management.
@@ -345,10 +395,10 @@ impl Autoscaler {
             // has nothing to reconcile and commits with the fleet below.
             self.journal.commit()?;
         }
-        let order: Vec<u32> = self
-            .dependency_order(|t| state.nodes.get(&t.node).map(|b| &b.table))
+        let order: Vec<Vec<u32>> = self
+            .dependency_waves(|t| state.nodes.get(&t.node).map(|b| &b.table))
             .into_iter()
-            .map(|i| self.targets[i].node)
+            .map(|wave| wave.into_iter().map(|i| self.targets[i].node).collect())
             .collect();
         let report = reconcile_in_order(link, state, now, self.metrics.as_ref(), &order);
         self.decisions = state.scale_decisions;
@@ -379,11 +429,12 @@ impl Autoscaler {
     }
 
     /// Journals the fleet and arms every relay: one `SessionCreated` per
-    /// distinct session found in the targets' settings, one
-    /// `VnfLaunched` per target — committed *before* the first signal
-    /// leaves — then an initial plan if none exists, settings pushes in
-    /// dependency order, and the first table push.
+    /// distinct session found in the targets' settings and one
+    /// `VnfLaunched` per target, committed with the first wave, then an
+    /// initial plan if none exists, and every relay's settings and table,
+    /// one wave per dependency depth.
     fn arm(&mut self, link: &mut dyn ControlLink, now: f64) -> Result<(), AutoscaleError> {
+        let mut records = Vec::new();
         let mut seen_sessions = Vec::new();
         for t in &self.targets {
             for s in &t.settings {
@@ -399,7 +450,7 @@ impl Autoscaler {
                         continue;
                     }
                     seen_sessions.push(*session);
-                    self.journal.append(&ControlRecord::SessionCreated {
+                    records.push(ControlRecord::SessionCreated {
                         session: *session,
                         block_size: *block_size,
                         generation_size: *generation_size,
@@ -409,25 +460,19 @@ impl Autoscaler {
             }
         }
         for t in &self.targets {
-            self.journal.append(&ControlRecord::VnfLaunched {
+            records.push(ControlRecord::VnfLaunched {
                 node: t.node,
                 data_center: self.controller.topology().label(t.dc).to_owned(),
                 control_addr: t.control_addr.to_string(),
             });
         }
-        self.journal.commit()?;
         if self.controller.deployment().is_none() {
             self.controller.replan(now)?;
         }
         let tables = self.tables();
-        for i in self.dependency_order(|t| tables.get(&t.dc)) {
-            let t = &self.targets[i];
-            for s in &t.settings {
-                link.push(t.control_addr, s)?;
-            }
-        }
-        self.push_tables(link, &tables)?;
-        Ok(())
+        let all: Vec<u32> = self.targets.iter().map(|t| t.node).collect();
+        let waves = self.arming(link, &tables, &all, |_| None);
+        self.actuate(link, led_by(records, waves), &mut PollReport::default())
     }
 
     /// One loop iteration: poll every target's `NC_STATS`, feed the
@@ -451,21 +496,15 @@ impl Autoscaler {
         let before = self.controller.deployment().map(fingerprint);
 
         // 1. Measure.
-        let mut drain_candidates: Vec<(u32, SocketAddr)> = Vec::new();
+        let mut drain_candidates: Vec<u32> = Vec::new();
         let mut measured: Vec<NodeId> = Vec::new();
         let mut traffic_returned = false;
-        let probes: Vec<(u32, NodeId, SocketAddr)> = self
-            .targets
-            .iter()
-            .map(|t| (t.node, t.dc, t.control_addr))
-            .collect();
-        for (node, dc, addr) in probes {
-            let stats = match link.query_stats(addr) {
-                Ok(s) => s,
-                Err(_) => {
-                    report.unreachable += 1;
-                    continue;
-                }
+        let addrs: Vec<SocketAddr> = self.targets.iter().map(|t| t.control_addr).collect();
+        for (i, answer) in link.query_all(&addrs).into_iter().enumerate() {
+            let (node, dc) = (self.targets[i].node, self.targets[i].dc);
+            let Ok(stats) = answer else {
+                report.unreachable += 1;
+                continue;
             };
             report.polled += 1;
             let out = snapshot_value(&stats, "relay.datagrams_out").unwrap_or(0.0) as u64;
@@ -520,7 +559,7 @@ impl Autoscaler {
                 && idle_ms >= self.config.idle_tau_secs * 1000.0
                 && out_delta == Some(0)
             {
-                drain_candidates.push((node, addr));
+                drain_candidates.push(node);
             }
             track.last_poll_secs = Some(now);
             track.last_out = out;
@@ -576,7 +615,7 @@ impl Autoscaler {
         }
         self.controller.tick(now)?;
 
-        // 3. Actuate: journal the decision durably, then push deltas.
+        // 3. Actuate: the decision commits with the first wave of deltas.
         let after = self.controller.deployment().map(fingerprint);
         if after.is_some() && after != before {
             report.adopted = true;
@@ -585,15 +624,15 @@ impl Autoscaler {
                 let dep = self.controller.deployment().expect("adopted deployment");
                 (dep.total_vnfs() as u32, dep.total_rate_bps())
             };
-            self.journal.append(&ControlRecord::ScaleDecision {
+            let decision = ControlRecord::ScaleDecision {
                 epoch: link.epoch(),
                 seq: self.decisions,
                 vnfs,
                 rate_bps,
-            });
-            self.journal.commit()?;
+            };
             let tables = self.tables();
-            report.tables_pushed = self.push_tables(link, &tables)?;
+            let waves = self.arming(link, &tables, &[], |_| None);
+            self.actuate(link, led_by(vec![decision], waves), &mut report)?;
             let detect_ms = self
                 .drift_since
                 .drain()
@@ -612,35 +651,23 @@ impl Autoscaler {
             // Upstream first: nothing armed still forwards to a drained
             // relay.
             let tables = self.tables();
-            let order = self.dependency_order(|t| tables.get(&t.dc));
-            let rank = |node: u32| order.iter().position(|&i| self.targets[i].node == node);
-            drain_candidates.sort_by_key(|&(node, _)| std::cmp::Reverse(rank(node)));
-            for (node, addr) in drain_candidates {
-                let deadline = now + self.config.drain_tau_secs as f64;
-                self.journal.append(&ControlRecord::VnfEnded {
-                    node,
-                    linger_deadline_secs: deadline,
-                });
-                self.journal.commit()?;
-                link.push(
-                    addr,
-                    &Signal::NcVnfEnd {
-                        tau_secs: self.config.drain_tau_secs,
-                    },
-                )?;
-                if let Some(track) = self.tracks.get_mut(&node) {
-                    track.draining = true;
+            let linger_deadline_secs = now + self.config.drain_tau_secs as f64;
+            let tau_secs = self.config.drain_tau_secs;
+            let waves = self.waves(&tables, true, |t, wave| {
+                if drain_candidates.contains(&t.node) {
+                    wave.records.push(ControlRecord::VnfEnded {
+                        node: t.node,
+                        linger_deadline_secs,
+                    });
+                    wave.push(link, t.control_addr, Signal::NcVnfEnd { tau_secs });
                 }
-                report.drained.push(node);
-                if let Some(m) = &self.metrics {
-                    m.autoscale_drained.inc();
-                }
-            }
+            });
+            self.actuate(link, waves, &mut report)?;
         }
 
         // 5. Wake: a draining node saw traffic — re-arm the fleet.
         if traffic_returned {
-            report.woken = self.wake(link)?;
+            self.rearm(link, &mut report)?;
         }
 
         if let Some(m) = &self.metrics {
@@ -651,7 +678,7 @@ impl Autoscaler {
     }
 
     /// Re-arms every draining target in dependency order (downstream
-    /// first), journaling `VnfReused` before each settings push. Called
+    /// first), journaling `VnfReused` with each one's settings. Called
     /// from [`poll`](Self::poll) when counters show traffic returned, and
     /// directly by whoever receives a data-plane wake frame (first packet
     /// / first NACK at a draining relay).
@@ -663,43 +690,31 @@ impl Autoscaler {
     /// [`AutoscaleError::Io`] / [`AutoscaleError::Send`] as in
     /// [`poll`](Self::poll).
     pub fn wake(&mut self, link: &mut dyn ControlLink) -> Result<Vec<u32>, AutoscaleError> {
+        let mut report = PollReport::default();
+        self.rearm(link, &mut report)?;
+        Ok(report.woken)
+    }
+
+    /// [`wake`](Self::wake), booked into `report`. A re-armed relay gets
+    /// its table again along with its settings.
+    fn rearm(
+        &mut self,
+        link: &mut dyn ControlLink,
+        report: &mut PollReport,
+    ) -> Result<(), AutoscaleError> {
+        let draining = self.draining();
+        if draining.is_empty() {
+            return Ok(());
+        }
         let tables = self.tables();
-        let order: Vec<usize> = self
-            .dependency_order(|t| tables.get(&t.dc))
-            .into_iter()
-            .filter(|&i| {
-                self.tracks
-                    .get(&self.targets[i].node)
-                    .is_some_and(|t| t.draining)
-            })
-            .collect();
-        let mut woken = Vec::new();
-        for i in order {
-            let t = &self.targets[i];
-            self.journal
-                .append(&ControlRecord::VnfReused { node: t.node });
-            self.journal.commit()?;
-            for s in &t.settings {
-                link.push(t.control_addr, s)?;
-            }
-            if let Some(track) = self.tracks.get_mut(&t.node) {
-                track.draining = false;
-            }
-            // The re-armed relay needs its forwarding table again; force
-            // a re-push on the next table pass.
-            self.pushed_tables.remove(&t.node);
-            woken.push(t.node);
-            if let Some(m) = &self.metrics {
-                m.autoscale_woken.inc();
-            }
+        let waves = self.arming(link, &tables, &draining, |node| {
+            Some(ControlRecord::VnfReused { node })
+        });
+        self.actuate(link, waves, report)?;
+        if let Some(m) = &self.metrics {
+            m.autoscale_draining.set(self.draining().len() as f64);
         }
-        if !woken.is_empty() {
-            self.push_tables(link, &tables)?;
-            if let Some(m) = &self.metrics {
-                m.autoscale_draining.set(self.draining().len() as f64);
-            }
-        }
-        Ok(woken)
+        Ok(())
     }
 
     /// The current deployment's forwarding table per data center (none
@@ -718,16 +733,17 @@ impl Autoscaler {
         tables_from_deployment(topo, self.controller.sessions(), dep, &addr_of)
     }
 
-    /// The one actuation order, as target indices, downstream first:
-    /// each target comes after every target its table names as a next
-    /// hop, so a relay is armed before anything forwards to it
-    /// (DESIGN.md §14). Drains walk it backwards. `table_of` gives the
-    /// table a target holds or is about to be pushed; ties, and a cycle,
-    /// go in node-id order.
-    fn dependency_order<'t>(
+    /// The one actuation order, as waves of target indices, downstream
+    /// first: a target's wave comes after the wave of every target its
+    /// table names as a next hop, so a relay is armed before anything
+    /// forwards to it (DESIGN.md §14). Drains walk the waves backwards.
+    /// `table_of` gives the table a target holds or is about to be
+    /// pushed. A wave lists its targets in node-id order; a cycle puts its
+    /// lowest node id in a wave of its own.
+    fn dependency_waves<'t>(
         &self,
         table_of: impl Fn(&RelayTarget) -> Option<&'t ForwardingTable>,
-    ) -> Vec<usize> {
+    ) -> Vec<Vec<usize>> {
         let targets = &self.targets;
         let hops: Vec<Vec<&String>> = targets
             .iter()
@@ -746,67 +762,172 @@ impl Autoscaler {
         };
         let mut left: Vec<usize> = (0..targets.len()).collect();
         left.sort_by_key(|&i| targets[i].node);
-        let mut order = Vec::with_capacity(left.len());
+        let mut waves = Vec::new();
         while !left.is_empty() {
-            let ready = left
+            let mut wave: Vec<usize> = left
                 .iter()
-                .position(|&i| left.iter().all(|&j| !names(i, j)));
-            order.push(left.remove(ready.unwrap_or(0)));
+                .copied()
+                .filter(|&i| left.iter().all(|&j| !names(i, j)))
+                .collect();
+            if wave.is_empty() {
+                wave.push(left[0]);
+            }
+            left.retain(|i| !wave.contains(i));
+            waves.push(wave);
         }
-        order
+        waves
     }
 
-    /// Pushes `tables` (the current deployment's) to every target whose
-    /// table changed since the last push, in dependency order. Each push
-    /// is journaled (`TablePushed`, with the fence coordinates the link
-    /// will use) and committed *before* the signal is sent. Returns the
-    /// number of deltas pushed.
-    fn push_tables(
+    /// One wave per dependency depth of `tables`, downstream first (or
+    /// `upstream_first`), filled target by target; empty waves are left out.
+    fn waves(
+        &self,
+        tables: &HashMap<NodeId, ForwardingTable>,
+        upstream_first: bool,
+        mut fill: impl FnMut(&RelayTarget, &mut Wave),
+    ) -> Vec<Wave> {
+        let mut depths = self.dependency_waves(|t| tables.get(&t.dc));
+        if upstream_first {
+            depths.reverse();
+        }
+        depths
+            .into_iter()
+            .map(|depth| {
+                let mut wave = Wave::default();
+                for i in depth {
+                    fill(&self.targets[i], &mut wave);
+                }
+                wave
+            })
+            .filter(|w| !(w.records.is_empty() && w.frames.is_empty()))
+            .collect()
+    }
+
+    /// The waves that re-arm each node in `rearm` (`record(node)`
+    /// journaled, then its settings) and push each table that changed
+    /// since its last push, or whose node is re-armed, journaled as
+    /// `TablePushed` with the fence coordinates the link will use.
+    fn arming(
+        &self,
+        link: &dyn ControlLink,
+        tables: &HashMap<NodeId, ForwardingTable>,
+        rearm: &[u32],
+        record: impl Fn(u32) -> Option<ControlRecord>,
+    ) -> Vec<Wave> {
+        self.waves(tables, false, |t, wave| {
+            let armed = rearm.contains(&t.node);
+            if armed {
+                wave.records.extend(record(t.node));
+                for s in &t.settings {
+                    wave.push(link, t.control_addr, s.clone());
+                }
+            }
+            let Some(text) = tables.get(&t.dc).map(ForwardingTable::to_text) else {
+                return;
+            };
+            if armed || self.pushed_tables.get(&t.node) != Some(&text) {
+                let table = Signal::NcForwardTab {
+                    table: text.clone(),
+                };
+                let seq = wave.push(link, t.control_addr, table);
+                wave.records.push(ControlRecord::TablePushed {
+                    node: t.node,
+                    epoch: link.epoch(),
+                    seq,
+                    table: text,
+                });
+            }
+        })
+    }
+
+    /// Runs `waves` through the wave step and books each frame the relay
+    /// applied into `report`: a table it now holds, a drain, a re-arm
+    /// from drain.
+    fn actuate(
         &mut self,
         link: &mut dyn ControlLink,
-        tables: &HashMap<NodeId, ForwardingTable>,
-    ) -> Result<u32, AutoscaleError> {
-        let mut pushed = 0;
-        for i in self.dependency_order(|t| tables.get(&t.dc)) {
-            let t = &self.targets[i];
-            let Some(table) = tables.get(&t.dc) else {
-                continue;
-            };
-            let text = table.to_text();
-            if self.pushed_tables.get(&t.node) == Some(&text) {
-                continue;
-            }
-            self.journal.append(&ControlRecord::TablePushed {
-                node: t.node,
-                epoch: link.epoch(),
-                seq: link.next_seq(t.control_addr),
-                table: text.clone(),
-            });
-            self.journal.commit()?;
-            link.push(
-                t.control_addr,
-                &Signal::NcForwardTab {
-                    table: text.clone(),
-                },
-            )?;
-            self.pushed_tables.insert(t.node, text);
-            pushed += 1;
-        }
-        Ok(pushed)
+        waves: Vec<Wave>,
+        report: &mut PollReport,
+    ) -> Result<(), AutoscaleError> {
+        let (targets, tracks, pushed_tables) =
+            (&self.targets, &mut self.tracks, &mut self.pushed_tables);
+        let metrics = self.metrics.as_ref();
+        wave_step(
+            Some(&mut self.journal),
+            link,
+            waves,
+            |to, signal, outcome| {
+                outcome?;
+                let Some(node) = targets
+                    .iter()
+                    .find(|t| t.control_addr == to)
+                    .map(|t| t.node)
+                else {
+                    return Ok(());
+                };
+                let track = tracks.get_mut(&node);
+                match signal {
+                    Signal::NcForwardTab { table } => {
+                        pushed_tables.insert(node, table.clone());
+                        report.tables_pushed += 1;
+                    }
+                    Signal::NcVnfEnd { .. } => {
+                        if let Some(track) = track {
+                            track.draining = true;
+                        }
+                        report.drained.push(node);
+                        if let Some(m) = metrics {
+                            m.autoscale_drained.inc();
+                        }
+                    }
+                    Signal::NcSettings { .. } => {
+                        if let Some(track) = track.filter(|t| t.draining) {
+                            track.draining = false;
+                            report.woken.push(node);
+                            if let Some(m) = metrics {
+                                m.autoscale_woken.inc();
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+                Ok(())
+            },
+        )
     }
+}
+
+/// `waves` with `records` committed ahead of the first wave's (alone,
+/// when there is no wave).
+fn led_by(mut records: Vec<ControlRecord>, mut waves: Vec<Wave>) -> Vec<Wave> {
+    match waves.first_mut() {
+        Some(first) => {
+            records.append(&mut first.records);
+            first.records = records;
+        }
+        None => waves.push(Wave {
+            records,
+            frames: Vec::new(),
+        }),
+    }
+    waves
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::journal::Journal;
+    use crate::sender::exchange::{Completed, ExchangeTable};
+    use crate::sender::Ack;
+    use crate::signal::FencedSignal;
     use ncvnf_deploy::{Planner, ScalingParams, SessionSpec, TopologyBuilder};
     use ncvnf_rlnc::SessionId;
 
-    /// A scripted link: records every push, serves canned stats.
+    /// A scripted link: the real exchange table over in-memory delivery.
+    /// Every push is ACKed and recorded; stats are canned, and a node
+    /// with none stays silent.
     struct MockLink {
-        epoch: u64,
-        seqs: HashMap<SocketAddr, u64>,
+        table: ExchangeTable,
         pushed: Vec<(SocketAddr, Signal)>,
         stats: HashMap<SocketAddr, String>,
     }
@@ -814,8 +935,7 @@ mod tests {
     impl MockLink {
         fn new(epoch: u64) -> Self {
             MockLink {
-                epoch,
-                seqs: HashMap::new(),
+                table: ExchangeTable::new(epoch),
                 pushed: Vec::new(),
                 stats: HashMap::new(),
             }
@@ -829,33 +949,53 @@ mod tests {
                 ),
             );
         }
+
+        fn settle(&mut self, requests: &[(SocketAddr, Signal)]) -> Vec<Completed> {
+            let (pushed, stats) = (&mut self.pushed, &self.stats);
+            let requests = requests.iter().map(|(to, s)| (*to, s));
+            self.table.settle(
+                Instant::now(),
+                requests,
+                |to, wire| match FencedSignal::from_bytes(wire) {
+                    Ok((frame, _)) => {
+                        pushed.push((to, frame.signal));
+                        Some(Ack::Ok { seq: frame.seq }.to_string().into_bytes())
+                    }
+                    Err(_) => stats.get(&to).map(|json| json.clone().into_bytes()),
+                },
+            )
+        }
     }
 
     impl ControlLink for MockLink {
         fn epoch(&self) -> u64 {
-            self.epoch
+            self.table.epoch()
         }
 
         fn next_seq(&self, to: SocketAddr) -> u64 {
-            self.seqs.get(&to).copied().unwrap_or(0) + 1
+            self.table.next_seq(to)
         }
 
         fn push(&mut self, to: SocketAddr, signal: &Signal) -> Result<SendReceipt, SendError> {
-            let seq = self.seqs.entry(to).or_insert(0);
-            *seq += 1;
-            self.pushed.push((to, signal.clone()));
-            Ok(SendReceipt {
-                seq: *seq,
-                attempts: 1,
-                rtt: std::time::Duration::from_micros(50),
-            })
+            self.settle(&[(to, signal.clone())]).remove(0).into_push()
         }
 
         fn query_stats(&mut self, to: SocketAddr) -> Result<String, SendError> {
-            self.stats
-                .get(&to)
-                .cloned()
-                .ok_or(SendError::Timeout { attempts: 1 })
+            self.settle(&[(to, Signal::NcStats)]).remove(0).into_stats()
+        }
+
+        fn push_wave(
+            &mut self,
+            frames: &[(SocketAddr, Signal)],
+        ) -> Vec<Result<SendReceipt, SendError>> {
+            let done = self.settle(frames);
+            done.into_iter().map(Completed::into_push).collect()
+        }
+
+        fn query_all(&mut self, to: &[SocketAddr]) -> Vec<Result<String, SendError>> {
+            let queries: Vec<_> = to.iter().map(|to| (*to, Signal::NcStats)).collect();
+            let done = self.settle(&queries);
+            done.into_iter().map(Completed::into_stats).collect()
         }
     }
 
@@ -1094,7 +1234,7 @@ mod tests {
         for a in [addr(9101), addr(9102)] {
             link2.set_stats(a, 0, 10, 1);
         }
-        link2.epoch = state.next_epoch();
+        link2.table = ExchangeTable::new(state.next_epoch());
         let report = restarted.start(&mut link2, &state, 1.0).unwrap();
         // Armed: no bootstrap, just one table push per node, downstream
         // first, each under epoch 2.

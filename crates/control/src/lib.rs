@@ -27,8 +27,10 @@
 //!   append-only checksummed write-ahead log of [`ControlRecord`]s with
 //!   torn-tail-tolerant replay into a [`ControllerState`];
 //! * [`sender`] — reliable, epoch-fenced signal delivery: every push is
-//!   a [`FencedSignal`] retried with exponential backoff until ACKed;
-//!   the reply grammar, [`Ack`];
+//!   a [`FencedSignal`] retried with exponential backoff until ACKed,
+//!   run by a sans-IO [`ExchangeTable`] that one socket loop,
+//!   [`SignalSender`], waits on once for all peers; the reply grammar,
+//!   [`Ack`];
 //! * [`fence`] — the receiver's half: the pure verdict ([`Admit`]:
 //!   stale, duplicate, apply) on each fenced frame;
 //! * [`reconcile()`] — restart reconciliation: probe every journaled
@@ -73,6 +75,7 @@ pub use journal::{
 pub use liveness::{LivenessConfig, LivenessEvent, LivenessState, LivenessTracker};
 pub use metrics::{ControlCells, ControlMetrics};
 pub use reconcile::{reconcile, ReconcilePlan, ReconcileReport};
+pub use sender::exchange::{Answer, Completed, ExchangeTable};
 pub use sender::{Ack, Refusal, SendError, SendReceipt, SenderConfig, SignalSender};
 pub use signal::{FencedSignal, Signal, SignalError, SignalFrame, VnfRoleWire};
 pub use telemetry::{DataplaneHealth, Telemetry};

@@ -26,10 +26,9 @@
 
 use std::net::SocketAddr;
 
-use crate::autoscale::ControlLink;
+use crate::autoscale::{wave_step, ControlLink, Wave};
 use crate::journal::{ControllerState, NodeStatus};
 use crate::metrics::ControlMetrics;
-use crate::sender::SendError;
 use crate::signal::Signal;
 
 /// Reads a numeric value out of a flat snapshot-JSON section by metric
@@ -111,12 +110,13 @@ pub struct ReconcileReport {
 }
 
 /// Observe → plan → act against live relays: queries every journaled
-/// node's `NC_STATS` through `link`, plans at `now_secs`, then pushes
-/// every reachable armed node its believed table and every draining one
-/// its remaining drain, all fenced under the link's (new) epoch. Tables
-/// go in node-id order; [`crate::Autoscaler::start`] runs the same pass
-/// in its fleet's dependency order. Unreachable nodes and failed pushes
-/// are reported, not fatal — failover handles them.
+/// node's `NC_STATS` through `link` at once, plans at `now_secs`, then
+/// pushes every reachable armed node its believed table and every
+/// draining one its remaining drain, all fenced under the link's (new)
+/// epoch. Here every table goes in one wave, then every drain;
+/// [`crate::Autoscaler::start`] runs the same pass in its fleet's
+/// dependency order. Unreachable nodes and failed pushes are reported,
+/// not fatal — failover handles them.
 pub fn reconcile(
     link: &mut dyn ControlLink,
     state: &ControllerState,
@@ -126,17 +126,17 @@ pub fn reconcile(
     reconcile_in_order(link, state, now_secs, metrics, &[])
 }
 
-/// [`reconcile`] with tables pushed in `order` (node ids, downstream
-/// first) and drains in its reverse. Nodes `order` omits rank after it,
-/// in id order, so their drains go first.
+/// [`reconcile`] with tables pushed in `order`'s waves (node ids,
+/// downstream first) and drains in its reverse. Nodes `order` omits form
+/// one more wave after it, so their drains go first.
 pub(crate) fn reconcile_in_order(
     link: &mut dyn ControlLink,
     state: &ControllerState,
     now_secs: f64,
     metrics: Option<&ControlMetrics>,
-    order: &[u32],
+    order: &[Vec<u32>],
 ) -> ReconcileReport {
-    let mut reachable = Vec::new();
+    let mut probed = Vec::new();
     for (&node, belief) in &state.nodes {
         // Expired lingerers are not worth a probe; plan() buckets them.
         if let NodeStatus::Draining { deadline_secs } = belief.status {
@@ -144,43 +144,63 @@ pub(crate) fn reconcile_in_order(
                 continue;
             }
         }
-        let Ok(addr) = belief.control_addr.parse::<SocketAddr>() else {
-            continue;
-        };
-        if link.query_stats(addr).is_ok() {
-            reachable.push(node);
+        if let Ok(addr) = belief.control_addr.parse::<SocketAddr>() {
+            probed.push((node, addr));
         }
     }
-    let mut plan = plan(state, &reachable, now_secs);
-    let rank = |node: u32| order.iter().position(|&n| n == node).unwrap_or(order.len());
-    plan.repush.sort_by_key(|&(node, _)| (rank(node), node));
-    plan.redrain
-        .sort_by_key(|&node| (std::cmp::Reverse(rank(node)), node));
-    let mut repush_failures = Vec::new();
-    // Pushes `signal` to `node`; a failure is reported, not fatal.
-    let mut push = |node: u32, signal: Signal| {
-        let outcome = state.nodes[&node]
-            .control_addr
-            .parse::<SocketAddr>()
-            .map_err(|e| SendError::Rejected(format!("bad control addr: {e}")))
-            .and_then(|addr| link.push(addr, &signal));
-        if let Err(e) = &outcome {
-            repush_failures.push((node, e.to_string()));
-        }
-        u32::from(outcome.is_ok())
+    let addrs: Vec<SocketAddr> = probed.iter().map(|&(_, addr)| addr).collect();
+    let reachable: Vec<u32> = probed
+        .iter()
+        .zip(link.query_all(&addrs))
+        .filter(|(_, answer)| answer.is_ok())
+        .map(|(&(node, _), _)| node)
+        .collect();
+    let plan = plan(state, &reachable, now_secs);
+    let addr_of = |node: u32| probed.iter().find(|&&(n, _)| n == node).map(|&(_, a)| a);
+    let rank = |node: u32| {
+        order
+            .iter()
+            .position(|wave| wave.contains(&node))
+            .unwrap_or(order.len())
     };
-    let mut repushed_ok = 0;
+    let mut tables: Vec<Wave> = (0..=order.len()).map(|_| Wave::default()).collect();
+    let mut drains: Vec<Wave> = (0..=order.len()).map(|_| Wave::default()).collect();
     for (node, table) in &plan.repush {
-        let table = table.clone();
-        repushed_ok += push(*node, Signal::NcForwardTab { table });
-    }
-    let mut redrained_ok = 0;
-    for &node in &plan.redrain {
-        if let NodeStatus::Draining { deadline_secs } = state.nodes[&node].status {
-            let tau_secs = (deadline_secs - now_secs).ceil().max(1.0) as u32;
-            redrained_ok += push(node, Signal::NcVnfEnd { tau_secs });
+        if let Some(addr) = addr_of(*node) {
+            let table = table.clone();
+            tables[rank(*node)]
+                .frames
+                .push((addr, Signal::NcForwardTab { table }));
         }
     }
+    for &node in &plan.redrain {
+        if let (Some(addr), NodeStatus::Draining { deadline_secs }) =
+            (addr_of(node), state.nodes[&node].status)
+        {
+            let tau_secs = (deadline_secs - now_secs).ceil().max(1.0) as u32;
+            drains[rank(node)]
+                .frames
+                .push((addr, Signal::NcVnfEnd { tau_secs }));
+        }
+    }
+    let waves = tables.into_iter().chain(drains.into_iter().rev());
+    let waves = waves.filter(|w| !w.frames.is_empty()).collect();
+    let (mut repushed_ok, mut redrained_ok) = (0, 0);
+    let mut repush_failures = Vec::new();
+    // A failed push is reported, not fatal, so the step runs every wave.
+    wave_step(None, link, waves, |to, signal, outcome| {
+        match outcome {
+            Ok(_) if matches!(signal, Signal::NcVnfEnd { .. }) => redrained_ok += 1,
+            Ok(_) => repushed_ok += 1,
+            Err(e) => {
+                for &(node, _) in probed.iter().filter(|&&(_, a)| a == to) {
+                    repush_failures.push((node, e.to_string()));
+                }
+            }
+        }
+        Ok(())
+    })
+    .expect("without a journal, only `answered` can stop the wave step");
     if let Some(m) = metrics {
         m.record_reconcile(
             repushed_ok as u64,
@@ -200,6 +220,7 @@ pub(crate) fn reconcile_in_order(
 mod tests {
     use super::*;
     use crate::journal::{ControlRecord, ControllerState};
+    use crate::sender::SendError;
 
     fn replayed_state() -> ControllerState {
         ControllerState::replay(&[
@@ -360,7 +381,8 @@ mod tests {
             deadline_secs: 500.0,
         };
         let mut link = link(&[9000, 9001, 9003]);
-        let report = reconcile_in_order(&mut link, &state, 100.0, None, &[3, 1, 0]);
+        let report =
+            reconcile_in_order(&mut link, &state, 100.0, None, &[vec![3], vec![1], vec![0]]);
         assert_eq!(report.repushed_ok, 1);
         assert_eq!(report.redrained_ok, 2);
         let ports: Vec<u16> = link.pushed.iter().map(|(p, _)| *p).collect();

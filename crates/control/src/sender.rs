@@ -3,43 +3,39 @@
 //! The paper's controller pushes signals over UDP fire-and-forget; a
 //! lost `NC_FORWARD_TAB` silently leaves a relay routing into a black
 //! hole. [`SignalSender`] closes that gap: every push is wrapped in a
-//! [`FencedSignal`] (controller epoch + per-destination sequence
-//! number), sent, and retransmitted with exponential backoff until the
-//! receiver acknowledges that exact sequence number or the retry budget
-//! runs out. Receivers deduplicate by sequence number, so at-least-once
-//! delivery becomes exactly-once *application* (DESIGN.md §13). The
-//! receiver's answer is an [`Ack`].
+//! [`FencedSignal`](crate::FencedSignal) (controller epoch +
+//! per-destination sequence number), sent, and retransmitted with
+//! exponential backoff until the receiver acknowledges that exact
+//! sequence number or the retry budget runs out. Receivers deduplicate
+//! by sequence number, so at-least-once delivery becomes exactly-once
+//! *application* (DESIGN.md §13). The receiver's answer is an [`Ack`].
+//!
+//! Two parts: the [`exchange`] table is the state machine (framing, ACK
+//! matching, the retry schedule, told the time), and [`SignalSender`] is
+//! the one loop that runs it over a socket. Every call — one push, a
+//! stats query, a wave of pushes, a sweep of queries — begins its
+//! exchanges in the table and blocks on the socket until the earliest
+//! deadline, so requests to different relays wait out their timeouts
+//! together.
 
-use std::collections::HashMap;
+pub mod exchange;
+
 use std::error::Error;
 use std::fmt;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
-use ncvnf_obs::Counter;
-
+use crate::autoscale::ControlLink;
 use crate::metrics::ControlMetrics;
-use crate::signal::{FencedSignal, Signal};
+use crate::signal::Signal;
+use exchange::{Answer, Completed, ExchangeTable};
 
-/// Retry policy for un-ACKed pushes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The retry policy, which is fixed (150 ms ACK window, 5 attempts,
+/// 25 ms × 2^(n−1) backoff; see [`exchange`]). [`SignalSender::new`]
+/// takes one so its callers need not change.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SenderConfig {
-    /// How long to wait for an ACK before retransmitting.
-    pub ack_timeout: Duration,
-    /// Total transmission attempts per push (first send included).
-    pub max_attempts: u32,
-    /// Backoff before attempt `n+1` is `backoff_base << (n-1)`.
-    pub backoff_base: Duration,
-}
-
-impl Default for SenderConfig {
-    fn default() -> Self {
-        SenderConfig {
-            ack_timeout: Duration::from_millis(150),
-            max_attempts: 5,
-            backoff_base: Duration::from_millis(25),
-        }
-    }
+    _fixed: (),
 }
 
 /// Why a push did not land.
@@ -208,14 +204,25 @@ impl Ack {
     }
 }
 
-/// The controller's sending half: owns the epoch, the per-destination
-/// sequence counters, and the retry loop.
+/// Receive buffer sizes: an ACK fits in `ACK_BUFFER` bytes (the longest,
+/// `ERR stale-epoch <u64>`, is 36), a stats snapshot in `STATS_BUFFER`.
+const ACK_BUFFER: usize = 64;
+const STATS_BUFFER: usize = 64 * 1024;
+
+/// The controller's sending half: the exchange table, and the socket and
+/// receive buffer it is driven over.
 #[derive(Debug)]
 pub struct SignalSender {
     socket: UdpSocket,
-    epoch: u64,
-    seqs: HashMap<SocketAddr, u64>,
-    config: SenderConfig,
+    table: ExchangeTable,
+    /// The one receive buffer, sized for the largest reply asked for so
+    /// far. A push-only sender never holds 64 KiB: allocating and freeing
+    /// that much with every short-lived sender doubled `ncbench`
+    /// `transfer_lossy`'s set-up time, through the heap's layout.
+    buf: Vec<u8>,
+    /// The read timeout the socket holds, in whole milliseconds: a wait
+    /// that rounds to the same one costs no system call.
+    timeout: Option<Duration>,
     metrics: Option<ControlMetrics>,
 }
 
@@ -226,13 +233,13 @@ impl SignalSender {
     /// # Errors
     ///
     /// Propagates socket errors.
-    pub fn new(epoch: u64, config: SenderConfig) -> std::io::Result<Self> {
+    pub fn new(epoch: u64, _config: SenderConfig) -> std::io::Result<Self> {
         let socket = UdpSocket::bind(("127.0.0.1", 0))?;
         Ok(SignalSender {
             socket,
-            epoch,
-            seqs: HashMap::new(),
-            config,
+            table: ExchangeTable::new(epoch),
+            buf: Vec::new(),
+            timeout: None,
             metrics: None,
         })
     }
@@ -246,12 +253,12 @@ impl SignalSender {
 
     /// The epoch stamped on every outbound frame.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.table.epoch()
     }
 
     /// The sequence number the next push to `to` will carry.
     pub fn next_seq(&self, to: SocketAddr) -> u64 {
-        self.seqs.get(&to).copied().unwrap_or(0) + 1
+        self.table.next_seq(to)
     }
 
     /// The sender's local socket address (ACKs return here).
@@ -265,7 +272,7 @@ impl SignalSender {
 
     /// Pushes `signal` to `to` in a fenced frame and blocks until the
     /// receiver ACKs that exact sequence number, retransmitting with
-    /// exponential backoff up to the configured attempt budget.
+    /// exponential backoff up to the attempt budget.
     ///
     /// # Errors
     ///
@@ -274,36 +281,7 @@ impl SignalSender {
     /// epoch (stop this controller), [`SendError::Rejected`] when the
     /// receiver refuses the signal, [`SendError::Io`] on socket errors.
     pub fn push(&mut self, to: SocketAddr, signal: &Signal) -> Result<SendReceipt, SendError> {
-        let seq = {
-            let counter = self.seqs.entry(to).or_insert(0);
-            *counter += 1;
-            *counter
-        };
-        if let Some(m) = &self.metrics {
-            m.sender_pushes.inc();
-        }
-        let wire = FencedSignal {
-            epoch: self.epoch,
-            seq,
-            signal: signal.clone(),
-        }
-        .to_bytes();
-        // Skipped while waiting: an ACK for an older seq (a late
-        // duplicate) and anything that is not an ACK.
-        let retries = self.metrics.as_ref().map(|m| &m.sender_retries);
-        let answer = self.exchange(to, &wire, &mut [0u8; 2048], retries, |reply| {
-            Ack::parse(reply).filter(|ack| ack.answers(seq))
-        });
-        if let Some(m) = &self.metrics {
-            match &answer {
-                Ok((Ack::Ok { .. }, _, rtt)) => m.sender_ack_ns.record(rtt.as_nanos() as u64),
-                Err(SendError::Timeout { .. }) => m.sender_failed.inc(),
-                _ => {}
-            }
-        }
-        let (ack, attempts, rtt) = answer?;
-        ack.into_result()?;
-        Ok(SendReceipt { seq, attempts, rtt })
+        self.exchange([(to, signal)]).remove(0).into_push()
     }
 
     /// Sends a bare `NC_STATS` query — the one frame a relay answers
@@ -316,116 +294,110 @@ impl SignalSender {
     ///
     /// [`SendError::Timeout`] or [`SendError::Io`].
     pub fn query_stats(&mut self, to: SocketAddr) -> Result<String, SendError> {
-        let wire = Signal::NcStats.to_bytes();
-        // A late ACK is skipped: the snapshot starts with '{'.
-        self.exchange(to, &wire, &mut vec![0u8; 65536], None, |reply| {
-            (reply.first() == Some(&b'{'))
-                .then(|| std::str::from_utf8(reply).ok().map(str::to_owned))
-                .flatten()
-        })
-        .map(|(json, _, _)| json)
+        self.exchange([(to, &Signal::NcStats)])
+            .remove(0)
+            .into_stats()
     }
 
-    /// Sends `wire` to `to` until `accept` takes a datagram from `to`,
-    /// waiting one ACK window per attempt and backing off exponentially
-    /// between attempts (each counted in `retries`). Returns what
-    /// `accept` made of the reply, the attempts it took and the last
-    /// attempt's wait.
-    fn exchange<T>(
-        &self,
-        to: SocketAddr,
-        wire: &[u8],
-        buf: &mut [u8],
-        retries: Option<&Counter>,
-        mut accept: impl FnMut(&[u8]) -> Option<T>,
-    ) -> Result<(T, u32, Duration), SendError> {
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            let sent_at = Instant::now();
-            self.socket.send_to(wire, to).map_err(SendError::Io)?;
-            let deadline = sent_at + self.config.ack_timeout;
-            loop {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    break;
-                }
-                self.socket
-                    .set_read_timeout(Some(remaining))
-                    .map_err(SendError::Io)?;
-                match self.socket.recv_from(buf) {
-                    Ok((n, src)) if src == to => {
-                        if let Some(value) = accept(&buf[..n]) {
-                            return Ok((value, attempts, sent_at.elapsed()));
-                        }
-                    }
-                    Ok(_) => {}
-                    Err(ref e) if is_timeout(e) => break,
-                    Err(e) => return Err(SendError::Io(e)),
-                }
+    /// The one socket loop: begins an exchange per request, then transmits
+    /// what the table's schedule says and blocks on the socket until the
+    /// earliest deadline (rounded up to the millisecond), handing the
+    /// table every datagram, until the table is empty. A receive error
+    /// other than the timeout counts as a lost datagram. Returns the
+    /// exchanges in request order.
+    fn exchange<'s>(
+        &mut self,
+        requests: impl IntoIterator<Item = (SocketAddr, &'s Signal)>,
+    ) -> Vec<Completed> {
+        let mut reply_size = ACK_BUFFER;
+        for (to, signal) in requests {
+            if matches!(signal, Signal::NcStats) {
+                reply_size = STATS_BUFFER;
             }
-            if attempts >= self.config.max_attempts {
-                return Err(SendError::Timeout { attempts });
-            }
-            if let Some(retries) = retries {
-                retries.inc();
-            }
-            std::thread::sleep(self.config.backoff_base * (1 << (attempts - 1).min(8)));
+            self.table.begin(to, signal);
         }
+        if self.buf.len() < reply_size {
+            self.buf = vec![0u8; reply_size];
+        }
+        let mut done = Vec::new();
+        loop {
+            let socket = &self.socket;
+            let transmit = |to, wire: &[u8]| socket.send_to(wire, to).map(drop);
+            let Some(deadline) = self.table.poll(Instant::now(), &mut done, transmit) else {
+                break;
+            };
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                continue;
+            }
+            let wait = Some(Duration::from_millis(left.as_micros().div_ceil(1000) as u64));
+            if self.timeout != wait && socket.set_read_timeout(wait).is_ok() {
+                self.timeout = wait;
+            }
+            if let Ok((n, from)) = socket.recv_from(&mut self.buf) {
+                done.extend(self.table.receive(Instant::now(), from, &self.buf[..n]));
+            }
+        }
+        done.sort_by_key(|c| c.id);
+        if let Some(m) = &self.metrics {
+            for c in done.iter().filter(|c| c.seq.is_some()) {
+                m.sender_pushes.inc();
+                m.sender_retries
+                    .add(u64::from(c.attempts.saturating_sub(1)));
+                match &c.answer {
+                    Ok(Answer::Applied(r)) => m.sender_ack_ns.record(r.rtt.as_nanos() as u64),
+                    Err(SendError::Timeout { .. }) => m.sender_failed.inc(),
+                    _ => {}
+                }
+            }
+        }
+        done
     }
 }
 
-/// True for the receive-timeout errors a bounded wait expects.
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
+/// The fan-out forms run over the table: every frame of a wave, every
+/// query of a sweep, leaves at once and the call waits once.
+impl ControlLink for SignalSender {
+    fn epoch(&self) -> u64 {
+        SignalSender::epoch(self)
+    }
+
+    fn next_seq(&self, to: SocketAddr) -> u64 {
+        SignalSender::next_seq(self, to)
+    }
+
+    fn push(&mut self, to: SocketAddr, signal: &Signal) -> Result<SendReceipt, SendError> {
+        SignalSender::push(self, to, signal)
+    }
+
+    fn query_stats(&mut self, to: SocketAddr) -> Result<String, SendError> {
+        SignalSender::query_stats(self, to)
+    }
+
+    fn push_wave(
+        &mut self,
+        frames: &[(SocketAddr, Signal)],
+    ) -> Vec<Result<SendReceipt, SendError>> {
+        self.exchange(frames.iter().map(|(to, signal)| (*to, signal)))
+            .into_iter()
+            .map(Completed::into_push)
+            .collect()
+    }
+
+    fn query_all(&mut self, to: &[SocketAddr]) -> Vec<Result<String, SendError>> {
+        self.exchange(to.iter().map(|to| (*to, &Signal::NcStats)))
+            .into_iter()
+            .map(Completed::into_stats)
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::signal::FencedSignal;
     use ncvnf_rlnc::SessionId;
     use std::sync::mpsc;
-
-    fn fast_config() -> SenderConfig {
-        SenderConfig {
-            ack_timeout: Duration::from_millis(60),
-            max_attempts: 4,
-            backoff_base: Duration::from_millis(5),
-        }
-    }
-
-    /// A scripted receiver: applies `script(attempt)` to each arriving
-    /// frame to decide the reply (None = stay silent).
-    fn scripted_receiver(
-        script: impl Fn(u32, &FencedSignal) -> Option<String> + Send + 'static,
-    ) -> (SocketAddr, mpsc::Receiver<FencedSignal>) {
-        let socket = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-        let addr = socket.local_addr().unwrap();
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let mut buf = [0u8; 2048];
-            let mut attempt = 0;
-            socket
-                .set_read_timeout(Some(Duration::from_secs(2)))
-                .unwrap();
-            while let Ok((n, src)) = socket.recv_from(&mut buf) {
-                let Ok((frame, _)) = FencedSignal::from_bytes(&buf[..n]) else {
-                    continue;
-                };
-                attempt += 1;
-                if tx.send(frame.clone()).is_err() {
-                    break;
-                }
-                if let Some(reply) = script(attempt, &frame) {
-                    let _ = socket.send_to(reply.as_bytes(), src);
-                }
-            }
-        });
-        (addr, rx)
-    }
 
     fn probe() -> Signal {
         Signal::NcStart {
@@ -433,10 +405,52 @@ mod tests {
         }
     }
 
+    fn peer(port: u16) -> SocketAddr {
+        SocketAddr::from(([127, 0, 0, 1], port))
+    }
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    /// Polls `table` at `now`: the frames it transmits, decoded (`None`
+    /// for a bare stats query), and the exchanges it retires.
+    fn poll_at(
+        table: &mut ExchangeTable,
+        now: Instant,
+    ) -> (Vec<(SocketAddr, Option<FencedSignal>)>, Vec<Completed>) {
+        let (mut sent, mut done) = (Vec::new(), Vec::new());
+        table.poll(now, &mut done, |to, wire| {
+            sent.push((to, FencedSignal::from_bytes(wire).ok().map(|(f, _)| f)));
+            Ok(())
+        });
+        (sent, done)
+    }
+
+    fn ok(seq: u64) -> Vec<u8> {
+        Ack::Ok { seq }.to_string().into_bytes()
+    }
+
+    /// The sender over a real socket: a push and its ACK, one receive.
     #[test]
     fn first_try_ack_succeeds_with_sequenced_frames() {
-        let (addr, rx) = scripted_receiver(|_, f| Some(format!("OK {}", f.seq)));
-        let mut sender = SignalSender::new(3, fast_config()).unwrap();
+        let socket = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        let addr = socket.local_addr().unwrap();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let mut buf = [0u8; 2048];
+            socket.set_read_timeout(Some(ms(2000))).unwrap();
+            while let Ok((n, src)) = socket.recv_from(&mut buf) {
+                let Ok((frame, _)) = FencedSignal::from_bytes(&buf[..n]) else {
+                    continue;
+                };
+                let _ = socket.send_to(&ok(frame.seq), src);
+                if tx.send(frame).is_err() {
+                    break;
+                }
+            }
+        });
+        let mut sender = SignalSender::new(3, SenderConfig::default()).unwrap();
         let r1 = sender.push(addr, &probe()).unwrap();
         let r2 = sender.push(addr, &probe()).unwrap();
         assert_eq!((r1.seq, r1.attempts), (1, 1));
@@ -448,45 +462,181 @@ mod tests {
     }
 
     #[test]
+    fn resend_instants_follow_the_windows_and_backoffs() {
+        let t0 = Instant::now();
+        let mut table = ExchangeTable::new(1);
+        table.begin(peer(1), &probe());
+        let mut sent_at = Vec::new();
+        let mut now = t0;
+        let done = loop {
+            let (sent, done) = poll_at(&mut table, now);
+            if !sent.is_empty() {
+                sent_at.push((now - t0).as_millis());
+                // Nothing happens before the schedule's next instant.
+                let before = table.poll(now, &mut Vec::new(), |_, _| Ok(())).unwrap();
+                let (early, _) = poll_at(&mut table, before - ms(1));
+                assert!(early.is_empty());
+            }
+            match table.poll(now, &mut Vec::new(), |_, _| Ok(())) {
+                Some(next) if done.is_empty() => now = next,
+                _ => break done,
+            }
+        };
+        // 150 ms windows; backoffs of 25, 50, 100 and 200 ms.
+        assert_eq!(sent_at, [0, 175, 375, 625, 975]);
+        assert_eq!(now - t0, ms(1125), "the fifth window closes the exchange");
+        assert!(matches!(
+            done[..],
+            [Completed {
+                answer: Err(SendError::Timeout { attempts: 5 }),
+                ..
+            }]
+        ));
+    }
+
+    #[test]
     fn lost_acks_are_retried_with_backoff() {
         // Silent for two attempts, then ACK.
-        let (addr, rx) =
-            scripted_receiver(|attempt, f| (attempt >= 3).then(|| format!("OK {}", f.seq)));
-        let mut sender = SignalSender::new(1, fast_config()).unwrap();
-        let receipt = sender.push(addr, &probe()).unwrap();
+        let mut table = ExchangeTable::new(1);
+        let mut seqs = Vec::new();
+        let done = table.settle(Instant::now(), [(peer(1), &probe())], |_, wire| {
+            let (frame, _) = FencedSignal::from_bytes(wire).unwrap();
+            seqs.push(frame.seq);
+            (seqs.len() >= 3).then(|| ok(frame.seq))
+        });
+        let receipt = done.into_iter().next().unwrap().into_push().unwrap();
         assert_eq!(receipt.attempts, 3);
         // All three transmissions carried the same seq (idempotent
         // retransmission, not a fresh signal).
-        for _ in 0..3 {
-            assert_eq!(rx.recv().unwrap().seq, 1);
-        }
+        assert_eq!(seqs, [1, 1, 1]);
     }
 
     #[test]
     fn unreachable_receiver_times_out_after_budget() {
-        let (addr, _rx) = scripted_receiver(|_, _| None);
-        let mut sender = SignalSender::new(1, fast_config()).unwrap();
-        match sender.push(addr, &probe()) {
-            Err(SendError::Timeout { attempts }) => assert_eq!(attempts, 4),
-            other => panic!("expected timeout, got {other:?}"),
+        let started = Instant::now();
+        let mut table = ExchangeTable::new(1);
+        let requests = [(peer(1), probe()), (peer(2), Signal::NcStats)];
+        let mut sends = 0;
+        let done = table.settle(started, requests.iter().map(|(to, s)| (*to, s)), |_, _| {
+            sends += 1;
+            None
+        });
+        assert_eq!(sends, 10, "five attempts to each peer");
+        for c in done {
+            assert!(matches!(c.answer, Err(SendError::Timeout { attempts: 5 })));
         }
+        assert!(
+            started.elapsed() < ms(100),
+            "virtual time, not the wall clock"
+        );
     }
 
     #[test]
     fn stale_epoch_and_rejections_are_surfaced_not_retried() {
-        let (addr, rx) = scripted_receiver(|_, f| Some(format!("ERR stale-epoch {}", f.seq)));
-        let mut sender = SignalSender::new(1, fast_config()).unwrap();
-        assert!(matches!(
-            sender.push(addr, &probe()),
-            Err(SendError::StaleEpoch)
-        ));
-        drop(rx);
-        let (addr, _rx) = scripted_receiver(|_, f| Some(format!("ERR bad-table {}", f.seq)));
-        let mut sender = SignalSender::new(1, fast_config()).unwrap();
-        match sender.push(addr, &probe()) {
-            Err(SendError::Rejected(reason)) => assert_eq!(reason, "bad-table"),
-            other => panic!("expected rejection, got {other:?}"),
+        for (reason, expect) in [
+            (Refusal::StaleEpoch, "fenced off"),
+            (Refusal::BadTable, "bad-table"),
+        ] {
+            let mut table = ExchangeTable::new(1);
+            let done = table.settle(Instant::now(), [(peer(1), &probe())], |_, wire| {
+                let (frame, _) = FencedSignal::from_bytes(wire).unwrap();
+                let seq = Some(frame.seq);
+                Some(Ack::Err { reason, seq }.to_string().into_bytes())
+            });
+            let c = done.into_iter().next().unwrap();
+            assert_eq!(c.attempts, 1);
+            let err = c.into_push().unwrap_err();
+            assert!(err.to_string().contains(expect), "{err}");
+            assert_eq!(
+                matches!(err, SendError::StaleEpoch),
+                reason == Refusal::StaleEpoch
+            );
         }
+    }
+
+    #[test]
+    fn a_reply_from_another_peer_completes_its_own_exchange() {
+        let t0 = Instant::now();
+        let mut table = ExchangeTable::new(1);
+        let a = table.begin(peer(1), &probe());
+        let b = table.begin(peer(2), &probe());
+        let (sent, _) = poll_at(&mut table, t0);
+        assert_eq!(sent.len(), 2, "both leave at once");
+        // Both pushes carry seq 1; B's ACK completes B, not A.
+        let done = table.receive(t0 + ms(3), peer(2), &ok(1)).unwrap();
+        assert_eq!((done.id, done.to), (b, peer(2)));
+        assert_eq!(done.into_push().unwrap().rtt, ms(3));
+        assert!(
+            table.receive(t0 + ms(4), peer(2), &ok(1)).is_none(),
+            "a duplicate"
+        );
+        let done = table.receive(t0 + ms(5), peer(1), &ok(1)).unwrap();
+        assert_eq!(done.id, a);
+        assert_eq!(table.poll(t0 + ms(5), &mut Vec::new(), |_, _| Ok(())), None);
+    }
+
+    #[test]
+    fn an_err_without_seq_answers_only_its_own_peers_push() {
+        let t0 = Instant::now();
+        let mut table = ExchangeTable::new(1);
+        let a = table.begin(peer(1), &probe());
+        let b = table.begin(peer(2), &probe());
+        poll_at(&mut table, t0);
+        let refusal = Ack::Err {
+            reason: Refusal::BadFrame,
+            seq: None,
+        };
+        let done = table
+            .receive(t0, peer(1), refusal.to_string().as_bytes())
+            .unwrap();
+        assert_eq!(done.id, a);
+        assert!(matches!(done.into_push(), Err(SendError::Rejected(r)) if r == "bad-frame"));
+        // B is still in flight and resends when its window closes.
+        let (sent, done) = poll_at(&mut table, t0 + ms(175));
+        assert!(done.is_empty());
+        assert_eq!(sent.len(), 1);
+        assert_eq!(sent[0].0, peer(2));
+        assert_eq!(table.receive(t0 + ms(176), peer(2), &ok(1)).unwrap().id, b);
+    }
+
+    #[test]
+    fn frames_to_one_peer_leave_one_at_a_time_in_order() {
+        let t0 = Instant::now();
+        let mut table = ExchangeTable::new(4);
+        table.begin(peer(1), &probe());
+        table.begin(peer(1), &probe());
+        assert_eq!(table.next_seq(peer(1)), 3);
+        let (sent, _) = poll_at(&mut table, t0);
+        assert_eq!(sent.len(), 1, "one frame in flight per peer");
+        assert_eq!(sent[0].1.as_ref().map(|f| (f.epoch, f.seq)), Some((4, 1)));
+        assert!(
+            table.receive(t0, peer(1), &ok(2)).is_none(),
+            "not the seq in flight"
+        );
+        assert_eq!(table.receive(t0, peer(1), &ok(1)).unwrap().seq, Some(1));
+        let (sent, _) = poll_at(&mut table, t0);
+        assert_eq!(sent[0].1.as_ref().map(|f| f.seq), Some(2));
+    }
+
+    #[test]
+    fn stats_queries_go_bare_and_unsequenced() {
+        let t0 = Instant::now();
+        let mut table = ExchangeTable::new(1);
+        let mut wires = Vec::new();
+        table.begin(peer(1), &Signal::NcStats);
+        table.poll(t0, &mut Vec::new(), |_, wire| {
+            wires.push(wire.to_vec());
+            Ok(())
+        });
+        assert_eq!(wires, [Signal::NcStats.to_bytes().to_vec()]);
+        assert_eq!(table.next_seq(peer(1)), 1);
+        assert!(
+            table.receive(t0, peer(1), &ok(1)).is_none(),
+            "an ACK is no snapshot"
+        );
+        let json = r#"{"counters":{}}"#;
+        let done = table.receive(t0, peer(1), json.as_bytes()).unwrap();
+        assert_eq!(done.into_stats().unwrap(), json);
     }
 
     #[test]

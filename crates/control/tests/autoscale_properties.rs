@@ -14,19 +14,20 @@
 //!    *and* whose idle clock exceeds the idle τ: scale-to-zero never
 //!    winds down a node with in-flight traffic.
 //!
-//! The link is a scripted [`ControlLink`] that re-opens the WAL on every
-//! push and asserts the write-ahead invariants at push time, not after
-//! the fact.
+//! The link runs the real [`ExchangeTable`] over in-memory delivery: it
+//! re-opens the WAL as each push leaves and asserts the write-ahead
+//! invariants then, not after the fact.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use proptest::prelude::*;
 
 use ncvnf_control::{
-    AutoscaleConfig, Autoscaler, ControlLink, Journal, NodeStatus, RelayTarget, SendError,
-    SendReceipt, Signal, VnfRoleWire,
+    Ack, AutoscaleConfig, Autoscaler, Completed, ControlLink, ControllerState, ExchangeTable,
+    FencedSignal, Journal, NodeStatus, RelayTarget, SendError, SendReceipt, Signal, VnfRoleWire,
 };
 use ncvnf_deploy::{
     Planner, ScalingController, ScalingEvent, ScalingParams, SessionSpec, TopologyBuilder, VnfSpec,
@@ -49,12 +50,12 @@ fn temp_wal(tag: &str, case: u64) -> PathBuf {
     path
 }
 
-/// A scripted link that checks the write-ahead invariants *at push
-/// time* by replaying the WAL, and records everything it served so
-/// drain safety can be checked against the stats history.
+/// A scripted link over the real exchange table that checks the
+/// write-ahead invariants *as each push leaves* by replaying the WAL, and
+/// records everything it served so drain safety can be checked against
+/// the stats history.
 struct VerifyingLink {
-    epoch: u64,
-    seqs: HashMap<SocketAddr, u64>,
+    table: ExchangeTable,
     wal: PathBuf,
     node_of: HashMap<SocketAddr, u32>,
     /// Stats history served per address: (datagrams_out, idle_ms).
@@ -63,11 +64,15 @@ struct VerifyingLink {
     pushes: Vec<Signal>,
 }
 
+fn replayed(wal: &Path) -> ControllerState {
+    let (_, state, _) = Journal::open(wal).expect("wal replays");
+    state
+}
+
 impl VerifyingLink {
     fn new(epoch: u64, wal: PathBuf, node_of: HashMap<SocketAddr, u32>) -> Self {
         VerifyingLink {
-            epoch,
-            seqs: HashMap::new(),
+            table: ExchangeTable::new(epoch),
             wal,
             node_of,
             served: HashMap::new(),
@@ -85,89 +90,124 @@ impl VerifyingLink {
         );
     }
 
-    fn replayed(&self) -> ncvnf_control::ControllerState {
-        let (_, state, _) = Journal::open(&self.wal).expect("wal replays");
-        state
+    fn replayed(&self) -> ControllerState {
+        replayed(&self.wal)
+    }
+
+    /// Runs `requests` through the table: a stats query is answered from
+    /// the script (a node without stats stays silent), a push is checked
+    /// and ACKed.
+    fn settle(&mut self, requests: &[(SocketAddr, Signal)]) -> Vec<Completed> {
+        let VerifyingLink {
+            table,
+            wal,
+            node_of,
+            served,
+            stats,
+            pushes,
+        } = self;
+        let requests = requests.iter().map(|(to, s)| (*to, s));
+        table.settle(Instant::now(), requests, |to, wire| {
+            let Ok((frame, _)) = FencedSignal::from_bytes(wire) else {
+                let json = stats.get(&to)?.clone();
+                let value = |name| {
+                    ncvnf_control::reconcile::snapshot_value(&json, name).unwrap_or(0.0) as u64
+                };
+                let seen = (value("relay.datagrams_out"), value("relay.idle_ms"));
+                served.entry(to).or_default().push(seen);
+                return Some(json.into_bytes());
+            };
+            let node = *node_of.get(&to).expect("push to a known target");
+            check_push(&replayed(wal), node, &frame.signal, served.get(&to));
+            pushes.push(frame.signal);
+            Some(Ack::Ok { seq: frame.seq }.to_string().into_bytes())
+        })
+    }
+}
+
+/// The write-ahead and drain-safety invariants at the instant a push of
+/// `signal` to `node` leaves, given the journal's replay and the stats
+/// served to the node so far.
+fn check_push(
+    state: &ControllerState,
+    node: u32,
+    signal: &Signal,
+    history: Option<&Vec<(u64, u64)>>,
+) {
+    match signal {
+        Signal::NcForwardTab { table } => {
+            // Write-ahead: the WAL's belief for this node must already
+            // equal the table being pushed (full-table pushes merge to
+            // exactly the last delta).
+            let belief = state
+                .nodes
+                .get(&node)
+                .unwrap_or_else(|| panic!("node {node} journaled before any push"));
+            assert_eq!(
+                belief.table.to_text(),
+                *table,
+                "table push to node {node} not journaled write-ahead"
+            );
+        }
+        Signal::NcVnfEnd { .. } => {
+            // Write-ahead + drain safety.
+            let belief = state
+                .nodes
+                .get(&node)
+                .unwrap_or_else(|| panic!("node {node} journaled before drain"));
+            assert!(
+                matches!(belief.status, NodeStatus::Draining { .. }),
+                "drain of node {node} not journaled write-ahead"
+            );
+            let history = history.map(Vec::as_slice).unwrap_or(&[]);
+            assert!(
+                history.len() >= 2,
+                "node {node} drained before two observations existed"
+            );
+            let (last_out, last_idle) = history[history.len() - 1];
+            let (prev_out, _) = history[history.len() - 2];
+            assert_eq!(
+                last_out, prev_out,
+                "node {node} drained while its counters were moving"
+            );
+            assert!(
+                last_idle as f64 >= IDLE_TAU_SECS * 1000.0,
+                "node {node} drained at idle {last_idle} ms < τ"
+            );
+        }
+        _ => {}
     }
 }
 
 impl ControlLink for VerifyingLink {
     fn epoch(&self) -> u64 {
-        self.epoch
+        self.table.epoch()
     }
 
     fn next_seq(&self, to: SocketAddr) -> u64 {
-        self.seqs.get(&to).copied().unwrap_or(0) + 1
+        self.table.next_seq(to)
     }
 
     fn push(&mut self, to: SocketAddr, signal: &Signal) -> Result<SendReceipt, SendError> {
-        let node = *self.node_of.get(&to).expect("push to a known target");
-        let state = self.replayed();
-        match signal {
-            Signal::NcForwardTab { table } => {
-                // Write-ahead: the WAL's belief for this node must
-                // already equal the table being pushed (full-table
-                // pushes merge to exactly the last delta).
-                let belief = state
-                    .nodes
-                    .get(&node)
-                    .unwrap_or_else(|| panic!("node {node} journaled before any push"));
-                assert_eq!(
-                    belief.table.to_text(),
-                    *table,
-                    "table push to node {node} not journaled write-ahead"
-                );
-            }
-            Signal::NcVnfEnd { .. } => {
-                // Write-ahead + drain safety.
-                let belief = state
-                    .nodes
-                    .get(&node)
-                    .unwrap_or_else(|| panic!("node {node} journaled before drain"));
-                assert!(
-                    matches!(belief.status, NodeStatus::Draining { .. }),
-                    "drain of node {node} not journaled write-ahead"
-                );
-                let history = self.served.get(&to).map(Vec::as_slice).unwrap_or(&[]);
-                assert!(
-                    history.len() >= 2,
-                    "node {node} drained before two observations existed"
-                );
-                let (last_out, last_idle) = history[history.len() - 1];
-                let (prev_out, _) = history[history.len() - 2];
-                assert_eq!(
-                    last_out, prev_out,
-                    "node {node} drained while its counters were moving"
-                );
-                assert!(
-                    last_idle as f64 >= IDLE_TAU_SECS * 1000.0,
-                    "node {node} drained at idle {last_idle} ms < τ"
-                );
-            }
-            _ => {}
-        }
-        self.pushes.push(signal.clone());
-        let seq = self.seqs.entry(to).or_insert(0);
-        *seq += 1;
-        Ok(SendReceipt {
-            seq: *seq,
-            attempts: 1,
-            rtt: std::time::Duration::from_micros(10),
-        })
+        self.settle(&[(to, signal.clone())]).remove(0).into_push()
     }
 
     fn query_stats(&mut self, to: SocketAddr) -> Result<String, SendError> {
-        let json = self
-            .stats
-            .get(&to)
-            .cloned()
-            .ok_or(SendError::Timeout { attempts: 1 })?;
-        let out = ncvnf_control::reconcile::snapshot_value(&json, "relay.datagrams_out")
-            .unwrap_or(0.0) as u64;
-        let idle =
-            ncvnf_control::reconcile::snapshot_value(&json, "relay.idle_ms").unwrap_or(0.0) as u64;
-        self.served.entry(to).or_default().push((out, idle));
-        Ok(json)
+        self.settle(&[(to, Signal::NcStats)]).remove(0).into_stats()
+    }
+
+    fn push_wave(
+        &mut self,
+        frames: &[(SocketAddr, Signal)],
+    ) -> Vec<Result<SendReceipt, SendError>> {
+        let done = self.settle(frames);
+        done.into_iter().map(Completed::into_push).collect()
+    }
+
+    fn query_all(&mut self, to: &[SocketAddr]) -> Vec<Result<String, SendError>> {
+        let queries: Vec<_> = to.iter().map(|to| (*to, Signal::NcStats)).collect();
+        let done = self.settle(&queries);
+        done.into_iter().map(Completed::into_stats).collect()
     }
 }
 

@@ -2,10 +2,12 @@
 //!
 //! An in-memory fleet of VNFs — each the relay's own receiver, a real
 //! [`Daemon`] handed every frame's bytes as a relay's control socket
-//! would hand them — sits behind a [`ControlLink`]. The real [`Autoscaler`] and [`Journal`] run
-//! a scripted scenario on it: the first start, a capability drift that is
-//! adopted, an idle spell that drains the fleet, returning traffic that
-//! wakes it. That no-crash run records its journal bytes and every frame
+//! would hand them — sits behind a [`ControlLink`] that runs the real
+//! [`ExchangeTable`]: the table frames, sequences and matches every
+//! exchange, and the link only carries bytes. The real [`Autoscaler`]
+//! and [`Journal`] run a scripted scenario on it: the first start, a
+//! capability drift that is adopted, an idle spell that drains the fleet,
+//! returning traffic that wakes it. That no-crash run records its journal bytes and every frame
 //! it sends.
 //!
 //! Then the controller dies at every byte offset of that journal (inside
@@ -37,18 +39,20 @@
 //!    entry for it);
 //! 7. a retransmission gets the answer its first delivery got.
 //!
-//! Pure state machines and a scratch file: no socket, no sleep.
+//! Pure state machines and a temporary journal file: no socket, no
+//! sleep. Every reply is immediate, so the table's retry schedule never
+//! fires.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ncvnf_control::journal::scan_frames;
 use ncvnf_control::{
-    Ack, Admit, AutoscaleConfig, Autoscaler, ControlLink, ControllerState, Daemon, DaemonState,
-    FencedSignal, ForwardingTable, Journal, NodeStatus, Received, RelayTarget, SendError,
-    SendReceipt, Signal, VnfRoleWire,
+    Ack, Admit, AutoscaleConfig, Autoscaler, Completed, ControlLink, ControllerState, Daemon,
+    DaemonState, ExchangeTable, FencedSignal, ForwardingTable, Journal, NodeStatus, Received,
+    RelayTarget, SendError, SendReceipt, Signal, VnfRoleWire,
 };
 use ncvnf_deploy::{
     Planner, ScalingController, ScalingEvent, ScalingParams, SessionSpec, TopologyBuilder, VnfSpec,
@@ -141,19 +145,25 @@ impl Fleet {
         }
     }
 
-    /// One fenced frame's bytes arrive at `to`'s daemon, as at a relay's
-    /// control socket, with checkers 2, 3 and 6 on every frame applied.
-    /// Returns the fence's verdict and the reply.
-    fn deliver(&mut self, to: SocketAddr, frame: &FencedSignal) -> (Admit, Ack) {
+    /// One datagram's bytes arrive at `to`'s daemon, as at a relay's
+    /// control socket: `NC_STATS` is answered with the script's snapshot,
+    /// a fenced frame with its ACK, with checkers 2, 3 and 6 on every frame
+    /// applied. Returns the fence's verdict (`None` for a stats query) and
+    /// the reply.
+    fn deliver(&mut self, to: SocketAddr, wire: &[u8]) -> (Option<Admit>, Vec<u8>) {
         let vnf = self.vnfs.get_mut(&to).expect("a fleet member");
-        let Received::Reply {
-            admit: Some(admit),
-            ack,
-            ..
-        } = vnf.daemon.receive(&frame.to_bytes())
-        else {
-            panic!("node {} did not fence a fenced frame", node_of(to));
+        let (admit, ack) = match vnf.daemon.receive(wire) {
+            Received::Stats => return (None, self.stats(to).into_bytes()),
+            Received::Reply {
+                admit: Some(admit),
+                ack,
+                ..
+            } => (admit, ack),
+            Received::Reply { admit: None, .. } => {
+                panic!("node {} did not fence a fenced frame", node_of(to))
+            }
         };
+        let frame = fence_of(wire);
         if admit == Admit::Apply {
             assert!(
                 frame.epoch >= vnf.highest,
@@ -176,7 +186,7 @@ impl Fleet {
         if admit == Admit::Apply {
             self.assert_make_before_break();
         }
-        (admit, ack)
+        (Some(admit), ack.to_string().into_bytes())
     }
 
     /// Checker 6: every fleet VNF a Running VNF's table names is armed.
@@ -232,20 +242,25 @@ impl Fleet {
     }
 }
 
-/// A frame one incarnation sent, with the journal length at the moment
-/// it left and the script tick it left in.
+/// The fence and signal of a frame's bytes, as the checkers read them.
+fn fence_of(wire: &[u8]) -> FencedSignal {
+    FencedSignal::from_bytes(wire).expect("a fenced frame").0
+}
+
+/// A frame one incarnation sent, as its bytes left, with the journal
+/// length at that moment and the script tick it left in.
 #[derive(Clone)]
 struct Sent {
     to: SocketAddr,
-    frame: FencedSignal,
+    wire: Vec<u8>,
     wal_len: usize,
     tick: usize,
 }
 
-/// One controller incarnation's link to the fleet.
+/// One controller incarnation's link to the fleet: the real exchange
+/// table, with the fleet as its network.
 struct FleetLink {
-    epoch: u64,
-    seqs: HashMap<SocketAddr, u64>,
+    table: ExchangeTable,
     wal: PathBuf,
     fleet: Fleet,
     sent: Vec<Sent>,
@@ -254,12 +269,44 @@ struct FleetLink {
 impl FleetLink {
     fn new(epoch: u64, wal: &Path, fleet: Fleet) -> FleetLink {
         FleetLink {
-            epoch,
-            seqs: HashMap::new(),
+            table: ExchangeTable::new(epoch),
             wal: wal.to_path_buf(),
             fleet,
             sent: Vec::new(),
         }
+    }
+
+    /// Runs `requests` through the table. Each push is checked durable
+    /// as it leaves (checker 1), then delivered twice, as after a lost
+    /// ACK, and must be answered as it was the first time (checker 7).
+    fn settle(&mut self, requests: &[(SocketAddr, Signal)]) -> Vec<Completed> {
+        let (wal, fleet, sent) = (&self.wal, &mut self.fleet, &mut self.sent);
+        let requests = requests.iter().map(|(to, s)| (*to, s));
+        self.table.settle(Instant::now(), requests, |to, wire| {
+            let Ok((frame, _)) = FencedSignal::from_bytes(wire) else {
+                // A bare `NC_STATS` query.
+                return Some(fleet.deliver(to, wire).1);
+            };
+            let journal = std::fs::read(wal).expect("journal readable");
+            assert_durable(&journal, frame.epoch, node_of(to), &frame.signal);
+            sent.push(Sent {
+                to,
+                wire: wire.to_vec(),
+                wal_len: journal.len(),
+                tick: fleet.tick,
+            });
+            let (_, reply) = fleet.deliver(to, wire);
+            let (_, again) = fleet.deliver(to, wire);
+            assert_eq!(
+                again,
+                reply,
+                "node {} answered a retransmission of ({}, {}) differently",
+                node_of(to),
+                frame.epoch,
+                frame.seq
+            );
+            Some(reply)
+        })
     }
 }
 
@@ -298,49 +345,33 @@ fn assert_durable(wal: &[u8], epoch: u64, node: u32, signal: &Signal) {
 
 impl ControlLink for FleetLink {
     fn epoch(&self) -> u64 {
-        self.epoch
+        self.table.epoch()
     }
 
     fn next_seq(&self, to: SocketAddr) -> u64 {
-        self.seqs.get(&to).copied().unwrap_or(0) + 1
+        self.table.next_seq(to)
     }
 
     fn push(&mut self, to: SocketAddr, signal: &Signal) -> Result<SendReceipt, SendError> {
-        let seq = self.next_seq(to);
-        self.seqs.insert(to, seq);
-        let wal = std::fs::read(&self.wal).expect("journal readable");
-        assert_durable(&wal, self.epoch, node_of(to), signal);
-        let frame = FencedSignal {
-            epoch: self.epoch,
-            seq,
-            signal: signal.clone(),
-        };
-        self.sent.push(Sent {
-            to,
-            frame: frame.clone(),
-            wal_len: wal.len(),
-            tick: self.fleet.tick,
-        });
-        // At-least-once: the first ACK is lost and the frame goes again.
-        // Checker 7: the retransmission is answered as the first was.
-        let (_, ack) = self.fleet.deliver(to, &frame);
-        let (_, again) = self.fleet.deliver(to, &frame);
-        assert_eq!(
-            again,
-            ack,
-            "node {} answered a retransmission of ({}, {seq}) differently",
-            node_of(to),
-            self.epoch
-        );
-        ack.into_result().map(|seq| SendReceipt {
-            seq,
-            attempts: 2,
-            rtt: Duration::ZERO,
-        })
+        self.settle(&[(to, signal.clone())]).remove(0).into_push()
     }
 
     fn query_stats(&mut self, to: SocketAddr) -> Result<String, SendError> {
-        Ok(self.fleet.stats(to))
+        self.settle(&[(to, Signal::NcStats)]).remove(0).into_stats()
+    }
+
+    fn push_wave(
+        &mut self,
+        frames: &[(SocketAddr, Signal)],
+    ) -> Vec<Result<SendReceipt, SendError>> {
+        let done = self.settle(frames);
+        done.into_iter().map(Completed::into_push).collect()
+    }
+
+    fn query_all(&mut self, to: &[SocketAddr]) -> Vec<Result<String, SendError>> {
+        let queries: Vec<_> = to.iter().map(|to| (*to, Signal::NcStats)).collect();
+        let done = self.settle(&queries);
+        done.into_iter().map(Completed::into_stats).collect()
     }
 }
 
@@ -518,8 +549,11 @@ fn crash_and_recover(reference: &Reference, wal_len: usize, pushed: usize) -> Zo
     // The network as the dead incarnation left it.
     let mut fleet = Fleet::new();
     for s in &reference.sent[..pushed] {
-        let (_, ack) = fleet.deliver(s.to, &s.frame);
-        assert!(matches!(ack, Ack::Ok { .. }), "the reference applied it");
+        let (_, ack) = fleet.deliver(s.to, &s.wire);
+        assert!(
+            matches!(Ack::parse(&ack), Some(Ack::Ok { .. })),
+            "the reference applied it"
+        );
     }
     // Its frames still in flight: every one it sent, and the one it was
     // sending if the journal already held that frame's record.
@@ -542,10 +576,11 @@ fn crash_and_recover(reference: &Reference, wal_len: usize, pushed: usize) -> Zo
     let mut tally = ZombieTally::default();
     let mut zombie_step = |link: &mut FleetLink, frame: Option<&Sent>| {
         if let Some(s) = frame {
-            match link.fleet.deliver(s.to, &s.frame).0 {
-                Admit::Stale => tally.stale += 1,
-                Admit::Duplicate => tally.duplicate += 1,
-                Admit::Apply => tally.applied += 1,
+            match link.fleet.deliver(s.to, &s.wire).0 {
+                Some(Admit::Stale) => tally.stale += 1,
+                Some(Admit::Duplicate) => tally.duplicate += 1,
+                Some(Admit::Apply) => tally.applied += 1,
+                None => unreachable!("a zombie frame is a push"),
             }
         }
     };
@@ -576,7 +611,7 @@ fn controller_crash_at_every_wal_byte_and_push_converges() {
     assert!(reference.decisions >= 1, "the drift was never adopted");
     assert!(
         sent.iter()
-            .any(|s| matches!(s.frame.signal, Signal::NcVnfEnd { .. })),
+            .any(|s| matches!(fence_of(&s.wire).signal, Signal::NcVnfEnd { .. })),
         "the idle spell never drained"
     );
     assert!(

@@ -479,10 +479,11 @@ fn bandwidth_collapse_is_rerouted_live_and_survives_controller_crash() {
     }
     let woken = auto2.wake(&mut sender2).expect("wake actuates");
     // The fresh controller plans through dc-B, where R0's table names
-    // R1: R1 is re-armed before R0, and R2 (no table) by node id.
+    // R1: R1 and R2 (no table) name nobody and are re-armed in the first
+    // wave, by node id, and R0 in the second.
     assert_eq!(
         woken,
-        vec![1, 0, 2],
+        vec![1, 2, 0],
         "whole fleet re-armed downstream first"
     );
     assert!(matches!(r0.handle().daemon_state(), DaemonState::Running));
