@@ -24,10 +24,26 @@
 //! [`Journal::open`] truncates the file back to the last valid prefix
 //! so the journal is append-ready again — records are only trusted
 //! once their checksum closes over them.
+//!
+//! # Preallocation
+//!
+//! A commit that grows the file makes its `fdatasync` commit the new
+//! file size as well as the records. So the journal writes into space
+//! that is already zero-filled and durable: the commit whose records
+//! cross the allocated end carries zeros up to the next allocation
+//! boundary in the same write, and every other commit overwrites zeros
+//! and flushes data only. The allocation doubles from one 4 KiB page to
+//! 64 KiB, then grows in 64 KiB chunks, so a new journal's first commit
+//! flushes one page, as an append would. A running journal's file is
+//! therefore longer than its records. Zeros past the last valid frame
+//! are padding, not a tear: `open` cuts them off without reporting a
+//! torn tail, and a cleanly dropped journal trims the file back to its
+//! frames.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{IoSlice, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -43,6 +59,29 @@ use crate::signal::SignalError;
 /// header is garbage (a torn tail whose bytes happen to decode as a
 /// huge length), not a record we ever wrote.
 const MAX_RECORD_LEN: usize = 1 << 20;
+
+/// Past its first chunk, the journal file grows in steps of this many
+/// bytes, zero-filled and made durable by the commit that crosses the
+/// allocated end.
+const CHUNK: u64 = 64 << 10;
+
+/// The smallest allocation; below [`CHUNK`] it doubles.
+const PAGE: u64 = 4 << 10;
+
+/// The source of the zero padding, written as many times as the padding
+/// needs so that padding allocates nothing.
+static ZERO_PAGE: [u8; PAGE as usize] = [0; PAGE as usize];
+
+/// The file size a journal whose records end at `end` allocates: the
+/// next power of two from [`PAGE`] to [`CHUNK`], then the next multiple
+/// of [`CHUNK`]. The padding past `end` is always below [`CHUNK`].
+fn allocation(end: u64) -> u64 {
+    if end <= CHUNK {
+        end.next_power_of_two().max(PAGE)
+    } else {
+        end.next_multiple_of(CHUNK)
+    }
+}
 
 const TAG_EPOCH_STARTED: u8 = 1;
 const TAG_SESSION_CREATED: u8 = 2;
@@ -594,7 +633,10 @@ pub fn scan_frames(bytes: &[u8]) -> (Vec<ControlRecord>, usize) {
             break;
         }
         let len = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-        if len > MAX_RECORD_LEN || rest.len() < 8 + len {
+        // No record is empty, and the CRC of no bytes is 0: an all-zero
+        // header (padding) passes its checksum, so it stops the scan
+        // here rather than in the record codec.
+        if len == 0 || len > MAX_RECORD_LEN || rest.len() < 8 + len {
             break;
         }
         let crc = u32::from_be_bytes([rest[4], rest[5], rest[6], rest[7]]);
@@ -618,20 +660,28 @@ pub fn scan_frames(bytes: &[u8]) -> (Vec<ControlRecord>, usize) {
 /// Appends buffer in memory; [`commit`](Self::commit) writes them out
 /// and `fsync`s, so callers group the records of one decision into one
 /// durable batch. [`log`](Self::log) is the single-record convenience.
-/// Dropping the journal flushes best-effort, but only a returned
-/// `Ok(())` from `commit` proves durability.
+/// Dropping the journal flushes best-effort and trims the file's zero
+/// padding, but only a returned `Ok(())` from `commit` proves
+/// durability.
 #[derive(Debug)]
 pub struct Journal {
     file: File,
     path: PathBuf,
     pending: Vec<u8>,
+    /// End of the committed records: the next commit writes here.
+    len: u64,
+    /// Durable file size: `len`, or the allocation boundary the zero
+    /// padding past `len` reaches.
+    allocated: u64,
     metrics: Option<ControlMetrics>,
 }
 
 impl Journal {
     /// Opens (or creates) the journal at `path`, replays every valid
-    /// record into a [`ControllerState`], and truncates any torn tail
-    /// so the file is append-ready.
+    /// record into a [`ControllerState`], and truncates everything past
+    /// the last valid frame so the file is append-ready. The cut part
+    /// is a torn tail only if it holds a non-zero byte; zero padding
+    /// left by a crash is not.
     ///
     /// # Errors
     ///
@@ -649,23 +699,25 @@ impl Journal {
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
         let (records, valid_len) = scan_frames(&bytes);
-        let torn = valid_len < bytes.len();
-        if torn {
+        let tail = &bytes[valid_len..];
+        let torn = tail.iter().any(|&b| b != 0);
+        if !tail.is_empty() {
             file.set_len(valid_len as u64)?;
             file.sync_data()?;
         }
-        file.seek(SeekFrom::Start(valid_len as u64))?;
         let state = ControllerState::replay(&records);
         let report = ReplayReport {
             records: records.len() as u64,
             torn_tail: torn,
-            truncated_bytes: (bytes.len() - valid_len) as u64,
+            truncated_bytes: if torn { tail.len() as u64 } else { 0 },
         };
         Ok((
             Journal {
                 file,
                 path,
                 pending: Vec::new(),
+                len: valid_len as u64,
+                allocated: valid_len as u64,
                 metrics: None,
             },
             state,
@@ -697,8 +749,13 @@ impl Journal {
         }
     }
 
-    /// Writes all buffered records and `fsync`s. A decision is durable
-    /// only once this returns `Ok(())`.
+    /// Writes all buffered records and `fdatasync`s. A decision is
+    /// durable only once this returns `Ok(())`.
+    ///
+    /// Records that fit the allocated space overwrite its zeros. Records
+    /// that cross its end go out with zeros up to the next allocation
+    /// boundary in the same write, so one `fdatasync` makes the records
+    /// and the new size durable together.
     ///
     /// # Errors
     ///
@@ -709,9 +766,19 @@ impl Journal {
             return Ok(());
         }
         let started = Instant::now();
-        self.file.write_all(&self.pending)?;
+        let end = self.len + self.pending.len() as u64;
+        let allocated = if end <= self.allocated {
+            self.file.write_all_at(&self.pending, self.len)?;
+            self.allocated
+        } else {
+            let allocated = allocation(end);
+            write_padded(&self.file, self.len, &self.pending, allocated - end)?;
+            allocated
+        };
         self.file.sync_data()?;
         self.pending.clear();
+        self.len = end;
+        self.allocated = allocated;
         if let Some(m) = &self.metrics {
             m.journal_commit_ns
                 .record(started.elapsed().as_nanos() as u64);
@@ -731,11 +798,40 @@ impl Journal {
     }
 }
 
+/// Writes `records` at offset `at`, followed by `pad` zero bytes, in
+/// one vectored write. `pad` is below [`CHUNK`].
+fn write_padded(mut file: &File, at: u64, records: &[u8], pad: u64) -> std::io::Result<()> {
+    const PAGES: usize = (CHUNK / PAGE) as usize;
+    let mut slices = [IoSlice::new(&[]); 1 + PAGES];
+    slices[0] = IoSlice::new(records);
+    let mut used = 1;
+    let mut left = pad as usize;
+    while left > 0 {
+        let page = left.min(ZERO_PAGE.len());
+        slices[used] = IoSlice::new(&ZERO_PAGE[..page]);
+        used += 1;
+        left -= page;
+    }
+    file.seek(SeekFrom::Start(at))?;
+    let mut unwritten = &mut slices[..used];
+    while !unwritten.is_empty() {
+        match file.write_vectored(unwritten) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut unwritten, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 impl Drop for Journal {
-    /// Best-effort flush of anything still pending; errors are dropped
-    /// because there is no one left to retry.
+    /// Best-effort flush of anything still pending, then the file is
+    /// trimmed to its records; errors are dropped because there is no
+    /// one left to retry.
     fn drop(&mut self) {
         let _ = self.commit();
+        let _ = self.file.set_len(self.len);
     }
 }
 
@@ -931,6 +1027,183 @@ mod tests {
         assert!(report.torn_tail);
         assert_eq!(state.epoch, 5);
         assert!(state.nodes.is_empty());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Logs `records` one commit each into a fresh journal at `path`
+    /// and returns the file as it stood before the journal was dropped
+    /// (its records and zero padding), and the length of the records.
+    fn live_image(path: &Path, records: &[ControlRecord]) -> (Vec<u8>, usize) {
+        let _ = std::fs::remove_file(path);
+        let (mut journal, _, _) = Journal::open(path).unwrap();
+        for record in records {
+            journal.log(record).unwrap();
+        }
+        let image = std::fs::read(path).unwrap();
+        drop(journal);
+        (image, std::fs::metadata(path).unwrap().len() as usize)
+    }
+
+    #[test]
+    fn zero_padding_reopens_clean_and_is_cut_back() {
+        let path = temp_path("padding");
+        let (image, records_len) = live_image(&path, &sample_records());
+        assert_eq!(
+            image.len() as u64,
+            PAGE,
+            "the first commits allocate one page"
+        );
+        assert!(image[records_len..].iter().all(|&b| b == 0));
+        let (reopened, clean, _) = Journal::open(&path).unwrap();
+        drop(reopened);
+        // A crash leaves the padding in place.
+        std::fs::write(&path, &image).unwrap();
+        let (_j, state, report) = Journal::open(&path).unwrap();
+        assert_eq!(state, clean);
+        assert_eq!(report.records, sample_records().len() as u64);
+        assert!(!report.torn_tail, "zero padding is not a tear");
+        assert_eq!(report.truncated_bytes, 0);
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len() as usize,
+            records_len
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn torn_record_before_padding_is_cut_and_counted_once() {
+        let path = temp_path("torn-padding");
+        let (mut image, records_len) = live_image(&path, &sample_records());
+        // A crash mid-commit: part of a frame landed in the padding.
+        image[records_len..records_len + 7].copy_from_slice(&[0, 0, 0, 200, 0xAA, 0xBB, 1]);
+        std::fs::write(&path, &image).unwrap();
+        let registry = ncvnf_obs::Registry::new();
+        let metrics = ControlMetrics::register(&registry);
+        for _ in 0..2 {
+            let (_j, state, report) = Journal::open(&path).unwrap();
+            metrics.record_journal_replay(report.records, report.torn_tail);
+            assert_eq!(state.epoch, 1);
+            assert_eq!(
+                std::fs::metadata(&path).unwrap().len() as usize,
+                records_len
+            );
+        }
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("control.journal.torn_tails"), Some(1));
+        let (reopened, _, report) = Journal::open(&path).unwrap();
+        assert_eq!((report.torn_tail, report.truncated_bytes), (false, 0));
+        drop(reopened);
+        // The first open cut the whole tail, padding included.
+        std::fs::write(&path, &image).unwrap();
+        let (_j, _, report) = Journal::open(&path).unwrap();
+        assert!(report.torn_tail);
+        assert_eq!(report.truncated_bytes as usize, image.len() - records_len);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_zero_length_frame_header_never_scans_as_a_record() {
+        assert_eq!(
+            crc32(&[]),
+            0,
+            "so an all-zero header carries a valid checksum"
+        );
+        assert_eq!(scan_frames(&[0; 8]), (Vec::new(), 0));
+        let record = ControlRecord::EpochStarted { epoch: 3 };
+        let mut bytes = Vec::new();
+        let body = record.to_bytes();
+        bytes.extend_from_slice(&(body.len() as u32).to_be_bytes());
+        bytes.extend_from_slice(&crc32(&body).to_be_bytes());
+        bytes.extend_from_slice(&body);
+        let framed = bytes.len();
+        bytes.extend_from_slice(&[0; 64]);
+        assert_eq!(scan_frames(&bytes), (vec![record], framed));
+    }
+
+    #[test]
+    fn allocation_doubles_from_a_page_to_a_chunk_then_steps_by_chunks() {
+        let sizes: Vec<u64> = [1, PAGE, PAGE + 1, 40_000, CHUNK, CHUNK + 1, 3 * CHUNK - 1]
+            .into_iter()
+            .map(allocation)
+            .collect();
+        assert_eq!(
+            sizes,
+            [PAGE, PAGE, 2 * PAGE, CHUNK, CHUNK, 2 * CHUNK, 3 * CHUNK]
+        );
+    }
+
+    #[test]
+    fn commits_inside_an_allocation_leave_the_file_length_unchanged() {
+        let path = temp_path("in-chunk");
+        let _ = std::fs::remove_file(&path);
+        let (mut journal, _, _) = Journal::open(&path).unwrap();
+        journal
+            .log(&ControlRecord::EpochStarted { epoch: 1 })
+            .unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), PAGE);
+        for node in 0..100 {
+            journal.log(&ControlRecord::VnfReused { node }).unwrap();
+            assert_eq!(
+                std::fs::metadata(&path).unwrap().len(),
+                PAGE,
+                "commit {node} changed the file size"
+            );
+        }
+        drop(journal);
+        let (_j, state, report) = Journal::open(&path).unwrap();
+        assert_eq!((report.records, report.torn_tail), (101, false));
+        assert_eq!(state.epoch, 1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn commits_across_chunk_boundaries_replay_intact_and_drop_trims() {
+        let path = temp_path("cross");
+        let _ = std::fs::remove_file(&path);
+        let table = |i: u64| format!("session {} 127.0.0.1:{}\n", i % 64, 4000 + i).repeat(40);
+        let mut written = vec![ControlRecord::EpochStarted { epoch: 1 }];
+        written.extend((0..4).map(|node| ControlRecord::VnfLaunched {
+            node,
+            data_center: "dc".into(),
+            control_addr: format!("127.0.0.1:{}", 4100 + node),
+        }));
+        let (mut journal, _, _) = Journal::open(&path).unwrap();
+        for record in &written {
+            journal.append(record);
+        }
+        journal.commit().unwrap();
+        // Single commits, then batches of eight: one of each kind crosses
+        // a boundary.
+        for seq in 1..=200u64 {
+            let record = ControlRecord::TablePushed {
+                node: (seq % 4) as u32,
+                epoch: 1,
+                seq,
+                table: table(seq),
+            };
+            journal.append(&record);
+            written.push(record);
+            if seq <= 80 || seq % 8 == 0 {
+                journal.commit().unwrap();
+            }
+        }
+        let live = std::fs::metadata(&path).unwrap().len();
+        assert!(
+            live > CHUNK && live.is_multiple_of(CHUNK),
+            "{live} bytes allocated"
+        );
+        drop(journal);
+        let bytes = std::fs::read(&path).unwrap();
+        let (records, valid) = scan_frames(&bytes);
+        assert_eq!(
+            valid,
+            bytes.len(),
+            "a dropped journal is exactly its frames"
+        );
+        assert_eq!(records, written);
+        let (_j, state, report) = Journal::open(&path).unwrap();
+        assert_eq!((report.torn_tail, report.truncated_bytes), (false, 0));
+        assert_eq!(state, ControllerState::replay(&written));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -25,7 +25,7 @@ ncvnf_obs::metrics! {
         pub journal_appends: Counter = "control.journal.appends", "records", "Records appended to the write-ahead journal";
         pub journal_commit_ns: Histogram = "control.journal.commit_ns", "ns", "Journal commit latency (buffered write plus fsync) per batch";
         pub journal_replayed: Counter = "control.journal.replayed", "records", "Journal records replayed into controller state on restart";
-        pub journal_torn_tails: Counter = "control.journal.torn_tails", "events", "Torn journal tails detected and truncated on open";
+        pub journal_torn_tails: Counter = "control.journal.torn_tails", "events", "Journal tails holding a non-zero byte past the last valid frame, truncated on open (zero padding is not a tear)";
         pub sender_pushes: Counter = "control.sender.pushes", "signals", "Fenced signal pushes attempted by the reliable sender";
         pub sender_retries: Counter = "control.sender.retries", "attempts", "Signal retransmissions after an ACK timeout (exponential backoff)";
         pub sender_failed: Counter = "control.sender.failed", "signals", "Signal pushes abandoned after exhausting every retry";

@@ -13,10 +13,14 @@
 //! Then the controller dies at every byte offset of that journal (inside
 //! frames too, not only at their boundaries) and at every push index:
 //! the network holds the frames sent before the crash, the disk holds the
-//! journal up to the offset. A new incarnation does what every start
-//! does, the first one included: it opens the journal (which truncates
-//! the torn tail and replays), builds its link at `next_epoch()`, and
-//! calls `Autoscaler::start` once. Then it finishes the scenario.
+//! journal up to the offset. Every such crash runs twice: once on a file
+//! that ends at the offset, once on one whose zero padding follows up to
+//! the length the live journal file had then (the journal writes into
+//! preallocated zeros, so that is what a crash leaves). A new
+//! incarnation does what every start does, the first one included: it
+//! opens the journal (which cuts everything past the last valid frame
+//! and replays), builds its link at `next_epoch()`, and calls
+//! `Autoscaler::start` once. Then it finishes the scenario.
 //! Meanwhile the dead incarnation's frames are still on the wire: each
 //! one it sent (and the one it was sending) arrives again, one after
 //! every step of its successor.
@@ -247,13 +251,15 @@ fn fence_of(wire: &[u8]) -> FencedSignal {
     FencedSignal::from_bytes(wire).expect("a fenced frame").0
 }
 
-/// A frame one incarnation sent, as its bytes left, with the journal
-/// length at that moment and the script tick it left in.
+/// A frame one incarnation sent, as its bytes left, with the length of
+/// the journal's valid frames and of its file (padding included) at that
+/// moment, and the script tick it left in.
 #[derive(Clone)]
 struct Sent {
     to: SocketAddr,
     wire: Vec<u8>,
     wal_len: usize,
+    file_len: usize,
     tick: usize,
 }
 
@@ -292,7 +298,8 @@ impl FleetLink {
             sent.push(Sent {
                 to,
                 wire: wire.to_vec(),
-                wal_len: journal.len(),
+                wal_len: scan_frames(&journal).1,
+                file_len: journal.len(),
                 tick: fleet.tick,
             });
             let (_, reply) = fleet.deliver(to, wire);
@@ -492,26 +499,39 @@ fn temp_wal(tag: &str) -> PathBuf {
     path
 }
 
-/// The no-crash run: its journal bytes, every frame it sent, the
-/// journal length after each tick, and the fleet it left.
+/// The no-crash run: its journal bytes, every frame it sent, the length
+/// of the journal's valid frames after each tick, the journal file's
+/// length at the end of the run, and the fleet it left.
 struct Reference {
     wal: Vec<u8>,
     sent: Vec<Sent>,
     wal_after_tick: Vec<usize>,
+    end_file_len: usize,
     finals: Vec<Final>,
     decisions: u64,
+}
+
+impl Reference {
+    /// The journal file's length (frames and zero padding) when the
+    /// controller had sent `pushed` frames.
+    fn file_len(&self, pushed: usize) -> usize {
+        self.sent
+            .get(pushed)
+            .map_or(self.end_file_len, |s| s.file_len)
+    }
 }
 
 fn reference() -> Reference {
     let path = temp_wal("reference");
     let (journal, state, _) = Journal::open(&path).unwrap();
     let (mut auto, mut link) = start(journal, &state, &path, Fleet::new());
-    let wal_len = |link: &FleetLink| std::fs::metadata(&link.wal).unwrap().len() as usize;
+    let wal_len = |link: &FleetLink| scan_frames(&std::fs::read(&link.wal).unwrap()).1;
     let mut wal_after_tick = vec![wal_len(&link)];
     run_ticks(&mut auto, &mut link, 1, |link| {
         wal_after_tick.push(wal_len(link))
     });
     let decisions = auto.decisions();
+    let end_file_len = std::fs::metadata(&path).unwrap().len() as usize;
     drop(auto);
     let wal = std::fs::read(&path).unwrap();
     let _ = std::fs::remove_file(&path);
@@ -519,6 +539,7 @@ fn reference() -> Reference {
         wal,
         sent: link.sent,
         wal_after_tick,
+        end_file_len,
         finals: link.fleet.finals(),
         decisions,
     }
@@ -533,8 +554,14 @@ struct ZombieTally {
 }
 
 /// One crash: `pushed` frames had left and `wal_len` journal bytes were
-/// durable. Returns the zombie's tally.
-fn crash_and_recover(reference: &Reference, wal_len: usize, pushed: usize) -> ZombieTally {
+/// durable, followed by zero padding up to the live file's length if
+/// `padded`. Returns the zombie's tally.
+fn crash_and_recover(
+    reference: &Reference,
+    wal_len: usize,
+    pushed: usize,
+    padded: bool,
+) -> ZombieTally {
     // The tick the controller died in: the earliest of the push it never
     // made and the journal write it never finished.
     let last_tick = reference.wal_after_tick.len() - 1;
@@ -564,12 +591,24 @@ fn crash_and_recover(reference: &Reference, wal_len: usize, pushed: usize) -> Zo
         }
     }
 
-    // Incarnation 2 on the journal's durable prefix.
-    let path = temp_wal(&format!("crash-{wal_len}-{pushed}"));
-    std::fs::write(&path, &reference.wal[..wal_len]).unwrap();
+    // Incarnation 2 on the journal's durable prefix. Open cuts everything
+    // past the last valid frame, and calls it a torn tail only if the cut
+    // holds a non-zero byte.
+    let path = temp_wal(&format!("crash-{wal_len}-{pushed}-{padded}"));
+    let mut image = reference.wal[..wal_len].to_vec();
+    if padded {
+        image.resize(reference.file_len(pushed), 0);
+    }
+    std::fs::write(&path, &image).unwrap();
     let (journal, state, replay) = Journal::open(&path).unwrap();
-    let valid = scan_frames(&reference.wal[..wal_len]).1;
-    assert_eq!(replay.truncated_bytes as usize, wal_len - valid);
+    let valid = scan_frames(&image).1;
+    let torn = image[valid..].iter().any(|&b| b != 0);
+    assert_eq!(
+        replay.torn_tail, torn,
+        "crash at WAL byte {wal_len} (padded: {padded})"
+    );
+    let cut = if torn { image.len() - valid } else { 0 };
+    assert_eq!(replay.truncated_bytes as usize, cut);
     assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, valid);
     fleet.tick = died_in;
     let (mut auto, mut link) = start(journal, &state, &path, fleet);
@@ -598,9 +637,47 @@ fn crash_and_recover(reference: &Reference, wal_len: usize, pushed: usize) -> Zo
     assert_eq!(
         link.fleet.finals(),
         reference.finals,
-        "crash at WAL byte {wal_len} after {pushed} pushes (tick {died_in}) ends elsewhere"
+        "crash at WAL byte {wal_len} after {pushed} pushes (tick {died_in}, padded: {padded}) \
+         ends elsewhere"
     );
     tally
+}
+
+/// Crashes the controller at every (durable bytes, frames sent) pair a
+/// crash can leave: before push p the journal holds between what it held
+/// at push p-1 and at push p, torn anywhere in between; with `padded`,
+/// the file's zero padding follows. Returns the cases run and the
+/// zombies' tally.
+fn explore(reference: &Reference, padded: bool) -> (u64, ZombieTally) {
+    let sent = &reference.sent;
+    let mut cases = 0u64;
+    let mut tally = ZombieTally::default();
+    for pushed in 0..=sent.len() {
+        let from = if pushed == 0 {
+            0
+        } else {
+            sent[pushed - 1].wal_len
+        };
+        let to = sent.get(pushed).map_or(reference.wal.len(), |s| s.wal_len);
+        for wal_len in from..=to {
+            let t = crash_and_recover(reference, wal_len, pushed, padded);
+            assert_eq!(
+                t.applied, 0,
+                "crash at WAL byte {wal_len} after {pushed} pushes (padded: {padded}): a frame \
+                 of the dead incarnation was applied after the start entry returned"
+            );
+            tally.stale += t.stale;
+            tally.duplicate += t.duplicate;
+            tally.applied += t.applied;
+            cases += 1;
+        }
+    }
+    assert_eq!(
+        cases,
+        (reference.wal.len() + sent.len() + 1) as u64,
+        "every byte offset and every push index"
+    );
+    (cases, tally)
 }
 
 #[test]
@@ -623,44 +700,23 @@ fn controller_crash_at_every_wal_byte_and_push_converges() {
         reference.finals
     );
 
-    // Every (durable bytes, frames sent) pair a crash can leave: before
-    // push p the journal holds between what it held at push p-1 and at
-    // push p, torn anywhere in between.
-    let mut cases = 0u64;
-    let mut tally = ZombieTally::default();
-    for pushed in 0..=sent.len() {
-        let from = if pushed == 0 {
-            0
-        } else {
-            sent[pushed - 1].wal_len
-        };
-        let to = sent.get(pushed).map_or(reference.wal.len(), |s| s.wal_len);
-        for wal_len in from..=to {
-            let t = crash_and_recover(&reference, wal_len, pushed);
-            assert_eq!(
-                t.applied, 0,
-                "crash at WAL byte {wal_len} after {pushed} pushes: a frame of the dead \
-                 incarnation was applied after the start entry returned"
-            );
-            tally.stale += t.stale;
-            tally.duplicate += t.duplicate;
-            tally.applied += t.applied;
-            cases += 1;
-        }
-    }
-    assert_eq!(
-        cases,
-        (reference.wal.len() + sent.len() + 1) as u64,
-        "every byte offset and every push index"
-    );
+    let (cases, plain) = explore(&reference, false);
+    let (padded_cases, padded) = explore(&reference, true);
     println!(
-        "crash_every_byte: {cases} crash cases ({} WAL bytes, {} pushes); zombie frames: \
-         {} stale, {} acked as duplicates, {} applied; wall {:.2} s",
+        "crash_every_byte: {} crash cases ({} WAL bytes, {} pushes) and {} over zero padding \
+         (file {} bytes at the end); zombie frames: {} / {} stale, {} / {} acked as \
+         duplicates, {} / {} applied; wall {:.2} s",
+        cases,
         reference.wal.len(),
         sent.len(),
-        tally.stale,
-        tally.duplicate,
-        tally.applied,
+        padded_cases,
+        reference.end_file_len,
+        plain.stale,
+        padded.stale,
+        plain.duplicate,
+        padded.duplicate,
+        plain.applied,
+        padded.applied,
         started.elapsed().as_secs_f64()
     );
 }

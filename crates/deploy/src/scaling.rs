@@ -61,7 +61,8 @@ impl ScalingParams {
     }
 }
 
-/// A point-in-time record of the system state (drives Figs. 10–11).
+/// A point-in-time record of the system state, taken at every adoption
+/// and tick; [`ScalingController::history`] keeps the latest 1,024.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Snapshot {
     /// Time in seconds.
@@ -73,6 +74,11 @@ pub struct Snapshot {
     /// VNFs billed (active + τ-lingering + launching).
     pub billable_vnfs: u64,
 }
+
+/// Snapshots [`ScalingController::history`] keeps: a long-running
+/// controller records one per tick and adoption, and its memory must not
+/// grow with its lifetime.
+const HISTORY_LEN: usize = 1024;
 
 /// External events the controller reacts to.
 #[derive(Debug, Clone)]
@@ -190,9 +196,9 @@ impl ScalingController {
         &self.topo
     }
 
-    /// Recorded state snapshots.
+    /// The latest recorded state snapshots, oldest first: at most 1,024.
     pub fn history(&self) -> &[Snapshot] {
-        &self.history
+        &self.history[self.history.len().saturating_sub(HISTORY_LEN)..]
     }
 
     /// VNFs actively serving across all data centers.
@@ -217,6 +223,11 @@ impl ScalingController {
             active_vnfs: self.active_vnfs(),
             billable_vnfs: self.billable_vnfs(now),
         };
+        // Past twice the cap, drop the oldest half at once, so a
+        // snapshot costs amortized O(1) and the buffer stays bounded.
+        if self.history.len() == 2 * HISTORY_LEN {
+            self.history.drain(..HISTORY_LEN);
+        }
         self.history.push(snap);
     }
 
@@ -1020,5 +1031,22 @@ mod tests {
         c.tick(20.0).unwrap();
         assert!(c.history().len() >= 3);
         assert!(c.history().iter().all(|s| s.total_rate_bps >= 0.0));
+    }
+
+    #[test]
+    fn history_keeps_only_the_latest_snapshots() {
+        let (mut c, sessions) = controller();
+        c.session_join(sessions[0].clone(), 0.0).unwrap();
+        for tick in 1..=5 * HISTORY_LEN {
+            c.tick(tick as f64).unwrap();
+            assert!(
+                c.history.len() <= 2 * HISTORY_LEN,
+                "the buffer grew past its cap"
+            );
+        }
+        let history = c.history();
+        assert_eq!(history.len(), HISTORY_LEN);
+        assert_eq!(history.last().unwrap().time, (5 * HISTORY_LEN) as f64);
+        assert!(history.windows(2).all(|w| w[1].time == w[0].time + 1.0));
     }
 }
