@@ -8,9 +8,9 @@
 //! binary keeps the three sections that still have to move there, and
 //! writes them at the repository root:
 //!
-//! * `BENCH_relay.json` — liveness failover time and the overload
-//!   regime (goodput vs offered load at 0.5x–4x of a provisioned quota,
-//!   shed count, backpressure convergence time);
+//! * `BENCH_relay.json` — the overload regime (goodput vs offered load
+//!   at 0.5x–4x of a provisioned quota, shed count, backpressure
+//!   convergence time);
 //! * `BENCH_obs.json` — the observability layer's overhead
 //!   (instrumented vs bare [`relay_batch`] batches).
 //!
@@ -167,84 +167,6 @@ impl BatchRig {
     }
 }
 
-/// Liveness failover time as the controller sees it: relay killed →
-/// heartbeats stop → the tracker declares it `Died` → a fenced
-/// `NC_FORWARD_TAB` re-route pushed by a [`SignalSender`] is ACKed by the
-/// survivor. Milliseconds from the kill.
-fn bench_failover(config: GenerationConfig) -> f64 {
-    use ncvnf_control::liveness::{LivenessConfig, LivenessEvent, LivenessTracker};
-    use ncvnf_relay::HeartbeatConfig;
-
-    let monitor = UdpSocket::bind(("127.0.0.1", 0)).expect("bind monitor");
-    monitor
-        .set_read_timeout(Some(Duration::from_millis(5)))
-        .expect("monitor timeout");
-    let monitor_addr = monitor.local_addr().expect("monitor addr");
-    let spawn_beaconing = |node_id: u32| {
-        RelayNode::spawn(RelayConfig {
-            generation: config,
-            buffer_generations: 64,
-            seed: 0xBE7C + u64::from(node_id),
-            heartbeat: Some(HeartbeatConfig {
-                monitor: monitor_addr,
-                interval: Duration::from_millis(10),
-                node_id,
-            }),
-            registry: None,
-            ..RelayConfig::default()
-        })
-        .expect("spawn relay")
-    };
-    let victim = spawn_beaconing(1);
-    let survivor = spawn_beaconing(2);
-    let mut controller = SignalSender::new(1, SenderConfig::default()).expect("bind sender");
-    let mut tracker = LivenessTracker::new(LivenessConfig {
-        suspect_after: Duration::from_millis(30),
-        dead_after: Duration::from_millis(60),
-    });
-    let mut buf = [0u8; 64];
-    let mut absorb = |tracker: &mut LivenessTracker| {
-        while let Ok((n, _)) = monitor.recv_from(&mut buf) {
-            if let Ok(fb) = Feedback::from_bytes(&buf[..n]) {
-                if fb.kind == FeedbackKind::Heartbeat {
-                    tracker.heartbeat(fb.node_id(), Instant::now());
-                }
-            }
-        }
-    };
-    // Let both relays register with the tracker before the kill.
-    let warm_until = Instant::now() + Duration::from_millis(50);
-    while Instant::now() < warm_until {
-        absorb(&mut tracker);
-    }
-    let t_kill = Instant::now();
-    victim.shutdown();
-    let failover_ms = loop {
-        absorb(&mut tracker);
-        let died = tracker
-            .poll(Instant::now())
-            .iter()
-            .any(|ev| matches!(ev, LivenessEvent::Died(1)));
-        if died {
-            let mut table = ForwardingTable::new();
-            table.set(SessionId::new(RELAY_SESSION), vec!["127.0.0.1:9".into()]);
-            let reroute = Signal::NcForwardTab {
-                table: table.to_text(),
-            };
-            controller
-                .push(survivor.control_addr, &reroute)
-                .expect("survivor applied the rerouted table");
-            break t_kill.elapsed().as_secs_f64() * 1e3;
-        }
-        assert!(
-            t_kill.elapsed() < Duration::from_secs(10),
-            "failover detection stalled"
-        );
-    };
-    survivor.shutdown();
-    failover_ms
-}
-
 struct OverloadPoint {
     multiplier: f64,
     offered: u64,
@@ -275,7 +197,7 @@ struct OverloadBench {
 /// the session's next hop beside what its token bucket should have let
 /// through (a full burst plus the refill over the window — 1,064 of
 /// 2,000 at 2x over 0.5 s, not a fixed fraction). During the 4x
-/// point a stream of heartbeat feedback frames shares the data socket —
+/// point a stream of wake feedback frames shares the data socket —
 /// `control_frames_lost` must stay 0 because dispatch classifies them
 /// before admission. Finally, a greedy sender that honours `Congestion`
 /// frames (halving its rate per frame) is timed from first overload
@@ -367,7 +289,7 @@ fn bench_overload(quick: bool, config: GenerationConfig) -> OverloadBench {
         let feedback_before = handle.stats().feedback_frames;
         let delivered_before = delivered.load(Ordering::Relaxed);
         let mut offered = 0u64;
-        let mut beats = 0u64;
+        let mut wakes = 0u64;
         let start = Instant::now();
         let deadline = start + window;
         // Absolute-deadline pacing with catch-up: sleep overhead cannot
@@ -384,9 +306,9 @@ fn bench_overload(quick: bool, config: GenerationConfig) -> OverloadBench {
             generation += 1;
             if multiplier >= 4.0 && offered.is_multiple_of(64) {
                 // Control-plane traffic shares the flooded socket.
-                let beat = Feedback::heartbeat(9, beats as u16).to_bytes();
-                if sender.send_to(&beat, relay.data_addr).is_ok() {
-                    beats += 1;
+                let wake = Feedback::wake(9, SessionId::new(SESSION)).to_bytes();
+                if sender.send_to(&wake, relay.data_addr).is_ok() {
+                    wakes += 1;
                 }
             }
             next += gap;
@@ -396,7 +318,7 @@ fn bench_overload(quick: bool, config: GenerationConfig) -> OverloadBench {
             } else if now - next > 16 * gap {
                 // Bound the catch-up burst after a scheduling hiccup:
                 // an unbounded burst can overflow the relay's kernel
-                // receive buffer, and a kernel drop of a heartbeat
+                // receive buffer, and a kernel drop of a wake frame
                 // would read as control-frame loss the relay never
                 // caused.
                 next = now - 16 * gap;
@@ -406,9 +328,9 @@ fn bench_overload(quick: bool, config: GenerationConfig) -> OverloadBench {
         // Grace for in-flight datagrams, then read the point.
         std::thread::sleep(Duration::from_millis(100));
         let got = delivered.load(Ordering::Relaxed) - delivered_before;
-        if beats > 0 {
+        if wakes > 0 {
             let classified = handle.stats().feedback_frames - feedback_before;
-            control_frames_lost += beats.saturating_sub(classified);
+            control_frames_lost += wakes.saturating_sub(classified);
         }
         curve.push(OverloadPoint {
             multiplier,
@@ -635,8 +557,6 @@ fn main() {
     let timing = Timing::from_env();
     let started = Instant::now();
     let relay_cfg = GenerationConfig::new(PAYLOAD_LEN, RELAY_G).expect("valid relay layout");
-    eprintln!("measuring liveness failover ...");
-    let failover_ms = bench_failover(relay_cfg);
     eprintln!("measuring overload admission, shedding, and backpressure ...");
     let overload = bench_overload(timing.quick, relay_cfg);
 
@@ -645,7 +565,6 @@ fn main() {
     let _ = writeln!(json, "  \"bench\": \"relay\",");
     let _ = writeln!(json, "  \"payload_len\": {PAYLOAD_LEN},");
     let _ = writeln!(json, "  \"generation_size\": {RELAY_G},");
-    let _ = writeln!(json, "  \"failover_ms\": {failover_ms:.1},");
     json.push_str("  \"overload\": {\n");
     let _ = writeln!(
         json,
@@ -693,7 +612,7 @@ fn main() {
         "BENCH_relay.json",
         &json,
         started,
-        &format!("failover {failover_ms:.1} ms"),
+        &format!("{} control frames lost", overload.control_frames_lost),
     );
 
     eprintln!("measuring observability overhead (bare vs instrumented relay batches) ...");

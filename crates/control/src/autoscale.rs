@@ -28,6 +28,16 @@
 //! instance in dependency order via [`Autoscaler::wake`]. Drains walk
 //! that order backwards: upstream first.
 //!
+//! **Failure detection** rides it too: the `NC_STATS` sweep is the
+//! heartbeat. A target that leaves two sweeps in a row (`LOST_AFTER`)
+//! unanswered is *lost*: its data center's capability goes to zero at
+//! once (no ρ1/τ1 wait) and the re-solve is adopted, journaled and pushed
+//! like any other, so the survivors route around it. A target whose last
+//! sweep went unanswered is sent nothing; when it answers again it is
+//! re-armed, as a wake re-arms: `VnfReused` journaled, then its settings
+//! and table. A lost one gets its nominal capability back first, the same
+//! way it lost it.
+//!
 //! [`Autoscaler::start`] is the one entry that starts a controller, the
 //! first time and after every crash: it fences the fleet under a new
 //! epoch, reconciles the journal's belief with the live relays and arms
@@ -190,6 +200,13 @@ impl Default for AutoscaleConfig {
     }
 }
 
+/// Unanswered `NC_STATS` sweeps in a row after which a target is lost.
+/// Each such sweep already waited out a whole retry budget for it
+/// (1,125 ms with [`crate::SignalSender`]), so one miss is a lost
+/// exchange and two are a relay that is gone: a killed relay is lost on
+/// the second sweep after its death.
+const LOST_AFTER: u32 = 2;
+
 /// What the autoscaler learned about one target across polls.
 #[derive(Debug, Clone)]
 struct TargetTrack {
@@ -210,6 +227,29 @@ struct TargetTrack {
     nominal: VnfSpec,
     /// An `NC_VNF_END` was sent and no wake has re-armed it yet.
     draining: bool,
+    /// Sweeps in a row this target left unanswered (the start's
+    /// reconciliation probe counts as one). While it is above zero the
+    /// target is sent nothing.
+    misses: u32,
+}
+
+impl TargetTrack {
+    fn new(nominal: VnfSpec) -> TargetTrack {
+        TargetTrack {
+            last_poll_secs: None,
+            last_out: 0,
+            last_shed: 0,
+            baseline_pps: 0.0,
+            nominal,
+            draining: false,
+            misses: 0,
+        }
+    }
+
+    /// Missed `LOST_AFTER` sweeps in a row and has not answered since.
+    fn lost(&self) -> bool {
+        self.misses >= LOST_AFTER
+    }
 }
 
 /// Outcome of one [`Autoscaler::poll`] pass.
@@ -219,6 +259,10 @@ pub struct PollReport {
     pub polled: u32,
     /// Targets that did not answer.
     pub unreachable: u32,
+    /// Node ids lost this pass: their second unanswered sweep in a row.
+    pub lost: Vec<u32>,
+    /// Node ids that answered again this pass after being lost.
+    pub returned: Vec<u32>,
     /// Scaling observations emitted by telemetry this pass.
     pub events: u32,
     /// True when the controller adopted a new deployment.
@@ -333,8 +377,11 @@ impl Autoscaler {
         }
     }
 
-    /// Attaches registry handles for the `control.autoscale.*` metrics.
+    /// Attaches registry handles for the `control.autoscale.*` metrics,
+    /// and hands them to the journal ([`Journal::with_metrics`]: what it
+    /// replayed on open is counted at once).
     pub fn with_metrics(mut self, metrics: ControlMetrics) -> Self {
+        self.journal = self.journal.with_metrics(metrics.clone());
         self.metrics = Some(metrics);
         self
     }
@@ -349,12 +396,13 @@ impl Autoscaler {
         self.decisions
     }
 
-    /// Node ids currently draining toward scale-to-zero, ascending.
+    /// Node ids currently draining toward scale-to-zero, ascending (a
+    /// lost target is not among them).
     pub fn draining(&self) -> Vec<u32> {
         let mut nodes: Vec<u32> = self
             .tracks
             .iter()
-            .filter(|(_, t)| t.draining)
+            .filter(|(_, t)| t.draining && !t.lost())
             .map(|(n, _)| *n)
             .collect();
         nodes.sort_unstable();
@@ -401,6 +449,14 @@ impl Autoscaler {
             .map(|wave| wave.into_iter().map(|i| self.targets[i].node).collect())
             .collect();
         let report = reconcile_in_order(link, state, now, self.metrics.as_ref(), &order);
+        // The probe waited out a whole retry budget: it counts as a sweep.
+        let unreachable = &report.plan.unreachable;
+        let answered: Vec<bool> = self
+            .targets
+            .iter()
+            .map(|t| !unreachable.contains(&t.node))
+            .collect();
+        self.count_misses(&answered);
         self.decisions = state.scale_decisions;
         let armed = self
             .targets
@@ -478,7 +534,7 @@ impl Autoscaler {
     /// One loop iteration: poll every target's `NC_STATS`, feed the
     /// telemetry window, run the controller's hysteresis, and actuate
     /// whatever it adopted — journal first, signals second. Also runs
-    /// the scale-to-zero policy (see module docs).
+    /// failure detection and the scale-to-zero policy (see module docs).
     ///
     /// # Errors
     ///
@@ -500,27 +556,36 @@ impl Autoscaler {
         let mut measured: Vec<NodeId> = Vec::new();
         let mut traffic_returned = false;
         let addrs: Vec<SocketAddr> = self.targets.iter().map(|t| t.control_addr).collect();
-        for (i, answer) in link.query_all(&addrs).into_iter().enumerate() {
+        let answers = link.query_all(&addrs);
+        let answered: Vec<bool> = answers.iter().map(Result::is_ok).collect();
+        report.lost = self.count_misses(&answered);
+        let mut rearm = Vec::new();
+        for (i, answer) in answers.into_iter().enumerate() {
             let (node, dc) = (self.targets[i].node, self.targets[i].dc);
+            let track = self.tracks.get_mut(&node).expect("counted");
             let Ok(stats) = answer else {
                 report.unreachable += 1;
                 continue;
             };
             report.polled += 1;
+            if track.misses > 0 {
+                // Whatever was held back while it was silent reaches it
+                // now, a wake included: a drained relay is woken too, and
+                // drains again if it stays idle.
+                rearm.push(node);
+                if track.lost() {
+                    // Back: its counters may have restarted, so this
+                    // answer only re-baselines them.
+                    track.last_poll_secs = None;
+                    report.returned.push(node);
+                }
+                track.misses = 0;
+            }
             let out = snapshot_value(&stats, "relay.datagrams_out").unwrap_or(0.0) as u64;
             let shed = snapshot_value(&stats, "relay.shed_quota").unwrap_or(0.0) as u64;
             let idle_ms = snapshot_value(&stats, "relay.idle_ms").unwrap_or(0.0);
             let daemon_state = snapshot_value(&stats, "relay.daemon_state")
                 .and_then(|v| DaemonState::from_code(v as u8));
-            let nominal = self.controller.topology().vnf_spec(dc);
-            let track = self.tracks.entry(node).or_insert_with(|| TargetTrack {
-                last_poll_secs: None,
-                last_out: out,
-                last_shed: shed,
-                baseline_pps: 0.0,
-                nominal,
-                draining: false,
-            });
             let mut out_delta = None;
             if let Some(prev) = track.last_poll_secs {
                 let dt = now - prev;
@@ -566,12 +631,39 @@ impl Autoscaler {
             track.last_shed = shed;
         }
 
-        // 2. Decide: run the smoothed estimates through the controller's
-        // ρ/τ hysteresis and let time-based windows fire.
+        // 2. Decide. A lost target's data center goes to zero and a
+        // returned one back to nominal at once: a relay that misses whole
+        // retry budgets is not drifting. Its old samples describe a relay
+        // that is gone.
+        let zero = VnfSpec {
+            bin_bps: 0.0,
+            bout_bps: 0.0,
+            coding_bps: 0.0,
+        };
+        for (nodes, lost) in [(&report.lost, true), (&report.returned, false)] {
+            for &node in nodes {
+                let dc = self.target(node).dc;
+                let spec = if lost {
+                    zero
+                } else {
+                    self.tracks[&node].nominal
+                };
+                self.telemetry.forget(dc);
+                self.controller.apply_bandwidth(dc, spec, now)?;
+                if let Some(m) = &self.metrics {
+                    m.record_liveness(node, lost);
+                }
+            }
+        }
+        // Then run the smoothed estimates through the controller's ρ/τ
+        // hysteresis and let time-based windows fire.
         let events = self
             .telemetry
             .drain_events(self.controller.topology(), self.config.min_rel_change);
         report.events = events.len() as u32;
+        if let Some(m) = &self.metrics {
+            m.scaling_events.add(events.len() as u64);
+        }
         let mut event_dcs: HashSet<NodeId> = HashSet::new();
         for event in &events {
             if let ScalingEvent::BandwidthObserved { dc, .. } = event {
@@ -615,24 +707,30 @@ impl Autoscaler {
         }
         self.controller.tick(now)?;
 
-        // 3. Actuate: the decision commits with the first wave of deltas.
+        // 3. Actuate: the decision commits with the first wave of deltas,
+        // which also re-arm every target that answered after a miss, each
+        // journaled Active (`VnfReused`) before its settings leave.
         let after = self.controller.deployment().map(fingerprint);
-        if after.is_some() && after != before {
-            report.adopted = true;
+        report.adopted = after.is_some() && after != before;
+        let mut decision = Vec::new();
+        if report.adopted {
             self.decisions += 1;
-            let (vnfs, rate_bps) = {
-                let dep = self.controller.deployment().expect("adopted deployment");
-                (dep.total_vnfs() as u32, dep.total_rate_bps())
-            };
-            let decision = ControlRecord::ScaleDecision {
+            let dep = self.controller.deployment().expect("adopted deployment");
+            decision.push(ControlRecord::ScaleDecision {
                 epoch: link.epoch(),
                 seq: self.decisions,
-                vnfs,
-                rate_bps,
-            };
+                vnfs: dep.total_vnfs() as u32,
+                rate_bps: dep.total_rate_bps(),
+            });
+        }
+        if report.adopted || !rearm.is_empty() {
             let tables = self.tables();
-            let waves = self.arming(link, &tables, &[], |_| None);
-            self.actuate(link, led_by(vec![decision], waves), &mut report)?;
+            let waves = self.arming(link, &tables, &rearm, |node| {
+                Some(ControlRecord::VnfReused { node })
+            });
+            self.actuate(link, led_by(decision, waves), &mut report)?;
+        }
+        if report.adopted {
             let detect_ms = self
                 .drift_since
                 .drain()
@@ -715,6 +813,37 @@ impl Autoscaler {
             m.autoscale_draining.set(self.draining().len() as f64);
         }
         Ok(())
+    }
+
+    /// Books one sweep, `answered` in target order: each target that did
+    /// not answer gains a miss. A sweep that no target answers counts as a
+    /// miss for none of them: it says more about the controller's own link
+    /// than about the fleet, and a plan with every data center at zero
+    /// carries nothing. Returns the targets this sweep lost.
+    fn count_misses(&mut self, answered: &[bool]) -> Vec<u32> {
+        let anyone = answered.contains(&true);
+        let topology = self.controller.topology();
+        let mut lost = Vec::new();
+        for (t, &answered) in self.targets.iter().zip(answered) {
+            let track = self
+                .tracks
+                .entry(t.node)
+                .or_insert_with(|| TargetTrack::new(topology.vnf_spec(t.dc)));
+            if anyone && !answered {
+                track.misses += 1;
+                if track.misses == LOST_AFTER {
+                    lost.push(t.node);
+                }
+            }
+        }
+        lost
+    }
+
+    fn target(&self, node: u32) -> &RelayTarget {
+        self.targets
+            .iter()
+            .find(|t| t.node == node)
+            .expect("a managed target")
     }
 
     /// The current deployment's forwarding table per data center (none
@@ -806,7 +935,8 @@ impl Autoscaler {
     /// The waves that re-arm each node in `rearm` (`record(node)`
     /// journaled, then its settings) and push each table that changed
     /// since its last push, or whose node is re-armed, journaled as
-    /// `TablePushed` with the fence coordinates the link will use.
+    /// `TablePushed` with the fence coordinates the link will use. A node
+    /// whose last sweep went unanswered gets nothing.
     fn arming(
         &self,
         link: &dyn ControlLink,
@@ -815,6 +945,9 @@ impl Autoscaler {
         record: impl Fn(u32) -> Option<ControlRecord>,
     ) -> Vec<Wave> {
         self.waves(tables, false, |t, wave| {
+            if self.tracks.get(&t.node).is_some_and(|k| k.misses > 0) {
+                return;
+            }
             let armed = rearm.contains(&t.node);
             if armed {
                 wave.records.extend(record(t.node));
@@ -916,7 +1049,7 @@ fn led_by(mut records: Vec<ControlRecord>, mut waves: Vec<Wave>) -> Vec<Wave> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::Journal;
+    use crate::journal::{scan_frames, Journal};
     use crate::sender::exchange::{Completed, ExchangeTable};
     use crate::sender::Ack;
     use crate::signal::FencedSignal;
@@ -925,11 +1058,14 @@ mod tests {
 
     /// A scripted link: the real exchange table over in-memory delivery.
     /// Every push is ACKed and recorded; stats are canned, and a node
-    /// with none stays silent.
+    /// with none stays silent. With `wal` set, each push also records
+    /// what that journal held, durable, as the frame left.
     struct MockLink {
         table: ExchangeTable,
         pushed: Vec<(SocketAddr, Signal)>,
         stats: HashMap<SocketAddr, String>,
+        wal: Option<std::path::PathBuf>,
+        durable: Vec<ControllerState>,
     }
 
     impl MockLink {
@@ -938,6 +1074,8 @@ mod tests {
                 table: ExchangeTable::new(epoch),
                 pushed: Vec::new(),
                 stats: HashMap::new(),
+                wal: None,
+                durable: Vec::new(),
             }
         }
 
@@ -952,12 +1090,17 @@ mod tests {
 
         fn settle(&mut self, requests: &[(SocketAddr, Signal)]) -> Vec<Completed> {
             let (pushed, stats) = (&mut self.pushed, &self.stats);
+            let (wal, durable) = (&self.wal, &mut self.durable);
             let requests = requests.iter().map(|(to, s)| (*to, s));
             self.table.settle(
                 Instant::now(),
                 requests,
                 |to, wire| match FencedSignal::from_bytes(wire) {
                     Ok((frame, _)) => {
+                        if let Some(wal) = wal {
+                            let bytes = std::fs::read(wal).expect("journal readable");
+                            durable.push(ControllerState::replay(&scan_frames(&bytes).0));
+                        }
                         pushed.push((to, frame.signal));
                         Some(Ack::Ok { seq: frame.seq }.to_string().into_bytes())
                     }
@@ -1023,19 +1166,33 @@ mod tests {
 
     /// src → dcA (recoder) → dcB (decoder) → rx, with fast hysteresis.
     fn harness(tag: &str) -> (Autoscaler, MockLink) {
+        fleet(tag, false)
+    }
+
+    /// [`harness`]'s fleet, node `i + 1` in dc `i` at control port
+    /// `9101 + i` and data port `9201 + i`. With `standby`, a weaker dcC
+    /// (decoder, node 3, two VNFs' worth for the session) also links dcA
+    /// to rx: the plan leaves it idle until dcB is gone.
+    fn fleet(tag: &str, standby: bool) -> (Autoscaler, MockLink) {
         let mut b = TopologyBuilder::new();
-        let spec = VnfSpec {
-            bin_bps: 920e6,
-            bout_bps: 920e6,
+        let spec = |bps: f64| VnfSpec {
+            bin_bps: bps,
+            bout_bps: bps,
             coding_bps: 1000e6,
         };
-        let dc_a = b.data_center("dc-a", spec);
-        let dc_b = b.data_center("dc-b", spec);
+        let mut dcs = vec![
+            b.data_center("dc-a", spec(920e6)),
+            b.data_center("dc-b", spec(920e6)),
+        ];
+        if standby {
+            dcs.push(b.data_center("dc-c", spec(300e6)));
+        }
         let s = b.source("src", 400e6);
         let r = b.receiver("rx", 400e6);
-        b.link(s, dc_a, 5.0)
-            .link(dc_a, dc_b, 5.0)
-            .link(dc_b, r, 5.0);
+        b.link(s, dcs[0], 5.0);
+        for &dc in &dcs[1..] {
+            b.link(dcs[0], dc, 5.0).link(dc, r, 5.0);
+        }
         let params = ScalingParams {
             alpha: 20e6,
             rho1: 0.05,
@@ -1058,26 +1215,26 @@ mod tests {
             )
             .unwrap();
         let (journal, _, _) = Journal::open(temp_wal(tag)).unwrap();
-        let targets = vec![
-            RelayTarget {
-                node: 1,
-                dc: dc_a,
-                control_addr: addr(9101),
-                role: VnfRoleWire::Recoder,
-                settings: settings_for(7, VnfRoleWire::Recoder, 9201),
-            },
-            RelayTarget {
-                node: 2,
-                dc: dc_b,
-                control_addr: addr(9102),
-                role: VnfRoleWire::Decoder,
-                settings: settings_for(7, VnfRoleWire::Decoder, 9202),
-            },
-        ];
+        let mut targets = Vec::new();
         let mut data_addrs = HashMap::new();
-        data_addrs.insert(dc_a, "127.0.0.1:9201".to_owned());
-        data_addrs.insert(dc_b, "127.0.0.1:9202".to_owned());
-        data_addrs.insert(r, "127.0.0.1:9203".to_owned());
+        for (i, &dc) in dcs.iter().enumerate() {
+            let role = if i == 0 {
+                VnfRoleWire::Recoder
+            } else {
+                VnfRoleWire::Decoder
+            };
+            let port = 9201 + i as u16;
+            targets.push(RelayTarget {
+                node: i as u32 + 1,
+                dc,
+                control_addr: addr(9101 + i as u16),
+                role,
+                settings: settings_for(7, role, port),
+            });
+            data_addrs.insert(dc, format!("127.0.0.1:{port}"));
+        }
+        let rx_port = 9201 + dcs.len() as u16;
+        data_addrs.insert(r, format!("127.0.0.1:{rx_port}"));
         let config = AutoscaleConfig {
             min_rel_change: 0.02,
             telemetry_window: 1,
@@ -1256,5 +1413,227 @@ mod tests {
         let report = auto.poll(&mut link, 1.0).unwrap();
         assert_eq!(report.polled, 1);
         assert_eq!(report.unreachable, 1);
+        assert!(report.lost.is_empty(), "one miss is no loss");
+        // The second miss loses the chain's only decoder: the plan
+        // carries nothing, and that is still no error.
+        let report = auto.poll(&mut link, 2.0).unwrap();
+        assert_eq!(report.unreachable, 1);
+        assert_eq!(report.lost, vec![2]);
+    }
+
+    /// Polls the fleet at `now`, every node in `answering` reporting the
+    /// same busy counters.
+    fn sweep(
+        auto: &mut Autoscaler,
+        link: &mut MockLink,
+        answering: &[u16],
+        now: f64,
+    ) -> PollReport {
+        link.stats.clear();
+        for &port in answering {
+            link.set_stats(addr(port), 1000 * now as u64, 5, 1);
+        }
+        auto.poll(link, now).unwrap()
+    }
+
+    /// The standby fleet, started, after one sweep everyone answered.
+    fn standby_fleet(tag: &str) -> (Autoscaler, MockLink) {
+        let (mut auto, mut link) = fleet(tag, true);
+        auto.bootstrap(&mut link, 0.0).unwrap();
+        sweep(&mut auto, &mut link, &[9101, 9102, 9103], 1.0);
+        (auto, link)
+    }
+
+    fn frames_to(link: &MockLink, from: usize, port: u16) -> Vec<&Signal> {
+        link.pushed[from..]
+            .iter()
+            .filter(|(a, _)| *a == addr(port))
+            .map(|(_, s)| s)
+            .collect()
+    }
+
+    #[test]
+    fn one_miss_is_not_a_loss_and_two_misses_are_one_loss() {
+        let (mut auto, mut link) = standby_fleet("loss");
+        let decisions = auto.decisions();
+        let report = sweep(&mut auto, &mut link, &[9101, 9103], 2.0);
+        assert_eq!((report.unreachable, report.lost.len()), (1, 0));
+        assert!(!report.adopted);
+        // An answer in between starts the count again, and re-arms what
+        // may have been held back from it.
+        let since = link.pushed.len();
+        sweep(&mut auto, &mut link, &[9101, 9102, 9103], 3.0);
+        assert!(matches!(
+            frames_to(&link, since, 9102)[..],
+            [Signal::NcSettings { .. }, Signal::NcForwardTab { .. }]
+        ));
+        sweep(&mut auto, &mut link, &[9101, 9103], 4.0);
+        let report = sweep(&mut auto, &mut link, &[9101, 9103], 5.0);
+        assert_eq!(report.lost, vec![2]);
+        assert!(report.adopted, "the loss is re-planned at once");
+        assert_eq!(auto.decisions(), decisions + 1);
+        let report = sweep(&mut auto, &mut link, &[9101, 9103], 6.0);
+        assert!(report.lost.is_empty(), "lost once, not once per miss");
+        assert!(!report.adopted);
+        // Node 1 now forwards to node 3 alone, and node 3 to rx.
+        let table = |port| match frames_to(&link, 0, port).last() {
+            Some(Signal::NcForwardTab { table }) => table.clone(),
+            other => panic!("no table for {port}: {other:?}"),
+        };
+        assert!(table(9101).contains("127.0.0.1:9203"));
+        assert!(!table(9101).contains("127.0.0.1:9202"));
+        assert!(table(9103).contains("127.0.0.1:9204"));
+    }
+
+    #[test]
+    fn a_lost_target_gets_no_frame_and_no_drain() {
+        let (mut auto, mut link) = standby_fleet("lost-quiet");
+        sweep(&mut auto, &mut link, &[9101, 9103], 2.0);
+        let report = sweep(&mut auto, &mut link, &[9101, 9103], 3.0);
+        assert_eq!(report.lost, vec![2]);
+        let since = link.pushed.len();
+        // The survivors go idle and drain; then traffic wakes them.
+        for now in [4.0, 5.0] {
+            link.stats.clear();
+            link.set_stats(addr(9101), 3000, 20_000, 1);
+            link.set_stats(addr(9103), 3000, 20_000, 1);
+            auto.poll(&mut link, now).unwrap();
+        }
+        assert_eq!(auto.draining(), vec![1, 3]);
+        link.set_stats(addr(9101), 9000, 5, 3);
+        let mut report = auto.poll(&mut link, 6.0).unwrap();
+        report.woken.sort_unstable();
+        assert_eq!(report.woken, vec![1, 3]);
+        assert!(link.pushed.len() > since, "the survivors were driven");
+        assert!(
+            frames_to(&link, since, 9102).is_empty(),
+            "a lost target is sent nothing"
+        );
+    }
+
+    #[test]
+    fn the_loss_adoption_is_durable_before_its_first_frame() {
+        let (mut auto, mut link) = standby_fleet("lost-durable");
+        link.wal = Some(auto.journal.path().to_path_buf());
+        let (pushed, decisions) = (link.pushed.len(), auto.decisions());
+        sweep(&mut auto, &mut link, &[9101, 9103], 2.0);
+        let report = sweep(&mut auto, &mut link, &[9101, 9103], 3.0);
+        assert_eq!(report.lost, vec![2]);
+        let frames = &link.pushed[pushed..];
+        assert!(!frames.is_empty(), "the reroute was pushed");
+        for ((to, signal), durable) in frames.iter().zip(&link.durable) {
+            assert_eq!(durable.scale_decisions, decisions + 1);
+            let node = u32::from(to.port() - 9100);
+            let Signal::NcForwardTab { table } = signal else {
+                panic!("the loss pushes tables only: {signal:?}");
+            };
+            assert_eq!(&durable.nodes[&node].table.to_text(), table);
+        }
+    }
+
+    #[test]
+    fn a_returning_target_gets_its_settings_then_its_table() {
+        let (mut auto, mut link) = standby_fleet("return");
+        let registry = ncvnf_obs::Registry::new();
+        auto.metrics = Some(ControlMetrics::register(&registry));
+        sweep(&mut auto, &mut link, &[9101, 9103], 2.0);
+        sweep(&mut auto, &mut link, &[9101, 9103], 3.0);
+        let since = link.pushed.len();
+        let report = sweep(&mut auto, &mut link, &[9101, 9102, 9103], 4.0);
+        assert_eq!(report.returned, vec![2]);
+        assert!(report.adopted, "the stronger dcB is worth returning to");
+        let frames = frames_to(&link, since, 9102);
+        assert!(
+            matches!(
+                frames[..],
+                [Signal::NcSettings { .. }, Signal::NcForwardTab { .. }]
+            ),
+            "{frames:?}"
+        );
+        // Node 2 is armed before node 1 names it again.
+        let first = |port| {
+            link.pushed[since..]
+                .iter()
+                .position(|(a, s)| *a == addr(port) && matches!(s, Signal::NcForwardTab { .. }))
+        };
+        assert!(first(9102) < first(9101));
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("control.autoscale.lost"), Some(1));
+        assert_eq!(snap.counter("control.autoscale.returned"), Some(1));
+    }
+
+    #[test]
+    fn a_drained_target_that_misses_a_sweep_is_rearmed_write_ahead() {
+        let (mut auto, mut link) = harness("drained-miss");
+        auto.bootstrap(&mut link, 0.0).unwrap();
+        link.set_stats(addr(9101), 500, 20_000, 1);
+        link.set_stats(addr(9102), 500, 20_000, 1);
+        auto.poll(&mut link, 1.0).unwrap();
+        assert_eq!(auto.poll(&mut link, 2.0).unwrap().drained, vec![1, 2]);
+        link.wal = Some(auto.journal.path().to_path_buf());
+        let since = link.pushed.len();
+        link.set_stats(addr(9101), 500, 20_000, 3);
+        link.stats.remove(&addr(9102));
+        let report = auto.poll(&mut link, 3.0).unwrap();
+        assert_eq!((report.unreachable, report.lost.len()), (1, 0));
+        link.set_stats(addr(9102), 500, 20_000, 3);
+        let report = auto.poll(&mut link, 4.0).unwrap();
+        assert_eq!(report.woken, vec![2], "its silence may have hidden a wake");
+        assert_eq!(auto.draining(), vec![1]);
+        let frames = frames_to(&link, since, 9102);
+        assert!(
+            matches!(
+                frames[..],
+                [Signal::NcSettings { .. }, Signal::NcForwardTab { .. }]
+            ),
+            "{frames:?}"
+        );
+        for ((to, signal), durable) in link.pushed[since..].iter().zip(&link.durable) {
+            let belief = &durable.nodes[&u32::from(to.port() - 9100)];
+            match signal {
+                Signal::NcSettings { .. } => {
+                    assert_eq!(belief.status, crate::journal::NodeStatus::Active)
+                }
+                Signal::NcForwardTab { table } => assert_eq!(&belief.table.to_text(), table),
+                other => panic!("a re-arm sends settings and a table: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_sweep_nobody_answers_counts_as_no_miss() {
+        let (mut auto, mut link) = standby_fleet("all-silent");
+        let since = link.pushed.len();
+        for now in [2.0, 3.0, 4.0] {
+            let report = sweep(&mut auto, &mut link, &[], now);
+            assert_eq!((report.polled, report.unreachable), (0, 3));
+            assert!(report.lost.is_empty() && !report.adopted);
+        }
+        assert_eq!(link.pushed.len(), since, "nothing was re-planned");
+        // The count starts when someone answers again.
+        let report = sweep(&mut auto, &mut link, &[9101, 9103], 5.0);
+        assert!(report.lost.is_empty());
+        let report = sweep(&mut auto, &mut link, &[9101, 9103], 6.0);
+        assert_eq!(report.lost, vec![2]);
+    }
+
+    #[test]
+    fn scaling_observations_are_counted() {
+        let (auto, mut link) = harness("scaling-events");
+        let registry = ncvnf_obs::Registry::new();
+        let mut auto = auto.with_metrics(ControlMetrics::register(&registry));
+        auto.bootstrap(&mut link, 0.0).unwrap();
+        let (mut out, mut events) = (0u64, 0u64);
+        for (i, step) in [10_000, 10_000, 3_000, 3_000].into_iter().enumerate() {
+            out += step;
+            link.set_stats(addr(9101), out, 10, 1);
+            link.set_stats(addr(9102), out, 10, 1);
+            events += u64::from(auto.poll(&mut link, 1.0 + i as f64).unwrap().events);
+        }
+        assert!(events > 0, "the drop was observed");
+        assert_eq!(
+            registry.snapshot().counter("control.scaling.events"),
+            Some(events)
+        );
     }
 }

@@ -170,7 +170,9 @@ pub enum ControlRecord {
         /// Absolute controller-clock deadline of the τ window.
         linger_deadline_secs: f64,
     },
-    /// A lingering instance was reused before its τ deadline.
+    /// An instance is re-armed with its settings: a lingering one reused
+    /// before its τ deadline, or one that answered again after missed
+    /// sweeps (it may have been drained unseen). Replay makes it Active.
     VnfReused {
         /// Node id.
         node: u32,
@@ -673,6 +675,8 @@ pub struct Journal {
     /// Durable file size: `len`, or the allocation boundary the zero
     /// padding past `len` reaches.
     allocated: u64,
+    /// What [`open`](Self::open) replayed, for the metrics attached later.
+    replay: ReplayReport,
     metrics: Option<ControlMetrics>,
 }
 
@@ -718,6 +722,7 @@ impl Journal {
                 pending: Vec::new(),
                 len: valid_len as u64,
                 allocated: valid_len as u64,
+                replay: report,
                 metrics: None,
             },
             state,
@@ -725,8 +730,12 @@ impl Journal {
         ))
     }
 
-    /// Attaches a metrics bundle; appends and commits record into it.
+    /// Attaches a metrics bundle: what [`open`](Self::open) replayed is
+    /// counted into it at once (`control.journal.replayed`,
+    /// `control.journal.torn_tails`), and appends and commits record
+    /// into it from then on.
     pub fn with_metrics(mut self, metrics: ControlMetrics) -> Self {
+        metrics.record_journal_replay(self.replay.records, self.replay.torn_tail);
         self.metrics = Some(metrics);
         self
     }
@@ -1045,6 +1054,27 @@ mod tests {
     }
 
     #[test]
+    fn attached_metrics_count_what_open_replayed() {
+        let path = temp_path("replay-metrics");
+        let records = sample_records();
+        let (image, records_len) = live_image(&path, &records);
+        let mut torn = image[..records_len].to_vec();
+        torn.extend_from_slice(&[0, 0, 0, 64, 0xDE, 0xAD]);
+        std::fs::write(&path, &torn).unwrap();
+        let registry = ncvnf_obs::Registry::new();
+        let (journal, _, _) = Journal::open(&path).unwrap();
+        let journal = journal.with_metrics(ControlMetrics::register(&registry));
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.counter("control.journal.replayed"),
+            Some(records.len() as u64)
+        );
+        assert_eq!(snap.counter("control.journal.torn_tails"), Some(1));
+        drop(journal);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn zero_padding_reopens_clean_and_is_cut_back() {
         let path = temp_path("padding");
         let (image, records_len) = live_image(&path, &sample_records());
@@ -1080,8 +1110,8 @@ mod tests {
         let registry = ncvnf_obs::Registry::new();
         let metrics = ControlMetrics::register(&registry);
         for _ in 0..2 {
-            let (_j, state, report) = Journal::open(&path).unwrap();
-            metrics.record_journal_replay(report.records, report.torn_tail);
+            let (journal, state, _) = Journal::open(&path).unwrap();
+            let _j = journal.with_metrics(metrics.clone());
             assert_eq!(state.epoch, 1);
             assert_eq!(
                 std::fs::metadata(&path).unwrap().len() as usize,

@@ -16,12 +16,8 @@
 //!   drains and quotas, and writes the [`Ack`];
 //! * [`diff`] — turns two [`ncvnf_deploy::Deployment`]s into the signal
 //!   batch that morphs one into the other;
-//! * [`liveness`] — heartbeat bookkeeping: the Alive → Suspect → Dead
-//!   failure detector fed by the relays' beacon frames;
-//! * [`failover`] — reroutes forwarding tables around a dead node and
-//!   renders the `NC_FORWARD_TAB` deltas to push to survivors;
 //! * [`metrics`] — the control-plane slice of the `ncvnf-obs` registry:
-//!   liveness transitions, scaling observations, table-push latency,
+//!   scaling observations, lost and returned relays, table-push latency,
 //!   and the journal/sender/reconcile instrumentation;
 //! * [`journal`] — the crash-safety layer (DESIGN.md §13): an
 //!   append-only checksummed write-ahead log of [`ControlRecord`]s with
@@ -41,9 +37,11 @@
 //!   relay stats, runs them through the scaling controller's ρ/τ
 //!   hysteresis, journals every adopted decision write-ahead, actuates
 //!   via fenced pushes in dependency order (downstream first), and winds
-//!   idle VNFs to zero until traffic wakes them. [`Autoscaler::start`]
-//!   is the controller's one start: journal replay in, new epoch
-//!   journaled, fleet reconciled and fenced, never-armed relays armed.
+//!   idle VNFs to zero until traffic wakes them. Its `NC_STATS` sweep
+//!   is also the one failure detector: a relay that misses two sweeps is
+//!   lost and planned around. [`Autoscaler::start`] is the controller's
+//!   one start: journal replay in, new epoch journaled, fleet reconciled
+//!   and fenced, never-armed relays armed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,11 +49,9 @@
 pub mod autoscale;
 pub mod daemon;
 pub mod diff;
-pub mod failover;
 pub mod fence;
 pub mod fwdtab;
 pub mod journal;
-pub mod liveness;
 pub mod metrics;
 pub mod reconcile;
 pub mod sender;
@@ -66,16 +62,14 @@ pub use autoscale::{
     AutoscaleConfig, AutoscaleError, Autoscaler, ControlLink, PollReport, RelayTarget,
 };
 pub use daemon::{Daemon, DaemonEvent, DaemonState, Received};
-pub use failover::{failover_signals, plan_failover, reroute_table};
 pub use fence::Admit;
 pub use fwdtab::ForwardingTable;
 pub use journal::{
     ControlRecord, ControllerState, Journal, NodeBelief, NodeStatus, ReplayReport, SessionSpec,
 };
-pub use liveness::{LivenessConfig, LivenessEvent, LivenessState, LivenessTracker};
 pub use metrics::{ControlCells, ControlMetrics};
 pub use reconcile::{reconcile, ReconcilePlan, ReconcileReport};
 pub use sender::exchange::{Answer, Completed, ExchangeTable};
 pub use sender::{Ack, Refusal, SendError, SendReceipt, SenderConfig, SignalSender};
 pub use signal::{FencedSignal, Signal, SignalError, SignalFrame, VnfRoleWire};
-pub use telemetry::{DataplaneHealth, Telemetry};
+pub use telemetry::Telemetry;

@@ -1,25 +1,20 @@
-//! Control-plane metrics: liveness transitions, scaling activity, and
-//! table-push latency.
+//! Control-plane metrics: scaling activity, lost and returned relays,
+//! and table-push latency.
 //!
 //! The controller's closed loop (Sec. IV-B) acts on exactly these
 //! signals — node health, load observations, and how fast a
 //! `NC_FORWARD_TAB` push lands — so they are the control-plane slice of
 //! the observability registry. [`ControlMetrics`] is a cheap-to-clone
-//! handle bundle; hosts register it once and feed it from
-//! [`LivenessTracker::poll`](crate::LivenessTracker::poll) events and
-//! table-push round trips.
+//! handle bundle; hosts register it once and hand it to the
+//! [`Autoscaler`](crate::Autoscaler), the [`Journal`](crate::Journal)
+//! and the [`SignalSender`](crate::SignalSender).
 
 use ncvnf_obs::{Registry, TraceKind, TraceRing};
-
-use crate::liveness::LivenessEvent;
 
 ncvnf_obs::metrics! {
     /// The control plane's registry cells; [`ControlMetrics`] derefs to
     /// this, so record sites write `m.sender_pushes.inc()`.
     pub struct ControlCells in "control" {
-        pub suspected: Counter = "control.liveness.suspected", "events", "Liveness transitions into Suspect";
-        pub died: Counter = "control.liveness.died", "events", "Liveness transitions into Dead";
-        pub recovered: Counter = "control.liveness.recovered", "events", "Suspect or dead nodes that resumed beaconing";
         pub scaling_events: Counter = "control.scaling.events", "events", "Scaling observations emitted by telemetry aggregation";
         pub table_push_ns: Histogram = "control.table_push_ns", "ns", "NC_FORWARD_TAB push round-trip latency (send to OK)";
         pub journal_appends: Counter = "control.journal.appends", "records", "Records appended to the write-ahead journal";
@@ -38,6 +33,8 @@ ncvnf_obs::metrics! {
         pub autoscale_adoptions: Counter = "control.autoscale.adoptions", "deployments", "New deployments adopted and actuated by the autoscaler";
         pub autoscale_drained: Counter = "control.autoscale.drained", "instances", "Idle VNFs sent NC_VNF_END by the scale-to-zero policy";
         pub autoscale_woken: Counter = "control.autoscale.woken", "instances", "Draining VNFs re-armed after a wake request or traffic return";
+        pub autoscale_lost: Counter = "control.autoscale.lost", "instances", "Relay targets lost after two unanswered NC_STATS sweeps and planned around at zero capacity";
+        pub autoscale_returned: Counter = "control.autoscale.returned", "instances", "Lost relay targets that answered again and were re-armed at their nominal capacity";
         pub autoscale_draining: Gauge = "control.autoscale.draining", "instances", "Relay targets currently draining toward scale-to-zero";
         pub autoscale_detect_ms: Histogram = "control.autoscale.detect_ms", "ms", "Controller-clock latency from first drift observation to adoption";
         pub autoscale_decide_ns: Histogram = "control.autoscale.decide_ns", "ns", "Wall-clock latency of one adopting decision pass (observe to actuated)";
@@ -45,7 +42,7 @@ ncvnf_obs::metrics! {
 }
 
 /// Registry-backed handles for control-plane metrics: the cells plus
-/// the registry's trace ring for liveness events.
+/// the registry's trace ring for lost and returned relays.
 #[derive(Debug, Clone)]
 pub struct ControlMetrics {
     cells: ControlCells,
@@ -69,23 +66,16 @@ impl ControlMetrics {
         }
     }
 
-    /// Counts one liveness transition and emits the matching trace
-    /// event (`a` = node id, `b` = 0 suspect / 1 dead / 2 recovered).
-    pub fn record_liveness_event(&self, event: &LivenessEvent) {
-        match event {
-            LivenessEvent::Suspected(node) => {
-                self.suspected.inc();
-                self.trace.push(TraceKind::Liveness, *node as u64, 0);
-            }
-            LivenessEvent::Died(node) => {
-                self.died.inc();
-                self.trace.push(TraceKind::Liveness, *node as u64, 1);
-            }
-            LivenessEvent::Recovered(node) => {
-                self.recovered.inc();
-                self.trace.push(TraceKind::Liveness, *node as u64, 2);
-            }
-        }
+    /// Counts relay target `node` lost (`lost`) or returned, and traces
+    /// it (`a` = node id, `b` = 1 lost / 2 returned).
+    pub fn record_liveness(&self, node: u32, lost: bool) {
+        let (counter, code) = if lost {
+            (&self.autoscale_lost, 1)
+        } else {
+            (&self.autoscale_returned, 2)
+        };
+        counter.inc();
+        self.trace.push(TraceKind::Liveness, u64::from(node), code);
     }
 
     /// Records the outcome of a journal replay: records recovered and
@@ -133,33 +123,29 @@ mod tests {
     }
 
     #[test]
-    fn liveness_events_count_and_trace() {
+    fn lost_and_returned_count_and_trace() {
         let registry = Registry::new();
         let m = ControlMetrics::register(&registry);
-        for event in [
-            LivenessEvent::Suspected(7),
-            LivenessEvent::Died(7),
-            LivenessEvent::Recovered(7),
-            LivenessEvent::Suspected(9),
-        ] {
-            m.record_liveness_event(&event);
-        }
+        m.record_liveness(7, true);
+        m.record_liveness(7, false);
+        m.record_liveness(9, true);
         m.scaling_events.add(2);
         m.table_push_ns.record(1_000_000);
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("control.liveness.suspected"), Some(2));
-        assert_eq!(snap.counter("control.liveness.died"), Some(1));
-        assert_eq!(snap.counter("control.liveness.recovered"), Some(1));
+        assert_eq!(snap.counter("control.autoscale.lost"), Some(2));
+        assert_eq!(snap.counter("control.autoscale.returned"), Some(1));
         assert_eq!(snap.counter("control.scaling.events"), Some(2));
         assert_eq!(
             snap.histogram("control.table_push_ns").map(|h| h.count),
             Some(1)
         );
-        assert_eq!(snap.events.len(), 4, "one trace event per transition");
-        assert!(snap
+        let traced: Vec<(u64, u64)> = snap
             .events
             .iter()
-            .all(|e| e.kind == ncvnf_obs::TraceKind::Liveness));
+            .filter(|e| e.kind == ncvnf_obs::TraceKind::Liveness)
+            .map(|e| (e.a, e.b))
+            .collect();
+        assert_eq!(traced, vec![(7, 1), (7, 2), (9, 1)]);
     }
 
     #[test]

@@ -13,9 +13,6 @@ use std::collections::HashMap;
 use ncvnf_deploy::model::VnfSpec;
 use ncvnf_deploy::{ScalingEvent, Topology};
 use ncvnf_flowgraph::NodeId;
-use ncvnf_obs::Snapshot;
-
-use crate::metrics::ControlMetrics;
 
 /// Sliding-window median estimator.
 #[derive(Debug, Clone)]
@@ -53,76 +50,6 @@ impl Window {
     }
 }
 
-/// A data-plane health snapshot reported by a relay (its cumulative
-/// `RelayStats` counters) plus the recovery counters contributed by the
-/// transfer endpoints. All counters are cumulative since node start;
-/// re-recording a node replaces its previous snapshot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DataplaneHealth {
-    /// Datagrams received on the data socket.
-    pub datagrams_in: u64,
-    /// Datagrams sent to next hops.
-    pub datagrams_out: u64,
-    /// Socket errors survived.
-    pub io_errors: u64,
-    /// Control signals rejected with an `ERR` reply.
-    pub rejected_signals: u64,
-    /// Feedback-magic frames that failed to decode (dropped, counted).
-    pub malformed_feedback: u64,
-    /// Liveness beacons the node emitted.
-    pub heartbeats_sent: u64,
-    /// NACKs sent by receivers for undecodable generations.
-    pub nacks_sent: u64,
-    /// Fresh coded packets retransmitted in response to NACKs.
-    pub retransmit_packets: u64,
-    /// Generations that needed at least one retransmission round and
-    /// still decoded.
-    pub generations_recovered: u64,
-    /// Datagrams shed by admission control (`relay.shed_quota`).
-    pub shed_packets: u64,
-}
-
-impl DataplaneHealth {
-    /// Builds the health record from an observability snapshot — the
-    /// node-side registry is the single source of truth, and this is
-    /// the controller's ingestion mapping from metric names (the relay's
-    /// `relay.*` node counters plus the transfer endpoints' `recovery.*`
-    /// counters) to health fields. Metrics a node never registered read
-    /// as zero.
-    pub fn from_snapshot(snapshot: &Snapshot) -> DataplaneHealth {
-        let c = |name: &str| snapshot.counter(name).unwrap_or(0);
-        DataplaneHealth {
-            datagrams_in: c("relay.datagrams_in"),
-            datagrams_out: c("relay.datagrams_out"),
-            io_errors: c("relay.io_errors"),
-            rejected_signals: c("relay.rejected_signals"),
-            malformed_feedback: c("relay.malformed_feedback"),
-            heartbeats_sent: c("relay.heartbeats_sent"),
-            nacks_sent: c("recovery.nacks_sent"),
-            retransmit_packets: c("recovery.retransmit_packets"),
-            generations_recovered: c("recovery.generations_recovered"),
-            shed_packets: c("relay.shed_quota"),
-        }
-    }
-
-    /// Field-wise sum (fleet-wide aggregation).
-    #[must_use]
-    pub fn combined(&self, other: &DataplaneHealth) -> DataplaneHealth {
-        DataplaneHealth {
-            datagrams_in: self.datagrams_in + other.datagrams_in,
-            datagrams_out: self.datagrams_out + other.datagrams_out,
-            io_errors: self.io_errors + other.io_errors,
-            rejected_signals: self.rejected_signals + other.rejected_signals,
-            malformed_feedback: self.malformed_feedback + other.malformed_feedback,
-            heartbeats_sent: self.heartbeats_sent + other.heartbeats_sent,
-            nacks_sent: self.nacks_sent + other.nacks_sent,
-            retransmit_packets: self.retransmit_packets + other.retransmit_packets,
-            generations_recovered: self.generations_recovered + other.generations_recovered,
-            shed_packets: self.shed_packets + other.shed_packets,
-        }
-    }
-}
-
 /// Aggregates probe measurements and emits [`ScalingEvent`]s when the
 /// smoothed estimate deviates from the topology's current belief.
 #[derive(Debug)]
@@ -132,11 +59,6 @@ pub struct Telemetry {
     bandwidth: HashMap<NodeId, (Window, Window)>,
     /// Per-directed-pair RTT windows (ms).
     rtt: HashMap<(NodeId, NodeId), Window>,
-    /// Latest data-plane health snapshot per relay node id.
-    dataplane: HashMap<u32, DataplaneHealth>,
-    /// Optional registry handles; when attached, `drain_events` counts
-    /// the scaling observations it emits.
-    metrics: Option<ControlMetrics>,
 }
 
 impl Telemetry {
@@ -151,40 +73,7 @@ impl Telemetry {
             window,
             bandwidth: HashMap::new(),
             rtt: HashMap::new(),
-            dataplane: HashMap::new(),
-            metrics: None,
         }
-    }
-
-    /// Attaches registry handles so emitted scaling observations are
-    /// counted under `control.scaling.events`.
-    pub fn attach_metrics(&mut self, metrics: ControlMetrics) {
-        self.metrics = Some(metrics);
-    }
-
-    /// Records a relay's latest data-plane health snapshot (counters are
-    /// cumulative, so the newest snapshot supersedes older ones).
-    pub fn record_dataplane(&mut self, node: u32, health: DataplaneHealth) {
-        self.dataplane.insert(node, health);
-    }
-
-    /// The latest health snapshot recorded for a relay, if any.
-    pub fn dataplane_health(&self, node: u32) -> Option<&DataplaneHealth> {
-        self.dataplane.get(&node)
-    }
-
-    /// Field-wise sum of every relay's latest snapshot.
-    pub fn dataplane_total(&self) -> DataplaneHealth {
-        self.dataplane
-            .values()
-            .fold(DataplaneHealth::default(), |acc, h| acc.combined(h))
-    }
-
-    /// Node ids with a recorded health snapshot, ascending.
-    pub fn dataplane_nodes(&self) -> Vec<u32> {
-        let mut nodes: Vec<u32> = self.dataplane.keys().copied().collect();
-        nodes.sort_unstable();
-        nodes
     }
 
     /// Records one iperf-style sample of a DC's per-VNF bandwidth.
@@ -195,6 +84,12 @@ impl Telemetry {
             .or_insert_with(|| (Window::new(self.window), Window::new(self.window)));
         entry.0.push(in_bps);
         entry.1.push(out_bps);
+    }
+
+    /// Drops every bandwidth sample of `dc` (its relay was lost or came
+    /// back, so they describe an instance that is gone).
+    pub fn forget(&mut self, dc: NodeId) {
+        self.bandwidth.remove(&dc);
     }
 
     /// Records one ping RTT sample between two nodes.
@@ -259,9 +154,6 @@ impl Telemetry {
             if rel(current, delay_ms) >= min_rel_change {
                 events.push(ScalingEvent::DelayObserved { from, to, delay_ms });
             }
-        }
-        if let Some(metrics) = &self.metrics {
-            metrics.scaling_events.add(events.len() as u64);
         }
         events
     }
@@ -351,89 +243,6 @@ mod tests {
         t.record_bandwidth(dc, 910e6, 915e6); // ~1% off nominal 920
         t.record_bandwidth(dc, 912e6, 913e6);
         assert!(t.drain_events(&topo, 0.05).is_empty());
-    }
-
-    #[test]
-    fn dataplane_snapshots_replace_and_aggregate() {
-        let mut t = Telemetry::new(2);
-        assert_eq!(t.dataplane_health(7), None);
-        t.record_dataplane(
-            7,
-            DataplaneHealth {
-                datagrams_in: 10,
-                nacks_sent: 2,
-                ..DataplaneHealth::default()
-            },
-        );
-        // Counters are cumulative: a fresher snapshot supersedes.
-        t.record_dataplane(
-            7,
-            DataplaneHealth {
-                datagrams_in: 25,
-                nacks_sent: 3,
-                retransmit_packets: 8,
-                ..DataplaneHealth::default()
-            },
-        );
-        t.record_dataplane(
-            9,
-            DataplaneHealth {
-                datagrams_in: 5,
-                generations_recovered: 1,
-                heartbeats_sent: 40,
-                ..DataplaneHealth::default()
-            },
-        );
-        assert_eq!(t.dataplane_health(7).unwrap().datagrams_in, 25);
-        assert_eq!(t.dataplane_nodes(), vec![7, 9]);
-        let total = t.dataplane_total();
-        assert_eq!(total.datagrams_in, 30);
-        assert_eq!(total.nacks_sent, 3);
-        assert_eq!(total.retransmit_packets, 8);
-        assert_eq!(total.generations_recovered, 1);
-        assert_eq!(total.heartbeats_sent, 40);
-    }
-
-    #[test]
-    fn health_derives_from_registry_snapshot() {
-        ncvnf_obs::metrics! {
-            struct RelaySide in "relay" {
-                datagrams_in: Counter = "relay.datagrams_in", "datagrams", "test";
-                nacks_sent: Counter = "recovery.nacks_sent", "nacks", "test";
-                shed_quota: Counter = "relay.shed_quota", "datagrams", "test";
-            }
-        }
-        let registry = ncvnf_obs::Registry::new();
-        let relay = RelaySide::register(&registry);
-        relay.datagrams_in.add(42);
-        relay.nacks_sent.add(3);
-        relay.shed_quota.add(7);
-        let health = DataplaneHealth::from_snapshot(&registry.snapshot());
-        assert_eq!(health.datagrams_in, 42);
-        assert_eq!(health.nacks_sent, 3);
-        assert_eq!(health.shed_packets, 7);
-        // Metrics the node never registered read as zero.
-        assert_eq!(health.io_errors, 0);
-        assert_eq!(health.retransmit_packets, 0);
-    }
-
-    #[test]
-    fn attached_metrics_count_scaling_events() {
-        use crate::metrics::ControlMetrics;
-        use ncvnf_obs::Registry;
-        let registry = Registry::new();
-        let topo = topo();
-        let dc = topo.data_centers()[1];
-        let mut t = Telemetry::new(2);
-        t.attach_metrics(ControlMetrics::register(&registry));
-        for _ in 0..2 {
-            t.record_bandwidth(dc, 460e6, 470e6);
-        }
-        assert_eq!(t.drain_events(&topo, 0.05).len(), 1);
-        assert_eq!(
-            registry.snapshot().counter("control.scaling.events"),
-            Some(1)
-        );
     }
 
     #[test]

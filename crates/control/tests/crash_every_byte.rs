@@ -5,10 +5,15 @@
 //! would hand them — sits behind a [`ControlLink`] that runs the real
 //! [`ExchangeTable`]: the table frames, sequences and matches every
 //! exchange, and the link only carries bytes. The real [`Autoscaler`]
-//! and [`Journal`] run a scripted scenario on it: the first start, a
-//! capability drift that is adopted, an idle spell that drains the fleet,
-//! returning traffic that wakes it. That no-crash run records its journal bytes and every frame
-//! it sends.
+//! and [`Journal`] run a scripted scenario on it over a diamond fleet
+//! (dc-a → {dc-b | dc-c} → rx, dc-c idle at first): the first start, a
+//! capability drift that is adopted, a spell in which dc-b's VNF answers
+//! nothing (lost on the second unanswered sweep and routed around through
+//! dc-c), its return (re-armed, routed through again), an idle spell
+//! that drains the fleet, a second silent spell while drained (lost
+//! again), its return (re-armed and woken alone, then drained again),
+//! returning traffic that wakes the fleet. That no-crash run records its
+//! journal bytes and every frame it sends.
 //!
 //! Then the controller dies at every byte offset of that journal (inside
 //! frames too, not only at their boundaries) and at every push index:
@@ -23,7 +28,8 @@
 //! `Autoscaler::start` once. Then it finishes the scenario.
 //! Meanwhile the dead incarnation's frames are still on the wire: each
 //! one it sent (and the one it was sending) arrives again, one after
-//! every step of its successor.
+//! every step of its successor. A VNF that answers nothing at a tick
+//! receives nothing then either: no query, no frame, no zombie.
 //!
 //! Checked after every step, on ghost state kept apart from the code
 //! under test:
@@ -66,11 +72,36 @@ use ncvnf_rlnc::SessionId;
 const SESSION: u16 = 5;
 const IDLE_TAU_SECS: f64 = 2.0;
 const TAU1_SECS: f64 = 2.0;
-/// The fleet: node ids and their roles.
-const NODES: [(u32, VnfRoleWire); 2] = [(1, VnfRoleWire::Recoder), (2, VnfRoleWire::Decoder)];
-/// Polls after the first start: 3 at the base rate, 5 at 30 % (adopted), 6
-/// idle (drained), 4 with traffic back (woken).
-const PHASES: [(u64, usize); 4] = [(10_000, 3), (3_000, 5), (0, 6), (10_000, 4)];
+/// The fleet: node ids and their roles, one per data center.
+const NODES: [(u32, VnfRoleWire); 3] = [
+    (1, VnfRoleWire::Recoder),
+    (2, VnfRoleWire::Decoder),
+    (3, VnfRoleWire::Decoder),
+];
+/// The node that stops answering, and comes back.
+const SILENT: u32 = 2;
+/// Polls after the first start, as (counter step, polls, `SILENT`
+/// answers nothing): 3 at the base rate, 5 at 30 % (adopted), 4 silent
+/// (lost on the second, so a successor started anywhere in the spell
+/// still sees two), 3 back (returned), 3 idle (drained), 2 silent while
+/// drained (a successor started in the spell sees one miss, then the
+/// answer), 4 idle and back (re-armed, drained again), 4 with traffic
+/// back (woken).
+const PHASES: [(u64, usize, bool); 8] = [
+    (10_000, 3, false),
+    (3_000, 5, false),
+    (3_000, 4, true),
+    (3_000, 3, false),
+    (0, 3, false),
+    (0, 2, true),
+    (0, 4, false),
+    (10_000, 4, false),
+];
+
+/// The script tick at which phase `k` starts.
+fn phase_start(k: usize) -> usize {
+    1 + PHASES[..k].iter().map(|p| p.1).sum::<usize>()
+}
 
 fn addr(port: u16) -> SocketAddr {
     SocketAddr::from(([127, 0, 0, 1], port))
@@ -87,13 +118,14 @@ fn control_of_hop(hop: &str) -> Option<SocketAddr> {
     Some(addr(port.checked_sub(100)?))
 }
 
-/// One scripted instant: the controller clock and the datagram counter
-/// and idle clock every VNF reports.
+/// One scripted instant: the controller clock, the datagram counter
+/// and idle clock every VNF reports, and whether `SILENT` answers.
 #[derive(Clone, Copy)]
 struct Tick {
     now: f64,
     out: u64,
     idle_ms: u64,
+    silent: bool,
 }
 
 /// The script: tick 0 is the first start, every later tick one poll.
@@ -102,9 +134,10 @@ fn script() -> Vec<Tick> {
         now: 0.0,
         out: 0,
         idle_ms: 0,
+        silent: false,
     }];
     let (mut out, mut idle_ms) = (0, 0);
-    for (step, polls) in PHASES {
+    for (step, polls, silent) in PHASES {
         for _ in 0..polls {
             out += step;
             idle_ms = if step == 0 { idle_ms + 1000 } else { 5 };
@@ -112,6 +145,7 @@ fn script() -> Vec<Tick> {
                 now: ticks.len() as f64,
                 out,
                 idle_ms,
+                silent,
             });
         }
     }
@@ -147,6 +181,11 @@ impl Fleet {
             tick: 0,
             ticks: script(),
         }
+    }
+
+    /// Whether `to` answers nothing at the current tick.
+    fn silent(&self, to: SocketAddr) -> bool {
+        self.ticks[self.tick].silent && node_of(to) == SILENT
     }
 
     /// One datagram's bytes arrive at `to`'s daemon, as at a relay's
@@ -291,8 +330,14 @@ impl FleetLink {
         self.table.settle(Instant::now(), requests, |to, wire| {
             let Ok((frame, _)) = FencedSignal::from_bytes(wire) else {
                 // A bare `NC_STATS` query.
-                return Some(fleet.deliver(to, wire).1);
+                return (!fleet.silent(to)).then(|| fleet.deliver(to, wire).1);
             };
+            assert!(
+                !fleet.silent(to),
+                "a frame to node {} while it answers nothing (tick {})",
+                node_of(to),
+                fleet.tick
+            );
             let journal = std::fs::read(wal).expect("journal readable");
             assert_durable(&journal, frame.epoch, node_of(to), &frame.signal);
             sent.push(Sent {
@@ -382,21 +427,26 @@ impl ControlLink for FleetLink {
     }
 }
 
-/// src → dc-a (recoder, node 1) → dc-b (decoder, node 2) → rx.
+/// src → dc-a (recoder, node 1) → {dc-b (decoder, node 2) | dc-c
+/// (decoder, node 3)} → rx. dc-c's VNF is the weaker: the plan leaves it
+/// idle while dc-b serves.
 fn autoscaler(journal: Journal) -> Autoscaler {
     let mut b = TopologyBuilder::new();
-    let spec = VnfSpec {
-        bin_bps: 920e6,
-        bout_bps: 920e6,
+    let spec = |bps: f64| VnfSpec {
+        bin_bps: bps,
+        bout_bps: bps,
         coding_bps: 1000e6,
     };
-    let dc_a = b.data_center("dc-a", spec);
-    let dc_b = b.data_center("dc-b", spec);
+    let dc_a = b.data_center("dc-a", spec(920e6));
+    let dc_b = b.data_center("dc-b", spec(920e6));
+    let dc_c = b.data_center("dc-c", spec(300e6));
     let s = b.source("src", 400e6);
     let r = b.receiver("rx", 400e6);
     b.link(s, dc_a, 5.0)
         .link(dc_a, dc_b, 5.0)
-        .link(dc_b, r, 5.0);
+        .link(dc_b, r, 5.0)
+        .link(dc_a, dc_c, 5.0)
+        .link(dc_c, r, 5.0);
     let params = ScalingParams {
         alpha: 20e6,
         rho1: 0.05,
@@ -421,7 +471,8 @@ fn autoscaler(journal: Journal) -> Autoscaler {
     let mut data_addrs = HashMap::new();
     data_addrs.insert(dc_a, "127.0.0.1:7201".to_owned());
     data_addrs.insert(dc_b, "127.0.0.1:7202".to_owned());
-    data_addrs.insert(r, "127.0.0.1:7203".to_owned());
+    data_addrs.insert(dc_c, "127.0.0.1:7203".to_owned());
+    data_addrs.insert(r, "127.0.0.1:7204".to_owned());
     let config = AutoscaleConfig {
         min_rel_change: 0.02,
         telemetry_window: 1,
@@ -431,7 +482,7 @@ fn autoscaler(journal: Journal) -> Autoscaler {
     Autoscaler::new(
         controller,
         journal,
-        targets(&[dc_a, dc_b]),
+        targets(&[dc_a, dc_b, dc_c]),
         data_addrs,
         config,
     )
@@ -551,6 +602,8 @@ struct ZombieTally {
     stale: u64,
     duplicate: u64,
     applied: u64,
+    /// Arrived while their VNF answered nothing.
+    lost: u64,
 }
 
 /// One crash: `pushed` frames had left and `wal_len` journal bytes were
@@ -615,6 +668,10 @@ fn crash_and_recover(
     let mut tally = ZombieTally::default();
     let mut zombie_step = |link: &mut FleetLink, frame: Option<&Sent>| {
         if let Some(s) = frame {
+            if link.fleet.silent(s.to) {
+                tally.lost += 1;
+                return;
+            }
             match link.fleet.deliver(s.to, &s.wire).0 {
                 Some(Admit::Stale) => tally.stale += 1,
                 Some(Admit::Duplicate) => tally.duplicate += 1,
@@ -669,6 +726,7 @@ fn explore(reference: &Reference, padded: bool) -> (u64, ZombieTally) {
             tally.stale += t.stale;
             tally.duplicate += t.duplicate;
             tally.applied += t.applied;
+            tally.lost += t.lost;
             cases += 1;
         }
     }
@@ -686,10 +744,31 @@ fn controller_crash_at_every_wal_byte_and_push_converges() {
     let reference = reference();
     let sent = &reference.sent;
     assert!(reference.decisions >= 1, "the drift was never adopted");
+    // The silent spell routed around node 2: node 1 named node 3 then.
+    assert!(
+        sent.iter().any(|s| node_of(s.to) == 1
+            && matches!(&fence_of(&s.wire).signal,
+                Signal::NcForwardTab { table } if table.contains("127.0.0.1:7203"))),
+        "node 2 was never lost"
+    );
     assert!(
         sent.iter()
             .any(|s| matches!(fence_of(&s.wire).signal, Signal::NcVnfEnd { .. })),
         "the idle spell never drained"
+    );
+    // Back from the silence while drained, node 2 was re-armed before the
+    // traffic returned, and drained again.
+    let after_silence: Vec<Signal> = sent
+        .iter()
+        .filter(|s| node_of(s.to) == SILENT && (phase_start(6)..phase_start(7)).contains(&s.tick))
+        .map(|s| fence_of(&s.wire).signal)
+        .collect();
+    assert!(
+        matches!(
+            after_silence[..],
+            [Signal::NcSettings { .. }, .., Signal::NcVnfEnd { .. }]
+        ),
+        "node 2 was not re-armed after its silence while drained: {after_silence:?}"
     );
     assert!(
         reference
@@ -705,7 +784,7 @@ fn controller_crash_at_every_wal_byte_and_push_converges() {
     println!(
         "crash_every_byte: {} crash cases ({} WAL bytes, {} pushes) and {} over zero padding \
          (file {} bytes at the end); zombie frames: {} / {} stale, {} / {} acked as \
-         duplicates, {} / {} applied; wall {:.2} s",
+         duplicates, {} / {} applied, {} / {} lost at a silent VNF; wall {:.2} s",
         cases,
         reference.wal.len(),
         sent.len(),
@@ -717,6 +796,8 @@ fn controller_crash_at_every_wal_byte_and_push_converges() {
         padded.duplicate,
         plain.applied,
         padded.applied,
+        plain.lost,
+        padded.lost,
         started.elapsed().as_secs_f64()
     );
 }

@@ -1,7 +1,7 @@
-//! Receiver feedback: generation ACKs, retransmission NACKs, heartbeats.
+//! Receiver feedback: generation ACKs, retransmission NACKs, wake
+//! requests and backpressure.
 //!
-//! Three receiver/VNF-to-controller messages keep the paper's data plane
-//! honest:
+//! Two receiver messages keep the paper's data plane honest:
 //!
 //! * an ACK "directly back to the source once it has successfully received
 //!   the (decoded) first generation" (used for the Table II delay
@@ -9,23 +9,24 @@
 //!   generation so the source can stop retransmitting;
 //! * a NACK requesting more coded packets for a generation that cannot be
 //!   decoded — the "retransmissions" a receiver "has to wait for ... to
-//!   collect all 4 packets for decoding a generation" under loss at NC0;
-//! * a heartbeat a VNF daemon emits periodically so the controller's
-//!   liveness tracker can declare it suspect/dead after missed beats and
-//!   re-push forwarding tables around it (`NC_VNF_END` + failover).
+//!   collect all 4 packets for decoding a generation" under loss at NC0.
+//!
+//! A draining relay sends a wake request to the controller, and an
+//! overloaded one a congestion frame upstream. Relays send no liveness
+//! beacon: the controller's `NC_STATS` sweep is the heartbeat, and kind 3
+//! (the retired beacon) decodes as an unknown kind.
 //!
 //! Wire format (distinct from NC data packets, which begin with 0xAC):
 //!
 //! ```text
 //! byte 0      magic 0xFB
 //! byte 1      kind: 1 = GenerationAck, 2 = RetransmitRequest,
-//!             3 = Heartbeat, 4 = Wake, 5 = Congestion
+//!             4 = Wake, 5 = Congestion (3 is retired)
 //! bytes 2-3   session id, big endian
-//! bytes 4-7   generation id (heartbeats/wakes: node id; congestion:
-//!             unused, 0), big endian
-//! bytes 8-9   count (packets requested; heartbeats: sequence number;
-//!             congestion: datagrams shed since the last frame;
-//!             0 for ACK and Wake), big endian
+//! bytes 4-7   generation id (wakes: node id; congestion: unused, 0),
+//!             big endian
+//! bytes 8-9   count (packets requested; congestion: datagrams shed
+//!             since the last frame; 0 for ACK and Wake), big endian
 //! bytes 10-13 missing-block bitmap (bit i = original block i missing;
 //!             congestion: cumulative shed total; zero when unknown),
 //!             big endian
@@ -60,9 +61,6 @@ pub enum FeedbackKind {
     GenerationAck,
     /// The receiver needs `count` more coded packets for this generation.
     RetransmitRequest,
-    /// Periodic VNF liveness beacon: `generation` carries the node id,
-    /// `count` a wrapping sequence number.
-    Heartbeat,
     /// A draining VNF saw traffic (a data packet or a NACK for one of
     /// its sessions) and asks the controller to wake it: `generation`
     /// carries the node id, `session` the session whose packet arrived
@@ -88,7 +86,7 @@ pub enum FeedbackError {
     },
     /// First byte is not [`FEEDBACK_MAGIC`].
     BadMagic(u8),
-    /// Kind byte outside the known range.
+    /// Kind byte outside the known set (the retired kind 3 included).
     UnknownKind(u8),
 }
 
@@ -115,11 +113,12 @@ impl Error for FeedbackError {}
 pub struct Feedback {
     /// Message kind.
     pub kind: FeedbackKind,
-    /// Session the feedback refers to (zero for heartbeats).
+    /// Session the feedback refers to (zero when unknown).
     pub session: SessionId,
-    /// Generation the feedback refers to (heartbeats: the node id).
+    /// Generation the feedback refers to (wakes: the node id).
     pub generation: u64,
-    /// Packets requested (retransmit requests) or heartbeat sequence.
+    /// Packets requested (retransmit requests) or datagrams shed
+    /// (congestion).
     pub count: u16,
     /// Bitmap of missing original blocks (bit i = block i), zero when the
     /// receiver holds mixed packets and cannot name specific blocks.
@@ -149,17 +148,6 @@ impl Feedback {
         }
     }
 
-    /// A liveness beacon from VNF `node` with wrapping sequence `seq`.
-    pub fn heartbeat(node: u32, seq: u16) -> Self {
-        Feedback {
-            kind: FeedbackKind::Heartbeat,
-            session: SessionId::new(0),
-            generation: node as u64,
-            count: seq,
-            missing_bitmap: 0,
-        }
-    }
-
     /// A scale-to-zero wake request from draining VNF `node`: traffic
     /// for `session` arrived and the controller should re-arm the node
     /// (in dependency order: a relay before any relay that forwards to it).
@@ -186,7 +174,7 @@ impl Feedback {
         }
     }
 
-    /// The node id of a heartbeat or wake (the generation field).
+    /// The node id of a wake (the generation field).
     pub fn node_id(&self) -> u32 {
         self.generation as u32
     }
@@ -198,7 +186,6 @@ impl Feedback {
         buf.put_u8(match self.kind {
             FeedbackKind::GenerationAck => 1,
             FeedbackKind::RetransmitRequest => 2,
-            FeedbackKind::Heartbeat => 3,
             FeedbackKind::Wake => 4,
             FeedbackKind::Congestion => 5,
         });
@@ -228,7 +215,6 @@ impl Feedback {
         let kind = match data[1] {
             1 => FeedbackKind::GenerationAck,
             2 => FeedbackKind::RetransmitRequest,
-            3 => FeedbackKind::Heartbeat,
             4 => FeedbackKind::Wake,
             5 => FeedbackKind::Congestion,
             k => return Err(FeedbackError::UnknownKind(k)),
@@ -262,12 +248,13 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_roundtrip_carries_node_and_seq() {
-        let hb = Feedback::heartbeat(42, 65535);
-        let back = Feedback::from_bytes(&hb.to_bytes()).unwrap();
-        assert_eq!(back.kind, FeedbackKind::Heartbeat);
-        assert_eq!(back.node_id(), 42);
-        assert_eq!(back.count, 65535);
+    fn retired_beacon_kind_is_unknown() {
+        let mut wire = Feedback::wake(42, SessionId::new(0)).to_bytes().to_vec();
+        wire[1] = 3;
+        assert_eq!(
+            Feedback::from_bytes(&wire),
+            Err(FeedbackError::UnknownKind(3))
+        );
     }
 
     #[test]

@@ -312,11 +312,11 @@ impl NodeBehavior for ObjectSource {
                     ctx.set_timer(SimDuration::ZERO, TOKEN_SEND);
                 }
             }
-            // Heartbeats and wake requests are controller-facing; a
-            // simulated source has no use for them, and the simulator's
-            // ideal links never congest, so backpressure frames are
-            // inert here too (the live sender in `ncvnf-relay` reacts).
-            FeedbackKind::Heartbeat | FeedbackKind::Wake | FeedbackKind::Congestion => {}
+            // Wake requests are controller-facing; a simulated source has
+            // no use for them, and the simulator's ideal links never
+            // congest, so backpressure frames are inert here too (the
+            // live sender in `ncvnf-relay` reacts).
+            FeedbackKind::Wake | FeedbackKind::Congestion => {}
         }
     }
 

@@ -306,7 +306,7 @@ impl ScalingController {
             .collect();
         for dc in due_bw {
             let p = self.pending_bw.remove(&dc).expect("present");
-            self.apply_bandwidth_change(dc, p.value, now)?;
+            self.apply_bandwidth(dc, p.value, now)?;
         }
         let due_delay: Vec<(usize, usize)> = self
             .pending_delay
@@ -376,12 +376,24 @@ impl ScalingController {
         }
     }
 
-    fn apply_bandwidth_change(
+    /// Applies `spec` as data center `dc`'s per-VNF capability at once,
+    /// with no ρ1/τ1 wait, and drops any change pending for `dc`: Alg. 1's
+    /// adoption step, for a change that needs no persistence test (a
+    /// relay that stopped answering goes to zero, and back to its nominal
+    /// spec when it answers again). The kept program takes the new
+    /// coefficients; a decrease is adopted, an increase only if the
+    /// objective improves.
+    ///
+    /// # Errors
+    ///
+    /// Propagates planning failures.
+    pub fn apply_bandwidth(
         &mut self,
         dc: NodeId,
         spec: VnfSpec,
         now: f64,
     ) -> Result<(), PlanError> {
+        self.pending_bw.remove(&dc);
         let old = self.topo.vnf_spec(dc);
         let decreased = spec.bin_bps < old.bin_bps || spec.bout_bps < old.bout_bps;
         if let NodeKind::DataCenter { vnf } = &mut self.topo.kinds[dc.0] {

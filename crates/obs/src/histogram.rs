@@ -13,14 +13,14 @@ use std::sync::Arc;
 use crate::metric::MetricDesc;
 
 /// Linear sub-buckets per power-of-two octave (`2^SUB_BITS`).
-pub const SUBBUCKETS: usize = 8;
+const SUBBUCKETS: usize = 8;
 const SUB_BITS: u32 = 3;
 /// Octaves covered above the initial linear range. Values `0..2*SUBBUCKETS`
 /// get exact buckets; everything up to `2^(OCTAVES+SUB_BITS+1)` lands in a
 /// log-linear bucket; larger values clamp into the last bucket.
 const OCTAVES: usize = 60;
 /// Total number of buckets in every histogram.
-pub const BUCKETS: usize = 2 * SUBBUCKETS + OCTAVES * SUBBUCKETS;
+const BUCKETS: usize = 2 * SUBBUCKETS + OCTAVES * SUBBUCKETS;
 
 /// Bucket index for a recorded value.
 #[inline]

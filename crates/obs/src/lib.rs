@@ -52,10 +52,8 @@ mod registry;
 mod table;
 mod trace;
 
-pub use histogram::{Histogram, HistogramSnapshot, BUCKETS, SUBBUCKETS};
+pub use histogram::{Histogram, HistogramSnapshot};
 pub use metric::{Counter, Gauge, MetricDesc, MetricKind};
-pub use registry::{
-    Cell, CounterValue, GaugeValue, HistogramValue, Registry, Snapshot, DEFAULT_TRACE_CAPACITY,
-};
+pub use registry::{Cell, CounterValue, GaugeValue, HistogramValue, Registry, Snapshot};
 pub use table::render_table;
 pub use trace::{TraceEvent, TraceKind, TraceRing};

@@ -15,7 +15,7 @@ use crate::metric::{Counter, Gauge, MetricDesc, MetricKind};
 use crate::trace::{TraceEvent, TraceRing};
 
 /// Default trace-ring capacity for [`Registry::new`].
-pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
+const DEFAULT_TRACE_CAPACITY: usize = 1024;
 
 /// The registry's cells, one list per handle type. Public only so
 /// [`Cell`] can name it; not re-exported from the crate.

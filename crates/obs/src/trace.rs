@@ -16,8 +16,8 @@ use std::sync::Arc;
 pub enum TraceKind {
     /// A forwarding table was swapped in (`a` = routes, `b` = swap ns).
     TableSwap,
-    /// A liveness state transition (`a` = node id, `b` = 0 suspect /
-    /// 1 dead / 2 recovered).
+    /// A relay target was lost or returned (`a` = node id, `b` = 1 lost /
+    /// 2 returned).
     Liveness,
     /// A generation was fully decoded (`a` = generation id,
     /// `b` = coded packets consumed).

@@ -414,7 +414,7 @@ fn note_congestion(
 
 /// Dispatch: files datagram `i` under its owner shard's slot by header
 /// peek — no allocation, no lock. Feedback is classified *before*
-/// admission control, so backpressure and liveness frames are never
+/// admission control, so backpressure and wake frames are never
 /// shed. Data shards by [`PacketView::shard_key`]; what it cannot place
 /// (a retired sliding-window kind included) goes to the `home` shard,
 /// so exactly one VNF counts it as malformed.
@@ -770,7 +770,7 @@ mod tests {
             assert!(batch.push(&pkt.to_bytes(), src));
             // Feedback frames ride inside the flood.
             if i % 6 == 0 {
-                assert!(batch.push(&Feedback::heartbeat(7, i as u16).to_bytes(), src));
+                assert!(batch.push(&Feedback::wake(7, SessionId::new(1)).to_bytes(), src));
             }
         }
         let mut scratch = BatchScratch::new(1);
@@ -803,7 +803,7 @@ mod tests {
                 if i % 7 == 3 {
                     vec![i as u8; 1 + i % 40]
                 } else if i % 11 == 5 {
-                    Feedback::heartbeat(3, i as u16).to_bytes().to_vec()
+                    Feedback::wake(3, SessionId::new(1)).to_bytes().to_vec()
                 } else if i % 13 == 0 {
                     retired[i % 2].clone()
                 } else {

@@ -53,7 +53,7 @@ pub use metrics::{
 /// The `(session, generation) → shard` map of the data path: the one
 /// function that also places generations on a data center's VNF instances.
 pub use ncvnf_dataplane::shard_of;
-pub use node::{HeartbeatConfig, RelayConfig, RelayHandle, RelayNode, RelayStats};
+pub use node::{RelayConfig, RelayHandle, RelayNode, RelayStats, WakeTarget};
 pub use overload::{OverloadConfig, OverloadState, OverloadStats, QuotaConfig};
 pub use recovery::{
     reliable_chain, send_object_reliable, RecoveryConfig, RecoveryStats, ReliableChainReport,

@@ -5,7 +5,7 @@
 //! line), cover the crate's three planes:
 //!
 //! * [`RelayNodeMetrics`] — the node loops' counters (socket traffic,
-//!   control signals, heartbeats). These registry cells *are* the
+//!   control signals, wake frames). These registry cells *are* the
 //!   node's counters; [`RelayStats`](crate::RelayStats) is a typed view
 //!   read back from them, not a second copy.
 //! * [`BatchMetrics`] — the data thread's instrumentation (step and
@@ -36,7 +36,6 @@ ncvnf_obs::metrics! {
         pub rejected_signals: Counter = "relay.rejected_signals", "signals", "Control signals rejected with an ERR reply";
         pub feedback_frames: Counter = "relay.feedback_frames", "frames", "Well-formed feedback frames dropped by the data loop";
         pub malformed_feedback: Counter = "relay.malformed_feedback", "frames", "Feedback-magic frames that failed to decode";
-        pub heartbeats_sent: Counter = "relay.heartbeats_sent", "beacons", "Liveness beacons emitted by the control thread";
         pub table_swap_ns: Histogram = "relay.table_swap_ns", "ns", "Forwarding-table swap latency (decode, fence, merge and route-cache rebuild)";
         pub stale_epoch_rejected: Counter = "relay.stale_epoch_rejected", "signals", "Fenced signals rejected for carrying a superseded controller epoch";
         pub duplicate_signals: Counter = "relay.duplicate_signals", "signals", "Duplicate fenced signals acknowledged without re-applying";

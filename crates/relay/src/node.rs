@@ -29,11 +29,10 @@
 //!
 //! All loops are generic over [`DatagramSocket`], so the chaos harness
 //! ([`crate::FaultSocket`]) can subject a live relay — batched or not —
-//! to seeded Internet pathologies; and when [`RelayConfig::heartbeat`]
-//! is set, the control thread doubles as a liveness beacon, emitting
-//! periodic heartbeat frames (feedback kind 3) toward the controller's
-//! monitor address so a dead VNF is detectable by silence (DESIGN.md
-//! §"Failure model").
+//! to seeded Internet pathologies. A relay beacons nothing: the
+//! controller's `NC_STATS` sweep is its heartbeat (DESIGN.md §11). When
+//! [`RelayConfig::heartbeat`] is set, a draining relay that sees traffic
+//! sends one wake frame there.
 
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,7 +46,6 @@ use rand::SeedableRng;
 
 use ncvnf_control::daemon::{Daemon, DaemonEvent, DaemonState, Received};
 use ncvnf_control::signal::{Signal, VnfRoleWire};
-use ncvnf_control::telemetry::DataplaneHealth;
 use ncvnf_control::{Ack, Admit, ForwardingTable, SendError, SignalSender};
 use ncvnf_dataplane::metrics::VnfMetrics;
 use ncvnf_dataplane::{CodingVnf, Feedback, VnfRole, VnfStats, FEEDBACK_LEN};
@@ -59,16 +57,12 @@ use crate::metrics::{BatchCells, RelayNodeMetrics};
 use crate::overload::QuotaConfig;
 use crate::socket::{is_timeout, DatagramSocket, RecvBatch, DATA_RECV_BUFFER, MAX_BATCH};
 
-/// Liveness beaconing: where and how often a relay announces it is alive.
+/// Where a draining relay sends its wake frame (feedback kind 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeartbeatConfig {
-    /// Controller address heartbeats are sent to (from the control
-    /// socket).
+pub struct WakeTarget {
+    /// Controller address the wake frame is sent to (from a data socket).
     pub monitor: SocketAddr,
-    /// Beacon period. The control loop polls at 20 ms, so intervals
-    /// below that are quantized up.
-    pub interval: Duration,
-    /// Identity carried in the heartbeat frame.
+    /// Identity carried in the wake frame.
     pub node_id: u32,
 }
 
@@ -81,8 +75,11 @@ pub struct RelayConfig {
     pub buffer_generations: usize,
     /// RNG seed for recoding coefficients.
     pub seed: u64,
-    /// Liveness beaconing (off by default).
-    pub heartbeat: Option<HeartbeatConfig>,
+    /// Where a draining relay asks to be woken (none by default: the
+    /// relay then only counts its traffic). Named `heartbeat` for the
+    /// callers that set it, `ncbench` among them; a relay sends no
+    /// heartbeat, the controller's `NC_STATS` sweep is it.
+    pub heartbeat: Option<WakeTarget>,
     /// Observability registry the node records into. `None` gives the
     /// node a private registry (still queryable via
     /// [`RelayHandle::snapshot`] or the `NC_STATS` signal); pass a shared
@@ -96,8 +93,7 @@ pub struct RelayConfig {
     pub shards: usize,
     /// Messages per receive and datagrams per flush (clamped to
     /// 1..=[`MAX_BATCH`]; with `UDP_GRO` a message may be a whole burst,
-    /// relayed in several flushes). The default reads `NCVNF_BATCH`,
-    /// falling back to [`MAX_BATCH`].
+    /// relayed in several flushes). The default is [`MAX_BATCH`].
     pub batch: usize,
 }
 
@@ -119,7 +115,7 @@ impl Default for RelayConfig {
             heartbeat: None,
             registry: None,
             shards: env_usize("NCVNF_SHARDS", 1),
-            batch: env_usize("NCVNF_BATCH", MAX_BATCH),
+            batch: MAX_BATCH,
         }
     }
 }
@@ -151,8 +147,6 @@ pub struct RelayStats {
     /// Feedback-magic frames that failed to decode (dropped and counted,
     /// never crashing the loop).
     pub malformed_feedback: u64,
-    /// Liveness beacons emitted by the control thread.
-    pub heartbeats_sent: u64,
     /// Fenced signals rejected for carrying a superseded controller
     /// epoch (never applied).
     pub stale_epoch_rejected: u64,
@@ -312,7 +306,6 @@ impl RelayHandle {
             rejected_signals: m.rejected_signals.get(),
             feedback_frames: m.feedback_frames.get(),
             malformed_feedback: m.malformed_feedback.get(),
-            heartbeats_sent: m.heartbeats_sent.get(),
             stale_epoch_rejected: m.stale_epoch_rejected.get(),
             duplicate_signals: m.duplicate_signals.get(),
             shards: self.shared.shards.len() as u64,
@@ -352,12 +345,6 @@ impl RelayHandle {
     /// metric and drains the trace ring.
     pub fn snapshot(&self) -> Snapshot {
         self.shared.snapshot()
-    }
-
-    /// The controller-facing health record, derived from the registry
-    /// snapshot (`ncvnf-control`'s telemetry ingestion format).
-    pub fn health(&self) -> DataplaneHealth {
-        DataplaneHealth::from_snapshot(&self.snapshot())
     }
 
     /// Snapshot of the coding VNF's counters, summed over every shard
@@ -481,7 +468,7 @@ impl RelayNode {
         // Reconciliation can diff a node that never received a push.
         mirror(&shared, &shared.daemon.lock());
 
-        let heartbeat = config.heartbeat;
+        let wake = config.heartbeat;
         let slot_len = recv_slot_len(&config.generation);
         let mut threads = Vec::new();
         for (i, socket) in data_sockets.into_iter().enumerate() {
@@ -493,15 +480,13 @@ impl RelayNode {
                 } else {
                     RecvBatch::new(shared.batch, slot_len)
                 };
-                data_loop(socket, shared, home, heartbeat, batch)
+                data_loop(socket, shared, home, wake, batch)
             }));
         }
         {
             let shared = Arc::clone(&shared);
             let socket = control_socket;
-            threads.push(std::thread::spawn(move || {
-                control_loop(socket, shared, heartbeat)
-            }));
+            threads.push(std::thread::spawn(move || control_loop(socket, shared)));
         }
         Ok(RelayNode {
             data_addr,
@@ -694,7 +679,7 @@ fn data_loop<S: DatagramSocket>(
     socket: S,
     shared: Arc<Shared>,
     home: usize,
-    heartbeat: Option<HeartbeatConfig>,
+    wake: Option<WakeTarget>,
     mut batch: RecvBatch,
 ) {
     let mut scratch = BatchScratch::instrumented(shared.shards.len(), &shared.registry);
@@ -747,9 +732,9 @@ fn data_loop<S: DatagramSocket>(
         if shared.draining.load(Ordering::Relaxed)
             && !shared.wake_sent.swap(true, Ordering::Relaxed)
         {
-            if let Some(hb) = heartbeat {
-                let frame = Feedback::wake(hb.node_id, SessionId::new(0)).to_bytes();
-                if socket.send_to(&frame, hb.monitor).is_ok() {
+            if let Some(to) = wake {
+                let frame = Feedback::wake(to.node_id, SessionId::new(0)).to_bytes();
+                if socket.send_to(&frame, to.monitor).is_ok() {
                     m.wake_signals.inc();
                 } else {
                     // Failed send: re-arm so the next batch retries.
@@ -801,35 +786,13 @@ fn mirror(shared: &Shared, daemon: &Daemon) {
     m.table_digest.set(daemon.table().digest() as f64);
 }
 
-/// The control thread: beacons, and drives the [`Daemon`] — each
-/// datagram in, the daemon's effect fanned out to the shards, its reply
-/// sent back.
-fn control_loop<S: DatagramSocket>(
-    socket: S,
-    shared: Arc<Shared>,
-    heartbeat: Option<HeartbeatConfig>,
-) {
+/// The control thread: drives the [`Daemon`] — each datagram in, the
+/// daemon's effect fanned out to the shards, its reply sent back.
+fn control_loop<S: DatagramSocket>(socket: S, shared: Arc<Shared>) {
     let mut buf = vec![0u8; 65536];
     let m = shared.metrics.clone();
     let trace = shared.registry.trace();
-    // First beacon fires immediately so monitors learn of the node on
-    // startup, not one interval later.
-    let mut last_beat: Option<Instant> = None;
-    let mut beat_seq: u16 = 0;
     while shared.running.load(Ordering::Relaxed) {
-        if let Some(hb) = heartbeat {
-            let due = last_beat.is_none_or(|t| t.elapsed() >= hb.interval);
-            if due {
-                let frame = Feedback::heartbeat(hb.node_id, beat_seq).to_bytes();
-                beat_seq = beat_seq.wrapping_add(1);
-                last_beat = Some(Instant::now());
-                if socket.send_to(&frame, hb.monitor).is_ok() {
-                    m.heartbeats_sent.inc();
-                } else {
-                    m.io_errors.inc();
-                }
-            }
-        }
         let (n, src) = match socket.recv_from(&mut buf) {
             Ok(x) => x,
             Err(ref e) if is_timeout(e) => continue,

@@ -123,8 +123,8 @@ impl Default for RecoveryConfig {
 /// Like [`RelayStats`](crate::RelayStats), this is a typed *view*: the protocol records
 /// into `recovery.*` registry cells (a [`RecoveryMetrics`] bundle inside
 /// the caller's [`TransferObs`](crate::TransferObs)) and each call returns the delta it
-/// contributed. Controllers derive their health record from the registry
-/// snapshot via `DataplaneHealth::from_snapshot`.
+/// contributed. A controller reads the same cells from the registry
+/// snapshot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Coded packets sent as fresh generations (source).
@@ -1189,14 +1189,13 @@ mod tests {
 
     #[test]
     fn health_record_derives_from_transfer_snapshot() {
-        use ncvnf_control::telemetry::DataplaneHealth;
         let obs = TransferObs::new();
         obs.recovery.nacks_sent.add(3);
         obs.recovery.retransmit_packets.add(9);
         obs.recovery.generations_recovered.add(2);
-        let health = DataplaneHealth::from_snapshot(&obs.snapshot());
-        assert_eq!(health.nacks_sent, 3);
-        assert_eq!(health.retransmit_packets, 9);
-        assert_eq!(health.generations_recovered, 2);
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("recovery.nacks_sent"), Some(3));
+        assert_eq!(snap.counter("recovery.retransmit_packets"), Some(9));
+        assert_eq!(snap.counter("recovery.generations_recovered"), Some(2));
     }
 }

@@ -36,7 +36,7 @@ pub(super) struct Unit {
 }
 
 /// The receiver's loss detector: when to NACK, decided from what has
-/// been observed and fed explicit instants (like `LivenessTracker`).
+/// been observed and fed explicit instants.
 ///
 /// It watches the numbered *units* an in-order source sends — the
 /// generations of the object. A unit is NACKed

@@ -178,9 +178,9 @@ impl<'a> Source<'a> {
     /// Returns true if it was feedback for this transfer.
     pub(super) fn absorb(&mut self, fb: Feedback, now: Instant) -> bool {
         if fb.session != self.config.session || fb.generation >= self.gens.len() as u64 {
-            // Heartbeats and wake requests address the controller, not this
-            // source; consume them without treating them as recovery state.
-            return matches!(fb.kind, FeedbackKind::Heartbeat | FeedbackKind::Wake);
+            // Wake requests address the controller, not this source;
+            // consume them without treating them as recovery state.
+            return fb.kind == FeedbackKind::Wake;
         }
         let g = &mut self.gens[fb.generation as usize];
         match fb.kind {
@@ -229,7 +229,7 @@ impl<'a> Source<'a> {
                 }
             }
             // Congestion frames are the source's (`Source::hear`).
-            FeedbackKind::Heartbeat | FeedbackKind::Wake | FeedbackKind::Congestion => {}
+            FeedbackKind::Wake | FeedbackKind::Congestion => {}
         }
         true
     }

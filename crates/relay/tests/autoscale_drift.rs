@@ -46,13 +46,12 @@ use ncvnf_deploy::{
     Planner, ScalingController, ScalingEvent, ScalingParams, SessionSpec, TopologyBuilder, VnfSpec,
 };
 use ncvnf_relay::{
-    send_object_reliable, FaultConfig, FaultSocket, HeartbeatConfig, RecoveryConfig, RelayConfig,
-    RelayNode, ReliableReceiver, TransferConfig, TransferObs,
+    send_object_reliable, FaultConfig, FaultSocket, RecoveryConfig, RelayConfig, RelayNode,
+    ReliableReceiver, TransferConfig, TransferObs, WakeTarget,
 };
 use ncvnf_rlnc::{GenerationConfig, ObjectEncoder, RedundancyPolicy, SessionId};
 
 const SESSION: u16 = 33;
-const HEARTBEAT_EVERY: Duration = Duration::from_millis(50);
 
 fn chaos_seed() -> u64 {
     std::env::var("NCVNF_CHAOS_SEED")
@@ -84,11 +83,7 @@ fn relay_config(node_id: u32, monitor: SocketAddr) -> RelayConfig {
         generation: transfer_config().generation,
         buffer_generations: 256,
         seed: 0xD1F7 + node_id as u64,
-        heartbeat: Some(HeartbeatConfig {
-            monitor,
-            interval: HEARTBEAT_EVERY,
-            node_id,
-        }),
+        heartbeat: Some(WakeTarget { monitor, node_id }),
         registry: None,
         ..RelayConfig::default()
     }

@@ -243,10 +243,14 @@ fn controller_crash_recovers_from_journal_and_reconciles() {
     let mut sender2 = SignalSender::new(epoch2, SenderConfig::default()).unwrap();
     let report = auto2.start(&mut sender2, &state, 0.0).unwrap();
     assert_eq!(report.repushed_ok, 2, "both relays pushed under epoch 2");
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("control.reconcile.repushed"), Some(2));
     assert_eq!(
-        registry.snapshot().counter("control.reconcile.repushed"),
-        Some(2)
+        snap.counter("control.journal.replayed"),
+        Some(7),
+        "the open's replay reached the registry"
     );
+    assert_eq!(snap.counter("control.journal.torn_tails"), Some(1));
     assert!(
         r0.handle().table_text().contains("session 99"),
         "R0 holds the journaled v2 entry"

@@ -1,36 +1,41 @@
-//! Liveness failover: killing a relay mid-transfer must be detected via
-//! missed heartbeats, rerouted around, and survived.
+//! Failover inside the poll loop: killing a relay mid-transfer must be
+//! detected by the autoscaler's own `NC_STATS` sweep, planned around and
+//! survived.
 //!
-//! Topology: source → R0 → R1 → receiver, with a pre-configured standby
-//! R2. All three relays beacon heartbeats (feedback kind 3) at a monitor
-//! every 25 ms. Mid-transfer R1 is killed; the monitor's
-//! `LivenessTracker` escalates it Suspect → Dead on silence, computes
-//! the failover delta with `ncvnf_control::failover::reroute_table`
-//! (R0: replace the dead R1 hop with R2) and pushes the new
-//! `NC_FORWARD_TAB` to R0. The reliable transfer's NACK/retransmit loop
-//! then refills whatever died with R1, and the object decodes
-//! byte-identically. The kill → table-acked failover time is reported.
+//! Topology (diamond): source → R0 (dc-a) → {R1 (dc-b) | R2 (dc-c)} →
+//! receiver. dc-b's nominal capability beats dc-c's, so the first plan
+//! routes through R1 and R2 carries nothing. The real `Autoscaler`
+//! starts the fleet over a real `SignalSender` and polls it; nothing else
+//! watches the relays. Mid-transfer R1 is shut down (both sockets). Each
+//! sweep then waits out one retry budget for it; on the second
+//! unanswered sweep R1 is lost, dc-b's capability goes to zero and the
+//! re-solve is journaled and pushed downstream first: R2's table, then
+//! R0's, which names R2. The reliable transfer's NACK/repair loop refills
+//! whatever died with R1, and the object decodes byte-identically. The
+//! kill → R0's table ACKed time is printed.
 
-use std::net::{SocketAddr, UdpSocket};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::net::UdpSocket;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
-use ncvnf_control::failover::reroute_table;
-use ncvnf_control::liveness::{LivenessConfig, LivenessEvent, LivenessTracker};
-use ncvnf_control::signal::{Signal, VnfRoleWire};
-use ncvnf_control::{ControlMetrics, ForwardingTable, SenderConfig, SignalSender};
-use ncvnf_dataplane::{Feedback, FeedbackKind};
-use ncvnf_obs::Registry;
+use ncvnf_control::{
+    AutoscaleConfig, Autoscaler, ControlMetrics, Journal, RelayTarget, SenderConfig, Signal,
+    SignalSender, VnfRoleWire,
+};
+use ncvnf_deploy::{
+    Planner, ScalingController, ScalingEvent, ScalingParams, SessionSpec, TopologyBuilder, VnfSpec,
+};
+use ncvnf_obs::{Registry, TraceKind};
 use ncvnf_relay::{
-    send_object_reliable, HeartbeatConfig, RecoveryConfig, RelayConfig, RelayNode,
-    ReliableReceiver, TransferConfig, TransferObs,
+    send_object_reliable, RecoveryConfig, RelayConfig, RelayNode, ReliableReceiver, TransferConfig,
+    TransferObs,
 };
 use ncvnf_rlnc::{GenerationConfig, ObjectEncoder, RedundancyPolicy, SessionId};
 
 const SESSION: u16 = 21;
-const HEARTBEAT_EVERY: Duration = Duration::from_millis(25);
+/// Pause between polls: the sweep itself is the clock that matters.
+const POLL_EVERY: Duration = Duration::from_millis(100);
 
 fn transfer_config() -> TransferConfig {
     TransferConfig {
@@ -43,67 +48,84 @@ fn transfer_config() -> TransferConfig {
     }
 }
 
-fn relay_config(node_id: u32, monitor: SocketAddr) -> RelayConfig {
+fn relay_config(node_id: u32) -> RelayConfig {
     RelayConfig {
         generation: transfer_config().generation,
         buffer_generations: 256,
         seed: 0xD00D + node_id as u64,
-        heartbeat: Some(HeartbeatConfig {
-            monitor,
-            interval: HEARTBEAT_EVERY,
-            node_id,
-        }),
+        heartbeat: None,
         registry: None,
         ..RelayConfig::default()
     }
 }
 
-/// Pushes a fenced signal and asserts the relay applied it.
-fn configure(sender: &mut SignalSender, to: SocketAddr, sig: &Signal) {
-    sender.push(to, sig).expect("signal applied");
-}
-
-fn settings_for(relay: &RelayNode) -> Signal {
+fn settings_for(relay: &RelayNode) -> Vec<Signal> {
     let gen = transfer_config().generation;
-    Signal::NcSettings {
+    vec![Signal::NcSettings {
         session: SessionId::new(SESSION),
         role: VnfRoleWire::Recoder,
         data_port: relay.data_addr.port(),
         block_size: gen.block_size() as u32,
         generation_size: gen.blocks_per_generation() as u32,
         buffer_generations: 256,
-    }
+    }]
 }
 
-fn table_to(hop: SocketAddr) -> Signal {
-    let mut table = ForwardingTable::new();
-    table.set(SessionId::new(SESSION), vec![hop.to_string()]);
-    Signal::NcForwardTab {
-        table: table.to_text(),
-    }
+fn temp_wal() -> PathBuf {
+    let path = std::env::temp_dir().join(format!("ncvnf-failover-{}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    path
 }
 
-#[derive(Default)]
-struct MonitorState {
-    /// Instant the kill happened (set by the main thread).
-    killed_at: Option<Instant>,
-    /// Kill → failover-table-acked latency.
-    failover: Option<Duration>,
-    /// Every node the tracker ever declared dead.
-    deaths: Vec<u32>,
+/// The diamond with one 1 Mbps session. A ρ1 of 1 keeps drift out of
+/// the picture (a capability estimate never moves by 100 %): the only
+/// adoption this controller makes is the loss.
+fn build_controller() -> (ScalingController, [ncvnf_flowgraph::NodeId; 4]) {
+    let mut b = TopologyBuilder::new();
+    let relay_spec = |bps: f64| VnfSpec {
+        bin_bps: bps,
+        bout_bps: bps,
+        coding_bps: 10e6,
+    };
+    let dc_a = b.data_center("dc-a", relay_spec(2e6));
+    let dc_b = b.data_center("dc-b", relay_spec(1e6));
+    let dc_c = b.data_center("dc-c", relay_spec(0.6e6));
+    let s = b.source("src", 1e6);
+    let t = b.receiver("rx", 1e6);
+    b.link(s, dc_a, 5.0)
+        .link(dc_a, dc_b, 5.0)
+        .link(dc_a, dc_c, 5.0)
+        .link(dc_b, t, 5.0)
+        .link(dc_c, t, 5.0);
+    let params = ScalingParams {
+        alpha: 20e3,
+        rho1: 1.0,
+        tau1_secs: 0.8,
+        rho2: 1.0,
+        tau2_secs: 0.8,
+        pool_tau_secs: 600.0,
+        launch_latency_secs: 0.0,
+    };
+    let mut controller = ScalingController::new(b.build(), Planner::new(), params);
+    controller
+        .handle(
+            ScalingEvent::SessionJoin(SessionSpec::elastic(
+                SessionId::new(SESSION),
+                s,
+                vec![t],
+                200.0,
+            )),
+            0.0,
+        )
+        .unwrap();
+    (controller, [dc_a, dc_b, dc_c, t])
 }
 
 #[test]
 fn relay_death_is_detected_and_routed_around_mid_transfer() {
-    let monitor_socket = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-    monitor_socket
-        .set_read_timeout(Some(Duration::from_millis(10)))
-        .unwrap();
-    let monitor_addr = monitor_socket.local_addr().unwrap();
-
-    let r0 = RelayNode::spawn(relay_config(0, monitor_addr)).unwrap();
-    let r1 = RelayNode::spawn(relay_config(1, monitor_addr)).unwrap();
-    let r2 = RelayNode::spawn(relay_config(2, monitor_addr)).unwrap();
+    let r0 = RelayNode::spawn(relay_config(0)).unwrap();
+    let r1 = RelayNode::spawn(relay_config(1)).unwrap();
+    let r2 = RelayNode::spawn(relay_config(2)).unwrap();
 
     let config = transfer_config();
     let object: Vec<u8> = (0..20 * 1024u32)
@@ -130,87 +152,45 @@ fn relay_death_is_detected_and_routed_around_mid_transfer() {
     )
     .unwrap();
 
-    // Wire the mesh: R0 → R1 → receiver, standby R2 → receiver. The
-    // monitor later pushes through the same sender, so each relay sees
-    // one sequence counter.
-    let mut sender = SignalSender::new(1, SenderConfig::default()).unwrap();
-    configure(&mut sender, r0.control_addr, &settings_for(&r0));
-    configure(&mut sender, r0.control_addr, &table_to(r1.data_addr));
-    configure(&mut sender, r1.control_addr, &settings_for(&r1));
-    configure(&mut sender, r1.control_addr, &table_to(receiver.addr));
-    configure(&mut sender, r2.control_addr, &settings_for(&r2));
-    configure(&mut sender, r2.control_addr, &table_to(receiver.addr));
-
-    // The monitor: heartbeats → liveness tracker → failover push. Its
-    // liveness transitions and table-push latency go through the
-    // control-plane metrics bundle, so the test can assert on the
-    // registry snapshot instead of ad-hoc counters.
-    let controller_registry = Registry::new();
-    let state = Arc::new(Mutex::new(MonitorState::default()));
-    let r0_handle = r0.handle();
-    let monitor = {
-        let state = Arc::clone(&state);
-        let metrics = ControlMetrics::register(&controller_registry);
-        let r0_handle = r0_handle.clone();
-        let r0_control = r0.control_addr;
-        let dead_hop = r1.data_addr.to_string();
-        let replacement = r2.data_addr.to_string();
-        std::thread::spawn(move || {
-            let mut tracker = LivenessTracker::new(LivenessConfig {
-                suspect_after: 3 * HEARTBEAT_EVERY,
-                dead_after: 6 * HEARTBEAT_EVERY,
-            });
-            let mut buf = [0u8; 64];
-            loop {
-                if let Ok((n, _)) = monitor_socket.recv_from(&mut buf) {
-                    if let Ok(fb) = Feedback::from_bytes(&buf[..n]) {
-                        if fb.kind == FeedbackKind::Heartbeat {
-                            tracker.heartbeat(fb.node_id(), Instant::now());
-                        }
-                    }
-                }
-                for ev in tracker.poll(Instant::now()) {
-                    metrics.record_liveness_event(&ev);
-                    let LivenessEvent::Died(node) = ev else {
-                        continue;
-                    };
-                    let mut st = state.lock();
-                    st.deaths.push(node);
-                    if node != 1 || st.failover.is_some() {
-                        continue;
-                    }
-                    let killed_at = st.killed_at;
-                    drop(st);
-                    // Reroute R0 around the corpse and push the delta.
-                    let current = ForwardingTable::parse(&r0_handle.table_text())
-                        .expect("relay table parses");
-                    let delta = reroute_table(&current, &dead_hop, &replacement)
-                        .expect("R0 pointed at the dead relay");
-                    let sig = Signal::NcForwardTab {
-                        table: delta.to_text(),
-                    };
-                    let push_started = Instant::now();
-                    sender
-                        .push(r0_control, &sig)
-                        .expect("R0 acks failover table");
-                    metrics
-                        .table_push_ns
-                        .record(push_started.elapsed().as_nanos() as u64);
-                    let mut st = state.lock();
-                    st.failover = Some(killed_at.map_or(Duration::ZERO, |t| t.elapsed()));
-                    return; // failover done; monitor's job is over
-                }
-                // Transfer (and test) end well before this safety stop.
-                if state
-                    .lock()
-                    .killed_at
-                    .is_some_and(|t| t.elapsed() > Duration::from_secs(20))
-                {
-                    return;
-                }
-            }
+    // The controller: the real autoscaler on an empty journal, started
+    // once; its sweep is the only thing that watches the relays.
+    let wal = temp_wal();
+    let (controller, [dc_a, dc_b, dc_c, t]) = build_controller();
+    let (journal, state, _) = Journal::open(&wal).unwrap();
+    let targets = [(0, dc_a, &r0), (1, dc_b, &r1), (2, dc_c, &r2)]
+        .into_iter()
+        .map(|(node, dc, relay)| RelayTarget {
+            node,
+            dc,
+            control_addr: relay.control_addr,
+            role: VnfRoleWire::Recoder,
+            settings: settings_for(relay),
         })
+        .collect();
+    let data_addrs = HashMap::from([
+        (dc_a, r0.data_addr.to_string()),
+        (dc_b, r1.data_addr.to_string()),
+        (dc_c, r2.data_addr.to_string()),
+        (t, receiver.addr.to_string()),
+    ]);
+    let config_loop = AutoscaleConfig {
+        min_rel_change: 1.0,
+        telemetry_window: 3,
+        idle_tau_secs: 600.0,
+        drain_tau_secs: 600,
     };
+    let registry = Registry::new();
+    let mut auto = Autoscaler::new(controller, journal, targets, data_addrs, config_loop)
+        .with_metrics(ControlMetrics::register(&registry));
+    let mut sender = SignalSender::new(state.next_epoch(), SenderConfig::default()).unwrap();
+    let t0 = Instant::now();
+    auto.start(&mut sender, &state, 0.0).unwrap();
+    let r1_hop = r1.data_addr.to_string();
+    let r2_hop = r2.data_addr.to_string();
+    assert!(
+        r0.handle().table_text().contains(&r1_hop),
+        "the first plan routes through the stronger dc-b"
+    );
 
     // Stream in the background; the kill lands mid-initial-pass.
     let transfer = {
@@ -231,18 +211,61 @@ fn relay_death_is_detected_and_routed_around_mid_transfer() {
         })
     };
 
-    std::thread::sleep(Duration::from_millis(400));
-    // Heartbeats flowed before the kill.
-    assert!(r1.handle().stats().heartbeats_sent > 0, "R1 beaconed");
-    state.lock().killed_at = Some(Instant::now());
-    r1.shutdown(); // heartbeats stop, data path goes dark
+    // Polls before the kill: everyone answers, nothing is lost.
+    let (started, mut polls) = (Instant::now(), 0u64);
+    while started.elapsed() < Duration::from_millis(400) {
+        let report = auto.poll(&mut sender, t0.elapsed().as_secs_f64()).unwrap();
+        assert_eq!(report.unreachable, 0, "{report:?}");
+        polls += 1;
+        std::thread::sleep(POLL_EVERY);
+    }
+    assert!(r1.handle().stats().datagrams_in > 0, "traffic flows via R1");
+
+    let killed_at = Instant::now();
+    r1.shutdown(); // both sockets close: the sweep goes unanswered
+    let mut misses = 0;
+    let failover = loop {
+        assert!(
+            killed_at.elapsed() < Duration::from_secs(10),
+            "R1 was never lost"
+        );
+        let report = auto.poll(&mut sender, t0.elapsed().as_secs_f64()).unwrap();
+        assert_eq!(report.unreachable, 1, "{report:?}");
+        (misses, polls) = (misses + 1, polls + 1);
+        if !report.lost.is_empty() {
+            assert_eq!(report.lost, vec![1]);
+            assert!(report.adopted, "the loss re-plans: {report:?}");
+            break killed_at.elapsed();
+        }
+        std::thread::sleep(POLL_EVERY);
+    };
+    assert_eq!(misses, 2, "lost on the second unanswered sweep");
+    println!(
+        "failover time (kill -> R0's rerouted table acked): {:.1} ms",
+        failover.as_secs_f64() * 1e3
+    );
+    // Two sweeps of one retry budget each, the pauses between polls and
+    // the pushes.
+    assert!(
+        failover < Duration::from_secs(5),
+        "failover took {failover:?}"
+    );
+    let table = r0.handle().table_text();
+    assert!(
+        table.contains(&r2_hop) && !table.contains(&r1_hop),
+        "R0 names R2, not the dead R1: {table}"
+    );
+    assert!(
+        r2.handle()
+            .table_text()
+            .contains(&receiver.addr.to_string()),
+        "R2 was armed before R0 forwarded to it"
+    );
 
     let source_stats = transfer.join().expect("source thread");
     let report = receiver
         .wait(Duration::from_secs(60))
         .expect("transfer completes through the rerouted path");
-    monitor.join().expect("monitor thread");
-
     assert_eq!(report.object, object, "byte-identical after failover");
     assert_eq!(source_stats.unrecovered, 0, "every generation closed out");
     assert!(
@@ -253,44 +276,31 @@ fn relay_death_is_detected_and_routed_around_mid_transfer() {
         report.stats.nacks_sent > 0,
         "receiver NACKed the dark window"
     );
-
-    let st = state.lock();
-    assert!(st.deaths.contains(&1), "tracker declared R1 dead");
-    assert!(!st.deaths.contains(&0), "R0 never suspected dead");
-    assert!(!st.deaths.contains(&2), "R2 never suspected dead");
-    let failover = st.failover.expect("failover executed");
-    drop(st);
-    println!(
-        "failover time (kill -> rerouted table acked): {:.1} ms",
-        failover.as_secs_f64() * 1e3
-    );
-    // Detection is bounded by dead_after (150 ms) plus poll/push slack.
-    assert!(
-        failover < Duration::from_secs(5),
-        "failover took {failover:?}"
-    );
-
-    // R2 carried traffic only after the failover.
     assert!(
         r2.handle().stats().datagrams_in > 0,
-        "standby took over the flow"
+        "R2 took over the flow"
     );
 
-    // The controller's registry recorded the whole episode: the death,
-    // at least one suspicion, and the timed failover-table push.
-    let csnap = controller_registry.snapshot();
-    assert!(csnap.counter("control.liveness.died").unwrap() >= 1);
-    assert!(csnap.counter("control.liveness.suspected").unwrap() >= 1);
-    assert_eq!(csnap.histogram("control.table_push_ns").unwrap().count, 1);
+    // The registry holds the episode: one loss, traced, and no return.
+    let csnap = registry.snapshot();
+    assert_eq!(csnap.counter("control.autoscale.lost"), Some(1));
+    assert_eq!(csnap.counter("control.autoscale.returned"), Some(0));
+    assert!(csnap
+        .events
+        .iter()
+        .any(|e| e.kind == TraceKind::Liveness && (e.a, e.b) == (1, 1)));
 
-    // R0's own registry timed both table swaps (initial wiring + the
-    // failover push) and traced them.
-    let r0_snap = r0_handle.snapshot();
+    // R0's own registry saw every sweep, timed both table swaps (the
+    // start and the reroute) and traced them.
+    let r0_snap = r0.handle().snapshot();
+    assert!(r0_snap.counter("relay.signals").unwrap() >= polls);
     assert_eq!(r0_snap.histogram("relay.table_swap_ns").unwrap().count, 2);
     assert!(r0_snap
         .events
         .iter()
-        .any(|e| e.kind == ncvnf_obs::TraceKind::TableSwap));
+        .any(|e| e.kind == TraceKind::TableSwap));
+    drop(auto);
     r0.shutdown();
     r2.shutdown();
+    let _ = std::fs::remove_file(&wal);
 }

@@ -6,7 +6,7 @@
 //! invariants must hold:
 //!
 //! 1. control-plane traffic is *never* shed — fenced table swaps keep
-//!    returning `OK` and heartbeat feedback frames are all classified,
+//!    returning `OK` and wake feedback frames are all classified,
 //!    because dispatch sorts them out before admission runs;
 //! 2. in-quota sessions keep ≥ 90% goodput through the flood;
 //! 3. a reliable transfer sharing the relay with a flood still delivers
@@ -115,8 +115,8 @@ fn flood(
 /// Regression for the shedding boundary: a flood that drives heavy
 /// quota shedding must not cost a single control-plane frame. Fenced
 /// table swaps stay `OK`-acknowledged (and fence state advances), and
-/// every heartbeat feedback frame on the data socket is classified
-/// rather than shed — dispatch runs before admission.
+/// every wake feedback frame on the data socket is classified rather
+/// than shed — dispatch runs before admission.
 #[test]
 fn control_plane_survives_quota_flood_unharmed() {
     let seed = chaos_seed();
@@ -172,13 +172,13 @@ fn control_plane_survives_quota_flood_unharmed() {
         std::thread::sleep(Duration::from_millis(50));
     }
 
-    // Heartbeats on the *data* socket: classified as feedback before
+    // Wake frames on the *data* socket: classified as feedback before
     // admission, so the flood cannot shed them.
-    let beater = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-    const BEATS: u64 = 25;
-    for i in 0..BEATS {
-        let frame = Feedback::heartbeat(3, i as u16).to_bytes();
-        beater.send_to(&frame, relay.data_addr).unwrap();
+    let waker = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+    const WAKES: u64 = 25;
+    for _ in 0..WAKES {
+        let frame = Feedback::wake(3, SessionId::new(99)).to_bytes();
+        waker.send_to(&frame, relay.data_addr).unwrap();
         std::thread::sleep(Duration::from_millis(4));
     }
 
@@ -189,7 +189,7 @@ fn control_plane_survives_quota_flood_unharmed() {
     // the invariants.
     let handle = relay.handle();
     let deadline = Instant::now() + Duration::from_secs(5);
-    while handle.stats().feedback_frames < BEATS && Instant::now() < deadline {
+    while handle.stats().feedback_frames < WAKES && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
     let stats = handle.stats();
@@ -200,8 +200,8 @@ fn control_plane_survives_quota_flood_unharmed() {
         "the flood genuinely exceeded quota: {stats:?}"
     );
     assert_eq!(
-        stats.feedback_frames, BEATS,
-        "every heartbeat classified, none shed: {stats:?}"
+        stats.feedback_frames, WAKES,
+        "every wake frame classified, none shed: {stats:?}"
     );
     assert_eq!(stats.rejected_signals, 0, "control channel clean");
     assert_eq!(stats.stale_epoch_rejected, 0);

@@ -46,13 +46,22 @@ impl ObjectEncoder {
                 actual: 0,
             });
         }
-        let mut framed = Vec::with_capacity(LEN_PREFIX + object.len());
-        framed.extend_from_slice(&(object.len() as u64).to_be_bytes());
-        framed.extend_from_slice(object);
+        // Generation g holds bytes [g * per_gen, (g + 1) * per_gen) of
+        // prefix ++ object, gathered into one reused buffer: the framed
+        // object is never copied whole.
+        let prefix = (object.len() as u64).to_be_bytes();
         let per_gen = config.generation_payload();
-        let encoders = framed
-            .chunks(per_gen)
-            .map(|chunk| GenerationEncoder::new(config, chunk))
+        let framed_len = LEN_PREFIX + object.len();
+        let mut chunk = Vec::with_capacity(per_gen);
+        let encoders = (0..framed_len.div_ceil(per_gen))
+            .map(|g| {
+                let (start, end) = (g * per_gen, framed_len.min((g + 1) * per_gen));
+                let in_object = |at: usize| at.saturating_sub(LEN_PREFIX);
+                chunk.clear();
+                chunk.extend_from_slice(&prefix[start.min(LEN_PREFIX)..end.min(LEN_PREFIX)]);
+                chunk.extend_from_slice(&object[in_object(start)..in_object(end)]);
+                GenerationEncoder::new(config, &chunk)
+            })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(ObjectEncoder {
             config,
@@ -280,6 +289,27 @@ mod tests {
                 }
             }
             assert_eq!(dec.into_object().unwrap(), object);
+        }
+    }
+
+    #[test]
+    fn generations_hold_the_length_prefixed_object_in_order() {
+        // Generations shorter than the prefix included.
+        for (bs, g) in [(16, 4), (1, 4), (3, 1)] {
+            let cfg = GenerationConfig::new(bs, g).unwrap();
+            for len in [1, 2, 55, 56, 57, 500] {
+                let object: Vec<u8> = (0..len).map(|i| (i * 7 + 1) as u8).collect();
+                let mut framed = (len as u64).to_be_bytes().to_vec();
+                framed.extend_from_slice(&object);
+                let enc = ObjectEncoder::new(cfg, SessionId::new(1), &object).unwrap();
+                let per_gen = cfg.generation_payload();
+                assert_eq!(enc.generations() as usize, framed.len().div_ceil(per_gen));
+                framed.resize(enc.generations() as usize * per_gen, 0);
+                for (i, block) in framed.chunks(bs).enumerate() {
+                    let pkt = enc.systematic_packet((i / g) as u64, i % g);
+                    assert_eq!(pkt.payload(), block, "block {i}, {bs} x {g}, {len} bytes");
+                }
+            }
         }
     }
 
