@@ -19,6 +19,11 @@
 //!    epoch-fenced link in dependency order: downstream first, so no
 //!    relay forwards to a next hop that is not armed yet.
 //!
+//! **One belief.** What the controller believes of the fleet is the
+//! journal's [`ControllerState`], advanced by [`ControllerState::apply`]
+//! with each record journaled: always the journal's replay. Every table
+//! push is a [`ForwardingTable::diff`] of it against the plan.
+//!
 //! **Scale-to-zero** rides the same poll: a relay whose data path has
 //! been idle past `idle_tau_secs` *and* whose datagram counters did not
 //! move since the previous poll is wound into the τ-pool with
@@ -26,22 +31,22 @@
 //! as a counter delta, or reported out-of-band via a
 //! `ncvnf_dataplane::feedback` wake frame — re-arms every draining
 //! instance in dependency order via [`Autoscaler::wake`]. Drains walk
-//! that order backwards: upstream first.
+//! that order backwards: upstream first. An idle relay gives no
+//! capability sample.
 //!
 //! **Failure detection** rides it too: the `NC_STATS` sweep is the
 //! heartbeat. A target that leaves two sweeps in a row (`LOST_AFTER`)
 //! unanswered is *lost*: its data center's capability goes to zero at
 //! once (no ρ1/τ1 wait) and the re-solve is adopted, journaled and pushed
 //! like any other, so the survivors route around it. A target whose last
-//! sweep went unanswered is sent nothing; when it answers again it is
-//! re-armed, as a wake re-arms: `VnfReused` journaled, then its settings
-//! and table. A lost one gets its nominal capability back first, the same
-//! way it lost it.
+//! sweep went unanswered, or whose last push failed, is sent nothing; its
+//! next answer re-arms it, and gives a lost one its nominal capability
+//! back.
 //!
 //! [`Autoscaler::start`] is the one entry that starts a controller, the
 //! first time and after every crash: it fences the fleet under a new
 //! epoch, reconciles the journal's belief with the live relays and arms
-//! whatever was never armed.
+//! the targets that need it.
 //!
 //! The link is abstracted behind [`ControlLink`] so the decision loop is
 //! testable without sockets; [`crate::SignalSender`] is the production
@@ -59,7 +64,7 @@ use ncvnf_flowgraph::NodeId;
 use crate::daemon::DaemonState;
 use crate::diff::tables_from_deployment;
 use crate::fwdtab::ForwardingTable;
-use crate::journal::{ControlRecord, ControllerState, Journal};
+use crate::journal::{ControlRecord, ControllerState, Journal, NodeStatus};
 use crate::metrics::ControlMetrics;
 use crate::reconcile::{reconcile_in_order, snapshot_value, ReconcileReport};
 use crate::sender::{SendError, SendReceipt};
@@ -118,17 +123,42 @@ impl Wave {
         self.frames.push((to, signal));
         link.next_seq(to) + earlier
     }
+
+    /// Adds `table` for `node` at `to`, journaled as `TablePushed` with
+    /// the fence coordinates it will carry; `before` frames to `to` leave
+    /// in earlier waves.
+    fn table(
+        &mut self,
+        link: &dyn ControlLink,
+        node: u32,
+        to: SocketAddr,
+        table: &ForwardingTable,
+        before: u64,
+    ) {
+        let table = table.to_text();
+        let frame = Signal::NcForwardTab {
+            table: table.clone(),
+        };
+        let seq = self.push(link, to, frame) + before;
+        let epoch = link.epoch();
+        self.records.push(ControlRecord::TablePushed {
+            node,
+            epoch,
+            seq,
+            table,
+        });
+    }
 }
 
-/// The one actuation step, wave by wave: the wave's records commit under
-/// one `fdatasync` (when there is a journal), then its frames leave
-/// together, and the next wave starts only once each is answered. So
-/// every frame's record is durable before the frame leaves, and a wave
-/// of downstream relays is armed before the wave that forwards to it
-/// (DESIGN.md §14). `answered` books each frame's outcome; the first
-/// error it returns ends the actuation after that wave.
+/// The one actuation step, wave by wave: the wave's records are journaled
+/// and applied to the belief, and commit under one `fdatasync` (when there
+/// is a journal), then its frames leave together, and the next wave starts
+/// only once each is answered. So every frame's record is durable before
+/// the frame leaves, and a wave of downstream relays is armed before the
+/// wave that forwards to it (DESIGN.md §14). `answered` books each frame's
+/// outcome; the first error it returns ends the actuation after that wave.
 pub(crate) fn wave_step(
-    mut journal: Option<&mut Journal>,
+    mut journal: Option<(&mut Journal, &mut ControllerState)>,
     link: &mut dyn ControlLink,
     waves: Vec<Wave>,
     mut answered: impl FnMut(
@@ -138,9 +168,10 @@ pub(crate) fn wave_step(
     ) -> Result<(), SendError>,
 ) -> Result<(), AutoscaleError> {
     for wave in waves {
-        if let Some(journal) = journal.as_deref_mut() {
+        if let Some((journal, belief)) = journal.as_mut() {
             for record in &wave.records {
                 journal.append(record);
+                belief.apply(record);
             }
             journal.commit()?;
         }
@@ -207,7 +238,7 @@ impl Default for AutoscaleConfig {
 /// the second sweep after its death.
 const LOST_AFTER: u32 = 2;
 
-/// What the autoscaler learned about one target across polls.
+/// What the autoscaler measured of one target across polls.
 #[derive(Debug, Clone)]
 struct TargetTrack {
     /// Controller clock of the previous successful poll.
@@ -225,11 +256,9 @@ struct TargetTrack {
     baseline_pps: f64,
     /// The data center's nominal per-VNF spec, captured at first poll.
     nominal: VnfSpec,
-    /// An `NC_VNF_END` was sent and no wake has re-armed it yet.
-    draining: bool,
     /// Sweeps in a row this target left unanswered (the start's
-    /// reconciliation probe counts as one). While it is above zero the
-    /// target is sent nothing.
+    /// reconciliation probe counts as one; a failed push counts as one
+    /// too). While it is above zero the target is sent nothing.
     misses: u32,
 }
 
@@ -241,7 +270,6 @@ impl TargetTrack {
             last_shed: 0,
             baseline_pps: 0.0,
             nominal,
-            draining: false,
             misses: 0,
         }
     }
@@ -327,12 +355,21 @@ fn fingerprint(dep: &ncvnf_deploy::Deployment) -> String {
     format!("{vnfs:?}|{rates:?}")
 }
 
+/// The relay's lifecycle state, as its `NC_STATS` answer reports it.
+fn reported_state(stats: &str) -> Option<DaemonState> {
+    snapshot_value(stats, "relay.daemon_state").and_then(|v| DaemonState::from_code(v as u8))
+}
+
 /// The autoscaler daemon: owns the scaling controller, the write-ahead
-/// journal and the relay fleet description, and drives them from live
-/// `NC_STATS` measurements. See the module docs for the loop shape.
+/// journal and the belief it replays to, and the relay fleet description,
+/// and drives them from live `NC_STATS` measurements. See the module docs
+/// for the loop shape.
 pub struct Autoscaler {
     controller: ScalingController,
     journal: Journal,
+    /// The belief about the fleet: the replay of every record in
+    /// `journal`, advanced record by record as they are journaled.
+    state: ControllerState,
     targets: Vec<RelayTarget>,
     /// Data-plane address of each topology node, for rendering
     /// forwarding-table next hops.
@@ -340,14 +377,9 @@ pub struct Autoscaler {
     telemetry: Telemetry,
     config: AutoscaleConfig,
     tracks: HashMap<u32, TargetTrack>,
-    /// Last table text pushed per node, to suppress no-op re-pushes.
-    pushed_tables: HashMap<u32, String>,
     /// Controller clock at which each DC's current drift window opened
     /// (first deviating observation); cleared on adoption.
     drift_since: HashMap<NodeId, f64>,
-    /// Monotonic decision counter (continues across restarts via
-    /// [`crate::ControllerState::scale_decisions`]).
-    decisions: u64,
     metrics: Option<ControlMetrics>,
 }
 
@@ -365,14 +397,13 @@ impl Autoscaler {
         Autoscaler {
             controller,
             journal,
+            state: ControllerState::default(),
             targets,
             data_addrs,
             telemetry: Telemetry::new(config.telemetry_window),
             config,
             tracks: HashMap::new(),
-            pushed_tables: HashMap::new(),
             drift_since: HashMap::new(),
-            decisions: 0,
             metrics: None,
         }
     }
@@ -393,39 +424,36 @@ impl Autoscaler {
 
     /// Decisions journaled so far (monotonic across restarts).
     pub fn decisions(&self) -> u64 {
-        self.decisions
+        self.state.scale_decisions
     }
 
-    /// Node ids currently draining toward scale-to-zero, ascending (a
-    /// lost target is not among them).
+    /// Node ids the belief has draining toward scale-to-zero, ascending
+    /// (a lost target is not among them).
     pub fn draining(&self) -> Vec<u32> {
-        let mut nodes: Vec<u32> = self
-            .tracks
+        self.state
+            .nodes
             .iter()
-            .filter(|(_, t)| t.draining && !t.lost())
+            .filter(|(_, b)| matches!(b.status, NodeStatus::Draining { .. }))
+            .filter(|(n, _)| self.tracks.get(n).is_some_and(|t| !t.lost()))
             .map(|(n, _)| *n)
-            .collect();
-        nodes.sort_unstable();
-        nodes
+            .collect()
     }
 
     /// Starts the controller, the first time and after every crash.
     /// `state` is what [`Journal::open`] replayed from this autoscaler's
-    /// journal, and `link` is fenced at `state.next_epoch()`. It rejects a
-    /// link not above `state.epoch`, journals `EpochStarted`, reconciles
-    /// ([`crate::reconcile()`], in dependency order) so every reachable
-    /// node leaves on the new epoch, continues the decision counter from
-    /// `state.scale_decisions`, and arms the fleet as
-    /// [`bootstrap`](Self::bootstrap) does when some target has no
-    /// journaled table — always, on an empty journal. Returns the
-    /// reconciliation report.
+    /// journal; it becomes the autoscaler's belief. `link` is fenced at
+    /// `state.next_epoch()`. It rejects a link not above `state.epoch`,
+    /// journals `EpochStarted`, reconciles ([`crate::reconcile()`], in
+    /// dependency order) so every reachable node leaves on the new epoch,
+    /// and arms every target that needs it (module docs) — every target,
+    /// on an empty journal. Returns the reconciliation report.
     ///
     /// # Errors
     ///
     /// [`AutoscaleError::Send`] with [`SendError::StaleEpoch`] for a stale
     /// link (nothing journaled or sent); otherwise as
-    /// [`bootstrap`](Self::bootstrap). A failed reconciliation push is
-    /// reported, not fatal.
+    /// [`poll`](Self::poll). A failed reconciliation push is reported and
+    /// counts as a miss, not fatal.
     pub fn start(
         &mut self,
         link: &mut dyn ControlLink,
@@ -435,20 +463,24 @@ impl Autoscaler {
         if link.epoch() <= state.epoch {
             return Err(AutoscaleError::Send(SendError::StaleEpoch));
         }
-        self.journal.append(&ControlRecord::EpochStarted {
+        self.state = state.clone();
+        let started = ControlRecord::EpochStarted {
             epoch: link.epoch(),
-        });
+        };
+        self.journal.append(&started);
+        self.state.apply(&started);
         if !state.nodes.is_empty() {
             // Reconciliation pushes under the new epoch; an empty journal
             // has nothing to reconcile and commits with the fleet below.
             self.journal.commit()?;
         }
         let order: Vec<Vec<u32>> = self
-            .dependency_waves(|t| state.nodes.get(&t.node).map(|b| &b.table))
+            .dependency_waves(|i, j| self.names(self.believed(i), j))
             .into_iter()
             .map(|wave| wave.into_iter().map(|i| self.targets[i].node).collect())
             .collect();
-        let report = reconcile_in_order(link, state, now, self.metrics.as_ref(), &order);
+        let (report, answers) =
+            reconcile_in_order(link, &self.state, now, self.metrics.as_ref(), &order);
         // The probe waited out a whole retry budget: it counts as a sweep.
         let unreachable = &report.plan.unreachable;
         let answered: Vec<bool> = self
@@ -457,13 +489,27 @@ impl Autoscaler {
             .map(|t| !unreachable.contains(&t.node))
             .collect();
         self.count_misses(&answered);
-        self.decisions = state.scale_decisions;
-        let armed = self
+        // A failed push is a miss: the target's next answer re-arms it.
+        for (node, _) in &report.repush_failures {
+            if let Some(track) = self.tracks.get_mut(node) {
+                track.misses = track.misses.max(1);
+            }
+        }
+        let rearm: Vec<u32> = self
             .targets
             .iter()
-            .all(|t| state.nodes.get(&t.node).is_some_and(|b| b.last_seq > 0));
-        if !armed {
-            self.arm(link, now)?;
+            .filter(|t| {
+                let answer = answers.iter().find(|(n, _)| *n == t.node);
+                self.needs_arming(t.node, answer.and_then(|(_, s)| reported_state(s)))
+            })
+            .map(|t| t.node)
+            .collect();
+        if !rearm.is_empty() {
+            if self.controller.deployment().is_none() {
+                self.controller.replan(now)?;
+            }
+            let waves = self.arming(link, &rearm);
+            self.actuate(link, waves, &mut PollReport::default())?;
         }
         Ok(report)
     }
@@ -473,62 +519,13 @@ impl Autoscaler {
     ///
     /// # Errors
     ///
-    /// [`AutoscaleError::Io`] if the journal cannot be made durable (no
-    /// signal is sent in that case), [`AutoscaleError::Plan`] /
-    /// [`AutoscaleError::Send`] from planning and actuation.
+    /// As [`start`](Self::start).
     pub fn bootstrap(
         &mut self,
         link: &mut dyn ControlLink,
         now: f64,
     ) -> Result<(), AutoscaleError> {
         self.start(link, &ControllerState::default(), now).map(drop)
-    }
-
-    /// Journals the fleet and arms every relay: one `SessionCreated` per
-    /// distinct session found in the targets' settings and one
-    /// `VnfLaunched` per target, committed with the first wave, then an
-    /// initial plan if none exists, and every relay's settings and table,
-    /// one wave per dependency depth.
-    fn arm(&mut self, link: &mut dyn ControlLink, now: f64) -> Result<(), AutoscaleError> {
-        let mut records = Vec::new();
-        let mut seen_sessions = Vec::new();
-        for t in &self.targets {
-            for s in &t.settings {
-                if let Signal::NcSettings {
-                    session,
-                    block_size,
-                    generation_size,
-                    buffer_generations,
-                    ..
-                } = s
-                {
-                    if seen_sessions.contains(session) {
-                        continue;
-                    }
-                    seen_sessions.push(*session);
-                    records.push(ControlRecord::SessionCreated {
-                        session: *session,
-                        block_size: *block_size,
-                        generation_size: *generation_size,
-                        buffer_generations: *buffer_generations,
-                    });
-                }
-            }
-        }
-        for t in &self.targets {
-            records.push(ControlRecord::VnfLaunched {
-                node: t.node,
-                data_center: self.controller.topology().label(t.dc).to_owned(),
-                control_addr: t.control_addr.to_string(),
-            });
-        }
-        if self.controller.deployment().is_none() {
-            self.controller.replan(now)?;
-        }
-        let tables = self.tables();
-        let all: Vec<u32> = self.targets.iter().map(|t| t.node).collect();
-        let waves = self.arming(link, &tables, &all, |_| None);
-        self.actuate(link, led_by(records, waves), &mut PollReport::default())
     }
 
     /// One loop iteration: poll every target's `NC_STATS`, feed the
@@ -553,26 +550,29 @@ impl Autoscaler {
 
         // 1. Measure.
         let mut drain_candidates: Vec<u32> = Vec::new();
-        let mut measured: Vec<NodeId> = Vec::new();
         let mut traffic_returned = false;
         let addrs: Vec<SocketAddr> = self.targets.iter().map(|t| t.control_addr).collect();
         let answers = link.query_all(&addrs);
         let answered: Vec<bool> = answers.iter().map(Result::is_ok).collect();
         report.lost = self.count_misses(&answered);
         let mut rearm = Vec::new();
+        // (target index, offered packet rate, packets forwarded, packets
+        // forwarded or shed) of each target measured over a poll gap.
+        let mut rates: Vec<(usize, f64, u64, u64)> = Vec::new();
         for (i, answer) in answers.into_iter().enumerate() {
-            let (node, dc) = (self.targets[i].node, self.targets[i].dc);
-            let track = self.tracks.get_mut(&node).expect("counted");
+            let node = self.targets[i].node;
             let Ok(stats) = answer else {
                 report.unreachable += 1;
                 continue;
             };
             report.polled += 1;
-            if track.misses > 0 {
+            let daemon_state = reported_state(&stats);
+            let track = self.tracks.get_mut(&node).expect("counted");
+            let missed = track.misses > 0;
+            if missed {
                 // Whatever was held back while it was silent reaches it
                 // now, a wake included: a drained relay is woken too, and
                 // drains again if it stays idle.
-                rearm.push(node);
                 if track.lost() {
                     // Back: its counters may have restarted, so this
                     // answer only re-baselines them.
@@ -584,8 +584,6 @@ impl Autoscaler {
             let out = snapshot_value(&stats, "relay.datagrams_out").unwrap_or(0.0) as u64;
             let shed = snapshot_value(&stats, "relay.shed_quota").unwrap_or(0.0) as u64;
             let idle_ms = snapshot_value(&stats, "relay.idle_ms").unwrap_or(0.0);
-            let daemon_state = snapshot_value(&stats, "relay.daemon_state")
-                .and_then(|v| DaemonState::from_code(v as u8));
             let mut out_delta = None;
             if let Some(prev) = track.last_poll_secs {
                 let dt = now - prev;
@@ -594,41 +592,55 @@ impl Autoscaler {
                     out_delta = Some(delta);
                     // Offered load = what the node forwarded plus what
                     // it shed at the admission/overload gate.
-                    let shed_delta = shed.saturating_sub(track.last_shed);
-                    let pps = (delta + shed_delta) as f64 / dt;
+                    let offered = delta + shed.saturating_sub(track.last_shed);
+                    let pps = offered as f64 / dt;
                     track.baseline_pps = track.baseline_pps.max(pps);
-                    if track.baseline_pps > 0.0 && !track.draining {
-                        // Capability estimate: the nominal spec scaled
-                        // by current throughput relative to the best
-                        // this instance ever sustained, floored so a
-                        // lull does not read as a dead machine.
-                        let ratio = (pps / track.baseline_pps).max(0.05);
-                        self.telemetry.record_bandwidth(
-                            dc,
-                            track.nominal.bin_bps * ratio,
-                            track.nominal.bout_bps * ratio,
-                        );
-                        measured.push(dc);
-                    }
+                    rates.push((i, pps, delta, offered));
                 }
             }
-            // A relay reporting Draining is draining, whoever drained it
-            // (a crashed predecessor, say): returning traffic wakes it.
-            track.draining |= daemon_state == Some(DaemonState::Draining);
-            if track.draining && matches!(out_delta, Some(d) if d > 0) {
+            track.last_poll_secs = Some(now);
+            track.last_out = out;
+            track.last_shed = shed;
+            if missed || self.needs_arming(node, daemon_state) {
+                rearm.push(node);
+            }
+            let draining = self.believed_draining(node);
+            if draining && matches!(out_delta, Some(d) if d > 0) {
                 // First packet after a drain: traffic is back, re-arm.
                 traffic_returned = true;
             }
-            if !track.draining
+            if !draining
                 && daemon_state == Some(DaemonState::Running)
                 && idle_ms >= self.config.idle_tau_secs * 1000.0
                 && out_delta == Some(0)
             {
                 drain_candidates.push(node);
             }
-            track.last_poll_secs = Some(now);
-            track.last_out = out;
-            track.last_shed = shed;
+        }
+        // Capability estimates: the nominal spec scaled by current
+        // throughput relative to the best this instance ever sustained,
+        // floored so a lull does not read as a dead machine. A relay that
+        // forwarded and shed nothing had no demand — unless a relay whose
+        // believed table names it forwarded: then it is starved, not idle.
+        let mut measured: Vec<NodeId> = Vec::new();
+        for &(i, pps, _, offered) in &rates {
+            let (t, track) = (&self.targets[i], &self.tracks[&self.targets[i].node]);
+            let fed = |&(j, _, forwarded, _): &(usize, f64, u64, u64)| {
+                forwarded > 0 && self.names(self.believed(j), i)
+            };
+            if (offered == 0 && !rates.iter().any(fed))
+                || track.baseline_pps <= 0.0
+                || self.believed_draining(t.node)
+            {
+                continue;
+            }
+            let ratio = (pps / track.baseline_pps).max(0.05);
+            self.telemetry.record_bandwidth(
+                t.dc,
+                track.nominal.bin_bps * ratio,
+                track.nominal.bout_bps * ratio,
+            );
+            measured.push(t.dc);
         }
 
         // 2. Decide. A lost target's data center goes to zero and a
@@ -708,26 +720,21 @@ impl Autoscaler {
         self.controller.tick(now)?;
 
         // 3. Actuate: the decision commits with the first wave of deltas,
-        // which also re-arm every target that answered after a miss, each
-        // journaled Active (`VnfReused`) before its settings leave.
+        // which also re-arm every target that needs it.
         let after = self.controller.deployment().map(fingerprint);
         report.adopted = after.is_some() && after != before;
         let mut decision = Vec::new();
         if report.adopted {
-            self.decisions += 1;
             let dep = self.controller.deployment().expect("adopted deployment");
             decision.push(ControlRecord::ScaleDecision {
                 epoch: link.epoch(),
-                seq: self.decisions,
+                seq: self.state.scale_decisions + 1,
                 vnfs: dep.total_vnfs() as u32,
                 rate_bps: dep.total_rate_bps(),
             });
         }
         if report.adopted || !rearm.is_empty() {
-            let tables = self.tables();
-            let waves = self.arming(link, &tables, &rearm, |node| {
-                Some(ControlRecord::VnfReused { node })
-            });
+            let waves = self.arming(link, &rearm);
             self.actuate(link, led_by(decision, waves), &mut report)?;
         }
         if report.adopted {
@@ -749,9 +756,12 @@ impl Autoscaler {
             // Upstream first: nothing armed still forwards to a drained
             // relay.
             let tables = self.tables();
+            let mut order =
+                self.dependency_waves(|i, j| self.names(tables.get(&self.targets[i].dc), j));
+            order.reverse();
             let linger_deadline_secs = now + self.config.drain_tau_secs as f64;
             let tau_secs = self.config.drain_tau_secs;
-            let waves = self.waves(&tables, true, |t, wave| {
+            let waves = self.waves(order, |_, t, wave| {
                 if drain_candidates.contains(&t.node) {
                     wave.records.push(ControlRecord::VnfEnded {
                         node: t.node,
@@ -793,8 +803,7 @@ impl Autoscaler {
         Ok(report.woken)
     }
 
-    /// [`wake`](Self::wake), booked into `report`. A re-armed relay gets
-    /// its table again along with its settings.
+    /// [`wake`](Self::wake), booked into `report`.
     fn rearm(
         &mut self,
         link: &mut dyn ControlLink,
@@ -804,10 +813,7 @@ impl Autoscaler {
         if draining.is_empty() {
             return Ok(());
         }
-        let tables = self.tables();
-        let waves = self.arming(link, &tables, &draining, |node| {
-            Some(ControlRecord::VnfReused { node })
-        });
+        let waves = self.arming(link, &draining);
         self.actuate(link, waves, report)?;
         if let Some(m) = &self.metrics {
             m.autoscale_draining.set(self.draining().len() as f64);
@@ -839,6 +845,28 @@ impl Autoscaler {
         lost
     }
 
+    /// Whether the belief has `node` draining.
+    fn believed_draining(&self, node: u32) -> bool {
+        self.state
+            .nodes
+            .get(&node)
+            .is_some_and(|b| matches!(b.status, NodeStatus::Draining { .. }))
+    }
+
+    /// Whether `node`, which answered reporting `reported`, must be
+    /// (re)armed: the belief has no such node, or the relay's settings
+    /// never landed (it is Idle, or Draining while believed Active).
+    fn needs_arming(&self, node: u32, reported: Option<DaemonState>) -> bool {
+        let Some(belief) = self.state.nodes.get(&node) else {
+            return true;
+        };
+        match reported {
+            Some(DaemonState::Idle) => true,
+            Some(DaemonState::Draining) => belief.status == NodeStatus::Active,
+            _ => false,
+        }
+    }
+
     fn target(&self, node: u32) -> &RelayTarget {
         self.targets
             .iter()
@@ -862,33 +890,31 @@ impl Autoscaler {
         tables_from_deployment(topo, self.controller.sessions(), dep, &addr_of)
     }
 
-    /// The one actuation order, as waves of target indices, downstream
-    /// first: a target's wave comes after the wave of every target its
-    /// table names as a next hop, so a relay is armed before anything
-    /// forwards to it (DESIGN.md §14). Drains walk the waves backwards.
-    /// `table_of` gives the table a target holds or is about to be
-    /// pushed. A wave lists its targets in node-id order; a cycle puts its
-    /// lowest node id in a wave of its own.
-    fn dependency_waves<'t>(
-        &self,
-        table_of: impl Fn(&RelayTarget) -> Option<&'t ForwardingTable>,
-    ) -> Vec<Vec<usize>> {
-        let targets = &self.targets;
-        let hops: Vec<Vec<&String>> = targets
-            .iter()
-            .map(|t| {
-                table_of(t)
-                    .into_iter()
-                    .flat_map(|t| t.iter())
-                    .flat_map(|(_, h)| h)
-                    .collect()
-            })
-            .collect();
-        // Whether target i's table names target j's data address.
-        let names = |i: usize, j: usize| {
-            let addr = self.data_addrs.get(&targets[j].dc);
-            i != j && addr.is_some_and(|a| hops[i].contains(&a))
+    /// The table the belief gives target `i`.
+    fn believed(&self, i: usize) -> Option<&ForwardingTable> {
+        self.state
+            .nodes
+            .get(&self.targets[i].node)
+            .map(|b| &b.table)
+    }
+
+    /// Whether `table` names target `j`'s data address as a next hop.
+    fn names(&self, table: Option<&ForwardingTable>, j: usize) -> bool {
+        let Some(addr) = self.data_addrs.get(&self.targets[j].dc) else {
+            return false;
         };
+        table.is_some_and(|t| t.iter().any(|(_, hops)| hops.contains(addr)))
+    }
+
+    /// The one actuation order, as waves of target indices: a target's
+    /// wave comes after the wave of every target `after(i, j)` says target
+    /// `i` must follow. With `after` = "i's table names j" that is
+    /// downstream first, so a relay is armed before anything forwards to
+    /// it (DESIGN.md §14); drains walk those waves backwards. A wave lists
+    /// its targets in node-id order; a cycle puts its lowest node id in a
+    /// wave of its own.
+    fn dependency_waves(&self, after: impl Fn(usize, usize) -> bool) -> Vec<Vec<usize>> {
+        let targets = &self.targets;
         let mut left: Vec<usize> = (0..targets.len()).collect();
         left.sort_by_key(|&i| targets[i].node);
         let mut waves = Vec::new();
@@ -896,7 +922,7 @@ impl Autoscaler {
             let mut wave: Vec<usize> = left
                 .iter()
                 .copied()
-                .filter(|&i| left.iter().all(|&j| !names(i, j)))
+                .filter(|&i| left.iter().all(|&j| i == j || !after(i, j)))
                 .collect();
             if wave.is_empty() {
                 wave.push(left[0]);
@@ -907,24 +933,19 @@ impl Autoscaler {
         waves
     }
 
-    /// One wave per dependency depth of `tables`, downstream first (or
-    /// `upstream_first`), filled target by target; empty waves are left out.
+    /// One wave per depth of `order`, filled target by target; empty waves
+    /// are left out.
     fn waves(
         &self,
-        tables: &HashMap<NodeId, ForwardingTable>,
-        upstream_first: bool,
-        mut fill: impl FnMut(&RelayTarget, &mut Wave),
+        order: Vec<Vec<usize>>,
+        mut fill: impl FnMut(usize, &RelayTarget, &mut Wave),
     ) -> Vec<Wave> {
-        let mut depths = self.dependency_waves(|t| tables.get(&t.dc));
-        if upstream_first {
-            depths.reverse();
-        }
-        depths
+        order
             .into_iter()
             .map(|depth| {
                 let mut wave = Wave::default();
                 for i in depth {
-                    fill(&self.targets[i], &mut wave);
+                    fill(i, &self.targets[i], &mut wave);
                 }
                 wave
             })
@@ -932,90 +953,136 @@ impl Autoscaler {
             .collect()
     }
 
-    /// The waves that re-arm each node in `rearm` (`record(node)`
-    /// journaled, then its settings) and push each table that changed
-    /// since its last push, or whose node is re-armed, journaled as
-    /// `TablePushed` with the fence coordinates the link will use. A node
-    /// whose last sweep went unanswered gets nothing.
-    fn arming(
-        &self,
-        link: &dyn ControlLink,
-        tables: &HashMap<NodeId, ForwardingTable>,
-        rearm: &[u32],
-        record: impl Fn(u32) -> Option<ControlRecord>,
-    ) -> Vec<Wave> {
-        self.waves(tables, false, |t, wave| {
+    /// The waves that bring every target to the current plan. Each target
+    /// in `rearm` is re-armed: `VnfLaunched` journaled if the belief has
+    /// no such node (with `SessionCreated` for each session its settings
+    /// open that the belief lacks), `VnfReused` if it has, then its
+    /// settings and its whole planned table with withdrawals. Every other
+    /// target gets the [`ForwardingTable::diff`] of its believed table
+    /// against the planned one, when that is not empty. Each table is
+    /// journaled as `TablePushed` with the fence coordinates the link
+    /// will use. A target whose last sweep went unanswered gets nothing.
+    fn arming(&self, link: &dyn ControlLink, rearm: &[u32]) -> Vec<Wave> {
+        let tables = self.tables();
+        let empty = ForwardingTable::new();
+        let order = self.dependency_waves(|i, j| self.names(tables.get(&self.targets[i].dc), j));
+        let mut sessions: Vec<_> = self.state.sessions.keys().copied().collect();
+        let mut withdrawals = Vec::new();
+        let mut waves = self.waves(order, |i, t, wave| {
             if self.tracks.get(&t.node).is_some_and(|k| k.misses > 0) {
                 return;
             }
             let armed = rearm.contains(&t.node);
             if armed {
-                wave.records.extend(record(t.node));
+                if self.state.nodes.contains_key(&t.node) {
+                    wave.records.push(ControlRecord::VnfReused { node: t.node });
+                } else {
+                    for s in &t.settings {
+                        if let Signal::NcSettings {
+                            session,
+                            block_size,
+                            generation_size,
+                            buffer_generations,
+                            ..
+                        } = s
+                        {
+                            if sessions.contains(session) {
+                                continue;
+                            }
+                            sessions.push(*session);
+                            wave.records.push(ControlRecord::SessionCreated {
+                                session: *session,
+                                block_size: *block_size,
+                                generation_size: *generation_size,
+                                buffer_generations: *buffer_generations,
+                            });
+                        }
+                    }
+                    wave.records.push(ControlRecord::VnfLaunched {
+                        node: t.node,
+                        data_center: self.controller.topology().label(t.dc).to_owned(),
+                        control_addr: t.control_addr.to_string(),
+                    });
+                }
                 for s in &t.settings {
                     wave.push(link, t.control_addr, s.clone());
                 }
             }
-            let Some(text) = tables.get(&t.dc).map(ForwardingTable::to_text) else {
-                return;
-            };
-            if armed || self.pushed_tables.get(&t.node) != Some(&text) {
-                let table = Signal::NcForwardTab {
-                    table: text.clone(),
+            let believed = self.believed(i).unwrap_or(&empty);
+            let push = believed.diff(tables.get(&self.targets[i].dc).unwrap_or(&empty), armed);
+            // Make before break: routes leave downstream first, and
+            // withdrawals after every route, once no planned table
+            // forwards the session to this target any more.
+            let (mut routes, mut gone) = (ForwardingTable::new(), ForwardingTable::new());
+            for (session, hops) in push.iter() {
+                let part = if hops.is_empty() {
+                    &mut gone
+                } else {
+                    &mut routes
                 };
-                let seq = wave.push(link, t.control_addr, table);
-                wave.records.push(ControlRecord::TablePushed {
-                    node: t.node,
-                    epoch: link.epoch(),
-                    seq,
-                    table: text,
-                });
+                part.set(session, hops.to_vec());
             }
-        })
+            if !routes.is_empty() {
+                wave.table(link, t.node, t.control_addr, &routes, 0);
+            }
+            if !gone.is_empty() {
+                withdrawals.push((t.node, t.control_addr, gone));
+            }
+        });
+        let mut last = Wave::default();
+        for (node, to, gone) in withdrawals {
+            let sent = waves.iter().flat_map(|w| &w.frames);
+            let before = sent.filter(|(a, _)| *a == to).count() as u64;
+            last.table(link, node, to, &gone, before);
+        }
+        if !last.frames.is_empty() {
+            waves.push(last);
+        }
+        waves
     }
 
-    /// Runs `waves` through the wave step and books each frame the relay
-    /// applied into `report`: a table it now holds, a drain, a re-arm
-    /// from drain.
+    /// Runs `waves` through the wave step, the belief advancing with the
+    /// journal, and books each frame into `report`: a table the relay
+    /// applied, a drain, a re-arm from drain. A push that fails counts as
+    /// a miss for its target.
     fn actuate(
         &mut self,
         link: &mut dyn ControlLink,
         waves: Vec<Wave>,
         report: &mut PollReport,
     ) -> Result<(), AutoscaleError> {
-        let (targets, tracks, pushed_tables) =
-            (&self.targets, &mut self.tracks, &mut self.pushed_tables);
+        let mut waking = self.draining();
+        let (targets, tracks) = (&self.targets, &mut self.tracks);
         let metrics = self.metrics.as_ref();
         wave_step(
-            Some(&mut self.journal),
+            Some((&mut self.journal, &mut self.state)),
             link,
             waves,
             |to, signal, outcome| {
-                outcome?;
                 let Some(node) = targets
                     .iter()
                     .find(|t| t.control_addr == to)
                     .map(|t| t.node)
                 else {
-                    return Ok(());
+                    return outcome.map(drop);
                 };
-                let track = tracks.get_mut(&node);
-                match signal {
-                    Signal::NcForwardTab { table } => {
-                        pushed_tables.insert(node, table.clone());
-                        report.tables_pushed += 1;
+                if let Err(e) = outcome {
+                    if let Some(track) = tracks.get_mut(&node) {
+                        track.misses = track.misses.max(1);
                     }
+                    return Err(e);
+                }
+                match signal {
+                    Signal::NcForwardTab { .. } => report.tables_pushed += 1,
                     Signal::NcVnfEnd { .. } => {
-                        if let Some(track) = track {
-                            track.draining = true;
-                        }
                         report.drained.push(node);
                         if let Some(m) = metrics {
                             m.autoscale_drained.inc();
                         }
                     }
                     Signal::NcSettings { .. } => {
-                        if let Some(track) = track.filter(|t| t.draining) {
-                            track.draining = false;
+                        if let Some(i) = waking.iter().position(|&n| n == node) {
+                            waking.swap_remove(i);
                             report.woken.push(node);
                             if let Some(m) = metrics {
                                 m.autoscale_woken.inc();
@@ -1057,13 +1124,15 @@ mod tests {
     use ncvnf_rlnc::SessionId;
 
     /// A scripted link: the real exchange table over in-memory delivery.
-    /// Every push is ACKed and recorded; stats are canned, and a node
-    /// with none stays silent. With `wal` set, each push also records
-    /// what that journal held, durable, as the frame left.
+    /// Every push is ACKed and recorded, except to a node in `refuse`,
+    /// which answers none; stats are canned, and a node with none stays
+    /// silent. With `wal` set, each push also records what that journal
+    /// held, durable, as the frame left.
     struct MockLink {
         table: ExchangeTable,
         pushed: Vec<(SocketAddr, Signal)>,
         stats: HashMap<SocketAddr, String>,
+        refuse: HashSet<SocketAddr>,
         wal: Option<std::path::PathBuf>,
         durable: Vec<ControllerState>,
     }
@@ -1074,6 +1143,7 @@ mod tests {
                 table: ExchangeTable::new(epoch),
                 pushed: Vec::new(),
                 stats: HashMap::new(),
+                refuse: HashSet::new(),
                 wal: None,
                 durable: Vec::new(),
             }
@@ -1090,12 +1160,13 @@ mod tests {
 
         fn settle(&mut self, requests: &[(SocketAddr, Signal)]) -> Vec<Completed> {
             let (pushed, stats) = (&mut self.pushed, &self.stats);
-            let (wal, durable) = (&self.wal, &mut self.durable);
+            let (wal, durable, refuse) = (&self.wal, &mut self.durable, &self.refuse);
             let requests = requests.iter().map(|(to, s)| (*to, s));
             self.table.settle(
                 Instant::now(),
                 requests,
                 |to, wire| match FencedSignal::from_bytes(wire) {
+                    Ok(_) if refuse.contains(&to) => None,
                     Ok((frame, _)) => {
                         if let Some(wal) = wal {
                             let bytes = std::fs::read(wal).expect("journal readable");
@@ -1635,5 +1706,185 @@ mod tests {
             registry.snapshot().counter("control.scaling.events"),
             Some(events)
         );
+    }
+
+    /// Polls `auto` at each of `times`, every node in `ports` reporting
+    /// `out` datagrams and an idle clock of `idle_ms`.
+    fn hold(
+        auto: &mut Autoscaler,
+        link: &mut MockLink,
+        ports: &[u16],
+        out: u64,
+        idle_ms: u64,
+        now: f64,
+    ) -> PollReport {
+        for &port in ports {
+            link.set_stats(addr(port), out, idle_ms, 1);
+        }
+        auto.poll(link, now).unwrap()
+    }
+
+    #[test]
+    fn a_poll_over_an_idle_fleet_adopts_no_plan() {
+        let (mut auto, mut link) = harness("idle-fleet");
+        auto.bootstrap(&mut link, 0.0).unwrap();
+        let mut out = 0;
+        for now in [1.0, 2.0, 3.0] {
+            out += 10_000;
+            hold(&mut auto, &mut link, &[9101, 9102], out, 5, now);
+        }
+        // Traffic stops: the counters freeze, the idle clock runs, and
+        // the spell outlasts τ1 before it reaches the drain's τ.
+        for (i, now) in [4.0, 5.0, 6.0, 7.0].into_iter().enumerate() {
+            let idle_ms = 1000 * (i as u64 + 1);
+            let report = hold(&mut auto, &mut link, &[9101, 9102], out, idle_ms, now);
+            assert!(
+                !report.adopted,
+                "an idle fleet is not a weak one (t = {now})"
+            );
+            assert_eq!(report.events, 0);
+        }
+        assert_eq!(auto.decisions(), 0);
+    }
+
+    #[test]
+    fn a_relay_starved_behind_a_forwarding_one_is_weak_not_idle() {
+        let (mut auto, mut link) = harness("starved");
+        auto.bootstrap(&mut link, 0.0).unwrap();
+        let (mut up, mut down) = (0, 0);
+        for now in [1.0, 2.0, 3.0] {
+            (up, down) = (up + 10_000, down + 10_000);
+            link.set_stats(addr(9101), up, 5, 1);
+            link.set_stats(addr(9102), down, 5, 1);
+            auto.poll(&mut link, now).unwrap();
+        }
+        // Node 1 keeps forwarding to node 2, whose counters froze.
+        let mut adopted = false;
+        for now in [4.0, 5.0, 6.0, 7.0] {
+            up += 10_000;
+            link.set_stats(addr(9101), up, 5, 1);
+            link.set_stats(addr(9102), down, 5, 1);
+            adopted |= auto.poll(&mut link, now).unwrap().adopted;
+        }
+        assert!(adopted, "the starved relay's collapse is planned around");
+    }
+
+    /// The journal's records from the last `EpochStarted` on.
+    fn since_last_start(auto: &Autoscaler) -> Vec<ControlRecord> {
+        let records = scan_frames(&std::fs::read(auto.journal.path()).unwrap()).0;
+        let start = records
+            .iter()
+            .rposition(|r| matches!(r, ControlRecord::EpochStarted { .. }))
+            .expect("started");
+        records[start..].to_vec()
+    }
+
+    #[test]
+    fn a_restart_arms_only_the_targets_that_need_it() {
+        let (mut auto, mut link) = fleet("restart-standby", true);
+        auto.bootstrap(&mut link, 0.0).unwrap();
+        let path = auto.journal.path().to_path_buf();
+        let launched = |records: &[ControlRecord]| {
+            let n = records
+                .iter()
+                .filter(|r| matches!(r, ControlRecord::VnfLaunched { .. }));
+            n.count()
+        };
+        let settings = |link: &MockLink| {
+            let n = link
+                .pushed
+                .iter()
+                .filter(|(_, s)| matches!(s, Signal::NcSettings { .. }));
+            n.count()
+        };
+        assert_eq!(
+            (launched(&since_last_start(&auto)), settings(&link)),
+            (3, 3)
+        );
+        drop(auto);
+        // The standby (node 3) holds no table: the plan leaves it idle.
+        // A restart with every relay Running arms nobody.
+        for (epoch, idle) in [(2, None), (3, Some(9103))] {
+            let (mut restarted, _) = fleet(&format!("restart-standby-{epoch}"), true);
+            let (journal, state, _) = Journal::open(&path).unwrap();
+            restarted.journal = journal;
+            let mut link = MockLink::new(epoch);
+            for port in [9101, 9102, 9103] {
+                let state = if Some(port) == idle { 0 } else { 1 };
+                link.set_stats(addr(port), 0, 10, state);
+            }
+            let report = restarted.start(&mut link, &state, 1.0).unwrap();
+            assert_eq!(report.plan.unarmed, vec![3]);
+            let records = since_last_start(&restarted);
+            assert_eq!(launched(&records), 0, "no VnfLaunched on restart");
+            // A relay whose settings never landed is the one re-armed.
+            let reused: Vec<u32> = records
+                .iter()
+                .filter_map(|r| match r {
+                    ControlRecord::VnfReused { node } => Some(*node),
+                    _ => None,
+                })
+                .collect();
+            let idle_node = idle.map(|port| u32::from(port - 9100));
+            assert_eq!(reused, idle_node.into_iter().collect::<Vec<_>>());
+            assert_eq!(settings(&link), usize::from(idle.is_some()));
+            drop(restarted);
+        }
+    }
+
+    #[test]
+    fn a_failed_push_is_a_miss_and_the_next_answer_rearms() {
+        let (mut auto, mut link) = harness("failed-push");
+        auto.bootstrap(&mut link, 0.0).unwrap();
+        link.set_stats(addr(9101), 500, 20_000, 1);
+        link.set_stats(addr(9102), 500, 20_000, 1);
+        auto.poll(&mut link, 1.0).unwrap();
+        // The drain reaches node 1 and not node 2.
+        link.refuse.insert(addr(9102));
+        let drained = auto.poll(&mut link, 2.0);
+        assert!(
+            matches!(drained, Err(AutoscaleError::Send(_))),
+            "{drained:?}"
+        );
+        link.refuse.clear();
+        let since = link.pushed.len();
+        link.set_stats(addr(9101), 500, 20_000, 3);
+        link.set_stats(addr(9102), 500, 20_000, 1);
+        let report = auto.poll(&mut link, 3.0).unwrap();
+        assert_eq!(report.polled, 2);
+        // Believed draining, never told: re-armed as a wake is.
+        assert_eq!(report.woken, vec![2]);
+        assert!(matches!(
+            frames_to(&link, since, 9102)[..],
+            [Signal::NcSettings { .. }, Signal::NcForwardTab { .. }]
+        ));
+        assert_eq!(auto.draining(), vec![1]);
+    }
+
+    #[test]
+    fn the_standby_is_withdrawn_when_the_lost_relay_returns() {
+        let (mut auto, mut link) = standby_fleet("withdraw");
+        sweep(&mut auto, &mut link, &[9101, 9103], 2.0);
+        sweep(&mut auto, &mut link, &[9101, 9103], 3.0);
+        assert!(matches!(
+            frames_to(&link, 0, 9103).last(),
+            Some(Signal::NcForwardTab { table }) if table.contains("127.0.0.1:9204")
+        ));
+        let since = link.pushed.len();
+        let report = sweep(&mut auto, &mut link, &[9101, 9102, 9103], 4.0);
+        assert!(report.adopted);
+        // Node 3 withdraws its route last, once node 1 names node 2 again.
+        let (last_to, last) = link.pushed.last().expect("pushed");
+        assert_eq!(*last_to, addr(9103));
+        assert_eq!(
+            last,
+            &Signal::NcForwardTab {
+                table: "session 7\n".into()
+            }
+        );
+        assert_eq!(frames_to(&link, since, 9101).len(), 1);
+        let journal = std::fs::read(auto.journal.path()).unwrap();
+        let state = ControllerState::replay(&scan_frames(&journal).0);
+        assert_eq!(state.nodes[&3].table.to_text(), "session 7\n");
     }
 }

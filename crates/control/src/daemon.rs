@@ -232,7 +232,8 @@ impl Daemon {
             }
             Signal::NcForwardTab { table } => {
                 // Updates are deltas: only the changed entries are
-                // shipped (Table III's "update percentage").
+                // shipped (Table III's "update percentage"), and a
+                // session line with no next hop withdraws its route.
                 let update = ForwardingTable::parse(table).map_err(|_| Refusal::BadTable)?;
                 let changed = self.table.merge(&update);
                 if self.state == DaemonState::Idle {

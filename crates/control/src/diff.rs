@@ -3,8 +3,11 @@
 //! "In the presence of system dynamics, the controller adjusts coding
 //! function deployment on the fly, i.e., updating the forwarding tables,
 //! terminating existing coding functions and launching new ones"
-//! (Sec. III-A). This module diffs two deployments and produces exactly
-//! those three kinds of work.
+//! (Sec. III-A). This module derives the forwarding tables a deployment
+//! gives every node; [`ForwardingTable::diff`] of what a node holds
+//! against its planned table is the push that updates it, withdrawals
+//! included. Launching and terminating are the autoscaler's arming and
+//! draining (`crate::autoscale`).
 
 use std::collections::HashMap;
 
@@ -13,49 +16,6 @@ use ncvnf_deploy::Deployment;
 use ncvnf_flowgraph::NodeId;
 
 use crate::fwdtab::ForwardingTable;
-use crate::signal::Signal;
-
-/// The signal batch that morphs one deployment into another.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SignalPlan {
-    /// `NC_VNF_START` work: (data center, additional instances).
-    pub launches: Vec<(NodeId, u32)>,
-    /// `NC_VNF_END` work: (data center, instances to drain).
-    pub terminations: Vec<(NodeId, u32)>,
-    /// `NC_FORWARD_TAB` work: nodes whose tables changed, with the new
-    /// table.
-    pub table_updates: Vec<(NodeId, ForwardingTable)>,
-}
-
-impl SignalPlan {
-    /// True when nothing needs to change.
-    pub fn is_empty(&self) -> bool {
-        self.launches.is_empty() && self.terminations.is_empty() && self.table_updates.is_empty()
-    }
-
-    /// Renders the plan as concrete signals, using `tau_secs` for
-    /// terminations and data-center labels from the topology.
-    pub fn to_signals(&self, topo: &Topology, tau_secs: u32) -> Vec<Signal> {
-        let mut out = Vec::new();
-        for &(dc, count) in &self.launches {
-            out.push(Signal::NcVnfStart {
-                data_center: topo.label(dc).to_owned(),
-                count,
-            });
-        }
-        for &(_, count) in &self.terminations {
-            for _ in 0..count {
-                out.push(Signal::NcVnfEnd { tau_secs });
-            }
-        }
-        for (_, table) in &self.table_updates {
-            out.push(Signal::NcForwardTab {
-                table: table.to_text(),
-            });
-        }
-        out
-    }
-}
 
 /// Derives every node's forwarding table from a deployment's edge flows:
 /// node `u` forwards session `m` to the heads of all edges `(u, v)` that
@@ -89,48 +49,6 @@ pub fn tables_from_deployment(
     tables
 }
 
-/// Diffs VNF counts and forwarding tables between two deployments.
-pub fn plan_signals(
-    topo: &Topology,
-    sessions: &[SessionSpec],
-    old: Option<&Deployment>,
-    new: &Deployment,
-    addr_of: &dyn Fn(NodeId) -> String,
-) -> SignalPlan {
-    let mut plan = SignalPlan::default();
-    for dc in topo.data_centers() {
-        let before = old.map(|d| *d.vnfs.get(&dc).unwrap_or(&0)).unwrap_or(0);
-        let after = *new.vnfs.get(&dc).unwrap_or(&0);
-        use std::cmp::Ordering;
-        match after.cmp(&before) {
-            Ordering::Greater => plan.launches.push((dc, (after - before) as u32)),
-            Ordering::Less => plan.terminations.push((dc, (before - after) as u32)),
-            Ordering::Equal => {}
-        }
-    }
-    let new_tables = tables_from_deployment(topo, sessions, new, addr_of);
-    let old_tables = old
-        .map(|d| tables_from_deployment(topo, sessions, d, addr_of))
-        .unwrap_or_default();
-    let mut nodes: Vec<NodeId> = new_tables.keys().copied().collect();
-    for n in old_tables.keys() {
-        if !new_tables.contains_key(n) {
-            nodes.push(*n);
-        }
-    }
-    nodes.sort();
-    nodes.dedup();
-    for node in nodes {
-        let empty = ForwardingTable::new();
-        let new_t = new_tables.get(&node).unwrap_or(&empty);
-        let old_t = old_tables.get(&node).unwrap_or(&empty);
-        if new_t != old_t {
-            plan.table_updates.push((node, new_t.clone()));
-        }
-    }
-    plan
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,44 +77,55 @@ mod tests {
         }
     }
 
+    /// The pushes that take nodes holding `from` to `to`, per node.
+    fn pushes(
+        from: &HashMap<NodeId, ForwardingTable>,
+        to: &HashMap<NodeId, ForwardingTable>,
+    ) -> HashMap<NodeId, ForwardingTable> {
+        let empty = ForwardingTable::new();
+        let nodes: Vec<NodeId> = from.keys().chain(to.keys()).copied().collect();
+        nodes
+            .into_iter()
+            .map(|n| {
+                let held = from.get(&n).unwrap_or(&empty);
+                (n, held.diff(to.get(&n).unwrap_or(&empty), false))
+            })
+            .filter(|(_, push)| !push.is_empty())
+            .collect()
+    }
+
     #[test]
-    fn initial_plan_launches_everything() {
+    fn initial_push_carries_every_planned_table() {
         let (topo, sessions, dep) = setup();
-        let plan = plan_signals(&topo, &sessions, None, &dep, &addr);
-        let launched: u64 = plan.launches.iter().map(|&(_, c)| c as u64).sum();
-        assert_eq!(launched, dep.total_vnfs());
-        assert!(plan.terminations.is_empty());
-        assert!(!plan.table_updates.is_empty());
-        let signals = plan.to_signals(&topo, 600);
-        assert_eq!(
-            signals.len(),
-            plan.launches.len() + plan.table_updates.len()
-        );
+        let tables = tables_from_deployment(&topo, &sessions, &dep, &addr);
+        assert!(!tables.is_empty());
+        assert_eq!(pushes(&HashMap::new(), &tables), tables);
     }
 
     #[test]
     fn identical_deployments_need_no_signals() {
         let (topo, sessions, dep) = setup();
-        let plan = plan_signals(&topo, &sessions, Some(&dep), &dep, &addr);
-        assert!(plan.is_empty());
+        let tables = tables_from_deployment(&topo, &sessions, &dep, &addr);
+        assert!(pushes(&tables, &tables).is_empty());
     }
 
     #[test]
-    fn scale_in_emits_vnf_end() {
+    fn scale_in_withdraws_every_route() {
         let (topo, sessions, dep) = setup();
         let mut shrunk = dep.clone();
         for count in shrunk.vnfs.values_mut() {
             *count = 0;
         }
         shrunk.edge_rates = vec![HashMap::new(); sessions.len()];
-        let plan = plan_signals(&topo, &sessions, Some(&dep), &shrunk, &addr);
-        let ended: u64 = plan.terminations.iter().map(|&(_, c)| c as u64).sum();
-        assert_eq!(ended, dep.total_vnfs());
-        let signals = plan.to_signals(&topo, 600);
-        let ends = signals
-            .iter()
-            .filter(|s| matches!(s, Signal::NcVnfEnd { tau_secs: 600 }))
-            .count() as u64;
-        assert_eq!(ends, dep.total_vnfs());
+        let before = tables_from_deployment(&topo, &sessions, &dep, &addr);
+        let after = tables_from_deployment(&topo, &sessions, &shrunk, &addr);
+        assert!(after.is_empty(), "the shrunk plan routes nothing");
+        let pushes = pushes(&before, &after);
+        assert_eq!(pushes.len(), before.len(), "every routing node is told");
+        for (node, push) in pushes {
+            let mut held = before[&node].clone();
+            assert_eq!(held.merge(&push), before[&node].len());
+            assert!(held.is_empty(), "{} keeps a route", topo.label(node));
+        }
     }
 }

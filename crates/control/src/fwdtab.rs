@@ -6,11 +6,16 @@
 //!
 //! ```text
 //! session <id> <next-hop> [<next-hop> ...]
+//! session <id>
 //! ```
 //!
 //! Next hops are opaque address strings (`ip:port` in the real-socket
-//! deployment, `node:port` in the simulator). Lines starting with `#` and
-//! blank lines are ignored.
+//! deployment, `node:port` in the simulator). A line with no next hop is a
+//! *withdrawal*: merged into a table it removes the session's route. Lines
+//! starting with `#` and blank lines are ignored.
+//!
+//! A push is a delta: [`ForwardingTable::diff`] of what a node is
+//! believed to hold against what the plan gives it, withdrawals included.
 
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -42,7 +47,8 @@ impl fmt::Display for TableError {
 
 impl Error for TableError {}
 
-/// A per-VNF forwarding table: session → next-hop addresses.
+/// A per-VNF forwarding table: session → next-hop addresses. An entry
+/// with no next hop is a withdrawal; it routes nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ForwardingTable {
     entries: BTreeMap<SessionId, Vec<String>>,
@@ -86,16 +92,7 @@ impl ForwardingTable {
 
     /// Serializes to the text format.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for (session, hops) in &self.entries {
-            out.push_str(&format!("session {}", session.value()));
-            for h in hops {
-                out.push(' ');
-                out.push_str(h);
-            }
-            out.push('\n');
-        }
-        out
+        self.entries.iter().map(|(&s, h)| line(s, h)).collect()
     }
 
     /// Parses the text format.
@@ -131,46 +128,34 @@ impl ForwardingTable {
                     line: i + 1,
                     reason: format!("bad session id: {e}"),
                 })?;
-            let hops: Vec<String> = parts.map(str::to_owned).collect();
-            if hops.is_empty() {
-                return Err(TableError::BadLine {
-                    line: i + 1,
-                    reason: "no next hops".into(),
-                });
-            }
-            table.set(SessionId::new(id), hops);
+            table.set(SessionId::new(id), parts.map(str::to_owned).collect());
         }
         Ok(table)
     }
 
-    /// Number of entries that differ between the two tables (added,
-    /// removed, or changed) — the "update percentage" of Table III is
-    /// `differing / max(len)`.
-    pub fn diff_count(&self, other: &ForwardingTable) -> usize {
-        let mut n = 0;
-        for (s, hops) in &self.entries {
-            match other.entries.get(s) {
-                Some(o) if o == hops => {}
-                _ => n += 1,
+    /// The push that takes a node holding this table to `plan`: each
+    /// planned entry this table lacks or holds differently (every planned
+    /// entry when `whole`), and a withdrawal of each session this table
+    /// routes and `plan` does not (of each one it names at all, its own
+    /// withdrawals included, when `whole`). Empty when nothing changes.
+    pub fn diff(&self, plan: &ForwardingTable, whole: bool) -> ForwardingTable {
+        let mut push = ForwardingTable::new();
+        for (&session, hops) in &plan.entries {
+            if whole || self.entries.get(&session) != Some(hops) {
+                push.set(session, hops.clone());
             }
         }
-        for s in other.entries.keys() {
-            if !self.entries.contains_key(s) {
-                n += 1;
+        for (&session, hops) in &self.entries {
+            if !plan.entries.contains_key(&session) && (whole || !hops.is_empty()) {
+                push.set(session, Vec::new());
             }
         }
-        n
+        push
     }
 
-    /// Applies `other` entry-by-entry, returning how many entries changed.
-    pub fn apply(&mut self, other: &ForwardingTable) -> usize {
-        let changed = self.diff_count(other);
-        self.entries = other.entries.clone();
-        changed
-    }
-
-    /// A content digest of the table, derived from the canonical text
-    /// form (FNV-1a over [`to_text`](Self::to_text)), masked to 53 bits
+    /// A content digest of the table's routes, derived from the canonical
+    /// text form (FNV-1a over the [`to_text`](Self::to_text) lines of the
+    /// entries that have next hops; withdrawals are left out), masked to 53 bits
     /// so the value survives a round trip through an `f64` metric gauge
     /// exactly. The controller's reconciliation pass compares the digest
     /// it believes a node holds (journal replay) against the digest the
@@ -180,31 +165,44 @@ impl ForwardingTable {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut hash = FNV_OFFSET;
-        for byte in self.to_text().bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(FNV_PRIME);
+        for (&session, hops) in self.entries.iter().filter(|(_, h)| !h.is_empty()) {
+            for byte in line(session, hops).bytes() {
+                hash ^= byte as u64;
+                hash = hash.wrapping_mul(FNV_PRIME);
+            }
         }
         hash & ((1u64 << 53) - 1)
     }
 
     /// Merges `other` into this table (delta update): entries present in
-    /// `other` replace or add to the current table, everything else is
-    /// kept. Returns how many entries actually changed. This is the
-    /// Table III operation — the controller ships only the changed
-    /// fraction of the table.
+    /// `other` replace or add to the current table, its withdrawals remove
+    /// theirs, everything else is kept. Returns how many routes actually
+    /// changed. This is the Table III operation — the controller ships
+    /// only the changed fraction of the table.
     pub fn merge(&mut self, other: &ForwardingTable) -> usize {
         let mut changed = 0;
         for (&session, hops) in &other.entries {
-            match self.entries.get(&session) {
-                Some(existing) if existing == hops => {}
-                _ => {
-                    self.entries.insert(session, hops.clone());
-                    changed += 1;
-                }
+            if hops.is_empty() {
+                let routed = self.entries.remove(&session);
+                changed += usize::from(routed.is_some_and(|h| !h.is_empty()));
+            } else if self.entries.get(&session) != Some(hops) {
+                self.entries.insert(session, hops.clone());
+                changed += 1;
             }
         }
         changed
     }
+}
+
+/// One line of the text format: `session <id>` and the next hops.
+fn line(session: SessionId, hops: &[String]) -> String {
+    let mut out = format!("session {}", session.value());
+    for h in hops {
+        out.push(' ');
+        out.push_str(h);
+    }
+    out.push('\n');
+    out
 }
 
 #[cfg(test)]
@@ -242,7 +240,23 @@ mod tests {
     fn malformed_lines_rejected() {
         assert!(ForwardingTable::parse("nonsense").is_err());
         assert!(ForwardingTable::parse("session x a:1").is_err());
-        assert!(ForwardingTable::parse("session 5").is_err());
+        assert!(ForwardingTable::parse("session").is_err());
+        assert!(ForwardingTable::parse("route 5 a:1").is_err());
+    }
+
+    #[test]
+    fn a_line_without_hops_withdraws_the_session() {
+        let push = ForwardingTable::parse("session 3\nsession 4 x:1\n").unwrap();
+        assert_eq!(push.next_hops(SessionId::new(3)), Some(&[][..]));
+        assert_eq!(push.to_text(), "session 3\nsession 4 x:1\n");
+        let mut t = sample();
+        assert_eq!(t.merge(&push), 2, "one route withdrawn, one added");
+        assert_eq!(t.next_hops(SessionId::new(3)), None);
+        assert_eq!(
+            t.to_text(),
+            "session 1 10.0.0.1:4000 10.0.0.2:4000\nsession 4 x:1\n"
+        );
+        assert_eq!(t.merge(&push), 0, "a withdrawal of nothing changes nothing");
     }
 
     #[test]
@@ -261,20 +275,36 @@ mod tests {
         // Survives the f64 gauge round trip losslessly.
         let through_gauge = a.digest() as f64 as u64;
         assert_eq!(through_gauge, a.digest());
+        // A withdrawal routes nothing, so it is not in the digest.
+        let mut d = sample();
+        d.set(SessionId::new(9), Vec::new());
+        assert_eq!(d.digest(), a.digest());
     }
 
     #[test]
     fn diff_counts_changes() {
         let a = sample();
         let mut b = sample();
-        assert_eq!(a.diff_count(&b), 0);
+        assert!(a.diff(&b, false).is_empty());
         b.set(SessionId::new(1), vec!["10.9.9.9:4000".into()]); // changed
         b.set(SessionId::new(4), vec!["x:1".into()]); // added
         b.remove(SessionId::new(3)); // removed
-        assert_eq!(a.diff_count(&b), 3);
+        let push = a.diff(&b, false);
+        assert_eq!(
+            push.to_text(),
+            "session 1 10.9.9.9:4000\nsession 3\nsession 4 x:1\n"
+        );
         let mut c = sample();
-        let changed = c.apply(&b);
-        assert_eq!(changed, 3);
+        assert_eq!(c.merge(&push), 3);
         assert_eq!(c, b);
+        // A whole push repeats the unchanged routes, and every withdrawal
+        // the belief still names.
+        let mut belief = c.clone();
+        belief.set(SessionId::new(3), Vec::new());
+        assert!(belief.diff(&b, false).is_empty());
+        assert_eq!(
+            belief.diff(&b, true).to_text(),
+            "session 1 10.9.9.9:4000\nsession 3\nsession 4 x:1\n"
+        );
     }
 }

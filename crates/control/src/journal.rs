@@ -48,7 +48,6 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use bytes::{Buf, BufMut};
-use ncvnf_deploy::{PoolState, VnfPool};
 use ncvnf_rlnc::SessionId;
 
 use crate::fwdtab::ForwardingTable;
@@ -462,8 +461,9 @@ pub struct NodeBelief {
     pub data_center: String,
     /// Control-socket address (`ip:port`).
     pub control_addr: String,
-    /// The forwarding table the node should hold (all pushed deltas,
-    /// merged in order).
+    /// The forwarding table the node should hold: every pushed delta,
+    /// merged in order, with each withdrawn session kept as an entry with
+    /// no next hop.
     pub table: ForwardingTable,
     /// Epoch of the last table push journaled for this node.
     pub last_epoch: u64,
@@ -499,116 +499,106 @@ pub struct ControllerState {
 }
 
 impl ControllerState {
-    /// Replays records in order into a state. Records that reference a
-    /// node never launched (possible only with a hand-edited journal)
-    /// are ignored rather than trusted.
+    /// Replays records in order into a state: [`apply`](Self::apply) on
+    /// each, from the empty state.
     pub fn replay(records: &[ControlRecord]) -> Self {
         let mut state = ControllerState::default();
         for record in records {
-            match record {
-                ControlRecord::EpochStarted { epoch } => {
-                    state.epoch = state.epoch.max(*epoch);
-                }
-                ControlRecord::SessionCreated {
-                    session,
-                    block_size,
-                    generation_size,
-                    buffer_generations,
-                } => {
-                    state.sessions.insert(
-                        *session,
-                        SessionSpec {
-                            block_size: *block_size,
-                            generation_size: *generation_size,
-                            buffer_generations: *buffer_generations,
-                        },
-                    );
-                }
-                ControlRecord::SessionEnded { session } => {
-                    state.sessions.remove(session);
-                }
-                ControlRecord::VnfLaunched {
-                    node,
-                    data_center,
-                    control_addr,
-                } => {
-                    state.nodes.insert(
-                        *node,
-                        NodeBelief {
-                            data_center: data_center.clone(),
-                            control_addr: control_addr.clone(),
-                            table: ForwardingTable::new(),
-                            last_epoch: 0,
-                            last_seq: 0,
-                            status: NodeStatus::Active,
-                        },
-                    );
-                }
-                ControlRecord::VnfEnded {
-                    node,
-                    linger_deadline_secs,
-                } => {
-                    if let Some(belief) = state.nodes.get_mut(node) {
-                        belief.status = NodeStatus::Draining {
-                            deadline_secs: *linger_deadline_secs,
-                        };
-                    }
-                }
-                ControlRecord::VnfReused { node } => {
-                    if let Some(belief) = state.nodes.get_mut(node) {
-                        belief.status = NodeStatus::Active;
-                    }
-                }
-                ControlRecord::TablePushed {
-                    node,
-                    epoch,
-                    seq,
-                    table,
-                } => {
-                    if let Some(belief) = state.nodes.get_mut(node) {
-                        if let Ok(delta) = ForwardingTable::parse(table) {
-                            belief.table.merge(&delta);
-                        }
-                        belief.last_epoch = *epoch;
-                        belief.last_seq = *seq;
-                    }
-                }
-                ControlRecord::PoolExpired { node } => {
-                    state.nodes.remove(node);
-                }
-                ControlRecord::ScaleDecision { seq, .. } => {
-                    state.scale_decisions = state.scale_decisions.max(*seq);
-                }
-            }
+            state.apply(record);
         }
         state
+    }
+
+    /// Advances the state by one record. A record that references a node
+    /// never launched (possible only with a hand-edited journal) is
+    /// ignored rather than trusted. A table push's withdrawals stay in the
+    /// node's table as entries with no next hop, so that a re-push of the
+    /// believed table carries them.
+    pub fn apply(&mut self, record: &ControlRecord) {
+        match record {
+            ControlRecord::EpochStarted { epoch } => {
+                self.epoch = self.epoch.max(*epoch);
+            }
+            ControlRecord::SessionCreated {
+                session,
+                block_size,
+                generation_size,
+                buffer_generations,
+            } => {
+                self.sessions.insert(
+                    *session,
+                    SessionSpec {
+                        block_size: *block_size,
+                        generation_size: *generation_size,
+                        buffer_generations: *buffer_generations,
+                    },
+                );
+            }
+            ControlRecord::SessionEnded { session } => {
+                self.sessions.remove(session);
+            }
+            ControlRecord::VnfLaunched {
+                node,
+                data_center,
+                control_addr,
+            } => {
+                self.nodes.insert(
+                    *node,
+                    NodeBelief {
+                        data_center: data_center.clone(),
+                        control_addr: control_addr.clone(),
+                        table: ForwardingTable::new(),
+                        last_epoch: 0,
+                        last_seq: 0,
+                        status: NodeStatus::Active,
+                    },
+                );
+            }
+            ControlRecord::VnfEnded {
+                node,
+                linger_deadline_secs,
+            } => {
+                if let Some(belief) = self.nodes.get_mut(node) {
+                    belief.status = NodeStatus::Draining {
+                        deadline_secs: *linger_deadline_secs,
+                    };
+                }
+            }
+            ControlRecord::VnfReused { node } => {
+                if let Some(belief) = self.nodes.get_mut(node) {
+                    belief.status = NodeStatus::Active;
+                }
+            }
+            ControlRecord::TablePushed {
+                node,
+                epoch,
+                seq,
+                table,
+            } => {
+                if let Some(belief) = self.nodes.get_mut(node) {
+                    if let Ok(push) = ForwardingTable::parse(table) {
+                        belief.table.merge(&push);
+                        for (session, _) in push.iter().filter(|(_, hops)| hops.is_empty()) {
+                            belief.table.set(session, Vec::new());
+                        }
+                    }
+                    belief.last_epoch = *epoch;
+                    belief.last_seq = *seq;
+                }
+            }
+            ControlRecord::PoolExpired { node } => {
+                self.nodes.remove(node);
+            }
+            ControlRecord::ScaleDecision { seq, .. } => {
+                self.scale_decisions = self.scale_decisions.max(*seq);
+            }
+        }
     }
 
     /// The epoch a restarting controller must fence its signals with:
     /// one above everything ever journaled.
     pub fn next_epoch(&self) -> u64 {
         self.epoch + 1
-    }
-
-    /// Rebuilds the [`VnfPool`] from the replayed node statuses: every
-    /// `Active` node is an active instance, every `Draining` node is a
-    /// lingering instance with its journaled deadline. Ticking the
-    /// returned pool with the current clock expires every τ window that
-    /// closed while the controller was down.
-    pub fn rebuild_pool(&self, tau: f64, launch_latency: f64) -> VnfPool {
-        let mut pool = PoolState {
-            tau,
-            launch_latency,
-            ..PoolState::default()
-        };
-        for belief in self.nodes.values() {
-            match belief.status {
-                NodeStatus::Active => pool.active += 1,
-                NodeStatus::Draining { deadline_secs } => pool.lingering.push(deadline_secs),
-            }
-        }
-        pool.total_launches = pool.active + pool.lingering.len() as u64;
-        VnfPool::import(pool)
     }
 }
 
@@ -1238,32 +1228,31 @@ mod tests {
     }
 
     #[test]
-    fn pool_rebuild_reflects_statuses_and_expires_overdue_lingerers() {
-        let records = vec![
-            ControlRecord::EpochStarted { epoch: 1 },
-            ControlRecord::VnfLaunched {
-                node: 0,
-                data_center: "dc".into(),
-                control_addr: "127.0.0.1:1".into(),
-            },
-            ControlRecord::VnfLaunched {
-                node: 1,
-                data_center: "dc".into(),
-                control_addr: "127.0.0.1:2".into(),
-            },
-            ControlRecord::VnfEnded {
-                node: 1,
-                linger_deadline_secs: 300.0,
-            },
-        ];
+    fn a_withdrawal_stays_in_the_belief_and_in_its_re_push() {
+        let mut records = sample_records();
+        records.push(ControlRecord::TablePushed {
+            node: 0,
+            epoch: 1,
+            seq: 2,
+            table: "session 7\nsession 8 127.0.0.1:4300\n".into(),
+        });
         let state = ControllerState::replay(&records);
-        let mut pool = state.rebuild_pool(600.0, 35.0);
-        assert_eq!(pool.active(), 1);
-        assert_eq!(pool.billable(100.0), 2, "lingerer still billed before τ");
-        // The controller was down past the deadline: expire it.
-        pool.tick(301.0);
-        assert_eq!(pool.billable(301.0), 1);
-        assert_eq!(state.next_epoch(), 2);
+        let table = &state.nodes[&0].table;
+        assert_eq!(table.to_text(), "session 7\nsession 8 127.0.0.1:4300\n");
+        let mut held = ForwardingTable::parse("session 7 127.0.0.1:4201\n").unwrap();
+        held.merge(table);
+        assert_eq!(held.to_text(), "session 8 127.0.0.1:4300\n");
+        assert_eq!(
+            held.digest(),
+            table.digest(),
+            "the digest covers routes only"
+        );
+        // One record at a time is the same state.
+        let mut stepped = ControllerState::default();
+        for record in &records {
+            stepped.apply(record);
+        }
+        assert_eq!(stepped, state);
     }
 
     #[test]

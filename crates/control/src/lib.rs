@@ -9,13 +9,14 @@
 //!   codec usable over any byte transport;
 //! * [`fwdtab`] — the forwarding table, which the paper keeps as "a text
 //!   file, recording the next hops' IP addresses for each relevant
-//!   multicast session": parser, serializer, and diff (Table III measures
+//!   multicast session": parser, serializer, and the one diff that makes
+//!   every push — changed routes plus withdrawals (Table III measures
 //!   partial updates);
 //! * [`daemon`] — the per-VNF daemon, the one receiver of control
 //!   datagrams: fences each frame, applies settings, table deltas,
 //!   drains and quotas, and writes the [`Ack`];
-//! * [`diff`] — turns two [`ncvnf_deploy::Deployment`]s into the signal
-//!   batch that morphs one into the other;
+//! * [`diff`] — derives the forwarding table a
+//!   [`ncvnf_deploy::Deployment`] gives every node;
 //! * [`metrics`] — the control-plane slice of the `ncvnf-obs` registry:
 //!   scaling observations, lost and returned relays, table-push latency,
 //!   and the journal/sender/reconcile instrumentation;
@@ -39,9 +40,11 @@
 //!   via fenced pushes in dependency order (downstream first), and winds
 //!   idle VNFs to zero until traffic wakes them. Its `NC_STATS` sweep
 //!   is also the one failure detector: a relay that misses two sweeps is
-//!   lost and planned around. [`Autoscaler::start`] is the controller's
-//!   one start: journal replay in, new epoch journaled, fleet reconciled
-//!   and fenced, never-armed relays armed.
+//!   lost and planned around. Its one belief about the fleet is the
+//!   journal's [`ControllerState`], advanced by every record it journals.
+//!   [`Autoscaler::start`] is the controller's one start: journal replay
+//!   in, new epoch journaled, fleet reconciled and fenced, and the
+//!   targets that need it armed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

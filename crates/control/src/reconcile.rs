@@ -11,8 +11,8 @@
 //! 2. **Plan** — pure bucketing: τ-expired lingerers are *expired*,
 //!    silent nodes are *unreachable* (failover territory), draining
 //!    nodes get their *remaining drain*, nodes never sent a table are
-//!    *unarmed* (the start entry arms them with bootstrap's settings),
-//!    and every other node gets its believed table *re-pushed*.
+//!    *unarmed* (nothing to re-push), and every other node gets its
+//!    believed table *re-pushed*, withdrawals included.
 //! 3. **Act** — push under the new epoch through the [`ControlLink`] (a
 //!    [`crate::SignalSender`] in production): tables in dependency order,
 //!    downstream first, then drains in the reverse order. A table merge
@@ -60,9 +60,8 @@ pub struct ReconcilePlan {
     /// with the τ that remains (the drain the crash interrupted, or a
     /// drain that landed and now only moves to the new epoch).
     pub redrain: Vec<u32>,
-    /// Launched nodes never sent a table: an empty table would be
-    /// rejected, so they get no push here; the start entry arms them
-    /// with bootstrap's settings and tables.
+    /// Launched nodes never sent a table: nothing to re-push. The start
+    /// entry arms those whose answer shows their settings never landed.
     pub unarmed: Vec<u32>,
 }
 
@@ -123,19 +122,20 @@ pub fn reconcile(
     now_secs: f64,
     metrics: Option<&ControlMetrics>,
 ) -> ReconcileReport {
-    reconcile_in_order(link, state, now_secs, metrics, &[])
+    reconcile_in_order(link, state, now_secs, metrics, &[]).0
 }
 
 /// [`reconcile`] with tables pushed in `order`'s waves (node ids,
 /// downstream first) and drains in its reverse. Nodes `order` omits form
-/// one more wave after it, so their drains go first.
+/// one more wave after it, so their drains go first. Also returns each
+/// reachable node's `NC_STATS` answer.
 pub(crate) fn reconcile_in_order(
     link: &mut dyn ControlLink,
     state: &ControllerState,
     now_secs: f64,
     metrics: Option<&ControlMetrics>,
     order: &[Vec<u32>],
-) -> ReconcileReport {
+) -> (ReconcileReport, Vec<(u32, String)>) {
     let mut probed = Vec::new();
     for (&node, belief) in &state.nodes {
         // Expired lingerers are not worth a probe; plan() buckets them.
@@ -149,12 +149,12 @@ pub(crate) fn reconcile_in_order(
         }
     }
     let addrs: Vec<SocketAddr> = probed.iter().map(|&(_, addr)| addr).collect();
-    let reachable: Vec<u32> = probed
+    let answers: Vec<(u32, String)> = probed
         .iter()
         .zip(link.query_all(&addrs))
-        .filter(|(_, answer)| answer.is_ok())
-        .map(|(&(node, _), _)| node)
+        .filter_map(|(&(node, _), answer)| Some((node, answer.ok()?)))
         .collect();
+    let reachable: Vec<u32> = answers.iter().map(|&(node, _)| node).collect();
     let plan = plan(state, &reachable, now_secs);
     let addr_of = |node: u32| probed.iter().find(|&&(n, _)| n == node).map(|&(_, a)| a);
     let rank = |node: u32| {
@@ -208,12 +208,13 @@ pub(crate) fn reconcile_in_order(
             plan.unreachable.len() as u64,
         );
     }
-    ReconcileReport {
+    let report = ReconcileReport {
         plan,
         repushed_ok,
         redrained_ok,
         repush_failures,
-    }
+    };
+    (report, answers)
 }
 
 #[cfg(test)]
@@ -279,7 +280,7 @@ mod tests {
         let state = replayed_state();
         let table = |n: u32| state.nodes[&n].table.to_text();
         // Everyone answers inside τ: armed nodes get their table, node 2
-        // (never sent one) is left to bootstrap, node 3 drains on.
+        // (never sent one) is left to the start entry, node 3 drains on.
         let p = plan(&state, &[0, 1, 2, 3], 100.0);
         assert_eq!(p.repush, vec![(0, table(0)), (1, table(1))]);
         assert_eq!(p.unarmed, vec![2]);
@@ -371,7 +372,7 @@ mod tests {
         assert_eq!(report.plan.unarmed, vec![2]);
         assert!(report.repush_failures.is_empty());
         let ports: Vec<u16> = link.pushed.iter().map(|(p, _)| *p).collect();
-        assert_eq!(ports, vec![9000, 9001], "node 2 is left to bootstrap");
+        assert_eq!(ports, vec![9000, 9001], "node 2 is left to the start entry");
     }
 
     #[test]
@@ -381,7 +382,7 @@ mod tests {
             deadline_secs: 500.0,
         };
         let mut link = link(&[9000, 9001, 9003]);
-        let report =
+        let (report, _) =
             reconcile_in_order(&mut link, &state, 100.0, None, &[vec![3], vec![1], vec![0]]);
         assert_eq!(report.repushed_ok, 1);
         assert_eq!(report.redrained_ok, 2);

@@ -6,17 +6,23 @@
 //!    adoption (Algorithm 1's hysteresis holds end to end through the
 //!    telemetry → controller → actuation pipeline).
 //! 2. **Write-ahead** — at the instant any `NC_FORWARD_TAB` leaves the
-//!    controller, the WAL already contains the pushed table as the
-//!    node's belief; at the instant a poll reports an adoption, the WAL
-//!    already contains the matching `ScaleDecision`.
+//!    controller, the WAL already holds the `TablePushed` record of that
+//!    frame's `(node, epoch, seq)` with the same table text, and the
+//!    node's belief already holds every entry of it; at the instant a
+//!    poll reports an adoption, the WAL already contains the matching
+//!    `ScaleDecision`.
 //! 3. **Drain safety** — `NC_VNF_END` is only ever pushed to a node
 //!    whose datagram counters did not move across the last poll gap
 //!    *and* whose idle clock exceeds the idle τ: scale-to-zero never
 //!    winds down a node with in-flight traffic.
+//! 4. **The fleet holds the plan** (checker 8 of `crash_every_byte`) —
+//!    after every poll, each Running relay holds exactly the routes its
+//!    belief gives it, and that belief is the adopted plan's table for
+//!    it, withdrawals included.
 //!
-//! The link runs the real [`ExchangeTable`] over in-memory delivery: it
-//! re-opens the WAL as each push leaves and asserts the write-ahead
-//! invariants then, not after the fact.
+//! The link runs the real [`ExchangeTable`] over in-memory delivery to a
+//! real [`Daemon`] per relay: it re-opens the WAL as each push leaves and
+//! asserts the write-ahead invariants then, not after the fact.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -25,9 +31,12 @@ use std::time::Instant;
 
 use proptest::prelude::*;
 
+use ncvnf_control::diff::tables_from_deployment;
+use ncvnf_control::journal::scan_frames;
 use ncvnf_control::{
-    Ack, AutoscaleConfig, Autoscaler, Completed, ControlLink, ControllerState, ExchangeTable,
-    FencedSignal, Journal, NodeStatus, RelayTarget, SendError, SendReceipt, Signal, VnfRoleWire,
+    AutoscaleConfig, Autoscaler, Completed, ControlLink, ControlRecord, ControllerState, Daemon,
+    DaemonState, ExchangeTable, FencedSignal, ForwardingTable, Journal, NodeStatus, Received,
+    RelayTarget, SendError, SendReceipt, Signal, VnfRoleWire,
 };
 use ncvnf_deploy::{
     Planner, ScalingController, ScalingEvent, ScalingParams, SessionSpec, TopologyBuilder, VnfSpec,
@@ -62,6 +71,8 @@ struct VerifyingLink {
     served: HashMap<SocketAddr, Vec<(u64, u64)>>,
     stats: HashMap<SocketAddr, String>,
     pushes: Vec<Signal>,
+    /// Each relay's receiver, handed every push's bytes.
+    daemons: HashMap<SocketAddr, Daemon>,
 }
 
 fn replayed(wal: &Path) -> ControllerState {
@@ -78,6 +89,7 @@ impl VerifyingLink {
             served: HashMap::new(),
             stats: HashMap::new(),
             pushes: Vec::new(),
+            daemons: HashMap::new(),
         }
     }
 
@@ -96,7 +108,7 @@ impl VerifyingLink {
 
     /// Runs `requests` through the table: a stats query is answered from
     /// the script (a node without stats stays silent), a push is checked
-    /// and ACKed.
+    /// and handed to the node's daemon, which answers it.
     fn settle(&mut self, requests: &[(SocketAddr, Signal)]) -> Vec<Completed> {
         let VerifyingLink {
             table,
@@ -105,6 +117,7 @@ impl VerifyingLink {
             served,
             stats,
             pushes,
+            daemons,
         } = self;
         let requests = requests.iter().map(|(to, s)| (*to, s));
         table.settle(Instant::now(), requests, |to, wire| {
@@ -118,35 +131,46 @@ impl VerifyingLink {
                 return Some(json.into_bytes());
             };
             let node = *node_of.get(&to).expect("push to a known target");
-            check_push(&replayed(wal), node, &frame.signal, served.get(&to));
+            check_push(wal, node, &frame, served.get(&to));
             pushes.push(frame.signal);
-            Some(Ack::Ok { seq: frame.seq }.to_string().into_bytes())
+            match daemons.entry(to).or_default().receive(wire) {
+                Received::Reply { ack, .. } => Some(ack.to_string().into_bytes()),
+                Received::Stats => unreachable!("a push is fenced"),
+            }
         })
     }
 }
 
-/// The write-ahead and drain-safety invariants at the instant a push of
-/// `signal` to `node` leaves, given the journal's replay and the stats
-/// served to the node so far.
-fn check_push(
-    state: &ControllerState,
-    node: u32,
-    signal: &Signal,
-    history: Option<&Vec<(u64, u64)>>,
-) {
-    match signal {
+/// The write-ahead and drain-safety invariants at the instant `frame`
+/// leaves for `node`, given the journal on disk and the stats served to
+/// the node so far.
+fn check_push(wal: &Path, node: u32, frame: &FencedSignal, history: Option<&Vec<(u64, u64)>>) {
+    let records = scan_frames(&std::fs::read(wal).expect("wal readable")).0;
+    let state = ControllerState::replay(&records);
+    match &frame.signal {
         Signal::NcForwardTab { table } => {
-            // Write-ahead: the WAL's belief for this node must already
-            // equal the table being pushed (full-table pushes merge to
-            // exactly the last delta).
+            // Write-ahead: the WAL holds this very frame's record, and the
+            // belief for this node already holds every entry it carries.
+            let record = ControlRecord::TablePushed {
+                node,
+                epoch: frame.epoch,
+                seq: frame.seq,
+                table: table.clone(),
+            };
+            assert!(
+                records.contains(&record),
+                "table push to node {node} not journaled write-ahead: {record:?}"
+            );
             let belief = state
                 .nodes
                 .get(&node)
                 .unwrap_or_else(|| panic!("node {node} journaled before any push"));
+            let mut believed = belief.table.clone();
+            let pushed = ForwardingTable::parse(table).expect("the controller pushes tables");
             assert_eq!(
-                belief.table.to_text(),
-                *table,
-                "table push to node {node} not journaled write-ahead"
+                believed.merge(&pushed),
+                0,
+                "table push to node {node} is not the belief"
             );
         }
         Signal::NcVnfEnd { .. } => {
@@ -208,6 +232,47 @@ impl ControlLink for VerifyingLink {
         let queries: Vec<_> = to.iter().map(|to| (*to, Signal::NcStats)).collect();
         let done = self.settle(&queries);
         done.into_iter().map(Completed::into_stats).collect()
+    }
+}
+
+/// Data-plane address of each topology node, by label.
+const DATA_ADDRS: [(&str, &str); 3] = [
+    ("dc-a", "127.0.0.1:7201"),
+    ("dc-b", "127.0.0.1:7202"),
+    ("rx", "127.0.0.1:7203"),
+];
+
+/// Checker 8: every Running relay holds exactly the routes its belief
+/// gives it, and that belief is the table the adopted plan gives it.
+fn assert_holds_the_plan(auto: &Autoscaler, link: &VerifyingLink) {
+    let controller = auto.controller();
+    let topo = controller.topology();
+    let addr_of = |n| {
+        let label = topo.label(n);
+        let found = DATA_ADDRS.iter().find(|(l, _)| *l == label);
+        found.map(|&(_, a)| a.to_owned())
+    };
+    let dep = controller.deployment().expect("a plan");
+    let plan = tables_from_deployment(topo, controller.sessions(), dep, &|n| {
+        addr_of(n).expect("a next hop with an address")
+    });
+    let state = link.replayed();
+    for (&at, &node) in &link.node_of {
+        let mut routes = ForwardingTable::new();
+        routes.merge(&state.nodes[&node].table);
+        let dc = ["dc-a", "dc-b"][node as usize - 1];
+        let planned = plan
+            .iter()
+            .find(|(n, _)| topo.label(**n) == dc)
+            .map_or_else(ForwardingTable::new, |(_, t)| t.clone());
+        assert_eq!(
+            routes, planned,
+            "node {node}'s belief is not the plan's table"
+        );
+        let daemon = &link.daemons[&at];
+        if daemon.state() == DaemonState::Running {
+            assert_eq!(daemon.table(), &routes, "node {node} holds other routes");
+        }
     }
 }
 
@@ -306,6 +371,7 @@ fn drive(
         link.set_stats(addr(7101), out, idle_ms);
         link.set_stats(addr(7102), out, idle_ms);
         let report = auto.poll(link, 1.0 + i as f64).expect("poll runs");
+        assert_holds_the_plan(auto, link);
         if report.adopted {
             adopted = true;
             // Decision durability: by the time poll() reports the

@@ -36,7 +36,9 @@
 //!
 //! 1. every frame's record was durable in the sender's journal before
 //!    the frame left (its epoch, the node's launch, and the table, drain
-//!    or re-arm the frame carries);
+//!    or re-arm the frame carries; a table is the `TablePushed` record of
+//!    its own `(node, epoch, seq)`, or the believed table a restart's
+//!    reconciliation re-pushes);
 //! 2. no VNF applies a frame whose epoch is below the highest it has
 //!    accepted;
 //! 3. no VNF applies one `(epoch, seq)` twice — every frame is delivered
@@ -47,7 +49,11 @@
 //! 6. make-before-break: no Running VNF's table names a fleet VNF that
 //!    is not armed (Running, with the session's settings and a table
 //!    entry for it);
-//! 7. a retransmission gets the answer its first delivery got.
+//! 7. a retransmission gets the answer its first delivery got;
+//! 8. every reachable Running VNF holds exactly the routes the durable
+//!    journal believes it holds, and after a step that journaled a
+//!    decision or a table, that belief is the adopted plan's table for
+//!    every reachable VNF: a session the plan dropped there is withdrawn.
 //!
 //! Pure state machines and a temporary journal file: no socket, no
 //! sleep. Every reply is immediate, so the table's retry schedule never
@@ -58,11 +64,12 @@ use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use ncvnf_control::diff::tables_from_deployment;
 use ncvnf_control::journal::scan_frames;
 use ncvnf_control::{
-    Ack, Admit, AutoscaleConfig, Autoscaler, Completed, ControlLink, ControllerState, Daemon,
-    DaemonState, ExchangeTable, FencedSignal, ForwardingTable, Journal, NodeStatus, Received,
-    RelayTarget, SendError, SendReceipt, Signal, VnfRoleWire,
+    Ack, Admit, AutoscaleConfig, Autoscaler, Completed, ControlLink, ControlRecord,
+    ControllerState, Daemon, DaemonState, ExchangeTable, FencedSignal, ForwardingTable, Journal,
+    NodeStatus, Received, RelayTarget, SendError, SendReceipt, Signal, VnfRoleWire,
 };
 use ncvnf_deploy::{
     Planner, ScalingController, ScalingEvent, ScalingParams, SessionSpec, TopologyBuilder, VnfSpec,
@@ -80,6 +87,11 @@ const NODES: [(u32, VnfRoleWire); 3] = [
 ];
 /// The node that stops answering, and comes back.
 const SILENT: u32 = 2;
+/// The standby: the plan routes through it only while `SILENT` is lost.
+const STANDBY: u32 = 3;
+/// The data-plane port of each topology node, by label: a fleet VNF's is
+/// 7200 + its node id.
+const DATA_PORTS: [(&str, u16); 4] = [("dc-a", 7201), ("dc-b", 7202), ("dc-c", 7203), ("rx", 7204)];
 /// Polls after the first start, as (counter step, polls, `SILENT`
 /// answers nothing): 3 at the base rate, 5 at 30 % (adopted), 4 silent
 /// (lost on the second, so a successor started anywhere in the spell
@@ -339,7 +351,7 @@ impl FleetLink {
                 fleet.tick
             );
             let journal = std::fs::read(wal).expect("journal readable");
-            assert_durable(&journal, frame.epoch, node_of(to), &frame.signal);
+            assert_durable(&journal, &frame, node_of(to));
             sent.push(Sent {
                 to,
                 wire: wire.to_vec(),
@@ -362,9 +374,11 @@ impl FleetLink {
     }
 }
 
-/// Checker 1: what the journal on disk says must already cover `signal`.
-fn assert_durable(wal: &[u8], epoch: u64, node: u32, signal: &Signal) {
-    let state = ControllerState::replay(&scan_frames(wal).0);
+/// Checker 1: what the journal on disk says must already cover `frame`.
+fn assert_durable(wal: &[u8], frame: &FencedSignal, node: u32) {
+    let (epoch, signal) = (frame.epoch, &frame.signal);
+    let records = scan_frames(wal).0;
+    let state = ControllerState::replay(&records);
     assert!(
         state.epoch >= epoch,
         "epoch {epoch} pushed before journaled"
@@ -375,6 +389,19 @@ fn assert_durable(wal: &[u8], epoch: u64, node: u32, signal: &Signal) {
         .unwrap_or_else(|| panic!("push to node {node} before its launch was journaled"));
     match signal {
         Signal::NcForwardTab { table } => {
+            let journaled = records.iter().any(|r| {
+                *r == ControlRecord::TablePushed {
+                    node,
+                    epoch,
+                    seq: frame.seq,
+                    table: table.clone(),
+                }
+            });
+            assert!(
+                journaled || belief.table.to_text() == *table,
+                "table ({epoch}, {}) for node {node} is neither journaled nor the belief",
+                frame.seq
+            );
             let pushed = ForwardingTable::parse(table).expect("the controller pushes tables");
             let mut believed = belief.table.clone();
             assert_eq!(
@@ -425,6 +452,79 @@ impl ControlLink for FleetLink {
         let done = self.settle(&queries);
         done.into_iter().map(Completed::into_stats).collect()
     }
+}
+
+/// The routes `table` gives: its withdrawals left out.
+fn routes(table: &ForwardingTable) -> ForwardingTable {
+    let mut routes = ForwardingTable::new();
+    routes.merge(table);
+    routes
+}
+
+/// The table the autoscaler's current deployment gives each fleet VNF,
+/// by control address (empty where it routes nothing).
+fn planned(auto: &Autoscaler) -> BTreeMap<SocketAddr, ForwardingTable> {
+    let controller = auto.controller();
+    let topo = controller.topology();
+    let port = |n| {
+        let label = topo.label(n);
+        let found = DATA_PORTS.iter().find(|(l, _)| *l == label);
+        found.map(|&(_, port)| port)
+    };
+    let tables = controller.deployment().map_or_else(HashMap::new, |dep| {
+        let addr_of = |n| addr(port(n).expect("a next hop with a port")).to_string();
+        tables_from_deployment(topo, controller.sessions(), dep, &addr_of)
+    });
+    let mut planned: BTreeMap<SocketAddr, ForwardingTable> = NODES
+        .iter()
+        .map(|&(node, _)| (addr(7100 + node as u16), ForwardingTable::new()))
+        .collect();
+    for (n, table) in tables {
+        if let Some(at) = port(n).and_then(|p| planned.get_mut(&addr(p - 100))) {
+            *at = table;
+        }
+    }
+    planned
+}
+
+/// Checker 8 after a step that began with `since` records in the
+/// journal; returns how many it holds now.
+fn assert_holds_the_plan(link: &FleetLink, auto: &Autoscaler, since: usize) -> usize {
+    let records = scan_frames(&std::fs::read(&link.wal).expect("journal readable")).0;
+    let state = ControllerState::replay(&records);
+    let actuated = records[since..].iter().any(|r| {
+        matches!(
+            r,
+            ControlRecord::ScaleDecision { .. } | ControlRecord::TablePushed { .. }
+        )
+    });
+    let plan = actuated.then(|| planned(auto));
+    for (&at, vnf) in &link.fleet.vnfs {
+        if link.fleet.silent(at) {
+            continue;
+        }
+        let node = node_of(at);
+        let believed = state
+            .nodes
+            .get(&node)
+            .map_or_else(ForwardingTable::new, |b| routes(&b.table));
+        if vnf.daemon.state() == DaemonState::Running {
+            assert_eq!(
+                vnf.daemon.table(),
+                &believed,
+                "node {node} holds other routes than the journal believes (tick {})",
+                link.fleet.tick
+            );
+        }
+        if let Some(plan) = &plan {
+            assert_eq!(
+                believed, plan[&at],
+                "node {node}'s belief is not the adopted plan's table (tick {})",
+                link.fleet.tick
+            );
+        }
+    }
+    records.len()
 }
 
 /// src → dc-a (recoder, node 1) → {dc-b (decoder, node 2) | dc-c
@@ -519,26 +619,39 @@ fn start(
     fleet: Fleet,
 ) -> (Autoscaler, FleetLink) {
     let now = fleet.ticks[fleet.tick].now;
+    let since = scan_frames(&std::fs::read(wal).expect("journal readable"))
+        .0
+        .len();
     let mut link = FleetLink::new(state.next_epoch(), wal, fleet);
     let mut auto = autoscaler(journal);
     let report = auto.start(&mut link, state, now).expect("start");
     assert!(report.repush_failures.is_empty(), "{report:?}");
+    assert_holds_the_plan(&link, &auto, since);
     (auto, link)
 }
 
-/// Runs script polls `from..` on `auto`; after each, `between` runs once.
+/// Runs script polls `from..` on `auto`, checker 8 after each; after
+/// each, `between` runs once. Returns the ticks whose poll adopted a plan.
 fn run_ticks(
     auto: &mut Autoscaler,
     link: &mut FleetLink,
     from: usize,
     mut between: impl FnMut(&mut FleetLink),
-) {
+) -> Vec<usize> {
+    let mut adopted = Vec::new();
+    let mut records = scan_frames(&std::fs::read(&link.wal).expect("journal readable"))
+        .0
+        .len();
     for tick in from..link.fleet.ticks.len() {
         link.fleet.tick = tick;
         let now = link.fleet.ticks[tick].now;
-        auto.poll(link, now).expect("poll");
+        if auto.poll(link, now).expect("poll").adopted {
+            adopted.push(tick);
+        }
+        records = assert_holds_the_plan(link, auto, records);
         between(link);
     }
+    adopted
 }
 
 fn temp_wal(tag: &str) -> PathBuf {
@@ -560,6 +673,8 @@ struct Reference {
     end_file_len: usize,
     finals: Vec<Final>,
     decisions: u64,
+    /// The ticks whose poll adopted a plan.
+    adopted: Vec<usize>,
 }
 
 impl Reference {
@@ -578,7 +693,7 @@ fn reference() -> Reference {
     let (mut auto, mut link) = start(journal, &state, &path, Fleet::new());
     let wal_len = |link: &FleetLink| scan_frames(&std::fs::read(&link.wal).unwrap()).1;
     let mut wal_after_tick = vec![wal_len(&link)];
-    run_ticks(&mut auto, &mut link, 1, |link| {
+    let adopted = run_ticks(&mut auto, &mut link, 1, |link| {
         wal_after_tick.push(wal_len(link))
     });
     let decisions = auto.decisions();
@@ -593,6 +708,7 @@ fn reference() -> Reference {
         end_file_len,
         finals: link.fleet.finals(),
         decisions,
+        adopted,
     }
 }
 
@@ -682,7 +798,7 @@ fn crash_and_recover(
     };
     let mut in_flight = zombie.iter();
     zombie_step(&mut link, in_flight.next());
-    run_ticks(&mut auto, &mut link, died_in + 1, |link| {
+    let _ = run_ticks(&mut auto, &mut link, died_in + 1, |link| {
         zombie_step(link, in_flight.next());
     });
     for s in in_flight {
@@ -770,13 +886,41 @@ fn controller_crash_at_every_wal_byte_and_push_converges() {
         ),
         "node 2 was not re-armed after its silence while drained: {after_silence:?}"
     );
-    assert!(
-        reference
-            .finals
-            .iter()
-            .all(|(state, table, _)| *state == DaemonState::Running && !table.is_empty()),
-        "the no-crash run must end armed and woken: {:?}",
+    // It ends armed and woken, routing through node 2 again: the standby's
+    // route from the loss was withdrawn.
+    let routed: Vec<bool> = reference
+        .finals
+        .iter()
+        .map(|(state, table, _)| {
+            assert_eq!(*state, DaemonState::Running, "{:?}", reference.finals);
+            !table.is_empty()
+        })
+        .collect();
+    assert_eq!(
+        routed,
+        NODES.map(|(node, _)| node != STANDBY),
+        "{:?}",
         reference.finals
+    );
+
+    // A crash between a withdrawal's record and its frame: the return's
+    // withdrawal of the standby's route is durable and not sent. The
+    // restart re-pushes it (checker 8 right after the start entry), and
+    // the run ends where the no-crash run did.
+    let withdrawal = sent
+        .iter()
+        .position(|s| {
+            node_of(s.to) == STANDBY
+                && matches!(&fence_of(&s.wire).signal, Signal::NcForwardTab { table }
+                    if ForwardingTable::parse(table).is_ok_and(|t| routes(&t).is_empty()))
+        })
+        .expect("the standby's route was withdrawn");
+    let wal_len = sent[withdrawal].wal_len;
+    let durable = ControllerState::replay(&scan_frames(&reference.wal[..wal_len]).0);
+    assert!(routes(&durable.nodes[&STANDBY].table).is_empty());
+    assert_eq!(
+        crash_and_recover(&reference, wal_len, withdrawal, false).applied,
+        0
     );
 
     let (cases, plain) = explore(&reference, false);
@@ -784,7 +928,8 @@ fn controller_crash_at_every_wal_byte_and_push_converges() {
     println!(
         "crash_every_byte: {} crash cases ({} WAL bytes, {} pushes) and {} over zero padding \
          (file {} bytes at the end); zombie frames: {} / {} stale, {} / {} acked as \
-         duplicates, {} / {} applied, {} / {} lost at a silent VNF; wall {:.2} s",
+         duplicates, {} / {} applied, {} / {} lost at a silent VNF; plans adopted at ticks \
+         {:?}; wall {:.2} s",
         cases,
         reference.wal.len(),
         sent.len(),
@@ -798,6 +943,7 @@ fn controller_crash_at_every_wal_byte_and_push_converges() {
         padded.applied,
         plain.lost,
         padded.lost,
+        reference.adopted,
         started.elapsed().as_secs_f64()
     );
 }

@@ -29,6 +29,6 @@ pub mod scaling;
 pub mod solve;
 
 pub use model::{NodeKind, SessionSpec, Topology, TopologyBuilder, VnfSpec};
-pub use pool::{PoolState, VnfPool};
+pub use pool::VnfPool;
 pub use scaling::{ScalingController, ScalingEvent, ScalingParams};
 pub use solve::{Deployment, KeptProgram, PlanError, Planner, SolveMode};

@@ -1,28 +1,5 @@
 //! VNF lifecycle: launch latency, τ-delayed shutdown, instance reuse.
 
-/// A serializable snapshot of a [`VnfPool`]'s state, used by the
-/// crash-safe controller to rebuild the pool from its write-ahead
-/// journal after a restart (`ncvnf-control`'s `journal` module). The
-/// fields mirror [`VnfPool`]'s internals one-for-one; deadlines and
-/// ready times stay on the caller-supplied monotonic clock.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PoolState {
-    /// Instances actively serving traffic.
-    pub active: u64,
-    /// Shutdown deadlines of instances lingering for reuse.
-    pub lingering: Vec<f64>,
-    /// Ready times of instances still being provisioned.
-    pub launching: Vec<f64>,
-    /// Grace period τ in seconds.
-    pub tau: f64,
-    /// Fresh-VM provision latency in seconds.
-    pub launch_latency: f64,
-    /// Cumulative fresh launches.
-    pub total_launches: u64,
-    /// Cumulative reuses of lingering instances.
-    pub total_reuses: u64,
-}
-
 /// Manages the VNF instances of one data center over (abstract) time.
 ///
 /// The paper's lifecycle rules (Sec. III-A, V-C-5):
@@ -145,44 +122,6 @@ impl VnfPool {
         }
         self.launching.iter().fold(now, |acc, &t| acc.max(t))
     }
-
-    /// Exports the pool's full state for journaling.
-    pub fn export(&self) -> PoolState {
-        PoolState {
-            active: self.active,
-            lingering: self.lingering.clone(),
-            launching: self.launching.clone(),
-            tau: self.tau,
-            launch_latency: self.launch_latency,
-            total_launches: self.total_launches,
-            total_reuses: self.total_reuses,
-        }
-    }
-
-    /// Rebuilds a pool from an exported [`PoolState`] (journal replay).
-    /// The clock keeps its original origin, so a subsequent
-    /// [`tick`](Self::tick) with a later `now` expires every lingerer
-    /// whose deadline passed while the controller was down.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tau` or `launch_latency` is negative (same invariant
-    /// as [`new`](Self::new)).
-    pub fn import(state: PoolState) -> Self {
-        assert!(
-            state.tau >= 0.0 && state.launch_latency >= 0.0,
-            "invalid pool timing"
-        );
-        VnfPool {
-            active: state.active,
-            lingering: state.lingering,
-            launching: state.launching,
-            tau: state.tau,
-            launch_latency: state.launch_latency,
-            total_launches: state.total_launches,
-            total_reuses: state.total_reuses,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -240,36 +179,6 @@ mod tests {
         assert_eq!(ready, 95.0);
         assert_eq!(p.total_launches(), 2);
         assert_eq!(p.total_reuses(), 0);
-    }
-
-    #[test]
-    fn export_import_roundtrip_preserves_behaviour() {
-        let mut p = VnfPool::new(600.0, 35.0);
-        p.scale_to(3, 0.0);
-        p.tick(35.0);
-        p.scale_to(1, 100.0); // 2 lingerers expiring at 700
-        p.scale_to(2, 150.0); // reuse one of them
-        let state = p.export();
-        let mut q = VnfPool::import(state.clone());
-        assert_eq!(q.export(), state, "import/export is lossless");
-        assert_eq!(q.active(), p.active());
-        assert_eq!(q.billable(200.0), p.billable(200.0));
-        // A crash-length gap: the remaining lingerer expired at 700
-        // while the controller was down; ticking past it drops it from
-        // the bill exactly as the original pool would.
-        q.tick(800.0);
-        p.tick(800.0);
-        assert_eq!(q.billable(800.0), p.billable(800.0));
-        assert_eq!(q.total_reuses(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid pool timing")]
-    fn import_rejects_negative_timing() {
-        let _ = VnfPool::import(PoolState {
-            tau: -1.0,
-            ..PoolState::default()
-        });
     }
 
     #[test]

@@ -4,9 +4,15 @@
 //!
 //! Run with `cargo run --release --example dynamic_scaling`.
 
-use ncvnf::control::diff::{plan_signals, tables_from_deployment};
+use ncvnf::control::diff::tables_from_deployment;
+use ncvnf::control::fwdtab::ForwardingTable;
 use ncvnf::deploy::presets::random_workload;
-use ncvnf::deploy::{Planner, ScalingController, ScalingParams};
+use ncvnf::deploy::{Deployment, Planner, ScalingController, ScalingParams};
+use ncvnf::flowgraph::NodeId;
+
+fn addr(n: NodeId) -> String {
+    format!("10.0.{}.1:4000", n.0)
+}
 
 fn main() {
     let w = random_workload(4, 920e6, 150.0, 7);
@@ -32,20 +38,42 @@ fn main() {
         .session_join(w.sessions[3].clone(), 60.0)
         .expect("join");
     report(&controller, 60.0);
-    // Show the signal batch the controller would emit for this change.
+    // Show the signals the controller would emit for this change: VNFs
+    // launched or ended per data center, and each node's table delta
+    // (changed routes plus withdrawals).
     let after = controller.deployment().expect("deployment");
-    let plan = plan_signals(
-        controller.topology(),
-        controller.sessions(),
-        before.as_ref(),
-        after,
-        &|n| format!("10.0.{}.1:4000", n.0),
-    );
+    let (topo, sessions) = (controller.topology(), controller.sessions());
+    let (mut launches, mut ends) = (0, 0);
+    for dc in topo.data_centers() {
+        let count = |d: Option<&Deployment>| d.and_then(|d| d.vnfs.get(&dc)).copied().unwrap_or(0);
+        let (was, is) = (count(before.as_ref()), count(Some(after)));
+        launches += is.saturating_sub(was);
+        ends += was.saturating_sub(is);
+    }
+    let old = before
+        .as_ref()
+        .map(|d| tables_from_deployment(topo, sessions, d, &addr))
+        .unwrap_or_default();
+    let new = tables_from_deployment(topo, sessions, after, &addr);
+    let empty = ForwardingTable::new();
+    let nodes: std::collections::BTreeSet<NodeId> = old.keys().chain(new.keys()).copied().collect();
+    let pushes: Vec<ForwardingTable> = nodes
+        .iter()
+        .map(|n| {
+            old.get(n)
+                .unwrap_or(&empty)
+                .diff(new.get(n).unwrap_or(&empty), false)
+        })
+        .filter(|push| !push.is_empty())
+        .collect();
+    let withdrawals: usize = pushes
+        .iter()
+        .map(|push| push.iter().filter(|(_, hops)| hops.is_empty()).count())
+        .sum();
     println!(
-        "  control plane: {} VNF launches, {} terminations, {} table updates",
-        plan.launches.len(),
-        plan.terminations.len(),
-        plan.table_updates.len()
+        "  control plane: {launches} VNF launches, {ends} terminations, {} table pushes \
+         ({withdrawals} withdrawals)",
+        pushes.len()
     );
 
     println!("\nt=120s: a data center's per-VM bandwidth halves (rho/tau hysteresis)");
@@ -67,9 +95,7 @@ fn main() {
 
     println!("\nforwarding tables of the final deployment:");
     let dep = controller.deployment().expect("deployment");
-    let tables = tables_from_deployment(controller.topology(), controller.sessions(), dep, &|n| {
-        format!("10.0.{}.1:4000", n.0)
-    });
+    let tables = tables_from_deployment(controller.topology(), controller.sessions(), dep, &addr);
     for (node, table) in &tables {
         println!(
             "-- {} --\n{}",
